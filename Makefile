@@ -35,9 +35,10 @@ bench:
 # microbenchmarks: run them with -benchmem and compare allocs/op (and,
 # loosely, ns/op) against the committed pre-optimization baseline. The
 # 0.7x allocs ceiling pins the hash-path overhaul's win permanently;
-# the 0.5x ceiling on the *Kernel benchmarks pins the columnar kernels
-# at no more than half the row path's allocations (the baseline records
-# the BenchmarkRowPath* twins' numbers under the kernel names).
+# the 0.5x ceiling on the *Kernel benchmarks pins the kernels at no more
+# than half the allocations of the row-at-a-time pipeline they replaced
+# (the baseline keeps that pipeline's numbers, frozen, under the kernel
+# names).
 # BenchmarkSummaryBuild (internal/table) gates the partition-summary
 # builder the pruning pass depends on.
 bench-gate:

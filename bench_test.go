@@ -197,9 +197,9 @@ func BenchmarkFig9DominanceUnroll(b *testing.B) {
 	}
 }
 
-// BenchmarkExecutorPipeline compares the batch-streaming executor
-// against the materializing baseline (batch size < 0: every operator
-// sees whole partitions) over the CI smoke queries, reporting
+// BenchmarkExecutorPipeline compares the default batch size against
+// whole-partition batches (batch size < 0: every chain operator sees
+// its whole partition at once) over the CI smoke queries, reporting
 // throughput and the peak in-flight intermediate footprint of each
 // mode. The "streaming" sub-benchmark's peakB must come in below the
 // "materializing" one — the same invariant cmd/benchcheck gates on the

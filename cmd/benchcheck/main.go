@@ -11,10 +11,10 @@
 // deliberately generous max_ns_ratio since CI hardware varies.
 //
 // With -oracle it compares two BENCH_*.json reports of the same
-// workload produced by different executor modes (row-at-a-time vs
-// columnar): every query must appear in both with identical result row
+// workload produced under different engine configurations (sample cache
+// off vs on): every query must appear in both with identical result row
 // counts and result hashes, so any bitwise divergence between the two
-// executors fails the build.
+// configurations fails the build.
 //
 // With -prune it compares an unpruned report against one produced with
 // partition-selection pruning enabled: the pruned run must actually
@@ -38,7 +38,7 @@
 //
 //	benchcheck BENCH_SMOKE.json [more.json...]
 //	benchcheck -micro -baseline internal/exec/testdata/bench_baseline.json bench.txt
-//	benchcheck -oracle row/BENCH_BENCH.json columnar/BENCH_BENCH.json
+//	benchcheck -oracle lazy/BENCH_BENCH.json cached/BENCH_BENCH.json
 //	benchcheck -prune full/BENCH_BENCH.json pruned/BENCH_BENCH.json
 //	benchcheck -contract CONTRACT_SMOKE.json
 //	benchcheck -dashboard DASH_SMOKE.json
@@ -83,7 +83,7 @@ var concurrencyFields = []string{
 func main() {
 	micro := flag.Bool("micro", false, "gate `go test -bench -benchmem` output against -baseline instead of checking report schemas")
 	baseline := flag.String("baseline", "", "baseline JSON for -micro (committed allocs/op and ns/op ceilings)")
-	oracle := flag.Bool("oracle", false, "compare two reports of the same workload from different executor modes; result hashes must match")
+	oracle := flag.Bool("oracle", false, "compare two reports of the same workload from different engine configurations; result hashes must match")
 	prune := flag.Bool("prune", false, "compare an unpruned report against a pruned one; the pruned run must scan strictly fewer partitions")
 	contract := flag.Bool("contract", false, "gate a CONTRACT_<exp>.json report: zero violations, escalation retries served from the plan cache")
 	dashboard := flag.Bool("dashboard", false, "gate a DASH_<exp>.json report: cached results bit-identical to cold, cached QPS above exact and cold on multicore")
@@ -91,7 +91,7 @@ func main() {
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchcheck BENCH_<exp>.json [more.json...]")
 		fmt.Fprintln(os.Stderr, "       benchcheck -micro -baseline baseline.json bench.txt")
-		fmt.Fprintln(os.Stderr, "       benchcheck -oracle row.json columnar.json")
+		fmt.Fprintln(os.Stderr, "       benchcheck -oracle lazy.json cached.json")
 		fmt.Fprintln(os.Stderr, "       benchcheck -prune full.json pruned.json")
 		fmt.Fprintln(os.Stderr, "       benchcheck -contract CONTRACT_<exp>.json")
 		fmt.Fprintln(os.Stderr, "       benchcheck -dashboard DASH_<exp>.json")
@@ -194,9 +194,9 @@ func checkFile(path string) []error {
 	if len(queries) == 0 {
 		fail("report contains no queries")
 	}
-	// Streaming-vs-materializing footprint gate: summed over the
-	// report's queries, the batched executor's peak in-flight bytes must
-	// stay strictly below what materializing every intermediate held.
+	// Streaming-vs-whole-partition footprint gate: summed over the
+	// report's queries, the peak in-flight bytes at the configured batch
+	// size must stay strictly below those of one batch per partition.
 	var peakStreaming, peakMaterialized float64
 	for i, q := range queries {
 		qname := fmt.Sprintf("queries[%d]", i)
@@ -277,7 +277,7 @@ func checkFile(path string) []error {
 		}
 	}
 	if peakMaterialized > 0 && peakStreaming >= peakMaterialized {
-		fail("streaming peak in-flight bytes (%.0f) not below materializing baseline (%.0f)",
+		fail("streaming peak in-flight bytes (%.0f) not below the whole-partition peak (%.0f)",
 			peakStreaming, peakMaterialized)
 	}
 

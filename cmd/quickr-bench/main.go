@@ -4,7 +4,7 @@
 // Usage:
 //
 //	quickr-bench [-exp all|F1|F2a|F2b|T3|T4|T5|T6|T7|T8|T9|F8a|F8b|F8c|F9|SMOKE|BENCH] [-sf 1.0] [-json dir]
-//	             [-batch 0] [-columnar] [-prune] [-sample-cache N] [-contract] [-dashboard]
+//	             [-batch 0] [-prune] [-sample-cache N] [-contract] [-dashboard]
 //	             [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //
 // SMOKE runs a tiny per-suite query subset; BENCH runs the full query
@@ -34,8 +34,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (F1,F2a,F2b,T3..T9,F8a..F8c,F9,SMOKE,BENCH) or 'all'")
 	sf := flag.Float64("sf", 1.0, "scale factor for the synthetic datasets")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<exp>.json reports into (SMOKE/BENCH)")
-	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = materialize whole partitions)")
-	columnar := flag.Bool("columnar", false, "run streamed pipelines on the vectorized columnar executor (ignored when -batch < 0)")
+	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = one batch per partition)")
 	prune := flag.Bool("prune", false, "enable the optimizer's partition-selection pruning pass for sampled plans")
 	sampleCache := flag.Int64("sample-cache", 0, "enable hot-sample reuse with this byte budget for the whole run (0 = off)")
 	contract := flag.Bool("contract", false, "also run the error-contract suite (cold+warm) and write CONTRACT_<exp>.json (SMOKE/BENCH)")
@@ -64,13 +63,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "loading synthetic TPC-DS/TPC-H/log datasets at sf=%.2g...\n", *sf)
 			env = experiments.NewFullEnv(*sf)
 			env.Eng.SetBatchSize(*batch)
-			env.Eng.SetColumnar(*columnar)
 			env.Eng.SetPrune(*prune)
 			env.Eng.SetSampleCache(*sampleCache)
-			if *columnar && *batch >= 0 {
-				fmt.Fprintln(os.Stderr, "warming columnar partition caches...")
-				env.Eng.WarmColumnar()
-			}
 		}
 		return env
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	quickr [-sf 1] [-seed 0] [-batch 1024] [-columnar] [-check] [-prune] [-sample-cache N] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
+//	quickr [-sf 1] [-seed 0] [-batch 1024] [-check] [-prune] [-sample-cache N] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
 //	quickr [-sf 1] -i            # simple REPL
 //	quickr [-sf 1] -serve :8080  # HTTP/JSON query service (see internal/service)
 //
@@ -44,8 +44,7 @@ func main() {
 	analyze := flag.Bool("analyze", false, "execute and print EXPLAIN ANALYZE (actual vs estimated rows)")
 	metrics := flag.Bool("metrics", false, "print simulated cluster metrics")
 	stats := flag.String("stats", "", "write a JSON run report to this path (\"-\" = stdout)")
-	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = materialize whole partitions)")
-	columnar := flag.Bool("columnar", false, "run streamed pipelines on the vectorized columnar executor (ignored when -batch < 0)")
+	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = one batch per partition)")
 	check := flag.Bool("check", false, "verify plan invariants (sampler dominance, universe pairing, weight propagation) at optimize time; violations fail the query")
 	prune := flag.Bool("prune", false, "enable partition-selection pruning: sampled plans whose partition summaries certify the sampler's columns scan a weighted partition subset")
 	sampleCache := flag.Int64("sample-cache", 0, "enable hot-sample reuse with this byte budget: repeated queries replay materialized sampler output instead of re-scanning (0 = off); answers are bit-identical warm or cold")
@@ -66,7 +65,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "loading TPC-DS-like data at sf=%.2g...\n", *sf)
 	eng := buildEngine(*sf, *seed)
 	eng.SetBatchSize(*batch)
-	eng.SetColumnar(*columnar)
 	eng.SetPlanChecks(*check)
 	eng.SetPrune(*prune)
 	eng.SetSampleCache(*sampleCache)

@@ -18,15 +18,10 @@ const DefaultBatchSize = 256
 // Options tunes plan execution.
 type Options struct {
 	// BatchSize is the number of rows per streamed pipeline batch.
-	// 0 selects DefaultBatchSize. Negative disables streaming: every
-	// pipeline materializes whole partitions (the pre-batching executor,
-	// kept as the comparison baseline for BenchmarkExecutorPipeline).
+	// 0 selects DefaultBatchSize. Negative makes every batch span its
+	// whole partition (the same code path with one batch per partition;
+	// its in-flight peak is what the streaming peak is gated against).
 	BatchSize int
-	// Columnar switches non-breaker pipelines to the column-major
-	// vectorized executor (typed vectors + selection vectors). It only
-	// applies when BatchSize >= 0: the materializing baseline
-	// (BatchSize < 0) always runs the row-at-a-time oracle path.
-	Columnar bool
 	// Pool overrides the worker pool partition fan-out runs on (nil
 	// selects the process-wide shared pool).
 	Pool *pool.Pool
@@ -90,22 +85,4 @@ func rowsBytes(rows []wrow) float64 {
 		b += wrowBytes(rows[i])
 	}
 	return b
-}
-
-// batch is one unit of rows flowing through a fused pipeline. Its byte
-// size is accumulated once when the batch is produced and reused by
-// every downstream consumer (stage accounting, peak tracking).
-type batch struct {
-	rows  []wrow
-	bytes float64
-}
-
-// operator is a pull-based batch iterator: Next returns the next batch
-// of rows, or an empty batch once the stream is exhausted (operators
-// with empty intermediate output keep pulling internally, so an empty
-// batch always means done). Batches may alias operator-owned buffers
-// that are reused by the following Next call; consumers must copy rows
-// they keep.
-type operator interface {
-	Next() (batch, error)
 }

@@ -1,20 +1,15 @@
 package exec
 
-// Microbenchmarks for the vectorized columnar kernels (filter, project,
-// sampler, fused pre-aggregation), each paired with a row-at-a-time
-// twin running the identical plan on the row executor. The committed
-// baseline (testdata/bench_baseline.json) records the ROW path's
-// numbers under the kernel names; CI runs the columnar benchmarks
-// against it with max_allocs_ratio 0.5, so the columnar kernels must
-// stay at or below half the row path's allocations forever. The row
-// twins are deliberately named without the gated substrings
-// (BenchmarkRowPath*) so the gate regex never matches them.
+// Microbenchmarks for the vectorized kernels (filter, project, sampler,
+// fused pre-aggregation). The committed baseline
+// (testdata/bench_baseline.json) records, under the kernel names, the
+// numbers of the row-at-a-time pipeline these kernels replaced; CI runs
+// the benchmarks against it with max_allocs_ratio 0.5, so the kernels
+// must stay at or below half those (now frozen) allocations forever.
 
 import (
-	"context"
 	"testing"
 
-	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/table"
 )
@@ -44,16 +39,6 @@ func benchKernelTable() *table.Table {
 	}
 	tbl.EnsureColumnar()
 	return tbl
-}
-
-// benchRunMode executes the plan in row-streamed or columnar mode.
-func benchRunMode(b *testing.B, p PNode, columnar bool) *Result {
-	b.Helper()
-	res, err := RunWithOptions(context.Background(), p, cluster.DefaultConfig(), nil, Options{Columnar: columnar})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
 }
 
 func kernelFilterPlan(tbl *table.Table) PNode {
@@ -113,45 +98,29 @@ func kernelPreAggPlan(tbl *table.Table) PNode {
 	}
 }
 
-// benchKernel runs plan-builder mk once per iteration in the given mode.
-func benchKernel(b *testing.B, mk func(*table.Table) PNode, columnar bool) {
+// benchKernel runs plan-builder mk once per iteration.
+func benchKernel(b *testing.B, mk func(*table.Table) PNode) {
 	tbl := benchKernelTable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchRunMode(b, mk(tbl), columnar)
+		benchRun(b, mk(tbl))
 	}
 }
 
 // BenchmarkFilterKernel measures the columnar filter: typed comparison
 // kernels over dense vectors writing a selection vector.
-func BenchmarkFilterKernel(b *testing.B) { benchKernel(b, kernelFilterPlan, true) }
-
-// BenchmarkRowPathFilter is the row-at-a-time twin whose numbers seed
-// the BenchmarkFilterKernel baseline.
-func BenchmarkRowPathFilter(b *testing.B) { benchKernel(b, kernelFilterPlan, false) }
+func BenchmarkFilterKernel(b *testing.B) { benchKernel(b, kernelFilterPlan) }
 
 // BenchmarkProjectKernel measures columnar projection: arithmetic and
 // dictionary-compare kernels building output vectors.
-func BenchmarkProjectKernel(b *testing.B) { benchKernel(b, kernelProjectPlan, true) }
-
-// BenchmarkRowPathProject is the row-at-a-time twin whose numbers seed
-// the BenchmarkProjectKernel baseline.
-func BenchmarkRowPathProject(b *testing.B) { benchKernel(b, kernelProjectPlan, false) }
+func BenchmarkProjectKernel(b *testing.B) { benchKernel(b, kernelProjectPlan) }
 
 // BenchmarkSamplerKernel measures the columnar uniform sampler:
 // selection-vector thinning with in-place weight scaling.
-func BenchmarkSamplerKernel(b *testing.B) { benchKernel(b, kernelSamplerPlan, true) }
-
-// BenchmarkRowPathSampler is the row-at-a-time twin whose numbers seed
-// the BenchmarkSamplerKernel baseline.
-func BenchmarkRowPathSampler(b *testing.B) { benchKernel(b, kernelSamplerPlan, false) }
+func BenchmarkSamplerKernel(b *testing.B) { benchKernel(b, kernelSamplerPlan) }
 
 // BenchmarkPreAggKernel measures the fused columnar sample→group-by
 // pre-aggregation (scan batches feed the aggregation without an
 // intermediate materialized stream).
-func BenchmarkPreAggKernel(b *testing.B) { benchKernel(b, kernelPreAggPlan, true) }
-
-// BenchmarkRowPathPreAgg is the row-at-a-time twin whose numbers seed
-// the BenchmarkPreAggKernel baseline.
-func BenchmarkRowPathPreAgg(b *testing.B) { benchKernel(b, kernelPreAggPlan, false) }
+func BenchmarkPreAggKernel(b *testing.B) { benchKernel(b, kernelPreAggPlan) }

@@ -1,10 +1,8 @@
 package exec
 
-// Batch is the column-major unit of data flowing through the vectorized
-// pipeline (Options.Columnar). It mirrors the row-mode batch exactly:
-// the live rows of a Batch — the lanes covered by sel, in sel order —
-// correspond one-to-one, in order, with the []wrow the row-at-a-time
-// pipeline would carry at the same operator boundary.
+// Batch is the column-major unit of data flowing through the fused
+// pipeline. Its live rows — the lanes covered by sel, in sel order — are
+// the partition's rows at this operator boundary, in partition order.
 //
 //   - cols holds one Vector per column, positionally aligned with the
 //     row layout at this point in the pipeline.
@@ -13,8 +11,8 @@ package exec
 //     the live rows. nil means all n lanes are live (dense).
 //   - weights holds the Horvitz–Thompson weight of each physical lane;
 //     samplers scale it in place as they thin sel.
-//   - bytes is the in-flight size of the live rows, matching row mode's
-//     batch.bytes (sum of per-row ByteSize()+8).
+//   - bytes is the in-flight size of the live rows (sum of per-row
+//     ByteSize()+8, what the rows cost once materialized as wrows).
 //
 // Dead lanes (outside sel) hold unspecified zero/NULL payloads; kernels
 // may compute them, and must never read them back for live results.
@@ -60,7 +58,7 @@ func liveBytes(cols []Vector, sel []int32) float64 {
 }
 
 // gatherRow materializes physical lane i as an arena-backed row plus
-// its cached size, identical to newWRow(row, w) in row mode.
+// its cached size, identical to newWRow(row, w).
 //
 //hot:per-lane row materialization at pipeline sinks
 func gatherRow(a *rowArena, cols []Vector, lane int32, w float64) wrow {

@@ -1,25 +1,13 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
 
-	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/table"
 )
-
-// runColumnar executes a plan on the vectorized columnar executor.
-func runColumnar(t *testing.T, p PNode, batch int) *Result {
-	t.Helper()
-	res, err := RunWithOptions(context.Background(), p, cluster.DefaultConfig(), nil, Options{BatchSize: batch, Columnar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
 
 // sameEstimates asserts two results carry bit-identical group estimates.
 func sameEstimates(t *testing.T, want, got *Result, label string) {
@@ -43,10 +31,10 @@ func sameEstimates(t *testing.T, want, got *Result, label string) {
 	}
 }
 
-// The acceptance bar of the columnar refactor: for every sampler type
-// and batch size, the vectorized executor's results are bit-identical
-// to the row-materializing oracle (batch < 0, which ignores Columnar).
-func TestColumnarBitIdenticalAcrossModes(t *testing.T) {
+// The acceptance bar of the columnar chain: for every sampler type and
+// batch size (whole-partition batches included), its results are
+// bit-identical to the row-at-a-time reference.
+func TestChainMatchesRowReference(t *testing.T) {
 	samplers := map[string]*lplan.SamplerDef{
 		"nosampler": nil,
 		"uniform":   {Type: lplan.SamplerUniform, P: 0.25},
@@ -57,10 +45,10 @@ func TestColumnarBitIdenticalAcrossModes(t *testing.T) {
 	for name, def := range samplers {
 		t.Run(name, func(t *testing.T) {
 			tbl, _ := buildT("ct_"+name, 8, pipelineRows(4000))
-			base := runBatched(t, chainOf(tbl, def, 7), -1) // row-mode oracle
-			for _, bs := range []int{1, 3, 7, 64, 0, DefaultBatchSize + 1} {
-				got := runColumnar(t, chainOf(tbl, def, 7), bs)
-				sameRows(t, base, got, fmt.Sprintf("columnar batch=%d", bs))
+			base := refRun(t, chainOf(tbl, def, 7))
+			for _, bs := range []int{1, 3, 7, 64, 0, DefaultBatchSize + 1, -1} {
+				got := runBatched(t, chainOf(tbl, def, 7), bs)
+				sameRows(t, base, got, fmt.Sprintf("batch=%d", bs))
 			}
 		})
 	}
@@ -120,7 +108,7 @@ func colRefsOf(scan *PScan) []*lplan.ColRef {
 
 // Every kernel class — comparisons, arithmetic, AND/OR, NOT/NEG,
 // IS NULL, IN, LIKE, and the row-at-a-time fallback (CASE) — must agree
-// bit-for-bit with the row-mode closures over mixed-kind, NULL-laden
+// bit-for-bit with the row closures over mixed-kind, NULL-laden
 // input, both as filter predicates and projected expressions.
 func TestColumnarExpressionKernels(t *testing.T) {
 	tbl := mixedTable("cexpr", 6, 3000)
@@ -196,8 +184,8 @@ func TestColumnarExpressionKernels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runBatched(t, mk(tc.pred, tc.exprs...), -1)
-			got := runColumnar(t, mk(tc.pred, tc.exprs...), 113)
+			base := refRun(t, mk(tc.pred, tc.exprs...))
+			got := runBatched(t, mk(tc.pred, tc.exprs...), 113)
 			sameRows(t, base, got, tc.name)
 		})
 	}
@@ -257,8 +245,8 @@ func TestColumnarSelectionExtremes(t *testing.T) {
 	}
 	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
-			base := runBatched(t, mkPred(pred), -1)
-			got := runColumnar(t, mkPred(pred), 64)
+			base := refRun(t, mkPred(pred))
+			got := runBatched(t, mkPred(pred), 64)
 			sameRows(t, base, got, name)
 			switch name {
 			case "none":
@@ -279,7 +267,7 @@ func TestColumnarSelectionExtremes(t *testing.T) {
 	t.Run("empty-table", func(t *testing.T) {
 		empty, _ := buildT("cempty", 6, nil)
 		def := &lplan.SamplerDef{Type: lplan.SamplerDistinct, P: 0.1, Cols: []lplan.ColumnID{1}, Delta: 2}
-		res := runColumnar(t, chainOf(empty, def, 3), 0)
+		res := runBatched(t, chainOf(empty, def, 3), 0)
 		if len(res.Rows) != 0 {
 			t.Fatalf("empty table produced %d rows", len(res.Rows))
 		}
@@ -293,8 +281,8 @@ func TestColumnarSelectionExtremes(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			sparse.Append(0, table.Row{table.NewInt(int64(i % 11)), table.NewFloat(float64(i))})
 		}
-		base := runBatched(t, chainOf(sparse, nil, 0), -1)
-		got := runColumnar(t, chainOf(sparse, nil, 0), 32)
+		base := refRun(t, chainOf(sparse, nil, 0))
+		got := runBatched(t, chainOf(sparse, nil, 0), 32)
 		sameRows(t, base, got, "sparse")
 	})
 }
@@ -321,16 +309,16 @@ func TestColumnarAllNullColumn(t *testing.T) {
 			{ID: nextID, Name: "sum", Kind: table.KindFloat},
 		}}
 	}
-	base := runBatched(t, mk(), -1)
-	got := runColumnar(t, mk(), 64)
+	base := refRun(t, mk())
+	got := runBatched(t, mk(), 64)
 	sameRows(t, base, got, "all-null")
 	if !got.Rows[7][0].IsNull() || !got.Rows[7][1].IsNull() {
 		t.Fatalf("null column not preserved: %v", got.Rows[7])
 	}
 }
 
-// Weights must propagate through chained samplers exactly as in row
-// mode: two stacked uniform samplers compose their 1/p scalings, which
+// Weights must propagate through chained samplers exactly as row at a
+// time: two stacked uniform samplers compose their 1/p scalings, which
 // the weighted aggregate then surfaces in its estimates.
 func TestColumnarChainedSamplerWeights(t *testing.T) {
 	tbl, _ := buildT("cchain", 4, pipelineRows(8000))
@@ -351,8 +339,8 @@ func TestColumnarChainedSamplerWeights(t *testing.T) {
 			Top: true,
 		}
 	}
-	base := runBatched(t, mk(), -1)
-	got := runColumnar(t, mk(), 97)
+	base := refRun(t, mk())
+	got := runBatched(t, mk(), 97)
 	sameRows(t, base, got, "chained-samplers")
 	sameEstimates(t, base, got, "chained-samplers")
 	// The composed weight 1/(0.5*0.5)=4 must make COUNT estimate ~8000.
@@ -365,8 +353,9 @@ func TestColumnarChainedSamplerWeights(t *testing.T) {
 	}
 }
 
-// The fused columnar pre-aggregation must match row mode bit-for-bit,
-// including estimates, for grouped and global aggregates.
+// The fused columnar pre-aggregation must match the row-at-a-time
+// reference bit-for-bit, including estimates, for grouped and global
+// aggregates.
 func TestColumnarFusedAggBitIdentical(t *testing.T) {
 	tbl, _ := buildT("cagg", 8, pipelineRows(6000))
 	mk := func(global bool) PNode {
@@ -391,52 +380,30 @@ func TestColumnarFusedAggBitIdentical(t *testing.T) {
 	for _, global := range []bool{false, true} {
 		name := map[bool]string{false: "grouped", true: "global"}[global]
 		t.Run(name, func(t *testing.T) {
-			base := runBatched(t, mk(global), -1)
-			got := runColumnar(t, mk(global), 73)
+			base := refRun(t, mk(global))
+			got := runBatched(t, mk(global), 73)
 			sameRows(t, base, got, name)
 			sameEstimates(t, base, got, name)
 		})
 	}
 }
 
-// Hammer the fused columnar chain across many partitions repeatedly;
-// under -race this proves the per-partition kernel scratch, selection
-// buffers and metric slots stay disjoint.
-func TestColumnarParallelHammerRaceFree(t *testing.T) {
-	tbl, _ := buildT("crace", 64, pipelineRows(6400))
-	def := &lplan.SamplerDef{Type: lplan.SamplerDistinct, P: 0.2, Cols: []lplan.ColumnID{1}, Delta: 3}
-	var want *Result
-	for round := 0; round < 8; round++ {
-		res := runColumnar(t, chainOf(tbl, def, 11), 17)
-		if want == nil {
-			want = res
-		} else {
-			sameRows(t, want, res, fmt.Sprintf("round=%d", round))
-		}
-	}
-	base := runBatched(t, chainOf(tbl, def, 11), -1)
-	sameRows(t, base, want, "vs row oracle")
-}
-
-// Columnar runs must report kernel telemetry (physical lanes through
-// vectorized kernels); row-mode runs must not, keeping their JSON
-// reports byte-identical to before the columnar executor existed.
+// Every run reports kernel telemetry: physical lanes through the
+// vectorized kernels, and none on the row-closure fallback for a chain
+// of typed comparisons and arithmetic.
 func TestColumnarKernelTelemetry(t *testing.T) {
 	tbl, _ := buildT("ctel", 4, pipelineRows(2000))
-	colRes := runColumnar(t, chainOf(tbl, nil, 0), 100)
-	var colLanes int64
-	for _, op := range colRes.Stats.Ops() {
-		colLanes += op.Total().KernelLanes
+	res := runBatched(t, chainOf(tbl, nil, 0), 100)
+	var lanes, fallback int64
+	for _, op := range res.Stats.Ops() {
+		lanes += op.Total().KernelLanes
+		fallback += op.Total().FallbackRows
 	}
-	if colLanes == 0 {
-		t.Fatal("columnar run reported no kernel lanes")
+	if lanes == 0 {
+		t.Fatal("run reported no kernel lanes")
 	}
-	rowRes := runBatched(t, chainOf(tbl, nil, 0), 100)
-	for _, op := range rowRes.Stats.Ops() {
-		tot := op.Total()
-		if tot.KernelLanes != 0 || tot.FallbackRows != 0 {
-			t.Fatalf("row-mode run leaked kernel telemetry: %+v", tot)
-		}
+	if fallback != 0 {
+		t.Fatalf("typed chain routed %d rows through the row-closure fallback", fallback)
 	}
 }
 
@@ -471,7 +438,7 @@ func TestColumnarDictionaryGrowth(t *testing.T) {
 			{ID: nextID, Name: "gt", Kind: table.KindBool},
 		}}
 	}
-	base := runBatched(t, mk(), -1)
-	got := runColumnar(t, mk(), 512)
+	base := refRun(t, mk())
+	got := runBatched(t, mk(), 512)
 	sameRows(t, base, got, "dict-growth")
 }

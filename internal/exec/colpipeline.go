@@ -10,20 +10,20 @@ import (
 	"quickr/internal/table"
 )
 
-// This file is the vectorized twin of pipeline.go: with Options.Columnar
-// the scan→filter→project→sample chains between pipeline breakers run
-// column-at-a-time over exec.Batch instead of row-at-a-time over []wrow.
-// Predicates evaluate as per-column kernels and thin the selection
-// vector, samplers thin it further and scale the weight column, and rows
-// only materialize at the sink (the breaker boundary).
+// This file holds the fused chain's operators and drive loops: the
+// scan→filter→project→sample chains between pipeline breakers run
+// column-at-a-time over exec.Batch. Predicates evaluate as per-column
+// kernels and thin the selection vector, samplers thin it further and
+// scale the weight column, and rows only materialize at the sink (the
+// breaker boundary). Expressions without a typed kernel (CASE, function
+// calls) evaluate through a row closure per live lane inside the same
+// chain (coleval.go's fallback, counted as fallback_rows).
 //
-// Everything observable is bit-identical to row mode: the live rows of
-// every batch correspond one-to-one with the rows the row-at-a-time
-// pipeline carries, sampler decision sequences are unchanged (same rng
-// draws, same hash inputs, in the same order), and stage/metric
-// accounting charges the same stages the same amounts. Running with
-// BatchSize<0 disables columnar execution entirely — that mode is the
-// row-materializing oracle the CI two-mode gate diffs against.
+// Answers do not depend on the batch size: sampler decision sequences
+// (rng draws, hash inputs, their order) and every stage/metric total
+// are functions of the partition's rows only. The frozen result hashes
+// (internal/experiments/frozen_hash_test.go) hold the chain to the
+// answers of the row-at-a-time pipeline it replaced.
 
 // colOperator is the columnar pipeline operator: an empty batch
 // (Len()==0) means the partition is exhausted. Batches may alias
@@ -32,22 +32,38 @@ type colOperator interface {
 	Next() (Batch, error)
 }
 
+// windowCols appends zero-copy windows of lanes [pos, pos+n) of every
+// column to dst and returns it with the lanes' summed value bytes.
+func windowCols(dst []Vector, cols []table.ColVec, pos, n int) ([]Vector, float64) {
+	var bytes float64
+	for c := range cols {
+		w := window(&cols[c], pos, n)
+		bytes += w.bytesAll()
+		dst = append(dst, w)
+	}
+	return dst, bytes
+}
+
 // colScanSource streams one stored partition's columnar mirror,
 // windowing each column zero-copy and extracting apriori sample weights
-// per batch. Accounting matches scanSource exactly.
+// per batch. Raw bytes account the full stored width; the pruned width
+// shows up on the downstream operators instead.
 type colScanSource struct {
 	p    *PScan
 	cp   *table.ColPartition
 	size int
 	pos  int
-	// inflate multiplies every lane weight (partition-selection HT
-	// factor; 1 for unpruned scans), mirroring scanSource.
+	// inflate multiplies every lane weight; the optimizer's partition
+	// selection sets it to the kept partition's Horvitz–Thompson factor
+	// (1 for unpruned scans and certainty-stratum partitions).
 	inflate float64
 
 	st   *cluster.Stage
 	task int
 	slot *metrics.Slot
-	raw  *float64
+	// raw accumulates the partition's unpruned input bytes for the
+	// job-level passes metric (summed by the coordinator afterwards).
+	raw *float64
 
 	weights []float64
 	cols    []Vector
@@ -66,13 +82,8 @@ func (s *colScanSource) Next() (Batch, error) {
 	t0 := time.Now()
 	// Window every stored column once: raw bytes account the full
 	// stored width, the batch carries only the pruned columns.
-	s.wins = s.wins[:0]
 	var rawBytes float64
-	for c := range s.cp.Cols {
-		w := window(&s.cp.Cols[c], s.pos, n)
-		rawBytes += w.bytesAll()
-		s.wins = append(s.wins, w)
-	}
+	s.wins, rawBytes = windowCols(s.wins[:0], s.cp.Cols, s.pos, n)
 	s.cols = s.cols[:0]
 	if prune := len(s.p.ColIdx) > 0; prune {
 		for _, ci := range s.p.ColIdx {
@@ -131,7 +142,7 @@ type batchBuilder struct {
 }
 
 // fromRows builds a dense batch from rows; bytes is the precomputed
-// row-mode batch size (sum of cached wrow sizes).
+// batch size (sum of cached wrow sizes).
 func (bb *batchBuilder) fromRows(rows []wrow, bytes float64) Batch {
 	width := 0
 	if len(rows) > 0 {
@@ -178,6 +189,35 @@ func (s *colRowSource) Next() (Batch, error) {
 	rows := s.rows[s.pos : s.pos+n]
 	s.pos += n
 	return s.bb.fromRows(rows, rowsBytes(rows)), nil
+}
+
+// colCachedSource replays one cached sampler-output partition: like
+// colScanSource it windows the column-major vectors zero-copy and copies
+// only the batch's weights, which downstream samplers scale in place.
+type colCachedSource struct {
+	cp   *CachedPart
+	size int
+	pos  int
+
+	weights []float64
+	cols    []Vector
+}
+
+func (s *colCachedSource) Next() (Batch, error) {
+	remain := s.cp.Cols.NumRows - s.pos
+	if remain <= 0 {
+		return Batch{}, nil
+	}
+	n := s.size
+	if n > remain {
+		n = remain
+	}
+	var bytes float64
+	s.cols, bytes = windowCols(s.cols[:0], s.cp.Cols.Cols, s.pos, n)
+	bytes += 8 * float64(n)
+	s.weights = append(s.weights[:0], s.cp.W[s.pos:s.pos+n]...)
+	s.pos += n
+	return Batch{cols: s.cols, n: n, weights: s.weights, bytes: bytes}, nil
 }
 
 // colFilterOp evaluates the predicate kernel and keeps the truthy lanes
@@ -298,7 +338,9 @@ func (p *colProjectOp) Next() (Batch, error) {
 	return Batch{cols: p.cols, n: b.n, sel: b.sel, weights: b.weights, bytes: bytes}, nil
 }
 
-// colPassOp forwards batches untouched, counting them like passOp.
+// colPassOp is a pass-through sampler: it forwards batches untouched and
+// only counts them (no stage exists for all-pass-through chains, and no
+// CPU is charged).
 type colPassOp struct {
 	child colOperator
 	slot  *metrics.Slot
@@ -348,7 +390,8 @@ func (s *colSampleOp) Next() (Batch, error) {
 		return Batch{}, nil
 	}
 	for {
-		// Per-pull cancellation point, mirroring the row-mode sampleOp.
+		// Per-pull cancellation point: a low-p sampler may swallow whole
+		// input batches without emitting.
 		if err := ctxErr(s.ctx); err != nil {
 			return Batch{}, err
 		}
@@ -475,16 +518,19 @@ func (s *colSampleOp) noteThin(liveIn int, newSel []int32, t0 time.Time) {
 	s.slot.WallNanos += int64(time.Since(t0))
 }
 
-// colChain is the shared setup for a fused columnar chain: the walk,
-// stage wiring and per-op compilation mirror execPipeline; per-partition
-// operators are built by operatorFor (kernels compile per partition so
-// each owns private buffers).
+// colChain is the shared setup for a fused chain: the walk down to its
+// source (a scan, a cached-sample node or a breaker), stage wiring and
+// per-op setup; per-partition operators are built by operatorFor
+// (kernels compile per partition so each owns private buffers).
 type colChain struct {
-	ex      *executor
-	nodes   []PNode // bottom-up, aligned with specs
-	specs   []*pipeSpec
-	scan    *PScan
-	scanOp  *metrics.Op
+	ex     *executor
+	nodes  []PNode // bottom-up, aligned with specs
+	specs  []*pipeSpec
+	scan   *PScan
+	scanOp *metrics.Op
+	// src is the source of a chain that does not start at a scan: a
+	// breaker's output, or a cached-sample node's (replayed or lazily
+	// produced) output.
 	src     *stream
 	st      *cluster.Stage
 	parts   int
@@ -494,11 +540,18 @@ type colChain struct {
 func (ex *executor) buildColChain(top PNode) (*colChain, error) {
 	var chain []PNode
 	var scan *PScan
+	var cached *PCachedSample
 	n := top
 	//lint:ignore ctxflow walk is bounded by plan depth and terminates at a scan or breaker
 	for {
 		if s, ok := n.(*PScan); ok {
 			scan = s
+			break
+		}
+		// A cached-sample node ends the fused chain like a scan does: its
+		// output (replayed or lazily produced) is the pipeline's source.
+		if cs, ok := n.(*PCachedSample); ok {
+			cached = cs
 			break
 		}
 		if n.Breaker() {
@@ -526,7 +579,13 @@ func (ex *executor) buildColChain(top PNode) (*colChain, error) {
 			cc.scanOp.Slot(0).PartsPruned = int64(scan.Prune.Pruned)
 		}
 	} else {
-		s, err := ex.exec(n)
+		var s *stream
+		var err error
+		if cached != nil {
+			s, err = ex.execCachedSample(cached)
+		} else {
+			s, err = ex.exec(n)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -564,6 +623,8 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 			inflate: inflate,
 			st:      cc.st, task: i, slot: cc.scanOp.Slot(i), raw: &cc.partRaw[i],
 		}
+	} else if cc.src.cached != nil {
+		cur = &colCachedSource{cp: &cc.src.cached[i], size: cc.ex.batch}
 	} else {
 		cur = &colRowSource{rows: cc.src.parts[i], size: cc.ex.batch}
 	}
@@ -623,7 +684,7 @@ func (cc *colChain) result(outParts [][]wrow) *stream {
 	if cc.scan != nil {
 		return &stream{parts: outParts, stage: cc.st}
 	}
-	cc.src.parts = outParts
+	cc.src.parts, cc.src.cached = outParts, nil
 	return cc.src
 }
 
@@ -634,13 +695,9 @@ func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	hint := 0
-	if topOp := ex.opFor(top); topOp.EstRows > 0 && cc.parts > 0 {
-		hint = int(topOp.EstRows)/cc.parts + 1
-		if hint > 1<<20 {
-			hint = 1 << 20
-		}
-	}
+	// Sink capacity hint from the optimizer's estimate of the pipeline's
+	// output cardinality, split across partitions.
+	hint := estHint(ex.opFor(top).EstRows, cc.parts)
 	outParts := make([][]wrow, cc.parts)
 	if err := ex.parallel(cc.parts, func(i int) error {
 		cur, _, err := cc.operatorFor(i)
@@ -683,7 +740,7 @@ func (ex *executor) execAggColumnar(p *PHashAgg) (*stream, error) {
 	}
 	if cc.st == nil {
 		// Pass-through-only chain over a materialized stream: the
-		// aggregate opens the stage, exactly like the row path.
+		// aggregate opens the stage.
 		ex.ensureStage(cc.src, "aggregate")
 		cc.st = cc.src.stage
 	}

@@ -1,325 +1,39 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
 	"quickr/internal/sampler"
 	"quickr/internal/table"
 )
 
-// This file is the streaming execution core: scan→filter→project→sample
-// chains between pipeline breakers run as one fused, batch-at-a-time
-// pipeline per partition (samplers are one-pass streaming operators,
-// §4.1, so nothing in such a chain ever needs the whole intermediate
-// result in memory). Only breakers — exchange, hash-join build, hash
-// aggregation, sort, limit, union barriers, window — materialize.
+// This file is the partition-independent setup of the streaming
+// execution core: scan→filter→project→sample chains between pipeline
+// breakers run as one fused, batch-at-a-time pipeline per partition
+// (samplers are one-pass streaming operators, §4.1, so nothing in such
+// a chain ever needs the whole intermediate result in memory). Only
+// breakers — exchange, hash-join build, hash aggregation, sort, limit,
+// union barriers, window — materialize. The operators themselves and
+// the per-partition drive loops are in colpipeline.go.
 //
-// Stage accounting and metrics are bitwise-compatible with running the
-// chain operator-by-operator over materialized partitions: each fused
-// pipeline charges the same single stage (the scan stage for leaf
+// Each fused pipeline charges one stage (the scan stage for leaf
 // pipelines, otherwise the enclosing open stage or a new one named
 // after the bottom-most compute operator), and per-batch counter/cost
-// increments sum to the per-partition totals the materializing
-// executor recorded. Running with Options.BatchSize < 0 makes every
-// batch span its whole partition, which *is* the materializing
-// executor — the baseline BenchmarkExecutorPipeline compares against.
+// increments sum to the same per-partition totals at every batch size.
+// Options.BatchSize < 0 makes every batch span its whole partition: the
+// same code, one batch per partition.
 
-// scanSource streams one stored table partition, extracting apriori
-// sample weights and pruning columns batch by batch. It charges the
-// scan stage and metric slot per batch; batch buffers are preallocated
-// to exactly the batch's row count.
-type scanSource struct {
-	p    *PScan
-	src  []table.Row
-	size int
-	pos  int
-	// inflate multiplies every row weight; the optimizer's partition
-	// selection sets it to the kept partition's Horvitz–Thompson factor
-	// (1 for unpruned scans and certainty-stratum partitions).
-	inflate float64
-
-	st   *cluster.Stage
-	task int
-	slot *metrics.Slot
-	// raw accumulates the partition's unpruned input bytes for the
-	// job-level passes metric (summed by the coordinator afterwards).
-	raw *float64
-}
-
-func (s *scanSource) Next() (batch, error) {
-	remain := len(s.src) - s.pos
-	if remain <= 0 {
-		return batch{}, nil
-	}
-	n := s.size
-	if n > remain {
-		n = remain
-	}
-	t0 := time.Now()
-	rows := make([]wrow, 0, n)
-	var rawBytes, outBytes float64
-	prune := len(s.p.ColIdx) > 0
-	for _, r := range s.src[s.pos : s.pos+n] {
-		rawBytes += float64(r.ByteSize())
-		w := 1.0
-		if s.p.WeightIdx >= 0 && s.p.WeightIdx < len(r) {
-			w = r[s.p.WeightIdx].Float()
-			if w <= 0 {
-				w = 1
-			}
-		}
-		if s.inflate > 0 {
-			w *= s.inflate
-		}
-		if prune {
-			pr := make(table.Row, len(s.p.ColIdx))
-			for k, ci := range s.p.ColIdx {
-				pr[k] = r[ci]
-			}
-			r = pr
-		}
-		wr := newWRow(r, w)
-		outBytes += wr.sz
-		rows = append(rows, wr)
-	}
-	s.pos += n
-	s.st.AddInput(s.task, int64(n), rawBytes)
-	s.st.AddCPU(s.task, float64(n))
-	s.slot.RowsIn += int64(n)
-	s.slot.RowsOut += int64(n)
-	// Scan in/out bytes are the raw stored bytes (the pruned width shows
-	// up on the downstream operators instead), as before the refactor.
-	s.slot.BytesIn += rawBytes
-	s.slot.BytesOut += rawBytes
-	s.slot.NoteBatch(outBytes)
-	*s.raw += rawBytes
-	s.slot.WallNanos += int64(time.Since(t0))
-	return batch{rows: rows, bytes: outBytes}, nil
-}
-
-// rowSource streams an already-materialized partition (the output of a
-// pipeline breaker) in batches. Batches alias the underlying slice;
-// in-place consumers (filter compaction, project rewrites) only ever
-// touch their own batch's window, which is safe because writes trail
-// reads within one batch.
-type rowSource struct {
-	rows []wrow
-	size int
-	pos  int
-}
-
-func (s *rowSource) Next() (batch, error) {
-	remain := len(s.rows) - s.pos
-	if remain <= 0 {
-		return batch{}, nil
-	}
-	n := s.size
-	if n > remain {
-		n = remain
-	}
-	rows := s.rows[s.pos : s.pos+n]
-	s.pos += n
-	return batch{rows: rows, bytes: rowsBytes(rows)}, nil
-}
-
-// filterOp compacts each batch in place, pulling more input until it
-// has survivors or the child is exhausted.
-type filterOp struct {
-	ctx   context.Context
-	child operator
-	pred  evalFunc
-	st    *cluster.Stage
-	task  int
-	slot  *metrics.Slot
-}
-
-func (f *filterOp) Next() (batch, error) {
-	for {
-		// The input-pull boundary is a cancellation point of its own: a
-		// selective predicate can consume many input batches before one
-		// output batch reaches the drive loop's check, which would make
-		// cancellation latency O(input) instead of O(batch).
-		if err := ctxErr(f.ctx); err != nil {
-			return batch{}, err
-		}
-		b, err := f.child.Next()
-		if err != nil || len(b.rows) == 0 {
-			return batch{}, err
-		}
-		t0 := time.Now()
-		out := b.rows[:0]
-		var bytes float64
-		for _, r := range b.rows {
-			if truthy(f.pred(r.row)) {
-				bytes += wrowBytes(r)
-				out = append(out, r)
-			}
-		}
-		f.st.AddCPU(f.task, float64(len(b.rows)))
-		f.slot.RowsIn += int64(len(b.rows))
-		f.slot.RowsOut += int64(len(out))
-		f.slot.WallNanos += int64(time.Since(t0))
-		if len(out) > 0 {
-			f.slot.NoteBatch(bytes)
-			return batch{rows: out, bytes: bytes}, nil
-		}
-	}
-}
-
-// projectOp rewrites each batch's rows in place.
-type projectOp struct {
-	child operator
-	fns   []evalFunc
-	cost  float64
-	st    *cluster.Stage
-	task  int
-	slot  *metrics.Slot
-}
-
-func (p *projectOp) Next() (batch, error) {
-	b, err := p.child.Next()
-	if err != nil || len(b.rows) == 0 {
-		return batch{}, err
-	}
-	t0 := time.Now()
-	var bytes float64
-	for j, r := range b.rows {
-		out := make(table.Row, len(p.fns))
-		for k, f := range p.fns {
-			out[k] = f(r.row)
-		}
-		wr := newWRow(out, r.w)
-		bytes += wr.sz
-		b.rows[j] = wr
-	}
-	p.st.AddCPU(p.task, p.cost*float64(len(b.rows)))
-	p.slot.RowsIn += int64(len(b.rows))
-	p.slot.RowsOut += int64(len(b.rows))
-	p.slot.NoteBatch(bytes)
-	p.slot.WallNanos += int64(time.Since(t0))
-	return batch{rows: b.rows, bytes: bytes}, nil
-}
-
-// passOp is a pass-through sampler: it forwards batches untouched and
-// only counts them (no stage exists for all-pass-through chains, and no
-// CPU is charged — exactly the materializing executor's behavior).
-type passOp struct {
-	child operator
-	slot  *metrics.Slot
-}
-
-func (p *passOp) Next() (batch, error) {
-	b, err := p.child.Next()
-	if err != nil || len(b.rows) == 0 {
-		return b, err
-	}
-	p.slot.RowsIn += int64(len(b.rows))
-	p.slot.RowsOut += int64(len(b.rows))
-	p.slot.NoteBatch(b.bytes)
-	return b, nil
-}
-
-// sampleOp streams a real sampler: rows are admitted batch by batch,
-// the distinct sampler's overflowed reservoirs drain into the output
-// stream as they occur, and Flush emits the remaining reservoirs as the
-// end-of-partition batch. It owns its output buffer — unlike filter it
-// cannot compact in place, because pending reservoir rows from earlier
-// batches can make one output batch larger than the current input
-// batch.
-type sampleOp struct {
-	ctx   context.Context
-	child operator
-	sm    sampler.Sampler
-	dist  *sampler.Distinct
-	st    *cluster.Stage
-	task  int
-	slot  *metrics.Slot
-	buf   []wrow
-	done  bool
-}
-
-func (s *sampleOp) Next() (batch, error) {
-	if s.done {
-		return batch{}, nil
-	}
-	for {
-		// Like filterOp: a low-p sampler may swallow whole input batches
-		// without emitting, so check cancellation per pull, not just per
-		// output batch.
-		if err := ctxErr(s.ctx); err != nil {
-			return batch{}, err
-		}
-		b, err := s.child.Next()
-		if err != nil {
-			return batch{}, err
-		}
-		t0 := time.Now()
-		out := s.buf[:0]
-		var bytes float64
-		if len(b.rows) == 0 {
-			// End of partition: the reservoir flush is the final batch.
-			s.done = true
-			for _, fl := range s.sm.Flush() {
-				wr := newWRow(fl.Row, fl.W)
-				bytes += wr.sz
-				out = append(out, wr)
-			}
-			s.slot.RowsOut += int64(len(out))
-			s.slot.SamplerPassed += int64(len(out))
-			if s.dist != nil {
-				s.slot.SketchEntries += int64(s.dist.MemoryFootprint())
-			}
-			if len(out) > 0 {
-				s.slot.NoteBatch(bytes)
-			}
-			s.slot.WallNanos += int64(time.Since(t0))
-			s.buf = out
-			return batch{rows: out, bytes: bytes}, nil
-		}
-		for _, r := range b.rows {
-			if pass, w := s.sm.Admit(r.row, r.w); pass {
-				wr := wrow{row: r.row, w: w, sz: r.sz}
-				bytes += wrowBytes(wr)
-				out = append(out, wr)
-			}
-			if s.dist != nil {
-				for _, fl := range s.dist.TakePending() {
-					wr := newWRow(fl.Row, fl.W)
-					bytes += wr.sz
-					out = append(out, wr)
-				}
-			}
-		}
-		s.st.AddCPU(s.task, s.sm.CostPerRow()*float64(len(b.rows)))
-		s.slot.RowsIn += int64(len(b.rows))
-		s.slot.RowsOut += int64(len(out))
-		s.slot.SamplerSeen += int64(len(b.rows))
-		s.slot.SamplerPassed += int64(len(out))
-		s.slot.WallNanos += int64(time.Since(t0))
-		s.buf = out
-		if len(out) > 0 {
-			s.slot.NoteBatch(bytes)
-			return batch{rows: out, bytes: bytes}, nil
-		}
-	}
-}
-
-// pipeSpec is the partition-independent compilation of one fused chain
-// operator: expressions are compiled once per pipeline, while samplers
-// are instantiated per partition (they carry per-partition seeds).
+// pipeSpec is the partition-independent setup of one fused chain
+// operator. Expression kernels and samplers are instantiated per
+// partition (kernels own private buffers, samplers carry per-partition
+// seeds).
 type pipeSpec struct {
 	op *metrics.Op
 
-	// PFilter
-	pred evalFunc
 	// PProject
-	fns  []evalFunc
 	cost float64
 	// PSample
 	sample       *PSample
@@ -336,22 +50,9 @@ func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
 	sp := &pipeSpec{op: op, parts: parts}
 	switch x := n.(type) {
 	case *PFilter:
-		pred, err := compileExpr(x.Pred, buildColMap(x.In.Cols()))
-		if err != nil {
-			return nil, err
-		}
-		sp.pred = pred
+		// Nothing partition-independent: the kernel compiles per partition.
 	case *PProject:
-		cm := buildColMap(x.In.Cols())
-		sp.fns = make([]evalFunc, len(x.Exprs))
-		for i, e := range x.Exprs {
-			f, err := compileExpr(e, cm)
-			if err != nil {
-				return nil, err
-			}
-			sp.fns[i] = f
-		}
-		sp.cost = 0.5 + 0.3*float64(len(sp.fns))
+		sp.cost = 0.5 + 0.3*float64(len(x.Exprs))
 	case *PSample:
 		if x.Def.Type == lplan.SamplerPassThrough {
 			sp.passthrough = true
@@ -416,29 +117,10 @@ func (sp *pipeSpec) newSampler(task int) sampler.Sampler {
 	return nil
 }
 
-// instantiate wires the partition-local operator for this spec. ctx is
-// observed by the operators whose Next can pull many input batches per
-// output batch (filter, sample).
-func (sp *pipeSpec) instantiate(ctx context.Context, child operator, st *cluster.Stage, task int) operator {
-	slot := sp.op.Slot(task)
-	switch {
-	case sp.pred != nil:
-		return &filterOp{ctx: ctx, child: child, pred: sp.pred, st: st, task: task, slot: slot}
-	case sp.fns != nil:
-		return &projectOp{child: child, fns: sp.fns, cost: sp.cost, st: st, task: task, slot: slot}
-	case sp.passthrough:
-		return &passOp{child: child, slot: slot}
-	default:
-		sm := sp.newSampler(task)
-		dist, _ := sm.(*sampler.Distinct)
-		return &sampleOp{ctx: ctx, child: child, sm: sm, dist: dist, st: st, task: task, slot: slot}
-	}
-}
-
 // pipelineStageName names the stage a fused pipeline over a
 // materialized stream opens: the bottom-most compute operator wins,
-// matching the stage names of the operator-at-a-time executor. A chain
-// of only pass-through samplers opens no stage at all.
+// so stage names do not depend on how the chain was fused. A chain of
+// only pass-through samplers opens no stage at all.
 func pipelineStageName(chain []PNode) string {
 	for i := len(chain) - 1; i >= 0; i-- {
 		switch x := chain[i].(type) {
@@ -453,145 +135,4 @@ func pipelineStageName(chain []PNode) string {
 		}
 	}
 	return ""
-}
-
-// execPipeline runs the fused chain rooted at top (a non-breaker node):
-// every partition drives one scan-or-rowSource through the chain's
-// operators batch-at-a-time, materializing only at the sink.
-func (ex *executor) execPipeline(top PNode) (*stream, error) {
-	// Walk down to the pipeline's source; the chain holds the fused
-	// operators top-down, the node below is a scan or a breaker.
-	var chain []PNode
-	var scan *PScan
-	var cached *PCachedSample
-	n := top
-	//lint:ignore ctxflow walk is bounded by plan depth and terminates at a scan or breaker
-	for {
-		if s, ok := n.(*PScan); ok {
-			scan = s
-			break
-		}
-		// A cached-sample node ends the fused chain like a scan does: its
-		// output (replayed or lazily produced) is the pipeline's source.
-		if cs, ok := n.(*PCachedSample); ok {
-			cached = cs
-			break
-		}
-		if n.Breaker() {
-			break
-		}
-		chain = append(chain, n)
-		n = n.Kids()[0]
-	}
-
-	var s *stream
-	var st *cluster.Stage
-	var parts int
-	var partRaw []float64
-	if scan != nil {
-		parts = len(scan.Tbl.Partitions)
-		if scan.Prune != nil {
-			parts = len(scan.Prune.Keep)
-		}
-		st = ex.run.NewStage("scan:"+scan.Tbl.Name, parts)
-		st.Extract = true
-		partRaw = make([]float64, parts)
-	} else {
-		var err error
-		if cached != nil {
-			s, err = ex.execCachedSample(cached)
-		} else {
-			s, err = ex.exec(n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if name := pipelineStageName(chain); name != "" {
-			ex.ensureStage(s, name)
-		}
-		st = s.stage
-		parts = len(s.parts)
-	}
-
-	// Compile the chain bottom-up so specs[0] consumes the source.
-	specs := make([]*pipeSpec, 0, len(chain))
-	for i := len(chain) - 1; i >= 0; i-- {
-		sp, err := ex.compilePipeOp(chain[i], parts)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, sp)
-	}
-	var scanOp *metrics.Op
-	if scan != nil {
-		scanOp = ex.opFor(scan)
-		scanOp.Grow(parts)
-		if scan.Prune != nil {
-			for i := 0; i < parts; i++ {
-				scanOp.Slot(i).PartsScanned = 1
-			}
-			scanOp.Slot(0).PartsPruned = int64(scan.Prune.Pruned)
-		}
-	}
-
-	// Sink capacity hint from the optimizer's estimate of the
-	// pipeline's output cardinality, split across partitions.
-	hint := 0
-	if topOp := ex.opFor(top); topOp.EstRows > 0 && parts > 0 {
-		hint = int(topOp.EstRows)/parts + 1
-		if hint > 1<<20 {
-			hint = 1 << 20
-		}
-	}
-
-	outParts := make([][]wrow, parts)
-	if err := ex.parallel(parts, func(i int) error {
-		var cur operator
-		if scan != nil {
-			part, inflate := i, 1.0
-			if scan.Prune != nil {
-				part = scan.Prune.Keep[i]
-				inflate = scan.Prune.Inflate[i]
-			}
-			cur = &scanSource{
-				p: scan, src: scan.Tbl.Partitions[part], size: ex.batch,
-				inflate: inflate,
-				st:      st, task: i, slot: scanOp.Slot(i), raw: &partRaw[i],
-			}
-		} else {
-			cur = &rowSource{rows: s.parts[i], size: ex.batch}
-		}
-		for _, sp := range specs {
-			cur = sp.instantiate(ex.ctx, cur, st, i)
-		}
-		out := make([]wrow, 0, hint)
-		for {
-			// The batch boundary is the cancellation point: a canceled
-			// query stops pulling within one batch of the signal.
-			if err := ctxErr(ex.ctx); err != nil {
-				return err
-			}
-			b, err := cur.Next()
-			if err != nil {
-				return err
-			}
-			if len(b.rows) == 0 {
-				break
-			}
-			out = append(out, b.rows...)
-		}
-		outParts[i] = out
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	if scan != nil {
-		for _, b := range partRaw {
-			ex.run.JobInputBytes += b
-		}
-		return &stream{parts: outParts, stage: st}, nil
-	}
-	s.parts = outParts
-	return s, nil
 }

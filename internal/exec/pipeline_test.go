@@ -77,8 +77,8 @@ func pipelineRows(n int) [][2]float64 {
 
 // The acceptance bar of the streaming refactor: query results are
 // bit-identical for every batch size, including pathological ones (1,
-// primes that straddle partition boundaries) and the materializing
-// baseline (<0), for every sampler type.
+// primes that straddle partition boundaries) and whole-partition
+// batches (<0), for every sampler type.
 func TestPipelineBitIdenticalAcrossBatchSizes(t *testing.T) {
 	samplers := map[string]*lplan.SamplerDef{
 		"nosampler": nil,
@@ -90,7 +90,7 @@ func TestPipelineBitIdenticalAcrossBatchSizes(t *testing.T) {
 	for name, def := range samplers {
 		t.Run(name, func(t *testing.T) {
 			tbl, _ := buildT("t_"+name, 8, pipelineRows(4000))
-			base := runBatched(t, chainOf(tbl, def, 7), -1) // materializing baseline
+			base := runBatched(t, chainOf(tbl, def, 7), -1) // one batch per partition
 			if name == "nosampler" && len(base.Rows) != 4000-51 {
 				t.Fatalf("baseline filtered to %d rows", len(base.Rows))
 			}
@@ -172,8 +172,9 @@ func TestPipelinePartitionCounts(t *testing.T) {
 }
 
 // Hammer a fused scan→filter→sample(distinct) chain across many
-// partitions repeatedly; under -race this proves the per-batch slot and
-// stage writes stay index-disjoint.
+// partitions repeatedly; under -race this proves the per-partition
+// kernel scratch, selection buffers, metric slots and stage writes stay
+// index-disjoint.
 func TestPipelineFusedChainRaceFree(t *testing.T) {
 	tbl, _ := buildT("race", 64, pipelineRows(6400))
 	def := &lplan.SamplerDef{Type: lplan.SamplerDistinct, P: 0.2, Cols: []lplan.ColumnID{1}, Delta: 3}
@@ -198,6 +199,7 @@ func TestPipelineFusedChainRaceFree(t *testing.T) {
 			t.Fatalf("sampler batch telemetry empty: %+v", tot)
 		}
 	}
+	sameRows(t, refRun(t, chainOf(tbl, def, 11)), want, "vs row reference")
 }
 
 // EXPLAIN ANALYZE must surface the new batch telemetry: per-operator
@@ -229,15 +231,15 @@ func TestAnalyzeReportsBatchesAndPeak(t *testing.T) {
 	}
 }
 
-// The point of the refactor: a fused pipeline's in-flight footprint must
-// stay strictly below what materializing every intermediate held.
+// The point of streaming: a fused pipeline's in-flight footprint must
+// stay strictly below that of whole-partition batches.
 func TestStreamingPeakBelowMaterializing(t *testing.T) {
 	tbl, _ := buildT("peak", 4, pipelineRows(20000))
 	stream := runBatched(t, chainOf(tbl, &lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.1}, 9), 0)
 	mat := runBatched(t, chainOf(tbl, &lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.1}, 9), -1)
 	sameRows(t, mat, stream, "streamed")
 	if stream.PeakInFlightBytes >= mat.PeakInFlightBytes {
-		t.Fatalf("streaming peak %.0fB not below materializing peak %.0fB",
+		t.Fatalf("streaming peak %.0fB not below whole-partition peak %.0fB",
 			stream.PeakInFlightBytes, mat.PeakInFlightBytes)
 	}
 }

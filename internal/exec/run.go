@@ -37,6 +37,10 @@ type stream struct {
 	parts [][]wrow
 	stage *cluster.Stage
 	deps  []int
+	// cached, when set, is a sample-cache hit awaiting replay: partition
+	// i's rows are cached[i] (column-major, shared, read-only) and
+	// parts[i] is nil until the consuming chain materializes its output.
+	cached []CachedPart
 }
 
 // Result is the outcome of executing a physical plan.
@@ -113,7 +117,7 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	if pl == nil {
 		pl = pool.Default()
 	}
-	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), col: opts.Columnar && opts.BatchSize >= 0, ctx: ctx, pl: pl, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch}
+	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, pl: pl, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch}
 	t0 := time.Now()
 	s, err := ex.exec(p)
 	if err != nil {
@@ -231,12 +235,9 @@ type executor struct {
 	run          *cluster.Run
 	qm           *metrics.Query
 	topEstimates []GroupEstimate
-	// batch is the streamed pipeline batch size (math.MaxInt in
-	// materializing-baseline mode, where one batch spans the partition).
+	// batch is the streamed pipeline batch size (math.MaxInt when one
+	// batch spans the whole partition).
 	batch int
-	// col selects the columnar vectorized pipeline executor for
-	// non-breaker chains (never set in materializing-baseline mode).
-	col bool
 	// ctx carries the query's cancellation/deadline signal; it is
 	// checked between partition tasks and at batch boundaries.
 	ctx context.Context
@@ -281,6 +282,10 @@ func (ex *executor) ensureStage(s *stream, name string) {
 	}
 	st := ex.run.NewStage(name, len(s.parts), s.deps...)
 	for i, part := range s.parts {
+		if s.cached != nil {
+			st.AddInput(i, int64(s.cached[i].Cols.NumRows), s.cached[i].bytes)
+			continue
+		}
 		st.AddInput(i, int64(len(part)), rowsBytes(part))
 	}
 	s.stage = st
@@ -310,10 +315,7 @@ func (ex *executor) exec(n PNode) (*stream, error) {
 		return nil, err
 	}
 	if !n.Breaker() {
-		if ex.col && !chainHasCachedSample(n) {
-			return ex.execColPipeline(n)
-		}
-		return ex.execPipeline(n)
+		return ex.execColPipeline(n)
 	}
 	switch p := n.(type) {
 	case *PExchange:
@@ -606,7 +608,7 @@ func keysEqual(l table.Row, lIdx []int, r table.Row, rIdx []int) bool {
 }
 
 func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
-	if ex.col && !p.In.Breaker() && !chainHasCachedSample(p.In) {
+	if !p.In.Breaker() {
 		return ex.execAggColumnar(p)
 	}
 	s, err := ex.exec(p.In)

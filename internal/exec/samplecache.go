@@ -162,10 +162,14 @@ func fnv64(s string) uint64 {
 
 // CachedPart is one materialized fragment-output partition: the rows in
 // column-major form plus the per-row sampling weights, both value
-// copies independent of any in-flight batch buffers.
+// copies independent of any in-flight batch buffers. Replays window
+// both read-only, so one entry serves any number of concurrent queries.
 type CachedPart struct {
 	Cols *table.ColPartition
 	W    []float64
+	// bytes is the partition's in-flight size (rowsBytes of the rows it
+	// was built from), charged as stage input and peak on replay.
+	bytes float64
 }
 
 // cacheEntry is one LRU slot: a fragment's full per-partition output.
@@ -306,8 +310,8 @@ func cachedPartBytes(p *CachedPart) int64 {
 
 // materializeCached snapshots a fragment's output partitions into
 // column-major cached form. Columnarize value-copies every row, so the
-// snapshot is independent of the in-flight batch buffers the downstream
-// chain will mutate in place.
+// snapshot is independent of the rows the downstream chain goes on to
+// consume.
 func materializeCached(parts [][]wrow, width int) []CachedPart {
 	out := make([]CachedPart, len(parts))
 	for i, part := range parts {
@@ -317,83 +321,39 @@ func materializeCached(parts [][]wrow, width int) []CachedPart {
 			rows[j] = part[j].row
 			w[j] = part[j].w
 		}
-		out[i] = CachedPart{Cols: table.Columnarize(rows, width), W: w}
+		out[i] = CachedPart{Cols: table.Columnarize(rows, width), W: w, bytes: rowsBytes(part)}
 	}
 	return out
 }
 
-// cachedToParts reconstructs fresh weighted-row partitions from cached
-// columnar form — bit-identical to the rows the fragment produced
-// (ColVec.Value preserves float bits and dictionary strings exactly).
-// Every replay allocates new rows, so in-place downstream consumers
-// (filter compaction, project rewrites) never touch cached state.
-func cachedToParts(cached []CachedPart) [][]wrow {
-	parts := make([][]wrow, len(cached))
-	for i := range cached {
-		cp := cached[i]
-		n := cp.Cols.NumRows
-		ncols := len(cp.Cols.Cols)
-		rows := make([]wrow, n)
-		for j := 0; j < n; j++ {
-			r := make(table.Row, ncols)
-			for c := 0; c < ncols; c++ {
-				r[c] = cp.Cols.Cols[c].Value(j)
-			}
-			rows[j] = newWRow(r, cp.W[j])
-		}
-		parts[i] = rows
-	}
-	return parts
-}
-
-// chainHasCachedSample reports whether the non-breaker chain rooted at n
-// contains a cached-sample node. The columnar executor has no cached
-// replay kernel, so such chains fall back to the row pipeline (the two
-// are bit-identical by the executor oracle).
-func chainHasCachedSample(n PNode) bool {
-	//lint:ignore ctxflow walk is bounded by plan depth and terminates at a scan or breaker
-	for {
-		if _, ok := n.(*PCachedSample); ok {
-			return true
-		}
-		if n.Breaker() {
-			return false
-		}
-		kids := n.Kids()
-		if len(kids) != 1 {
-			return false
-		}
-		n = kids[0]
-	}
-}
-
-// execCachedSample resolves a cached-sample node: replay on a hit, run
-// the fragment lazily (and populate) on a miss or when no cache is
-// configured. The runtime key extends the plan-time fragment key with
-// the scan table's version and the engine's config epoch, reusing the
-// exact invalidation discipline of the columnar and plan caches.
+// execCachedSample resolves a cached-sample node into the source of the
+// chain above it: on a hit the stream carries the cached partitions for
+// zero-copy replay, on a miss (or with no cache configured) the fragment
+// runs lazily and its output populates the cache. The runtime key
+// extends the plan-time fragment key with the scan table's version and
+// the engine's config epoch, reusing the exact invalidation discipline
+// of the columnar and plan caches.
 func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 	scan := FragmentScan(cs.Frag)
 	var key string
 	if ex.sc != nil && scan != nil {
 		key = fmt.Sprintf("%s|v%d|e%d", cs.Key, scan.Tbl.Version(), ex.cacheEpoch)
 		if cached, ok := ex.sc.Get(key); ok {
-			parts := cachedToParts(cached)
 			op := ex.opFor(cs)
-			op.Grow(len(parts))
-			for i, part := range parts {
+			op.Grow(len(cached))
+			for i := range cached {
 				sl := op.Slot(i)
-				sl.RowsOut += int64(len(part))
-				if len(part) > 0 {
-					sl.NoteBatch(rowsBytes(part))
+				sl.RowsOut += int64(cached[i].Cols.NumRows)
+				if cached[i].Cols.NumRows > 0 {
+					sl.NoteBatch(cached[i].bytes)
 				}
 			}
 			// Replayed output is a materialized boundary: no scan stage
 			// exists, the outer pipeline opens its own stage over it.
-			return &stream{parts: parts}, nil
+			return &stream{parts: make([][]wrow, len(cached)), cached: cached}, nil
 		}
 	}
-	s, err := ex.execPipeline(cs.Frag)
+	s, err := ex.execColPipeline(cs.Frag)
 	if err != nil {
 		return nil, err
 	}
@@ -406,9 +366,9 @@ func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 	}
 	if ex.sc != nil && scan != nil {
 		// Populate-on-miss tee: snapshot before handing the stream to the
-		// outer chain (which compacts batches in place). The key was
-		// computed before the fragment ran, so an Append or config bump
-		// landing mid-run leaves the entry unreachable, never wrong.
+		// outer chain. The key was computed before the fragment ran, so an
+		// Append or config bump landing mid-run leaves the entry
+		// unreachable, never wrong.
 		ex.sc.Put(key, materializeCached(s.parts, len(cs.Frag.Cols())))
 	}
 	return s, nil

@@ -92,6 +92,29 @@ func cachedFixture(n int) []CachedPart {
 	return materializeCached([][]wrow{part}, 1)
 }
 
+// replayCached drains cached partitions through the chain's replay
+// source at the given batch size. Each batch's weights are overwritten
+// after its rows are taken, the way downstream samplers scale them in
+// place: a later replay must not see it.
+func replayCached(cached []CachedPart, batch int) [][]wrow {
+	parts := make([][]wrow, len(cached))
+	for i := range cached {
+		src := &colCachedSource{cp: &cached[i], size: resolveBatch(batch)}
+		var arena rowArena
+		for {
+			b, _ := src.Next() // the cached source never fails
+			if b.Len() == 0 {
+				break
+			}
+			parts[i] = b.materialize(&arena, parts[i])
+			for j := range b.weights {
+				b.weights[j] = -1
+			}
+		}
+	}
+	return parts
+}
+
 func TestSampleCacheLRUAndAdmission(t *testing.T) {
 	parts := cachedFixture(10)
 	entryBytes := cachedPartBytes(&parts[0]) + 2 // keys below are all 2 bytes
@@ -177,29 +200,42 @@ func TestCachedRoundTripBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	first := cachedToParts(cached)
-	check(first)
+	for _, bs := range []int{1, 2, 0, -1} {
+		first := replayCached(cached, bs)
+		check(first)
 
-	// Replays allocate fresh rows: trashing one replay must not corrupt
-	// the cache or a later replay.
-	for i := range first[0] {
-		first[0][i].row[0] = table.NewInt(999)
-		first[0][i].w = -1
+		// Replays materialize fresh rows and copy weights per batch:
+		// trashing one replay must not corrupt the cache or a later replay.
+		for i := range first[0] {
+			first[0][i].row[0] = table.NewInt(999)
+			first[0][i].w = -1
+		}
+		check(replayCached(cached, bs))
 	}
-	check(cachedToParts(cached))
+	if cached[0].bytes != rowsBytes(rows) || cached[1].bytes != 0 {
+		t.Errorf("cached in-flight bytes %v/%v, want %v/0", cached[0].bytes, cached[1].bytes, rowsBytes(rows))
+	}
 }
 
 // cachedAggPlan builds SUM(v)/COUNT(*) over a cached uniform sampler on
 // tbl. Identical (seed, key) plans must produce identical results
 // whether served cold, from the lazy fallback, or from a warm cache.
-func cachedAggPlan(tbl *table.Table, seed uint64) PNode {
+// Unfused, the cached node feeds an exchange; fused, a filter and the
+// aggregate itself sit in the chain the cached node is the source of.
+func cachedAggPlan(tbl *table.Table, seed uint64, fused bool) PNode {
 	scan := scanOf(tbl)
 	v := scan.OutCols[1]
 	frag := sampleOver(scan, 0.5, seed)
 	cs := &PCachedSample{Frag: frag, Key: FragmentKey(frag), SamplerP: 0.5}
+	var in PNode = &PExchange{In: cs, Parts: 1}
+	if fused {
+		in = &PFilter{In: cs, Pred: &lplan.Binary{Op: lplan.OpGe,
+			L: &lplan.ColRef{ID: v.ID, Name: "v", Kind: table.KindFloat},
+			R: &lplan.Const{Val: table.NewFloat(100)}}}
+	}
 	nextID += 2
 	return &PHashAgg{
-		In: &PExchange{In: cs, Parts: 1},
+		In: in,
 		Aggs: []lplan.AggSpec{
 			{Kind: lplan.AggCount, Arg: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID - 1, Name: "c", Kind: table.KindInt}},
 			{Kind: lplan.AggSum, Arg: v.ID, Out: lplan.ColumnInfo{ID: nextID, Name: "s", Kind: table.KindFloat}},
@@ -216,51 +252,51 @@ func TestExecCachedSampleWarmReplayBitIdentical(t *testing.T) {
 	}
 	tbl, _ := buildT("warm", 4, rows)
 
-	runWith := func(sc *SampleCache) *Result {
-		t.Helper()
-		res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 11), cluster.DefaultConfig(), nil, Options{SampleCache: sc})
-		if err != nil {
-			t.Fatal(err)
+	for _, fused := range []bool{false, true} {
+		for _, bs := range []int{0, 7, -1} {
+			t.Run(fmt.Sprintf("fused=%v/batch=%d", fused, bs), func(t *testing.T) {
+				runWith := func(sc *SampleCache, seed uint64) *Result {
+					t.Helper()
+					res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, seed, fused), cluster.DefaultConfig(), nil,
+						Options{SampleCache: sc, BatchSize: bs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				lazy := runWith(nil, 11) // no cache: the pure lazy path
+
+				sc := NewSampleCache(64 << 20)
+				hits0 := metrics.SampleCacheHits.Load()
+				cold := runWith(sc, 11) // miss: runs the fragment, populates
+				if sc.Len() != 1 {
+					t.Fatalf("cache holds %d entries after cold run, want 1", sc.Len())
+				}
+				warm := runWith(sc, 11) // hit: replays materialized output
+				if metrics.SampleCacheHits.Load() == hits0 {
+					t.Fatal("warm run recorded no cache hit")
+				}
+				sameRows(t, lazy, cold, "cold vs lazy")
+				sameEstimates(t, lazy, cold, "cold vs lazy")
+				sameRows(t, cold, warm, "warm vs cold")
+				sameEstimates(t, cold, warm, "warm vs cold")
+				if fused {
+					// The fused aggregate emits per partition, like the reference.
+					ref := refRun(t, cachedAggPlan(tbl, 11, true))
+					sameRows(t, ref, warm, "warm vs row reference")
+					sameEstimates(t, ref, warm, "warm vs row reference")
+				}
+
+				// A different sampler seed is a different key: no false sharing.
+				res2 := runWith(sc, 12)
+				if sc.Len() != 2 {
+					t.Errorf("cache holds %d entries after second seed, want 2", sc.Len())
+				}
+				if fmt.Sprint(res2.Rows) == fmt.Sprint(warm.Rows) {
+					t.Error("different seed produced identical sample (suspicious key collision)")
+				}
+			})
 		}
-		return res
-	}
-	fp := func(r *Result) string {
-		var b []string
-		for _, row := range r.Rows {
-			b = append(b, fmt.Sprintf("%v", row))
-		}
-		return fmt.Sprintf("%v", b)
-	}
-
-	lazy := runWith(nil) // no cache: the pure lazy path is the reference
-
-	sc := NewSampleCache(64 << 20)
-	hits0 := metrics.SampleCacheHits.Load()
-	cold := runWith(sc) // miss: runs the fragment, populates
-	if sc.Len() != 1 {
-		t.Fatalf("cache holds %d entries after cold run, want 1", sc.Len())
-	}
-	warm := runWith(sc) // hit: replays materialized output
-	if metrics.SampleCacheHits.Load() == hits0 {
-		t.Fatal("warm run recorded no cache hit")
-	}
-	if fp(cold) != fp(lazy) {
-		t.Errorf("cold cached run diverges from lazy path:\n%s\n%s", fp(cold), fp(lazy))
-	}
-	if fp(warm) != fp(cold) {
-		t.Errorf("warm replay diverges from cold run:\n%s\n%s", fp(warm), fp(cold))
-	}
-
-	// A different sampler seed is a different key: no false sharing.
-	res2, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 12), cluster.DefaultConfig(), nil, Options{SampleCache: sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Len() != 2 {
-		t.Errorf("cache holds %d entries after second seed, want 2", sc.Len())
-	}
-	if fp(res2) == fp(warm) {
-		t.Error("different seed produced identical sample (suspicious key collision)")
 	}
 }
 
@@ -275,13 +311,13 @@ func TestSampleCacheTinyBudgetFallsBackLazily(t *testing.T) {
 	tbl, _ := buildT("tiny", 4, rows)
 	sc := NewSampleCache(1) // admission rejects everything (> budget/4)
 
-	lazyRes, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 5), cluster.DefaultConfig(), nil, Options{})
+	lazyRes, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 5, false), cluster.DefaultConfig(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rej0 := metrics.SampleCacheRejects.Load()
 	for i := 0; i < 3; i++ {
-		res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 5), cluster.DefaultConfig(), nil, Options{SampleCache: sc})
+		res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 5, false), cluster.DefaultConfig(), nil, Options{SampleCache: sc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +353,7 @@ func TestSampleCacheConcurrentHammer(t *testing.T) {
 				default:
 					if parts, ok := c.Get(k); ok {
 						// A hit must always be replayable.
-						if got := cachedToParts(parts); len(got) != 1 || len(got[0]) != 8 {
+						if got := replayCached(parts, 3); len(got) != 1 || len(got[0]) != 8 {
 							t.Errorf("corrupt hit for %s", k)
 							return
 						}

@@ -61,8 +61,8 @@ func (v *Vector) IsNull(i int) bool {
 // hasNulls reports whether any lane of the vector may be NULL.
 func (v *Vector) hasNulls() bool { return v.K == VKNull || v.K == VKAny || v.nulls != nil }
 
-// Value reconstructs lane i as a table.Value, bit-identical to what the
-// row-at-a-time executor would hold at the same position.
+// Value reconstructs lane i as a table.Value, bit-identical to the
+// stored or row-computed value at the same position.
 func (v *Vector) Value(i int) table.Value {
 	switch v.K {
 	case VKNull:

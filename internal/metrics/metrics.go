@@ -41,10 +41,9 @@ type Slot struct {
 	// operator's own per-batch work (machine time, not elapsed; the
 	// operator's elapsed time takes the max across partitions).
 	WallNanos int64
-	// KernelLanes counts physical vector lanes processed by columnar
-	// kernels (Options.Columnar); FallbackRows counts live rows the
-	// columnar pipeline routed through row-at-a-time expression
-	// fallbacks. Both stay zero in row mode.
+	// KernelLanes counts physical vector lanes processed by the
+	// pipeline's columnar kernels; FallbackRows counts live rows it routed
+	// through row-at-a-time expression fallbacks (CASE, function calls).
 	KernelLanes  int64
 	FallbackRows int64
 	// PartsScanned/PartsPruned report a pruned scan's partition

@@ -36,8 +36,9 @@ type OpReport struct {
 	BuildRows int64 `json:"build_rows"`
 	ProbeRows int64 `json:"probe_rows"`
 
-	// Columnar-mode kernel counters (omitted in row mode so row-path
-	// reports are byte-identical to before the columnar executor).
+	// Kernel counters: physical lanes through the vectorized kernels and
+	// live rows routed through the row-closure fallback (omitted at zero:
+	// breakers run no kernels, most chains never fall back).
 	KernelLanes  int64 `json:"kernel_lanes,omitempty"`
 	FallbackRows int64 `json:"fallback_rows,omitempty"`
 

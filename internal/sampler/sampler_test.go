@@ -295,3 +295,64 @@ func TestSamplerCosts(t *testing.T) {
 		t.Errorf("cost ordering broken: %v %v %v", u, v, d)
 	}
 }
+
+// Admit is the one-row definition of each sampler; AdmitBatch must make
+// the same decisions and weights for the same live rows in the same
+// order, whatever the batch boundaries and with dead lanes in between.
+func TestAdmitBatchMatchesAdmit(t *testing.T) {
+	const n = 5000
+	rows := make([]table.Row, n)
+	weights := make([]float64, n)
+	var live []int32 // every third lane is dead
+	for i := range rows {
+		rows[i] = table.Row{table.NewInt(int64(i % 211)), table.NewString(fmt.Sprintf("s%d", i%17))}
+		weights[i] = 1 + float64(i%5)
+		if i%3 != 0 {
+			live = append(live, int32(i))
+		}
+	}
+	// mk returns a fresh sampler and its batch entry point.
+	check := func(t *testing.T, mk func() (Sampler, func(sel []int32, w []float64) []int32)) {
+		for _, size := range []int{1, 7, 256, len(live)} {
+			one, _ := mk()
+			_, batch := mk()
+			w := append([]float64(nil), weights...)
+			var got []int32
+			for lo := 0; lo < len(live); lo += size {
+				sel := append([]int32(nil), live[lo:min(lo+size, len(live))]...)
+				got = append(got, batch(sel, w)...)
+			}
+			var want []int32
+			for _, lane := range live {
+				if pass, pw := one.Admit(rows[lane], weights[lane]); pass {
+					want = append(want, lane)
+					if math.Float64bits(pw) != math.Float64bits(w[lane]) {
+						t.Fatalf("size %d lane %d: batch weight %v, Admit weight %v", size, lane, w[lane], pw)
+					}
+				}
+			}
+			if len(want) == 0 || len(want) == len(live) {
+				t.Fatalf("size %d: degenerate sample of %d/%d lanes", size, len(want), len(live))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("size %d: batch admitted %d lanes, Admit %d, or different ones", size, len(got), len(want))
+			}
+		}
+	}
+	t.Run("uniform", func(t *testing.T) {
+		check(t, func() (Sampler, func([]int32, []float64) []int32) {
+			u := NewUniform(0.3, 99)
+			return u, u.AdmitBatch
+		})
+	})
+	t.Run("universe", func(t *testing.T) {
+		check(t, func() (Sampler, func([]int32, []float64) []int32) {
+			u := NewUniverse(0.3, []int{1, 0}, 7)
+			return u, func(sel []int32, w []float64) []int32 {
+				return u.AdmitBatch(sel, w, func(lane int32) uint64 {
+					return HashValues([]table.Value{rows[lane][1], rows[lane][0]}, u.Seed)
+				})
+			}
+		})
+	})
+}

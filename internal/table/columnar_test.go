@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -154,6 +155,56 @@ func TestTableColumnarConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Concurrent first touches of one partition build its mirror once (every
+// caller gets the same published form), and first touches of different
+// partitions do not serialize: partition 0's build waits inside its
+// build for partition 1's to finish, which a table-wide build lock would
+// deadlock.
+func TestTableColumnarFirstTouchParallel(t *testing.T) {
+	sc := NewSchema(Column{Name: "a", Kind: KindInt})
+	tbl := New("ftp", sc, 2)
+	for i := 0; i < 200; i++ {
+		tbl.Append(i, Row{NewInt(int64(i))})
+	}
+	var builds [2]atomic.Int32
+	built1 := make(chan struct{})
+	columnarizeHook = func(part int) {
+		builds[part].Add(1)
+		if part == 0 {
+			<-built1
+		}
+	}
+	defer func() { columnarizeHook = nil }()
+
+	var wg sync.WaitGroup
+	got := make([]*ColPartition, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = tbl.Columnar(0)
+		}(g)
+	}
+	cp1 := tbl.Columnar(1) // must complete while partition 0 is mid-build
+	close(built1)
+	wg.Wait()
+
+	for g, cp := range got {
+		if cp != got[0] {
+			t.Fatalf("caller %d got a different mirror of partition 0: built more than once", g)
+		}
+	}
+	if b0, b1 := builds[0].Load(), builds[1].Load(); b0 != 1 || b1 != 1 {
+		t.Fatalf("builds = %d/%d, want 1/1", b0, b1)
+	}
+	if tbl.Columnar(0) != got[0] || tbl.Columnar(1) != cp1 {
+		t.Fatal("built mirrors were not published")
+	}
+	if got[0].NumRows != 100 || cp1.NumRows != 100 {
+		t.Fatalf("NumRows = %d/%d, want 100/100", got[0].NumRows, cp1.NumRows)
+	}
 }
 
 // Appends racing cached scans (run with -race): Append shares one

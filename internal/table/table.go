@@ -93,6 +93,10 @@ type Table struct {
 	cacheMu sync.Mutex
 	// guarded-by: cacheMu
 	colCache []*ColPartition
+	// colBuild[i] is held while partition i's mirror is built, outside
+	// cacheMu: racing first touches of one partition build it once, and
+	// different partitions build in parallel.
+	colBuild []sync.Mutex
 	// guarded-by: cacheMu
 	sumCache []*PartitionSummary
 	// version counts Appends; caches keyed outside the table (the
@@ -106,7 +110,7 @@ func New(name string, schema *Schema, parts int) *Table {
 	if parts < 1 {
 		parts = 1
 	}
-	return &Table{Name: name, Schema: schema, Partitions: make([][]Row, parts)}
+	return &Table{Name: name, Schema: schema, Partitions: make([][]Row, parts), colBuild: make([]sync.Mutex, parts)}
 }
 
 // Append adds a row to partition i%len(partitions) (round-robin helper).

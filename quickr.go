@@ -95,7 +95,6 @@ type Engine struct {
 	opts       core.Options
 	seed       uint64
 	batchSize  int
-	columnar   bool
 	planChecks bool
 	prune      bool
 	// epoch versions everything a prepared plan depends on: it bumps on
@@ -181,9 +180,9 @@ func (e *Engine) SetOptions(o core.Options) {
 // SetBatchSize sets the executor's streaming batch size: the number of
 // rows each fused scan→filter→project→sample pipeline hands downstream
 // at a time. 0 selects the default (exec.DefaultBatchSize); a negative
-// value disables streaming and materializes whole partitions between
-// operators (the pre-pipeline behavior, kept as a benchmark baseline).
-// Results are bit-identical across batch sizes.
+// value makes every batch span its whole partition (the in-flight peak
+// the streaming peak is compared against). Results are bit-identical
+// across batch sizes.
 func (e *Engine) SetBatchSize(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -198,27 +197,12 @@ func (e *Engine) BatchSize() int {
 	return e.batchSize
 }
 
-// WarmColumnar eagerly builds the columnar form of every registered
-// table's partitions, so columnar benchmark runs measure kernel time
-// rather than first-touch columnarization.
-func (e *Engine) WarmColumnar() {
-	for _, name := range e.cat.Tables() {
-		if t, err := e.cat.Table(name); err == nil {
-			t.EnsureColumnar()
-		}
-	}
-}
-
-// SetColumnar toggles the vectorized columnar executor for streamed
-// pipelines. It has no effect while streaming is disabled (a negative
-// batch size keeps the row-materializing oracle path regardless).
-// Results are bit-identical across modes.
-func (e *Engine) SetColumnar(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.columnar = on
-	e.bump()
-}
+// SetColumnar does nothing but bump the epoch: the columnar chain is
+// the executor's only pipeline path.
+//
+// Deprecated: kept so the benchmark harness compiles; goes with its
+// exec.columnar.* points.
+func (e *Engine) SetColumnar(bool) { e.mu.Lock(); e.bump(); e.mu.Unlock() }
 
 // SetMemoryBudget replaces the admission gate with one holding the
 // given byte budget (values < 1 select an effectively unlimited
@@ -504,7 +488,7 @@ func (e *Engine) runStmt(ctx context.Context, stmt *sql.SelectStmt, approx bool,
 	// snapshot and execution strands the run's cache entries under the
 	// old epoch rather than ever serving them stale.
 	e.mu.RLock()
-	cfg, batch, columnar, gate, historyOn := e.cfg, e.batchSize, e.columnar, e.gate, e.historyOn
+	cfg, batch, gate, historyOn := e.cfg, e.batchSize, e.gate, e.historyOn
 	sc, cacheEpoch := e.sampleCache, e.epoch
 	e.mu.RUnlock()
 
@@ -531,7 +515,6 @@ func (e *Engine) runStmt(ctx context.Context, stmt *sql.SelectStmt, approx bool,
 
 	res, err := exec.RunWithOptions(ctx, prep.physical, cfg, prep.ests, exec.Options{
 		BatchSize:     batch,
-		Columnar:      columnar,
 		QueuedNanos:   adm.QueuedNanos,
 		AdmittedBytes: adm.Bytes,
 		CorrRows:      corr,
