@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race hammer seed-sweep bench bench-gate smoke-bench lint quickrlint fuzz fmt fmt-check vet
+.PHONY: build test race hammer seed-sweep bench bench-gate smoke-bench benchmark-check lint quickrlint fuzz fmt fmt-check vet
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,18 @@ bench-gate:
 smoke-bench:
 	$(GO) run ./cmd/quickr-bench -exp SMOKE -sf 0.1 -json .
 	$(GO) run ./cmd/benchcheck BENCH_SMOKE.json
+
+# The repository benchmark is a nested module (benchmark/go.mod), so
+# `go build ./...` and `go test ./...` never compile it — yet it calls
+# the engine's public API and the layers' exported functions, and some
+# of those are kept only for it. Vet it, run its tests, and run every
+# workload end to end at the smoke scale (--smoke shrinks the inputs,
+# not the timed section, hence --seconds). The CI benchmark-build job
+# runs this target.
+benchmark-check:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
+	bash benchmark/run.sh --smoke --seconds 1
 
 vet:
 	$(GO) vet ./...

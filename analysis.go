@@ -33,45 +33,26 @@ type QueryStats struct {
 // Analyze parses, binds and normalizes the query and computes its
 // static characteristics.
 func (e *Engine) Analyze(query string) (*QueryStats, error) {
-	stmt, err := sql.Parse(query)
+	logical, err := e.BoundPlan(query)
 	if err != nil {
 		return nil, err
 	}
-	binder := catalog.NewBinder(e.cat)
-	logical, err := binder.Bind(stmt)
-	if err != nil {
-		return nil, err
-	}
-	est := opt.NewEstimator(e.cat)
-	logical = opt.Normalize(logical, est)
 
 	st := &QueryStats{
 		Operators: lplan.Count(logical),
 		Depth:     lplan.Depth(logical),
 	}
-	qcs := map[lplan.BaseCol]bool{}
+	qcs := queryColumnSet(logical)
 	qvs := map[lplan.BaseCol]bool{}
-	addOrigins := func(set map[lplan.BaseCol]bool, n lplan.Node, ids []lplan.ColumnID) {
-		cols := n.Columns()
-		for _, id := range ids {
-			if ci, ok := lplan.ColumnByID(cols, id); ok {
-				for _, o := range ci.Origins {
-					set[o] = true
-				}
-			}
-		}
-	}
 	lplan.Walk(logical, func(n lplan.Node) {
 		switch x := n.(type) {
 		case *lplan.Join:
 			st.Joins++
-			addOrigins(qcs, x, append(append([]lplan.ColumnID{}, x.LeftKeys...), x.RightKeys...))
 		case *lplan.Aggregate:
 			st.Aggregations += len(x.Aggs)
 			if len(x.Aggs) == 0 {
 				st.Aggregations++ // SELECT DISTINCT
 			}
-			addOrigins(qcs, x.Input, x.GroupCols)
 			for _, a := range x.Aggs {
 				ids := []lplan.ColumnID{}
 				if a.Arg != lplan.NoColumn {
@@ -83,11 +64,6 @@ func (e *Engine) Analyze(query string) (*QueryStats, error) {
 				addOrigins(qvs, x.Input, ids)
 			}
 		case *lplan.Select:
-			ids := make([]lplan.ColumnID, 0, 4)
-			for id := range lplan.ExprColumns(x.Pred) {
-				ids = append(ids, id)
-			}
-			addOrigins(qcs, x.Input, ids)
 			st.UDFs += countUDFs(x.Pred)
 		case *lplan.Project:
 			for _, ex := range x.Exprs {
@@ -97,15 +73,47 @@ func (e *Engine) Analyze(query string) (*QueryStats, error) {
 	})
 	st.QCS = len(qcs)
 	st.QVS = len(qvs)
-	union := map[lplan.BaseCol]bool{}
+	st.QCSPlusQVS = len(qvs)
 	for c := range qcs {
-		union[c] = true
+		if !qvs[c] {
+			st.QCSPlusQVS++
+		}
 	}
-	for c := range qvs {
-		union[c] = true
-	}
-	st.QCSPlusQVS = len(union)
 	return st, nil
+}
+
+// addOrigins adds to set the base columns behind the columns ids of n's
+// output.
+func addOrigins(set map[lplan.BaseCol]bool, n lplan.Node, ids []lplan.ColumnID) {
+	cols := n.Columns()
+	for _, id := range ids {
+		if ci, ok := lplan.ColumnByID(cols, id); ok {
+			for _, o := range ci.Origins {
+				set[o] = true
+			}
+		}
+	}
+}
+
+// queryColumnSet returns the query's QCS as base columns: join keys,
+// group-by columns and filter columns.
+func queryColumnSet(logical lplan.Node) map[lplan.BaseCol]bool {
+	qcs := map[lplan.BaseCol]bool{}
+	lplan.Walk(logical, func(n lplan.Node) {
+		switch x := n.(type) {
+		case *lplan.Join:
+			addOrigins(qcs, x, append(append([]lplan.ColumnID{}, x.LeftKeys...), x.RightKeys...))
+		case *lplan.Aggregate:
+			addOrigins(qcs, x.Input, x.GroupCols)
+		case *lplan.Select:
+			ids := make([]lplan.ColumnID, 0, 4)
+			for id := range lplan.ExprColumns(x.Pred) {
+				ids = append(ids, id)
+			}
+			addOrigins(qcs, x.Input, ids)
+		}
+	})
+	return qcs
 }
 
 // countUDFs counts row-local computed expressions: explicit scalar
@@ -137,66 +145,19 @@ func countUDFs(e lplan.Expr) int {
 // would need): group-by columns, filter columns and join keys, mapped
 // to their origin tables.
 func (e *Engine) QueryColumnSets(query string) (map[string][]string, error) {
-	stmt, err := sql.Parse(query)
+	logical, err := e.BoundPlan(query)
 	if err != nil {
 		return nil, err
 	}
-	binder := catalog.NewBinder(e.cat)
-	logical, err := binder.Bind(stmt)
-	if err != nil {
-		return nil, err
-	}
-	est := opt.NewEstimator(e.cat)
-	logical = opt.Normalize(logical, est)
 
-	perTable := map[string]map[string]bool{}
-	add := func(n lplan.Node, ids []lplan.ColumnID) {
-		cols := n.Columns()
-		for _, id := range ids {
-			if ci, ok := lplan.ColumnByID(cols, id); ok {
-				for _, o := range ci.Origins {
-					if perTable[o.Table] == nil {
-						perTable[o.Table] = map[string]bool{}
-					}
-					perTable[o.Table][o.Column] = true
-				}
-			}
-		}
-	}
-	lplan.Walk(logical, func(n lplan.Node) {
-		switch x := n.(type) {
-		case *lplan.Join:
-			add(x, append(append([]lplan.ColumnID{}, x.LeftKeys...), x.RightKeys...))
-		case *lplan.Aggregate:
-			add(x.Input, x.GroupCols)
-		case *lplan.Select:
-			ids := make([]lplan.ColumnID, 0, 4)
-			for id := range lplan.ExprColumns(x.Pred) {
-				ids = append(ids, id)
-			}
-			add(x.Input, ids)
-		}
-	})
 	out := map[string][]string{}
-	for tbl, cols := range perTable {
-		var list []string
-		for c := range cols {
-			list = append(list, c)
-		}
-		sort.Strings(list)
-		out[tbl] = list
+	for c := range queryColumnSet(logical) {
+		out[c.Table] = append(out[c.Table], c.Column)
+	}
+	for _, cols := range out {
+		sort.Strings(cols)
 	}
 	return out, nil
-}
-
-// UsesTable reports whether the query reads the named base table.
-func (e *Engine) UsesTable(query, tableName string) bool {
-	qcs, err := e.QueryColumnSets(query)
-	if err != nil {
-		return false
-	}
-	_, ok := qcs[tableName]
-	return ok
 }
 
 // ExecWithSample runs the query with every scan of baseTable replaced
@@ -212,14 +173,12 @@ func (e *Engine) ExecWithSample(query, baseTable string, sample *table.Table) (*
 	if err != nil {
 		return nil, err
 	}
-	binder := catalog.NewBinder(e.cat)
-	logical, err := binder.Bind(stmt)
+	logical, est, err := e.bound(stmt)
 	if err != nil {
 		return nil, err
 	}
-	est := opt.NewEstimator(e.cat)
-	cm := opt.NewCostModel(est, e.cfg)
-	logical = opt.Normalize(logical, est)
+	cfg := e.cur.Load().cfg
+	cm := opt.NewCostModel(est, cfg)
 	logical = substituteScan(logical, baseTable, sample.Name)
 
 	// Estimator config: the sample behaves like a stratified input
@@ -236,7 +195,7 @@ func (e *Engine) ExecWithSample(query, baseTable string, sample *table.Table) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Run(physical, e.cfg)
+	res, err := exec.Run(physical, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -268,13 +227,20 @@ func (e *Engine) BoundPlan(query string) (lplan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	binder := catalog.NewBinder(e.cat)
-	logical, err := binder.Bind(stmt)
+	logical, _, err := e.bound(stmt)
+	return logical, err
+}
+
+// bound is the engine's one front end: it binds a parsed statement
+// against the catalog and normalizes it, returning the logical plan and
+// the estimator that costed it.
+func (e *Engine) bound(stmt *sql.SelectStmt) (lplan.Node, *opt.Estimator, error) {
+	logical, err := catalog.NewBinder(e.cat).Bind(stmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	est := opt.NewEstimator(e.cat)
-	return opt.Normalize(logical, est), nil
+	return opt.Normalize(logical, est), est, nil
 }
 
 // SaveStats serializes every collected table statistic as JSON (the

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -305,4 +306,112 @@ func TestConcurrentMixedChaos(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// bitExact renders rows and per-group estimates (standard errors and
+// supports included) so two results compare exactly, whatever their row
+// order.
+func bitExact(res *quickr.Result) []string {
+	out := canonical(res)
+	for _, g := range res.Estimates {
+		out = append(out, fmt.Sprintf("est %v %v %v %d", g.Key, g.Values, g.StdErr, g.SampleRows))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestConcurrentReconfigure is the test the engine's lock comments used
+// to stand in for: 16 goroutines loop exact, approximate and
+// error-contract queries on one engine while another goroutine cycles
+// every setting that promises bit-identical answers (batch size, sample
+// cache on/off, plan checks, the same seed again). Each query runs under
+// the one snapshot it loaded, so no answer may differ from the quiesced
+// baseline and no query may fail; afterwards no goroutine is left over
+// and the plan cache serves repeats again.
+func TestConcurrentReconfigure(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const seed = 7
+	eng := newLogsEngine(t, 20000)
+	eng.SetSeed(seed)
+	// The history store may move a contract's starting rung between runs
+	// of the same query; frozen, every run walks the same ladder.
+	eng.SetHistoryLearning(false)
+
+	// d01, d02 and d06 are the panels that sample at this scale; d02's
+	// contract misses its first rung and settles on the second.
+	panels := workload.DashboardQueries()
+	var cases []hammerCase
+	for _, q := range []workload.Query{panels[0], panels[1], panels[5]} {
+		cases = append(cases,
+			hammerCase{id: q.ID + "/exact", sql: q.SQL},
+			hammerCase{id: q.ID + "/approx", sql: q.SQL, approx: true})
+	}
+	cases = append(cases, hammerCase{id: "d02/contract", approx: true,
+		sql: panels[1].SQL + " ERROR WITHIN 10% CONFIDENCE 95%"})
+	refs := make(map[string][]string, len(cases))
+	for _, c := range cases {
+		res, err := execMode(eng, context.Background(), c)
+		if err != nil {
+			t.Fatalf("%s baseline: %v", c.id, err)
+		}
+		if c.approx && !res.Sampled {
+			t.Fatalf("%s baseline is not sampled: nothing for a torn configuration to change", c.id)
+		}
+		if res.Contract != nil && res.Contract.Attempts < 2 {
+			t.Fatalf("%s baseline took %d attempt(s): no second rung to run under the first one's snapshot", c.id, res.Contract.Attempts)
+		}
+		refs[c.id] = bitExact(res)
+	}
+
+	const workers, rounds = 16, 6
+	steps := []func(){
+		func() { eng.SetBatchSize(1) },
+		func() { eng.SetSampleCache(64 << 20) },
+		func() { eng.SetBatchSize(7) },
+		func() { eng.SetPlanChecks(true) },
+		func() { eng.SetBatchSize(0) },
+		func() { eng.SetSampleCache(0) },
+		func() { eng.SetBatchSize(-1) },
+		func() { eng.SetPlanChecks(false) },
+		func() { eng.SetSeed(seed) },
+	}
+	// One settings call per finished query: paced by the workers, so the
+	// other fifteen are mid-query whenever the configuration changes.
+	finished := make(chan struct{}, workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				c := cases[(w+r)%len(cases)]
+				res, err := execMode(eng, context.Background(), c)
+				finished <- struct{}{}
+				if err != nil {
+					t.Errorf("worker %d round %d %s: %v", w, r, c.id, err)
+					continue
+				}
+				if want, got := refs[c.id], bitExact(res); !slices.Equal(want, got) {
+					t.Errorf("worker %d round %d %s differs from the quiesced baseline:\n got  %v\n want %v", w, r, c.id, got, want)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < workers*rounds; i++ {
+		<-finished
+		steps[i%len(steps)]()
+	}
+	wg.Wait()
+
+	c := cases[1]
+	if _, err := execMode(eng, context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	res, err := execMode(eng, context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.PlanCached {
+		t.Error("repeat query after the storm was not a plan-cache hit")
+	}
 }

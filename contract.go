@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"quickr/internal/accuracy"
-	"quickr/internal/catalog"
 	"quickr/internal/metrics"
 	"quickr/internal/opt"
 	"quickr/internal/sql"
@@ -68,7 +67,7 @@ type ContractInfo struct {
 // after execution, and escalate on a miss; deadline contracts pick the
 // largest rung predicted to fit the budget and bound the run with a
 // context deadline.
-func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx bool) (*Result, error) {
+func (e *Engine) runContract(ctx context.Context, s *settings, stmt *sql.SelectStmt, approx bool) (*Result, error) {
 	c := stmt.Contract
 	info := &ContractInfo{
 		ErrorTarget: c.ErrPct / 100,
@@ -78,14 +77,24 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 	if info.Confidence <= 0 {
 		info.Confidence = 0.95
 	}
-	e.mu.RLock()
-	maxEsc, historyOn := e.contractMaxEsc, e.historyOn
-	e.mu.RUnlock()
-
 	if c.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.Deadline)
 		defer cancel()
+	}
+	// attempt runs one rung (minP 0: ASALQA's own choice, or the exact
+	// plan) under the query's one configuration snapshot and books it.
+	attempt := func(approx bool, minP float64) (*Result, error) {
+		res, err := e.runStmt(ctx, s, stmt, approx, minP)
+		if err != nil {
+			return nil, err
+		}
+		info.Attempts++
+		if res.PlanCached {
+			info.PlanCacheHits++
+		}
+		res.Contract = info
+		return res, nil
 	}
 
 	// Learned state for this fingerprint: the realized/predicted CI
@@ -94,7 +103,7 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 	fp := planFingerprint(stmt, approx)
 	corr, rowsPerSec := 1.0, 0.0
 	minIdx := 0
-	if historyOn {
+	if s.historyOn {
 		if qh, ok := e.history.Lookup(fp); ok {
 			info.HistoryHit = true
 			if qh.CIRatio > 0 {
@@ -113,16 +122,8 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 	// Exact mode satisfies any error bound by construction; only the
 	// deadline (already armed on ctx) can fail it.
 	if !approx {
-		res, err := e.runStmt(ctx, stmt, false, 0)
-		if err != nil {
-			return nil, err
-		}
-		info.Exact, info.Satisfied, info.Attempts = true, true, 1
-		if res.PlanCached {
-			info.PlanCacheHits++
-		}
-		res.Contract = info
-		return res, nil
+		info.Exact, info.Satisfied = true, true
+		return attempt(false, 0)
 	}
 
 	facts, haveFacts := e.contractFacts(stmt)
@@ -134,20 +135,15 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 		if haveFacts && c.Deadline > 0 {
 			rung, _ = opt.ChooseDeadlineP(facts, c.Deadline, rowsPerSec)
 		}
-		res, err := e.runStmt(ctx, stmt, true, rung)
+		res, err := attempt(true, rung)
 		if err != nil {
 			return nil, err
 		}
-		info.Attempts = 1
 		info.Satisfied = true
 		info.Exact = !res.Sampled
 		if res.Sampled {
 			info.ChosenP = rung
 		}
-		if res.PlanCached {
-			info.PlanCacheHits++
-		}
-		res.Contract = info
 		return res, nil
 	}
 
@@ -163,20 +159,15 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 
 	for esc := 0; idx >= 0; {
 		rung := opt.ContractLadder[idx]
-		res, err := e.runStmt(ctx, stmt, true, rung)
+		res, err := attempt(true, rung)
 		if err != nil {
 			return nil, err
-		}
-		info.Attempts++
-		if res.PlanCached {
-			info.PlanCacheHits++
 		}
 		if !res.Sampled {
 			// ASALQA degraded to the exact plan at this rung; exact
 			// answers satisfy trivially.
 			info.Exact, info.Satisfied = true, true
 			info.ChosenP = 0
-			res.Contract = info
 			return res, nil
 		}
 		realized, measurable := worstRelCI(res.Estimates, z)
@@ -186,7 +177,7 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 		info.CorrectedRelErr = opt.PredictedRelErr(facts, z, rung, corr)
 		info.RealizedRelErr = realized
 
-		if historyOn && measurable && predicted > 0 {
+		if s.historyOn && measurable && predicted > 0 {
 			obs := stats.Observation{CIRatio: realized / predicted}
 			if realized <= info.ErrorTarget {
 				obs.GoodP = rung
@@ -196,7 +187,6 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 
 		if !measurable || realized <= info.ErrorTarget {
 			info.Satisfied = true
-			res.Contract = info
 			return res, nil
 		}
 
@@ -204,26 +194,17 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 		esc++
 		metrics.ContractEscalations.Add(1)
 		info.Escalations = esc
-		if esc > maxEsc || idx+1 >= len(opt.ContractLadder) {
+		if esc > s.contractMaxEsc || idx+1 >= len(opt.ContractLadder) {
 			break
 		}
 		idx++
 	}
 
 	// Exact fallback: the bound holds by construction.
-	res, err := e.runStmt(ctx, stmt, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	info.Attempts++
-	if res.PlanCached {
-		info.PlanCacheHits++
-	}
 	info.Exact, info.Satisfied = true, true
 	info.ChosenP = 0
 	info.RealizedRelErr = 0
-	res.Contract = info
-	return res, nil
+	return attempt(false, 0)
 }
 
 // contractFacts binds and normalizes the statement just far enough to
@@ -231,13 +212,10 @@ func (e *Engine) runContract(ctx context.Context, stmt *sql.SelectStmt, approx b
 // surface later through the normal prepare path; here they simply mean
 // "no facts", which degrades to the exact plan.
 func (e *Engine) contractFacts(stmt *sql.SelectStmt) (opt.ContractFacts, bool) {
-	binder := catalog.NewBinder(e.cat)
-	logical, err := binder.Bind(stmt)
+	logical, est, err := e.bound(stmt)
 	if err != nil {
 		return opt.ContractFacts{}, false
 	}
-	est := opt.NewEstimator(e.cat)
-	logical = opt.Normalize(logical, est)
 	return opt.ContractFactsFor(est, logical)
 }
 

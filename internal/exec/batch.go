@@ -3,7 +3,6 @@ package exec
 import (
 	"math"
 
-	"quickr/internal/pool"
 	"quickr/internal/table"
 )
 
@@ -22,9 +21,6 @@ type Options struct {
 	// whole partition (the same code path with one batch per partition;
 	// its in-flight peak is what the streaming peak is gated against).
 	BatchSize int
-	// Pool overrides the worker pool partition fan-out runs on (nil
-	// selects the process-wide shared pool).
-	Pool *pool.Pool
 	// QueuedNanos and AdmittedBytes echo the admission-gate outcome so
 	// EXPLAIN ANALYZE and the JSON run report can annotate it alongside
 	// the run's own pool telemetry.

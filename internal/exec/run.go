@@ -103,7 +103,7 @@ func RunInstrumented(p PNode, cfg cluster.Config, estRows map[PNode]float64) (*R
 }
 
 // RunWithOptions is RunInstrumented with a cancellation context and
-// execution tuning (batch size, worker pool, admission echo). The
+// execution tuning (batch size, admission echo). The
 // context is checked between partition tasks and at every pipeline
 // batch boundary; a canceled run returns ErrCanceled (ErrDeadline when
 // the deadline passed) after all started partition work has unwound.
@@ -113,11 +113,7 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	}
 	qm := metrics.NewQuery()
 	registerOps(qm, p, estRows, opts.CorrRows)
-	pl := opts.Pool
-	if pl == nil {
-		pl = pool.Default()
-	}
-	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, pl: pl, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch}
+	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch}
 	t0 := time.Now()
 	s, err := ex.exec(p)
 	if err != nil {
@@ -241,8 +237,6 @@ type executor struct {
 	// ctx carries the query's cancellation/deadline signal; it is
 	// checked between partition tasks and at batch boundaries.
 	ctx context.Context
-	// pl is the shared worker pool partition fan-out runs on.
-	pl *pool.Pool
 	// sc resolves PCachedSample nodes (nil = always run fragments
 	// lazily); cacheEpoch is folded into its runtime keys.
 	sc         *SampleCache
@@ -257,7 +251,7 @@ type executor struct {
 // accumulating scheduling telemetry and mapping cancellation to the
 // typed query errors.
 func (ex *executor) parallel(n int, fn func(i int) error) error {
-	st, err := ex.pl.Run(ex.ctx, n, fn)
+	st, err := pool.Default().Run(ex.ctx, n, fn)
 	ex.poolWaitNanos += st.WaitNanos
 	ex.poolTasks += st.Tasks
 	ex.poolStolen += st.Stolen

@@ -366,10 +366,13 @@ func checkUniverseGroups(root lplan.Node) []Violation {
 
 // checkUniversePairs verifies cross-join universe consistency (§4.1.3,
 // §A): when the two inputs of a join carry universe samplers with the
-// same subspace seed, each side must universe-sample columns that the
-// join's key equivalence maps onto the other side's columns — otherwise
-// the two samplers keep different subspaces and the join silently loses
-// the matching rows.
+// same subspace seed, the columns each side universe-samples must be
+// the same columns under the join's key equivalence — otherwise the two
+// samplers keep different subspaces and the join silently loses the
+// matching rows. Inner equi-joins beneath the join have already equated
+// their keys on every surviving row, so a sampler on either of those
+// keys samples the same subspace: a ⋈ U(b) ON a.k=b.k ⋈ U(c) ON a.k=c.k
+// pairs b.k with c.k through a.k.
 func checkUniversePairs(root lplan.Node) []Violation {
 	var vs []Violation
 	lplan.Walk(root, func(n lplan.Node) {
@@ -386,24 +389,9 @@ func checkUniversePairs(root lplan.Node) []Violation {
 			if !shared {
 				continue
 			}
-			// Map the left sampler's columns through the join-key
-			// equivalence and compare with the right sampler's columns.
-			l2r := map[lplan.ColumnID]lplan.ColumnID{}
-			for i := range j.LeftKeys {
-				l2r[j.LeftKeys[i]] = j.RightKeys[i]
-			}
-			want := lplan.ColSet{}
-			mappable := true
-			for _, id := range ls.Def.Cols {
-				img, ok := l2r[id]
-				if !ok {
-					mappable = false
-					break
-				}
-				want.Add(img)
-			}
-			have := lplan.NewColSet(rs.Def.Cols...)
-			if !mappable || len(want) != len(have) || !want.SubsetOf(have) {
+			eq := joinKeyClasses(j)
+			want, have := eq.of(ls.Def.Cols), eq.of(rs.Def.Cols)
+			if len(want) != len(have) || !want.SubsetOf(have) {
 				vs = append(vs, Violation{
 					Rule: "universe-pair", Node: j.Describe(),
 					Detail: fmt.Sprintf("paired universe samplers (seed %d) sample %v on the left and %v on the right, which the join keys do not identify (§A)", rs.Def.Seed, ls.Def.Cols, rs.Def.Cols),
@@ -413,6 +401,45 @@ func checkUniversePairs(root lplan.Node) []Violation {
 		}
 	})
 	return vs
+}
+
+// colClasses is a union-find over column IDs; a column never joined on
+// is its own class.
+type colClasses map[lplan.ColumnID]lplan.ColumnID
+
+func (c colClasses) find(id lplan.ColumnID) lplan.ColumnID {
+	for {
+		parent, ok := c[id]
+		if !ok || parent == id {
+			return id
+		}
+		id = parent
+	}
+}
+
+// of returns the classes the given columns fall into.
+func (c colClasses) of(ids []lplan.ColumnID) lplan.ColSet {
+	out := lplan.ColSet{}
+	for _, id := range ids {
+		out.Add(c.find(id))
+	}
+	return out
+}
+
+// joinKeyClasses returns the column equivalence that holds on j's
+// output: j's own key pairs plus those of every inner equi-join beneath
+// it. An outer join beneath equates nothing for the rows it pads, so
+// its keys stay apart.
+func joinKeyClasses(j *lplan.Join) colClasses {
+	eq := colClasses{}
+	lplan.Walk(j, func(n lplan.Node) {
+		if x, ok := n.(*lplan.Join); ok && (x == j || x.Kind == lplan.InnerJoin) {
+			for i := range x.LeftKeys {
+				eq[eq.find(x.LeftKeys[i])] = eq.find(x.RightKeys[i])
+			}
+		}
+	})
+	return eq
 }
 
 // checkWeightReachesAggregate enforces weight propagation for the

@@ -149,6 +149,39 @@ func TestLogicalUniversePairColumnsMismatch(t *testing.T) {
 	expectRules(t, New().CheckLogical(agg(j, 1)), "universe-pair")
 }
 
+// threeWayUniverse is q32's shape: a ⋈ U(b) ON a.k=b.k, then ⋈ U(c) ON
+// a.k=c.k, both samplers in one subspace. cCol is the column the third
+// input universe-samples.
+func threeWayUniverse(inner lplan.JoinKind, cCol lplan.ColumnID) lplan.Node {
+	univ := func(in lplan.Node, c lplan.ColumnID) *lplan.Sample {
+		return &lplan.Sample{
+			Input: in,
+			Def:   &lplan.SamplerDef{Type: lplan.SamplerUniverse, P: 0.05, Cols: []lplan.ColumnID{c}, Seed: 2},
+		}
+	}
+	ab := &lplan.Join{
+		Kind: inner,
+		Left: scan(col(1, "ak")), Right: univ(scan(col(2, "bk")), 2),
+		LeftKeys: []lplan.ColumnID{1}, RightKeys: []lplan.ColumnID{2},
+	}
+	return &lplan.Join{
+		Left: ab, Right: univ(scan(col(3, "ck"), col(4, "other")), cCol),
+		LeftKeys: []lplan.ColumnID{1}, RightKeys: []lplan.ColumnID{3},
+	}
+}
+
+func TestLogicalUniversePairThroughInnerJoinKeys(t *testing.T) {
+	// b.k is no key of the outer join, but the inner join beneath has
+	// already equated it with a.k, which is.
+	if vs := New().CheckLogical(agg(threeWayUniverse(lplan.InnerJoin, 3), 1)); len(vs) != 0 {
+		t.Fatalf("universe samplers paired through an inner equi-join flagged: %v", vs)
+	}
+	// The third input samples a column no join key reaches.
+	expectRules(t, New().CheckLogical(agg(threeWayUniverse(lplan.InnerJoin, 4), 1)), "universe-pair")
+	// An outer join beneath pads rows whose keys are not equal.
+	expectRules(t, New().CheckLogical(agg(threeWayUniverse(lplan.LeftOuterJoin, 3), 1)), "universe-pair")
+}
+
 func TestLogicalWeightedScanNeedsAggregate(t *testing.T) {
 	weighted := &lplan.Scan{Table: "t", Cols: []lplan.ColumnInfo{col(1, "a")}, WeightColumn: "_w"}
 	plan := &lplan.Limit{Input: weighted, N: 10}

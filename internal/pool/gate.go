@@ -38,13 +38,6 @@ func NewGate(budget int64) *Gate {
 	return &Gate{budget: budget}
 }
 
-// Budget returns the configured byte budget.
-func (g *Gate) Budget() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.budget
-}
-
 // Admission reports how one query fared at the gate.
 type Admission struct {
 	// Bytes is the admitted (possibly clamped) byte reservation.

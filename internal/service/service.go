@@ -15,7 +15,8 @@
 // A submitted query runs on its own goroutine under a cancellable
 // context; cancellation takes effect within one executor batch boundary
 // (the query returns quickr.ErrCanceled and its status becomes
-// "canceled"). Results are kept until the server is discarded — the
+// "canceled"). The server keeps the results of the maxFinished most
+// recently finished queries; an older id reads as unknown (404) — the
 // service is a harness for interactive and test traffic, not a durable
 // job store.
 package service
@@ -44,7 +45,16 @@ type Server struct {
 	nextID uint64
 	// guarded-by: mu
 	queries map[string]*query
+	// finished lists the ids of finished queries still in queries,
+	// oldest first.
+	// guarded-by: mu
+	finished []string
 }
+
+// maxFinished bounds the finished queries (each holding its whole
+// result) the server keeps; running queries do not count and are never
+// dropped.
+const maxFinished = 1024
 
 // query tracks one submitted query through its lifecycle.
 type query struct {
@@ -168,6 +178,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	q.id = fmt.Sprintf("q%d", s.nextID)
 	s.queries[q.id] = q
+	for len(s.finished) > maxFinished {
+		delete(s.queries, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 	s.mu.Unlock()
 
 	go s.run(ctx, q)
@@ -199,6 +213,9 @@ func (s *Server) run(ctx context.Context, q *query) {
 		q.status = "error"
 	}
 	q.mu.Unlock()
+	s.mu.Lock()
+	s.finished = append(s.finished, q.id)
+	s.mu.Unlock()
 	close(q.done)
 }
 

@@ -279,3 +279,47 @@ func TestServiceBadRequests(t *testing.T) {
 		t.Fatalf("parse failure ended %q (err=%q)", st.Status, st.Error)
 	}
 }
+
+// The server keeps the newest maxFinished finished queries and every
+// running one: an evicted id reads as unknown, a query still running
+// when far more than maxFinished others have finished is untouched.
+func TestServiceBoundsFinishedQueries(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv := New(newTestEngine(t, 100))
+	c := newTestClient(t, srv)
+
+	// A query that stays "running" for the whole test: registered as
+	// handleSubmit would, with no goroutine ever finishing it.
+	srv.mu.Lock()
+	srv.queries["running"] = &query{id: "running", status: "running", cancel: func() {}, submitted: time.Now(), done: make(chan struct{})}
+	srv.mu.Unlock()
+
+	const extra = 5
+	ids := make([]string, maxFinished+extra)
+	for i := range ids {
+		ids[i] = c.submit("SELECT COUNT(*) FROM t", "exact")
+		if !srv.Wait(ids[i]) {
+			t.Fatalf("query %d evicted before it finished", i)
+		}
+	}
+
+	srv.mu.Lock()
+	kept, finished := len(srv.queries), len(srv.finished)
+	srv.mu.Unlock()
+	// Eviction runs on submit, so the query that finished after the last
+	// submit rides on top of the bound until the next one.
+	if finished != maxFinished+1 || kept != finished+1 {
+		t.Fatalf("server keeps %d queries, %d of them finished; want %d and %d", kept, finished, maxFinished+2, maxFinished+1)
+	}
+	for _, id := range ids[len(ids)-extra:] {
+		if st := c.status(id); st.Status != "done" || st.Result == nil {
+			t.Fatalf("recent query %s: status %q, result %v", id, st.Status, st.Result)
+		}
+	}
+	if code := c.do(http.MethodGet, "/query/"+ids[0], nil, nil); code != http.StatusNotFound {
+		t.Fatalf("evicted query %s: code=%d, want 404", ids[0], code)
+	}
+	if st := c.status("running"); st.Status != "running" {
+		t.Fatalf("running query: status %q", st.Status)
+	}
+}

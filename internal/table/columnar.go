@@ -179,52 +179,11 @@ func colAt(r Row, c int) Value {
 	return r[c]
 }
 
-// columnarizeHook, when set by a test, runs inside a partition's build.
-var columnarizeHook func(part int)
-
 // Columnar returns the cached column-major form of partition i, building
-// it on first use. Safe for concurrent use; Append invalidates the
-// affected partition's cache. The build runs outside cacheMu — the
-// mirror is on every query's path, so the partition tasks of the first
-// query after a load must not queue behind one table-wide lock — and is
-// published under it only if no Append landed meanwhile; either way the
-// returned form is consistent with the rows it was built from.
+// it on first use (see derive). Safe for concurrent use; Append
+// invalidates the affected partition's cache.
 func (t *Table) Columnar(i int) *ColPartition {
-	if cp, _ := t.cachedColumnar(i); cp != nil {
-		return cp
-	}
-	t.colBuild[i].Lock()
-	defer t.colBuild[i].Unlock()
-	cp, rows := t.cachedColumnar(i) // a racing first touch may have built it
-	if cp != nil {
-		return cp
-	}
-	if columnarizeHook != nil {
-		columnarizeHook(i)
-	}
-	cp = Columnarize(rows, t.Schema.Len())
-	t.cacheMu.Lock()
-	if len(t.Partitions[i]) == cp.NumRows {
-		t.colCache[i] = cp
-	}
-	t.cacheMu.Unlock()
-	return cp
-}
-
-// cachedColumnar returns partition i's cached mirror if it is current,
-// else nil and the snapshot of the partition's rows to build it from
-// (rows are immutable and Append only writes past the snapshot's end).
-func (t *Table) cachedColumnar(i int) (*ColPartition, []Row) {
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
-	if t.colCache == nil {
-		t.colCache = make([]*ColPartition, len(t.Partitions))
-	}
-	rows := t.Partitions[i]
-	if cp := t.colCache[i]; cp != nil && cp.NumRows == len(rows) {
-		return cp, nil
-	}
-	return nil, rows
+	return derive(t, i, colPart, Columnarize)
 }
 
 // EnsureColumnar eagerly builds the columnar form of every partition;

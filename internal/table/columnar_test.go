@@ -157,53 +157,90 @@ func TestTableColumnarConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// Concurrent first touches of one partition build its mirror once (every
-// caller gets the same published form), and first touches of different
-// partitions do not serialize: partition 0's build waits inside its
-// build for partition 1's to finish, which a table-wide build lock would
-// deadlock.
+// Concurrent first touches of one partition build its derived form once
+// (every caller gets the same published value), and first touches of
+// different partitions do not serialize: partition 0's build waits
+// inside its build for partition 1's to finish, which a table-wide
+// build lock would deadlock. The column-major mirror and the summary
+// share the discipline (derive), so both are held to it.
 func TestTableColumnarFirstTouchParallel(t *testing.T) {
+	forms := []struct {
+		name  string
+		touch func(*Table, int) (form any, numRows int)
+	}{
+		{"columnar", func(tbl *Table, i int) (any, int) { cp := tbl.Columnar(i); return cp, cp.NumRows }},
+		{"summary", func(tbl *Table, i int) (any, int) { ps := tbl.Summary(i); return ps, ps.NumRows }},
+	}
+	for _, f := range forms {
+		t.Run(f.name, func(t *testing.T) {
+			sc := NewSchema(Column{Name: "a", Kind: KindInt})
+			tbl := New("ftp", sc, 2)
+			for i := 0; i < 200; i++ {
+				tbl.Append(i, Row{NewInt(int64(i))})
+			}
+			var builds [2]atomic.Int32
+			built1 := make(chan struct{})
+			partBuildHook = func(part int) {
+				builds[part].Add(1)
+				if part == 0 {
+					<-built1
+				}
+			}
+			defer func() { partBuildHook = nil }()
+
+			var wg sync.WaitGroup
+			got := make([]any, 8)
+			for g := range got {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					got[g], _ = f.touch(tbl, 0)
+				}(g)
+			}
+			p1, _ := f.touch(tbl, 1) // must complete while partition 0 is mid-build
+			close(built1)
+			wg.Wait()
+
+			for g, v := range got {
+				if v != got[0] {
+					t.Fatalf("caller %d got a different form of partition 0: built more than once", g)
+				}
+			}
+			if b0, b1 := builds[0].Load(), builds[1].Load(); b0 != 1 || b1 != 1 {
+				t.Fatalf("builds = %d/%d, want 1/1", b0, b1)
+			}
+			again0, n0 := f.touch(tbl, 0)
+			again1, n1 := f.touch(tbl, 1)
+			if again0 != got[0] || again1 != p1 {
+				t.Fatal("built forms were not published")
+			}
+			if n0 != 100 || n1 != 100 {
+				t.Fatalf("NumRows = %d/%d, want 100/100", n0, n1)
+			}
+		})
+	}
+}
+
+// An Append that lands while a partition's form is being built keeps
+// that build from being published: the caller still gets a form
+// consistent with the rows it was built from, and the next touch
+// rebuilds over the new rows.
+func TestTableAppendDuringBuildNotPublished(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt})
-	tbl := New("ftp", sc, 2)
-	for i := 0; i < 200; i++ {
-		tbl.Append(i, Row{NewInt(int64(i))})
+	tbl := New("adb", sc, 1)
+	for i := 0; i < 10; i++ {
+		tbl.Append(0, Row{NewInt(int64(i))})
 	}
-	var builds [2]atomic.Int32
-	built1 := make(chan struct{})
-	columnarizeHook = func(part int) {
-		builds[part].Add(1)
-		if part == 0 {
-			<-built1
-		}
+	partBuildHook = func(int) {
+		partBuildHook = nil
+		tbl.Append(0, Row{NewInt(10)})
 	}
-	defer func() { columnarizeHook = nil }()
-
-	var wg sync.WaitGroup
-	got := make([]*ColPartition, 8)
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = tbl.Columnar(0)
-		}(g)
+	defer func() { partBuildHook = nil }()
+	if ps := tbl.Summary(0); ps.NumRows != 10 {
+		t.Fatalf("mid-append build summarizes %d rows, want the 10 it was built from", ps.NumRows)
 	}
-	cp1 := tbl.Columnar(1) // must complete while partition 0 is mid-build
-	close(built1)
-	wg.Wait()
-
-	for g, cp := range got {
-		if cp != got[0] {
-			t.Fatalf("caller %d got a different mirror of partition 0: built more than once", g)
-		}
-	}
-	if b0, b1 := builds[0].Load(), builds[1].Load(); b0 != 1 || b1 != 1 {
-		t.Fatalf("builds = %d/%d, want 1/1", b0, b1)
-	}
-	if tbl.Columnar(0) != got[0] || tbl.Columnar(1) != cp1 {
-		t.Fatal("built mirrors were not published")
-	}
-	if got[0].NumRows != 100 || cp1.NumRows != 100 {
-		t.Fatalf("NumRows = %d/%d, want 100/100", got[0].NumRows, cp1.NumRows)
+	if ps := tbl.Summary(0); ps.NumRows != 11 {
+		t.Fatalf("next touch summarizes %d rows, want 11: the stale build was published", ps.NumRows)
 	}
 }
 

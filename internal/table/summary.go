@@ -133,20 +133,10 @@ func BuildSummary(rows []Row, width int) *PartitionSummary {
 }
 
 // Summary returns the cached summary of partition i, building it on
-// first use. Safe for concurrent use; Append invalidates the affected
-// partition's cache (atomically with the columnar cache).
+// first use (see derive). Safe for concurrent use; Append invalidates
+// the affected partition's cache (atomically with the columnar cache).
 func (t *Table) Summary(i int) *PartitionSummary {
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
-	if t.sumCache == nil {
-		t.sumCache = make([]*PartitionSummary, len(t.Partitions))
-	}
-	if ps := t.sumCache[i]; ps != nil && ps.NumRows == len(t.Partitions[i]) {
-		return ps
-	}
-	ps := BuildSummary(t.Partitions[i], t.Schema.Len())
-	t.sumCache[i] = ps
-	return ps
+	return derive(t, i, sumPart, BuildSummary)
 }
 
 // EnsureSummaries eagerly builds every partition's summary.

@@ -92,13 +92,7 @@ type Table struct {
 	// summary or vice versa.
 	cacheMu sync.Mutex
 	// guarded-by: cacheMu
-	colCache []*ColPartition
-	// colBuild[i] is held while partition i's mirror is built, outside
-	// cacheMu: racing first touches of one partition build it once, and
-	// different partitions build in parallel.
-	colBuild []sync.Mutex
-	// guarded-by: cacheMu
-	sumCache []*PartitionSummary
+	derived []partCaches
 	// version counts Appends; caches keyed outside the table (the
 	// engine's sample cache) fold it into their keys so entries built
 	// over older contents become unreachable. guarded-by: cacheMu
@@ -110,7 +104,65 @@ func New(name string, schema *Schema, parts int) *Table {
 	if parts < 1 {
 		parts = 1
 	}
-	return &Table{Name: name, Schema: schema, Partitions: make([][]Row, parts), colBuild: make([]sync.Mutex, parts)}
+	return &Table{Name: name, Schema: schema, Partitions: make([][]Row, parts), derived: make([]partCaches, parts)}
+}
+
+// partCaches holds one partition's derived forms.
+type partCaches struct {
+	col lazyPart[ColPartition]
+	sum lazyPart[PartitionSummary]
+}
+
+// lazyPart is one derived form of one partition, built on first use.
+type lazyPart[T any] struct {
+	// v is nil until built and again after an Append; the owning
+	// table's cacheMu guards it.
+	v *T
+	// build is held while v is built, outside cacheMu: racing first
+	// touches of one partition build it once, different partitions (and
+	// the two forms of one partition) build in parallel, and no reader
+	// of a built form waits behind a build.
+	build sync.Mutex
+}
+
+// partBuildHook, when set by a test, runs inside a partition's build.
+var partBuildHook func(part int)
+
+func colPart(c *partCaches) *lazyPart[ColPartition]     { return &c.col }
+func sumPart(c *partCaches) *lazyPart[PartitionSummary] { return &c.sum }
+
+// derive returns the form of partition i that slot selects, building it
+// with build (from the rows and the schema width) on first use. The
+// build runs outside cacheMu, from a snapshot of the partition's rows
+// (rows are immutable and Append only writes past the snapshot's end),
+// and is published under it only if no Append landed meanwhile; either
+// way the returned form is consistent with the rows it was built from.
+func derive[T any](t *Table, i int, slot func(*partCaches) *lazyPart[T], build func([]Row, int) *T) *T {
+	t.cacheMu.Lock()
+	p := slot(&t.derived[i])
+	v := p.v
+	t.cacheMu.Unlock()
+	if v != nil {
+		return v
+	}
+	p.build.Lock()
+	defer p.build.Unlock()
+	t.cacheMu.Lock()
+	v, rows := p.v, t.Partitions[i] // a racing first touch may have built it
+	t.cacheMu.Unlock()
+	if v != nil {
+		return v
+	}
+	if partBuildHook != nil {
+		partBuildHook(i)
+	}
+	v = build(rows, t.Schema.Len())
+	t.cacheMu.Lock()
+	if len(t.Partitions[i]) == len(rows) {
+		p.v = v
+	}
+	t.cacheMu.Unlock()
+	return v
 }
 
 // Append adds a row to partition i%len(partitions) (round-robin helper).
@@ -121,12 +173,8 @@ func (t *Table) Append(i int, r Row) {
 	p := i % len(t.Partitions)
 	t.cacheMu.Lock()
 	t.Partitions[p] = append(t.Partitions[p], r)
-	if t.colCache != nil {
-		t.colCache[p] = nil
-	}
-	if t.sumCache != nil {
-		t.sumCache[p] = nil
-	}
+	t.derived[p].col.v = nil
+	t.derived[p].sum.v = nil
 	t.version++
 	t.cacheMu.Unlock()
 }

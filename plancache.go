@@ -7,8 +7,7 @@ import (
 	"quickr/internal/metrics"
 )
 
-// planCacheCap is the default bound on prepared plans kept per engine;
-// Engine.SetPlanCacheCap overrides it.
+// planCacheCap bounds the prepared plans kept per engine.
 const planCacheCap = 128
 
 // planKey identifies one cached prepared plan: the parser-normalized
@@ -36,8 +35,6 @@ type planCache struct {
 	items map[planKey]*list.Element
 	// guarded-by: mu
 	order *list.List // front = most recently used
-	// guarded-by: mu
-	cap int
 }
 
 type planEntry struct {
@@ -46,29 +43,7 @@ type planEntry struct {
 }
 
 func newPlanCache() *planCache {
-	return &planCache{items: map[planKey]*list.Element{}, order: list.New(), cap: planCacheCap}
-}
-
-// setCap re-bounds the cache, evicting least-recently-used entries down
-// to the new capacity. Values < 1 restore the default.
-func (c *planCache) setCap(n int) {
-	if n < 1 {
-		n = planCacheCap
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = n
-	c.evictOver()
-}
-
-// evictOver drops LRU entries until the cache fits its capacity.
-// caller-holds: c.mu
-func (c *planCache) evictOver() {
-	for c.order.Len() > c.cap {
-		el := c.order.Back()
-		delete(c.items, el.Value.(*planEntry).key)
-		c.order.Remove(el)
-	}
+	return &planCache{items: map[planKey]*list.Element{}, order: list.New()}
 }
 
 func (c *planCache) get(k planKey) (*prepared, bool) {
@@ -93,10 +68,14 @@ func (c *planCache) put(k planKey, p *prepared) {
 		return
 	}
 	c.items[k] = c.order.PushFront(&planEntry{key: k, prep: p})
-	c.evictOver()
+	if c.order.Len() > planCacheCap {
+		el := c.order.Back()
+		delete(c.items, el.Value.(*planEntry).key)
+		c.order.Remove(el)
+	}
 }
 
-// purge drops every entry; called when the epoch bumps so plans for
+// purge drops every entry; reconfigure calls it so plans for
 // dead epochs free their memory promptly (correctness never depends on
 // this — the epoch in the key already prevents stale hits).
 func (c *planCache) purge() {

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quickr/internal/accuracy"
@@ -78,41 +79,25 @@ type Column struct {
 
 // Engine is a Quickr database instance.
 //
-// An Engine is safe for concurrent query execution: any number of
-// goroutines may call Exec/ExecApprox (and their Context variants)
-// simultaneously — they share the process-wide worker pool, the
-// byte-budget admission gate, and the engine's prepared-plan cache.
-// Data definition and settings calls (CreateTable, Insert, Set*) are
-// not synchronized against in-flight queries; perform them before
-// serving traffic or between quiesced periods, as a production DDL
-// path would.
+// An Engine is safe for concurrent use: any number of goroutines may
+// call Exec/ExecApprox (and their Context variants) simultaneously —
+// they share the process-wide worker pool, the byte-budget admission
+// gate, and the engine's prepared-plan cache. Settings calls (Set*) are
+// safe at any time, in-flight queries included: a query runs start to
+// finish under the one configuration snapshot it loaded when it
+// started, and a settings call takes effect for queries that start
+// after it returns. Data definition and loads (CreateTable, Insert,
+// RegisterStored, SetPrimaryKey) invalidate cached plans the same way;
+// queries that overlap a load may see any prefix of it.
 type Engine struct {
 	cat *catalog.Catalog
 
-	// mu guards the engine's configuration snapshot and epoch.
-	mu         sync.RWMutex
-	cfg        cluster.Config
-	opts       core.Options
-	seed       uint64
-	batchSize  int
-	planChecks bool
-	prune      bool
-	// epoch versions everything a prepared plan depends on: it bumps on
-	// DDL, data loads and every Set* call, invalidating the plan cache.
-	epoch uint64
-	// historyOn enables the learned estimate-correction loop (query
-	// history feeding p selection and EXPLAIN ANALYZE `corrected=`).
-	// guarded-by: mu
-	historyOn bool
-	// contractMaxEsc bounds contract escalation retries before the
-	// exact fallback.
-	// guarded-by: mu
-	contractMaxEsc int
-	// sampleCache holds materialized sampler outputs for hot-sample
-	// reuse; nil when disabled (the default). The cache itself is
-	// internally synchronized — mu only guards the pointer swap.
-	// guarded-by: mu
-	sampleCache *exec.SampleCache
+	// cur is the engine's whole configuration. reconfigure is its only
+	// publisher; run, Plan and ExecWithSample load it once per call and
+	// pass the snapshot down.
+	cur atomic.Pointer[settings]
+	// writeMu serializes reconfigure's copy-edit-publish.
+	writeMu sync.Mutex
 
 	cache *planCache
 	gate  *pool.Gate
@@ -123,59 +108,82 @@ type Engine struct {
 	history *stats.History
 }
 
+// settings is one immutable configuration snapshot: everything a plan
+// and its execution depend on besides the query and the data. A
+// published value is never written again.
+type settings struct {
+	cfg        cluster.Config
+	opts       core.Options
+	seed       uint64
+	batchSize  int
+	planChecks bool
+	prune      bool
+	// historyOn enables the learned estimate-correction loop (query
+	// history feeding p selection and EXPLAIN ANALYZE `corrected=`).
+	historyOn bool
+	// contractMaxEsc bounds contract escalation retries before the
+	// exact fallback.
+	contractMaxEsc int
+	// sampleCache holds materialized sampler outputs for hot-sample
+	// reuse; nil when disabled (the default). Snapshots share the cache
+	// (it is internally synchronized) until SetSampleCache replaces it.
+	sampleCache *exec.SampleCache
+	// epoch versions everything a prepared plan depends on: it
+	// increments on DDL, data loads and every Set* call, and keys the
+	// plan cache and the sample cache.
+	epoch uint64
+}
+
 // New creates an engine with default cluster-simulation and ASALQA
 // parameters.
 func New() *Engine {
-	return &Engine{
-		cat:            catalog.New(),
-		cfg:            cluster.DefaultConfig(),
-		opts:           core.DefaultOptions(),
-		cache:          newPlanCache(),
-		gate:           pool.NewGate(DefaultMemoryBudget),
-		history:        stats.NewHistory(),
-		historyOn:      true,
-		contractMaxEsc: DefaultContractMaxEscalations,
+	e := &Engine{
+		cat:     catalog.New(),
+		cache:   newPlanCache(),
+		gate:    pool.NewGate(DefaultMemoryBudget),
+		history: stats.NewHistory(),
 	}
+	e.reconfigure(func(s *settings) {
+		*s = settings{
+			cfg:            cluster.DefaultConfig(),
+			opts:           core.DefaultOptions(),
+			historyOn:      true,
+			contractMaxEsc: DefaultContractMaxEscalations,
+		}
+	})
+	return e
 }
 
-// bump invalidates cached plans after a DDL or settings change. The
-// sample cache purges too: its runtime keys fold the epoch in, so stale
-// entries could never be served — the purge just frees their memory
-// promptly instead of waiting for LRU pressure.
-// caller-holds: e.mu
-func (e *Engine) bump() {
-	e.epoch++
+// reconfigure publishes the current settings with edit applied (nil:
+// unchanged, for DDL and loads) under the next epoch, then purges the
+// plan cache and the sample cache. Both key on the epoch, so a stale
+// entry could never be served — the purge just frees memory promptly
+// instead of waiting for LRU pressure.
+func (e *Engine) reconfigure(edit func(*settings)) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	var next settings // what New's call starts from
+	if cur := e.cur.Load(); cur != nil {
+		next = *cur
+	}
+	if edit != nil {
+		edit(&next)
+	}
+	next.epoch++
+	e.cur.Store(&next)
 	e.cache.purge()
-	if e.sampleCache != nil {
-		e.sampleCache.Purge()
+	if next.sampleCache != nil {
+		next.sampleCache.Purge()
 	}
-}
-
-// SetClusterConfig overrides the cluster simulator configuration.
-func (e *Engine) SetClusterConfig(cfg cluster.Config) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cfg = cfg
-	e.bump()
 }
 
 // SetSeed re-seeds the engine's sampler randomness. Every run is
 // deterministic for a given seed; the default seed 0 reproduces the
 // historical per-plan sampler seed sequence.
-func (e *Engine) SetSeed(seed uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.seed = seed
-	e.bump()
-}
+func (e *Engine) SetSeed(seed uint64) { e.reconfigure(func(s *settings) { s.seed = seed }) }
 
 // SetOptions overrides the ASALQA parameters.
-func (e *Engine) SetOptions(o core.Options) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opts = o
-	e.bump()
-}
+func (e *Engine) SetOptions(o core.Options) { e.reconfigure(func(s *settings) { s.opts = o }) }
 
 // SetBatchSize sets the executor's streaming batch size: the number of
 // rows each fused scan→filter→project→sample pipeline hands downstream
@@ -183,51 +191,17 @@ func (e *Engine) SetOptions(o core.Options) {
 // value makes every batch span its whole partition (the in-flight peak
 // the streaming peak is compared against). Results are bit-identical
 // across batch sizes.
-func (e *Engine) SetBatchSize(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.batchSize = n
-	e.bump()
-}
+func (e *Engine) SetBatchSize(n int) { e.reconfigure(func(s *settings) { s.batchSize = n }) }
 
 // BatchSize returns the configured executor batch size.
-func (e *Engine) BatchSize() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.batchSize
-}
+func (e *Engine) BatchSize() int { return e.cur.Load().batchSize }
 
 // SetColumnar does nothing but bump the epoch: the columnar chain is
 // the executor's only pipeline path.
 //
 // Deprecated: kept so the benchmark harness compiles; goes with its
 // exec.columnar.* points.
-func (e *Engine) SetColumnar(bool) { e.mu.Lock(); e.bump(); e.mu.Unlock() }
-
-// SetMemoryBudget replaces the admission gate with one holding the
-// given byte budget (values < 1 select an effectively unlimited
-// budget). Call it while no queries are in flight: admissions already
-// granted by the old gate release against the old gate.
-func (e *Engine) SetMemoryBudget(bytes int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.gate = pool.NewGate(bytes)
-	e.bump()
-}
-
-// Options returns the current ASALQA parameters.
-func (e *Engine) Options() core.Options {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts
-}
-
-// MemoryBudget returns the admission gate's configured byte budget.
-func (e *Engine) MemoryBudget() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.gate.Budget()
-}
+func (e *Engine) SetColumnar(bool) { e.reconfigure(nil) }
 
 // SetPlanChecks toggles the plan-invariant verifier
 // (internal/plancheck): when enabled, every optimized logical plan and
@@ -237,12 +211,7 @@ func (e *Engine) MemoryBudget() int64 {
 // execution; a violation fails the query instead of silently returning
 // a biased answer. The CLI flag `quickr -check` enables the same
 // verifier.
-func (e *Engine) SetPlanChecks(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.planChecks = on
-	e.bump()
-}
+func (e *Engine) SetPlanChecks(on bool) { e.reconfigure(func(s *settings) { s.planChecks = on }) }
 
 // SetPrune toggles the optimizer's partition-selection pass: when
 // enabled, sampled plans whose partition summaries fully certify the
@@ -252,12 +221,7 @@ func (e *Engine) SetPlanChecks(on bool) {
 // widen by the partition-level cluster variance. Off by default;
 // while off, plans and results are bit-identical to an engine without
 // the pass. The CLI flag `quickr -prune` enables the same pass.
-func (e *Engine) SetPrune(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.prune = on
-	e.bump()
-}
+func (e *Engine) SetPrune(on bool) { e.reconfigure(func(s *settings) { s.prune = on }) }
 
 // SetHistoryLearning toggles the learned estimate-correction loop:
 // when on (the default), every run records its actuals into the
@@ -265,24 +229,16 @@ func (e *Engine) SetPrune(on bool) {
 // the learned corrections into contract p selection and EXPLAIN ANALYZE
 // (`corrected=`). Turning it off freezes the store (existing entries
 // are kept but neither consulted nor updated).
-func (e *Engine) SetHistoryLearning(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.historyOn = on
-	e.bump()
-}
+func (e *Engine) SetHistoryLearning(on bool) { e.reconfigure(func(s *settings) { s.historyOn = on }) }
 
 // SetContractMaxEscalations bounds how many times a missed error
 // contract escalates p along the ladder before falling back to the
 // exact plan (values < 0 select the default).
 func (e *Engine) SetContractMaxEscalations(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n < 0 {
 		n = DefaultContractMaxEscalations
 	}
-	e.contractMaxEsc = n
-	e.bump()
+	e.reconfigure(func(s *settings) { s.contractMaxEsc = n })
 }
 
 // SetSampleCache enables hot-sample reuse with the given byte budget:
@@ -299,37 +255,20 @@ func (e *Engine) SetContractMaxEscalations(n int) {
 // cache (the default). The CLI flag `quickr -sample-cache` sets the
 // same budget.
 func (e *Engine) SetSampleCache(bytes int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if bytes < 1 {
-		e.sampleCache = nil
-	} else {
-		e.sampleCache = exec.NewSampleCache(bytes)
+	var sc *exec.SampleCache
+	if bytes >= 1 {
+		sc = exec.NewSampleCache(bytes)
 	}
-	e.bump()
+	e.reconfigure(func(s *settings) { s.sampleCache = sc })
 }
 
 // SampleCacheBudget returns the sample cache's byte budget, 0 when the
 // cache is disabled.
 func (e *Engine) SampleCacheBudget() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.sampleCache == nil {
-		return 0
+	if sc := e.cur.Load().sampleCache; sc != nil {
+		return sc.Budget()
 	}
-	return e.sampleCache.Budget()
-}
-
-// SetPlanCacheCap re-bounds the prepared-plan cache (default 128
-// plans), evicting least-recently-used entries down to the new cap.
-// Dashboard-style workloads with more distinct panels than the default
-// cap would otherwise thrash re-optimization. Values < 1 restore the
-// default.
-func (e *Engine) SetPlanCacheCap(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cache.setCap(n)
-	e.bump()
+	return 0
 }
 
 // CreateTable registers an empty table with the given columns, split
@@ -353,9 +292,7 @@ func (e *Engine) CreateTable(name string, cols []Column, parts int) error {
 		sc.Cols = append(sc.Cols, table.Column{Name: c.Name, Kind: k})
 	}
 	e.cat.Register(table.New(name, sc, parts))
-	e.mu.Lock()
-	e.bump()
-	e.mu.Unlock()
+	e.reconfigure(nil)
 	return nil
 }
 
@@ -378,9 +315,7 @@ func (e *Engine) Insert(name string, rows [][]any) error {
 		t.Append(i, row)
 	}
 	// Loads change the cardinalities cached plans were costed with.
-	e.mu.Lock()
-	e.bump()
-	e.mu.Unlock()
+	e.reconfigure(nil)
 	return nil
 }
 
@@ -408,9 +343,7 @@ func toValue(v any) (table.Value, error) {
 // foreign-key joins with dimension tables).
 func (e *Engine) SetPrimaryKey(tableName string, cols ...string) {
 	e.cat.SetPrimaryKey(tableName, cols...)
-	e.mu.Lock()
-	e.bump()
-	e.mu.Unlock()
+	e.reconfigure(nil)
 }
 
 // RegisterStored registers a pre-built internal table (used by the
@@ -420,9 +353,7 @@ func (e *Engine) RegisterStored(t *table.Table, pk ...string) {
 	if len(pk) > 0 {
 		e.cat.SetPrimaryKey(t.Name, pk...)
 	}
-	e.mu.Lock()
-	e.bump()
-	e.mu.Unlock()
+	e.reconfigure(nil)
 }
 
 // Catalog exposes the underlying catalog (for the bundled experiment
@@ -456,6 +387,9 @@ func (e *Engine) ExecApproxContext(ctx context.Context, query string) (*Result, 
 	return e.run(ctx, query, true)
 }
 
+// run loads the configuration snapshot once; every contract rung and
+// every phase of every attempt below sees that one configuration and
+// that one epoch.
 func (e *Engine) run(ctx context.Context, query string, approx bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -464,10 +398,11 @@ func (e *Engine) run(ctx context.Context, query string, approx bool) (*Result, e
 	if err != nil {
 		return nil, err
 	}
+	s := e.cur.Load()
 	if stmt.Contract != nil {
-		return e.runContract(ctx, stmt, approx)
+		return e.runContract(ctx, s, stmt, approx)
 	}
-	return e.runStmt(ctx, stmt, approx, 0)
+	return e.runStmt(ctx, s, stmt, approx, 0)
 }
 
 // runStmt executes one parsed statement at one configuration point.
@@ -476,27 +411,17 @@ func (e *Engine) run(ctx context.Context, query string, approx bool) (*Result, e
 // feeds its actuals into the query-history store, and runs whose
 // fingerprint already has history get corrected cardinality estimates
 // in EXPLAIN ANALYZE.
-func (e *Engine) runStmt(ctx context.Context, stmt *sql.SelectStmt, approx bool, minP float64) (*Result, error) {
-	prep, cached, err := e.prepareCachedStmt(stmt, approx, minP)
+func (e *Engine) runStmt(ctx context.Context, s *settings, stmt *sql.SelectStmt, approx bool, minP float64) (*Result, error) {
+	prep, cached, err := e.prepareCachedStmt(s, stmt, approx, minP)
 	if err != nil {
 		return nil, err
 	}
-
-	// Snapshot the execution configuration and gate once, so a
-	// concurrent Set* call cannot tear this run's view. The epoch rides
-	// along for the sample cache's runtime keys: a bump between this
-	// snapshot and execution strands the run's cache entries under the
-	// old epoch rather than ever serving them stale.
-	e.mu.RLock()
-	cfg, batch, gate, historyOn := e.cfg, e.batchSize, e.gate, e.historyOn
-	sc, cacheEpoch := e.sampleCache, e.epoch
-	e.mu.RUnlock()
 
 	// Learned corrections: when this plan fingerprint has history, show
 	// the corrected cardinalities next to the optimizer's estimates.
 	fp := planFingerprint(stmt, approx)
 	var corr map[exec.PNode]float64
-	if historyOn {
+	if s.historyOn {
 		if qh, ok := e.history.Lookup(fp); ok {
 			metrics.HistoryHits.Add(1)
 			corr = correctedRows(prep, qh)
@@ -507,24 +432,27 @@ func (e *Engine) runStmt(ctx context.Context, stmt *sql.SelectStmt, approx bool,
 	// queueing (FIFO) while concurrent queries hold the budget.
 	metrics.ActiveQueries.Add(1)
 	defer metrics.ActiveQueries.Add(-1)
-	adm, err := gate.Acquire(ctx, exec.EstimateAdmissionBytes(prep.physical, prep.ests))
+	adm, err := e.gate.Acquire(ctx, exec.EstimateAdmissionBytes(prep.physical, prep.ests))
 	if err != nil {
 		return nil, exec.MapCtxErr(err)
 	}
-	defer gate.Release(adm)
+	defer e.gate.Release(adm)
 
-	res, err := exec.RunWithOptions(ctx, prep.physical, cfg, prep.ests, exec.Options{
-		BatchSize:     batch,
+	// The snapshot's epoch keys the sample cache: a reconfigure during
+	// this run strands its entries under the old epoch rather than ever
+	// serving them stale.
+	res, err := exec.RunWithOptions(ctx, prep.physical, s.cfg, prep.ests, exec.Options{
+		BatchSize:     s.batchSize,
 		QueuedNanos:   adm.QueuedNanos,
 		AdmittedBytes: adm.Bytes,
 		CorrRows:      corr,
-		SampleCache:   sc,
-		CacheEpoch:    cacheEpoch,
+		SampleCache:   s.sampleCache,
+		CacheEpoch:    s.epoch,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if historyOn {
+	if s.historyOn {
 		e.recordHistory(fp, prep, res)
 	}
 	out := newResult(res, prep)
@@ -536,15 +464,12 @@ func (e *Engine) runStmt(ctx context.Context, stmt *sql.SelectStmt, approx bool,
 // statement at (mode, epoch, minP) — optimizing and caching on miss.
 // The contract clause is part of the normalized text, so contract and
 // non-contract renderings of the same query cache separately.
-func (e *Engine) prepareCachedStmt(stmt *sql.SelectStmt, approx bool, minP float64) (*prepared, bool, error) {
-	e.mu.RLock()
-	epoch := e.epoch
-	e.mu.RUnlock()
-	key := planKey{sql: stmt.String(), approx: approx, epoch: epoch, minP: minP}
+func (e *Engine) prepareCachedStmt(s *settings, stmt *sql.SelectStmt, approx bool, minP float64) (*prepared, bool, error) {
+	key := planKey{sql: stmt.String(), approx: approx, epoch: s.epoch, minP: minP}
 	if prep, ok := e.cache.get(key); ok {
 		return prep, true, nil
 	}
-	prep, err := e.prepareStmt(stmt, approx, minP)
+	prep, err := e.prepareStmt(s, stmt, approx, minP)
 	if err != nil {
 		return nil, false, err
 	}
@@ -654,23 +579,12 @@ type prepared struct {
 	optTime        time.Duration
 }
 
-func (e *Engine) prepare(query string, approx bool) (*prepared, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.prepareStmt(stmt, approx, 0)
-}
-
 // prepareStmt optimizes one statement. minP > 0 floors every sampler's
 // probability at a contract ladder rung; MaxP and the plan checker's
 // cap are raised alongside so a rung above the paper's 0.1 default
 // still plans and verifies.
-func (e *Engine) prepareStmt(stmt *sql.SelectStmt, approx bool, minP float64) (*prepared, error) {
-	e.mu.RLock()
-	cfg, opts, seed, planChecks, prune := e.cfg, e.opts, e.seed, e.planChecks, e.prune
-	sampleCacheOn := e.sampleCache != nil
-	e.mu.RUnlock()
+func (e *Engine) prepareStmt(s *settings, stmt *sql.SelectStmt, approx bool, minP float64) (*prepared, error) {
+	opts := s.opts
 	checker := plancheck.New()
 	if minP > 0 {
 		opts.MinP = minP
@@ -681,15 +595,12 @@ func (e *Engine) prepareStmt(stmt *sql.SelectStmt, approx bool, minP float64) (*
 			checker.MaxP = minP
 		}
 	}
-	binder := catalog.NewBinder(e.cat)
-	logical, err := binder.Bind(stmt)
+	start := time.Now()
+	logical, est, err := e.bound(stmt)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	est := opt.NewEstimator(e.cat)
-	cm := opt.NewCostModel(est, cfg)
-	logical = opt.Normalize(logical, est)
+	cm := opt.NewCostModel(est, s.cfg)
 
 	p := &prepared{logical: logical}
 	var estCfg *exec.EstimatorConfig
@@ -703,11 +614,11 @@ func (e *Engine) prepareStmt(stmt *sql.SelectStmt, approx bool, minP float64) (*
 		p.sampled = res.Sampled
 		p.unapproximable = res.Unapproximable
 		p.notes = res.Notes
-		for _, s := range res.Samplers {
+		for _, sm := range res.Samplers {
 			p.samplers = append(p.samplers, SamplerInfo{
-				Type:  s.Def.Type.String(),
-				P:     s.Def.P,
-				Delta: s.Def.Delta,
+				Type:  sm.Def.Type.String(),
+				P:     sm.Def.P,
+				Delta: sm.Def.Delta,
 			})
 		}
 		if res.Sampled {
@@ -722,17 +633,17 @@ func (e *Engine) prepareStmt(stmt *sql.SelectStmt, approx bool, minP float64) (*
 			}
 		}
 	}
-	if planChecks {
+	if s.planChecks {
 		if err := checker.LogicalError(p.logical); err != nil {
 			return nil, fmt.Errorf("quickr: optimized logical plan is invalid: %w", err)
 		}
 	}
-	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: seed, Prune: prune, SampleCache: sampleCacheOn}
+	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: s.seed, Prune: s.prune, SampleCache: s.sampleCache != nil}
 	physical, err := planner.Plan(p.logical)
 	if err != nil {
 		return nil, err
 	}
-	if planChecks {
+	if s.planChecks {
 		if err := checker.PhysicalError(physical); err != nil {
 			return nil, fmt.Errorf("quickr: compiled physical plan is invalid: %w", err)
 		}
@@ -753,7 +664,11 @@ func (e *Engine) prepareStmt(stmt *sql.SelectStmt, approx bool, minP float64) (*
 
 // Plan optimizes without executing and returns plan information.
 func (e *Engine) Plan(query string, approx bool) (*PlanInfo, error) {
-	p, err := e.prepare(query, approx)
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	p, err := e.prepareStmt(e.cur.Load(), stmt, approx, 0)
 	if err != nil {
 		return nil, err
 	}
