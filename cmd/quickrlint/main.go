@@ -13,7 +13,7 @@
 //
 // Analyzers: the syntactic walkers norawrand, slotdiscipline,
 // weightprop and noprintf, plus the CFG/dataflow analyzers
-// lockdiscipline, ctxflow, hotalloc and arenasafe (see internal/lint).
+// lockdiscipline, ctxflow and hotalloc (see internal/lint).
 // Broken //lint:ignore directives — missing a reason, or left behind
 // after the finding they suppressed is gone — are reported under the
 // pseudo-analyzer ignorehygiene. Suppress a single finding with a

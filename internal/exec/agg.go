@@ -127,7 +127,7 @@ func (e colMissingError) Error() string { return "exec: aggregate input column m
 
 func errColMissing(id lplan.ColumnID) error { return colMissingError(id) }
 
-//hot:per-input-row grouped-aggregation accumulate, gated by BenchmarkGroupedAgg and BenchmarkRowPathPreAgg
+//hot:per-input-row grouped-aggregation accumulate, gated by BenchmarkGroupedAgg and BenchmarkPreAggKernel
 func (r *aggRunner) add(row table.Row, w float64) {
 	h := hashRowKey(row, r.groupIdx)
 	gi := r.idx.probe(h, func(i int) bool { return rowKeyEqualValues(r.groups[i].key, row, r.groupIdx) })
@@ -334,21 +334,19 @@ func (r *aggRunner) argIsUniverse(spec lplan.AggSpec) bool {
 	return false
 }
 
-// emit renders the partition's groups as output rows (deterministically
-// ordered) plus estimate records. Order is by the canonical string key,
-// exactly as when groups lived in a string-keyed map.
-func (r *aggRunner) emit() ([]wrow, []GroupEstimate) {
+// emit renders the partition's groups as a column-major output
+// partition of weight-1 rows (deterministically ordered) plus estimate
+// records. Order is by the canonical string key, exactly as when groups
+// lived in a string-keyed map.
+func (r *aggRunner) emit() (Part, []GroupEstimate) {
 	order := make([]*groupAcc, len(r.groups))
 	copy(order, r.groups)
 	sort.Slice(order, func(a, b int) bool { return order[a].skey < order[b].skey })
-	rows := make([]wrow, 0, len(order))
+	out := newPartBuilder(len(r.groupIdx)+len(r.p.Aggs), len(order))
 	ests := make([]GroupEstimate, 0, len(order))
 	for _, g := range order {
 		vals, errs := r.finishGroup(g)
-		row := make(table.Row, 0, len(g.key)+len(vals))
-		row = append(row, g.key...)
-		row = append(row, vals...)
-		rows = append(rows, newWRow(row, 1))
+		out.appendRow(g.key, vals)
 		ests = append(ests, GroupEstimate{Key: g.key, Values: vals, StdErr: errs, SampleRows: g.n})
 	}
 	// Global aggregate over an empty input still yields one row.
@@ -362,10 +360,10 @@ func (r *aggRunner) emit() ([]wrow, []GroupEstimate) {
 				row[j] = table.Null
 			}
 		}
-		rows = append(rows, newWRow(row, 1))
+		out.appendRow(row)
 		ests = append(ests, GroupEstimate{Values: row, StdErr: make([]float64, len(r.p.Aggs))})
 	}
-	return rows, ests
+	return out.finish(), ests
 }
 
 // GroupEstimate is the per-group outcome of the top aggregate: values,

@@ -52,8 +52,10 @@ func resolveBatch(n int) int {
 	return n
 }
 
-// wrow is an in-flight row with its sampling weight and a byte size
-// cached at creation, so stage accounting never re-walks row values.
+// wrow is a boxed row with its sampling weight and accounted byte size.
+// Only the distinct sampler's output is shaped like this (its
+// reservoirs hold whole rows); colSampleOp re-batches it at once and no
+// wrow crosses an operator boundary.
 type wrow struct {
 	row table.Row
 	w   float64
@@ -63,22 +65,4 @@ type wrow struct {
 // newWRow wraps a row, computing its accounted size once.
 func newWRow(r table.Row, w float64) wrow {
 	return wrow{row: r, w: w, sz: float64(r.ByteSize() + 8)}
-}
-
-// wrowBytes returns the accounted size of an in-flight row, falling
-// back to a fresh computation for rows built without newWRow.
-func wrowBytes(r wrow) float64 {
-	if r.sz > 0 {
-		return r.sz
-	}
-	return float64(r.row.ByteSize() + 8)
-}
-
-// rowsBytes sums the accounted sizes of a row slice.
-func rowsBytes(rows []wrow) float64 {
-	var b float64
-	for i := range rows {
-		b += wrowBytes(rows[i])
-	}
-	return b
 }

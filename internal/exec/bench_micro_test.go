@@ -1,8 +1,8 @@
 package exec
 
-// Microbenchmarks for the executor's three hottest paths — hash-join
-// build/probe, grouped aggregation and window partitioning — plus the
-// parallel sort. Run with -benchmem: allocs/op on these benchmarks is a
+// Microbenchmarks for the executor's hottest paths — hash-join
+// build/probe, the exchange scatter, grouped aggregation and window
+// partitioning — plus the parallel sort. Run with -benchmem: allocs/op on these benchmarks is a
 // gated regression surface (cmd/benchcheck -micro against the committed
 // testdata/bench_baseline.json; see the bench-gate CI job).
 
@@ -68,8 +68,8 @@ func benchJoinPlan(broadcast bool) (PNode, int) {
 }
 
 // BenchmarkJoinBroadcast measures the broadcast hash join: the gathered
-// build side is shared read-only across every probe task, and probe
-// outputs come from per-task arenas.
+// build side is shared read-only across every probe task, and each
+// probe task gathers its output columns once at their final size.
 func BenchmarkJoinBroadcast(b *testing.B) {
 	plan, rows := benchJoinPlan(true)
 	b.ReportAllocs()
@@ -92,6 +92,25 @@ func BenchmarkJoinCoPartitioned(b *testing.B) {
 		res := benchRun(b, plan)
 		if len(res.Rows) != rows {
 			b.Fatalf("join rows: %d want %d", len(res.Rows), rows)
+		}
+	}
+}
+
+// BenchmarkExchangeScatter measures a keyed exchange over a scan: every
+// source task hashes the (int, string) key vectors of its batches and
+// scatters lanes into eight destination builders, and the coordinator
+// concatenates the pieces.
+func BenchmarkExchangeScatter(b *testing.B) {
+	const parts, keys, rows = 4, 2048, 65536
+	_, fact := benchTables(parts, keys, rows)
+	scan := scanOf(fact)
+	plan := &PExchange{In: scan, Keys: []lplan.ColumnID{scan.OutCols[0].ID, scan.OutCols[1].ID}, Parts: 8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := benchRun(b, plan)
+		if len(res.Rows) != rows {
+			b.Fatalf("exchange rows: %d want %d", len(res.Rows), rows)
 		}
 	}
 }

@@ -12,7 +12,7 @@ package exec
 //   - weights holds the Horvitz–Thompson weight of each physical lane;
 //     samplers scale it in place as they thin sel.
 //   - bytes is the in-flight size of the live rows (sum of per-row
-//     ByteSize()+8, what the rows cost once materialized as wrows).
+//     ByteSize()+8, the same measure a Part caches for its rows).
 //
 // Dead lanes (outside sel) hold unspecified zero/NULL payloads; kernels
 // may compute them, and must never read them back for live results.
@@ -47,43 +47,11 @@ func (b *Batch) liveSel(buf []int32) []int32 {
 }
 
 // liveBytes recomputes the in-flight size of the live rows selected by
-// sel: per row, the per-column value bytes plus the 8-byte weight field
-// (matching newWRow's sz).
+// sel: per row, the per-column value bytes plus the 8-byte weight field.
 func liveBytes(cols []Vector, sel []int32) float64 {
 	total := 8 * float64(len(sel))
 	for c := range cols {
 		total += cols[c].bytesSel(sel)
 	}
 	return total
-}
-
-// gatherRow materializes physical lane i as an arena-backed row plus
-// its cached size, identical to newWRow(row, w).
-//
-//hot:per-lane row materialization at pipeline sinks
-func gatherRow(a *rowArena, cols []Vector, lane int32, w float64) wrow {
-	row := a.alloc(len(cols))
-	sz := 8
-	for c := range cols {
-		row = append(row, cols[c].Value(int(lane)))
-		sz += cols[c].laneBytes(int(lane))
-	}
-	return wrow{row: row, w: w, sz: float64(sz)}
-}
-
-// materialize converts the live rows of a batch to []wrow, appending to
-// out. Only pipeline sinks (breaker boundaries) call this.
-//
-//hot:batch sink materialization, gated by the columnar micro benches
-func (b *Batch) materialize(a *rowArena, out []wrow) []wrow {
-	if b.sel != nil {
-		for _, lane := range b.sel {
-			out = append(out, gatherRow(a, b.cols, lane, b.weights[lane]))
-		}
-		return out
-	}
-	for i := 0; i < b.n; i++ {
-		out = append(out, gatherRow(a, b.cols, int32(i), b.weights[i]))
-	}
-	return out
 }

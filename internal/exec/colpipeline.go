@@ -14,10 +14,11 @@ import (
 // scan→filter→project→sample chains between pipeline breakers run
 // column-at-a-time over exec.Batch. Predicates evaluate as per-column
 // kernels and thin the selection vector, samplers thin it further and
-// scale the weight column, and rows only materialize at the sink (the
-// breaker boundary). Expressions without a typed kernel (CASE, function
-// calls) evaluate through a row closure per live lane inside the same
-// chain (coleval.go's fallback, counted as fallback_rows).
+// scale the weight column, and the sink (the breaker boundary) appends
+// the live lanes of each batch to a column-major Part. Expressions
+// without a typed kernel (CASE, function calls) evaluate through a row
+// closure per live lane inside the same chain (coleval.go's fallback,
+// counted as fallback_rows).
 //
 // Answers do not depend on the batch size: sampler decision sequences
 // (rng draws, hash inputs, their order) and every stage/metric total
@@ -132,9 +133,9 @@ func (s *colScanSource) Next() (Batch, error) {
 	return Batch{cols: s.cols, n: n, weights: s.weights, bytes: outBytes}, nil
 }
 
-// batchBuilder re-batches materialized weighted rows into columnar form
-// (breaker outputs entering a columnar chain, and distinct-sampler
-// emissions). Buffers are reused across batches.
+// batchBuilder re-batches the distinct sampler's emissions (the one
+// row-shaped stream inside a chain) into columnar form. Buffers are
+// reused across batches.
 type batchBuilder struct {
 	blds    []vecBuilder
 	weights []float64
@@ -168,58 +169,6 @@ func (bb *batchBuilder) fromRows(rows []wrow, bytes float64) Batch {
 	return Batch{cols: bb.cols, n: len(rows), weights: bb.weights, bytes: bytes}
 }
 
-// colRowSource streams an already-materialized partition (a breaker's
-// output) in columnar batches.
-type colRowSource struct {
-	rows []wrow
-	size int
-	pos  int
-	bb   batchBuilder
-}
-
-func (s *colRowSource) Next() (Batch, error) {
-	remain := len(s.rows) - s.pos
-	if remain <= 0 {
-		return Batch{}, nil
-	}
-	n := s.size
-	if n > remain {
-		n = remain
-	}
-	rows := s.rows[s.pos : s.pos+n]
-	s.pos += n
-	return s.bb.fromRows(rows, rowsBytes(rows)), nil
-}
-
-// colCachedSource replays one cached sampler-output partition: like
-// colScanSource it windows the column-major vectors zero-copy and copies
-// only the batch's weights, which downstream samplers scale in place.
-type colCachedSource struct {
-	cp   *CachedPart
-	size int
-	pos  int
-
-	weights []float64
-	cols    []Vector
-}
-
-func (s *colCachedSource) Next() (Batch, error) {
-	remain := s.cp.Cols.NumRows - s.pos
-	if remain <= 0 {
-		return Batch{}, nil
-	}
-	n := s.size
-	if n > remain {
-		n = remain
-	}
-	var bytes float64
-	s.cols, bytes = windowCols(s.cols[:0], s.cp.Cols.Cols, s.pos, n)
-	bytes += 8 * float64(n)
-	s.weights = append(s.weights[:0], s.cp.W[s.pos:s.pos+n]...)
-	s.pos += n
-	return Batch{cols: s.cols, n: n, weights: s.weights, bytes: bytes}, nil
-}
-
 // colFilterOp evaluates the predicate kernel and keeps the truthy lanes
 // in the selection, pulling more input until it has survivors.
 type colFilterOp struct {
@@ -247,40 +196,7 @@ func (f *colFilterOp) Next() (Batch, error) {
 		t0 := time.Now()
 		v := f.kern(&b)
 		liveIn := b.Len()
-		f.sel = f.sel[:0]
-		switch v.K {
-		case VKBool:
-			// NULL lanes carry payload 0, so truthiness is the payload.
-			if b.sel != nil {
-				for _, i := range b.sel {
-					if v.Ints[i] != 0 {
-						f.sel = append(f.sel, i)
-					}
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					if v.Ints[i] != 0 {
-						f.sel = append(f.sel, int32(i))
-					}
-				}
-			}
-		case VKAny:
-			if b.sel != nil {
-				for _, i := range b.sel {
-					if truthy(v.Vals[i]) {
-						f.sel = append(f.sel, i)
-					}
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					if truthy(v.Vals[i]) {
-						f.sel = append(f.sel, int32(i))
-					}
-				}
-			}
-		default:
-			// Non-boolean predicate result: nothing passes.
-		}
+		f.sel = truthyLanes(f.sel[:0], &v, &b)
 		f.st.AddCPU(f.task, float64(liveIn))
 		f.slot.RowsIn += int64(liveIn)
 		f.slot.RowsOut += int64(len(f.sel))
@@ -293,6 +209,45 @@ func (f *colFilterOp) Next() (Batch, error) {
 			return Batch{cols: b.cols, n: b.n, sel: f.sel, weights: b.weights, bytes: bytes}, nil
 		}
 	}
+}
+
+// truthyLanes appends to dst the live lanes of b on which the predicate
+// result v is true.
+func truthyLanes(dst []int32, v *Vector, b *Batch) []int32 {
+	switch v.K {
+	case VKBool:
+		// NULL lanes carry payload 0, so truthiness is the payload.
+		if b.sel != nil {
+			for _, i := range b.sel {
+				if v.Ints[i] != 0 {
+					dst = append(dst, i)
+				}
+			}
+		} else {
+			for i := 0; i < b.n; i++ {
+				if v.Ints[i] != 0 {
+					dst = append(dst, int32(i))
+				}
+			}
+		}
+	case VKAny:
+		if b.sel != nil {
+			for _, i := range b.sel {
+				if truthy(v.Vals[i]) {
+					dst = append(dst, i)
+				}
+			}
+		} else {
+			for i := 0; i < b.n; i++ {
+				if truthy(v.Vals[i]) {
+					dst = append(dst, int32(i))
+				}
+			}
+		}
+	default:
+		// Non-boolean predicate result: nothing passes.
+	}
+	return dst
 }
 
 // colProjectOp evaluates one kernel per output expression; the batch
@@ -530,7 +485,7 @@ type colChain struct {
 	scanOp *metrics.Op
 	// src is the source of a chain that does not start at a scan: a
 	// breaker's output, or a cached-sample node's (replayed or lazily
-	// produced) output.
+	// produced) output. Its partitions are windowed zero-copy.
 	src     *stream
 	st      *cluster.Stage
 	parts   int
@@ -623,10 +578,8 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 			inflate: inflate,
 			st:      cc.st, task: i, slot: cc.scanOp.Slot(i), raw: &cc.partRaw[i],
 		}
-	} else if cc.src.cached != nil {
-		cur = &colCachedSource{cp: &cc.src.cached[i], size: cc.ex.batch}
 	} else {
-		cur = &colRowSource{rows: cc.src.parts[i], size: cc.ex.batch}
+		cur = &partSource{p: &cc.src.parts[i], size: cc.ex.batch}
 	}
 	for k, sp := range cc.specs {
 		slot := sp.op.Slot(i)
@@ -679,47 +632,78 @@ func (cc *colChain) finish() {
 	}
 }
 
-// result wraps the materialized partitions as the chain's output stream.
-func (cc *colChain) result(outParts [][]wrow) *stream {
+// result wraps the sink's partitions as the chain's output stream.
+func (cc *colChain) result(outParts []Part) *stream {
 	if cc.scan != nil {
 		return &stream{parts: outParts, stage: cc.st}
 	}
-	cc.src.parts, cc.src.cached = outParts, nil
+	cc.src.parts = outParts
 	return cc.src
 }
 
-// execColPipeline runs the fused chain rooted at top column-at-a-time,
-// materializing rows only at the sink.
+// drive pulls partition i's chain dry, handing every batch to sink.
+func (cc *colChain) drive(i int, sink func(*Batch, *colScratch)) error {
+	cur, sc, err := cc.operatorFor(i)
+	if err != nil {
+		return err
+	}
+	for {
+		if err := ctxErr(cc.ex.ctx); err != nil {
+			return err
+		}
+		b, err := cur.Next()
+		if err != nil {
+			return err
+		}
+		if b.Len() == 0 {
+			return nil
+		}
+		sink(&b, sc)
+	}
+}
+
+// estHint splits an optimizer cardinality estimate across parts tasks
+// for sink preallocation; 0 means "no estimate, grow on demand". The
+// cap bounds what an overestimate can waste per column (512 KiB).
+func estHint(est float64, parts int) int {
+	if est <= 0 || parts <= 0 {
+		return 0
+	}
+	return min(int(est)/parts+1, 1<<16)
+}
+
+// execColPipeline runs the fused chain rooted at top column-at-a-time;
+// each partition's sink appends the live lanes of every batch to a
+// Part. The append time is the chain top's own work and lands on its
+// slot.
 func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 	cc, err := ex.buildColChain(top)
 	if err != nil {
 		return nil, err
 	}
-	// Sink capacity hint from the optimizer's estimate of the pipeline's
+	if cc.src != nil && len(cc.nodes) == 0 {
+		// A bare cached-sample node: its partitions are the output.
+		return cc.src, nil
+	}
+	width := len(top.Cols())
+	owner := ex.opFor(top)
+	// Sink capacity from the optimizer's estimate of the pipeline's
 	// output cardinality, split across partitions.
-	hint := estHint(ex.opFor(top).EstRows, cc.parts)
-	outParts := make([][]wrow, cc.parts)
+	hint := estHint(owner.EstRows, cc.parts)
+	outParts := make([]Part, cc.parts)
 	if err := ex.parallel(cc.parts, func(i int) error {
-		cur, _, err := cc.operatorFor(i)
-		if err != nil {
+		pb := newPartBuilder(width, hint)
+		sl := owner.Slot(i)
+		if err := cc.drive(i, func(b *Batch, _ *colScratch) {
+			t0 := time.Now()
+			pb.appendBatch(b)
+			sl.WallNanos += int64(time.Since(t0))
+		}); err != nil {
 			return err
 		}
-		var arena rowArena
-		out := make([]wrow, 0, hint)
-		for {
-			if err := ctxErr(ex.ctx); err != nil {
-				return err
-			}
-			b, err := cur.Next()
-			if err != nil {
-				return err
-			}
-			if b.Len() == 0 {
-				break
-			}
-			out = b.materialize(&arena, out)
-		}
-		outParts[i] = out
+		t0 := time.Now()
+		outParts[i] = pb.finish()
+		sl.WallNanos += int64(time.Since(t0))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -728,19 +712,19 @@ func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 	return cc.result(outParts), nil
 }
 
-// execAggColumnar fuses a columnar chain directly into the hash
-// aggregate: batches feed the aggregation runner through a reusable
-// gather row instead of materializing the sampled stream first. All
-// stage, slot and estimate accounting matches execAgg over the row
-// pipeline.
-func (ex *executor) execAggColumnar(p *PHashAgg) (*stream, error) {
+// execAgg runs a hash aggregate over whatever feeds it: the chain below
+// (possibly empty, when the input is a breaker's output) is fused into
+// the aggregate, its batches folding into the aggregation runner
+// through a reusable gather row without building the aggregate's input
+// first.
+func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 	cc, err := ex.buildColChain(p.In)
 	if err != nil {
 		return nil, err
 	}
 	if cc.st == nil {
-		// Pass-through-only chain over a materialized stream: the
-		// aggregate opens the stage.
+		// No compute operator below opened a stage over the materialized
+		// stream: the aggregate does.
 		ex.ensureStage(cc.src, "aggregate")
 		cc.st = cc.src.stage
 	}
@@ -748,45 +732,36 @@ func (ex *executor) execAggColumnar(p *PHashAgg) (*stream, error) {
 	partEsts := make([][]GroupEstimate, cc.parts)
 	op := ex.opFor(p)
 	op.Grow(cc.parts)
-	outParts := make([][]wrow, cc.parts)
+	outParts := make([]Part, cc.parts)
+	// Lanes read straight off a breaker's partition went through no
+	// chain kernel and are not counted as kernel lanes.
+	fused := !p.In.Breaker()
 	t0 := time.Now()
 	if err := ex.parallel(cc.parts, func(i int) error {
-		cur, sc, err := cc.operatorFor(i)
-		if err != nil {
-			return err
-		}
 		r, err := newAggRunner(p, cm)
 		if err != nil {
 			return err
 		}
 		nrows := 0
-		for {
-			if err := ctxErr(ex.ctx); err != nil {
-				return err
-			}
-			b, err := cur.Next()
-			if err != nil {
-				return err
-			}
-			if b.Len() == 0 {
-				break
-			}
-			nrows += r.addBatch(&b, sc)
+		if err := cc.drive(i, func(b *Batch, sc *colScratch) { nrows += r.addBatch(b, sc) }); err != nil {
+			return err
 		}
-		rows, ests := r.emit()
-		// A grouped aggregate on a non-first partition must not emit the
+		out, ests := r.emit()
+		// A global aggregate on a non-first partition must not emit the
 		// empty-input global row.
 		if len(p.GroupCols) == 0 && i > 0 && nrows == 0 {
-			rows, ests = nil, nil
+			out, ests = emptyPart(len(out.Cols)), nil
 		}
-		outParts[i] = rows
+		outParts[i] = out
 		cc.st.AddCPU(i, 2*float64(nrows))
 		sl := op.Slot(i)
 		sl.RowsIn += int64(nrows)
-		sl.RowsOut += int64(len(rows))
-		sl.KernelLanes += int64(nrows)
-		if len(rows) > 0 {
-			sl.NoteBatch(rowsBytes(rows))
+		sl.RowsOut += int64(out.N)
+		if fused {
+			sl.KernelLanes += int64(nrows)
+		}
+		if out.N > 0 {
+			sl.NoteBatch(out.bytes)
 		}
 		if p.Top {
 			partEsts[i] = ests

@@ -9,12 +9,12 @@ package exec
 //     a lookup of an already-seen key allocates nothing. Equality is
 //     verified through a callback on hash collision.
 //
-//   - joinTable: the build side of a hash join, built once and then
-//     shared read-only across probe tasks. Rows with equal join-key
-//     hash form flat []int32 chains over a single build-row array; the
-//     slot directory is sharded so the build parallelizes while chain
-//     order stays the global build-row order (bit-identical probe
-//     output vs the old per-task map[uint64][]wrow).
+//   - joinTable: the build side of a hash join, built once over the
+//     build partition's key columns and then shared read-only across
+//     probe tasks. Rows with equal join-key hash form flat []int32
+//     chains of build-row indexes; the slot directory is sharded so the
+//     build parallelizes while chain order stays the global build-row
+//     order (which fixes the order of the probe's output).
 //
 // Row hashing canonicalizes values exactly like Value.Key(), so the
 // hash-based group tables partition rows identically to the string keys
@@ -160,12 +160,16 @@ func (t *hashIndex) grow() {
 	}
 }
 
-// joinTable is a read-only build-side hash table over a flat build-row
-// array. lookup(h) returns the index of the first build row whose join
-// keys hashed to h (walk next[] for the rest; -1 terminates). Chains
-// are in build-row order regardless of how many shards built the table.
+// joinTable is a read-only build-side hash table over one column-major
+// build partition. lookup(h) returns the index of the first build row
+// whose join keys hashed to h (walk next[] for the rest; -1 terminates).
+// Chains are in build-row order regardless of how many shards built the
+// table. A probe compares its key lanes against keys and gathers its
+// output from cols and w by build-row index.
 type joinTable struct {
-	rows []wrow
+	cols []Vector  // every build column, windowed whole
+	keys []Vector  // the join-key columns among them
+	w    []float64 // build-row weights
 	next []int32
 	// hashes holds each build row's join-key hash; kept so probes can be
 	// cross-checked in tests and shards rebuilt without rehashing.
@@ -194,42 +198,55 @@ func joinTableShards(n int) int {
 	return 8
 }
 
-// buildJoinTable hashes rows' keyIdx columns with table.HashRow (seed
-// 3, as the join always has) and builds the sharded directory. parallel
-// runs fn(i) for i in [0,n) concurrently (the executor passes its pool
-// fan-out; tests may pass a serial loop). The build is deterministic:
-// each shard inserts its rows in global build order.
-func buildJoinTable(rows []wrow, keyIdx []int, parallel func(n int, fn func(i int) error) error) (*joinTable, error) {
-	nShards := joinTableShards(len(rows))
+// joinHashSeed is the HashRow seed of join keys, on both sides.
+const joinHashSeed = 3
+
+// buildJoinTable hashes the keyIdx columns of the build partition
+// (hashKeys, bit-equal to table.HashRow with joinHashSeed) and builds
+// the sharded directory. parallel runs fn(i) for i in [0,n)
+// concurrently (the executor passes its pool fan-out; tests may pass a
+// serial loop). The build is deterministic: each shard inserts its rows
+// in global build order.
+func buildJoinTable(build *Part, keyIdx []int, parallel func(n int, fn func(i int) error) error) (*joinTable, error) {
+	rows := build.N
+	nShards := joinTableShards(rows)
 	shardBits := uint(0)
 	for 1<<shardBits < nShards {
 		shardBits++
 	}
 	t := &joinTable{
-		rows:      rows,
-		next:      make([]int32, len(rows)),
-		hashes:    make([]uint64, len(rows)),
+		cols:      build.vectors(),
+		keys:      make([]Vector, len(keyIdx)),
+		w:         build.W,
+		next:      make([]int32, rows),
+		hashes:    make([]uint64, rows),
 		shards:    make([]joinShard, nShards),
 		shardMask: uint64(nShards - 1),
 		shardBits: shardBits,
 	}
+	for k, ci := range keyIdx {
+		t.keys[k] = t.cols[ci]
+	}
 	// Pass 1: per-row hashes, chunked across the pool.
 	chunks := nShards
-	if chunks == 1 || len(rows) == 0 {
-		for i := range rows {
-			t.hashes[i] = table.HashRow(rows[i].row, keyIdx, 3)
-		}
+	if chunks == 1 || rows == 0 {
+		hashKeys(t.hashes, t.keys, joinHashSeed, nil, rows)
 	} else {
-		per := (len(rows) + chunks - 1) / chunks
+		per := (rows + chunks - 1) / chunks
 		if err := parallel(chunks, func(c int) error {
 			lo := c * per
 			hi := lo + per
-			if hi > len(rows) {
-				hi = len(rows)
+			if hi > rows {
+				hi = rows
 			}
-			for i := lo; i < hi; i++ {
-				t.hashes[i] = table.HashRow(rows[i].row, keyIdx, 3)
+			if lo >= hi {
+				return nil
 			}
+			keys := make([]Vector, len(keyIdx))
+			for k, ci := range keyIdx {
+				keys[k] = window(&build.Cols[ci], lo, hi-lo)
+			}
+			hashKeys(t.hashes[lo:hi], keys, joinHashSeed, nil, hi-lo)
 			return nil
 		}); err != nil {
 			return nil, err

@@ -122,34 +122,41 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 	}
 }
 
-// joinRowsFor builds n single-partition build rows over (k, s, v) with
-// keys cycling modulo dups so chains form.
-func joinRowsFor(n, dups int) []wrow {
-	rows := make([]wrow, n)
-	for i := 0; i < n; i++ {
+// joinRowsFor builds an n-row build partition over (k, s, v) with keys
+// cycling modulo dups so chains form, and the same rows boxed.
+func joinRowsFor(n, dups int) (Part, []table.Row) {
+	rows := make([]table.Row, n)
+	pb := newPartBuilder(3, n)
+	for i := range rows {
 		k := i % dups
-		rows[i] = newWRow(table.Row{
+		rows[i] = table.Row{
 			table.NewInt(int64(k)),
 			table.NewString(fmt.Sprintf("key-%04d", k)),
 			table.NewFloat(float64(i)),
-		}, 1)
+		}
+		pb.appendRow(rows[i])
 	}
-	return rows
+	return pb.finish(), rows
 }
 
 // TestJoinTableChainOrder checks that chains visit build rows in global
-// build order — the property that keeps probe output bit-identical to
-// the old append-to-map build — for both the serial (1-shard) and the
-// parallel (sharded) build sizes.
+// build order — the property that fixes the probe's output order — for
+// both the serial (1-shard) and the parallel (sharded) build sizes, and
+// that the table's key-vector hashes are the row hashes probes look up.
 func TestJoinTableChainOrder(t *testing.T) {
 	for _, n := range []int{300, 5000} { // below and above the shard cutoff
-		rows := joinRowsFor(n, 17)
-		bt, err := buildJoinTable(rows, []int{0, 1}, serialFan)
+		build, rows := joinRowsFor(n, 17)
+		bt, err := buildJoinTable(&build, []int{0, 1}, serialFan)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i, r := range rows {
+			if want := table.HashRow(r, []int{0, 1}, joinHashSeed); bt.hashes[i] != want {
+				t.Fatalf("n=%d row %d: key-vector hash %x, HashRow %x", n, i, bt.hashes[i], want)
+			}
+		}
 		for k := 0; k < 17; k++ {
-			h := table.HashRow(rows[k].row, []int{0, 1}, 3)
+			h := table.HashRow(rows[k], []int{0, 1}, joinHashSeed)
 			var got []int
 			for ri := bt.lookup(h); ri >= 0; ri = bt.next[ri] {
 				got = append(got, int(ri))
@@ -173,11 +180,63 @@ func TestJoinTableChainOrder(t *testing.T) {
 	}
 }
 
+// TestJoinTableHashCollisions forces distinct keys onto one chain: a
+// column of values that all hash alike under HashRow (NULLs, which equal
+// nothing) next to a real key. The probe's key compare, not the hash,
+// must decide every match.
+func TestJoinTableHashCollisions(t *testing.T) {
+	const n = 64
+	pb := newPartBuilder(2, n)
+	for i := 0; i < n; i++ {
+		pb.appendRow(table.Row{table.Null, table.NewInt(int64(i))})
+	}
+	build := pb.finish()
+	bt, err := buildJoinTable(&build, []int{0}, serialFan) // every row: the same NULL-key hash
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := 0
+	for ri := bt.lookup(bt.hashes[0]); ri >= 0; ri = bt.next[ri] {
+		if int(ri) != chain {
+			t.Fatalf("chain[%d] = %d", chain, ri)
+		}
+		chain++
+	}
+	if chain != n {
+		t.Fatalf("colliding chain holds %d rows, want %d", chain, n)
+	}
+	// All n rows collide, none is key-equal to anything: NULL = NULL is false.
+	probe := build.vectors()[:1]
+	for ri := bt.lookup(bt.hashes[0]); ri >= 0; ri = bt.next[ri] {
+		if lanesEqual(probe, 0, bt.keys, int(ri)) {
+			t.Fatalf("NULL key matched build row %d", ri)
+		}
+	}
+	// An int probe key whose hash equals no build hash finds no chain; one
+	// compared against a colliding chain of other ints matches only itself.
+	bt2, err := buildJoinTable(&build, []int{1}, serialFan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := build.vectors()[1:]
+	for i := 0; i < n; i++ {
+		matches := 0
+		for ri := bt2.lookup(bt2.hashes[i]); ri >= 0; ri = bt2.next[ri] {
+			if lanesEqual(keys, i, bt2.keys, int(ri)) {
+				matches++
+			}
+		}
+		if matches != 1 {
+			t.Fatalf("key %d matched %d build rows, want 1", i, matches)
+		}
+	}
+}
+
 // TestJoinTableParallelBuildMatchesSerial builds the same sharded table
 // through a genuinely concurrent fan-out and through serialFan; the
 // resulting directories must be identical structures.
 func TestJoinTableParallelBuildMatchesSerial(t *testing.T) {
-	rows := joinRowsFor(6000, 113)
+	build, rows := joinRowsFor(6000, 113)
 	concurrent := func(n int, fn func(i int) error) error {
 		var wg sync.WaitGroup
 		errs := make([]error, n)
@@ -196,11 +255,11 @@ func TestJoinTableParallelBuildMatchesSerial(t *testing.T) {
 		}
 		return nil
 	}
-	a, err := buildJoinTable(rows, []int{0, 1}, serialFan)
+	a, err := buildJoinTable(&build, []int{0, 1}, serialFan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := buildJoinTable(rows, []int{0, 1}, concurrent)
+	b, err := buildJoinTable(&build, []int{0, 1}, concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +272,9 @@ func TestJoinTableParallelBuildMatchesSerial(t *testing.T) {
 		}
 	}
 	for i := range rows {
+		if a.hashes[i] != b.hashes[i] {
+			t.Fatalf("hashes[%d]: %x vs %x", i, a.hashes[i], b.hashes[i])
+		}
 		if a.lookup(a.hashes[i]) != b.lookup(b.hashes[i]) {
 			t.Fatalf("lookup(hashes[%d]) differs", i)
 		}
@@ -224,8 +286,8 @@ func TestJoinTableParallelBuildMatchesSerial(t *testing.T) {
 // must be free of data races and every prober must see full chains.
 func TestJoinTableConcurrentProbes(t *testing.T) {
 	const n, dups, probers = 5000, 41, 32
-	rows := joinRowsFor(n, dups)
-	bt, err := buildJoinTable(rows, []int{0, 1}, serialFan)
+	build, _ := joinRowsFor(n, dups)
+	bt, err := buildJoinTable(&build, []int{0, 1}, serialFan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +297,19 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			// Each prober carries its keys as a one-partition probe side.
+			pb := newPartBuilder(2, dups)
 			for k := 0; k < dups; k++ {
-				probe := table.Row{
-					table.NewInt(int64(k)),
-					table.NewString(fmt.Sprintf("key-%04d", k)),
-				}
-				h := table.HashRow(probe, []int{0, 1}, 3)
+				pb.appendRow(table.Row{table.NewInt(int64(k)), table.NewString(fmt.Sprintf("key-%04d", k))})
+			}
+			probe := pb.finish()
+			keys := probe.vectors()
+			hashes := make([]uint64, dups)
+			hashKeys(hashes, keys, joinHashSeed, nil, dups)
+			for k := 0; k < dups; k++ {
 				cnt := 0
-				for ri := bt.lookup(h); ri >= 0; ri = bt.next[ri] {
-					if !rowKeyEqualRows(bt.rows[ri].row, probe, []int{0, 1}) {
+				for ri := bt.lookup(hashes[k]); ri >= 0; ri = bt.next[ri] {
+					if !lanesEqual(keys, k, bt.keys, int(ri)) {
 						errCh <- fmt.Errorf("prober %d key %d: wrong row in chain", p, k)
 						return
 					}
@@ -264,37 +330,6 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
-	}
-}
-
-// TestRowArena checks slab carving: disjoint capacity-capped windows,
-// oversize requests, and append-past-cap isolation.
-func TestRowArena(t *testing.T) {
-	var ar rowArena
-	a := ar.alloc(2)
-	a = append(a, table.NewInt(1), table.NewInt(2))
-	b := ar.alloc(3)
-	b = append(b, table.NewInt(10), table.NewInt(11), table.NewInt(12))
-	if a[0].Int() != 1 || a[1].Int() != 2 {
-		t.Fatalf("neighbor stomped: %v", a)
-	}
-	// Appending past a row's declared capacity must reallocate, not
-	// write into b's window.
-	a = append(a, table.NewInt(3))
-	if b[0].Int() != 10 {
-		t.Fatalf("append past cap stomped next row: %v", b)
-	}
-	// Oversize rows get a dedicated slab.
-	big := ar.alloc(2 * arenaSlabValues)
-	if cap(big) != 2*arenaSlabValues {
-		t.Fatalf("oversize cap = %d", cap(big))
-	}
-	// Crossing a slab boundary yields fresh backing.
-	for i := 0; i < 3*arenaSlabValues/7; i++ {
-		r := ar.alloc(7)
-		if cap(r) != 7 || len(r) != 0 {
-			t.Fatalf("alloc window len=%d cap=%d", len(r), cap(r))
-		}
 	}
 }
 

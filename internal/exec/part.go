@@ -1,0 +1,343 @@
+package exec
+
+import (
+	"math/bits"
+
+	"quickr/internal/table"
+)
+
+// Part is a column-major weighted partition: the one form data takes
+// between pipeline breakers. Every chain sink, exchange, join,
+// aggregate, sort, limit, window and union produces Parts and every
+// consumer reads them, either by windowing the columns zero-copy into
+// batches (partSource) or, for the few row-shaped operators, through a
+// local rows() view. A sample-cache entry is a []Part as the sink built
+// it.
+//
+// Cols are stored columns in the table package's form (typed payload
+// slices without pointers, a NULL bitmap, a per-partition string
+// dictionary; exact Values only for mixed-kind columns), always one per
+// schema column even when N is 0. W holds the rows' Horvitz–Thompson
+// weights. A Part is immutable once built and may be shared: by the
+// sample cache across queries, by a join output with its build side's
+// dictionaries, by a window output with its input's columns.
+type Part struct {
+	N    int
+	Cols []table.ColVec
+	W    []float64
+	// bytes is the partition's in-flight size, Σ over rows of
+	// Row.ByteSize()+8: what stages, slots and peaks are charged.
+	bytes float64
+}
+
+// emptyPart is a zero-row partition of the given width.
+func emptyPart(width int) Part { return newPartBuilder(width, 0).finish() }
+
+// vectors windows every column whole.
+func (p *Part) vectors() []Vector { return p.window(nil, 0, p.N) }
+
+// window appends zero-copy windows of lanes [pos, pos+n) of every
+// column to dst.
+func (p *Part) window(dst []Vector, pos, n int) []Vector {
+	for c := range p.Cols {
+		dst = append(dst, window(&p.Cols[c], pos, n))
+	}
+	return dst
+}
+
+// rows materializes the partition row-major over one backing array: the
+// local view the sort, the window functions and the final result read.
+func (p *Part) rows() []table.Row {
+	width := len(p.Cols)
+	flat := make([]table.Value, p.N*width)
+	for c, v := range p.vectors() {
+		for i := 0; i < p.N; i++ {
+			flat[i*width+c] = v.Value(i)
+		}
+	}
+	rows := make([]table.Row, p.N)
+	for i := range rows {
+		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
+
+// gather returns the partition's rows idx, in idx order (the sort's
+// permutation). String columns keep their dictionaries.
+func (p *Part) gather(idx []int32) Part {
+	pb := newPartBuilder(len(p.Cols), len(idx))
+	pb.appendGather(p.vectors(), idx, 0)
+	pb.w = pb.w[:len(idx)]
+	for j, i := range idx {
+		pb.w[j] = p.W[i]
+	}
+	return pb.finish()
+}
+
+// head returns the partition's first k rows (k <= N), sharing payloads.
+func (p *Part) head(k int) Part {
+	out := Part{N: k, Cols: make([]table.ColVec, len(p.Cols)), W: p.W[:k]}
+	for c := range p.Cols {
+		cv := p.Cols[c]
+		switch {
+		case cv.Any:
+			cv.Vals = cv.Vals[:k]
+		case cv.Kind == table.KindNull:
+			cv.Ints = []int64{int64(k)}
+		case cv.Kind == table.KindFloat:
+			cv.Floats = cv.Floats[:k]
+		default:
+			cv.Ints = cv.Ints[:k]
+		}
+		out.Cols[c] = cv
+	}
+	out.bytes = partBytes(out.Cols, k)
+	return out
+}
+
+// partBytes is Σ Row.ByteSize()+8 over the first n lanes of cols.
+func partBytes(cols []table.ColVec, n int) float64 {
+	total := 8 * n
+	for c := range cols {
+		cv := &cols[c]
+		switch {
+		case cv.Any:
+			for _, v := range cv.Vals[:n] {
+				total += v.ByteSize()
+			}
+		case cv.Kind == table.KindNull:
+			total += n
+		case cv.Kind == table.KindString:
+			for i, code := range cv.Ints[:n] {
+				if cv.IsNull(i) {
+					total++
+				} else {
+					total += 8 + len(cv.Dict[code])
+				}
+			}
+		default:
+			total += 8*n - 7*countNulls(cv.Nulls, n)
+		}
+	}
+	return float64(total)
+}
+
+// countNulls counts the set bits among the first n of a NULL bitmap.
+func countNulls(nulls []uint64, n int) int {
+	cnt := 0
+	for w, word := range nulls {
+		if lanes := n - w*64; lanes <= 0 {
+			break
+		} else if lanes < 64 {
+			word &= 1<<uint(lanes) - 1
+		}
+		cnt += bits.OnesCount64(word)
+	}
+	return cnt
+}
+
+// concatParts appends pieces in order into one partition. A single
+// non-empty piece is returned as is.
+func concatParts(pieces []Part, width int) Part {
+	var only *Part
+	total := 0
+	for i := range pieces {
+		if pieces[i].N > 0 {
+			only = &pieces[i]
+			total += pieces[i].N
+		}
+	}
+	if only != nil && only.N == total {
+		return *only
+	}
+	pb := newPartBuilder(width, total)
+	for i := range pieces {
+		if p := &pieces[i]; p.N > 0 {
+			pb.appendLanes(p.vectors(), nil, p.N, p.W)
+		}
+	}
+	return pb.finish()
+}
+
+// partBuilder accumulates lanes into a Part, one vecBuilder per column.
+type partBuilder struct {
+	cols []vecBuilder
+	w    []float64
+}
+
+// newPartBuilder builds width columns; rows > 0 reserves capacity for
+// that many (the exact count where the caller knows it).
+func newPartBuilder(width, rows int) *partBuilder {
+	pb := &partBuilder{cols: make([]vecBuilder, width)}
+	if rows > 0 {
+		pb.w = make([]float64, 0, rows)
+		for c := range pb.cols {
+			pb.cols[c].hint = rows
+		}
+	}
+	return pb
+}
+
+// appendBatch appends the live rows of b.
+func (pb *partBuilder) appendBatch(b *Batch) { pb.appendLanes(b.cols, b.sel, b.n, b.weights) }
+
+// appendLanes appends the lanes sel (nil = all n) of cols with their
+// weights.
+//
+//hot:pipeline sink and exchange scatter, per batch
+func (pb *partBuilder) appendLanes(cols []Vector, sel []int32, n int, weights []float64) {
+	for c := range pb.cols {
+		pb.cols[c].appendSel(&cols[c], sel)
+	}
+	base := len(pb.w)
+	if sel == nil {
+		pb.w = extend(pb.w, n)
+		copy(pb.w[base:], weights[:n])
+		return
+	}
+	pb.w = extend(pb.w, len(sel))
+	for j, i := range sel {
+		pb.w[base+j] = weights[i]
+	}
+}
+
+// appendGather appends lanes idx of src (negative = NULL) into the
+// columns starting at off; the caller appends the weights.
+func (pb *partBuilder) appendGather(src []Vector, idx []int32, off int) {
+	for c := range src {
+		pb.cols[off+c].appendGather(&src[c], idx)
+	}
+}
+
+// appendRow appends one row of weight 1.
+func (pb *partBuilder) appendRow(vals ...[]table.Value) {
+	c := 0
+	for _, vs := range vals {
+		for _, v := range vs {
+			pb.cols[c].append(v)
+			c++
+		}
+	}
+	pb.w = append(pb.w, 1)
+}
+
+// finish returns the built partition. The builder must not be used
+// afterwards (the Part aliases its buffers).
+func (pb *partBuilder) finish() Part {
+	p := Part{N: len(pb.w), Cols: make([]table.ColVec, len(pb.cols)), W: pb.w}
+	for c := range pb.cols {
+		p.Cols[c] = pb.cols[c].col()
+	}
+	p.bytes = partBytes(p.Cols, p.N)
+	return p
+}
+
+// partSource streams a partition in batches: it windows the column-major
+// vectors zero-copy and copies only the batch's weights, which
+// downstream samplers scale in place.
+type partSource struct {
+	p    *Part
+	size int
+	pos  int
+
+	weights []float64
+	cols    []Vector
+}
+
+func (s *partSource) Next() (Batch, error) {
+	remain := s.p.N - s.pos
+	if remain <= 0 {
+		return Batch{}, nil
+	}
+	n := s.size
+	if n > remain {
+		n = remain
+	}
+	var bytes float64
+	s.cols, bytes = windowCols(s.cols[:0], s.p.Cols, s.pos, n)
+	bytes += 8 * float64(n)
+	s.weights = append(s.weights[:0], s.p.W[s.pos:s.pos+n]...)
+	s.pos += n
+	return Batch{cols: s.cols, n: n, weights: s.weights, bytes: bytes}, nil
+}
+
+// hashKeys folds the key vectors of lanes sel (nil = all n) into out,
+// indexed by lane, bit-equal to table.HashRow(row, idx, seed) of the
+// same rows. Only the listed lanes are read: dead lanes of a batch hold
+// unspecified payloads.
+//
+//hot:per-lane exchange and join key hash
+func hashKeys(out []uint64, keys []Vector, seed uint64, sel []int32, n int) {
+	h0 := table.HashRowSeed(seed)
+	if sel != nil {
+		for _, i := range sel {
+			h := h0
+			for k := range keys {
+				h = table.HashRowStep(h, laneHash(&keys[k], int(i)))
+			}
+			out[i] = h
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		out[i] = h0
+	}
+	for k := range keys {
+		v := &keys[k]
+		if v.K == VKInt && v.nulls == nil { // the common join and group key
+			for i, x := range v.Ints[:n] {
+				out[i] = table.HashRowStep(out[i], table.HashInt(x))
+			}
+			continue
+		}
+		for i := 0; i < n; i++ {
+			out[i] = table.HashRowStep(out[i], laneHash(v, i))
+		}
+	}
+}
+
+// laneHash is v.Value(i).Hash64() without building the Value.
+func laneHash(v *Vector, i int) uint64 {
+	if v.K == VKAny {
+		return v.Vals[i].Hash64()
+	}
+	if v.IsNull(i) {
+		return table.HashNull
+	}
+	switch v.K {
+	case VKInt:
+		return table.HashInt(v.Ints[i])
+	case VKFloat:
+		return table.HashFloat(v.Floats[i])
+	case VKStr:
+		return table.HashString(v.Dict[v.Ints[i]])
+	default:
+		return table.HashBool(v.Ints[i] != 0)
+	}
+}
+
+// lanesEqual reports whether lane i of every a[k] equals lane j of
+// b[k] under Value.Equal (NULL equals nothing; numerics compare across
+// kinds): the join's key match.
+//
+//hot:per-candidate join key compare
+func lanesEqual(a []Vector, i int, b []Vector, j int) bool {
+	for k := range a {
+		av, bv := &a[k], &b[k]
+		switch {
+		case av.K == VKInt && bv.K == VKInt:
+			if av.Ints[i] != bv.Ints[j] || av.IsNull(i) || bv.IsNull(j) {
+				return false
+			}
+		case av.K == VKStr && bv.K == VKStr:
+			if av.IsNull(i) || bv.IsNull(j) || av.Dict[av.Ints[i]] != bv.Dict[bv.Ints[j]] {
+				return false
+			}
+		default:
+			if !av.Value(i).Equal(bv.Value(j)) {
+				return false
+			}
+		}
+	}
+	return true
+}

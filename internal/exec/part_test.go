@@ -1,0 +1,387 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"quickr/internal/lplan"
+	"quickr/internal/table"
+)
+
+// awkwardValues are the payloads a column-major copy could corrupt:
+// NULL, NaNs with distinct payloads, both zeros, infinities, integral
+// and huge floats, extreme ints, empty and repeated strings, bools.
+func awkwardValues() map[string][]table.Value {
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0xfff8000000000abc)
+	return map[string][]table.Value{
+		"float": {table.NewFloat(1.5), table.Null, table.NewFloat(nanA), table.NewFloat(nanB),
+			table.NewFloat(math.Copysign(0, -1)), table.NewFloat(0), table.NewFloat(math.Inf(-1)),
+			table.NewFloat(42), table.NewFloat(1e300), table.NewFloat(-7.25)},
+		"int": {table.NewInt(0), table.NewInt(-1), table.Null, table.NewInt(math.MaxInt64),
+			table.NewInt(math.MinInt64), table.NewInt(42)},
+		"string": {table.NewString(""), table.NewString("x"), table.Null, table.NewString("a longer string"),
+			table.NewString("x"), table.NewString("\x00")},
+		"bool":  {table.NewBool(true), table.NewBool(false), table.Null},
+		"null":  {table.Null},
+		"mixed": {table.NewInt(42), table.NewFloat(42), table.Null, table.NewString("42"), table.NewBool(true), table.NewFloat(math.Copysign(0, -1))},
+	}
+}
+
+// columnOf draws n values of one family.
+func columnOf(rng *rand.Rand, pool []table.Value, n int) []table.Value {
+	out := make([]table.Value, n)
+	for i := range out {
+		out[i] = pool[rng.Intn(len(pool))]
+	}
+	return out
+}
+
+// batchOf packs columns (equal lengths) into a batch the way a source
+// would hand them to a sink: one builder per column, a selection chosen
+// by selMode (0 = dense, 1 = none live, 2 = one lane, 3 = random subset).
+func batchOf(rng *rand.Rand, cols [][]table.Value, blds []vecBuilder, selMode int) Batch {
+	n := len(cols[0])
+	b := Batch{n: n, weights: make([]float64, n)}
+	for c, vals := range cols {
+		blds[c].reset()
+		for _, v := range vals {
+			blds[c].append(v)
+		}
+		b.cols = append(b.cols, blds[c].build())
+	}
+	for i := range b.weights {
+		b.weights[i] = 1 + float64(rng.Intn(1000))/7
+	}
+	switch selMode {
+	case 1:
+		b.sel = []int32{}
+	case 2:
+		b.sel = []int32{int32(rng.Intn(n))}
+	case 3:
+		b.sel = []int32{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				b.sel = append(b.sel, int32(i))
+			}
+		}
+	}
+	return b
+}
+
+// TestPartBuilderRoundTrip is the sink's property test: whatever
+// sequence of batches is appended — every value family, kinds that
+// change between batches (int then float degrades to boxed values,
+// all-NULL then typed adopts), a new source dictionary per batch,
+// dense/empty/one-lane/random selections, empty and one-row partitions —
+// the built Part reads back the appended live rows bit for bit, with
+// their weights and the accounted bytes of the same rows boxed.
+func TestPartBuilderRoundTrip(t *testing.T) {
+	families := awkwardValues()
+	names := []string{"float", "int", "string", "bool", "null", "mixed"}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		width := 1 + rng.Intn(4)
+		batches := rng.Intn(5) // 0 = empty partition
+		pb := newPartBuilder(width, 0)
+		blds := make([]vecBuilder, width)
+		var want []wrow
+		for bi := 0; bi < batches; bi++ {
+			n := 1 + rng.Intn(70)
+			if seed%7 == 0 {
+				n = 1 // one-row batches: the one-row partition when batches == 1
+			}
+			cols := make([][]table.Value, width)
+			for c := range cols {
+				// Column c keeps its family except where the seed asks for a
+				// mid-partition kind change.
+				fam := names[(int(seed)+c)%len(names)]
+				if seed%3 == 0 && bi > 0 {
+					fam = names[rng.Intn(len(names))]
+				}
+				cols[c] = columnOf(rng, families[fam], n)
+			}
+			b := batchOf(rng, cols, blds, rng.Intn(4))
+			pb.appendBatch(&b)
+			for _, lane := range b.liveSel(nil) {
+				row := make(table.Row, width)
+				for c := range cols {
+					row[c] = cols[c][lane]
+				}
+				want = append(want, newWRow(row, b.weights[lane]))
+			}
+		}
+		sameParts(t, [][]wrow{want}, []Part{pb.finish()}, fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// TestPartBuilderGatherSharesDictionary covers appendGather: negative
+// indexes pad NULL, a string column gathered from one stored column
+// shares its dictionary, and a second source dictionary forces a
+// private copy without disturbing what was already appended.
+func TestPartBuilderGatherSharesDictionary(t *testing.T) {
+	mk := func(strs ...string) Part {
+		pb := newPartBuilder(1, len(strs))
+		for _, s := range strs {
+			if s == "<null>" {
+				pb.appendRow(table.Row{table.Null})
+			} else {
+				pb.appendRow(table.Row{table.NewString(s)})
+			}
+		}
+		return pb.finish()
+	}
+	a, b := mk("p", "q", "<null>", "r"), mk("r", "s")
+	av, bv := a.vectors(), b.vectors()
+
+	pb := newPartBuilder(1, 0)
+	pb.appendGather(av, []int32{3, -1, 0, 2, 3}, 0)
+	pb.appendGather(av, nil, 0) // no lanes, not "all lanes"
+	pb.w = append(pb.w, 1, 1, 1, 1, 1)
+	one := pb.finish()
+	if !sameDict(one.Cols[0].Dict, a.Cols[0].Dict) {
+		t.Error("single-source gather did not share the source dictionary")
+	}
+	wantOne := []wrow{
+		newWRow(table.Row{table.NewString("r")}, 1), newWRow(table.Row{table.Null}, 1),
+		newWRow(table.Row{table.NewString("p")}, 1), newWRow(table.Row{table.Null}, 1),
+		newWRow(table.Row{table.NewString("r")}, 1),
+	}
+	sameParts(t, [][]wrow{wantOne}, []Part{one}, "one source")
+
+	pb = newPartBuilder(1, 0)
+	pb.appendGather(av, []int32{3, 1}, 0)
+	pb.appendGather(bv, []int32{1, -1, 0}, 0)
+	pb.appendGather(av, []int32{0}, 0)
+	pb.w = append(pb.w, 1, 1, 1, 1, 1, 1)
+	two := pb.finish()
+	if sameDict(two.Cols[0].Dict, a.Cols[0].Dict) || len(a.Cols[0].Dict) != 3 {
+		t.Errorf("second source wrote into the shared dictionary: %q", a.Cols[0].Dict)
+	}
+	var wantTwo []wrow
+	for _, s := range []string{"r", "q", "s", "<null>", "r", "p"} {
+		v := table.NewString(s)
+		if s == "<null>" {
+			v = table.Null
+		}
+		wantTwo = append(wantTwo, newWRow(table.Row{v}, 1))
+	}
+	sameParts(t, [][]wrow{wantTwo}, []Part{two}, "two sources")
+}
+
+// TestPartHeadAndGather checks the two reshaping views: head keeps the
+// first k rows (NULL bitmap bits past k must not count), gather
+// reorders.
+func TestPartHeadAndGather(t *testing.T) {
+	pb := newPartBuilder(2, 0)
+	var rows []wrow
+	for i := 0; i < 130; i++ {
+		row := table.Row{table.NewInt(int64(i)), table.NewString(fmt.Sprint("s", i%5))}
+		if i%3 == 0 {
+			row[0] = table.Null
+		}
+		pb.appendRow(row)
+		rows = append(rows, newWRow(row, 1))
+	}
+	p := pb.finish()
+	for _, k := range []int{0, 1, 64, 65, 130} {
+		sameParts(t, [][]wrow{rows[:k]}, []Part{p.head(k)}, fmt.Sprintf("head(%d)", k))
+	}
+	perm := []int32{129, 0, 64, 3, 3}
+	var want []wrow
+	for _, i := range perm {
+		want = append(want, rows[i])
+	}
+	sameParts(t, [][]wrow{want}, []Part{p.gather(perm)}, "gather")
+}
+
+// TestHashKeysMatchesHashRow pins the lane hash to table.HashRow for
+// every value kind — integral floats, which must collide with the equal
+// int, included — over one and several key columns, dense and through a
+// selection, typed and boxed, at both seeds the executor uses.
+func TestHashKeysMatchesHashRow(t *testing.T) {
+	families := awkwardValues()
+	rng := rand.New(rand.NewSource(5))
+	const n = 97
+	var cols [][]table.Value
+	var names []string
+	for name, pool := range families {
+		cols = append(cols, columnOf(rng, pool, n))
+		names = append(names, name)
+	}
+	blds := make([]vecBuilder, len(cols))
+	b := batchOf(rng, cols, blds, 0)
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = make(table.Row, len(cols))
+		for c := range cols {
+			rows[i][c] = cols[c][i]
+		}
+	}
+	sel := []int32{0, 5, 6, 40, 96}
+	out := make([]uint64, n)
+	check := func(idx []int, seed uint64) {
+		t.Helper()
+		keys := make([]Vector, len(idx))
+		for k, ci := range idx {
+			keys[k] = b.cols[ci]
+		}
+		hashKeys(out, keys, seed, nil, n)
+		for i := range rows {
+			if want := table.HashRow(rows[i], idx, seed); out[i] != want {
+				t.Fatalf("cols %v seed %d lane %d (%v): hash %x, HashRow %x", idx, seed, i, rows[i], out[i], want)
+			}
+		}
+		clear(out)
+		hashKeys(out, keys, seed, sel, n)
+		for _, i := range sel {
+			if want := table.HashRow(rows[i], idx, seed); out[i] != want {
+				t.Fatalf("cols %v seed %d selected lane %d: hash %x, HashRow %x", idx, seed, i, out[i], want)
+			}
+		}
+	}
+	all := make([]int, len(cols))
+	for c := range cols {
+		all[c] = c
+		t.Logf("column %d: %s as %v", c, names[c], b.cols[c].K)
+		check([]int{c}, exchangeHashSeed)
+		check([]int{c}, joinHashSeed)
+	}
+	check(all, exchangeHashSeed)
+	check(nil, joinHashSeed)
+	if table.HashFloat(42) != table.HashInt(42) {
+		t.Error("integral float does not hash as the equal int")
+	}
+}
+
+// joinFixture builds probe (k, v, s) and build (k, u, s) tables whose
+// keys overlap partly, repeat on both sides, and include NULLs (which
+// match nothing) and, on the probe side, integral floats (which match
+// the equal ints).
+func joinFixture(name string) (probe, build *table.Table) {
+	sc := func(second string) *table.Schema {
+		return table.NewSchema(
+			table.Column{Name: "k", Kind: table.KindInt},
+			table.Column{Name: second, Kind: table.KindFloat},
+			table.Column{Name: "s", Kind: table.KindString},
+		)
+	}
+	probe = table.New(name+"_probe", sc("v"), 4)
+	for i := 0; i < 900; i++ {
+		k := table.NewInt(int64(i % 61))
+		switch {
+		case i%17 == 0:
+			k = table.Null
+		case i%13 == 0:
+			k = table.NewFloat(float64(i % 61)) // makes the key column mixed-kind
+		}
+		probe.Append(i, table.Row{k, table.NewFloat(float64(i)), table.NewString(fmt.Sprint("p", i%7))})
+	}
+	build = table.New(name+"_build", sc("u"), 3)
+	for i := 0; i < 200; i++ {
+		k := table.NewInt(int64(i % 40))
+		if i%19 == 0 {
+			k = table.Null
+		}
+		build.Append(i, table.Row{k, table.NewFloat(float64(i) / 4), table.NewString(fmt.Sprint("b", i%5))})
+	}
+	return probe, build
+}
+
+// TestExchangeMatchesRowReference: keyed exchanges over a chain (the
+// scatter fused into the chain's drive loop) and over a breaker (one
+// scatter task per source partition), keyless and one-destination
+// exchanges (whole partitions move), against table.HashRow routing of
+// boxed rows.
+func TestExchangeMatchesRowReference(t *testing.T) {
+	tbl := mixedTable("xchg", 5, 1500)
+	for _, keys := range [][]int{{0}, {2}, {1, 2}, {3}, nil} {
+		for _, parts := range []int{1, 3, 8} {
+			t.Run(fmt.Sprintf("keys=%v/parts=%d", keys, parts), func(t *testing.T) {
+				mk := func(overBreaker bool) func() PNode {
+					return func() PNode {
+						scan := scanOf(tbl)
+						var ids []lplan.ColumnID
+						for _, k := range keys {
+							ids = append(ids, scan.OutCols[k].ID)
+						}
+						var in PNode = &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.5}, Seed: 3}
+						if overBreaker {
+							in = &PExchange{In: in, Parts: 2} // a breaker's output feeds the keyed exchange
+						}
+						return &PExchange{In: in, Keys: ids, Parts: parts}
+					}
+				}
+				sameAsReference(t, mk(false))
+				sameAsReference(t, mk(true))
+			})
+		}
+	}
+}
+
+// TestJoinMatchesRowReference: both join shapes (broadcast and
+// co-partitioned behind exchanges), inner and left outer, with and
+// without a residual, with SharedUniverseP, against a map of boxed
+// build rows probed with Value.Equal.
+func TestJoinMatchesRowReference(t *testing.T) {
+	probe, build := joinFixture("jr")
+	for _, broadcast := range []bool{true, false} {
+		for _, kind := range []lplan.JoinKind{lplan.InnerJoin, lplan.LeftOuterJoin} {
+			for _, variant := range []string{"plain", "residual", "shared-universe", "string-key"} {
+				t.Run(fmt.Sprintf("broadcast=%v/%v/%s", broadcast, kind, variant), func(t *testing.T) {
+					sameAsReference(t, func() PNode {
+						ls, rs := scanOf(probe), scanOf(build)
+						key := 0
+						if variant == "string-key" {
+							key = 2 // no string matches ("p…" vs "b…"): outer joins pad every row
+						}
+						lk, rk := []lplan.ColumnID{ls.OutCols[key].ID}, []lplan.ColumnID{rs.OutCols[key].ID}
+						var l, r PNode = ls, rs
+						// Weighted inputs, so the output weight product is visible.
+						l = &PSample{In: l, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.6}, Seed: 11}
+						r = &PSample{In: r, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.7}, Seed: 12}
+						if !broadcast {
+							l = &PExchange{In: l, Keys: lk, Parts: 3}
+							r = &PExchange{In: r, Keys: rk, Parts: 3}
+						}
+						j := &PHashJoin{Kind: kind, Left: l, Right: r, LeftKeys: lk, RightKeys: rk, Broadcast: broadcast}
+						switch variant {
+						case "residual":
+							// v > 8*u: passes for some pairs of a probe row and not
+							// others, and for none of some rows (outer join pads those).
+							j.Residual = &lplan.Binary{Op: lplan.OpGt,
+								L: &lplan.ColRef{ID: ls.OutCols[1].ID, Name: "v", Kind: table.KindFloat},
+								R: &lplan.Binary{Op: lplan.OpMul,
+									L: &lplan.Const{Val: table.NewInt(8)},
+									R: &lplan.ColRef{ID: rs.OutCols[1].ID, Name: "u", Kind: table.KindFloat}}}
+						case "shared-universe":
+							j.SharedUniverseP = 0.25
+						}
+						return j
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestJoinEmptySides: an empty build side pads (outer) or drops (inner)
+// every probe row; an empty probe side yields nothing.
+func TestJoinEmptySides(t *testing.T) {
+	probe, build := joinFixture("je")
+	empty := table.New("je_empty", build.Schema, 2)
+	for _, kind := range []lplan.JoinKind{lplan.InnerJoin, lplan.LeftOuterJoin} {
+		for _, emptyBuild := range []bool{true, false} {
+			sameAsReference(t, func() PNode {
+				ls, rs := scanOf(probe), scanOf(empty)
+				if !emptyBuild {
+					ls, rs = scanOf(empty), scanOf(build)
+				}
+				return &PHashJoin{Kind: kind, Left: ls, Right: rs, Broadcast: true,
+					LeftKeys: []lplan.ColumnID{ls.OutCols[0].ID}, RightKeys: []lplan.ColumnID{rs.OutCols[0].ID}}
+			})
+		}
+	}
+}

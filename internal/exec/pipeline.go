@@ -16,8 +16,9 @@ import (
 // (samplers are one-pass streaming operators, §4.1, so nothing in such
 // a chain ever needs the whole intermediate result in memory). Only
 // breakers — exchange, hash-join build, hash aggregation, sort, limit,
-// union barriers, window — materialize. The operators themselves and
-// the per-partition drive loops are in colpipeline.go.
+// union barriers, window — hold whole partitions, as column-major Parts
+// (part.go). The operators themselves and the per-partition drive loops
+// are in colpipeline.go.
 //
 // Each fused pipeline charges one stage (the scan stage for leaf
 // pipelines, otherwise the enclosing open stage or a new one named

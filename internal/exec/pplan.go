@@ -191,10 +191,6 @@ type PHashJoin struct {
 	// corrected from 1/p² to 1/p, because the join of two p-probability
 	// universe samples is a p-probability sample of the join (§4.1.3).
 	SharedUniverseP float64
-	// EstOutRows is the optimizer's estimated join output cardinality
-	// (0 when unknown); the executor preallocates probe-output buffers
-	// from it instead of growing per-row appends.
-	EstOutRows float64
 }
 
 // Cols implements PNode.

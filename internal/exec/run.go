@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -34,13 +35,9 @@ func parallelParts(ctx context.Context, n int, fn func(i int) error) error {
 // stage means the data was materialized at a boundary (exchange/union);
 // the next compute operator opens a new stage depending on deps.
 type stream struct {
-	parts [][]wrow
+	parts []Part
 	stage *cluster.Stage
 	deps  []int
-	// cached, when set, is a sample-cache hit awaiting replay: partition
-	// i's rows are cached[i] (column-major, shared, read-only) and
-	// parts[i] is nil until the consuming chain materializes its output.
-	cached []CachedPart
 }
 
 // Result is the outcome of executing a physical plan.
@@ -122,14 +119,11 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	ex.ensureStage(s, "final")
 	s.stage.Final = true
 	var rows []table.Row
-	for i, part := range s.parts {
-		var bytes float64
-		for _, r := range part {
-			bytes += wrowBytes(r)
-			rows = append(rows, r.row)
-		}
-		s.stage.AddOutput(i, int64(len(part)), bytes)
-		ex.run.JobOutputBytes += bytes
+	for i := range s.parts {
+		part := &s.parts[i]
+		rows = append(rows, part.rows()...)
+		s.stage.AddOutput(i, int64(part.N), part.bytes)
+		ex.run.JobOutputBytes += part.bytes
 	}
 	execSeconds := time.Since(t0).Seconds()
 
@@ -275,12 +269,8 @@ func (ex *executor) ensureStage(s *stream, name string) {
 		return
 	}
 	st := ex.run.NewStage(name, len(s.parts), s.deps...)
-	for i, part := range s.parts {
-		if s.cached != nil {
-			st.AddInput(i, int64(s.cached[i].Cols.NumRows), s.cached[i].bytes)
-			continue
-		}
-		st.AddInput(i, int64(len(part)), rowsBytes(part))
+	for i := range s.parts {
+		st.AddInput(i, int64(s.parts[i].N), s.parts[i].bytes)
 	}
 	s.stage = st
 	s.deps = nil
@@ -292,8 +282,8 @@ func (ex *executor) materialize(s *stream, shuffle bool) {
 	if s.stage == nil {
 		return
 	}
-	for i, part := range s.parts {
-		s.stage.AddOutput(i, int64(len(part)), rowsBytes(part))
+	for i := range s.parts {
+		s.stage.AddOutput(i, int64(s.parts[i].N), s.parts[i].bytes)
 	}
 	if shuffle {
 		s.stage.ShuffleOut = true
@@ -303,7 +293,8 @@ func (ex *executor) materialize(s *stream, shuffle bool) {
 }
 
 // exec runs a plan node. Non-breakers (scan, filter, project, sample)
-// fuse into streaming per-partition pipelines; breakers materialize.
+// fuse into streaming per-partition pipelines; breakers take and return
+// whole column-major partitions.
 func (ex *executor) exec(n PNode) (*stream, error) {
 	if err := ctxErr(ex.ctx); err != nil {
 		return nil, err
@@ -330,69 +321,209 @@ func (ex *executor) exec(n PNode) (*stream, error) {
 	return nil, fmt.Errorf("exec: unknown physical node %T", n)
 }
 
+// exchangeHashSeed is the HashRow seed that routes rows to exchange
+// destinations.
+const exchangeHashSeed = 7
+
+// execExchange repartitions its input: row r of source partition i goes
+// to destination HashRow(r, keys, 7) % parts, or, without keys, the
+// whole of partition i to i % parts. Every destination holds its rows
+// in (source partition, row) order.
+//
+// With one destination per source (no keys, or parts == 1) whole
+// partitions move and nothing is hashed. Otherwise each source
+// partition's task hashes key vectors and scatters lanes into one
+// builder per destination: inside the drive loop of the chain below
+// when there is one (the chain's batches never form a source
+// partition), over the breaker's output partitions otherwise. The
+// coordinator then concatenates each destination's pieces in source
+// order.
 func (ex *executor) execExchange(p *PExchange) (*stream, error) {
-	s, err := ex.exec(p.In)
-	if err != nil {
-		return nil, err
-	}
-	ex.ensureStage(s, "exchange-src")
-	ex.materialize(s, true)
 	parts := p.Parts
 	if parts < 1 {
 		parts = 1
 	}
-	op := ex.opFor(p)
-	op.Grow(parts)
-	t0 := time.Now()
-	var inRows int64
-	for _, part := range s.parts {
-		inRows += int64(len(part))
-	}
-	out := make([][]wrow, parts)
-	if len(p.Keys) == 0 {
-		for i, part := range s.parts {
-			out[i%parts] = append(out[i%parts], part...)
-		}
-	} else {
+	width := len(p.In.Cols())
+	var keyIdx []int
+	if len(p.Keys) > 0 {
 		cm := buildColMap(p.In.Cols())
-		idx := make([]int, len(p.Keys))
+		keyIdx = make([]int, len(p.Keys))
 		for i, id := range p.Keys {
 			pos, ok := cm[id]
 			if !ok {
 				return nil, fmt.Errorf("exec: exchange key #%d not available", id)
 			}
-			idx[i] = pos
+			keyIdx[i] = pos
 		}
-		for _, part := range s.parts {
-			for _, r := range part {
-				h := table.HashRow(r.row, idx, 7) % uint64(parts)
-				out[h] = append(out[h], r)
+	}
+	op := ex.opFor(p)
+	op.Grow(parts)
+
+	// pieces[i][d] is what source partition i sends to destination d
+	// (split) or, when its rows all go one way, its single piece for
+	// destination i % parts.
+	var pieces [][]Part
+	var deps []int
+	var scatterNanos int64 // slowest source task's scatter time
+	var t0 time.Time
+	split := keyIdx != nil && parts > 1
+	if split && !p.In.Breaker() {
+		cc, err := ex.buildColChain(p.In)
+		if err != nil {
+			return nil, err
+		}
+		if cc.st == nil {
+			ex.ensureStage(cc.src, "exchange-src")
+			cc.st = cc.src.stage
+		}
+		pieces = make([][]Part, cc.parts)
+		nanos := make([]int64, cc.parts)
+		hint := estHint(op.EstRows, cc.parts*parts)
+		if err := ex.parallel(cc.parts, func(i int) error {
+			sc := newScatter(parts, width, hint, keyIdx)
+			if err := cc.drive(i, func(b *Batch, _ *colScratch) {
+				t := time.Now()
+				sc.appendLanes(b.cols, b.sel, b.n, b.weights)
+				nanos[i] += int64(time.Since(t))
+			}); err != nil {
+				return err
 			}
+			t := time.Now()
+			pieces[i] = sc.finish()
+			nanos[i] += int64(time.Since(t))
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		cc.finish()
+		t0 = time.Now()
+		// The chain's stage closes here: what each source task scattered
+		// is its shuffled output.
+		for i, ps := range pieces {
+			var rows int64
+			var bytes float64
+			for d := range ps {
+				rows += int64(ps[d].N)
+				bytes += ps[d].bytes
+			}
+			cc.st.AddOutput(i, rows, bytes)
+		}
+		cc.st.ShuffleOut = true
+		deps = []int{cc.st.ID}
+		scatterNanos = slices.Max(append(nanos, 0))
+	} else {
+		s, err := ex.exec(p.In)
+		if err != nil {
+			return nil, err
+		}
+		ex.ensureStage(s, "exchange-src")
+		ex.materialize(s, true)
+		deps = s.deps
+		t0 = time.Now()
+		pieces = make([][]Part, len(s.parts))
+		if !split {
+			for i := range s.parts {
+				pieces[i] = s.parts[i : i+1]
+			}
+		} else if err := ex.parallel(len(s.parts), func(i int) error {
+			src := &s.parts[i]
+			sc := newScatter(parts, width, src.N/parts+1, keyIdx)
+			sc.appendLanes(src.vectors(), nil, src.N, src.W)
+			pieces[i] = sc.finish()
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+
+	var inRows int64
+	out := make([]Part, parts)
+	group := make([]Part, 0, len(pieces))
+	for d := range out {
+		group = group[:0]
+		for i, ps := range pieces {
+			switch {
+			case split:
+				group = append(group, ps[d])
+			case i%parts == d:
+				group = append(group, ps[0])
+			}
+		}
+		out[d] = concatParts(group, width)
+		inRows += int64(out[d].N)
+		sl := op.Slot(d)
+		sl.RowsOut += int64(out[d].N)
+		if out[d].N > 0 {
+			sl.NoteBatch(out[d].bytes)
 		}
 	}
 	op.Slot(0).RowsIn += inRows
-	for i, part := range out {
-		sl := op.Slot(i)
-		sl.RowsOut += int64(len(part))
-		if len(part) > 0 {
-			sl.NoteBatch(rowsBytes(part))
-		}
-	}
-	op.AddWall(time.Since(t0))
-	return &stream{parts: out, deps: s.deps}, nil
+	op.AddWall(time.Since(t0) + time.Duration(scatterNanos))
+	return &stream{parts: out, deps: deps}, nil
 }
 
-// estHint splits an optimizer cardinality estimate across parts tasks
-// for buffer preallocation; 0 means "no estimate, caller falls back".
-func estHint(est float64, parts int) int {
-	if est <= 0 || parts <= 0 {
-		return 0
+// scatter routes the rows of one source partition to the exchange's
+// destinations, one partition builder each.
+type scatter struct {
+	dst    []*partBuilder
+	keyIdx []int
+
+	keys   []Vector
+	hashes []uint64
+	sels   [][]int32
+}
+
+// newScatter routes to parts destinations of width columns, each
+// reserving room for hint rows (0 = grow on demand).
+func newScatter(parts, width, hint int, keyIdx []int) *scatter {
+	sc := &scatter{dst: make([]*partBuilder, parts), keyIdx: keyIdx, sels: make([][]int32, parts)}
+	for d := range sc.dst {
+		sc.dst[d] = newPartBuilder(width, hint)
 	}
-	h := int(est)/parts + 1
-	if h > 1<<20 {
-		h = 1 << 20
+	return sc
+}
+
+// appendLanes sends each of the lanes sel (nil = all n) of cols to the
+// builder of the destination its key hash names, lanes staying in
+// order within a destination.
+//
+//hot:exchange scatter, per batch
+func (sc *scatter) appendLanes(cols []Vector, sel []int32, n int, weights []float64) {
+	sc.keys = sc.keys[:0]
+	for _, ci := range sc.keyIdx {
+		sc.keys = append(sc.keys, cols[ci])
 	}
-	return h
+	sc.hashes = extend(sc.hashes[:0], n)
+	hashKeys(sc.hashes, sc.keys, exchangeHashSeed, sel, n)
+	for d := range sc.sels {
+		sc.sels[d] = sc.sels[d][:0]
+	}
+	parts := uint64(len(sc.dst))
+	if sel != nil {
+		for _, i := range sel {
+			d := sc.hashes[i] % parts
+			sc.sels[d] = append(sc.sels[d], i)
+		}
+	} else {
+		for i, h := range sc.hashes {
+			d := h % parts
+			sc.sels[d] = append(sc.sels[d], int32(i))
+		}
+	}
+	for d, lanes := range sc.sels {
+		if len(lanes) > 0 {
+			sc.dst[d].appendLanes(cols, lanes, n, weights)
+		}
+	}
+}
+
+// finish returns the per-destination pieces.
+func (sc *scatter) finish() []Part {
+	pieces := make([]Part, len(sc.dst))
+	for d, pb := range sc.dst {
+		pieces[d] = pb.finish()
+	}
+	return pieces
 }
 
 func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
@@ -400,8 +531,8 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	rightCols := p.Right.Cols()
-	rcm := buildColMap(rightCols)
+	nRightCols := len(p.Right.Cols())
+	rcm := buildColMap(p.Right.Cols())
 	rIdx := make([]int, len(p.RightKeys))
 	for i, id := range p.RightKeys {
 		pos, ok := rcm[id]
@@ -425,80 +556,27 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 		lIdx[i] = pos
 	}
 
-	var residual evalFunc
-	if p.Residual != nil {
-		f, err := compileExpr(p.Residual, buildColMap(p.Cols()))
-		if err != nil {
-			return nil, err
-		}
-		residual = f
-	}
-
-	nRightCols := len(rightCols)
 	op := ex.opFor(p)
-	// Probe-output preallocation from the optimizer's join cardinality
-	// estimate (set before the parallel regions; read-only inside).
-	estPerTask := estHint(p.EstOutRows, len(left.parts))
-	// joinRows probes one partition against a prebuilt (possibly shared,
-	// read-only) build table. buildLen is the number of build rows this
-	// task reads — the simulated-cluster CPU and per-slot counters charge
-	// it exactly as when every task built its own table. Output rows are
-	// carved from a per-task arena instead of one make per row.
-	joinRows := func(st *cluster.Stage, task int, lpart []wrow, bt *joinTable, buildLen int) []wrow {
-		hint := estPerTask
-		if hint <= 0 {
-			hint = len(lpart)
+	// joinPart probes one partition against a prebuilt (possibly shared,
+	// read-only) build table. The simulated-cluster CPU and the per-slot
+	// counters charge the build rows this task reads exactly as when
+	// every task built its own table.
+	joinPart := func(st *cluster.Stage, task int, lpart *Part, bt *joinTable) (Part, error) {
+		out, err := ex.probeJoin(p, lIdx, lpart, bt)
+		if err != nil {
+			return Part{}, err
 		}
-		out := make([]wrow, 0, hint)
-		var ar rowArena
-		var outBytes float64
-		for _, l := range lpart {
-			h := table.HashRow(l.row, lIdx, 3)
-			matched := false
-			for ri := bt.lookup(h); ri >= 0; ri = bt.next[ri] {
-				r := bt.rows[ri]
-				if !keysEqual(l.row, lIdx, r.row, rIdx) {
-					continue
-				}
-				combined := ar.alloc(len(l.row) + len(r.row))
-				combined = append(combined, l.row...)
-				combined = append(combined, r.row...)
-				w := l.w * r.w
-				if p.SharedUniverseP > 0 {
-					// Both inputs carry the same universe sampler: the join
-					// output is a p-probability universe sample, not p², so
-					// the double-counted 1/p factor is removed (§4.1.3).
-					w *= p.SharedUniverseP
-				}
-				if residual != nil && !truthy(residual(combined)) {
-					continue
-				}
-				wr := newWRow(combined, w)
-				outBytes += wr.sz
-				out = append(out, wr)
-				matched = true
-			}
-			if !matched && p.Kind == lplan.LeftOuterJoin {
-				combined := ar.alloc(len(l.row) + nRightCols)
-				combined = append(combined, l.row...)
-				for k := 0; k < nRightCols; k++ {
-					combined = append(combined, table.Null)
-				}
-				wr := newWRow(combined, l.w)
-				outBytes += wr.sz
-				out = append(out, wr)
-			}
-		}
-		st.AddCPU(task, 2*float64(buildLen)+2*float64(len(lpart)))
+		buildLen := len(bt.next)
+		st.AddCPU(task, 2*float64(buildLen)+2*float64(lpart.N))
 		sl := op.Slot(task)
-		sl.RowsIn += int64(len(lpart) + buildLen)
-		sl.RowsOut += int64(len(out))
+		sl.RowsIn += int64(lpart.N + buildLen)
+		sl.RowsOut += int64(out.N)
 		sl.BuildRows += int64(buildLen)
-		sl.ProbeRows += int64(len(lpart))
-		if len(out) > 0 {
-			sl.NoteBatch(outBytes)
+		sl.ProbeRows += int64(lpart.N)
+		if out.N > 0 {
+			sl.NoteBatch(out.bytes)
 		}
-		return out
+		return out, nil
 	}
 
 	if p.Broadcast {
@@ -508,23 +586,20 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 		// cluster still charges each task for reading the broadcast copy.
 		ex.ensureStage(right, "build-src")
 		ex.materialize(right, true)
-		var buildRows []wrow
-		for _, part := range right.parts {
-			buildRows = append(buildRows, part...)
-		}
+		build := concatParts(right.parts, nRightCols)
 		ex.ensureStage(left, "probe")
 		left.stage.Deps = appendDep(left.stage.Deps, right.deps)
-		bbytes := rowsBytes(buildRows)
 		op.Grow(len(left.parts))
 		t0 := time.Now()
-		bt, err := buildJoinTable(buildRows, rIdx, ex.parallel)
+		bt, err := buildJoinTable(&build, rIdx, ex.parallel)
 		if err != nil {
 			return nil, err
 		}
 		if err := ex.parallel(len(left.parts), func(i int) error {
-			left.stage.AddInput(i, int64(len(buildRows)), bbytes)
-			left.parts[i] = joinRows(left.stage, i, left.parts[i], bt, len(buildRows))
-			return nil
+			left.stage.AddInput(i, int64(build.N), build.bytes)
+			out, err := joinPart(left.stage, i, &left.parts[i], bt)
+			left.parts[i] = out
+			return err
 		}); err != nil {
 			return nil, err
 		}
@@ -544,24 +619,160 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 	}
 	deps := append(append([]int{}, left.deps...), right.deps...)
 	st := ex.run.NewStage("join", len(left.parts), deps...)
-	out := make([][]wrow, len(left.parts))
+	out := make([]Part, len(left.parts))
 	op.Grow(len(left.parts))
 	t0 := time.Now()
 	if err := ex.parallel(len(left.parts), func(i int) error {
-		inRows := int64(len(left.parts[i]) + len(right.parts[i]))
-		inBytes := rowsBytes(left.parts[i]) + rowsBytes(right.parts[i])
-		st.AddInput(i, inRows, inBytes)
-		bt, err := buildJoinTable(right.parts[i], rIdx, serialFan)
+		lp, rp := &left.parts[i], &right.parts[i]
+		st.AddInput(i, int64(lp.N+rp.N), lp.bytes+rp.bytes)
+		bt, err := buildJoinTable(rp, rIdx, serialFan)
 		if err != nil {
 			return err
 		}
-		out[i] = joinRows(st, i, left.parts[i], bt, len(right.parts[i]))
-		return nil
+		out[i], err = joinPart(st, i, lp, bt)
+		return err
 	}); err != nil {
 		return nil, err
 	}
 	op.AddWall(time.Since(t0))
 	return &stream{parts: out, stage: st}, nil
+}
+
+// probeJoin joins one probe partition against the build table and
+// returns the output partition: probe columns then build columns, rows
+// in (probe row, build row) order, unmatched probe rows NULL-padded
+// under a left outer join.
+//
+// The probe walks batch windows of the partition. Per window it hashes
+// the key vectors, walks each lane's chain and records the matches as
+// (probe lane, build row) index pairs, then gathers the output columns
+// typed from both sides by those indexes. A residual predicate
+// evaluates as a columnar kernel over the gathered candidate pairs and
+// thins them before the output gather.
+//
+//hot:join probe, per window
+func (ex *executor) probeJoin(p *PHashJoin, lIdx []int, lp *Part, bt *joinTable) (Part, error) {
+	nl := len(lp.Cols)
+	outer := p.Kind == lplan.LeftOuterJoin
+	lcols := lp.vectors()
+	lkeys := make([]Vector, len(lIdx)) // whole key columns, for the match compare
+	wkeys := make([]Vector, len(lIdx)) // the window's, for hashing
+	for k, ci := range lIdx {
+		lkeys[k] = lcols[ci]
+	}
+	var resid *joinResidual
+	if p.Residual != nil {
+		resid = &joinResidual{blds: make([]vecBuilder, nl+len(bt.cols))}
+		kern, err := compileColKernel(p.Residual, buildColMap(p.Cols()), &resid.sc)
+		if err != nil {
+			return Part{}, err
+		}
+		resid.kern = kern
+	}
+	// The partition's output rows as (probe row, build row) index pairs,
+	// build row -1 for a NULL pad. The output columns are gathered by
+	// them once, at their exact final size.
+	pl := make([]int32, 0, lp.N)
+	pr := make([]int32, 0, lp.N)
+	var hashes []uint64
+	for pos := 0; pos < lp.N; {
+		if err := ctxErr(ex.ctx); err != nil {
+			return Part{}, err
+		}
+		n := lp.N - pos
+		if n > ex.batch {
+			n = ex.batch
+		}
+		for k, ci := range lIdx {
+			wkeys[k] = window(&lp.Cols[ci], pos, n)
+		}
+		hashes = extend(hashes[:0], n)
+		hashKeys(hashes, wkeys, joinHashSeed, nil, n)
+		first := len(pl)
+		for i := pos; i < pos+n; i++ {
+			matched := false
+			for ri := bt.lookup(hashes[i-pos]); ri >= 0; ri = bt.next[ri] {
+				if lanesEqual(lkeys, i, bt.keys, int(ri)) {
+					pl, pr = append(pl, int32(i)), append(pr, ri)
+					matched = true
+				}
+			}
+			if !matched && outer && resid == nil {
+				pl, pr = append(pl, int32(i)), append(pr, -1)
+			}
+		}
+		if resid != nil {
+			ol, or := resid.filter(lcols, bt.cols, pl[first:], pr[first:], pos, n, outer)
+			pl, pr = append(pl[:first], ol...), append(pr[:first], or...)
+		}
+		pos += n
+	}
+	out := newPartBuilder(nl+len(bt.cols), len(pl))
+	out.appendGather(lcols, pl, 0)
+	out.appendGather(bt.cols, pr, nl)
+	out.w = out.w[:len(pl)]
+	for k, i := range pl {
+		w := lp.W[i]
+		if r := pr[k]; r >= 0 {
+			w *= bt.w[r]
+			if p.SharedUniverseP > 0 {
+				// Both inputs carry the same universe sampler: the join
+				// output is a p-probability universe sample, not p², so
+				// the double-counted 1/p factor is removed (§4.1.3).
+				w *= p.SharedUniverseP
+			}
+		}
+		out.w[k] = w
+	}
+	return out.finish(), nil
+}
+
+// joinResidual evaluates a join's residual predicate over candidate
+// pairs, one probe task's private state.
+type joinResidual struct {
+	kern   colKernel
+	sc     colScratch
+	blds   []vecBuilder
+	cols   []Vector
+	keep   []int32
+	ol, or []int32
+}
+
+// filter returns the candidate pairs (pl, pr) of the probe window
+// [pos, pos+n) that pass the residual, plus, under a left outer join,
+// a (row, -1) pad for every probe row left with no passing pair. The
+// result is valid until the next call.
+func (jr *joinResidual) filter(lcols, rcols []Vector, pl, pr []int32, pos, n int, outer bool) ([]int32, []int32) {
+	jr.cols = jr.cols[:0]
+	for c := range jr.blds {
+		bd := &jr.blds[c]
+		bd.reset()
+		if c < len(lcols) {
+			bd.appendGather(&lcols[c], pl)
+		} else {
+			bd.appendGather(&rcols[c-len(lcols)], pr)
+		}
+		jr.cols = append(jr.cols, bd.build())
+	}
+	cand := Batch{cols: jr.cols, n: len(pl)}
+	v := jr.kern(&cand)
+	jr.keep = truthyLanes(jr.keep[:0], &v, &cand)
+	jr.ol, jr.or = jr.ol[:0], jr.or[:0]
+	c, k := 0, 0 // cursors into the candidates and into keep
+	for i := pos; i < pos+n; i++ {
+		matched := false
+		for ; c < len(pl) && int(pl[c]) == i; c++ {
+			if k < len(jr.keep) && int(jr.keep[k]) == c {
+				jr.ol, jr.or = append(jr.ol, pl[c]), append(jr.or, pr[c])
+				matched = true
+				k++
+			}
+		}
+		if !matched && outer {
+			jr.ol, jr.or = append(jr.ol, int32(i)), append(jr.or, -1)
+		}
+	}
+	return jr.ol, jr.or
 }
 
 // serialFan runs fn(0..n-1) on the calling goroutine; used for
@@ -590,70 +801,6 @@ func appendDep(deps []int, more []int) []int {
 		}
 	}
 	return deps
-}
-
-func keysEqual(l table.Row, lIdx []int, r table.Row, rIdx []int) bool {
-	for i := range lIdx {
-		if !l[lIdx[i]].Equal(r[rIdx[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
-	if !p.In.Breaker() {
-		return ex.execAggColumnar(p)
-	}
-	s, err := ex.exec(p.In)
-	if err != nil {
-		return nil, err
-	}
-	ex.ensureStage(s, "aggregate")
-	cm := buildColMap(p.In.Cols())
-	partEsts := make([][]GroupEstimate, len(s.parts))
-	op := ex.opFor(p)
-	op.Grow(len(s.parts))
-	t0 := time.Now()
-	if err := ex.parallel(len(s.parts), func(i int) error {
-		part := s.parts[i]
-		r, err := newAggRunner(p, cm)
-		if err != nil {
-			return err
-		}
-		for _, w := range part {
-			r.add(w.row, w.w)
-		}
-		rows, ests := r.emit()
-		// A grouped aggregate on a non-first partition must not emit the
-		// empty-input global row.
-		if len(p.GroupCols) == 0 && i > 0 && len(part) == 0 {
-			rows, ests = nil, nil
-		}
-		s.parts[i] = rows
-		s.stage.AddCPU(i, 2*float64(len(part)))
-		sl := op.Slot(i)
-		sl.RowsIn += int64(len(part))
-		sl.RowsOut += int64(len(rows))
-		if len(rows) > 0 {
-			sl.NoteBatch(rowsBytes(rows))
-		}
-		if p.Top {
-			partEsts[i] = ests
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	op.AddWall(time.Since(t0))
-	if p.Top {
-		var allEsts []GroupEstimate
-		for _, es := range partEsts {
-			allEsts = append(allEsts, es...)
-		}
-		ex.topEstimates = allEsts
-	}
-	return s, nil
 }
 
 func (ex *executor) execSort(p *PSort) (*stream, error) {
@@ -687,16 +834,26 @@ func (ex *executor) execSort(p *PSort) (*stream, error) {
 	// Partitions are independent: sort them on the shared pool like
 	// join/agg fan-outs (slot and stage accounting are index-disjoint).
 	if err := ex.parallel(len(s.parts), func(pi int) error {
-		part := s.parts[pi]
+		part := &s.parts[pi]
 		sl := op.Slot(pi)
-		sl.RowsIn += int64(len(part))
-		sl.RowsOut += int64(len(part))
-		if len(part) > 0 {
-			sl.NoteBatch(rowsBytes(part))
+		sl.RowsIn += int64(part.N)
+		sl.RowsOut += int64(part.N)
+		if part.N > 0 {
+			sl.NoteBatch(part.bytes)
 		}
-		n := len(part)
-		sort.SliceStable(part, func(a, b int) bool {
-			ra, rb := part[a].row, part[b].row
+		n := part.N
+		if n < 2 {
+			return nil
+		}
+		// The comparator reads whole rows through a local view; the sort
+		// orders a permutation and the output gathers columns by it.
+		rows := part.rows()
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		sort.SliceStable(perm, func(a, b int) bool {
+			ra, rb := rows[perm[a]], rows[perm[b]]
 			for _, k := range keys {
 				c := ra[k.pos].Compare(rb[k.pos])
 				if k.desc {
@@ -709,9 +866,8 @@ func (ex *executor) execSort(p *PSort) (*stream, error) {
 			// Deterministic tie-break on the whole row.
 			return table.CompareRows(ra, rb) < 0
 		})
-		if n > 1 {
-			s.stage.AddCPU(pi, float64(n)*logf(n))
-		}
+		s.parts[pi] = part.gather(perm)
+		s.stage.AddCPU(pi, float64(n)*logf(n))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -737,26 +893,24 @@ func (ex *executor) execLimit(p *PLimit) (*stream, error) {
 	op := ex.opFor(p)
 	op.Grow(len(s.parts))
 	remaining := p.N
-	for i, part := range s.parts {
-		if int64(len(part)) > remaining {
-			s.parts[i] = part[:remaining]
+	for i := range s.parts {
+		n := s.parts[i].N
+		if int64(n) > remaining {
+			s.parts[i] = s.parts[i].head(int(remaining))
 		}
-		remaining -= int64(len(s.parts[i]))
-		if remaining < 0 {
-			remaining = 0
-		}
+		remaining -= int64(s.parts[i].N)
 		sl := op.Slot(i)
-		sl.RowsIn += int64(len(part))
-		sl.RowsOut += int64(len(s.parts[i]))
-		if len(s.parts[i]) > 0 {
-			sl.NoteBatch(rowsBytes(s.parts[i]))
+		sl.RowsIn += int64(n)
+		sl.RowsOut += int64(s.parts[i].N)
+		if s.parts[i].N > 0 {
+			sl.NoteBatch(s.parts[i].bytes)
 		}
 	}
 	return s, nil
 }
 
 func (ex *executor) execUnion(p *PUnion) (*stream, error) {
-	var parts [][]wrow
+	var parts []Part
 	var deps []int
 	for _, in := range p.Ins {
 		s, err := ex.exec(in)
@@ -770,12 +924,12 @@ func (ex *executor) execUnion(p *PUnion) (*stream, error) {
 	}
 	op := ex.opFor(p)
 	op.Grow(len(parts))
-	for i, part := range parts {
+	for i := range parts {
 		sl := op.Slot(i)
-		sl.RowsIn += int64(len(part))
-		sl.RowsOut += int64(len(part))
-		if len(part) > 0 {
-			sl.NoteBatch(rowsBytes(part))
+		sl.RowsIn += int64(parts[i].N)
+		sl.RowsOut += int64(parts[i].N)
+		if parts[i].N > 0 {
+			sl.NoteBatch(parts[i].bytes)
 		}
 	}
 	return &stream{parts: parts, deps: deps}, nil

@@ -3,8 +3,10 @@ package exec
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
@@ -14,10 +16,10 @@ import (
 // Hot-sample reuse: Quickr is deliberately lazy (samplers run at query
 // time, nothing is pre-built), but dashboard traffic re-runs the same
 // fused scan→filter→sample fragment every few seconds. PCachedSample
-// marks such a fragment as reusable: the first execution materializes
-// the sampler's weighted output into a byte-budgeted LRU (column-major,
-// via the internal/table columnar machinery), and repeated executions
-// replay it without touching the base table. The fragment itself stays
+// marks such a fragment as reusable: the first execution puts the
+// partitions its sink built (column-major Parts, the executor's one
+// partition type) into a byte-budgeted LRU as they are, and repeated
+// executions read them without touching the base table. The fragment itself stays
 // in the plan as the node's only child, so every plan walker — the
 // invariant checkers, EXPLAIN, the soundness prover — still sees the
 // samplers and scans it replaces, and a cache miss simply runs it (the
@@ -160,22 +162,13 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// CachedPart is one materialized fragment-output partition: the rows in
-// column-major form plus the per-row sampling weights, both value
-// copies independent of any in-flight batch buffers. Replays window
-// both read-only, so one entry serves any number of concurrent queries.
-type CachedPart struct {
-	Cols *table.ColPartition
-	W    []float64
-	// bytes is the partition's in-flight size (rowsBytes of the rows it
-	// was built from), charged as stage input and peak on replay.
-	bytes float64
-}
-
-// cacheEntry is one LRU slot: a fragment's full per-partition output.
+// cacheEntry is one LRU slot: a fragment's full per-partition output,
+// exactly the Parts the fragment's sink built. Parts are immutable and
+// every reader copies the weights it goes on to scale, so one entry
+// serves any number of concurrent queries.
 type cacheEntry struct {
 	key   string
-	parts []CachedPart
+	parts []Part
 	bytes int64
 }
 
@@ -203,7 +196,7 @@ func NewSampleCache(budget int64) *SampleCache {
 }
 
 // Get returns the cached fragment output for key, if present.
-func (c *SampleCache) Get(key string) ([]CachedPart, bool) {
+func (c *SampleCache) Get(key string) ([]Part, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -220,7 +213,7 @@ func (c *SampleCache) Get(key string) ([]CachedPart, bool) {
 // entries larger than a quarter of the budget (one giant fragment must
 // not wipe the working set); otherwise least-recently-used entries are
 // evicted until the new entry fits.
-func (c *SampleCache) Put(key string, parts []CachedPart) {
+func (c *SampleCache) Put(key string, parts []Part) {
 	var bytes int64
 	for i := range parts {
 		bytes += cachedPartBytes(&parts[i])
@@ -292,15 +285,19 @@ func (c *SampleCache) Budget() int64 {
 	return c.budget
 }
 
+// valueBytes is the resident size of one boxed table.Value, what a
+// mixed-kind (VKAny) column holds per lane.
+const valueBytes = int64(unsafe.Sizeof(table.Value{}))
+
 // cachedPartBytes estimates one partition's resident size for the byte
 // budget (payload slices plus dictionary strings; bookkeeping rounded
 // into per-value constants).
-func cachedPartBytes(p *CachedPart) int64 {
+func cachedPartBytes(p *Part) int64 {
 	var b int64
-	for i := range p.Cols.Cols {
-		v := &p.Cols.Cols[i]
+	for i := range p.Cols {
+		v := &p.Cols[i]
 		b += int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.Nulls))*8
-		b += int64(len(v.Vals)) * 32
+		b += int64(len(v.Vals)) * valueBytes
 		for _, s := range v.Dict {
 			b += int64(len(s)) + 16
 		}
@@ -308,31 +305,14 @@ func cachedPartBytes(p *CachedPart) int64 {
 	return b + int64(len(p.W))*8
 }
 
-// materializeCached snapshots a fragment's output partitions into
-// column-major cached form. Columnarize value-copies every row, so the
-// snapshot is independent of the rows the downstream chain goes on to
-// consume.
-func materializeCached(parts [][]wrow, width int) []CachedPart {
-	out := make([]CachedPart, len(parts))
-	for i, part := range parts {
-		rows := make([]table.Row, len(part))
-		w := make([]float64, len(part))
-		for j := range part {
-			rows[j] = part[j].row
-			w[j] = part[j].w
-		}
-		out[i] = CachedPart{Cols: table.Columnarize(rows, width), W: w, bytes: rowsBytes(part)}
-	}
-	return out
-}
-
 // execCachedSample resolves a cached-sample node into the source of the
-// chain above it: on a hit the stream carries the cached partitions for
-// zero-copy replay, on a miss (or with no cache configured) the fragment
-// runs lazily and its output populates the cache. The runtime key
-// extends the plan-time fragment key with the scan table's version and
-// the engine's config epoch, reusing the exact invalidation discipline
-// of the columnar and plan caches.
+// chain above it: on a hit the stream carries the cached partitions, on
+// a miss (or with no cache configured) the fragment runs lazily and its
+// output populates the cache. Either way the chain above windows the
+// same Parts zero-copy. The runtime key extends the plan-time fragment
+// key with the scan table's version and the engine's config epoch,
+// reusing the exact invalidation discipline of the columnar and plan
+// caches.
 func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 	scan := FragmentScan(cs.Frag)
 	var key string
@@ -343,14 +323,16 @@ func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 			op.Grow(len(cached))
 			for i := range cached {
 				sl := op.Slot(i)
-				sl.RowsOut += int64(cached[i].Cols.NumRows)
-				if cached[i].Cols.NumRows > 0 {
+				sl.RowsOut += int64(cached[i].N)
+				if cached[i].N > 0 {
 					sl.NoteBatch(cached[i].bytes)
 				}
 			}
-			// Replayed output is a materialized boundary: no scan stage
-			// exists, the outer pipeline opens its own stage over it.
-			return &stream{parts: make([][]wrow, len(cached)), cached: cached}, nil
+			// Cached output is a materialized boundary: no scan stage
+			// exists, the outer pipeline opens its own stage over it. The
+			// stream gets its own slice: breakers replace partitions in
+			// place, the entry's must stay.
+			return &stream{parts: slices.Clone(cached)}, nil
 		}
 	}
 	s, err := ex.execColPipeline(cs.Frag)
@@ -359,17 +341,16 @@ func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 	}
 	op := ex.opFor(cs)
 	op.Grow(len(s.parts))
-	for i, part := range s.parts {
+	for i := range s.parts {
 		sl := op.Slot(i)
-		sl.RowsIn += int64(len(part))
-		sl.RowsOut += int64(len(part))
+		sl.RowsIn += int64(s.parts[i].N)
+		sl.RowsOut += int64(s.parts[i].N)
 	}
 	if ex.sc != nil && scan != nil {
-		// Populate-on-miss tee: snapshot before handing the stream to the
-		// outer chain. The key was computed before the fragment ran, so an
-		// Append or config bump landing mid-run leaves the entry
-		// unreachable, never wrong.
-		ex.sc.Put(key, materializeCached(s.parts, len(cs.Frag.Cols())))
+		// Populate-on-miss: the sink's partitions go in as they are. The
+		// key was computed before the fragment ran, so an Append or config
+		// bump landing mid-run leaves the entry unreachable, never wrong.
+		ex.sc.Put(key, slices.Clone(s.parts))
 	}
 	return s, nil
 }

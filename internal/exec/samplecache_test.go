@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
@@ -82,35 +83,36 @@ func TestFragmentKeySensitivity(t *testing.T) {
 	}
 }
 
-// cachedFixture materializes n single-column rows into cached parts of a
+// cachedFixture builds n single-column rows into a cache entry of a
 // known, deterministic byte size for LRU tests.
-func cachedFixture(n int) []CachedPart {
-	part := make([]wrow, n)
-	for i := range part {
-		part[i] = newWRow(table.Row{table.NewFloat(float64(i))}, 1)
+func cachedFixture(n int) []Part {
+	pb := newPartBuilder(1, n)
+	for i := 0; i < n; i++ {
+		pb.appendRow(table.Row{table.NewFloat(float64(i))})
 	}
-	return materializeCached([][]wrow{part}, 1)
+	return []Part{pb.finish()}
 }
 
-// replayCached drains cached partitions through the chain's replay
-// source at the given batch size. Each batch's weights are overwritten
-// after its rows are taken, the way downstream samplers scale them in
-// place: a later replay must not see it.
-func replayCached(cached []CachedPart, batch int) [][]wrow {
-	parts := make([][]wrow, len(cached))
+// replayCached drains cached partitions through the chain's partition
+// source at the given batch size into fresh partitions. Each batch's
+// weights are overwritten after its rows are taken, the way downstream
+// samplers scale them in place: a later replay must not see it.
+func replayCached(cached []Part, batch int) []Part {
+	parts := make([]Part, len(cached))
 	for i := range cached {
-		src := &colCachedSource{cp: &cached[i], size: resolveBatch(batch)}
-		var arena rowArena
+		src := &partSource{p: &cached[i], size: resolveBatch(batch)}
+		pb := newPartBuilder(len(cached[i].Cols), 0)
 		for {
-			b, _ := src.Next() // the cached source never fails
+			b, _ := src.Next() // the partition source never fails
 			if b.Len() == 0 {
 				break
 			}
-			parts[i] = b.materialize(&arena, parts[i])
+			pb.appendBatch(&b)
 			for j := range b.weights {
 				b.weights[j] = -1
 			}
 		}
+		parts[i] = pb.finish()
 	}
 	return parts
 }
@@ -179,41 +181,44 @@ func TestCachedRoundTripBitIdentical(t *testing.T) {
 		newWRow(table.Row{table.NewInt(-1), table.NewFloat(math.Inf(1)), table.NewString("")}, 0.125),
 		newWRow(table.Row{table.NewInt(0), table.Null, table.NewString("y")}, 1.0),
 	}
-	orig := [][]wrow{rows, nil}
-	cached := materializeCached(orig, 3)
-
-	check := func(parts [][]wrow) {
-		t.Helper()
-		if len(parts) != 2 || len(parts[0]) != len(rows) || len(parts[1]) != 0 {
-			t.Fatalf("part shape: %d parts, %d rows", len(parts), len(parts[0]))
-		}
-		for i, r := range parts[0] {
-			want := rows[i]
-			if math.Float64bits(r.w) != math.Float64bits(want.w) {
-				t.Errorf("row %d weight %v != %v", i, r.w, want.w)
-			}
-			for c := range want.row {
-				got, exp := r.row[c], want.row[c]
-				if got.IsNull() != exp.IsNull() || fmt.Sprintf("%v", got) != fmt.Sprintf("%v", exp) {
-					t.Errorf("row %d col %d: %v != %v", i, c, got, exp)
-				}
-			}
-		}
+	pb := newPartBuilder(3, 0)
+	for _, r := range rows {
+		pb.appendRow(r.row)
+		pb.w[len(pb.w)-1] = r.w
 	}
+	cached := []Part{pb.finish(), emptyPart(3)}
+	want := [][]wrow{rows, nil}
 	for _, bs := range []int{1, 2, 0, -1} {
-		first := replayCached(cached, bs)
-		check(first)
-
-		// Replays materialize fresh rows and copy weights per batch:
-		// trashing one replay must not corrupt the cache or a later replay.
-		for i := range first[0] {
-			first[0][i].row[0] = table.NewInt(999)
-			first[0][i].w = -1
-		}
-		check(replayCached(cached, bs))
+		// Replays copy weights per batch: trashing one replay's batches
+		// must not corrupt the entry or a later replay.
+		sameParts(t, want, replayCached(cached, bs), fmt.Sprintf("batch=%d first replay", bs))
+		sameParts(t, want, replayCached(cached, bs), fmt.Sprintf("batch=%d second replay", bs))
 	}
-	if cached[0].bytes != rowsBytes(rows) || cached[1].bytes != 0 {
-		t.Errorf("cached in-flight bytes %v/%v, want %v/0", cached[0].bytes, cached[1].bytes, rowsBytes(rows))
+	sameParts(t, want, cached, "entry after replays")
+}
+
+// TestCachedPartBytesChargesBoxedValues pins the budget charge of a
+// mixed-kind column to the real size of a boxed Value.
+func TestCachedPartBytesChargesBoxedValues(t *testing.T) {
+	const n = 100
+	pb := newPartBuilder(1, n)
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			pb.appendRow(table.Row{table.NewInt(int64(i))})
+		} else {
+			pb.appendRow(table.Row{table.NewFloat(float64(i) + 0.5)})
+		}
+	}
+	part := pb.finish()
+	if !part.Cols[0].Any || len(part.Cols[0].Vals) != n {
+		t.Fatalf("fixture: int/float mix did not degrade to boxed values: %+v", part.Cols[0])
+	}
+	want := int64(n)*int64(unsafe.Sizeof(table.Value{})) + int64(n)*8 // values + weights
+	if got := cachedPartBytes(&part); got != want {
+		t.Errorf("mixed-kind column charged %d bytes, want %d (%d B per boxed value)", got, want, unsafe.Sizeof(table.Value{}))
+	}
+	if unsafe.Sizeof(table.Value{}) != 40 {
+		t.Errorf("table.Value is %d bytes; DESIGN §15 and the cache budget text say 40", unsafe.Sizeof(table.Value{}))
 	}
 }
 
@@ -353,7 +358,7 @@ func TestSampleCacheConcurrentHammer(t *testing.T) {
 				default:
 					if parts, ok := c.Get(k); ok {
 						// A hit must always be replayable.
-						if got := replayCached(parts, 3); len(got) != 1 || len(got[0]) != 8 {
+						if got := replayCached(parts, 3); len(got) != 1 || got[0].N != 8 {
 							t.Errorf("corrupt hit for %s", k)
 							return
 						}

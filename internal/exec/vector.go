@@ -1,6 +1,10 @@
 package exec
 
-import "quickr/internal/table"
+import (
+	"slices"
+
+	"quickr/internal/table"
+)
 
 // VecKind enumerates the physical representations of a Vector.
 type VecKind uint8
@@ -191,11 +195,12 @@ func window(cv *table.ColVec, off, n int) Vector {
 	return v
 }
 
-// vecBuilder accumulates values into a Vector, picking the tightest
+// vecBuilder accumulates values into a column, picking the tightest
 // representation: typed while all non-NULL values share a kind,
-// degrading to VKAny on the first mix. Builders are reused across
-// batches; the built Vector aliases the builder's buffers and is valid
-// until the next reset.
+// degrading to VKAny on the first mix. It takes single Values (append)
+// and whole lanes of another Vector (appendSel, appendGather); the
+// result is a batch Vector (build, aliasing the builder's buffers until
+// the next reset) or a stored partition column (col).
 type vecBuilder struct {
 	k       VecKind // VKNull until the first non-NULL value
 	n       int
@@ -206,6 +211,18 @@ type vecBuilder struct {
 	vals    []table.Value
 	nulls   []uint64
 	anyNull bool
+	// String lanes arriving as dictionary codes translate through remap
+	// (src code -> own code, -1 = not met yet), rebuilt when the source
+	// dictionary changes, so each distinct string of a source dictionary
+	// is interned once. shared means dict *is* src (appendGather adopted
+	// it): codes pass through and dictIdx is not kept until a foreign
+	// string forces a private copy.
+	src    []string
+	remap  []int32
+	shared bool
+	// hint is the payload capacity reserved when a representation is
+	// adopted (0 = grow on demand).
+	hint int
 }
 
 func (bd *vecBuilder) reset() {
@@ -213,13 +230,16 @@ func (bd *vecBuilder) reset() {
 	bd.n = 0
 	bd.ints = bd.ints[:0]
 	bd.floats = bd.floats[:0]
-	bd.dict = bd.dict[:0]
-	for s := range bd.dictIdx {
-		delete(bd.dictIdx, s)
+	if len(bd.dict) > 0 {
+		// A dictionary that build() handed out is never written again:
+		// downstream builders recognize a source dictionary by identity.
+		bd.dict = nil
 	}
+	clear(bd.dictIdx)
 	bd.vals = bd.vals[:0]
 	bd.nulls = bd.nulls[:0]
 	bd.anyNull = false
+	bd.src, bd.shared = nil, false
 }
 
 func (bd *vecBuilder) setNull(i int) {
@@ -245,6 +265,20 @@ func (bd *vecBuilder) appendNull() {
 	bd.n++
 }
 
+func kindOf(v table.Value) VecKind {
+	switch v.Kind() {
+	case table.KindInt:
+		return VKInt
+	case table.KindFloat:
+		return VKFloat
+	case table.KindString:
+		return VKStr
+	case table.KindBool:
+		return VKBool
+	}
+	return VKAny
+}
+
 // append adds one value, adopting or degrading the representation as
 // needed.
 func (bd *vecBuilder) append(v table.Value) {
@@ -252,17 +286,7 @@ func (bd *vecBuilder) append(v table.Value) {
 		bd.appendNull()
 		return
 	}
-	want := VKAny
-	switch v.Kind() {
-	case table.KindInt:
-		want = VKInt
-	case table.KindFloat:
-		want = VKFloat
-	case table.KindString:
-		want = VKStr
-	case table.KindBool:
-		want = VKBool
-	}
+	want := kindOf(v)
 	if bd.k == VKNull {
 		bd.adopt(want)
 	} else if bd.k != want && bd.k != VKAny {
@@ -276,44 +300,274 @@ func (bd *vecBuilder) append(v table.Value) {
 	case VKFloat:
 		bd.floats = append(bd.floats, v.Float())
 	case VKBool:
-		if v.Bool() {
-			bd.ints = append(bd.ints, 1)
-		} else {
-			bd.ints = append(bd.ints, 0)
-		}
+		bd.ints = append(bd.ints, btoi(v.Bool()))
 	case VKStr:
-		s := v.Str()
+		if bd.shared {
+			bd.unshare()
+		}
+		bd.ints = append(bd.ints, int64(bd.intern(v.Str())))
+	}
+	bd.n++
+}
+
+// intern returns s's code in the builder's own dictionary.
+func (bd *vecBuilder) intern(s string) int32 {
+	code, ok := bd.dictIdx[s]
+	if !ok {
 		if bd.dictIdx == nil {
 			bd.dictIdx = make(map[string]int32, 8)
 		}
-		code, ok := bd.dictIdx[s]
-		if !ok {
-			code = int32(len(bd.dict))
-			bd.dict = append(bd.dict, s)
-			bd.dictIdx[s] = code
-		}
-		bd.ints = append(bd.ints, int64(code))
+		code = int32(len(bd.dict))
+		bd.dict = append(bd.dict, s)
+		bd.dictIdx[s] = code
 	}
-	bd.n++
+	return code
+}
+
+// extend returns s lengthened by m elements of unspecified content. When
+// it must reallocate it at least doubles the capacity, so a partition
+// column appended to batch by batch allocates at most twice its final
+// capacity in total (append's own 1.25x steps allocate five times it).
+func extend[T any](s []T, m int) []T {
+	need := len(s) + m
+	if need <= cap(s) {
+		return s[:need]
+	}
+	ns := make([]T, need, max(need, 2*cap(s)))
+	copy(ns, s)
+	return ns
+}
+
+// sameDict reports whether two dictionaries are the same slice.
+func sameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// setSource prepares the code translation for lanes of a vector over
+// dict. With adopt, a builder that holds no strings yet takes dict
+// itself as its dictionary instead of re-interning it.
+func (bd *vecBuilder) setSource(dict []string, adopt bool) {
+	if bd.src != nil && sameDict(bd.src, dict) {
+		return
+	}
+	if bd.shared {
+		bd.unshare()
+	}
+	bd.src = dict
+	if adopt && len(bd.dict) == 0 && len(dict) > 0 {
+		bd.dict, bd.shared = dict, true
+		return
+	}
+	bd.remap = slices.Grow(bd.remap[:0], len(dict))[:len(dict)]
+	for i := range bd.remap {
+		bd.remap[i] = -1
+	}
+}
+
+// unshare replaces an adopted dictionary with a private copy the
+// builder may grow.
+func (bd *vecBuilder) unshare() {
+	bd.dict = append([]string(nil), bd.dict...)
+	if bd.dictIdx == nil {
+		bd.dictIdx = make(map[string]int32, len(bd.dict))
+	}
+	bd.remap = slices.Grow(bd.remap[:0], len(bd.dict))[:len(bd.dict)]
+	for i, s := range bd.dict {
+		bd.dictIdx[s] = int32(i)
+		bd.remap[i] = int32(i)
+	}
+	bd.shared = false
+}
+
+// appendSel appends the lanes of v that sel lists, in sel order; a nil
+// sel means all v.N lanes.
+func (bd *vecBuilder) appendSel(v *Vector, sel []int32) { bd.appendLanes(v, sel, false) }
+
+// appendGather is appendSel for join and reorder gathers: a negative
+// index appends a NULL lane, and a string column whose lanes all come
+// from one stored dictionary shares that dictionary instead of
+// re-interning it.
+func (bd *vecBuilder) appendGather(v *Vector, idx []int32) {
+	if len(idx) > 0 { // an empty index list is no lanes, not "all lanes"
+		bd.appendLanes(v, idx, true)
+	}
+}
+
+//hot:per-lane typed copy at every pipeline sink, exchange scatter and join gather
+func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
+	m := v.N
+	if sel != nil {
+		m = len(sel)
+	}
+	if m == 0 {
+		return
+	}
+	if v.K == VKAny || bd.k == VKAny || (bd.k != VKNull && v.K != VKNull && bd.k != v.K) {
+		// Exact values, one lane at a time; a kind mix degrades in append.
+		if sel == nil {
+			for i := 0; i < m; i++ {
+				bd.append(v.Value(i))
+			}
+			return
+		}
+		for _, i := range sel {
+			if i < 0 {
+				bd.appendNull()
+			} else {
+				bd.append(v.Value(int(i)))
+			}
+		}
+		return
+	}
+	if bd.k == VKNull && v.K != VKNull {
+		bd.adopt(v.K)
+	}
+	base := bd.n
+	bd.n += m
+	// Payload first (NULL lanes copy whatever the source holds there and
+	// are zeroed below), then the NULL bits.
+	switch bd.k {
+	case VKNull:
+	case VKFloat:
+		bd.floats = extend(bd.floats, m)
+		dst := bd.floats[base:]
+		switch {
+		case v.K == VKNull:
+			clear(dst)
+		case sel == nil:
+			copy(dst, v.Floats[:m])
+		default:
+			src := v.Floats
+			for j, i := range sel {
+				if i >= 0 {
+					dst[j] = src[i]
+				} else {
+					dst[j] = 0
+				}
+			}
+		}
+	default:
+		bd.ints = extend(bd.ints, m)
+		dst := bd.ints[base:]
+		switch {
+		case v.K == VKNull:
+			clear(dst)
+		case v.K == VKStr:
+			bd.appendCodes(dst, v, sel, gather)
+		case sel == nil:
+			copy(dst, v.Ints[:m])
+		default:
+			src := v.Ints
+			for j, i := range sel {
+				if i >= 0 {
+					dst[j] = src[i]
+				} else {
+					dst[j] = 0
+				}
+			}
+		}
+	}
+	switch {
+	case v.K == VKNull:
+		for j := 0; j < m; j++ {
+			bd.setNull(base + j)
+		}
+	case sel == nil:
+		if v.nulls != nil {
+			for i := 0; i < m; i++ {
+				if v.IsNull(i) {
+					bd.zeroNull(base + i)
+				}
+			}
+		}
+	default:
+		pads := int32(0) // sign bit set iff a gather index is negative
+		if gather {
+			for _, i := range sel {
+				pads |= i
+			}
+		}
+		if pads < 0 || v.nulls != nil {
+			for j, i := range sel {
+				if i < 0 || v.IsNull(int(i)) {
+					bd.zeroNull(base + j)
+				}
+			}
+		}
+	}
+}
+
+// zeroNull marks an already-appended typed lane NULL and zeroes its
+// payload (bool vectors rely on payload 0 under NULL).
+func (bd *vecBuilder) zeroNull(i int) {
+	bd.setNull(i)
+	switch bd.k {
+	case VKNull:
+	case VKFloat:
+		bd.floats[i] = 0
+	default:
+		bd.ints[i] = 0
+	}
+}
+
+// appendCodes writes the builder's own dictionary codes for the
+// selected string lanes of v into dst. NULL lanes get code 0.
+//
+//hot:per-lane dictionary code translation
+func (bd *vecBuilder) appendCodes(dst []int64, v *Vector, sel []int32, adopt bool) {
+	bd.setSource(v.Dict, adopt)
+	if bd.shared {
+		if sel == nil {
+			copy(dst, v.Ints[:len(dst)])
+			return
+		}
+		for j, i := range sel {
+			if i >= 0 {
+				dst[j] = v.Ints[i]
+			} else {
+				dst[j] = 0
+			}
+		}
+		return
+	}
+	nul := v.nulls != nil
+	for j := range dst {
+		i := j
+		if sel != nil {
+			i = int(sel[j])
+		}
+		if i < 0 || (nul && v.IsNull(i)) {
+			dst[j] = 0
+			continue
+		}
+		c := v.Ints[i]
+		r := bd.remap[c]
+		if r < 0 {
+			r = bd.intern(v.Dict[c])
+			bd.remap[c] = r
+		}
+		dst[j] = int64(r)
+	}
 }
 
 // adopt switches an all-NULL builder to a typed representation,
 // backfilling zero payloads for the NULL lanes seen so far.
 func (bd *vecBuilder) adopt(k VecKind) {
 	bd.k = k
+	reserve := bd.n
+	if bd.hint > reserve {
+		reserve = bd.hint
+	}
 	switch k {
 	case VKFloat:
-		for i := 0; i < bd.n; i++ {
-			bd.floats = append(bd.floats, 0)
-		}
+		bd.floats = slices.Grow(bd.floats[:0], reserve)[:bd.n]
+		clear(bd.floats)
 	case VKAny:
-		for i := 0; i < bd.n; i++ {
-			bd.vals = append(bd.vals, table.Null)
-		}
+		bd.vals = slices.Grow(bd.vals[:0], reserve)[:bd.n]
+		clear(bd.vals)
 	default:
-		for i := 0; i < bd.n; i++ {
-			bd.ints = append(bd.ints, 0)
-		}
+		bd.ints = slices.Grow(bd.ints[:0], reserve)[:bd.n]
+		clear(bd.ints)
 	}
 }
 
@@ -328,22 +582,17 @@ func (bd *vecBuilder) padNulls() {
 // degrade rewrites the typed payload accumulated so far as exact Values
 // and switches to VKAny.
 func (bd *vecBuilder) degrade() {
-	tmp := Vector{K: bd.k, N: bd.n, Ints: bd.ints, Floats: bd.floats, Dict: bd.dict}
-	if bd.anyNull {
-		bd.padNulls()
-		tmp.nulls = bd.nulls
-	}
-	bd.vals = bd.vals[:0]
+	tmp := bd.build()
+	bd.vals = slices.Grow(bd.vals[:0], bd.n)
 	for i := 0; i < bd.n; i++ {
 		bd.vals = append(bd.vals, tmp.Value(i))
 	}
 	bd.k = VKAny
 	bd.ints = bd.ints[:0]
 	bd.floats = bd.floats[:0]
-	bd.dict = bd.dict[:0]
-	for s := range bd.dictIdx {
-		delete(bd.dictIdx, s)
-	}
+	bd.dict = nil
+	clear(bd.dictIdx)
+	bd.src, bd.shared = nil, false
 }
 
 // build returns the accumulated Vector. It aliases builder buffers.
@@ -366,4 +615,32 @@ func (bd *vecBuilder) build() Vector {
 		v.nulls = bd.nulls
 	}
 	return v
+}
+
+// col returns the accumulated lanes as a stored partition column (the
+// inverse of window). It aliases builder buffers: the builder must not
+// be appended to or reset afterwards.
+func (bd *vecBuilder) col() table.ColVec {
+	switch bd.k {
+	case VKNull:
+		return table.ColVec{Kind: table.KindNull, Ints: []int64{int64(bd.n)}}
+	case VKAny:
+		return table.ColVec{Any: true, Vals: bd.vals}
+	}
+	cv := table.ColVec{Ints: bd.ints, Dict: bd.dict}
+	switch bd.k {
+	case VKInt:
+		cv.Kind = table.KindInt
+	case VKFloat:
+		cv.Kind, cv.Ints, cv.Floats = table.KindFloat, nil, bd.floats
+	case VKStr:
+		cv.Kind = table.KindString
+	case VKBool:
+		cv.Kind = table.KindBool
+	}
+	if bd.anyNull {
+		bd.padNulls()
+		cv.Nulls = bd.nulls
+	}
+	return cv
 }

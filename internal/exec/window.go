@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -54,39 +55,34 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 	op.Grow(len(s.parts))
 	t0 := time.Now()
 	if err := ex.parallel(len(s.parts), func(i int) error {
-		part := s.parts[i]
-		// One appended value per spec per row, in input order first; the
-		// final row order within the task follows the last spec's
-		// partition/order sort (deterministic).
-		extra := make([][]table.Value, len(p.Specs))
-		for si, spec := range p.Specs {
-			vals, err := computeWindow(spec, cm, part)
+		part := &s.parts[i]
+		// The window functions sort and scan whole rows: they read the
+		// partition through a local row view. The output keeps the input's
+		// columns and row order and gains one column per spec.
+		rows := part.rows()
+		out := Part{N: part.N, Cols: slices.Clip(part.Cols), W: part.W}
+		for _, spec := range p.Specs {
+			vals, err := computeWindow(spec, cm, rows)
 			if err != nil {
 				return err
 			}
-			extra[si] = vals
-		}
-		out := make([]wrow, len(part))
-		var outBytes float64
-		for j, r := range part {
-			row := make(table.Row, 0, len(r.row)+len(p.Specs))
-			row = append(row, r.row...)
-			for si := range p.Specs {
-				row = append(row, extra[si][j])
+			bd := vecBuilder{hint: len(vals)}
+			for _, v := range vals {
+				bd.append(v)
 			}
-			out[j] = newWRow(row, r.w)
-			outBytes += out[j].sz
+			out.Cols = append(out.Cols, bd.col())
 		}
+		out.bytes = partBytes(out.Cols, out.N)
 		s.parts[i] = out
-		cost := float64(len(part))
+		cost := float64(out.N)
 		if cost > 1 {
-			s.stage.AddCPU(i, 2*cost*logf(len(part)))
+			s.stage.AddCPU(i, 2*cost*logf(out.N))
 		}
 		sl := op.Slot(i)
-		sl.RowsIn += int64(len(part))
-		sl.RowsOut += int64(len(out))
-		if len(out) > 0 {
-			sl.NoteBatch(outBytes)
+		sl.RowsIn += int64(out.N)
+		sl.RowsOut += int64(out.N)
+		if out.N > 0 {
+			sl.NoteBatch(out.bytes)
 		}
 		return nil
 	}); err != nil {
@@ -98,7 +94,7 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 
 // computeWindow returns, for one spec, the output value for each input
 // row (indexed like part).
-func computeWindow(spec lplan.WinSpec, cm colMap, part []wrow) ([]table.Value, error) {
+func computeWindow(spec lplan.WinSpec, cm colMap, part []table.Row) ([]table.Value, error) {
 	partIdx := make([]int, len(spec.PartitionBy))
 	for i, id := range spec.PartitionBy {
 		pos, ok := cm[id]
@@ -135,10 +131,10 @@ func computeWindow(spec lplan.WinSpec, cm colMap, part []wrow) ([]table.Value, e
 	var reps []int
 	var keyBuf []byte
 	for j, r := range part {
-		h := hashRowKey(r.row, partIdx)
-		e := hidx.probe(h, func(i int) bool { return rowKeyEqualRows(part[reps[i]].row, r.row, partIdx) })
+		h := hashRowKey(r, partIdx)
+		e := hidx.probe(h, func(i int) bool { return rowKeyEqualRows(part[reps[i]], r, partIdx) })
 		if e < 0 {
-			keyBuf = appendRowKey(keyBuf[:0], r.row, partIdx)
+			keyBuf = appendRowKey(keyBuf[:0], r, partIdx)
 			e = hidx.add(h)
 			rowLists = append(rowLists, nil)
 			skeys = append(skeys, string(keyBuf))
@@ -158,7 +154,7 @@ func computeWindow(spec lplan.WinSpec, cm colMap, part []wrow) ([]table.Value, e
 		// Sort partition rows by the ORDER BY keys (stable; ties broken
 		// by full row compare for determinism).
 		sort.SliceStable(idxs, func(a, b int) bool {
-			ra, rb := part[idxs[a]].row, part[idxs[b]].row
+			ra, rb := part[idxs[a]], part[idxs[b]]
 			for oi, key := range spec.OrderBy {
 				c := ra[orderIdx[oi]].Compare(rb[orderIdx[oi]])
 				if key.Desc {
@@ -176,10 +172,10 @@ func computeWindow(spec lplan.WinSpec, cm colMap, part []wrow) ([]table.Value, e
 }
 
 // computePartition fills out[...] for one sorted window partition.
-func computePartition(spec lplan.WinSpec, part []wrow, idxs []int, orderIdx []int, argIdx int, out []table.Value) {
+func computePartition(spec lplan.WinSpec, part []table.Row, idxs []int, orderIdx []int, argIdx int, out []table.Value) {
 	peers := func(a, b int) bool {
 		// Rows are peers when all ORDER BY keys are equal.
-		ra, rb := part[idxs[a]].row, part[idxs[b]].row
+		ra, rb := part[idxs[a]], part[idxs[b]]
 		for _, oi := range orderIdx {
 			if ra[oi].Compare(rb[oi]) != 0 {
 				return false
@@ -215,7 +211,7 @@ func computePartition(spec lplan.WinSpec, part []wrow, idxs []int, orderIdx []in
 	consume := func(j int) {
 		var v table.Value = table.Null
 		if argIdx >= 0 {
-			v = part[j].row[argIdx]
+			v = part[j][argIdx]
 		}
 		switch spec.Kind {
 		case lplan.WinCount:

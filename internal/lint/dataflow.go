@@ -11,8 +11,7 @@ import (
 //
 //   - reaching definitions (union meet): which assignments to a
 //     variable can reach a given statement — the substrate hotalloc
-//     uses to decide whether an appended-to slice was preallocated and
-//     arenasafe uses to track which variables hold arena-backed rows;
+//     uses to decide whether an appended-to slice was preallocated;
 //   - lock-held sets (intersection meet): which "<path>.<mutex>"
 //     mutexes are provably held at each statement — the substrate of
 //     lockdiscipline's guarded-by checking.
@@ -197,7 +196,7 @@ type namedDef struct {
 // defsIn lists the variable definitions a single CFG statement makes.
 // Nested function literals are opaque (their assignments run at an
 // unknown time, so treating them as non-defs is the conservative
-// choice for how hotalloc/arenasafe consume this analysis).
+// choice for how hotalloc consumes this analysis).
 func defsIn(s ast.Node) []namedDef {
 	var out []namedDef
 	switch x := s.(type) {

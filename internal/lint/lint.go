@@ -224,7 +224,7 @@ func Run(root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, e
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoRawRand, SlotDiscipline, WeightProp, NoPrintf,
-		LockDiscipline, CtxFlow, HotAlloc, ArenaSafe,
+		LockDiscipline, CtxFlow, HotAlloc,
 	}
 }
 

@@ -210,7 +210,6 @@ func (pl *Planner) compileJoin(j *lplan.Join) (exec.PNode, error) {
 			LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
 			Residual: j.Residual, Broadcast: true,
 			SharedUniverseP: shared,
-			EstOutRows:      pl.CM.Est.Props(j).Rows,
 		}, nil
 	}
 	parts := pl.CM.DOP(math.Max(pl.CM.Est.Props(j.Left).Rows, pl.CM.Est.Props(j.Right).Rows))
@@ -232,7 +231,6 @@ func (pl *Planner) compileJoin(j *lplan.Join) (exec.PNode, error) {
 		Right:    rx,
 		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
 		Residual: j.Residual, SharedUniverseP: shared,
-		EstOutRows: pl.CM.Est.Props(j).Rows,
 	}, nil
 }
 

@@ -245,12 +245,19 @@ func CompareRows(a, b Row) int {
 }
 
 // HashRow hashes the projection of row r onto column indexes idx, with a
-// seed; used by exchanges and joins for partitioning.
+// seed; used by exchanges and joins for partitioning. It is
+// HashRowSeed folded through HashRowStep once per column, which is how
+// columnar code computes the same digest from key vectors.
 func HashRow(r Row, idx []int, seed uint64) uint64 {
-	h := uint64(14695981039346656037) ^ seed*1099511628211
+	h := HashRowSeed(seed)
 	for _, i := range idx {
-		h ^= r[i].Hash64()
-		h *= 1099511628211
+		h = HashRowStep(h, r[i].Hash64())
 	}
 	return h
 }
+
+// HashRowSeed is HashRow's starting state for a seed.
+func HashRowSeed(seed uint64) uint64 { return fnvOffset64 ^ seed*fnvPrime64 }
+
+// HashRowStep folds one column's Hash64 into a HashRow state.
+func HashRowStep(h, colHash uint64) uint64 { return (h ^ colHash) * fnvPrime64 }

@@ -227,27 +227,48 @@ func fnvString(h uint64, s string) uint64 {
 // Hash64 hashes the value with FNV-1a. Numeric values hash by canonical
 // form so NewInt(2) and NewFloat(2.0) collide, matching Equal. The
 // digest is bit-identical to feeding the tagged encoding through
-// hash/fnv, but allocation-free.
+// hash/fnv, but allocation-free. It dispatches to the typed Hash*
+// functions below, which columnar code calls on raw payloads.
 func (v Value) Hash64() uint64 {
 	switch v.kind {
 	case KindNull:
-		return fnvByte(fnvOffset64, 0)
-	case KindInt, KindFloat:
-		f := v.Float()
-		if v.kind == KindInt || f == math.Trunc(f) && !math.IsInf(f, 0) {
-			u := uint64(int64(f))
-			if v.kind == KindInt {
-				u = uint64(v.i)
-			}
-			return fnvUint64(fnvByte(fnvOffset64, 1), u)
-		}
-		return fnvUint64(fnvByte(fnvOffset64, 2), math.Float64bits(f))
+		return HashNull
+	case KindInt:
+		return HashInt(v.i)
+	case KindFloat:
+		return HashFloat(v.f)
 	case KindString:
-		return fnvString(fnvByte(fnvOffset64, 3), v.s)
+		return HashString(v.s)
 	case KindBool:
-		return fnvByte(fnvByte(fnvOffset64, 4), byte(v.i))
+		return HashBool(v.i != 0)
 	}
 	return fnvOffset64
+}
+
+// HashNull is NULL's Hash64.
+var HashNull = fnvByte(fnvOffset64, 0)
+
+// HashInt is NewInt(i).Hash64().
+func HashInt(i int64) uint64 { return fnvUint64(fnvByte(fnvOffset64, 1), uint64(i)) }
+
+// HashFloat is NewFloat(f).Hash64(): integral floats hash as their
+// int64 conversion so they collide with the equal integer.
+func HashFloat(f float64) uint64 {
+	if f == math.Trunc(f) && !math.IsInf(f, 0) {
+		return fnvUint64(fnvByte(fnvOffset64, 1), uint64(int64(f)))
+	}
+	return fnvUint64(fnvByte(fnvOffset64, 2), math.Float64bits(f))
+}
+
+// HashString is NewString(s).Hash64().
+func HashString(s string) uint64 { return fnvString(fnvByte(fnvOffset64, 3), s) }
+
+// HashBool is NewBool(b).Hash64().
+func HashBool(b bool) uint64 {
+	if b {
+		return fnvByte(fnvByte(fnvOffset64, 4), 1)
+	}
+	return fnvByte(fnvByte(fnvOffset64, 4), 0)
 }
 
 // keyClass canonicalizes the value exactly like Key() does: class 1
