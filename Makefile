@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race hammer seed-sweep bench bench-gate smoke-bench benchmark-check lint quickrlint fuzz fmt fmt-check vet
+.PHONY: build test race hammer seed-sweep bench benchmark-check lint quickrlint fuzz fmt fmt-check vet
 
 build:
 	$(GO) build ./...
@@ -30,29 +30,6 @@ seed-sweep:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
-
-# Allocation/CPU regression gate on the executor's hot-path
-# microbenchmarks: run them with -benchmem and compare allocs/op (and,
-# loosely, ns/op) against the committed baseline
-# (internal/exec/testdata/bench_baseline.json, whose note says what each
-# ratio is relative to). The join, exchange and *Kernel ceilings sit at
-# 1.25x the allocs/op measured when every breaker went column-major, so
-# per-row boxing cannot creep back; the 0.7x ceiling on the aggregation
-# and window benchmarks pins the hash-path overhaul's win.
-# BenchmarkSummaryBuild (internal/table) gates the partition-summary
-# builder the pruning pass depends on.
-bench-gate:
-	$(GO) test ./internal/exec/ ./internal/table/ -run '^$$' \
-		-bench 'BenchmarkJoinBroadcast|BenchmarkJoinCoPartitioned|BenchmarkExchangeScatter|BenchmarkGroupedAgg|BenchmarkWindowPartition|BenchmarkSortPartitions|BenchmarkFilterKernel|BenchmarkProjectKernel|BenchmarkSamplerKernel|BenchmarkPreAggKernel|BenchmarkSummaryBuild' \
-		-benchmem -benchtime 5x -count 1 | tee bench_micro.txt
-	$(GO) run ./cmd/benchcheck -micro -baseline internal/exec/testdata/bench_baseline.json bench_micro.txt
-	@rm -f bench_micro.txt
-
-# Tiny-scale bench emitting a JSON run report, then a schema check that
-# the per-operator counters survived.
-smoke-bench:
-	$(GO) run ./cmd/quickr-bench -exp SMOKE -sf 0.1 -json .
-	$(GO) run ./cmd/benchcheck BENCH_SMOKE.json
 
 # The repository benchmark is a nested module (benchmark/go.mod), so
 # `go build ./...` and `go test ./...` never compile it — yet it calls

@@ -1,7 +1,6 @@
 package quickr
 
 import (
-	"io"
 	"sort"
 
 	"quickr/internal/catalog"
@@ -242,12 +241,3 @@ func (e *Engine) bound(stmt *sql.SelectStmt) (lplan.Node, *opt.Estimator, error)
 	est := opt.NewEstimator(e.cat)
 	return opt.Normalize(logical, est), est, nil
 }
-
-// SaveStats serializes every collected table statistic as JSON (the
-// paper's statistics are computed once by the first query that reads a
-// table; persisting them keeps the warm start across restarts).
-func (e *Engine) SaveStats(w io.Writer) error { return e.cat.Stats.Save(w) }
-
-// LoadStats restores previously saved statistics, so optimization does
-// not need a first full pass over each table.
-func (e *Engine) LoadStats(r io.Reader) error { return e.cat.Stats.Load(r) }

@@ -202,8 +202,8 @@ func BenchmarkFig9DominanceUnroll(b *testing.B) {
 // its whole partition at once) over the CI smoke queries, reporting
 // throughput and the peak in-flight intermediate footprint of each
 // mode. The "streaming" sub-benchmark's peakB must come in below the
-// "materializing" one — the same invariant cmd/benchcheck gates on the
-// bench JSON.
+// "materializing" one — the invariant exec's
+// TestStreamingPeakBelowMaterializing asserts on a single chain.
 func BenchmarkExecutorPipeline(b *testing.B) {
 	e := benchEnv(b)
 	queries := experiments.SmokeQueries()
@@ -224,9 +224,9 @@ func BenchmarkExecutorPipeline(b *testing.B) {
 					}
 					rows += float64(res.RowsProcessed)
 					secs += res.ExecSeconds
-					// Summed across queries, like the benchcheck gate: ties
-					// on breaker-dominated queries are fine as long as the
-					// scan-dominated ones shrink.
+					// Summed across queries: ties on breaker-dominated
+					// queries are fine as long as the scan-dominated ones
+					// shrink.
 					peak += res.PeakInFlightBytes
 				}
 			}

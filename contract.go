@@ -258,7 +258,7 @@ func asFloat(v any) (float64, bool) {
 }
 
 // SaveHistory serializes the engine's query-history store (the learned
-// estimate corrections) as JSON, mirroring SaveStats.
+// estimate corrections) as JSON.
 func (e *Engine) SaveHistory(w io.Writer) error { return e.history.Save(w) }
 
 // LoadHistory replaces the query-history store from SaveHistory output.

@@ -161,6 +161,49 @@ func TestContractRetriesHitPlanCache(t *testing.T) {
 	}
 }
 
+// TestContractSuiteColdWarm runs the four shapes of contract — the cold
+// under-predicted escalator, two directly satisfiable error bounds and a
+// deadline — over the spike table, once against an empty history and
+// once against what the first pass learned. No setting changes between
+// the passes, so the warm pass replays against the cold pass's cached
+// plans. Every run must satisfy its contract, the suite must escalate at
+// least once, warm attempts must come from the plan cache, and learned
+// corrections must not cost more escalations than cold estimates did.
+func TestContractSuiteColdWarm(t *testing.T) {
+	eng := newSkewedEngine(t, 40000, 8)
+	suite := []string{
+		escalatorSQL,
+		"SELECT g, SUM(v) FROM sk GROUP BY g ERROR WITHIN 15% CONFIDENCE 95%",
+		"SELECT g, COUNT(*) FROM sk GROUP BY g ERROR WITHIN 5% CONFIDENCE 95%",
+		"SELECT g, SUM(v) FROM sk GROUP BY g WITHIN 10s",
+	}
+	const cold, warm = 0, 1
+	var escalations, cacheHits [2]int
+	for pass := range escalations {
+		for _, q := range suite {
+			res, err := eng.ExecApprox(q)
+			if err != nil {
+				t.Fatalf("pass %d %q: %v", pass, q, err)
+			}
+			if res.Contract == nil || !res.Contract.Satisfied {
+				t.Fatalf("pass %d %q: contract violated: %+v", pass, q, res.Contract)
+			}
+			escalations[pass] += res.Contract.Escalations
+			cacheHits[pass] += res.Contract.PlanCacheHits
+		}
+	}
+	if escalations[cold]+escalations[warm] == 0 {
+		t.Error("no run escalated: the suite no longer exercises the escalation path")
+	}
+	if cacheHits[warm] == 0 {
+		t.Error("warm pass had zero plan-cache hits: contract retries re-plan from scratch")
+	}
+	if escalations[warm] > escalations[cold] {
+		t.Errorf("warm escalations (%d) exceed cold (%d): learned corrections regressed",
+			escalations[warm], escalations[cold])
+	}
+}
+
 // TestContractCancellationNoLeaks: cancelling (or expiring) a contract
 // run mid-escalation must leak no goroutines and surface the sentinel
 // errors.

@@ -9,8 +9,8 @@
 // refresh workload three ways — exact, cold-approximate (samplers
 // re-scan the log on every refresh) and cached-approximate (hot-sample
 // reuse replays materialized sampler output) — and reports the
-// throughput of each. The same workload backs `quickr-bench
-// -dashboard`, whose DASH_<exp>.json report CI gates.
+// throughput of each. The same panels are the repository benchmark's
+// dashboard_repeat and ingest_refresh workloads (benchmark/README.md).
 //
 // Usage:
 //

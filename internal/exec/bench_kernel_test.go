@@ -1,12 +1,11 @@
 package exec
 
 // Microbenchmarks for the vectorized kernels (filter, project, sampler,
-// fused pre-aggregation), each run through its chain's sink. The
-// committed baseline (testdata/bench_baseline.json) records, under the
-// kernel names, the numbers of the row-at-a-time pipeline these kernels
-// replaced; CI runs the benchmarks against it with ratios set at 1.25x
-// the allocs/op measured once the sinks went column-major, so neither
-// the kernels nor the sinks can start boxing rows again.
+// fused pre-aggregation), each run through its chain's sink.
+// TestHotPathAllocCeilings (bench_micro_test.go) holds each plan's
+// allocations per run at 1.25x what it measured once the sinks went
+// column-major, so neither the kernels nor the sinks can start boxing
+// rows again.
 
 import (
 	"testing"
@@ -14,6 +13,8 @@ import (
 	"quickr/internal/lplan"
 	"quickr/internal/table"
 )
+
+const kernelRows, kernelKeys = 65536, 1024
 
 // benchKernelTable builds the scan input shared by the kernel
 // benchmarks: int, string (dictionary-friendly) and float columns with
@@ -27,13 +28,13 @@ func benchKernelTable() *table.Table {
 	)
 	tbl := table.New("bench_kernel", sc, 4)
 	words := []string{"north", "south", "east", "west", "up", "down"}
-	for i := 0; i < 65536; i++ {
+	for i := 0; i < kernelRows; i++ {
 		v := table.NewFloat(float64(i))
 		if i%97 == 11 {
 			v = table.Value{}
 		}
 		tbl.Append(i, table.Row{
-			table.NewInt(int64(i % 1024)),
+			table.NewInt(int64(i % kernelKeys)),
 			table.NewString(words[i%len(words)]),
 			v,
 		})
@@ -42,8 +43,8 @@ func benchKernelTable() *table.Table {
 	return tbl
 }
 
-func kernelFilterPlan(tbl *table.Table) PNode {
-	scan := scanOf(tbl)
+func kernelFilterPlan() (PNode, int) {
+	scan := scanOf(benchKernelTable())
 	k, _, v := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
 	return &PFilter{In: scan, Pred: &lplan.Binary{
 		Op: lplan.OpAnd,
@@ -53,11 +54,11 @@ func kernelFilterPlan(tbl *table.Table) PNode {
 		R: &lplan.Binary{Op: lplan.OpGe,
 			L: &lplan.ColRef{ID: v.ID, Name: "v", Kind: table.KindFloat},
 			R: &lplan.Const{Val: table.NewFloat(1000)}},
-	}}
+	}}, 31925 // k<512, less the 512 rows with v<1000 and the NULL v lanes
 }
 
-func kernelProjectPlan(tbl *table.Table) PNode {
-	scan := scanOf(tbl)
+func kernelProjectPlan() (PNode, int) {
+	scan := scanOf(benchKernelTable())
 	k, s, v := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
 	nextID += 3
 	return &PProject{In: scan, Exprs: []lplan.Expr{
@@ -74,16 +75,16 @@ func kernelProjectPlan(tbl *table.Table) PNode {
 		{ID: nextID - 2, Name: "k7", Kind: table.KindInt},
 		{ID: nextID - 1, Name: "vh", Kind: table.KindFloat},
 		{ID: nextID, Name: "e", Kind: table.KindBool},
-	}}
+	}}, kernelRows
 }
 
-func kernelSamplerPlan(tbl *table.Table) PNode {
-	scan := scanOf(tbl)
-	return &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.1}, Seed: 42}
+func kernelSamplerPlan() (PNode, int) {
+	scan := scanOf(benchKernelTable())
+	return &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.1}, Seed: 42}, 6706
 }
 
-func kernelPreAggPlan(tbl *table.Table) PNode {
-	scan := scanOf(tbl)
+func kernelPreAggPlan() (PNode, int) {
+	scan := scanOf(benchKernelTable())
 	k, v := scan.OutCols[0], scan.OutCols[2]
 	smp := &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.25}, Seed: 43}
 	nextID += 2
@@ -96,32 +97,22 @@ func kernelPreAggPlan(tbl *table.Table) PNode {
 			{Kind: lplan.AggCount, Arg: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID, Name: "c", Kind: table.KindInt}},
 		},
 		Top: true,
-	}
-}
-
-// benchKernel runs plan-builder mk once per iteration.
-func benchKernel(b *testing.B, mk func(*table.Table) PNode) {
-	tbl := benchKernelTable()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchRun(b, mk(tbl))
-	}
+	}, kernelKeys
 }
 
 // BenchmarkFilterKernel measures the columnar filter: typed comparison
 // kernels over dense vectors writing a selection vector.
-func BenchmarkFilterKernel(b *testing.B) { benchKernel(b, kernelFilterPlan) }
+func BenchmarkFilterKernel(b *testing.B) { benchPlan(b, kernelFilterPlan) }
 
 // BenchmarkProjectKernel measures columnar projection: arithmetic and
 // dictionary-compare kernels building output vectors.
-func BenchmarkProjectKernel(b *testing.B) { benchKernel(b, kernelProjectPlan) }
+func BenchmarkProjectKernel(b *testing.B) { benchPlan(b, kernelProjectPlan) }
 
 // BenchmarkSamplerKernel measures the columnar uniform sampler:
 // selection-vector thinning with in-place weight scaling.
-func BenchmarkSamplerKernel(b *testing.B) { benchKernel(b, kernelSamplerPlan) }
+func BenchmarkSamplerKernel(b *testing.B) { benchPlan(b, kernelSamplerPlan) }
 
 // BenchmarkPreAggKernel measures the fused columnar sample→group-by
 // pre-aggregation (scan batches feed the aggregation without an
 // intermediate materialized stream).
-func BenchmarkPreAggKernel(b *testing.B) { benchKernel(b, kernelPreAggPlan) }
+func BenchmarkPreAggKernel(b *testing.B) { benchPlan(b, kernelPreAggPlan) }

@@ -91,19 +91,14 @@ func Run(p PNode, cfg cluster.Config) (*Result, error) {
 	return RunWithOptions(context.Background(), p, cfg, nil, Options{})
 }
 
-// RunInstrumented executes the plan with per-operator metrics
-// collection, annotating each operator with the optimizer's estimated
-// output cardinality from estRows (keyed by plan-node identity; nil is
-// allowed and leaves estimates unknown).
-func RunInstrumented(p PNode, cfg cluster.Config, estRows map[PNode]float64) (*Result, error) {
-	return RunWithOptions(context.Background(), p, cfg, estRows, Options{})
-}
-
-// RunWithOptions is RunInstrumented with a cancellation context and
-// execution tuning (batch size, admission echo). The
-// context is checked between partition tasks and at every pipeline
-// batch boundary; a canceled run returns ErrCanceled (ErrDeadline when
-// the deadline passed) after all started partition work has unwound.
+// RunWithOptions executes the plan with per-operator metrics
+// collection, a cancellation context and execution tuning (batch size,
+// admission echo). estRows annotates each operator with the optimizer's
+// estimated output cardinality (keyed by plan-node identity; nil is
+// allowed and leaves estimates unknown). The context is checked between
+// partition tasks and at every pipeline batch boundary; a canceled run
+// returns ErrCanceled (ErrDeadline when the deadline passed) after all
+// started partition work has unwound.
 func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows map[PNode]float64, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

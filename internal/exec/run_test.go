@@ -113,7 +113,7 @@ func TestParallelPartsCountersRaceFree(t *testing.T) {
 
 // An instrumented end-to-end run: sampler + aggregation over several
 // partitions, checked for counter consistency (and raced under -race).
-func TestRunInstrumentedCountsAndAnalyze(t *testing.T) {
+func TestRunWithOptionsCountsAndAnalyze(t *testing.T) {
 	rows := make([][2]float64, 0, 4000)
 	for i := 0; i < 4000; i++ {
 		rows = append(rows, [2]float64{float64(i % 7), float64(i)})
@@ -136,7 +136,7 @@ func TestRunInstrumentedCountsAndAnalyze(t *testing.T) {
 			Out: lplan.ColumnInfo{ID: nextID, Name: "s", Kind: vCol.Kind}}},
 	}
 
-	res, err := RunInstrumented(agg, cluster.DefaultConfig(), map[PNode]float64{scan: 4000})
+	res, err := RunWithOptions(context.Background(), agg, cluster.DefaultConfig(), map[PNode]float64{scan: 4000}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,10 @@ var freezeHashes = flag.Bool("freeze-result-hashes", false,
 
 const frozenHashPath = "../../testdata/golden/result_hashes.golden"
 
+// sampleCacheBudget is the byte budget the cache-on passes of this
+// package's tests enable: far more than any swept plan's samples need.
+const sampleCacheBudget int64 = 64 << 20
+
 // newFrozenEnv loads TPC-DS-like and TPC-H-like data at sf 0.2 and 5 000
 // log rows, sampler seed 1: small enough for tier 1, large enough that
 // ASALQA samples 26 of the 62 queries (at the benchmark's sf 0.05
@@ -102,7 +106,7 @@ func TestFrozenResultHashes(t *testing.T) {
 				check(t, "cache off", q, false)
 				check(t, "cache off", q, true)
 			}
-			env.Eng.SetSampleCache(DashboardCacheBudget)
+			env.Eng.SetSampleCache(sampleCacheBudget)
 			hits0 := metrics.SampleCacheHits.Load()
 			for _, q := range queries {
 				check(t, "cache cold", q, true)

@@ -249,15 +249,6 @@ func toFloat(v any) (float64, bool) {
 	return 0, false
 }
 
-// RunSuite runs every query and returns the outcomes in order.
-func RunSuite(env *Env, queries []workload.Query) []Outcome {
-	out := make([]Outcome, 0, len(queries))
-	for _, q := range queries {
-		out = append(out, RunQuery(env, q))
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0..100) of xs.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
@@ -288,4 +279,13 @@ func CDF(xs []float64) (vals, fracs []float64) {
 		fr[i] = float64(i+1) / float64(len(s))
 	}
 	return s, fr
+}
+
+// SmokeQueries is the tiny query subset BenchmarkExecutorPipeline runs:
+// two TPC-DS-like joins, one TPC-H-like query and one log query.
+func SmokeQueries() []workload.Query {
+	var out []workload.Query
+	out = append(out, workload.TPCDSQueries()[:2]...)
+	out = append(out, workload.TPCHQueries()[:1]...)
+	return append(out, workload.OtherQueries()[:1]...)
 }

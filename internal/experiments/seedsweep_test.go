@@ -169,6 +169,7 @@ type sweepStats struct {
 	covered, pairs   int     // CI-coverage observations
 	missed, groupObs int     // missed-group observations
 	expectedMissed   float64 // Proposition 4 prediction
+	scannedParts     int64   // base-table partitions read
 	prunedParts      int64   // partitions skipped by partition selection
 }
 
@@ -190,6 +191,7 @@ func sweepQueryOverSeeds(t *testing.T, env *Env, sq sweepQuery) sweepStats {
 
 // observeSweepRun folds one approximate run into the sweep statistics.
 func observeSweepRun(st *sweepStats, sq sweepQuery, approx *quickr.Result) {
+	st.scannedParts += approx.PartitionsScanned
 	st.prunedParts += approx.PartitionsPruned
 	got := map[string]quickr.GroupEstimate{}
 	for _, g := range approx.Estimates {
@@ -270,29 +272,54 @@ func TestSeedSweepCoverage(t *testing.T) {
 // the partition-level cluster-variance term) must still cover the
 // ground truth at the same ≥90% floor, and the pass must actually skip
 // partitions on at least one swept query — otherwise the sweep is not
-// exercising the inflated-weight estimators at all. It runs at a larger
-// scale factor than the base sweep because pruning eligibility needs
-// multi-partition fact tables with a sampler directly over the scan.
+// exercising the inflated-weight estimators at all — and read strictly
+// fewer partitions in total than the same queries with the pass off. It
+// runs at a larger scale factor than the base sweep because pruning
+// eligibility needs multi-partition fact tables with a sampler directly
+// over the scan.
 func TestSeedSweepCoveragePruned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep runs nightly; skipped in -short")
 	}
 	env := NewTPCDSEnv(0.2)
 	queries := pickSweepQueries(t, env, 5)
+	// What each swept query reads with the pass off (the seed moves the
+	// sample, not the partitions a full scan reads).
+	unpruned := map[string]int64{}
+	for _, sq := range queries {
+		res, err := env.Eng.ExecApprox(sq.q.SQL)
+		if err != nil {
+			t.Fatalf("%s unpruned: %v", sq.q.ID, err)
+		}
+		if res.PartitionsPruned != 0 {
+			t.Fatalf("%s: %d partitions pruned with the pass off", sq.q.ID, res.PartitionsPruned)
+		}
+		unpruned[sq.q.ID] = res.PartitionsScanned
+	}
 	env.Eng.SetPrune(true)
 	defer env.Eng.SetPrune(false)
 
-	var totalPruned int64
+	var totalPruned, totalScanned, totalUnpruned int64
 	for _, sq := range queries {
 		sq := sq
 		t.Run(sq.q.ID, func(t *testing.T) {
 			st := sweepQueryOverSeeds(t, env, sq)
+			full := sweepSeeds * unpruned[sq.q.ID]
+			if st.scannedParts > full {
+				t.Errorf("pruned runs read %d partitions, the unpruned plan %d", st.scannedParts, full)
+			}
 			totalPruned += st.prunedParts
+			totalScanned += st.scannedParts
+			totalUnpruned += full
 			checkSweepStats(t, sq, st)
 		})
 	}
 	if totalPruned == 0 {
 		t.Error("no swept query pruned any partition; the sweep did not exercise partition selection")
+	}
+	t.Logf("read %d of %d partitions, %d pruned", totalScanned, totalUnpruned, totalPruned)
+	if totalScanned >= totalUnpruned {
+		t.Errorf("pruned sweep read %d partitions in total, not below the unpruned %d", totalScanned, totalUnpruned)
 	}
 	env.Eng.SetSeed(0)
 }

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// HotAlloc is the static twin of the cmd/benchcheck allocation gate:
+// HotAlloc is the static twin of exec's TestHotPathAllocCeilings:
 // functions marked with a `//hot:` doc-comment line (the PR 5/6 kernel
-// and hash paths whose allocs/op the bench gate pins) must keep their
-// loop bodies free of the allocating constructs that historically
+// and hash paths whose allocations per run that test pins) must keep
+// their loop bodies free of the allocating constructs that historically
 // regressed them:
 //
 //   - any fmt call (Sprintf and friends allocate AND box every
@@ -33,7 +33,7 @@ import (
 // is looking at instead of guessing from the nearest assignment.
 //
 // The marker form is `//hot:<why this path is hot>` on the function's
-// doc comment, e.g. `//hot:per-probe-row join path, bench-gated`. No
+// doc comment, e.g. `//hot:per-probe-row join path, alloc-gated`. No
 // space after the colon: that is the shape gofmt preserves verbatim
 // (like //go:build); a spaced variant gets reformatted to `// hot:`,
 // which isHotFunc also accepts so a stray gofmt cannot silently

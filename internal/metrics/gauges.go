@@ -36,7 +36,7 @@ var (
 	ContractEscalations atomic.Int64
 	// ContractViolations counts contract queries whose FINAL answer
 	// still missed the bound (the exact fallback makes this zero in a
-	// healthy system; benchcheck -contract gates on it).
+	// healthy system).
 	ContractViolations atomic.Int64
 	// HistoryHits counts runs that found learned corrections for their
 	// plan fingerprint; HistoryRecords counts observations written.

@@ -8,6 +8,7 @@ package stats
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -125,8 +126,8 @@ func Collect(t *table.Table) *TableStats {
 	return ts
 }
 
-// keyToValue reconstructs a displayable value from a Value.Key encoding;
-// only used for heavy-hitter reporting.
+// keyToValue reconstructs the value behind a Value.Key encoding: the
+// sketch reports heavy hitters by key, HeavyFreq matches them by value.
 func keyToValue(key string) table.Value {
 	if key == "" {
 		return table.Null
@@ -150,6 +151,12 @@ func keyToValue(key string) table.Value {
 			n = -n
 		}
 		return table.NewInt(n)
+	case 'f':
+		bits, err := strconv.ParseUint(key[1:], 16, 64)
+		if err != nil {
+			return table.NewString(key)
+		}
+		return table.NewFloat(math.Float64frombits(bits))
 	case 's':
 		return table.NewString(key[1:])
 	case 'b':

@@ -127,8 +127,12 @@ func TestTableMergedColumn(t *testing.T) {
 	}
 }
 
+// summaryBuildRows is the input BenchmarkSummaryBuild times and
+// TestHotPathAllocCeilings gates.
+const summaryBuildRows = 4096
+
 func BenchmarkSummaryBuild(b *testing.B) {
-	rows := sumRows(4096)
+	rows := sumRows(summaryBuildRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -137,4 +141,24 @@ func BenchmarkSummaryBuild(b *testing.B) {
 			b.Fatal("bad summary")
 		}
 	}
+}
+
+// TestHotPathAllocCeilings is internal/exec's test of the same name for
+// the one gated hot path that lives here: the partition-summary builder
+// the pruning pass reads must not quietly bloat. The ceiling is 1.1× the
+// 20266 allocations a build of 4096 rows made when it was introduced
+// (and makes today, at any GOMAXPROCS).
+func TestHotPathAllocCeilings(t *testing.T) {
+	t.Run("BenchmarkSummaryBuild", func(t *testing.T) {
+		const ceiling = 22292
+		rows := sumRows(summaryBuildRows)
+		got := testing.AllocsPerRun(3, func() {
+			if ps := BuildSummary(rows, 3); ps.NumRows != len(rows) {
+				t.Error("bad summary")
+			}
+		})
+		if got > ceiling {
+			t.Errorf("%.0f allocs/run, ceiling %d", got, ceiling)
+		}
+	})
 }

@@ -7,8 +7,8 @@ package workload
 // group-bys and filters — which is the shape the sample cache exploits:
 // one materialized sampler output per distinct fragment serves every
 // refresh of its panel. examples/dashboard drives this set
-// interactively; quickr-bench -dashboard uses it as the serving-shape
-// benchmark.
+// interactively; the repository benchmark's dashboard_repeat and
+// ingest_refresh workloads refresh it in a closed loop.
 func DashboardQueries() []Query {
 	return []Query{
 		{ID: "d01", Desc: "traffic by country", SQL: `

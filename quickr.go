@@ -193,9 +193,6 @@ func (e *Engine) SetOptions(o core.Options) { e.reconfigure(func(s *settings) { 
 // across batch sizes.
 func (e *Engine) SetBatchSize(n int) { e.reconfigure(func(s *settings) { s.batchSize = n }) }
 
-// BatchSize returns the configured executor batch size.
-func (e *Engine) BatchSize() int { return e.cur.Load().batchSize }
-
 // SetColumnar does nothing but bump the epoch: the columnar chain is
 // the executor's only pipeline path.
 //
@@ -260,15 +257,6 @@ func (e *Engine) SetSampleCache(bytes int64) {
 		sc = exec.NewSampleCache(bytes)
 	}
 	e.reconfigure(func(s *settings) { s.sampleCache = sc })
-}
-
-// SampleCacheBudget returns the sample cache's byte budget, 0 when the
-// cache is disabled.
-func (e *Engine) SampleCacheBudget() int64 {
-	if sc := e.cur.Load().sampleCache; sc != nil {
-		return sc.Budget()
-	}
-	return 0
 }
 
 // CreateTable registers an empty table with the given columns, split

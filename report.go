@@ -32,8 +32,8 @@ type RunMetrics struct {
 	PoolStolen int `json:"pool_stolen"`
 	// PartitionsScanned and PartitionsPruned count base-table partitions
 	// read and skipped by the partition-selection pass. Always emitted
-	// (schema-checked by benchcheck); both reflect full scans when the
-	// pass is off or ineligible, with PartitionsPruned = 0.
+	// (the stats_*.golden files pin the schema); both reflect full scans
+	// when the pass is off or ineligible, with PartitionsPruned = 0.
 	PartitionsScanned int64 `json:"partitions_scanned"`
 	PartitionsPruned  int64 `json:"partitions_pruned"`
 }
