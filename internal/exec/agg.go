@@ -1,8 +1,9 @@
 package exec
 
 import (
+	"bytes"
 	"math"
-	"sort"
+	"slices"
 
 	"quickr/internal/accuracy"
 	"quickr/internal/lplan"
@@ -25,66 +26,51 @@ import (
 // universe sampler whole key-subspaces are included together, so the
 // variance is computed over per-subspace partial sums Y_g:
 // Var̂ = ((1−p)/p²)·Σ_{g∈sample} Y_g².
+//
+// The runner never sees a row. addBatch resolves one dense group id per
+// live lane from the group-key vectors (keyTable) and then folds one
+// aggregate at a time over (group ids, argument vector, condition
+// vector, weights) into accumulator columns indexed by group id, reading
+// only group, argument, condition and universe columns. Every
+// accumulator still meets its lanes in partition order, so each float
+// sum adds the same terms in the same order as a row-at-a-time fold.
 type aggRunner struct {
 	p        *PHashAgg
 	groupIdx []int
-	argIdx   []int
-	condIdx  []int
-	uniIdx   []int // positions of universe columns, if present in input
-	// Groups are found by 64-bit canonical hash through an
-	// open-addressing index (key equality verified on collision), so the
-	// per-row hot loop allocates nothing for already-seen groups. The
-	// dense group array is in first-seen order; each group's legacy
-	// concatenated string key is built once at creation and only used to
-	// reproduce the historical emit order.
-	idx    *hashIndex
-	groups []*groupAcc
-	keyBuf []byte // scratch for canonical key strings (new groups only)
+	argIdx   []int     // -1: the aggregate reads no argument
+	condIdx  []int     // -1: the aggregate tests no condition
+	uniIdx   []int     // positions of universe columns, if present in input
+	groups   *keyTable // group key -> group id, in first-seen order
+	subs     *keyTable // universe-column tuple -> subspace id
+	n        []int64   // input rows per group
+	aggs     []aggAcc
+
+	// Per-batch scratch; all but use are indexed by lane.
+	ident, use        []int32
+	gids, uids, slots []int64
+	xs, ones          []float64
+	keys              []Vector
+	pair              [2]Vector
 }
 
-type groupAcc struct {
-	key  []table.Value
-	skey string // concatenated Value.Key() form; sorted at emit
-	n    int64
-	aggs []aggAcc
-}
-
+// aggAcc holds one aggregate's accumulators as columns indexed by group
+// id; only those its kind needs are ever grown.
 type aggAcc struct {
-	sumWX    float64
-	sumW     float64
-	varTerm  float64 // Σ (w²−w)·x² (row-independent samplers)
-	distinct map[string]bool
-	min, max table.Value
-	uni      *uniAcc // per-universe-subspace Σx
-	seen     bool
-}
-
-// uniAcc accumulates per-universe-subspace partial sums Y_g for the
-// universe variance estimator, hash-indexed like the group table so
-// rows of an already-seen subspace cost no allocation.
-type uniAcc struct {
-	idx  *hashIndex
-	keys [][]table.Value
-	sums []float64
-}
-
-// add folds x into the subspace holding row's universe columns.
-func (u *uniAcc) add(h uint64, row table.Row, uniIdx []int, x float64) {
-	e := u.idx.probe(h, func(i int) bool { return rowKeyEqualValues(u.keys[i], row, uniIdx) })
-	if e < 0 {
-		key := make([]table.Value, len(uniIdx))
-		for j, i := range uniIdx {
-			key[j] = row[i]
-		}
-		e = u.idx.add(h)
-		u.keys = append(u.keys, key)
-		u.sums = append(u.sums, 0)
-	}
-	u.sums[e] += x
+	sumWX   []float64
+	sumW    []float64
+	varTerm []float64     // Σ (w²−w)·x² (row-independent samplers)
+	mm      []table.Value // MIN or MAX so far; NULL until a value is met
+	// distinct is the COUNT(DISTINCT) set: the (group id, argument) pairs
+	// met, under Key() equality, so 2 and 2.0 are one value.
+	distinct *keyTable
+	// uni numbers the (group id, subspace id) pairs met, in first-seen
+	// order, and uniSum holds their partial sums Y_g.
+	uni    *keyTable
+	uniSum []float64
 }
 
 func newAggRunner(p *PHashAgg, cm colMap) (*aggRunner, error) {
-	r := &aggRunner{p: p, idx: newHashIndex(16)}
+	r := &aggRunner{p: p, groups: newKeyTable(len(p.GroupCols)), aggs: make([]aggAcc, len(p.Aggs))}
 	for _, g := range p.GroupCols {
 		i, ok := cm[g]
 		if !ok {
@@ -92,7 +78,15 @@ func newAggRunner(p *PHashAgg, cm colMap) (*aggRunner, error) {
 		}
 		r.groupIdx = append(r.groupIdx, i)
 	}
-	for _, a := range p.Aggs {
+	if p.Est != nil && p.Est.Type == lplan.SamplerUniverse {
+		for _, u := range p.Est.UniverseCols {
+			if i, ok := cm[u]; ok {
+				r.uniIdx = append(r.uniIdx, i)
+			}
+		}
+		r.subs = newKeyTable(len(r.uniIdx))
+	}
+	for j, a := range p.Aggs {
 		ai, ci := -1, -1
 		if a.Arg != lplan.NoColumn {
 			i, ok := cm[a.Arg]
@@ -108,15 +102,22 @@ func newAggRunner(p *PHashAgg, cm colMap) (*aggRunner, error) {
 			}
 			ci = i
 		}
+		// Which of the two an aggregate consults is a property of its kind.
+		switch a.Kind {
+		case lplan.AggCountIf:
+			ai = -1
+		case lplan.AggSumIf, lplan.AggAvg:
+		case lplan.AggCountDistinct:
+			ci = -1
+			r.aggs[j].distinct = newKeyTable(2)
+		default:
+			ci = -1
+		}
+		if len(r.uniIdx) > 0 && a.Kind != lplan.AggCountDistinct && a.Kind != lplan.AggMin && a.Kind != lplan.AggMax {
+			r.aggs[j].uni = newKeyTable(2)
+		}
 		r.argIdx = append(r.argIdx, ai)
 		r.condIdx = append(r.condIdx, ci)
-	}
-	if p.Est != nil && p.Est.Type == lplan.SamplerUniverse {
-		for _, u := range p.Est.UniverseCols {
-			if i, ok := cm[u]; ok {
-				r.uniIdx = append(r.uniIdx, i)
-			}
-		}
 	}
 	return r, nil
 }
@@ -127,196 +128,237 @@ func (e colMissingError) Error() string { return "exec: aggregate input column m
 
 func errColMissing(id lplan.ColumnID) error { return colMissingError(id) }
 
-//hot:per-input-row grouped-aggregation accumulate, gated by BenchmarkGroupedAgg and BenchmarkPreAggKernel
-func (r *aggRunner) add(row table.Row, w float64) {
-	h := hashRowKey(row, r.groupIdx)
-	gi := r.idx.probe(h, func(i int) bool { return rowKeyEqualValues(r.groups[i].key, row, r.groupIdx) })
-	var g *groupAcc
-	if gi >= 0 {
-		g = r.groups[gi]
-	} else {
-		g = &groupAcc{key: make([]table.Value, len(r.groupIdx)), aggs: make([]aggAcc, len(r.p.Aggs))}
-		for j, i := range r.groupIdx {
-			g.key[j] = row[i]
-		}
-		r.keyBuf = appendRowKey(r.keyBuf[:0], row, r.groupIdx)
-		g.skey = string(r.keyBuf)
-		r.idx.add(h)
-		r.groups = append(r.groups, g)
+// growZero lengthens a group-indexed column to n entries, the new ones
+// zero.
+func growZero[T any](s []T, n int) []T {
+	m := len(s)
+	if n <= m {
+		return s
 	}
-	g.n++
-
-	// The universe-subspace hash is only needed on accumulation paths
-	// that actually consume it; computed at most once per row.
-	uniH := uint64(0)
-	uniHashed := false
-
-	for j, spec := range r.p.Aggs {
-		acc := &g.aggs[j]
-		ai, ci := r.argIdx[j], r.condIdx[j]
-		condTrue := true
-		if ci >= 0 {
-			condTrue = truthy(row[ci])
-		}
-		var x float64
-		use := false
-		switch spec.Kind {
-		case lplan.AggCount:
-			if ai < 0 || !row[ai].IsNull() {
-				x, use = 1, true
-			}
-		case lplan.AggCountIf:
-			if condTrue {
-				x, use = 1, true
-			}
-		case lplan.AggSum:
-			if ai >= 0 && !row[ai].IsNull() {
-				x, use = row[ai].Float(), true
-			}
-		case lplan.AggSumIf:
-			if condTrue && ai >= 0 && !row[ai].IsNull() {
-				x, use = row[ai].Float(), true
-			}
-		case lplan.AggAvg:
-			if condTrue && ai >= 0 && !row[ai].IsNull() {
-				x, use = row[ai].Float(), true
-			}
-		case lplan.AggCountDistinct:
-			if ai >= 0 && !row[ai].IsNull() {
-				if acc.distinct == nil {
-					acc.distinct = map[string]bool{}
-				}
-				acc.distinct[row[ai].Key()] = true
-			}
-		case lplan.AggMin:
-			if ai >= 0 && !row[ai].IsNull() {
-				if acc.min.IsNull() || row[ai].Compare(acc.min) < 0 {
-					acc.min = row[ai]
-				}
-				acc.seen = true
-			}
-		case lplan.AggMax:
-			if ai >= 0 && !row[ai].IsNull() {
-				if acc.max.IsNull() || row[ai].Compare(acc.max) > 0 {
-					acc.max = row[ai]
-				}
-				acc.seen = true
-			}
-		}
-		if use {
-			acc.sumWX += w * x
-			acc.varTerm += (w*w - w) * x * x
-			acc.seen = true
-			if len(r.uniIdx) > 0 {
-				if !uniHashed {
-					uniH = hashRowKey(row, r.uniIdx)
-					uniHashed = true
-				}
-				if acc.uni == nil {
-					acc.uni = &uniAcc{idx: newHashIndex(4)}
-				}
-				acc.uni.add(uniH, row, r.uniIdx, x)
-			}
-		}
-		// Denominator weight for AVG tracks the same condition filter.
-		if spec.Kind == lplan.AggAvg && condTrue && ai >= 0 && !row[ai].IsNull() {
-			acc.sumW += w
-		}
-	}
+	s = slices.Grow(s, n-m)[:n]
+	clear(s[m:])
+	return s
 }
 
-// addBatch folds a columnar batch's live rows into the runner through a
-// reusable gather row (the accumulators copy every Value they keep, so
-// reusing the row is safe). The add() call sequence — and therefore
-// every accumulator state — is identical to running add() over the
-// materialized rows. Returns the number of rows folded.
+// pick lists the idx columns of b in the runner's key scratch.
+func (r *aggRunner) pick(b *Batch, idx []int) []Vector {
+	r.keys = r.keys[:0]
+	for _, i := range idx {
+		r.keys = append(r.keys, b.cols[i])
+	}
+	return r.keys
+}
+
+// addBatch folds a batch's live lanes into the runner and returns how
+// many there were.
 //
-//hot:per-batch columnar aggregation gather loop
-func (r *aggRunner) addBatch(b *Batch, sc *colScratch) int {
-	row := sc.row(len(b.cols))
-	if b.sel != nil {
-		for _, lane := range b.sel {
-			for c := range b.cols {
-				row[c] = b.cols[c].Value(int(lane))
-			}
-			r.add(row, b.weights[lane])
-		}
-		return len(b.sel)
+//hot:per-batch grouped aggregation, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
+func (r *aggRunner) addBatch(b *Batch) int {
+	lanes := b.liveSel(r.ident)
+	if b.sel == nil {
+		r.ident = lanes // keep the buffer
 	}
-	for i := 0; i < b.n; i++ {
-		for c := range b.cols {
-			row[c] = b.cols[c].Value(i)
-		}
-		r.add(row, b.weights[i])
+	r.gids = growInts(r.gids, b.n)
+	r.groups.resolve(r.gids, r.pick(b, r.groupIdx), lanes)
+	r.n = growZero(r.n, r.groups.len())
+	for _, i := range lanes {
+		r.n[r.gids[i]]++
 	}
-	return b.n
+	if len(r.uniIdx) > 0 {
+		r.uids = growInts(r.uids, b.n)
+		r.subs.resolve(r.uids, r.pick(b, r.uniIdx), lanes)
+	}
+	for j := range r.aggs {
+		r.fold(j, b, lanes)
+	}
+	return len(lanes)
 }
 
-// finishGroup converts a group's accumulators into output values and
-// standard errors.
-func (r *aggRunner) finishGroup(g *groupAcc) ([]table.Value, []float64) {
-	est := r.p.Est
-	vals := make([]table.Value, len(r.p.Aggs))
-	errs := make([]float64, len(r.p.Aggs))
-	for j, spec := range r.p.Aggs {
-		acc := &g.aggs[j]
-		var v float64
-		switch spec.Kind {
-		case lplan.AggCount, lplan.AggCountIf, lplan.AggSum, lplan.AggSumIf:
-			v = acc.sumWX
-		case lplan.AggAvg:
-			if acc.sumW > 0 {
-				v = acc.sumWX / acc.sumW
-			} else {
-				vals[j] = table.Null
-				continue
-			}
-		case lplan.AggCountDistinct:
-			n := float64(len(acc.distinct))
-			if est != nil && est.Type == lplan.SamplerUniverse && est.P > 0 && r.argIsUniverse(spec) {
-				n /= est.P
-			}
-			vals[j] = table.NewInt(int64(math.Round(n)))
-			continue
-		case lplan.AggMin:
-			vals[j] = acc.min
-			continue
-		case lplan.AggMax:
-			vals[j] = acc.max
-			continue
-		}
-		// Variance estimate.
-		variance := acc.varTerm
-		if est != nil && est.Type == lplan.SamplerUniverse && est.P > 0 && acc.uni != nil && len(acc.uni.sums) > 0 {
-			var sub float64
-			for _, y := range acc.uni.sums {
-				sub += y * y
-			}
-			uvar := (1 - est.P) / (est.P * est.P) * sub
-			if uvar > variance {
-				variance = uvar
+// live returns the lanes whose cond lane is true and whose arg lane is
+// not NULL; a nil vector tests nothing.
+//
+//hot:per-lane condition and NULL thinning of the aggregate
+func (r *aggRunner) live(lanes []int32, arg, cond *Vector) []int32 {
+	if cond != nil {
+		r.use = truthyLanes(r.use[:0], cond, &Batch{sel: lanes})
+		lanes = r.use
+	}
+	if arg != nil && arg.hasNulls() {
+		// Compacts r.use in place when the condition has just filled it.
+		use := r.use[:0]
+		for _, i := range lanes {
+			if !arg.IsNull(int(i)) {
+				use = append(use, i)
 			}
 		}
-		if est != nil && est.PartP > 0 && est.PartP < 1 {
-			// Partition pruning cluster-samples the scan: add the
-			// selection variance on the weighted-sum scale (AVG's ÷sumW
-			// below rescales it with the rest).
-			variance += accuracy.PartitionVariance(acc.sumWX, est.PartP, est.PartTail, est.PartTailFrac)
+		r.use, lanes = use, use
+	}
+	return lanes
+}
+
+// fold accumulates aggregate j over the batch's lanes, whose group ids
+// (and subspace ids) addBatch has resolved.
+//
+//hot:per-lane accumulator loops of the aggregate, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
+func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
+	a, kind, ng := &r.aggs[j], r.p.Aggs[j].Kind, r.groups.len()
+	var arg, cond *Vector
+	if ai := r.argIdx[j]; ai >= 0 {
+		arg = &b.cols[ai]
+	} else if kind != lplan.AggCount && kind != lplan.AggCountIf {
+		lanes = nil // an aggregate without its argument meets no value
+	}
+	if ci := r.condIdx[j]; ci >= 0 {
+		cond = &b.cols[ci]
+	}
+	lanes = r.live(lanes, arg, cond)
+	gids, w := r.gids, b.weights
+	var xs []float64 // the addends, by lane
+	switch kind {
+	case lplan.AggCountDistinct:
+		if len(lanes) > 0 {
+			r.slots = growInts(r.slots, b.n)
+			r.pair[0], r.pair[1] = Vector{K: VKInt, N: b.n, Ints: gids}, *arg
+			a.distinct.resolve(r.slots, r.pair[:], lanes)
 		}
-		if variance > 0 {
-			errs[j] = math.Sqrt(variance)
-			if spec.Kind == lplan.AggAvg && acc.sumW > 0 {
-				errs[j] /= acc.sumW
+		return
+	case lplan.AggMin, lplan.AggMax:
+		sign := 1
+		if kind == lplan.AggMax {
+			sign = -1
+		}
+		a.mm = growZero(a.mm, ng)
+		for _, i := range lanes {
+			if v, cur := arg.Value(int(i)), &a.mm[gids[i]]; cur.IsNull() || sign*v.Compare(*cur) < 0 {
+				*cur = v
 			}
 		}
-		switch spec.Out.Kind {
-		case table.KindInt:
-			vals[j] = table.NewInt(int64(math.Round(v)))
-		default:
-			vals[j] = table.NewFloat(v)
+		return
+	case lplan.AggCount, lplan.AggCountIf:
+		for len(r.ones) < b.n {
+			r.ones = append(r.ones, 1)
+		}
+		xs = r.ones
+	default:
+		xs = r.addends(arg, lanes)
+	}
+	a.sumWX, a.varTerm = growZero(a.sumWX, ng), growZero(a.varTerm, ng)
+	sumWX, varTerm := a.sumWX, a.varTerm
+	for _, i := range lanes {
+		g, x, wi := gids[i], xs[i], w[i]
+		sumWX[g] += wi * x
+		varTerm[g] += (wi*wi - wi) * x * x
+	}
+	if kind == lplan.AggAvg {
+		// The denominator weight follows the same condition filter.
+		a.sumW = growZero(a.sumW, ng)
+		for _, i := range lanes {
+			a.sumW[gids[i]] += w[i]
 		}
 	}
-	return vals, errs
+	if a.uni != nil && len(lanes) > 0 {
+		r.slots = growInts(r.slots, b.n)
+		r.pair[0], r.pair[1] = Vector{K: VKInt, N: b.n, Ints: gids}, Vector{K: VKInt, N: b.n, Ints: r.uids}
+		a.uni.resolve(r.slots, r.pair[:], lanes)
+		a.uniSum = growZero(a.uniSum, a.uni.len())
+		for _, i := range lanes {
+			a.uniSum[r.slots[i]] += xs[i]
+		}
+	}
+}
+
+// addends returns arg's listed lanes as floats, indexed by lane: the
+// payload itself, or the runner's scratch filled like Value.Float.
+func (r *aggRunner) addends(arg *Vector, lanes []int32) []float64 {
+	if len(lanes) == 0 {
+		return nil // also the aggregate without an argument
+	}
+	if arg.K == VKFloat {
+		return arg.Floats
+	}
+	r.xs = growFloats(r.xs, arg.N)
+	if arg.K == VKInt {
+		for _, i := range lanes {
+			r.xs[i] = float64(arg.Ints[i])
+		}
+	} else {
+		for _, i := range lanes {
+			r.xs[i] = arg.laneFloat(int(i))
+		}
+	}
+	return r.xs
+}
+
+// finish converts the accumulators into output values and standard
+// errors, group g's at [g*len(Aggs), (g+1)*len(Aggs)).
+func (r *aggRunner) finish(vals []table.Value, errs []float64) {
+	est, ng, na := r.p.Est, r.groups.len(), len(r.p.Aggs)
+	universe := est != nil && est.Type == lplan.SamplerUniverse && est.P > 0
+	for j, spec := range r.p.Aggs {
+		a := &r.aggs[j]
+		switch spec.Kind {
+		case lplan.AggCountDistinct:
+			cnt := make([]float64, ng)
+			for _, g := range a.distinct.cols[0].ints {
+				cnt[g]++
+			}
+			scale := universe && r.argIsUniverse(spec)
+			for g, n := range cnt {
+				if scale {
+					n /= est.P
+				}
+				vals[g*na+j] = table.NewInt(int64(math.Round(n)))
+			}
+			continue
+		case lplan.AggMin, lplan.AggMax:
+			for g, v := range a.mm {
+				vals[g*na+j] = v
+			}
+			continue
+		}
+		// Σ Y_g² per group, each group's subspaces in first-seen order.
+		var sub []float64
+		if universe && a.uni != nil {
+			sub = make([]float64, ng)
+			for e, g := range a.uni.cols[0].ints {
+				sub[g] += a.uniSum[e] * a.uniSum[e]
+			}
+		}
+		for g := 0; g < ng; g++ {
+			o := g*na + j
+			v := a.sumWX[g]
+			if spec.Kind == lplan.AggAvg {
+				if a.sumW[g] <= 0 {
+					vals[o] = table.Null
+					continue
+				}
+				v /= a.sumW[g]
+			}
+			variance := a.varTerm[g]
+			if sub != nil {
+				if uvar := (1 - est.P) / (est.P * est.P) * sub[g]; uvar > variance {
+					variance = uvar
+				}
+			}
+			if est != nil && est.PartP > 0 && est.PartP < 1 {
+				// Partition pruning cluster-samples the scan: add the
+				// selection variance on the weighted-sum scale (AVG's ÷sumW
+				// below rescales it with the rest).
+				variance += accuracy.PartitionVariance(a.sumWX[g], est.PartP, est.PartTail, est.PartTailFrac)
+			}
+			if variance > 0 {
+				errs[o] = math.Sqrt(variance)
+				if spec.Kind == lplan.AggAvg {
+					errs[o] /= a.sumW[g]
+				}
+			}
+			if spec.Out.Kind == table.KindInt {
+				vals[o] = table.NewInt(int64(math.Round(v)))
+			} else {
+				vals[o] = table.NewFloat(v)
+			}
+		}
+	}
 }
 
 // argIsUniverse reports whether the aggregate argument is exactly over
@@ -334,34 +376,70 @@ func (r *aggRunner) argIsUniverse(spec lplan.AggSpec) bool {
 	return false
 }
 
-// emit renders the partition's groups as a column-major output
-// partition of weight-1 rows (deterministically ordered) plus estimate
-// records. Order is by the canonical string key, exactly as when groups
-// lived in a string-keyed map.
-func (r *aggRunner) emit() (Part, []GroupEstimate) {
-	order := make([]*groupAcc, len(r.groups))
-	copy(order, r.groups)
-	sort.Slice(order, func(a, b int) bool { return order[a].skey < order[b].skey })
-	out := newPartBuilder(len(r.groupIdx)+len(r.p.Aggs), len(order))
-	ests := make([]GroupEstimate, 0, len(order))
-	for _, g := range order {
-		vals, errs := r.finishGroup(g)
-		out.appendRow(g.key, vals)
-		ests = append(ests, GroupEstimate{Key: g.key, Values: vals, StdErr: errs, SampleRows: g.n})
+// emitOrder returns the group ids ordered by the groups' canonical
+// string keys (each column's Value.Key() and a NUL), as when groups
+// lived in a string-keyed map. The strings are rendered once, into one
+// arena, for this sort only.
+func (r *aggRunner) emitOrder() []int32 {
+	ng := r.groups.len()
+	order, end := make([]int32, ng), make([]int, ng+1)
+	var arena []byte
+	for g := range order {
+		order[g] = int32(g)
+		for k := range r.groups.keys {
+			arena = append(r.groups.keys[k].Value(g).AppendKey(arena), 0)
+		}
+		end[g+1] = len(arena)
 	}
-	// Global aggregate over an empty input still yields one row.
-	if len(r.groups) == 0 && len(r.groupIdx) == 0 {
-		row := make(table.Row, len(r.p.Aggs))
+	slices.SortFunc(order, func(a, b int32) int {
+		return bytes.Compare(arena[end[a]:end[a+1]], arena[end[b]:end[b+1]])
+	})
+	return order
+}
+
+// emit renders the partition's groups as a column-major output
+// partition of weight-1 rows in emitOrder, gathered from the typed key
+// columns, plus — for the top aggregate — their estimate records, carved
+// from one backing array per field.
+func (r *aggRunner) emit() (Part, []GroupEstimate) {
+	ng, nk, na := r.groups.len(), len(r.groupIdx), len(r.p.Aggs)
+	if ng == 0 && nk > 0 {
+		return emptyPart(nk + na), nil
+	}
+	vals, errs := make([]table.Value, max(ng, 1)*na), make([]float64, max(ng, 1)*na)
+	out := newPartBuilder(nk+na, max(ng, 1))
+	if ng == 0 {
+		// Global aggregate over an empty input still yields one row.
 		for j, spec := range r.p.Aggs {
 			switch spec.Kind {
 			case lplan.AggCount, lplan.AggCountIf, lplan.AggCountDistinct:
-				row[j] = table.NewInt(0)
-			default:
-				row[j] = table.Null
+				vals[j] = table.NewInt(0)
 			}
 		}
-		out.appendRow(row)
-		ests = append(ests, GroupEstimate{Values: row, StdErr: make([]float64, len(r.p.Aggs))})
+		out.appendRow(vals)
+		return out.finish(), []GroupEstimate{{Values: vals, StdErr: errs}}
+	}
+	r.finish(vals, errs)
+	order := r.emitOrder()
+	out.appendGather(r.groups.keys, order, 0)
+	for j := 0; j < na; j++ {
+		for _, g := range order {
+			out.cols[nk+j].append(vals[int(g)*na+j])
+		}
+	}
+	for range order {
+		out.w = append(out.w, 1)
+	}
+	if !r.p.Top {
+		return out.finish(), nil
+	}
+	ests, keys := make([]GroupEstimate, ng), make([]table.Value, ng*nk)
+	for i, g := range order {
+		key, o := keys[i*nk:(i+1)*nk:(i+1)*nk], int(g)*na
+		for k := range key {
+			key[k] = r.groups.keys[k].Value(int(g))
+		}
+		ests[i] = GroupEstimate{Key: key, Values: vals[o : o+na : o+na], StdErr: errs[o : o+na : o+na], SampleRows: r.n[g]}
 	}
 	return out.finish(), ests
 }

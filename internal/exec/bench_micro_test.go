@@ -1,7 +1,8 @@
 package exec
 
 // Microbenchmarks for the executor's hottest paths — hash-join
-// build/probe, the exchange scatter, grouped aggregation and window
+// build/probe, the exchange scatter, grouped aggregation (a two-column
+// key, a lone dictionary key, a lone integer key) and window
 // partitioning — plus the parallel sort; the four kernel plans live in
 // bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
@@ -54,28 +55,32 @@ type hotPlan struct {
 	maxAllocs float64 // allocations per run, held by TestHotPathAllocCeilings
 }
 
-// hotPlans is the gated surface. The ceilings are absolute counts: for
-// the two joins and the four kernels 1.25× what a run allocated when
-// every breaker went column-major (933, 922, 948, 1277, 631, 6827 — a
-// 32Ki–64Ki-row run allocates builders and index lists, nothing per
-// row, and one boxed row per lane would add tens of thousands); for the
-// exchange 1.25× its count at introduction (2628); for aggregation and
-// window 0.70× and for the sort 1.05× what they allocated before the
-// hash-path rework of DESIGN §10 (369649, 165554, 66017 — a run of them
-// allocates 2181, 2157 and 971 today, so these three have slack to
-// take up). Counts repeat to within ±6 at GOMAXPROCS 1, 2 and 8: pool
-// scheduling is the only jitter.
+// hotPlans is the gated surface. The ceilings are absolute counts, each
+// 1.25× what a run of the plan allocated when the ceiling was last set:
+// the two joins and the four kernels when every breaker went
+// column-major (933, 922, 948, 1277, 631 — and 866 for the pre-aggregation
+// kernel once the aggregate went typed), the exchange at its introduction
+// (2628), the three aggregations when the aggregate stopped boxing rows
+// (821, 695, 911: builders, tables and accumulator columns per
+// partition, nothing per row or per group), window and sort at the same
+// time (2157, 971). A 16Ki–64Ki-row run that boxed one row per lane or
+// allocated one object per group would add tens of thousands. Counts
+// repeat to within ±6 at GOMAXPROCS 1, 2 and 8: pool scheduling is the
+// only jitter. The -race build allocates 1–14% more (1034 on the integer
+// keys, 962 on the pre-aggregation kernel), which the slack absorbs.
 var hotPlans = []hotPlan{
 	{"BenchmarkJoinBroadcast", joinBroadcastPlan, 1166},
 	{"BenchmarkJoinCoPartitioned", joinCoPartitionedPlan, 1152},
 	{"BenchmarkExchangeScatter", exchangeScatterPlan, 3285},
-	{"BenchmarkGroupedAgg", groupedAggPlan, 258754},
-	{"BenchmarkWindowPartition", windowPartitionPlan, 115887},
-	{"BenchmarkSortPartitions", sortPartitionsPlan, 69317},
+	{"BenchmarkGroupedAgg", groupedAggPlan, 1026},
+	{"BenchmarkAggDictKey", aggDictKeyPlan, 868},
+	{"BenchmarkAggIntKeys", aggIntKeysPlan, 1138},
+	{"BenchmarkWindowPartition", windowPartitionPlan, 2696},
+	{"BenchmarkSortPartitions", sortPartitionsPlan, 1213},
 	{"BenchmarkFilterKernel", kernelFilterPlan, 1185},
 	{"BenchmarkProjectKernel", kernelProjectPlan, 1596},
 	{"BenchmarkSamplerKernel", kernelSamplerPlan, 788},
-	{"BenchmarkPreAggKernel", kernelPreAggPlan, 8533},
+	{"BenchmarkPreAggKernel", kernelPreAggPlan, 1082},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -84,8 +89,8 @@ var hotPlans = []hotPlan{
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 10 {
-		t.Fatalf("hotPlans holds %d plans, want the 10 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 12 {
+		t.Fatalf("hotPlans holds %d plans, want the 12 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -180,6 +185,67 @@ func groupedAggPlan() (PNode, int) {
 // group lookup per input row (int + string group key) with SUM and
 // COUNT accumulators. Already-seen groups must not allocate.
 func BenchmarkGroupedAgg(b *testing.B) { benchPlan(b, groupedAggPlan) }
+
+// aggDictKeyPlan is the benchmark's h01 shape: a lone dictionary-coded
+// string key of 3 groups under SUM, SUM, AVG and COUNT.
+func aggDictKeyPlan() (PNode, int) {
+	const parts, groups, rows = 4, 3, 65536
+	tbl := table.New("bench_flags", table.NewSchema(
+		table.Column{Name: "flag", Kind: table.KindString},
+		table.Column{Name: "qty", Kind: table.KindFloat},
+		table.Column{Name: "price", Kind: table.KindFloat},
+		table.Column{Name: "disc", Kind: table.KindFloat},
+	), parts)
+	for i := 0; i < rows; i++ {
+		tbl.Append(i, table.Row{
+			table.NewString([]string{"A", "N", "R"}[i%groups]),
+			table.NewFloat(float64(i % 50)),
+			table.NewFloat(float64(i) * 0.25),
+			table.NewFloat(float64(i%11) / 100),
+		})
+	}
+	scan := scanOf(tbl)
+	c := scan.OutCols
+	agg := &PHashAgg{In: scan, GroupCols: []lplan.ColumnID{c[0].ID}, GroupInfo: c[:1]}
+	for j, spec := range []lplan.AggSpec{
+		{Kind: lplan.AggSum, Arg: c[1].ID}, {Kind: lplan.AggSum, Arg: c[2].ID},
+		{Kind: lplan.AggAvg, Arg: c[3].ID}, {Kind: lplan.AggCount, Arg: lplan.NoColumn},
+	} {
+		nextID++
+		spec.Cond = lplan.NoColumn
+		spec.Out = lplan.ColumnInfo{ID: nextID, Name: fmt.Sprintf("a%d", j), Kind: table.KindFloat}
+		agg.Aggs = append(agg.Aggs, spec)
+	}
+	return agg, parts * groups // every partition meets every flag
+}
+
+// BenchmarkAggDictKey measures the aggregate over a lone dictionary
+// key: group ids come from a per-dictionary-code cache, and four
+// accumulator loops run over them.
+func BenchmarkAggDictKey(b *testing.B) { benchPlan(b, aggDictKeyPlan) }
+
+// aggIntKeysPlan is the benchmark's o07 shape: a lone integer key of
+// 20 480 groups under COUNT, so most lanes of a batch meet another group.
+func aggIntKeysPlan() (PNode, int) {
+	const parts, groups, rows = 4, 20480, 65536
+	tbl := table.New("bench_uids", table.NewSchema(table.Column{Name: "uid", Kind: table.KindInt}), parts)
+	for i := 0; i < rows; i++ {
+		k := i * 7919 % groups
+		tbl.Append(k, table.Row{table.NewInt(int64(k))})
+	}
+	scan := scanOf(tbl)
+	nextID++
+	return &PHashAgg{
+		In: scan, GroupCols: []lplan.ColumnID{scan.OutCols[0].ID}, GroupInfo: scan.OutCols,
+		Aggs: []lplan.AggSpec{{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn,
+			Out: lplan.ColumnInfo{ID: nextID, Name: "hits", Kind: table.KindInt}}},
+	}, groups
+}
+
+// BenchmarkAggIntKeys measures the aggregate over a lone integer key of
+// many groups: a closure-free probe per lane, keys and counts in typed
+// columns indexed by group id.
+func BenchmarkAggIntKeys(b *testing.B) { benchPlan(b, aggIntKeysPlan) }
 
 func windowPartitionPlan() (PNode, int) {
 	const parts, groups, rows = 4, 64, 16384

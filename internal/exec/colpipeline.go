@@ -715,8 +715,7 @@ func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 // execAgg runs a hash aggregate over whatever feeds it: the chain below
 // (possibly empty, when the input is a breaker's output) is fused into
 // the aggregate, its batches folding into the aggregation runner
-// through a reusable gather row without building the aggregate's input
-// first.
+// vector by vector without building the aggregate's input first.
 func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 	cc, err := ex.buildColChain(p.In)
 	if err != nil {
@@ -743,7 +742,7 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 			return err
 		}
 		nrows := 0
-		if err := cc.drive(i, func(b *Batch, sc *colScratch) { nrows += r.addBatch(b, sc) }); err != nil {
+		if err := cc.drive(i, func(b *Batch, _ *colScratch) { nrows += r.addBatch(b) }); err != nil {
 			return err
 		}
 		out, ests := r.emit()

@@ -1,13 +1,17 @@
 package exec
 
-// Open-addressing hash tables for the executor's hot paths. Two shapes
+// Open-addressing hash tables for the executor's hot paths. Three shapes
 // live here:
 //
-//   - hashIndex: a growable hash→dense-index table used by grouped
-//     aggregation and window partitioning. Keys live in caller-owned
-//     dense arrays; the table stores only hashes and entry indexes, so
-//     a lookup of an already-seen key allocates nothing. Equality is
-//     verified through a callback on hash collision.
+//   - hashIndex: a growable hash→dense-index table. Keys live in
+//     caller-owned dense arrays; the table stores only hashes and entry
+//     indexes, so a lookup of an already-seen key allocates nothing.
+//     Equality is verified through a callback on hash collision.
+//
+//   - keyTable: a hashIndex over typed key columns. It resolves the
+//     lanes of a tuple of key vectors to dense ids in first-seen order
+//     under Value.Key() equality: the aggregate's group table, its
+//     universe-subspace table and its COUNT(DISTINCT) set.
 //
 //   - joinTable: the build side of a hash join, built once over the
 //     build partition's key columns and then shared read-only across
@@ -21,15 +25,17 @@ package exec
 // the engine previously concatenated per row.
 
 import (
+	"slices"
+
 	"quickr/internal/table"
 )
 
 // hashRowKey folds the canonical key forms of the idx columns of row
-// into one 64-bit FNV-1a hash, consistent with rowKeyEqualValues /
-// rowKeyEqualRows and with concatenated Value.Key() strings:
+// into one 64-bit FNV-1a hash, consistent with rowKeyEqualRows and with
+// concatenated Value.Key() strings:
 // Key()-equal column tuples hash identically, allocation-free.
 //
-//hot:per-row group/join key hash, gated by BenchmarkGroupedAgg allocs/op
+//hot:per-row window-partition key hash, gated by BenchmarkWindowPartition allocs/op
 func hashRowKey(row table.Row, idx []int) uint64 {
 	h := uint64(table.KeyHashSeed)
 	for _, i := range idx {
@@ -38,23 +44,10 @@ func hashRowKey(row table.Row, idx []int) uint64 {
 	return h
 }
 
-// rowKeyEqualValues compares a stored key tuple against the idx columns
-// of row under Value.Key() equality.
-//
-//hot:per-probe key compare on the grouped-agg path
-func rowKeyEqualValues(key []table.Value, row table.Row, idx []int) bool {
-	for j, i := range idx {
-		if !key[j].KeyEqual(row[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // rowKeyEqualRows compares the idx columns of two rows under
 // Value.Key() equality.
 //
-//hot:per-probe key compare on the join path
+//hot:per-probe key compare on the window-partition path
 func rowKeyEqualRows(a, b table.Row, idx []int) bool {
 	for _, i := range idx {
 		if !a[i].KeyEqual(b[i]) {
@@ -158,6 +151,181 @@ func (t *hashIndex) grow() {
 			}
 		}
 	}
+}
+
+// keyTableSeed is the HashRow seed of keyTable hashes.
+const keyTableSeed = 11
+
+// keyTable hands out dense ids, in first-seen order, to the distinct
+// tuples a set of key vectors takes, under Value.Key() equality: NULL is
+// a key and an integral float is the equal int's key. The hash is
+// hashKeys' (Hash64 equality is implied by Key() equality); the keys live
+// in one typed column per key vector, lane = id, as first seen.
+//
+// A lone dictionary-coded string key resolves once per dictionary code
+// (codeID, reset when the batch's dictionary is another one) and NULL-free
+// integer keys probe without a callback (probeInts); everything else
+// hashes batch-wise and compares lanes through keyLanesEqual.
+type keyTable struct {
+	idx    *hashIndex
+	cols   []vecBuilder // the keys
+	keys   []Vector     // cols as vectors, refreshed by insert
+	dict   []string     // the dictionary codeID translates
+	codeID []int32      // dictionary code -> id, -1 = not met yet
+	nullID int32        // id of the lone key's NULL, -1 = not met yet
+	hashes []uint64     // per-lane scratch
+	one    [1]int32
+}
+
+func newKeyTable(width int) *keyTable {
+	return &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]Vector, width), nullID: -1}
+}
+
+// len returns the number of ids handed out.
+func (t *keyTable) len() int { return t.idx.len() }
+
+// resolve writes the id of every listed lane of keys into ids, indexed
+// by lane, inserting the tuples it has not met.
+//
+//hot:per-lane group-id resolution of the aggregate, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
+func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32) {
+	if len(keys) == 0 || len(lanes) == 0 {
+		// The empty tuple is one key.
+		if t.len() == 0 && len(lanes) > 0 {
+			t.idx.add(table.HashRowSeed(keyTableSeed))
+		}
+		for _, i := range lanes {
+			ids[i] = 0
+		}
+		return
+	}
+	v := &keys[0]
+	if cap(t.hashes) < v.N {
+		t.hashes = make([]uint64, v.N)
+	}
+	t.hashes = t.hashes[:v.N]
+	switch {
+	case len(keys) == 1 && v.K == VKStr:
+		if !sameDict(t.dict, v.Dict) {
+			t.dict = v.Dict
+			t.codeID = slices.Grow(t.codeID[:0], len(v.Dict))[:len(v.Dict)]
+			for c := range t.codeID {
+				t.codeID[c] = -1
+			}
+		}
+		nul := v.nulls != nil
+		for _, i := range lanes {
+			id := &t.nullID
+			if !nul || !v.IsNull(int(i)) {
+				id = &t.codeID[v.Ints[i]]
+			}
+			if *id < 0 {
+				t.one[0] = i
+				hashKeys(t.hashes, keys, keyTableSeed, t.one[:], 0)
+				*id = int32(t.lookup(keys, int(i), t.hashes[i]))
+			}
+			ids[i] = int64(*id)
+		}
+	case t.allInts(keys):
+		h0 := table.HashRowSeed(keyTableSeed)
+		for _, i := range lanes {
+			h := h0
+			for k := range keys {
+				h = table.HashRowStep(h, table.HashInt(keys[k].Ints[i]))
+			}
+			e := t.probeInts(h, keys, int(i))
+			if e < 0 {
+				e = t.insert(keys, int(i), h)
+			}
+			ids[i] = int64(e)
+		}
+	default:
+		hashKeys(t.hashes, keys, keyTableSeed, lanes, 0)
+		for _, i := range lanes {
+			ids[i] = int64(t.lookup(keys, int(i), t.hashes[i]))
+		}
+	}
+}
+
+// allInts reports whether keys and the keys met so far are all NULL-free
+// integers, which probeInts compares payload to payload.
+func (t *keyTable) allInts(keys []Vector) bool {
+	for k := range keys {
+		v, stored := &keys[k], &t.cols[k]
+		if v.K != VKInt || v.nulls != nil || stored.anyNull || (stored.k != VKInt && stored.n > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// probeInts is hashIndex.probe for allInts keys, without the callback.
+//
+//hot:per-row closure-free group probe, gated by BenchmarkAggIntKeys allocs/op
+func (t *keyTable) probeInts(h uint64, keys []Vector, i int) int {
+	x := t.idx
+	//lint:ignore ctxflow open-addressing probe; load factor < 1/2 guarantees a vacant slot within one wrap
+	for s := h & x.mask; ; s = (s + 1) & x.mask {
+		e := int(x.slots[s]) - 1
+		if e < 0 {
+			return -1
+		}
+		k := 0
+		for x.hash[s] == h && k < len(keys) && t.cols[k].ints[e] == keys[k].Ints[i] {
+			k++
+		}
+		if k == len(keys) {
+			return e
+		}
+	}
+}
+
+// lookup returns the id of lane i of keys, whose hash is h.
+func (t *keyTable) lookup(keys []Vector, i int, h uint64) int {
+	if e := t.idx.probe(h, func(e int) bool { return keyLanesEqual(t.keys, e, keys, i) }); e >= 0 {
+		return e
+	}
+	return t.insert(keys, i, h)
+}
+
+// insert appends lane i of keys to the key columns under hash h.
+func (t *keyTable) insert(keys []Vector, i int, h uint64) int {
+	t.one[0] = int32(i)
+	for k := range keys {
+		t.cols[k].appendSel(&keys[k], t.one[:])
+		t.keys[k] = t.cols[k].build()
+	}
+	return t.idx.add(h)
+}
+
+// keyLanesEqual reports whether lane i of every a[k] and lane j of b[k]
+// have equal Value.Key() forms.
+//
+//hot:per-probe key compare of the aggregate's group tables
+func keyLanesEqual(a []Vector, i int, b []Vector, j int) bool {
+	for k := range a {
+		av, bv := &a[k], &b[k]
+		if av.K != bv.K || (av.K != VKInt && av.K != VKStr && av.K != VKBool) {
+			if !av.Value(i).KeyEqual(bv.Value(j)) {
+				return false
+			}
+			continue
+		}
+		an, bn := av.nulls != nil && av.IsNull(i), bv.nulls != nil && bv.IsNull(j)
+		switch {
+		case an || bn:
+			if an != bn {
+				return false
+			}
+		case av.K == VKStr:
+			if av.Dict[av.Ints[i]] != bv.Dict[bv.Ints[j]] {
+				return false
+			}
+		case av.Ints[i] != bv.Ints[j]:
+			return false
+		}
+	}
+	return true
 }
 
 // joinTable is a read-only build-side hash table over one column-major

@@ -101,9 +101,6 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 	if !rowKeyEqualRows(a, b, idx) {
 		t.Fatal("NULL keys not equal")
 	}
-	if !rowKeyEqualValues([]table.Value{table.Null}, a, idx) {
-		t.Fatal("stored NULL key not equal to NULL column")
-	}
 
 	// And the canonical string matches Value.Key() + NUL exactly.
 	want := table.Null.Key() + "\x00" + table.NewString("x").Key() + "\x00"
@@ -335,8 +332,9 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 
 // aggAllocFixture builds an aggRunner with SUM and COUNT over a
 // two-column (int, string) group key, optionally universe-estimated,
-// plus the cycling input rows to feed it.
-func aggAllocFixture(est *EstimatorConfig) (*aggRunner, []table.Row, error) {
+// plus the input to feed it: one partition of 64 groups, windowed into
+// batches of 16 lanes that share the partition's dictionary.
+func aggAllocFixture(est *EstimatorConfig) (*aggRunner, []Batch, error) {
 	cols := []lplan.ColumnInfo{
 		{ID: 9001, Name: "k", Kind: table.KindInt},
 		{ID: 9002, Name: "s", Kind: table.KindString},
@@ -355,61 +353,81 @@ func aggAllocFixture(est *EstimatorConfig) (*aggRunner, []table.Row, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	const groups = 64
-	rows := make([]table.Row, groups)
+	const groups, lanes = 64, 16
+	pb := newPartBuilder(len(cols), groups)
 	for k := 0; k < groups; k++ {
-		rows[k] = table.Row{
+		pb.appendRow(table.Row{
 			table.NewInt(int64(k)),
 			table.NewString(fmt.Sprintf("key-%04d", k)),
 			table.NewFloat(float64(k) * 1.5),
-		}
+		})
 	}
-	return r, rows, nil
+	part := pb.finish()
+	var batches []Batch
+	for pos := 0; pos < part.N; pos += lanes {
+		w := make([]float64, lanes)
+		for i := range w {
+			w[i] = 10
+		}
+		b := Batch{cols: part.window(nil, pos, lanes), n: lanes, weights: w}
+		if pos == lanes {
+			b.sel = []int32{1, 2, 3, 5, 8, 13} // one thinned batch
+		}
+		batches = append(batches, b)
+	}
+	return r, batches, nil
 }
 
-// TestAggAddSeenGroupsZeroAllocs pins the tentpole's core acceptance
-// criterion: once a group exists, folding another row into it allocates
-// nothing — no key strings, no map growth, no closure escapes.
+// aggSeenAllocs feeds every batch once, so that each group, subspace and
+// the dictionary have been met, and returns the allocations of feeding
+// a batch again.
+func aggSeenAllocs(r *aggRunner, batches []Batch) float64 {
+	for i := range batches {
+		r.addBatch(&batches[i])
+	}
+	i := 0
+	return testing.AllocsPerRun(200, func() {
+		r.addBatch(&batches[i%len(batches)])
+		i++
+	})
+}
+
+// TestAggAddSeenGroupsZeroAllocs pins the aggregate's core allocation
+// guarantee: once its groups and its dictionary have been met, folding
+// another batch allocates nothing — no key strings, no table growth, no
+// closure escapes, no scratch.
 func TestAggAddSeenGroupsZeroAllocs(t *testing.T) {
-	r, rows, err := aggAllocFixture(nil)
+	r, batches, err := aggAllocFixture(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range rows {
-		r.add(row, 1) // materialize every group up front
+	if got := aggSeenAllocs(r, batches); got != 0 {
+		t.Fatalf("aggRunner.addBatch on seen groups: %v allocs/batch, want 0", got)
 	}
-	i := 0
-	got := testing.AllocsPerRun(200, func() {
-		r.add(rows[i%len(rows)], 1)
-		i++
-	})
-	if got != 0 {
-		t.Fatalf("aggRunner.add on seen groups: %v allocs/op, want 0", got)
+	// The two shapes with their own group-id path: a lone dictionary
+	// string key and a lone integer key.
+	for _, key := range []lplan.ColumnID{9002, 9001} {
+		r, batches, _ := aggAllocFixture(nil)
+		r.groupIdx, r.groups = []int{int(key - 9001)}, newKeyTable(1)
+		if got := aggSeenAllocs(r, batches); got != 0 {
+			t.Fatalf("lone key #%d: %v allocs/batch on seen groups, want 0", key, got)
+		}
 	}
 }
 
 // TestAggUniverseSeenSubspacesZeroAllocs extends the zero-alloc
-// guarantee to the universe-sampled variance path: the subspace hash is
-// computed lazily (only on consuming paths) and seen subspaces fold
-// into uniAcc without allocating.
+// guarantee to the universe-sampled variance path: seen subspaces fold
+// into their per-group partial sums without allocating.
 func TestAggUniverseSeenSubspacesZeroAllocs(t *testing.T) {
 	est := &EstimatorConfig{Type: lplan.SamplerUniverse, P: 0.1, UniverseCols: []lplan.ColumnID{9001}}
-	r, rows, err := aggAllocFixture(est)
+	r, batches, err := aggAllocFixture(est)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.uniIdx) == 0 {
 		t.Fatal("fixture: universe columns not resolved")
 	}
-	for _, row := range rows {
-		r.add(row, 10)
-	}
-	i := 0
-	got := testing.AllocsPerRun(200, func() {
-		r.add(rows[i%len(rows)], 10)
-		i++
-	})
-	if got != 0 {
-		t.Fatalf("universe add on seen subspaces: %v allocs/op, want 0", got)
+	if got := aggSeenAllocs(r, batches); got != 0 {
+		t.Fatalf("universe addBatch on seen subspaces: %v allocs/batch, want 0", got)
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 
+	"quickr/internal/accuracy"
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
@@ -18,8 +21,9 @@ import (
 // compileExpr row closures, samplers through their one-row Admit
 // definitions, exchanges through table.HashRow of boxed rows, joins
 // through a map of boxed build rows probed with Value.Equal,
-// aggregation through aggRunner.add — one row, one partition at a time,
-// with the executor's seed derivations (pipeSpec.newSampler).
+// aggregation through refAgg's string-keyed maps — one row, one
+// partition at a time, with the executor's seed derivations
+// (pipeSpec.newSampler).
 
 // refChain evaluates scan, filter, project, sample, exchange and
 // hash-join nodes per partition over boxed weighted rows.
@@ -283,22 +287,227 @@ func refRun(t *testing.T, p PNode) *Result {
 		}
 		return res
 	}
-	cm := buildColMap(agg.In.Cols())
 	for i, part := range refChain(t, agg.In) {
-		r, err := newAggRunner(agg, cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range part {
-			r.add(w.row, w.w)
-		}
 		// Only the first partition emits a global aggregate's empty row.
 		if len(agg.GroupCols) == 0 && i > 0 && len(part) == 0 {
 			continue
 		}
-		out, ests := r.emit()
-		res.Rows = append(res.Rows, out.rows()...)
-		res.Estimates = append(res.Estimates, ests...)
+		rows, ests := refAggregate(t, agg, buildColMap(agg.In.Cols()), part)
+		res.Rows = append(res.Rows, rows...)
+		if agg.Top {
+			res.Estimates = append(res.Estimates, ests...)
+		}
 	}
 	return res
+}
+
+// refGroup is one group of the reference aggregate: the key values as
+// first met, the row count and one refAcc per aggregate.
+type refGroup struct {
+	key  []table.Value
+	n    int64
+	accs []refAcc
+}
+
+type refAcc struct {
+	sumWX, sumW, varTerm float64
+	distinct             map[string]bool
+	min, max             table.Value
+	// Universe variance: Σx per subspace, subspaces in first-met order.
+	subspace map[string]int
+	subSums  []float64
+}
+
+// refKeyOf concatenates the Value.Key() forms of row's idx columns, each
+// followed by a NUL: the identity of a group, and what emit order sorts.
+func refKeyOf(row table.Row, idx []int) string {
+	var sb strings.Builder
+	for _, i := range idx {
+		sb.WriteString(row[i].Key())
+		sb.WriteByte(0)
+	}
+	return sb.String()
+}
+
+// refAggregate is the row-at-a-time definition of PHashAgg over one
+// partition (the Table 8 rewrites and the one-pass variance terms): it
+// folds one boxed row at a time into string-keyed maps and returns the
+// output rows and the estimate records in emit order. It shares nothing
+// with aggRunner.
+func refAggregate(t *testing.T, p *PHashAgg, cm colMap, part []wrow) ([]table.Row, []GroupEstimate) {
+	t.Helper()
+	pos := func(id lplan.ColumnID) int {
+		if id == lplan.NoColumn {
+			return -1
+		}
+		i, ok := cm[id]
+		if !ok {
+			t.Fatalf("refAggregate: column #%d not available", id)
+		}
+		return i
+	}
+	var groupIdx, uniIdx []int
+	for _, g := range p.GroupCols {
+		groupIdx = append(groupIdx, pos(g))
+	}
+	est := p.Est
+	universe := est != nil && est.Type == lplan.SamplerUniverse
+	if universe {
+		for _, u := range est.UniverseCols {
+			if i, ok := cm[u]; ok {
+				uniIdx = append(uniIdx, i)
+			}
+		}
+	}
+	groups := map[string]*refGroup{}
+	for _, wr := range part {
+		row, w := wr.row, wr.w
+		gk := refKeyOf(row, groupIdx)
+		g := groups[gk]
+		if g == nil {
+			g = &refGroup{accs: make([]refAcc, len(p.Aggs))}
+			for _, i := range groupIdx {
+				g.key = append(g.key, row[i])
+			}
+			groups[gk] = g
+		}
+		g.n++
+		for j, spec := range p.Aggs {
+			acc := &g.accs[j]
+			ai, ci := pos(spec.Arg), pos(spec.Cond)
+			cond := ci < 0 || truthy(row[ci])
+			hasArg := ai >= 0 && !row[ai].IsNull()
+			var x float64
+			use := false
+			switch spec.Kind {
+			case lplan.AggCount:
+				x, use = 1, ai < 0 || hasArg
+			case lplan.AggCountIf:
+				x, use = 1, cond
+			case lplan.AggSum:
+				use = hasArg
+			case lplan.AggSumIf, lplan.AggAvg:
+				use = cond && hasArg
+			case lplan.AggCountDistinct:
+				if hasArg {
+					if acc.distinct == nil {
+						acc.distinct = map[string]bool{}
+					}
+					acc.distinct[row[ai].Key()] = true
+				}
+			case lplan.AggMin:
+				if hasArg && (acc.min.IsNull() || row[ai].Compare(acc.min) < 0) {
+					acc.min = row[ai]
+				}
+			case lplan.AggMax:
+				if hasArg && (acc.max.IsNull() || row[ai].Compare(acc.max) > 0) {
+					acc.max = row[ai]
+				}
+			}
+			if !use {
+				continue
+			}
+			if spec.Kind != lplan.AggCount && spec.Kind != lplan.AggCountIf {
+				x = row[ai].Float()
+			}
+			acc.sumWX += w * x
+			acc.varTerm += (w*w - w) * x * x
+			if spec.Kind == lplan.AggAvg {
+				acc.sumW += w
+			}
+			if len(uniIdx) > 0 {
+				uk := refKeyOf(row, uniIdx)
+				if acc.subspace == nil {
+					acc.subspace = map[string]int{}
+				}
+				e, ok := acc.subspace[uk]
+				if !ok {
+					e = len(acc.subSums)
+					acc.subspace[uk] = e
+					acc.subSums = append(acc.subSums, 0)
+				}
+				acc.subSums[e] += x
+			}
+		}
+	}
+
+	if len(groups) == 0 && len(groupIdx) == 0 {
+		// Global aggregate over an empty input still yields one row.
+		row := make(table.Row, len(p.Aggs))
+		for j, spec := range p.Aggs {
+			switch spec.Kind {
+			case lplan.AggCount, lplan.AggCountIf, lplan.AggCountDistinct:
+				row[j] = table.NewInt(0)
+			}
+		}
+		return []table.Row{row}, []GroupEstimate{{Values: row, StdErr: make([]float64, len(p.Aggs))}}
+	}
+	order := make([]string, 0, len(groups))
+	for gk := range groups {
+		order = append(order, gk)
+	}
+	sort.Strings(order)
+	var rows []table.Row
+	var ests []GroupEstimate
+	for _, gk := range order {
+		g := groups[gk]
+		vals := make([]table.Value, len(p.Aggs))
+		errs := make([]float64, len(p.Aggs))
+		for j, spec := range p.Aggs {
+			acc := &g.accs[j]
+			v := acc.sumWX
+			switch spec.Kind {
+			case lplan.AggAvg:
+				if acc.sumW <= 0 {
+					continue // NULL, no standard error
+				}
+				v = acc.sumWX / acc.sumW
+			case lplan.AggCountDistinct:
+				n := float64(len(acc.distinct))
+				if universe && est.P > 0 {
+					for _, u := range est.UniverseCols {
+						if u == spec.Arg {
+							n /= est.P
+							break
+						}
+					}
+				}
+				vals[j] = table.NewInt(int64(math.Round(n)))
+				continue
+			case lplan.AggMin:
+				vals[j] = acc.min
+				continue
+			case lplan.AggMax:
+				vals[j] = acc.max
+				continue
+			}
+			variance := acc.varTerm
+			if universe && est.P > 0 && len(acc.subSums) > 0 {
+				var sub float64
+				for _, y := range acc.subSums {
+					sub += y * y
+				}
+				if uvar := (1 - est.P) / (est.P * est.P) * sub; uvar > variance {
+					variance = uvar
+				}
+			}
+			if est != nil && est.PartP > 0 && est.PartP < 1 {
+				variance += accuracy.PartitionVariance(acc.sumWX, est.PartP, est.PartTail, est.PartTailFrac)
+			}
+			if variance > 0 {
+				errs[j] = math.Sqrt(variance)
+				if spec.Kind == lplan.AggAvg {
+					errs[j] /= acc.sumW
+				}
+			}
+			if spec.Out.Kind == table.KindInt {
+				vals[j] = table.NewInt(int64(math.Round(v)))
+			} else {
+				vals[j] = table.NewFloat(v)
+			}
+		}
+		rows = append(rows, append(append(table.Row{}, g.key...), vals...))
+		ests = append(ests, GroupEstimate{Key: g.key, Values: vals, StdErr: errs, SampleRows: g.n})
+	}
+	return rows, ests
 }

@@ -66,7 +66,7 @@ func resultHash(res *quickr.Result) string {
 }
 
 // appendAnyExact encodes the result API's any-typed values (the
-// rowToAny image of a table.Value) with the same exactness.
+// valsToAny image of a table.Value) with the same exactness.
 func appendAnyExact(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:

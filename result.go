@@ -120,38 +120,49 @@ func newResult(r *exec.Result, p *prepared) *Result {
 		PoolTasks:         r.PoolTasks,
 		PoolStolen:        r.PoolStolen,
 	}
-	for _, c := range r.Cols {
-		out.Columns = append(out.Columns, c.Name)
+	out.Columns = make([]string, len(r.Cols))
+	for i, c := range r.Cols {
+		out.Columns[i] = c.Name
 	}
+	// Every row's and estimate's []any is carved from one backing slice,
+	// every CI95 from another.
+	cells, errs := 0, 0
 	for _, row := range r.Rows {
-		out.Rows = append(out.Rows, rowToAny(row))
+		cells += len(row)
 	}
 	for _, g := range r.Estimates {
-		ge := GroupEstimate{
-			Key:        valsToAny(g.Key),
-			Values:     valsToAny(g.Values),
-			StdErr:     g.StdErr,
-			SampleRows: g.SampleRows,
+		cells += len(g.Key) + len(g.Values)
+		errs += len(g.StdErr)
+	}
+	anys, ci95 := make([]any, cells), make([]float64, errs)
+	if len(r.Rows) > 0 {
+		out.Rows = make([][]any, len(r.Rows))
+	}
+	for i, row := range r.Rows {
+		out.Rows[i], anys = valsToAny(anys, row)
+	}
+	if len(r.Estimates) > 0 {
+		out.Estimates = make([]GroupEstimate, len(r.Estimates))
+	}
+	for i, g := range r.Estimates {
+		ge := GroupEstimate{StdErr: g.StdErr, SampleRows: g.SampleRows, CI95: ci95[:len(g.StdErr):len(g.StdErr)]}
+		ci95 = ci95[len(g.StdErr):]
+		ge.Key, anys = valsToAny(anys, g.Key)
+		ge.Values, anys = valsToAny(anys, g.Values)
+		for k, se := range g.StdErr {
+			ge.CI95[k] = 1.96 * se
 		}
-		ge.CI95 = make([]float64, len(g.StdErr))
-		for i, se := range g.StdErr {
-			ge.CI95[i] = 1.96 * se
-		}
-		out.Estimates = append(out.Estimates, ge)
+		out.Estimates[i] = ge
 	}
 	return out
 }
 
-func rowToAny(r table.Row) []any {
-	return valsToAny(r)
-}
-
-func valsToAny(vals []table.Value) []any {
-	out := make([]any, len(vals))
+// valsToAny renders vals as native Go values into the front of buf and
+// returns them with the rest of buf.
+func valsToAny(buf []any, vals []table.Value) (out, rest []any) {
+	out, rest = buf[:len(vals):len(vals)], buf[len(vals):]
 	for i, v := range vals {
 		switch v.Kind() {
-		case table.KindNull:
-			out[i] = nil
 		case table.KindInt:
 			out[i] = v.Int()
 		case table.KindFloat:
@@ -162,7 +173,7 @@ func valsToAny(vals []table.Value) []any {
 			out[i] = v.Bool()
 		}
 	}
-	return out
+	return out, rest
 }
 
 // Format renders the result as an aligned text table (up to max rows;
