@@ -72,8 +72,8 @@ func writeCSV(path string, t *table.Table) error {
 		return err
 	}
 	rec := make([]string, t.Schema.Len())
-	for _, part := range t.Partitions {
-		for _, row := range part {
+	for p := range t.Partitions {
+		for _, row := range t.Rows(p) {
 			for i, v := range row {
 				rec[i] = v.String()
 			}

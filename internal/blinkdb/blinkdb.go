@@ -71,8 +71,8 @@ func strataCount(base *table.Table, cols []string) map[string]int {
 	}
 	counts := map[string]int{}
 	var sb strings.Builder
-	for _, part := range base.Partitions {
-		for _, row := range part {
+	for p := range base.Partitions {
+		for _, row := range base.Rows(p) {
 			sb.Reset()
 			for _, i := range idx {
 				sb.WriteString(row[i].Key())
@@ -225,8 +225,8 @@ func materialize(base *table.Table, cols []string, k int, seed int64) *Sample {
 	}
 	strata := map[string]*res{}
 	var sb strings.Builder
-	for _, part := range base.Partitions {
-		for _, row := range part {
+	for p := range base.Partitions {
+		for _, row := range base.Rows(p) {
 			sb.Reset()
 			for _, i := range idx {
 				sb.WriteString(row[i].Key())

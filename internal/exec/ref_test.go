@@ -32,8 +32,8 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 	switch x := n.(type) {
 	case *PScan:
 		parts := make([][]wrow, len(x.Tbl.Partitions))
-		for i, rows := range x.Tbl.Partitions {
-			for _, r := range rows {
+		for i := range x.Tbl.Partitions {
+			for _, r := range x.Tbl.Rows(i) {
 				pr := make(table.Row, len(x.ColIdx))
 				for k, ci := range x.ColIdx {
 					pr[k] = r[ci]

@@ -113,8 +113,8 @@ func (e *evaluator) evalScan(s *lplan.Scan) (*relation, error) {
 		idx[i] = pos
 	}
 	out := &relation{cols: s.Cols}
-	for _, part := range tbl.Partitions {
-		for _, row := range part {
+	for p := range tbl.Partitions {
+		for _, row := range tbl.Rows(p) {
 			pr := make(table.Row, len(idx))
 			for i, p := range idx {
 				pr[i] = row[p]

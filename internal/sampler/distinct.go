@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"quickr/internal/sketch"
 	"quickr/internal/table"
@@ -48,7 +47,7 @@ type Distinct struct {
 	reservoirs map[string]*reservoir
 	pending    []Weighted // reservoir overflows awaiting emission
 	rng        *rand.Rand
-	keyBuf     strings.Builder
+	keyBuf     []byte
 }
 
 type reservoir struct {
@@ -100,16 +99,15 @@ func NewDistinctRand(p float64, cols []int, delta int, rng *rand.Rand) *Distinct
 }
 
 func (d *Distinct) key(r table.Row) string {
-	d.keyBuf.Reset()
+	b := d.keyBuf[:0]
 	for _, c := range d.Cols {
-		d.keyBuf.WriteString(r[c].Key())
-		d.keyBuf.WriteByte(0)
+		b = append(r[c].AppendKey(b), 0)
 	}
 	for _, f := range d.KeyFuncs {
-		d.keyBuf.WriteString(f(r).Key())
-		d.keyBuf.WriteByte(0)
+		b = append(f(r).AppendKey(b), 0)
 	}
-	return d.keyBuf.String()
+	d.keyBuf = b
+	return string(b)
 }
 
 // count returns the observed frequency of key after this occurrence.

@@ -57,7 +57,7 @@ const heavyFraction = 0.01
 // lossyEps is the lossy-counting error bound (paper τ=1e-4).
 const lossyEps = 1e-4
 
-// Collect computes TableStats in a single pass over t.
+// Collect computes TableStats in a single pass over t's columns.
 func Collect(t *table.Table) *TableStats {
 	ts := &TableStats{
 		Table:     t.Name,
@@ -82,18 +82,20 @@ func Collect(t *table.Table) *TableStats {
 			lossy: sketch.NewLossyCounter(lossyEps),
 		}
 	}
-	for _, part := range t.Partitions {
-		for _, row := range part {
-			ts.RowCount++
-			ts.Bytes += int64(row.ByteSize())
-			for i := 0; i < n; i++ {
-				v := row[i]
-				a := accs[i]
+	// Column by column within a partition, partitions in order: each
+	// column's sketches and float sums see its values in row order.
+	for p := range t.Partitions {
+		cp := t.Columnar(p)
+		ts.RowCount += int64(cp.NumRows)
+		ts.Bytes += cp.Bytes
+		for i, a := range accs {
+			keys := cp.Cols[i].Keys()
+			for lane := 0; lane < cp.NumRows; lane++ {
+				v, key := keys.At(lane)
 				if v.IsNull() {
 					a.cs.NullCount++
 					continue
 				}
-				key := v.Key()
 				a.kmv.Add(key)
 				a.lossy.Add(key)
 				if v.IsNumeric() {
@@ -219,11 +221,17 @@ func (ts *TableStats) computeSetNDV(cols []string) float64 {
 	}
 	kmv := sketch.NewKMV(1024)
 	var sb strings.Builder
-	for _, part := range ts.src.Partitions {
-		for _, row := range part {
+	keys := make([]table.ColKeys, len(idx))
+	for p := range ts.src.Partitions {
+		cp := ts.src.Columnar(p)
+		for k, i := range idx {
+			keys[k] = cp.Cols[i].Keys()
+		}
+		for lane := 0; lane < cp.NumRows; lane++ {
 			sb.Reset()
-			for _, i := range idx {
-				sb.WriteString(row[i].Key())
+			for k := range keys {
+				_, key := keys[k].At(lane)
+				sb.WriteString(key)
 				sb.WriteByte(0)
 			}
 			kmv.Add(sb.String())

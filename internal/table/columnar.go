@@ -1,10 +1,12 @@
 package table
 
-// Columnar storage: a per-partition, column-major mirror of the stored
-// rows. The vectorized executor (internal/exec) reads these directly so
-// its scan kernels touch one typed slice per column instead of walking
-// []Row. Columnarization is lazy and cached per partition; Append
-// invalidates the affected partition's cache.
+// Columnar storage: the per-partition, column-major stored form. The
+// vectorized executor (internal/exec) windows these vectors directly,
+// statistics and summaries read them column by column, and Rows
+// rebuilds rows from them. Columnarize builds a partition's first
+// snapshot; later appends are sealed onto it in place (seal.go).
+
+import "slices"
 
 // ColVec is one stored column of a partition in columnar form.
 //
@@ -83,16 +85,67 @@ func (c *ColVec) Value(i int) Value {
 	return Null
 }
 
-// ColPartition is one table partition in column-major form.
+// ColKeys reads a column's lanes together with their Value.Key strings,
+// rendering a dictionary column's keys once per code rather than once
+// per lane.
+type ColKeys struct {
+	col  *ColVec
+	dict []string // Key of every Dict entry of a string column
+}
+
+// Keys returns a keyed reader over the column.
+func (c *ColVec) Keys() ColKeys {
+	k := ColKeys{col: c}
+	if !c.Any && c.Kind == KindString {
+		k.dict = make([]string, len(c.Dict))
+		for code, s := range c.Dict {
+			k.dict[code] = NewString(s).Key()
+		}
+	}
+	return k
+}
+
+// At returns lane i and its Value.Key().
+func (k ColKeys) At(i int) (Value, string) {
+	v := k.col.Value(i)
+	if k.dict != nil && !v.IsNull() {
+		return v, k.dict[k.col.Ints[i]]
+	}
+	return v, v.Key()
+}
+
+// ColPartition is one table partition in column-major form. It is
+// immutable once published: every slice is clipped to its length, so no
+// holder can append into the table's arrays.
 type ColPartition struct {
 	NumRows int
-	Cols    []ColVec
+	// Bytes is the sum of Row.ByteSize over the rows it was built from.
+	Bytes int64
+	Cols  []ColVec
+}
+
+// rows rebuilds the partition's rows through ColVec.Value, with room
+// for extra more in the result.
+func (cp *ColPartition) rows(extra int) []Row {
+	width := len(cp.Cols)
+	out := make([]Row, cp.NumRows, cp.NumRows+extra)
+	vals := make([]Value, cp.NumRows*width)
+	for i := range out {
+		out[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
+	for c := range cp.Cols {
+		cv := &cp.Cols[c]
+		for i := range out {
+			out[i][c] = cv.Value(i)
+		}
+	}
+	return out
 }
 
 // Columnarize converts a row-major partition into column-major form.
 // width is the schema width; short rows are padded with NULL lanes.
 func Columnarize(rows []Row, width int) *ColPartition {
-	cp := &ColPartition{NumRows: len(rows), Cols: make([]ColVec, width)}
+	cp := &ColPartition{NumRows: len(rows), Bytes: rowsBytes(rows), Cols: make([]ColVec, width)}
 	for c := 0; c < width; c++ {
 		cp.Cols[c] = buildColVec(rows, c)
 	}
@@ -169,6 +222,7 @@ func buildColVec(rows []Row, c int) ColVec {
 			cv.Ints[i] = int64(code)
 		}
 	}
+	cv.Dict = slices.Clip(cv.Dict)
 	return cv
 }
 
@@ -179,17 +233,45 @@ func colAt(r Row, c int) Value {
 	return r[c]
 }
 
-// Columnar returns the cached column-major form of partition i, building
-// it on first use (see derive). Safe for concurrent use; Append
-// invalidates the affected partition's cache.
+// Columnar returns the column-major form of partition i, first sealing
+// whatever was appended since the last read (seal.go). The snapshot is
+// immutable and stays valid however the table grows afterwards. Safe
+// for concurrent use.
 func (t *Table) Columnar(i int) *ColPartition {
-	return derive(t, i, colPart, Columnarize)
+	p := &t.parts[i]
+	t.cacheMu.Lock()
+	snap, pending := p.snap, len(t.Partitions[i])
+	t.cacheMu.Unlock()
+	if snap != nil && pending == 0 {
+		return snap
+	}
+	p.seal.Lock()
+	defer p.seal.Unlock()
+	t.cacheMu.Lock()
+	snap, tail := p.snap, t.Partitions[i] // a racing reader may have sealed it
+	t.cacheMu.Unlock()
+	if snap != nil && len(tail) == 0 {
+		return snap
+	}
+	if partBuildHook != nil {
+		partBuildHook(i)
+	}
+	// Outside cacheMu: tail rows are immutable and Append only writes
+	// past the end of the header read above.
+	snap = p.sealTail(snap, tail, t.Schema.Len())
+	t.cacheMu.Lock()
+	p.snap = snap
+	// Rows that arrived meanwhile move to a fresh array; the sealed
+	// rows' array is released with the header.
+	t.Partitions[i] = append([]Row(nil), t.Partitions[i][len(tail):]...)
+	t.cacheMu.Unlock()
+	return snap
 }
 
-// EnsureColumnar eagerly builds the columnar form of every partition;
-// used to keep first-touch columnarization out of timed benchmark loops.
+// EnsureColumnar seals every partition; used to keep first-touch
+// columnarization out of timed benchmark loops.
 func (t *Table) EnsureColumnar() {
-	for i := range t.Partitions {
+	for i := range t.parts {
 		t.Columnar(i)
 	}
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,66 +104,89 @@ func TestColumnarizeEmptyPartition(t *testing.T) {
 	}
 }
 
-// Table.Columnar must cache per partition and invalidate on Append.
+// Table.Columnar must return the published snapshot until an Append,
+// and a new one, holding the new row, after it.
 func TestTableColumnarCacheInvalidation(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt})
 	tbl := New("cc", sc, 2)
 	tbl.Append(0, Row{NewInt(1)})
 	cp1 := tbl.Columnar(0)
 	if tbl.Columnar(0) != cp1 {
-		t.Fatal("columnar form not cached")
+		t.Fatal("snapshot not kept between reads")
 	}
 	tbl.Append(0, Row{NewInt(2)})
 	cp2 := tbl.Columnar(0)
 	if cp2 == cp1 {
-		t.Fatal("Append did not invalidate the columnar cache")
+		t.Fatal("Append did not lead to a new snapshot")
 	}
 	if cp2.NumRows != 2 || cp2.Cols[0].Value(1).Int() != 2 {
-		t.Fatalf("rebuilt partition wrong: %+v", cp2)
+		t.Fatalf("sealed partition wrong: %+v", cp2)
 	}
-	// The untouched partition keeps its own cache line independent.
+	if cp1.NumRows != 1 || cp1.Cols[0].Len() != 1 {
+		t.Fatalf("held snapshot changed: %+v", cp1)
+	}
+	// The untouched partition is independent.
 	if tbl.Columnar(1).NumRows != 0 {
 		t.Fatal("partition 1 should be empty")
 	}
 }
 
-// Concurrent readers racing first-use columnarization must all observe
-// a consistent column form (run with -race).
+// Concurrent readers racing the first seal must all get the one
+// snapshot, holding every appended row, and the rows must be gone from
+// the tail afterwards (run with -race).
 func TestTableColumnarConcurrent(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "s", Kind: KindString})
 	tbl := New("ccr", sc, 8)
 	for i := 0; i < 4000; i++ {
 		tbl.Append(i, Row{NewInt(int64(i)), NewString(fmt.Sprintf("v%d", i%50))})
 	}
+	want := make([][]Row, 8)
+	for p := range want {
+		want[p] = tbl.Rows(p) // never read: the appended rows themselves
+	}
 	var wg sync.WaitGroup
+	snaps := make([][8]*ColPartition, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for p := 0; p < 8; p++ {
 				cp := tbl.Columnar(p)
-				if cp.NumRows != len(tbl.Partitions[p]) {
-					t.Errorf("partition %d: NumRows=%d, want %d", p, cp.NumRows, len(tbl.Partitions[p]))
+				snaps[g][p] = cp
+				if cp.NumRows != len(want[p]) {
+					t.Errorf("partition %d: NumRows=%d, want %d", p, cp.NumRows, len(want[p]))
 					return
 				}
 				for i := 0; i < cp.NumRows; i += 97 {
-					if !cp.Cols[0].Value(i).Equal(tbl.Partitions[p][i][0]) {
+					if !cp.Cols[0].Value(i).Equal(want[p][i][0]) {
 						t.Errorf("partition %d lane %d mismatch", p, i)
 						return
 					}
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
+	for p := 0; p < 8; p++ {
+		for g := range snaps {
+			if snaps[g][p] != snaps[0][p] {
+				t.Fatalf("partition %d sealed more than once", p)
+			}
+		}
+		if len(tbl.Partitions[p]) != 0 {
+			t.Fatalf("partition %d keeps %d rows after its seal", p, len(tbl.Partitions[p]))
+		}
+		if !reflect.DeepEqual(tbl.Rows(p), want[p]) {
+			t.Fatalf("partition %d: Rows differ from the appended rows", p)
+		}
+	}
 }
 
-// Concurrent first touches of one partition build its derived form once
-// (every caller gets the same published value), and first touches of
-// different partitions do not serialize: partition 0's build waits
+// Concurrent first touches of one partition seal it, or summarize it,
+// once (every caller gets the same published value), and first touches
+// of different partitions do not serialize: partition 0's seal waits
 // inside its build for partition 1's to finish, which a table-wide
-// build lock would deadlock. The column-major mirror and the summary
-// share the discipline (derive), so both are held to it.
+// build lock would deadlock.
 func TestTableColumnarFirstTouchParallel(t *testing.T) {
 	forms := []struct {
 		name  string
@@ -221,10 +245,10 @@ func TestTableColumnarFirstTouchParallel(t *testing.T) {
 	}
 }
 
-// An Append that lands while a partition's form is being built keeps
-// that build from being published: the caller still gets a form
-// consistent with the rows it was built from, and the next touch
-// rebuilds over the new rows.
+// An Append that lands while a partition is being sealed stays in the
+// tail and keeps the summary of that seal from being published: the
+// caller still gets a summary consistent with the snapshot it was built
+// from, and the next touch seals and summarizes the new row.
 func TestTableAppendDuringBuildNotPublished(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt})
 	tbl := New("adb", sc, 1)
@@ -244,11 +268,11 @@ func TestTableAppendDuringBuildNotPublished(t *testing.T) {
 	}
 }
 
-// Appends racing cached scans (run with -race): Append shares one
-// critical section with both cache invalidations, so a reader must
-// never see a columnar form or summary whose row count disagrees with
-// what it was built from — any snapshot it gets is internally
-// consistent even while writes continue.
+// Appends racing scans (run with -race): Append pushes onto the tail
+// and drops the summary in one critical section, so a reader must never
+// see a snapshot or summary whose row count disagrees with what it was
+// built from — any snapshot it gets is internally consistent even while
+// writes continue.
 func TestTableAppendVsScanConcurrent(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "s", Kind: KindString})
 	tbl := New("avs", sc, 4)

@@ -4,9 +4,8 @@ package table
 // moments (sum/min/max over numeric lanes), heavy hitters (lossy
 // counting) and KMV distinct sketches. The optimizer's partition-
 // selection pass reads these to decide which partitions a sampled scan
-// may skip; summaries are lazy and cached beside the columnar cache,
-// and Append invalidates both caches for the touched partition under
-// one lock acquisition.
+// may skip; a summary is built from the partition's snapshot on first
+// use and kept beside it until the next Append.
 
 import "quickr/internal/sketch"
 
@@ -57,11 +56,9 @@ func newColumnSummary() ColumnSummary {
 	}
 }
 
-// observe folds one lane into the column's moments and sketches.
-func (c *ColumnSummary) observe(v Value) {
-	if v.IsNull() {
-		return
-	}
+// observe folds one non-NULL lane, with its Value.Key, into the column's
+// moments and sketches.
+func (c *ColumnSummary) observe(v Value, key string) {
 	c.NonNull++
 	if v.IsNumeric() {
 		f := v.Float()
@@ -75,7 +72,6 @@ func (c *ColumnSummary) observe(v Value) {
 	} else {
 		c.Numeric = false
 	}
-	key := v.Key()
 	c.kmv.Add(key)
 	c.hh.Add(key)
 }
@@ -114,42 +110,65 @@ func (c *ColumnSummary) mergeFrom(o *ColumnSummary) {
 	c.hh.Merge(o.hh)
 }
 
-// BuildSummary computes the summary of a row-major partition. width is
-// the schema width; short rows are padded with NULL lanes.
-func BuildSummary(rows []Row, width int) *PartitionSummary {
-	ps := &PartitionSummary{NumRows: len(rows), Cols: make([]ColumnSummary, width)}
-	for c := 0; c < width; c++ {
-		ps.Cols[c] = newColumnSummary()
-	}
-	for _, r := range rows {
-		for c := 0; c < width; c++ {
-			ps.Cols[c].observe(colAt(r, c))
+// BuildSummary computes the summary of a partition, column by column.
+func BuildSummary(cp *ColPartition) *PartitionSummary {
+	ps := &PartitionSummary{NumRows: cp.NumRows, Cols: make([]ColumnSummary, len(cp.Cols))}
+	for c := range cp.Cols {
+		cs := newColumnSummary()
+		keys := cp.Cols[c].Keys()
+		for i := 0; i < cp.NumRows; i++ {
+			if v, key := keys.At(i); !v.IsNull() {
+				cs.observe(v, key)
+			}
 		}
-	}
-	for c := 0; c < width; c++ {
-		ps.Cols[c].finish()
+		cs.finish()
+		ps.Cols[c] = cs
 	}
 	return ps
 }
 
-// Summary returns the cached summary of partition i, building it on
-// first use (see derive). Safe for concurrent use; Append invalidates
-// the affected partition's cache (atomically with the columnar cache).
+// Summary returns the summary of partition i as Columnar(i) has it,
+// building it on first use and after an Append. Safe for concurrent
+// use.
 func (t *Table) Summary(i int) *PartitionSummary {
-	return derive(t, i, sumPart, BuildSummary)
+	p := &t.parts[i]
+	t.cacheMu.Lock()
+	sum := p.sum
+	t.cacheMu.Unlock()
+	if sum != nil {
+		return sum
+	}
+	p.sumBuild.Lock()
+	defer p.sumBuild.Unlock()
+	t.cacheMu.Lock()
+	sum = p.sum // a racing first touch may have built it
+	t.cacheMu.Unlock()
+	if sum != nil {
+		return sum
+	}
+	cp := t.Columnar(i)
+	sum = BuildSummary(cp)
+	t.cacheMu.Lock()
+	// Published only if no Append landed meanwhile; either way the
+	// result is consistent with the snapshot it was built from.
+	if p.snap == cp && len(t.Partitions[i]) == 0 {
+		p.sum = sum
+	}
+	t.cacheMu.Unlock()
+	return sum
 }
 
 // EnsureSummaries eagerly builds every partition's summary.
 func (t *Table) EnsureSummaries() {
-	for i := range t.Partitions {
+	for i := range t.parts {
 		t.Summary(i)
 	}
 }
 
 // Summaries returns one summary per partition, building missing ones.
 func (t *Table) Summaries() []*PartitionSummary {
-	out := make([]*PartitionSummary, len(t.Partitions))
-	for i := range t.Partitions {
+	out := make([]*PartitionSummary, len(t.parts))
+	for i := range t.parts {
 		out[i] = t.Summary(i)
 	}
 	return out
@@ -162,7 +181,7 @@ func (t *Table) Summaries() []*PartitionSummary {
 func (t *Table) MergedColumn(col int) ColumnSummary {
 	out := newColumnSummary()
 	allComplete := true
-	for i := range t.Partitions {
+	for i := range t.parts {
 		ps := t.Summary(i)
 		out.mergeFrom(&ps.Cols[col])
 		allComplete = allComplete && ps.Cols[col].Complete

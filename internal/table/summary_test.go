@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func sumRows(n int) []Row {
 
 func TestBuildSummaryMoments(t *testing.T) {
 	rows := sumRows(1000)
-	ps := BuildSummary(rows, 3)
+	ps := BuildSummary(Columnarize(rows, 3))
 	if ps.NumRows != 1000 {
 		t.Fatalf("NumRows=%d", ps.NumRows)
 	}
@@ -72,8 +73,65 @@ func TestBuildSummaryMoments(t *testing.T) {
 	}
 }
 
+// refBuildSummary is BuildSummary as it read boxed rows: row by row,
+// every column of a row before the next row, Value.Key rendered per
+// lane. BuildSummary over the columns must equal it field for field,
+// sketches included.
+func refBuildSummary(rows []Row, width int) *PartitionSummary {
+	ps := &PartitionSummary{NumRows: len(rows), Cols: make([]ColumnSummary, width)}
+	for c := 0; c < width; c++ {
+		ps.Cols[c] = newColumnSummary()
+	}
+	for _, r := range rows {
+		for c := 0; c < width; c++ {
+			if v := colAt(r, c); !v.IsNull() {
+				ps.Cols[c].observe(v, v.Key())
+			}
+		}
+	}
+	for c := 0; c < width; c++ {
+		ps.Cols[c].finish()
+	}
+	return ps
+}
+
+// Table.Summary equals the row-wise reference over every row appended,
+// freshly loaded and after insert-then-read rounds, on every column
+// representation (typed with and without NULLs, dictionary, all-NULL,
+// mixed-kind, a padded short row) and in both sketch regimes: columns
+// small enough to stay exact and Complete, and columns past the KMV's
+// exact limit and the lossy counter's first prune.
+func TestTableSummaryMatchesRowReference(t *testing.T) {
+	const width, parts = 7, 2
+	tbl := New("sumref", &Schema{Cols: make([]Column, width)}, parts)
+	want := make([][]Row, parts)
+	add := func(from, to int) {
+		for i, r := range colRows(to)[from:] {
+			i += from
+			// colRows' six columns plus a high-cardinality string.
+			r = append(r.Clone(), NewString(fmt.Sprintf("u%05d", i*7919%100003)))
+			tbl.Append(i, r)
+			want[i%parts] = append(want[i%parts], r)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		for p := range want {
+			if got, ref := tbl.Summary(p), refBuildSummary(want[p], width); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s: partition %d summary differs from the row-wise reference\n got %+v\nwant %+v", when, p, got, ref)
+			}
+		}
+	}
+	add(0, 3000)
+	check("freshly loaded")
+	for round := 0; round < 3; round++ {
+		add(3000+round*211, 3000+(round+1)*211)
+		check(fmt.Sprintf("after insert round %d", round+1))
+	}
+}
+
 func TestBuildSummaryEmpty(t *testing.T) {
-	ps := BuildSummary(nil, 2)
+	ps := BuildSummary(Columnarize(nil, 2))
 	if ps.NumRows != 0 || len(ps.Cols) != 2 {
 		t.Fatalf("%+v", ps)
 	}
@@ -136,7 +194,7 @@ func BenchmarkSummaryBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps := BuildSummary(rows, 3)
+		ps := BuildSummary(Columnarize(rows, 3))
 		if ps.NumRows != len(rows) {
 			b.Fatal("bad summary")
 		}
@@ -153,7 +211,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		const ceiling = 22292
 		rows := sumRows(summaryBuildRows)
 		got := testing.AllocsPerRun(3, func() {
-			if ps := BuildSummary(rows, 3); ps.NumRows != len(rows) {
+			if ps := BuildSummary(Columnarize(rows, 3)); ps.NumRows != len(rows) {
 				t.Error("bad summary")
 			}
 		})

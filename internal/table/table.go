@@ -76,26 +76,41 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Table is an immutable in-memory table, horizontally split into
-// partitions. Partitioning mimics the distributed file system layout:
-// scans schedule one task per partition.
+// Table is an in-memory table, horizontally split into partitions.
+// Partitioning mimics the distributed file system layout: scans schedule
+// one task per partition.
+//
+// The column vectors are the table. Each partition is one published,
+// immutable *ColPartition snapshot (what Columnar returns and scans
+// window) plus an unsealed tail: the rows appended since the partition
+// was last read. Append pushes onto the tail in O(1); the next read
+// seals the tail into the columns in O(tail), publishes a new snapshot
+// header and drops the tail's rows (seal.go). A snapshot handed out
+// earlier stays valid and unchanged for as long as it is held.
+//
+// Seal on read only, never on a row count: a table that was never read
+// holds every appended row in Partitions.
 type Table struct {
-	Name       string
-	Schema     *Schema
+	Name   string
+	Schema *Schema
+	// Partitions[p] is partition p's unsealed tail, not its contents:
+	// read rows through Rows. len(Partitions) is the partition count and
+	// never changes.
+	// guarded-by: cacheMu
 	Partitions [][]Row
 
-	// Lazily-built per-partition caches: a column-major mirror for the
-	// vectorized executor (columnar.go) and summary statistics for the
-	// optimizer's partition-selection pass (summary.go). One mutex
-	// guards both so Append invalidates them atomically — a scan must
-	// never observe a fresh columnar partition paired with a stale
-	// summary or vice versa.
+	// cacheMu guards the tails, version, and the snap and sum fields of
+	// every parts[p]. Append, publishing a snapshot and publishing a
+	// summary each take it once, so a reader never pairs a snapshot with
+	// a summary or a tail of another generation. `make quickrlint`
+	// (lockdiscipline) holds every access to a field annotated
+	// guarded-by in this package to it.
 	cacheMu sync.Mutex
-	// guarded-by: cacheMu
-	derived []partCaches
+	parts   []partState
 	// version counts Appends; caches keyed outside the table (the
 	// engine's sample cache) fold it into their keys so entries built
-	// over older contents become unreachable. guarded-by: cacheMu
+	// over older contents become unreachable.
+	// guarded-by: cacheMu
 	version uint64
 }
 
@@ -104,116 +119,109 @@ func New(name string, schema *Schema, parts int) *Table {
 	if parts < 1 {
 		parts = 1
 	}
-	return &Table{Name: name, Schema: schema, Partitions: make([][]Row, parts), derived: make([]partCaches, parts)}
+	return &Table{Name: name, Schema: schema, Partitions: make([][]Row, parts), parts: make([]partState, parts)}
 }
 
-// partCaches holds one partition's derived forms.
-type partCaches struct {
-	col lazyPart[ColPartition]
-	sum lazyPart[PartitionSummary]
+// partState is the stored form of one partition beside its tail.
+type partState struct {
+	// snap is the published snapshot, nil until the first read; sum is
+	// its summary, nil until asked for and again after an Append. The
+	// owning table's cacheMu guards both.
+	snap *ColPartition
+	sum  *PartitionSummary
+	// seal is held while the tail is sealed, sumBuild while the summary
+	// is built, both outside cacheMu: racing reads of one partition do
+	// the work once, different partitions work in parallel, and no
+	// reader of a published form waits behind a build.
+	seal     sync.Mutex
+	sumBuild sync.Mutex
+	// grow is the sealer's private handle on the snapshot's columns
+	// (seal.go); only the holder of seal touches it.
+	grow []colGrow
 }
 
-// lazyPart is one derived form of one partition, built on first use.
-type lazyPart[T any] struct {
-	// v is nil until built and again after an Append; the owning
-	// table's cacheMu guards it.
-	v *T
-	// build is held while v is built, outside cacheMu: racing first
-	// touches of one partition build it once, different partitions (and
-	// the two forms of one partition) build in parallel, and no reader
-	// of a built form waits behind a build.
-	build sync.Mutex
-}
-
-// partBuildHook, when set by a test, runs inside a partition's build.
+// partBuildHook, when set by a test, runs inside a partition's seal.
 var partBuildHook func(part int)
 
-func colPart(c *partCaches) *lazyPart[ColPartition]     { return &c.col }
-func sumPart(c *partCaches) *lazyPart[PartitionSummary] { return &c.sum }
-
-// derive returns the form of partition i that slot selects, building it
-// with build (from the rows and the schema width) on first use. The
-// build runs outside cacheMu, from a snapshot of the partition's rows
-// (rows are immutable and Append only writes past the snapshot's end),
-// and is published under it only if no Append landed meanwhile; either
-// way the returned form is consistent with the rows it was built from.
-func derive[T any](t *Table, i int, slot func(*partCaches) *lazyPart[T], build func([]Row, int) *T) *T {
-	t.cacheMu.Lock()
-	p := slot(&t.derived[i])
-	v := p.v
-	t.cacheMu.Unlock()
-	if v != nil {
-		return v
-	}
-	p.build.Lock()
-	defer p.build.Unlock()
-	t.cacheMu.Lock()
-	v, rows := p.v, t.Partitions[i] // a racing first touch may have built it
-	t.cacheMu.Unlock()
-	if v != nil {
-		return v
-	}
-	if partBuildHook != nil {
-		partBuildHook(i)
-	}
-	v = build(rows, t.Schema.Len())
-	t.cacheMu.Lock()
-	if len(t.Partitions[i]) == len(rows) {
-		p.v = v
-	}
-	t.cacheMu.Unlock()
-	return v
-}
-
-// Append adds a row to partition i%len(partitions) (round-robin helper).
-// The append and the invalidation of both derived caches share one
+// Append adds a row to the tail of partition i%len(partitions)
+// (round-robin helper) and drops that partition's summary, in one
 // critical section: a concurrent Columnar/Summary call can never pair
-// the new row count with a stale cached form of either kind.
+// the new row with a summary built without it.
 func (t *Table) Append(i int, r Row) {
-	p := i % len(t.Partitions)
+	p := i % len(t.parts)
 	t.cacheMu.Lock()
 	t.Partitions[p] = append(t.Partitions[p], r)
-	t.derived[p].col.v = nil
-	t.derived[p].sum.v = nil
+	t.parts[p].sum = nil
 	t.version++
 	t.cacheMu.Unlock()
 }
 
 // Version returns the table's append counter. Externally-keyed caches
 // (the engine's materialized-sample cache) embed it in their keys, the
-// same invalidation discipline the per-partition caches above get from
-// Append's in-place nil-out.
+// same invalidation discipline the summaries get from Append.
 func (t *Table) Version() uint64 {
 	t.cacheMu.Lock()
 	defer t.cacheMu.Unlock()
 	return t.version
 }
 
-// NumRows returns the total number of rows in the table.
+// NumRows returns the total number of rows in the table, sealed and
+// unsealed.
 func (t *Table) NumRows() int {
+	t.cacheMu.Lock()
+	defer t.cacheMu.Unlock()
 	n := 0
-	for _, p := range t.Partitions {
-		n += len(p)
+	for p := range t.parts {
+		if s := t.parts[p].snap; s != nil {
+			n += s.NumRows
+		}
+		n += len(t.Partitions[p])
 	}
 	return n
 }
 
-// ByteSize approximates the total stored bytes of the table.
+// ByteSize approximates the total stored bytes of the table: the sum of
+// Row.ByteSize over every row appended.
 func (t *Table) ByteSize() int64 {
+	t.cacheMu.Lock()
+	defer t.cacheMu.Unlock()
 	var n int64
-	for _, p := range t.Partitions {
-		for _, r := range p {
-			n += int64(r.ByteSize())
+	for p := range t.parts {
+		if s := t.parts[p].snap; s != nil {
+			n += s.Bytes
 		}
+		n += rowsBytes(t.Partitions[p])
 	}
 	return n
+}
+
+func rowsBytes(rows []Row) int64 {
+	var n int64
+	for _, r := range rows {
+		n += int64(r.ByteSize())
+	}
+	return n
+}
+
+// Rows materializes partition i as rows, in append order: the sealed
+// lanes rebuilt through ColVec.Value, then the tail. A sealed row is
+// schema-wide (Columnarize pads a short row with NULLs). It does not
+// seal, and the result is the caller's.
+func (t *Table) Rows(i int) []Row {
+	t.cacheMu.Lock()
+	snap, tail := t.parts[i].snap, t.Partitions[i]
+	t.cacheMu.Unlock()
+	if snap == nil {
+		return append([]Row(nil), tail...)
+	}
+	return append(snap.rows(len(tail)), tail...)
 }
 
 // AllRows flattens the table into a single slice (test/debug helper).
 func (t *Table) AllRows() []Row {
-	out := make([]Row, 0, t.NumRows())
-	for _, p := range t.Partitions {
-		out = append(out, p...)
+	var out []Row
+	for p := range t.parts {
+		out = append(out, t.Rows(p)...)
 	}
 	return out
 }

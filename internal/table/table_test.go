@@ -112,6 +112,33 @@ func TestHashKeyConsistency(t *testing.T) {
 	}
 }
 
+// AppendKey must produce exactly Key()'s bytes: the distinct sampler
+// builds its stratum keys with it, the statistics with Key().
+func TestAppendKeyMatchesKey(t *testing.T) {
+	vals := []Value{
+		Null, NewInt(0), NewInt(-42), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(2), NewFloat(-0.0), NewFloat(2.5), NewFloat(1e18), NewFloat(-1e19),
+		NewFloat(math.Inf(1)), NewFloat(math.NaN()), NewFloat(math.SmallestNonzeroFloat64),
+		NewString(""), NewString("s"), NewString("a\x00b"), NewBool(true), NewBool(false),
+	}
+	for _, v := range vals {
+		if got := string(v.AppendKey([]byte("x"))); got != "x"+v.Key() {
+			t.Errorf("%v: AppendKey %q, Key %q", v, got[1:], v.Key())
+		}
+	}
+	f := func(i int64, x float64, s string) bool {
+		for _, v := range []Value{NewInt(i), NewFloat(x), NewFloat(float64(i)), NewString(s)} {
+			if string(v.AppendKey(nil)) != v.Key() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTablePartitioning(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt})
 	tbl := New("t", sc, 4)
