@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test race hammer seed-sweep bench benchmark-check lint quickrlint fuzz fmt fmt-check vet
+.PHONY: build test race hammer seed-sweep bench benchmark-check lint quickrlint fuzz fmt fmt-check vet loc
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ benchmark-check:
 
 vet:
 	$(GO) vet ./...
+
+# The ROADMAP's size measure: non-test Go lines and files outside
+# benchmark/ and */testdata/*. "Smaller" is this number going down.
+LOC_FILES = find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' -not -path '*/testdata/*'
+loc:
+	@echo "non-test Go outside benchmark/ and testdata/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
 
 # Project-specific analyzers (see internal/lint and DESIGN.md §8/§13):
 # the syntactic walkers (norawrand, slotdiscipline, weightprop,

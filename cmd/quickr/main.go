@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	quickr [-sf 1] [-seed 0] [-batch 1024] [-check] [-prune] [-sample-cache N] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
+//	quickr [-sf 1] [-seed 0] [-batch 1024] [-check] [-sample-cache N] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
 //	quickr [-sf 1] -i            # simple REPL
 //	quickr [-sf 1] -serve :8080  # HTTP/JSON query service (see internal/service)
 //
@@ -46,7 +46,6 @@ func main() {
 	stats := flag.String("stats", "", "write a JSON run report to this path (\"-\" = stdout)")
 	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = one batch per partition)")
 	check := flag.Bool("check", false, "verify plan invariants (sampler dominance, universe pairing, weight propagation) at optimize time; violations fail the query")
-	prune := flag.Bool("prune", false, "enable partition-selection pruning: sampled plans whose partition summaries certify the sampler's columns scan a weighted partition subset")
 	sampleCache := flag.Int64("sample-cache", 0, "enable hot-sample reuse with this byte budget: repeated queries replay materialized sampler output instead of re-scanning (0 = off); answers are bit-identical warm or cold")
 	history := flag.String("history", "", "load the learned query history from this JSON file before running and save it back after (created if missing)")
 	interactive := flag.Bool("i", false, "interactive mode")
@@ -66,7 +65,6 @@ func main() {
 	eng := buildEngine(*sf, *seed)
 	eng.SetBatchSize(*batch)
 	eng.SetPlanChecks(*check)
-	eng.SetPrune(*prune)
 	eng.SetSampleCache(*sampleCache)
 	if *history != "" {
 		loadHistory(eng, *history)

@@ -23,8 +23,7 @@
 // soundness prover (internal/opt/soundness): every rule in the
 // optimizer's registry is applied to N randomly generated legal plans
 // and checked for schema, weight-algebra, plancheck and idempotence
-// preservation, with partition-prune decisions re-derived exactly.
-// Any problem report names the seed that reproduces it.
+// preservation. Any problem report names the seed that reproduces it.
 package main
 
 import (

@@ -76,45 +76,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGoldenExplainAnalyzePrune pins the operator-facing pruning
-// surfaces: the "[prune k/n parts]" plan annotation, the EXPLAIN
-// ANALYZE "[pruned scanned= pruned=]" line, and the run report's
-// partitions_scanned/partitions_pruned counters, all with the
-// partition-selection pass enabled.
-// goldenPruneSQL is the q08-style seasonality query: at sf 0.2 its
-// sampler lands directly over the 8-partition store_sales fact table,
-// which the partition-selection pass can prune (goldenSQL's sampler
-// lands on the 2-partition date_dim dimension, never eligible).
-const goldenPruneSQL = `
-	SELECT d_moy, SUM(ss_ext_sales_price) AS total, AVG(ss_sales_price) AS avg_price
-	FROM store_sales
-	JOIN date_dim ON ss_sold_date_sk = d_date_sk
-	GROUP BY d_moy`
-
-func TestGoldenExplainAnalyzePrune(t *testing.T) {
-	eng := newTPCDSEngine(t, 0.2)
-	eng.SetBatchSize(256)
-	eng.SetSeed(1)
-	eng.SetPrune(true)
-
-	res, err := eng.ExecApprox(goldenPruneSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PartitionsPruned == 0 {
-		t.Fatalf("pruning did not fire on the golden query (scanned %d partitions)", res.PartitionsScanned)
-	}
-	checkGolden(t, "analyze_prune.golden", []byte(scrubAnalyze(res.AnalyzedPlan)))
-
-	rep := res.RunReport(goldenPruneSQL, true)
-	scrubReport(rep)
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "stats_prune.golden", append(b, '\n'))
-}
-
 // TestGoldenContract pins the contract-facing text surfaces: the
 // EXPLAIN ANALYZE "corrected=" annotations the learned history adds to
 // operator estimates, and the run report's contract block (chosen p,

@@ -239,29 +239,6 @@ func GroupCoverage(typ lplan.SamplerType, p float64, support float64, stratCover
 	}
 }
 
-// PartitionVariance is the additional variance a per-group estimate
-// carries when the optimizer's partition-selection pass subsampled the
-// scan's tail partitions (cluster sampling on top of row sampling).
-// With the tail stratum subsampled without replacement at inclusion
-// probability tailP, tailRead tail partitions actually scanned, and the
-// tail holding tailFrac of the input rows, a group total ĝ (on the
-// weighted-sum scale) gains approximately
-//
-//	Var ≈ (1−tailP)/(tailP·k) · (tailFrac·ĝ)²
-//
-// assuming the group spreads evenly over tail partitions (round-robin
-// loading); certainty-stratum partitions contribute no selection
-// variance. This is the PS3-style cluster term the per-row
-// Horvitz–Thompson variance cannot see, because entire partitions
-// survive or die together.
-func PartitionVariance(estimate, tailP float64, tailRead int, tailFrac float64) float64 {
-	if tailP <= 0 || tailP >= 1 || tailRead <= 0 || tailFrac <= 0 {
-		return 0
-	}
-	y := tailFrac * estimate
-	return (1 - tailP) / (tailP * float64(tailRead)) * y * y
-}
-
 // MissProbability is 1 − GroupCoverage.
 func MissProbability(typ lplan.SamplerType, p, support float64, stratCoversGroup bool, uniVals float64) float64 {
 	return 1 - GroupCoverage(typ, p, support, stratCoversGroup, uniVals)

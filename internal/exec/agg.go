@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"quickr/internal/accuracy"
 	"quickr/internal/lplan"
 	"quickr/internal/table"
 )
@@ -339,12 +338,6 @@ func (r *aggRunner) finish(vals []table.Value, errs []float64) {
 				if uvar := (1 - est.P) / (est.P * est.P) * sub[g]; uvar > variance {
 					variance = uvar
 				}
-			}
-			if est != nil && est.PartP > 0 && est.PartP < 1 {
-				// Partition pruning cluster-samples the scan: add the
-				// selection variance on the weighted-sum scale (AVG's ÷sumW
-				// below rescales it with the rest).
-				variance += accuracy.PartitionVariance(a.sumWX[g], est.PartP, est.PartTail, est.PartTailFrac)
 			}
 			if variance > 0 {
 				errs[o] = math.Sqrt(variance)

@@ -301,7 +301,7 @@ func sameAggOutput(t *testing.T, label string, wantRows []table.Row, wantEsts []
 func TestAggMatchesRowReference(t *testing.T) {
 	ests := map[string]*EstimatorConfig{
 		"exact":    nil,
-		"uniform":  {Type: lplan.SamplerUniform, P: 0.25, PartP: 0.5, PartTail: 2, PartTailFrac: 0.3},
+		"uniform":  {Type: lplan.SamplerUniform, P: 0.25},
 		"universe": {Type: lplan.SamplerUniverse, P: 0.25, UniverseCols: []lplan.ColumnID{aggColID(aggColU)}},
 	}
 	type keyCase struct {

@@ -57,9 +57,6 @@ func FormatAnalyze(n PNode, qm *metrics.Query) string {
 			if t.BuildRows > 0 || t.ProbeRows > 0 {
 				fmt.Fprintf(&b, " [build=%d probe=%d]", t.BuildRows, t.ProbeRows)
 			}
-			if t.PartsPruned > 0 {
-				fmt.Fprintf(&b, " [pruned scanned=%d pruned=%d]", t.PartsScanned, t.PartsPruned)
-			}
 		}
 		b.WriteByte('\n')
 		for _, k := range n.Kids() {

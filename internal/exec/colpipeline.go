@@ -54,10 +54,6 @@ type colScanSource struct {
 	cp   *table.ColPartition
 	size int
 	pos  int
-	// inflate multiplies every lane weight; the optimizer's partition
-	// selection sets it to the kept partition's Horvitz–Thompson factor
-	// (1 for unpruned scans and certainty-stratum partitions).
-	inflate float64
 
 	st   *cluster.Stage
 	task int
@@ -97,10 +93,6 @@ func (s *colScanSource) Next() (Batch, error) {
 		s.weights = make([]float64, n)
 	}
 	s.weights = s.weights[:n]
-	inflate := s.inflate
-	if inflate <= 0 {
-		inflate = 1
-	}
 	if s.p.WeightIdx >= 0 && s.p.WeightIdx < len(s.wins) {
 		wv := &s.wins[s.p.WeightIdx]
 		for i := 0; i < n; i++ {
@@ -108,11 +100,11 @@ func (s *colScanSource) Next() (Batch, error) {
 			if w <= 0 {
 				w = 1
 			}
-			s.weights[i] = w * inflate
+			s.weights[i] = w
 		}
 	} else {
 		for i := 0; i < n; i++ {
-			s.weights[i] = inflate
+			s.weights[i] = 1
 		}
 	}
 	outBytes := 8 * float64(n)
@@ -519,20 +511,11 @@ func (ex *executor) buildColChain(top PNode) (*colChain, error) {
 	cc := &colChain{ex: ex, scan: scan}
 	if scan != nil {
 		cc.parts = len(scan.Tbl.Partitions)
-		if scan.Prune != nil {
-			cc.parts = len(scan.Prune.Keep)
-		}
 		cc.st = ex.run.NewStage("scan:"+scan.Tbl.Name, cc.parts)
 		cc.st.Extract = true
 		cc.partRaw = make([]float64, cc.parts)
 		cc.scanOp = ex.opFor(scan)
 		cc.scanOp.Grow(cc.parts)
-		if scan.Prune != nil {
-			for i := 0; i < cc.parts; i++ {
-				cc.scanOp.Slot(i).PartsScanned = 1
-			}
-			cc.scanOp.Slot(0).PartsPruned = int64(scan.Prune.Pruned)
-		}
 	} else {
 		var s *stream
 		var err error
@@ -568,15 +551,9 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 	sc := &colScratch{}
 	var cur colOperator
 	if cc.scan != nil {
-		part, inflate := i, 1.0
-		if cc.scan.Prune != nil {
-			part = cc.scan.Prune.Keep[i]
-			inflate = cc.scan.Prune.Inflate[i]
-		}
 		cur = &colScanSource{
-			p: cc.scan, cp: cc.scan.Tbl.Columnar(part), size: cc.ex.batch,
-			inflate: inflate,
-			st:      cc.st, task: i, slot: cc.scanOp.Slot(i), raw: &cc.partRaw[i],
+			p: cc.scan, cp: cc.scan.Tbl.Columnar(i), size: cc.ex.batch,
+			st: cc.st, task: i, slot: cc.scanOp.Slot(i), raw: &cc.partRaw[i],
 		}
 	} else {
 		cur = &partSource{p: &cc.src.parts[i], size: cc.ex.batch}

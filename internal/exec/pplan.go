@@ -25,27 +25,6 @@ type PNode interface {
 	Breaker() bool
 }
 
-// PrunedScan records the optimizer's partition-selection decision for a
-// scan: only the Keep partitions are read, and each kept partition's
-// rows have their weight multiplied by the aligned Inflate factor.
-// Certainty-stratum partitions (heavy hitters, sole holders of a group
-// key) carry inflation 1; tail partitions are subsampled without
-// replacement at probability TailP and inflated 1/TailP so aggregates
-// stay Horvitz–Thompson-unbiased.
-type PrunedScan struct {
-	// Keep lists the stored partition indexes to scan, ascending.
-	Keep []int
-	// Inflate aligns with Keep: the weight multiplier for each kept
-	// partition (1 for the certainty stratum, 1/TailP for the tail).
-	Inflate []float64
-	// Pruned counts the partitions skipped (total − len(Keep)).
-	Pruned int
-	// TailP is the tail-partition inclusion probability in (0, 1].
-	TailP float64
-	// TailTotal is the tail-stratum size before subsampling.
-	TailTotal int
-}
-
 // PScan reads a base table, one task per stored partition. ColIdx
 // projects stored rows onto the (possibly pruned) output columns.
 type PScan struct {
@@ -56,9 +35,6 @@ type PScan struct {
 	// sampling weights (apriori samples); it is consumed into the row
 	// weight rather than projected.
 	WeightIdx int
-	// Prune, when set, restricts the scan to a weighted partition
-	// subset chosen by the optimizer's partition-selection pass.
-	Prune *PrunedScan
 }
 
 // Cols implements PNode.
@@ -68,14 +44,7 @@ func (p *PScan) Cols() []lplan.ColumnInfo { return p.OutCols }
 func (p *PScan) Kids() []PNode { return nil }
 
 // Describe implements PNode.
-func (p *PScan) Describe() string {
-	d := "Scan " + p.Tbl.Name
-	if p.Prune != nil {
-		d += fmt.Sprintf(" [prune %d/%d parts, tail p=%.2g]",
-			len(p.Prune.Keep), len(p.Prune.Keep)+p.Prune.Pruned, p.Prune.TailP)
-	}
-	return d
-}
+func (p *PScan) Describe() string { return "Scan " + p.Tbl.Name }
 
 // Breaker implements PNode.
 func (p *PScan) Breaker() bool { return false }
@@ -225,15 +194,6 @@ type EstimatorConfig struct {
 	// computed over subspace subgroups; COUNT DISTINCT over these columns
 	// is scaled up by 1/P, Table 8).
 	UniverseCols []lplan.ColumnID
-	// Partition-pruning terms, set when the optimizer pruned a scan
-	// feeding this estimator: PartP is the tail-partition inclusion
-	// probability, PartTail the number of tail partitions actually
-	// read, and PartTailFrac the fraction of table rows held by the
-	// tail stratum. Zero values mean no pruning; the accuracy layer
-	// folds these into per-group variance as a cluster-sampling term.
-	PartP        float64
-	PartTail     int
-	PartTailFrac float64
 }
 
 // PHashAgg groups and aggregates. The planner co-partitions input on

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"quickr/internal/accuracy"
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
@@ -490,9 +489,6 @@ func refAggregate(t *testing.T, p *PHashAgg, cm colMap, part []wrow) ([]table.Ro
 				if uvar := (1 - est.P) / (est.P * est.P) * sub; uvar > variance {
 					variance = uvar
 				}
-			}
-			if est != nil && est.PartP > 0 && est.PartP < 1 {
-				variance += accuracy.PartitionVariance(acc.sumWX, est.PartP, est.PartTail, est.PartTailFrac)
 			}
 			if variance > 0 {
 				errs[j] = math.Sqrt(variance)

@@ -66,12 +66,9 @@ type Result struct {
 	PeakInFlightBytes float64
 	// RowsProcessed counts base-table rows driven through the plan.
 	RowsProcessed int64
-	// PartitionsScanned counts the stored partitions scan operators
-	// actually read; PartitionsPruned counts the partitions the
-	// optimizer's partition-selection pass skipped (0 when pruning is
-	// off or no scan was eligible).
+	// PartitionsScanned counts the stored partitions the plan's scan
+	// operators read: every partition of every scanned table.
 	PartitionsScanned int64
-	PartitionsPruned  int64
 	// ExecSeconds is real wall-clock execution time (not simulated).
 	ExecSeconds float64
 	// PoolWaitNanos is the run's aggregate scheduling wait on the shared
@@ -123,7 +120,7 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	execSeconds := time.Since(t0).Seconds()
 
 	var peak float64
-	var scanned, partsScanned, partsPruned int64
+	var scanned, partsScanned int64
 	for _, op := range qm.Ops() {
 		t := op.Total()
 		if t.PeakBytes > peak {
@@ -132,7 +129,6 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 		if op.Kind == "Scan" {
 			scanned += t.RowsOut
 			partsScanned += int64(op.Partitions())
-			partsPruned += t.PartsPruned
 		}
 	}
 	res := &Result{
@@ -146,7 +142,6 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 		PeakInFlightBytes: peak,
 		RowsProcessed:     scanned,
 		PartitionsScanned: partsScanned,
-		PartitionsPruned:  partsPruned,
 		ExecSeconds:       execSeconds,
 		PoolWaitNanos:     ex.poolWaitNanos,
 		PoolTasks:         ex.poolTasks,

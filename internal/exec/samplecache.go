@@ -37,8 +37,8 @@ type PCachedSample struct {
 	// Frag is the replaced fragment, executed verbatim on a cache miss.
 	Frag PNode
 	// Key fingerprints the fragment (sampler type/params/seeds, chain
-	// expressions, scan columns and prune subset). The executor extends
-	// it with the table version and engine config epoch at run time.
+	// expressions and scan columns). The executor extends it with the
+	// table version and engine config epoch at run time.
 	Key string
 	// SamplerP echoes the fragment's root sampler pass probability; the
 	// plan checker verifies it against the fragment so a hand-built plan
@@ -122,9 +122,8 @@ func FragmentScan(frag PNode) *PScan {
 // probability, stratification/universe columns, δ, bucket functions,
 // both seeds (the plan-location seed and the shared universe seed),
 // filter predicates, projection expressions, the scan's table, column
-// projection, apriori-weight column, and the partition-prune subset
-// with its inflation factors. The plan checker recomputes it, so a
-// cached-sample node's key provably describes its own fragment.
+// projection and apriori-weight column. The plan checker recomputes it,
+// so a cached-sample node's key provably describes its own fragment.
 func FragmentKey(frag PNode) string {
 	var b strings.Builder
 	var rec func(PNode)
@@ -136,11 +135,7 @@ func FragmentKey(frag PNode) string {
 				x.Def.BucketCols, x.Def.BucketWidths, x.Def.Seed, x.Seed)
 			rec(x.In)
 		case *PScan:
-			fmt.Fprintf(&b, "scan{%s cols=%v w=%d", x.Tbl.Name, x.ColIdx, x.WeightIdx)
-			if x.Prune != nil {
-				fmt.Fprintf(&b, " keep=%v inf=%v tailp=%g", x.Prune.Keep, x.Prune.Inflate, x.Prune.TailP)
-			}
-			b.WriteString("};")
+			fmt.Fprintf(&b, "scan{%s cols=%v w=%d};", x.Tbl.Name, x.ColIdx, x.WeightIdx)
 		default:
 			fmt.Fprintf(&b, "%s;", n.Describe())
 			for _, k := range n.Kids() {

@@ -71,9 +71,6 @@ func TestFragmentKeySensitivity(t *testing.T) {
 			s.Def.Type = lplan.SamplerDistinct
 			s.Def.Cols = []lplan.ColumnID{sc.OutCols[0].ID}
 		}),
-		"prune subset": build(func(_ *PSample, sc *PScan) {
-			sc.Prune = &PrunedScan{Keep: []int{0}, Inflate: []float64{2}, Pruned: 1, TailP: 0.5}
-		}),
 		"fewer scan cols": build(func(_ *PSample, sc *PScan) { sc.ColIdx = sc.ColIdx[:1]; sc.OutCols = sc.OutCols[:1] }),
 	}
 	for name, key := range variants {

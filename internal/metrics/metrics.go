@@ -46,12 +46,7 @@ type Slot struct {
 	// through row-at-a-time expression fallbacks (CASE, function calls).
 	KernelLanes  int64
 	FallbackRows int64
-	// PartsScanned/PartsPruned report a pruned scan's partition
-	// selection: each kept partition's slot records PartsScanned=1, and
-	// the skipped-partition count lands on slot 0. Both stay zero for
-	// unpruned scans.
-	PartsScanned int64
-	PartsPruned  int64
+	_            [2]int64 // pad 14 counters to 128 bytes
 }
 
 func (s *Slot) add(o *Slot) {
@@ -69,8 +64,6 @@ func (s *Slot) add(o *Slot) {
 	s.WallNanos += o.WallNanos
 	s.KernelLanes += o.KernelLanes
 	s.FallbackRows += o.FallbackRows
-	s.PartsScanned += o.PartsScanned
-	s.PartsPruned += o.PartsPruned
 }
 
 // NoteBatch records one emitted batch of the given byte size, tracking

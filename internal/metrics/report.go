@@ -41,11 +41,6 @@ type OpReport struct {
 	// breakers run no kernels, most chains never fall back).
 	KernelLanes  int64 `json:"kernel_lanes,omitempty"`
 	FallbackRows int64 `json:"fallback_rows,omitempty"`
-
-	// Partition-pruning counters (omitted for unpruned scans so
-	// pruning-off reports are byte-identical to before the pass).
-	PartsScanned int64 `json:"partitions_scanned,omitempty"`
-	PartsPruned  int64 `json:"partitions_pruned,omitempty"`
 }
 
 // Report flattens the query's operators (plan pre-order, with depths,
@@ -81,8 +76,6 @@ func (q *Query) Report() []OpReport {
 			ProbeRows:     t.ProbeRows,
 			KernelLanes:   t.KernelLanes,
 			FallbackRows:  t.FallbackRows,
-			PartsScanned:  t.PartsScanned,
-			PartsPruned:   t.PartsPruned,
 		}
 		if t.SamplerSeen > 0 {
 			r.SamplerRate = float64(t.SamplerPassed) / float64(t.SamplerSeen)

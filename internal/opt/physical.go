@@ -27,17 +27,10 @@ type Planner struct {
 	// every emitted physical node (EXPLAIN ANALYZE compares these
 	// against executed counts). Plan initializes it if nil.
 	Ests map[exec.PNode]float64
-	// Prune enables the partition-selection pass (prune.go): sampled
-	// plans whose summaries cover the sampler's columns scan a weighted
-	// partition subset instead of every partition. Off by default;
-	// plans compiled with Prune=false are bit-identical to before the
-	// pass existed.
-	Prune bool
 	// SampleCache enables the hot-sample-reuse pass (samplecache.go):
 	// cacheable sampler fragments are wrapped in PCachedSample nodes so
 	// the executor can replay materialized sampler output on repeated
-	// queries. Runs after pruning so fragment keys cover the pruned
-	// partition subset. Off by default.
+	// queries. Off by default.
 	SampleCache bool
 
 	topAgg     *lplan.Aggregate
@@ -51,9 +44,6 @@ func (pl *Planner) Plan(n lplan.Node) (exec.PNode, error) {
 		pl.Ests = map[exec.PNode]float64{}
 	}
 	p, err := pl.compile(n)
-	if err == nil && p != nil && pl.Prune {
-		pl.applyPruning(p)
-	}
 	if err == nil && p != nil && pl.SampleCache {
 		pl.applySampleCache(p)
 	}

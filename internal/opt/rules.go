@@ -1,13 +1,13 @@
 package opt
 
 // Rule registry: every optimizer rewrite — the logical normalization
-// rules of normalize.go and the physical passes of prune.go — is
+// rules of normalize.go and the physical pass of samplecache.go — is
 // registered here under a stable name. The registry is the contract
 // with the rewrite-soundness prover (internal/opt/soundness): the
 // prover iterates Rules() and proves, over seeded randomized plans,
 // that each rule preserves the plancheck invariants and the symbolic
 // per-aggregate weight algebra. The prover's registry-completeness test
-// parses normalize.go, prune.go and samplecache.go, so adding a rewrite
+// parses normalize.go and samplecache.go, so adding a rewrite
 // function without registering it here fails CI — an unregistered rule
 // is an unproven rule.
 
@@ -76,13 +76,6 @@ func Rules() []Rule {
 			Name: "order-join-inputs", Kind: LogicalRule, Func: "orderJoinInputs",
 			Doc:     "swaps inner-join inputs so the smaller side builds the hash table; must mirror the key lists and leave outer/FK joins alone",
 			Logical: orderJoinInputs,
-		},
-		{
-			Name: "partition-prune", Kind: PhysicalRule, Func: "applyPruning",
-			Doc: "replaces at most one sampled scan's partition list with a certainty stratum (inflation 1) plus a tail subsample inflated by m/k, keeping aggregates Horvitz-Thompson-unbiased",
-			Physical: func(pl *Planner, root exec.PNode) {
-				pl.applyPruning(root)
-			},
 		},
 		{
 			Name: "sample-cache", Kind: PhysicalRule, Func: "applySampleCache",

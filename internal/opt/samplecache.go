@@ -12,18 +12,13 @@ import (
 // plan as the node's child: semantics, weights and estimator wiring are
 // untouched (a cache miss simply runs it), which is what the soundness
 // prover verifies when it applies this pass to seeded plans.
-//
-// The pass runs after partition pruning so the fragment fingerprint
-// covers the pruned partition subset: two plans that keep different
-// partitions never share a cache entry.
 
 // applySampleCache wraps every cacheable sampler fragment below root in
-// a cached-sample node. Like applyPruning it mutates the plan in place
-// and, when invoked directly (the soundness prover does), applies
-// unconditionally; Plan gates it behind Planner.SampleCache. The plan
-// root itself is never wrapped — there is no parent link to rewrite —
-// but in practice a sampler never roots a plan (an aggregate or sort
-// sits above it).
+// a cached-sample node. It mutates the plan in place and, when invoked
+// directly (the soundness prover does), applies unconditionally; Plan
+// gates it behind Planner.SampleCache. The plan root itself is never
+// wrapped — there is no parent link to rewrite — but in practice a
+// sampler never roots a plan (an aggregate or sort sits above it).
 func (pl *Planner) applySampleCache(root exec.PNode) {
 	var rec func(n exec.PNode, set func(exec.PNode))
 	rec = func(n exec.PNode, set func(exec.PNode)) {

@@ -25,10 +25,7 @@ import (
 	"quickr/internal/table"
 )
 
-// Catalog column layout shared by every generated plan. factKeyCol has
-// more distinct values than the optimizer's pruneMaxKeys cap, so plans
-// that stratify on it exercise the "summaries cannot certify
-// eligibility" rejection path of the partition-prune rule.
+// Catalog sizes shared by every generated plan.
 const (
 	factRows  = 1200
 	factParts = 6
@@ -40,9 +37,9 @@ var (
 	cat     *catalog.Catalog
 )
 
-// sharedCatalog builds the generator's catalog once: summary statistics
-// and table stats are derived lazily and cached on the tables, so the
-// whole sweep pays the build cost a single time.
+// sharedCatalog builds the generator's catalog once: table stats are
+// derived lazily and cached, so the whole sweep pays the build cost a
+// single time.
 func sharedCatalog() *catalog.Catalog {
 	catOnce.Do(func() {
 		cat = catalog.New()
@@ -399,10 +396,8 @@ func (g *gen) aggregate(n lplan.Node, cols []lplan.ColumnInfo) lplan.Node {
 			spec = lplan.AggSpec{Kind: k, Arg: arg.ID}
 			kind = arg.Kind
 		case 4:
-			if g.r.Float64() < 0.5 { // COUNT DISTINCT disables pruning
-				arg := cols[g.r.Intn(len(cols))]
-				spec = lplan.AggSpec{Kind: lplan.AggCountDistinct, Arg: arg.ID}
-			}
+			arg := cols[g.r.Intn(len(cols))]
+			spec = lplan.AggSpec{Kind: lplan.AggCountDistinct, Arg: arg.ID}
 		}
 		spec.Out = lplan.ColumnInfo{ID: g.id(), Name: "agg", Kind: kind}
 		a.Aggs = append(a.Aggs, spec)

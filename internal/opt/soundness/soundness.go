@@ -13,27 +13,22 @@
 //     output, or Normalize's single pass leaves plans half-rewritten.
 //
 // Physical rules are checked on the compiled plan with plancheck's
-// physical suite plus an exact re-derivation of the partition-prune
-// algebra: inflation factors must be exactly {1, m/k}, the tail mass
-// must sum back to the tail partition count (the HT unbiasedness
-// identity), the estimator config must match the scan's decision, and
-// the decision must replay bit-identically from the same seed. The
-// sample-cache rewrite is proven through the same suite (plancheck's
-// p-cached-sample invariant pins each cached node's key and sampler
-// probability to the fragment it replaced) plus key determinism: a
-// recompilation from the same seed must produce identical cache keys,
-// or warm runs could replay a different sampler's output.
+// physical suite. The sample-cache rewrite is proven through it
+// (plancheck's p-cached-sample invariant pins each cached node's key
+// and sampler probability to the fragment it replaced) plus key
+// determinism: a recompilation from the same seed must produce
+// identical cache keys, or warm runs could replay a different sampler's
+// output.
 //
 // The prover is wired into `quickrlint -soundness N`, `make lint`, and
 // CI (500 plans per push, 5000 nightly); soundness_test.go additionally
-// proves completeness (every rewrite function in normalize.go,
-// prune.go and samplecache.go is registered) and sensitivity (planted
-// unsound rules are caught).
+// proves completeness (every rewrite function in normalize.go and
+// samplecache.go is registered) and sensitivity (planted unsound rules
+// are caught).
 package soundness
 
 import (
 	"fmt"
-	"math"
 
 	"quickr/internal/cluster"
 	"quickr/internal/exec"
@@ -45,12 +40,6 @@ import (
 // DefaultPlans is the per-rule sweep size CI runs on every push; the
 // nightly job raises it via QUICKR_SOUNDNESS_PLANS.
 const DefaultPlans = 500
-
-// tailR mirrors the optimizer's target tail inclusion probability. It
-// is re-declared rather than imported so the prover re-derives the
-// expected tail size independently (the plancheck philosophy: a bug in
-// prune.go cannot hide inside a shared constant).
-const tailR = 0.3
 
 // Problem is one soundness violation found during a sweep.
 type Problem struct {
@@ -74,10 +63,9 @@ type Stats struct {
 	Plans    int
 	Sampled  int // plans carrying a real sampler
 	Weighted int // plans with an apriori-weighted scan
-	Pruned   int // plans where partition-prune actually fired
 	// RuleChanged counts, per registry rule, the plans the rule
-	// rewrote (logical: plan text changed; physical: the rule's marker
-	// nodes appeared — pruned scans or cached-sample wrappers).
+	// rewrote (logical: plan text changed; physical: cached-sample
+	// wrappers appeared).
 	RuleChanged map[string]int
 	Problems    []Problem
 }
@@ -88,8 +76,8 @@ func (s Stats) Summary() string {
 	for _, r := range opt.Rules() {
 		per += fmt.Sprintf(" %s=%d", r.Name, s.RuleChanged[r.Name])
 	}
-	return fmt.Sprintf("%d plans (%d sampled, %d weighted, %d pruned), %d problem(s); rewrites:%s",
-		s.Plans, s.Sampled, s.Weighted, s.Pruned, len(s.Problems), per)
+	return fmt.Sprintf("%d plans (%d sampled, %d weighted), %d problem(s); rewrites:%s",
+		s.Plans, s.Sampled, s.Weighted, len(s.Problems), per)
 }
 
 // Sweep proves every registered rule over n seeded plans starting at
@@ -150,8 +138,8 @@ func CheckSeed(seed uint64, st *Stats) {
 		cur = after
 	}
 
-	// Physical half: compile the normalized plan, prove it clean, apply
-	// each physical rule, and re-derive the prune algebra exactly.
+	// Physical half: compile the normalized plan, prove it clean and
+	// apply each physical rule.
 	compile := func() (*opt.Planner, exec.PNode, error) {
 		cm := opt.NewCostModel(est, cluster.DefaultConfig())
 		pl := &opt.Planner{CM: cm, EstCfg: estCfg(info), Seed: seed}
@@ -172,45 +160,30 @@ func CheckSeed(seed uint64, st *Stats) {
 			continue
 		}
 		// Physical rules mutate the plan in place, so "did it fire?" is
-		// detected by the rule's own marker nodes appearing: pruned scans
-		// for partition-prune, cached-sample wrappers for sample-cache. A
-		// delta keeps the counters per-rule even though the rules share
-		// one plan.
-		beforePruned, beforeCached := len(prunedScans(proot)), len(cachedSamples(proot))
+		// detected by the rule's marker nodes — cached-sample wrappers —
+		// appearing.
+		before := len(cachedSamples(proot))
 		r.Physical(pl, proot)
 		for _, v := range ck.CheckPhysical(proot) {
 			report(r.Name, "invariant broken: %s", v)
 		}
-		if len(prunedScans(proot)) > beforePruned || len(cachedSamples(proot)) > beforeCached {
+		if len(cachedSamples(proot)) > before {
 			st.RuleChanged[r.Name]++
 		}
 	}
-	for _, p := range CheckPrunedPlan(proot, pl.EstCfg) {
-		report("partition-prune", "%s", p)
-	}
-	pruned := len(prunedScans(proot)) > 0
-	cached := len(cachedSamples(proot)) > 0
-	if pruned {
-		st.Pruned++
-	}
-	if pruned || cached {
-		// Determinism: the same seed must reproduce the same decisions —
-		// partition selection feeds error bars and cache keys gate warm
-		// replays, so a replay that prunes differently makes confidence
-		// intervals unfalsifiable, and one that keys differently could
+	if len(cachedSamples(proot)) > 0 {
+		// Determinism: the same seed must reproduce the same cache keys —
+		// they gate warm replays, so a replay that keys differently could
 		// serve another sampler's rows from the cache.
 		pl2, proot2, err2 := compile()
 		if err2 != nil {
-			report("partition-prune", "replay compilation failed: %v", err2)
+			report("sample-cache", "replay compilation failed: %v", err2)
 			return
 		}
 		for _, r := range opt.Rules() {
 			if r.Kind == opt.PhysicalRule {
 				r.Physical(pl2, proot2)
 			}
-		}
-		if d := pruneDiff(proot, proot2); d != "" {
-			report("partition-prune", "decision not deterministic: %s", d)
 		}
 		if d := cachedDiff(proot, proot2); d != "" {
 			report("sample-cache", "cache keying not deterministic: %s", d)
@@ -252,77 +225,6 @@ func CheckLogicalRewrite(before lplan.Node, apply func(lplan.Node) lplan.Node) (
 	return after, probs
 }
 
-// CheckPrunedPlan re-derives the partition-prune algebra on a compiled
-// plan, independently of prune.go's own arithmetic: at most one scan
-// pruned; inflation factors exactly {1, m/k}; the inflated tail mass
-// summing back to the tail count m (the Horvitz–Thompson unbiasedness
-// identity Σ 1/π over kept tail = m); the tail size matching the
-// configured inclusion rate; and the estimator config carrying the
-// same design. Exported for the mutation tests.
-func CheckPrunedPlan(root exec.PNode, cfg *exec.EstimatorConfig) []string {
-	var probs []string
-	scans := prunedScans(root)
-	if len(scans) > 1 {
-		return []string{fmt.Sprintf("%d scans pruned; the pass must prune at most one", len(scans))}
-	}
-	if len(scans) == 0 {
-		if cfg != nil && cfg.PartP != 0 {
-			probs = append(probs, fmt.Sprintf("estimator claims tail probability %g but no scan is pruned", cfg.PartP))
-		}
-		return probs
-	}
-	pr := scans[0].Prune
-	m := pr.TailTotal
-	if m < 2 {
-		probs = append(probs, fmt.Sprintf("tail of %d partitions: a tail this small must not be subsampled", m))
-		return probs
-	}
-	kTail := 0
-	tailMass := 0.0
-	for i, f := range pr.Inflate {
-		switch {
-		case f == 1:
-		case f > 1:
-			kTail++
-			tailMass += f
-		default:
-			probs = append(probs, fmt.Sprintf("inflation %g < 1 on kept partition %d", f, pr.Keep[i]))
-		}
-	}
-	if kTail == 0 {
-		probs = append(probs, "no tail partitions kept: every tail row would have inclusion probability 0")
-		return probs
-	}
-	wantK := int(float64(m)*tailR + 0.5)
-	if wantK < 1 {
-		wantK = 1
-	}
-	if kTail != wantK {
-		probs = append(probs, fmt.Sprintf("kept %d tail partitions of %d, want %d at inclusion rate %g", kTail, m, wantK, tailR))
-	}
-	wantInflate := float64(m) / float64(kTail)
-	for i, f := range pr.Inflate {
-		if f > 1 && f != wantInflate {
-			probs = append(probs, fmt.Sprintf("tail inflation %g on partition %d, want exactly m/k = %g", f, pr.Keep[i], wantInflate))
-		}
-	}
-	if math.Abs(tailMass-float64(m)) > 1e-9 {
-		probs = append(probs, fmt.Sprintf("inflated tail mass %g does not restore the tail count %d: estimates would be biased", tailMass, m))
-	}
-	if got, want := pr.TailP, float64(kTail)/float64(m); got != want {
-		probs = append(probs, fmt.Sprintf("TailP=%g but k/m=%g", got, want))
-	}
-	switch {
-	case cfg == nil:
-		probs = append(probs, "scan pruned with no estimator config: the added variance would never be charged")
-	case cfg.PartP != pr.TailP:
-		probs = append(probs, fmt.Sprintf("estimator PartP=%g disagrees with the scan's TailP=%g", cfg.PartP, pr.TailP))
-	case cfg.PartTail != kTail:
-		probs = append(probs, fmt.Sprintf("estimator PartTail=%d disagrees with the %d kept tail partitions", cfg.PartTail, kTail))
-	}
-	return probs
-}
-
 // estCfg builds the estimator config the optimizer would hand the
 // physical planner for the generated plan: nil for unsampled plans.
 func estCfg(info *genInfo) *exec.EstimatorConfig {
@@ -334,17 +236,6 @@ func estCfg(info *genInfo) *exec.EstimatorConfig {
 		P:            info.samplerP,
 		UniverseCols: append([]lplan.ColumnID{}, info.universeCols...),
 	}
-}
-
-// prunedScans returns the scans carrying a pruning decision.
-func prunedScans(root exec.PNode) []*exec.PScan {
-	var out []*exec.PScan
-	exec.WalkP(root, func(n exec.PNode) {
-		if s, ok := n.(*exec.PScan); ok && s.Prune != nil {
-			out = append(out, s)
-		}
-	})
-	return out
 }
 
 // cachedSamples returns the cached-sample wrappers in a compiled plan.
@@ -373,29 +264,6 @@ func cachedDiff(a, b exec.PNode) string {
 		}
 		if ca[i].SamplerP != cb[i].SamplerP {
 			return fmt.Sprintf("fragment %d sampler p=%g vs %g on replay", i, ca[i].SamplerP, cb[i].SamplerP)
-		}
-	}
-	return ""
-}
-
-// pruneDiff compares the pruning decisions of two compilations of the
-// same plan, returning the first difference or "".
-func pruneDiff(a, b exec.PNode) string {
-	sa, sb := prunedScans(a), prunedScans(b)
-	if len(sa) != len(sb) {
-		return fmt.Sprintf("%d pruned scans vs %d on replay", len(sa), len(sb))
-	}
-	for i := range sa {
-		pa, pb := sa[i].Prune, sb[i].Prune
-		if pa.TailP != pb.TailP || pa.TailTotal != pb.TailTotal || pa.Pruned != pb.Pruned ||
-			len(pa.Keep) != len(pb.Keep) {
-			return fmt.Sprintf("decision shape differs: %+v vs %+v", pa, pb)
-		}
-		for j := range pa.Keep {
-			if pa.Keep[j] != pb.Keep[j] || pa.Inflate[j] != pb.Inflate[j] {
-				return fmt.Sprintf("kept set differs at %d: partition %d×%g vs %d×%g",
-					j, pa.Keep[j], pa.Inflate[j], pb.Keep[j], pb.Inflate[j])
-			}
 		}
 	}
 	return ""

@@ -57,27 +57,18 @@ func TestSoundnessSweep(t *testing.T) {
 			t.Errorf("rule %s never rewrote any of %d plans: its soundness proof is vacuous", r.Name, n)
 		}
 	}
-	if st.Pruned == 0 {
-		t.Errorf("partition-prune never fired: the prune algebra checks are vacuous")
-	}
-	if st.Pruned == st.Sampled {
-		t.Errorf("every sampled plan pruned: the ineligibility paths (wide keys, COUNT DISTINCT) are never exercised")
-	}
 }
 
 // TestRegistryComplete parses the optimizer sources and proves the rule
 // registry complete in both directions: every rewrite-shaped function
 // in normalize.go (func(lplan.Node) lplan.Node, optionally with an
-// *Estimator) and every Planner pass in prune.go or samplecache.go
-// (method taking an exec.PNode) must be registered in opt.Rules(), and
-// every registered Func must still exist in the sources. Adding a
-// rewrite without registering it — leaving it unproven — fails here.
+// *Estimator) and every Planner pass in samplecache.go (method taking
+// an exec.PNode) must be registered in opt.Rules(), and every
+// registered Func must still exist in the sources. Adding a rewrite
+// without registering it — leaving it unproven — fails here.
 func TestRegistryComplete(t *testing.T) {
 	found := map[string]bool{}
 	for _, fn := range rewriteFuncs(t, "../normalize.go") {
-		found[fn] = true
-	}
-	for _, fn := range plannerPasses(t, "../prune.go") {
 		found[fn] = true
 	}
 	for _, fn := range plannerPasses(t, "../samplecache.go") {
@@ -110,7 +101,7 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	for fn := range registered {
 		if !found[fn] {
-			t.Errorf("registered rule function %s no longer exists in normalize.go/prune.go/samplecache.go", fn)
+			t.Errorf("registered rule function %s no longer exists in normalize.go/samplecache.go", fn)
 		}
 	}
 }
@@ -300,78 +291,6 @@ func TestProverCatchesNonIdempotentRule(t *testing.T) {
 	_, probs := CheckLogicalRewrite(root, wrap)
 	if len(probs) == 0 {
 		t.Fatal("ever-wrapping rewrite passed the prover")
-	}
-}
-
-// prunedCompile finds a seed whose compiled plan prunes a scan and
-// returns the compiled plan plus its estimator config.
-func prunedCompile(t *testing.T) (exec.PNode, *exec.EstimatorConfig) {
-	t.Helper()
-	est := opt.NewEstimator(sharedCatalog())
-	for seed := uint64(1); seed < 500; seed++ {
-		root, info := genPlan(seed)
-		if info.samplerP <= 0 {
-			continue
-		}
-		var norm lplan.Node = root
-		for _, r := range opt.Rules() {
-			if r.Kind == opt.LogicalRule {
-				norm = r.Logical(norm, est)
-			}
-		}
-		cfg := estCfg(info)
-		pl := &opt.Planner{CM: opt.NewCostModel(est, cluster.DefaultConfig()), EstCfg: cfg, Seed: seed, Prune: true}
-		proot, err := pl.Plan(norm)
-		if err != nil {
-			continue
-		}
-		if len(prunedScans(proot)) == 1 {
-			return proot, cfg
-		}
-	}
-	t.Fatal("no pruned plan in 500 seeds")
-	return nil, nil
-}
-
-// TestProverCatchesInflationTampering corrupts a pruned scan's
-// Horvitz–Thompson inflation factors and proves the exact prune
-// algebra rejects each corruption.
-func TestProverCatchesInflationTampering(t *testing.T) {
-	proot, cfg := prunedCompile(t)
-	if probs := CheckPrunedPlan(proot, cfg); len(probs) != 0 {
-		t.Fatalf("honest pruned plan rejected: %v", probs)
-	}
-	scan := prunedScans(proot)[0]
-	tailAt := -1
-	for i, f := range scan.Prune.Inflate {
-		if f > 1 {
-			tailAt = i
-			break
-		}
-	}
-	if tailAt < 0 {
-		t.Fatal("pruned scan kept no tail partition")
-	}
-	orig := scan.Prune.Inflate[tailAt]
-
-	scan.Prune.Inflate[tailAt] = orig * 2 // breaks exact m/k and the mass identity
-	if probs := CheckPrunedPlan(proot, cfg); len(probs) == 0 {
-		t.Error("doubled tail inflation passed the prune algebra")
-	}
-	scan.Prune.Inflate[tailAt] = orig
-
-	origP := scan.Prune.TailP
-	scan.Prune.TailP = origP / 2 // estimator config no longer matches the design
-	if probs := CheckPrunedPlan(proot, cfg); len(probs) == 0 {
-		t.Error("tampered TailP passed the prune algebra")
-	}
-	scan.Prune.TailP = origP
-
-	if probs := CheckPrunedPlan(proot, nil); len(probs) == 0 {
-		t.Error("pruned scan without estimator config passed the prune algebra")
-	}
-	if probs := CheckPrunedPlan(proot, cfg); len(probs) != 0 {
-		t.Fatalf("restored plan rejected: %v", probs)
 	}
 }
 

@@ -30,8 +30,6 @@ func (c *Checker) CheckPhysical(root exec.PNode) []Violation {
 	vs = append(vs, checkPUniverseGroups(root)...)
 	vs = append(vs, checkSharedUniverse(root)...)
 	vs = append(vs, checkPWeightReachesAggregate(root)...)
-	vs = append(vs, checkPPruning(root)...)
-	vs = append(vs, checkPruneInflation(root)...)
 	vs = append(vs, checkCachedSample(root)...)
 	return annotatePaths(vs, physicalPaths(root))
 }
@@ -359,134 +357,6 @@ func checkSharedUniverse(root exec.PNode) []Violation {
 	return vs
 }
 
-// checkPPruning verifies the optimizer's partition-selection decisions:
-// a pruned scan needs a real sampler above it in the same streaming
-// chain (skipping partitions of an exact scan would bias the answer),
-// its kept-partition subset must be well-formed with Horvitz–Thompson
-// inflation factors ≥ 1, and the table's summaries must actually
-// certify the sampler's stratification/universe columns (the C1/C2
-// dominance precondition for pruning eligibility).
-func checkPPruning(root exec.PNode) []Violation {
-	var vs []Violation
-	bad := func(n exec.PNode, format string, args ...any) {
-		vs = append(vs, Violation{Rule: "p-prune", Node: n.Describe(), Detail: fmt.Sprintf(format, args...), node: n})
-	}
-	var rec func(n exec.PNode, samp *exec.PSample)
-	rec = func(n exec.PNode, samp *exec.PSample) {
-		switch x := n.(type) {
-		case *exec.PSample:
-			if isRealP(x) {
-				samp = x
-			}
-			rec(x.In, samp)
-		case *exec.PFilter:
-			rec(x.In, samp)
-		case *exec.PScan:
-			if x.Prune == nil {
-				return
-			}
-			pr := x.Prune
-			total := len(x.Tbl.Partitions)
-			if samp == nil {
-				bad(n, "pruned scan has no sampler above it: skipping partitions would bias an exact answer")
-			}
-			if len(pr.Keep) == 0 {
-				bad(n, "empty kept-partition subset")
-				return
-			}
-			if len(pr.Inflate) != len(pr.Keep) {
-				bad(n, "inflation factors (%d) not aligned with kept partitions (%d)", len(pr.Inflate), len(pr.Keep))
-				return
-			}
-			for i, p := range pr.Keep {
-				if p < 0 || p >= total {
-					bad(n, "kept partition %d out of range [0, %d)", p, total)
-				}
-				if i > 0 && pr.Keep[i-1] >= p {
-					bad(n, "kept partitions not strictly ascending at index %d", i)
-				}
-				if pr.Inflate[i] < 1 {
-					bad(n, "inflation %g < 1 for partition %d would deflate row weights", pr.Inflate[i], p)
-				}
-			}
-			if pr.Pruned != total-len(pr.Keep) {
-				bad(n, "Pruned=%d inconsistent with %d of %d partitions kept", pr.Pruned, len(pr.Keep), total)
-			}
-			if pr.TailP <= 0 || pr.TailP > 1 {
-				bad(n, "tail inclusion probability %g outside (0, 1]", pr.TailP)
-			}
-			if samp != nil && len(x.OutCols) == len(x.ColIdx) {
-				pos := map[lplan.ColumnID]int{}
-				for i, ci := range x.OutCols {
-					pos[ci.ID] = x.ColIdx[i]
-				}
-				need := append(append([]lplan.ColumnID{}, samp.Def.Cols...), samp.Def.BucketCols...)
-				for _, id := range need {
-					c, ok := pos[id]
-					if !ok {
-						bad(n, "sampler column #%d is not stored in the pruned table: summaries cannot dominate it", id)
-						continue
-					}
-					for p := range x.Tbl.Partitions {
-						if !x.Tbl.Summary(p).Cols[c].Complete {
-							bad(n, "partition %d summary does not certify sampler column #%d: pruning eligibility (C1/C2) violated", p, id)
-							break
-						}
-					}
-				}
-			}
-		default:
-			for _, k := range n.Kids() {
-				rec(k, nil)
-			}
-		}
-	}
-	rec(root, nil)
-	return vs
-}
-
-// checkPruneInflation verifies that a pruned scan's weight inflation
-// actually reaches a Horvitz–Thompson aggregate: an estimator-bearing
-// aggregation must sit above the scan with no sort or limit between,
-// and the estimator's partition terms must match the scan's decision
-// (otherwise reported error bars would ignore the cluster-sampling
-// variance the pruning introduced).
-func checkPruneInflation(root exec.PNode) []Violation {
-	var vs []Violation
-	bad := func(n exec.PNode, format string, args ...any) {
-		vs = append(vs, Violation{Rule: "p-prune-inflation", Node: n.Describe(), Detail: fmt.Sprintf(format, args...), node: n})
-	}
-	var rec func(n exec.PNode, est *exec.EstimatorConfig, blocked string)
-	rec = func(n exec.PNode, est *exec.EstimatorConfig, blocked string) {
-		switch x := n.(type) {
-		case *exec.PHashAgg:
-			if x.Est != nil {
-				est, blocked = x.Est, ""
-			}
-		case *exec.PSort, *exec.PLimit:
-			if est != nil && blocked == "" {
-				blocked = n.Describe()
-			}
-		case *exec.PScan:
-			if x.Prune != nil {
-				switch {
-				case est == nil:
-					bad(n, "pruned scan has no estimator-bearing aggregate above it: partition inflation would never enter an estimate")
-				case blocked != "":
-					bad(n, "%s between the pruned scan and its aggregate reorders or truncates the inflated stream", blocked)
-				case est.PartP != x.Prune.TailP:
-					bad(n, "estimator PartP=%g disagrees with the scan's tail probability %g: variance would be computed for a different design", est.PartP, x.Prune.TailP)
-				}
-			}
-		}
-		for _, k := range n.Kids() {
-			rec(k, est, blocked)
-		}
-	}
-	rec(root, nil, "")
-	return vs
-}
-
 // checkCachedSample verifies hot-sample-reuse nodes: the replaced
 // fragment must still be present as the node's child, have the
 // cacheable shape the rewrite recognizes (a real sampler over
@@ -519,7 +389,7 @@ func checkCachedSample(root exec.PNode) []Violation {
 			bad(n, "node claims sampler p=%g but the fragment samples at p=%g: cached rows would carry different HT weights than the lazy path", cs.SamplerP, s.Def.P)
 		}
 		if cs.Key != exec.FragmentKey(cs.Frag) {
-			bad(n, "cache key does not fingerprint this fragment: a warm run could replay a different sampler/filter/prune combination")
+			bad(n, "cache key does not fingerprint this fragment: a warm run could replay a different sampler/filter combination")
 		}
 	})
 	return vs

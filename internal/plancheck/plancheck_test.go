@@ -304,96 +304,6 @@ func TestPhysicalSamplerProbabilityCap(t *testing.T) {
 	expectRules(t, New().CheckPhysical(plan), "p-sampler-p")
 }
 
-// prunedTable has 4 partitions of a low-cardinality int column, so the
-// per-partition summaries certify it completely.
-func prunedTable() *table.Table {
-	tbl := table.New("pt", table.NewSchema(table.Column{Name: "a", Kind: table.KindInt}), 4)
-	for i := 0; i < 80; i++ {
-		tbl.Append(i, table.Row{table.NewInt(int64(i % 5))})
-	}
-	return tbl
-}
-
-// prunedScan keeps partitions 0 (certainty) and 2 (tail, inflated 2×)
-// out of 4.
-func prunedScan() *exec.PScan {
-	return &exec.PScan{
-		Tbl: prunedTable(), OutCols: []lplan.ColumnInfo{col(1, "a")},
-		ColIdx: []int{0}, WeightIdx: -1,
-		Prune: &exec.PrunedScan{
-			Keep: []int{0, 2}, Inflate: []float64{1, 2},
-			Pruned: 2, TailP: 0.5, TailTotal: 2,
-		},
-	}
-}
-
-func prunedPlan(src *exec.PScan, samplerCols ...lplan.ColumnID) *exec.PHashAgg {
-	samp := &exec.PSample{
-		In:   src,
-		Def:  lplan.SamplerDef{Type: lplan.SamplerDistinct, P: 0.05, Cols: samplerCols, Delta: 1},
-		Seed: 1,
-	}
-	plan := pagg(&exec.PExchange{In: samp, Keys: []lplan.ColumnID{1}, Parts: 2}, true, 1)
-	plan.Est = &exec.EstimatorConfig{
-		Type: lplan.SamplerDistinct, P: 0.05,
-		PartP: 0.5, PartTail: 1, PartTailFrac: 0.5,
-	}
-	return plan
-}
-
-func TestPhysicalPruningCleanPlanPasses(t *testing.T) {
-	if vs := New().CheckPhysical(prunedPlan(prunedScan(), 1)); len(vs) != 0 {
-		t.Fatalf("clean pruned plan flagged: %v", vs)
-	}
-}
-
-func TestPhysicalPruningNeedsSampler(t *testing.T) {
-	src := prunedScan()
-	plan := pagg(&exec.PExchange{In: src, Keys: []lplan.ColumnID{1}, Parts: 2}, true, 1)
-	plan.Est = &exec.EstimatorConfig{Type: lplan.SamplerUniform, P: 0.05, PartP: 0.5, PartTail: 1, PartTailFrac: 0.5}
-	expectRules(t, New().CheckPhysical(plan), "p-prune")
-}
-
-func TestPhysicalPruningMalformedSubset(t *testing.T) {
-	src := prunedScan()
-	src.Prune.Keep = []int{2, 0}       // not ascending
-	src.Prune.Inflate = []float64{0.5} // misaligned and deflating
-	expectRules(t, New().CheckPhysical(prunedPlan(src, 1)), "p-prune")
-}
-
-func TestPhysicalPruningInflationBelowOne(t *testing.T) {
-	src := prunedScan()
-	src.Prune.Inflate = []float64{1, 0.25}
-	expectRules(t, New().CheckPhysical(prunedPlan(src, 1)), "p-prune")
-}
-
-func TestPhysicalPruningSummariesMustDominate(t *testing.T) {
-	src := prunedScan()
-	// Overwrite the table with unique keys per row: per-partition
-	// distinct counts blow the exact-summary budget, so no partition
-	// summary can certify the sampler's stratification column.
-	src.Tbl = table.New("pt", table.NewSchema(table.Column{Name: "a", Kind: table.KindInt}), 4)
-	for i := 0; i < 4096; i++ {
-		src.Tbl.Append(i, table.Row{table.NewInt(int64(i))})
-	}
-	expectRules(t, New().CheckPhysical(prunedPlan(src, 1)), "p-prune")
-}
-
-func TestPhysicalPruningInflationMismatch(t *testing.T) {
-	plan := prunedPlan(prunedScan(), 1)
-	plan.Est.PartP = 0.25 // disagrees with the scan's TailP=0.5
-	expectRules(t, New().CheckPhysical(plan), "p-prune-inflation")
-}
-
-func TestPhysicalPruningNeedsEstimatorAggregate(t *testing.T) {
-	src := prunedScan()
-	samp := &exec.PSample{In: src, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.05}, Seed: 1}
-	plan := &exec.PLimit{In: &exec.PExchange{In: samp, Parts: 1}, N: 5}
-	// The sampler also trips weight propagation: both rules report the
-	// same root cause (no aggregate consumes the weighted stream).
-	expectRules(t, New().CheckPhysical(plan), "p-prune-inflation", "p-weight-propagation")
-}
-
 func TestViolationFormatting(t *testing.T) {
 	err := asError([]Violation{{Rule: "r", Node: "n", Detail: "d"}})
 	if err == nil || !strings.Contains(err.Error(), "r: n: d") {

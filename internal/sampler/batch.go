@@ -4,9 +4,10 @@ package sampler
 // vector and scale the weight column in place instead of admitting
 // materialized rows. Admit stays the one-row definition: each AdmitBatch
 // draws exactly the per-row decision sequence Admit would for the same
-// live rows in the same order (batch_test.go and the executor's row
-// reference hold them to it). The distinct sampler has no batch form;
-// the executor feeds it row by row through Admit.
+// live rows in the same order (TestAdmitBatchMatchesAdmit in
+// sampler_test.go and the executor's row reference hold them to it).
+// The distinct sampler has no batch form; the executor feeds it row by
+// row through Admit.
 
 // AdmitBatch admits the live lanes listed in sel, in order. Passing
 // lanes keep their slot in the (in-place thinned) selection and have

@@ -2,10 +2,11 @@ package table
 
 // Per-partition summary statistics: row counts, per-column measure
 // moments (sum/min/max over numeric lanes), heavy hitters (lossy
-// counting) and KMV distinct sketches. The optimizer's partition-
-// selection pass reads these to decide which partitions a sampled scan
-// may skip; a summary is built from the partition's snapshot on first
-// use and kept beside it until the next Append.
+// counting) and KMV distinct sketches. No query reads them today: they
+// are the base of the one statistics system ROADMAP item 3 builds, and
+// the benchmark times their construction (table.summaries_ms). A summary
+// is built from the partition's snapshot on first use and kept beside
+// it until the next Append.
 
 import "quickr/internal/sketch"
 
@@ -163,15 +164,6 @@ func (t *Table) EnsureSummaries() {
 	for i := range t.parts {
 		t.Summary(i)
 	}
-}
-
-// Summaries returns one summary per partition, building missing ones.
-func (t *Table) Summaries() []*PartitionSummary {
-	out := make([]*PartitionSummary, len(t.parts))
-	for i := range t.parts {
-		out[i] = t.Summary(i)
-	}
-	return out
 }
 
 // MergedColumn rolls the per-partition summaries of one column up into

@@ -203,9 +203,9 @@ func BenchmarkSummaryBuild(b *testing.B) {
 
 // TestHotPathAllocCeilings is internal/exec's test of the same name for
 // the one gated hot path that lives here: the partition-summary builder
-// the pruning pass reads must not quietly bloat. The ceiling is 1.1× the
-// 20266 allocations a build of 4096 rows made when it was introduced
-// (and makes today, at any GOMAXPROCS).
+// must not quietly bloat. The ceiling is 1.1× the 20266 allocations a
+// build of 4096 rows made when it was introduced (and makes today, at
+// any GOMAXPROCS).
 func TestHotPathAllocCeilings(t *testing.T) {
 	t.Run("BenchmarkSummaryBuild", func(t *testing.T) {
 		const ceiling = 22292

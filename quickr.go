@@ -117,7 +117,6 @@ type settings struct {
 	seed       uint64
 	batchSize  int
 	planChecks bool
-	prune      bool
 	// historyOn enables the learned estimate-correction loop (query
 	// history feeding p selection and EXPLAIN ANALYZE `corrected=`).
 	historyOn bool
@@ -200,6 +199,13 @@ func (e *Engine) SetBatchSize(n int) { e.reconfigure(func(s *settings) { s.batch
 // exec.columnar.* points.
 func (e *Engine) SetColumnar(bool) { e.reconfigure(nil) }
 
+// SetPrune does nothing but bump the epoch: partition selection is
+// gone (DESIGN §12), every scan reads every partition.
+//
+// Deprecated: kept so the benchmark harness compiles; goes with its
+// exec.prune.* points.
+func (e *Engine) SetPrune(bool) { e.reconfigure(nil) }
+
 // SetPlanChecks toggles the plan-invariant verifier
 // (internal/plancheck): when enabled, every optimized logical plan and
 // every compiled physical plan is checked against the paper's sampler
@@ -209,16 +215,6 @@ func (e *Engine) SetColumnar(bool) { e.reconfigure(nil) }
 // a biased answer. The CLI flag `quickr -check` enables the same
 // verifier.
 func (e *Engine) SetPlanChecks(on bool) { e.reconfigure(func(s *settings) { s.planChecks = on }) }
-
-// SetPrune toggles the optimizer's partition-selection pass: when
-// enabled, sampled plans whose partition summaries fully certify the
-// sampler's column needs scan only a weighted subset of partitions
-// (heavy-hitter partitions kept outright, the tail subsampled with
-// Horvitz–Thompson inflation) and the reported confidence intervals
-// widen by the partition-level cluster variance. Off by default;
-// while off, plans and results are bit-identical to an engine without
-// the pass. The CLI flag `quickr -prune` enables the same pass.
-func (e *Engine) SetPrune(on bool) { e.reconfigure(func(s *settings) { s.prune = on }) }
 
 // SetHistoryLearning toggles the learned estimate-correction loop:
 // when on (the default), every run records its actuals into the
@@ -626,7 +622,7 @@ func (e *Engine) prepareStmt(s *settings, stmt *sql.SelectStmt, approx bool, min
 			return nil, fmt.Errorf("quickr: optimized logical plan is invalid: %w", err)
 		}
 	}
-	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: s.seed, Prune: s.prune, SampleCache: s.sampleCache != nil}
+	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: s.seed, SampleCache: s.sampleCache != nil}
 	physical, err := planner.Plan(p.logical)
 	if err != nil {
 		return nil, err

@@ -30,12 +30,10 @@ type RunMetrics struct {
 	// on shared pool workers.
 	PoolTasks  int `json:"pool_tasks"`
 	PoolStolen int `json:"pool_stolen"`
-	// PartitionsScanned and PartitionsPruned count base-table partitions
-	// read and skipped by the partition-selection pass. Always emitted
-	// (the stats_*.golden files pin the schema); both reflect full scans
-	// when the pass is off or ineligible, with PartitionsPruned = 0.
+	// PartitionsScanned counts the base-table partitions the plan's
+	// scans read. Always emitted (the stats_*.golden files pin the
+	// schema).
 	PartitionsScanned int64 `json:"partitions_scanned"`
-	PartitionsPruned  int64 `json:"partitions_pruned"`
 }
 
 // RunReport is the machine-readable report of one executed query,
@@ -127,7 +125,6 @@ func (r *Result) RunReport(query string, approx bool) *RunReport {
 			PoolTasks:         r.PoolTasks,
 			PoolStolen:        r.PoolStolen,
 			PartitionsScanned: r.PartitionsScanned,
-			PartitionsPruned:  r.PartitionsPruned,
 		},
 		Operators: r.Stats.Report(),
 		Contract:  r.ContractReport(),

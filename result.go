@@ -49,12 +49,14 @@ type Result struct {
 	PeakInFlightBytes float64
 	// RowsProcessed counts base-table rows driven through the plan.
 	RowsProcessed int64
-	// PartitionsScanned and PartitionsPruned count base-table partitions
-	// read and skipped by the optimizer's partition-selection pass
-	// (PartitionsPruned is 0 unless the engine ran with SetPrune(true)
-	// and the plan was pruning-eligible).
+	// PartitionsScanned counts the base-table partitions the plan's
+	// scans read: every partition of every scanned table.
 	PartitionsScanned int64
-	PartitionsPruned  int64
+	// Always 0: partition selection is gone (DESIGN §12).
+	//
+	// Deprecated: kept so the benchmark harness compiles; goes with its
+	// opt.prune.* point.
+	PartitionsPruned int64
 	// ExecSeconds is real wall-clock execution time (not simulated).
 	ExecSeconds float64
 	// QueuedSeconds is the time the query waited at the byte-budget
@@ -112,7 +114,6 @@ func newResult(r *exec.Result, p *prepared) *Result {
 		PeakInFlightBytes: r.PeakInFlightBytes,
 		RowsProcessed:     r.RowsProcessed,
 		PartitionsScanned: r.PartitionsScanned,
-		PartitionsPruned:  r.PartitionsPruned,
 		ExecSeconds:       r.ExecSeconds,
 		QueuedSeconds:     float64(r.QueuedNanos) / 1e9,
 		AdmittedBytes:     r.AdmittedBytes,
