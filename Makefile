@@ -12,12 +12,14 @@ test:
 # The race job covers the packages with real concurrency: the parallel
 # executor, the shared worker pool and admission gate, the query
 # service, the samplers the executor drives, the per-partition metric
-# slots, and the table storage (appends, seals and snapshot readers);
-# then the fused pipeline and the per-partition aggregate runners, and
-# the storage tests, three times over.
+# slots, the table storage (appends, seals and snapshot readers), and
+# the statistics store that extends itself from the table's new lanes
+# (with the catalog that hands it out); then the fused pipeline and the
+# per-partition aggregate runners, and the storage tests, three times
+# over.
 # Keep all three lines in lockstep with the CI race job.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/...
+	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
 	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg' ./internal/exec/
 	$(GO) test -race -count=3 -run 'TestTable' ./internal/table/
 

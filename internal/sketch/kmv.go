@@ -31,11 +31,9 @@ func NewKMV(k int) *KMV {
 func (s *KMV) Add(key string) {
 	s.n++
 	if s.exact != nil {
+		// Stay exact while cheap; the hashes are fed too, so the later
+		// switch is seamless.
 		s.exact[key] = true
-		if len(s.exact) <= 4*s.k {
-			// Stay exact while cheap; also feed hashes so a later switch
-			// is seamless.
-		}
 	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -67,52 +65,6 @@ func (s *KMV) insertHash(v uint64) {
 		delete(s.seen, drop)
 		s.hashes = s.hashes[:len(s.hashes)-1]
 	}
-}
-
-// Merge folds another sketch into s, as if every value o observed had
-// been Added to s. The merged k-minimum set stays valid because the
-// union's k smallest hashes are a subset of the two inputs' k smallest.
-// When the sketches disagree on k, the merged sketch degrades to the
-// smaller k (beyond o's k-th minimum o carries no information, so the
-// result can only certify min(k) minima). Exact mode survives only
-// while both inputs are exact and the union stays small, matching Add's
-// fallback rule.
-func (s *KMV) Merge(o *KMV) {
-	if o == nil {
-		return
-	}
-	s.n += o.n
-	if s.exact != nil && o.exact != nil {
-		for key := range o.exact {
-			s.exact[key] = true
-		}
-	} else {
-		s.exact = nil
-	}
-	if o.k < s.k {
-		s.k = o.k
-		for len(s.hashes) > s.k {
-			drop := s.hashes[len(s.hashes)-1]
-			delete(s.seen, drop)
-			s.hashes = s.hashes[:len(s.hashes)-1]
-		}
-	}
-	for _, v := range o.hashes {
-		s.insertHash(v)
-	}
-	if s.exact != nil && len(s.exact) > 4*s.k {
-		s.exact = nil
-	}
-}
-
-// ExactCount returns the exact distinct count while the sketch is still
-// in exact mode (small streams), with ok=false once it has fallen back
-// to the k-minimum estimate.
-func (s *KMV) ExactCount() (int, bool) {
-	if s.exact == nil {
-		return 0, false
-	}
-	return len(s.exact), true
 }
 
 // Estimate returns the estimated number of distinct values.

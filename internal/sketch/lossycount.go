@@ -96,19 +96,3 @@ func (c *LossyCounter) HeavyHitters(s float64) []HeavyHitter {
 	})
 	return out
 }
-
-// Merge folds another sketch into c (used when parallel sampler
-// instances combine; error bounds add).
-func (c *LossyCounter) Merge(o *LossyCounter) {
-	c.n += o.n
-	for k, e := range o.entries {
-		if mine, ok := c.entries[k]; ok {
-			mine.count += e.count
-			if e.delta > mine.delta {
-				mine.delta = e.delta
-			}
-		} else {
-			c.entries[k] = &lcEntry{count: e.count, delta: e.delta + int64(c.bucket-1)}
-		}
-	}
-}

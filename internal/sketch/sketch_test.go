@@ -77,23 +77,6 @@ func TestLossyCounterUndercountBounded(t *testing.T) {
 	}
 }
 
-func TestLossyCounterMerge(t *testing.T) {
-	a, b := NewLossyCounter(1e-3), NewLossyCounter(1e-3)
-	for i := 0; i < 10000; i++ {
-		a.Add("x")
-		b.Add("x")
-		b.Add(fmt.Sprintf("k%d", i))
-	}
-	a.Merge(b)
-	if a.N() != 30000 {
-		t.Fatalf("merged N = %d", a.N())
-	}
-	got, ok := a.Count("x")
-	if !ok || got < 19000 {
-		t.Errorf("merged count of x: %d", got)
-	}
-}
-
 func TestKMVExactSmall(t *testing.T) {
 	s := NewKMV(64)
 	for i := 0; i < 100; i++ {
@@ -117,116 +100,6 @@ func TestKMVEstimateLarge(t *testing.T) {
 	}
 	if s.N() != 2*trueNDV {
 		t.Errorf("N = %d", s.N())
-	}
-}
-
-func TestKMVMergeExactSmall(t *testing.T) {
-	a, b := NewKMV(64), NewKMV(64)
-	for i := 0; i < 50; i++ {
-		a.Add(fmt.Sprintf("a%d", i))
-		b.Add(fmt.Sprintf("b%d", i))
-		b.Add(fmt.Sprintf("a%d", i)) // overlap must not double-count
-	}
-	a.Merge(b)
-	if got := a.Estimate(); got != 100 {
-		t.Errorf("merged exact estimate %v want exactly 100", got)
-	}
-	if a.N() != 150 {
-		t.Errorf("merged N = %d", a.N())
-	}
-	if n, ok := a.ExactCount(); !ok || n != 100 {
-		t.Errorf("ExactCount = %d, %v", n, ok)
-	}
-}
-
-// Merge must behave as if the other stream had been Added directly: the
-// merged estimate equals the single-sketch estimate over the union.
-func TestKMVMergeMatchesUnion(t *testing.T) {
-	merged, whole := NewKMV(256), NewKMV(256)
-	const n = 20000
-	a, b := NewKMV(256), NewKMV(256)
-	for i := 0; i < n; i++ {
-		a.Add(fmt.Sprintf("a%d", i))
-		whole.Add(fmt.Sprintf("a%d", i))
-	}
-	for i := 0; i < n; i++ {
-		b.Add(fmt.Sprintf("b%d", i))
-		whole.Add(fmt.Sprintf("b%d", i))
-	}
-	merged.Merge(a)
-	merged.Merge(b)
-	if merged.Estimate() != whole.Estimate() {
-		t.Errorf("merged estimate %.0f != whole-stream estimate %.0f", merged.Estimate(), whole.Estimate())
-	}
-	if merged.N() != whole.N() {
-		t.Errorf("merged N %d != %d", merged.N(), whole.N())
-	}
-	if _, ok := merged.ExactCount(); ok {
-		t.Error("large merged sketch still claims exact mode")
-	}
-}
-
-// Hash collisions across the two inputs (shared keys hash identically)
-// must not inflate the k-minimum set.
-func TestKMVMergeCollisions(t *testing.T) {
-	a, b := NewKMV(32), NewKMV(32)
-	for i := 0; i < 5000; i++ {
-		k := fmt.Sprintf("v%d", i)
-		a.Add(k)
-		b.Add(k) // every hash in b collides with one in a
-	}
-	est := a.Estimate()
-	a.Merge(b)
-	if a.Estimate() != est {
-		t.Errorf("merging identical streams changed estimate %.0f -> %.0f", est, a.Estimate())
-	}
-	if len(a.hashes) > a.k {
-		t.Errorf("hash set overflowed k: %d > %d", len(a.hashes), a.k)
-	}
-	for i := 1; i < len(a.hashes); i++ {
-		if a.hashes[i-1] >= a.hashes[i] {
-			t.Fatalf("hashes not strictly ascending at %d", i)
-		}
-	}
-}
-
-// Merging sketches with different k degrades to the smaller k and keeps
-// the invariants (boundary: the larger sketch must drop its extra
-// minima, which only the smaller k can certify).
-func TestKMVMergeMixedK(t *testing.T) {
-	big, small := NewKMV(256), NewKMV(16)
-	for i := 0; i < 10000; i++ {
-		big.Add(fmt.Sprintf("a%d", i))
-		small.Add(fmt.Sprintf("b%d", i))
-	}
-	big.Merge(small)
-	if big.k != 16 {
-		t.Fatalf("merged k = %d want 16", big.k)
-	}
-	if len(big.hashes) > 16 {
-		t.Fatalf("hash set %d exceeds merged k", len(big.hashes))
-	}
-	if len(big.seen) != len(big.hashes) {
-		t.Fatalf("seen map %d out of sync with hashes %d", len(big.seen), len(big.hashes))
-	}
-	const trueNDV = 20000
-	if rel := math.Abs(big.Estimate()-trueNDV) / trueNDV; rel > 0.6 {
-		t.Errorf("k=16 merged estimate %.0f too far from %d", big.Estimate(), trueNDV)
-	}
-}
-
-func TestKMVMergeEmptyAndNil(t *testing.T) {
-	s := NewKMV(64)
-	s.Add("x")
-	s.Merge(nil)
-	s.Merge(NewKMV(64))
-	if got := s.Estimate(); got != 1 {
-		t.Errorf("estimate after empty merges %v want 1", got)
-	}
-	empty := NewKMV(64)
-	empty.Merge(s)
-	if got := empty.Estimate(); got != 1 {
-		t.Errorf("merge into empty: estimate %v want 1", got)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"quickr/internal/table"
 )
 
-// The row-wise statistics pass, as Collect and computeSetNDV ran it over
+// The row-wise statistics pass, as Collect and NDVSet ran it over
 // boxed rows: partition by partition, row by row, every column of a row
 // before the next row, Value.Key rendered per lane. Collect over the
 // column vectors must equal it bit for bit — the sketches see each
@@ -148,11 +148,11 @@ func handRow(i int) table.Row {
 	return r
 }
 
-// Collect and NDVSet equal the row-wise reference, and every partition
-// summary equals one built from scratch over the partition's rows, on
+// Collect and NDVSet equal the row-wise reference bit for bit on
 // generated and hand-built tables, freshly loaded and after three
 // insert-then-read rounds (statistics read sealed columns; the rounds
-// make them columns that grew in place).
+// make them columns that grew in place). Each Collect is a first touch:
+// this is the reference for tables never appended to after theirs.
 func TestCollectMatchesRowReference(t *testing.T) {
 	tables := []*table.Table{handBuilt(), data.Logs(20000, 7, 8)}
 	h := data.GenerateTPCH(data.TPCHConfig{ScaleFactor: 0.1, Seed: 3})
@@ -181,12 +181,6 @@ func TestCollectMatchesRowReference(t *testing.T) {
 			for _, set := range sets {
 				if g, w := got.NDVSet(set), refSetNDV(tbl.Schema, want, set); g != w {
 					t.Fatalf("%s %s: NDVSet(%v) = %v, want %v", tbl.Name, when, set, g, w)
-				}
-			}
-			for p := range want {
-				scratch := table.BuildSummary(table.Columnarize(want[p], tbl.Schema.Len()))
-				if !reflect.DeepEqual(tbl.Summary(p), scratch) {
-					t.Fatalf("%s %s: partition %d summary differs from one built over its rows", tbl.Name, when, p)
 				}
 			}
 		}

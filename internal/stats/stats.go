@@ -3,14 +3,19 @@
 // distinct value counts (also for column sets), and heavy-hitter values
 // with frequencies. Statistics are computed in a single pass over each
 // table, matching the paper's "computed by the first query that reads
-// the table" behaviour, and cached in a Store.
+// the table" behaviour, and extended by the same pass over the lanes
+// appended since. Validity rule: a TableStats is current exactly while
+// Table.Version() equals the version it was folded at, and Store.Get
+// never returns one that is not.
 package stats
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"quickr/internal/sketch"
 	"quickr/internal/table"
@@ -37,17 +42,16 @@ type ColumnStats struct {
 	Heavy []HeavyValue
 }
 
-// TableStats summarizes one table.
+// TableStats is an immutable snapshot of one table's statistics: once
+// Store.Get or Collect has returned it, nothing writes it again.
 type TableStats struct {
 	Table    string
 	RowCount int64
 	Bytes    int64
 	Columns  map[string]*ColumnStats
-	// colSetNDV caches distinct-value counts for multi-column sets,
-	// keyed by the joined sorted column names.
-	colSetNDV map[string]float64
-	src       *table.Table
-	mu        sync.Mutex
+	// version is the Table.Version() this snapshot was folded at.
+	version uint64
+	e       *entry
 }
 
 // heavyFraction is the s threshold for reporting heavy hitters (paper
@@ -57,43 +61,97 @@ const heavyFraction = 0.01
 // lossyEps is the lossy-counting error bound (paper τ=1e-4).
 const lossyEps = 1e-4
 
-// Collect computes TableStats in a single pass over t's columns.
-func Collect(t *table.Table) *TableStats {
-	ts := &TableStats{
-		Table:     t.Name,
-		Columns:   map[string]*ColumnStats{},
-		colSetNDV: map[string]float64{},
-		src:       t,
+// entry holds one table's streaming accumulators between folds. Every
+// fold runs under mu, in the calling goroutine, partitions in order: the
+// statistics are a function of the sequence of appends and reads alone.
+type entry struct {
+	tbl *table.Table
+	// pub is the snapshot last published; a reader at an unchanged
+	// Table.Version() takes it without the lock.
+	pub atomic.Pointer[TableStats]
+	mu  sync.Mutex
+	// guarded-by: mu
+	cols []colAcc
+	// marks[p] is how many lanes of partition p cols has folded.
+	// guarded-by: mu
+	marks []int
+	// sets holds one accumulator per column set NDVSet was asked for,
+	// keyed by the joined sorted column names.
+	// guarded-by: mu
+	sets map[string]*setAcc
+}
+
+// colAcc accumulates one column.
+type colAcc struct {
+	kmv        *sketch.KMV
+	lossy      *sketch.LossyCounter
+	sum, sumsq float64
+	cnt, nulls int64
+	min, max   table.Value
+}
+
+// setAcc accumulates the distinct combinations of one column set, from
+// its own per-partition marks.
+type setAcc struct {
+	idx   []int
+	kmv   *sketch.KMV
+	marks []int
+	// version is the Table.Version() the marks were last advanced at.
+	version uint64
+}
+
+func newEntry(t *table.Table) *entry {
+	e := &entry{tbl: t, cols: make([]colAcc, t.Schema.Len()), marks: make([]int, len(t.Partitions)), sets: map[string]*setAcc{}}
+	for i := range e.cols {
+		e.cols[i] = colAcc{kmv: sketch.NewKMV(1024), lossy: sketch.NewLossyCounter(lossyEps), min: table.Null, max: table.Null}
 	}
-	n := t.Schema.Len()
-	type colAcc struct {
-		cs    *ColumnStats
-		kmv   *sketch.KMV
-		lossy *sketch.LossyCounter
-		sum   float64
-		sumsq float64
-		cnt   int64
+	return e
+}
+
+// foldHook, when set by a test, is told how many lanes each fold of a
+// column or column set reads.
+var foldHook func(lanes int)
+
+// Collect computes t's statistics in a single pass over its columns: the
+// one-shot form of the fold Store.Get runs.
+func Collect(t *table.Table) *TableStats { return newEntry(t).get() }
+
+// get returns statistics as of the table's current version, first
+// folding whatever lanes were sealed since the last fold.
+func (e *entry) get() *TableStats {
+	if ts := e.pub.Load(); ts != nil && ts.version == e.tbl.Version() {
+		return ts
 	}
-	accs := make([]*colAcc, n)
-	for i, c := range t.Schema.Cols {
-		accs[i] = &colAcc{
-			cs:    &ColumnStats{Name: c.Name, Kind: c.Kind, Min: table.Null, Max: table.Null},
-			kmv:   sketch.NewKMV(1024),
-			lossy: sketch.NewLossyCounter(lossyEps),
-		}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ver := e.tbl.Version()
+	if ts := e.pub.Load(); ts != nil && ts.version == ver { // a racing reader folded it
+		return ts
 	}
+	ts := &TableStats{Table: e.tbl.Name, Columns: map[string]*ColumnStats{}, version: ver, e: e}
 	// Column by column within a partition, partitions in order: each
-	// column's sketches and float sums see its values in row order.
-	for p := range t.Partitions {
-		cp := t.Columnar(p)
+	// column's sketches and float sums see its values in row order. The
+	// marks, not ver, say which lanes are new: a row appended after ver
+	// was read is folded here or by the next get, never twice.
+	for p := range e.marks {
+		cp := e.tbl.Columnar(p)
 		ts.RowCount += int64(cp.NumRows)
 		ts.Bytes += cp.Bytes
-		for i, a := range accs {
-			keys := cp.Cols[i].Keys()
-			for lane := 0; lane < cp.NumRows; lane++ {
+		lo := e.marks[p]
+		e.marks[p] = cp.NumRows
+		if lo == cp.NumRows {
+			continue
+		}
+		for i := range e.cols {
+			a := &e.cols[i]
+			keys := cp.Cols[i].Keys(cp.NumRows - lo)
+			if foldHook != nil {
+				foldHook(cp.NumRows - lo)
+			}
+			for lane := lo; lane < cp.NumRows; lane++ {
 				v, key := keys.At(lane)
 				if v.IsNull() {
-					a.cs.NullCount++
+					a.nulls++
 					continue
 				}
 				a.kmv.Add(key)
@@ -104,27 +162,28 @@ func Collect(t *table.Table) *TableStats {
 					a.sumsq += f * f
 					a.cnt++
 				}
-				if a.cs.Min.IsNull() || v.Compare(a.cs.Min) < 0 {
-					a.cs.Min = v
+				if a.min.IsNull() || v.Compare(a.min) < 0 {
+					a.min = v
 				}
-				if a.cs.Max.IsNull() || v.Compare(a.cs.Max) > 0 {
-					a.cs.Max = v
+				if a.max.IsNull() || v.Compare(a.max) > 0 {
+					a.max = v
 				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		a := accs[i]
-		a.cs.NDV = a.kmv.Estimate()
+	for i, c := range e.tbl.Schema.Cols {
+		a := &e.cols[i]
+		cs := &ColumnStats{Name: c.Name, Kind: c.Kind, NullCount: a.nulls, NDV: a.kmv.Estimate(), Min: a.min, Max: a.max}
 		if a.cnt > 0 {
-			a.cs.Avg = a.sum / float64(a.cnt)
-			a.cs.Var = math.Max(0, a.sumsq/float64(a.cnt)-a.cs.Avg*a.cs.Avg)
+			cs.Avg = a.sum / float64(a.cnt)
+			cs.Var = math.Max(0, a.sumsq/float64(a.cnt)-cs.Avg*cs.Avg)
 		}
 		for _, hh := range a.lossy.HeavyHitters(heavyFraction) {
-			a.cs.Heavy = append(a.cs.Heavy, HeavyValue{Value: keyToValue(hh.Key), Freq: hh.Freq})
+			cs.Heavy = append(cs.Heavy, HeavyValue{Value: keyToValue(hh.Key), Freq: hh.Freq})
 		}
-		ts.Columns[a.cs.Name] = a.cs
+		ts.Columns[cs.Name] = cs
 	}
+	e.pub.Store(ts)
 	return ts
 }
 
@@ -169,8 +228,8 @@ func keyToValue(key string) table.Value {
 }
 
 // NDVSet returns the (possibly estimated) number of distinct value
-// combinations of cols in the table, computing and caching it on first
-// use. An empty set has NDV 1.
+// combinations of cols in the table as of its current version: never
+// older than ts, possibly newer. An empty set has NDV 1.
 func (ts *TableStats) NDVSet(cols []string) float64 {
 	if len(cols) == 0 {
 		return 1
@@ -181,63 +240,57 @@ func (ts *TableStats) NDVSet(cols []string) float64 {
 		}
 		return float64(ts.RowCount)
 	}
-	sorted := append([]string{}, cols...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	key := strings.Join(sorted, "\x00")
-	ts.mu.Lock()
-	if v, ok := ts.colSetNDV[key]; ok {
-		ts.mu.Unlock()
-		return v
-	}
-	ts.mu.Unlock()
-
-	v := ts.computeSetNDV(sorted)
-	ts.mu.Lock()
-	ts.colSetNDV[key] = v
-	ts.mu.Unlock()
-	return v
+	sorted := slices.Clone(cols)
+	slices.Sort(sorted)
+	return ts.e.setNDV(sorted)
 }
 
-func (ts *TableStats) computeSetNDV(cols []string) float64 {
-	if ts.src == nil {
-		// Fall back to the independence upper bound capped at rowcount.
-		prod := 1.0
+// setNDV brings the accumulator of a sorted column set up to the table's
+// current version, folding only the lanes past the set's own marks.
+func (e *entry) setNDV(cols []string) float64 {
+	key := strings.Join(cols, "\x00")
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v := e.tbl.Version()
+	sa := e.sets[key]
+	if sa == nil {
+		sa = &setAcc{kmv: sketch.NewKMV(1024), marks: make([]int, len(e.marks))}
 		for _, c := range cols {
-			if cs, ok := ts.Columns[c]; ok {
-				prod *= cs.NDV
+			if i := e.tbl.Schema.Index(c); i >= 0 {
+				sa.idx = append(sa.idx, i)
 			}
 		}
-		return math.Min(prod, float64(ts.RowCount))
+		e.sets[key] = sa
+	} else if sa.version == v {
+		return sa.kmv.Estimate()
 	}
-	idx := make([]int, 0, len(cols))
-	for _, c := range cols {
-		if i := ts.src.Schema.Index(c); i >= 0 {
-			idx = append(idx, i)
-		}
-	}
-	kmv := sketch.NewKMV(1024)
 	var sb strings.Builder
-	keys := make([]table.ColKeys, len(idx))
-	for p := range ts.src.Partitions {
-		cp := ts.src.Columnar(p)
-		for k, i := range idx {
-			keys[k] = cp.Cols[i].Keys()
+	keys := make([]table.ColKeys, len(sa.idx))
+	for p := range sa.marks {
+		cp := e.tbl.Columnar(p)
+		lo := sa.marks[p]
+		sa.marks[p] = cp.NumRows
+		if lo == cp.NumRows {
+			continue
 		}
-		for lane := 0; lane < cp.NumRows; lane++ {
+		for k, i := range sa.idx {
+			keys[k] = cp.Cols[i].Keys(cp.NumRows - lo)
+		}
+		if foldHook != nil {
+			foldHook(cp.NumRows - lo)
+		}
+		for lane := lo; lane < cp.NumRows; lane++ {
 			sb.Reset()
 			for k := range keys {
-				_, key := keys[k].At(lane)
-				sb.WriteString(key)
+				_, ck := keys[k].At(lane)
+				sb.WriteString(ck)
 				sb.WriteByte(0)
 			}
-			kmv.Add(sb.String())
+			sa.kmv.Add(sb.String())
 		}
 	}
-	return kmv.Estimate()
+	sa.version = v
+	return sa.kmv.Estimate()
 }
 
 // HeavyFreq returns the frequency of value v in column col if v is a
@@ -255,38 +308,28 @@ func (ts *TableStats) HeavyFreq(col string, v table.Value) int64 {
 	return 0
 }
 
-// Store caches statistics per table, computing them on first access
-// (paper §4.2.6: "if not already available, the statistics are computed
-// by the first query that reads the table").
+// Store keeps one entry per table and brings it up to date on every
+// read (paper §4.2.6: "if not already available, the statistics are
+// computed by the first query that reads the table").
 type Store struct {
-	mu     sync.Mutex
-	tables map[string]*TableStats
+	mu sync.Mutex
+	// entries is keyed by name so that a replaced table's accumulators
+	// go with it; the entry's tbl decides whether it answers for t.
+	entries map[string]*entry // guarded-by: mu
 }
 
 // NewStore returns an empty statistics store.
-func NewStore() *Store {
-	return &Store{tables: map[string]*TableStats{}}
-}
+func NewStore() *Store { return &Store{entries: map[string]*entry{}} }
 
-// Get returns cached stats for t, collecting them on first use.
+// Get returns t's statistics as of t.Version(). A table re-created or
+// re-registered under an old name is a different table and starts over.
 func (s *Store) Get(t *table.Table) *TableStats {
 	s.mu.Lock()
-	if ts, ok := s.tables[t.Name]; ok {
-		s.mu.Unlock()
-		return ts
+	e := s.entries[t.Name]
+	if e == nil || e.tbl != t {
+		e = newEntry(t)
+		s.entries[t.Name] = e
 	}
 	s.mu.Unlock()
-	ts := Collect(t)
-	s.mu.Lock()
-	s.tables[t.Name] = ts
-	s.mu.Unlock()
-	return ts
-}
-
-// Lookup returns stats by table name if already collected.
-func (s *Store) Lookup(name string) (*TableStats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tables[name]
-	return ts, ok
+	return e.get()
 }

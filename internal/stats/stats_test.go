@@ -137,10 +137,4 @@ func TestStoreCaching(t *testing.T) {
 	if a != b {
 		t.Error("store must cache per table")
 	}
-	if _, ok := s.Lookup("tt"); !ok {
-		t.Error("lookup by name failed")
-	}
-	if _, ok := s.Lookup("missing"); ok {
-		t.Error("lookup of unknown table must fail")
-	}
 }

@@ -2,8 +2,8 @@ package table
 
 // Columnar storage: the per-partition, column-major stored form. The
 // vectorized executor (internal/exec) windows these vectors directly,
-// statistics and summaries read them column by column, and Rows
-// rebuilds rows from them. Columnarize builds a partition's first
+// statistics read them column by column, and Rows rebuilds rows from
+// them. Columnarize builds a partition's first
 // snapshot; later appends are sealed onto it in place (seal.go).
 
 import "slices"
@@ -86,17 +86,18 @@ func (c *ColVec) Value(i int) Value {
 }
 
 // ColKeys reads a column's lanes together with their Value.Key strings,
-// rendering a dictionary column's keys once per code rather than once
-// per lane.
+// rendering whichever is fewer: a dictionary column's keys once per
+// code, or the keys of the lanes read.
 type ColKeys struct {
 	col  *ColVec
 	dict []string // Key of every Dict entry of a string column
 }
 
-// Keys returns a keyed reader over the column.
-func (c *ColVec) Keys() ColKeys {
+// Keys returns a keyed reader over the column for a caller about to
+// read that many of its lanes.
+func (c *ColVec) Keys(lanes int) ColKeys {
 	k := ColKeys{col: c}
-	if !c.Any && c.Kind == KindString {
+	if !c.Any && c.Kind == KindString && lanes >= len(c.Dict) {
 		k.dict = make([]string, len(c.Dict))
 		for code, s := range c.Dict {
 			k.dict[code] = NewString(s).Key()
@@ -275,3 +276,10 @@ func (t *Table) EnsureColumnar() {
 		t.Columnar(i)
 	}
 }
+
+// EnsureSummaries does nothing: per-partition summaries were deleted,
+// statistics live in internal/stats alone.
+//
+// Deprecated: kept so the benchmark harness compiles; goes with its
+// table.summaries_ms point.
+func (t *Table) EnsureSummaries() {}

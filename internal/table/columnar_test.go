@@ -182,9 +182,9 @@ func TestTableColumnarConcurrent(t *testing.T) {
 	}
 }
 
-// Concurrent first touches of one partition seal it, or summarize it,
-// once (every caller gets the same published value), and first touches
-// of different partitions do not serialize: partition 0's seal waits
+// Concurrent first touches of one partition seal it once (every caller
+// gets the same published value), and first touches of different
+// partitions do not serialize: partition 0's seal waits
 // inside its build for partition 1's to finish, which a table-wide
 // build lock would deadlock.
 func TestTableColumnarFirstTouchParallel(t *testing.T) {
@@ -193,7 +193,6 @@ func TestTableColumnarFirstTouchParallel(t *testing.T) {
 		touch func(*Table, int) (form any, numRows int)
 	}{
 		{"columnar", func(tbl *Table, i int) (any, int) { cp := tbl.Columnar(i); return cp, cp.NumRows }},
-		{"summary", func(tbl *Table, i int) (any, int) { ps := tbl.Summary(i); return ps, ps.NumRows }},
 	}
 	for _, f := range forms {
 		t.Run(f.name, func(t *testing.T) {
@@ -246,9 +245,8 @@ func TestTableColumnarFirstTouchParallel(t *testing.T) {
 }
 
 // An Append that lands while a partition is being sealed stays in the
-// tail and keeps the summary of that seal from being published: the
-// caller still gets a summary consistent with the snapshot it was built
-// from, and the next touch seals and summarizes the new row.
+// tail: the caller gets the snapshot of the rows the seal read, and the
+// next touch seals the new row.
 func TestTableAppendDuringBuildNotPublished(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt})
 	tbl := New("adb", sc, 1)
@@ -260,19 +258,17 @@ func TestTableAppendDuringBuildNotPublished(t *testing.T) {
 		tbl.Append(0, Row{NewInt(10)})
 	}
 	defer func() { partBuildHook = nil }()
-	if ps := tbl.Summary(0); ps.NumRows != 10 {
-		t.Fatalf("mid-append build summarizes %d rows, want the 10 it was built from", ps.NumRows)
+	if cp := tbl.Columnar(0); cp.NumRows != 10 {
+		t.Fatalf("mid-append seal holds %d rows, want the 10 it read", cp.NumRows)
 	}
-	if ps := tbl.Summary(0); ps.NumRows != 11 {
-		t.Fatalf("next touch summarizes %d rows, want 11: the stale build was published", ps.NumRows)
+	if cp := tbl.Columnar(0); cp.NumRows != 11 {
+		t.Fatalf("next touch holds %d rows, want 11: the appended row was lost", cp.NumRows)
 	}
 }
 
-// Appends racing scans (run with -race): Append pushes onto the tail
-// and drops the summary in one critical section, so a reader must never
-// see a snapshot or summary whose row count disagrees with what it was
-// built from — any snapshot it gets is internally consistent even while
-// writes continue.
+// Appends racing scans (run with -race): a reader must never see a
+// snapshot whose row count disagrees with what it was built from — any
+// snapshot it gets is internally consistent even while writes continue.
 func TestTableAppendVsScanConcurrent(t *testing.T) {
 	sc := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "s", Kind: KindString})
 	tbl := New("avs", sc, 4)
@@ -291,7 +287,7 @@ func TestTableAppendVsScanConcurrent(t *testing.T) {
 	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) { // readers alternate columnar and summary scans
+		go func(g int) { // readers scan the columnar form
 			defer wg.Done()
 			for {
 				for p := 0; p < 4; p++ {
@@ -309,11 +305,6 @@ func TestTableAppendVsScanConcurrent(t *testing.T) {
 						t.Errorf("partition %d: NumRows=%d but %d lanes", p, cp.NumRows, lanes)
 						return
 					}
-					ps := tbl.Summary(p)
-					if ps.Cols[0].NonNull != int64(ps.NumRows) {
-						t.Errorf("partition %d: summary NonNull=%d over %d rows", p, ps.Cols[0].NonNull, ps.NumRows)
-						return
-					}
 				}
 				select {
 				case <-done:
@@ -328,9 +319,6 @@ func TestTableAppendVsScanConcurrent(t *testing.T) {
 	total := 0
 	for p := 0; p < 4; p++ {
 		total += tbl.Columnar(p).NumRows
-		if tbl.Summary(p).NumRows != tbl.Columnar(p).NumRows {
-			t.Fatalf("partition %d: summary and columnar disagree post-drain", p)
-		}
 	}
 	if total != 4400 {
 		t.Fatalf("post-drain rows=%d, want 4400", total)

@@ -256,7 +256,6 @@ func TestTableSizeConcurrentAppend(t *testing.T) {
 						t.Errorf("partition %d: ragged snapshot", p)
 						return
 					}
-					tbl.Summary(p)
 				}
 			}
 		}()

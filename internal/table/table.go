@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Row is one tuple: a slice of values positionally aligned with a schema.
@@ -99,19 +100,18 @@ type Table struct {
 	// guarded-by: cacheMu
 	Partitions [][]Row
 
-	// cacheMu guards the tails, version, and the snap and sum fields of
-	// every parts[p]. Append, publishing a snapshot and publishing a
-	// summary each take it once, so a reader never pairs a snapshot with
-	// a summary or a tail of another generation. `make quickrlint`
-	// (lockdiscipline) holds every access to a field annotated
-	// guarded-by in this package to it.
+	// cacheMu guards the tails and the snap field of every parts[p].
+	// Append and publishing a snapshot each take it once, so a reader
+	// never pairs a snapshot with a tail of another generation. `make
+	// quickrlint` (lockdiscipline) holds every access to a field
+	// annotated guarded-by in this package to it.
 	cacheMu sync.Mutex
 	parts   []partState
-	// version counts Appends; caches keyed outside the table (the
-	// engine's sample cache) fold it into their keys so entries built
-	// over older contents become unreachable.
-	// guarded-by: cacheMu
-	version uint64
+	// version counts Appends; what is derived from the contents outside
+	// the table (the statistics store, the engine's sample cache) keys
+	// on it, so nothing built over older contents is served. Written
+	// under cacheMu with the tail push, read without it.
+	version atomic.Uint64
 }
 
 // New creates a table with the given number of empty partitions.
@@ -124,17 +124,14 @@ func New(name string, schema *Schema, parts int) *Table {
 
 // partState is the stored form of one partition beside its tail.
 type partState struct {
-	// snap is the published snapshot, nil until the first read; sum is
-	// its summary, nil until asked for and again after an Append. The
-	// owning table's cacheMu guards both.
+	// snap is the published snapshot, nil until the first read. The
+	// owning table's cacheMu guards it.
 	snap *ColPartition
-	sum  *PartitionSummary
-	// seal is held while the tail is sealed, sumBuild while the summary
-	// is built, both outside cacheMu: racing reads of one partition do
-	// the work once, different partitions work in parallel, and no
-	// reader of a published form waits behind a build.
-	seal     sync.Mutex
-	sumBuild sync.Mutex
+	// seal is held while the tail is sealed, outside cacheMu: racing
+	// reads of one partition do the work once, different partitions
+	// work in parallel, and no reader of a published snapshot waits
+	// behind a seal.
+	seal sync.Mutex
 	// grow is the sealer's private handle on the snapshot's columns
 	// (seal.go); only the holder of seal touches it.
 	grow []colGrow
@@ -144,26 +141,20 @@ type partState struct {
 var partBuildHook func(part int)
 
 // Append adds a row to the tail of partition i%len(partitions)
-// (round-robin helper) and drops that partition's summary, in one
-// critical section: a concurrent Columnar/Summary call can never pair
-// the new row with a summary built without it.
+// (round-robin helper) and bumps the version, in one critical section:
+// a reader that sees the new version finds the row in the tail or in a
+// snapshot.
 func (t *Table) Append(i int, r Row) {
 	p := i % len(t.parts)
 	t.cacheMu.Lock()
 	t.Partitions[p] = append(t.Partitions[p], r)
-	t.parts[p].sum = nil
-	t.version++
+	t.version.Add(1)
 	t.cacheMu.Unlock()
 }
 
-// Version returns the table's append counter. Externally-keyed caches
-// (the engine's materialized-sample cache) embed it in their keys, the
-// same invalidation discipline the summaries get from Append.
-func (t *Table) Version() uint64 {
-	t.cacheMu.Lock()
-	defer t.cacheMu.Unlock()
-	return t.version
-}
+// Version returns the table's append counter: equal versions mean equal
+// contents.
+func (t *Table) Version() uint64 { return t.version.Load() }
 
 // NumRows returns the total number of rows in the table, sealed and
 // unsealed.
