@@ -14,13 +14,14 @@ test:
 # service, the samplers the executor drives, the per-partition metric
 # slots, the table storage (appends, seals and snapshot readers), and
 # the statistics store that extends itself from the table's new lanes
-# (with the catalog that hands it out); then the fused pipeline and the
-# per-partition aggregate runners, and the storage tests, three times
-# over.
+# (with the catalog that hands it out); then the fused pipeline, the
+# per-partition aggregate runners and the routed exchange (its gather
+# tasks and the aggregate's stripe tasks read one routing), and the
+# storage tests, three times over.
 # Keep all three lines in lockstep with the CI race job.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
-	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg' ./internal/exec/
+	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange' ./internal/exec/
 	$(GO) test -race -count=3 -run 'TestTable' ./internal/table/
 
 # Concurrency hammer: 32+ mixed exact/approx queries on one engine under

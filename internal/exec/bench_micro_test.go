@@ -1,8 +1,9 @@
 package exec
 
 // Microbenchmarks for the executor's hottest paths — hash-join
-// build/probe, the exchange scatter, grouped aggregation (a two-column
-// key, a lone dictionary key, a lone integer key) and window
+// build/probe, the keyed exchange (routed and gathered, and routed under
+// the aggregate that folds it in place), grouped aggregation (a
+// two-column key, a lone dictionary key, a lone integer key) and window
 // partitioning — plus the parallel sort; the four kernel plans live in
 // bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
@@ -59,22 +60,27 @@ type hotPlan struct {
 // 1.25× what a run of the plan allocated when the ceiling was last set:
 // the two joins and the four kernels when every breaker went
 // column-major (933, 922, 948, 1277, 631 — and 866 for the pre-aggregation
-// kernel once the aggregate went typed), the exchange at its introduction
-// (2628), the three aggregations when the aggregate stopped boxing rows
+// kernel once the aggregate went typed), the exchange and the aggregate
+// over it when the exchange stopped copying lanes into one builder per
+// (source, destination) (996, 2253; the gathered exchange held 2628
+// before), the three aggregations when the aggregate stopped boxing rows
 // (821, 695, 911: builders, tables and accumulator columns per
 // partition, nothing per row or per group), window and sort at the same
 // time (2157, 971). A 16Ki–64Ki-row run that boxed one row per lane or
 // allocated one object per group would add tens of thousands. Counts
-// repeat to within ±6 at GOMAXPROCS 1, 2 and 8: pool scheduling is the
-// only jitter. The -race build allocates 1–14% more (1034 on the integer
-// keys, 962 on the pre-aggregation kernel), which the slack absorbs.
+// repeat to within ±6 at GOMAXPROCS 1, 2 and 8 (±25 for the aggregate
+// over the exchange): pool scheduling is the only jitter. The -race
+// build allocates 1–14% more (1034 on the integer keys, 962 on the
+// pre-aggregation kernel, 2551 on the aggregate over the exchange), which
+// the slack absorbs.
 var hotPlans = []hotPlan{
 	{"BenchmarkJoinBroadcast", joinBroadcastPlan, 1166},
 	{"BenchmarkJoinCoPartitioned", joinCoPartitionedPlan, 1152},
-	{"BenchmarkExchangeScatter", exchangeScatterPlan, 3285},
+	{"BenchmarkExchangeGather", exchangeGatherPlan, 1245},
 	{"BenchmarkGroupedAgg", groupedAggPlan, 1026},
 	{"BenchmarkAggDictKey", aggDictKeyPlan, 868},
 	{"BenchmarkAggIntKeys", aggIntKeysPlan, 1138},
+	{"BenchmarkAggOverExchange", aggOverExchangePlan, 2816},
 	{"BenchmarkWindowPartition", windowPartitionPlan, 2696},
 	{"BenchmarkSortPartitions", sortPartitionsPlan, 1213},
 	{"BenchmarkFilterKernel", kernelFilterPlan, 1185},
@@ -85,12 +91,12 @@ var hotPlans = []hotPlan{
 
 // TestHotPathAllocCeilings runs every gated plan under
 // testing.AllocsPerRun and fails when a run allocates more than its
-// ceiling, so per-row boxing cannot creep back into a sink, a scatter, a
+// ceiling, so per-row boxing cannot creep back into a sink, a gather, a
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 12 {
-		t.Fatalf("hotPlans holds %d plans, want the 12 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 13 {
+		t.Fatalf("hotPlans holds %d plans, want the 13 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -151,18 +157,19 @@ func BenchmarkJoinBroadcast(b *testing.B) { benchPlan(b, joinBroadcastPlan) }
 // (per-task build over the task's co-located build partition).
 func BenchmarkJoinCoPartitioned(b *testing.B) { benchPlan(b, joinCoPartitionedPlan) }
 
-func exchangeScatterPlan() (PNode, int) {
+func exchangeGatherPlan() (PNode, int) {
 	const parts, keys, rows = 4, 2048, 65536
 	_, fact := benchTables(parts, keys, rows)
 	scan := scanOf(fact)
 	return &PExchange{In: scan, Keys: []lplan.ColumnID{scan.OutCols[0].ID, scan.OutCols[1].ID}, Parts: 8}, rows
 }
 
-// BenchmarkExchangeScatter measures a keyed exchange over a scan: every
-// source task hashes the (int, string) key vectors of its batches and
-// scatters lanes into eight destination builders, and the coordinator
-// concatenates the pieces.
-func BenchmarkExchangeScatter(b *testing.B) { benchPlan(b, exchangeScatterPlan) }
+// BenchmarkExchangeGather measures a keyed exchange over a scan with a
+// consumer that needs its output built: the scan sinks into one
+// partition per source, one pass hashes the (int, string) key vectors
+// and routes the lanes, and each of the eight destinations gathers its
+// lanes once into columns of their final size.
+func BenchmarkExchangeGather(b *testing.B) { benchPlan(b, exchangeGatherPlan) }
 
 func groupedAggPlan() (PNode, int) {
 	const parts, groups, rows = 4, 256, 65536
@@ -246,6 +253,50 @@ func aggIntKeysPlan() (PNode, int) {
 // many groups: a closure-free probe per lane, keys and counts in typed
 // columns indexed by group id.
 func BenchmarkAggIntKeys(b *testing.B) { benchPlan(b, aggIntKeysPlan) }
+
+// aggOverExchangePlan is the shape the planner emits for a grouped
+// aggregate: Scan -> Project -> Exchange hash -> HashAgg, eight sources
+// into eight destinations, grouped by an integer key of many groups and
+// a dictionary key of few, under SUM and COUNT.
+func aggOverExchangePlan() (PNode, int) {
+	const parts, uids, rows = 8, 4096, 65536
+	flags := []string{"GET", "POST", "PUT"}
+	tbl := table.New("bench_hits", table.NewSchema(
+		table.Column{Name: "uid", Kind: table.KindInt},
+		table.Column{Name: "method", Kind: table.KindString},
+		table.Column{Name: "ms", Kind: table.KindFloat},
+		table.Column{Name: "unread", Kind: table.KindString},
+	), parts)
+	for i := 0; i < rows; i++ {
+		uid := i * 7919 % uids
+		tbl.Append(i, table.Row{
+			table.NewInt(int64(uid)), table.NewString(flags[uid%len(flags)]),
+			table.NewFloat(float64(i % 500)), table.NewString("/index.html"),
+		})
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	proj := &PProject{In: scan, OutCols: scan.OutCols[:3]}
+	for _, c := range proj.OutCols {
+		proj.Exprs = append(proj.Exprs, &lplan.ColRef{ID: c.ID, Name: c.Name, Kind: c.Kind})
+	}
+	k, s, v := proj.OutCols[0], proj.OutCols[1], proj.OutCols[2]
+	nextID += 2
+	return &PHashAgg{
+		In:        &PExchange{In: proj, Keys: []lplan.ColumnID{k.ID, s.ID}, Parts: parts},
+		GroupCols: []lplan.ColumnID{k.ID, s.ID},
+		GroupInfo: []lplan.ColumnInfo{k, s},
+		Aggs: []lplan.AggSpec{
+			{Kind: lplan.AggSum, Arg: v.ID, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID - 1, Name: "sum_ms", Kind: table.KindFloat}},
+			{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID, Name: "hits", Kind: table.KindInt}},
+		},
+	}, uids
+}
+
+// BenchmarkAggOverExchange measures the grouped aggregate behind its
+// keyed exchange: the sources materialize once, one pass routes their
+// lanes, and the destinations' runners fold the routed lanes in place.
+func BenchmarkAggOverExchange(b *testing.B) { benchPlan(b, aggOverExchangePlan) }
 
 func windowPartitionPlan() (PNode, int) {
 	const parts, groups, rows = 4, 64, 16384

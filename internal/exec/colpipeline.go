@@ -6,6 +6,7 @@ import (
 
 	"quickr/internal/cluster"
 	"quickr/internal/metrics"
+	"quickr/internal/pool"
 	"quickr/internal/sampler"
 	"quickr/internal/table"
 )
@@ -694,6 +695,9 @@ func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 // the aggregate, its batches folding into the aggregation runner
 // vector by vector without building the aggregate's input first.
 func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
+	if x, ok := p.In.(*PExchange); ok && x.routed() {
+		return ex.execAggRouted(p, x)
+	}
 	cc, err := ex.buildColChain(p.In)
 	if err != nil {
 		return nil, err
@@ -704,17 +708,12 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 		ex.ensureStage(cc.src, "aggregate")
 		cc.st = cc.src.stage
 	}
-	cm := buildColMap(p.In.Cols())
-	partEsts := make([][]GroupEstimate, cc.parts)
-	op := ex.opFor(p)
-	op.Grow(cc.parts)
-	outParts := make([]Part, cc.parts)
 	// Lanes read straight off a breaker's partition went through no
 	// chain kernel and are not counted as kernel lanes.
-	fused := !p.In.Breaker()
+	ao := ex.newAggOut(p, cc.st, cc.parts, !p.In.Breaker())
 	t0 := time.Now()
 	if err := ex.parallel(cc.parts, func(i int) error {
-		r, err := newAggRunner(p, cm)
+		r, err := newAggRunner(p, ao.cm)
 		if err != nil {
 			return err
 		}
@@ -722,38 +721,138 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 		if err := cc.drive(i, func(b *Batch, _ *colScratch) { nrows += r.addBatch(b) }); err != nil {
 			return err
 		}
-		out, ests := r.emit()
-		// A global aggregate on a non-first partition must not emit the
-		// empty-input global row.
-		if len(p.GroupCols) == 0 && i > 0 && nrows == 0 {
-			out, ests = emptyPart(len(out.Cols)), nil
+		ao.emit(i, r, nrows)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	ao.op.AddWall(time.Since(t0))
+	cc.finish()
+	return cc.result(ao.finish(ex)), nil
+}
+
+// execAggRouted runs a hash aggregate over a keyed exchange without
+// building the exchange's output: destination d's runner folds the
+// lanes routed to d where they lie in the sources, as batches of a
+// source window under the routed selection — the lanes, in the order, a
+// gathered partition would hand it. A task owns a stripe of
+// destinations (d % tasks) and reads each source window once for all of
+// them; one task per destination would re-read every source column for
+// 1/parts of its lanes.
+func (ex *executor) execAggRouted(p *PHashAgg, x *PExchange) (*stream, error) {
+	rt, s, err := ex.routeExchange(x)
+	if err != nil {
+		return nil, err
+	}
+	return ex.aggRoutes(p, rt, s.deps)
+}
+
+// aggRoutes is execAggRouted once the exchange is routed.
+func (ex *executor) aggRoutes(p *PHashAgg, rt *routes, deps []int) (*stream, error) {
+	st := ex.run.NewStage("aggregate", rt.parts, deps...)
+	for d := 0; d < rt.parts; d++ {
+		st.AddInput(d, rt.rows[d], rt.bytes[d])
+	}
+	ao := ex.newAggOut(p, st, rt.parts, false)
+	tasks := min(rt.parts, pool.Default().Workers())
+	t0 := time.Now()
+	if err := ex.parallel(tasks, func(t int) error {
+		runners := make([]*aggRunner, rt.parts)
+		for d := t; d < rt.parts; d += tasks {
+			r, err := newAggRunner(p, ao.cm)
+			if err != nil {
+				return err
+			}
+			runners[d] = r
 		}
-		outParts[i] = out
-		cc.st.AddCPU(i, 2*float64(nrows))
-		sl := op.Slot(i)
-		sl.RowsIn += int64(nrows)
-		sl.RowsOut += int64(out.N)
-		if fused {
-			sl.KernelLanes += int64(nrows)
+		if err := rt.fold(ex.ctx, t, tasks, runners); err != nil {
+			return err
 		}
-		if out.N > 0 {
-			sl.NoteBatch(out.bytes)
-		}
-		if p.Top {
-			partEsts[i] = ests
+		for d := t; d < rt.parts; d += tasks {
+			ao.emit(d, runners[d], int(rt.rows[d]))
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	op.AddWall(time.Since(t0))
-	cc.finish()
-	if p.Top {
-		var allEsts []GroupEstimate
-		for _, es := range partEsts {
-			allEsts = append(allEsts, es...)
+	ao.op.AddWall(time.Since(t0))
+	return &stream{parts: ao.finish(ex), stage: st}, nil
+}
+
+// fold feeds the runners of stripe t every source window's routed lanes.
+//
+//hot:striped aggregate fold over routed lanes, per window
+func (rt *routes) fold(ctx context.Context, t, tasks int, runners []*aggRunner) error {
+	var b Batch
+	for i := range rt.srcs {
+		if err := ctxErr(ctx); err != nil {
+			return err
 		}
-		ex.topEstimates = allEsts
+		src := &rt.srcs[i]
+		for w, pos := 0, 0; pos < src.N; w++ {
+			b.n = min(rt.window, src.N-pos)
+			b.cols, b.weights = src.window(b.cols[:0], pos, b.n), src.W[pos:pos+b.n]
+			for d := t; d < rt.parts; d += tasks {
+				if b.sel = rt.sel(i, w, d); len(b.sel) > 0 {
+					runners[d].addBatch(&b)
+				}
+			}
+			pos += b.n
+		}
 	}
-	return cc.result(outParts), nil
+	return nil
+}
+
+// aggOut collects a hash aggregate's per-partition outputs; emit is
+// called from the partitions' tasks, each for its own indexes.
+type aggOut struct {
+	p     *PHashAgg
+	cm    colMap
+	op    *metrics.Op
+	st    *cluster.Stage
+	fused bool // the input lanes came through chain kernels
+	parts []Part
+	ests  [][]GroupEstimate
+}
+
+func (ex *executor) newAggOut(p *PHashAgg, st *cluster.Stage, parts int, fused bool) *aggOut {
+	op := ex.opFor(p)
+	op.Grow(parts)
+	return &aggOut{p: p, cm: buildColMap(p.In.Cols()), op: op, st: st, fused: fused,
+		parts: make([]Part, parts), ests: make([][]GroupEstimate, parts)}
+}
+
+// emit renders partition i's groups from its runner, which folded nrows
+// rows, and charges the partition's task.
+func (ao *aggOut) emit(i int, r *aggRunner, nrows int) {
+	out, ests := r.emit()
+	// A global aggregate on a non-first partition must not emit the
+	// empty-input global row.
+	if len(ao.p.GroupCols) == 0 && i > 0 && nrows == 0 {
+		out, ests = emptyPart(len(out.Cols)), nil
+	}
+	ao.parts[i], ao.ests[i] = out, ests
+	ao.st.AddCPU(i, 2*float64(nrows))
+	sl := ao.op.Slot(i)
+	sl.RowsIn += int64(nrows)
+	sl.RowsOut += int64(out.N)
+	if ao.fused {
+		sl.KernelLanes += int64(nrows)
+	}
+	if out.N > 0 {
+		sl.NoteBatch(out.bytes)
+	}
+}
+
+// finish hands the top aggregate's estimates to the executor and
+// returns the output partitions.
+func (ao *aggOut) finish(ex *executor) []Part {
+	if ao.p.Top {
+		var all []GroupEstimate
+		for _, es := range ao.ests {
+			all = append(all, es...)
+		}
+		ex.topEstimates = all
+	}
+	return ao.parts
 }

@@ -116,22 +116,27 @@ func partBytes(cols []table.ColVec, n int) float64 {
 				}
 			}
 		default:
-			total += 8*n - 7*countNulls(cv.Nulls, n)
+			total += 8*n - 7*countNulls(cv.Nulls, 0, n)
 		}
 	}
 	return float64(total)
 }
 
-// countNulls counts the set bits among the first n of a NULL bitmap.
-func countNulls(nulls []uint64, n int) int {
+// countNulls counts the set bits among lanes [off, off+n) of a NULL
+// bitmap (nil = none), a word at a time.
+func countNulls(nulls []uint64, off, n int) int {
+	if nulls == nil {
+		return 0
+	}
 	cnt := 0
-	for w, word := range nulls {
-		if lanes := n - w*64; lanes <= 0 {
-			break
-		} else if lanes < 64 {
-			word &= 1<<uint(lanes) - 1
+	for lo, hi := off, off+n; lo < hi; {
+		word, span := nulls[lo>>6]>>(uint(lo)&63), 64-lo&63
+		if span > hi-lo {
+			span = hi - lo
+			word &= 1<<uint(span) - 1
 		}
 		cnt += bits.OnesCount64(word)
+		lo += span
 	}
 	return cnt
 }
@@ -184,7 +189,7 @@ func (pb *partBuilder) appendBatch(b *Batch) { pb.appendLanes(b.cols, b.sel, b.n
 // appendLanes appends the lanes sel (nil = all n) of cols with their
 // weights.
 //
-//hot:pipeline sink and exchange scatter, per batch
+//hot:pipeline sink and exchange gather, per batch
 func (pb *partBuilder) appendLanes(cols []Vector, sel []int32, n int, weights []float64) {
 	for c := range pb.cols {
 		pb.cols[c].appendSel(&cols[c], sel)
@@ -224,11 +229,18 @@ func (pb *partBuilder) appendRow(vals ...[]table.Value) {
 // finish returns the built partition. The builder must not be used
 // afterwards (the Part aliases its buffers).
 func (pb *partBuilder) finish() Part {
-	p := Part{N: len(pb.w), Cols: make([]table.ColVec, len(pb.cols)), W: pb.w}
+	p := pb.finishSized(0)
+	p.bytes = partBytes(p.Cols, p.N)
+	return p
+}
+
+// finishSized is finish for a caller that already knows the partition's
+// accounted bytes.
+func (pb *partBuilder) finishSized(bytes float64) Part {
+	p := Part{N: len(pb.w), Cols: make([]table.ColVec, len(pb.cols)), W: pb.w, bytes: bytes}
 	for c := range pb.cols {
 		p.Cols[c] = pb.cols[c].col()
 	}
-	p.bytes = partBytes(p.Cols, p.N)
 	return p
 }
 

@@ -1,13 +1,16 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"quickr/internal/lplan"
 	"quickr/internal/table"
+	"quickr/internal/testutil"
 )
 
 // awkwardValues are the payloads a column-major copy could corrupt:
@@ -290,11 +293,10 @@ func joinFixture(name string) (probe, build *table.Table) {
 	return probe, build
 }
 
-// TestExchangeMatchesRowReference: keyed exchanges over a chain (the
-// scatter fused into the chain's drive loop) and over a breaker (one
-// scatter task per source partition), keyless and one-destination
-// exchanges (whole partitions move), against table.HashRow routing of
-// boxed rows.
+// TestExchangeMatchesRowReference: keyed exchanges over a chain (sunk
+// into source partitions first) and over a breaker (its partitions are
+// the sources), keyless and one-destination exchanges (whole partitions
+// move), against table.HashRow routing of boxed rows.
 func TestExchangeMatchesRowReference(t *testing.T) {
 	tbl := mixedTable("xchg", 5, 1500)
 	for _, keys := range [][]int{{0}, {2}, {1, 2}, {3}, nil} {
@@ -318,6 +320,240 @@ func TestExchangeMatchesRowReference(t *testing.T) {
 				sameAsReference(t, mk(true))
 			})
 		}
+	}
+}
+
+// TestAggOverExchangeMatchesRowReference: a hash aggregate over a keyed
+// exchange, whose runners fold the routed lanes where they lie (parts >
+// 1) or read the moved partitions (parts == 1), over a chain, over a
+// breaker's partitions and over a bare cached-sample source, against
+// the row reference's exchange and aggregate.
+func TestAggOverExchangeMatchesRowReference(t *testing.T) {
+	tbl := mixedTable("aggxchg", 5, 1500)
+	for _, keys := range [][]int{{0}, {2}, {1, 2}, {3}} {
+		for _, parts := range []int{1, 3, 8} {
+			t.Run(fmt.Sprintf("keys=%v/parts=%d", keys, parts), func(t *testing.T) {
+				mk := func(source int) func() PNode {
+					return func() PNode {
+						scan := scanOf(tbl)
+						c := scan.OutCols
+						var in PNode = &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.5}, Seed: 3}
+						switch source {
+						case 1:
+							in = &PExchange{In: in, Parts: 2}
+						case 2:
+							in = &PCachedSample{Frag: in, Key: FragmentKey(in), SamplerP: 0.5}
+						}
+						x := &PExchange{In: in, Parts: parts}
+						agg := &PHashAgg{In: x, Est: &EstimatorConfig{Type: lplan.SamplerUniform, P: 0.5}}
+						for _, k := range keys {
+							x.Keys = append(x.Keys, c[k].ID)
+							agg.GroupCols = append(agg.GroupCols, c[k].ID)
+							agg.GroupInfo = append(agg.GroupInfo, c[k])
+						}
+						for _, spec := range []lplan.AggSpec{
+							{Kind: lplan.AggSum, Arg: c[1].ID}, {Kind: lplan.AggCount, Arg: lplan.NoColumn},
+							{Kind: lplan.AggAvg, Arg: c[0].ID}, {Kind: lplan.AggCountDistinct, Arg: c[4].ID},
+							{Kind: lplan.AggMin, Arg: c[2].ID},
+						} {
+							nextID++
+							spec.Cond = lplan.NoColumn
+							spec.Out = lplan.ColumnInfo{ID: nextID, Kind: table.KindFloat}
+							agg.Aggs = append(agg.Aggs, spec)
+						}
+						return agg
+					}
+				}
+				for source := 0; source < 3; source++ {
+					sameAsReference(t, mk(source))
+					// What the exchange hands over is accounted as the
+					// reference's destinations, built or not.
+					agg := mk(source)().(*PHashAgg)
+					ex := testExecutor(context.Background(), agg, 7)
+					if _, err := ex.exec(agg); err != nil {
+						t.Fatal(err)
+					}
+					st, op := ex.run.Stages[len(ex.run.Stages)-1], ex.qm.Op(agg.In)
+					for d, rows := range refChain(t, agg.In) {
+						var bytes float64
+						for _, r := range rows {
+							bytes += r.sz
+						}
+						sl := op.Slot(d)
+						if st.Name != "aggregate" || st.TaskInRows[d] != int64(len(rows)) || st.TaskInBytes[d] != bytes ||
+							sl.RowsOut != int64(len(rows)) || sl.PeakBytes != bytes {
+							t.Fatalf("source %d destination %d: stage %q reads %d rows, %v bytes, the exchange sent %d, peak %v; want %d rows, %v bytes",
+								source, d, st.Name, st.TaskInRows[d], st.TaskInBytes[d], sl.RowsOut, sl.PeakBytes, len(rows), bytes)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestExchangeRoutingMatchesScatter is the routed exchange's property
+// test: whatever the sources hold — every value family with its NULLs,
+// a dictionary per source, a column whose kind changes from one source
+// to the next (a mixed-kind destination column), empty sources,
+// destinations nothing hashes to, zero-width rows, sources of exactly
+// k windows and of one lane more — routing and gathering builds, column
+// for column, the partitions the copy-and-concatenate oracle builds,
+// and totals each destination's rows and bytes to what the oracle's
+// pieces account.
+func TestExchangeRoutingMatchesScatter(t *testing.T) {
+	families := awkwardValues()
+	names := []string{"float", "int", "string", "bool", "null", "mixed"}
+	emptyDests := 0
+	for seed := int64(1); seed <= 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		width := rng.Intn(5) // 0: zero-width rows, all to one destination
+		parts := 2 + rng.Intn(7)
+		window := []int{1, 3, 8, 64}[rng.Intn(4)]
+		keyIdx := []int{}
+		for c := 0; c < width; c++ {
+			if c == 0 || rng.Intn(3) == 0 {
+				keyIdx = append(keyIdx, c)
+			}
+		}
+		srcs := make([]Part, 1+rng.Intn(4))
+		for i := range srcs {
+			n := []int{0, 2 * window, 2*window + 1, rng.Intn(150)}[rng.Intn(4)]
+			pb := newPartBuilder(width, 0)
+			cols := make([][]table.Value, width)
+			for c := range cols {
+				fam := names[(int(seed)+c)%len(names)]
+				if seed%4 == 0 && i > 0 {
+					fam = names[rng.Intn(len(names))]
+				}
+				cols[c] = columnOf(rng, families[fam], n)
+			}
+			for r := 0; r < n; r++ {
+				row := make(table.Row, width)
+				for c := range cols {
+					row[c] = cols[c][r]
+				}
+				pb.appendRow(row)
+				pb.w[r] = 1 + float64(rng.Intn(1000))/7
+			}
+			srcs[i] = pb.finish()
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		want := refExchange(srcs, width, keyIdx, parts, window)
+		rt, err := routeParts(serialFan, srcs, width, keyIdx, parts, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range want {
+			got, err := rt.gather(context.Background(), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[d].N == 0 {
+				emptyDests++
+			}
+			if rt.rows[d] != int64(want[d].N) || rt.bytes[d] != want[d].bytes {
+				t.Fatalf("%s: destination %d routed %d rows, %v bytes; the oracle's pieces hold %d, %v",
+					label, d, rt.rows[d], rt.bytes[d], want[d].N, want[d].bytes)
+			}
+			samePartCols(t, &want[d], &got, fmt.Sprintf("%s destination %d", label, d))
+		}
+	}
+	if emptyDests == 0 {
+		t.Error("no case left a destination empty")
+	}
+}
+
+// samePartCols asserts two partitions hold the same columns in the same
+// representation: kind, NULL lanes, payload bits and dictionary order,
+// plus weights and accounted bytes.
+func samePartCols(t *testing.T, want, got *Part, label string) {
+	t.Helper()
+	if got.N != want.N || len(got.Cols) != len(want.Cols) || got.bytes != want.bytes {
+		t.Fatalf("%s: %d rows x %d columns, %v bytes; want %d x %d, %v",
+			label, got.N, len(got.Cols), got.bytes, want.N, len(want.Cols), want.bytes)
+	}
+	for i := range want.W {
+		if math.Float64bits(got.W[i]) != math.Float64bits(want.W[i]) {
+			t.Fatalf("%s: row %d weight %v, want %v", label, i, got.W[i], want.W[i])
+		}
+	}
+	for c := range want.Cols {
+		w, g := &want.Cols[c], &got.Cols[c]
+		if g.Any != w.Any || g.Kind != w.Kind || g.Len() != w.Len() || !slices.Equal(g.Dict, w.Dict) {
+			t.Fatalf("%s: column %d is any=%v kind=%v len=%d dict=%q, want any=%v kind=%v len=%d dict=%q",
+				label, c, g.Any, g.Kind, g.Len(), g.Dict, w.Any, w.Kind, w.Len(), w.Dict)
+		}
+		for i := 0; i < want.N; i++ {
+			if !sameValue(g.Value(i), w.Value(i)) {
+				t.Fatalf("%s: column %d lane %d = %v, want %v", label, c, i, g.Value(i), w.Value(i))
+			}
+		}
+	}
+}
+
+// TestBytesAllMatchesLaneBytes holds the dense byte accounting's tight
+// loops (strings without NULLs, fixed-width NULL counts a word at a
+// time) to the per-lane definition, over windows of every column of
+// mixedTable at offsets that straddle bitmap words, and over the same
+// columns with their NULLs taken away.
+func TestBytesAllMatchesLaneBytes(t *testing.T) {
+	tbl := mixedTable("bytes", 1, 700)
+	dense := table.New("bytes_dense", tbl.Schema, 1)
+	for _, r := range tbl.Rows(0) {
+		if !r[0].IsNull() && !r[1].IsNull() && !r[2].IsNull() && !r[3].IsNull() {
+			dense.Append(0, r)
+		}
+	}
+	for _, cp := range []*table.ColPartition{tbl.Columnar(0), dense.Columnar(0)} {
+		for c := range cp.Cols {
+			for _, win := range [][2]int{{0, cp.NumRows}, {0, 0}, {1, 63}, {63, 2}, {64, 64}, {100, 300}, {cp.NumRows - 1, 1}} {
+				v := window(&cp.Cols[c], win[0], win[1])
+				want := 0
+				sel := make([]int32, v.N)
+				for i := 0; i < v.N; i++ {
+					want += v.laneBytes(i)
+					sel[i] = int32(i)
+				}
+				if got := v.bytesAll(); got != float64(want) {
+					t.Errorf("column %d window %v: bytesAll %v, lanes sum to %d", c, win, got, want)
+				}
+				if got := v.bytesSel(sel); got != float64(want) {
+					t.Errorf("column %d window %v: bytesSel %v, lanes sum to %d", c, win, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAggOverExchangeCancel cancels a query between the exchange's
+// routing pass and the aggregate's fold: the fold's stripe tasks report
+// the typed error and nothing is left running.
+func TestAggOverExchangeCancel(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	scan := scanOf(mixedTable("aggxchg_cancel", 5, 1500))
+	k := scan.OutCols[0]
+	nextID++
+	x := &PExchange{In: scan, Keys: []lplan.ColumnID{k.ID}, Parts: 4}
+	agg := &PHashAgg{In: x, GroupCols: []lplan.ColumnID{k.ID}, GroupInfo: []lplan.ColumnInfo{k},
+		Aggs: []lplan.AggSpec{{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn,
+			Out: lplan.ColumnInfo{ID: nextID, Kind: table.KindInt}}}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ex := testExecutor(ctx, agg, 7)
+	rt, s, err := ex.routeExchange(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := ex.aggRoutes(agg, rt, s.deps); err != ErrCanceled {
+		t.Errorf("aggregate over canceled routes: %v, want ErrCanceled", err)
+	}
+	if err := rt.fold(ctx, 0, 1, nil); err != ErrCanceled {
+		t.Errorf("fold: %v, want ErrCanceled", err)
+	}
+	if _, err := rt.gather(ctx, 0); err != ErrCanceled {
+		t.Errorf("gather: %v, want ErrCanceled", err)
 	}
 }
 

@@ -143,6 +143,10 @@ func (p *PExchange) Describe() string {
 // Breaker implements PNode.
 func (p *PExchange) Breaker() bool { return true }
 
+// routed reports whether rows of one source partition go to several
+// destinations; otherwise whole partitions move.
+func (p *PExchange) routed() bool { return len(p.Keys) > 0 && p.Parts > 1 }
+
 // PHashJoin joins Left and Right. The Right side is always the build
 // side. Broadcast=true gathers and replicates the build side to every
 // probe task (for small/dimension inputs); otherwise the planner has

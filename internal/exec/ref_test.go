@@ -182,6 +182,20 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 			}
 		}
 		return out
+	case *PHashAgg:
+		in := refChain(t, x.In)
+		out := make([][]wrow, len(in))
+		for i, part := range in {
+			// Only the first partition emits a global aggregate's empty row.
+			if len(x.GroupCols) == 0 && i > 0 && len(part) == 0 {
+				continue
+			}
+			rows, _ := refAggregate(t, x, buildColMap(x.In.Cols()), part)
+			for _, r := range rows {
+				out[i] = append(out[i], newWRow(r, 1))
+			}
+		}
+		return out
 	}
 	t.Fatalf("refChain: %T is not a reference operator", n)
 	return nil
@@ -201,18 +215,89 @@ func refKeyIdx(t *testing.T, in PNode, keys []lplan.ColumnID) []int {
 	return idx
 }
 
+// testExecutor is an executor for p as RunWithOptions would set it up.
+func testExecutor(ctx context.Context, p PNode, batch int) *executor {
+	qm := metrics.NewQuery()
+	registerOps(qm, p, nil, nil)
+	return &executor{run: cluster.NewRun(cluster.DefaultConfig()), qm: qm, batch: resolveBatch(batch), ctx: ctx}
+}
+
 // execParts runs p through the executor at the given batch size and
 // returns the partitions it produced, weights included.
 func execParts(t *testing.T, p PNode, batch int) []Part {
 	t.Helper()
-	qm := metrics.NewQuery()
-	registerOps(qm, p, nil, nil)
-	ex := &executor{run: cluster.NewRun(cluster.DefaultConfig()), qm: qm, batch: resolveBatch(batch), ctx: context.Background()}
-	s, err := ex.exec(p)
+	s, err := testExecutor(context.Background(), p, batch).exec(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s.parts
+}
+
+// scatter is the exchange as it was before it routed: every batch's
+// lanes are copied into one partition builder per destination and the
+// destinations' pieces are concatenated in source order (refExchange).
+// It is kept as the oracle the routed exchange is held to column for
+// column: NULL bitmaps, dictionaries in first-appearance order and
+// mixed-kind degradation are all defined by what this copy builds.
+type scatter struct {
+	dst    []*partBuilder
+	keyIdx []int
+
+	keys   []Vector
+	hashes []uint64
+	sels   [][]int32
+}
+
+func newScatter(parts, width int, keyIdx []int) *scatter {
+	sc := &scatter{dst: make([]*partBuilder, parts), keyIdx: keyIdx, sels: make([][]int32, parts)}
+	for d := range sc.dst {
+		sc.dst[d] = newPartBuilder(width, 0)
+	}
+	return sc
+}
+
+// appendLanes sends each of the n lanes of cols to the builder of the
+// destination its key hash names.
+func (sc *scatter) appendLanes(cols []Vector, n int, weights []float64) {
+	sc.keys = sc.keys[:0]
+	for _, ci := range sc.keyIdx {
+		sc.keys = append(sc.keys, cols[ci])
+	}
+	sc.hashes = extend(sc.hashes[:0], n)
+	hashKeys(sc.hashes, sc.keys, exchangeHashSeed, nil, n)
+	for d := range sc.sels {
+		sc.sels[d] = sc.sels[d][:0]
+	}
+	for i, h := range sc.hashes {
+		d := h % uint64(len(sc.dst))
+		sc.sels[d] = append(sc.sels[d], int32(i))
+	}
+	for d, lanes := range sc.sels {
+		if len(lanes) > 0 {
+			sc.dst[d].appendLanes(cols, lanes, n, weights)
+		}
+	}
+}
+
+// refExchange scatters every source in windows of at most window lanes
+// and concatenates each destination's pieces.
+func refExchange(srcs []Part, width int, keyIdx []int, parts, window int) []Part {
+	pieces := make([][]Part, parts)
+	for i := range srcs {
+		src, sc := &srcs[i], newScatter(parts, width, keyIdx)
+		for pos := 0; pos < src.N; pos += window {
+			n := min(window, src.N-pos)
+			sc.appendLanes(src.window(nil, pos, n), n, src.W[pos:pos+n])
+		}
+		for d, pb := range sc.dst {
+			pieces[d] = append(pieces[d], pb.finish())
+		}
+	}
+	out := make([]Part, parts)
+	for d := range out {
+		out[d] = concatParts(pieces[d], width)
+	}
+	return out
 }
 
 // sameValue reports bit-identity of two values (NaN payloads and the

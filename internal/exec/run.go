@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -321,19 +320,88 @@ const exchangeHashSeed = 7
 // in (source partition, row) order.
 //
 // With one destination per source (no keys, or parts == 1) whole
-// partitions move and nothing is hashed. Otherwise each source
-// partition's task hashes key vectors and scatters lanes into one
-// builder per destination: inside the drive loop of the chain below
-// when there is one (the chain's batches never form a source
-// partition), over the breaker's output partitions otherwise. The
-// coordinator then concatenates each destination's pieces in source
-// order.
+// partitions move and nothing is hashed. Otherwise the sources are
+// routed (routeExchange) and each destination gathers its lanes once,
+// into a partition sized exactly from the routed row count.
 func (ex *executor) execExchange(p *PExchange) (*stream, error) {
-	parts := p.Parts
-	if parts < 1 {
-		parts = 1
+	rt, s, err := ex.routeExchange(p)
+	if err != nil {
+		return nil, err
 	}
-	width := len(p.In.Cols())
+	op := ex.opFor(p)
+	t0 := time.Now()
+	out := make([]Part, max(p.Parts, 1))
+	if rt != nil {
+		if err := ex.parallel(len(out), func(d int) (err error) {
+			out[d], err = rt.gather(ex.ctx, d)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+	} else {
+		rows, bytes := make([]int64, len(out)), make([]float64, len(out))
+		for d := range out {
+			var group []Part
+			for i := d; i < len(s.parts); i += len(out) {
+				group = append(group, s.parts[i])
+			}
+			out[d] = concatParts(group, len(p.In.Cols()))
+			rows[d], bytes[d] = int64(out[d].N), out[d].bytes
+		}
+		noteExchange(op, rows, bytes)
+	}
+	op.AddWall(time.Since(t0))
+	return &stream{parts: out, deps: s.deps}, nil
+}
+
+// noteExchange records what each destination of an exchange received.
+func noteExchange(op *metrics.Op, rows []int64, bytes []float64) {
+	op.Grow(len(rows))
+	var inRows int64
+	for d, n := range rows {
+		inRows += n
+		sl := op.Slot(d)
+		sl.RowsOut += n
+		if n > 0 {
+			sl.NoteBatch(bytes[d])
+		}
+	}
+	op.Slot(0).RowsIn += inRows
+}
+
+// routes is a keyed exchange before a lane is copied: the materialized
+// source partitions and, for every batch-sized window of every source,
+// the window's lanes grouped by destination. An aggregate folds the
+// routed lanes where they lie (execAggRouted); every other consumer
+// gathers them once (gather).
+type routes struct {
+	srcs                 []Part
+	width, parts, window int
+	// lanes[i] permutes source i's lanes window by window: the stretch
+	// [w*window, w*window+n) lists window w's lanes, window-relative,
+	// destination 0's first (in lane order), then destination 1's, ...;
+	// offs[i][w*(parts+1)+d] is where destination d's run starts in it.
+	lanes [][]int32
+	offs  [][]int32
+	// rows and bytes total each destination's lanes: the N and the
+	// accounted bytes of the partition gathering them would build.
+	rows  []int64
+	bytes []float64
+}
+
+// sel returns the lanes of window w of source i bound for destination d.
+func (rt *routes) sel(i, w, d int) []int32 {
+	off := rt.offs[i][w*(rt.parts+1)+d:]
+	return rt.lanes[i][w*rt.window:][off[0]:off[1]]
+}
+
+// routeExchange runs the exchange's input to materialized partitions,
+// closing their stage as shuffled output, and, when rows of one source
+// go to several destinations, routes them: one task per source hashes
+// the key vectors densely, window by window, and counting-sorts each
+// window's lanes by destination. Without keys or with one destination
+// whole partitions move and the routes are nil.
+func (ex *executor) routeExchange(p *PExchange) (*routes, *stream, error) {
 	var keyIdx []int
 	if len(p.Keys) > 0 {
 		cm := buildColMap(p.In.Cols())
@@ -341,179 +409,127 @@ func (ex *executor) execExchange(p *PExchange) (*stream, error) {
 		for i, id := range p.Keys {
 			pos, ok := cm[id]
 			if !ok {
-				return nil, fmt.Errorf("exec: exchange key #%d not available", id)
+				return nil, nil, fmt.Errorf("exec: exchange key #%d not available", id)
 			}
 			keyIdx[i] = pos
 		}
 	}
+	s, err := ex.exec(p.In)
+	if err != nil {
+		return nil, nil, err
+	}
+	ex.ensureStage(s, "exchange-src")
+	ex.materialize(s, true)
+	if !p.routed() {
+		return nil, s, nil
+	}
 	op := ex.opFor(p)
-	op.Grow(parts)
-
-	// pieces[i][d] is what source partition i sends to destination d
-	// (split) or, when its rows all go one way, its single piece for
-	// destination i % parts.
-	var pieces [][]Part
-	var deps []int
-	var scatterNanos int64 // slowest source task's scatter time
-	var t0 time.Time
-	split := keyIdx != nil && parts > 1
-	if split && !p.In.Breaker() {
-		cc, err := ex.buildColChain(p.In)
-		if err != nil {
-			return nil, err
-		}
-		if cc.st == nil {
-			ex.ensureStage(cc.src, "exchange-src")
-			cc.st = cc.src.stage
-		}
-		pieces = make([][]Part, cc.parts)
-		nanos := make([]int64, cc.parts)
-		hint := estHint(op.EstRows, cc.parts*parts)
-		if err := ex.parallel(cc.parts, func(i int) error {
-			sc := newScatter(parts, width, hint, keyIdx)
-			if err := cc.drive(i, func(b *Batch, _ *colScratch) {
-				t := time.Now()
-				sc.appendLanes(b.cols, b.sel, b.n, b.weights)
-				nanos[i] += int64(time.Since(t))
-			}); err != nil {
-				return err
-			}
-			t := time.Now()
-			pieces[i] = sc.finish()
-			nanos[i] += int64(time.Since(t))
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		cc.finish()
-		t0 = time.Now()
-		// The chain's stage closes here: what each source task scattered
-		// is its shuffled output.
-		for i, ps := range pieces {
-			var rows int64
-			var bytes float64
-			for d := range ps {
-				rows += int64(ps[d].N)
-				bytes += ps[d].bytes
-			}
-			cc.st.AddOutput(i, rows, bytes)
-		}
-		cc.st.ShuffleOut = true
-		deps = []int{cc.st.ID}
-		scatterNanos = slices.Max(append(nanos, 0))
-	} else {
-		s, err := ex.exec(p.In)
-		if err != nil {
-			return nil, err
-		}
-		ex.ensureStage(s, "exchange-src")
-		ex.materialize(s, true)
-		deps = s.deps
-		t0 = time.Now()
-		pieces = make([][]Part, len(s.parts))
-		if !split {
-			for i := range s.parts {
-				pieces[i] = s.parts[i : i+1]
-			}
-		} else if err := ex.parallel(len(s.parts), func(i int) error {
-			src := &s.parts[i]
-			sc := newScatter(parts, width, src.N/parts+1, keyIdx)
-			sc.appendLanes(src.vectors(), nil, src.N, src.W)
-			pieces[i] = sc.finish()
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	t0 := time.Now()
+	rt, err := routeParts(ex.parallel, s.parts, len(p.In.Cols()), keyIdx, p.Parts, ex.batch)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	var inRows int64
-	out := make([]Part, parts)
-	group := make([]Part, 0, len(pieces))
-	for d := range out {
-		group = group[:0]
-		for i, ps := range pieces {
-			switch {
-			case split:
-				group = append(group, ps[d])
-			case i%parts == d:
-				group = append(group, ps[0])
-			}
-		}
-		out[d] = concatParts(group, width)
-		inRows += int64(out[d].N)
-		sl := op.Slot(d)
-		sl.RowsOut += int64(out[d].N)
-		if out[d].N > 0 {
-			sl.NoteBatch(out[d].bytes)
-		}
-	}
-	op.Slot(0).RowsIn += inRows
-	op.AddWall(time.Since(t0) + time.Duration(scatterNanos))
-	return &stream{parts: out, deps: deps}, nil
+	noteExchange(op, rt.rows, rt.bytes)
+	op.AddWall(time.Since(t0))
+	return rt, s, nil
 }
 
-// scatter routes the rows of one source partition to the exchange's
-// destinations, one partition builder each.
-type scatter struct {
-	dst    []*partBuilder
-	keyIdx []int
-
-	keys   []Vector
-	hashes []uint64
-	sels   [][]int32
-}
-
-// newScatter routes to parts destinations of width columns, each
-// reserving room for hint rows (0 = grow on demand).
-func newScatter(parts, width, hint int, keyIdx []int) *scatter {
-	sc := &scatter{dst: make([]*partBuilder, parts), keyIdx: keyIdx, sels: make([][]int32, parts)}
-	for d := range sc.dst {
-		sc.dst[d] = newPartBuilder(width, hint)
+// routeParts routes srcs, width columns wide, on the key columns keyIdx
+// to parts destinations in windows of at most window lanes, one task
+// per source under fan.
+func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, keyIdx []int, parts, window int) (*routes, error) {
+	longest := 1
+	for i := range srcs {
+		longest = max(longest, srcs[i].N)
 	}
-	return sc
+	rt := &routes{
+		srcs: srcs, width: width, parts: parts, window: min(window, longest),
+		lanes: make([][]int32, len(srcs)), offs: make([][]int32, len(srcs)),
+		rows: make([]int64, parts), bytes: make([]float64, parts),
+	}
+	// Each source task totals its own stretch of rows and bytes.
+	rows, bytes := make([]int64, len(srcs)*parts), make([]float64, len(srcs)*parts)
+	if err := fan(len(srcs), func(i int) error {
+		rt.route(i, keyIdx, rows[i*parts:][:parts], bytes[i*parts:][:parts])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rt.rows[i%parts] += rows[i]
+		rt.bytes[i%parts] += bytes[i]
+	}
+	return rt, nil
 }
 
-// appendLanes sends each of the lanes sel (nil = all n) of cols to the
-// builder of the destination its key hash names, lanes staying in
-// order within a destination.
+// route fills lanes[i] and offs[i] and adds what each destination
+// receives from source i to rows and bytes.
 //
-//hot:exchange scatter, per batch
-func (sc *scatter) appendLanes(cols []Vector, sel []int32, n int, weights []float64) {
-	sc.keys = sc.keys[:0]
-	for _, ci := range sc.keyIdx {
-		sc.keys = append(sc.keys, cols[ci])
-	}
-	sc.hashes = extend(sc.hashes[:0], n)
-	hashKeys(sc.hashes, sc.keys, exchangeHashSeed, sel, n)
-	for d := range sc.sels {
-		sc.sels[d] = sc.sels[d][:0]
-	}
-	parts := uint64(len(sc.dst))
-	if sel != nil {
-		for _, i := range sel {
-			d := sc.hashes[i] % parts
-			sc.sels[d] = append(sc.sels[d], i)
+//hot:exchange routing, per window
+func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
+	src, parts, mod := &rt.srcs[i], rt.parts, uint64(rt.parts)
+	lanes := make([]int32, src.N)
+	offs := make([]int32, ((src.N+rt.window-1)/rt.window)*(parts+1))
+	next := make([]int32, parts)
+	keys := make([]Vector, len(keyIdx))
+	var cols []Vector
+	var dest []uint64
+	for w, pos := 0, 0; pos < src.N; w++ {
+		n := min(rt.window, src.N-pos)
+		for k, ci := range keyIdx {
+			keys[k] = window(&src.Cols[ci], pos, n)
 		}
-	} else {
-		for i, h := range sc.hashes {
-			d := h % parts
-			sc.sels[d] = append(sc.sels[d], int32(i))
+		dest = extend(dest[:0], n)
+		hashKeys(dest, keys, exchangeHashSeed, nil, n)
+		off := offs[w*(parts+1):][:parts+1]
+		for j, h := range dest {
+			d := h % mod
+			dest[j] = d
+			off[d+1]++
 		}
-	}
-	for d, lanes := range sc.sels {
-		if len(lanes) > 0 {
-			sc.dst[d].appendLanes(cols, lanes, n, weights)
+		for d := 0; d < parts; d++ {
+			next[d] = off[d]
+			off[d+1] += off[d]
 		}
+		out := lanes[pos : pos+n]
+		for j, d := range dest {
+			out[next[d]] = int32(j)
+			next[d]++
+		}
+		cols = src.window(cols[:0], pos, n)
+		for d := 0; d < parts; d++ {
+			if sel := out[off[d]:off[d+1]]; len(sel) > 0 {
+				rows[d] += int64(len(sel))
+				bytes[d] += liveBytes(cols, sel)
+			}
+		}
+		pos += n
 	}
+	rt.lanes[i], rt.offs[i] = lanes, offs
 }
 
-// finish returns the per-destination pieces.
-func (sc *scatter) finish() []Part {
-	pieces := make([]Part, len(sc.dst))
-	for d, pb := range sc.dst {
-		pieces[d] = pb.finish()
+// gather builds destination d's partition: its lanes of every source, in
+// (source, lane) order, appended once into columns of their final size.
+//
+//hot:exchange gather, per destination
+func (rt *routes) gather(ctx context.Context, d int) (Part, error) {
+	pb := newPartBuilder(rt.width, int(rt.rows[d]))
+	var cols []Vector
+	for i := range rt.srcs {
+		if err := ctxErr(ctx); err != nil {
+			return Part{}, err
+		}
+		src := &rt.srcs[i]
+		for w, pos := 0, 0; pos < src.N; w++ {
+			n := min(rt.window, src.N-pos)
+			if sel := rt.sel(i, w, d); len(sel) > 0 {
+				cols = src.window(cols[:0], pos, n)
+				pb.appendLanes(cols, sel, n, src.W[pos:pos+n])
+			}
+			pos += n
+		}
 	}
-	return pieces
+	return pb.finishSized(rt.bytes[d]), nil
 }
 
 func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {

@@ -124,6 +124,8 @@ func (v *Vector) laneBytes(i int) int {
 }
 
 // bytesAll sums laneBytes over every lane (dense window accounting).
+//
+//hot:per-batch byte accounting of every scanned column
 func (v *Vector) bytesAll() float64 {
 	switch v.K {
 	case VKNull:
@@ -136,19 +138,20 @@ func (v *Vector) bytesAll() float64 {
 		return float64(n)
 	case VKStr:
 		n := 0
-		for i := 0; i < v.N; i++ {
-			n += v.laneBytes(i)
+		if v.nulls == nil {
+			n = 8 * v.N
+			for _, code := range v.Ints[:v.N] {
+				n += len(v.Dict[code])
+			}
+		} else {
+			for i := 0; i < v.N; i++ {
+				n += v.laneBytes(i)
+			}
 		}
 		return float64(n)
 	}
-	if v.nulls == nil {
-		return float64(8 * v.N)
-	}
-	n := 0
-	for i := 0; i < v.N; i++ {
-		n += v.laneBytes(i)
-	}
-	return float64(n)
+	// Fixed width: 8 bytes a lane, 1 for a NULL.
+	return float64(8*v.N - 7*countNulls(v.nulls, v.nullOff, v.N))
 }
 
 // bytesSel sums laneBytes over the selected lanes.
@@ -159,6 +162,14 @@ func (v *Vector) bytesSel(sel []int32) float64 {
 	case VKInt, VKFloat, VKBool:
 		if v.nulls == nil {
 			return float64(8 * len(sel))
+		}
+	case VKStr:
+		if v.nulls == nil {
+			n := 8 * len(sel)
+			for _, i := range sel {
+				n += len(v.Dict[v.Ints[i]])
+			}
+			return float64(n)
 		}
 	}
 	n := 0
@@ -393,7 +404,7 @@ func (bd *vecBuilder) appendGather(v *Vector, idx []int32) {
 	}
 }
 
-//hot:per-lane typed copy at every pipeline sink, exchange scatter and join gather
+//hot:per-lane typed copy at every pipeline sink, exchange gather and join gather
 func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 	m := v.N
 	if sel != nil {
