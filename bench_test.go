@@ -241,6 +241,24 @@ func BenchmarkExecutorPipeline(b *testing.B) {
 // ---------------------------------------------------------------------
 // Ablation benchmarks (DESIGN.md §6)
 
+// allLanes returns the lane list 0..n-1 of an n-row batch.
+func allLanes(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// ones returns n weights of 1.
+func ones(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
 // BenchmarkAblationUniverseVsUniform compares, at the same effective
 // output sampling rate p, the error of a fact–fact join COUNT when both
 // inputs are paired-universe sampled at p versus independently
@@ -271,7 +289,8 @@ func BenchmarkAblationUniverseVsUniform(b *testing.B) {
 			// and unambiguous, so the per-key (per-group) count is exact.
 			u := sampler.NewUniverse(p, []int{0}, seed)
 			for k := 0; k < keys; k++ {
-				if pass, _ := u.Admit(table.Row{table.NewInt(int64(k))}, 1); pass {
+				hash := func(int32) uint64 { return sampler.HashValues([]table.Value{table.NewInt(int64(k))}, seed) }
+				if len(u.AdmitBatch([]int32{0}, []float64{1}, hash)) > 0 {
 					uniN++
 					// |exact − true| / true == 0 within the subspace.
 				} else {
@@ -285,15 +304,11 @@ func BenchmarkAblationUniverseVsUniform(b *testing.B) {
 			ur := sampler.NewUniform(sqrtP, seed*57+2)
 			lKept := map[int64]float64{}
 			rKept := map[int64]float64{}
-			for _, r := range left {
-				if pass, _ := ul.Admit(r, 1); pass {
-					lKept[r[0].Int()]++
-				}
+			for _, i := range ul.AdmitBatch(allLanes(len(left)), make([]float64, len(left))) {
+				lKept[left[i][0].Int()]++
 			}
-			for _, r := range right {
-				if pass, _ := ur.Admit(r, 1); pass {
-					rKept[r[0].Int()]++
-				}
+			for _, i := range ur.AdmitBatch(allLanes(len(right)), make([]float64, len(right))) {
+				rKept[right[i][0].Int()]++
 			}
 			for k := 0; k < keys; k++ {
 				est := lKept[int64(k)] * rKept[int64(k)] / p
@@ -321,30 +336,29 @@ func BenchmarkAblationUniverseVsUniform(b *testing.B) {
 func BenchmarkAblationDistinctBias(b *testing.B) {
 	const groups, perGroup, delta = 300, 30, 10
 	const p = 0.1
-	var rows []table.Row
+	// Row i belongs to group ids[i], which is also its stratum id.
+	var ids []int64
 	for g := 0; g < groups; g++ {
 		for j := 0; j < perGroup; j++ {
-			rows = append(rows, table.Row{table.NewFloat(1), table.NewInt(int64(g))})
+			ids = append(ids, int64(g))
 		}
 	}
+	groupKey := func(dst []byte, id int32) []byte { return append(table.NewInt(int64(id)).AppendKey(dst), 0) }
 	const trials = 20
 	for i := 0; i < b.N; i++ {
 		var resErr, naiveErr float64
 		for seed := uint64(1); seed <= trials; seed++ {
 			// Reservoir-debiased sampler: per-group weighted counts.
-			s := sampler.NewDistinct(p, []int{1}, delta, seed)
-			got := map[string]float64{}
-			add := func(r table.Row, w float64) { got[r[1].Key()] += w }
-			for _, r := range rows {
-				if pass, w := s.Admit(r, 1); pass {
-					add(r, w)
+			s := sampler.NewDistinct(p, delta, seed)
+			got := map[int64]float64{}
+			em, held := s.AdmitBatch(allLanes(len(ids)), ids, ones(len(ids)), nil, nil)
+			em = s.Flush(groupKey, em)
+			for _, e := range em {
+				lane := e.Ref
+				if e.Held {
+					lane = held[e.Ref]
 				}
-				for _, fl := range s.TakePending() {
-					add(fl.Row, fl.W)
-				}
-			}
-			for _, fl := range s.Flush() {
-				add(fl.Row, fl.W)
+				got[ids[lane]] += e.W
 			}
 			for _, est := range got {
 				resErr += abs(est-perGroup) / perGroup
@@ -352,15 +366,14 @@ func BenchmarkAblationDistinctBias(b *testing.B) {
 			// Naive: first δ pass with weight 1, rest coin-flip at p with
 			// weight 1/p (no reservoir).
 			rng := sampler.NewUniform(p, seed*101+3)
-			seen := map[string]int{}
-			naive := map[string]float64{}
-			for _, r := range rows {
-				k := r[1].Key()
-				seen[k]++
-				if seen[k] <= delta {
-					naive[k]++
-				} else if pass, _ := rng.Admit(r, 1); pass {
-					naive[k] += 1 / p
+			seen := map[int64]int{}
+			naive := map[int64]float64{}
+			for _, g := range ids {
+				seen[g]++
+				if seen[g] <= delta {
+					naive[g]++
+				} else if len(rng.AdmitBatch([]int32{0}, []float64{1})) > 0 {
+					naive[g] += 1 / p
 				}
 			}
 			for _, est := range naive {
@@ -396,12 +409,13 @@ func BenchmarkAblationPushdown(b *testing.B) {
 // state against the distinct-value count it would need exactly.
 func BenchmarkAblationSketchMemory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := sampler.NewDistinct(0.05, []int{0}, 3, 1)
-		distinct := 400000
-		for j := 0; j < distinct; j++ {
-			s.Admit(table.Row{table.NewInt(int64(j))}, 1)
-			s.TakePending()
+		s := sampler.NewDistinct(0.05, 3, 1)
+		const distinct = 400000
+		ids := make([]int64, distinct)
+		for j := range ids {
+			ids[j] = int64(j)
 		}
+		s.AdmitBatch(allLanes(distinct), ids, ones(distinct), nil, nil)
 		b.ReportMetric(float64(s.MemoryFootprint()), "trackedEntries")
 		b.ReportMetric(float64(distinct), "exactEntriesNeeded")
 	}

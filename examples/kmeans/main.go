@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"quickr/internal/sampler"
-	"quickr/internal/table"
 )
 
 const (
@@ -56,28 +55,24 @@ func main() {
 
 // run performs k-means; with approximate=true, early iterations stream
 // points through Quickr's uniform sampler and average with
-// Horvitz–Thompson weights, exactly like a sampled GROUP BY.
+// Horvitz–Thompson weights, exactly like a sampled GROUP BY: the
+// sampler thins the points' lane list and scales their weights.
 func run(data []pt, approximate bool, rng *rand.Rand) ([]pt, int64) {
 	cents := []pt{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	var rowsTouched int64
 	for iter := 0; iter < iterations; iter++ {
-		useSample := approximate && iter < iterations-exactTail
-		var sm sampler.Sampler
-		if useSample {
-			sm = sampler.NewUniform(sampleP, uint64(iter)*977+13)
+		sel, weights := make([]int32, len(data)), make([]float64, len(data))
+		for i := range sel {
+			sel[i], weights[i] = int32(i), 1
+		}
+		if approximate && iter < iterations-exactTail {
+			sel = sampler.NewUniform(sampleP, uint64(iter)*977+13).AdmitBatch(sel, weights)
 		}
 		sumX := make([]float64, k)
 		sumY := make([]float64, k)
 		sumW := make([]float64, k)
-		for _, p := range data {
-			w := 1.0
-			if useSample {
-				pass, wgt := sm.Admit(table.Row{table.NewFloat(p.x)}, 1)
-				if !pass {
-					continue
-				}
-				w = wgt
-			}
+		for _, i := range sel {
+			p, w := data[i], weights[i]
 			rowsTouched++
 			best, bd := 0, math.Inf(1)
 			for c := range cents {

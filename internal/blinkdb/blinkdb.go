@@ -261,8 +261,7 @@ func materialize(base *table.Table, cols []string, k int, seed int64) *Sample {
 		r := strata[key]
 		w := float64(r.seen) / float64(len(r.rows))
 		for _, row := range r.rows {
-			wrow := append(append(table.Row{}, row...), table.NewFloat(w))
-			out.Append(n, wrow)
+			out.Append(n, append(append(table.Row{}, row...), table.NewFloat(w)))
 			n++
 		}
 	}

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"math"
-
-	"quickr/internal/table"
-)
+import "math"
 
 // DefaultBatchSize is the number of rows per pipeline batch when the
 // caller does not override it. Big enough to amortize per-batch
@@ -50,19 +46,4 @@ func resolveBatch(n int) int {
 		return math.MaxInt // one batch spans the whole partition
 	}
 	return n
-}
-
-// wrow is a boxed row with its sampling weight and accounted byte size.
-// Only the distinct sampler's output is shaped like this (its
-// reservoirs hold whole rows); colSampleOp re-batches it at once and no
-// wrow crosses an operator boundary.
-type wrow struct {
-	row table.Row
-	w   float64
-	sz  float64
-}
-
-// newWRow wraps a row, computing its accounted size once.
-func newWRow(r table.Row, w float64) wrow {
-	return wrow{row: r, w: w, sz: float64(r.ByteSize() + 8)}
 }

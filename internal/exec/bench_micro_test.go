@@ -3,8 +3,8 @@ package exec
 // Microbenchmarks for the executor's hottest paths — hash-join
 // build/probe, the keyed exchange (routed and gathered, and routed under
 // the aggregate that folds it in place), grouped aggregation (a
-// two-column key, a lone dictionary key, a lone integer key) and window
-// partitioning — plus the parallel sort; the four kernel plans live in
+// two-column key, a lone dictionary key, a lone integer key), the
+// distinct sampler and window partitioning — plus the parallel sort; the four kernel plans live in
 // bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
 // (allocations per run, tier 1) call, so the two measure the same thing.
@@ -66,7 +66,8 @@ type hotPlan struct {
 // before), the three aggregations when the aggregate stopped boxing rows
 // (821, 695, 911: builders, tables and accumulator columns per
 // partition, nothing per row or per group), window and sort at the same
-// time (2157, 971). A 16Ki–64Ki-row run that boxed one row per lane or
+// time (2157, 971), the distinct sampler when it stopped boxing rows
+// (2862). A 16Ki–64Ki-row run that boxed one row per lane or
 // allocated one object per group would add tens of thousands. Counts
 // repeat to within ±6 at GOMAXPROCS 1, 2 and 8 (±25 for the aggregate
 // over the exchange): pool scheduling is the only jitter. The -race
@@ -87,6 +88,7 @@ var hotPlans = []hotPlan{
 	{"BenchmarkProjectKernel", kernelProjectPlan, 1596},
 	{"BenchmarkSamplerKernel", kernelSamplerPlan, 788},
 	{"BenchmarkPreAggKernel", kernelPreAggPlan, 1082},
+	{"BenchmarkDistinctSample", distinctSamplePlan, 3578},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -95,8 +97,8 @@ var hotPlans = []hotPlan{
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 13 {
-		t.Fatalf("hotPlans holds %d plans, want the 13 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 14 {
+		t.Fatalf("hotPlans holds %d plans, want the 14 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -297,6 +299,49 @@ func aggOverExchangePlan() (PNode, int) {
 // keyed exchange: the sources materialize once, one pass routes their
 // lanes, and the destinations' runners fold the routed lanes in place.
 func BenchmarkAggOverExchange(b *testing.B) { benchPlan(b, aggOverExchangePlan) }
+
+// distinctSamplePlan is the benchmark's d03 shape: Scan -> Project of a
+// dictionary string and three boolean predicates -> Sample DISTINCT
+// (δ=30, p=0.1) stratified on all four, over eight partitions. Twelve
+// strings × three latency bands put every stratum of a partition past
+// its reservoir into the probabilistic mode.
+func distinctSamplePlan() (PNode, int) {
+	const parts, rows = 8, 65536
+	tbl := table.New("bench_logs", table.NewSchema(
+		table.Column{Name: "country", Kind: table.KindString},
+		table.Column{Name: "latency", Kind: table.KindFloat},
+	), parts)
+	for i := 0; i < rows; i++ {
+		tbl.Append(i, table.Row{
+			table.NewString(fmt.Sprintf("c%02d", i%12)),
+			table.NewFloat(float64(i*7919%1000) / 2.5),
+		})
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	c, l := scan.OutCols[0], scan.OutCols[1]
+	lat := &lplan.ColRef{ID: l.ID, Name: l.Name, Kind: l.Kind}
+	cmp := func(op lplan.BinOp, x float64) lplan.Expr {
+		return &lplan.Binary{Op: op, L: lat, R: &lplan.Const{Val: table.NewFloat(x)}}
+	}
+	proj := &PProject{In: scan, Exprs: []lplan.Expr{
+		&lplan.ColRef{ID: c.ID, Name: c.Name, Kind: c.Kind},
+		cmp(lplan.OpLt, 50),
+		&lplan.Binary{Op: lplan.OpAnd, L: cmp(lplan.OpGe, 50), R: cmp(lplan.OpLt, 200)},
+		cmp(lplan.OpGe, 200),
+	}, OutCols: []lplan.ColumnInfo{c}}
+	for _, name := range []string{"fast", "ok", "slow"} {
+		nextID++
+		proj.OutCols = append(proj.OutCols, lplan.ColumnInfo{ID: nextID, Name: name, Kind: table.KindBool})
+	}
+	return distinctOver(proj, 0.1, 30, []int{0, 1, 2, 3}, nil, nil), 6969
+}
+
+// BenchmarkDistinctSample measures the distinct sampler over key
+// vectors: stratum ids from the string and boolean key vectors, the
+// admit loop, and each batch's output built in emission order from the
+// input batch and the reservoirs' hold store.
+func BenchmarkDistinctSample(b *testing.B) { benchPlan(b, distinctSamplePlan) }
 
 func windowPartitionPlan() (PNode, int) {
 	const parts, groups, rows = 4, 64, 16384

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"math"
+	"slices"
 	"time"
 
 	"quickr/internal/cluster"
@@ -124,42 +126,6 @@ func (s *colScanSource) Next() (Batch, error) {
 	*s.raw += rawBytes
 	s.slot.WallNanos += int64(time.Since(t0))
 	return Batch{cols: s.cols, n: n, weights: s.weights, bytes: outBytes}, nil
-}
-
-// batchBuilder re-batches the distinct sampler's emissions (the one
-// row-shaped stream inside a chain) into columnar form. Buffers are
-// reused across batches.
-type batchBuilder struct {
-	blds    []vecBuilder
-	weights []float64
-	cols    []Vector
-}
-
-// fromRows builds a dense batch from rows; bytes is the precomputed
-// batch size (sum of cached wrow sizes).
-func (bb *batchBuilder) fromRows(rows []wrow, bytes float64) Batch {
-	width := 0
-	if len(rows) > 0 {
-		width = len(rows[0].row)
-	}
-	for len(bb.blds) < width {
-		bb.blds = append(bb.blds, vecBuilder{})
-	}
-	for c := 0; c < width; c++ {
-		bb.blds[c].reset()
-	}
-	bb.weights = bb.weights[:0]
-	for _, wr := range rows {
-		for c := 0; c < width; c++ {
-			bb.blds[c].append(wr.row[c])
-		}
-		bb.weights = append(bb.weights, wr.w)
-	}
-	bb.cols = bb.cols[:0]
-	for c := 0; c < width; c++ {
-		bb.cols = append(bb.cols, bb.blds[c].build())
-	}
-	return Batch{cols: bb.cols, n: len(rows), weights: bb.weights, bytes: bytes}
 }
 
 // colFilterOp evaluates the predicate kernel and keeps the truthy lanes
@@ -307,29 +273,23 @@ func (p *colPassOp) Next() (Batch, error) {
 }
 
 // colSampleOp runs a real sampler columnar-style. Uniform and universe
-// samplers thin the selection in place and scale the weight column
-// (sampler.AdmitBatch); the distinct sampler needs materialized rows
-// for its sketch, reservoirs and stratum keys, so it gathers each live
-// lane through a scratch row, admits it, and re-batches its (much
-// smaller) output stream.
+// samplers thin the selection in place and scale the weight column; the
+// distinct sampler's output is built into a batch of its own
+// (distinctLanes).
 type colSampleOp struct {
-	ctx    context.Context
-	child  colOperator
-	sm     sampler.Sampler
-	unif   *sampler.Uniform
-	uni    *sampler.Universe
-	dist   *sampler.Distinct
-	colIdx []int
+	ctx   context.Context
+	child colOperator
+	unif  *sampler.Uniform
+	uni   *sampler.Universe
+	dist  *distinctLanes
+	cost  float64 // CostPerRow of the sampler
 
 	st   *cluster.Stage
 	task int
 	slot *metrics.Slot
-	sc   *colScratch
 
 	selBuf []int32
 	valBuf []table.Value
-	out    []wrow
-	bb     batchBuilder
 	done   bool
 }
 
@@ -351,119 +311,178 @@ func (s *colSampleOp) Next() (Batch, error) {
 		if b.Len() == 0 {
 			// End of partition: the reservoir flush is the final batch.
 			s.done = true
-			out := s.out[:0]
-			var bytes float64
-			for _, fl := range s.sm.Flush() {
-				wr := newWRow(fl.Row, fl.W)
-				bytes += wr.sz
-				out = append(out, wr)
-			}
-			s.slot.RowsOut += int64(len(out))
-			s.slot.SamplerPassed += int64(len(out))
-			if s.dist != nil {
-				s.slot.SketchEntries += int64(s.dist.MemoryFootprint())
-			}
-			if len(out) > 0 {
-				s.slot.NoteBatch(bytes)
+			var out Batch
+			if d := s.dist; d != nil {
+				d.em = d.s.Flush(d.appendKey, d.em[:0])
+				out = d.emit(nil)
+				s.slot.RowsOut += int64(out.n)
+				s.slot.SamplerPassed += int64(out.n)
+				s.slot.SketchEntries += int64(d.s.MemoryFootprint())
+				if out.n > 0 {
+					s.slot.NoteBatch(out.bytes)
+				}
 			}
 			s.slot.WallNanos += int64(time.Since(t0))
-			s.out = out
-			if len(out) == 0 {
-				return Batch{}, nil
-			}
-			return s.bb.fromRows(out, bytes), nil
+			return out, nil
 		}
 		liveIn := b.Len()
+		sel := b.liveSel(s.selBuf)
+		if b.sel == nil {
+			s.selBuf = sel
+		}
+		out := b
 		switch {
 		case s.unif != nil:
-			sel := b.liveSel(s.selBuf)
-			if b.sel == nil {
-				s.selBuf = sel
-			}
-			newSel := s.unif.AdmitBatch(sel, b.weights)
-			s.noteThin(liveIn, newSel, t0)
-			if len(newSel) > 0 {
-				bytes := liveBytes(b.cols, newSel)
-				s.slot.NoteBatch(bytes)
-				return Batch{cols: b.cols, n: b.n, sel: newSel, weights: b.weights, bytes: bytes}, nil
-			}
+			out.sel = s.unif.AdmitBatch(sel, b.weights)
 		case s.uni != nil:
-			sel := b.liveSel(s.selBuf)
-			if b.sel == nil {
-				s.selBuf = sel
+			if cap(s.valBuf) < len(s.uni.Cols) {
+				s.valBuf = make([]table.Value, len(s.uni.Cols))
 			}
-			if cap(s.valBuf) < len(s.colIdx) {
-				s.valBuf = make([]table.Value, len(s.colIdx))
-			}
-			vals := s.valBuf[:len(s.colIdx)]
+			vals := s.valBuf[:len(s.uni.Cols)]
 			seed := s.uni.Seed
 			hash := func(lane int32) uint64 {
-				for j, ci := range s.colIdx {
+				for j, ci := range s.uni.Cols {
 					vals[j] = b.cols[ci].Value(int(lane))
 				}
 				return sampler.HashValues(vals, seed)
 			}
-			newSel := s.uni.AdmitBatch(sel, b.weights, hash)
-			s.noteThin(liveIn, newSel, t0)
-			if len(newSel) > 0 {
-				bytes := liveBytes(b.cols, newSel)
-				s.slot.NoteBatch(bytes)
-				return Batch{cols: b.cols, n: b.n, sel: newSel, weights: b.weights, bytes: bytes}, nil
+			out.sel = s.uni.AdmitBatch(sel, b.weights, hash)
+		default:
+			out = s.dist.admit(&b, sel)
+		}
+		passed := out.Len()
+		s.st.AddCPU(s.task, s.cost*float64(liveIn))
+		s.slot.RowsIn += int64(liveIn)
+		s.slot.RowsOut += int64(passed)
+		s.slot.SamplerSeen += int64(liveIn)
+		s.slot.SamplerPassed += int64(passed)
+		s.slot.KernelLanes += int64(liveIn)
+		s.slot.WallNanos += int64(time.Since(t0))
+		if passed > 0 {
+			if s.dist == nil {
+				out.bytes = liveBytes(b.cols, out.sel)
 			}
-		default: // distinct
-			out := s.out[:0]
-			var bytes float64
-			row := s.sc.row(len(b.cols))
-			admit := func(lane int32) {
-				for c := range b.cols {
-					row[c] = b.cols[c].Value(int(lane))
-				}
-				if pass, w := s.sm.Admit(row, b.weights[lane]); pass {
-					wr := newWRow(row.Clone(), w)
-					bytes += wr.sz
-					out = append(out, wr)
-				}
-				for _, fl := range s.dist.TakePending() {
-					wr := newWRow(fl.Row, fl.W)
-					bytes += wr.sz
-					out = append(out, wr)
-				}
-			}
-			if b.sel != nil {
-				for _, lane := range b.sel {
-					admit(lane)
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					admit(int32(i))
-				}
-			}
-			s.st.AddCPU(s.task, s.sm.CostPerRow()*float64(liveIn))
-			s.slot.RowsIn += int64(liveIn)
-			s.slot.RowsOut += int64(len(out))
-			s.slot.SamplerSeen += int64(liveIn)
-			s.slot.SamplerPassed += int64(len(out))
-			s.slot.KernelLanes += int64(liveIn)
-			s.slot.WallNanos += int64(time.Since(t0))
-			s.out = out
-			if len(out) > 0 {
-				s.slot.NoteBatch(bytes)
-				return s.bb.fromRows(out, bytes), nil
-			}
+			s.slot.NoteBatch(out.bytes)
+			return out, nil
 		}
 	}
 }
 
-// noteThin records the per-batch accounting shared by the selection-
-// thinning samplers.
-func (s *colSampleOp) noteThin(liveIn int, newSel []int32, t0 time.Time) {
-	s.st.AddCPU(s.task, s.sm.CostPerRow()*float64(liveIn))
-	s.slot.RowsIn += int64(liveIn)
-	s.slot.RowsOut += int64(len(newSel))
-	s.slot.SamplerSeen += int64(liveIn)
-	s.slot.SamplerPassed += int64(len(newSel))
-	s.slot.KernelLanes += int64(liveIn)
-	s.slot.WallNanos += int64(time.Since(t0))
+// distinctLanes is one partition's distinct sampler over key vectors.
+// Per batch it builds the stratum key vectors (the sampler columns, then
+// one bucket vector per bucket column), resolves a dense stratum id per
+// live lane through a keyTable — column by column, so no two strata can
+// share an id — and admits the lanes. Lanes the sampler holds are copied
+// into hold, whose positions are the sampler's handles; the output batch
+// is built in emission order from the input batch and hold.
+type distinctLanes struct {
+	s       *sampler.Distinct
+	colIdx  []int
+	buckets []bucketCol
+	kt      *keyTable
+	keys    []Vector
+	ids     []int64
+	em      []sampler.Emit
+	held    []int32
+	hold    *partBuilder
+	out     *partBuilder // the output batch, rebuilt per batch
+	run     []int32
+	vecs    []Vector
+}
+
+// bucketCol stratifies on ⌈v/width⌉ of the column at pos — the paper's
+// stratification over functions of columns (§4.1.2): a numeric lane
+// becomes that integer, any other lane (NULL, string, bool) stays as it
+// is.
+type bucketCol struct {
+	pos   int
+	width float64
+	ints  []int64
+	vals  []table.Value
+}
+
+// vector returns the bucket vector of v over the lanes sel (the other
+// lanes are unspecified).
+func (bc *bucketCol) vector(v *Vector, sel []int32) Vector {
+	switch v.K {
+	case VKInt, VKFloat:
+		bc.ints = growInts(bc.ints, v.N)
+		for _, i := range sel {
+			bc.ints[i] = int64(math.Ceil(v.laneFloat(int(i)) / bc.width))
+		}
+	case VKAny:
+		bc.vals = slices.Grow(bc.vals[:0], v.N)[:v.N]
+		for _, i := range sel {
+			x := v.Vals[i]
+			if x.IsNumeric() {
+				x = table.NewInt(int64(math.Ceil(x.Float() / bc.width)))
+			}
+			bc.vals[i] = x
+		}
+		return Vector{K: VKAny, N: v.N, Vals: bc.vals}
+	default:
+		return *v
+	}
+	return Vector{K: VKInt, N: v.N, Ints: bc.ints, nulls: v.nulls, nullOff: v.nullOff}
+}
+
+// admit runs the live lanes sel of b through the sampler and returns
+// the batch of what it emitted (empty when nothing was).
+func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
+	d.keys = d.keys[:0]
+	for _, ci := range d.colIdx {
+		d.keys = append(d.keys, b.cols[ci])
+	}
+	for k := range d.buckets {
+		bc := &d.buckets[k]
+		d.keys = append(d.keys, bc.vector(&b.cols[bc.pos], sel))
+	}
+	d.ids = growInts(d.ids, b.n)
+	d.kt.resolve(d.ids, d.keys, sel)
+	d.em, d.held = d.s.AdmitBatch(sel, d.ids, b.weights, d.em[:0], d.held[:0])
+	d.hold.appendGather(b.cols, d.held, 0)
+	return d.emit(b.cols)
+}
+
+// appendKey appends stratum id's canonical key — each key column's
+// Value.AppendKey and a NUL — to dst: what the flush orders by.
+func (d *distinctLanes) appendKey(dst []byte, id int32) []byte {
+	for k := range d.kt.keys {
+		dst = append(d.kt.keys[k].Value(int(id)).AppendKey(dst), 0)
+	}
+	return dst
+}
+
+// emit builds the batch of the rows d.em lists, in that order: each run
+// of lanes copies from src, each run of handles from hold.
+//
+//hot:distinct sampler emission builder, per batch
+func (d *distinctLanes) emit(src []Vector) Batch {
+	if len(d.em) == 0 {
+		return Batch{}
+	}
+	for c := range d.out.cols {
+		d.out.cols[c].reset()
+	}
+	d.out.w = d.out.w[:0]
+	var bytes float64
+	for lo := 0; lo < len(d.em); {
+		held := d.em[lo].Held
+		d.run = d.run[:0]
+		for ; lo < len(d.em) && d.em[lo].Held == held; lo++ {
+			d.run = append(d.run, d.em[lo].Ref)
+			d.out.w = append(d.out.w, d.em[lo].W)
+		}
+		from := src
+		if held {
+			d.vecs = d.hold.vectors(d.vecs[:0])
+			from = d.vecs
+		}
+		d.out.appendGather(from, d.run, 0)
+		bytes += liveBytes(from, d.run)
+	}
+	d.vecs = d.out.vectors(d.vecs[:0])
+	return Batch{cols: d.vecs, n: len(d.out.w), weights: d.out.w, bytes: bytes}
 }
 
 // colChain is the shared setup for a fused chain: the walk down to its
@@ -584,19 +603,8 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 				cur = &colPassOp{child: cur, slot: slot}
 				break
 			}
-			sm := sp.newSampler(i)
-			op := &colSampleOp{
-				ctx: cc.ex.ctx, child: cur, sm: sm, colIdx: sp.colIdx,
-				st: cc.st, task: i, slot: slot, sc: sc,
-			}
-			switch t := sm.(type) {
-			case *sampler.Uniform:
-				op.unif = t
-			case *sampler.Universe:
-				op.uni = t
-			case *sampler.Distinct:
-				op.dist = t
-			}
+			op := sp.newSampler(i)
+			op.ctx, op.child, op.st, op.task, op.slot = cc.ex.ctx, cur, cc.st, i, slot
 			cur = op
 		}
 	}

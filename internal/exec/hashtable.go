@@ -162,23 +162,59 @@ const keyTableSeed = 11
 // hashKeys' (Hash64 equality is implied by Key() equality); the keys live
 // in one typed column per key vector, lane = id, as first seen.
 //
-// A lone dictionary-coded string key resolves once per dictionary code
-// (codeID, reset when the batch's dictionary is another one) and NULL-free
-// integer keys probe without a callback (probeInts); everything else
-// hashes batch-wise and compares lanes through keyLanesEqual.
+// Keys that are all dictionary strings and bools resolve once per
+// combination of codes (comboID, reset when a batch's dictionaries are
+// other ones), NULL-free integer keys probe without a callback
+// (probeInts); everything else hashes batch-wise and compares lanes
+// through keyLanesEqual.
 type keyTable struct {
-	idx    *hashIndex
-	cols   []vecBuilder // the keys
-	keys   []Vector     // cols as vectors, refreshed by insert
-	dict   []string     // the dictionary codeID translates
-	codeID []int32      // dictionary code -> id, -1 = not met yet
-	nullID int32        // id of the lone key's NULL, -1 = not met yet
-	hashes []uint64     // per-lane scratch
-	one    [1]int32
+	idx  *hashIndex
+	cols []vecBuilder // the keys
+	keys []Vector     // cols as vectors, refreshed by insert
+	// comboID maps a combination of key codes (code 0 = NULL, each key a
+	// digit of base radix) to its id, -1 = not met yet; it holds for the
+	// key kinds and dictionaries in coding.
+	coding  []Vector
+	radix   []int
+	comboID []int32
+	hashes  []uint64 // per-lane scratch
+	one     [1]int32
 }
 
 func newKeyTable(width int) *keyTable {
-	return &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]Vector, width), nullID: -1}
+	return &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]Vector, width)}
+}
+
+// coded reports whether every key is a dictionary string or a bool and
+// their code combinations fit comboID (at most 4096, or one string
+// key's dictionary), and makes comboID translate the keys' codes.
+func (t *keyTable) coded(keys []Vector) bool {
+	same, size := len(t.coding) == len(keys), 1
+	t.radix = t.radix[:0]
+	for k := range keys {
+		v, r := &keys[k], 3 // a bool's NULL, false, true
+		if v.K == VKStr {
+			r = len(v.Dict) + 1
+		} else if v.K != VKBool {
+			return false
+		}
+		if size *= r; size > 1<<12 && len(keys) > 1 {
+			return false
+		}
+		t.radix = append(t.radix, r)
+		same = same && t.coding[k].K == v.K && sameDict(t.coding[k].Dict, v.Dict)
+	}
+	if !same {
+		t.coding = t.coding[:0]
+		for k := range keys {
+			t.coding = append(t.coding, Vector{K: keys[k].K, Dict: keys[k].Dict})
+		}
+		t.comboID = slices.Grow(t.comboID[:0], size)[:size]
+		for c := range t.comboID {
+			t.comboID[c] = -1
+		}
+	}
+	return true
 }
 
 // len returns the number of ids handed out.
@@ -187,7 +223,7 @@ func (t *keyTable) len() int { return t.idx.len() }
 // resolve writes the id of every listed lane of keys into ids, indexed
 // by lane, inserting the tuples it has not met.
 //
-//hot:per-lane group-id resolution of the aggregate, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
+//hot:per-lane group-id and stratum-id resolution, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey, BenchmarkAggIntKeys and BenchmarkDistinctSample
 func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32) {
 	if len(keys) == 0 || len(lanes) == 0 {
 		// The empty tuple is one key.
@@ -205,20 +241,20 @@ func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32) {
 	}
 	t.hashes = t.hashes[:v.N]
 	switch {
-	case len(keys) == 1 && v.K == VKStr:
-		if !sameDict(t.dict, v.Dict) {
-			t.dict = v.Dict
-			t.codeID = slices.Grow(t.codeID[:0], len(v.Dict))[:len(v.Dict)]
-			for c := range t.codeID {
-				t.codeID[c] = -1
-			}
-		}
-		nul := v.nulls != nil
+	case t.coded(keys):
 		for _, i := range lanes {
-			id := &t.nullID
-			if !nul || !v.IsNull(int(i)) {
-				id = &t.codeID[v.Ints[i]]
+			c := int(v.Ints[i]) + 1
+			if v.nulls != nil && v.IsNull(int(i)) {
+				c = 0 // NULL
 			}
+			for k := 1; k < len(keys); k++ {
+				kv, code := &keys[k], int(keys[k].Ints[i])+1
+				if kv.nulls != nil && kv.IsNull(int(i)) {
+					code = 0
+				}
+				c = c*t.radix[k] + code
+			}
+			id := &t.comboID[c]
 			if *id < 0 {
 				t.one[0] = i
 				hashKeys(t.hashes, keys, keyTableSeed, t.one[:], 0)

@@ -55,15 +55,26 @@ func TestParallelPartsFirstErrorWins(t *testing.T) {
 	}
 }
 
+// What this test can assert: a cancellation that lands while tasks are
+// still unclaimed maps to ErrCanceled and skips them. What it cannot: that
+// a cancel racing no-op tasks lands before they are all claimed — if the
+// pool's workers claim every task while task 0 is preempted before its
+// cancel(), nothing is left to skip and nil is the right answer. So the
+// other tasks wait for task 0 (tasks are claimed in index order, so task
+// 0 is always claimed first) and only the caller plus one task per worker
+// can be in flight when the cancel lands.
 func TestParallelPartsCancelMapsToTypedError(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	canceled := make(chan struct{})
 	var ran atomic.Int64
 	err := parallelParts(ctx, 1024, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
+			close(canceled)
 		}
+		<-canceled
 		return nil
 	})
 	if !errors.Is(err, ErrCanceled) {

@@ -214,6 +214,15 @@ func (pb *partBuilder) appendGather(src []Vector, idx []int32, off int) {
 	}
 }
 
+// vectors appends the columns built so far to dst as vectors, aliasing
+// the builder's buffers.
+func (pb *partBuilder) vectors(dst []Vector) []Vector {
+	for c := range pb.cols {
+		dst = append(dst, pb.cols[c].build())
+	}
+	return dst
+}
+
 // appendRow appends one row of weight 1.
 func (pb *partBuilder) appendRow(vals ...[]table.Value) {
 	c := 0

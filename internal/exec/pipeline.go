@@ -2,12 +2,11 @@ package exec
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
 	"quickr/internal/sampler"
-	"quickr/internal/table"
 )
 
 // This file is the partition-independent setup of the streaming
@@ -37,12 +36,11 @@ type pipeSpec struct {
 	// PProject
 	cost float64
 	// PSample
-	sample       *PSample
-	passthrough  bool
-	colIdx       []int
-	bucketPos    []int
-	bucketWidths []float64
-	parts        int
+	sample      *PSample
+	passthrough bool
+	colIdx      []int
+	buckets     []bucketCol // without scratch, copied per partition
+	parts       int
 }
 
 func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
@@ -68,54 +66,53 @@ func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
 			}
 			sp.colIdx = append(sp.colIdx, i)
 		}
-		for _, id := range x.Def.BucketCols {
+		for k, id := range x.Def.BucketCols {
 			pos, ok := cm[id]
 			if !ok {
 				return nil, fmt.Errorf("exec: bucket column #%d not available", id)
 			}
-			sp.bucketPos = append(sp.bucketPos, pos)
+			width := x.Def.BucketWidths[k]
+			if width <= 0 {
+				width = 1
+			}
+			sp.buckets = append(sp.buckets, bucketCol{pos: pos, width: width})
 		}
-		sp.bucketWidths = x.Def.BucketWidths
 	default:
 		return nil, fmt.Errorf("exec: %T is not a pipelined operator", n)
 	}
 	return sp, nil
 }
 
-// newSampler builds the per-partition sampler instance, with the same
-// seed derivations the executor has always used (universe instances
-// share (cols, seed, p) so every instance — and the paired sampler on
-// the other join input — picks the same subspace; the distinct
-// sampler's δ is split across partitions).
-func (sp *pipeSpec) newSampler(task int) sampler.Sampler {
+// newSampler builds partition task's sample operator around its
+// sampler, with the same seed derivations the executor has always used
+// (universe instances share (cols, seed, p) so every instance — and the
+// paired sampler on the other join input — picks the same subspace; the
+// distinct sampler's δ is split across partitions). The caller wires its
+// input and accounting.
+func (sp *pipeSpec) newSampler(task int) *colSampleOp {
 	p := sp.sample
+	op := &colSampleOp{}
 	switch p.Def.Type {
 	case lplan.SamplerUniform:
-		return sampler.NewUniform(p.Def.P, p.Seed*2654435761+uint64(task)+1)
+		op.unif = sampler.NewUniform(p.Def.P, p.Seed*2654435761+uint64(task)+1)
+		op.cost = op.unif.CostPerRow()
 	case lplan.SamplerUniverse:
-		return sampler.NewUniverse(p.Def.P, sp.colIdx, p.Def.Seed)
+		op.uni = sampler.NewUniverse(p.Def.P, sp.colIdx, p.Def.Seed)
+		op.cost = op.uni.CostPerRow()
 	case lplan.SamplerDistinct:
 		delta := sampler.DeltaForParallelism(p.Def.Delta, sp.parts)
-		ds := sampler.NewDistinct(p.Def.P, sp.colIdx, delta, p.Seed*0x9E3779B9+uint64(task)+1)
-		// Bucketized stratification: ⌈col/width⌉ joins the stratum key
-		// (the paper's function-of-columns stratification, §4.1.2).
-		for bi, pos := range sp.bucketPos {
-			pos := pos
-			width := sp.bucketWidths[bi]
-			if width <= 0 {
-				width = 1
-			}
-			ds.KeyFuncs = append(ds.KeyFuncs, func(r table.Row) table.Value {
-				v := r[pos]
-				if !v.IsNumeric() {
-					return v
-				}
-				return table.NewInt(int64(math.Ceil(v.Float() / width)))
-			})
+		width := len(p.Cols())
+		d := &distinctLanes{
+			s:       sampler.NewDistinct(p.Def.P, delta, p.Seed*0x9E3779B9+uint64(task)+1),
+			colIdx:  sp.colIdx,
+			buckets: slices.Clone(sp.buckets),
+			kt:      newKeyTable(len(sp.colIdx) + len(sp.buckets)),
+			hold:    newPartBuilder(width, 0),
+			out:     newPartBuilder(width, 0),
 		}
-		return ds
+		op.dist, op.cost = d, d.s.CostPerRow()
 	}
-	return nil
+	return op
 }
 
 // pipelineStageName names the stage a fused pipeline over a

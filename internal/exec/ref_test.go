@@ -17,12 +17,24 @@ import (
 
 // The row-at-a-time reference the executor is tested against. It shares
 // none of the batch or partition code: expressions evaluate through the
-// compileExpr row closures, samplers through their one-row Admit
-// definitions, exchanges through table.HashRow of boxed rows, joins
+// compileExpr row closures, samplers admit one boxed row at a time
+// (refSample), exchanges route through table.HashRow of boxed rows, joins
 // through a map of boxed build rows probed with Value.Equal,
 // aggregation through refAgg's string-keyed maps — one row, one
 // partition at a time, with the executor's seed derivations
 // (pipeSpec.newSampler).
+
+// wrow is a boxed row with its sampling weight and accounted byte size.
+type wrow struct {
+	row table.Row
+	w   float64
+	sz  float64
+}
+
+// newWRow wraps a row, computing its accounted size once.
+func newWRow(r table.Row, w float64) wrow {
+	return wrow{row: r, w: w, sz: float64(r.ByteSize() + 8)}
+}
 
 // refChain evaluates scan, filter, project, sample, exchange and
 // hash-join nodes per partition over boxed weighted rows.
@@ -84,24 +96,7 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 			t.Fatal(err)
 		}
 		for i, part := range in {
-			sm := sp.newSampler(i)
-			dist, _ := sm.(*sampler.Distinct)
-			var out []wrow
-			emit := func(fl []sampler.Weighted) {
-				for _, w := range fl {
-					out = append(out, newWRow(w.Row, w.W))
-				}
-			}
-			for _, r := range part {
-				if pass, w := sm.Admit(r.row, r.w); pass {
-					out = append(out, newWRow(r.row, w))
-				}
-				if dist != nil {
-					emit(dist.TakePending())
-				}
-			}
-			emit(sm.Flush())
-			in[i] = out
+			in[i] = refSample(sp, sp.newSampler(i), part)
 		}
 		return in
 	case *PCachedSample:
@@ -199,6 +194,88 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 	}
 	t.Fatalf("refChain: %T is not a reference operator", n)
 	return nil
+}
+
+// refSample runs one partition's rows through the production sampler
+// of op one lane at a time: the universe hash over the boxed row's
+// values, and for the distinct sampler stratum ids from a first-met map
+// of each row's key string (the sampler columns' and the ⌈v/width⌉
+// buckets' AppendKey forms, each followed by a NUL), with the held rows
+// kept boxed by handle. Key resolution, bucketing, the hold store and
+// batching are the executor's own and are not used here. The string key
+// merges strata whose strings line up around a NUL, so inputs compared
+// against this reference keep NUL-free strings.
+func refSample(sp *pipeSpec, op *colSampleOp, part []wrow) []wrow {
+	var out []wrow
+	w := []float64{0}
+	lane := []int32{0}
+	switch {
+	case op.unif != nil:
+		for _, r := range part {
+			w[0] = r.w
+			if len(op.unif.AdmitBatch(append(lane[:0], 0), w)) > 0 {
+				out = append(out, newWRow(r.row, w[0]))
+			}
+		}
+	case op.uni != nil:
+		for _, r := range part {
+			w[0] = r.w
+			hash := func(int32) uint64 {
+				vals := make([]table.Value, len(sp.colIdx))
+				for j, c := range sp.colIdx {
+					vals[j] = r.row[c]
+				}
+				return sampler.HashValues(vals, op.uni.Seed)
+			}
+			if len(op.uni.AdmitBatch(append(lane[:0], 0), w, hash)) > 0 {
+				out = append(out, newWRow(r.row, w[0]))
+			}
+		}
+	default:
+		d := op.dist.s
+		ids := map[string]int64{}
+		var keys []string
+		var held []table.Row
+		var em []sampler.Emit
+		var holds []int32
+		emit := func(r table.Row) {
+			for _, e := range em {
+				if e.Held {
+					out = append(out, newWRow(held[e.Ref], e.W))
+				} else {
+					out = append(out, newWRow(r, e.W))
+				}
+			}
+		}
+		for _, r := range part {
+			var b []byte
+			for _, c := range sp.colIdx {
+				b = append(r.row[c].AppendKey(b), 0)
+			}
+			for _, bc := range sp.buckets {
+				v := r.row[bc.pos]
+				if v.IsNumeric() {
+					v = table.NewInt(int64(math.Ceil(v.Float() / bc.width)))
+				}
+				b = append(v.AppendKey(b), 0)
+			}
+			id, ok := ids[string(b)]
+			if !ok {
+				id = int64(len(keys))
+				ids[string(b)] = id
+				keys = append(keys, string(b))
+			}
+			w[0] = r.w
+			em, holds = d.AdmitBatch(lane, []int64{id}, w, em[:0], holds[:0])
+			if len(holds) > 0 {
+				held = append(held, r.row)
+			}
+			emit(r.row)
+		}
+		em = d.Flush(func(dst []byte, id int32) []byte { return append(dst, keys[id]...) }, em[:0])
+		emit(nil)
+	}
+	return out
 }
 
 func refKeyIdx(t *testing.T, in PNode, keys []lplan.ColumnID) []int {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"quickr/internal/sketch"
-	"quickr/internal/table"
 )
 
 // Distinct is the stratified sampler Γ^D_{p,C,δ} (§4.1.2): it guarantees
@@ -29,32 +28,49 @@ import (
 //   - Partitioning: with D parallel instances, each takes the modified
 //     guarantee ⌈δ/D⌉+ε with ε=δ/D, trading off the all-rows-in-one-
 //     instance and rows-spread-evenly extremes.
+//
+// The sampler never sees a row. The caller names each lane's stratum by
+// a dense id (the executor resolves ids from the stratification and
+// bucket key vectors, comparing them column by column) and stores the
+// lanes the sampler holds; a reservoir keeps the caller's handles.
 type Distinct struct {
 	P     float64
-	Cols  []int // positions of the stratification columns
-	Delta int   // per-instance δ (already adjusted for parallelism)
+	Delta int // per-instance δ (already adjusted for parallelism)
 	// ReservoirSize is S; reservoirs exist only for values with observed
 	// frequency in (δ, δ+S/p].
 	ReservoirSize int
-	// KeyFuncs stratify on computed values in addition to Cols — the
-	// paper's "stratification over functions of columns" (§4.1.2), e.g.
-	// ⌈Y/100⌉ so rare extreme values of a skewed aggregate survive.
-	KeyFuncs []func(table.Row) table.Value
 
-	counts     *sketch.LossyCounter
-	exact      map[string]int64 // exact count fallback while small
+	counts     *sketch.LossyCounter[int32]
+	exact      []int64 // exact counts by stratum id while few strata were met
+	strata     int     // strata met while exact is kept
 	exactLimit int
-	reservoirs map[string]*reservoir
-	pending    []Weighted // reservoir overflows awaiting emission
+	resOf      []int32 // stratum id -> index+1 into res, 0 = none yet
+	res        []reservoir
+	handles    int32 // handles issued so far
 	rng        *rand.Rand
-	keyBuf     []byte
 }
 
 type reservoir struct {
-	rows []table.Row
-	ws   []float64
+	id   int32
+	rows []heldRow
 	seen int64 // rows offered to the reservoir (freq − δ)
 	done bool  // flushed at overflow; value is in probabilistic mode
+}
+
+// heldRow is one reservoir slot: the caller's handle for the held row
+// and the row's incoming weight.
+type heldRow struct {
+	h int32
+	w float64
+}
+
+// Emit is one row the distinct sampler lets through: lane Ref of the
+// batch being admitted or, when Held, the row the caller keeps under
+// handle Ref. W is the row's weight.
+type Emit struct {
+	Ref  int32
+	Held bool
+	W    float64
 }
 
 // DeltaForParallelism returns the per-instance δ for D parallel
@@ -72,152 +88,154 @@ func DeltaForParallelism(delta, d int) int {
 }
 
 // NewDistinct creates a distinct sampler with its own private rng
-// seeded from seed. cols are row positions of the stratification
-// columns; delta is the per-instance guarantee.
-func NewDistinct(p float64, cols []int, delta int, seed uint64) *Distinct {
-	return NewDistinctRand(p, cols, delta, rand.New(rand.NewSource(int64(seed))))
+// seeded from seed; delta is the per-instance guarantee.
+func NewDistinct(p float64, delta int, seed uint64) *Distinct {
+	return NewDistinctRand(p, delta, rand.New(rand.NewSource(int64(seed))))
 }
 
 // NewDistinctRand creates a distinct sampler drawing from an injected
 // rng. The sampler owns rng afterwards: callers must not share one rng
 // between samplers running on different goroutines.
-func NewDistinctRand(p float64, cols []int, delta int, rng *rand.Rand) *Distinct {
+func NewDistinctRand(p float64, delta int, rng *rand.Rand) *Distinct {
 	if delta < 1 {
 		delta = 1
 	}
 	return &Distinct{
 		P:             p,
-		Cols:          cols,
 		Delta:         delta,
 		ReservoirSize: 10,
-		counts:        sketch.NewLossyCounter(1e-4),
-		exact:         map[string]int64{},
+		counts:        sketch.NewLossyCounter[int32](1e-4),
+		exact:         make([]int64, 0, 64),
 		exactLimit:    1 << 16,
-		reservoirs:    map[string]*reservoir{},
 		rng:           rng,
 	}
 }
 
-func (d *Distinct) key(r table.Row) string {
-	b := d.keyBuf[:0]
-	for _, c := range d.Cols {
-		b = append(r[c].AppendKey(b), 0)
-	}
-	for _, f := range d.KeyFuncs {
-		b = append(f(r).AppendKey(b), 0)
-	}
-	d.keyBuf = b
-	return string(b)
-}
-
-// count returns the observed frequency of key after this occurrence.
-func (d *Distinct) count(key string) int64 {
-	d.counts.Add(key)
+// count returns the observed frequency of stratum id after this
+// occurrence.
+func (d *Distinct) count(id int32) int64 {
+	d.counts.Add(id)
 	if d.exact != nil {
-		d.exact[key]++
-		c := d.exact[key]
-		if len(d.exact) > d.exactLimit {
+		for int(id) >= len(d.exact) {
+			d.exact = append(d.exact, 0)
+		}
+		if d.exact[id] == 0 {
+			d.strata++
+		}
+		d.exact[id]++
+		if d.strata > d.exactLimit {
 			d.exact = nil // rely on the sketch beyond the memory bound
 		} else {
-			return c
+			return d.exact[id]
 		}
 	}
-	if c, ok := d.counts.Count(key); ok {
+	if c, ok := d.counts.Count(id); ok {
 		return c
 	}
 	// Untracked by the sketch ⇒ infrequent ⇒ within the guarantee.
 	return 1
 }
 
-// Admit implements Sampler.
-func (d *Distinct) Admit(r table.Row, w float64) (bool, float64) {
-	key := d.key(r)
-	c := d.count(key)
+// reservoir returns stratum id's reservoir, creating an empty one. The
+// pointer is valid until the next reservoir is created.
+func (d *Distinct) reservoir(id int32) *reservoir {
+	for int(id) >= len(d.resOf) {
+		d.resOf = append(d.resOf, 0)
+	}
+	if d.resOf[id] == 0 {
+		d.res = append(d.res, reservoir{id: id})
+		d.resOf[id] = int32(len(d.res))
+	}
+	return &d.res[d.resOf[id]-1]
+}
+
+// AdmitBatch admits the live lanes sel, in order: ids[lane] is the
+// lane's stratum id and weights[lane] its incoming weight. It appends to
+// out the rows it lets through, in emission order — a lane that passes,
+// or the rows of the reservoir a lane overflowed — and to held the lanes
+// it holds. Handles count holds over the sampler's life: the k-th lane
+// held is handle k, and the caller keeps its row until the partition
+// ends.
+//
+//hot:distinct sampler admit loop, per live lane
+func (d *Distinct) AdmitBatch(sel []int32, ids []int64, weights []float64, out []Emit, held []int32) ([]Emit, []int32) {
 	delta := int64(d.Delta)
-	switch {
-	case c <= delta:
-		// Frequency mode: pass with weight 1 (times incoming weight).
-		return true, w
-	default:
-		res, ok := d.reservoirs[key]
-		if !ok {
-			res = &reservoir{}
-			d.reservoirs[key] = res
+	for _, lane := range sel {
+		id, w := int32(ids[lane]), weights[lane]
+		if d.count(id) <= delta {
+			// Frequency mode: pass with weight 1 (times incoming weight).
+			out = append(out, Emit{Ref: lane, W: w})
+			continue
 		}
+		res := d.reservoir(id)
 		if res.done {
 			// Probabilistic mode.
 			if d.rng.Float64() < d.P {
-				return true, w / d.P
+				out = append(out, Emit{Ref: lane, W: w / d.P})
 			}
-			return false, 0
+			continue
 		}
-		// Reservoir mode: hold the row; it may be emitted by Flush or at
+		// Reservoir mode: hold the lane; it may be emitted by Flush or at
 		// overflow with the corrected weight.
 		res.seen++
 		if len(res.rows) < d.ReservoirSize {
-			res.rows = append(res.rows, r.Clone())
-			res.ws = append(res.ws, w)
+			res.rows = append(res.rows, heldRow{h: d.handles, w: w})
+			held, d.handles = append(held, lane), d.handles+1
 		} else if j := d.rng.Int63n(res.seen); j < int64(d.ReservoirSize) {
-			res.rows[j] = r.Clone()
-			res.ws[j] = w
+			res.rows[j] = heldRow{h: d.handles, w: w}
+			held, d.handles = append(held, lane), d.handles+1
 		}
 		if res.seen >= int64(float64(d.ReservoirSize)/d.P) {
 			// Overflow: each retained row represents 1/p observed rows.
-			d.pending = append(d.pending, d.drain(res, 1/d.P)...)
+			out = res.drain(out, 1/d.P)
 			res.done = true
 		}
-		return false, 0
 	}
+	return out, held
 }
 
-func (d *Distinct) drain(res *reservoir, weightMult float64) []Weighted {
-	out := make([]Weighted, 0, len(res.rows))
-	for i, row := range res.rows {
-		out = append(out, Weighted{Row: row, W: res.ws[i] * weightMult})
+// drain appends the reservoir's rows to out, weights times mult, and
+// empties it.
+func (r *reservoir) drain(out []Emit, mult float64) []Emit {
+	for _, row := range r.rows {
+		out = append(out, Emit{Ref: row.h, Held: true, W: row.w * mult})
 	}
-	res.rows, res.ws = nil, nil
+	r.rows = nil
 	return out
 }
 
-// TakePending returns rows whose reservoirs overflowed since the last
-// call; the executor must emit them into the output stream.
-func (d *Distinct) TakePending() []Weighted {
-	p := d.pending
-	d.pending = nil
-	return p
-}
-
-// Flush implements Sampler: emits all remaining reservoirs with weight
-// (freq−δ)/|reservoir| each, which makes the estimator unbiased for
-// values that never reached the probabilistic mode.
-func (d *Distinct) Flush() []Weighted {
-	var out []Weighted
-	keys := make([]string, 0, len(d.reservoirs))
-	for k := range d.reservoirs {
-		keys = append(keys, k)
-	}
-	// Deterministic order for reproducible runs.
-	sort.Strings(keys)
-	for _, k := range keys {
-		res := d.reservoirs[k]
-		if res.done || len(res.rows) == 0 {
-			continue
+// Flush emits all remaining reservoirs with weight (freq−δ)/|reservoir|
+// each, which makes the estimator unbiased for values that never reached
+// the probabilistic mode. For reproducible runs the reservoirs go in the
+// order of their strata's canonical keys: appendKey appends stratum id's
+// key to dst (the executor renders each column's Value.AppendKey and a
+// NUL), called once per emitted reservoir.
+func (d *Distinct) Flush(appendKey func(dst []byte, id int32) []byte, out []Emit) []Emit {
+	keys := make([]string, len(d.res))
+	var live []int
+	for i := range d.res {
+		if r := &d.res[i]; !r.done && len(r.rows) > 0 {
+			live, keys[i] = append(live, i), string(appendKey(nil, r.id))
 		}
-		mult := float64(res.seen) / float64(len(res.rows))
-		out = append(out, d.drain(res, mult)...)
+	}
+	sort.SliceStable(live, func(a, b int) bool { return keys[live[a]] < keys[live[b]] })
+	for _, i := range live {
+		r := &d.res[i]
+		out = r.drain(out, float64(r.seen)/float64(len(r.rows)))
 	}
 	return out
 }
 
-// CostPerRow implements Sampler.
+// CostPerRow is the distinct sampler's per-row cost: a sketch update
+// and, past δ, reservoir maintenance.
 func (d *Distinct) CostPerRow() float64 { return 5 }
 
 // MemoryFootprint returns an estimate of tracked state size (sketch
 // entries plus live reservoir rows) for the ablation benchmarks.
 func (d *Distinct) MemoryFootprint() int {
 	n := d.counts.EntryCount()
-	for _, r := range d.reservoirs {
-		n += len(r.rows)
+	for i := range d.res {
+		n += len(d.res[i].rows)
 	}
 	return n
 }

@@ -25,8 +25,8 @@ func TestUniformSeedMatchesInjectedRand(t *testing.T) {
 }
 
 func TestDistinctSeedMatchesInjectedRand(t *testing.T) {
-	a := NewDistinct(0.2, []int{0}, 2, 7)
-	b := NewDistinctRand(0.2, []int{0}, 2, rand.New(rand.NewSource(7)))
+	a := newRowDistinct(NewDistinct(0.2, 2, 7), 0)
+	b := newRowDistinct(NewDistinctRand(0.2, 2, rand.New(rand.NewSource(7))), 0)
 	for i := int64(0); i < 5000; i++ {
 		v := i % 17 // skewed enough to exercise reservoirs and coin flips
 		pa, wa := a.Admit(row(v), 1)

@@ -4,6 +4,9 @@
 // together mimic one instance over the whole input. Each passed row
 // carries a weight — the inverse of its inclusion probability — used by
 // the Horvitz–Thompson estimators downstream.
+// Each has one admit loop, AdmitBatch, over a batch's live lanes in lane
+// order, drawing randomness per lane, so decisions never depend on batch
+// boundaries; CostPerRow is its relative CPU cost per row (§A).
 package sampler
 
 import (
@@ -13,25 +16,6 @@ import (
 
 	"quickr/internal/table"
 )
-
-// Weighted is a row with its sampling weight.
-type Weighted struct {
-	Row table.Row
-	W   float64
-}
-
-// Sampler consumes rows one at a time and emits a (usually smaller)
-// weighted stream. Admit processes one row with its incoming weight and
-// reports whether it passes immediately and with what weight; Flush
-// returns rows the sampler buffered (only the distinct sampler buffers).
-type Sampler interface {
-	Admit(r table.Row, w float64) (pass bool, weight float64)
-	Flush() []Weighted
-	// CostPerRow is the relative CPU cost of examining one row; the
-	// uniform sampler only tosses a coin, the universe sampler computes a
-	// cryptographic hash, the distinct sampler updates a sketch (§A).
-	CostPerRow() float64
-}
 
 // ---------------------------------------------------------------------
 // Uniform sampler Γ^U_p (§4.1.1)
@@ -57,18 +41,22 @@ func NewUniformRand(p float64, rng *rand.Rand) *Uniform {
 	return &Uniform{P: p, rng: rng}
 }
 
-// Admit implements Sampler.
-func (u *Uniform) Admit(r table.Row, w float64) (bool, float64) {
-	if u.rng.Float64() < u.P {
-		return true, w / u.P
+// AdmitBatch admits the live lanes listed in sel, in order, one coin
+// each. Passing lanes keep their slot in the (in-place thinned)
+// selection and have their weight scaled by 1/P; the thinned selection
+// is returned.
+func (u *Uniform) AdmitBatch(sel []int32, weights []float64) []int32 {
+	out := sel[:0]
+	for _, lane := range sel {
+		if u.rng.Float64() < u.P {
+			weights[lane] /= u.P
+			out = append(out, lane)
+		}
 	}
-	return false, 0
+	return out
 }
 
-// Flush implements Sampler.
-func (u *Uniform) Flush() []Weighted { return nil }
-
-// CostPerRow implements Sampler.
+// CostPerRow is the uniform sampler's per-row cost: one coin.
 func (u *Uniform) CostPerRow() float64 { return 1 }
 
 // ---------------------------------------------------------------------
@@ -110,22 +98,22 @@ func HashValues(vals []table.Value, seed uint64) uint64 {
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
-// Admit implements Sampler. Whether a row passes depends only on the
-// values of the universe columns, so the sampler is stateless and all
-// parallel instances agree.
-func (u *Universe) Admit(r table.Row, w float64) (bool, float64) {
-	vals := make([]table.Value, len(u.Cols))
-	for i, c := range u.Cols {
-		vals[i] = r[c]
+// AdmitBatch admits the live lanes listed in sel, in order. hash must
+// return the lane's subspace coordinate — HashValues over the lane's
+// universe-column values, in Cols order. Whether a lane passes depends
+// only on those values, so the sampler is stateless and all parallel
+// instances agree.
+func (u *Universe) AdmitBatch(sel []int32, weights []float64, hash func(lane int32) uint64) []int32 {
+	out := sel[:0]
+	for _, lane := range sel {
+		if hash(lane) <= u.threshold {
+			weights[lane] /= u.P
+			out = append(out, lane)
+		}
 	}
-	if HashValues(vals, u.Seed) <= u.threshold {
-		return true, w / u.P
-	}
-	return false, 0
+	return out
 }
 
-// Flush implements Sampler.
-func (u *Universe) Flush() []Weighted { return nil }
-
-// CostPerRow implements Sampler.
+// CostPerRow is the universe sampler's per-row cost: a cryptographic
+// hash of the universe columns.
 func (u *Universe) CostPerRow() float64 { return 3 }

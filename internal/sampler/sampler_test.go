@@ -16,7 +16,7 @@ func estimateSum(s Sampler, rows []table.Row) float64 {
 		if pass, w := s.Admit(r, 1); pass {
 			sum += w * r[0].Float()
 		}
-		if d, ok := s.(*Distinct); ok {
+		if d, ok := s.(*rowDistinct); ok {
 			for _, fl := range d.TakePending() {
 				sum += fl.W * fl.Row[0].Float()
 			}
@@ -193,7 +193,7 @@ func TestDistinctGuaranteesStrata(t *testing.T) {
 		freqs[table.NewInt(int64(g)).Key()]++
 	}
 	const delta = 4
-	s := NewDistinct(0.05, []int{1}, delta, 11)
+	s := newRowDistinct(NewDistinct(0.05, delta, 11), 1)
 	got := map[string]int{}
 	collect := func(r table.Row) { got[r[1].Key()]++ }
 	for _, r := range rows {
@@ -231,7 +231,7 @@ func TestDistinctUnbiased(t *testing.T) {
 	var sum float64
 	const trials = 50
 	for seed := 0; seed < trials; seed++ {
-		s := NewDistinct(0.1, []int{1}, 5, uint64(seed)+1)
+		s := newRowDistinct(NewDistinct(0.1, 5, uint64(seed)+1), 1)
 		sum += estimateSum(s, rows)
 	}
 	mean := sum / trials
@@ -245,7 +245,7 @@ func TestDistinctReducesData(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		rows = append(rows, table.Row{table.NewFloat(1), table.NewInt(int64(i % 10))})
 	}
-	s := NewDistinct(0.05, []int{1}, 10, 3)
+	s := newRowDistinct(NewDistinct(0.05, 10, 3), 1)
 	kept := 0
 	for _, r := range rows {
 		if pass, _ := s.Admit(r, 1); pass {
@@ -273,14 +273,14 @@ func TestDeltaForParallelism(t *testing.T) {
 }
 
 func TestDistinctMemoryFootprintBounded(t *testing.T) {
-	s := NewDistinct(0.01, []int{0}, 3, 5)
+	s := newRowDistinct(NewDistinct(0.01, 3, 5), 0)
 	for i := 0; i < 200000; i++ {
 		r := table.Row{table.NewString(fmt.Sprintf("k%d", i%100000))}
 		s.Admit(r, 1)
 		s.TakePending()
 	}
 	// The exact map is capped; the sketch holds O(1/eps log eps N).
-	if fp := s.MemoryFootprint(); fp > 400000 {
+	if fp := s.d.MemoryFootprint(); fp > 400000 {
 		t.Errorf("memory footprint %d unbounded", fp)
 	}
 }
@@ -290,7 +290,7 @@ func TestSamplerCosts(t *testing.T) {
 	// expensive (sketch + reservoirs).
 	u := NewUniform(0.1, 1).CostPerRow()
 	v := NewUniverse(0.1, []int{0}, 1).CostPerRow()
-	d := NewDistinct(0.1, []int{0}, 3, 1).CostPerRow()
+	d := NewDistinct(0.1, 3, 1).CostPerRow()
 	if !(u < v && v < d) {
 		t.Errorf("cost ordering broken: %v %v %v", u, v, d)
 	}
@@ -355,4 +355,200 @@ func TestAdmitBatchMatchesAdmit(t *testing.T) {
 			}
 		})
 	})
+	t.Run("distinct", testDistinctBatchMatchesRef)
+}
+
+// rowDistinct drives the production distinct sampler one row at a time
+// through AdmitBatch, the way the executor's row reference does: the
+// stratum id of a row comes from a first-met map of its key string (the
+// column's AppendKey and a NUL), and held rows live in a slice indexed
+// by handle. It implements Sampler and the reference's TakePending.
+type rowDistinct struct {
+	d       *Distinct
+	col     int
+	ids     map[string]int64
+	keys    []string
+	held    []table.Row
+	pending []Weighted
+	em      []Emit
+	lanes   []int32
+}
+
+func newRowDistinct(d *Distinct, col int) *rowDistinct {
+	return &rowDistinct{d: d, col: col, ids: map[string]int64{}}
+}
+
+func (s *rowDistinct) Admit(r table.Row, w float64) (bool, float64) {
+	key := string(append(r[s.col].AppendKey(nil), 0))
+	id, ok := s.ids[key]
+	if !ok {
+		id = int64(len(s.keys))
+		s.ids[key] = id
+		s.keys = append(s.keys, key)
+	}
+	s.em, s.lanes = s.d.AdmitBatch([]int32{0}, []int64{id}, []float64{w}, s.em[:0], s.lanes[:0])
+	if len(s.lanes) > 0 {
+		s.held = append(s.held, r.Clone())
+	}
+	pass, weight := false, 0.0
+	for _, e := range s.em {
+		if e.Held {
+			s.pending = append(s.pending, Weighted{Row: s.held[e.Ref], W: e.W})
+		} else {
+			pass, weight = true, e.W
+		}
+	}
+	return pass, weight
+}
+
+func (s *rowDistinct) TakePending() []Weighted {
+	p := s.pending
+	s.pending = nil
+	return p
+}
+
+func (s *rowDistinct) Flush() []Weighted {
+	var out []Weighted
+	keyOf := func(dst []byte, id int32) []byte { return append(dst, s.keys[id]...) }
+	for _, e := range s.d.Flush(keyOf, nil) {
+		out = append(out, Weighted{Row: s.held[e.Ref], W: e.W})
+	}
+	return out
+}
+
+func (s *rowDistinct) CostPerRow() float64 { return s.d.CostPerRow() }
+
+// testDistinctBatchMatchesRef holds Distinct.AdmitBatch to the row
+// definition (refDistinct): the same rows let through with bit-equal
+// weights, in the same order — passing lanes and overflow drains
+// interleaved as they happen — and the same flush, at batch sizes 1, 7,
+// 256 and all lanes with every third lane dead. The input crosses every
+// mode. First come ~66 000 one-row strata, so the exact counts give way
+// to the sketch at the 65 537th, with a few rows of the r-strata that
+// the sketch prunes. Then heavy strata cross δ, fill and overflow their
+// reservoirs and go probabilistic, medium strata are still held at the
+// flush, and the r-strata return, counted by the sketch from scratch
+// where exact counts would remember their first rows. Strata are (key, ⌈bucket/2.5⌉) with the bucket column over
+// ints, floats, negatives, NULLs and strings. Keys are NUL-free: the
+// reference's string key would merge strata whose NULs line up.
+func testDistinctBatchMatchesRef(t *testing.T) {
+	const n, p, delta, width = 210000, 0.1, 3, 2.5
+	rows := make([]table.Row, n)
+	weights := make([]float64, n)
+	var live []int32
+	for i := range rows {
+		var key, bucket table.Value
+		switch {
+		case i < 100000 && i%997 == 1:
+			key = table.NewString(fmt.Sprintf("r%d", (i/997)%50))
+		case i < 100000:
+			key = table.NewInt(int64(i)) // one-row stratum
+		case i%6 == 1:
+			key = table.NewString(fmt.Sprintf("m%d", (i/6)%700))
+		case i%6 == 3:
+			key = table.NewString(fmt.Sprintf("r%d", (i/6)%50))
+		default:
+			key = table.NewString(fmt.Sprintf("h%d", (i/6)%37))
+		}
+		switch i % 9 {
+		case 0, 1:
+			bucket = table.NewInt(int64(i%7 - 3))
+		case 2, 3:
+			bucket = table.NewFloat(float64(i%11)*0.9 - 4)
+		case 4:
+			bucket = table.Null
+		case 5:
+			bucket = table.NewString("b")
+		}
+		rows[i] = table.Row{key, bucket, table.NewInt(int64(i))}
+		weights[i] = 1 + float64(i%5)
+		if i%3 != 0 {
+			live = append(live, int32(i))
+		}
+	}
+	bucketOf := func(r table.Row) table.Value {
+		v := r[1]
+		if !v.IsNumeric() {
+			return v
+		}
+		return table.NewInt(int64(math.Ceil(v.Float() / width)))
+	}
+	// First-met stratum ids over the live lanes.
+	ids := make([]int64, n)
+	idOf := map[string]int64{}
+	var keys []string
+	for _, lane := range live {
+		r := rows[lane]
+		k := string(append(bucketOf(r).AppendKey(append(r[0].AppendKey(nil), 0)), 0))
+		id, ok := idOf[k]
+		if !ok {
+			id = int64(len(keys))
+			idOf[k] = id
+			keys = append(keys, k)
+		}
+		ids[lane] = id
+	}
+	if len(keys) <= 1<<16 {
+		t.Fatalf("%d strata do not cross the exact-count limit", len(keys))
+	}
+	keyOf := func(dst []byte, id int32) []byte { return append(dst, keys[id]...) }
+
+	// emitted renders a sequence of emitted rows as (row number, weight bits).
+	type emitted struct {
+		row int64
+		w   uint64
+	}
+	ref := newRefDistinct(p, []int{0}, delta, 17)
+	ref.KeyFuncs = []func(table.Row) table.Value{bucketOf}
+	var want, wantFlush []emitted
+	drains := 0
+	for _, lane := range live {
+		if pass, w := ref.Admit(rows[lane], weights[lane]); pass {
+			want = append(want, emitted{int64(lane), math.Float64bits(w)})
+		}
+		for _, fl := range ref.TakePending() {
+			want = append(want, emitted{fl.Row[2].Int(), math.Float64bits(fl.W)})
+			drains++
+		}
+	}
+	for _, fl := range ref.Flush() {
+		wantFlush = append(wantFlush, emitted{fl.Row[2].Int(), math.Float64bits(fl.W)})
+	}
+	if drains == 0 || len(wantFlush) == 0 {
+		t.Fatalf("degenerate input: %d overflow drains, %d flushed rows", drains, len(wantFlush))
+	}
+
+	for _, size := range []int{1, 7, 256, len(live)} {
+		d := NewDistinct(p, delta, 17)
+		w := append([]float64(nil), weights...)
+		var store []int32 // handle -> lane
+		var got []emitted
+		var em []Emit
+		var held []int32
+		for lo := 0; lo < len(live); lo += size {
+			sel := live[lo:min(lo+size, len(live))]
+			em, held = d.AdmitBatch(sel, ids, w, em[:0], held[:0])
+			store = append(store, held...)
+			for _, e := range em {
+				row := int64(e.Ref)
+				if e.Held {
+					row = int64(store[e.Ref])
+				}
+				got = append(got, emitted{row, math.Float64bits(e.W)})
+			}
+		}
+		var gotFlush []emitted
+		for _, e := range d.Flush(keyOf, nil) {
+			gotFlush = append(gotFlush, emitted{int64(store[e.Ref]), math.Float64bits(e.W)})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("size %d: batch emitted %d rows, Admit %d, or different ones or weights", size, len(got), len(want))
+		}
+		if fmt.Sprint(gotFlush) != fmt.Sprint(wantFlush) {
+			t.Fatalf("size %d: batch flushed %d rows, Flush %d, or different ones, weights or order", size, len(gotFlush), len(wantFlush))
+		}
+		if a, b := d.MemoryFootprint(), ref.MemoryFootprint(); a != b {
+			t.Fatalf("size %d: footprint %d, reference %d", size, a, b)
+		}
+	}
 }

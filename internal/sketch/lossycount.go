@@ -4,19 +4,23 @@
 // estimator (Table 2).
 package sketch
 
-import "sort"
+import (
+	"cmp"
+	"sort"
+)
 
 // LossyCounter identifies heavy hitters in one pass using memory
 // O(1/eps · log(eps·N)) (Manku & Motwani, VLDB 2002). For an input of
 // size N it reports every item with frequency above s·N and estimates
 // frequencies to within ±eps·N of truth. The paper uses eps=1e-4, s=1e-2
-// for a ~20MB footprint at N=1e10 rows (§4.1.2).
-type LossyCounter struct {
+// for a ~20MB footprint at N=1e10 rows (§4.1.2). Keys are value keys
+// (statistics) or dense stratum ids (the distinct sampler).
+type LossyCounter[K cmp.Ordered] struct {
 	eps     float64
 	width   int // bucket width ⌈1/eps⌉
 	bucket  int // current bucket id
 	n       int64
-	entries map[string]*lcEntry
+	entries map[K]lcEntry
 }
 
 type lcEntry struct {
@@ -25,28 +29,29 @@ type lcEntry struct {
 }
 
 // NewLossyCounter creates a sketch with error bound eps (0 < eps < 1).
-func NewLossyCounter(eps float64) *LossyCounter {
+func NewLossyCounter[K cmp.Ordered](eps float64) *LossyCounter[K] {
 	if eps <= 0 || eps >= 1 {
 		eps = 1e-4
 	}
 	w := int(1/eps) + 1
-	return &LossyCounter{eps: eps, width: w, bucket: 1, entries: map[string]*lcEntry{}}
+	return &LossyCounter[K]{eps: eps, width: w, bucket: 1, entries: map[K]lcEntry{}}
 }
 
 // Add records one occurrence of key.
-func (c *LossyCounter) Add(key string) {
+func (c *LossyCounter[K]) Add(key K) {
 	c.n++
-	if e, ok := c.entries[key]; ok {
-		e.count++
-	} else {
-		c.entries[key] = &lcEntry{count: 1, delta: int64(c.bucket - 1)}
+	e, ok := c.entries[key]
+	if !ok {
+		e.delta = int64(c.bucket - 1)
 	}
+	e.count++
+	c.entries[key] = e
 	if c.n%int64(c.width) == 0 {
 		c.prune()
 	}
 }
 
-func (c *LossyCounter) prune() {
+func (c *LossyCounter[K]) prune() {
 	b := int64(c.bucket)
 	for k, e := range c.entries {
 		if e.count+e.delta <= b {
@@ -57,35 +62,32 @@ func (c *LossyCounter) prune() {
 }
 
 // N returns the number of items observed.
-func (c *LossyCounter) N() int64 { return c.n }
+func (c *LossyCounter[K]) N() int64 { return c.n }
 
 // Count returns the estimated frequency of key (lower bound; true
 // frequency is within +eps·N of it), and whether the key is tracked.
-func (c *LossyCounter) Count(key string) (int64, bool) {
+func (c *LossyCounter[K]) Count(key K) (int64, bool) {
 	e, ok := c.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return e.count, true
+	return e.count, ok
 }
 
 // EntryCount returns the number of tracked entries (memory proxy).
-func (c *LossyCounter) EntryCount() int { return len(c.entries) }
+func (c *LossyCounter[K]) EntryCount() int { return len(c.entries) }
 
 // HeavyHitter is one reported frequent item.
-type HeavyHitter struct {
-	Key  string
+type HeavyHitter[K cmp.Ordered] struct {
+	Key  K
 	Freq int64 // estimated frequency (count + delta upper bound)
 }
 
 // HeavyHitters returns all items whose estimated frequency exceeds
 // s·N, sorted by decreasing frequency then key.
-func (c *LossyCounter) HeavyHitters(s float64) []HeavyHitter {
+func (c *LossyCounter[K]) HeavyHitters(s float64) []HeavyHitter[K] {
 	threshold := int64((s - c.eps) * float64(c.n))
-	var out []HeavyHitter
+	var out []HeavyHitter[K]
 	for k, e := range c.entries {
 		if e.count >= threshold && e.count > 0 {
-			out = append(out, HeavyHitter{Key: k, Freq: e.count + e.delta})
+			out = append(out, HeavyHitter[K]{Key: k, Freq: e.count + e.delta})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLossyCounterFindsHeavyHitters(t *testing.T) {
-	c := NewLossyCounter(1e-3)
+	c := NewLossyCounter[string](1e-3)
 	const n = 100000
 	rng := rand.New(rand.NewSource(1))
 	// Two heavy hitters at ~10% and ~5%; the rest uniform over 10k keys.
@@ -38,7 +38,7 @@ func TestLossyCounterFindsHeavyHitters(t *testing.T) {
 
 func TestLossyCounterMemoryBound(t *testing.T) {
 	eps := 1e-3
-	c := NewLossyCounter(eps)
+	c := NewLossyCounter[string](eps)
 	for i := 0; i < 500000; i++ {
 		c.Add(fmt.Sprintf("k%d", i)) // all distinct: worst case
 	}
@@ -52,7 +52,7 @@ func TestLossyCounterMemoryBound(t *testing.T) {
 func TestLossyCounterUndercountBounded(t *testing.T) {
 	// Property: reported count never exceeds true count, and undercount
 	// is at most eps*N.
-	c := NewLossyCounter(1e-2)
+	c := NewLossyCounter[string](1e-2)
 	trueCount := map[string]int64{}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 50000; i++ {

@@ -26,7 +26,7 @@ func refCollect(name string, schema *table.Schema, parts [][]table.Row) *TableSt
 	type colAcc struct {
 		cs    *ColumnStats
 		kmv   *sketch.KMV
-		lossy *sketch.LossyCounter
+		lossy *sketch.LossyCounter[string]
 		sum   float64
 		sumsq float64
 		cnt   int64
@@ -36,7 +36,7 @@ func refCollect(name string, schema *table.Schema, parts [][]table.Row) *TableSt
 		accs[i] = &colAcc{
 			cs:    &ColumnStats{Name: c.Name, Kind: c.Kind, Min: table.Null, Max: table.Null},
 			kmv:   sketch.NewKMV(1024),
-			lossy: sketch.NewLossyCounter(lossyEps),
+			lossy: sketch.NewLossyCounter[string](lossyEps),
 		}
 	}
 	for _, part := range parts {

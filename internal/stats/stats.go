@@ -84,7 +84,7 @@ type entry struct {
 // colAcc accumulates one column.
 type colAcc struct {
 	kmv        *sketch.KMV
-	lossy      *sketch.LossyCounter
+	lossy      *sketch.LossyCounter[string]
 	sum, sumsq float64
 	cnt, nulls int64
 	min, max   table.Value
@@ -103,7 +103,7 @@ type setAcc struct {
 func newEntry(t *table.Table) *entry {
 	e := &entry{tbl: t, cols: make([]colAcc, t.Schema.Len()), marks: make([]int, len(t.Partitions)), sets: map[string]*setAcc{}}
 	for i := range e.cols {
-		e.cols[i] = colAcc{kmv: sketch.NewKMV(1024), lossy: sketch.NewLossyCounter(lossyEps), min: table.Null, max: table.Null}
+		e.cols[i] = colAcc{kmv: sketch.NewKMV(1024), lossy: sketch.NewLossyCounter[string](lossyEps), min: table.Null, max: table.Null}
 	}
 	return e
 }
