@@ -15,7 +15,8 @@ test:
 # slots, the table storage (appends, seals and snapshot readers), and
 # the statistics store that extends itself from the table's new lanes
 # (with the catalog that hands it out); then the fused pipeline, the
-# per-partition aggregate runners, the routed exchange (its gather
+# per-partition aggregate runners, the broadcast probes (every probe
+# task reads one shared build table), the routed exchange (its gather
 # tasks and the aggregate's stripe tasks read one routing) and the
 # distinct sampler (its admit loop against the row reference, its key
 # and hold-store buffers per partition), and the storage tests, three
@@ -23,7 +24,7 @@ test:
 # Keep all three lines in lockstep with the CI race job.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
-	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch' ./internal/exec/ ./internal/sampler/
+	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestStarJoin|TestProbe' ./internal/exec/ ./internal/sampler/
 	$(GO) test -race -count=3 -run 'TestTable' ./internal/table/
 
 # Concurrency hammer: 32+ mixed exact/approx queries on one engine under

@@ -2,10 +2,12 @@ package exec
 
 // EstimateAdmissionBytes predicts a plan's in-flight memory footprint
 // from the optimizer's cardinality estimates, for byte-budget admission
-// control: every pipeline breaker (exchange, join build, aggregation,
-// sort, union, window) materializes its estimated output, so the
-// reservation sums estRows × estimated row width over breaker nodes
-// (hash joins additionally hold their build side). Nodes without an
+// control: every pipeline breaker (exchange, co-partitioned join,
+// aggregation, sort, union, window) materializes its estimated output,
+// so the reservation sums estRows × estimated row width over breaker
+// nodes, and every hash join holds its build side. A broadcast join
+// probes inside the fused chain and materializes nothing more: whatever
+// its chain sinks is charged to the breaker above. Nodes without an
 // estimate fall back to the widest child estimate seen below them. The
 // result is floored so even trivial queries reserve something — the
 // gate's purpose is ordering under pressure, not exact accounting.
@@ -28,14 +30,13 @@ func EstimateAdmissionBytes(p PNode, ests map[PNode]float64) int64 {
 		if !ok || rows <= 0 {
 			rows = kidMax
 		}
-		if n.Breaker() {
-			width := float64(len(n.Cols())*bytesPerCol + rowOverhead)
-			total += rows * width
-			if j, isJoin := n.(*PHashJoin); isJoin {
-				// The build side is held in hash tables while probing.
-				if br, ok := ests[j.Right]; ok && br > 0 {
-					total += br * float64(len(j.Right.Cols())*bytesPerCol+rowOverhead)
-				}
+		if !chained(n) {
+			total += rows * float64(len(n.Cols())*bytesPerCol+rowOverhead)
+		}
+		if j, isJoin := n.(*PHashJoin); isJoin {
+			// The build side is held in hash tables while probing.
+			if br, ok := ests[j.Right]; ok && br > 0 {
+				total += br * float64(len(j.Right.Cols())*bytesPerCol+rowOverhead)
 			}
 		}
 		return rows

@@ -1,11 +1,12 @@
 package exec
 
 // Microbenchmarks for the executor's hottest paths — hash-join
-// build/probe, the keyed exchange (routed and gathered, and routed under
-// the aggregate that folds it in place), grouped aggregation (a
-// two-column key, a lone dictionary key, a lone integer key), the
-// distinct sampler and window partitioning — plus the parallel sort; the four kernel plans live in
-// bench_kernel_test.go. Every plan is built by one function that both
+// build/probe (a bare join of each shape, and a star join whose three
+// broadcast probes run in one fused chain), the keyed exchange (routed
+// and gathered, and routed under the aggregate that folds it in place),
+// grouped aggregation (a two-column key, a lone dictionary key, a lone
+// integer key), the distinct sampler and window partitioning — plus the
+// parallel sort; the four kernel plans live in bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
 // (allocations per run, tier 1) call, so the two measure the same thing.
 
@@ -67,7 +68,9 @@ type hotPlan struct {
 // (821, 695, 911: builders, tables and accumulator columns per
 // partition, nothing per row or per group), window and sort at the same
 // time (2157, 971), the distinct sampler when it stopped boxing rows
-// (2862). A 16Ki–64Ki-row run that boxed one row per lane or
+// (2862), the star join when its probes moved into the fused chain
+// (1930, 2089 under -race; 2086 when every join materialized its input
+// and output). A 16Ki–64Ki-row run that boxed one row per lane or
 // allocated one object per group would add tens of thousands. Counts
 // repeat to within ±6 at GOMAXPROCS 1, 2 and 8 (±25 for the aggregate
 // over the exchange): pool scheduling is the only jitter. The -race
@@ -89,6 +92,7 @@ var hotPlans = []hotPlan{
 	{"BenchmarkSamplerKernel", kernelSamplerPlan, 788},
 	{"BenchmarkPreAggKernel", kernelPreAggPlan, 1082},
 	{"BenchmarkDistinctSample", distinctSamplePlan, 3578},
+	{"BenchmarkStarJoin", starJoinPlan, 2413},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -97,8 +101,8 @@ var hotPlans = []hotPlan{
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 14 {
-		t.Fatalf("hotPlans holds %d plans, want the 14 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 15 {
+		t.Fatalf("hotPlans holds %d plans, want the 15 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -151,13 +155,74 @@ func joinBroadcastPlan() (PNode, int)     { return benchJoinPlan(true) }
 func joinCoPartitionedPlan() (PNode, int) { return benchJoinPlan(false) }
 
 // BenchmarkJoinBroadcast measures the broadcast hash join: the gathered
-// build side is shared read-only across every probe task, and each
-// probe task gathers its output columns once at their final size.
+// build side is shared read-only across every probe task, each probe
+// task gathers every scanned batch's matched pairs, and the sink appends
+// them, sharing the build side's dictionary.
 func BenchmarkJoinBroadcast(b *testing.B) { benchPlan(b, joinBroadcastPlan) }
 
 // BenchmarkJoinCoPartitioned measures the co-partitioned hash join
 // (per-task build over the task's co-located build partition).
 func BenchmarkJoinCoPartitioned(b *testing.B) { benchPlan(b, joinCoPartitionedPlan) }
+
+// starJoinPlan is the ad-hoc workload's star join: a fact table joined to
+// three dimension tables (2048 items with a name, 64 stores with a
+// number, 16 dates with one of four quarters), then Project → Exchange
+// hash → HashAgg of the fact's measure per quarter, over four partitions.
+func starJoinPlan() (PNode, int) {
+	const parts, factRows = 4, 32768
+	fact := table.New("bench_star_fact", table.NewSchema(
+		table.Column{Name: "item", Kind: table.KindInt},
+		table.Column{Name: "store", Kind: table.KindInt},
+		table.Column{Name: "date", Kind: table.KindInt},
+		table.Column{Name: "price", Kind: table.KindFloat},
+	), parts)
+	for i := 0; i < factRows; i++ {
+		fact.Append(i, table.Row{table.NewInt(int64(i * 7919 % 2048)), table.NewInt(int64(i % 64)),
+			table.NewInt(int64(i % 16)), table.NewFloat(float64(i%100) / 4)})
+	}
+	dim := func(name string, rows int, attr func(k int) table.Value) *PScan {
+		tbl := table.New(name, table.NewSchema(
+			table.Column{Name: "k", Kind: table.KindInt},
+			table.Column{Name: "attr", Kind: attr(0).Kind()},
+		), parts)
+		for k := 0; k < rows; k++ {
+			tbl.Append(k, table.Row{table.NewInt(int64(k)), attr(k)})
+		}
+		return scanOf(tbl)
+	}
+	dims := []*PScan{
+		dim("bench_star_item", 2048, func(k int) table.Value { return table.NewString(fmt.Sprintf("item-%04d", k)) }),
+		dim("bench_star_store", 64, func(k int) table.Value { return table.NewInt(int64(k % 10)) }),
+		dim("bench_star_date", 16, func(k int) table.Value { return table.NewString(fmt.Sprintf("Q%d", k%4+1)) }),
+	}
+	fs := scanOf(fact)
+	var in PNode = fs
+	for j, d := range dims {
+		in = &PHashJoin{Kind: lplan.InnerJoin, Left: in, Right: d, Broadcast: true,
+			LeftKeys: []lplan.ColumnID{fs.OutCols[j].ID}, RightKeys: []lplan.ColumnID{d.OutCols[0].ID}}
+	}
+	quarter, price := dims[2].OutCols[1], fs.OutCols[3]
+	proj := &PProject{In: in, Exprs: []lplan.Expr{
+		&lplan.ColRef{ID: quarter.ID, Name: quarter.Name, Kind: quarter.Kind},
+		&lplan.ColRef{ID: price.ID, Name: price.Name, Kind: price.Kind},
+	}, OutCols: []lplan.ColumnInfo{quarter, price}}
+	nextID += 2
+	return &PHashAgg{
+		In:        &PExchange{In: proj, Keys: []lplan.ColumnID{quarter.ID}, Parts: parts},
+		GroupCols: []lplan.ColumnID{quarter.ID},
+		GroupInfo: []lplan.ColumnInfo{quarter},
+		Aggs: []lplan.AggSpec{
+			{Kind: lplan.AggSum, Arg: price.ID, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID - 1, Name: "revenue", Kind: table.KindFloat}},
+			{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID, Name: "sales", Kind: table.KindInt}},
+		},
+	}, 4
+}
+
+// BenchmarkStarJoin measures the fact table streaming through three
+// broadcast probes in one fused chain into the exchange's sources, with
+// no join input or output materialized, and the aggregate over the
+// routed exchange.
+func BenchmarkStarJoin(b *testing.B) { benchPlan(b, starJoinPlan) }
 
 func exchangeGatherPlan() (PNode, int) {
 	const parts, keys, rows = 4, 2048, 65536

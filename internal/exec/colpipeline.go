@@ -485,6 +485,188 @@ func (d *distinctLanes) emit(src []Vector) Batch {
 	return Batch{cols: d.vecs, n: len(d.out.w), weights: d.out.w, bytes: bytes}
 }
 
+// colProbeOp is a hash join's probe: per pulled batch it hashes the live
+// lanes' key vectors, walks each lane's chain in the build table and
+// emits the matching (probe lane, build row) pairs, in that order, as
+// one batch — probe columns, then build columns — gathered into builders
+// it owns and reuses. Under a left outer join a lane with no match pairs
+// with build row −1, a NULL pad. An output batch holds every pair of its
+// input batch, so it exceeds the batch size when build keys repeat.
+//
+// The simulated task is charged what a task that built its own table
+// over the build side would spend: 2 CPU units per build row, with the
+// task's first charge (also when its partition is empty), and 2 per
+// probe lane.
+type colProbeOp struct {
+	ctx   context.Context
+	child colOperator
+	js    *joinSpec
+	bt    *joinTable
+	resid *joinResidual // nil without a residual predicate
+	outer bool
+
+	st      *cluster.Stage
+	task    int
+	slot    *metrics.Slot
+	charged bool // the build rows' CPU is on the task
+
+	keys   []Vector
+	hashes []uint64
+	selBuf []int32
+	pl, pr []int32
+	out    *partBuilder
+	vecs   []Vector
+}
+
+func (o *colProbeOp) Next() (Batch, error) {
+	for {
+		// Per-pull cancellation point: a selective join can consume many
+		// input batches before it emits one.
+		if err := ctxErr(o.ctx); err != nil {
+			return Batch{}, err
+		}
+		b, err := o.child.Next()
+		if err != nil {
+			return Batch{}, err
+		}
+		if b.Len() == 0 {
+			o.charge(0)
+			return Batch{}, nil
+		}
+		t0 := time.Now()
+		live := b.Len()
+		out := o.probe(&b)
+		o.charge(live)
+		o.slot.RowsIn += int64(live)
+		o.slot.ProbeRows += int64(live)
+		o.slot.RowsOut += int64(out.n)
+		o.slot.WallNanos += int64(time.Since(t0))
+		if out.n > 0 {
+			o.slot.NoteBatch(out.bytes)
+			return out, nil
+		}
+	}
+}
+
+// charge puts live probe lanes' CPU on the task, and with the first
+// charge the build rows'.
+func (o *colProbeOp) charge(live int) {
+	cpu := 2 * float64(live)
+	if !o.charged {
+		cpu += 2 * float64(len(o.bt.next))
+		o.charged = true
+	}
+	o.st.AddCPU(o.task, cpu)
+}
+
+// probe joins the live lanes of b and returns the output batch (empty
+// when no pair survived).
+//
+//hot:join probe, per batch
+func (o *colProbeOp) probe(b *Batch) Batch {
+	sel := b.liveSel(o.selBuf)
+	if b.sel == nil {
+		o.selBuf = sel
+	}
+	for k, ci := range o.js.lIdx {
+		o.keys[k] = b.cols[ci]
+	}
+	o.hashes = extend(o.hashes[:0], b.n)
+	hashKeys(o.hashes, o.keys, joinHashSeed, b.sel, b.n)
+	bt, pad := o.bt, o.outer && o.resid == nil
+	pl, pr := o.pl[:0], o.pr[:0]
+	for _, i := range sel {
+		matched := false
+		for ri := bt.lookup(o.hashes[i]); ri >= 0; ri = bt.next[ri] {
+			if lanesEqual(o.keys, int(i), bt.keys, int(ri)) {
+				pl, pr = append(pl, i), append(pr, ri)
+				matched = true
+			}
+		}
+		if !matched && pad {
+			pl, pr = append(pl, i), append(pr, -1)
+		}
+	}
+	o.pl, o.pr = pl, pr
+	if o.resid != nil {
+		pl, pr = o.resid.filter(b.cols, bt.cols, pl, pr, sel, o.outer)
+	}
+	if len(pl) == 0 {
+		return Batch{}
+	}
+	out := o.out
+	for c := range out.cols {
+		out.cols[c].reset()
+	}
+	out.appendGather(b.cols, pl, 0)
+	out.appendGather(bt.cols, pr, len(b.cols))
+	out.w = extend(out.w[:0], len(pl))
+	shared := o.js.p.SharedUniverseP
+	for k, i := range pl {
+		w := b.weights[i]
+		if r := pr[k]; r >= 0 {
+			w *= bt.w[r]
+			if shared > 0 {
+				// Both inputs carry the same universe sampler: the join
+				// output is a p-probability universe sample, not p², so
+				// the double-counted 1/p factor is removed (§4.1.3).
+				w *= shared
+			}
+		}
+		out.w[k] = w
+	}
+	o.vecs = out.vectors(o.vecs[:0])
+	bytes := 8 * float64(len(pl))
+	for c := range o.vecs {
+		bytes += o.vecs[c].bytesAll()
+	}
+	return Batch{cols: o.vecs, n: len(pl), weights: out.w, bytes: bytes}
+}
+
+// joinResidual evaluates a join's residual predicate over a batch's
+// candidate pairs: one probe task's private kernel and buffers.
+type joinResidual struct {
+	kern   colKernel
+	sc     colScratch
+	cand   *partBuilder // the candidate pairs' columns
+	vecs   []Vector
+	keep   []int32
+	ol, or []int32
+}
+
+// filter returns the candidate pairs (pl, pr) of the live lanes sel that
+// pass the residual, plus, under a left outer join, a (lane, −1) pad for
+// every lane left with no passing pair, in lane order. The result is
+// valid until the next call.
+func (jr *joinResidual) filter(lcols, rcols []Vector, pl, pr, sel []int32, outer bool) ([]int32, []int32) {
+	for c := range jr.cand.cols {
+		jr.cand.cols[c].reset()
+	}
+	jr.cand.appendGather(lcols, pl, 0)
+	jr.cand.appendGather(rcols, pr, len(lcols))
+	jr.vecs = jr.cand.vectors(jr.vecs[:0])
+	cand := Batch{cols: jr.vecs, n: len(pl)}
+	v := jr.kern(&cand)
+	jr.keep = truthyLanes(jr.keep[:0], &v, &cand)
+	ol, or := jr.ol[:0], jr.or[:0]
+	c, k := 0, 0 // cursors into the candidates and into keep
+	for _, i := range sel {
+		matched := false
+		for ; c < len(pl) && pl[c] == i; c++ {
+			if k < len(jr.keep) && int(jr.keep[k]) == c {
+				ol, or = append(ol, i), append(or, pr[c])
+				matched = true
+				k++
+			}
+		}
+		if !matched && outer {
+			ol, or = append(ol, i), append(or, -1)
+		}
+	}
+	jr.ol, jr.or = ol, or
+	return ol, or
+}
+
 // colChain is the shared setup for a fused chain: the walk down to its
 // source (a scan, a cached-sample node or a breaker), stage wiring and
 // per-op setup; per-partition operators are built by operatorFor
@@ -502,14 +684,20 @@ type colChain struct {
 	st      *cluster.Stage
 	parts   int
 	partRaw []float64
+	// probes is set when a broadcast join probes inside the chain.
+	probes bool
 }
 
+// buildColChain walks from top down through the chain's operators to its
+// source, running each broadcast join's build side on the way down (so
+// the build side runs before the probe side, as it always has), then
+// opens the source and sets the operators up bottom-up.
 func (ex *executor) buildColChain(top PNode) (*colChain, error) {
 	var chain []PNode
+	var builds []*stream // a broadcast join's build side, aligned with chain
 	var scan *PScan
 	var cached *PCachedSample
 	n := top
-	//lint:ignore ctxflow walk is bounded by plan depth and terminates at a scan or breaker
 	for {
 		if s, ok := n.(*PScan); ok {
 			scan = s
@@ -521,10 +709,17 @@ func (ex *executor) buildColChain(top PNode) (*colChain, error) {
 			cached = cs
 			break
 		}
-		if n.Breaker() {
+		if !chained(n) {
 			break
 		}
-		chain = append(chain, n)
+		var build *stream
+		if j, ok := n.(*PHashJoin); ok {
+			var err error
+			if build, err = ex.exec(j.Right); err != nil {
+				return nil, err
+			}
+		}
+		chain, builds = append(chain, n), append(builds, build)
 		n = n.Kids()[0]
 	}
 
@@ -547,27 +742,57 @@ func (ex *executor) buildColChain(top PNode) (*colChain, error) {
 		if err != nil {
 			return nil, err
 		}
-		if name := pipelineStageName(chain); name != "" {
-			ex.ensureStage(s, name)
-		}
 		cc.src = s
-		cc.st = s.stage
 		cc.parts = len(s.parts)
 	}
 
+	// Stages open bottom-up: over a materialized source, the bottom-most
+	// compute operator names the probe side's stage, and a join closes
+	// its build side's stage before that.
 	for i := len(chain) - 1; i >= 0; i-- {
 		sp, err := ex.compilePipeOp(chain[i], cc.parts)
 		if err != nil {
 			return nil, err
 		}
+		if j, ok := chain[i].(*PHashJoin); ok {
+			if sp.join, err = cc.broadcastBuild(j, builds[i], sp.op); err != nil {
+				return nil, err
+			}
+		} else if name := stageName(chain[i]); cc.src != nil && name != "" {
+			ex.ensureStage(cc.src, name)
+		}
 		cc.nodes = append(cc.nodes, chain[i])
 		cc.specs = append(cc.specs, sp)
+	}
+	if cc.src != nil {
+		cc.st = cc.src.stage
 	}
 	return cc, nil
 }
 
+// broadcastBuild closes a broadcast join's build side as shuffled output,
+// opens the probe side's stage if nothing below did, makes it depend on
+// the build side, and builds the join table once over the gathered build
+// side; every probe task reads it.
+func (cc *colChain) broadcastBuild(p *PHashJoin, build *stream, op *metrics.Op) (*joinSpec, error) {
+	ex := cc.ex
+	ex.ensureStage(build, "build-src")
+	ex.materialize(build, true)
+	side := concatParts(build.parts, len(p.Right.Cols()))
+	if cc.src != nil {
+		ex.ensureStage(cc.src, stageName(p))
+		cc.st = cc.src.stage
+	}
+	cc.st.Deps = appendDep(cc.st.Deps, build.deps)
+	cc.probes = true
+	t0 := time.Now()
+	js, err := newJoinSpec(p, &side, ex.parallel)
+	op.AddWall(time.Since(t0))
+	return js, err
+}
+
 // operatorFor builds the partition-local columnar operator chain.
-func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
+func (cc *colChain) operatorFor(i int) (colOperator, error) {
 	sc := &colScratch{}
 	var cur colOperator
 	if cc.scan != nil {
@@ -584,7 +809,7 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 		case *PFilter:
 			kern, err := compileColKernel(x.Pred, buildColMap(x.In.Cols()), sc)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			cur = &colFilterOp{ctx: cc.ex.ctx, child: cur, kern: kern, sc: sc, st: cc.st, task: i, slot: slot}
 		case *PProject:
@@ -593,7 +818,7 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 			for j, e := range x.Exprs {
 				kern, err := compileColKernel(e, cm, sc)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				kerns[j] = kern
 			}
@@ -606,9 +831,18 @@ func (cc *colChain) operatorFor(i int) (colOperator, *colScratch, error) {
 			op := sp.newSampler(i)
 			op.ctx, op.child, op.st, op.task, op.slot = cc.ex.ctx, cur, cc.st, i, slot
 			cur = op
+		case *PHashJoin:
+			// Every task reads the whole broadcast build side.
+			js := sp.join
+			cc.st.AddInput(i, int64(js.side.N), js.side.bytes)
+			op, err := js.newProbe(cc.ex.ctx, cur, js.bt, cc.st, i, slot)
+			if err != nil {
+				return nil, err
+			}
+			cur = op
 		}
 	}
-	return cur, sc, nil
+	return cur, nil
 }
 
 // finish folds the per-partition raw scan bytes into the job total.
@@ -628,23 +862,30 @@ func (cc *colChain) result(outParts []Part) *stream {
 }
 
 // drive pulls partition i's chain dry, handing every batch to sink.
-func (cc *colChain) drive(i int, sink func(*Batch, *colScratch)) error {
-	cur, sc, err := cc.operatorFor(i)
+func (cc *colChain) drive(i int, sink func(*Batch)) error {
+	cur, err := cc.operatorFor(i)
 	if err != nil {
 		return err
 	}
+	return pull(cc.ex.ctx, cur, sink)
+}
+
+// pull drains op, handing every batch to sink.
+func pull(ctx context.Context, op colOperator, sink func(*Batch)) error {
+	var b Batch // escapes to sink: one allocation per drain, not per batch
 	for {
-		if err := ctxErr(cc.ex.ctx); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		b, err := cur.Next()
+		var err error
+		b, err = op.Next()
 		if err != nil {
 			return err
 		}
 		if b.Len() == 0 {
 			return nil
 		}
-		sink(&b, sc)
+		sink(&b)
 	}
 }
 
@@ -661,7 +902,11 @@ func estHint(est float64, parts int) int {
 // execColPipeline runs the fused chain rooted at top column-at-a-time;
 // each partition's sink appends the live lanes of every batch to a
 // Part. The append time is the chain top's own work and lands on its
-// slot.
+// slot. Behind a probe the sink shares the dictionaries of the columns
+// it copies, as a materialized join output always did, so a build
+// side's strings are not interned again per partition. Other sinks
+// intern: their Part keeps only the strings it holds, not a stored
+// partition's whole dictionary (a cached sample is sized by it).
 func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 	cc, err := ex.buildColChain(top)
 	if err != nil {
@@ -679,8 +924,9 @@ func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 	outParts := make([]Part, cc.parts)
 	if err := ex.parallel(cc.parts, func(i int) error {
 		pb := newPartBuilder(width, hint)
+		pb.share = cc.probes
 		sl := owner.Slot(i)
-		if err := cc.drive(i, func(b *Batch, _ *colScratch) {
+		if err := cc.drive(i, func(b *Batch) {
 			t0 := time.Now()
 			pb.appendBatch(b)
 			sl.WallNanos += int64(time.Since(t0))
@@ -726,7 +972,7 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 			return err
 		}
 		nrows := 0
-		if err := cc.drive(i, func(b *Batch, _ *colScratch) { nrows += r.addBatch(b) }); err != nil {
+		if err := cc.drive(i, func(b *Batch) { nrows += r.addBatch(b) }); err != nil {
 			return err
 		}
 		ao.emit(i, r, nrows)

@@ -165,9 +165,12 @@ func concatParts(pieces []Part, width int) Part {
 }
 
 // partBuilder accumulates lanes into a Part, one vecBuilder per column.
+// With share, a string column fed from one dictionary shares it instead
+// of re-interning it, as appendGather does.
 type partBuilder struct {
-	cols []vecBuilder
-	w    []float64
+	cols  []vecBuilder
+	w     []float64
+	share bool
 }
 
 // newPartBuilder builds width columns; rows > 0 reserves capacity for
@@ -192,7 +195,7 @@ func (pb *partBuilder) appendBatch(b *Batch) { pb.appendLanes(b.cols, b.sel, b.n
 //hot:pipeline sink and exchange gather, per batch
 func (pb *partBuilder) appendLanes(cols []Vector, sel []int32, n int, weights []float64) {
 	for c := range pb.cols {
-		pb.cols[c].appendSel(&cols[c], sel)
+		pb.cols[c].appendLanes(&cols[c], sel, pb.share)
 	}
 	base := len(pb.w)
 	if sel == nil {

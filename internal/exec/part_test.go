@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/table"
 	"quickr/internal/testutil"
@@ -560,7 +561,8 @@ func TestAggOverExchangeCancel(t *testing.T) {
 // TestJoinMatchesRowReference: both join shapes (broadcast and
 // co-partitioned behind exchanges), inner and left outer, with and
 // without a residual, with SharedUniverseP, against a map of boxed
-// build rows probed with Value.Equal.
+// build rows probed with Value.Equal — first as bare joins, then as
+// broadcast probes inside fused chains (starCases).
 func TestJoinMatchesRowReference(t *testing.T) {
 	probe, build := joinFixture("jr")
 	for _, broadcast := range []bool{true, false} {
@@ -601,6 +603,360 @@ func TestJoinMatchesRowReference(t *testing.T) {
 			}
 		}
 	}
+	fact, dims := starTables("jrc", 600)
+	for _, c := range starCases() {
+		t.Run("chain/"+c.String(), func(t *testing.T) {
+			sameAsReference(t, func() PNode { return c.plan(fact, dims) })
+		})
+	}
+}
+
+// starTables builds a star schema: a fact table over six partitions, the
+// last two of them empty, whose foreign keys f1, f2 and f3 reference
+// three dimension tables of two partitions each. d1 holds every key three
+// times (one probe lane meets three build rows, so a probe batch emits
+// more rows than the batch size) and a string column s equal to the
+// fact's s for all but one of the fact's strings; d2 lacks two of the
+// fact's f2 keys; d3 holds a NULL key. Fact keys include NULLs and a key
+// no dimension has.
+func starTables(name string, factRows int) (fact *table.Table, dims []*table.Table) {
+	fact = table.New(name+"_fact", table.NewSchema(
+		table.Column{Name: "f1", Kind: table.KindInt},
+		table.Column{Name: "f2", Kind: table.KindInt},
+		table.Column{Name: "f3", Kind: table.KindInt},
+		table.Column{Name: "m", Kind: table.KindFloat},
+		table.Column{Name: "s", Kind: table.KindString},
+	), 6)
+	for i := 0; i < factRows; i++ {
+		f1 := table.NewInt(int64(i % 11)) // d1 has keys 0..9
+		if i%23 == 0 {
+			f1 = table.Null
+		}
+		fact.Append(i%4, table.Row{f1, table.NewInt(int64(i % 7)), table.NewInt(int64(i % 5)),
+			table.NewFloat(float64(i) / 2), table.NewString(fmt.Sprint("s", i%11))})
+	}
+	d1 := table.New(name+"_d1", table.NewSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "name", Kind: table.KindString},
+		table.Column{Name: "s", Kind: table.KindString},
+	), 2)
+	for i := 0; i < 30; i++ {
+		d1.Append(i, table.Row{table.NewInt(int64(i % 10)), table.NewString(fmt.Sprint("n", i%4)),
+			table.NewString(fmt.Sprint("s", i%10))})
+	}
+	d2 := table.New(name+"_d2", table.NewSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "g", Kind: table.KindInt},
+	), 2)
+	for _, k := range []int64{0, 1, 2, 4, 6} {
+		d2.Append(int(k), table.Row{table.NewInt(k), table.NewInt(k % 3)})
+	}
+	d3 := table.New(name+"_d3", table.NewSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "w", Kind: table.KindFloat},
+	), 2)
+	for k := 0; k < 5; k++ {
+		d3.Append(k, table.Row{table.NewInt(int64(k)), table.NewFloat(float64(k) / 4)})
+	}
+	d3.Append(5, table.Row{table.Null, table.NewFloat(9)})
+	return fact, []*table.Table{d1, d2, d3}
+}
+
+// starCase is one plan shape over starTables: one to three broadcast
+// joins stacked on the fact side, with operators below the lowest probe
+// and above the top one.
+type starCase struct {
+	kind     lplan.JoinKind
+	residual bool   // a residual m > 4·d1.k on the lowest join
+	shared   bool   // SharedUniverseP on every join
+	strKey   bool   // the lowest join keys on the strings f.s = d1.s
+	source   string // the fact side: "scan", "exchange" (behind a keyed exchange) or "cached"
+	below    string // under the lowest probe: "", "filter", "uniform", "universe" or "distinct"
+	joins    int    // 1–3
+	above    string // over the top probe: "", "project", "uniform" or "agg" (Project → Exchange → HashAgg)
+}
+
+func (c starCase) String() string {
+	s := fmt.Sprintf("%v/%s/joins=%d", c.kind, c.source, c.joins)
+	for _, f := range []struct {
+		on   bool
+		name string
+	}{{c.residual, "residual"}, {c.shared, "shared"}, {c.strKey, "strkey"},
+		{c.below != "", "below=" + c.below}, {c.above != "", "above=" + c.above}} {
+		if f.on {
+			s += "/" + f.name
+		}
+	}
+	return s
+}
+
+// starCases crosses join kind, residual, what runs below the probes and
+// what runs above them; the fact side's source, the number of joins,
+// SharedUniverseP and string keys rotate through the cross product.
+func starCases() []starCase {
+	var cases []starCase
+	for _, kind := range []lplan.JoinKind{lplan.InnerJoin, lplan.LeftOuterJoin} {
+		for _, residual := range []bool{false, true} {
+			for _, below := range []string{"", "filter", "uniform", "universe", "distinct"} {
+				for _, above := range []string{"", "project", "uniform", "agg"} {
+					i := len(cases)
+					cases = append(cases, starCase{kind: kind, residual: residual, shared: i%4 == 1, strKey: i%5 == 2,
+						source: []string{"scan", "exchange", "cached"}[(i/3)%3], below: below, joins: 1 + i%3, above: above})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// plan builds the case's plan over fresh scans of fact and dims.
+func (c starCase) plan(fact *table.Table, dims []*table.Table) PNode {
+	ref := func(ci lplan.ColumnInfo) *lplan.ColRef { return &lplan.ColRef{ID: ci.ID, Name: ci.Name, Kind: ci.Kind} }
+	fs := scanOf(fact)
+	f := fs.OutCols
+	var in PNode = fs
+	switch c.source {
+	case "exchange":
+		in = &PExchange{In: in, Keys: []lplan.ColumnID{f[1].ID}, Parts: 3}
+	case "cached":
+		s := &PSample{In: in, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.8}, Seed: 21}
+		in = &PCachedSample{Frag: s, Key: FragmentKey(s), SamplerP: 0.8}
+	}
+	switch c.below {
+	case "filter":
+		in = &PFilter{In: in, Pred: &lplan.Binary{Op: lplan.OpGt, L: ref(f[3]), R: &lplan.Const{Val: table.NewInt(20)}}}
+	case "uniform":
+		in = &PSample{In: in, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.5}, Seed: 31}
+	case "universe":
+		in = &PSample{In: in, Def: lplan.SamplerDef{Type: lplan.SamplerUniverse, P: 0.5, Cols: []lplan.ColumnID{f[0].ID}, Seed: 99}}
+	case "distinct":
+		in = distinctOver(in, 0.3, 3, []int{1}, nil, nil)
+	}
+	var last []lplan.ColumnInfo
+	for j := 0; j < c.joins; j++ {
+		ds := scanOf(dims[j])
+		d := ds.OutCols
+		lk, rk := f[j].ID, d[0].ID
+		if j == 0 && c.strKey {
+			lk, rk = f[4].ID, d[2].ID
+		}
+		var right PNode = ds
+		if j == 0 {
+			// A weighted build side, so the weight product shows.
+			right = &PSample{In: ds, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.7}, Seed: 12}
+		}
+		jn := &PHashJoin{Kind: c.kind, Left: in, Right: right, Broadcast: true,
+			LeftKeys: []lplan.ColumnID{lk}, RightKeys: []lplan.ColumnID{rk}}
+		if c.shared {
+			jn.SharedUniverseP = 0.5
+		}
+		if j == 0 && c.residual {
+			jn.Residual = &lplan.Binary{Op: lplan.OpGt, L: ref(f[3]),
+				R: &lplan.Binary{Op: lplan.OpMul, L: &lplan.Const{Val: table.NewInt(4)}, R: ref(d[0])}}
+		}
+		in, last = jn, d
+	}
+	switch c.above {
+	case "uniform":
+		return &PSample{In: in, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.6}, Seed: 41}
+	case "project", "agg":
+		nextID += 2
+		m2 := lplan.ColumnInfo{ID: nextID - 1, Name: "m2", Kind: table.KindFloat}
+		g := lplan.ColumnInfo{ID: nextID, Name: "g", Kind: last[1].Kind}
+		proj := &PProject{In: in, Exprs: []lplan.Expr{
+			&lplan.Binary{Op: lplan.OpMul, L: ref(f[3]), R: &lplan.Const{Val: table.NewInt(2)}},
+			ref(last[1]), ref(f[0]),
+		}, OutCols: []lplan.ColumnInfo{m2, g, f[0]}}
+		if c.above == "project" {
+			return proj
+		}
+		nextID += 2
+		return &PHashAgg{
+			In:        &PExchange{In: proj, Keys: []lplan.ColumnID{g.ID}, Parts: 3},
+			GroupCols: []lplan.ColumnID{g.ID}, GroupInfo: []lplan.ColumnInfo{g},
+			Aggs: []lplan.AggSpec{
+				{Kind: lplan.AggSum, Arg: m2.ID, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID - 1, Name: "sum_m2", Kind: table.KindFloat}},
+				{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID, Name: "cnt", Kind: table.KindInt}},
+			},
+		}
+	}
+	return in
+}
+
+// TestStarJoinStageAccounting pins what the simulated cluster is charged
+// for a star plan (fact filtered, three broadcast probes, Project →
+// Exchange → HashAgg) at one batch per partition: the stages in creation
+// order with their dependencies, and per task the CPU units, input rows
+// and input bytes. The literals are what the executor charged when every
+// join materialized its probe side and its output; the probes moving
+// into the chain must not change them.
+func TestStarJoinStageAccounting(t *testing.T) {
+	fact, dims := starTables("star", 600)
+	p := starCase{kind: lplan.InnerJoin, source: "scan", below: "filter", joins: 3, above: "agg"}.plan(fact, dims)
+	ex := testExecutor(context.Background(), p, -1)
+	if _, err := ex.exec(p); err != nil {
+		t.Fatal(err)
+	}
+	type stage struct {
+		name  string
+		deps  []int
+		cpu   []float64
+		rows  []int64
+		bytes []float64
+	}
+	want := []stage{
+		{"scan:star_d3", []int{}, []float64{3, 3}, []int64{3, 3}, []float64{48, 41}},
+		{"scan:star_d2", []int{}, []float64{4, 1}, []int64{4, 1}, []float64{64, 16}},
+		{"scan:star_d1", []int{}, []float64{30, 30}, []int64{15, 15}, []float64{420, 420}},
+		{"scan:star_fact", []int{2, 1, 0}, []float64{1785.8, 1743, 1772.8, 1785, 64, 64},
+			[]int64{182, 182, 182, 182, 32, 32}, []float64{7277, 7285, 7278, 7277, 1013, 1013}},
+		{"aggregate", []int{3}, []float64{588, 584, 286}, []int64{294, 292, 143}, []float64{9408, 9344, 4576}},
+	}
+	if len(ex.run.Stages) != len(want) {
+		t.Fatalf("%d stages, want %d:\n%s", len(ex.run.Stages), len(want), ex.run.String())
+	}
+	for i, w := range want {
+		st := ex.run.Stages[i]
+		got := stage{st.Name, st.Deps, st.TaskCPU, st.TaskInRows, st.TaskInBytes}
+		if got.name != w.name || !slices.Equal(got.deps, w.deps) || !slices.Equal(got.cpu, w.cpu) ||
+			!slices.Equal(got.rows, w.rows) || !slices.Equal(got.bytes, w.bytes) {
+			t.Errorf("stage %d = %v, want %v", i, got, w)
+		}
+	}
+}
+
+// TestStarJoinChargesEveryTask: every probe task is charged the whole
+// build side — input rows and bytes on the stage, 2 CPU units per build
+// row, build_rows and in= on the join's slot — whether its probe
+// partition is empty (the fact's last two are) or the build side is (the
+// upper join's).
+func TestStarJoinChargesEveryTask(t *testing.T) {
+	fact, dims := starTables("every", 120)
+	empty := table.New("every_empty", dims[1].Schema, 2)
+	for _, kind := range []lplan.JoinKind{lplan.InnerJoin, lplan.LeftOuterJoin} {
+		mk := func() PNode {
+			return starCase{kind: kind, source: "scan", joins: 2}.plan(fact, []*table.Table{dims[0], empty})
+		}
+		sameAsReference(t, mk)
+		for _, bs := range refBatchSizes {
+			p := mk()
+			ex := testExecutor(context.Background(), p, bs)
+			if _, err := ex.exec(p); err != nil {
+				t.Fatal(err)
+			}
+			var st *cluster.Stage
+			for _, s := range ex.run.Stages {
+				if s.Name == "scan:every_fact" {
+					st = s
+				}
+			}
+			upper := p.(*PHashJoin)
+			lower := upper.Left.(*PHashJoin)
+			var buildRows int64
+			var buildBytes float64
+			for _, j := range []*PHashJoin{lower, upper} {
+				var bytes float64
+				var n int64
+				for _, part := range refChain(t, j.Right) {
+					for _, r := range part {
+						n, bytes = n+1, bytes+r.sz
+					}
+				}
+				buildRows, buildBytes = buildRows+n, buildBytes+bytes
+				for i, probe := range refChain(t, j.Left) {
+					sl := ex.qm.Op(j).Slot(i)
+					if sl.BuildRows != n || sl.ProbeRows != int64(len(probe)) || sl.RowsIn != n+int64(len(probe)) {
+						t.Fatalf("%v batch=%d: %s task %d: build=%d probe=%d in=%d, want %d, %d, %d",
+							kind, bs, j.Describe(), i, sl.BuildRows, sl.ProbeRows, sl.RowsIn, n, len(probe), n+int64(len(probe)))
+					}
+				}
+			}
+			for i := range st.TaskInRows {
+				scanned := int64(fact.Columnar(i).NumRows)
+				if st.TaskInRows[i] != scanned+buildRows {
+					t.Fatalf("%v batch=%d: task %d reads %d rows, want %d scanned + %d built", kind, bs, i, st.TaskInRows[i], scanned, buildRows)
+				}
+				if scanned == 0 && (st.TaskCPU[i] != 2*float64(buildRows) || st.TaskInBytes[i] != buildBytes) {
+					t.Fatalf("%v batch=%d: empty task %d charged cpu %v, %v bytes; want %v, %v",
+						kind, bs, i, st.TaskCPU[i], st.TaskInBytes[i], 2*float64(buildRows), buildBytes)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeEmitsPastBatchSize: at batch size 7 a probe over d1, whose
+// keys repeat three times, emits batches of more than 7 rows.
+func TestProbeEmitsPastBatchSize(t *testing.T) {
+	fact, dims := starTables("past", 600)
+	p := starCase{kind: lplan.InnerJoin, source: "scan", joins: 1}.plan(fact, dims)
+	ex := testExecutor(context.Background(), p, 7)
+	if _, err := ex.exec(p); err != nil {
+		t.Fatal(err)
+	}
+	tot := ex.qm.Op(p).Total()
+	if tot.RowsOut <= 7*tot.Batches {
+		t.Fatalf("%d rows in %d batches: no batch exceeded the batch size", tot.RowsOut, tot.Batches)
+	}
+}
+
+// cancelAfter cancels the query once its child has handed out n batches.
+type cancelAfter struct {
+	child  colOperator
+	n      int
+	pulls  *int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Next() (Batch, error) {
+	*c.pulls++
+	if *c.pulls == c.n {
+		c.cancel()
+	}
+	return c.child.Next()
+}
+
+// TestProbeCancelMidJoin cancels a selective star join in the middle of
+// a probe partition: the probe stops at its next pull and the query
+// reports ErrCanceled with no goroutine left behind; the next run of the
+// plan is bit-identical to one before the cancel.
+func TestProbeCancelMidJoin(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	fact, dims := starTables("cancel", 600)
+	mk := func() PNode {
+		// m = i/2 meets d1's keys 0..9 only in the fact's first rows.
+		p := starCase{kind: lplan.InnerJoin, source: "scan", joins: 1}.plan(fact, dims).(*PHashJoin)
+		p.LeftKeys = []lplan.ColumnID{p.Left.Cols()[3].ID}
+		return p
+	}
+	before := runBatched(t, mk(), 7)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := mk()
+	ex := testExecutor(ctx, p, 7)
+	cc, err := ex.buildColChain(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulls := make([]int, cc.parts)
+	err = ex.parallel(cc.parts, func(i int) error {
+		op, err := cc.operatorFor(i)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			probe := op.(*colProbeOp)
+			probe.child = &cancelAfter{child: probe.child, n: 4, pulls: &pulls[0], cancel: cancel}
+		}
+		return pull(ex.ctx, op, func(*Batch) {})
+	})
+	if err != ErrCanceled {
+		t.Fatalf("canceled star join: %v, want ErrCanceled", err)
+	}
+	if batches := (fact.Columnar(0).NumRows + 6) / 7; pulls[0] != 4 || batches <= 4 {
+		t.Fatalf("partition 0 pulled %d of its %d batches, want 4", pulls[0], batches)
+	}
+	sameRows(t, before, runBatched(t, mk(), 7), "after cancel")
 }
 
 // TestJoinEmptySides: an empty build side pads (outer) or drops (inner)

@@ -13,11 +13,13 @@ import (
 // execution core: scan→filter→project→sample chains between pipeline
 // breakers run as one fused, batch-at-a-time pipeline per partition
 // (samplers are one-pass streaming operators, §4.1, so nothing in such
-// a chain ever needs the whole intermediate result in memory). Only
-// breakers — exchange, hash-join build, hash aggregation, sort, limit,
-// union barriers, window — hold whole partitions, as column-major Parts
-// (part.go). The operators themselves and the per-partition drive loops
-// are in colpipeline.go.
+// a chain ever needs the whole intermediate result in memory). A
+// broadcast hash join's probe is a chain operator too: its build side
+// is the breaker, so a star join streams the fact table through every
+// dimension probe. Only breakers — exchange, hash-join build, hash
+// aggregation, sort, limit, union barriers, window — hold whole
+// partitions, as column-major Parts (part.go). The operators themselves
+// and the per-partition drive loops are in colpipeline.go.
 //
 // Each fused pipeline charges one stage (the scan stage for leaf
 // pipelines, otherwise the enclosing open stage or a new one named
@@ -41,6 +43,15 @@ type pipeSpec struct {
 	colIdx      []int
 	buckets     []bucketCol // without scratch, copied per partition
 	parts       int
+	// PHashJoin (broadcast)
+	join *joinSpec
+}
+
+// chained reports whether n runs inside a fused chain: every streaming
+// operator, and the probe of a broadcast hash join.
+func chained(n PNode) bool {
+	j, ok := n.(*PHashJoin)
+	return !n.Breaker() || ok && j.Broadcast
 }
 
 func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
@@ -48,8 +59,9 @@ func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
 	op.Grow(parts)
 	sp := &pipeSpec{op: op, parts: parts}
 	switch x := n.(type) {
-	case *PFilter:
-		// Nothing partition-independent: the kernel compiles per partition.
+	case *PFilter, *PHashJoin:
+		// Nothing partition-independent: the kernel compiles per
+		// partition, and the chain hands a join its built side.
 	case *PProject:
 		sp.cost = 0.5 + 0.3*float64(len(x.Exprs))
 	case *PSample:
@@ -115,21 +127,21 @@ func (sp *pipeSpec) newSampler(task int) *colSampleOp {
 	return op
 }
 
-// pipelineStageName names the stage a fused pipeline over a
-// materialized stream opens: the bottom-most compute operator wins,
-// so stage names do not depend on how the chain was fused. A chain of
-// only pass-through samplers opens no stage at all.
-func pipelineStageName(chain []PNode) string {
-	for i := len(chain) - 1; i >= 0; i-- {
-		switch x := chain[i].(type) {
-		case *PFilter:
-			return "filter"
-		case *PProject:
-			return "project"
-		case *PSample:
-			if x.Def.Type != lplan.SamplerPassThrough {
-				return "sample"
-			}
+// stageName names the stage a chain operator opens over a materialized
+// stream when it is the bottom-most compute operator, so stage names do
+// not depend on how the chain was fused; a pass-through sampler opens
+// none.
+func stageName(n PNode) string {
+	switch x := n.(type) {
+	case *PFilter:
+		return "filter"
+	case *PProject:
+		return "project"
+	case *PHashJoin:
+		return "probe"
+	case *PSample:
+		if x.Def.Type != lplan.SamplerPassThrough {
+			return "sample"
 		}
 	}
 	return ""

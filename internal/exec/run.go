@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -282,13 +283,13 @@ func (ex *executor) materialize(s *stream, shuffle bool) {
 }
 
 // exec runs a plan node. Non-breakers (scan, filter, project, sample)
-// fuse into streaming per-partition pipelines; breakers take and return
-// whole column-major partitions.
+// and broadcast join probes fuse into streaming per-partition
+// pipelines; breakers take and return whole column-major partitions.
 func (ex *executor) exec(n PNode) (*stream, error) {
 	if err := ctxErr(ex.ctx); err != nil {
 		return nil, err
 	}
-	if !n.Breaker() {
+	if chained(n) {
 		return ex.execColPipeline(n)
 	}
 	switch p := n.(type) {
@@ -532,90 +533,88 @@ func (rt *routes) gather(ctx context.Context, d int) (Part, error) {
 	return pb.finishSized(rt.bytes[d]), nil
 }
 
+// joinSpec is a hash join's probe setup, shared read-only by the tasks
+// that probe: the key positions on both inputs and, for a broadcast
+// join, the gathered build side and the one table over it.
+type joinSpec struct {
+	p          *PHashJoin
+	lIdx, rIdx []int
+	side       Part
+	bt         *joinTable
+}
+
+// newJoinSpec resolves p's keys and, given the broadcast build side,
+// builds its table with fan.
+func newJoinSpec(p *PHashJoin, side *Part, fan func(int, func(int) error) error) (*joinSpec, error) {
+	js := &joinSpec{p: p}
+	var err error
+	if js.lIdx, err = keyPositions(p.Left, p.LeftKeys, "left join key"); err != nil {
+		return nil, err
+	}
+	if js.rIdx, err = keyPositions(p.Right, p.RightKeys, "right join key"); err != nil {
+		return nil, err
+	}
+	if side != nil {
+		js.side = *side
+		if js.bt, err = buildJoinTable(side, js.rIdx, fan); err != nil {
+			return nil, err
+		}
+	}
+	return js, nil
+}
+
+// keyPositions resolves key column ids to positions in n's output.
+func keyPositions(n PNode, keys []lplan.ColumnID, what string) ([]int, error) {
+	cm := buildColMap(n.Cols())
+	idx := make([]int, len(keys))
+	for i, id := range keys {
+		pos, ok := cm[id]
+		if !ok {
+			return nil, fmt.Errorf("exec: %s #%d not available", what, id)
+		}
+		idx[i] = pos
+	}
+	return idx, nil
+}
+
+// newProbe builds task's probe of bt over child's batches and charges
+// the build rows the task reads to its slot.
+func (js *joinSpec) newProbe(ctx context.Context, child colOperator, bt *joinTable, st *cluster.Stage, task int, slot *metrics.Slot) (*colProbeOp, error) {
+	width := len(js.p.Left.Cols()) + len(bt.cols)
+	o := &colProbeOp{ctx: ctx, child: child, js: js, bt: bt, outer: js.p.Kind == lplan.LeftOuterJoin,
+		st: st, task: task, slot: slot, keys: make([]Vector, len(js.lIdx)), out: newPartBuilder(width, 0)}
+	if js.p.Residual != nil {
+		o.resid = &joinResidual{cand: newPartBuilder(width, 0)}
+		kern, err := compileColKernel(js.p.Residual, buildColMap(js.p.Cols()), &o.resid.sc)
+		if err != nil {
+			return nil, err
+		}
+		o.resid.kern = kern
+	}
+	slot.RowsIn += int64(len(bt.next))
+	slot.BuildRows += int64(len(bt.next))
+	return o, nil
+}
+
+// execJoin runs a co-partitioned hash join (a broadcast join probes
+// inside the fused chain, colProbeOp). Both inputs arrive materialized
+// behind exchanges and co-partitioned on the join keys; the join opens a
+// stage reading both, and each task builds the table over its co-located
+// build partition and drains its probe partition through the probe
+// operator into its output partition.
 func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 	right, err := ex.exec(p.Right)
 	if err != nil {
 		return nil, err
 	}
-	nRightCols := len(p.Right.Cols())
-	rcm := buildColMap(p.Right.Cols())
-	rIdx := make([]int, len(p.RightKeys))
-	for i, id := range p.RightKeys {
-		pos, ok := rcm[id]
-		if !ok {
-			return nil, fmt.Errorf("exec: right join key #%d not available", id)
-		}
-		rIdx[i] = pos
+	js, err := newJoinSpec(p, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-
 	left, err := ex.exec(p.Left)
 	if err != nil {
 		return nil, err
 	}
-	lcm := buildColMap(p.Left.Cols())
-	lIdx := make([]int, len(p.LeftKeys))
-	for i, id := range p.LeftKeys {
-		pos, ok := lcm[id]
-		if !ok {
-			return nil, fmt.Errorf("exec: left join key #%d not available", id)
-		}
-		lIdx[i] = pos
-	}
-
-	op := ex.opFor(p)
-	// joinPart probes one partition against a prebuilt (possibly shared,
-	// read-only) build table. The simulated-cluster CPU and the per-slot
-	// counters charge the build rows this task reads exactly as when
-	// every task built its own table.
-	joinPart := func(st *cluster.Stage, task int, lpart *Part, bt *joinTable) (Part, error) {
-		out, err := ex.probeJoin(p, lIdx, lpart, bt)
-		if err != nil {
-			return Part{}, err
-		}
-		buildLen := len(bt.next)
-		st.AddCPU(task, 2*float64(buildLen)+2*float64(lpart.N))
-		sl := op.Slot(task)
-		sl.RowsIn += int64(lpart.N + buildLen)
-		sl.RowsOut += int64(out.N)
-		sl.BuildRows += int64(buildLen)
-		sl.ProbeRows += int64(lpart.N)
-		if out.N > 0 {
-			sl.NoteBatch(out.bytes)
-		}
-		return out, nil
-	}
-
-	if p.Broadcast {
-		// Build side is gathered and replicated to every probe task. The
-		// hash table over it is built ONCE (parallel partitioned build)
-		// and shared read-only across all probe tasks; the simulated
-		// cluster still charges each task for reading the broadcast copy.
-		ex.ensureStage(right, "build-src")
-		ex.materialize(right, true)
-		build := concatParts(right.parts, nRightCols)
-		ex.ensureStage(left, "probe")
-		left.stage.Deps = appendDep(left.stage.Deps, right.deps)
-		op.Grow(len(left.parts))
-		t0 := time.Now()
-		bt, err := buildJoinTable(&build, rIdx, ex.parallel)
-		if err != nil {
-			return nil, err
-		}
-		if err := ex.parallel(len(left.parts), func(i int) error {
-			left.stage.AddInput(i, int64(build.N), build.bytes)
-			out, err := joinPart(left.stage, i, &left.parts[i], bt)
-			left.parts[i] = out
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		op.AddWall(time.Since(t0))
-		return left, nil
-	}
-
-	// Partitioned join: children arrive materialized (below exchanges)
-	// and co-partitioned; the join opens a new stage reading both. Each
-	// task builds the table over its own co-located build partition.
 	ex.ensureStage(left, "join-left-src")
 	ex.materialize(left, false)
 	ex.ensureStage(right, "join-right-src")
@@ -626,159 +625,37 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 	deps := append(append([]int{}, left.deps...), right.deps...)
 	st := ex.run.NewStage("join", len(left.parts), deps...)
 	out := make([]Part, len(left.parts))
+	op := ex.opFor(p)
 	op.Grow(len(left.parts))
-	t0 := time.Now()
+	width, hint := len(p.Cols()), estHint(op.EstRows, len(out))
 	if err := ex.parallel(len(left.parts), func(i int) error {
 		lp, rp := &left.parts[i], &right.parts[i]
 		st.AddInput(i, int64(lp.N+rp.N), lp.bytes+rp.bytes)
-		bt, err := buildJoinTable(rp, rIdx, serialFan)
+		sl := op.Slot(i)
+		t0 := time.Now()
+		bt, err := buildJoinTable(rp, js.rIdx, serialFan)
 		if err != nil {
 			return err
 		}
-		out[i], err = joinPart(st, i, lp, bt)
-		return err
+		probe, err := js.newProbe(ex.ctx, &partSource{p: lp, size: ex.batch}, bt, st, i, sl)
+		if err != nil {
+			return err
+		}
+		// Without an estimate, room for one output row per probe row.
+		pb := newPartBuilder(width, cmp.Or(hint, lp.N))
+		pb.share = true
+		if err := pull(ex.ctx, probe, pb.appendBatch); err != nil {
+			return err
+		}
+		out[i] = pb.finish()
+		// The task's wall is its build, probe and drain; the probe's own
+		// share, already on the slot, is part of it.
+		sl.WallNanos = int64(time.Since(t0))
+		return nil
 	}); err != nil {
 		return nil, err
 	}
-	op.AddWall(time.Since(t0))
 	return &stream{parts: out, stage: st}, nil
-}
-
-// probeJoin joins one probe partition against the build table and
-// returns the output partition: probe columns then build columns, rows
-// in (probe row, build row) order, unmatched probe rows NULL-padded
-// under a left outer join.
-//
-// The probe walks batch windows of the partition. Per window it hashes
-// the key vectors, walks each lane's chain and records the matches as
-// (probe lane, build row) index pairs, then gathers the output columns
-// typed from both sides by those indexes. A residual predicate
-// evaluates as a columnar kernel over the gathered candidate pairs and
-// thins them before the output gather.
-//
-//hot:join probe, per window
-func (ex *executor) probeJoin(p *PHashJoin, lIdx []int, lp *Part, bt *joinTable) (Part, error) {
-	nl := len(lp.Cols)
-	outer := p.Kind == lplan.LeftOuterJoin
-	lcols := lp.vectors()
-	lkeys := make([]Vector, len(lIdx)) // whole key columns, for the match compare
-	wkeys := make([]Vector, len(lIdx)) // the window's, for hashing
-	for k, ci := range lIdx {
-		lkeys[k] = lcols[ci]
-	}
-	var resid *joinResidual
-	if p.Residual != nil {
-		resid = &joinResidual{blds: make([]vecBuilder, nl+len(bt.cols))}
-		kern, err := compileColKernel(p.Residual, buildColMap(p.Cols()), &resid.sc)
-		if err != nil {
-			return Part{}, err
-		}
-		resid.kern = kern
-	}
-	// The partition's output rows as (probe row, build row) index pairs,
-	// build row -1 for a NULL pad. The output columns are gathered by
-	// them once, at their exact final size.
-	pl := make([]int32, 0, lp.N)
-	pr := make([]int32, 0, lp.N)
-	var hashes []uint64
-	for pos := 0; pos < lp.N; {
-		if err := ctxErr(ex.ctx); err != nil {
-			return Part{}, err
-		}
-		n := lp.N - pos
-		if n > ex.batch {
-			n = ex.batch
-		}
-		for k, ci := range lIdx {
-			wkeys[k] = window(&lp.Cols[ci], pos, n)
-		}
-		hashes = extend(hashes[:0], n)
-		hashKeys(hashes, wkeys, joinHashSeed, nil, n)
-		first := len(pl)
-		for i := pos; i < pos+n; i++ {
-			matched := false
-			for ri := bt.lookup(hashes[i-pos]); ri >= 0; ri = bt.next[ri] {
-				if lanesEqual(lkeys, i, bt.keys, int(ri)) {
-					pl, pr = append(pl, int32(i)), append(pr, ri)
-					matched = true
-				}
-			}
-			if !matched && outer && resid == nil {
-				pl, pr = append(pl, int32(i)), append(pr, -1)
-			}
-		}
-		if resid != nil {
-			ol, or := resid.filter(lcols, bt.cols, pl[first:], pr[first:], pos, n, outer)
-			pl, pr = append(pl[:first], ol...), append(pr[:first], or...)
-		}
-		pos += n
-	}
-	out := newPartBuilder(nl+len(bt.cols), len(pl))
-	out.appendGather(lcols, pl, 0)
-	out.appendGather(bt.cols, pr, nl)
-	out.w = out.w[:len(pl)]
-	for k, i := range pl {
-		w := lp.W[i]
-		if r := pr[k]; r >= 0 {
-			w *= bt.w[r]
-			if p.SharedUniverseP > 0 {
-				// Both inputs carry the same universe sampler: the join
-				// output is a p-probability universe sample, not p², so
-				// the double-counted 1/p factor is removed (§4.1.3).
-				w *= p.SharedUniverseP
-			}
-		}
-		out.w[k] = w
-	}
-	return out.finish(), nil
-}
-
-// joinResidual evaluates a join's residual predicate over candidate
-// pairs, one probe task's private state.
-type joinResidual struct {
-	kern   colKernel
-	sc     colScratch
-	blds   []vecBuilder
-	cols   []Vector
-	keep   []int32
-	ol, or []int32
-}
-
-// filter returns the candidate pairs (pl, pr) of the probe window
-// [pos, pos+n) that pass the residual, plus, under a left outer join,
-// a (row, -1) pad for every probe row left with no passing pair. The
-// result is valid until the next call.
-func (jr *joinResidual) filter(lcols, rcols []Vector, pl, pr []int32, pos, n int, outer bool) ([]int32, []int32) {
-	jr.cols = jr.cols[:0]
-	for c := range jr.blds {
-		bd := &jr.blds[c]
-		bd.reset()
-		if c < len(lcols) {
-			bd.appendGather(&lcols[c], pl)
-		} else {
-			bd.appendGather(&rcols[c-len(lcols)], pr)
-		}
-		jr.cols = append(jr.cols, bd.build())
-	}
-	cand := Batch{cols: jr.cols, n: len(pl)}
-	v := jr.kern(&cand)
-	jr.keep = truthyLanes(jr.keep[:0], &v, &cand)
-	jr.ol, jr.or = jr.ol[:0], jr.or[:0]
-	c, k := 0, 0 // cursors into the candidates and into keep
-	for i := pos; i < pos+n; i++ {
-		matched := false
-		for ; c < len(pl) && int(pl[c]) == i; c++ {
-			if k < len(jr.keep) && int(jr.keep[k]) == c {
-				jr.ol, jr.or = append(jr.ol, pl[c]), append(jr.or, pr[c])
-				matched = true
-				k++
-			}
-		}
-		if !matched && outer {
-			jr.ol, jr.or = append(jr.ol, int32(i)), append(jr.or, -1)
-		}
-	}
-	return jr.ol, jr.or
 }
 
 // serialFan runs fn(0..n-1) on the calling goroutine; used for
