@@ -44,10 +44,15 @@ type aggRunner struct {
 	n        []int64   // input rows per group
 	aggs     []aggAcc
 
+	// gh memoizes, per group id g, the hash state of a (group, value)
+	// pair after its first key, HashRowStep(seed, HashInt(g)).
+	gh []uint64
+
 	// Per-batch scratch; all but use are indexed by lane.
 	ident, use        []int32
 	gids, uids, slots []int64
 	xs, ones          []float64
+	pairHash          []uint64
 	keys              []Vector
 	pair              [2]Vector
 }
@@ -149,23 +154,24 @@ func (r *aggRunner) pick(b *Batch, idx []int) []Vector {
 }
 
 // addBatch folds a batch's live lanes into the runner and returns how
-// many there were.
+// many there were. hashes, when not nil, holds the lanes' group hashes
+// by lane (the routing hashes of an exchange on the group keys).
 //
 //hot:per-batch grouped aggregation, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
-func (r *aggRunner) addBatch(b *Batch) int {
+func (r *aggRunner) addBatch(b *Batch, hashes []uint64) int {
 	lanes := b.liveSel(r.ident)
 	if b.sel == nil {
 		r.ident = lanes // keep the buffer
 	}
 	r.gids = growInts(r.gids, b.n)
-	r.groups.resolve(r.gids, r.pick(b, r.groupIdx), lanes)
+	r.groups.resolve(r.gids, r.pick(b, r.groupIdx), lanes, hashes)
 	r.n = growZero(r.n, r.groups.len())
 	for _, i := range lanes {
 		r.n[r.gids[i]]++
 	}
 	if len(r.uniIdx) > 0 {
 		r.uids = growInts(r.uids, b.n)
-		r.subs.resolve(r.uids, r.pick(b, r.uniIdx), lanes)
+		r.subs.resolve(r.uids, r.pick(b, r.uniIdx), lanes, nil)
 	}
 	for j := range r.aggs {
 		r.fold(j, b, lanes)
@@ -218,7 +224,7 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 		if len(lanes) > 0 {
 			r.slots = growInts(r.slots, b.n)
 			r.pair[0], r.pair[1] = Vector{K: VKInt, N: b.n, Ints: gids}, *arg
-			a.distinct.resolve(r.slots, r.pair[:], lanes)
+			a.distinct.resolve(r.slots, r.pair[:], lanes, r.pairHashes(&r.pair[1], lanes))
 		}
 		return
 	case lplan.AggMin, lplan.AggMax:
@@ -258,12 +264,36 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 	if a.uni != nil && len(lanes) > 0 {
 		r.slots = growInts(r.slots, b.n)
 		r.pair[0], r.pair[1] = Vector{K: VKInt, N: b.n, Ints: gids}, Vector{K: VKInt, N: b.n, Ints: r.uids}
-		a.uni.resolve(r.slots, r.pair[:], lanes)
+		a.uni.resolve(r.slots, r.pair[:], lanes, r.pairHashes(&r.pair[1], lanes))
 		a.uniSum = growZero(a.uniSum, a.uni.len())
 		for _, i := range lanes {
 			a.uniSum[r.slots[i]] += xs[i]
 		}
 	}
+}
+
+// pairHashes returns, by lane, the keyTable hashes of the listed lanes'
+// (group id, lane of x) pairs: each group's first step comes from gh,
+// so only x is hashed per lane.
+//
+//hot:per-lane (group, value) pair hash of COUNT(DISTINCT) and the universe partial sums
+func (r *aggRunner) pairHashes(x *Vector, lanes []int32) []uint64 {
+	h0 := table.HashRowSeed(exchangeHashSeed)
+	for g := len(r.gh); g < r.groups.len(); g++ {
+		r.gh = append(r.gh, table.HashRowStep(h0, table.HashInt(int64(g))))
+	}
+	r.pairHash = extend(r.pairHash[:0], x.N)
+	hs, gh, gids := r.pairHash, r.gh, r.gids
+	if x.K == VKInt && x.nulls == nil {
+		for _, i := range lanes {
+			hs[i] = table.HashRowStep(gh[gids[i]], table.HashInt(x.Ints[i]))
+		}
+		return hs
+	}
+	for _, i := range lanes {
+		hs[i] = table.HashRowStep(gh[gids[i]], laneHash(x, int(i)))
+	}
+	return hs
 }
 
 // addends returns arg's listed lanes as floats, indexed by lane: the

@@ -333,7 +333,7 @@ func TestAggMatchesRowReference(t *testing.T) {
 						}
 						n := 0
 						for _, b := range aggTestBatches(rows, size, thin) {
-							n += r.addBatch(&b)
+							n += r.addBatch(&b, nil)
 						}
 						if n != len(rows) {
 							t.Fatalf("addBatch folded %d rows of %d", n, len(rows))
@@ -372,7 +372,7 @@ func TestAggCountDistinctMixedKinds(t *testing.T) {
 		for lo := 0; lo < len(vals); lo += size {
 			chunk := vals[lo:min(lo+size, len(vals))]
 			w := make([]float64, len(chunk))
-			r.addBatch(&Batch{cols: []Vector{aggTestVector(chunk, nil)}, n: len(chunk), weights: w})
+			r.addBatch(&Batch{cols: []Vector{aggTestVector(chunk, nil)}, n: len(chunk), weights: w}, nil)
 		}
 		part, _ := r.emit()
 		if got := part.rows()[0][0]; got.Int() != int64(len(byKey)) {

@@ -5,7 +5,8 @@ package exec
 // broadcast probes run in one fused chain), the keyed exchange (routed
 // and gathered, and routed under the aggregate that folds it in place),
 // grouped aggregation (a two-column key, a lone dictionary key, a lone
-// integer key), the distinct sampler and window partitioning — plus the
+// integer key, COUNT(DISTINCT) behind an exchange), a range filter over
+// a float column, the distinct sampler and window partitioning — plus the
 // parallel sort; the four kernel plans live in bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
 // (allocations per run, tier 1) call, so the two measure the same thing.
@@ -70,7 +71,11 @@ type hotPlan struct {
 // time (2157, 971), the distinct sampler when it stopped boxing rows
 // (2862), the star join when its probes moved into the fused chain
 // (1930, 2089 under -race; 2086 when every join materialized its input
-// and output). A 16Ki–64Ki-row run that boxed one row per lane or
+// and output), and COUNT(DISTINCT) over the exchange and the float range
+// filter when keys were hashed once and compares dispatched once (1419,
+// 582; 1497 and 599 under -race; the aggregate over the exchange rose
+// from 1988 to 2007 then, a kept hash slice and a dictionary's code
+// hashes per source). A 16Ki–64Ki-row run that boxed one row per lane or
 // allocated one object per group would add tens of thousands. Counts
 // repeat to within ±6 at GOMAXPROCS 1, 2 and 8 (±25 for the aggregate
 // over the exchange): pool scheduling is the only jitter. The -race
@@ -93,6 +98,8 @@ var hotPlans = []hotPlan{
 	{"BenchmarkPreAggKernel", kernelPreAggPlan, 1082},
 	{"BenchmarkDistinctSample", distinctSamplePlan, 3578},
 	{"BenchmarkStarJoin", starJoinPlan, 2413},
+	{"BenchmarkCountDistinctOverExchange", countDistinctOverExchangePlan, 1774},
+	{"BenchmarkCmpFloatConst", cmpFloatConstPlan, 728},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -101,8 +108,8 @@ var hotPlans = []hotPlan{
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 15 {
-		t.Fatalf("hotPlans holds %d plans, want the 15 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 17 {
+		t.Fatalf("hotPlans holds %d plans, want the 17 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -115,6 +122,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 					t.Errorf("%d result rows, want %d", len(res.Rows), rows)
 				}
 			})
+			t.Logf("%.0f allocs/run, ceiling %.0f", got, hp.maxAllocs)
 			if got > hp.maxAllocs {
 				t.Errorf("%.0f allocs/run, ceiling %.0f", got, hp.maxAllocs)
 			}
@@ -364,6 +372,65 @@ func aggOverExchangePlan() (PNode, int) {
 // keyed exchange: the sources materialize once, one pass routes their
 // lanes, and the destinations' runners fold the routed lanes in place.
 func BenchmarkAggOverExchange(b *testing.B) { benchPlan(b, aggOverExchangePlan) }
+
+// countDistinctOverExchangePlan is the benchmark's o04 shape: Scan ->
+// Exchange hash on a lone dictionary key of 12 strings -> HashAgg
+// COUNT(DISTINCT) of an integer column of 20 480 values per string,
+// eight sources into eight destinations.
+func countDistinctOverExchangePlan() (PNode, int) {
+	const parts, groups, rows = 8, 12, 65536
+	tbl := table.New("bench_visits", table.NewSchema(
+		table.Column{Name: "country", Kind: table.KindString},
+		table.Column{Name: "uid", Kind: table.KindInt},
+	), parts)
+	for i := 0; i < rows; i++ {
+		tbl.Append(i, table.Row{table.NewString(fmt.Sprintf("c%02d", i%groups)), table.NewInt(int64(i * 7919 % 20480))})
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	c, u := scan.OutCols[0], scan.OutCols[1]
+	nextID++
+	return &PHashAgg{
+		In:        &PExchange{In: scan, Keys: []lplan.ColumnID{c.ID}, Parts: parts},
+		GroupCols: []lplan.ColumnID{c.ID},
+		GroupInfo: []lplan.ColumnInfo{c},
+		Aggs: []lplan.AggSpec{{Kind: lplan.AggCountDistinct, Arg: u.ID, Cond: lplan.NoColumn,
+			Out: lplan.ColumnInfo{ID: nextID, Name: "users", Kind: table.KindInt}}},
+	}, groups
+}
+
+// BenchmarkCountDistinctOverExchange measures COUNT(DISTINCT) behind its
+// keyed exchange: string keys routed by a hash per dictionary code, the
+// group table resolving ids from the routing hashes, and the (group,
+// value) set hashing only the value per lane.
+func BenchmarkCountDistinctOverExchange(b *testing.B) { benchPlan(b, countDistinctOverExchangePlan) }
+
+// cmpFloatConstPlan is the benchmark's o05/h06 filter: a range of a
+// NULL-free float column, one bound a float constant and one an int,
+// that one lane in six passes.
+func cmpFloatConstPlan() (PNode, int) {
+	const parts, rows = 4, 65536
+	tbl := table.New("bench_prices", table.NewSchema(table.Column{Name: "price", Kind: table.KindFloat}), parts)
+	pass := 0
+	for i := 0; i < rows; i++ {
+		price := float64(i%1000) / 4
+		tbl.Append(i, table.Row{table.NewFloat(price)})
+		if price >= 10 && price < 50.5 {
+			pass++
+		}
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	v := &lplan.ColRef{ID: scan.OutCols[0].ID, Name: "price", Kind: table.KindFloat}
+	return &PFilter{In: scan, Pred: &lplan.Binary{Op: lplan.OpAnd,
+		L: &lplan.Binary{Op: lplan.OpLt, L: v, R: &lplan.Const{Val: table.NewFloat(50.5)}},
+		R: &lplan.Binary{Op: lplan.OpGe, L: v, R: &lplan.Const{Val: table.NewInt(10)}},
+	}}, pass
+}
+
+// BenchmarkCmpFloatConst measures the comparison kernels' loops that
+// switch on the operator once per batch, and the AND over their results.
+func BenchmarkCmpFloatConst(b *testing.B) { benchPlan(b, cmpFloatConstPlan) }
 
 // distinctSamplePlan is the benchmark's d03 shape: Scan -> Project of a
 // dictionary string and three boolean predicates -> Sample DISTINCT

@@ -191,6 +191,69 @@ func TestColumnarExpressionKernels(t *testing.T) {
 	}
 }
 
+// TestCmpKernelMatchesCmpRow holds the comparison kernel to the row
+// comparison, lane for lane: every operator over int and float columns,
+// with and without NULLs, against each other and against int and float
+// constants on either side, with NaN, ±Inf, −0 and ints past 2^53 among
+// the lanes and the constants. NULL-free numeric pairs take the loops
+// that switch on the operator once per batch (cmpDense); the rest take
+// the per-lane paths.
+func TestCmpKernelMatchesCmpRow(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	floats := []float64{1.5, nan, -inf, 42, inf, 0, math.Copysign(0, -1), -7.25, 1.5, 9007199254740992}
+	ints := []int64{3, -1, 42, math.MaxInt64, math.MinInt64, 0, 2, 42, 1<<53 + 1, 1 << 53}
+	n := len(ints)
+	type side struct {
+		name string
+		k    colKernel
+	}
+	var sides []side
+	for _, kind := range []table.Kind{table.KindInt, table.KindFloat} {
+		for _, nulls := range []bool{false, true} {
+			var bd vecBuilder
+			for i := 0; i < n; i++ {
+				switch {
+				case nulls && i%3 == 1:
+					bd.appendNull()
+				case kind == table.KindInt:
+					bd.append(table.NewInt(ints[i]))
+				default:
+					bd.append(table.NewFloat(floats[i]))
+				}
+			}
+			v := bd.build()
+			sides = append(sides, side{fmt.Sprintf("%v column, NULLs %v", kind, nulls), func(*Batch) Vector { return v }})
+		}
+	}
+	for _, c := range []table.Value{table.NewInt(42), table.NewInt(1 << 53), table.NewFloat(1.5),
+		table.NewFloat(nan), table.NewFloat(-inf), table.NewFloat(9007199254740992)} {
+		sides = append(sides, side{"constant " + c.String(), constKernel(c)})
+	}
+	b := &Batch{n: n}
+	dense := 0
+	for _, op := range []lplan.BinOp{lplan.OpEq, lplan.OpNe, lplan.OpLt, lplan.OpLe, lplan.OpGt, lplan.OpGe} {
+		for _, l := range sides {
+			for _, r := range sides {
+				got := cmpKernel(op, l.k, r.k)(b)
+				lv, rv := l.k(b), r.k(b)
+				if cmpDense(op, make([]int64, n), &lv, &rv) {
+					dense++
+				}
+				for i := 0; i < n; i++ {
+					want := cmpRow(op, lv.Value(i), rv.Value(i))
+					if got.K != VKBool || got.IsNull(i) || got.Ints[i] != btoi(want) {
+						t.Fatalf("%v op %d %v lane %d (%v, %v): kernel %v, row %v",
+							l.name, op, r.name, i, lv.Value(i), rv.Value(i), got.Value(i), want)
+					}
+				}
+			}
+		}
+	}
+	if dense == 0 {
+		t.Fatal("no case took the dense loops")
+	}
+}
+
 // rebindExpr rewrites placeholder ColRefs (ID < 100 = positional column
 // index) onto the scan's real output IDs.
 func rebindExpr(e lplan.Expr, refs []*lplan.ColRef) lplan.Expr {

@@ -254,8 +254,9 @@ func andKernel(l, r colKernel) colKernel {
 		n := b.n
 		out = growInts(out, n)
 		if lv.K == VKBool && rv.K == VKBool {
-			for i := 0; i < n; i++ {
-				out[i] = btoi(lv.Ints[i] != 0 && rv.Ints[i] != 0)
+			o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
+			for i := range o {
+				o[i] = btoi(li[i] != 0) & btoi(ri[i] != 0)
 			}
 			return Vector{K: VKBool, N: n, Ints: out[:n]}
 		}
@@ -273,8 +274,9 @@ func orKernel(l, r colKernel) colKernel {
 		n := b.n
 		out = growInts(out, n)
 		if lv.K == VKBool && rv.K == VKBool {
-			for i := 0; i < n; i++ {
-				out[i] = btoi(lv.Ints[i] != 0 || rv.Ints[i] != 0)
+			o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
+			for i := range o {
+				o[i] = btoi(li[i] != 0) | btoi(ri[i] != 0)
 			}
 			return Vector{K: VKBool, N: n, Ints: out[:n]}
 		}
@@ -428,6 +430,9 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 		lv, rv := l(b), r(b)
 		n := b.n
 		out = growInts(out, n)
+		if cmpDense(op, out[:n], &lv, &rv) {
+			return Vector{K: VKBool, N: n, Ints: out[:n]}
+		}
 		switch {
 		case lv.K == VKInt && rv.K == VKInt:
 			lnul, rnul := lv.hasNulls(), rv.hasNulls()
@@ -488,6 +493,124 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 			}
 		}
 		return Vector{K: VKBool, N: n, Ints: out[:n]}
+	}
+}
+
+// cmpDense compares NULL-free numeric lanes with the operator switched
+// on once per batch, not per lane, and reports whether it could: a
+// column against a constant (read once, as a float unless both sides
+// are integers) or two columns of one kind. Results are cmpInt's and
+// cmpFloat's.
+func cmpDense(op lplan.BinOp, out []int64, lv, rv *Vector) bool {
+	if len(out) == 0 || lv.hasNulls() || rv.hasNulls() || !isNumericVK(lv.K) || !isNumericVK(rv.K) {
+		return false
+	}
+	if lv.constVal && !rv.constVal {
+		lv, rv, op = rv, lv, flipCmp(op)
+	}
+	n := len(out)
+	switch {
+	case rv.constVal && lv.K == VKInt && rv.K == VKInt:
+		cmpConst(op, out, lv.Ints[:n], rv.Ints[0])
+	case rv.constVal && lv.K == VKInt:
+		cmpConst(op, out, lv.Ints[:n], rv.Floats[0])
+	case rv.constVal:
+		cmpConst(op, out, lv.Floats[:n], rv.laneFloat(0))
+	case lv.K == VKInt && rv.K == VKInt:
+		cmpCols(op, out, lv.Ints[:n], rv.Ints[:n])
+	case lv.K == VKFloat && rv.K == VKFloat:
+		cmpCols(op, out, lv.Floats[:n], rv.Floats[:n])
+	default:
+		return false
+	}
+	return true
+}
+
+// flipCmp returns the operator that compares b with a as op compares a
+// with b, NaN semantics included (a <= b is !(a > b), b >= a is
+// !(b < a)).
+func flipCmp(op lplan.BinOp) lplan.BinOp {
+	switch op {
+	case lplan.OpLt:
+		return lplan.OpGt
+	case lplan.OpLe:
+		return lplan.OpGe
+	case lplan.OpGt:
+		return lplan.OpLt
+	case lplan.OpGe:
+		return lplan.OpLe
+	}
+	return op
+}
+
+// cmpConst writes op(C(a[i]), c) to out[i]: cmpFloat's semantics, which
+// are cmpInt's over integers.
+//
+//hot:numeric compare against a constant, operator hoisted out of the lane loop
+func cmpConst[T, C int64 | float64](op lplan.BinOp, out []int64, a []T, c C) {
+	out = out[:len(a)]
+	switch op {
+	case lplan.OpEq:
+		for i, x := range a {
+			out[i] = btoi(C(x) == c)
+		}
+	case lplan.OpNe:
+		for i, x := range a {
+			out[i] = btoi(C(x) != c)
+		}
+	case lplan.OpLt:
+		for i, x := range a {
+			out[i] = btoi(C(x) < c)
+		}
+	case lplan.OpLe:
+		for i, x := range a {
+			out[i] = btoi(!(C(x) > c))
+		}
+	case lplan.OpGt:
+		for i, x := range a {
+			out[i] = btoi(C(x) > c)
+		}
+	case lplan.OpGe:
+		for i, x := range a {
+			out[i] = btoi(!(C(x) < c))
+		}
+	default:
+		clear(out)
+	}
+}
+
+// cmpCols writes op(a[i], b[i]) to out[i], with cmpConst's semantics.
+//
+//hot:numeric compare of two columns, operator hoisted out of the lane loop
+func cmpCols[T int64 | float64](op lplan.BinOp, out []int64, a, b []T) {
+	out, b = out[:len(a)], b[:len(a)]
+	switch op {
+	case lplan.OpEq:
+		for i, x := range a {
+			out[i] = btoi(x == b[i])
+		}
+	case lplan.OpNe:
+		for i, x := range a {
+			out[i] = btoi(x != b[i])
+		}
+	case lplan.OpLt:
+		for i, x := range a {
+			out[i] = btoi(x < b[i])
+		}
+	case lplan.OpLe:
+		for i, x := range a {
+			out[i] = btoi(!(x > b[i]))
+		}
+	case lplan.OpGt:
+		for i, x := range a {
+			out[i] = btoi(x > b[i])
+		}
+	case lplan.OpGe:
+		for i, x := range a {
+			out[i] = btoi(!(x < b[i]))
+		}
+	default:
+		clear(out)
 	}
 }
 

@@ -438,7 +438,7 @@ func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 		d.keys = append(d.keys, bc.vector(&b.cols[bc.pos], sel))
 	}
 	d.ids = growInts(d.ids, b.n)
-	d.kt.resolve(d.ids, d.keys, sel)
+	d.kt.resolve(d.ids, d.keys, sel, nil)
 	d.em, d.held = d.s.AdmitBatch(sel, d.ids, b.weights, d.em[:0], d.held[:0])
 	d.hold.appendGather(b.cols, d.held, 0)
 	return d.emit(b.cols)
@@ -572,7 +572,7 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 		o.keys[k] = b.cols[ci]
 	}
 	o.hashes = extend(o.hashes[:0], b.n)
-	hashKeys(o.hashes, o.keys, joinHashSeed, b.sel, b.n)
+	hashKeys(o.hashes, o.keys, nil, joinHashSeed, b.sel, b.n)
 	bt, pad := o.bt, o.outer && o.resid == nil
 	pl, pr := o.pl[:0], o.pr[:0]
 	for _, i := range sel {
@@ -972,7 +972,7 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 			return err
 		}
 		nrows := 0
-		if err := cc.drive(i, func(b *Batch) { nrows += r.addBatch(b) }); err != nil {
+		if err := cc.drive(i, func(b *Batch) { nrows += r.addBatch(b, nil) }); err != nil {
 			return err
 		}
 		ao.emit(i, r, nrows)
@@ -992,9 +992,10 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 // gathered partition would hand it. A task owns a stripe of
 // destinations (d % tasks) and reads each source window once for all of
 // them; one task per destination would re-read every source column for
-// 1/parts of its lanes.
+// 1/parts of its lanes. Grouped on the exchange keys (the shape the
+// planner emits), the runners take the routing hashes as group hashes.
 func (ex *executor) execAggRouted(p *PHashAgg, x *PExchange) (*stream, error) {
-	rt, s, err := ex.routeExchange(x)
+	rt, s, err := ex.routeExchange(x, slices.Equal(p.GroupCols, x.Keys))
 	if err != nil {
 		return nil, err
 	}
@@ -1033,7 +1034,8 @@ func (ex *executor) aggRoutes(p *PHashAgg, rt *routes, deps []int) (*stream, err
 	return &stream{parts: ao.finish(ex), stage: st}, nil
 }
 
-// fold feeds the runners of stripe t every source window's routed lanes.
+// fold feeds the runners of stripe t every source window's routed lanes,
+// with their kept hashes.
 //
 //hot:striped aggregate fold over routed lanes, per window
 func (rt *routes) fold(ctx context.Context, t, tasks int, runners []*aggRunner) error {
@@ -1046,9 +1048,13 @@ func (rt *routes) fold(ctx context.Context, t, tasks int, runners []*aggRunner) 
 		for w, pos := 0, 0; pos < src.N; w++ {
 			b.n = min(rt.window, src.N-pos)
 			b.cols, b.weights = src.window(b.cols[:0], pos, b.n), src.W[pos:pos+b.n]
+			var hs []uint64
+			if rt.hashes != nil {
+				hs = rt.hashes[i][pos : pos+b.n]
+			}
 			for d := t; d < rt.parts; d += tasks {
 				if b.sel = rt.sel(i, w, d); len(b.sel) > 0 {
-					runners[d].addBatch(&b)
+					runners[d].addBatch(&b, hs)
 				}
 			}
 			pos += b.n

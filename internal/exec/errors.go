@@ -1,8 +1,13 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"path"
+
+	"quickr/internal/pool"
 )
 
 // Typed execution errors: a query interrupted by its context reports
@@ -14,10 +19,15 @@ var (
 	ErrCanceled = errors.New("exec: query canceled")
 	// ErrDeadline is returned when the query's context deadline passed.
 	ErrDeadline = errors.New("exec: query deadline exceeded")
+	// ErrInternal is returned, wrapped with the panic value and where it
+	// was raised, when a partition task panicked: an executor bug fails
+	// its query, not the process.
+	ErrInternal = errors.New("exec: internal error")
 )
 
-// mapCtxErr converts context errors into the typed query errors,
-// passing every other error through unchanged.
+// mapCtxErr converts context errors into the typed query errors and a
+// task's panic into ErrInternal, passing every other error through
+// unchanged.
 func mapCtxErr(err error) error {
 	switch {
 	case err == nil:
@@ -27,7 +37,40 @@ func mapCtxErr(err error) error {
 	case errors.Is(err, context.DeadlineExceeded):
 		return ErrDeadline
 	}
+	return internalErr(err)
+}
+
+// internalErr maps a task's panic to ErrInternal. It is apart from
+// mapCtxErr, which runs at every batch boundary, because the target
+// errors.As writes escapes to the heap.
+func internalErr(err error) error {
+	var pe *pool.PanicError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("%w: %v at %s", ErrInternal, pe.Value, execFrame(pe.Stack))
+	}
 	return err
+}
+
+// execFrame returns the innermost frame of this package in a
+// debug.Stack trace, as "function (file:line)", or "unknown".
+func execFrame(stack []byte) string {
+	const pkg = "quickr/internal/exec."
+	lines := bytes.Split(stack, []byte("\n"))
+	for i, l := range lines {
+		if !bytes.HasPrefix(l, []byte(pkg)) || i+1 == len(lines) {
+			continue
+		}
+		fn := l[:max(bytes.LastIndexByte(l, '('), 0)]
+		if len(fn) == 0 {
+			fn = l
+		}
+		loc := bytes.TrimSpace(lines[i+1])
+		if sp := bytes.IndexByte(loc, ' '); sp >= 0 {
+			loc = loc[:sp] // the "+0x…" pc offset
+		}
+		return fmt.Sprintf("%s (%s)", fn[len("quickr/internal/"):], path.Base(string(loc)))
+	}
+	return "unknown"
 }
 
 // ctxErr reports the typed error for a done context, or nil.

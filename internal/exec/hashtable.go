@@ -25,6 +25,7 @@ package exec
 // the engine previously concatenated per row.
 
 import (
+	"math/bits"
 	"slices"
 
 	"quickr/internal/table"
@@ -77,6 +78,7 @@ func appendRowKey(b []byte, row table.Row, idx []int) []byte {
 // iteration over caller arrays is deterministic.
 type hashIndex struct {
 	mask  uint64
+	shift uint8    // 64 − log2(len(slots)), for home
 	slots []int32  // entry index +1; 0 = empty
 	hash  []uint64 // per-slot hash, valid where slots != 0
 	entry []uint64 // per-entry hash, for rehash on growth
@@ -91,6 +93,7 @@ func newHashIndex(hint int) *hashIndex {
 	}
 	return &hashIndex{
 		mask:  uint64(capSlots - 1),
+		shift: uint8(bits.LeadingZeros64(uint64(capSlots - 1))),
 		slots: make([]int32, capSlots),
 		hash:  make([]uint64, capSlots),
 	}
@@ -99,6 +102,14 @@ func newHashIndex(hint int) *hashIndex {
 // len returns the number of entries.
 func (t *hashIndex) len() int { return len(t.entry) }
 
+// home is the slot a probe for h starts from: the top bits of h times
+// 2^64/φ, which depend on every bit of h. The tables of one exchange
+// destination meet only hashes equal modulo the destination count, so
+// the low bits the routing consumed would crowd a few slots, and the
+// high half alone varies too little across short strings (FNV-1a moves
+// the middle bits little on a last byte).
+func (t *hashIndex) home(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> t.shift }
+
 // probe returns the entry index whose hash is h and for which eq
 // reports a true key match, or -1. eq only runs on slots with an exact
 // hash match, so with a sound hash it is rarely called more than once.
@@ -106,7 +117,7 @@ func (t *hashIndex) len() int { return len(t.entry) }
 //hot:per-row open-addressing probe, gated by BenchmarkGroupedAgg allocs/op
 func (t *hashIndex) probe(h uint64, eq func(int) bool) int {
 	//lint:ignore ctxflow open-addressing probe; load factor < 1/2 guarantees a vacant slot within one wrap
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
+	for s := t.home(h); ; s = (s + 1) & t.mask {
 		e := t.slots[s]
 		if e == 0 {
 			return -1
@@ -126,7 +137,7 @@ func (t *hashIndex) add(h uint64) int {
 	t.entry = append(t.entry, h)
 	e := len(t.entry) // stored +1
 	//lint:ignore ctxflow open-addressing insert; grow() above keeps a vacant slot reachable
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
+	for s := t.home(h); ; s = (s + 1) & t.mask {
 		if t.slots[s] == 0 {
 			t.slots[s] = int32(e)
 			t.hash[s] = h
@@ -139,11 +150,12 @@ func (t *hashIndex) add(h uint64) int {
 func (t *hashIndex) grow() {
 	capSlots := 2 * len(t.slots)
 	t.mask = uint64(capSlots - 1)
+	t.shift--
 	t.slots = make([]int32, capSlots)
 	t.hash = make([]uint64, capSlots)
 	for i, h := range t.entry {
 		//lint:ignore ctxflow open-addressing reinsert into a freshly doubled (half-empty) directory
-		for s := h & t.mask; ; s = (s + 1) & t.mask {
+		for s := t.home(h); ; s = (s + 1) & t.mask {
 			if t.slots[s] == 0 {
 				t.slots[s] = int32(i + 1)
 				t.hash[s] = h
@@ -153,14 +165,13 @@ func (t *hashIndex) grow() {
 	}
 }
 
-// keyTableSeed is the HashRow seed of keyTable hashes.
-const keyTableSeed = 11
-
 // keyTable hands out dense ids, in first-seen order, to the distinct
 // tuples a set of key vectors takes, under Value.Key() equality: NULL is
 // a key and an integral float is the equal int's key. The hash is
-// hashKeys' (Hash64 equality is implied by Key() equality); the keys live
-// in one typed column per key vector, lane = id, as first seen.
+// hashKeys' under exchangeHashSeed (Hash64 equality is implied by Key()
+// equality), so lanes an exchange routed on the same keys arrive with
+// their hashes; the keys live in one typed column per key vector, lane =
+// id, as first seen.
 //
 // Keys that are all dictionary strings and bools resolve once per
 // combination of codes (comboID, reset when a batch's dictionaries are
@@ -170,7 +181,10 @@ const keyTableSeed = 11
 type keyTable struct {
 	idx  *hashIndex
 	cols []vecBuilder // the keys
-	keys []Vector     // cols as vectors, refreshed by insert
+	// keys is cols as vectors, refreshed (refresh) after inserts before
+	// it is next read: by lookup, or once resolve returns.
+	keys  []Vector
+	stale bool
 	// comboID maps a combination of key codes (code 0 = NULL, each key a
 	// digit of base radix) to its id, -1 = not met yet; it holds for the
 	// key kinds and dictionaries in coding.
@@ -221,14 +235,16 @@ func (t *keyTable) coded(keys []Vector) bool {
 func (t *keyTable) len() int { return t.idx.len() }
 
 // resolve writes the id of every listed lane of keys into ids, indexed
-// by lane, inserting the tuples it has not met.
+// by lane, inserting the tuples it has not met. hashes, when not nil,
+// holds the lanes' hashes by lane (hashKeys of keys under
+// exchangeHashSeed), and resolve hashes nothing itself.
 //
 //hot:per-lane group-id and stratum-id resolution, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey, BenchmarkAggIntKeys and BenchmarkDistinctSample
-func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32) {
+func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32, hashes []uint64) {
 	if len(keys) == 0 || len(lanes) == 0 {
 		// The empty tuple is one key.
 		if t.len() == 0 && len(lanes) > 0 {
-			t.idx.add(table.HashRowSeed(keyTableSeed))
+			t.idx.add(table.HashRowSeed(exchangeHashSeed))
 		}
 		for _, i := range lanes {
 			ids[i] = 0
@@ -236,10 +252,13 @@ func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32) {
 		return
 	}
 	v := &keys[0]
-	if cap(t.hashes) < v.N {
-		t.hashes = make([]uint64, v.N)
+	own := hashes == nil
+	if own {
+		if cap(t.hashes) < v.N {
+			t.hashes = make([]uint64, v.N)
+		}
+		hashes = t.hashes[:v.N]
 	}
-	t.hashes = t.hashes[:v.N]
 	switch {
 	case t.coded(keys):
 		for _, i := range lanes {
@@ -256,30 +275,42 @@ func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32) {
 			}
 			id := &t.comboID[c]
 			if *id < 0 {
-				t.one[0] = i
-				hashKeys(t.hashes, keys, keyTableSeed, t.one[:], 0)
-				*id = int32(t.lookup(keys, int(i), t.hashes[i]))
+				if own {
+					t.one[0] = i
+					hashKeys(hashes, keys, nil, exchangeHashSeed, t.one[:], 0)
+				}
+				*id = int32(t.lookup(keys, int(i), hashes[i]))
 			}
 			ids[i] = int64(*id)
 		}
 	case t.allInts(keys):
-		h0 := table.HashRowSeed(keyTableSeed)
-		for _, i := range lanes {
-			h := h0
-			for k := range keys {
-				h = table.HashRowStep(h, table.HashInt(keys[k].Ints[i]))
+		if own {
+			h0 := table.HashRowSeed(exchangeHashSeed)
+			for _, i := range lanes {
+				h := h0
+				for k := range keys {
+					h = table.HashRowStep(h, table.HashInt(keys[k].Ints[i]))
+				}
+				hashes[i] = h
 			}
-			e := t.probeInts(h, keys, int(i))
+		}
+		for _, i := range lanes {
+			e := t.probeInts(hashes[i], keys, int(i))
 			if e < 0 {
-				e = t.insert(keys, int(i), h)
+				e = t.insertInts(keys, int(i), hashes[i])
 			}
 			ids[i] = int64(e)
 		}
 	default:
-		hashKeys(t.hashes, keys, keyTableSeed, lanes, 0)
-		for _, i := range lanes {
-			ids[i] = int64(t.lookup(keys, int(i), t.hashes[i]))
+		if own {
+			hashKeys(hashes, keys, nil, exchangeHashSeed, lanes, 0)
 		}
+		for _, i := range lanes {
+			ids[i] = int64(t.lookup(keys, int(i), hashes[i]))
+		}
+	}
+	if t.stale {
+		t.refresh()
 	}
 }
 
@@ -301,7 +332,7 @@ func (t *keyTable) allInts(keys []Vector) bool {
 func (t *keyTable) probeInts(h uint64, keys []Vector, i int) int {
 	x := t.idx
 	//lint:ignore ctxflow open-addressing probe; load factor < 1/2 guarantees a vacant slot within one wrap
-	for s := h & x.mask; ; s = (s + 1) & x.mask {
+	for s := x.home(h); ; s = (s + 1) & x.mask {
 		e := int(x.slots[s]) - 1
 		if e < 0 {
 			return -1
@@ -318,6 +349,9 @@ func (t *keyTable) probeInts(h uint64, keys []Vector, i int) int {
 
 // lookup returns the id of lane i of keys, whose hash is h.
 func (t *keyTable) lookup(keys []Vector, i int, h uint64) int {
+	if t.stale {
+		t.refresh()
+	}
 	if e := t.idx.probe(h, func(e int) bool { return keyLanesEqual(t.keys, e, keys, i) }); e >= 0 {
 		return e
 	}
@@ -329,9 +363,33 @@ func (t *keyTable) insert(keys []Vector, i int, h uint64) int {
 	t.one[0] = int32(i)
 	for k := range keys {
 		t.cols[k].appendSel(&keys[k], t.one[:])
+	}
+	t.stale = true
+	return t.idx.add(h)
+}
+
+// insertInts is insert for allInts keys: each payload is appended to its
+// column's integers directly.
+func (t *keyTable) insertInts(keys []Vector, i int, h uint64) int {
+	for k := range keys {
+		c := &t.cols[k]
+		if c.k == VKNull {
+			c.adopt(VKInt)
+		}
+		c.ints = extend(c.ints, 1)
+		c.ints[len(c.ints)-1] = keys[k].Ints[i]
+		c.n++
+	}
+	t.stale = true
+	return t.idx.add(h)
+}
+
+// refresh brings keys up to date with cols after inserts.
+func (t *keyTable) refresh() {
+	for k := range t.cols {
 		t.keys[k] = t.cols[k].build()
 	}
-	return t.idx.add(h)
+	t.stale = false
 }
 
 // keyLanesEqual reports whether lane i of every a[k] and lane j of b[k]
@@ -434,7 +492,7 @@ func buildJoinTable(build *Part, keyIdx []int, parallel func(n int, fn func(i in
 	// Pass 1: per-row hashes, chunked across the pool.
 	chunks := nShards
 	if chunks == 1 || rows == 0 {
-		hashKeys(t.hashes, t.keys, joinHashSeed, nil, rows)
+		hashKeys(t.hashes, t.keys, nil, joinHashSeed, nil, rows)
 	} else {
 		per := (rows + chunks - 1) / chunks
 		if err := parallel(chunks, func(c int) error {
@@ -450,7 +508,7 @@ func buildJoinTable(build *Part, keyIdx []int, parallel func(n int, fn func(i in
 			for k, ci := range keyIdx {
 				keys[k] = window(&build.Cols[ci], lo, hi-lo)
 			}
-			hashKeys(t.hashes[lo:hi], keys, joinHashSeed, nil, hi-lo)
+			hashKeys(t.hashes[lo:hi], keys, nil, joinHashSeed, nil, hi-lo)
 			return nil
 		}); err != nil {
 			return nil, err

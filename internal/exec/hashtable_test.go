@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -117,6 +118,134 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 	if !rowKeyEqualRows(fi, ii, []int{0}) {
 		t.Fatal("float 42.0 and int 42 not key-equal")
 	}
+}
+
+// TestKeyTableRoutedHashes feeds two key tables the lanes a routed
+// exchange sends one destination, window by window as the aggregate's
+// fold does: one table takes the routing pass's kept hashes, one hashes
+// for itself, and one takes the kept hashes every other window (so the
+// two must be interchangeable). All three must hand out the same ids and
+// build the same key columns. The sources switch resolve's path between them: NULL-free
+// ints then ints with a NULL, dictionary strings (a dictionary per
+// source) then a mixed-kind column, under either lone key and the pair.
+// Every hash one destination meets shares its value modulo the
+// destination count, and short strings differ in few bits: at every
+// destination count and key, the entries of the destinations' group
+// tables must sit on average under 0.6 slots past their hash's home
+// slot. Linear probing expects at most 0.5 at the index's 50% load
+// ceiling; starting from the low bits reads 8.8 at 64 destinations of
+// the integer key and 1.6 at 8 of the pair, starting from the high half
+// 20 for the lone string key at one.
+func TestKeyTableRoutedHashes(t *testing.T) {
+	const rows = 4096
+	src := func(k func(i int) table.Value, s func(i int) table.Value) Part {
+		pb := newPartBuilder(2, rows)
+		for i := 0; i < rows; i++ {
+			pb.appendRow(table.Row{k(i), s(i)})
+		}
+		return pb.finish()
+	}
+	str := func(prefix string) func(int) table.Value {
+		return func(i int) table.Value { return table.NewString(fmt.Sprintf("%s%d", prefix, i%37)) }
+	}
+	srcs := []Part{
+		src(func(i int) table.Value { return table.NewInt(int64(i)) }, str("a")),
+		src(func(i int) table.Value {
+			if i%101 == 5 {
+				return table.Null
+			}
+			return table.NewInt(int64(i * 7 % 5000))
+		}, func(i int) table.Value {
+			if i%13 == 0 {
+				return table.Null
+			}
+			return str("b")(i)
+		}),
+		src(func(i int) table.Value { return table.NewInt(int64(i % 300)) }, str("a")),
+		src(func(i int) table.Value {
+			if i%2 == 0 {
+				return table.NewFloat(float64(i%50) / 2) // 1.0 is the int 1's key, 0.5 no int's
+			}
+			return table.NewInt(int64(i % 40))
+		}, func(i int) table.Value {
+			switch i % 3 {
+			case 0:
+				return table.NewInt(int64(i % 7))
+			case 1:
+				return table.Null
+			}
+			return str("a")(i)
+		}),
+	}
+	const win = 64
+	for _, keyIdx := range [][]int{{0}, {1}, {0, 1}} {
+		for _, parts := range []int{1, 2, 3, 8, 64} {
+			rt, err := routeParts(serialFan, srcs, 2, keyIdx, parts, win, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("keys %v parts %d", keyIdx, parts)
+			var past, entries int
+			for d := 0; d < parts; d++ {
+				routed, own, mixed := newKeyTable(len(keyIdx)), newKeyTable(len(keyIdx)), newKeyTable(len(keyIdx))
+				idsR, idsO, idsM := make([]int64, win), make([]int64, win), make([]int64, win)
+				keys := make([]Vector, len(keyIdx))
+				for i := range srcs {
+					for w, pos := 0, 0; pos < rows; w, pos = w+1, pos+win {
+						for k, ci := range keyIdx {
+							keys[k] = window(&srcs[i].Cols[ci], pos, win)
+						}
+						sel := rt.sel(i, w, d)
+						hs := rt.hashes[i][pos : pos+win]
+						routed.resolve(idsR, keys, sel, hs)
+						own.resolve(idsO, keys, sel, nil)
+						if w%2 == 1 {
+							hs = nil
+						}
+						mixed.resolve(idsM, keys, sel, hs)
+						for _, j := range sel {
+							if idsR[j] != idsO[j] || idsM[j] != idsO[j] {
+								t.Fatalf("%s destination %d source %d lane %d: id %d with routed hashes, %d hashing itself, %d mixing the two",
+									label, d, i, pos+int(j), idsR[j], idsO[j], idsM[j])
+							}
+						}
+					}
+				}
+				if routed.len() != own.len() || mixed.len() != own.len() {
+					t.Fatalf("%s destination %d: %d ids with routed hashes, %d hashing itself, %d mixing the two",
+						label, d, routed.len(), own.len(), mixed.len())
+				}
+				for k := range keyIdx {
+					a, b := &routed.keys[k], &own.keys[k]
+					if a.K != b.K || a.N != routed.len() || b.N != own.len() || !slices.Equal(a.Dict, b.Dict) {
+						t.Fatalf("%s destination %d key %d: columns kind %d/%d, %d/%d lanes", label, d, k, a.K, b.K, a.N, b.N)
+					}
+					for e := 0; e < a.N; e++ {
+						if !sameValue(a.Value(e), b.Value(e)) {
+							t.Fatalf("%s destination %d key %d id %d: %v with routed hashes, %v hashing itself", label, d, k, e, a.Value(e), b.Value(e))
+						}
+					}
+				}
+				p, e := probeDistance(routed.idx)
+				past, entries = past+p, entries+e
+			}
+			if mean := float64(past) / float64(entries); mean >= 0.6 {
+				t.Errorf("%s: entries sit %.2f slots past their home slot on average", label, mean)
+			}
+		}
+	}
+}
+
+// probeDistance returns how many slots past their hashes' home slots
+// the entries of x sit, in total, and how many entries there are.
+func probeDistance(x *hashIndex) (past, entries int) {
+	for s, e := range x.slots {
+		if e != 0 {
+			past += int((uint64(s) - x.home(x.hash[s])) & x.mask)
+			entries++
+		}
+	}
+	return past, entries
 }
 
 // joinRowsFor builds an n-row build partition over (k, s, v) with keys
@@ -302,7 +431,7 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 			probe := pb.finish()
 			keys := probe.vectors()
 			hashes := make([]uint64, dups)
-			hashKeys(hashes, keys, joinHashSeed, nil, dups)
+			hashKeys(hashes, keys, nil, joinHashSeed, nil, dups)
 			for k := 0; k < dups; k++ {
 				cnt := 0
 				for ri := bt.lookup(hashes[k]); ri >= 0; ri = bt.next[ri] {
@@ -383,11 +512,11 @@ func aggAllocFixture(est *EstimatorConfig) (*aggRunner, []Batch, error) {
 // a batch again.
 func aggSeenAllocs(r *aggRunner, batches []Batch) float64 {
 	for i := range batches {
-		r.addBatch(&batches[i])
+		r.addBatch(&batches[i], nil)
 	}
 	i := 0
 	return testing.AllocsPerRun(200, func() {
-		r.addBatch(&batches[i%len(batches)])
+		r.addBatch(&batches[i%len(batches)], nil)
 		i++
 	})
 }

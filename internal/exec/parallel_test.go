@@ -11,10 +11,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"quickr/internal/cluster"
 	"quickr/internal/testutil"
 )
 
@@ -103,5 +105,47 @@ func TestParallelPartsNilContextRuns(t *testing.T) {
 	}
 	if ran.Load() != 32 {
 		t.Fatalf("ran %d of 32 partitions", ran.Load())
+	}
+}
+
+// TestPanicInTaskFailsOneQuery: a partition task that indexes out of
+// range fails its query with ErrInternal, naming the panic and the
+// task's frame; no goroutine is left behind, the shared pool runs the
+// next job, and the next run of a plan is bit-identical to the one
+// before.
+func TestPanicInTaskFailsOneQuery(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	plan, _ := aggOverExchangePlan()
+	before, err := Run(plan, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := make([]int32, 4)
+	err = testExecutor(context.Background(), plan, 1024).parallel(8, func(i int) error {
+		_ = lanes[i]
+		return nil
+	})
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("got %v, want ErrInternal", err)
+	}
+	t.Log(err)
+	for _, want := range []string{"index out of range", "exec.TestPanicInTaskFailsOneQuery.func1 (parallel_test.go:"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	after, err := Run(plan, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Rows) != len(before.Rows) {
+		t.Fatalf("%d rows after the panic, %d before", len(after.Rows), len(before.Rows))
+	}
+	for i, row := range before.Rows {
+		for c, v := range row {
+			if !sameValue(after.Rows[i][c], v) {
+				t.Fatalf("row %d column %d: %v after the panic, %v before", i, c, after.Rows[i][c], v)
+			}
+		}
 	}
 }

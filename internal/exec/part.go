@@ -288,10 +288,12 @@ func (s *partSource) Next() (Batch, error) {
 // hashKeys folds the key vectors of lanes sel (nil = all n) into out,
 // indexed by lane, bit-equal to table.HashRow(row, idx, seed) of the
 // same rows. Only the listed lanes are read: dead lanes of a batch hold
-// unspecified payloads.
+// unspecified payloads. A dense pass takes codes (nil = none): for key
+// k, nil or the dictHashes of keys[k]'s dictionary, so that a string
+// lane costs one load instead of hashing its bytes.
 //
 //hot:per-lane exchange and join key hash
-func hashKeys(out []uint64, keys []Vector, seed uint64, sel []int32, n int) {
+func hashKeys(out []uint64, keys []Vector, codes [][]uint64, seed uint64, sel []int32, n int) {
 	h0 := table.HashRowSeed(seed)
 	if sel != nil {
 		for _, i := range sel {
@@ -308,16 +310,42 @@ func hashKeys(out []uint64, keys []Vector, seed uint64, sel []int32, n int) {
 	}
 	for k := range keys {
 		v := &keys[k]
-		if v.K == VKInt && v.nulls == nil { // the common join and group key
+		switch {
+		case v.K == VKInt && v.nulls == nil: // the common join and group key
 			for i, x := range v.Ints[:n] {
 				out[i] = table.HashRowStep(out[i], table.HashInt(x))
 			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			out[i] = table.HashRowStep(out[i], laneHash(v, i))
+		case codes != nil && codes[k] != nil:
+			ch := codes[k]
+			if v.nulls == nil {
+				for i, c := range v.Ints[:n] {
+					out[i] = table.HashRowStep(out[i], ch[c])
+				}
+				continue
+			}
+			for i, c := range v.Ints[:n] {
+				x := table.HashNull
+				if !v.IsNull(i) {
+					x = ch[c]
+				}
+				out[i] = table.HashRowStep(out[i], x)
+			}
+		default:
+			for i := 0; i < n; i++ {
+				out[i] = table.HashRowStep(out[i], laneHash(v, i))
+			}
 		}
 	}
+}
+
+// dictHashes returns HashString of every entry of dict, by code: a
+// string key's lane hashes for hashKeys' codes.
+func dictHashes(dict []string) []uint64 {
+	out := make([]uint64, len(dict))
+	for c, s := range dict {
+		out[c] = table.HashString(s)
+	}
+	return out
 }
 
 // laneHash is v.Value(i).Hash64() without building the Value.

@@ -204,7 +204,8 @@ func TestPartHeadAndGather(t *testing.T) {
 // TestHashKeysMatchesHashRow pins the lane hash to table.HashRow for
 // every value kind — integral floats, which must collide with the equal
 // int, included — over one and several key columns, dense and through a
-// selection, typed and boxed, at both seeds the executor uses.
+// selection, typed and boxed, at both seeds the executor uses, and the
+// hashes the exchange's routing pass keeps to the same.
 func TestHashKeysMatchesHashRow(t *testing.T) {
 	families := awkwardValues()
 	rng := rand.New(rand.NewSource(5))
@@ -232,14 +233,14 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 		for k, ci := range idx {
 			keys[k] = b.cols[ci]
 		}
-		hashKeys(out, keys, seed, nil, n)
+		hashKeys(out, keys, nil, seed, nil, n)
 		for i := range rows {
 			if want := table.HashRow(rows[i], idx, seed); out[i] != want {
 				t.Fatalf("cols %v seed %d lane %d (%v): hash %x, HashRow %x", idx, seed, i, rows[i], out[i], want)
 			}
 		}
 		clear(out)
-		hashKeys(out, keys, seed, sel, n)
+		hashKeys(out, keys, nil, seed, sel, n)
 		for _, i := range sel {
 			if want := table.HashRow(rows[i], idx, seed); out[i] != want {
 				t.Fatalf("cols %v seed %d selected lane %d: hash %x, HashRow %x", idx, seed, i, out[i], want)
@@ -258,6 +259,50 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 	if table.HashFloat(42) != table.HashInt(42) {
 		t.Error("integral float does not hash as the equal int")
 	}
+
+	// The routing pass keeps HashRow's hashes too: a string key hashed
+	// once per code of a dictionary no longer than its source (NULL lanes
+	// included), and per lane in a source holding fewer rows than its
+	// dictionary. Keeping them routes the lanes as not keeping them does.
+	pb := newPartBuilder(len(cols), n)
+	for _, r := range rows {
+		pb.appendRow(r)
+	}
+	full := pb.finish()
+	srcs := []Part{full, full.head(3), full.head(0)}
+	str := slices.Index(names, "string")
+	if d := len(full.Cols[str].Dict); d > full.N || d <= srcs[1].N {
+		t.Fatalf("fixture: dictionary of %d strings for sources of %d and %d rows", d, full.N, srcs[1].N)
+	}
+	route := func(idx []int) {
+		t.Helper()
+		kept, err := routeParts(serialFan, srcs, len(cols), idx, 5, 16, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := routeParts(serialFan, srcs, len(cols), idx, 5, 16, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.hashes != nil {
+			t.Fatal("routing kept hashes nobody asked for")
+		}
+		for i := range srcs {
+			if !slices.Equal(kept.lanes[i], plain.lanes[i]) || !slices.Equal(kept.offs[i], plain.offs[i]) {
+				t.Fatalf("cols %v source %d: keeping the hashes changed the routing", idx, i)
+			}
+			for j, h := range kept.hashes[i] {
+				if want := table.HashRow(rows[j], idx, exchangeHashSeed); h != want {
+					t.Fatalf("cols %v source %d lane %d (%v): routed hash %x, HashRow %x", idx, i, j, rows[j], h, want)
+				}
+			}
+		}
+	}
+	for c := range cols {
+		route([]int{c})
+		route([]int{str, c})
+	}
+	route(all)
 }
 
 // joinFixture builds probe (k, v, s) and build (k, u, s) tables whose
@@ -328,67 +373,85 @@ func TestExchangeMatchesRowReference(t *testing.T) {
 // exchange, whose runners fold the routed lanes where they lie (parts >
 // 1) or read the moved partitions (parts == 1), over a chain, over a
 // breaker's partitions and over a bare cached-sample source, against
-// the row reference's exchange and aggregate.
+// the row reference's exchange and aggregate — grouped on the exchange
+// keys, so the runners take the routing hashes as group hashes, and on
+// other columns (the exchange keys reversed, then one more), so they
+// hash for themselves. COUNT(DISTINCT) counts a mixed-kind and an
+// integer column, under a dictionary group key among others.
 func TestAggOverExchangeMatchesRowReference(t *testing.T) {
 	tbl := mixedTable("aggxchg", 5, 1500)
 	for _, keys := range [][]int{{0}, {2}, {1, 2}, {3}} {
 		for _, parts := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("keys=%v/parts=%d", keys, parts), func(t *testing.T) {
-				mk := func(source int) func() PNode {
-					return func() PNode {
-						scan := scanOf(tbl)
-						c := scan.OutCols
-						var in PNode = &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.5}, Seed: 3}
-						switch source {
-						case 1:
-							in = &PExchange{In: in, Parts: 2}
-						case 2:
-							in = &PCachedSample{Frag: in, Key: FragmentKey(in), SamplerP: 0.5}
-						}
-						x := &PExchange{In: in, Parts: parts}
-						agg := &PHashAgg{In: x, Est: &EstimatorConfig{Type: lplan.SamplerUniform, P: 0.5}}
-						for _, k := range keys {
-							x.Keys = append(x.Keys, c[k].ID)
-							agg.GroupCols = append(agg.GroupCols, c[k].ID)
-							agg.GroupInfo = append(agg.GroupInfo, c[k])
-						}
-						for _, spec := range []lplan.AggSpec{
-							{Kind: lplan.AggSum, Arg: c[1].ID}, {Kind: lplan.AggCount, Arg: lplan.NoColumn},
-							{Kind: lplan.AggAvg, Arg: c[0].ID}, {Kind: lplan.AggCountDistinct, Arg: c[4].ID},
-							{Kind: lplan.AggMin, Arg: c[2].ID},
-						} {
-							nextID++
-							spec.Cond = lplan.NoColumn
-							spec.Out = lplan.ColumnInfo{ID: nextID, Kind: table.KindFloat}
-							agg.Aggs = append(agg.Aggs, spec)
-						}
-						return agg
-					}
-				}
-				for source := 0; source < 3; source++ {
-					sameAsReference(t, mk(source))
-					// What the exchange hands over is accounted as the
-					// reference's destinations, built or not.
-					agg := mk(source)().(*PHashAgg)
-					ex := testExecutor(context.Background(), agg, 7)
-					if _, err := ex.exec(agg); err != nil {
-						t.Fatal(err)
-					}
-					st, op := ex.run.Stages[len(ex.run.Stages)-1], ex.qm.Op(agg.In)
-					for d, rows := range refChain(t, agg.In) {
-						var bytes float64
-						for _, r := range rows {
-							bytes += r.sz
-						}
-						sl := op.Slot(d)
-						if st.Name != "aggregate" || st.TaskInRows[d] != int64(len(rows)) || st.TaskInBytes[d] != bytes ||
-							sl.RowsOut != int64(len(rows)) || sl.PeakBytes != bytes {
-							t.Fatalf("source %d destination %d: stage %q reads %d rows, %v bytes, the exchange sent %d, peak %v; want %d rows, %v bytes",
-								source, d, st.Name, st.TaskInRows[d], st.TaskInBytes[d], sl.RowsOut, sl.PeakBytes, len(rows), bytes)
-						}
-					}
-				}
+				aggOverExchangeCase(t, tbl, keys, keys, parts)
+				group := append(slices.Clone(keys), 4)
+				slices.Reverse(group)
+				t.Run(fmt.Sprintf("group=%v", group), func(t *testing.T) {
+					aggOverExchangeCase(t, tbl, keys, group, parts)
+				})
 			})
+		}
+	}
+}
+
+// aggOverExchangeCase is one TestAggOverExchangeMatchesRowReference case:
+// the exchange routes on column positions keys, the aggregate groups on
+// group.
+func aggOverExchangeCase(t *testing.T, tbl *table.Table, keys, group []int, parts int) {
+	mk := func(source int) func() PNode {
+		return func() PNode {
+			scan := scanOf(tbl)
+			c := scan.OutCols
+			var in PNode = &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.5}, Seed: 3}
+			switch source {
+			case 1:
+				in = &PExchange{In: in, Parts: 2}
+			case 2:
+				in = &PCachedSample{Frag: in, Key: FragmentKey(in), SamplerP: 0.5}
+			}
+			x := &PExchange{In: in, Parts: parts}
+			agg := &PHashAgg{In: x, Est: &EstimatorConfig{Type: lplan.SamplerUniform, P: 0.5}}
+			for _, k := range keys {
+				x.Keys = append(x.Keys, c[k].ID)
+			}
+			for _, k := range group {
+				agg.GroupCols = append(agg.GroupCols, c[k].ID)
+				agg.GroupInfo = append(agg.GroupInfo, c[k])
+			}
+			for _, spec := range []lplan.AggSpec{
+				{Kind: lplan.AggSum, Arg: c[1].ID}, {Kind: lplan.AggCount, Arg: lplan.NoColumn},
+				{Kind: lplan.AggAvg, Arg: c[0].ID}, {Kind: lplan.AggCountDistinct, Arg: c[4].ID},
+				{Kind: lplan.AggMin, Arg: c[2].ID}, {Kind: lplan.AggCountDistinct, Arg: c[0].ID},
+			} {
+				nextID++
+				spec.Cond = lplan.NoColumn
+				spec.Out = lplan.ColumnInfo{ID: nextID, Kind: table.KindFloat}
+				agg.Aggs = append(agg.Aggs, spec)
+			}
+			return agg
+		}
+	}
+	for source := 0; source < 3; source++ {
+		sameAsReference(t, mk(source))
+		// What the exchange hands over is accounted as the reference's
+		// destinations, built or not.
+		agg := mk(source)().(*PHashAgg)
+		ex := testExecutor(context.Background(), agg, 7)
+		if _, err := ex.exec(agg); err != nil {
+			t.Fatal(err)
+		}
+		st, op := ex.run.Stages[len(ex.run.Stages)-1], ex.qm.Op(agg.In)
+		for d, rows := range refChain(t, agg.In) {
+			var bytes float64
+			for _, r := range rows {
+				bytes += r.sz
+			}
+			sl := op.Slot(d)
+			if st.Name != "aggregate" || st.TaskInRows[d] != int64(len(rows)) || st.TaskInBytes[d] != bytes ||
+				sl.RowsOut != int64(len(rows)) || sl.PeakBytes != bytes {
+				t.Fatalf("source %d destination %d: stage %q reads %d rows, %v bytes, the exchange sent %d, peak %v; want %d rows, %v bytes",
+					source, d, st.Name, st.TaskInRows[d], st.TaskInBytes[d], sl.RowsOut, sl.PeakBytes, len(rows), bytes)
+			}
 		}
 	}
 }
@@ -441,7 +504,7 @@ func TestExchangeRoutingMatchesScatter(t *testing.T) {
 		}
 		label := fmt.Sprintf("seed %d", seed)
 		want := refExchange(srcs, width, keyIdx, parts, window)
-		rt, err := routeParts(serialFan, srcs, width, keyIdx, parts, window)
+		rt, err := routeParts(serialFan, srcs, width, keyIdx, parts, window, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +605,7 @@ func TestAggOverExchangeCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ex := testExecutor(ctx, agg, 7)
-	rt, s, err := ex.routeExchange(x)
+	rt, s, err := ex.routeExchange(x, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,7 +341,7 @@ func (sc *scatter) appendLanes(cols []Vector, n int, weights []float64) {
 		sc.keys = append(sc.keys, cols[ci])
 	}
 	sc.hashes = extend(sc.hashes[:0], n)
-	hashKeys(sc.hashes, sc.keys, exchangeHashSeed, nil, n)
+	hashKeys(sc.hashes, sc.keys, nil, exchangeHashSeed, nil, n)
 	for d := range sc.sels {
 		sc.sels[d] = sc.sels[d][:0]
 	}

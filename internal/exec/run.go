@@ -325,7 +325,7 @@ const exchangeHashSeed = 7
 // routed (routeExchange) and each destination gathers its lanes once,
 // into a partition sized exactly from the routed row count.
 func (ex *executor) execExchange(p *PExchange) (*stream, error) {
-	rt, s, err := ex.routeExchange(p)
+	rt, s, err := ex.routeExchange(p, false)
 	if err != nil {
 		return nil, err
 	}
@@ -384,6 +384,10 @@ type routes struct {
 	// offs[i][w*(parts+1)+d] is where destination d's run starts in it.
 	lanes [][]int32
 	offs  [][]int32
+	// hashes[i] holds the routing hash of each of source i's lanes, kept
+	// only for an aggregate grouped on the exchange keys: the hash is its
+	// group hash (keyTable shares the seed). Nil when not kept.
+	hashes [][]uint64
 	// rows and bytes total each destination's lanes: the N and the
 	// accounted bytes of the partition gathering them would build.
 	rows  []int64
@@ -401,8 +405,9 @@ func (rt *routes) sel(i, w, d int) []int32 {
 // go to several destinations, routes them: one task per source hashes
 // the key vectors densely, window by window, and counting-sorts each
 // window's lanes by destination. Without keys or with one destination
-// whole partitions move and the routes are nil.
-func (ex *executor) routeExchange(p *PExchange) (*routes, *stream, error) {
+// whole partitions move and the routes are nil. With keep the routes
+// hold every lane's hash (routes.hashes).
+func (ex *executor) routeExchange(p *PExchange, keep bool) (*routes, *stream, error) {
 	var keyIdx []int
 	if len(p.Keys) > 0 {
 		cm := buildColMap(p.In.Cols())
@@ -426,7 +431,7 @@ func (ex *executor) routeExchange(p *PExchange) (*routes, *stream, error) {
 	}
 	op := ex.opFor(p)
 	t0 := time.Now()
-	rt, err := routeParts(ex.parallel, s.parts, len(p.In.Cols()), keyIdx, p.Parts, ex.batch)
+	rt, err := routeParts(ex.parallel, s.parts, len(p.In.Cols()), keyIdx, p.Parts, ex.batch, keep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -437,8 +442,8 @@ func (ex *executor) routeExchange(p *PExchange) (*routes, *stream, error) {
 
 // routeParts routes srcs, width columns wide, on the key columns keyIdx
 // to parts destinations in windows of at most window lanes, one task
-// per source under fan.
-func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, keyIdx []int, parts, window int) (*routes, error) {
+// per source under fan, keeping the lane hashes with keep.
+func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, keyIdx []int, parts, window int, keep bool) (*routes, error) {
 	longest := 1
 	for i := range srcs {
 		longest = max(longest, srcs[i].N)
@@ -447,6 +452,9 @@ func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, ke
 		srcs: srcs, width: width, parts: parts, window: min(window, longest),
 		lanes: make([][]int32, len(srcs)), offs: make([][]int32, len(srcs)),
 		rows: make([]int64, parts), bytes: make([]float64, parts),
+	}
+	if keep {
+		rt.hashes = make([][]uint64, len(srcs))
 	}
 	// Each source task totals its own stretch of rows and bytes.
 	rows, bytes := make([]int64, len(srcs)*parts), make([]float64, len(srcs)*parts)
@@ -463,8 +471,10 @@ func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, ke
 	return rt, nil
 }
 
-// route fills lanes[i] and offs[i] and adds what each destination
-// receives from source i to rows and bytes.
+// route fills lanes[i] and offs[i] (and hashes[i] when kept) and adds
+// what each destination receives from source i to rows and bytes. A
+// string key whose dictionary is no longer than the source hashes once
+// per dictionary code.
 //
 //hot:exchange routing, per window
 func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
@@ -473,6 +483,17 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	offs := make([]int32, ((src.N+rt.window-1)/rt.window)*(parts+1))
 	next := make([]int32, parts)
 	keys := make([]Vector, len(keyIdx))
+	codes := make([][]uint64, len(keyIdx))
+	for k, ci := range keyIdx {
+		if cv := &src.Cols[ci]; !cv.Any && cv.Kind == table.KindString && len(cv.Dict) <= src.N {
+			codes[k] = dictHashes(cv.Dict)
+		}
+	}
+	var kept []uint64
+	if rt.hashes != nil {
+		kept = make([]uint64, src.N)
+		rt.hashes[i] = kept
+	}
 	var cols []Vector
 	var dest []uint64
 	for w, pos := 0, 0; pos < src.N; w++ {
@@ -480,10 +501,15 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 		for k, ci := range keyIdx {
 			keys[k] = window(&src.Cols[ci], pos, n)
 		}
+		// Destinations overwrite the hashes in place unless they are kept.
 		dest = extend(dest[:0], n)
-		hashKeys(dest, keys, exchangeHashSeed, nil, n)
+		hs := dest
+		if kept != nil {
+			hs = kept[pos : pos+n]
+		}
+		hashKeys(hs, keys, codes, exchangeHashSeed, nil, n)
 		off := offs[w*(parts+1):][:parts+1]
-		for j, h := range dest {
+		for j, h := range hs {
 			d := h % mod
 			dest[j] = d
 			off[d+1]++

@@ -17,7 +17,9 @@ package pool
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -174,10 +176,32 @@ func (j *job) finishLocked(err error) {
 	}
 }
 
+// PanicError is a task's panic, recovered by the pool and returned by
+// Run as the job's error.
+type PanicError struct {
+	// Value is what the task passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack (debug.Stack) as the
+	// panic unwound.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("pool: task panicked: %v", e.Value) }
+
+// call runs fn(i), returning a panic as a *PanicError.
+func call(fn func(int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
+}
+
 // run executes one claimed task outside the pool mutex.
 func (j *job) run(i int) {
 	metrics.PoolRunningTasks.Add(1)
-	err := j.fn(i)
+	err := call(j.fn, i)
 	metrics.PoolRunningTasks.Add(-1)
 	metrics.PoolCompletedTasks.Add(1)
 	j.p.mu.Lock()
@@ -213,7 +237,8 @@ func (p *Pool) worker() {
 // error or context cancellation, unstarted tasks are skipped and the
 // context's error is returned verbatim (context.Canceled or
 // context.DeadlineExceeded) so callers can map it to typed query
-// errors. n <= 1 runs inline on the caller with no scheduling cost.
+// errors. A task that panics fails the job like an error, with a
+// *PanicError. n <= 1 runs inline on the caller with no scheduling cost.
 func (p *Pool) Run(ctx context.Context, n int, fn func(i int) error) (Stats, error) {
 	if n <= 0 {
 		return Stats{}, ctx.Err()
@@ -222,7 +247,7 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(i int) error) (Stats, err
 		return Stats{}, err
 	}
 	if n == 1 {
-		if err := fn(0); err != nil {
+		if err := call(fn, 0); err != nil {
 			return Stats{Tasks: 1}, err
 		}
 		return Stats{Tasks: 1}, ctx.Err()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,5 +235,59 @@ func TestRunAfterCloseDrainsOnCaller(t *testing.T) {
 	}
 	if st.Stolen != 0 {
 		t.Fatalf("closed pool stole %d tasks", st.Stolen)
+	}
+}
+
+// A panicking task fails its job like a task error, with a *PanicError
+// carrying the panic value and the stack: the started tasks finish
+// before Run returns, claims stop (the other tasks wait, as in
+// TestRunFailFastCompletesStartedTasks, until the job is delisted), no
+// goroutine is left, and the pool runs the next job. The inline
+// one-task path recovers too.
+func TestPanicInTaskFailsOneQuery(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const workers = 4
+	p := New(workers)
+	defer p.Close()
+	for _, n := range []int{1, 500} {
+		failing, gate := make(chan struct{}), make(chan struct{})
+		go func() {
+			<-failing
+			for listed := true; listed; runtime.Gosched() {
+				p.mu.Lock()
+				listed = len(p.jobs) > 0
+				p.mu.Unlock()
+			}
+			close(gate)
+		}()
+		var started, finished atomic.Int64
+		var lanes []int
+		st, err := p.Run(context.Background(), n, func(i int) error {
+			started.Add(1)
+			defer finished.Add(1)
+			if i == 0 {
+				close(failing)
+				_ = lanes[i]
+			}
+			<-gate
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%d tasks: got %v, want a *PanicError", n, err)
+		}
+		if _, ok := pe.Value.(runtime.Error); !ok || !strings.Contains(string(pe.Stack), "pool_test.go") {
+			t.Fatalf("%d tasks: panic value %v (%T), stack without the task's frame:\n%s", n, pe.Value, pe.Value, pe.Stack)
+		}
+		if started.Load() != finished.Load() || int(started.Load()) != st.Tasks {
+			t.Fatalf("%d tasks: Run returned with %d started, %d finished, %d counted", n, started.Load(), finished.Load(), st.Tasks)
+		}
+		if st.Tasks > 1+workers {
+			t.Fatalf("%d tasks: %d started after a panic, want at most the caller's and one per worker", n, st.Tasks)
+		}
+	}
+	var ran atomic.Int64
+	if _, err := p.Run(context.Background(), 64, func(int) error { ran.Add(1); return nil }); err != nil || ran.Load() != 64 {
+		t.Fatalf("the job after the panic: err=%v, ran %d of 64", err, ran.Load())
 	}
 }

@@ -210,6 +210,8 @@ func (s *Server) run(ctx context.Context, q *query) {
 	case errors.Is(err, quickr.ErrCanceled) || errors.Is(err, quickr.ErrDeadline):
 		q.status = "canceled"
 	default:
+		// quickr.ErrInternal among them: a panicking executor task fails
+		// this query, and the server keeps serving the others.
 		q.status = "error"
 	}
 	q.mu.Unlock()

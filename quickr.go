@@ -44,14 +44,19 @@ import (
 	"quickr/internal/table"
 )
 
-// Typed errors a context-interrupted query returns (re-exported from
-// the executor so callers need not import internal packages).
+// Typed errors a context-interrupted or failed query returns
+// (re-exported from the executor so callers need not import internal
+// packages).
 var (
 	// ErrCanceled is returned when the query's context was canceled;
 	// cancellation takes effect within one executor batch boundary.
 	ErrCanceled = exec.ErrCanceled
 	// ErrDeadline is returned when the query's context deadline passed.
 	ErrDeadline = exec.ErrDeadline
+	// ErrInternal is returned, wrapped with the panic value and where it
+	// was raised, when an executor task panicked: the query fails, the
+	// engine keeps serving.
+	ErrInternal = exec.ErrInternal
 )
 
 // DefaultMemoryBudget is the admission gate's default byte budget: the
