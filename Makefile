@@ -16,7 +16,7 @@ test:
 # the statistics store that extends itself from the table's new lanes
 # (with the catalog that hands it out); then the fused pipeline, the
 # per-partition aggregate runners, the broadcast probes (every probe
-# task reads one shared build table), the routed exchange (its gather
+# task reads one shared build table, dense or hashed), the routed exchange (its gather
 # tasks and the aggregate's stripe tasks read one routing, and its
 # group tables take the routing hashes), the compare kernels, the
 # distinct sampler (its admit loop against the row reference, its key
@@ -25,7 +25,7 @@ test:
 # Keep all three lines in lockstep with the CI race job.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
-	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp' ./internal/exec/ ./internal/sampler/ ./internal/pool/
+	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestDense|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp' ./internal/exec/ ./internal/sampler/ ./internal/pool/
 	$(GO) test -race -count=3 -run 'TestTable' ./internal/table/
 
 # Concurrency hammer: 32+ mixed exact/approx queries on one engine under

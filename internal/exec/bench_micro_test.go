@@ -1,8 +1,9 @@
 package exec
 
 // Microbenchmarks for the executor's hottest paths — hash-join
-// build/probe (a bare join of each shape, and a star join whose three
-// broadcast probes run in one fused chain), the keyed exchange (routed
+// build/probe (a bare join of each shape on dense keys, one on keys too
+// sparse to index, and a star join whose three broadcast probes run in
+// one fused chain), the keyed exchange (routed
 // and gathered, and routed under the aggregate that folds it in place),
 // grouped aggregation (a two-column key, a lone dictionary key, a lone
 // integer key, COUNT(DISTINCT) behind an exchange), a range filter over
@@ -23,8 +24,9 @@ import (
 // benchTables builds a dim table (one row per key) and a fact table
 // (rows cycling over the keys), co-located so the same plan can run
 // broadcast or co-partitioned. Keys mix an int and a string column so
-// the hash paths see both fixed-width and variable-width values.
-func benchTables(parts, dimRows, factRows int) (dim, fact *table.Table) {
+// the hash paths see both fixed-width and variable-width values; key k's
+// int is k·stride.
+func benchTables(parts, dimRows, factRows int, stride int64) (dim, fact *table.Table) {
 	sc := table.NewSchema(
 		table.Column{Name: "k", Kind: table.KindInt},
 		table.Column{Name: "s", Kind: table.KindString},
@@ -33,7 +35,7 @@ func benchTables(parts, dimRows, factRows int) (dim, fact *table.Table) {
 	dim = table.New("bench_dim", sc, parts)
 	for k := 0; k < dimRows; k++ {
 		dim.Append(k, table.Row{
-			table.NewInt(int64(k)),
+			table.NewInt(int64(k) * stride),
 			table.NewString(fmt.Sprintf("key-%04d", k)),
 			table.NewFloat(float64(k) * 0.5),
 		})
@@ -42,7 +44,7 @@ func benchTables(parts, dimRows, factRows int) (dim, fact *table.Table) {
 	for i := 0; i < factRows; i++ {
 		k := i % dimRows
 		fact.Append(k, table.Row{
-			table.NewInt(int64(k)),
+			table.NewInt(int64(k) * stride),
 			table.NewString(fmt.Sprintf("key-%04d", k)),
 			table.NewFloat(float64(i)),
 		})
@@ -75,7 +77,11 @@ type hotPlan struct {
 // filter when keys were hashed once and compares dispatched once (1419,
 // 582; 1497 and 599 under -race; the aggregate over the exchange rose
 // from 1988 to 2007 then, a kept hash slice and a dictionary's code
-// hashes per source). A 16Ki–64Ki-row run that boxed one row per lane or
+// hashes per source), and the join on keys too sparse to index when
+// lone narrow integer keys began to index (804, 834 under -race; the
+// two bare joins and the star join, which index, then read 792, 865
+// and 1890, down from 801, 891 and 1922, so their ceilings stay). A
+// 16Ki–64Ki-row run that boxed one row per lane or
 // allocated one object per group would add tens of thousands. Counts
 // repeat to within ±6 at GOMAXPROCS 1, 2 and 8 (±25 for the aggregate
 // over the exchange): pool scheduling is the only jitter. The -race
@@ -100,6 +106,7 @@ var hotPlans = []hotPlan{
 	{"BenchmarkStarJoin", starJoinPlan, 2413},
 	{"BenchmarkCountDistinctOverExchange", countDistinctOverExchangePlan, 1774},
 	{"BenchmarkCmpFloatConst", cmpFloatConstPlan, 728},
+	{"BenchmarkJoinSparseKeys", joinSparseKeysPlan, 1005},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -108,8 +115,8 @@ var hotPlans = []hotPlan{
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 17 {
-		t.Fatalf("hotPlans holds %d plans, want the 17 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 18 {
+		t.Fatalf("hotPlans holds %d plans, want the 18 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -146,9 +153,9 @@ func benchPlan(b *testing.B, build func() (PNode, int)) {
 	}
 }
 
-func benchJoinPlan(broadcast bool) (PNode, int) {
+func benchJoinPlan(broadcast bool, stride int64) (PNode, int) {
 	const parts, dimRows, factRows = 4, 2048, 32768
-	dim, fact := benchTables(parts, dimRows, factRows)
+	dim, fact := benchTables(parts, dimRows, factRows, stride)
 	ls, rs := scanOf(fact), scanOf(dim)
 	join := &PHashJoin{
 		Kind: lplan.InnerJoin, Left: ls, Right: rs,
@@ -159,8 +166,12 @@ func benchJoinPlan(broadcast bool) (PNode, int) {
 	return join, factRows
 }
 
-func joinBroadcastPlan() (PNode, int)     { return benchJoinPlan(true) }
-func joinCoPartitionedPlan() (PNode, int) { return benchJoinPlan(false) }
+func joinBroadcastPlan() (PNode, int)     { return benchJoinPlan(true, 1) }
+func joinCoPartitionedPlan() (PNode, int) { return benchJoinPlan(false, 1) }
+
+// joinSparseKeysPlan is joinBroadcastPlan with the keys spread 2²⁰
+// apart, far past the dense table's span bound, so the join hashes.
+func joinSparseKeysPlan() (PNode, int) { return benchJoinPlan(true, 1<<20) }
 
 // BenchmarkJoinBroadcast measures the broadcast hash join: the gathered
 // build side is shared read-only across every probe task, each probe
@@ -171,6 +182,11 @@ func BenchmarkJoinBroadcast(b *testing.B) { benchPlan(b, joinBroadcastPlan) }
 // BenchmarkJoinCoPartitioned measures the co-partitioned hash join
 // (per-task build over the task's co-located build partition).
 func BenchmarkJoinCoPartitioned(b *testing.B) { benchPlan(b, joinCoPartitionedPlan) }
+
+// BenchmarkJoinSparseKeys measures the broadcast join on keys too spread
+// to index: the build hashes every row and the probe hashes every lane,
+// walks a shard's slots and compares keys.
+func BenchmarkJoinSparseKeys(b *testing.B) { benchPlan(b, joinSparseKeysPlan) }
 
 // starJoinPlan is the ad-hoc workload's star join: a fact table joined to
 // three dimension tables (2048 items with a name, 64 stores with a
@@ -234,7 +250,7 @@ func BenchmarkStarJoin(b *testing.B) { benchPlan(b, starJoinPlan) }
 
 func exchangeGatherPlan() (PNode, int) {
 	const parts, keys, rows = 4, 2048, 65536
-	_, fact := benchTables(parts, keys, rows)
+	_, fact := benchTables(parts, keys, rows, 1)
 	scan := scanOf(fact)
 	return &PExchange{In: scan, Keys: []lplan.ColumnID{scan.OutCols[0].ID, scan.OutCols[1].ID}, Parts: 8}, rows
 }
@@ -248,7 +264,7 @@ func BenchmarkExchangeGather(b *testing.B) { benchPlan(b, exchangeGatherPlan) }
 
 func groupedAggPlan() (PNode, int) {
 	const parts, groups, rows = 4, 256, 65536
-	_, fact := benchTables(parts, groups, rows)
+	_, fact := benchTables(parts, groups, rows, 1)
 	scan := scanOf(fact)
 	k, s, v := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
 	nextID += 2
@@ -477,7 +493,7 @@ func BenchmarkDistinctSample(b *testing.B) { benchPlan(b, distinctSamplePlan) }
 
 func windowPartitionPlan() (PNode, int) {
 	const parts, groups, rows = 4, 64, 16384
-	_, fact := benchTables(parts, groups, rows)
+	_, fact := benchTables(parts, groups, rows, 1)
 	scan := scanOf(fact)
 	k, s, v := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
 	nextID += 2
@@ -503,7 +519,7 @@ func BenchmarkWindowPartition(b *testing.B) { benchPlan(b, windowPartitionPlan) 
 
 func sortPartitionsPlan() (PNode, int) {
 	const parts, groups, rows = 8, 512, 65536
-	_, fact := benchTables(parts, groups, rows)
+	_, fact := benchTables(parts, groups, rows, 1)
 	scan := scanOf(fact)
 	return &PSort{
 		In: scan,

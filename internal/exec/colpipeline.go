@@ -486,8 +486,9 @@ func (d *distinctLanes) emit(src []Vector) Batch {
 }
 
 // colProbeOp is a hash join's probe: per pulled batch it hashes the live
-// lanes' key vectors, walks each lane's chain in the build table and
-// emits the matching (probe lane, build row) pairs, in that order, as
+// lanes' key vectors (or, on a dense table, indexes by the lone key),
+// walks each lane's chain in the build table and emits the matching
+// (probe lane, build row) pairs, in that order, as
 // one batch — probe columns, then build columns — gathered into builders
 // it owns and reuses. Under a left outer join a lane with no match pairs
 // with build row −1, a NULL pad. An output batch holds every pair of its
@@ -571,20 +572,24 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 	for k, ci := range o.js.lIdx {
 		o.keys[k] = b.cols[ci]
 	}
-	o.hashes = extend(o.hashes[:0], b.n)
-	hashKeys(o.hashes, o.keys, nil, joinHashSeed, b.sel, b.n)
 	bt, pad := o.bt, o.outer && o.resid == nil
 	pl, pr := o.pl[:0], o.pr[:0]
-	for _, i := range sel {
-		matched := false
-		for ri := bt.lookup(o.hashes[i]); ri >= 0; ri = bt.next[ri] {
-			if lanesEqual(o.keys, int(i), bt.keys, int(ri)) {
-				pl, pr = append(pl, i), append(pr, ri)
-				matched = true
+	if bt.dense {
+		pl, pr = denseMatches(bt, &o.keys[0], sel, pad, pl, pr)
+	} else {
+		o.hashes = extend(o.hashes[:0], b.n)
+		hashKeys(o.hashes, o.keys, nil, joinHashSeed, b.sel, b.n)
+		for _, i := range sel {
+			matched := false
+			for ri := bt.lookup(o.hashes[i]); ri >= 0; ri = bt.next[ri] {
+				if lanesEqual(o.keys, int(i), bt.keys, int(ri)) {
+					pl, pr = append(pl, i), append(pr, ri)
+					matched = true
+				}
 			}
-		}
-		if !matched && pad {
-			pl, pr = append(pl, i), append(pr, -1)
+			if !matched && pad {
+				pl, pr = append(pl, i), append(pr, -1)
+			}
 		}
 	}
 	o.pl, o.pr = pl, pr
@@ -621,6 +626,61 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 		bytes += o.vecs[c].bytesAll()
 	}
 	return Batch{cols: o.vecs, n: len(pl), weights: out.w, bytes: bytes}
+}
+
+// denseMatches appends to (pl, pr) the pairs of the live lanes sel of
+// the probe key against the dense table bt, in lane order and then
+// build-row order, with a (lane, −1) pad for an unmatched lane when pad
+// is set. Every row on a key's chain holds that key, so nothing is
+// hashed or compared.
+//
+//hot:dense join probe, per live lane, gated by BenchmarkJoin* and BenchmarkStarJoin allocs/op
+func denseMatches(bt *joinTable, key *Vector, sel []int32, pad bool, pl, pr []int32) ([]int32, []int32) {
+	ints, span := key.K == VKInt && key.nulls == nil, uint64(len(bt.head))
+	for _, i := range sel {
+		k, ok := int64(0), ints
+		if ints {
+			k = key.Ints[i]
+		} else {
+			k, ok = denseKey(key, int(i))
+		}
+		ri := int32(-1)
+		if d := uint64(k) - uint64(bt.lo); ok && d < span {
+			ri = bt.head[d] - 1
+		}
+		if ri < 0 && pad {
+			pl, pr = append(pl, i), append(pr, -1)
+		}
+		for ; ri >= 0; ri = bt.next[ri] {
+			pl, pr = append(pl, i), append(pr, ri)
+		}
+	}
+	return pl, pr
+}
+
+// denseKey returns the integer a dense join table is indexed by for
+// lane i of v, or false when the lane equals no integer: a NULL, string
+// or bool, or a float that is not exactly an int64's value. Those are
+// the float lanes whose HashFloat is HashInt(int64(f)) and that
+// Value.Equal then finds equal to it, so the dense probe matches what
+// the hashed one does.
+func denseKey(v *Vector, i int) (int64, bool) {
+	switch v.K {
+	case VKInt:
+		return v.Ints[i], !v.IsNull(i)
+	case VKFloat:
+		k := int64(v.Floats[i])
+		return k, !v.IsNull(i) && float64(k) == v.Floats[i]
+	case VKAny:
+		switch x := v.Vals[i]; x.Kind() {
+		case table.KindInt:
+			return x.Int(), true
+		case table.KindFloat:
+			k := int64(x.Float())
+			return k, float64(k) == x.Float()
+		}
+	}
+	return 0, false
 }
 
 // joinResidual evaluates a join's residual predicate over a batch's

@@ -18,13 +18,16 @@ package exec
 //     probe tasks. Rows with equal join-key hash form flat []int32
 //     chains of build-row indexes; the slot directory is sharded so the
 //     build parallelizes while chain order stays the global build-row
-//     order (which fixes the order of the probe's output).
+//     order (which fixes the order of the probe's output). A lone
+//     integer key over a narrow range is indexed instead: its chains
+//     hang off a direct-address array by key − lo, and nothing hashes.
 //
 // Row hashing canonicalizes values exactly like Value.Key(), so the
 // hash-based group tables partition rows identically to the string keys
 // the engine previously concatenated per row.
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -422,19 +425,29 @@ func keyLanesEqual(a []Vector, i int, b []Vector, j int) bool {
 	return true
 }
 
-// joinTable is a read-only build-side hash table over one column-major
-// build partition. lookup(h) returns the index of the first build row
-// whose join keys hashed to h (walk next[] for the rest; -1 terminates).
-// Chains are in build-row order regardless of how many shards built the
-// table. A probe compares its key lanes against keys and gathers its
-// output from cols and w by build-row index.
+// joinTable is a read-only build-side table over one column-major build
+// partition, in one of two shapes. Hashed, lookup(h) returns the index
+// of the first build row whose join keys hashed to h (walk next[] for
+// the rest; -1 terminates), and a probe compares its key lanes against
+// keys. Dense, head[k−lo]−1 is the first build row whose lone integer
+// key is k, and every row on that chain holds k. Either way chains are
+// in build-row order, and a probe gathers its output from cols and w by
+// build-row index.
 type joinTable struct {
 	cols []Vector  // every build column, windowed whole
 	keys []Vector  // the join-key columns among them
 	w    []float64 // build-row weights
 	next []int32
-	// hashes holds each build row's join-key hash; kept so probes can be
-	// cross-checked in tests and shards rebuilt without rehashing.
+
+	// The dense shape (denseJoinTable): chain heads by key − lo, build
+	// row +1, 0 = no row holds the key.
+	dense bool
+	lo    int64
+	head  []int32
+
+	// The hashed shape. hashes holds each build row's join-key hash;
+	// kept so probes can be cross-checked in tests and shards rebuilt
+	// without rehashing.
 	hashes    []uint64
 	shards    []joinShard
 	shardMask uint64
@@ -463,13 +476,68 @@ func joinTableShards(n int) int {
 // joinHashSeed is the HashRow seed of join keys, on both sides.
 const joinHashSeed = 3
 
-// buildJoinTable hashes the keyIdx columns of the build partition
+// buildJoinTable builds the table over the keyIdx columns of the build
+// partition: dense when denseJoinTable takes them, hashed otherwise.
+func buildJoinTable(build *Part, keyIdx []int, parallel func(n int, fn func(i int) error) error) (*joinTable, error) {
+	if len(keyIdx) == 1 {
+		if t := denseJoinTable(build, keyIdx[0]); t != nil {
+			return t, nil
+		}
+	}
+	return buildHashJoinTable(build, keyIdx, parallel)
+}
+
+// denseJoinTable indexes the build partition by its integer key column
+// ki, or returns nil when that column is not VKInt or its non-NULL keys
+// span more than max(8·rows, 4096) values. The bound is a memory rule:
+// head costs 4 B a slot, so at most 32 B a build row (or 16 KiB), where
+// the hashed shape costs at least 40 B a row (an 8 B hash and two 16 B
+// directory slots). NULL keys stay out of the index, as NULL equals
+// nothing; chains are threaded back to front so they run in build-row
+// order.
+func denseJoinTable(build *Part, ki int) *joinTable {
+	cols := build.vectors()
+	key := &cols[ki]
+	if key.K != VKInt {
+		return nil
+	}
+	n := build.N
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i, k := range key.Ints[:n] {
+		if key.nulls == nil || !key.IsNull(i) {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	span := 0
+	if lo <= hi {
+		// The span as unsigned: keys near MinInt64 and MaxInt64 overflow
+		// a signed difference.
+		d := uint64(hi) - uint64(lo)
+		if d >= uint64(max(8*n, 4096)) {
+			return nil
+		}
+		span = int(d) + 1
+	}
+	t := &joinTable{cols: cols, keys: cols[ki : ki+1 : ki+1], w: build.W, next: make([]int32, n),
+		dense: true, lo: lo, head: make([]int32, span)}
+	for i := n - 1; i >= 0; i-- {
+		t.next[i] = -1
+		if key.nulls == nil || !key.IsNull(i) {
+			d := key.Ints[i] - lo
+			t.next[i] = t.head[d] - 1
+			t.head[d] = int32(i + 1)
+		}
+	}
+	return t
+}
+
+// buildHashJoinTable hashes the keyIdx columns of the build partition
 // (hashKeys, bit-equal to table.HashRow with joinHashSeed) and builds
 // the sharded directory. parallel runs fn(i) for i in [0,n)
 // concurrently (the executor passes its pool fan-out; tests may pass a
 // serial loop). The build is deterministic: each shard inserts its rows
 // in global build order.
-func buildJoinTable(build *Part, keyIdx []int, parallel func(n int, fn func(i int) error) error) (*joinTable, error) {
+func buildHashJoinTable(build *Part, keyIdx []int, parallel func(n int, fn func(i int) error) error) (*joinTable, error) {
 	rows := build.N
 	nShards := joinTableShards(rows)
 	shardBits := uint(0)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -272,7 +273,7 @@ func joinRowsFor(n, dups int) (Part, []table.Row) {
 func TestJoinTableChainOrder(t *testing.T) {
 	for _, n := range []int{300, 5000} { // below and above the shard cutoff
 		build, rows := joinRowsFor(n, 17)
-		bt, err := buildJoinTable(&build, []int{0, 1}, serialFan)
+		bt, err := buildHashJoinTable(&build, []int{0, 1}, serialFan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func TestJoinTableHashCollisions(t *testing.T) {
 		pb.appendRow(table.Row{table.Null, table.NewInt(int64(i))})
 	}
 	build := pb.finish()
-	bt, err := buildJoinTable(&build, []int{0}, serialFan) // every row: the same NULL-key hash
+	bt, err := buildHashJoinTable(&build, []int{0}, serialFan) // every row: the same NULL-key hash
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,8 @@ func TestJoinTableHashCollisions(t *testing.T) {
 	}
 	// An int probe key whose hash equals no build hash finds no chain; one
 	// compared against a colliding chain of other ints matches only itself.
-	bt2, err := buildJoinTable(&build, []int{1}, serialFan)
+	// (buildJoinTable would index these 64 dense ints instead of hashing.)
+	bt2, err := buildHashJoinTable(&build, []int{1}, serialFan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +383,11 @@ func TestJoinTableParallelBuildMatchesSerial(t *testing.T) {
 		}
 		return nil
 	}
-	a, err := buildJoinTable(&build, []int{0, 1}, serialFan)
+	a, err := buildHashJoinTable(&build, []int{0, 1}, serialFan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := buildJoinTable(&build, []int{0, 1}, concurrent)
+	b, err := buildHashJoinTable(&build, []int{0, 1}, concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +415,7 @@ func TestJoinTableParallelBuildMatchesSerial(t *testing.T) {
 func TestJoinTableConcurrentProbes(t *testing.T) {
 	const n, dups, probers = 5000, 41, 32
 	build, _ := joinRowsFor(n, dups)
-	bt, err := buildJoinTable(&build, []int{0, 1}, serialFan)
+	bt, err := buildHashJoinTable(&build, []int{0, 1}, serialFan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +458,302 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// keyPart builds a one-partition build side over (k, u): the given keys
+// and u = row index.
+func keyPart(keys []table.Value) Part {
+	pb := newPartBuilder(2, len(keys))
+	for i, k := range keys {
+		pb.appendRow(table.Row{k, table.NewFloat(float64(i))})
+	}
+	return pb.finish()
+}
+
+// intKeys boxes ks as int values.
+func intKeys(ks ...int64) []table.Value {
+	out := make([]table.Value, len(ks))
+	for i, k := range ks {
+		out[i] = table.NewInt(k)
+	}
+	return out
+}
+
+// vectorOf builds one column from vals.
+func vectorOf(vals []table.Value) Vector {
+	pb := newPartBuilder(1, len(vals))
+	for _, v := range vals {
+		pb.appendRow(table.Row{v})
+	}
+	p := pb.finish()
+	return p.vectors()[0]
+}
+
+// probePairs runs a probe of bt over one batch of the lone key column
+// key (live lanes sel, nil = all) and returns the (probe lane, build
+// row) pairs it recorded.
+func probePairs(bt *joinTable, key Vector, sel []int32, outer bool) ([]int32, []int32) {
+	o := &colProbeOp{js: &joinSpec{p: &PHashJoin{}, lIdx: []int{0}}, bt: bt, outer: outer,
+		keys: make([]Vector, 1), out: newPartBuilder(1+len(bt.cols), 0)}
+	w := make([]float64, key.N)
+	for i := range w {
+		w[i] = 1
+	}
+	o.probe(&Batch{cols: []Vector{key}, n: key.N, sel: sel, weights: w})
+	return slices.Clone(o.pl), slices.Clone(o.pr)
+}
+
+// TestDenseJoinMatchesHashJoin holds the dense join table to the hashed
+// one over the same build side: every probe kind, dense and selected
+// batches, inner and outer pads must record identical (lane, build row)
+// pairs. The build sides cover duplicates, negatives, one row, NULL
+// keys, ranges exactly at the dense cutoff and one past it (hashed on
+// both sides), and narrow ranges at either end of int64; the probes an
+// int column with NULLs, floats that are integral, not, NaN, ±Inf, −0
+// or beyond int64, a mixed column, strings, bools and an all-NULL
+// column. Then both join shapes run through the executor against the
+// row reference, inner and left outer, with and without a residual.
+func TestDenseJoinMatchesHashJoin(t *testing.T) {
+	spaced := func(n int, lo, last int64) []table.Value {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = lo + int64(i)*8
+		}
+		ks[n-1] = last
+		return intKeys(ks...)
+	}
+	var dups []table.Value
+	for i := 0; i < 60; i++ {
+		k := table.NewInt(int64(i%13 - 6))
+		if i%5 == 2 {
+			k = table.Null
+		}
+		dups = append(dups, k)
+	}
+	builds := []struct {
+		name  string
+		keys  []table.Value
+		dense bool
+	}{
+		{"duplicates and negatives", dups, true},
+		{"one row", intKeys(5), true},
+		{"NULL rows", []table.Value{table.Null, table.NewInt(3), table.Null, table.NewInt(3)}, true},
+		{"4096 values", intKeys(-100, 3995, -100, 17), true},
+		{"4097 values", intKeys(-100, 3996, -100, 17), false},
+		{"8 values a row", spaced(600, -1000, -1000+4799), true},
+		{"past 8 values a row", spaced(600, -1000, -1000+4800), false},
+		{"top of int64", intKeys(math.MaxInt64, math.MaxInt64-3, math.MaxInt64), true},
+		{"bottom of int64", intKeys(math.MinInt64+2, math.MinInt64, math.MinInt64+2), true},
+	}
+	for _, b := range builds {
+		build := keyPart(b.keys)
+		dense, err := buildJoinTable(&build, []int{0}, serialFan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashed, err := buildHashJoinTable(&build, []int{0}, serialFan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense.dense != b.dense || hashed.dense {
+			t.Fatalf("%s: built dense=%v, want %v", b.name, dense.dense, b.dense)
+		}
+		var ints, floats, mixed, strs []table.Value
+		for i, k := range b.keys {
+			if k.IsNull() {
+				continue
+			}
+			x := k.Int()
+			ints = append(ints, k, table.NewInt(x-1), table.NewInt(x+1))
+			floats = append(floats, table.NewFloat(float64(x)), table.NewFloat(float64(x)+0.5))
+			mixed = append(mixed, []table.Value{k, table.NewFloat(float64(x)), table.NewFloat(float64(x) - 0.25),
+				table.NewString(fmt.Sprint(x)), table.NewBool(i%2 == 0), table.Null}[i%6])
+			strs = append(strs, table.NewString(fmt.Sprint(x)))
+		}
+		ints = append(ints, table.Null, table.NewInt(math.MinInt64), table.NewInt(math.MaxInt64), table.NewInt(0))
+		floats = append(floats, table.Null, table.NewFloat(math.NaN()), table.NewFloat(math.Inf(1)),
+			table.NewFloat(math.Inf(-1)), table.NewFloat(math.Copysign(0, -1)), table.NewFloat(0x1p63),
+			table.NewFloat(-0x1p63), table.NewFloat(1e300), table.NewFloat(-0x1p63-4096))
+		mixed = append(mixed, table.NewInt(0), table.NewFloat(0.5), table.NewString("x"), table.Null, table.NewFloat(math.NaN()))
+		strs = append(strs, table.Null)
+		probes := map[VecKind][]table.Value{
+			VKInt: ints, VKFloat: floats, VKAny: mixed, VKStr: strs,
+			VKBool: {table.NewBool(true), table.Null, table.NewBool(false)},
+			VKNull: {table.Null, table.Null, table.Null},
+		}
+		for kind, vals := range probes {
+			key := vectorOf(vals)
+			if key.K != kind {
+				t.Fatalf("%s: probe column of kind %d, want %d", b.name, key.K, kind)
+			}
+			var every3 []int32
+			for i := 0; i < key.N; i++ {
+				if i%3 != 1 {
+					every3 = append(every3, int32(i))
+				}
+			}
+			for _, sel := range [][]int32{nil, every3} {
+				for _, outer := range []bool{false, true} {
+					dl, dr := probePairs(dense, key, sel, outer)
+					hl, hr := probePairs(hashed, key, sel, outer)
+					if !slices.Equal(dl, hl) || !slices.Equal(dr, hr) {
+						t.Fatalf("%s, probe kind %d, sel %v, outer %v:\ndense  %v %v\nhashed %v %v",
+							b.name, kind, sel != nil, outer, dl, dr, hl, hr)
+					}
+				}
+			}
+		}
+	}
+
+	probe, build := denseJoinFixture("dj")
+	for key := 0; key < 6; key++ {
+		for _, broadcast := range []bool{true, false} {
+			for _, kind := range []lplan.JoinKind{lplan.InnerJoin, lplan.LeftOuterJoin} {
+				for _, residual := range []bool{false, true} {
+					t.Run(fmt.Sprintf("key=%s/broadcast=%v/%v/residual=%v", probe.Schema.Cols[key].Name, broadcast, kind, residual), func(t *testing.T) {
+						sameAsReference(t, func() PNode {
+							ls, rs := scanOf(probe), scanOf(build)
+							lk, rk := []lplan.ColumnID{ls.OutCols[key].ID}, []lplan.ColumnID{rs.OutCols[0].ID}
+							var l, r PNode = ls, rs
+							if !broadcast {
+								l = &PExchange{In: l, Keys: lk, Parts: 3}
+								r = &PExchange{In: r, Keys: rk, Parts: 3}
+							}
+							j := &PHashJoin{Kind: kind, Left: l, Right: r, LeftKeys: lk, RightKeys: rk, Broadcast: broadcast}
+							if residual {
+								v, u := ls.OutCols[6], rs.OutCols[1]
+								j.Residual = &lplan.Binary{Op: lplan.OpGt,
+									L: &lplan.ColRef{ID: v.ID, Name: v.Name, Kind: v.Kind},
+									R: &lplan.Binary{Op: lplan.OpMul, L: &lplan.Const{Val: table.NewInt(4)},
+										R: &lplan.ColRef{ID: u.ID, Name: u.Name, Kind: u.Kind}}}
+							}
+							return j
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// denseJoinFixture builds a probe table whose first six columns are join
+// keys of every kind — ints with NULLs, floats (integral, not, NaN, ±Inf,
+// −0, beyond int64), a mixed column, strings, bools, all NULL — plus a
+// payload v, and a build table over an int key with duplicates,
+// negatives and NULLs, whose broadcast and co-partitioned tables are
+// dense, plus a payload u.
+func denseJoinFixture(name string) (probe, build *table.Table) {
+	probe = table.New(name+"_probe", table.NewSchema(
+		table.Column{Name: "ki", Kind: table.KindInt},
+		table.Column{Name: "kf", Kind: table.KindFloat},
+		table.Column{Name: "km", Kind: table.KindFloat},
+		table.Column{Name: "ks", Kind: table.KindString},
+		table.Column{Name: "kb", Kind: table.KindBool},
+		table.Column{Name: "kn", Kind: table.KindInt},
+		table.Column{Name: "v", Kind: table.KindFloat},
+	), 4)
+	for i := 0; i < 400; i++ {
+		x := int64(i%17 - 8)
+		ki := table.NewInt(x)
+		if i%9 == 4 {
+			ki = table.Null
+		}
+		kf := []table.Value{table.NewFloat(float64(x)), table.NewFloat(float64(x) + 0.5), table.NewFloat(math.NaN()),
+			table.NewFloat(math.Inf(1)), table.NewFloat(math.Inf(-1)), table.NewFloat(math.Copysign(0, -1)),
+			table.NewFloat(1e19), table.NewFloat(-0x1p63), table.Null}[i%9]
+		km := []table.Value{table.NewInt(x), table.NewFloat(float64(x)), table.NewString(fmt.Sprint(x)),
+			table.NewBool(x > 0), table.Null}[i%5]
+		probe.Append(i, table.Row{ki, kf, km, table.NewString(fmt.Sprint(i % 5)), table.NewBool(i%2 == 0),
+			table.Null, table.NewFloat(float64(i % 50))})
+	}
+	build = table.New(name+"_build", table.NewSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "u", Kind: table.KindFloat},
+	), 3)
+	for i := 0; i < 120; i++ {
+		k := table.NewInt(int64(i%13 - 6))
+		if i%11 == 3 {
+			k = table.Null
+		}
+		build.Append(i, table.Row{k, table.NewFloat(float64(i) / 8)})
+	}
+	return probe, build
+}
+
+// TestJoinTableDenseChainOrder: a dense table's chains visit build rows
+// in build order for duplicate keys, below and above the hashed table's
+// shard cutoff, with no hash; NULL build keys sit on no chain and match
+// nothing; a span that overflows int64 keeps the table hashed, while
+// narrow ranges at either end of int64 index.
+func TestJoinTableDenseChainOrder(t *testing.T) {
+	for _, n := range []int{300, 5000} {
+		build, _ := joinRowsFor(n, 17)
+		bt, err := buildJoinTable(&build, []int{0}, serialFan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bt.dense || bt.lo != 0 || len(bt.head) != 17 || bt.hashes != nil || bt.shards != nil {
+			t.Fatalf("n=%d: dense=%v lo=%d %d heads, hashes %v", n, bt.dense, bt.lo, len(bt.head), bt.hashes != nil)
+		}
+		for k := 0; k < 17; k++ {
+			var got, want []int
+			for ri := bt.head[k] - 1; ri >= 0; ri = bt.next[ri] {
+				got = append(got, int(ri))
+			}
+			for i := k; i < n; i += 17 {
+				want = append(want, i)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d key %d: chain %v, want %v", n, k, got, want)
+			}
+		}
+	}
+
+	build := keyPart([]table.Value{table.Null, table.NewInt(2), table.Null, table.NewInt(2), table.NewInt(4), table.Null})
+	bt, err := buildJoinTable(&build, []int{0}, serialFan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bt.dense || bt.lo != 2 || len(bt.head) != 3 {
+		t.Fatalf("NULL-bearing build: dense=%v lo=%d %d heads", bt.dense, bt.lo, len(bt.head))
+	}
+	var chained []int32
+	for _, h := range bt.head {
+		for ri := h - 1; ri >= 0; ri = bt.next[ri] {
+			chained = append(chained, ri)
+		}
+	}
+	if !slices.Equal(chained, []int32{1, 3, 4}) {
+		t.Fatalf("chains hold build rows %v, want [1 3 4]", chained)
+	}
+	pl, pr := probePairs(bt, vectorOf([]table.Value{table.Null, table.NewInt(2), table.Null, table.NewInt(3)}), nil, true)
+	if !slices.Equal(pl, []int32{0, 1, 1, 2, 3}) || !slices.Equal(pr, []int32{-1, 1, 3, -1, -1}) {
+		t.Fatalf("NULL probe lanes: pairs %v %v, want [0 1 1 2 3] [-1 1 3 -1 -1]", pl, pr)
+	}
+
+	for _, c := range []struct {
+		keys  []int64
+		dense bool
+	}{
+		{[]int64{math.MinInt64, math.MaxInt64}, false},
+		{[]int64{math.MinInt64, 0}, false},
+		{[]int64{-1, math.MaxInt64}, false},
+		{[]int64{math.MaxInt64, math.MaxInt64 - 1}, true},
+		{[]int64{math.MinInt64 + 1, math.MinInt64}, true},
+	} {
+		build := keyPart(intKeys(c.keys...))
+		bt, err := buildJoinTable(&build, []int{0}, serialFan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt.dense != c.dense {
+			t.Fatalf("keys %v: dense=%v, want %v", c.keys, bt.dense, c.dense)
+		}
+		pl, pr := probePairs(bt, vectorOf(intKeys(c.keys[1], c.keys[0])), nil, false)
+		if !slices.Equal(pl, []int32{0, 1}) || !slices.Equal(pr, []int32{1, 0}) {
+			t.Fatalf("keys %v: pairs %v %v, want [0 1] [1 0]", c.keys, pl, pr)
+		}
 	}
 }
 
