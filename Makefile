@@ -20,12 +20,14 @@ test:
 # tasks and the aggregate's stripe tasks read one routing, and its
 # group tables take the routing hashes), the compare kernels, the
 # distinct sampler (its admit loop against the row reference, its key
-# and hold-store buffers per partition) and a task's panic failing its
-# job on the shared pool, and the storage tests, three times over.
+# and hold-store buffers per partition), the universe sampler (the
+# tasks of both paired samplers resolving keys through one shared memo)
+# and its nesting across p, and a task's panic failing its job on the
+# shared pool, and the storage tests, three times over.
 # Keep all three lines in lockstep with the CI race job.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
-	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestDense|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp' ./internal/exec/ ./internal/sampler/ ./internal/pool/
+	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestDense|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp|TestUniverse|TestSamplerAdmissionNests' ./internal/exec/ ./internal/sampler/ ./internal/pool/
 	$(GO) test -race -count=3 -run 'TestTable' ./internal/table/
 
 # Concurrency hammer: 32+ mixed exact/approx queries on one engine under

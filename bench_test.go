@@ -289,8 +289,8 @@ func BenchmarkAblationUniverseVsUniform(b *testing.B) {
 			// and unambiguous, so the per-key (per-group) count is exact.
 			u := sampler.NewUniverse(p, []int{0}, seed)
 			for k := 0; k < keys; k++ {
-				hash := func(int32) uint64 { return sampler.HashValues([]table.Value{table.NewInt(int64(k))}, seed) }
-				if len(u.AdmitBatch([]int32{0}, []float64{1}, hash)) > 0 {
+				hash := sampler.HashValues([]table.Value{table.NewInt(int64(k))}, seed)
+				if len(u.AdmitBatch([]int32{0}, []float64{1}, []uint64{hash})) > 0 {
 					uniN++
 					// |exact − true| / true == 0 within the subspace.
 				} else {

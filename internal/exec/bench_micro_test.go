@@ -7,7 +7,8 @@ package exec
 // and gathered, and routed under the aggregate that folds it in place),
 // grouped aggregation (a two-column key, a lone dictionary key, a lone
 // integer key, COUNT(DISTINCT) behind an exchange), a range filter over
-// a float column, the distinct sampler and window partitioning — plus the
+// a float column, the distinct and universe samplers and window
+// partitioning — plus the
 // parallel sort; the four kernel plans live in bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
 // (allocations per run, tier 1) call, so the two measure the same thing.
@@ -18,6 +19,7 @@ import (
 
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
+	"quickr/internal/sampler"
 	"quickr/internal/table"
 )
 
@@ -80,7 +82,11 @@ type hotPlan struct {
 // hashes per source), and the join on keys too sparse to index when
 // lone narrow integer keys began to index (804, 834 under -race; the
 // two bare joins and the star join, which index, then read 792, 865
-// and 1890, down from 801, 891 and 1922, so their ceilings stay). A
+// and 1890, down from 801, 891 and 1922, so their ceilings stay), and
+// the universe sampler when it stopped boxing and hashing every lane
+// (913, 961 under -race: the integer column's keys in the run's memo;
+// 326 258 when each lane built its Values, key strings and a SHA-256
+// state). A
 // 16Ki–64Ki-row run that boxed one row per lane or
 // allocated one object per group would add tens of thousands. Counts
 // repeat to within ±6 at GOMAXPROCS 1, 2 and 8 (±25 for the aggregate
@@ -107,6 +113,7 @@ var hotPlans = []hotPlan{
 	{"BenchmarkCountDistinctOverExchange", countDistinctOverExchangePlan, 1774},
 	{"BenchmarkCmpFloatConst", cmpFloatConstPlan, 728},
 	{"BenchmarkJoinSparseKeys", joinSparseKeysPlan, 1005},
+	{"BenchmarkUniverseSample", universeSamplePlan, 1141},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -115,8 +122,8 @@ var hotPlans = []hotPlan{
 // probe or a kernel without tier 1 noticing.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 18 {
-		t.Fatalf("hotPlans holds %d plans, want the 18 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 19 {
+		t.Fatalf("hotPlans holds %d plans, want the 19 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -484,6 +491,49 @@ func distinctSamplePlan() (PNode, int) {
 	}
 	return distinctOver(proj, 0.1, 30, []int{0, 1, 2, 3}, nil, nil), 6969
 }
+
+// universeSamplePlan is the ad-hoc workload's universe shape (q07, q38):
+// 64 Ki fact rows over four partitions whose FK int column takes 3 000
+// keys, one per customer, and whose dictionary string column takes as
+// many; one universe sampler (p = 0.1) over each column, the two samples
+// unioned.
+func universeSamplePlan() (PNode, int) {
+	const parts, keys, rows, p, seed = 4, 3000, 65536, 0.1, 31
+	tbl := table.New("bench_universe", table.NewSchema(
+		table.Column{Name: "cust", Kind: table.KindInt},
+		table.Column{Name: "cust_id", Kind: table.KindString},
+	), parts)
+	row := func(k int) table.Row {
+		return table.Row{table.NewInt(int64(k)), table.NewString(fmt.Sprintf("CUST%05d", k))}
+	}
+	// A key's rows pass together: count them per key, by the definition.
+	perKey := make([]int, keys+1)
+	for i := 0; i < rows; i++ {
+		k := i*7919%keys + 1
+		tbl.Append(i, row(k))
+		perKey[k]++
+	}
+	tbl.EnsureColumnar()
+	u, pass := sampler.NewUniverse(p, nil, seed), 0
+	for k := 1; k <= keys; k++ {
+		for _, v := range row(k) {
+			h := sampler.HashValues([]table.Value{v}, seed)
+			pass += perKey[k] * len(u.AdmitBatch([]int32{0}, []float64{1}, []uint64{h}))
+		}
+	}
+	var ins []PNode
+	for c := 0; c < 2; c++ {
+		scan := scanOf(tbl)
+		ins = append(ins, &PSample{In: scan, Def: lplan.SamplerDef{
+			Type: lplan.SamplerUniverse, P: p, Cols: []lplan.ColumnID{scan.OutCols[c].ID}, Seed: seed}})
+	}
+	return &PUnion{Ins: ins, OutCols: ins[0].Cols()}, pass
+}
+
+// BenchmarkUniverseSample measures the universe sampler on a lone key:
+// the integer column's coordinates from the run's memo, the string
+// column's hashed lane by lane, and the admit loop.
+func BenchmarkUniverseSample(b *testing.B) { benchPlan(b, universeSamplePlan) }
 
 // BenchmarkDistinctSample measures the distinct sampler over key
 // vectors: stratum ids from the string and boolean key vectors, the

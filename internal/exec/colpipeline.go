@@ -273,14 +273,15 @@ func (p *colPassOp) Next() (Batch, error) {
 }
 
 // colSampleOp runs a real sampler columnar-style. Uniform and universe
-// samplers thin the selection in place and scale the weight column; the
+// samplers thin the selection in place and scale the weight column (the
+// universe sampler once universeLanes has each lane's coordinate); the
 // distinct sampler's output is built into a batch of its own
 // (distinctLanes).
 type colSampleOp struct {
 	ctx   context.Context
 	child colOperator
 	unif  *sampler.Uniform
-	uni   *sampler.Universe
+	uni   *universeLanes
 	dist  *distinctLanes
 	cost  float64 // CostPerRow of the sampler
 
@@ -289,7 +290,6 @@ type colSampleOp struct {
 	slot *metrics.Slot
 
 	selBuf []int32
-	valBuf []table.Value
 	done   bool
 }
 
@@ -335,18 +335,7 @@ func (s *colSampleOp) Next() (Batch, error) {
 		case s.unif != nil:
 			out.sel = s.unif.AdmitBatch(sel, b.weights)
 		case s.uni != nil:
-			if cap(s.valBuf) < len(s.uni.Cols) {
-				s.valBuf = make([]table.Value, len(s.uni.Cols))
-			}
-			vals := s.valBuf[:len(s.uni.Cols)]
-			seed := s.uni.Seed
-			hash := func(lane int32) uint64 {
-				for j, ci := range s.uni.Cols {
-					vals[j] = b.cols[ci].Value(int(lane))
-				}
-				return sampler.HashValues(vals, seed)
-			}
-			out.sel = s.uni.AdmitBatch(sel, b.weights, hash)
+			out.sel = s.uni.admit(&b, sel)
 		default:
 			out = s.dist.admit(&b, sel)
 		}
@@ -366,6 +355,49 @@ func (s *colSampleOp) Next() (Batch, error) {
 			return out, nil
 		}
 	}
+}
+
+// universeLanes is one partition's universe sampler: per batch it
+// computes the coordinate of every live lane, then admits. A lone
+// NULL-free integer key resolves through the run's memo for the seed
+// (universeMemo.ints) while it has room, any other key through
+// universeHash lane by lane.
+type universeLanes struct {
+	s      *sampler.Universe
+	memo   *universeMemo
+	keys   []Vector
+	hashes []uint64 // by lane
+	buf    []byte
+
+	// the memo's scratch: key hashes and ids by lane, the lanes whose
+	// keys the batch memoizes, their coordinates by id, the lanes whose
+	// keys another task is hashing
+	lh    []uint64
+	ids   []int64
+	pend  []int32
+	fresh []uint64
+	wait  []int32
+}
+
+// admit thins the live lanes sel of b to those whose coordinate falls in
+// the sampler's subspace, scaling their weights.
+func (u *universeLanes) admit(b *Batch, sel []int32) []int32 {
+	u.coords(b, sel)
+	return u.s.AdmitBatch(sel, b.weights, u.hashes)
+}
+
+// coords sets hashes, by lane, to the coordinate of every live lane sel
+// of b.
+func (u *universeLanes) coords(b *Batch, sel []int32) {
+	u.keys = u.keys[:0]
+	for _, ci := range u.s.Cols {
+		u.keys = append(u.keys, b.cols[ci])
+	}
+	u.hashes = extend(u.hashes[:0], b.n)
+	if v := &u.keys[0]; len(u.keys) == 1 && v.K == VKInt && v.nulls == nil && u.memo.ints(u, sel) {
+		return
+	}
+	u.buf = universeHash(u.keys, sel, u.s.Seed, u.hashes, u.buf)
 }
 
 // distinctLanes is one partition's distinct sampler over key vectors.

@@ -1,6 +1,6 @@
 package exec
 
-// Open-addressing hash tables for the executor's hot paths. Three shapes
+// Open-addressing hash tables for the executor's hot paths. Four shapes
 // live here:
 //
 //   - hashIndex: a growable hash→dense-index table. Keys live in
@@ -22,14 +22,22 @@ package exec
 //     integer key over a narrow range is indexed instead: its chains
 //     hang off a direct-address array by key − lo, and nothing hashes.
 //
+//   - universeMemo: one query's universe-sampler coordinates under one
+//     seed, by the dense id a keyTable hands each integer key, shared by
+//     every task of every sampler with that seed.
+//
 // Row hashing canonicalizes values exactly like Value.Key(), so the
 // hash-based group tables partition rows identically to the string keys
 // the engine previously concatenated per row.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
+	"sync"
 
 	"quickr/internal/table"
 )
@@ -651,3 +659,224 @@ func (t *joinTable) lookup(h uint64) int32 {
 		}
 	}
 }
+
+// The universe sampler's subspace coordinate (sampler.HashValues) is the
+// first 8 bytes, little-endian, of the SHA-256 of the seed (8 bytes,
+// little-endian) followed by each key's Value.AppendKey form and a NUL.
+// It depends on (seed, key) alone, so where the key is a lone integer a
+// key's coordinate is computed once per query and seed (universeMemo).
+
+// universeHash writes to out, by lane, the coordinate under seed of
+// every lane sel lists of the key tuple keys, rendering each lane typed
+// into buf (returned, grown) without building its Value.
+//
+//hot:universe sampler coordinate per live lane, gated by BenchmarkUniverseSample allocs/op
+func universeHash(keys []Vector, sel []int32, seed uint64, out []uint64, buf []byte) []byte {
+	for _, i := range sel {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], seed)
+		for k := range keys {
+			buf = append(appendLaneKey(buf, &keys[k], int(i)), 0)
+		}
+		out[i] = coordinate(buf)
+	}
+	return buf
+}
+
+// coordinate is the first 8 bytes, little-endian, of b's SHA-256.
+func coordinate(b []byte) uint64 {
+	sum := sha256.Sum256(b)
+	return binary.LittleEndian.Uint64(sum[:8])
+}
+
+// appendLaneKey appends lane i of v's Value.AppendKey form to b: NULL is
+// one 0 byte, an int 'i' and its decimal, a float the int form when it
+// is integral and below 1e18 in magnitude and otherwise 'f' and its bits
+// in hex, a string 's' and its bytes, a bool "bt" or "bf".
+func appendLaneKey(b []byte, v *Vector, i int) []byte {
+	if v.K == VKAny {
+		return v.Vals[i].AppendKey(b)
+	}
+	if v.IsNull(i) {
+		return append(b, 0)
+	}
+	switch v.K {
+	case VKInt:
+		return appendIntKey(b, v.Ints[i])
+	case VKFloat:
+		f := v.Floats[i]
+		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e18 {
+			return appendIntKey(b, int64(f))
+		}
+		return strconv.AppendUint(append(b, 'f'), math.Float64bits(f), 16)
+	case VKStr:
+		return append(append(b, 's'), v.Dict[v.Ints[i]]...)
+	}
+	if v.Ints[i] != 0 { // VKBool
+		return append(b, 'b', 't')
+	}
+	return append(b, 'b', 'f')
+}
+
+// appendIntKey appends an int's Value.AppendKey form to b.
+func appendIntKey(b []byte, k int64) []byte {
+	return strconv.AppendInt(append(b, 'i'), k, 10)
+}
+
+// universeMemoKeys caps the keys a universeMemo takes in: at about 70 B a
+// key (the keyTable's slots, entry and key, a coordinate and a bit) a
+// memo holds at most about 1.1 MiB, plus the keys of the one batch that
+// crosses the cap. Past it the memo stops growing and every later batch
+// hashes lane by lane: a key with that many distinct values seldom
+// repeats, and memoizing keys that do not repeat costs more than the
+// hashes it saves.
+const universeMemoKeys = 1 << 14
+
+// universeMemo holds one query's coordinates under one universe seed by
+// integer key. Every task of every sampler with the seed resolves a lone
+// NULL-free integer key through it, so a key is hashed once per query
+// however many lanes, tasks and join inputs carry it. keys hands each key
+// met a dense id; the task that meets a key first hashes it with the lock
+// released and then publishes it (coord by id, done marking the ids
+// published). Tasks whose keys are all published read at once, under
+// the read lock. The memo lives and dies with its executor.
+type universeMemo struct {
+	seed uint64
+	mu   sync.RWMutex
+	// guarded-by: mu
+	keys *keyTable
+	// guarded-by: mu
+	coord []uint64
+	// guarded-by: mu
+	done []uint64
+}
+
+// ints writes to u.hashes, by lane, the coordinate of every lane sel
+// lists of the lone NULL-free integer key u.keys[0], and reports false,
+// writing nothing, once the memo is full. A published key's coordinate
+// comes from the memo; a key this batch memoizes is hashed once, with the
+// lock released, and published; a key another task memoized but has not
+// published yet is hashed lane by lane.
+//
+//hot:universe sampler coordinate per live lane of a lone integer key, gated by BenchmarkUniverseSample allocs/op
+func (m *universeMemo) ints(u *universeLanes, sel []int32) bool {
+	n0, ok := m.claim(u, sel)
+	if !ok {
+		return false
+	}
+	if len(u.pend) == 0 && len(u.wait) == 0 {
+		return true
+	}
+	ints := u.keys[0].Ints
+	u.fresh = u.fresh[:0]
+	for _, i := range u.pend {
+		// add hands out ids in first-seen order, so a key new to the memo
+		// meets its first lane here as id n0+len(fresh).
+		id := int(u.ids[i]) - n0
+		if id == len(u.fresh) {
+			u.buf = append(appendIntKey(binary.LittleEndian.AppendUint64(u.buf[:0], m.seed), ints[i]), 0)
+			u.fresh = append(u.fresh, coordinate(u.buf))
+		}
+		u.hashes[i] = u.fresh[id]
+	}
+	m.publish(u, n0)
+	u.buf = universeHash(u.keys, u.wait, m.seed, u.hashes, u.buf)
+	return true
+}
+
+// claim writes the coordinates of the lanes sel whose keys are
+// published, leaves in u.pend the lanes of the keys it memoizes, whose
+// ids start at the n0 it returns, and in u.wait those of keys another
+// task memoized but has not published. It reports false, touching
+// nothing, once the memo is full.
+func (m *universeMemo) claim(u *universeLanes, sel []int32) (n0 int, ok bool) {
+	ints := u.keys[0].Ints
+	u.ids = extend(u.ids[:0], len(u.hashes))
+	u.lh = extend(u.lh[:0], len(u.hashes))
+	h0 := table.HashRowSeed(exchangeHashSeed)
+	for _, i := range sel {
+		u.lh[i] = table.HashRowStep(h0, table.HashInt(ints[i]))
+	}
+	u.wait = u.wait[:0]
+	if !m.read(u, sel) {
+		return 0, false
+	}
+	if len(u.pend) == 0 {
+		return 0, true
+	}
+	return m.add(u), true
+}
+
+// read writes the coordinates of the lanes sel whose keys are published
+// and lists the other lanes in u.pend. It reports false, touching
+// nothing, once the memo holds universeMemoKeys keys.
+func (m *universeMemo) read(u *universeLanes, sel []int32) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.keys.len() >= universeMemoKeys {
+		return false
+	}
+	u.pend = u.pend[:0]
+	for _, i := range sel {
+		if id := m.keys.probeInts(u.lh[i], u.keys, int(i)); id >= 0 && m.published(int64(id)) {
+			u.hashes[i] = m.coord[id]
+		} else {
+			u.pend = append(u.pend, i)
+		}
+	}
+	return true
+}
+
+// add resolves the keys of the lanes u.pend to ids (u.ids, by lane),
+// memoizing the keys it has not met: it returns n0, the first id it
+// handed out, and leaves their lanes in u.pend. Of the other lanes it
+// writes the coordinates published by now and moves the rest, whose keys
+// another task is hashing, to u.wait.
+func (m *universeMemo) add(u *universeLanes) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n0 := m.keys.len()
+	m.keys.resolve(u.ids, u.keys, u.pend, u.lh)
+	n := m.keys.len()
+	m.coord = extend(m.coord, n-n0)
+	m.done = extend(m.done, (n+63)/64-len(m.done)) // done only grows, so the words it takes are zero
+	pend := u.pend[:0]
+	for _, i := range u.pend {
+		switch id := u.ids[i]; {
+		case id >= int64(n0):
+			pend = append(pend, i)
+		case m.published(id):
+			u.hashes[i] = m.coord[id]
+		default:
+			u.wait = append(u.wait, i)
+		}
+	}
+	u.pend = pend
+	return n0
+}
+
+// publish stores the coordinates u.fresh of the ids from n0 on, then
+// writes those of the lanes u.wait whose keys are published by now,
+// leaving the others in u.wait.
+func (m *universeMemo) publish(u *universeLanes, n0 int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for j, h := range u.fresh {
+		id := n0 + j
+		m.coord[id] = h
+		m.done[id>>6] |= 1 << (id & 63)
+	}
+	wait := u.wait[:0]
+	for _, i := range u.wait {
+		if id := u.ids[i]; m.published(id) {
+			u.hashes[i] = m.coord[id]
+		} else {
+			wait = append(wait, i)
+		}
+	}
+	u.wait = wait
+}
+
+// published reports whether key id's coordinate is in coord.
+//
+// caller-holds: m.mu
+func (m *universeMemo) published(id int64) bool { return m.done[id>>6]&(1<<(id&63)) != 0 }

@@ -220,14 +220,12 @@ func refSample(sp *pipeSpec, op *colSampleOp, part []wrow) []wrow {
 	case op.uni != nil:
 		for _, r := range part {
 			w[0] = r.w
-			hash := func(int32) uint64 {
-				vals := make([]table.Value, len(sp.colIdx))
-				for j, c := range sp.colIdx {
-					vals[j] = r.row[c]
-				}
-				return sampler.HashValues(vals, op.uni.Seed)
+			vals := make([]table.Value, len(sp.colIdx))
+			for j, c := range sp.colIdx {
+				vals[j] = r.row[c]
 			}
-			if len(op.uni.AdmitBatch(append(lane[:0], 0), w, hash)) > 0 {
+			hash := []uint64{sampler.HashValues(vals, op.uni.s.Seed)}
+			if len(op.uni.s.AdmitBatch(append(lane[:0], 0), w, hash)) > 0 {
 				out = append(out, newWRow(r.row, w[0]))
 			}
 		}

@@ -67,7 +67,10 @@ func (u *Uniform) CostPerRow() float64 { return 1 }
 // Samplers sharing (C, seed, p) pick the same subspace, so both inputs
 // of an equi-join sample consistently: joining p-probability universe
 // samples is statistically equivalent to a p-probability universe
-// sample of the join output.
+// sample of the join output. The sampler reads coordinates, it does not
+// compute them: AdmitBatch takes each lane's HashValues coordinate from
+// the caller, and since a coordinate depends only on (seed, key) the
+// caller may compute it once per key and share it across instances.
 type Universe struct {
 	P    float64
 	Cols []int // positions of the universe columns in the input row
@@ -84,7 +87,10 @@ func NewUniverse(p float64, cols []int, seed uint64) *Universe {
 
 // HashValues computes the 64-bit subspace coordinate of the column
 // values using SHA-256 (a cryptographically strong hash, per the paper,
-// so the subspace is independent of the key distribution).
+// so the subspace is independent of the key distribution): the first 8
+// bytes, little-endian, of the digest of seed (8 bytes, little-endian)
+// followed by each value's Key() and a NUL. It is the definition the
+// executor's typed kernel is held to.
 func HashValues(vals []table.Value, seed uint64) uint64 {
 	h := sha256.New()
 	var b [8]byte
@@ -98,15 +104,16 @@ func HashValues(vals []table.Value, seed uint64) uint64 {
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
-// AdmitBatch admits the live lanes listed in sel, in order. hash must
-// return the lane's subspace coordinate — HashValues over the lane's
-// universe-column values, in Cols order. Whether a lane passes depends
-// only on those values, so the sampler is stateless and all parallel
-// instances agree.
-func (u *Universe) AdmitBatch(sel []int32, weights []float64, hash func(lane int32) uint64) []int32 {
+// AdmitBatch admits the live lanes listed in sel, in order. hashes holds
+// each lane's subspace coordinate by lane — HashValues over the lane's
+// universe-column values, in Cols order — computed by the caller, which
+// may compute a repeated key's coordinate once. Whether a lane passes
+// depends only on those values, so the sampler is stateless and all
+// parallel instances agree.
+func (u *Universe) AdmitBatch(sel []int32, weights []float64, hashes []uint64) []int32 {
 	out := sel[:0]
 	for _, lane := range sel {
-		if hash(lane) <= u.threshold {
+		if hashes[lane] <= u.threshold {
 			weights[lane] /= u.P
 			out = append(out, lane)
 		}

@@ -348,10 +348,12 @@ func TestAdmitBatchMatchesAdmit(t *testing.T) {
 	t.Run("universe", func(t *testing.T) {
 		check(t, func() (Sampler, func([]int32, []float64) []int32) {
 			u := NewUniverse(0.3, []int{1, 0}, 7)
+			hashes := make([]uint64, n)
 			return u, func(sel []int32, w []float64) []int32 {
-				return u.AdmitBatch(sel, w, func(lane int32) uint64 {
-					return HashValues([]table.Value{rows[lane][1], rows[lane][0]}, u.Seed)
-				})
+				for _, lane := range sel {
+					hashes[lane] = HashValues([]table.Value{rows[lane][1], rows[lane][0]}, u.Seed)
+				}
+				return u.AdmitBatch(sel, w, hashes)
 			}
 		})
 	})
