@@ -19,6 +19,7 @@ import (
 
 	"quickr"
 	"quickr/internal/data"
+	"quickr/internal/exec"
 	"quickr/internal/testutil"
 	"quickr/internal/workload"
 )
@@ -150,8 +151,9 @@ func TestConcurrentHammerBitIdentical(t *testing.T) {
 
 // TestConcurrentCancelLeavesOthersIntact cancels one long query
 // mid-flight and requires: the victim returns ErrCanceled promptly (one
-// batch boundary), and concurrently running queries still return answers
-// bit-identical to serial.
+// batch boundary), concurrently running queries still return answers
+// bit-identical to serial, no run ledger is left open and the next query
+// is bit-identical too.
 func TestConcurrentCancelLeavesOthersIntact(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	eng := newTPCDSEngine(t, 0.05)
@@ -166,6 +168,7 @@ func TestConcurrentCancelLeavesOthersIntact(t *testing.T) {
 		}
 		refs[c.id] = canonical(res)
 	}
+	open := exec.OpenLedgers()
 
 	victimSQL := cases[0].sql
 	ctx, cancel := context.WithCancel(context.Background())
@@ -228,6 +231,17 @@ func TestConcurrentCancelLeavesOthersIntact(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("victim never returned after cancel")
 	}
+	// Every run released its payload slabs once, the canceled one too,
+	// and the next query over the recycled (under -race, poisoned) slabs
+	// gives the serial answer.
+	if got := exec.OpenLedgers(); got != open {
+		t.Fatalf("%d run ledgers open after the cancel, want %d", got, open)
+	}
+	res, err := execMode(eng, context.Background(), cases[0])
+	if err != nil {
+		t.Fatalf("%s after the cancel: %v", cases[0].id, err)
+	}
+	sameCanonical(t, cases[0].id+" after the cancel", refs[cases[0].id], canonical(res))
 }
 
 // TestCancelBeforeExecution: a context canceled before submission stops

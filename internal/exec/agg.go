@@ -35,6 +35,7 @@ import (
 // sum adds the same terms in the same order as a row-at-a-time fold.
 type aggRunner struct {
 	p        *PHashAgg
+	mem      *ledger
 	groupIdx []int
 	argIdx   []int     // -1: the aggregate reads no argument
 	condIdx  []int     // -1: the aggregate tests no condition
@@ -73,8 +74,9 @@ type aggAcc struct {
 	uniSum []float64
 }
 
-func newAggRunner(p *PHashAgg, cm colMap) (*aggRunner, error) {
-	r := &aggRunner{p: p, groups: newKeyTable(len(p.GroupCols)), aggs: make([]aggAcc, len(p.Aggs))}
+// newAggRunner keeps the runner's group keys and output on mem.
+func newAggRunner(p *PHashAgg, cm colMap, mem *ledger) (*aggRunner, error) {
+	r := &aggRunner{p: p, mem: mem, groups: newKeyTable(mem, len(p.GroupCols)), aggs: make([]aggAcc, len(p.Aggs))}
 	for _, g := range p.GroupCols {
 		i, ok := cm[g]
 		if !ok {
@@ -88,7 +90,7 @@ func newAggRunner(p *PHashAgg, cm colMap) (*aggRunner, error) {
 				r.uniIdx = append(r.uniIdx, i)
 			}
 		}
-		r.subs = newKeyTable(len(r.uniIdx))
+		r.subs = newKeyTable(mem, len(r.uniIdx))
 	}
 	for j, a := range p.Aggs {
 		ai, ci := -1, -1
@@ -113,12 +115,12 @@ func newAggRunner(p *PHashAgg, cm colMap) (*aggRunner, error) {
 		case lplan.AggSumIf, lplan.AggAvg:
 		case lplan.AggCountDistinct:
 			ci = -1
-			r.aggs[j].distinct = newKeyTable(2)
+			r.aggs[j].distinct = newKeyTable(mem, 2)
 		default:
 			ci = -1
 		}
 		if len(r.uniIdx) > 0 && a.Kind != lplan.AggCountDistinct && a.Kind != lplan.AggMin && a.Kind != lplan.AggMax {
-			r.aggs[j].uni = newKeyTable(2)
+			r.aggs[j].uni = newKeyTable(mem, 2)
 		}
 		r.argIdx = append(r.argIdx, ai)
 		r.condIdx = append(r.condIdx, ci)
@@ -430,7 +432,7 @@ func (r *aggRunner) emit() (Part, []GroupEstimate) {
 		return emptyPart(nk + na), nil
 	}
 	vals, errs := make([]table.Value, max(ng, 1)*na), make([]float64, max(ng, 1)*na)
-	out := newPartBuilder(nk+na, max(ng, 1))
+	out := newPartBuilder(r.mem, nk+na, max(ng, 1))
 	if ng == 0 {
 		// Global aggregate over an empty input still yields one row.
 		for j, spec := range r.p.Aggs {
@@ -450,8 +452,9 @@ func (r *aggRunner) emit() (Part, []GroupEstimate) {
 			out.cols[nk+j].append(vals[int(g)*na+j])
 		}
 	}
-	for range order {
-		out.w = append(out.w, 1)
+	out.w = out.w[:ng]
+	for i := range out.w {
+		out.w[i] = 1
 	}
 	if !r.p.Top {
 		return out.finish(), nil

@@ -186,7 +186,7 @@ func aggTestVector(vals []table.Value, d *aggDict) Vector {
 		strs = strs && (v.IsNull() || v.Kind() == table.KindString)
 	}
 	if !strs || d == nil {
-		bd := &vecBuilder{}
+		bd := &vecBuilder{mem: newLedger()}
 		for _, v := range vals {
 			bd.append(v)
 		}
@@ -327,7 +327,7 @@ func TestAggMatchesRowReference(t *testing.T) {
 				}
 				for _, size := range []int{1, 7, 64, len(rows)} {
 					for _, thin := range []bool{false, true} {
-						r, err := newAggRunner(p, cm)
+						r, err := newAggRunner(p, cm, newLedger())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -365,7 +365,7 @@ func TestAggCountDistinctMixedKinds(t *testing.T) {
 	cols := []lplan.ColumnInfo{{ID: 1, Name: "x"}}
 	p := &PHashAgg{Aggs: []lplan.AggSpec{{Kind: lplan.AggCountDistinct, Arg: 1, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: 2, Kind: table.KindInt}}}}
 	for _, size := range []int{1, 3, len(vals)} {
-		r, err := newAggRunner(p, buildColMap(cols))
+		r, err := newAggRunner(p, buildColMap(cols), newLedger())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,8 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"quickr/internal/cluster"
@@ -60,6 +62,7 @@ type hotPlan struct {
 	name      string // the Benchmark function that times build's plan
 	build     func() (PNode, int)
 	maxAllocs float64 // allocations per run, held by TestHotPathAllocCeilings
+	maxBytes  uint64  // bytes a warm run allocates (warmRunBytes), held there too
 }
 
 // hotPlans is the gated surface. The ceilings are absolute counts, each
@@ -93,33 +96,52 @@ type hotPlan struct {
 // over the exchange): pool scheduling is the only jitter. The -race
 // build allocates 1–14% more (1034 on the integer keys, 962 on the
 // pre-aggregation kernel, 2551 on the aggregate over the exchange), which
-// the slack absorbs.
+// the slack absorbs. (Once payloads came from the run's ledger a run
+// allocated far fewer objects — 632, 755, 639, 505, 427, 633, 1614,
+// 2034, 602, 590, 941, 267, 572, 2152, 1665, 1067, 541, 667 and 784 in
+// table order — and the count ceilings stay.)
+//
+// maxBytes is 1.25× what a warm run of the plan allocated when payloads
+// came from the run's ledger, the same at GOMAXPROCS 1, 2, 4 and 8
+// (warmRunBytes; parent → then, in table order, 15.3 → 10.2, 15.6 → 10.2,
+// 23.0 → 11.8, 0.27 → 0.25, 0.10 → 0.10, 10.0 → 8.2, 8.2 → 2.7,
+// 10.3 → 8.3, 31.6 → 20.9, 8.9 → 5.5, 18.3 → 11.2, 2.13 → 1.23,
+// 0.96 → 0.80, 3.30 → 2.03, 3.26 → 0.98, 13.9 → 6.8, 2.31 → 1.06,
+// 15.4 → 10.3 and 4.07 → 2.35 MB). What is left is mostly the result's
+// boxed rows, the sort's row view and string dictionaries. A sink, a
+// gather or a route that went back to fresh heap memory per run would
+// add its partition's payload again. The -race build's sync.Pool drops
+// a quarter of what it is given at random, so fewer slabs come back
+// there (up to 1.7× the bytes, on the aggregate over the exchange) and
+// the ceiling doubles.
 var hotPlans = []hotPlan{
-	{"BenchmarkJoinBroadcast", joinBroadcastPlan, 1166},
-	{"BenchmarkJoinCoPartitioned", joinCoPartitionedPlan, 1152},
-	{"BenchmarkExchangeGather", exchangeGatherPlan, 1245},
-	{"BenchmarkGroupedAgg", groupedAggPlan, 1026},
-	{"BenchmarkAggDictKey", aggDictKeyPlan, 868},
-	{"BenchmarkAggIntKeys", aggIntKeysPlan, 1138},
-	{"BenchmarkAggOverExchange", aggOverExchangePlan, 2816},
-	{"BenchmarkWindowPartition", windowPartitionPlan, 2696},
-	{"BenchmarkSortPartitions", sortPartitionsPlan, 1213},
-	{"BenchmarkFilterKernel", kernelFilterPlan, 1185},
-	{"BenchmarkProjectKernel", kernelProjectPlan, 1596},
-	{"BenchmarkSamplerKernel", kernelSamplerPlan, 788},
-	{"BenchmarkPreAggKernel", kernelPreAggPlan, 1082},
-	{"BenchmarkDistinctSample", distinctSamplePlan, 3578},
-	{"BenchmarkStarJoin", starJoinPlan, 2413},
-	{"BenchmarkCountDistinctOverExchange", countDistinctOverExchangePlan, 1774},
-	{"BenchmarkCmpFloatConst", cmpFloatConstPlan, 728},
-	{"BenchmarkJoinSparseKeys", joinSparseKeysPlan, 1005},
-	{"BenchmarkUniverseSample", universeSamplePlan, 1141},
+	{"BenchmarkJoinBroadcast", joinBroadcastPlan, 1166, 12_748_000},
+	{"BenchmarkJoinCoPartitioned", joinCoPartitionedPlan, 1152, 12_776_000},
+	{"BenchmarkExchangeGather", exchangeGatherPlan, 1245, 14_723_000},
+	{"BenchmarkGroupedAgg", groupedAggPlan, 1026, 312_000},
+	{"BenchmarkAggDictKey", aggDictKeyPlan, 868, 130_000},
+	{"BenchmarkAggIntKeys", aggIntKeysPlan, 1138, 10_211_000},
+	{"BenchmarkAggOverExchange", aggOverExchangePlan, 2816, 3_337_000},
+	{"BenchmarkWindowPartition", windowPartitionPlan, 2696, 10_427_000},
+	{"BenchmarkSortPartitions", sortPartitionsPlan, 1213, 26_098_000},
+	{"BenchmarkFilterKernel", kernelFilterPlan, 1185, 6_875_000},
+	{"BenchmarkProjectKernel", kernelProjectPlan, 1596, 13_938_000},
+	{"BenchmarkSamplerKernel", kernelSamplerPlan, 788, 1_539_000},
+	{"BenchmarkPreAggKernel", kernelPreAggPlan, 1082, 995_000},
+	{"BenchmarkDistinctSample", distinctSamplePlan, 3578, 2_532_000},
+	{"BenchmarkStarJoin", starJoinPlan, 2413, 1_215_000},
+	{"BenchmarkCountDistinctOverExchange", countDistinctOverExchangePlan, 1774, 8_514_000},
+	{"BenchmarkCmpFloatConst", cmpFloatConstPlan, 728, 1_321_000},
+	{"BenchmarkJoinSparseKeys", joinSparseKeysPlan, 1005, 12_852_000},
+	{"BenchmarkUniverseSample", universeSamplePlan, 1141, 2_942_000},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
 // testing.AllocsPerRun and fails when a run allocates more than its
 // ceiling, so per-row boxing cannot creep back into a sink, a gather, a
-// probe or a kernel without tier 1 noticing.
+// probe or a kernel without tier 1 noticing; then it holds the bytes a
+// warm run allocates to maxBytes, so payloads cannot leave the run's
+// ledger unnoticed either.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
 	if len(hotPlans) != 19 {
@@ -140,8 +162,38 @@ func TestHotPathAllocCeilings(t *testing.T) {
 			if got > hp.maxAllocs {
 				t.Errorf("%.0f allocs/run, ceiling %.0f", got, hp.maxAllocs)
 			}
+			bytes, ceiling := warmRunBytes(t, plan, rows), hp.maxBytes
+			if poisonSlabs { // the -race build
+				ceiling *= 2
+			}
+			t.Logf("%d bytes/warm run, ceiling %d", bytes, ceiling)
+			if bytes > ceiling {
+				t.Errorf("%d bytes/warm run, ceiling %d", bytes, ceiling)
+			}
 		})
 	}
+}
+
+// warmRunBytes is what one run of plan allocates after an earlier run
+// has filled the slab pools, with the collector off from that run on, so
+// that it cannot drain them in between, and on one P: sync.Pool keeps
+// one item per P that only that P can take, so on several Ps where the
+// scheduler happened to put a slab decides whether the next run finds
+// it.
+func warmRunBytes(t *testing.T, plan PNode, rows int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for i := 0; i < 2; i++ {
+		runtime.ReadMemStats(&before)
+		if res, err := Run(plan, cluster.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		} else if len(res.Rows) != rows {
+			t.Fatalf("%d result rows, want %d", len(res.Rows), rows)
+		}
+		runtime.ReadMemStats(&after)
+	}
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // benchPlan times runs of build's plan.

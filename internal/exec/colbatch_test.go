@@ -210,7 +210,7 @@ func TestCmpKernelMatchesCmpRow(t *testing.T) {
 	var sides []side
 	for _, kind := range []table.Kind{table.KindInt, table.KindFloat} {
 		for _, nulls := range []bool{false, true} {
-			var bd vecBuilder
+			bd := vecBuilder{mem: newLedger()}
 			for i := 0; i < n; i++ {
 				switch {
 				case nulls && i%3 == 1:

@@ -26,9 +26,11 @@ import (
 type colKernel func(b *Batch) Vector
 
 // colScratch is per-partition scratch shared by the fallback kernels:
-// a reusable gather row and the count of rows routed through row-at-a-
-// time evaluation (reported as the op's FallbackRows).
+// a reusable gather row, the count of rows routed through row-at-a-
+// time evaluation (reported as the op's FallbackRows) and the run's
+// ledger their value builders draw from.
 type colScratch struct {
+	mem          *ledger
 	fallbackRows int64
 	rowBuf       table.Row
 	selBuf       []int32
@@ -124,7 +126,7 @@ func compileColKernel(e lplan.Expr, cm colMap, sc *colScratch) (colKernel, error
 		case lplan.OpOr:
 			return orKernel(l, r), nil
 		case lplan.OpAdd, lplan.OpSub, lplan.OpMul, lplan.OpDiv, lplan.OpMod:
-			return arithKernel(x.Op, l, r), nil
+			return arithKernel(x.Op, l, r, sc.mem), nil
 		default:
 			return cmpKernel(x.Op, l, r), nil
 		}
@@ -139,7 +141,7 @@ func compileColKernel(e lplan.Expr, cm colMap, sc *colScratch) (colKernel, error
 		if err != nil {
 			return nil, err
 		}
-		return negKernel(in), nil
+		return negKernel(in, sc.mem), nil
 	case *lplan.IsNull:
 		in, err := compileColKernel(x.X, cm, sc)
 		if err != nil {
@@ -178,7 +180,7 @@ func fallbackKernel(e lplan.Expr, cm colMap, sc *colScratch) (colKernel, error) 
 	if err != nil {
 		return nil, err
 	}
-	var bld vecBuilder
+	bld := vecBuilder{mem: sc.mem}
 	return func(b *Batch) Vector {
 		row := sc.row(len(b.cols))
 		bld.reset()
@@ -311,11 +313,11 @@ func rowOr(lv, rv table.Value) bool {
 // arithKernel vectorizes +,-,*,/,% with the exact table.Add/Sub/Mul/
 // Div/Mod semantics: int⊕int stays int except /, NULL or non-numeric
 // operands yield NULL, division (or modulo) by zero yields NULL.
-func arithKernel(op lplan.BinOp, l, r colKernel) colKernel {
+func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 	var ints []int64
 	var floats []float64
 	var nulls []uint64
-	var bld vecBuilder
+	bld := vecBuilder{mem: mem}
 	return func(b *Batch) Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
@@ -715,11 +717,11 @@ func notKernel(in colKernel) colKernel {
 	}
 }
 
-func negKernel(in colKernel) colKernel {
+func negKernel(in colKernel, mem *ledger) colKernel {
 	var ints []int64
 	var floats []float64
 	var nulls []uint64
-	var bld vecBuilder
+	bld := vecBuilder{mem: mem}
 	return func(b *Batch) Vector {
 		v := in(b)
 		n := b.n

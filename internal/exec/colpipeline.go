@@ -637,7 +637,7 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 	}
 	out.appendGather(b.cols, pl, 0)
 	out.appendGather(bt.cols, pr, len(b.cols))
-	out.w = extend(out.w[:0], len(pl))
+	out.w = grow(out.mem, out.w[:0], len(pl))
 	shared := o.js.p.SharedUniverseP
 	for k, i := range pl {
 		w := b.weights[i]
@@ -870,7 +870,7 @@ func (cc *colChain) broadcastBuild(p *PHashJoin, build *stream, op *metrics.Op) 
 	ex := cc.ex
 	ex.ensureStage(build, "build-src")
 	ex.materialize(build, true)
-	side := concatParts(build.parts, len(p.Right.Cols()))
+	side := concatParts(ex.mem, build.parts, len(p.Right.Cols()))
 	if cc.src != nil {
 		ex.ensureStage(cc.src, stageName(p))
 		cc.st = cc.src.stage
@@ -885,7 +885,7 @@ func (cc *colChain) broadcastBuild(p *PHashJoin, build *stream, op *metrics.Op) 
 
 // operatorFor builds the partition-local columnar operator chain.
 func (cc *colChain) operatorFor(i int) (colOperator, error) {
-	sc := &colScratch{}
+	sc := &colScratch{mem: cc.ex.mem}
 	var cur colOperator
 	if cc.scan != nil {
 		cur = &colScanSource{
@@ -920,14 +920,14 @@ func (cc *colChain) operatorFor(i int) (colOperator, error) {
 				cur = &colPassOp{child: cur, slot: slot}
 				break
 			}
-			op := sp.newSampler(i)
+			op := sp.newSampler(cc.ex.mem, i)
 			op.ctx, op.child, op.st, op.task, op.slot = cc.ex.ctx, cur, cc.st, i, slot
 			cur = op
 		case *PHashJoin:
 			// Every task reads the whole broadcast build side.
 			js := sp.join
 			cc.st.AddInput(i, int64(js.side.N), js.side.bytes)
-			op, err := js.newProbe(cc.ex.ctx, cur, js.bt, cc.st, i, slot)
+			op, err := js.newProbe(cc.ex.ctx, cc.ex.mem, cur, js.bt, cc.st, i, slot)
 			if err != nil {
 				return nil, err
 			}
@@ -1015,7 +1015,7 @@ func (ex *executor) execColPipeline(top PNode) (*stream, error) {
 	hint := estHint(owner.EstRows, cc.parts)
 	outParts := make([]Part, cc.parts)
 	if err := ex.parallel(cc.parts, func(i int) error {
-		pb := newPartBuilder(width, hint)
+		pb := newPartBuilder(ex.mem, width, hint)
 		pb.share = cc.probes
 		sl := owner.Slot(i)
 		if err := cc.drive(i, func(b *Batch) {
@@ -1059,7 +1059,7 @@ func (ex *executor) execAgg(p *PHashAgg) (*stream, error) {
 	ao := ex.newAggOut(p, cc.st, cc.parts, !p.In.Breaker())
 	t0 := time.Now()
 	if err := ex.parallel(cc.parts, func(i int) error {
-		r, err := newAggRunner(p, ao.cm)
+		r, err := newAggRunner(p, ao.cm, ex.mem)
 		if err != nil {
 			return err
 		}
@@ -1106,7 +1106,7 @@ func (ex *executor) aggRoutes(p *PHashAgg, rt *routes, deps []int) (*stream, err
 	if err := ex.parallel(tasks, func(t int) error {
 		runners := make([]*aggRunner, rt.parts)
 		for d := t; d < rt.parts; d += tasks {
-			r, err := newAggRunner(p, ao.cm)
+			r, err := newAggRunner(p, ao.cm, ex.mem)
 			if err != nil {
 				return err
 			}
@@ -1200,11 +1200,17 @@ func (ao *aggOut) emit(i int, r *aggRunner, nrows int) {
 // returns the output partitions.
 func (ao *aggOut) finish(ex *executor) []Part {
 	if ao.p.Top {
-		var all []GroupEstimate
+		n := 0
 		for _, es := range ao.ests {
-			all = append(all, es...)
+			n += len(es)
 		}
-		ex.topEstimates = all
+		if n > 0 {
+			all := make([]GroupEstimate, 0, n)
+			for _, es := range ao.ests {
+				all = append(all, es...)
+			}
+			ex.topEstimates = all
+		}
 	}
 	return ao.parts
 }

@@ -206,8 +206,13 @@ type keyTable struct {
 	one     [1]int32
 }
 
-func newKeyTable(width int) *keyTable {
-	return &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]Vector, width)}
+// newKeyTable keeps its keys on mem.
+func newKeyTable(mem *ledger, width int) *keyTable {
+	t := &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]Vector, width)}
+	for c := range t.cols {
+		t.cols[c].mem = mem
+	}
+	return t
 }
 
 // coded reports whether every key is a dictionary string or a bool and
@@ -387,7 +392,7 @@ func (t *keyTable) insertInts(keys []Vector, i int, h uint64) int {
 		if c.k == VKNull {
 			c.adopt(VKInt)
 		}
-		c.ints = extend(c.ints, 1)
+		c.ints = grow(c.mem, c.ints, 1)
 		c.ints[len(c.ints)-1] = keys[k].Ints[i]
 		c.n++
 	}

@@ -140,7 +140,7 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 func TestKeyTableRoutedHashes(t *testing.T) {
 	const rows = 4096
 	src := func(k func(i int) table.Value, s func(i int) table.Value) Part {
-		pb := newPartBuilder(2, rows)
+		pb := newPartBuilder(newLedger(), 2, rows)
 		for i := 0; i < rows; i++ {
 			pb.appendRow(table.Row{k(i), s(i)})
 		}
@@ -181,14 +181,14 @@ func TestKeyTableRoutedHashes(t *testing.T) {
 	const win = 64
 	for _, keyIdx := range [][]int{{0}, {1}, {0, 1}} {
 		for _, parts := range []int{1, 2, 3, 8, 64} {
-			rt, err := routeParts(serialFan, srcs, 2, keyIdx, parts, win, true)
+			rt, err := routeParts(serialFan, newLedger(), srcs, 2, keyIdx, parts, win, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("keys %v parts %d", keyIdx, parts)
 			var past, entries int
 			for d := 0; d < parts; d++ {
-				routed, own, mixed := newKeyTable(len(keyIdx)), newKeyTable(len(keyIdx)), newKeyTable(len(keyIdx))
+				routed, own, mixed := newKeyTable(newLedger(), len(keyIdx)), newKeyTable(newLedger(), len(keyIdx)), newKeyTable(newLedger(), len(keyIdx))
 				idsR, idsO, idsM := make([]int64, win), make([]int64, win), make([]int64, win)
 				keys := make([]Vector, len(keyIdx))
 				for i := range srcs {
@@ -253,7 +253,7 @@ func probeDistance(x *hashIndex) (past, entries int) {
 // cycling modulo dups so chains form, and the same rows boxed.
 func joinRowsFor(n, dups int) (Part, []table.Row) {
 	rows := make([]table.Row, n)
-	pb := newPartBuilder(3, n)
+	pb := newPartBuilder(newLedger(), 3, n)
 	for i := range rows {
 		k := i % dups
 		rows[i] = table.Row{
@@ -313,7 +313,7 @@ func TestJoinTableChainOrder(t *testing.T) {
 // must decide every match.
 func TestJoinTableHashCollisions(t *testing.T) {
 	const n = 64
-	pb := newPartBuilder(2, n)
+	pb := newPartBuilder(newLedger(), 2, n)
 	for i := 0; i < n; i++ {
 		pb.appendRow(table.Row{table.Null, table.NewInt(int64(i))})
 	}
@@ -426,7 +426,7 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			// Each prober carries its keys as a one-partition probe side.
-			pb := newPartBuilder(2, dups)
+			pb := newPartBuilder(newLedger(), 2, dups)
 			for k := 0; k < dups; k++ {
 				pb.appendRow(table.Row{table.NewInt(int64(k)), table.NewString(fmt.Sprintf("key-%04d", k))})
 			}
@@ -464,7 +464,7 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 // keyPart builds a one-partition build side over (k, u): the given keys
 // and u = row index.
 func keyPart(keys []table.Value) Part {
-	pb := newPartBuilder(2, len(keys))
+	pb := newPartBuilder(newLedger(), 2, len(keys))
 	for i, k := range keys {
 		pb.appendRow(table.Row{k, table.NewFloat(float64(i))})
 	}
@@ -482,7 +482,7 @@ func intKeys(ks ...int64) []table.Value {
 
 // vectorOf builds one column from vals.
 func vectorOf(vals []table.Value) Vector {
-	pb := newPartBuilder(1, len(vals))
+	pb := newPartBuilder(newLedger(), 1, len(vals))
 	for _, v := range vals {
 		pb.appendRow(table.Row{v})
 	}
@@ -495,7 +495,7 @@ func vectorOf(vals []table.Value) Vector {
 // row) pairs it recorded.
 func probePairs(bt *joinTable, key Vector, sel []int32, outer bool) ([]int32, []int32) {
 	o := &colProbeOp{js: &joinSpec{p: &PHashJoin{}, lIdx: []int{0}}, bt: bt, outer: outer,
-		keys: make([]Vector, 1), out: newPartBuilder(1+len(bt.cols), 0)}
+		keys: make([]Vector, 1), out: newPartBuilder(newLedger(), 1+len(bt.cols), 0)}
 	w := make([]float64, key.N)
 	for i := range w {
 		w[i] = 1
@@ -776,12 +776,12 @@ func aggAllocFixture(est *EstimatorConfig) (*aggRunner, []Batch, error) {
 		},
 		Est: est,
 	}
-	r, err := newAggRunner(p, buildColMap(cols))
+	r, err := newAggRunner(p, buildColMap(cols), newLedger())
 	if err != nil {
 		return nil, nil, err
 	}
 	const groups, lanes = 64, 16
-	pb := newPartBuilder(len(cols), groups)
+	pb := newPartBuilder(newLedger(), len(cols), groups)
 	for k := 0; k < groups; k++ {
 		pb.appendRow(table.Row{
 			table.NewInt(int64(k)),
@@ -835,7 +835,7 @@ func TestAggAddSeenGroupsZeroAllocs(t *testing.T) {
 	// string key and a lone integer key.
 	for _, key := range []lplan.ColumnID{9002, 9001} {
 		r, batches, _ := aggAllocFixture(nil)
-		r.groupIdx, r.groups = []int{int(key - 9001)}, newKeyTable(1)
+		r.groupIdx, r.groups = []int{int(key - 9001)}, newKeyTable(newLedger(), 1)
 		if got := aggSeenAllocs(r, batches); got != 0 {
 			t.Fatalf("lone key #%d: %v allocs/batch on seen groups, want 0", key, got)
 		}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"quickr/internal/cluster"
+	"quickr/internal/table"
 	"quickr/internal/testutil"
 )
 
@@ -147,5 +148,48 @@ func TestPanicInTaskFailsOneQuery(t *testing.T) {
 				t.Fatalf("row %d column %d: %v after the panic, %v before", i, c, after.Rows[i][c], v)
 			}
 		}
+	}
+	panicInRunReleasesLedger(t)
+}
+
+// panicInRunReleasesLedger: a task that panics inside a run (it reads a
+// sample-cache entry whose partitions claim lanes their columns lack)
+// fails the run with ErrInternal, the run's ledger is released exactly
+// once, and the next run of the plan — on the recycled slabs, poisoned
+// under the race detector — is bit-identical to the one before.
+func panicInRunReleasesLedger(t *testing.T) {
+	var rows [][2]float64
+	for i := 0; i < 4000; i++ {
+		rows = append(rows, [2]float64{float64(i % 97), float64(i) * 1.25})
+	}
+	tbl, _ := buildT("panicky", 4, rows)
+	plan := cachedAggPlan(tbl, 11, true)
+	open := OpenLedgers()
+	before, err := Run(plan, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := plan.(*PHashAgg).In.(*PFilter).In.(*PCachedSample)
+	broken := make([]Part, 4)
+	for i := range broken {
+		broken[i] = Part{N: 8, Cols: []table.ColVec{{Kind: table.KindInt}, {Kind: table.KindFloat}}, W: make([]float64, 8)}
+	}
+	sc := NewSampleCache(64 << 20)
+	sc.Put(fmt.Sprintf("%s|v%d|e0", cs.Key, tbl.Version()), broken)
+	_, err = RunWithOptions(context.Background(), plan, cluster.DefaultConfig(), nil, Options{SampleCache: sc})
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("run over the broken entry: got %v, want ErrInternal", err)
+	}
+	if got := OpenLedgers(); got != open {
+		t.Fatalf("%d ledgers open after the failed run, want %d", got, open)
+	}
+	after, err := Run(plan, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, before, after, "after the panicking run")
+	sameEstimates(t, before, after, "after the panicking run")
+	if got := OpenLedgers(); got != open {
+		t.Fatalf("%d ledgers open after the next run, want %d", got, open)
 	}
 }

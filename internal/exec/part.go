@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/bits"
+	"slices"
 
 	"quickr/internal/table"
 )
@@ -18,9 +19,11 @@ import (
 // slices without pointers, a NULL bitmap, a per-partition string
 // dictionary; exact Values only for mixed-kind columns), always one per
 // schema column even when N is 0. W holds the rows' Horvitz–Thompson
-// weights. A Part is immutable once built and may be shared: by the
-// sample cache across queries, by a join output with its build side's
-// dictionaries, by a window output with its input's columns.
+// weights. A Part is immutable once built and may be shared: by a join
+// output with its build side's dictionaries, by a window output with its
+// input's columns. Its typed payloads and weights are slabs of the run's
+// ledger, so a Part that outlives its run (a sample-cache entry) is a
+// clone.
 type Part struct {
 	N    int
 	Cols []table.ColVec
@@ -31,7 +34,27 @@ type Part struct {
 }
 
 // emptyPart is a zero-row partition of the given width.
-func emptyPart(width int) Part { return newPartBuilder(width, 0).finish() }
+func emptyPart(width int) Part {
+	p := Part{Cols: make([]table.ColVec, width)}
+	for c := range p.Cols {
+		p.Cols[c] = table.ColVec{Kind: table.KindNull, Ints: []int64{0}}
+	}
+	return p
+}
+
+// clone copies every payload slice of the partition; the dictionaries
+// are shared.
+func (p *Part) clone() Part {
+	out := *p
+	out.W = slices.Clone(p.W)
+	out.Cols = slices.Clone(p.Cols)
+	for c := range out.Cols {
+		cv := &out.Cols[c]
+		cv.Ints, cv.Floats = slices.Clone(cv.Ints), slices.Clone(cv.Floats)
+		cv.Nulls, cv.Vals = slices.Clone(cv.Nulls), slices.Clone(cv.Vals)
+	}
+	return out
+}
 
 // vectors windows every column whole.
 func (p *Part) vectors() []Vector { return p.window(nil, 0, p.N) }
@@ -63,9 +86,9 @@ func (p *Part) rows() []table.Row {
 }
 
 // gather returns the partition's rows idx, in idx order (the sort's
-// permutation). String columns keep their dictionaries.
-func (p *Part) gather(idx []int32) Part {
-	pb := newPartBuilder(len(p.Cols), len(idx))
+// permutation), built on mem. String columns keep their dictionaries.
+func (p *Part) gather(mem *ledger, idx []int32) Part {
+	pb := newPartBuilder(mem, len(p.Cols), len(idx))
 	pb.appendGather(p.vectors(), idx, 0)
 	pb.w = pb.w[:len(idx)]
 	for j, i := range idx {
@@ -141,9 +164,9 @@ func countNulls(nulls []uint64, off, n int) int {
 	return cnt
 }
 
-// concatParts appends pieces in order into one partition. A single
-// non-empty piece is returned as is.
-func concatParts(pieces []Part, width int) Part {
+// concatParts appends pieces in order into one partition built on mem.
+// A single non-empty piece is returned as is.
+func concatParts(mem *ledger, pieces []Part, width int) Part {
 	var only *Part
 	total := 0
 	for i := range pieces {
@@ -155,7 +178,7 @@ func concatParts(pieces []Part, width int) Part {
 	if only != nil && only.N == total {
 		return *only
 	}
-	pb := newPartBuilder(width, total)
+	pb := newPartBuilder(mem, width, total)
 	for i := range pieces {
 		if p := &pieces[i]; p.N > 0 {
 			pb.appendLanes(p.vectors(), nil, p.N, p.W)
@@ -164,24 +187,26 @@ func concatParts(pieces []Part, width int) Part {
 	return pb.finish()
 }
 
-// partBuilder accumulates lanes into a Part, one vecBuilder per column.
-// With share, a string column fed from one dictionary shares it instead
-// of re-interning it, as appendGather does.
+// partBuilder accumulates lanes into a Part, one vecBuilder per column,
+// on slabs of the run's ledger mem. With share, a string column fed from
+// one dictionary shares it instead of re-interning it, as appendGather
+// does.
 type partBuilder struct {
+	mem   *ledger
 	cols  []vecBuilder
 	w     []float64
 	share bool
 }
 
-// newPartBuilder builds width columns; rows > 0 reserves capacity for
-// that many (the exact count where the caller knows it).
-func newPartBuilder(width, rows int) *partBuilder {
-	pb := &partBuilder{cols: make([]vecBuilder, width)}
+// newPartBuilder builds width columns on mem; rows > 0 reserves capacity
+// for that many (the exact count where the caller knows it).
+func newPartBuilder(mem *ledger, width, rows int) *partBuilder {
+	pb := &partBuilder{mem: mem, cols: make([]vecBuilder, width)}
+	for c := range pb.cols {
+		pb.cols[c].mem, pb.cols[c].hint = mem, rows
+	}
 	if rows > 0 {
-		pb.w = make([]float64, 0, rows)
-		for c := range pb.cols {
-			pb.cols[c].hint = rows
-		}
+		pb.w = slab[float64](mem, rows)[:0]
 	}
 	return pb
 }
@@ -199,11 +224,11 @@ func (pb *partBuilder) appendLanes(cols []Vector, sel []int32, n int, weights []
 	}
 	base := len(pb.w)
 	if sel == nil {
-		pb.w = extend(pb.w, n)
+		pb.w = grow(pb.mem, pb.w, n)
 		copy(pb.w[base:], weights[:n])
 		return
 	}
-	pb.w = extend(pb.w, len(sel))
+	pb.w = grow(pb.mem, pb.w, len(sel))
 	for j, i := range sel {
 		pb.w[base+j] = weights[i]
 	}
@@ -235,7 +260,8 @@ func (pb *partBuilder) appendRow(vals ...[]table.Value) {
 			c++
 		}
 	}
-	pb.w = append(pb.w, 1)
+	pb.w = grow(pb.mem, pb.w, 1)
+	pb.w[len(pb.w)-1] = 1
 }
 
 // finish returns the built partition. The builder must not be used

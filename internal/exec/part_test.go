@@ -89,8 +89,8 @@ func TestPartBuilderRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		width := 1 + rng.Intn(4)
 		batches := rng.Intn(5) // 0 = empty partition
-		pb := newPartBuilder(width, 0)
-		blds := make([]vecBuilder, width)
+		pb := newPartBuilder(newLedger(), width, 0)
+		blds := newPartBuilder(newLedger(), width, 0).cols
 		var want []wrow
 		for bi := 0; bi < batches; bi++ {
 			n := 1 + rng.Intn(70)
@@ -127,7 +127,7 @@ func TestPartBuilderRoundTrip(t *testing.T) {
 // private copy without disturbing what was already appended.
 func TestPartBuilderGatherSharesDictionary(t *testing.T) {
 	mk := func(strs ...string) Part {
-		pb := newPartBuilder(1, len(strs))
+		pb := newPartBuilder(newLedger(), 1, len(strs))
 		for _, s := range strs {
 			if s == "<null>" {
 				pb.appendRow(table.Row{table.Null})
@@ -140,7 +140,7 @@ func TestPartBuilderGatherSharesDictionary(t *testing.T) {
 	a, b := mk("p", "q", "<null>", "r"), mk("r", "s")
 	av, bv := a.vectors(), b.vectors()
 
-	pb := newPartBuilder(1, 0)
+	pb := newPartBuilder(newLedger(), 1, 0)
 	pb.appendGather(av, []int32{3, -1, 0, 2, 3}, 0)
 	pb.appendGather(av, nil, 0) // no lanes, not "all lanes"
 	pb.w = append(pb.w, 1, 1, 1, 1, 1)
@@ -155,7 +155,7 @@ func TestPartBuilderGatherSharesDictionary(t *testing.T) {
 	}
 	sameParts(t, [][]wrow{wantOne}, []Part{one}, "one source")
 
-	pb = newPartBuilder(1, 0)
+	pb = newPartBuilder(newLedger(), 1, 0)
 	pb.appendGather(av, []int32{3, 1}, 0)
 	pb.appendGather(bv, []int32{1, -1, 0}, 0)
 	pb.appendGather(av, []int32{0}, 0)
@@ -179,7 +179,7 @@ func TestPartBuilderGatherSharesDictionary(t *testing.T) {
 // first k rows (NULL bitmap bits past k must not count), gather
 // reorders.
 func TestPartHeadAndGather(t *testing.T) {
-	pb := newPartBuilder(2, 0)
+	pb := newPartBuilder(newLedger(), 2, 0)
 	var rows []wrow
 	for i := 0; i < 130; i++ {
 		row := table.Row{table.NewInt(int64(i)), table.NewString(fmt.Sprint("s", i%5))}
@@ -198,7 +198,7 @@ func TestPartHeadAndGather(t *testing.T) {
 	for _, i := range perm {
 		want = append(want, rows[i])
 	}
-	sameParts(t, [][]wrow{want}, []Part{p.gather(perm)}, "gather")
+	sameParts(t, [][]wrow{want}, []Part{p.gather(newLedger(), perm)}, "gather")
 }
 
 // TestHashKeysMatchesHashRow pins the lane hash to table.HashRow for
@@ -216,7 +216,7 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 		cols = append(cols, columnOf(rng, pool, n))
 		names = append(names, name)
 	}
-	blds := make([]vecBuilder, len(cols))
+	blds := newPartBuilder(newLedger(), len(cols), 0).cols
 	b := batchOf(rng, cols, blds, 0)
 	rows := make([]table.Row, n)
 	for i := range rows {
@@ -264,7 +264,7 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 	// once per code of a dictionary no longer than its source (NULL lanes
 	// included), and per lane in a source holding fewer rows than its
 	// dictionary. Keeping them routes the lanes as not keeping them does.
-	pb := newPartBuilder(len(cols), n)
+	pb := newPartBuilder(newLedger(), len(cols), n)
 	for _, r := range rows {
 		pb.appendRow(r)
 	}
@@ -276,11 +276,11 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 	}
 	route := func(idx []int) {
 		t.Helper()
-		kept, err := routeParts(serialFan, srcs, len(cols), idx, 5, 16, true)
+		kept, err := routeParts(serialFan, newLedger(), srcs, len(cols), idx, 5, 16, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := routeParts(serialFan, srcs, len(cols), idx, 5, 16, false)
+		plain, err := routeParts(serialFan, newLedger(), srcs, len(cols), idx, 5, 16, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestExchangeRoutingMatchesScatter(t *testing.T) {
 		srcs := make([]Part, 1+rng.Intn(4))
 		for i := range srcs {
 			n := []int{0, 2 * window, 2*window + 1, rng.Intn(150)}[rng.Intn(4)]
-			pb := newPartBuilder(width, 0)
+			pb := newPartBuilder(newLedger(), width, 0)
 			cols := make([][]table.Value, width)
 			for c := range cols {
 				fam := names[(int(seed)+c)%len(names)]
@@ -504,7 +504,7 @@ func TestExchangeRoutingMatchesScatter(t *testing.T) {
 		}
 		label := fmt.Sprintf("seed %d", seed)
 		want := refExchange(srcs, width, keyIdx, parts, window)
-		rt, err := routeParts(serialFan, srcs, width, keyIdx, parts, window, false)
+		rt, err := routeParts(serialFan, newLedger(), srcs, width, keyIdx, parts, window, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,8 +105,8 @@ func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
 // paired sampler on the other join input — picks the same subspace, and
 // they share the run's memo of its coordinates; the distinct sampler's δ
 // is split across partitions). The caller wires its input and
-// accounting.
-func (sp *pipeSpec) newSampler(task int) *colSampleOp {
+// accounting. Its buffers sized by the data are slabs of mem.
+func (sp *pipeSpec) newSampler(mem *ledger, task int) *colSampleOp {
 	p := sp.sample
 	op := &colSampleOp{}
 	switch p.Def.Type {
@@ -123,9 +123,9 @@ func (sp *pipeSpec) newSampler(task int) *colSampleOp {
 			s:       sampler.NewDistinct(p.Def.P, delta, p.Seed*0x9E3779B9+uint64(task)+1),
 			colIdx:  sp.colIdx,
 			buckets: slices.Clone(sp.buckets),
-			kt:      newKeyTable(len(sp.colIdx) + len(sp.buckets)),
-			hold:    newPartBuilder(width, 0),
-			out:     newPartBuilder(width, 0),
+			kt:      newKeyTable(mem, len(sp.colIdx)+len(sp.buckets)),
+			hold:    newPartBuilder(mem, width, 0),
+			out:     newPartBuilder(mem, width, 0),
 		}
 		op.dist, op.cost = d, d.s.CostPerRow()
 	}

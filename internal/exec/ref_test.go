@@ -91,12 +91,12 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 		if x.Def.Type == lplan.SamplerPassThrough {
 			return in
 		}
-		sp, err := (&executor{qm: metrics.NewQuery()}).compilePipeOp(x, len(in))
+		sp, err := (&executor{qm: metrics.NewQuery(), mem: newLedger()}).compilePipeOp(x, len(in))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, part := range in {
-			in[i] = refSample(sp, sp.newSampler(i), part)
+			in[i] = refSample(sp, sp.newSampler(newLedger(), i), part)
 		}
 		return in
 	case *PCachedSample:
@@ -294,7 +294,7 @@ func refKeyIdx(t *testing.T, in PNode, keys []lplan.ColumnID) []int {
 func testExecutor(ctx context.Context, p PNode, batch int) *executor {
 	qm := metrics.NewQuery()
 	registerOps(qm, p, nil, nil)
-	return &executor{run: cluster.NewRun(cluster.DefaultConfig()), qm: qm, batch: resolveBatch(batch), ctx: ctx}
+	return &executor{run: cluster.NewRun(cluster.DefaultConfig()), qm: qm, batch: resolveBatch(batch), ctx: ctx, mem: newLedger()}
 }
 
 // execParts runs p through the executor at the given batch size and
@@ -326,7 +326,7 @@ type scatter struct {
 func newScatter(parts, width int, keyIdx []int) *scatter {
 	sc := &scatter{dst: make([]*partBuilder, parts), keyIdx: keyIdx, sels: make([][]int32, parts)}
 	for d := range sc.dst {
-		sc.dst[d] = newPartBuilder(width, 0)
+		sc.dst[d] = newPartBuilder(newLedger(), width, 0)
 	}
 	return sc
 }
@@ -370,7 +370,7 @@ func refExchange(srcs []Part, width int, keyIdx []int, parts, window int) []Part
 	}
 	out := make([]Part, parts)
 	for d := range out {
-		out[d] = concatParts(pieces[d], width)
+		out[d] = concatParts(newLedger(), pieces[d], width)
 	}
 	return out
 }

@@ -102,7 +102,13 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	}
 	qm := metrics.NewQuery()
 	registerOps(qm, p, estRows, opts.CorrRows)
-	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch}
+	// The run's payload slabs go back to their pools on every exit path,
+	// once the answer has been copied out of them (part.rows, the top
+	// estimates): pool.Run returns only after every task it started has
+	// finished, so no task still holds one.
+	mem := newLedger()
+	defer mem.release()
+	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch, mem: mem}
 	t0 := time.Now()
 	s, err := ex.exec(p)
 	if err != nil {
@@ -110,7 +116,11 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	}
 	ex.ensureStage(s, "final")
 	s.stage.Final = true
-	var rows []table.Row
+	total := 0
+	for i := range s.parts {
+		total += s.parts[i].N
+	}
+	rows := make([]table.Row, 0, total)
 	for i := range s.parts {
 		part := &s.parts[i]
 		rows = append(rows, part.rows()...)
@@ -235,6 +245,9 @@ type executor struct {
 	// holds at most universeMemoKeys keys, about 1.1 MiB, which admission
 	// does not charge.
 	universe map[uint64]*universeMemo
+	// mem is the run's ledger: every payload slab its partitions and
+	// routes hold.
+	mem *ledger
 }
 
 // memoFor returns the run's universe memo for seed.
@@ -244,7 +257,7 @@ func (ex *executor) memoFor(seed uint64) *universeMemo {
 		if ex.universe == nil {
 			ex.universe = map[uint64]*universeMemo{}
 		}
-		m = &universeMemo{seed: seed, keys: newKeyTable(1)}
+		m = &universeMemo{seed: seed, keys: newKeyTable(ex.mem, 1)}
 		ex.universe[seed] = m
 	}
 	return m
@@ -365,7 +378,7 @@ func (ex *executor) execExchange(p *PExchange) (*stream, error) {
 			for i := d; i < len(s.parts); i += len(out) {
 				group = append(group, s.parts[i])
 			}
-			out[d] = concatParts(group, len(p.In.Cols()))
+			out[d] = concatParts(ex.mem, group, len(p.In.Cols()))
 			rows[d], bytes[d] = int64(out[d].N), out[d].bytes
 		}
 		noteExchange(op, rows, bytes)
@@ -395,6 +408,7 @@ func noteExchange(op *metrics.Op, rows []int64, bytes []float64) {
 // routed lanes where they lie (execAggRouted); every other consumer
 // gathers them once (gather).
 type routes struct {
+	mem                  *ledger
 	srcs                 []Part
 	width, parts, window int
 	// lanes[i] permutes source i's lanes window by window: the stretch
@@ -450,7 +464,7 @@ func (ex *executor) routeExchange(p *PExchange, keep bool) (*routes, *stream, er
 	}
 	op := ex.opFor(p)
 	t0 := time.Now()
-	rt, err := routeParts(ex.parallel, s.parts, len(p.In.Cols()), keyIdx, p.Parts, ex.batch, keep)
+	rt, err := routeParts(ex.parallel, ex.mem, s.parts, len(p.In.Cols()), keyIdx, p.Parts, ex.batch, keep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -461,14 +475,15 @@ func (ex *executor) routeExchange(p *PExchange, keep bool) (*routes, *stream, er
 
 // routeParts routes srcs, width columns wide, on the key columns keyIdx
 // to parts destinations in windows of at most window lanes, one task
-// per source under fan, keeping the lane hashes with keep.
-func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, keyIdx []int, parts, window int, keep bool) (*routes, error) {
+// per source under fan, keeping the lane hashes with keep. The routing
+// arrays, and the partitions gather builds, are slabs of mem.
+func routeParts(fan func(int, func(int) error) error, mem *ledger, srcs []Part, width int, keyIdx []int, parts, window int, keep bool) (*routes, error) {
 	longest := 1
 	for i := range srcs {
 		longest = max(longest, srcs[i].N)
 	}
 	rt := &routes{
-		srcs: srcs, width: width, parts: parts, window: min(window, longest),
+		mem: mem, srcs: srcs, width: width, parts: parts, window: min(window, longest),
 		lanes: make([][]int32, len(srcs)), offs: make([][]int32, len(srcs)),
 		rows: make([]int64, parts), bytes: make([]float64, parts),
 	}
@@ -498,8 +513,9 @@ func routeParts(fan func(int, func(int) error) error, srcs []Part, width int, ke
 //hot:exchange routing, per window
 func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	src, parts, mod := &rt.srcs[i], rt.parts, uint64(rt.parts)
-	lanes := make([]int32, src.N)
-	offs := make([]int32, ((src.N+rt.window-1)/rt.window)*(parts+1))
+	lanes := slab[int32](rt.mem, src.N)
+	offs := slab[int32](rt.mem, ((src.N+rt.window-1)/rt.window)*(parts+1))
+	clear(offs) // the windows' destination counts start at zero
 	next := make([]int32, parts)
 	keys := make([]Vector, len(keyIdx))
 	codes := make([][]uint64, len(keyIdx))
@@ -510,18 +526,18 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	}
 	var kept []uint64
 	if rt.hashes != nil {
-		kept = make([]uint64, src.N)
+		kept = slab[uint64](rt.mem, src.N)
 		rt.hashes[i] = kept
 	}
 	var cols []Vector
-	var dest []uint64
+	dest := slab[uint64](rt.mem, min(rt.window, src.N))
 	for w, pos := 0, 0; pos < src.N; w++ {
 		n := min(rt.window, src.N-pos)
 		for k, ci := range keyIdx {
 			keys[k] = window(&src.Cols[ci], pos, n)
 		}
 		// Destinations overwrite the hashes in place unless they are kept.
-		dest = extend(dest[:0], n)
+		dest = dest[:n]
 		hs := dest
 		if kept != nil {
 			hs = kept[pos : pos+n]
@@ -559,7 +575,7 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 //
 //hot:exchange gather, per destination
 func (rt *routes) gather(ctx context.Context, d int) (Part, error) {
-	pb := newPartBuilder(rt.width, int(rt.rows[d]))
+	pb := newPartBuilder(rt.mem, rt.width, int(rt.rows[d]))
 	var cols []Vector
 	for i := range rt.srcs {
 		if err := ctxErr(ctx); err != nil {
@@ -622,14 +638,15 @@ func keyPositions(n PNode, keys []lplan.ColumnID, what string) ([]int, error) {
 	return idx, nil
 }
 
-// newProbe builds task's probe of bt over child's batches and charges
-// the build rows the task reads to its slot.
-func (js *joinSpec) newProbe(ctx context.Context, child colOperator, bt *joinTable, st *cluster.Stage, task int, slot *metrics.Slot) (*colProbeOp, error) {
+// newProbe builds task's probe of bt over child's batches, its output
+// builders on mem, and charges the build rows the task reads to its
+// slot.
+func (js *joinSpec) newProbe(ctx context.Context, mem *ledger, child colOperator, bt *joinTable, st *cluster.Stage, task int, slot *metrics.Slot) (*colProbeOp, error) {
 	width := len(js.p.Left.Cols()) + len(bt.cols)
 	o := &colProbeOp{ctx: ctx, child: child, js: js, bt: bt, outer: js.p.Kind == lplan.LeftOuterJoin,
-		st: st, task: task, slot: slot, keys: make([]Vector, len(js.lIdx)), out: newPartBuilder(width, 0)}
+		st: st, task: task, slot: slot, keys: make([]Vector, len(js.lIdx)), out: newPartBuilder(mem, width, 0)}
 	if js.p.Residual != nil {
-		o.resid = &joinResidual{cand: newPartBuilder(width, 0)}
+		o.resid = &joinResidual{cand: newPartBuilder(mem, width, 0), sc: colScratch{mem: mem}}
 		kern, err := compileColKernel(js.p.Residual, buildColMap(js.p.Cols()), &o.resid.sc)
 		if err != nil {
 			return nil, err
@@ -682,12 +699,12 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 		if err != nil {
 			return err
 		}
-		probe, err := js.newProbe(ex.ctx, &partSource{p: lp, size: ex.batch}, bt, st, i, sl)
+		probe, err := js.newProbe(ex.ctx, ex.mem, &partSource{p: lp, size: ex.batch}, bt, st, i, sl)
 		if err != nil {
 			return err
 		}
 		// Without an estimate, room for one output row per probe row.
-		pb := newPartBuilder(width, cmp.Or(hint, lp.N))
+		pb := newPartBuilder(ex.mem, width, cmp.Or(hint, lp.N))
 		pb.share = true
 		if err := pull(ex.ctx, probe, pb.appendBatch); err != nil {
 			return err
@@ -794,7 +811,7 @@ func (ex *executor) execSort(p *PSort) (*stream, error) {
 			// Deterministic tie-break on the whole row.
 			return table.CompareRows(ra, rb) < 0
 		})
-		s.parts[pi] = part.gather(perm)
+		s.parts[pi] = part.gather(ex.mem, perm)
 		s.stage.AddCPU(pi, float64(n)*logf(n))
 		return nil
 	}); err != nil {

@@ -18,7 +18,8 @@ import (
 // fused scan→filter→sample fragment every few seconds. PCachedSample
 // marks such a fragment as reusable: the first execution puts the
 // partitions its sink built (column-major Parts, the executor's one
-// partition type) into a byte-budgeted LRU as they are, and repeated
+// partition type) into a byte-budgeted LRU, as copies off the run's
+// ledger, and repeated
 // executions read them without touching the base table. The fragment itself stays
 // in the plan as the node's only child, so every plan walker — the
 // invariant checkers, EXPLAIN, the soundness prover — still sees the
@@ -158,7 +159,7 @@ func fnv64(s string) uint64 {
 }
 
 // cacheEntry is one LRU slot: a fragment's full per-partition output,
-// exactly the Parts the fragment's sink built. Parts are immutable and
+// clones of the Parts the fragment's sink built. Parts are immutable and
 // every reader copies the weights it goes on to scale, so one entry
 // serves any number of concurrent queries.
 type cacheEntry struct {
@@ -204,10 +205,12 @@ func (c *SampleCache) Get(key string) ([]Part, bool) {
 	return el.Value.(*cacheEntry).parts, true
 }
 
-// Put inserts a materialized fragment output. Admission control rejects
-// entries larger than a quarter of the budget (one giant fragment must
-// not wipe the working set); otherwise least-recently-used entries are
-// evicted until the new entry fits.
+// Put inserts a clone of a materialized fragment output: the run that
+// built parts releases their payloads when it ends, the entry keeps its
+// own (and shares the dictionaries). Admission control rejects entries
+// larger than a quarter of the budget (one giant fragment must not wipe
+// the working set); otherwise least-recently-used entries are evicted
+// until the new entry fits.
 func (c *SampleCache) Put(key string, parts []Part) {
 	var bytes int64
 	for i := range parts {
@@ -217,6 +220,10 @@ func (c *SampleCache) Put(key string, parts []Part) {
 	if bytes > c.budget/4 {
 		metrics.SampleCacheRejects.Add(1)
 		return
+	}
+	own := make([]Part, len(parts))
+	for i := range parts {
+		own[i] = parts[i].clone()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -233,7 +240,7 @@ func (c *SampleCache) Put(key string, parts []Part) {
 		}
 		c.evict(back)
 	}
-	e := &cacheEntry{key: key, parts: parts, bytes: bytes}
+	e := &cacheEntry{key: key, parts: own, bytes: bytes}
 	c.items[key] = c.order.PushFront(e)
 	c.bytes += bytes
 	metrics.SampleCacheBytes.Store(c.bytes)
@@ -342,10 +349,10 @@ func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 		sl.RowsOut += int64(s.parts[i].N)
 	}
 	if ex.sc != nil && scan != nil {
-		// Populate-on-miss: the sink's partitions go in as they are. The
-		// key was computed before the fragment ran, so an Append or config
-		// bump landing mid-run leaves the entry unreachable, never wrong.
-		ex.sc.Put(key, slices.Clone(s.parts))
+		// Populate-on-miss: Put clones the sink's partitions. The key was
+		// computed before the fragment ran, so an Append or config bump
+		// landing mid-run leaves the entry unreachable, never wrong.
+		ex.sc.Put(key, s.parts)
 	}
 	return s, nil
 }

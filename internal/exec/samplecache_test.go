@@ -83,7 +83,7 @@ func TestFragmentKeySensitivity(t *testing.T) {
 // cachedFixture builds n single-column rows into a cache entry of a
 // known, deterministic byte size for LRU tests.
 func cachedFixture(n int) []Part {
-	pb := newPartBuilder(1, n)
+	pb := newPartBuilder(newLedger(), 1, n)
 	for i := 0; i < n; i++ {
 		pb.appendRow(table.Row{table.NewFloat(float64(i))})
 	}
@@ -98,7 +98,7 @@ func replayCached(cached []Part, batch int) []Part {
 	parts := make([]Part, len(cached))
 	for i := range cached {
 		src := &partSource{p: &cached[i], size: resolveBatch(batch)}
-		pb := newPartBuilder(len(cached[i].Cols), 0)
+		pb := newPartBuilder(newLedger(), len(cached[i].Cols), 0)
 		for {
 			b, _ := src.Next() // the partition source never fails
 			if b.Len() == 0 {
@@ -178,7 +178,7 @@ func TestCachedRoundTripBitIdentical(t *testing.T) {
 		newWRow(table.Row{table.NewInt(-1), table.NewFloat(math.Inf(1)), table.NewString("")}, 0.125),
 		newWRow(table.Row{table.NewInt(0), table.Null, table.NewString("y")}, 1.0),
 	}
-	pb := newPartBuilder(3, 0)
+	pb := newPartBuilder(newLedger(), 3, 0)
 	for _, r := range rows {
 		pb.appendRow(r.row)
 		pb.w[len(pb.w)-1] = r.w
@@ -198,7 +198,7 @@ func TestCachedRoundTripBitIdentical(t *testing.T) {
 // mixed-kind column to the real size of a boxed Value.
 func TestCachedPartBytesChargesBoxedValues(t *testing.T) {
 	const n = 100
-	pb := newPartBuilder(1, n)
+	pb := newPartBuilder(newLedger(), 1, n)
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
 			pb.appendRow(table.Row{table.NewInt(int64(i))})

@@ -15,7 +15,7 @@ import (
 // typed (with a NULL bitmap where vals hold NULLs) while the non-NULL
 // values share a kind, VKAny once they mix, VKNull when all are NULL.
 func vecOf(vals ...table.Value) Vector {
-	var bd vecBuilder
+	bd := vecBuilder{mem: newLedger()}
 	for _, v := range vals {
 		bd.append(v)
 	}
@@ -132,7 +132,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 					cols[k] = k
 				}
 				const seed = 42
-				u := &universeLanes{s: sampler.NewUniverse(0.5, cols, seed), memo: (&executor{}).memoFor(seed)}
+				u := &universeLanes{s: sampler.NewUniverse(0.5, cols, seed), memo: (&executor{mem: newLedger()}).memoFor(seed)}
 				checkCoords(t, u, tc.batches, sparse)
 			})
 		}
@@ -144,7 +144,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	// key once, published.
 	t.Run("shared-memo", func(t *testing.T) {
 		const seed = 9
-		memo := (&executor{}).memoFor(seed)
+		memo := (&executor{mem: newLedger()}).memoFor(seed)
 		var wg sync.WaitGroup
 		for side := 0; side < 2; side++ {
 			for task := 0; task < 4; task++ {
@@ -187,7 +187,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	// hash those lanes themselves, and publish only their own keys.
 	t.Run("unpublished", func(t *testing.T) {
 		const seed = 5
-		memo := (&executor{}).memoFor(seed)
+		memo := (&executor{mem: newLedger()}).memoFor(seed)
 		lanes := func(keys Vector) *universeLanes {
 			u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, seed), memo: memo}
 			u.keys, u.hashes = []Vector{keys}, make([]uint64, keys.N)
@@ -215,7 +215,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	// match.
 	t.Run("full", func(t *testing.T) {
 		const seed = 6
-		memo := (&executor{}).memoFor(seed)
+		memo := (&executor{mem: newLedger()}).memoFor(seed)
 		u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, seed), memo: memo}
 		over := vecOf(intRange(1, universeMemoKeys+10)...)
 		checkCoords(t, u, [][]Vector{{over}}, false)
@@ -229,7 +229,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	// turns into ErrInternal) must leave the memo unlocked, not hang the
 	// query's other tasks.
 	t.Run("panic-unlocks", func(t *testing.T) {
-		memo := (&executor{}).memoFor(3)
+		memo := (&executor{mem: newLedger()}).memoFor(3)
 		u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, 3), memo: memo,
 			keys: []Vector{vecOf(intVals(1)...)}, hashes: make([]uint64, 6)}
 		func() {

@@ -211,8 +211,10 @@ func window(cv *table.ColVec, off, n int) Vector {
 // degrading to VKAny on the first mix. It takes single Values (append)
 // and whole lanes of another Vector (appendSel, appendGather); the
 // result is a batch Vector (build, aliasing the builder's buffers until
-// the next reset) or a stored partition column (col).
+// the next reset) or a stored partition column (col). The integer and
+// float payloads are slabs of the run's ledger mem.
 type vecBuilder struct {
+	mem     *ledger
 	k       VecKind // VKNull until the first non-NULL value
 	n       int
 	ints    []int64
@@ -269,11 +271,22 @@ func (bd *vecBuilder) appendNull() {
 	case VKAny:
 		bd.vals = append(bd.vals, table.Null)
 	case VKFloat:
-		bd.floats = append(bd.floats, 0)
+		bd.pushFloat(0)
 	default:
-		bd.ints = append(bd.ints, 0)
+		bd.pushInt(0)
 	}
 	bd.n++
+}
+
+// pushInt and pushFloat append one typed payload.
+func (bd *vecBuilder) pushInt(x int64) {
+	bd.ints = grow(bd.mem, bd.ints, 1)
+	bd.ints[len(bd.ints)-1] = x
+}
+
+func (bd *vecBuilder) pushFloat(x float64) {
+	bd.floats = grow(bd.mem, bd.floats, 1)
+	bd.floats[len(bd.floats)-1] = x
 }
 
 func kindOf(v table.Value) VecKind {
@@ -307,16 +320,16 @@ func (bd *vecBuilder) append(v table.Value) {
 	case VKAny:
 		bd.vals = append(bd.vals, v)
 	case VKInt:
-		bd.ints = append(bd.ints, v.Int())
+		bd.pushInt(v.Int())
 	case VKFloat:
-		bd.floats = append(bd.floats, v.Float())
+		bd.pushFloat(v.Float())
 	case VKBool:
-		bd.ints = append(bd.ints, btoi(v.Bool()))
+		bd.pushInt(btoi(v.Bool()))
 	case VKStr:
 		if bd.shared {
 			bd.unshare()
 		}
-		bd.ints = append(bd.ints, int64(bd.intern(v.Str())))
+		bd.pushInt(int64(bd.intern(v.Str())))
 	}
 	bd.n++
 }
@@ -335,10 +348,11 @@ func (bd *vecBuilder) intern(s string) int32 {
 	return code
 }
 
-// extend returns s lengthened by m elements of unspecified content. When
-// it must reallocate it at least doubles the capacity, so a partition
-// column appended to batch by batch allocates at most twice its final
-// capacity in total (append's own 1.25x steps allocate five times it).
+// extend returns s lengthened by m elements of unspecified content, on
+// the heap: per-batch scratch and the universe memo. When it must
+// reallocate it at least doubles the capacity (append's own 1.25x steps
+// allocate five times the final capacity). Partition payloads grow on
+// the run's ledger instead (grow).
 func extend[T any](s []T, m int) []T {
 	need := len(s) + m
 	if need <= cap(s) {
@@ -440,7 +454,7 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 	switch bd.k {
 	case VKNull:
 	case VKFloat:
-		bd.floats = extend(bd.floats, m)
+		bd.floats = grow(bd.mem, bd.floats, m)
 		dst := bd.floats[base:]
 		switch {
 		case v.K == VKNull:
@@ -458,7 +472,7 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 			}
 		}
 	default:
-		bd.ints = extend(bd.ints, m)
+		bd.ints = grow(bd.mem, bd.ints, m)
 		dst := bd.ints[base:]
 		switch {
 		case v.K == VKNull:
@@ -571,13 +585,13 @@ func (bd *vecBuilder) adopt(k VecKind) {
 	}
 	switch k {
 	case VKFloat:
-		bd.floats = slices.Grow(bd.floats[:0], reserve)[:bd.n]
+		bd.floats = grow(bd.mem, bd.floats[:0], reserve)[:bd.n]
 		clear(bd.floats)
 	case VKAny:
 		bd.vals = slices.Grow(bd.vals[:0], reserve)[:bd.n]
 		clear(bd.vals)
 	default:
-		bd.ints = slices.Grow(bd.ints[:0], reserve)[:bd.n]
+		bd.ints = grow(bd.mem, bd.ints[:0], reserve)[:bd.n]
 		clear(bd.ints)
 	}
 }

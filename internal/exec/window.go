@@ -66,7 +66,7 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 			if err != nil {
 				return err
 			}
-			bd := vecBuilder{hint: len(vals)}
+			bd := vecBuilder{mem: ex.mem, hint: len(vals)}
 			for _, v := range vals {
 				bd.append(v)
 			}
