@@ -1,19 +1,18 @@
 package sketch
 
 import (
-	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 )
 
 // KMV estimates the number of distinct values in a stream with the
 // k-minimum-values synopsis (Bar-Yossef et al., RANDOM 2002; Beyer et
 // al., SIGMOD 2007 — the paper's citation [16] for distinct-value
 // synopses under multiset operations).
+// Its state is a set plus a count: re-adding a key changes only N.
 type KMV struct {
 	k      int
-	hashes []uint64 // max-heap-free: kept sorted ascending, len ≤ k
-	seen   map[uint64]bool
+	hashes []uint64        // the distinct minimum hashes, sorted ascending, len ≤ k
 	exact  map[string]bool // exact mode while small
 	n      int64
 }
@@ -24,46 +23,46 @@ func NewKMV(k int) *KMV {
 	if k < 16 {
 		k = 16
 	}
-	return &KMV{k: k, seen: map[uint64]bool{}, exact: map[string]bool{}}
+	return &KMV{k: k, exact: map[string]bool{}}
 }
 
 // Add records one value.
-func (s *KMV) Add(key string) {
-	s.n++
-	if s.exact != nil {
+func (s *KMV) Add(key string) { s.AddKey([]byte(key), 1) }
+
+// AddKey records n occurrences of the value whose key is the bytes of
+// key: the same state as n calls of Add(string(key)), hashed in place.
+// It allocates only when key is new to the exact set.
+func (s *KMV) AddKey(key []byte, n int64) {
+	s.n += n
+	if s.exact != nil && !s.exact[string(key)] {
 		// Stay exact while cheap; the hashes are fed too, so the later
 		// switch is seamless.
-		s.exact[key] = true
+		s.exact[string(key)] = true
 	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	s.insertHash(mix64(h.Sum64()))
+	h := uint64(14695981039346656037) // FNV-1a, allocation-free
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	s.insertHash(mix64(h))
 	if s.exact != nil && len(s.exact) > 4*s.k {
 		s.exact = nil // fall back to the sketch estimate
 	}
 }
 
 // insertHash folds one (already mixed) hash value into the k-minimum
-// set, keeping hashes sorted ascending and capped at k.
+// set, keeping hashes sorted ascending and capped at k. A full sketch
+// rejects most hashes of a long stream by its k-th minimum alone.
 func (s *KMV) insertHash(v uint64) {
-	if s.seen[v] {
+	if len(s.hashes) >= s.k && v >= s.hashes[len(s.hashes)-1] {
 		return
 	}
-	if len(s.hashes) >= s.k {
-		max := s.hashes[len(s.hashes)-1]
-		if v >= max {
-			return
-		}
+	i, found := slices.BinarySearch(s.hashes, v)
+	if found {
+		return
 	}
-	s.seen[v] = true
-	i := sort.Search(len(s.hashes), func(i int) bool { return s.hashes[i] >= v })
-	s.hashes = append(s.hashes, 0)
-	copy(s.hashes[i+1:], s.hashes[i:])
-	s.hashes[i] = v
+	s.hashes = slices.Insert(s.hashes, i, v)
 	if len(s.hashes) > s.k {
-		drop := s.hashes[len(s.hashes)-1]
-		delete(s.seen, drop)
-		s.hashes = s.hashes[:len(s.hashes)-1]
+		s.hashes = s.hashes[:s.k]
 	}
 }
 

@@ -194,10 +194,18 @@ func TestExtendFoldsOnlyNewLanes(t *testing.T) {
 // One appender, four readers (run with -race): every reader sees the
 // table grow monotonically and never past what the table holds, a
 // snapshot is not written after it was handed out, and the last read
-// sees every row.
+// sees every row. The readers' first Get is the table's first touch:
+// over a 20 000-row base never read before (its partitions not even
+// sealed) it fans out on the pool while the appender runs.
 func TestExtendConcurrent(t *testing.T) {
+	for _, base := range []int{1000, 20000} {
+		t.Run(fmt.Sprint("base_", base), func(t *testing.T) { extendConcurrent(t, base) })
+	}
+}
+
+func extendConcurrent(t *testing.T, base int) {
 	const rows = 20000
-	tbl := data.Logs(1000, 3, 4)
+	tbl := data.Logs(base, 3, 4)
 	s := NewStore()
 	set := []string{"log_country", "log_status"}
 	more := data.Logs(rows, 4, 1).AllRows()
@@ -255,7 +263,7 @@ func TestExtendConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.Get(tbl).RowCount; got != 1000+rows || got != int64(tbl.NumRows()) {
+	if got := s.Get(tbl).RowCount; got != int64(base+rows) || got != int64(tbl.NumRows()) {
 		t.Fatalf("after the appender stopped: RowCount %d, the table holds %d", got, tbl.NumRows())
 	}
 }
@@ -288,4 +296,47 @@ func BenchmarkStatsExtend(b *testing.B) {
 			s.Get(tbl)
 		}
 	})
+}
+
+// BenchmarkCollect: the first touch of freshly loaded tables, sealing
+// their partitions included, over the 100k-row weblogs and TPC-H sf 0.1.
+func BenchmarkCollect(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		load func() map[string]*table.Table
+	}{
+		{"weblogs_100k", func() map[string]*table.Table { return map[string]*table.Table{"weblogs": data.Logs(100000, 7, 8)} }},
+		{"tpch_sf0.1", func() map[string]*table.Table {
+			return data.GenerateTPCH(data.TPCHConfig{ScaleFactor: 0.1, Seed: 3}).Tables
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tables := c.load()
+				b.StartTimer()
+				for _, t := range tables {
+					Collect(t)
+				}
+			}
+		})
+	}
+}
+
+// A fold allocates per key it keeps, not per lane: the first touch of
+// the 20k-row weblogs, one column set included, stays within 1.25× the
+// allocations per folded lane measured when the typed kernels landed
+// (0.0915; the row-wise pass before them made 1.66).
+func TestCollectAllocCeiling(t *testing.T) {
+	tbl := data.Logs(20000, 7, 8)
+	tbl.EnsureColumnar()
+	set := []string{"log_country", "log_status"}
+	lanes := float64(20000 * (tbl.Schema.Len() + 1))
+	perLane := testing.AllocsPerRun(5, func() { Collect(tbl).NDVSet(set) }) / lanes
+	t.Logf("%.4f allocations per folded lane", perLane)
+	const ceiling = 1.25 * 0.0915
+	if perLane > ceiling {
+		t.Errorf("%.4f allocations per folded lane, ceiling %.4f", perLane, ceiling)
+	}
 }

@@ -10,13 +10,14 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"quickr/internal/pool"
 	"quickr/internal/sketch"
 	"quickr/internal/table"
 )
@@ -62,8 +63,9 @@ const heavyFraction = 0.01
 const lossyEps = 1e-4
 
 // entry holds one table's streaming accumulators between folds. Every
-// fold runs under mu, in the calling goroutine, partitions in order: the
-// statistics are a function of the sequence of appends and reads alone.
+// fold runs under mu (a first touch's pool tasks too: the caller holds
+// mu until they end), each column's partitions in order: the statistics
+// are a function of the sequence of appends and reads alone.
 type entry struct {
 	tbl *table.Table
 	// pub is the snapshot last published; a reader at an unchanged
@@ -81,15 +83,6 @@ type entry struct {
 	sets map[string]*setAcc
 }
 
-// colAcc accumulates one column.
-type colAcc struct {
-	kmv        *sketch.KMV
-	lossy      *sketch.LossyCounter[string]
-	sum, sumsq float64
-	cnt, nulls int64
-	min, max   table.Value
-}
-
 // setAcc accumulates the distinct combinations of one column set, from
 // its own per-partition marks.
 type setAcc struct {
@@ -103,7 +96,7 @@ type setAcc struct {
 func newEntry(t *table.Table) *entry {
 	e := &entry{tbl: t, cols: make([]colAcc, t.Schema.Len()), marks: make([]int, len(t.Partitions)), sets: map[string]*setAcc{}}
 	for i := range e.cols {
-		e.cols[i] = colAcc{kmv: sketch.NewKMV(1024), lossy: sketch.NewLossyCounter[string](lossyEps), min: table.Null, max: table.Null}
+		e.cols[i] = newColAcc()
 	}
 	return e
 }
@@ -129,48 +122,35 @@ func (e *entry) get() *TableStats {
 		return ts
 	}
 	ts := &TableStats{Table: e.tbl.Name, Columns: map[string]*ColumnStats{}, version: ver, e: e}
-	// Column by column within a partition, partitions in order: each
-	// column's sketches and float sums see its values in row order. The
-	// marks, not ver, say which lanes are new: a row appended after ver
-	// was read is folded here or by the next get, never twice.
-	for p := range e.marks {
-		cp := e.tbl.Columnar(p)
+	// A first touch fans out on the pool, a task per partition to seal
+	// it, then a task per column to fold it; an extension folds inline.
+	// Each column folds its lanes in row order. The marks, not ver, say
+	// which lanes are new: a row appended after ver was read is folded
+	// here or by the next get, never twice.
+	first := e.pub.Load() == nil
+	parts := make([]*table.ColPartition, len(e.marks))
+	each(first, len(parts), func(p int) { parts[p] = e.tbl.Columnar(p) })
+	los := slices.Clone(e.marks)
+	for p, cp := range parts {
 		ts.RowCount += int64(cp.NumRows)
 		ts.Bytes += cp.Bytes
-		lo := e.marks[p]
 		e.marks[p] = cp.NumRows
-		if lo == cp.NumRows {
-			continue
-		}
-		for i := range e.cols {
-			a := &e.cols[i]
-			keys := cp.Cols[i].Keys(cp.NumRows - lo)
-			if foldHook != nil {
-				foldHook(cp.NumRows - lo)
-			}
-			for lane := lo; lane < cp.NumRows; lane++ {
-				v, key := keys.At(lane)
-				if v.IsNull() {
-					a.nulls++
-					continue
-				}
-				a.kmv.Add(key)
-				a.lossy.Add(key)
-				if v.IsNumeric() {
-					f := v.Float()
-					a.sum += f
-					a.sumsq += f * f
-					a.cnt++
-				}
-				if a.min.IsNull() || v.Compare(a.min) < 0 {
-					a.min = v
-				}
-				if a.max.IsNull() || v.Compare(a.max) > 0 {
-					a.max = v
-				}
+		if n := cp.NumRows - los[p]; foldHook != nil && n > 0 {
+			for range e.cols {
+				foldHook(n)
 			}
 		}
 	}
+	cols := e.cols
+	each(first, len(cols), func(i int) {
+		var f folder
+		for p, cp := range parts {
+			if los[p] < cp.NumRows {
+				cols[i].fold(&cp.Cols[i], los[p], cp.NumRows, &f)
+			}
+		}
+		cols[i].lossy.Compact()
+	})
 	for i, c := range e.tbl.Schema.Cols {
 		a := &e.cols[i]
 		cs := &ColumnStats{Name: c.Name, Kind: c.Kind, NullCount: a.nulls, NDV: a.kmv.Estimate(), Min: a.min, Max: a.max}
@@ -179,7 +159,7 @@ func (e *entry) get() *TableStats {
 			cs.Var = math.Max(0, a.sumsq/float64(a.cnt)-cs.Avg*cs.Avg)
 		}
 		for _, hh := range a.lossy.HeavyHitters(heavyFraction) {
-			cs.Heavy = append(cs.Heavy, HeavyValue{Value: keyToValue(hh.Key), Freq: hh.Freq})
+			cs.Heavy = append(cs.Heavy, HeavyValue{Value: hh.Key.Value(), Freq: hh.Freq})
 		}
 		ts.Columns[cs.Name] = cs
 	}
@@ -187,43 +167,15 @@ func (e *entry) get() *TableStats {
 	return ts
 }
 
-// keyToValue reconstructs the value behind a Value.Key encoding: the
-// sketch reports heavy hitters by key, HeavyFreq matches them by value.
-func keyToValue(key string) table.Value {
-	if key == "" {
-		return table.Null
-	}
-	switch key[0] {
-	case 'i':
-		var n int64
-		neg := false
-		s := key[1:]
-		if strings.HasPrefix(s, "-") {
-			neg = true
-			s = s[1:]
+// each runs fn(0), …, fn(n-1) inline, or with fan set as tasks of the
+// shared pool (the caller among them), re-panicking a task's panic.
+func each(fan bool, n int, fn func(int)) {
+	if !fan {
+		for i := range n {
+			fn(i)
 		}
-		for _, c := range s {
-			if c < '0' || c > '9' {
-				return table.NewString(key)
-			}
-			n = n*10 + int64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return table.NewInt(n)
-	case 'f':
-		bits, err := strconv.ParseUint(key[1:], 16, 64)
-		if err != nil {
-			return table.NewString(key)
-		}
-		return table.NewFloat(math.Float64frombits(bits))
-	case 's':
-		return table.NewString(key[1:])
-	case 'b':
-		return table.NewBool(key == "bt")
-	default:
-		return table.NewString(key)
+	} else if _, err := pool.Default().Run(context.TODO(), n, func(i int) error { fn(i); return nil }); err != nil {
+		panic(err)
 	}
 }
 
@@ -264,8 +216,8 @@ func (e *entry) setNDV(cols []string) float64 {
 	} else if sa.version == v {
 		return sa.kmv.Estimate()
 	}
-	var sb strings.Builder
-	keys := make([]table.ColKeys, len(sa.idx))
+	var buf []byte
+	cvs := make([]*table.ColVec, len(sa.idx))
 	for p := range sa.marks {
 		cp := e.tbl.Columnar(p)
 		lo := sa.marks[p]
@@ -274,23 +226,30 @@ func (e *entry) setNDV(cols []string) float64 {
 			continue
 		}
 		for k, i := range sa.idx {
-			keys[k] = cp.Cols[i].Keys(cp.NumRows - lo)
+			cvs[k] = &cp.Cols[i]
 		}
 		if foldHook != nil {
 			foldHook(cp.NumRows - lo)
 		}
-		for lane := lo; lane < cp.NumRows; lane++ {
-			sb.Reset()
-			for k := range keys {
-				_, ck := keys[k].At(lane)
-				sb.WriteString(ck)
-				sb.WriteByte(0)
-			}
-			sa.kmv.Add(sb.String())
-		}
+		buf = foldSet(sa.kmv, cvs, lo, cp.NumRows, buf)
 	}
 	sa.version = v
 	return sa.kmv.Estimate()
+}
+
+// foldSet adds lanes [lo, hi) of a column set to kmv, each lane's key
+// the columns' Value.Key bytes, each followed by a NUL, built in buf.
+//
+//hot:per-lane composite key of NDVSet, gated by TestCollectAllocCeiling
+func foldSet(kmv *sketch.KMV, cvs []*table.ColVec, lo, hi int, buf []byte) []byte {
+	for lane := lo; lane < hi; lane++ {
+		buf = buf[:0]
+		for _, cv := range cvs {
+			buf = append(cv.Value(lane).AppendKey(buf), 0)
+		}
+		kmv.AddKey(buf, 1)
+	}
+	return buf
 }
 
 // HeavyFreq returns the frequency of value v in column col if v is a

@@ -85,36 +85,6 @@ func (c *ColVec) Value(i int) Value {
 	return Null
 }
 
-// ColKeys reads a column's lanes together with their Value.Key strings,
-// rendering whichever is fewer: a dictionary column's keys once per
-// code, or the keys of the lanes read.
-type ColKeys struct {
-	col  *ColVec
-	dict []string // Key of every Dict entry of a string column
-}
-
-// Keys returns a keyed reader over the column for a caller about to
-// read that many of its lanes.
-func (c *ColVec) Keys(lanes int) ColKeys {
-	k := ColKeys{col: c}
-	if !c.Any && c.Kind == KindString && lanes >= len(c.Dict) {
-		k.dict = make([]string, len(c.Dict))
-		for code, s := range c.Dict {
-			k.dict[code] = NewString(s).Key()
-		}
-	}
-	return k
-}
-
-// At returns lane i and its Value.Key().
-func (k ColKeys) At(i int) (Value, string) {
-	v := k.col.Value(i)
-	if k.dict != nil && !v.IsNull() {
-		return v, k.dict[k.col.Ints[i]]
-	}
-	return v, v.Key()
-}
-
 // ColPartition is one table partition in column-major form. It is
 // immutable once published: every slice is clipped to its length, so no
 // holder can append into the table's arrays.

@@ -295,6 +295,35 @@ func (v Value) keyClass() (uint8, uint64) {
 	return 255, 0
 }
 
+// Ident is a non-NULL value's key identity: comparable, and equal for
+// two values exactly when their Key() strings are, without the string.
+type Ident struct {
+	class uint8
+	p     uint64
+	s     string
+}
+
+// Ident returns the value's key identity.
+func (v Value) Ident() Ident {
+	c, p := v.keyClass()
+	return Ident{class: c, p: p, s: v.s}
+}
+
+// Value returns a value with the identity: NewInt for an integral float.
+func (id Ident) Value() Value {
+	switch id.class {
+	case 1:
+		return NewInt(int64(id.p))
+	case 2:
+		return NewFloat(math.Float64frombits(id.p))
+	case 3:
+		return NewString(id.s)
+	case 4:
+		return NewBool(id.p != 0)
+	}
+	return Null
+}
+
 // KeyEqual reports whether v.Key() == o.Key() without materializing
 // either canonical key string; grouping by KeyEqual partitions values
 // exactly like grouping by Key().
