@@ -393,29 +393,3 @@ func laneHash(v *Vector, i int) uint64 {
 		return table.HashBool(v.Ints[i] != 0)
 	}
 }
-
-// lanesEqual reports whether lane i of every a[k] equals lane j of
-// b[k] under Value.Equal (NULL equals nothing; numerics compare across
-// kinds): the join's key match.
-//
-//hot:per-candidate join key compare
-func lanesEqual(a []Vector, i int, b []Vector, j int) bool {
-	for k := range a {
-		av, bv := &a[k], &b[k]
-		switch {
-		case av.K == VKInt && bv.K == VKInt:
-			if av.Ints[i] != bv.Ints[j] || av.IsNull(i) || bv.IsNull(j) {
-				return false
-			}
-		case av.K == VKStr && bv.K == VKStr:
-			if av.IsNull(i) || bv.IsNull(j) || av.Dict[av.Ints[i]] != bv.Dict[bv.Ints[j]] {
-				return false
-			}
-		default:
-			if !av.Value(i).Equal(bv.Value(j)) {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -252,10 +252,10 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 		all[c] = c
 		t.Logf("column %d: %s as %v", c, names[c], b.cols[c].K)
 		check([]int{c}, exchangeHashSeed)
-		check([]int{c}, joinHashSeed)
+		check([]int{c}, 3) // a second seed
 	}
 	check(all, exchangeHashSeed)
-	check(nil, joinHashSeed)
+	check(nil, 3)
 	if table.HashFloat(42) != table.HashInt(42) {
 		t.Error("integral float does not hash as the equal int")
 	}
@@ -1039,4 +1039,15 @@ func TestJoinEmptySides(t *testing.T) {
 			})
 		}
 	}
+}
+
+// serialFan runs fn(0..n-1) on the calling goroutine, in order: a
+// routeParts fan-out without the pool.
+func serialFan(n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
