@@ -229,7 +229,7 @@ func joinBroadcastPlan() (PNode, int)     { return benchJoinPlan(true, 1) }
 func joinCoPartitionedPlan() (PNode, int) { return benchJoinPlan(false, 1) }
 
 // joinSparseKeysPlan is joinBroadcastPlan with the keys spread 2²⁰
-// apart, far past the dense table's span bound, so the join hashes.
+// apart, far past the direct-address span bound, so the join hashes.
 func joinSparseKeysPlan() (PNode, int) { return benchJoinPlan(true, 1<<20) }
 
 // BenchmarkJoinBroadcast measures the broadcast hash join: the gathered
@@ -243,8 +243,8 @@ func BenchmarkJoinBroadcast(b *testing.B) { benchPlan(b, joinBroadcastPlan) }
 func BenchmarkJoinCoPartitioned(b *testing.B) { benchPlan(b, joinCoPartitionedPlan) }
 
 // BenchmarkJoinSparseKeys measures the broadcast join on keys too spread
-// to index: the build hashes every row and the probe hashes every lane,
-// walks a shard's slots and compares keys.
+// to index directly: the build resolves every row through a hashIndex
+// and the probe hashes every lane and finds its id there.
 func BenchmarkJoinSparseKeys(b *testing.B) { benchPlan(b, joinSparseKeysPlan) }
 
 // starJoinPlan is the ad-hoc workload's star join: a fact table joined to

@@ -148,3 +148,13 @@ func TestExprColumns(t *testing.T) {
 		t.Errorf("expr columns: %v", cols)
 	}
 }
+
+func TestSamplerCosts(t *testing.T) {
+	// §A: uniform cheapest, universe next (crypto hash), distinct most
+	// expensive (sketch + reservoirs); a pass-through costs nothing.
+	p, u := SamplerPassThrough.CostPerRow(), SamplerUniform.CostPerRow()
+	v, d := SamplerUniverse.CostPerRow(), SamplerDistinct.CostPerRow()
+	if !(p == 0 && p < u && u < v && v < d) {
+		t.Errorf("cost ordering broken: %v %v %v %v", p, u, v, d)
+	}
+}

@@ -31,6 +31,24 @@ func (t SamplerType) String() string {
 	return "?"
 }
 
+// CostPerRow is the sampler's relative CPU cost of examining one row
+// (§A), in the cost model's CPU units: the optimizer's plan choice and
+// the executor's simulated charge both read it. A pass-through costs
+// nothing, the uniform sampler tosses a coin, the universe sampler
+// computes a cryptographic hash and the distinct sampler updates a
+// sketch and, past δ, its reservoirs.
+func (t SamplerType) CostPerRow() float64 {
+	switch t {
+	case SamplerUniverse:
+		return 3
+	case SamplerDistinct:
+		return 5
+	case SamplerPassThrough:
+		return 0
+	}
+	return 1
+}
+
 // SamplerState is the logical state of a sampler during exploration
 // (§4.2.1): {S, U, ds, sfm}.
 //

@@ -86,16 +86,9 @@ func (c *CostModel) cost(n lplan.Node) (float64, int) {
 	case *lplan.Sample:
 		in, parts := c.cost(x.Input)
 		rows := c.Est.Props(x.Input).Rows
-		perRow := 1.0
+		perRow := lplan.SamplerUniform.CostPerRow()
 		if x.Def != nil {
-			switch x.Def.Type {
-			case lplan.SamplerUniverse:
-				perRow = 3
-			case lplan.SamplerDistinct:
-				perRow = 5
-			case lplan.SamplerPassThrough:
-				perRow = 0
-			}
+			perRow = x.Def.Type.CostPerRow()
 		}
 		return in + rows*perRow*cfg.CPURate, parts
 	case *lplan.Join:

@@ -226,10 +226,6 @@ func (d *Distinct) Flush(appendKey func(dst []byte, id int32) []byte, out []Emit
 	return out
 }
 
-// CostPerRow is the distinct sampler's per-row cost: a sketch update
-// and, past δ, reservoir maintenance.
-func (d *Distinct) CostPerRow() float64 { return 5 }
-
 // MemoryFootprint returns an estimate of tracked state size (sketch
 // entries plus live reservoir rows) for the ablation benchmarks.
 func (d *Distinct) MemoryFootprint() int {

@@ -28,10 +28,6 @@ type Weighted struct {
 type Sampler interface {
 	Admit(r table.Row, w float64) (pass bool, weight float64)
 	Flush() []Weighted
-	// CostPerRow is the relative CPU cost of examining one row; the
-	// uniform sampler only tosses a coin, the universe sampler computes a
-	// cryptographic hash, the distinct sampler updates a sketch (§A).
-	CostPerRow() float64
 }
 
 // Admit implements Sampler.
@@ -218,9 +214,6 @@ func (d *refDistinct) Flush() []Weighted {
 	}
 	return out
 }
-
-// CostPerRow implements Sampler.
-func (d *refDistinct) CostPerRow() float64 { return 5 }
 
 // MemoryFootprint returns an estimate of tracked state size (sketch
 // entries plus live reservoir rows) for the ablation benchmarks.

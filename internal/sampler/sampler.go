@@ -6,7 +6,8 @@
 // the Horvitz–Thompson estimators downstream.
 // Each has one admit loop, AdmitBatch, over a batch's live lanes in lane
 // order, drawing randomness per lane, so decisions never depend on batch
-// boundaries; CostPerRow is its relative CPU cost per row (§A).
+// boundaries. Their relative CPU costs per row (§A) are
+// lplan.SamplerType.CostPerRow.
 package sampler
 
 import (
@@ -55,9 +56,6 @@ func (u *Uniform) AdmitBatch(sel []int32, weights []float64) []int32 {
 	}
 	return out
 }
-
-// CostPerRow is the uniform sampler's per-row cost: one coin.
-func (u *Uniform) CostPerRow() float64 { return 1 }
 
 // ---------------------------------------------------------------------
 // Universe sampler Γ^V_{p,C} (§4.1.3)
@@ -120,7 +118,3 @@ func (u *Universe) AdmitBatch(sel []int32, weights []float64, hashes []uint64) [
 	}
 	return out
 }
-
-// CostPerRow is the universe sampler's per-row cost: a cryptographic
-// hash of the universe columns.
-func (u *Universe) CostPerRow() float64 { return 3 }

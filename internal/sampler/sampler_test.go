@@ -285,17 +285,6 @@ func TestDistinctMemoryFootprintBounded(t *testing.T) {
 	}
 }
 
-func TestSamplerCosts(t *testing.T) {
-	// §A: uniform cheapest, universe next (crypto hash), distinct most
-	// expensive (sketch + reservoirs).
-	u := NewUniform(0.1, 1).CostPerRow()
-	v := NewUniverse(0.1, []int{0}, 1).CostPerRow()
-	d := NewDistinct(0.1, 3, 1).CostPerRow()
-	if !(u < v && v < d) {
-		t.Errorf("cost ordering broken: %v %v %v", u, v, d)
-	}
-}
-
 // Admit is the one-row definition of each sampler; AdmitBatch must make
 // the same decisions and weights for the same live rows in the same
 // order, whatever the batch boundaries and with dead lanes in between.
@@ -417,8 +406,6 @@ func (s *rowDistinct) Flush() []Weighted {
 	}
 	return out
 }
-
-func (s *rowDistinct) CostPerRow() float64 { return s.d.CostPerRow() }
 
 // testDistinctBatchMatchesRef holds Distinct.AdmitBatch to the row
 // definition (refDistinct): the same rows let through with bit-equal
