@@ -358,25 +358,13 @@ func (s *colSampleOp) Next() (Batch, error) {
 }
 
 // universeLanes is one partition's universe sampler: per batch it
-// computes the coordinate of every live lane, then admits. A lone
-// NULL-free integer key resolves through the run's memo for the seed
-// (universeMemo.ints) while it has room, any other key through
-// universeHash lane by lane.
+// computes the coordinate of every live lane, hashKeys under the
+// sampler's seed and then sampler.Mix, which is sampler.HashValues of
+// the lane's keys, and admits.
 type universeLanes struct {
 	s      *sampler.Universe
-	memo   *universeMemo
 	keys   []Vector
 	hashes []uint64 // by lane
-	buf    []byte
-
-	// the memo's scratch: key hashes and ids by lane, the lanes whose
-	// keys the batch memoizes, their coordinates by id, the lanes whose
-	// keys another task is hashing
-	lh    []uint64
-	ids   []int64
-	pend  []int32
-	fresh []uint64
-	wait  []int32
 }
 
 // admit thins the live lanes sel of b to those whose coordinate falls in
@@ -388,16 +376,18 @@ func (u *universeLanes) admit(b *Batch, sel []int32) []int32 {
 
 // coords sets hashes, by lane, to the coordinate of every live lane sel
 // of b.
+//
+//hot:universe sampler coordinate per live lane, gated by BenchmarkUniverseSample allocs/op
 func (u *universeLanes) coords(b *Batch, sel []int32) {
 	u.keys = u.keys[:0]
 	for _, ci := range u.s.Cols {
 		u.keys = append(u.keys, b.cols[ci])
 	}
 	u.hashes = extend(u.hashes[:0], b.n)
-	if v := &u.keys[0]; len(u.keys) == 1 && v.K == VKInt && v.nulls == nil && u.memo.ints(u, sel) {
-		return
+	hashKeys(u.hashes, u.keys, nil, u.s.Seed, sel, 0)
+	for _, i := range sel {
+		u.hashes[i] = sampler.Mix(u.hashes[i])
 	}
-	u.buf = universeHash(u.keys, sel, u.s.Seed, u.hashes, u.buf)
 }
 
 // distinctLanes is one partition's distinct sampler over key vectors.

@@ -77,47 +77,38 @@ func TestHashIndexGrowth(t *testing.T) {
 	}
 }
 
-// TestRowKeyNullAndEmpty covers the degenerate key shapes: an empty
-// column list (global aggregate) and NULL key columns, which must group
-// together exactly like the legacy Value.Key() strings did.
+// TestRowKeyNullAndEmpty covers the degenerate key shapes a window's
+// PARTITION BY hands newKeyIndex: an empty column list, NULL keys and an
+// integral float beside the equal int, which must group exactly like
+// the Value.Key() strings.
 func TestRowKeyNullAndEmpty(t *testing.T) {
-	a := table.Row{table.NewInt(1), table.Null, table.NewString("x")}
-	b := table.Row{table.NewInt(2), table.Null, table.NewString("y")}
-
-	// Empty key: every row shares one group.
-	if hashRowKey(a, nil) != hashRowKey(b, nil) {
-		t.Fatal("empty-key hashes differ")
+	group := func(n int, keys ...Vector) []int64 {
+		lanes, ids := make([]int32, n), make([]int64, n)
+		for i := range lanes {
+			lanes[i] = int32(i)
+		}
+		newKeyIndex(newLedger(), ids, keys, lanes)
+		return ids
 	}
-	if !rowKeyEqualRows(a, b, nil) {
-		t.Fatal("empty-key rows not equal")
-	}
-	if got := appendRowKey(nil, a, nil); len(got) != 0 {
-		t.Fatalf("empty-key string = %q", got)
-	}
-
-	// NULL columns group together (unlike Value.Equal, where NULL≠NULL).
-	idx := []int{1}
-	if hashRowKey(a, idx) != hashRowKey(b, idx) {
-		t.Fatal("NULL-key hashes differ")
-	}
-	if !rowKeyEqualRows(a, b, idx) {
-		t.Fatal("NULL keys not equal")
-	}
-
-	// And the canonical string matches Value.Key() + NUL exactly.
-	want := table.Null.Key() + "\x00" + table.NewString("x").Key() + "\x00"
-	if got := string(appendRowKey(nil, a, []int{1, 2})); got != want {
-		t.Fatalf("key string = %q want %q", got, want)
-	}
-
-	// Integral float and int keys collapse, as Value.Key() does.
-	fi := table.Row{table.NewFloat(42)}
-	ii := table.Row{table.NewInt(42)}
-	if hashRowKey(fi, []int{0}) != hashRowKey(ii, []int{0}) {
-		t.Fatal("float 42.0 and int 42 hash differently")
-	}
-	if !rowKeyEqualRows(fi, ii, []int{0}) {
-		t.Fatal("float 42.0 and int 42 not key-equal")
+	x := table.NewString("x")
+	for _, tc := range []struct {
+		name string
+		n    int
+		keys []Vector
+		want []int64
+	}{
+		{"empty key", 3, nil, []int64{0, 0, 0}},
+		// NULL keys group together, unlike Value.Equal, where NULL≠NULL.
+		{"NULL string", 4, []Vector{vecOf(table.Null, x, table.Null, x)}, []int64{0, 1, 0, 1}},
+		{"NULL int", 4, []Vector{vecOf(table.NewInt(4), table.Null, table.NewInt(4), table.Null)}, []int64{0, 1, 0, 1}},
+		{"float and int", 5, []Vector{vecOf(table.NewFloat(42), table.NewInt(42), table.NewFloat(42.5), table.Null, table.NewInt(7))},
+			[]int64{0, 0, 1, 2, 3}},
+		{"two keys", 4, []Vector{vecOf(table.Null, table.Null, table.NewInt(1), table.Null), vecOf(x, x, x, table.Null)},
+			[]int64{0, 0, 1, 2}},
+	} {
+		if got := group(tc.n, tc.keys...); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: ids %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

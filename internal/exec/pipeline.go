@@ -43,7 +43,6 @@ type pipeSpec struct {
 	colIdx      []int
 	buckets     []bucketCol // without scratch, copied per partition
 	parts       int
-	memo        *universeMemo // the run's coordinates under a universe seed
 	// PHashJoin (broadcast)
 	join *joinSpec
 }
@@ -90,9 +89,6 @@ func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
 			}
 			sp.buckets = append(sp.buckets, bucketCol{pos: pos, width: width})
 		}
-		if x.Def.Type == lplan.SamplerUniverse {
-			sp.memo = ex.memoFor(x.Def.Seed)
-		}
 	default:
 		return nil, fmt.Errorf("exec: %T is not a pipelined operator", n)
 	}
@@ -102,10 +98,9 @@ func (ex *executor) compilePipeOp(n PNode, parts int) (*pipeSpec, error) {
 // newSampler builds partition task's sample operator around its
 // sampler, with the same seed derivations the executor has always used
 // (universe instances share (cols, seed, p) so every instance — and the
-// paired sampler on the other join input — picks the same subspace, and
-// they share the run's memo of its coordinates; the distinct sampler's δ
-// is split across partitions). The caller wires its input and
-// accounting. Its buffers sized by the data are slabs of mem.
+// paired sampler on the other join input — picks the same subspace; the
+// distinct sampler's δ is split across partitions). The caller wires its
+// input and accounting. Its buffers sized by the data are slabs of mem.
 func (sp *pipeSpec) newSampler(mem *ledger, task int) *colSampleOp {
 	p := sp.sample
 	op := &colSampleOp{cost: p.Def.Type.CostPerRow()}
@@ -113,7 +108,7 @@ func (sp *pipeSpec) newSampler(mem *ledger, task int) *colSampleOp {
 	case lplan.SamplerUniform:
 		op.unif = sampler.NewUniform(p.Def.P, p.Seed*2654435761+uint64(task)+1)
 	case lplan.SamplerUniverse:
-		op.uni = &universeLanes{s: sampler.NewUniverse(p.Def.P, sp.colIdx, p.Def.Seed), memo: sp.memo}
+		op.uni = &universeLanes{s: sampler.NewUniverse(p.Def.P, sp.colIdx, p.Def.Seed)}
 	case lplan.SamplerDistinct:
 		delta := sampler.DeltaForParallelism(p.Def.Delta, sp.parts)
 		width := len(p.Cols())

@@ -239,28 +239,9 @@ type executor struct {
 	// (written only by the coordinating goroutine).
 	poolWaitNanos         int64
 	poolTasks, poolStolen int
-	// universe holds the run's universe coordinates, one memo per seed,
-	// shared by the tasks of every sampler with that seed (the map is
-	// written only by the coordinating goroutine, at chain setup). A memo
-	// holds at most universeMemoKeys keys, about 1.1 MiB, which admission
-	// does not charge.
-	universe map[uint64]*universeMemo
 	// mem is the run's ledger: every payload slab its partitions and
 	// routes hold.
 	mem *ledger
-}
-
-// memoFor returns the run's universe memo for seed.
-func (ex *executor) memoFor(seed uint64) *universeMemo {
-	m := ex.universe[seed]
-	if m == nil {
-		if ex.universe == nil {
-			ex.universe = map[uint64]*universeMemo{}
-		}
-		m = &universeMemo{seed: seed, keys: newKeyTable(ex.mem, 1)}
-		ex.universe[seed] = m
-	}
-	return m
 }
 
 // parallel fans fn out over n partitions on the shared pool,

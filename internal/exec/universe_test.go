@@ -3,9 +3,9 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
+	"quickr/internal/data"
 	"quickr/internal/lplan"
 	"quickr/internal/sampler"
 	"quickr/internal/table"
@@ -67,12 +67,13 @@ func checkCoords(t *testing.T, u *universeLanes, batches [][]Vector, sparse bool
 	}
 }
 
-// TestUniverseHashMatchesHashValues holds the typed kernel and the memo
-// to sampler.HashValues lane for lane, over dense and selected batches:
-// integer keys the memo meets again across batches (negatives, ±1e9,
-// MinInt64 and MaxInt64 among them); floats at every AppendKey boundary;
-// strings with NULLs under dictionaries that change between batches;
-// bools, mixed kinds, all-NULL vectors and two-column keys.
+// TestUniverseHashMatchesHashValues holds the typed kernel to
+// sampler.HashValues lane for lane, over dense and selected batches of
+// every vector kind: integers (negatives, ±1e9, MinInt64 and MaxInt64
+// among them) with and without NULLs; floats with NaN, ±0, ±Inf and
+// either side of ±1e18; strings with NULLs under dictionaries that
+// change between batches; bools, mixed kinds (VKAny), all-NULL vectors
+// and two-column keys.
 func TestUniverseHashMatchesHashValues(t *testing.T) {
 	nextUp, nextDown := math.Nextafter(1e18, 0), math.Nextafter(-1e18, 0)
 	floats := vecOf(table.NewFloat(3), table.NewFloat(2.5), table.NewFloat(0), table.NewFloat(math.Copysign(0, -1)),
@@ -94,7 +95,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	// Three dictionaries of three strings, the second the first reversed.
 	s1, s2, s3 := words("x", "y", "-", "z", "x"), words("z", "y", "x", "-", "z"), words("y", "x", "w", "v", "-", "w")
 	mixed := vecOf(table.NewInt(5), table.NewFloat(2.5), table.NewString("s"), table.NewBool(true), table.Null,
-		table.NewFloat(5), table.NewInt(-3))
+		table.NewFloat(5), table.NewInt(-3), table.NewFloat(math.NaN()), table.NewFloat(1e18))
 	if mixed.K != VKAny {
 		t.Fatalf("mixed vector is %v", mixed.K)
 	}
@@ -105,16 +106,10 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 		width   int
 		batches [][]Vector
 	}{
-		{"int", 1, [][]Vector{
-			{vecOf(intRange(-50, 949)...)},
-			{vecOf(intRange(0, 5000)...)}, // half met before
-			{vecOf(intRange(-20000, -19000)...)},
-			{extremes},
-			{vecOf(intVals(3, -19500, 1e9, math.MaxInt64, -50, 5000, math.MinInt64, 3, 3)...)}, // all met before
-		}},
-		{"int-nulls", 1, [][]Vector{{nullInts}, {vecOf(intRange(0, 20)...)}, {nullInts}}},
-		{"float", 1, [][]Vector{{floats}, {floats}}},
-		{"string", 1, [][]Vector{{s1}, {s2}, {s2}, {s3}, {s1}}},
+		{"int", 1, [][]Vector{{vecOf(intRange(-50, 949)...)}, {extremes}}},
+		{"int-nulls", 1, [][]Vector{{nullInts}, {vecOf(intRange(0, 20)...)}}},
+		{"float", 1, [][]Vector{{floats}}},
+		{"string", 1, [][]Vector{{s1}, {s2}, {s3}}},
 		{"bool", 1, [][]Vector{{vecOf(table.NewBool(true), table.NewBool(false), table.Null, table.NewBool(true))}}},
 		{"mixed", 1, [][]Vector{{mixed}}},
 		{"all-null", 1, [][]Vector{{vecOf(table.Null, table.Null, table.Null, table.Null)}}},
@@ -122,7 +117,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 			{vecOf(intVals(1, 2, 3, 1, 2)...), s1},
 			{vecOf(intVals(1, 2, 3, 1, 2)...), s2},
 		}},
-		{"float-mixed", 2, [][]Vector{{floats, vecOf(append(intVals(1, 2, 3, 4, 5, 6, 7, 8), mixed.Vals...)...)}}},
+		{"float-mixed", 2, [][]Vector{{floats, vecOf(append(intVals(1, 2, 3, 4, 5, 6), mixed.Vals...)...)}}},
 	}
 	for _, tc := range cases {
 		for _, sparse := range []bool{false, true} {
@@ -131,126 +126,170 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 				for k := range cols {
 					cols[k] = k
 				}
-				const seed = 42
-				u := &universeLanes{s: sampler.NewUniverse(0.5, cols, seed), memo: (&executor{mem: newLedger()}).memoFor(seed)}
-				checkCoords(t, u, tc.batches, sparse)
+				checkCoords(t, &universeLanes{s: sampler.NewUniverse(0.5, cols, 42)}, tc.batches, sparse)
 			})
 		}
 	}
+}
 
-	// Two samplers of one seed (the two inputs of a join), four tasks
-	// each, resolve overlapping integer keys through the one memo at once:
-	// every coordinate matches, and the memo ends holding each distinct
-	// key once, published.
-	t.Run("shared-memo", func(t *testing.T) {
-		const seed = 9
-		memo := (&executor{mem: newLedger()}).memoFor(seed)
-		var wg sync.WaitGroup
-		for side := 0; side < 2; side++ {
-			for task := 0; task < 4; task++ {
-				wg.Add(1)
-				go func(side, task int) {
-					defer wg.Done()
-					u := &universeLanes{s: sampler.NewUniverse(0.3, []int{side}, seed), memo: memo}
-					for rep := 0; rep < 8; rep++ {
-						lo := int64(rep*500 + task*100)
-						keys := vecOf(intRange(lo, lo+999)...)
-						cols := []Vector{keys, keys}
-						b := Batch{cols: cols, n: keys.N}
-						live := b.liveSel(nil)
-						u.coords(&b, live)
-						for _, i := range live {
-							if want := sampler.HashValues([]table.Value{keys.Value(int(i))}, seed); u.hashes[i] != want {
-								t.Errorf("side %d task %d key %d: coordinate %#x, HashValues %#x", side, task, keys.Ints[i], u.hashes[i], want)
-								return
-							}
-						}
+// coordsOf returns the coordinate under seed of every lane of the lone
+// key vector keys, computed as the sampler computes it.
+func coordsOf(keys Vector, seed uint64) []uint64 {
+	u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, seed)}
+	b := Batch{cols: []Vector{keys}, n: keys.N}
+	u.coords(&b, b.liveSel(nil))
+	return u.hashes
+}
+
+// chiSquareCrit is the χ² value with dof degrees of freedom that a
+// uniform draw exceeds with probability about 1e-4 (Wilson–Hilferty).
+func chiSquareCrit(dof int) float64 {
+	k := float64(dof)
+	c := 1 - 2/(9*k) + 3.719*math.Sqrt(2/(9*k))
+	return k * c * c * c
+}
+
+// tpcdsKeys returns the distinct values of the generator's surrogate
+// key columns of store_sales, by column.
+func tpcdsKeys(t *testing.T) map[string][]int64 {
+	t.Helper()
+	ss := data.GenerateTPCDS(data.DefaultTPCDS()).Tables["store_sales"]
+	out := map[string][]int64{}
+	for _, name := range []string{"ss_sold_date_sk", "ss_item_sk", "ss_customer_sk", "ss_ticket_number"} {
+		c := ss.Schema.Index(name)
+		seen := map[int64]bool{}
+		for _, r := range ss.AllRows() {
+			if k := r[c].Int(); !seen[k] {
+				seen[k] = true
+				out[name] = append(out[name], k)
+			}
+		}
+	}
+	return out
+}
+
+// TestUniverseCoordinatesUniform: over sequential integers and the
+// TPC-DS surrogate keys, under several seeds, the coordinates of the
+// distinct keys fall into equal-width bins of [0, 2⁶⁴) as a uniform
+// draw would, by a χ² test at about 1e-4 per key set and seed. The
+// admitted share of a p-fraction subspace is then p per key, whatever
+// the key's distribution.
+func TestUniverseCoordinatesUniform(t *testing.T) {
+	sets := tpcdsKeys(t)
+	seq := make([]int64, 50000)
+	for i := range seq {
+		seq[i] = int64(i + 1)
+	}
+	sets["sequential"] = seq
+	for name, keys := range sets {
+		bins := 64
+		for bins > 2 && len(keys)/bins < 20 {
+			bins /= 2
+		}
+		vals := make([]table.Value, len(keys))
+		for i, k := range keys {
+			vals[i] = table.NewInt(k)
+		}
+		for _, seed := range []uint64{1, 2, 3, 7, 42, 1 << 40} {
+			counts := make([]float64, bins)
+			for _, h := range coordsOf(vecOf(vals...), seed) {
+				counts[h/(math.MaxUint64/uint64(bins)+1)]++
+			}
+			want, chi := float64(len(keys))/float64(bins), 0.0
+			for _, c := range counts {
+				chi += (c - want) * (c - want) / want
+			}
+			if crit := chiSquareCrit(bins - 1); chi > crit {
+				t.Errorf("%s (%d keys), seed %d: χ² %.1f over %d bins exceeds %.1f", name, len(keys), seed, chi, bins, crit)
+			}
+		}
+	}
+}
+
+// TestUniverseIndependentOfRouting: among the keys an exchange routes to
+// one destination (hashKeys under exchangeHashSeed, modulo the
+// destination count), a universe sampler admits a p share of keys,
+// within five binomial standard deviations — also under a universe seed
+// equal to exchangeHashSeed, where both hash chains are the same word
+// before the sampler mixes it.
+func TestUniverseIndependentOfRouting(t *testing.T) {
+	keys := vecOf(intRange(1, 40000)...)
+	route := make([]uint64, keys.N)
+	hashKeys(route, []Vector{keys}, nil, exchangeHashSeed, nil, keys.N)
+	for _, seed := range []uint64{exchangeHashSeed, 1, 3} {
+		coords := coordsOf(keys, seed)
+		for _, p := range []float64{0.05, 0.3} {
+			sel := make([]int32, keys.N)
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+			sel = sampler.NewUniverse(p, []int{0}, seed).AdmitBatch(sel, make([]float64, keys.N), coords)
+			for _, parts := range []int{2, 3, 8, 16} {
+				n, admitted := make([]float64, parts), make([]float64, parts)
+				for _, h := range route {
+					n[h%uint64(parts)]++
+				}
+				for _, i := range sel {
+					admitted[route[i]%uint64(parts)]++
+				}
+				for d := range n {
+					if dev := math.Abs(admitted[d]/n[d] - p); dev > 5*math.Sqrt(p*(1-p)/n[d]) {
+						t.Errorf("seed %d, %d destinations, p=%v: destination %d admits %.4f of its %v keys", seed, parts, p, d, admitted[d]/n[d], n[d])
 					}
-				}(side, task)
+				}
 			}
 		}
-		wg.Wait()
-		memo.mu.Lock()
-		defer memo.mu.Unlock()
-		if n, distinct := memo.keys.len(), 7*500+3*100+1000; n != distinct {
-			t.Errorf("memo holds %d keys, want each of the %d distinct keys once", n, distinct)
+	}
+}
+
+// TestUniverseJoinEqualKeysShareCoordinates: two paired samplers, one
+// over each input of a join, give every pair of keys the join matches
+// (joinKey forms with equal Key()s) one coordinate, and so admit or drop
+// both: an int and the equal integral float, at 10¹⁸ and 2⁵³ too, and
+// −0 beside 0, from typed and mixed vectors alike.
+func TestUniverseJoinEqualKeysShareCoordinates(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pairs := [][2]table.Value{
+		{table.NewInt(1e18), table.NewFloat(1e18)},
+		{table.NewInt(-1e18), table.NewFloat(-1e18)},
+		{table.NewInt(1 << 53), table.NewFloat(1 << 53)},
+		{table.NewInt(0), table.NewFloat(negZero)},
+		{table.NewFloat(0), table.NewFloat(negZero)},
+		{table.NewInt(-5), table.NewFloat(-5)},
+		{table.NewString("k"), table.NewString("k")},
+		{table.NewBool(true), table.NewBool(true)},
+	}
+	var left, right []table.Value
+	for _, pr := range pairs {
+		l, lok := joinKey(pr[0])
+		r, rok := joinKey(pr[1])
+		if !lok || !rok || l.Key() != r.Key() {
+			t.Fatalf("%v and %v do not join", pr[0], pr[1])
 		}
-		for id := 0; id < memo.keys.len(); id++ {
-			if memo.done[id>>6]&(1<<(id&63)) == 0 {
-				t.Fatalf("key id %d never published", id)
+		left, right = append(left, pr[0]), append(right, pr[1])
+	}
+	for _, seed := range []uint64{1, exchangeHashSeed, 31} {
+		// Each side typed (a float column beside an int column) and mixed.
+		for _, sides := range [][2]Vector{
+			{vecOf(left[:4]...), vecOf(right[:4]...)},
+			{vecOf(left...), vecOf(right...)},
+		} {
+			lc, rc := coordsOf(sides[0], seed), coordsOf(sides[1], seed)
+			for i := range sides[0].N {
+				if lc[i] != rc[i] {
+					t.Errorf("seed %d: %v (%v) and %v (%v) have coordinates %#x and %#x",
+						seed, left[i], sides[0].K, right[i], sides[1].K, lc[i], rc[i])
+				}
 			}
 		}
-	})
-
-	// A task that memoized keys and never published them (it failed
-	// between claim and publish) leaves them unpublished: later tasks
-	// hash those lanes themselves, and publish only their own keys.
-	t.Run("unpublished", func(t *testing.T) {
-		const seed = 5
-		memo := (&executor{mem: newLedger()}).memoFor(seed)
-		lanes := func(keys Vector) *universeLanes {
-			u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, seed), memo: memo}
-			u.keys, u.hashes = []Vector{keys}, make([]uint64, keys.N)
-			return u
-		}
-		stalled := vecOf(intVals(8, 9, 8, 10)...)
-		if n0, ok := memo.claim(lanes(stalled), []int32{0, 1, 2, 3}); n0 != 0 || !ok {
-			t.Fatalf("an empty memo claims from id %d (%v)", n0, ok)
-		}
-		for _, keys := range []Vector{vecOf(intVals(9, 11, 8, 11, 10, 9)...), vecOf(intVals(11, 10, 12)...)} {
-			checkCoords(t, lanes(keys), [][]Vector{{keys}}, false)
-			checkCoords(t, lanes(keys), [][]Vector{{keys}}, true)
-		}
-		memo.mu.Lock()
-		defer memo.mu.Unlock()
-		for id := 0; id < memo.keys.len(); id++ {
-			if published := memo.done[id>>6]&(1<<(id&63)) != 0; published != (id >= 3) {
-				t.Errorf("key id %d published %v, want only the ids from 3 (11, 12)", id, published)
-			}
-		}
-	})
-
-	// Past universeMemoKeys the memo stops taking keys in: the batch that
-	// crosses the cap is memoized, later ones hash lane by lane, and all
-	// match.
-	t.Run("full", func(t *testing.T) {
-		const seed = 6
-		memo := (&executor{mem: newLedger()}).memoFor(seed)
-		u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, seed), memo: memo}
-		over := vecOf(intRange(1, universeMemoKeys+10)...)
-		checkCoords(t, u, [][]Vector{{over}}, false)
-		checkCoords(t, u, [][]Vector{{vecOf(intRange(universeMemoKeys, universeMemoKeys+20)...)}, {over}}, true)
-		if n, want := memo.keys.len(), universeMemoKeys+10; n != want {
-			t.Errorf("memo holds %d keys, want the %d of the batch that crossed the cap", n, want)
-		}
-	})
-
-	// A panic inside the critical section (a task's bug, which the pool
-	// turns into ErrInternal) must leave the memo unlocked, not hang the
-	// query's other tasks.
-	t.Run("panic-unlocks", func(t *testing.T) {
-		memo := (&executor{mem: newLedger()}).memoFor(3)
-		u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, 3), memo: memo,
-			keys: []Vector{vecOf(intVals(1)...)}, hashes: make([]uint64, 6)}
-		func() {
-			defer func() { _ = recover() }()
-			memo.ints(u, []int32{5}) // lane 5 has no key
-			t.Fatal("no panic")
-		}()
-		if !memo.mu.TryLock() {
-			t.Fatal("the panic left the memo locked")
-		}
-		memo.mu.Unlock()
-	})
+	}
 }
 
 // TestUniversePairMatchesRowReference: a fact–fact join whose inputs are
 // universe-sampled on the join key with one seed (the pair ASALQA places,
 // TestUniversePairForFactFactJoin), broadcast and co-partitioned, over
-// 1, 2 and 8 partitions, against the row reference at batch 1/7/256/−1.
-// The integer keys (some ±2e9 away from the rest) take the memo, which
-// the lanes of both inputs and of concurrent tasks share; a string-keyed
-// pair takes the kernel.
+// 1, 2 and 8 partitions, against the row reference at batch 1/7/256/−1,
+// with integer keys (some ±2e9 away from the rest) and string keys.
 func TestUniversePairMatchesRowReference(t *testing.T) {
 	fact := func(name string, parts, rows, stride int, key func(i int) table.Value) *table.Table {
 		kind := key(0).Kind()

@@ -59,10 +59,10 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 		// The window functions sort and scan whole rows: they read the
 		// partition through a local row view. The output keeps the input's
 		// columns and row order and gains one column per spec.
-		rows := part.rows()
+		rows, cols := part.rows(), part.vectors()
 		out := Part{N: part.N, Cols: slices.Clip(part.Cols), W: part.W}
 		for _, spec := range p.Specs {
-			vals, err := computeWindow(spec, cm, rows)
+			vals, err := computeWindow(ex.mem, spec, cm, cols, rows)
 			if err != nil {
 				return err
 			}
@@ -93,8 +93,9 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 }
 
 // computeWindow returns, for one spec, the output value for each input
-// row (indexed like part).
-func computeWindow(spec lplan.WinSpec, cm colMap, part []table.Row) ([]table.Value, error) {
+// row (indexed like part, whose columns are cols), with its scratch on
+// mem.
+func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, part []table.Row) ([]table.Value, error) {
 	partIdx := make([]int, len(spec.PartitionBy))
 	for i, id := range spec.PartitionBy {
 		pos, ok := cm[id]
@@ -120,37 +121,35 @@ func computeWindow(spec lplan.WinSpec, cm colMap, part []table.Row) ([]table.Val
 		argIdx = pos
 	}
 
-	// Group row indexes by partition key: canonical 64-bit hash into an
-	// open-addressing index (equality verified against a representative
-	// row on collision), so already-seen partitions cost no allocation
-	// beyond the growing index slice. Each group's legacy string key is
-	// built once to reproduce the historical partition order.
-	hidx := newHashIndex(16)
-	var rowLists [][]int
-	var skeys []string
-	var reps []int
-	var keyBuf []byte
-	for j, r := range part {
-		h := hashRowKey(r, partIdx)
-		e := hidx.probe(h, func(i int) bool { return rowKeyEqualRows(part[reps[i]], r, partIdx) })
-		if e < 0 {
-			keyBuf = appendRowKey(keyBuf[:0], r, partIdx)
-			e = hidx.add(h)
-			rowLists = append(rowLists, nil)
-			skeys = append(skeys, string(keyBuf))
-			reps = append(reps, j)
-		}
-		rowLists[e] = append(rowLists[e], j)
+	// Bucket the rows by window partition, each partition's rows in row
+	// order: a keyTable hands every PARTITION BY key tuple a dense id.
+	// Every output lands at its row's index, so the order the partitions
+	// run in cannot change an answer.
+	keys := make([]Vector, len(partIdx))
+	for k, pos := range partIdx {
+		keys[k] = cols[pos]
 	}
-	order := make([]int, len(skeys))
-	for i := range order {
-		order[i] = i
+	lanes, ids := slab[int32](mem, len(part)), slab[int64](mem, len(part))
+	for i := range lanes {
+		lanes[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return skeys[order[a]] < skeys[order[b]] })
+	nparts := newKeyIndex(mem, ids, keys, lanes).len()
+	start := make([]int, nparts+1)
+	for _, id := range ids {
+		start[id+1]++
+	}
+	for id := range nparts {
+		start[id+1] += start[id]
+	}
+	next, byPart := slices.Clone(start[:nparts]), make([]int, len(part))
+	for j, id := range ids {
+		byPart[next[id]] = j
+		next[id]++
+	}
 
 	out := make([]table.Value, len(part))
-	for _, gi := range order {
-		idxs := rowLists[gi]
+	for id := range nparts {
+		idxs := byPart[start[id]:start[id+1]]
 		// Sort partition rows by the ORDER BY keys (stable; ties broken
 		// by full row compare for determinism).
 		sort.SliceStable(idxs, func(a, b int) bool {

@@ -11,8 +11,6 @@
 package sampler
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"math/rand"
 
 	"quickr/internal/table"
@@ -60,15 +58,14 @@ func (u *Uniform) AdmitBatch(sel []int32, weights []float64) []int32 {
 // ---------------------------------------------------------------------
 // Universe sampler Γ^V_{p,C} (§4.1.3)
 
-// Universe projects the value of columns C through a strong hash into
-// [0,1) and passes rows landing in the chosen p-fraction subspace.
-// Samplers sharing (C, seed, p) pick the same subspace, so both inputs
-// of an equi-join sample consistently: joining p-probability universe
-// samples is statistically equivalent to a p-probability universe
-// sample of the join output. The sampler reads coordinates, it does not
-// compute them: AdmitBatch takes each lane's HashValues coordinate from
-// the caller, and since a coordinate depends only on (seed, key) the
-// caller may compute it once per key and share it across instances.
+// Universe projects the value of columns C through a seeded 64-bit
+// hash into [0,1) and passes rows landing in the chosen p-fraction
+// subspace. Samplers sharing (C, seed, p) pick the same subspace, so
+// both inputs of an equi-join sample consistently: joining
+// p-probability universe samples is statistically equivalent to a
+// p-probability universe sample of the join output. The sampler reads
+// coordinates, it does not compute them: AdmitBatch takes each lane's
+// HashValues coordinate from the caller.
 type Universe struct {
 	P    float64
 	Cols []int // positions of the universe columns in the input row
@@ -83,31 +80,37 @@ func NewUniverse(p float64, cols []int, seed uint64) *Universe {
 	return &Universe{P: p, Cols: cols, Seed: seed, threshold: t}
 }
 
-// HashValues computes the 64-bit subspace coordinate of the column
-// values using SHA-256 (a cryptographically strong hash, per the paper,
-// so the subspace is independent of the key distribution): the first 8
-// bytes, little-endian, of the digest of seed (8 bytes, little-endian)
-// followed by each value's Key() and a NUL. It is the definition the
+// HashValues is the 64-bit subspace coordinate of the column values
+// under seed: Mix of the values' Hash64s folded through
+// table.HashRowStep from table.HashRowSeed(seed), the chain the
+// executor's exchange and join hashes use. The paper asks for a
+// subspace independent of the key distribution and shared by both join
+// inputs, not for a cryptographic hash: Mix spreads the chain over all
+// 64 bits, and Hash64 hashes an integral float as the equal int, so
+// keys a join matches share a coordinate. It is the definition the
 // executor's typed kernel is held to.
 func HashValues(vals []table.Value, seed uint64) uint64 {
-	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], seed)
-	h.Write(b[:])
+	h := table.HashRowSeed(seed)
 	for _, v := range vals {
-		h.Write([]byte(v.Key()))
-		h.Write([]byte{0})
+		h = table.HashRowStep(h, v.Hash64())
 	}
-	sum := h.Sum(nil)
-	return binary.LittleEndian.Uint64(sum[:8])
+	return Mix(h)
+}
+
+// Mix is splitmix64's finalizer: a bijection of the 64-bit words in
+// which every input bit flips each output bit with probability about
+// one half, so the top bits AdmitBatch compares depend on all of h.
+func Mix(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // AdmitBatch admits the live lanes listed in sel, in order. hashes holds
 // each lane's subspace coordinate by lane — HashValues over the lane's
-// universe-column values, in Cols order — computed by the caller, which
-// may compute a repeated key's coordinate once. Whether a lane passes
-// depends only on those values, so the sampler is stateless and all
-// parallel instances agree.
+// universe-column values, in Cols order — computed by the caller.
+// Whether a lane passes depends only on those values, so the sampler is
+// stateless and all parallel instances agree.
 func (u *Universe) AdmitBatch(sel []int32, weights []float64, hashes []uint64) []int32 {
 	out := sel[:0]
 	for _, lane := range sel {

@@ -339,21 +339,6 @@ func (v Value) KeyEqual(o Value) bool {
 	return vp == op
 }
 
-// KeyHash folds the value's canonical key form into the running FNV-1a
-// state h, allocation-free and consistent with KeyEqual: values with
-// equal Key() strings fold identically. Start chains at KeyHashSeed.
-func (v Value) KeyHash(h uint64) uint64 {
-	c, p := v.keyClass()
-	h = fnvByte(h, c)
-	if c == 3 {
-		return fnvString(h, v.s)
-	}
-	return fnvUint64(h, p)
-}
-
-// KeyHashSeed is the canonical starting state for KeyHash chains.
-const KeyHashSeed = fnvOffset64
-
 // AppendKey appends the value's canonical key (the exact bytes Key()
 // returns) to b, avoiding the per-call string allocation of Key().
 func (v Value) AppendKey(b []byte) []byte {

@@ -128,3 +128,35 @@ func TestWindowQueryUnapproximable(t *testing.T) {
 		t.Error("window queries must not be sampled")
 	}
 }
+
+// TestWindowPartitionMixedKeys: a PARTITION BY column holding ints,
+// the equal integral floats and NULLs puts 1 beside 1.0 and the NULLs
+// together, as GROUP BY does.
+func TestWindowPartitionMixedKeys(t *testing.T) {
+	eng := New()
+	must(t, eng.CreateTable("mix", []Column{{Name: "k", Type: Float}, {Name: "v", Type: Int}}, 1))
+	must(t, eng.Insert("mix", [][]any{
+		{1, 10}, {1.0, 20}, {nil, 5}, {2.5, 3}, {2, 4}, {nil, 7}, {2.0, 6},
+	}))
+	res, err := eng.Exec(`
+		SELECT v, SUM(v) OVER (PARTITION BY k) AS total,
+		       COUNT(*) OVER (PARTITION BY k) AS n,
+		       ROW_NUMBER() OVER (PARTITION BY k ORDER BY v) AS rn
+		FROM mix`)
+	must(t, err)
+	want := map[int64][3]int64{
+		10: {30, 2, 1}, 20: {30, 2, 2},
+		5: {12, 2, 1}, 7: {12, 2, 2},
+		3: {3, 1, 1},
+		4: {10, 2, 1}, 6: {10, 2, 2},
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("rows: %v", res.Rows)
+	}
+	for _, r := range res.Rows {
+		got := [3]int64{r[1].(int64), r[2].(int64), r[3].(int64)}
+		if w := want[r[0].(int64)]; got != w {
+			t.Errorf("v=%v: total, n, rn = %v, want %v", r[0], got, w)
+		}
+	}
+}
