@@ -20,12 +20,13 @@ test:
 # tasks and the aggregate's stripe tasks read one routing, and its
 # group tables take the routing hashes), the compare kernels, the
 # distinct sampler (its admit loop against the row reference, its key
-# and hold-store buffers per partition), the universe sampler (the
-# tasks of both paired samplers resolving keys through one shared memo)
-# and its nesting across p, a task's panic failing its job on the
-# shared pool, and the run ledger's slab pools, and the storage and
-# statistics tests (a first touch fans its fold out on the pool, an
-# extension folds inline, both while appenders run), three times over.
+# and hold-store buffers per partition), the universe sampler (its
+# coordinate kernel against HashValues and a paired universe join
+# against the row reference) and its nesting across p, a task's panic
+# failing its job on the shared pool, and the run ledger's slab pools,
+# and the storage and statistics tests (a first touch fans its fold out
+# on the pool, an extension folds inline, both while appenders run),
+# three times over.
 # Under -race every released payload slab is poisoned
 # (internal/exec/ledger_race.go), so the root package's goldens, sample
 # cache and hammer tests and the frozen result hashes then hold answers

@@ -349,7 +349,7 @@ func (bd *vecBuilder) intern(s string) int32 {
 }
 
 // extend returns s lengthened by m elements of unspecified content, on
-// the heap: per-batch scratch and the universe memo. When it must
+// the heap: per-batch scratch. When it must
 // reallocate it at least doubles the capacity (append's own 1.25x steps
 // allocate five times the final capacity). Partition payloads grow on
 // the run's ledger instead (grow).
