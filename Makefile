@@ -100,12 +100,13 @@ lint: vet fmt-check quickrlint
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Short coverage-guided fuzz of the SQL lexer and parser; fuzz-found
-# regressions live in internal/sql/testdata/fuzz and run under plain
-# `go test` too.
+# Short coverage-guided fuzz of the SQL lexer and parser and of the
+# scalar functions; fuzz-found regressions live in the packages'
+# testdata/fuzz and run under plain `go test` too.
 fuzz:
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzLex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lplan -run '^$$' -fuzz FuzzCallFunc -fuzztime $(FUZZTIME)
 
 fmt:
 	gofmt -w .

@@ -136,13 +136,17 @@ func CallFunc(name string, args []table.Value) table.Value {
 			return table.NewInt(int64(d))
 		}
 	case "LENGTH":
-		if args[0].Kind() != table.KindString {
+		if len(args) != 1 || args[0].Kind() != table.KindString {
 			return table.Null
 		}
 		return table.NewInt(int64(len(args[0].Str())))
-	case "UPPER":
-		return table.NewString(strings.ToUpper(args[0].Str()))
-	case "LOWER":
+	case "UPPER", "LOWER":
+		if len(args) != 1 {
+			return table.Null
+		}
+		if up == "UPPER" {
+			return table.NewString(strings.ToUpper(args[0].Str()))
+		}
 		return table.NewString(strings.ToLower(args[0].Str()))
 	case "SUBSTR":
 		if len(args) < 2 || args[0].Kind() != table.KindString {
@@ -158,8 +162,12 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		end := len(s)
 		if len(args) == 3 {
-			if e := start + int(numArg(args, 2)); e < end {
-				end = e
+			n := numArg(args, 2)
+			if !(n > 0) { // a negative, zero or NaN length
+				return table.NewString("")
+			}
+			if n < float64(end-start) {
+				end = start + int(n)
 			}
 		}
 		return table.NewString(s[start:end])

@@ -1,6 +1,7 @@
 package lplan
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,15 @@ func TestCallFunc(t *testing.T) {
 		{"LOWER", []table.Value{s("ABC")}, s("abc")},
 		{"LENGTH", []table.Value{s("hello")}, i(5)},
 		{"SUBSTR", []table.Value{s("hello"), i(2), i(3)}, s("ell")},
+		{"SUBSTR", []table.Value{s("hello"), i(2)}, s("ello")},
+		{"SUBSTR", []table.Value{s("hello"), i(2), i(-5)}, s("")},
+		{"SUBSTR", []table.Value{s("hello"), i(9), i(2)}, s("")},
+		{"SUBSTR", []table.Value{s("hello"), i(4), f(math.NaN())}, s("")},
+		{"SUBSTR", []table.Value{s("hello"), i(4), f(math.Inf(1))}, s("lo")},
+		{"UPPER", nil, table.Null},
+		{"LOWER", nil, table.Null},
+		{"LENGTH", nil, table.Null},
+		{"UPPER", []table.Value{s("a"), s("b")}, table.Null},
 		{"CONCAT", []table.Value{s("a"), i(1)}, s("a1")},
 		{"IF", []table.Value{table.NewBool(true), i(1), i(2)}, i(1)},
 		{"IF", []table.Value{table.NewBool(false), i(1), i(2)}, i(2)},
