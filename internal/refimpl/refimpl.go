@@ -133,7 +133,7 @@ func (e *evaluator) evalSelect(s *lplan.Select) (*relation, error) {
 	cm := in.colIndex()
 	out := &relation{cols: in.cols}
 	for _, row := range in.rows {
-		v, err := evalExpr(s.Pred, cm, row)
+		v, err := EvalExpr(s.Pred, cm, row)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +154,7 @@ func (e *evaluator) evalProject(p *lplan.Project) (*relation, error) {
 	for _, row := range in.rows {
 		pr := make(table.Row, len(p.Exprs))
 		for i, ex := range p.Exprs {
-			v, err := evalExpr(ex, cm, row)
+			v, err := EvalExpr(ex, cm, row)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +205,7 @@ func (e *evaluator) evalJoin(j *lplan.Join) (*relation, error) {
 			}
 			row := append(append(table.Row{}, l...), r...)
 			if j.Residual != nil {
-				v, err := evalExpr(j.Residual, combined, row)
+				v, err := EvalExpr(j.Residual, combined, row)
 				if err != nil {
 					return nil, err
 				}
@@ -406,9 +406,10 @@ func (e *evaluator) evalSort(s *lplan.Sort) (*relation, error) {
 	return in, nil
 }
 
-// evalExpr is a tiny tree-walking expression interpreter, independent of
-// the executor's compiled closures.
-func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Value, error) {
+// EvalExpr is a tiny tree-walking expression interpreter over one row
+// whose column positions cm gives, independent of the executor's
+// columnar kernels; the executor's tests hold those kernels to it.
+func EvalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Value, error) {
 	switch x := ex.(type) {
 	case *lplan.ColRef:
 		i, ok := cm[x.ID]
@@ -419,7 +420,7 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 	case *lplan.Const:
 		return x.Val, nil
 	case *lplan.Binary:
-		l, err := evalExpr(x.L, cm, row)
+		l, err := EvalExpr(x.L, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
@@ -431,7 +432,7 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 		if x.Op == lplan.OpOr && l.Kind() == table.KindBool && l.Bool() {
 			return table.NewBool(true), nil
 		}
-		r, err := evalExpr(x.R, cm, row)
+		r, err := EvalExpr(x.R, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
@@ -474,13 +475,15 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 		}
 		return table.Null, fmt.Errorf("refimpl: bad binary op")
 	case *lplan.Not:
-		v, err := evalExpr(x.X, cm, row)
+		v, err := EvalExpr(x.X, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
-		return table.NewBool(!(v.Kind() == table.KindBool && v.Bool())), nil
+		// NOT of NULL or of a non-boolean is NULL, which a filter drops:
+		// false, like every other predicate over NULL here.
+		return table.NewBool(v.Kind() == table.KindBool && !v.Bool()), nil
 	case *lplan.Neg:
-		v, err := evalExpr(x.X, cm, row)
+		v, err := EvalExpr(x.X, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
@@ -494,7 +497,7 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 	case *lplan.Func:
 		args := make([]table.Value, len(x.Args))
 		for i, a := range x.Args {
-			v, err := evalExpr(a, cm, row)
+			v, err := EvalExpr(a, cm, row)
 			if err != nil {
 				return table.Null, err
 			}
@@ -502,7 +505,7 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 		}
 		return lplan.CallFunc(x.Name, args), nil
 	case *lplan.In:
-		v, err := evalExpr(x.X, cm, row)
+		v, err := EvalExpr(x.X, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
@@ -518,13 +521,13 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 		}
 		return table.NewBool(found != x.Inv), nil
 	case *lplan.IsNull:
-		v, err := evalExpr(x.X, cm, row)
+		v, err := EvalExpr(x.X, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
 		return table.NewBool(v.IsNull() != x.Inv), nil
 	case *lplan.Like:
-		v, err := evalExpr(x.X, cm, row)
+		v, err := EvalExpr(x.X, cm, row)
 		if err != nil {
 			return table.Null, err
 		}
@@ -534,16 +537,16 @@ func evalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 		return table.NewBool(likeMatch(v.Str(), x.Pattern) != x.Inv), nil
 	case *lplan.Case:
 		for _, w := range x.Whens {
-			c, err := evalExpr(w.Cond, cm, row)
+			c, err := EvalExpr(w.Cond, cm, row)
 			if err != nil {
 				return table.Null, err
 			}
 			if c.Kind() == table.KindBool && c.Bool() {
-				return evalExpr(w.Then, cm, row)
+				return EvalExpr(w.Then, cm, row)
 			}
 		}
 		if x.Else != nil {
-			return evalExpr(x.Else, cm, row)
+			return EvalExpr(x.Else, cm, row)
 		}
 		return table.Null, nil
 	}

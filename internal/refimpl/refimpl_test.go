@@ -115,3 +115,33 @@ func TestRunRejectsSampledPlans(t *testing.T) {
 		t.Errorf("pass-through must be transparent: %v", err)
 	}
 }
+
+// NOT of a NULL is NULL, and a filter drops it: NOT (CASE ... END) keeps
+// only the rows whose CASE is false, not the ones it leaves NULL.
+func TestRunNotOfNull(t *testing.T) {
+	cat := catalog.New()
+	tbl := table.New("t", table.NewSchema(table.Column{Name: "k", Kind: table.KindInt}), 1)
+	for i := 0; i < 10; i++ {
+		tbl.Append(i, table.Row{table.NewInt(int64(i))})
+	}
+	cat.Register(tbl)
+	k := &lplan.ColRef{ID: 1, Name: "k", Kind: table.KindInt}
+	cmp := func(op lplan.BinOp, v int64) lplan.Expr {
+		return &lplan.Binary{Op: op, L: k, R: &lplan.Const{Val: table.NewInt(v)}}
+	}
+	// WHERE NOT (CASE WHEN k > 5 THEN TRUE WHEN k < 2 THEN FALSE END)
+	plan := &lplan.Select{
+		Input: &lplan.Scan{Table: "t", Cols: []lplan.ColumnInfo{{ID: 1, Name: "k", Kind: table.KindInt}}},
+		Pred: &lplan.Not{X: &lplan.Case{Whens: []lplan.When{
+			{Cond: cmp(lplan.OpGt, 5), Then: &lplan.Const{Val: table.NewBool(true)}},
+			{Cond: cmp(lplan.OpLt, 2), Then: &lplan.Const{Val: table.NewBool(false)}},
+		}}},
+	}
+	rows, err := Run(cat, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0][0].Int()+rows[1][0].Int() != 1 {
+		t.Fatalf("NOT (CASE ...) kept %v, want the rows k = 0 and k = 1", rows)
+	}
+}
