@@ -175,3 +175,48 @@ func TestDeterministicApproxRuns(t *testing.T) {
 		}
 	}
 }
+
+// Scalar functions are total over what the binder accepts: a negative
+// SUBSTR length gives "" and a string function called with no argument
+// gives NULL, on every row, rather than failing the query.
+func TestScalarFunctionEdgeArguments(t *testing.T) {
+	eng := buildSalesEngine(t, 500)
+	for q, want := range map[string]any{
+		"SELECT SUBSTR(i_color, 2, -5) FROM item": "",
+		"SELECT UPPER() FROM item":                nil,
+		"SELECT LOWER() FROM item":                nil,
+		"SELECT LENGTH() FROM item":               nil,
+	} {
+		res, err := eng.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != 50 {
+			t.Fatalf("%s: %d rows, want 50", q, len(res.Rows))
+		}
+		for _, r := range res.Rows {
+			if r[0] != want {
+				t.Fatalf("%s: got %#v, want %#v", q, r[0], want)
+			}
+		}
+	}
+}
+
+// AND is true only when both operands are boolean true, like a bare
+// predicate: a nonzero integer is not true on either side.
+func TestAndOverNonBoolean(t *testing.T) {
+	eng := buildSalesEngine(t, 500)
+	for _, q := range []string{
+		"SELECT s_quantity FROM sales WHERE s_quantity",
+		"SELECT s_quantity FROM sales WHERE s_quantity AND TRUE",
+		"SELECT s_quantity FROM sales WHERE TRUE AND s_quantity",
+	} {
+		res, err := eng.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) != 0 {
+			t.Fatalf("%s kept %d rows, want 0", q, len(res.Rows))
+		}
+	}
+}

@@ -107,9 +107,11 @@ func colRefsOf(scan *PScan) []*lplan.ColRef {
 }
 
 // Every kernel class — comparisons, arithmetic, AND/OR, NOT/NEG,
-// IS NULL, IN, LIKE, and the row-at-a-time fallback (CASE) — must agree
-// bit-for-bit with the row closures over mixed-kind, NULL-laden
-// input, both as filter predicates and projected expressions.
+// IS NULL, IN, LIKE, CASE and function calls — must agree bit-for-bit
+// with refimpl's row evaluator over mixed-kind, NULL-laden input. Each
+// case's expressions run as one projection, as the same projection
+// behind a filter (dead lanes in every batch), and each as a filter
+// predicate.
 func TestColumnarExpressionKernels(t *testing.T) {
 	tbl := mixedTable("cexpr", 6, 3000)
 	mk := func(pred lplan.Expr, exprs ...lplan.Expr) PNode {
@@ -133,60 +135,134 @@ func TestColumnarExpressionKernels(t *testing.T) {
 		}
 		return node
 	}
-	// Templates use placeholder ColRefs with IDs 0..4 (rebound per scan).
+	// Templates use placeholder ColRefs with IDs 0..4 (rebound per scan):
+	// i int, f float, s string, b bool, m mixed, all with NULLs.
 	c := func(i int) lplan.Expr { return &lplan.ColRef{ID: lplan.ColumnID(i)} }
 	lit := func(v table.Value) lplan.Expr { return &lplan.Const{Val: v} }
+	fn := func(name string, args ...lplan.Expr) lplan.Expr { return &lplan.Func{Name: name, Args: args} }
+	bin := func(op lplan.BinOp, l, r lplan.Expr) lplan.Expr { return &lplan.Binary{Op: op, L: l, R: r} }
+	i, f, s := table.NewInt, table.NewFloat, table.NewString
 	cases := []struct {
 		name  string
-		pred  lplan.Expr
 		exprs []lplan.Expr
 	}{
-		{"cmp-int", &lplan.Binary{Op: lplan.OpGt, L: c(0), R: lit(table.NewInt(3))}, nil},
-		{"cmp-float-mix", &lplan.Binary{Op: lplan.OpLe, L: c(1), R: c(0)}, nil},
-		{"cmp-str-const", &lplan.Binary{Op: lplan.OpGe, L: c(2), R: lit(table.NewString("beta"))}, nil},
-		{"cmp-any", &lplan.Binary{Op: lplan.OpEq, L: c(4), R: lit(table.NewInt(5))}, nil},
-		{"ne-str", &lplan.Binary{Op: lplan.OpNe, L: c(2), R: lit(table.NewString("gamma"))}, nil},
-		{"and-or", &lplan.Binary{Op: lplan.OpOr,
-			L: &lplan.Binary{Op: lplan.OpAnd, L: c(3), R: &lplan.Binary{Op: lplan.OpLt, L: c(0), R: lit(table.NewInt(10))}},
-			R: &lplan.Binary{Op: lplan.OpGt, L: c(1), R: lit(table.NewFloat(900))}}, nil},
-		{"not", &lplan.Not{X: c(3)}, nil},
-		{"isnull", &lplan.IsNull{X: c(4)}, nil},
-		{"isnotnull", &lplan.IsNull{X: c(1), Inv: true}, nil},
-		{"in-int", &lplan.In{X: c(0), Vals: []table.Value{table.NewInt(1), table.NewInt(7), table.NewFloat(12)}}, nil},
-		{"in-str-inv", &lplan.In{X: c(2), Vals: []table.Value{table.NewString("alpha"), table.NewString("")}, Inv: true}, nil},
-		{"in-any", &lplan.In{X: c(4), Vals: []table.Value{table.NewInt(3), table.NewString("beta"), table.NewFloat(1.5)}}, nil},
-		{"like", &lplan.Like{X: c(2), Pattern: "%a"}, nil},
-		{"like-esc", &lplan.Like{X: c(2), Pattern: "delta\\%_", Inv: true}, nil},
-		{"arith-int", nil, []lplan.Expr{
-			&lplan.Binary{Op: lplan.OpAdd, L: c(0), R: lit(table.NewInt(2))},
-			&lplan.Binary{Op: lplan.OpMod, L: c(0), R: lit(table.NewInt(5))},
-			&lplan.Binary{Op: lplan.OpMod, L: c(0), R: lit(table.NewInt(0))},
+		{"cmp-int", []lplan.Expr{bin(lplan.OpGt, c(0), lit(i(3)))}},
+		{"cmp-float-mix", []lplan.Expr{bin(lplan.OpLe, c(1), c(0))}},
+		{"cmp-str-const", []lplan.Expr{bin(lplan.OpGe, c(2), lit(s("beta")))}},
+		{"cmp-any", []lplan.Expr{bin(lplan.OpEq, c(4), lit(i(5)))}},
+		{"ne-str", []lplan.Expr{bin(lplan.OpNe, c(2), lit(s("gamma")))}},
+		{"and-or", []lplan.Expr{bin(lplan.OpOr,
+			bin(lplan.OpAnd, c(3), bin(lplan.OpLt, c(0), lit(i(10)))),
+			bin(lplan.OpGt, c(1), lit(f(900))))}},
+		{"and-int", []lplan.Expr{
+			bin(lplan.OpAnd, c(0), lit(table.NewBool(true))),
+			bin(lplan.OpOr, c(4), bin(lplan.OpAnd, lit(table.NewBool(true)), c(1))),
 		}},
-		{"arith-mix", nil, []lplan.Expr{
-			&lplan.Binary{Op: lplan.OpMul, L: c(1), R: c(0)},
-			&lplan.Binary{Op: lplan.OpDiv, L: c(1), R: c(0)},
-			&lplan.Binary{Op: lplan.OpSub, L: c(4), R: lit(table.NewFloat(1))},
+		{"not", []lplan.Expr{&lplan.Not{X: c(3)}}},
+		{"isnull", []lplan.Expr{&lplan.IsNull{X: c(4)}}},
+		{"isnotnull", []lplan.Expr{&lplan.IsNull{X: c(1), Inv: true}}},
+		{"in-int", []lplan.Expr{&lplan.In{X: c(0), Vals: []table.Value{i(1), i(7), f(12)}}}},
+		{"in-str-inv", []lplan.Expr{&lplan.In{X: c(2), Vals: []table.Value{s("alpha"), s("")}, Inv: true}}},
+		{"in-any", []lplan.Expr{&lplan.In{X: c(4), Vals: []table.Value{i(3), s("beta"), f(1.5)}}}},
+		{"like", []lplan.Expr{&lplan.Like{X: c(2), Pattern: "%a"}}},
+		{"like-esc", []lplan.Expr{&lplan.Like{X: c(2), Pattern: "delta\\%_", Inv: true}}},
+		{"arith-int", []lplan.Expr{
+			bin(lplan.OpAdd, c(0), lit(i(2))),
+			bin(lplan.OpMod, c(0), lit(i(5))),
+			bin(lplan.OpMod, c(0), lit(i(0))),
+		}},
+		{"arith-mix", []lplan.Expr{
+			bin(lplan.OpMul, c(1), c(0)),
+			bin(lplan.OpDiv, c(1), c(0)),
+			bin(lplan.OpSub, c(4), lit(f(1))),
 			&lplan.Neg{X: c(0)},
 			&lplan.Neg{X: c(4)},
 		}},
-		{"arith-nonnum", nil, []lplan.Expr{
-			&lplan.Binary{Op: lplan.OpAdd, L: c(2), R: lit(table.NewInt(1))},
-		}},
-		{"fallback-case", &lplan.Case{
-			Whens: []lplan.When{{Cond: &lplan.Binary{Op: lplan.OpGt, L: c(0), R: lit(table.NewInt(0))}, Then: c(3)}},
-			Else:  lit(table.NewBool(false)),
-		}, []lplan.Expr{
+		{"arith-nonnum", []lplan.Expr{bin(lplan.OpAdd, c(2), lit(i(1)))}},
+		{"case-bool-arms", []lplan.Expr{
+			&lplan.Case{
+				Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: c(3)}},
+				Else:  lit(table.NewBool(false)),
+			},
 			&lplan.Case{
 				Whens: []lplan.When{{Cond: c(3), Then: c(1)}},
 				Else:  &lplan.Neg{X: c(1)},
 			},
 		}},
+		{"case-else", []lplan.Expr{&lplan.Case{
+			Whens: []lplan.When{
+				{Cond: bin(lplan.OpGt, c(0), lit(i(10))), Then: c(2)},
+				{Cond: &lplan.Like{X: c(2), Pattern: "%a"}, Then: lit(s("ends-a"))},
+			},
+			Else: lit(s("other")),
+		}}},
+		{"case-no-else", []lplan.Expr{
+			&lplan.Case{Whens: []lplan.When{{Cond: bin(lplan.OpLt, c(1), lit(f(500))), Then: c(3)}}},
+			&lplan.Case{Whens: []lplan.When{{Cond: c(3), Then: c(2)}}},
+		}},
+		{"case-mixed-kinds", []lplan.Expr{
+			&lplan.Case{
+				Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: c(0)}},
+				Else:  c(1),
+			},
+			&lplan.Case{
+				Whens: []lplan.When{{Cond: c(3), Then: lit(i(1))}, {Cond: bin(lplan.OpGt, c(1), lit(f(100))), Then: lit(f(2.5))}},
+				Else:  c(4),
+			},
+		}},
+		{"case-null-cond", []lplan.Expr{&lplan.Case{
+			Whens: []lplan.When{
+				{Cond: lit(table.Null), Then: lit(i(0))},
+				{Cond: c(4), Then: lit(i(1))},
+				{Cond: bin(lplan.OpGt, c(4), lit(i(3))), Then: lit(i(2))},
+				{Cond: c(3), Then: lit(i(3))},
+				{Cond: c(0), Then: lit(i(4))},
+			},
+			Else: lit(table.NewBool(true)),
+		}}},
+		{"case-func-cond", []lplan.Expr{&lplan.Case{
+			Whens: []lplan.When{
+				{Cond: bin(lplan.OpGt, fn("CEILDIV", c(0), lit(i(10))), lit(i(1))), Then: fn("UPPER", c(2))},
+				{Cond: fn("STARTSWITH", c(2), lit(s("be"))), Then: lit(s("b"))},
+			},
+			Else: fn("SUBSTR", c(2), lit(i(2))),
+		}}},
+		{"func-case-arg", []lplan.Expr{
+			fn("COALESCE", &lplan.Case{Whens: []lplan.When{{Cond: c(3), Then: c(0)}}}, lit(i(-1))),
+			fn("COALESCE", &lplan.Case{Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: c(3)}}}, c(3)),
+		}},
+		{"funcs", []lplan.Expr{
+			fn("IF", c(3), c(0), c(1)),
+			fn("IF", bin(lplan.OpGt, c(1), lit(f(700))), c(3), bin(lplan.OpLt, c(0), lit(i(0)))),
+			fn("COALESCE", c(4), c(1), lit(i(0))),
+			fn("CEILDIV", c(0), lit(i(7))),
+			fn("CEILDIV", c(1), c(0)),
+			fn("SUBSTR", c(2), lit(i(2))),
+			fn("SUBSTR", c(2), c(0), lit(i(3))),
+			fn("SUBSTR", c(2), lit(i(2)), lit(i(-5))),
+		}},
 	}
+	filter := bin(lplan.OpGt, c(1), lit(f(300)))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := refRun(t, mk(tc.pred, tc.exprs...))
-			got := runBatched(t, mk(tc.pred, tc.exprs...), 113)
-			sameRows(t, base, got, tc.name)
+			check := func(label string, pred lplan.Expr, exprs ...lplan.Expr) {
+				t.Helper()
+				base := refRun(t, mk(pred, exprs...))
+				got := runBatched(t, mk(pred, exprs...), 113)
+				sameRows(t, base, got, label)
+				for r := range got.Rows {
+					for k, g := range got.Rows[r] {
+						if w := base.Rows[r][k]; g.Kind() != w.Kind() || g.Key() != w.Key() {
+							t.Fatalf("%s: row %d column %d is %v (kind %v), want %v (kind %v)", label, r, k, g, g.Kind(), w, w.Kind())
+						}
+					}
+				}
+			}
+			check("projection", nil, tc.exprs...)
+			check("projection behind a filter", filter, tc.exprs...)
+			for k, e := range tc.exprs {
+				check(fmt.Sprintf("predicate %d", k), e)
+			}
 		})
 	}
 }
@@ -275,6 +351,12 @@ func rebindExpr(e lplan.Expr, refs []*lplan.ColRef) lplan.Expr {
 		return &lplan.In{X: rebindExpr(x.X, refs), Vals: x.Vals, Inv: x.Inv}
 	case *lplan.Like:
 		return &lplan.Like{X: rebindExpr(x.X, refs), Pattern: x.Pattern, Inv: x.Inv}
+	case *lplan.Func:
+		out := &lplan.Func{Name: x.Name}
+		for _, a := range x.Args {
+			out.Args = append(out.Args, rebindExpr(a, refs))
+		}
+		return out
 	case *lplan.Case:
 		out := &lplan.Case{}
 		for _, w := range x.Whens {
@@ -452,27 +534,41 @@ func TestColumnarFusedAggBitIdentical(t *testing.T) {
 }
 
 // Every run reports kernel telemetry: physical lanes through the
-// vectorized kernels, and none on the row-closure fallback for a chain
-// of typed comparisons and arithmetic.
+// vectorized kernels, and none on a row-at-a-time path, for a chain of
+// typed comparisons and arithmetic and for one that filters on a CASE
+// and projects a CEILDIV.
 func TestColumnarKernelTelemetry(t *testing.T) {
 	tbl, _ := buildT("ctel", 4, pipelineRows(2000))
-	res := runBatched(t, chainOf(tbl, nil, 0), 100)
-	var lanes, fallback int64
-	for _, op := range res.Stats.Ops() {
-		lanes += op.Total().KernelLanes
-		fallback += op.Total().FallbackRows
+	scan := scanOf(tbl)
+	r := colRefsOf(scan)
+	nextID++
+	caseChain := &PProject{
+		In: &PFilter{In: scan, Pred: &lplan.Case{
+			Whens: []lplan.When{{Cond: &lplan.Binary{Op: lplan.OpGt, L: r[0], R: &lplan.Const{Val: table.NewInt(10)}}, Then: &lplan.Const{Val: table.NewBool(true)}}},
+			Else:  &lplan.Binary{Op: lplan.OpLt, L: r[1], R: &lplan.Const{Val: table.NewFloat(100)}},
+		}},
+		Exprs:   []lplan.Expr{&lplan.Func{Name: "CEILDIV", Args: []lplan.Expr{r[1], &lplan.Const{Val: table.NewInt(100)}}}},
+		OutCols: []lplan.ColumnInfo{{ID: nextID, Name: "bucket", Kind: table.KindInt}},
 	}
-	if lanes == 0 {
-		t.Fatal("run reported no kernel lanes")
-	}
-	if fallback != 0 {
-		t.Fatalf("typed chain routed %d rows through the row-closure fallback", fallback)
+	for name, plan := range map[string]PNode{"typed": chainOf(tbl, nil, 0), "case-ceildiv": caseChain} {
+		res := runBatched(t, plan, 100)
+		var lanes, fallback int64
+		for _, op := range res.Stats.Ops() {
+			lanes += op.Total().KernelLanes
+			fallback += op.Total().FallbackRows
+		}
+		if lanes == 0 {
+			t.Fatalf("%s chain reported no kernel lanes", name)
+		}
+		if fallback != 0 {
+			t.Fatalf("%s chain routed %d rows around the kernels", name, fallback)
+		}
 	}
 }
 
 // Dictionary builders must survive growth far past their initial
 // capacity: a high-cardinality string column pushed through a columnar
-// project (fallback CASE keeps the builder path busy) stays exact.
+// project (a CASE keeps the builder path busy) stays exact.
 func TestColumnarDictionaryGrowth(t *testing.T) {
 	sc := table.NewSchema(
 		table.Column{Name: "k", Kind: table.KindInt},
@@ -491,7 +587,7 @@ func TestColumnarDictionaryGrowth(t *testing.T) {
 		r := colRefsOf(scan)
 		nextID += 2
 		return &PProject{In: scan, Exprs: []lplan.Expr{
-			&lplan.Case{ // fallback kernel rebuilds the dict lane by lane
+			&lplan.Case{ // the CASE kernel rebuilds the dict lane by lane
 				Whens: []lplan.When{{Cond: &lplan.IsNull{X: r[1], Inv: true}, Then: r[1]}},
 				Else:  &lplan.Const{Val: table.NewString("missing")},
 			},

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 
 	"quickr/internal/lplan"
@@ -9,14 +10,15 @@ import (
 
 // This file compiles bound expressions to columnar kernels: closures
 // that evaluate one expression over a whole Batch and return a Vector.
+// They are the executor's only expression evaluator.
 //
-// The contract is bit-identity with eval.go's row closures: for every
-// live lane, the kernel's Value(lane) equals what the corresponding row
-// closure would return for the materialized row. Typed kernels compute
-// densely over all physical lanes (dead lanes may hold garbage, which
-// is fine — they are never read as live results); the row-fallback
-// kernel (Func, Case, and anything without a vector implementation)
-// evaluates only live lanes through the compiled row closure.
+// A kernel's contract is its live lanes: Value(lane) is the expression's
+// value on that lane, which the tests hold to refimpl.EvalExpr over the
+// materialized row. Typed kernels compute densely over all physical
+// lanes (dead lanes may hold garbage, which is fine — they are never
+// read as live results). Function calls and CASE run their operands as
+// kernels, then box only those operands' values, one live lane at a
+// time; their dead lanes come out NULL.
 //
 // Kernels are compiled per partition and own their output buffers, so
 // parallel partitions never share mutable state. A kernel's output is
@@ -24,30 +26,6 @@ import (
 
 // colKernel evaluates an expression over a batch.
 type colKernel func(b *Batch) Vector
-
-// colScratch is per-partition scratch shared by the fallback kernels:
-// a reusable gather row, the count of rows routed through row-at-a-
-// time evaluation (reported as the op's FallbackRows) and the run's
-// ledger their value builders draw from.
-type colScratch struct {
-	mem          *ledger
-	fallbackRows int64
-	rowBuf       table.Row
-	selBuf       []int32
-}
-
-func (sc *colScratch) row(n int) table.Row {
-	if cap(sc.rowBuf) < n {
-		sc.rowBuf = make(table.Row, n)
-	}
-	return sc.rowBuf[:n]
-}
-
-func (sc *colScratch) takeFallback() int64 {
-	v := sc.fallbackRows
-	sc.fallbackRows = 0
-	return v
-}
 
 func growInts(buf []int64, n int) []int64 {
 	if cap(buf) < n {
@@ -98,25 +76,24 @@ func isNumericVK(k VecKind) bool { return k == VKInt || k == VKFloat }
 func allNull(n int) Vector { return Vector{K: VKNull, N: n} }
 
 // compileColKernel compiles e into a columnar kernel over the column
-// layout described by cm. Expressions without a vector implementation
-// compile to a row-fallback kernel; an error is only possible when a
-// referenced column is missing (the same condition compileExpr reports).
-func compileColKernel(e lplan.Expr, cm colMap, sc *colScratch) (colKernel, error) {
+// layout described by cm, whose builders draw on the run's ledger mem.
+// An error is only possible when a referenced column is missing.
+func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 	switch x := e.(type) {
 	case *lplan.ColRef:
 		i, ok := cm[x.ID]
 		if !ok {
-			return nil, errColKernel(e, cm, sc)
+			return nil, fmt.Errorf("exec: column %s#%d not available", x.Name, x.ID)
 		}
 		return func(b *Batch) Vector { return b.cols[i] }, nil
 	case *lplan.Const:
 		return constKernel(x.Val), nil
 	case *lplan.Binary:
-		l, err := compileColKernel(x.L, cm, sc)
+		l, err := compileColKernel(x.L, cm, mem)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileColKernel(x.R, cm, sc)
+		r, err := compileColKernel(x.R, cm, mem)
 		if err != nil {
 			return nil, err
 		}
@@ -126,82 +103,146 @@ func compileColKernel(e lplan.Expr, cm colMap, sc *colScratch) (colKernel, error
 		case lplan.OpOr:
 			return orKernel(l, r), nil
 		case lplan.OpAdd, lplan.OpSub, lplan.OpMul, lplan.OpDiv, lplan.OpMod:
-			return arithKernel(x.Op, l, r, sc.mem), nil
+			return arithKernel(x.Op, l, r, mem), nil
 		default:
 			return cmpKernel(x.Op, l, r), nil
 		}
+	case *lplan.Func:
+		args, err := compileColKernels(x.Args, cm, mem)
+		if err != nil {
+			return nil, err
+		}
+		return funcKernel(x.Name, args, mem), nil
+	case *lplan.Case:
+		arms := make([]lplan.Expr, 0, 2*len(x.Whens)+1)
+		for _, w := range x.Whens {
+			arms = append(arms, w.Cond, w.Then)
+		}
+		els := x.Else
+		if els == nil {
+			els = &lplan.Const{Val: table.Null}
+		}
+		ks, err := compileColKernels(append(arms, els), cm, mem)
+		if err != nil {
+			return nil, err
+		}
+		return caseKernel(ks, mem), nil
 	case *lplan.Not:
-		in, err := compileColKernel(x.X, cm, sc)
+		in, err := compileColKernel(x.X, cm, mem)
 		if err != nil {
 			return nil, err
 		}
 		return notKernel(in), nil
 	case *lplan.Neg:
-		in, err := compileColKernel(x.X, cm, sc)
+		in, err := compileColKernel(x.X, cm, mem)
 		if err != nil {
 			return nil, err
 		}
-		return negKernel(in, sc.mem), nil
+		return negKernel(in, mem), nil
 	case *lplan.IsNull:
-		in, err := compileColKernel(x.X, cm, sc)
+		in, err := compileColKernel(x.X, cm, mem)
 		if err != nil {
 			return nil, err
 		}
 		return isNullKernel(in, x.Inv), nil
 	case *lplan.In:
-		in, err := compileColKernel(x.X, cm, sc)
+		in, err := compileColKernel(x.X, cm, mem)
 		if err != nil {
 			return nil, err
 		}
 		return inKernel(in, x.Vals, x.Inv), nil
 	case *lplan.Like:
-		in, err := compileColKernel(x.X, cm, sc)
+		in, err := compileColKernel(x.X, cm, mem)
 		if err != nil {
 			return nil, err
 		}
 		return likeKernel(in, x.Pattern, x.Inv), nil
 	}
-	// Func, Case, anything new: row-at-a-time fallback.
-	return fallbackKernel(e, cm, sc)
+	return nil, fmt.Errorf("exec: cannot compile expression %T", e)
 }
 
-// errColKernel surfaces the row compiler's error message for a missing
-// column.
-func errColKernel(e lplan.Expr, cm colMap, sc *colScratch) error {
-	_, err := compileExpr(e, cm)
-	return err
-}
-
-// fallbackKernel evaluates e through the compiled row closure, one live
-// lane at a time, gathering a scratch row per lane. Dead lanes come out
-// NULL.
-func fallbackKernel(e lplan.Expr, cm colMap, sc *colScratch) (colKernel, error) {
-	f, err := compileExpr(e, cm)
-	if err != nil {
-		return nil, err
+// compileColKernels compiles each of es.
+func compileColKernels(es []lplan.Expr, cm colMap, mem *ledger) ([]colKernel, error) {
+	ks := make([]colKernel, len(es))
+	for i, e := range es {
+		k, err := compileColKernel(e, cm, mem)
+		if err != nil {
+			return nil, err
+		}
+		ks[i] = k
 	}
-	bld := vecBuilder{mem: sc.mem}
+	return ks, nil
+}
+
+// funcKernel runs the argument kernels, then calls lplan.CallFunc once
+// per live lane on that lane's boxed arguments.
+func funcKernel(name string, args []colKernel, mem *ledger) colKernel {
+	vecs := make([]Vector, len(args))
+	vals := make([]table.Value, len(args))
+	bld := vecBuilder{mem: mem}
 	return func(b *Batch) Vector {
-		row := sc.row(len(b.cols))
-		bld.reset()
-		si, sel := 0, b.sel
-		for i := 0; i < b.n; i++ {
-			live := sel == nil || (si < len(sel) && int(sel[si]) == i)
-			if !live {
+		for j, k := range args {
+			vecs[j] = k(b)
+		}
+		return boxLanes(&bld, b, func(i int) table.Value {
+			for j := range vecs {
+				vals[j] = vecs[j].Value(i)
+			}
+			return lplan.CallFunc(name, vals)
+		})
+	}
+}
+
+// caseKernel runs the kernels ks — each WHEN's condition and branch in
+// turn, then the ELSE — and takes, for each live lane, the branch of the
+// first condition that is boolean true there, or the ELSE.
+func caseKernel(ks []colKernel, mem *ledger) colKernel {
+	vecs := make([]Vector, len(ks))
+	bld := vecBuilder{mem: mem}
+	return func(b *Batch) Vector {
+		for j, k := range ks {
+			vecs[j] = k(b)
+		}
+		return boxLanes(&bld, b, func(i int) table.Value {
+			j := 0
+			for ; j+1 < len(vecs); j += 2 {
+				if laneTrue(&vecs[j], i) {
+					return vecs[j+1].Value(i)
+				}
+			}
+			return vecs[j].Value(i)
+		})
+	}
+}
+
+// boxLanes builds a vector one boxed value at a time: value(i) for each
+// live lane i of b, NULL for each dead one.
+func boxLanes(bld *vecBuilder, b *Batch, value func(i int) table.Value) Vector {
+	bld.reset()
+	si, sel := 0, b.sel
+	for i := 0; i < b.n; i++ {
+		if sel != nil {
+			if si == len(sel) || int(sel[si]) != i {
 				bld.appendNull()
 				continue
 			}
-			if sel != nil {
-				si++
-			}
-			for c := range b.cols {
-				row[c] = b.cols[c].Value(i)
-			}
-			bld.append(f(row))
-			sc.fallbackRows++
+			si++
 		}
-		return bld.build()
-	}, nil
+		bld.append(value(i))
+	}
+	return bld.build()
+}
+
+// laneTrue reports whether lane i of v is boolean true. VKBool lanes
+// that are NULL carry payload 0.
+func laneTrue(v *Vector, i int) bool {
+	switch v.K {
+	case VKBool:
+		return v.Ints[i] != 0
+	case VKAny:
+		return truthy(v.Vals[i])
+	}
+	return false
 }
 
 // constKernel materializes a constant as an n-lane vector, refilled
@@ -246,9 +287,9 @@ func constKernel(v table.Value) colKernel {
 	}
 }
 
-// andKernel / orKernel: boolean combination. For VKBool inputs NULL
-// lanes carry payload 0, which makes the row semantics (NULL acts as
-// false on either side) a plain payload test.
+// andKernel / orKernel: boolean combination, where NULL and
+// non-boolean lanes act as false on either side. For VKBool inputs NULL
+// lanes carry payload 0, which makes that a plain payload test.
 func andKernel(l, r colKernel) colKernel {
 	var out []int64
 	return func(b *Batch) Vector {
@@ -263,7 +304,7 @@ func andKernel(l, r colKernel) colKernel {
 			return Vector{K: VKBool, N: n, Ints: out[:n]}
 		}
 		for i := 0; i < n; i++ {
-			out[i] = btoi(rowAnd(lv.Value(i), rv.Value(i)))
+			out[i] = btoi(laneTrue(&lv, i) && laneTrue(&rv, i))
 		}
 		return Vector{K: VKBool, N: n, Ints: out[:n]}
 	}
@@ -283,31 +324,10 @@ func orKernel(l, r colKernel) colKernel {
 			return Vector{K: VKBool, N: n, Ints: out[:n]}
 		}
 		for i := 0; i < n; i++ {
-			out[i] = btoi(rowOr(lv.Value(i), rv.Value(i)))
+			out[i] = btoi(laneTrue(&lv, i) || laneTrue(&rv, i))
 		}
 		return Vector{K: VKBool, N: n, Ints: out[:n]}
 	}
-}
-
-// rowAnd / rowOr replicate the eval.go closures exactly.
-func rowAnd(lv, rv table.Value) bool {
-	if lv.Kind() == table.KindBool && !lv.Bool() {
-		return false
-	}
-	if rv.Kind() == table.KindBool && !rv.Bool() {
-		return false
-	}
-	if lv.IsNull() || rv.IsNull() {
-		return false
-	}
-	return lv.Bool() && rv.Bool()
-}
-
-func rowOr(lv, rv table.Value) bool {
-	if lv.Kind() == table.KindBool && lv.Bool() {
-		return true
-	}
-	return rv.Kind() == table.KindBool && rv.Bool()
 }
 
 // arithKernel vectorizes +,-,*,/,% with the exact table.Add/Sub/Mul/
@@ -673,7 +693,7 @@ func cmpStr(op lplan.BinOp, a, b string) bool {
 	return false
 }
 
-// cmpRow replicates the eval.go comparison closure for arbitrary lanes.
+// cmpRow compares two arbitrary lanes; a NULL compares false.
 func cmpRow(op lplan.BinOp, lv, rv table.Value) bool {
 	if lv.IsNull() || rv.IsNull() {
 		return false

@@ -18,10 +18,9 @@ import (
 // column-at-a-time over exec.Batch. Predicates evaluate as per-column
 // kernels and thin the selection vector, samplers thin it further and
 // scale the weight column, and the sink (the breaker boundary) appends
-// the live lanes of each batch to a column-major Part. Expressions
-// without a typed kernel (CASE, function calls) evaluate through a row
-// closure per live lane inside the same chain (coleval.go's fallback,
-// counted as fallback_rows).
+// the live lanes of each batch to a column-major Part. Every
+// expression, CASE and function calls included, evaluates as a kernel
+// (coleval.go).
 //
 // Answers do not depend on the batch size: sampler decision sequences
 // (rng draws, hash inputs, their order) and every stage/metric total
@@ -134,7 +133,6 @@ type colFilterOp struct {
 	ctx   context.Context
 	child colOperator
 	kern  colKernel
-	sc    *colScratch
 	st    *cluster.Stage
 	task  int
 	slot  *metrics.Slot
@@ -160,7 +158,6 @@ func (f *colFilterOp) Next() (Batch, error) {
 		f.slot.RowsIn += int64(liveIn)
 		f.slot.RowsOut += int64(len(f.sel))
 		f.slot.KernelLanes += int64(b.n)
-		f.slot.FallbackRows += f.sc.takeFallback()
 		f.slot.WallNanos += int64(time.Since(t0))
 		if len(f.sel) > 0 {
 			bytes := liveBytes(b.cols, f.sel)
@@ -215,7 +212,6 @@ type colProjectOp struct {
 	child colOperator
 	kerns []colKernel
 	cost  float64
-	sc    *colScratch
 	st    *cluster.Stage
 	task  int
 	slot  *metrics.Slot
@@ -246,7 +242,6 @@ func (p *colProjectOp) Next() (Batch, error) {
 	p.slot.RowsIn += int64(live)
 	p.slot.RowsOut += int64(live)
 	p.slot.KernelLanes += int64(b.n)
-	p.slot.FallbackRows += p.sc.takeFallback()
 	p.slot.NoteBatch(bytes)
 	p.slot.WallNanos += int64(time.Since(t0))
 	return Batch{cols: p.cols, n: b.n, sel: b.sel, weights: b.weights, bytes: bytes}, nil
@@ -663,7 +658,6 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 // candidate pairs: one probe task's private kernel and buffers.
 type joinResidual struct {
 	kern   colKernel
-	sc     colScratch
 	cand   *partBuilder // the candidate pairs' columns
 	vecs   []Vector
 	keep   []int32
@@ -829,7 +823,6 @@ func (cc *colChain) broadcastBuild(p *PHashJoin, build *stream, op *metrics.Op) 
 
 // operatorFor builds the partition-local columnar operator chain.
 func (cc *colChain) operatorFor(i int) (colOperator, error) {
-	sc := &colScratch{mem: cc.ex.mem}
 	var cur colOperator
 	if cc.scan != nil {
 		cur = &colScanSource{
@@ -843,22 +836,17 @@ func (cc *colChain) operatorFor(i int) (colOperator, error) {
 		slot := sp.op.Slot(i)
 		switch x := cc.nodes[k].(type) {
 		case *PFilter:
-			kern, err := compileColKernel(x.Pred, buildColMap(x.In.Cols()), sc)
+			kern, err := compileColKernel(x.Pred, buildColMap(x.In.Cols()), cc.ex.mem)
 			if err != nil {
 				return nil, err
 			}
-			cur = &colFilterOp{ctx: cc.ex.ctx, child: cur, kern: kern, sc: sc, st: cc.st, task: i, slot: slot}
+			cur = &colFilterOp{ctx: cc.ex.ctx, child: cur, kern: kern, st: cc.st, task: i, slot: slot}
 		case *PProject:
-			cm := buildColMap(x.In.Cols())
-			kerns := make([]colKernel, len(x.Exprs))
-			for j, e := range x.Exprs {
-				kern, err := compileColKernel(e, cm, sc)
-				if err != nil {
-					return nil, err
-				}
-				kerns[j] = kern
+			kerns, err := compileColKernels(x.Exprs, buildColMap(x.In.Cols()), cc.ex.mem)
+			if err != nil {
+				return nil, err
 			}
-			cur = &colProjectOp{child: cur, kerns: kerns, cost: sp.cost, sc: sc, st: cc.st, task: i, slot: slot}
+			cur = &colProjectOp{child: cur, kerns: kerns, cost: sp.cost, st: cc.st, task: i, slot: slot}
 		case *PSample:
 			if sp.passthrough {
 				cur = &colPassOp{child: cur, slot: slot}

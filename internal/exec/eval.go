@@ -5,7 +5,6 @@
 package exec
 
 import (
-	"fmt"
 	"strings"
 
 	"quickr/internal/lplan"
@@ -23,218 +22,6 @@ func buildColMap(cols []lplan.ColumnInfo) colMap {
 		}
 	}
 	return m
-}
-
-// evalFunc evaluates a compiled expression against a row.
-type evalFunc func(r table.Row) table.Value
-
-// compileExpr compiles a bound expression to a closure over row
-// positions. It returns an error when a referenced column is not
-// produced by the input.
-func compileExpr(e lplan.Expr, cm colMap) (evalFunc, error) {
-	switch x := e.(type) {
-	case *lplan.ColRef:
-		i, ok := cm[x.ID]
-		if !ok {
-			return nil, fmt.Errorf("exec: column %s#%d not available", x.Name, x.ID)
-		}
-		return func(r table.Row) table.Value { return r[i] }, nil
-	case *lplan.Const:
-		v := x.Val
-		return func(table.Row) table.Value { return v }, nil
-	case *lplan.Binary:
-		l, err := compileExpr(x.L, cm)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := compileExpr(x.R, cm)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		switch op {
-		case lplan.OpAnd:
-			return func(r table.Row) table.Value {
-				lv := l(r)
-				if lv.Kind() == table.KindBool && !lv.Bool() {
-					return table.NewBool(false)
-				}
-				rv := rr(r)
-				if rv.Kind() == table.KindBool && !rv.Bool() {
-					return table.NewBool(false)
-				}
-				if lv.IsNull() || rv.IsNull() {
-					return table.NewBool(false)
-				}
-				return table.NewBool(lv.Bool() && rv.Bool())
-			}, nil
-		case lplan.OpOr:
-			return func(r table.Row) table.Value {
-				lv := l(r)
-				if lv.Kind() == table.KindBool && lv.Bool() {
-					return table.NewBool(true)
-				}
-				rv := rr(r)
-				if rv.Kind() == table.KindBool && rv.Bool() {
-					return table.NewBool(true)
-				}
-				return table.NewBool(false)
-			}, nil
-		case lplan.OpAdd:
-			return func(r table.Row) table.Value { return table.Add(l(r), rr(r)) }, nil
-		case lplan.OpSub:
-			return func(r table.Row) table.Value { return table.Sub(l(r), rr(r)) }, nil
-		case lplan.OpMul:
-			return func(r table.Row) table.Value { return table.Mul(l(r), rr(r)) }, nil
-		case lplan.OpDiv:
-			return func(r table.Row) table.Value { return table.Div(l(r), rr(r)) }, nil
-		case lplan.OpMod:
-			return func(r table.Row) table.Value { return table.Mod(l(r), rr(r)) }, nil
-		default: // comparisons
-			return func(r table.Row) table.Value {
-				lv, rv := l(r), rr(r)
-				if lv.IsNull() || rv.IsNull() {
-					return table.NewBool(false)
-				}
-				c := lv.Compare(rv)
-				var out bool
-				switch op {
-				case lplan.OpEq:
-					out = lv.Equal(rv)
-				case lplan.OpNe:
-					out = !lv.Equal(rv)
-				case lplan.OpLt:
-					out = c < 0
-				case lplan.OpLe:
-					out = c <= 0
-				case lplan.OpGt:
-					out = c > 0
-				case lplan.OpGe:
-					out = c >= 0
-				}
-				return table.NewBool(out)
-			}, nil
-		}
-	case *lplan.Not:
-		in, err := compileExpr(x.X, cm)
-		if err != nil {
-			return nil, err
-		}
-		return func(r table.Row) table.Value {
-			v := in(r)
-			if v.Kind() != table.KindBool {
-				return table.NewBool(false)
-			}
-			return table.NewBool(!v.Bool())
-		}, nil
-	case *lplan.Neg:
-		in, err := compileExpr(x.X, cm)
-		if err != nil {
-			return nil, err
-		}
-		return func(r table.Row) table.Value {
-			v := in(r)
-			switch v.Kind() {
-			case table.KindInt:
-				return table.NewInt(-v.Int())
-			case table.KindFloat:
-				return table.NewFloat(-v.Float())
-			}
-			return table.Null
-		}, nil
-	case *lplan.Func:
-		args := make([]evalFunc, len(x.Args))
-		for i, a := range x.Args {
-			f, err := compileExpr(a, cm)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = f
-		}
-		name := x.Name
-		return func(r table.Row) table.Value {
-			vals := make([]table.Value, len(args))
-			for i, f := range args {
-				vals[i] = f(r)
-			}
-			return lplan.CallFunc(name, vals)
-		}, nil
-	case *lplan.In:
-		in, err := compileExpr(x.X, cm)
-		if err != nil {
-			return nil, err
-		}
-		set := make(map[string]bool, len(x.Vals))
-		for _, v := range x.Vals {
-			set[v.Key()] = true
-		}
-		inv := x.Inv
-		return func(r table.Row) table.Value {
-			v := in(r)
-			if v.IsNull() {
-				return table.NewBool(false)
-			}
-			return table.NewBool(set[v.Key()] != inv)
-		}, nil
-	case *lplan.IsNull:
-		in, err := compileExpr(x.X, cm)
-		if err != nil {
-			return nil, err
-		}
-		inv := x.Inv
-		return func(r table.Row) table.Value {
-			return table.NewBool(in(r).IsNull() != inv)
-		}, nil
-	case *lplan.Like:
-		in, err := compileExpr(x.X, cm)
-		if err != nil {
-			return nil, err
-		}
-		match := compileLike(x.Pattern)
-		inv := x.Inv
-		return func(r table.Row) table.Value {
-			v := in(r)
-			if v.Kind() != table.KindString {
-				return table.NewBool(false)
-			}
-			return table.NewBool(match(v.Str()) != inv)
-		}, nil
-	case *lplan.Case:
-		conds := make([]evalFunc, len(x.Whens))
-		thens := make([]evalFunc, len(x.Whens))
-		for i, w := range x.Whens {
-			c, err := compileExpr(w.Cond, cm)
-			if err != nil {
-				return nil, err
-			}
-			t, err := compileExpr(w.Then, cm)
-			if err != nil {
-				return nil, err
-			}
-			conds[i], thens[i] = c, t
-		}
-		var els evalFunc
-		if x.Else != nil {
-			f, err := compileExpr(x.Else, cm)
-			if err != nil {
-				return nil, err
-			}
-			els = f
-		}
-		return func(r table.Row) table.Value {
-			for i, c := range conds {
-				v := c(r)
-				if v.Kind() == table.KindBool && v.Bool() {
-					return thens[i](r)
-				}
-			}
-			if els != nil {
-				return els(r)
-			}
-			return table.Null
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: cannot compile expression %T", e)
 }
 
 // compileLike builds a matcher for a SQL LIKE pattern with % and _.

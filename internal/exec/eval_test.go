@@ -6,16 +6,36 @@ import (
 	"testing/quick"
 
 	"quickr/internal/lplan"
+	"quickr/internal/refimpl"
 	"quickr/internal/table"
 )
 
-func compile(t *testing.T, e lplan.Expr, cols []lplan.ColumnInfo) evalFunc {
+// evalRow evaluates e's kernel over a one-lane batch holding row, and
+// holds the result to refimpl's evaluator on the same row.
+func evalRow(t *testing.T, e lplan.Expr, cols []lplan.ColumnInfo, row table.Row) table.Value {
 	t.Helper()
-	f, err := compileExpr(e, buildColMap(cols))
+	mem := newLedger()
+	cm := buildColMap(cols)
+	k, err := compileColKernel(e, cm, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	b := Batch{n: 1}
+	for _, v := range row {
+		bd := vecBuilder{mem: mem}
+		bd.append(v)
+		b.cols = append(b.cols, bd.build())
+	}
+	out := k(&b)
+	got := out.Value(0)
+	want, err := refimpl.EvalExpr(e, cm, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind() != want.Kind() || got.Key() != want.Key() {
+		t.Errorf("%s: kernel %v, refimpl %v", e, got, want)
+	}
+	return got
 }
 
 func TestCompileArithmeticAndComparison(t *testing.T) {
@@ -51,7 +71,7 @@ func TestCompileArithmeticAndComparison(t *testing.T) {
 		{&lplan.Func{Name: "ABS", Args: []lplan.Expr{&lplan.Neg{X: a}}}, table.NewInt(7)},
 	}
 	for _, c := range cases {
-		got := compile(t, c.e, cols)(row)
+		got := evalRow(t, c.e, cols, row)
 		if !got.Equal(c.want) && got.String() != c.want.String() {
 			t.Errorf("%s = %v want %v", c.e, got, c.want)
 		}
@@ -63,19 +83,19 @@ func TestCompileNullSemantics(t *testing.T) {
 	a := &lplan.ColRef{ID: 1, Name: "a", Kind: table.KindInt}
 	row := table.Row{table.Null}
 	// NULL comparisons are false; NULL arithmetic is NULL; IS NULL true.
-	if v := compile(t, &lplan.Binary{Op: lplan.OpEq, L: a, R: a}, cols)(row); v.Bool() {
+	if v := evalRow(t, &lplan.Binary{Op: lplan.OpEq, L: a, R: a}, cols, row); v.Bool() {
 		t.Error("NULL = NULL must be false")
 	}
-	if v := compile(t, &lplan.Binary{Op: lplan.OpAdd, L: a, R: a}, cols)(row); !v.IsNull() {
+	if v := evalRow(t, &lplan.Binary{Op: lplan.OpAdd, L: a, R: a}, cols, row); !v.IsNull() {
 		t.Error("NULL + NULL must be NULL")
 	}
-	if v := compile(t, &lplan.IsNull{X: a}, cols)(row); !v.Bool() {
+	if v := evalRow(t, &lplan.IsNull{X: a}, cols, row); !v.Bool() {
 		t.Error("IS NULL broken")
 	}
 }
 
 func TestCompileUnknownColumn(t *testing.T) {
-	if _, err := compileExpr(&lplan.ColRef{ID: 99, Name: "x"}, colMap{}); err == nil {
+	if _, err := compileColKernel(&lplan.ColRef{ID: 99, Name: "x"}, colMap{}, newLedger()); err == nil {
 		t.Error("unknown column must fail compilation")
 	}
 }

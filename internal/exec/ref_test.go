@@ -11,13 +11,14 @@ import (
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
+	"quickr/internal/refimpl"
 	"quickr/internal/sampler"
 	"quickr/internal/table"
 )
 
 // The row-at-a-time reference the executor is tested against. It shares
-// none of the batch or partition code: expressions evaluate through the
-// compileExpr row closures, samplers admit one boxed row at a time
+// none of the batch or partition code: expressions evaluate through
+// refimpl.EvalExpr, samplers admit one boxed row at a time
 // (refSample), exchanges route through table.HashRow of boxed rows, joins
 // through a map of boxed build rows probed with Value.Equal,
 // aggregation through refAgg's string-keyed maps — one row, one
@@ -55,14 +56,11 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 		return parts
 	case *PFilter:
 		in := refChain(t, x.In)
-		pred, err := compileExpr(x.Pred, buildColMap(x.In.Cols()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		cm := buildColMap(x.In.Cols())
 		for i, part := range in {
 			var out []wrow
 			for _, r := range part {
-				if truthy(pred(r.row)) {
+				if truthy(refEval(t, x.Pred, cm, r.row)) {
 					out = append(out, r)
 				}
 			}
@@ -76,11 +74,7 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 			for j, r := range part {
 				out := make(table.Row, len(x.Exprs))
 				for k, e := range x.Exprs {
-					f, err := compileExpr(e, cm)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out[k] = f(r.row)
+					out[k] = refEval(t, e, cm, r.row)
 				}
 				in[i][j] = newWRow(out, r.w)
 			}
@@ -118,14 +112,7 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 	case *PHashJoin:
 		right, left := refChain(t, x.Right), refChain(t, x.Left)
 		rIdx, lIdx := refKeyIdx(t, x.Right, x.RightKeys), refKeyIdx(t, x.Left, x.LeftKeys)
-		var residual evalFunc
-		if x.Residual != nil {
-			f, err := compileExpr(x.Residual, buildColMap(x.Cols()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			residual = f
-		}
+		cm := buildColMap(x.Cols())
 		if x.Broadcast {
 			var all []wrow
 			for _, part := range right {
@@ -161,7 +148,7 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 					if x.SharedUniverseP > 0 {
 						w *= x.SharedUniverseP
 					}
-					if residual != nil && !truthy(residual(combined)) {
+					if x.Residual != nil && !truthy(refEval(t, x.Residual, cm, combined)) {
 						continue
 					}
 					out[i] = append(out[i], newWRow(combined, w))
@@ -194,6 +181,16 @@ func refChain(t *testing.T, n PNode) [][]wrow {
 	}
 	t.Fatalf("refChain: %T is not a reference operator", n)
 	return nil
+}
+
+// refEval evaluates e over one boxed row through refimpl's evaluator.
+func refEval(t *testing.T, e lplan.Expr, cm colMap, row table.Row) table.Value {
+	t.Helper()
+	v, err := refimpl.EvalExpr(e, cm, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // refSample runs one partition's rows through the production sampler

@@ -625,12 +625,11 @@ func (js *joinSpec) newProbe(ctx context.Context, mem *ledger, child colOperator
 	o := &colProbeOp{ctx: ctx, child: child, js: js, bt: bt, outer: js.p.Kind == lplan.LeftOuterJoin,
 		st: st, task: task, slot: slot, jk: newJoinKeys(len(js.lIdx)), out: newPartBuilder(mem, width, 0)}
 	if js.p.Residual != nil {
-		o.resid = &joinResidual{cand: newPartBuilder(mem, width, 0), sc: colScratch{mem: mem}}
-		kern, err := compileColKernel(js.p.Residual, buildColMap(js.p.Cols()), &o.resid.sc)
+		kern, err := compileColKernel(js.p.Residual, buildColMap(js.p.Cols()), mem)
 		if err != nil {
 			return nil, err
 		}
-		o.resid.kern = kern
+		o.resid = &joinResidual{kern: kern, cand: newPartBuilder(mem, width, 0)}
 	}
 	slot.RowsIn += int64(len(bt.next))
 	slot.BuildRows += int64(len(bt.next))

@@ -42,8 +42,9 @@ type Slot struct {
 	// operator's elapsed time takes the max across partitions).
 	WallNanos int64
 	// KernelLanes counts physical vector lanes processed by the
-	// pipeline's columnar kernels; FallbackRows counts live rows it routed
-	// through row-at-a-time expression fallbacks (CASE, function calls).
+	// pipeline's columnar kernels. FallbackRows is always 0, since every
+	// expression runs as a kernel; it stays only for the repository
+	// benchmark's exec.columnar.fallback_rows point, which reads it.
 	KernelLanes  int64
 	FallbackRows int64
 	_            [2]int64 // pad 14 counters to 128 bytes

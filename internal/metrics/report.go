@@ -36,11 +36,9 @@ type OpReport struct {
 	BuildRows int64 `json:"build_rows"`
 	ProbeRows int64 `json:"probe_rows"`
 
-	// Kernel counters: physical lanes through the vectorized kernels and
-	// live rows routed through the row-closure fallback (omitted at zero:
-	// breakers run no kernels, most chains never fall back).
-	KernelLanes  int64 `json:"kernel_lanes,omitempty"`
-	FallbackRows int64 `json:"fallback_rows,omitempty"`
+	// KernelLanes counts physical lanes through the vectorized kernels
+	// (omitted at zero: breakers run no kernels).
+	KernelLanes int64 `json:"kernel_lanes,omitempty"`
 }
 
 // Report flattens the query's operators (plan pre-order, with depths,
@@ -75,7 +73,6 @@ func (q *Query) Report() []OpReport {
 			BuildRows:     t.BuildRows,
 			ProbeRows:     t.ProbeRows,
 			KernelLanes:   t.KernelLanes,
-			FallbackRows:  t.FallbackRows,
 		}
 		if t.SamplerSeen > 0 {
 			r.SamplerRate = float64(t.SamplerPassed) / float64(t.SamplerSeen)
