@@ -443,7 +443,7 @@ func rowArith(op lplan.BinOp, lv, rv table.Value) table.Value {
 }
 
 // cmpKernel vectorizes the six comparisons. NULL operands compare
-// false (never NULL), matching the row closure, so the output is a
+// false (never NULL), as in refimpl, so the output is a
 // bitmap-free VKBool vector.
 func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 	var out []int64
