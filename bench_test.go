@@ -343,7 +343,6 @@ func BenchmarkAblationDistinctBias(b *testing.B) {
 			ids = append(ids, int64(g))
 		}
 	}
-	groupKey := func(dst []byte, id int32) []byte { return append(table.NewInt(int64(id)).AppendKey(dst), 0) }
 	const trials = 20
 	for i := 0; i < b.N; i++ {
 		var resErr, naiveErr float64
@@ -352,7 +351,7 @@ func BenchmarkAblationDistinctBias(b *testing.B) {
 			s := sampler.NewDistinct(p, delta, seed)
 			got := map[int64]float64{}
 			em, held := s.AdmitBatch(allLanes(len(ids)), ids, ones(len(ids)), nil, nil)
-			em = s.Flush(groupKey, em)
+			em = s.Flush(em)
 			for _, e := range em {
 				lane := e.Ref
 				if e.Held {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"math"
 	"slices"
 
@@ -401,31 +400,13 @@ func (r *aggRunner) argIsUniverse(spec lplan.AggSpec) bool {
 	return false
 }
 
-// emitOrder returns the group ids ordered by the groups' canonical
-// string keys (each column's Value.Key() and a NUL), as when groups
-// lived in a string-keyed map. The strings are rendered once, into one
-// arena, for this sort only.
-func (r *aggRunner) emitOrder() []int32 {
-	ng := r.groups.len()
-	order, end := make([]int32, ng), make([]int, ng+1)
-	var arena []byte
-	for g := range order {
-		order[g] = int32(g)
-		for k := range r.groups.keys {
-			arena = append(r.groups.keys[k].Value(g).AppendKey(arena), 0)
-		}
-		end[g+1] = len(arena)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		return bytes.Compare(arena[end[a]:end[a+1]], arena[end[b]:end[b+1]])
-	})
-	return order
-}
-
 // emit renders the partition's groups as a column-major output
-// partition of weight-1 rows in emitOrder, gathered from the typed key
-// columns, plus — for the top aggregate — their estimate records, carved
-// from one backing array per field.
+// partition of weight-1 rows in group-id order — the order the groups
+// were first met in the partition's lanes — copying the typed key
+// columns whole, plus — for the top aggregate — their estimate records,
+// carved from one backing array per field. The order is no contract
+// (SQL promises none without ORDER BY); it depends only on the
+// partition's lane order, so it is the same at every batch size.
 func (r *aggRunner) emit() (Part, []GroupEstimate) {
 	ng, nk, na := r.groups.len(), len(r.groupIdx), len(r.p.Aggs)
 	if ng == 0 && nk > 0 {
@@ -445,11 +426,12 @@ func (r *aggRunner) emit() (Part, []GroupEstimate) {
 		return out.finish(), []GroupEstimate{{Values: vals, StdErr: errs}}
 	}
 	r.finish(vals, errs)
-	order := r.emitOrder()
-	out.appendGather(r.groups.keys, order, 0)
+	for k := range r.groups.keys {
+		out.cols[k].appendLanes(&r.groups.keys[k], nil, true)
+	}
 	for j := 0; j < na; j++ {
-		for _, g := range order {
-			out.cols[nk+j].append(vals[int(g)*na+j])
+		for g := 0; g < ng; g++ {
+			out.cols[nk+j].append(vals[g*na+j])
 		}
 	}
 	out.w = out.w[:ng]
@@ -460,12 +442,12 @@ func (r *aggRunner) emit() (Part, []GroupEstimate) {
 		return out.finish(), nil
 	}
 	ests, keys := make([]GroupEstimate, ng), make([]table.Value, ng*nk)
-	for i, g := range order {
-		key, o := keys[i*nk:(i+1)*nk:(i+1)*nk], int(g)*na
+	for g := range ests {
+		key, o := keys[g*nk:(g+1)*nk:(g+1)*nk], g*na
 		for k := range key {
-			key[k] = r.groups.keys[k].Value(int(g))
+			key[k] = r.groups.keys[k].Value(g)
 		}
-		ests[i] = GroupEstimate{Key: key, Values: vals[o : o+na : o+na], StdErr: errs[o : o+na : o+na], SampleRows: r.n[g]}
+		ests[g] = GroupEstimate{Key: key, Values: vals[o : o+na : o+na], StdErr: errs[o : o+na : o+na], SampleRows: r.n[g]}
 	}
 	return out.finish(), ests
 }

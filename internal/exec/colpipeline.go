@@ -308,7 +308,7 @@ func (s *colSampleOp) Next() (Batch, error) {
 			s.done = true
 			var out Batch
 			if d := s.dist; d != nil {
-				d.em = d.s.Flush(d.appendKey, d.em[:0])
+				d.em = d.s.Flush(d.em[:0])
 				out = d.emit(nil)
 				s.slot.RowsOut += int64(out.n)
 				s.slot.SamplerPassed += int64(out.n)
@@ -459,15 +459,6 @@ func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 	d.em, d.held = d.s.AdmitBatch(sel, d.ids, b.weights, d.em[:0], d.held[:0])
 	d.hold.appendGather(b.cols, d.held, 0)
 	return d.emit(b.cols)
-}
-
-// appendKey appends stratum id's canonical key — each key column's
-// Value.AppendKey and a NUL — to dst: what the flush orders by.
-func (d *distinctLanes) appendKey(dst []byte, id int32) []byte {
-	for k := range d.kt.keys {
-		dst = append(d.kt.keys[k].Value(int(id)).AppendKey(dst), 0)
-	}
-	return dst
 }
 
 // emit builds the batch of the rows d.em lists, in that order: each run

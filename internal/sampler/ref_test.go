@@ -2,7 +2,6 @@ package sampler
 
 import (
 	"math/rand"
-	"sort"
 
 	"quickr/internal/sketch"
 	"quickr/internal/table"
@@ -75,6 +74,7 @@ type refDistinct struct {
 	exact      map[string]int64 // exact count fallback while small
 	exactLimit int
 	reservoirs map[string]*refReservoir
+	opened     []string   // reservoir keys in the order they were opened
 	pending    []Weighted // reservoir overflows awaiting emission
 	rng        *rand.Rand
 	keyBuf     []byte
@@ -149,6 +149,7 @@ func (d *refDistinct) Admit(r table.Row, w float64) (bool, float64) {
 		if !ok {
 			res = &refReservoir{}
 			d.reservoirs[key] = res
+			d.opened = append(d.opened, key)
 		}
 		if res.done {
 			// Probabilistic mode.
@@ -195,16 +196,11 @@ func (d *refDistinct) TakePending() []Weighted {
 
 // Flush implements Sampler: emits all remaining reservoirs with weight
 // (freq−δ)/|reservoir| each, which makes the estimator unbiased for
-// values that never reached the probabilistic mode.
+// values that never reached the probabilistic mode, in the order the
+// reservoirs were opened.
 func (d *refDistinct) Flush() []Weighted {
 	var out []Weighted
-	keys := make([]string, 0, len(d.reservoirs))
-	for k := range d.reservoirs {
-		keys = append(keys, k)
-	}
-	// Deterministic order for reproducible runs.
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range d.opened {
 		res := d.reservoirs[k]
 		if res.done || len(res.rows) == 0 {
 			continue

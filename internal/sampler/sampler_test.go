@@ -358,7 +358,6 @@ type rowDistinct struct {
 	d       *Distinct
 	col     int
 	ids     map[string]int64
-	keys    []string
 	held    []table.Row
 	pending []Weighted
 	em      []Emit
@@ -373,9 +372,8 @@ func (s *rowDistinct) Admit(r table.Row, w float64) (bool, float64) {
 	key := string(append(r[s.col].AppendKey(nil), 0))
 	id, ok := s.ids[key]
 	if !ok {
-		id = int64(len(s.keys))
+		id = int64(len(s.ids))
 		s.ids[key] = id
-		s.keys = append(s.keys, key)
 	}
 	s.em, s.lanes = s.d.AdmitBatch([]int32{0}, []int64{id}, []float64{w}, s.em[:0], s.lanes[:0])
 	if len(s.lanes) > 0 {
@@ -400,8 +398,7 @@ func (s *rowDistinct) TakePending() []Weighted {
 
 func (s *rowDistinct) Flush() []Weighted {
 	var out []Weighted
-	keyOf := func(dst []byte, id int32) []byte { return append(dst, s.keys[id]...) }
-	for _, e := range s.d.Flush(keyOf, nil) {
+	for _, e := range s.d.Flush(nil) {
 		out = append(out, Weighted{Row: s.held[e.Ref], W: e.W})
 	}
 	return out
@@ -465,22 +462,19 @@ func testDistinctBatchMatchesRef(t *testing.T) {
 	// First-met stratum ids over the live lanes.
 	ids := make([]int64, n)
 	idOf := map[string]int64{}
-	var keys []string
 	for _, lane := range live {
 		r := rows[lane]
 		k := string(append(bucketOf(r).AppendKey(append(r[0].AppendKey(nil), 0)), 0))
 		id, ok := idOf[k]
 		if !ok {
-			id = int64(len(keys))
+			id = int64(len(idOf))
 			idOf[k] = id
-			keys = append(keys, k)
 		}
 		ids[lane] = id
 	}
-	if len(keys) <= 1<<16 {
-		t.Fatalf("%d strata do not cross the exact-count limit", len(keys))
+	if len(idOf) <= 1<<16 {
+		t.Fatalf("%d strata do not cross the exact-count limit", len(idOf))
 	}
-	keyOf := func(dst []byte, id int32) []byte { return append(dst, keys[id]...) }
 
 	// emitted renders a sequence of emitted rows as (row number, weight bits).
 	type emitted struct {
@@ -527,7 +521,7 @@ func testDistinctBatchMatchesRef(t *testing.T) {
 			}
 		}
 		var gotFlush []emitted
-		for _, e := range d.Flush(keyOf, nil) {
+		for _, e := range d.Flush(nil) {
 			gotFlush = append(gotFlush, emitted{int64(store[e.Ref]), math.Float64bits(e.W)})
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
