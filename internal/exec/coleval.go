@@ -246,10 +246,16 @@ func laneTrue(v *Vector, i int) bool {
 }
 
 // constKernel materializes a constant as an n-lane vector, refilled
-// only when the batch grows past the cached width.
+// only when the batch grows past the cached width. A string constant's
+// one-entry dictionary is built once, so every batch carries the same
+// dictionary (sameDict) and none allocates.
 func constKernel(v table.Value) colKernel {
 	var ints []int64
 	var floats []float64
+	var dict []string
+	if v.Kind() == table.KindString {
+		dict = []string{v.Str()}
+	}
 	return func(b *Batch) Vector {
 		n := b.n
 		switch v.Kind() {
@@ -270,7 +276,7 @@ func constKernel(v table.Value) colKernel {
 					ints[i] = 0
 				}
 			}
-			return Vector{K: VKStr, N: n, Ints: ints[:n], Dict: []string{v.Str()}, constVal: true}
+			return Vector{K: VKStr, N: n, Ints: ints[:n], Dict: dict, constVal: true}
 		default: // int, bool
 			k := VKInt
 			if v.Kind() == table.KindBool {
