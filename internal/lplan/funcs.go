@@ -96,32 +96,39 @@ func CallFunc(name string, args []table.Value) table.Value {
 			return table.NewFloat(math.Round(args[0].Float()*scale) / scale)
 		}
 		return table.NewFloat(math.Round(args[0].Float()))
-	case "FLOOR":
-		return table.NewInt(int64(math.Floor(numArg(args, 0))))
-	case "CEIL":
-		return table.NewInt(int64(math.Ceil(numArg(args, 0))))
+	case "FLOOR", "CEIL", "SQRT", "LN", "EXP":
+		if len(args) != 1 {
+			return table.Null
+		}
+		x := args[0].Float()
+		switch up {
+		case "FLOOR":
+			return table.NewInt(int64(math.Floor(x)))
+		case "CEIL":
+			return table.NewInt(int64(math.Ceil(x)))
+		case "SQRT":
+			return table.NewFloat(math.Sqrt(x))
+		case "LN":
+			return table.NewFloat(math.Log(x))
+		default:
+			return table.NewFloat(math.Exp(x))
+		}
 	case "CEILDIV":
 		// CEILDIV(x, n) = ⌈x/n⌉ — the paper's example of stratifying on a
 		// function of a column (§4.1.2, ⌈Y/100⌉).
 		if len(args) != 2 {
 			return table.Null
 		}
-		n := numArg(args, 1)
+		n := args[1].Float()
 		if n == 0 {
 			return table.Null
 		}
-		return table.NewInt(int64(math.Ceil(numArg(args, 0) / n)))
-	case "SQRT":
-		return table.NewFloat(math.Sqrt(numArg(args, 0)))
-	case "LN":
-		return table.NewFloat(math.Log(numArg(args, 0)))
-	case "EXP":
-		return table.NewFloat(math.Exp(numArg(args, 0)))
+		return table.NewInt(int64(math.Ceil(args[0].Float() / n)))
 	case "POW":
 		if len(args) != 2 {
 			return table.Null
 		}
-		return table.NewFloat(math.Pow(numArg(args, 0), numArg(args, 1)))
+		return table.NewFloat(math.Pow(args[0].Float(), args[1].Float()))
 	case "YEAR", "MONTH", "DAY":
 		if len(args) != 1 || args[0].Kind() != table.KindInt {
 			return table.Null
@@ -153,7 +160,7 @@ func CallFunc(name string, args []table.Value) table.Value {
 			return table.Null
 		}
 		s := args[0].Str()
-		start := int(numArg(args, 1)) - 1
+		start := int(args[1].Float()) - 1
 		if start < 0 {
 			start = 0
 		}
@@ -162,7 +169,7 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		end := len(s)
 		if len(args) == 3 {
-			n := numArg(args, 2)
+			n := args[2].Float()
 			if !(n > 0) { // a negative, zero or NaN length
 				return table.NewString("")
 			}
@@ -190,13 +197,6 @@ func CallFunc(name string, args []table.Value) table.Value {
 		return table.NewInt(int64(args[0].Hash64() % uint64(args[1].Int())))
 	}
 	return table.Null
-}
-
-func numArg(args []table.Value, i int) float64 {
-	if i >= len(args) {
-		return 0
-	}
-	return args[i].Float()
 }
 
 // CivilFromDays converts days since 1970-01-01 to (year, month, day)

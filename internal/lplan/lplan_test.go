@@ -53,6 +53,19 @@ func TestCallFunc(t *testing.T) {
 		{"LOWER", nil, table.Null},
 		{"LENGTH", nil, table.Null},
 		{"UPPER", []table.Value{s("a"), s("b")}, table.Null},
+		{"FLOOR", nil, table.Null},
+		{"CEIL", nil, table.Null},
+		{"SQRT", nil, table.Null},
+		{"LN", nil, table.Null},
+		{"EXP", nil, table.Null},
+		{"FLOOR", []table.Value{f(2.7), i(1)}, table.Null},
+		{"CEIL", []table.Value{i(1), i(2)}, table.Null},
+		{"SQRT", []table.Value{f(4), f(9)}, table.Null},
+		{"LN", []table.Value{f(1), f(1)}, table.Null},
+		{"EXP", []table.Value{f(0), f(0)}, table.Null},
+		{"SQRT", []table.Value{f(4)}, f(2)},
+		{"LN", []table.Value{f(1)}, f(0)},
+		{"EXP", []table.Value{f(0)}, f(1)},
 		{"CONCAT", []table.Value{s("a"), i(1)}, s("a1")},
 		{"IF", []table.Value{table.NewBool(true), i(1), i(2)}, i(1)},
 		{"IF", []table.Value{table.NewBool(false), i(1), i(2)}, i(2)},
