@@ -22,15 +22,24 @@ func runBatched(t *testing.T, p PNode, batch int) *Result {
 	return res
 }
 
-// sameRows asserts two results carry identical rows in identical order.
+// sameRows asserts two results carry identical rows in identical order,
+// value for value of the same kind and bits (sameValue), so int 3
+// differs from float 3.0 and a NaN equals only a NaN of the same bits.
 func sameRows(t *testing.T, want, got *Result, label string) {
 	t.Helper()
 	if len(want.Rows) != len(got.Rows) {
 		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
 	}
 	for i := range want.Rows {
-		if table.CompareRows(want.Rows[i], got.Rows[i]) != 0 {
-			t.Fatalf("%s: row %d differs: %v vs %v", label, i, got.Rows[i], want.Rows[i])
+		w, g := want.Rows[i], got.Rows[i]
+		if len(w) != len(g) {
+			t.Fatalf("%s: row %d has %d values, want %d", label, i, len(g), len(w))
+		}
+		for k := range w {
+			if !sameValue(w[k], g[k]) {
+				t.Fatalf("%s: row %d column %d is %v (kind %v), want %v (kind %v): %v vs %v",
+					label, i, k, g[k], g[k].Kind(), w[k], w[k].Kind(), g, w)
+			}
 		}
 	}
 }
