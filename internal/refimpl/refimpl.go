@@ -512,9 +512,12 @@ func EvalExpr(ex lplan.Expr, cm map[lplan.ColumnID]int, row table.Row) (table.Va
 		if v.IsNull() {
 			return table.NewBool(false), nil
 		}
+		// IN matches by Key() identity, as GROUP BY does: a NaN matches
+		// a NaN of the same bits, and an int matches a float only when
+		// Key() folds the float onto it (integral, below 1e18 in size).
 		found := false
 		for _, item := range x.Vals {
-			if v.Equal(item) {
+			if v.KeyEqual(item) {
 				found = true
 				break
 			}
