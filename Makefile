@@ -23,20 +23,21 @@ test:
 # and hold-store buffers per partition), the universe sampler (its
 # coordinate kernel against HashValues and a paired universe join
 # against the row reference) and its nesting across p, a task's panic
-# failing its job on the shared pool, and the run ledger's slab pools,
-# and the storage and statistics tests (a first touch fans its fold out
-# on the pool, an extension folds inline, both while appenders run),
-# three times over.
+# failing its job on the shared pool, the run ledger's slab pools, and
+# the Part builder, its zero-copy windows and the sort's lane
+# comparators (against the row sort), and the storage and statistics
+# tests (a first touch fans its fold out on the pool, an extension
+# folds inline, both while appenders run), three times over.
 # Under -race every released payload slab is poisoned
 # (internal/exec/ledger_race.go), so the root package's goldens, sample
-# cache and hammer tests and the frozen result hashes then hold answers
-# computed on recycled memory to the committed ones.
+# cache, hammer and window-function tests and the frozen result hashes
+# then hold answers computed on recycled memory to the committed ones.
 # Keep all five lines in lockstep with the CI race job.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
-	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestDense|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp|TestUniverse|TestLedger|TestSamplerAdmissionNests' ./internal/exec/ ./internal/sampler/ ./internal/pool/
+	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestDense|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp|TestUniverse|TestLedger|TestSamplerAdmissionNests|TestSort|TestPart|TestBytesAll' ./internal/exec/ ./internal/sampler/ ./internal/pool/
 	$(GO) test -race -count=3 -run 'TestTable|TestCollect|TestExtend' ./internal/table/ ./internal/stats/
-	$(GO) test -race -run 'TestGolden|TestSampleCache|TestConcurrentHammerBitIdentical' .
+	$(GO) test -race -run 'TestGolden|TestSampleCache|TestConcurrentHammerBitIdentical|TestWindow' .
 	$(GO) test -race -run TestFrozenResultHashes ./internal/experiments/
 
 # Concurrency hammer: 32+ mixed exact/approx queries on one engine under

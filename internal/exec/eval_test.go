@@ -144,10 +144,10 @@ func TestCompileLikeAgainstNaive(t *testing.T) {
 
 func TestParallelPartsErrors(t *testing.T) {
 	calls := 0
-	if err := parallelParts(context.Background(), 0, func(int) error { calls++; return nil }); err != nil || calls != 0 {
+	if err := fanout(context.Background()).parallel(0, func(int) error { calls++; return nil }); err != nil || calls != 0 {
 		t.Error("zero partitions must be a no-op")
 	}
-	err := parallelParts(context.Background(), 8, func(i int) error {
+	err := fanout(context.Background()).parallel(8, func(i int) error {
 		if i == 3 {
 			return errColMissing(0)
 		}

@@ -514,7 +514,7 @@ func keyLanesEqual(a []Vector, i int, b []Vector, j int) bool {
 // fixes the order of the probe's output. A probe finds its lanes' ids in
 // keys and gathers its output from cols and w by build-row index.
 type joinTable struct {
-	cols []Vector  // every build column, windowed whole
+	cols []Vector  // every build column
 	w    []float64 // build-row weights
 	keys *keyTable
 	head []int32
@@ -525,7 +525,7 @@ type joinTable struct {
 // partition, its payloads on mem: a direct-address keyTable where
 // newKeyIndex takes the keys, a hashed one otherwise.
 func buildJoinTable(mem *ledger, build *Part, keyIdx []int) *joinTable {
-	t := &joinTable{cols: build.vectors(), w: build.W}
+	t := &joinTable{cols: build.Cols, w: build.W}
 	all := slab[int32](mem, build.N)
 	for i := range all {
 		all[i] = int32(i)

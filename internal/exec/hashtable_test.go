@@ -185,7 +185,7 @@ func TestKeyTableRoutedHashes(t *testing.T) {
 				for i := range srcs {
 					for w, pos := 0, 0; pos < rows; w, pos = w+1, pos+win {
 						for k, ci := range keyIdx {
-							keys[k] = window(&srcs[i].Cols[ci], pos, win)
+							keys[k] = srcs[i].Cols[ci].slice(pos, win)
 						}
 						sel := rt.sel(i, w, d)
 						hs := rt.hashes[i][pos : pos+win]
@@ -269,7 +269,7 @@ func TestJoinTableChainOrder(t *testing.T) {
 		if bt.keys.idx == nil || bt.keys.len() != 17 || len(bt.next) != n {
 			t.Fatalf("n=%d: hashed=%v, %d ids, %d chained rows", n, bt.keys.idx != nil, bt.keys.len(), len(bt.next))
 		}
-		keys, lanes := build.vectors()[:2], make([]int32, n)
+		keys, lanes := build.Cols[:2], make([]int32, n)
 		hashes, ids := make([]uint64, n), make([]int64, n)
 		for i, r := range rows {
 			lanes[i], hashes[i] = int32(i), table.HashRow(r, []int{0, 1}, exchangeHashSeed)
@@ -314,7 +314,7 @@ func TestJoinTableHashCollisions(t *testing.T) {
 		pb.appendRow(table.Row{table.NewInt(int64(i)), table.NewString(fmt.Sprintf("s%d", i)), table.Null})
 	}
 	build := pb.finish()
-	cols := build.vectors()
+	cols := build.Cols
 	lanes, same := make([]int32, n), make([]uint64, n)
 	for i := range lanes {
 		lanes[i], same[i] = int32(i), h
@@ -393,7 +393,7 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 				pb.appendRow(table.Row{table.NewInt(int64(k)), table.NewString(fmt.Sprintf("key-%04d", k))})
 			}
 			probe := pb.finish()
-			cols := probe.vectors()
+			cols := probe.Cols
 			for o := range tables {
 				j := (o + p) % len(tables) // probers start on different tables
 				tc := tables[j]
@@ -442,7 +442,7 @@ func vectorOf(vals []table.Value) Vector {
 		pb.appendRow(table.Row{v})
 	}
 	p := pb.finish()
-	return p.vectors()[0]
+	return p.Cols[0]
 }
 
 // probePairs runs a probe of bt over one batch of the lone key column
@@ -472,7 +472,7 @@ func probeKeys(bt *joinTable, keys []Vector, sel []int32, outer bool) ([]int32, 
 // hashIndex even where newKeyIndex would index them directly.
 func hashedJoinTable(build *Part, keyIdx []int) *joinTable {
 	mem := newLedger()
-	t := &joinTable{cols: build.vectors(), w: build.W, keys: newKeyTable(mem, len(keyIdx))}
+	t := &joinTable{cols: build.Cols, w: build.W, keys: newKeyTable(mem, len(keyIdx))}
 	all := make([]int32, build.N)
 	for i := range all {
 		all[i] = int32(i)
@@ -570,7 +570,7 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 	}
 	for _, b := range builds {
 		build := keyPart(b.keys)
-		if k := build.vectors()[0].K; k != b.kind {
+		if k := build.Cols[0].K; k != b.kind {
 			t.Fatalf("%s: build column of kind %d, want %d", b.name, k, b.kind)
 		}
 		dense, hashed := buildJoinTable(newLedger(), &build, []int{0}), hashedJoinTable(&build, []int{0})

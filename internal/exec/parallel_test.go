@@ -1,9 +1,9 @@
 package exec
 
-// parallelParts error-propagation contract: when one partition fails,
-// every partition that already started still runs its teardown to
-// completion before parallelParts returns, unstarted partitions are
-// skipped, and no goroutine survives the call. These were the gaps the
+// The executor's fan-out (executor.parallel) error-propagation contract:
+// when one partition fails, every partition that already started still
+// runs its teardown to completion before the call returns, unstarted
+// partitions are skipped, and no goroutine survives the call. These were the gaps the
 // old spawn-per-partition implementation left open (a failed partition
 // abandoned its siblings mid-teardown and leaked their goroutines).
 
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"quickr/internal/cluster"
-	"quickr/internal/table"
 	"quickr/internal/testutil"
 )
 
@@ -25,7 +24,7 @@ func TestParallelPartsErrorStillCompletesTeardown(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	sentinel := errors.New("partition blew up")
 	var started, tornDown atomic.Int64
-	err := parallelParts(context.Background(), 64, func(i int) error {
+	err := fanout(context.Background()).parallel(64, func(i int) error {
 		started.Add(1)
 		defer func() {
 			// Teardown is deliberately slow so a premature return would
@@ -42,7 +41,7 @@ func TestParallelPartsErrorStillCompletesTeardown(t *testing.T) {
 		t.Fatalf("error lost: got %v", err)
 	}
 	if s, d := started.Load(), tornDown.Load(); s != d {
-		t.Fatalf("parallelParts returned with %d partitions started but only %d torn down", s, d)
+		t.Fatalf("parallel returned with %d partitions started but only %d torn down", s, d)
 	}
 }
 
@@ -50,11 +49,11 @@ func TestParallelPartsFirstErrorWins(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	// Every partition fails; exactly one error (some partition's) must
 	// surface, not a garbled merge and not nil.
-	err := parallelParts(context.Background(), 16, func(i int) error {
+	err := fanout(context.Background()).parallel(16, func(i int) error {
 		return fmt.Errorf("part %d failed", i)
 	})
 	if err == nil {
-		t.Fatal("all partitions failed but parallelParts returned nil")
+		t.Fatal("all partitions failed but parallel returned nil")
 	}
 }
 
@@ -71,7 +70,7 @@ func TestParallelPartsCancelMapsToTypedError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	canceled := make(chan struct{})
 	var ran atomic.Int64
-	err := parallelParts(ctx, 1024, func(i int) error {
+	err := fanout(ctx).parallel(1024, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			cancel()
@@ -92,20 +91,9 @@ func TestParallelPartsDeadlineMapsToTypedError(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	err := parallelParts(ctx, 8, func(i int) error { return nil })
+	err := fanout(ctx).parallel(8, func(i int) error { return nil })
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("got %v, want ErrDeadline", err)
-	}
-}
-
-func TestParallelPartsNilContextRuns(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	var ran atomic.Int64
-	if err := parallelParts(nil, 32, func(i int) error { ran.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 32 {
-		t.Fatalf("ran %d of 32 partitions", ran.Load())
 	}
 }
 
@@ -172,7 +160,7 @@ func panicInRunReleasesLedger(t *testing.T) {
 	cs := plan.(*PHashAgg).In.(*PFilter).In.(*PCachedSample)
 	broken := make([]Part, 4)
 	for i := range broken {
-		broken[i] = Part{N: 8, Cols: []table.ColVec{{Kind: table.KindInt}, {Kind: table.KindFloat}}, W: make([]float64, 8)}
+		broken[i] = Part{N: 8, Cols: []Vector{{K: VKInt}, {K: VKFloat}}, W: make([]float64, 8)}
 	}
 	sc := NewSampleCache(64 << 20)
 	sc.Put(fmt.Sprintf("%s|v%d|e0", cs.Key, tbl.Version()), broken)

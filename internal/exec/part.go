@@ -10,23 +10,24 @@ import (
 // Part is a column-major weighted partition: the one form data takes
 // between pipeline breakers. Every chain sink, exchange, join,
 // aggregate, sort, limit, window and union produces Parts and every
-// consumer reads them, either by windowing the columns zero-copy into
-// batches (partSource) or, for the few row-shaped operators, through a
-// local rows() view. A sample-cache entry is a []Part as the sink built
-// it.
+// consumer reads them, by windowing the columns zero-copy into batches
+// (partSource) or by reading lanes in place: the sort and the window
+// functions compare lanes, and only the final result materializes rows
+// (rows). A sample-cache entry is a []Part as the sink built it.
 //
-// Cols are stored columns in the table package's form (typed payload
-// slices without pointers, a NULL bitmap, a per-partition string
+// Cols are the batch pipeline's own Vectors as the builders built them
+// (typed payloads without pointers, a NULL bitmap, a string
 // dictionary; exact Values only for mixed-kind columns), always one per
-// schema column even when N is 0. W holds the rows' Horvitz–Thompson
-// weights. A Part is immutable once built and may be shared: by a join
-// output with its build side's dictionaries, by a window output with its
+// schema column even when N is 0; stored table partitions meet this form
+// only at the scan (window). W holds the rows' Horvitz–Thompson weights.
+// A Part is immutable once built and may be shared: by a join output
+// with its build side's dictionaries, by a window output with its
 // input's columns. Its typed payloads and weights are slabs of the run's
 // ledger, so a Part that outlives its run (a sample-cache entry) is a
 // clone.
 type Part struct {
 	N    int
-	Cols []table.ColVec
+	Cols []Vector
 	W    []float64
 	// bytes is the partition's in-flight size, Σ over rows of
 	// Row.ByteSize()+8: what stages, slots and peaks are charged.
@@ -34,13 +35,7 @@ type Part struct {
 }
 
 // emptyPart is a zero-row partition of the given width.
-func emptyPart(width int) Part {
-	p := Part{Cols: make([]table.ColVec, width)}
-	for c := range p.Cols {
-		p.Cols[c] = table.ColVec{Kind: table.KindNull, Ints: []int64{0}}
-	}
-	return p
-}
+func emptyPart(width int) Part { return Part{Cols: make([]Vector, width)} }
 
 // clone copies every payload slice of the partition; the dictionaries
 // are shared.
@@ -49,33 +44,30 @@ func (p *Part) clone() Part {
 	out.W = slices.Clone(p.W)
 	out.Cols = slices.Clone(p.Cols)
 	for c := range out.Cols {
-		cv := &out.Cols[c]
-		cv.Ints, cv.Floats = slices.Clone(cv.Ints), slices.Clone(cv.Floats)
-		cv.Nulls, cv.Vals = slices.Clone(cv.Nulls), slices.Clone(cv.Vals)
+		v := &out.Cols[c]
+		v.Ints, v.Floats = slices.Clone(v.Ints), slices.Clone(v.Floats)
+		v.nulls, v.Vals = slices.Clone(v.nulls), slices.Clone(v.Vals)
 	}
 	return out
 }
-
-// vectors windows every column whole.
-func (p *Part) vectors() []Vector { return p.window(nil, 0, p.N) }
 
 // window appends zero-copy windows of lanes [pos, pos+n) of every
 // column to dst.
 func (p *Part) window(dst []Vector, pos, n int) []Vector {
 	for c := range p.Cols {
-		dst = append(dst, window(&p.Cols[c], pos, n))
+		dst = append(dst, p.Cols[c].slice(pos, n))
 	}
 	return dst
 }
 
 // rows materializes the partition row-major over one backing array: the
-// local view the sort, the window functions and the final result read.
+// final result's rows.
 func (p *Part) rows() []table.Row {
 	width := len(p.Cols)
 	flat := make([]table.Value, p.N*width)
-	for c, v := range p.vectors() {
+	for c := range p.Cols {
 		for i := 0; i < p.N; i++ {
-			flat[i*width+c] = v.Value(i)
+			flat[i*width+c] = p.Cols[c].Value(i)
 		}
 	}
 	rows := make([]table.Row, p.N)
@@ -89,7 +81,7 @@ func (p *Part) rows() []table.Row {
 // permutation), built on mem. String columns keep their dictionaries.
 func (p *Part) gather(mem *ledger, idx []int32) Part {
 	pb := newPartBuilder(mem, len(p.Cols), len(idx))
-	pb.appendGather(p.vectors(), idx, 0)
+	pb.appendGather(p.Cols, idx, 0)
 	pb.w = pb.w[:len(idx)]
 	for j, i := range idx {
 		pb.w[j] = p.W[i]
@@ -99,50 +91,19 @@ func (p *Part) gather(mem *ledger, idx []int32) Part {
 
 // head returns the partition's first k rows (k <= N), sharing payloads.
 func (p *Part) head(k int) Part {
-	out := Part{N: k, Cols: make([]table.ColVec, len(p.Cols)), W: p.W[:k]}
-	for c := range p.Cols {
-		cv := p.Cols[c]
-		switch {
-		case cv.Any:
-			cv.Vals = cv.Vals[:k]
-		case cv.Kind == table.KindNull:
-			cv.Ints = []int64{int64(k)}
-		case cv.Kind == table.KindFloat:
-			cv.Floats = cv.Floats[:k]
-		default:
-			cv.Ints = cv.Ints[:k]
-		}
-		out.Cols[c] = cv
-	}
+	out := Part{N: k, W: p.W[:k]}
+	out.Cols = p.window(make([]Vector, 0, len(p.Cols)), 0, k)
 	out.bytes = partBytes(out.Cols, k)
 	return out
 }
 
-// partBytes is Σ Row.ByteSize()+8 over the first n lanes of cols.
-func partBytes(cols []table.ColVec, n int) float64 {
-	total := 8 * n
+// partBytes is Σ Row.ByteSize()+8 over the n lanes of cols.
+func partBytes(cols []Vector, n int) float64 {
+	total := float64(8 * n)
 	for c := range cols {
-		cv := &cols[c]
-		switch {
-		case cv.Any:
-			for _, v := range cv.Vals[:n] {
-				total += v.ByteSize()
-			}
-		case cv.Kind == table.KindNull:
-			total += n
-		case cv.Kind == table.KindString:
-			for i, code := range cv.Ints[:n] {
-				if cv.IsNull(i) {
-					total++
-				} else {
-					total += 8 + len(cv.Dict[code])
-				}
-			}
-		default:
-			total += 8*n - 7*countNulls(cv.Nulls, 0, n)
-		}
+		total += cols[c].bytesAll()
 	}
-	return float64(total)
+	return total
 }
 
 // countNulls counts the set bits among lanes [off, off+n) of a NULL
@@ -181,7 +142,7 @@ func concatParts(mem *ledger, pieces []Part, width int) Part {
 	pb := newPartBuilder(mem, width, total)
 	for i := range pieces {
 		if p := &pieces[i]; p.N > 0 {
-			pb.appendLanes(p.vectors(), nil, p.N, p.W)
+			pb.appendLanes(p.Cols, nil, p.N, p.W)
 		}
 	}
 	return pb.finish()
@@ -275,11 +236,7 @@ func (pb *partBuilder) finish() Part {
 // finishSized is finish for a caller that already knows the partition's
 // accounted bytes.
 func (pb *partBuilder) finishSized(bytes float64) Part {
-	p := Part{N: len(pb.w), Cols: make([]table.ColVec, len(pb.cols)), W: pb.w, bytes: bytes}
-	for c := range pb.cols {
-		p.Cols[c] = pb.cols[c].col()
-	}
-	return p
+	return Part{N: len(pb.w), Cols: pb.vectors(make([]Vector, 0, len(pb.cols))), W: pb.w, bytes: bytes}
 }
 
 // partSource streams a partition in batches: it windows the column-major
@@ -303,9 +260,8 @@ func (s *partSource) Next() (Batch, error) {
 	if n > remain {
 		n = remain
 	}
-	var bytes float64
-	s.cols, bytes = windowCols(s.cols[:0], s.p.Cols, s.pos, n)
-	bytes += 8 * float64(n)
+	s.cols = s.p.window(s.cols[:0], s.pos, n)
+	bytes := partBytes(s.cols, n)
 	s.weights = append(s.weights[:0], s.p.W[s.pos:s.pos+n]...)
 	s.pos += n
 	return Batch{cols: s.cols, n: n, weights: s.weights, bytes: bytes}, nil

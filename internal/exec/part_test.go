@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"quickr/internal/cluster"
@@ -138,7 +139,7 @@ func TestPartBuilderGatherSharesDictionary(t *testing.T) {
 		return pb.finish()
 	}
 	a, b := mk("p", "q", "<null>", "r"), mk("r", "s")
-	av, bv := a.vectors(), b.vectors()
+	av, bv := a.Cols, b.Cols
 
 	pb := newPartBuilder(newLedger(), 1, 0)
 	pb.appendGather(av, []int32{3, -1, 0, 2, 3}, 0)
@@ -544,9 +545,9 @@ func samePartCols(t *testing.T, want, got *Part, label string) {
 	}
 	for c := range want.Cols {
 		w, g := &want.Cols[c], &got.Cols[c]
-		if g.Any != w.Any || g.Kind != w.Kind || g.Len() != w.Len() || !slices.Equal(g.Dict, w.Dict) {
-			t.Fatalf("%s: column %d is any=%v kind=%v len=%d dict=%q, want any=%v kind=%v len=%d dict=%q",
-				label, c, g.Any, g.Kind, g.Len(), g.Dict, w.Any, w.Kind, w.Len(), w.Dict)
+		if g.K != w.K || g.N != w.N || !slices.Equal(g.Dict, w.Dict) {
+			t.Fatalf("%s: column %d is kind=%v len=%d dict=%q, want kind=%v len=%d dict=%q",
+				label, c, g.K, g.N, g.Dict, w.K, w.N, w.Dict)
 		}
 		for i := 0; i < want.N; i++ {
 			if !sameValue(g.Value(i), w.Value(i)) {
@@ -560,7 +561,10 @@ func samePartCols(t *testing.T, want, got *Part, label string) {
 // loops (strings without NULLs, fixed-width NULL counts a word at a
 // time) to the per-lane definition, over windows of every column of
 // mixedTable at offsets that straddle bitmap words, and over the same
-// columns with their NULLs taken away.
+// columns with their NULLs taken away. The same windows of a built
+// Part's vectors, cut through Part.head and then Vector.slice (a NULL
+// bitmap offset on top of another), must also read back the rows the
+// Part was built from.
 func TestBytesAllMatchesLaneBytes(t *testing.T) {
 	tbl := mixedTable("bytes", 1, 700)
 	dense := table.New("bytes_dense", tbl.Schema, 1)
@@ -586,6 +590,101 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 					t.Errorf("column %d window %v: bytesSel %v, lanes sum to %d", c, win, got, want)
 				}
 			}
+		}
+	}
+
+	rows := tbl.Rows(0)
+	pb := newPartBuilder(newLedger(), tbl.Schema.Len(), len(rows))
+	for _, r := range rows {
+		pb.appendRow(r)
+	}
+	part := pb.finish()
+	if part.Cols[4].K != VKAny || part.Cols[0].nulls == nil {
+		t.Fatalf("fixture: mixed column is kind %v, int column NULL bitmap %v", part.Cols[4].K, part.Cols[0].nulls)
+	}
+	const cut = 37 // head's and the first slice's offset into the bitmap
+	head := part.head(len(rows) - 5)
+	if want := partBytes(head.Cols, head.N); head.bytes != want {
+		t.Errorf("head accounts %v bytes, its lanes sum to %v", head.bytes, want)
+	}
+	for c := range head.Cols {
+		outer := head.Cols[c].slice(cut, head.N-cut)
+		for _, win := range [][2]int{{0, outer.N}, {0, 0}, {27, 1}, {26, 40}, {27, 64}, {91, 200}, {outer.N - 1, 1}} {
+			v := outer.slice(win[0], win[1])
+			want := 0
+			for i := 0; i < v.N; i++ {
+				want += v.laneBytes(i)
+				r := rows[cut+win[0]+i]
+				if !sameValue(v.Value(i), r[c]) || v.IsNull(i) != r[c].IsNull() {
+					t.Fatalf("column %d window %v lane %d reads %v, built from %v", c, win, i, v.Value(i), r[c])
+				}
+			}
+			if got := v.bytesAll(); got != float64(want) {
+				t.Errorf("part column %d window %v: bytesAll %v, lanes sum to %d", c, win, got, want)
+			}
+		}
+	}
+}
+
+// TestSortMatchesRowSort holds the sort's lane comparators to the row
+// definition: a PSort over mixedTable's columns (NULLs, strings, a mixed
+// VKAny column) plus a float key holding NaN, −0, +0 and NULL must emit
+// each partition's rows() stably sorted by the keys and then by
+// table.CompareRows, bit for bit, at every batch size. The few-valued
+// columns come first so that the tie-break reaches every column.
+func TestSortMatchesRowSort(t *testing.T) {
+	src := mixedTable("sort_src", 3, 900)
+	order := []int{3, 2, 4, 0, 1} // b, s, m, i, f behind k
+	cols := []table.Column{{Name: "k", Kind: table.KindFloat}}
+	for _, c := range order {
+		cols = append(cols, src.Schema.Cols[c])
+	}
+	tbl := table.New("sort", table.NewSchema(cols...), 3)
+	kvals := []table.Value{table.NewFloat(math.NaN()), table.NewFloat(math.Copysign(0, -1)), table.NewFloat(0),
+		table.Null, table.NewFloat(1.5), table.NewFloat(math.Inf(-1)), table.NewFloat(-2)}
+	for p := 0; p < 3; p++ {
+		for i, r := range src.Rows(p) {
+			row := table.Row{kvals[(i*5+p)%len(kvals)]}
+			for _, c := range order {
+				row = append(row, r[c])
+			}
+			tbl.Append(p, row)
+		}
+	}
+	scan := scanOf(tbl)
+	in := execParts(t, scan, -1)
+	type key struct {
+		pos  int // schema position: k, b, s, m, i, f
+		desc bool
+	}
+	for _, ks := range [][]key{{{0, false}}, {{3, true}, {0, false}}, {{2, false}, {1, true}}} {
+		var keys []lplan.SortKey
+		for _, k := range ks {
+			keys = append(keys, lplan.SortKey{Col: scan.OutCols[k.pos].ID, Desc: k.desc})
+		}
+		want := &Result{}
+		for i := range in {
+			rows := in[i].rows()
+			sort.SliceStable(rows, func(a, b int) bool {
+				for _, k := range ks {
+					c := rows[a][k.pos].Compare(rows[b][k.pos])
+					if k.desc {
+						c = -c
+					}
+					if c != 0 {
+						return c < 0
+					}
+				}
+				return table.CompareRows(rows[a], rows[b]) < 0
+			})
+			want.Rows = append(want.Rows, rows...)
+		}
+		for _, batch := range []int{1, 7, 256, -1} {
+			got, err := RunWithOptions(context.Background(), &PSort{In: scan, Keys: keys}, cluster.DefaultConfig(), nil, Options{BatchSize: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, want, got, fmt.Sprintf("keys %v batch %d", ks, batch))
 		}
 	}
 }

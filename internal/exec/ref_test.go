@@ -376,6 +376,19 @@ func sameValue(a, b table.Value) bool {
 		(a.Kind() != table.KindFloat || math.Float64bits(a.Float()) == math.Float64bits(b.Float()))
 }
 
+// heldLanes is the number of lanes v's payload holds.
+func heldLanes(v *Vector) int {
+	switch v.K {
+	case VKNull:
+		return v.N
+	case VKAny:
+		return len(v.Vals)
+	case VKFloat:
+		return len(v.Floats)
+	}
+	return len(v.Ints)
+}
+
 // sameParts asserts the executor's partitions equal the reference's row
 // for row: values, weights and accounted bytes, bit for bit.
 func sameParts(t *testing.T, want [][]wrow, got []Part, label string) {
@@ -385,8 +398,8 @@ func sameParts(t *testing.T, want [][]wrow, got []Part, label string) {
 	}
 	for i := range want {
 		for c := range got[i].Cols {
-			if n := got[i].Cols[c].Len(); n != got[i].N {
-				t.Fatalf("%s: partition %d column %d holds %d lanes for %d rows", label, i, c, n, got[i].N)
+			if v := &got[i].Cols[c]; v.N != got[i].N || heldLanes(v) != v.N {
+				t.Fatalf("%s: partition %d column %d holds %d of %d lanes for %d rows", label, i, c, heldLanes(v), v.N, got[i].N)
 			}
 		}
 		rows := got[i].rows()

@@ -14,22 +14,6 @@ import (
 	"quickr/internal/table"
 )
 
-// parallelParts runs fn(i) for each partition index on the process-wide
-// shared worker pool (plus the calling goroutine), returning the first
-// error. Per-stage task accounting is index-disjoint (each partition
-// touches only its own task counters), so operators parallelize without
-// locks. Cancellation is honored between tasks: after ctx is done, no
-// new partition starts, every started partition's teardown completes
-// before the call returns, and the typed ErrCanceled/ErrDeadline is
-// reported.
-func parallelParts(ctx context.Context, n int, fn func(i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	_, err := pool.Default().Run(ctx, n, fn)
-	return mapCtxErr(err)
-}
-
 // stream is the in-flight state between pipeline breakers: the data
 // partitions plus the stage currently accumulating their cost. A nil
 // stage means the data was materialized at a boundary (exchange/union);
@@ -244,9 +228,14 @@ type executor struct {
 	mem *ledger
 }
 
-// parallel fans fn out over n partitions on the shared pool,
-// accumulating scheduling telemetry and mapping cancellation to the
-// typed query errors.
+// parallel runs fn(i) for each of n partitions on the process-wide
+// shared worker pool (plus the calling goroutine), returning the first
+// error and accumulating scheduling telemetry. Per-stage task accounting
+// is index-disjoint (each partition touches only its own task counters),
+// so operators parallelize without locks. Cancellation is honored
+// between tasks: after ex.ctx is done, no new partition starts, every
+// started partition's teardown completes before the call returns, and
+// the typed ErrCanceled/ErrDeadline is reported.
 func (ex *executor) parallel(n int, fn func(i int) error) error {
 	st, err := pool.Default().Run(ex.ctx, n, fn)
 	ex.poolWaitNanos += st.WaitNanos
@@ -501,8 +490,8 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	keys := make([]Vector, len(keyIdx))
 	codes := make([][]uint64, len(keyIdx))
 	for k, ci := range keyIdx {
-		if cv := &src.Cols[ci]; !cv.Any && cv.Kind == table.KindString && len(cv.Dict) <= src.N {
-			codes[k] = dictHashes(cv.Dict)
+		if v := &src.Cols[ci]; v.K == VKStr && len(v.Dict) <= src.N {
+			codes[k] = dictHashes(v.Dict)
 		}
 	}
 	var kept []uint64
@@ -515,7 +504,7 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	for w, pos := 0, 0; pos < src.N; w++ {
 		n := min(rt.window, src.N-pos)
 		for k, ci := range keyIdx {
-			keys[k] = window(&src.Cols[ci], pos, n)
+			keys[k] = src.Cols[ci].slice(pos, n)
 		}
 		// Destinations overwrite the hashes in place unless they are kept.
 		dest = dest[:n]
@@ -753,17 +742,17 @@ func (ex *executor) execSort(p *PSort) (*stream, error) {
 		if n < 2 {
 			return nil
 		}
-		// The comparator reads whole rows through a local view; the sort
-		// orders a permutation and the output gathers columns by it.
-		rows := part.rows()
+		// The comparator reads the lanes in place; the sort orders a
+		// permutation and the output gathers columns by it.
+		cols := part.Cols
 		perm := make([]int32, n)
 		for i := range perm {
 			perm[i] = int32(i)
 		}
 		sort.SliceStable(perm, func(a, b int) bool {
-			ra, rb := rows[perm[a]], rows[perm[b]]
+			ra, rb := int(perm[a]), int(perm[b])
 			for _, k := range keys {
-				c := ra[k.pos].Compare(rb[k.pos])
+				c := compareLane(&cols[k.pos], ra, rb)
 				if k.desc {
 					c = -c
 				}
@@ -772,7 +761,7 @@ func (ex *executor) execSort(p *PSort) (*stream, error) {
 				}
 			}
 			// Deterministic tie-break on the whole row.
-			return table.CompareRows(ra, rb) < 0
+			return compareLanes(cols, ra, rb) < 0
 		})
 		s.parts[pi] = part.gather(ex.mem, perm)
 		s.stage.AddCPU(pi, float64(n)*logf(n))

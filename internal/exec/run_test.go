@@ -13,9 +13,13 @@ import (
 	"quickr/internal/metrics"
 )
 
+// fanout is an executor that only fans out: its parallel runs every
+// operator's partition tasks.
+func fanout(ctx context.Context) *executor { return &executor{ctx: ctx} }
+
 func TestParallelPartsZeroPartitions(t *testing.T) {
 	called := false
-	if err := parallelParts(context.Background(), 0, func(i int) error { called = true; return nil }); err != nil {
+	if err := fanout(context.Background()).parallel(0, func(i int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -25,7 +29,7 @@ func TestParallelPartsZeroPartitions(t *testing.T) {
 
 func TestParallelPartsOnePartitionRunsInline(t *testing.T) {
 	var got []int
-	if err := parallelParts(context.Background(), 1, func(i int) error {
+	if err := fanout(context.Background()).parallel(1, func(i int) error {
 		// A single partition runs on the caller's goroutine, so an
 		// unsynchronized append here must be safe (the race detector
 		// verifies this).
@@ -42,7 +46,7 @@ func TestParallelPartsOnePartitionRunsInline(t *testing.T) {
 func TestParallelPartsVisitsEveryIndexOnce(t *testing.T) {
 	const n = 100
 	var visits [n]int64
-	if err := parallelParts(context.Background(), n, func(i int) error {
+	if err := fanout(context.Background()).parallel(n, func(i int) error {
 		atomic.AddInt64(&visits[i], 1)
 		return nil
 	}); err != nil {
@@ -57,7 +61,7 @@ func TestParallelPartsVisitsEveryIndexOnce(t *testing.T) {
 
 func TestParallelPartsPropagatesFirstError(t *testing.T) {
 	sentinel := errors.New("partition failed")
-	err := parallelParts(context.Background(), 16, func(i int) error {
+	err := fanout(context.Background()).parallel(16, func(i int) error {
 		if i == 7 {
 			return fmt.Errorf("part %d: %w", i, sentinel)
 		}
@@ -69,7 +73,7 @@ func TestParallelPartsPropagatesFirstError(t *testing.T) {
 }
 
 func TestParallelPartsReportsOneOfManyErrors(t *testing.T) {
-	err := parallelParts(context.Background(), 32, func(i int) error {
+	err := fanout(context.Background()).parallel(32, func(i int) error {
 		if i%2 == 1 {
 			return fmt.Errorf("part %d failed", i)
 		}
@@ -91,7 +95,7 @@ func TestParallelPartsCountersRaceFree(t *testing.T) {
 	op := &metrics.Op{}
 	op.Grow(parts)
 	for round := 0; round < 50; round++ {
-		if err := parallelParts(context.Background(), parts, func(i int) error {
+		if err := fanout(context.Background()).parallel(parts, func(i int) error {
 			sl := op.Slot(i)
 			for j := 0; j < 1000; j++ {
 				sl.RowsIn++

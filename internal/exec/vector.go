@@ -28,10 +28,11 @@ const (
 // It is a cheap value type: copies share the underlying payload slices.
 //
 // NULL lanes are tracked by a little-endian bitmap; nullOff shifts lane
-// indexes into the bitmap so a Vector can window a larger stored column
-// (table.ColVec) without copying it. VKAny vectors carry NULLs in Vals
-// directly and leave the bitmap nil. Dead lanes (not covered by the
-// batch's selection vector) hold unspecified zero/NULL payloads.
+// indexes into the bitmap so a Vector can window a larger column (a
+// stored table.ColVec or a Part's Vector) without copying it. VKAny
+// vectors carry NULLs in Vals directly and leave the bitmap nil. Dead
+// lanes (not covered by the batch's selection vector) hold unspecified
+// zero/NULL payloads.
 type Vector struct {
 	K       VecKind
 	N       int
@@ -88,6 +89,20 @@ func (v *Vector) Value(i int) table.Value {
 		return table.NewBool(v.Ints[i] != 0)
 	}
 	return table.Null
+}
+
+// compareLane is table.Value.Compare of lanes a and b of v.
+func compareLane(v *Vector, a, b int) int { return v.Value(a).Compare(v.Value(b)) }
+
+// compareLanes is table.CompareRows of rows a and b of cols, lane for
+// lane.
+func compareLanes(cols []Vector, a, b int) int {
+	for c := range cols {
+		if x := compareLane(&cols[c], a, b); x != 0 {
+			return x
+		}
+	}
+	return 0
 }
 
 // laneFloat mirrors table.Value.Float for lane i: ints widen, floats
@@ -179,8 +194,27 @@ func (v *Vector) bytesSel(sel []int32) float64 {
 	return float64(n)
 }
 
+// slice returns lanes [off, off+n) of v as a zero-copy Vector: the
+// payloads are resliced and the NULL bitmap is shared, shifted by
+// nullOff.
+func (v *Vector) slice(off, n int) Vector {
+	w := *v
+	w.N = n
+	switch v.K {
+	case VKNull:
+	case VKAny:
+		w.Vals = v.Vals[off : off+n]
+	case VKFloat:
+		w.Floats = v.Floats[off : off+n]
+	default:
+		w.Ints = v.Ints[off : off+n]
+	}
+	w.nullOff += off
+	return w
+}
+
 // window wraps lanes [off, off+n) of a stored column as a zero-copy
-// Vector.
+// Vector: the one place a stored table partition becomes the batch form.
 func window(cv *table.ColVec, off, n int) Vector {
 	if cv.Any {
 		return Vector{K: VKAny, N: n, Vals: cv.Vals[off : off+n]}
@@ -209,10 +243,10 @@ func window(cv *table.ColVec, off, n int) Vector {
 // vecBuilder accumulates values into a column, picking the tightest
 // representation: typed while all non-NULL values share a kind,
 // degrading to VKAny on the first mix. It takes single Values (append)
-// and whole lanes of another Vector (appendSel, appendGather); the
-// result is a batch Vector (build, aliasing the builder's buffers until
-// the next reset) or a stored partition column (col). The integer and
-// float payloads are slabs of the run's ledger mem.
+// and whole lanes of another Vector (appendSel, appendGather); build
+// returns the result, aliasing the builder's buffers until the next
+// reset. The integer and float payloads are slabs of the run's ledger
+// mem.
 type vecBuilder struct {
 	mem     *ledger
 	k       VecKind // VKNull until the first non-NULL value
@@ -640,32 +674,4 @@ func (bd *vecBuilder) build() Vector {
 		v.nulls = bd.nulls
 	}
 	return v
-}
-
-// col returns the accumulated lanes as a stored partition column (the
-// inverse of window). It aliases builder buffers: the builder must not
-// be appended to or reset afterwards.
-func (bd *vecBuilder) col() table.ColVec {
-	switch bd.k {
-	case VKNull:
-		return table.ColVec{Kind: table.KindNull, Ints: []int64{int64(bd.n)}}
-	case VKAny:
-		return table.ColVec{Any: true, Vals: bd.vals}
-	}
-	cv := table.ColVec{Ints: bd.ints, Dict: bd.dict}
-	switch bd.k {
-	case VKInt:
-		cv.Kind = table.KindInt
-	case VKFloat:
-		cv.Kind, cv.Ints, cv.Floats = table.KindFloat, nil, bd.floats
-	case VKStr:
-		cv.Kind = table.KindString
-	case VKBool:
-		cv.Kind = table.KindBool
-	}
-	if bd.anyNull {
-		bd.padNulls()
-		cv.Nulls = bd.nulls
-	}
-	return cv
 }

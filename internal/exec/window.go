@@ -56,13 +56,12 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 	t0 := time.Now()
 	if err := ex.parallel(len(s.parts), func(i int) error {
 		part := &s.parts[i]
-		// The window functions sort and scan whole rows: they read the
-		// partition through a local row view. The output keeps the input's
-		// columns and row order and gains one column per spec.
-		rows, cols := part.rows(), part.vectors()
+		// The window functions sort and scan the partition's lanes in
+		// place. The output keeps the input's columns and row order and
+		// gains one column per spec.
 		out := Part{N: part.N, Cols: slices.Clip(part.Cols), W: part.W}
 		for _, spec := range p.Specs {
-			vals, err := computeWindow(ex.mem, spec, cm, cols, rows)
+			vals, err := computeWindow(ex.mem, spec, cm, part.Cols, part.N)
 			if err != nil {
 				return err
 			}
@@ -70,7 +69,7 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 			for _, v := range vals {
 				bd.append(v)
 			}
-			out.Cols = append(out.Cols, bd.col())
+			out.Cols = append(out.Cols, bd.build())
 		}
 		out.bytes = partBytes(out.Cols, out.N)
 		s.parts[i] = out
@@ -92,10 +91,9 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 	return s, nil
 }
 
-// computeWindow returns, for one spec, the output value for each input
-// row (indexed like part, whose columns are cols), with its scratch on
-// mem.
-func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, part []table.Row) ([]table.Value, error) {
+// computeWindow returns, for one spec, the output value for each of the
+// n input rows, whose columns are cols, with its scratch on mem.
+func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, n int) ([]table.Value, error) {
 	partIdx := make([]int, len(spec.PartitionBy))
 	for i, id := range spec.PartitionBy {
 		pos, ok := cm[id]
@@ -129,7 +127,7 @@ func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, pa
 	for k, pos := range partIdx {
 		keys[k] = cols[pos]
 	}
-	lanes, ids := slab[int32](mem, len(part)), slab[int64](mem, len(part))
+	lanes, ids := slab[int32](mem, n), slab[int64](mem, n)
 	for i := range lanes {
 		lanes[i] = int32(i)
 	}
@@ -141,21 +139,21 @@ func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, pa
 	for id := range nparts {
 		start[id+1] += start[id]
 	}
-	next, byPart := slices.Clone(start[:nparts]), make([]int, len(part))
+	next, byPart := slices.Clone(start[:nparts]), make([]int, n)
 	for j, id := range ids {
 		byPart[next[id]] = j
 		next[id]++
 	}
 
-	out := make([]table.Value, len(part))
+	out := make([]table.Value, n)
 	for id := range nparts {
 		idxs := byPart[start[id]:start[id+1]]
 		// Sort partition rows by the ORDER BY keys (stable; ties broken
 		// by full row compare for determinism).
 		sort.SliceStable(idxs, func(a, b int) bool {
-			ra, rb := part[idxs[a]], part[idxs[b]]
+			ra, rb := idxs[a], idxs[b]
 			for oi, key := range spec.OrderBy {
-				c := ra[orderIdx[oi]].Compare(rb[orderIdx[oi]])
+				c := compareLane(&cols[orderIdx[oi]], ra, rb)
 				if key.Desc {
 					c = -c
 				}
@@ -163,20 +161,19 @@ func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, pa
 					return c < 0
 				}
 			}
-			return table.CompareRows(ra, rb) < 0
+			return compareLanes(cols, ra, rb) < 0
 		})
-		computePartition(spec, part, idxs, orderIdx, argIdx, out)
+		computePartition(spec, cols, idxs, orderIdx, argIdx, out)
 	}
 	return out, nil
 }
 
 // computePartition fills out[...] for one sorted window partition.
-func computePartition(spec lplan.WinSpec, part []table.Row, idxs []int, orderIdx []int, argIdx int, out []table.Value) {
+func computePartition(spec lplan.WinSpec, cols []Vector, idxs []int, orderIdx []int, argIdx int, out []table.Value) {
 	peers := func(a, b int) bool {
 		// Rows are peers when all ORDER BY keys are equal.
-		ra, rb := part[idxs[a]], part[idxs[b]]
 		for _, oi := range orderIdx {
-			if ra[oi].Compare(rb[oi]) != 0 {
+			if compareLane(&cols[oi], idxs[a], idxs[b]) != 0 {
 				return false
 			}
 		}
@@ -210,7 +207,7 @@ func computePartition(spec lplan.WinSpec, part []table.Row, idxs []int, orderIdx
 	consume := func(j int) {
 		var v table.Value = table.Null
 		if argIdx >= 0 {
-			v = part[j][argIdx]
+			v = cols[argIdx].Value(j)
 		}
 		switch spec.Kind {
 		case lplan.WinCount:

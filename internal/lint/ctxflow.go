@@ -102,7 +102,7 @@ func collectFuncs(files []*ast.File) map[string][]*ast.FuncDecl {
 // calleeNames lists the names of functions/methods called inside n,
 // including calls inside nested function literals (a closure defined
 // here is almost always invoked by the spawning construct it is passed
-// to — parallelParts, pool.Run — so its callees are reachable too).
+// to — ex.parallel, pool.Run — so its callees are reachable too).
 func calleeNames(n ast.Node) map[string]bool {
 	out := map[string]bool{}
 	ast.Inspect(n, func(n ast.Node) bool {

@@ -1,5 +1,5 @@
 // Fixture for the slotdiscipline analyzer: metric-slot access inside
-// parallelParts worker closures.
+// the executor's parallel worker closures.
 package exec
 
 type op struct{}
@@ -9,11 +9,15 @@ func (op) Slot(i int) *int { return nil }
 func (op) Total() int      { return 0 }
 func (op) AddWall(d int)   {}
 
-func parallelParts(n int, fn func(i int) error) error { return nil }
+type executor struct{}
 
-func region(o op, parts int) {
+func (*executor) parallel(n int, fn func(i int) error) error { return nil }
+
+type chain struct{ ex *executor }
+
+func region(ex *executor, o op, parts int) {
 	o.Grow(parts) // coordinator side: legal
-	_ = parallelParts(parts, func(i int) error {
+	_ = ex.parallel(parts, func(i int) error {
 		o.Grow(parts) // want "coordinator"
 		_ = o.Slot(i) // own partition index: legal
 		_ = o.Slot(0) // want "partition index"
@@ -26,10 +30,10 @@ func region(o op, parts int) {
 	_ = o.Total() // coordinator side after the join: legal
 }
 
-func nested(o op, parts int) {
-	_ = parallelParts(parts, func(pi int) error {
+func nested(ex *executor, o op, parts int) {
+	_ = ex.parallel(parts, func(pi int) error {
 		// An inner fork/join region is governed by its own index.
-		return parallelParts(2, func(k int) error {
+		return ex.parallel(2, func(k int) error {
 			_ = o.Slot(k)  // inner closure's own index: legal
 			_ = o.Slot(pi) // want "partition index"
 			return nil
@@ -37,10 +41,18 @@ func nested(o op, parts int) {
 	})
 }
 
-func suppressed(o op, parts int) {
-	_ = parallelParts(parts, func(i int) error {
+func suppressed(ex *executor, o op, parts int) {
+	_ = ex.parallel(parts, func(i int) error {
 		//lint:ignore slotdiscipline single-partition fallback owns slot 0
 		_ = o.Slot(0)
+		return nil
+	})
+}
+
+func field(cc *chain, o op, parts int) {
+	_ = cc.ex.parallel(parts, func(t int) error {
+		_ = o.Slot(t) // own task index: legal
+		_ = o.Slot(0) // want "partition index"
 		return nil
 	})
 }

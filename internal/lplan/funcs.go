@@ -48,8 +48,10 @@ func KnownFunc(name string) bool {
 		strings.EqualFold(name, "IF") || strings.EqualFold(name, "COALESCE")
 }
 
-// CallFunc evaluates a scalar function. Unknown functions and NULL
-// arguments (except for IF/COALESCE) yield NULL.
+// CallFunc evaluates a scalar function. Unknown functions, NULL
+// arguments (except for IF/COALESCE), a wrong argument count and an
+// argument of the wrong kind yield NULL; a non-NULL result has the kind
+// FuncReturnKind declares (IF and COALESCE return an argument).
 func CallFunc(name string, args []table.Value) table.Value {
 	up := strings.ToUpper(name)
 	switch up {
@@ -88,16 +90,29 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		return table.NewFloat(math.Abs(args[0].Float()))
 	case "ROUND":
-		if len(args) < 1 || !args[0].IsNumeric() {
+		if len(args) < 1 || len(args) > 2 || !args[0].IsNumeric() {
 			return table.Null
 		}
-		if len(args) == 2 && args[1].Kind() == table.KindInt {
-			scale := math.Pow(10, float64(args[1].Int()))
-			return table.NewFloat(math.Round(args[0].Float()*scale) / scale)
+		var digits int64
+		if len(args) == 2 {
+			if args[1].Kind() != table.KindInt {
+				return table.Null
+			}
+			digits = args[1].Int()
 		}
-		return table.NewFloat(math.Round(args[0].Float()))
+		if args[0].Kind() == table.KindInt {
+			if digits >= 0 {
+				return args[0]
+			}
+			if r, ok := roundInt(args[0].Int(), -digits); ok {
+				return table.NewInt(r)
+			}
+			return table.Null
+		}
+		scale := math.Pow(10, float64(digits))
+		return table.NewFloat(math.Round(args[0].Float()*scale) / scale)
 	case "FLOOR", "CEIL", "SQRT", "LN", "EXP":
-		if len(args) != 1 {
+		if len(args) != 1 || !args[0].IsNumeric() {
 			return table.Null
 		}
 		x := args[0].Float()
@@ -116,7 +131,7 @@ func CallFunc(name string, args []table.Value) table.Value {
 	case "CEILDIV":
 		// CEILDIV(x, n) = ⌈x/n⌉ — the paper's example of stratifying on a
 		// function of a column (§4.1.2, ⌈Y/100⌉).
-		if len(args) != 2 {
+		if len(args) != 2 || !args[0].IsNumeric() || !args[1].IsNumeric() {
 			return table.Null
 		}
 		n := args[1].Float()
@@ -125,7 +140,7 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		return table.NewInt(int64(math.Ceil(args[0].Float() / n)))
 	case "POW":
-		if len(args) != 2 {
+		if len(args) != 2 || !args[0].IsNumeric() || !args[1].IsNumeric() {
 			return table.Null
 		}
 		return table.NewFloat(math.Pow(args[0].Float(), args[1].Float()))
@@ -148,7 +163,7 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		return table.NewInt(int64(len(args[0].Str())))
 	case "UPPER", "LOWER":
-		if len(args) != 1 {
+		if len(args) != 1 || args[0].Kind() != table.KindString {
 			return table.Null
 		}
 		if up == "UPPER" {
@@ -156,7 +171,8 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		return table.NewString(strings.ToLower(args[0].Str()))
 	case "SUBSTR":
-		if len(args) < 2 || args[0].Kind() != table.KindString {
+		if len(args) < 2 || len(args) > 3 || args[0].Kind() != table.KindString || !args[1].IsNumeric() ||
+			(len(args) == 3 && !args[2].IsNumeric()) {
 			return table.Null
 		}
 		s := args[0].Str()
@@ -185,7 +201,7 @@ func CallFunc(name string, args []table.Value) table.Value {
 		}
 		return table.NewString(b.String())
 	case "STARTSWITH":
-		if len(args) != 2 {
+		if len(args) != 2 || args[0].Kind() != table.KindString || args[1].Kind() != table.KindString {
 			return table.Null
 		}
 		return table.NewBool(strings.HasPrefix(args[0].Str(), args[1].Str()))
@@ -197,6 +213,34 @@ func CallFunc(name string, args []table.Value) table.Value {
 		return table.NewInt(int64(args[0].Hash64() % uint64(args[1].Int())))
 	}
 	return table.Null
+}
+
+// roundInt rounds x half away from zero to a multiple of 10^k (k > 0);
+// false when the result does not fit an int64.
+func roundInt(x, k int64) (int64, bool) {
+	if k >= 20 { // 10^k/2 exceeds every int64's magnitude
+		return 0, true
+	}
+	p := uint64(1)
+	for ; k > 0; k-- {
+		p *= 10
+	}
+	mag := uint64(x)
+	if x < 0 {
+		mag = -mag
+	}
+	q, rem := mag/p, mag%p
+	if rem >= p-rem {
+		q++
+	}
+	r := q * p
+	switch {
+	case x >= 0 && r > math.MaxInt64, x < 0 && r > 1<<63:
+		return 0, false
+	case x < 0:
+		return int64(-r), true
+	}
+	return int64(r), true
 }
 
 // CivilFromDays converts days since 1970-01-01 to (year, month, day)

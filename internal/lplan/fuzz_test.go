@@ -58,7 +58,8 @@ func fuzzArgs(arity uint8, kinds uint16, n, m int64, x, y float64, s string, b b
 // arguments of every kind. The executor's kernels evaluate every CASE
 // branch and both AND/OR operands on every live lane, so a function
 // must be total, not only on the lanes a row-at-a-time evaluator would
-// have reached.
+// have reached. A non-NULL result must have the kind FuncReturnKind
+// declares for those arguments (IF and COALESCE return an argument).
 func FuzzCallFunc(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
@@ -73,6 +74,17 @@ func FuzzCallFunc(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, fn, arity uint8, kinds uint16, n, m int64, x, y float64, s string, b bool) {
-		CallFunc(funcNames[int(fn)%len(funcNames)], fuzzArgs(arity, kinds, n, m, x, y, s, b))
+		name, args := funcNames[int(fn)%len(funcNames)], fuzzArgs(arity, kinds, n, m, x, y, s, b)
+		got := CallFunc(name, args)
+		if got.IsNull() || name == "IF" || name == "COALESCE" {
+			return
+		}
+		ks := make([]table.Kind, len(args))
+		for j, a := range args {
+			ks[j] = a.Kind()
+		}
+		if want := FuncReturnKind(name, ks); got.Kind() != want {
+			t.Errorf("%s%v = %v of kind %v, declared %v", name, args, got, got.Kind(), want)
+		}
 	})
 }

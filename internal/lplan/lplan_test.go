@@ -73,10 +73,44 @@ func TestCallFunc(t *testing.T) {
 		{"YEAR", []table.Value{i(11017)}, i(2000)},
 		{"MONTH", []table.Value{i(11017)}, i(3)},
 		{"STARTSWITH", []table.Value{s("promo-x"), s("promo")}, table.NewBool(true)},
+		// A non-numeric argument to a numeric function is NULL.
+		{"FLOOR", []table.Value{s("abc")}, table.Null},
+		{"CEIL", []table.Value{table.NewBool(true)}, table.Null},
+		{"SQRT", []table.Value{s("4")}, table.Null},
+		{"LN", []table.Value{s("x")}, table.Null},
+		{"EXP", []table.Value{s("x")}, table.Null},
+		{"CEILDIV", []table.Value{s("250"), i(100)}, table.Null},
+		{"CEILDIV", []table.Value{i(250), s("100")}, table.Null},
+		{"POW", []table.Value{f(2), s("3")}, table.Null},
+		{"POW", []table.Value{table.NewBool(true), f(3)}, table.Null},
+		{"POW", []table.Value{i(2), f(3)}, f(8)},
+		// A non-string argument to a string function is NULL.
+		{"UPPER", []table.Value{i(5)}, table.Null},
+		{"LOWER", []table.Value{f(1.5)}, table.Null},
+		{"STARTSWITH", []table.Value{i(12), s("1")}, table.Null},
+		{"STARTSWITH", []table.Value{s("12"), i(1)}, table.Null},
+		// ROUND takes one or two arguments, an int scale, and keeps an
+		// int argument an int at any scale.
+		{"ROUND", []table.Value{f(2.567), i(1), i(5)}, table.Null},
+		{"ROUND", []table.Value{f(2.567), f(1)}, table.Null},
+		{"ROUND", []table.Value{f(2.567), i(1)}, f(2.6)},
+		{"ROUND", []table.Value{f(2.5)}, f(3)},
+		{"ROUND", []table.Value{i(3)}, i(3)},
+		{"ROUND", []table.Value{i(3), i(2)}, i(3)},
+		{"ROUND", []table.Value{i(1250), i(-2)}, i(1300)},
+		{"ROUND", []table.Value{i(-1249), i(-2)}, i(-1200)},
+		{"ROUND", []table.Value{i(-1250), i(-2)}, i(-1300)},
+		{"ROUND", []table.Value{i(math.MaxInt64), i(-25)}, i(0)},
+		{"ROUND", []table.Value{i(math.MaxInt64), i(-1)}, table.Null},
+		{"ROUND", []table.Value{i(math.MinInt64), i(-1)}, table.Null},
+		{"ROUND", []table.Value{i(math.MinInt64 + 4), i(-1)}, i(math.MinInt64 + 8)},
+		// SUBSTR takes two or three arguments.
+		{"SUBSTR", []table.Value{s("hello"), i(2), i(2), i(9)}, table.Null},
+		{"SUBSTR", []table.Value{s("hello"), s("2")}, table.Null},
 	}
 	for _, c := range cases {
 		got := CallFunc(c.name, c.args)
-		if !got.Equal(c.want) && !(got.IsNull() && c.want.IsNull()) {
+		if got.Kind() != c.want.Kind() || !got.Equal(c.want) && !(got.IsNull() && c.want.IsNull()) {
 			t.Errorf("%s(%v) = %v want %v", c.name, c.args, got, c.want)
 		}
 	}
