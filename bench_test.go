@@ -350,14 +350,13 @@ func BenchmarkAblationDistinctBias(b *testing.B) {
 			// Reservoir-debiased sampler: per-group weighted counts.
 			s := sampler.NewDistinct(p, delta, seed)
 			got := map[int64]float64{}
-			em, held := s.AdmitBatch(allLanes(len(ids)), ids, ones(len(ids)), nil, nil)
-			em = s.Flush(em)
-			for _, e := range em {
-				lane := e.Ref
-				if e.Held {
-					lane = held[e.Ref]
-				}
-				got[ids[lane]] += e.W
+			w := ones(len(ids))
+			pass, em, held := s.AdmitBatch(allLanes(len(ids)), ids, w, nil, nil)
+			for _, lane := range pass {
+				got[ids[lane]] += w[lane]
+			}
+			for _, e := range s.Flush(em) {
+				got[ids[held[e.Ref]]] += e.W
 			}
 			for _, est := range got {
 				resErr += abs(est-perGroup) / perGroup

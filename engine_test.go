@@ -24,6 +24,14 @@ func TestEngineErrors(t *testing.T) {
 	if err := eng.Insert("t", [][]any{{struct{}{}}}); err == nil {
 		t.Error("unsupported Go value must error")
 	}
+	// A row narrower or wider than the schema would be stored with bytes
+	// the scan, which reads it schema-wide, does not see.
+	if err := eng.Insert("t", [][]any{{}}); err == nil {
+		t.Error("a row with too few values must error")
+	}
+	if err := eng.Insert("t", [][]any{{1, 2}}); err == nil {
+		t.Error("a row with too many values must error")
+	}
 }
 
 func must(t *testing.T, err error) {

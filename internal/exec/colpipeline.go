@@ -35,22 +35,12 @@ type colOperator interface {
 	Next() (Batch, error)
 }
 
-// windowCols appends zero-copy windows of lanes [pos, pos+n) of every
-// column to dst and returns it with the lanes' summed value bytes.
-func windowCols(dst []Vector, cols []table.ColVec, pos, n int) ([]Vector, float64) {
-	var bytes float64
-	for c := range cols {
-		w := window(&cols[c], pos, n)
-		bytes += w.bytesAll()
-		dst = append(dst, w)
-	}
-	return dst, bytes
-}
-
 // colScanSource streams one stored partition's columnar mirror,
-// windowing each column zero-copy and extracting apriori sample weights
-// per batch. Raw bytes account the full stored width; the pruned width
-// shows up on the downstream operators instead.
+// windowing the carried columns zero-copy and extracting apriori sample
+// weights per batch. Raw bytes account the full stored width: the
+// partition's Bytes, charged with its first batch (a scan is always
+// pulled dry); the pruned width shows up on the downstream operators
+// instead.
 type colScanSource struct {
 	p    *PScan
 	cp   *table.ColPartition
@@ -66,7 +56,6 @@ type colScanSource struct {
 
 	weights []float64
 	cols    []Vector
-	wins    []Vector
 }
 
 func (s *colScanSource) Next() (Batch, error) {
@@ -79,24 +68,26 @@ func (s *colScanSource) Next() (Batch, error) {
 		n = remain
 	}
 	t0 := time.Now()
-	// Window every stored column once: raw bytes account the full
-	// stored width, the batch carries only the pruned columns.
 	var rawBytes float64
-	s.wins, rawBytes = windowCols(s.wins[:0], s.cp.Cols, s.pos, n)
+	if s.pos == 0 {
+		rawBytes = float64(s.cp.Bytes)
+	}
 	s.cols = s.cols[:0]
-	if prune := len(s.p.ColIdx) > 0; prune {
+	if len(s.p.ColIdx) > 0 {
 		for _, ci := range s.p.ColIdx {
-			s.cols = append(s.cols, s.wins[ci])
+			s.cols = append(s.cols, window(&s.cp.Cols[ci], s.pos, n))
 		}
 	} else {
-		s.cols = append(s.cols, s.wins...)
+		for c := range s.cp.Cols {
+			s.cols = append(s.cols, window(&s.cp.Cols[c], s.pos, n))
+		}
 	}
 	if cap(s.weights) < n {
 		s.weights = make([]float64, n)
 	}
 	s.weights = s.weights[:n]
-	if s.p.WeightIdx >= 0 && s.p.WeightIdx < len(s.wins) {
-		wv := &s.wins[s.p.WeightIdx]
+	if s.p.WeightIdx >= 0 && s.p.WeightIdx < len(s.cp.Cols) {
+		wv := window(&s.cp.Cols[s.p.WeightIdx], s.pos, n)
 		for i := 0; i < n; i++ {
 			w := wv.laneFloat(i)
 			if w <= 0 {
@@ -267,11 +258,11 @@ func (p *colPassOp) Next() (Batch, error) {
 	return b, nil
 }
 
-// colSampleOp runs a real sampler columnar-style. Uniform and universe
-// samplers thin the selection in place and scale the weight column (the
-// universe sampler once universeLanes has each lane's coordinate); the
-// distinct sampler's output is built into a batch of its own
-// (distinctLanes).
+// colSampleOp runs a real sampler columnar-style. Samplers thin the
+// selection in place and scale the weight column (the universe sampler
+// once universeLanes has each lane's coordinate); only a distinct
+// sampler batch in which a reservoir drains is built into a batch of its
+// own (distinctLanes).
 type colSampleOp struct {
 	ctx   context.Context
 	child colOperator
@@ -309,7 +300,7 @@ func (s *colSampleOp) Next() (Batch, error) {
 			var out Batch
 			if d := s.dist; d != nil {
 				d.em = d.s.Flush(d.em[:0])
-				out = d.emit(nil)
+				out = d.emit(nil, nil, nil)
 				s.slot.RowsOut += int64(out.n)
 				s.slot.SamplerPassed += int64(out.n)
 				s.slot.SketchEntries += int64(d.s.MemoryFootprint())
@@ -343,8 +334,8 @@ func (s *colSampleOp) Next() (Batch, error) {
 		s.slot.KernelLanes += int64(liveIn)
 		s.slot.WallNanos += int64(time.Since(t0))
 		if passed > 0 {
-			if s.dist == nil {
-				out.bytes = liveBytes(b.cols, out.sel)
+			if out.sel != nil {
+				out.bytes = liveBytes(out.cols, out.sel)
 			}
 			s.slot.NoteBatch(out.bytes)
 			return out, nil
@@ -390,8 +381,10 @@ func (u *universeLanes) coords(b *Batch, sel []int32) {
 // one bucket vector per bucket column), resolves a dense stratum id per
 // live lane through a keyTable — column by column, so no two strata can
 // share an id — and admits the lanes. Lanes the sampler holds are copied
-// into hold, whose positions are the sampler's handles; the output batch
-// is built in emission order from the input batch and hold.
+// into hold, whose positions are the sampler's handles. A batch in which
+// no reservoir drains passes on as the input batch, thinned in place;
+// otherwise the output batch is built in emission order from the input
+// batch and hold.
 type distinctLanes struct {
 	s       *sampler.Distinct
 	colIdx  []int
@@ -444,7 +437,8 @@ func (bc *bucketCol) vector(v *Vector, sel []int32) Vector {
 }
 
 // admit runs the live lanes sel of b through the sampler and returns
-// the batch of what it emitted (empty when nothing was).
+// the batch of what it emitted: without a reservoir drain, b itself with
+// its selection thinned in place (the caller accounts its bytes).
 func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 	d.keys = d.keys[:0]
 	for _, ci := range d.colIdx {
@@ -456,38 +450,49 @@ func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 	}
 	d.ids = growInts(d.ids, b.n)
 	d.kt.resolve(d.ids, d.keys, sel, nil)
-	d.em, d.held = d.s.AdmitBatch(sel, d.ids, b.weights, d.em[:0], d.held[:0])
+	var pass []int32
+	pass, d.em, d.held = d.s.AdmitBatch(sel, d.ids, b.weights, d.em[:0], d.held[:0])
 	d.hold.appendGather(b.cols, d.held, 0)
-	return d.emit(b.cols)
+	if len(d.em) > 0 {
+		return d.emit(b.cols, b.weights, pass)
+	}
+	return Batch{cols: b.cols, n: b.n, sel: pass, weights: b.weights}
 }
 
-// emit builds the batch of the rows d.em lists, in that order: each run
-// of lanes copies from src, each run of handles from hold.
+// emit builds the batch of the passing lanes pass of src (weights w) and
+// the drained rows d.em lists, interleaved in emission order: each run of
+// lanes copies from src, each run of drained rows from hold.
 //
-//hot:distinct sampler emission builder, per batch
-func (d *distinctLanes) emit(src []Vector) Batch {
-	if len(d.em) == 0 {
-		return Batch{}
-	}
+//hot:distinct sampler emission builder, per batch with a drain
+func (d *distinctLanes) emit(src []Vector, w []float64, pass []int32) Batch {
 	for c := range d.out.cols {
 		d.out.cols[c].reset()
 	}
 	d.out.w = d.out.w[:0]
 	var bytes float64
-	for lo := 0; lo < len(d.em); {
-		held := d.em[lo].Held
+	for lo, at := 0, 0; at < len(pass) || lo < len(d.em); {
+		end := len(pass)
+		if lo < len(d.em) {
+			end = int(d.em[lo].At)
+		}
+		if run := pass[at:end]; len(run) > 0 {
+			for _, lane := range run {
+				d.out.w = append(d.out.w, w[lane])
+			}
+			d.out.appendGather(src, run, 0)
+			bytes += liveBytes(src, run)
+		}
+		at = end
 		d.run = d.run[:0]
-		for ; lo < len(d.em) && d.em[lo].Held == held; lo++ {
+		for ; lo < len(d.em) && int(d.em[lo].At) == at; lo++ {
 			d.run = append(d.run, d.em[lo].Ref)
 			d.out.w = append(d.out.w, d.em[lo].W)
 		}
-		from := src
-		if held {
+		if len(d.run) > 0 {
 			d.vecs = d.hold.vectors(d.vecs[:0])
-			from = d.vecs
+			d.out.appendGather(d.vecs, d.run, 0)
+			bytes += liveBytes(d.vecs, d.run)
 		}
-		d.out.appendGather(from, d.run, 0)
-		bytes += liveBytes(from, d.run)
 	}
 	d.vecs = d.out.vectors(d.vecs[:0])
 	return Batch{cols: d.vecs, n: len(d.out.w), weights: d.out.w, bytes: bytes}

@@ -9,8 +9,10 @@ import (
 	"sort"
 	"testing"
 
+	"quickr/internal/catalog"
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
+	"quickr/internal/refimpl"
 	"quickr/internal/table"
 	"quickr/internal/testutil"
 )
@@ -626,11 +628,65 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 	}
 }
 
+// TestBytesAllSumsToPartitionBytes: the scan charges a stored
+// partition's Bytes once instead of summing its windows' bytesAll batch
+// by batch, so the two must agree for every way a partition is built:
+// Columnarize, a tail sealed onto a snapshot, a column promoted to Any by
+// a later seal, an all-NULL column and string columns with NULLs, cut at
+// every batch size.
+func TestBytesAllSumsToPartitionBytes(t *testing.T) {
+	mixed := mixedTable("bytes_mixed", 1, 700)
+	sc := table.NewSchema(
+		table.Column{Name: "i", Kind: table.KindInt},
+		table.Column{Name: "s", Kind: table.KindString},
+		table.Column{Name: "n", Kind: table.KindInt},
+	)
+	grown := table.New("bytes_grown", sc, 1)
+	add := func(lo, hi int) *table.ColPartition {
+		for i := lo; i < hi; i++ {
+			s := table.NewString(fmt.Sprintf("w%d", i%9))
+			if i%5 == 2 {
+				s = table.Null
+			}
+			grown.Append(0, table.Row{table.NewInt(int64(i)), s, table.Null})
+		}
+		return grown.Columnar(0)
+	}
+	cps := map[string]*table.ColPartition{
+		"columnarize": table.Columnarize(mixed.Rows(0), mixed.Schema.Len()),
+		"first-seal":  add(0, 300),
+		"sealed-tail": add(300, 500),
+	}
+	grown.Append(0, table.Row{table.NewString("x"), table.Null, table.Null})
+	cps["promoted-to-any"] = add(500, 640)
+	if cp := cps["promoted-to-any"]; !cp.Cols[0].Any || cp.Cols[1].Nulls == nil || cp.Cols[2].Kind != table.KindNull {
+		t.Fatalf("fixture: int column Any=%v, string NULL bitmap %v, all-NULL column kind %v", cp.Cols[0].Any, cp.Cols[1].Nulls, cp.Cols[2].Kind)
+	}
+	for name, cp := range cps {
+		for _, bs := range refBatchSizes {
+			size := bs
+			if size < 0 {
+				size = cp.NumRows
+			}
+			var sum float64
+			for pos := 0; pos < cp.NumRows; pos += size {
+				for c := range cp.Cols {
+					v := window(&cp.Cols[c], pos, min(size, cp.NumRows-pos))
+					sum += v.bytesAll()
+				}
+			}
+			if sum != float64(cp.Bytes) {
+				t.Errorf("%s batch=%d: windows sum to %v bytes, partition holds %d", name, bs, sum, cp.Bytes)
+			}
+		}
+	}
+}
+
 // TestSortMatchesRowSort holds the sort's lane comparators to the row
 // definition: a PSort over mixedTable's columns (NULLs, strings, a mixed
 // VKAny column) plus a float key holding NaN, −0, +0 and NULL must emit
-// each partition's rows() stably sorted by the keys and then by
-// table.CompareRows, bit for bit, at every batch size. The few-valued
+// each partition's rows() stably sorted by the keys (Value.Order) and
+// then by table.CompareRows, bit for bit, at every batch size. The few-valued
 // columns come first so that the tie-break reaches every column.
 func TestSortMatchesRowSort(t *testing.T) {
 	src := mixedTable("sort_src", 3, 900)
@@ -667,7 +723,7 @@ func TestSortMatchesRowSort(t *testing.T) {
 			rows := in[i].rows()
 			sort.SliceStable(rows, func(a, b int) bool {
 				for _, k := range ks {
-					c := rows[a][k.pos].Compare(rows[b][k.pos])
+					c := rows[a][k.pos].Order(rows[b][k.pos])
 					if k.desc {
 						c = -c
 					}
@@ -685,6 +741,90 @@ func TestSortMatchesRowSort(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRows(t, want, got, fmt.Sprintf("keys %v batch %d", ks, batch))
+		}
+	}
+}
+
+// TestOrderByNaNMatchesRefimpl: ORDER BY and window ORDER BY over a
+// float column holding NaN sort by Value.Order (NaN after every number,
+// equal to NaN) in the executor and in refimpl alike, bit for bit at
+// every batch size. Under Value.Compare, which finds NaN equal to every
+// number, a one-partition sort over 2, NaN, 1 returned [2, NaN, 1]. The
+// window case is NaN-heavy (three lanes in five), with ints, −0, +0 and
+// NULLs beside it, in both directions, for ROW_NUMBER, RANK (NaN peers
+// only NaN) and a running SUM.
+func TestOrderByNaNMatchesRefimpl(t *testing.T) {
+	sc := table.NewSchema(
+		table.Column{Name: "k", Kind: table.KindFloat},
+		table.Column{Name: "g", Kind: table.KindInt},
+		table.Column{Name: "v", Kind: table.KindInt},
+	)
+	nan := table.NewFloat(math.NaN())
+	small := table.New("nan_small", sc, 1)
+	for i, k := range []table.Value{table.NewFloat(2), nan, table.NewFloat(1)} {
+		small.Append(0, table.Row{k, table.NewInt(0), table.NewInt(int64(i))})
+	}
+	heavy := table.New("nan_heavy", sc, 1)
+	others := []table.Value{table.NewFloat(2.5), table.NewInt(1), table.NewFloat(math.Copysign(0, -1)), table.NewFloat(0), table.Null, table.NewFloat(-1)}
+	for i := 0; i < 240; i++ {
+		k := nan
+		if i%5 >= 3 {
+			k = others[i%len(others)]
+		}
+		heavy.Append(0, table.Row{k, table.NewInt(int64(i % 3)), table.NewInt(int64(i))})
+	}
+	cat := catalog.New()
+	cat.Register(small)
+	cat.Register(heavy)
+	refRun := func(t *testing.T, n lplan.Node) *Result {
+		t.Helper()
+		rows, err := refimpl.Run(cat, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Result{Rows: rows}
+	}
+	for _, desc := range []bool{false, true} {
+		scan := scanOf(small)
+		keys := []lplan.SortKey{{Col: scan.OutCols[0].ID, Desc: desc}}
+		want := refRun(t, &lplan.Sort{Input: &lplan.Scan{Table: small.Name, Cols: scan.OutCols}, Keys: keys})
+		order := []int64{2, 0, 1} // v of 1, 2, NaN
+		if desc {
+			order = []int64{1, 0, 2}
+		}
+		for i, r := range want.Rows {
+			if r[2].Int() != order[i] {
+				t.Fatalf("desc=%v: refimpl sorted %v, want v order %v", desc, want.Rows, order)
+			}
+		}
+		for _, bs := range refBatchSizes {
+			got, err := RunWithOptions(context.Background(), &PSort{In: scan, Keys: keys}, cluster.DefaultConfig(), nil, Options{BatchSize: bs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, want, got, fmt.Sprintf("sort desc=%v batch=%d", desc, bs))
+		}
+
+		scan = scanOf(heavy)
+		k, g, v := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
+		by := []lplan.SortKey{{Col: k.ID, Desc: desc}, {Col: v.ID}}
+		var specs []lplan.WinSpec
+		for _, kind := range []lplan.WinKind{lplan.WinRowNumber, lplan.WinRank, lplan.WinSum} {
+			nextID++
+			spec := lplan.WinSpec{Kind: kind, Arg: lplan.NoColumn, PartitionBy: []lplan.ColumnID{g.ID}, OrderBy: by[:1],
+				Out: lplan.ColumnInfo{ID: nextID, Name: fmt.Sprint("w", kind), Kind: table.KindInt}}
+			if kind == lplan.WinSum {
+				spec.Arg, spec.OrderBy = v.ID, by
+			}
+			specs = append(specs, spec)
+		}
+		want = refRun(t, &lplan.Window{Input: &lplan.Scan{Table: heavy.Name, Cols: scan.OutCols}, Specs: specs})
+		for _, bs := range refBatchSizes {
+			got, err := RunWithOptions(context.Background(), &PWindow{In: scan, Specs: specs}, cluster.DefaultConfig(), nil, Options{BatchSize: bs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, want, got, fmt.Sprintf("window desc=%v batch=%d", desc, bs))
 		}
 	}
 }

@@ -230,14 +230,14 @@ func refSample(sp *pipeSpec, op *colSampleOp, part []wrow) []wrow {
 		ids := map[string]int64{}
 		var held []table.Row
 		var em []sampler.Emit
-		var holds []int32
+		var pass, holds []int32
+		// A lane either passes or overflows a reservoir, never both.
 		emit := func(r table.Row) {
+			if len(pass) > 0 {
+				out = append(out, newWRow(r, w[0]))
+			}
 			for _, e := range em {
-				if e.Held {
-					out = append(out, newWRow(held[e.Ref], e.W))
-				} else {
-					out = append(out, newWRow(r, e.W))
-				}
+				out = append(out, newWRow(held[e.Ref], e.W))
 			}
 		}
 		for _, r := range part {
@@ -258,13 +258,13 @@ func refSample(sp *pipeSpec, op *colSampleOp, part []wrow) []wrow {
 				ids[string(b)] = id
 			}
 			w[0] = r.w
-			em, holds = d.AdmitBatch(lane, []int64{id}, w, em[:0], holds[:0])
+			pass, em, holds = d.AdmitBatch(append(lane[:0], 0), []int64{id}, w, em[:0], holds[:0])
 			if len(holds) > 0 {
 				held = append(held, r.row)
 			}
 			emit(r.row)
 		}
-		em = d.Flush(em[:0])
+		em, pass = d.Flush(em[:0]), nil
 		emit(nil)
 	}
 	return out

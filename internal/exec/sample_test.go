@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"quickr/internal/cluster"
 	"quickr/internal/lplan"
+	"quickr/internal/metrics"
 	"quickr/internal/table"
 )
 
@@ -115,5 +118,81 @@ func TestDistinctStrataKeepTheirGuarantee(t *testing.T) {
 				t.Errorf("batch=%d: stratum %q got %d rows, want >= %d", bs, fmt.Sprint(k), got[k], want)
 			}
 		}
+	}
+}
+
+// lastBatch hands on its child's batches and remembers the last one.
+type lastBatch struct {
+	child colOperator
+	b     Batch
+}
+
+func (l *lastBatch) Next() (Batch, error) {
+	b, err := l.child.Next()
+	l.b = b
+	return b, err
+}
+
+// TestDistinctPassesInPlaceWithoutDrain: a batch in which no reservoir
+// drains leaves the distinct sampler as its input batch — the same
+// column vectors and weights, the selection thinned in place — and a
+// batch in which one drains is built densely in emission order. Batch
+// by batch, rows, weights and accounted bytes together are the row
+// reference's, at batch 1/7/256/−1 (a whole partition is one batch at
+// −1, so there every batch drains).
+func TestDistinctPassesInPlaceWithoutDrain(t *testing.T) {
+	tbl := mixedTable("distinplace", 2, 12000)
+	scan := scanOf(tbl)
+	plan := distinctOver(scan, 0.05, 4, []int{2}, nil, nil)
+	src := execParts(t, scan, -1)
+	want := refChain(t, plan)
+	sp, err := (&executor{qm: metrics.NewQuery(), mem: newLedger()}).compilePipeOp(plan, len(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cluster.NewRun(cluster.DefaultConfig()).NewStage("sample", len(src))
+	for _, bs := range refBatchSizes {
+		got := make([]Part, len(src))
+		inPlace, drained := 0, 0
+		for p := range src {
+			size := bs
+			if size < 0 {
+				size = src[p].N
+			}
+			in := &lastBatch{child: &partSource{p: &src[p], size: size}}
+			op := sp.newSampler(newLedger(), p)
+			op.ctx, op.child, op.st, op.task, op.slot = context.Background(), in, st, p, &metrics.Slot{}
+			pb := newPartBuilder(newLedger(), len(scan.OutCols), 0)
+			var bytes float64
+			for {
+				b, err := op.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b.Len() == 0 {
+					break
+				}
+				switch {
+				case op.done: // the flush
+				case len(op.dist.em) == 0:
+					inPlace++
+					if b.sel == nil || &b.cols[0] != &in.b.cols[0] || &b.weights[0] != &in.b.weights[0] {
+						t.Fatalf("batch=%d: a batch without a drain was copied", bs)
+					}
+				default:
+					drained++
+					if b.sel != nil || &b.cols[0] == &in.b.cols[0] {
+						t.Fatalf("batch=%d: a batch with a drain was not gathered", bs)
+					}
+				}
+				pb.appendBatch(&b)
+				bytes += b.bytes
+			}
+			got[p] = pb.finishSized(bytes)
+		}
+		if drained == 0 || inPlace == 0 && bs > 0 {
+			t.Fatalf("batch=%d: %d batches in place, %d with a drain", bs, inPlace, drained)
+		}
+		sameParts(t, want, got, fmt.Sprintf("batch=%d", bs))
 	}
 }

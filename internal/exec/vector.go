@@ -91,8 +91,8 @@ func (v *Vector) Value(i int) table.Value {
 	return table.Null
 }
 
-// compareLane is table.Value.Compare of lanes a and b of v.
-func compareLane(v *Vector, a, b int) int { return v.Value(a).Compare(v.Value(b)) }
+// compareLane is table.Value.Order of lanes a and b of v.
+func compareLane(v *Vector, a, b int) int { return v.Value(a).Order(v.Value(b)) }
 
 // compareLanes is table.CompareRows of rows a and b of cols, lane for
 // lane.

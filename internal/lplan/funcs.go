@@ -109,8 +109,18 @@ func CallFunc(name string, args []table.Value) table.Value {
 			}
 			return table.Null
 		}
+		x := args[0].Float()
 		scale := math.Pow(10, float64(digits))
-		return table.NewFloat(math.Round(args[0].Float()*scale) / scale)
+		switch scaled := x * scale; {
+		case math.IsNaN(scaled) || math.IsInf(scaled, 0):
+			return args[0] // NaN, ±Inf, or no digit of x lies past the scale
+		case scale == 0:
+			return table.NewFloat(math.Copysign(0, x))
+		case scaled == math.Trunc(scaled):
+			return args[0]
+		default:
+			return table.NewFloat(math.Round(scaled) / scale)
+		}
 	case "FLOOR", "CEIL", "SQRT", "LN", "EXP":
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return table.Null

@@ -126,6 +126,41 @@ func TestCallFunc(t *testing.T) {
 	}
 }
 
+// ROUND of a float where x·10^d leaves the finite floats or the scale
+// underflows: x itself when no digit of x lies past the scale (or x is
+// NaN or infinite), a zero of x's sign when every digit does. Compared
+// bit for bit, so the sign of a zero and a NaN count.
+func TestRoundFloatEdges(t *testing.T) {
+	negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	cases := []struct {
+		x      float64
+		digits int64
+		want   float64
+	}{
+		{2.5, 400, 2.5},
+		{2.5, -400, 0},
+		{-2.5, -400, negZero},
+		{1e10, 300, 1e10},
+		{-1e10, 300, -1e10},
+		{2.567, 1, 2.6},
+		{1250, -2, 1300},
+		{0, 3, 0},
+		{negZero, 3, negZero},
+		{negZero, -400, negZero},
+		{nan, 2, nan},
+		{nan, -400, nan},
+		{inf, 2, inf},
+		{-inf, 400, -inf},
+		{inf, -400, inf},
+	}
+	for _, c := range cases {
+		got := CallFunc("ROUND", []table.Value{table.NewFloat(c.x), table.NewInt(c.digits)})
+		if got.Kind() != table.KindFloat || math.Float64bits(got.Float()) != math.Float64bits(c.want) {
+			t.Errorf("ROUND(%v, %d) = %v, want %v", c.x, c.digits, got, c.want)
+		}
+	}
+}
+
 func TestColSetOps(t *testing.T) {
 	a := NewColSet(1, 2, 3)
 	b := NewColSet(3, 4)

@@ -393,7 +393,7 @@ func (e *evaluator) evalSort(s *lplan.Sort) (*relation, error) {
 	sort.SliceStable(in.rows, func(a, b int) bool {
 		ra, rb := in.rows[a], in.rows[b]
 		for i, k := range s.Keys {
-			c := ra[idx[i]].Compare(rb[idx[i]])
+			c := ra[idx[i]].Order(rb[idx[i]])
 			if k.Desc {
 				c = -c
 			}

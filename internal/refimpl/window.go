@@ -73,7 +73,7 @@ func refWindow(spec lplan.WinSpec, cm map[lplan.ColumnID]int, rows []table.Row) 
 	}
 	less := func(a, b int) bool {
 		for i, k := range spec.OrderBy {
-			c := rows[a][oIdx[i]].Compare(rows[b][oIdx[i]])
+			c := rows[a][oIdx[i]].Order(rows[b][oIdx[i]])
 			if k.Desc {
 				c = -c
 			}
@@ -85,7 +85,7 @@ func refWindow(spec lplan.WinSpec, cm map[lplan.ColumnID]int, rows []table.Row) 
 	}
 	sameOrderKeys := func(a, b int) bool {
 		for _, oi := range oIdx {
-			if rows[a][oi].Compare(rows[b][oi]) != 0 {
+			if rows[a][oi].Order(rows[b][oi]) != 0 {
 				return false
 			}
 		}

@@ -23,7 +23,10 @@ import (
 //   - Memory: per-value frequencies come from a lossy-counting
 //     heavy-hitter sketch (τ=1e-4, s=1e-2) rather than an exact map; the
 //     sampler's gains come from dropping rows of very frequent values, so
-//     approximate counts for heavy hitters suffice.
+//     approximate counts for heavy hitters suffice. While at most 2¹⁶
+//     strata were met, exact per-stratum counts rule and the sketch is
+//     fed once per prune window (adds between two prunes commute), so
+//     at every point it is read it equals a sketch fed lane by lane.
 //   - Partitioning: with D parallel instances, each takes the modified
 //     guarantee ⌈δ/D⌉+ε with ε=δ/D, trading off the all-rows-in-one-
 //     instance and rows-spread-evenly extremes.
@@ -40,9 +43,11 @@ type Distinct struct {
 	ReservoirSize int
 
 	counts     *sketch.LossyCounter[int32]
-	exact      []int64 // exact counts by stratum id while few strata were met
-	strata     int     // strata met while exact is kept
+	exact      []exactCount // by stratum id while few strata were met
+	strata     int          // strata met while exact is kept
 	exactLimit int
+	touched    []int32     // the strata counted in the open prune window
+	room       int64       // lanes left in the open prune window
 	resOf      []int32     // stratum id -> index+1 into res, 0 = none yet
 	res        []reservoir // in the order they were opened
 	handles    int32       // handles issued so far
@@ -55,6 +60,10 @@ type reservoir struct {
 	done bool  // flushed at overflow; value is in probabilistic mode
 }
 
+// exactCount is one stratum's exact count: its lanes so far and its
+// lanes in the open prune window, not yet handed to the sketch.
+type exactCount struct{ n, win int64 }
+
 // heldRow is one reservoir slot: the caller's handle for the held row
 // and the row's incoming weight.
 type heldRow struct {
@@ -62,13 +71,12 @@ type heldRow struct {
 	w float64
 }
 
-// Emit is one row the distinct sampler lets through: lane Ref of the
-// batch being admitted or, when Held, the row the caller keeps under
-// handle Ref. W is the row's weight.
+// Emit is one held row the distinct sampler lets through: the row the
+// caller keeps under handle Ref, with weight W, emitted after the first
+// At lanes that pass in the same AdmitBatch call.
 type Emit struct {
-	Ref  int32
-	Held bool
-	W    float64
+	Ref, At int32
+	W       float64
 }
 
 // DeltaForParallelism returns the per-instance δ for D parallel
@@ -98,13 +106,15 @@ func NewDistinctRand(p float64, delta int, rng *rand.Rand) *Distinct {
 	if delta < 1 {
 		delta = 1
 	}
+	counts := sketch.NewLossyCounter[int32](1e-4)
 	return &Distinct{
 		P:             p,
 		Delta:         delta,
 		ReservoirSize: 10,
-		counts:        sketch.NewLossyCounter[int32](1e-4),
-		exact:         make([]int64, 0, 64),
+		counts:        counts,
+		exact:         make([]exactCount, 0, 64),
 		exactLimit:    1 << 16,
+		room:          counts.Room(),
 		rng:           rng,
 	}
 }
@@ -112,26 +122,49 @@ func NewDistinctRand(p float64, delta int, rng *rand.Rand) *Distinct {
 // count returns the observed frequency of stratum id after this
 // occurrence.
 func (d *Distinct) count(id int32) int64 {
-	d.counts.Add(id)
 	if d.exact != nil {
 		for int(id) >= len(d.exact) {
-			d.exact = append(d.exact, 0)
+			d.exact = append(d.exact, exactCount{})
 		}
-		if d.exact[id] == 0 {
+		e := &d.exact[id]
+		if e.win == 0 {
+			d.touched = append(d.touched, id)
+		}
+		if e.n, e.win = e.n+1, e.win+1; e.n == 1 {
 			d.strata++
 		}
-		d.exact[id]++
-		if d.strata > d.exactLimit {
-			d.exact = nil // rely on the sketch beyond the memory bound
-		} else {
-			return d.exact[id]
+		if d.room--; d.room == 0 {
+			d.feed()
 		}
+		if d.strata <= d.exactLimit {
+			return e.n
+		}
+		d.feed() // rely on the sketch beyond the memory bound
+		d.exact, d.touched = nil, nil
+	} else {
+		d.counts.Add(id)
 	}
 	if c, ok := d.counts.Count(id); ok {
 		return c
 	}
 	// Untracked by the sketch ⇒ infrequent ⇒ within the guarantee.
 	return 1
+}
+
+// feed hands the open prune window's counts to the sketch while exact
+// counts rule. Windows end where Add would prune, so the sketch is then
+// what lane-by-lane adds would have left: Flush and MemoryFootprint feed
+// the open window before they return.
+func (d *Distinct) feed() {
+	if d.exact == nil {
+		return
+	}
+	for _, id := range d.touched {
+		d.counts.AddN(id, d.exact[id].win)
+		d.exact[id].win = 0
+	}
+	d.touched = d.touched[:0]
+	d.room = d.counts.Room()
 }
 
 // reservoir returns stratum id's reservoir, creating an empty one. The
@@ -148,28 +181,34 @@ func (d *Distinct) reservoir(id int32) *reservoir {
 }
 
 // AdmitBatch admits the live lanes sel, in order: ids[lane] is the
-// lane's stratum id and weights[lane] its incoming weight. It appends to
-// out the rows it lets through, in emission order — a lane that passes,
-// or the rows of the reservoir a lane overflowed — and to held the lanes
-// it holds. Handles count holds over the sampler's life: the k-th lane
-// held is handle k, and the caller keeps its row until the partition
-// ends.
+// lane's stratum id and weights[lane] its incoming weight. Lanes that
+// pass stay in sel, which is thinned in place and returned; a lane
+// passing in the probabilistic mode has its weight scaled by 1/P in
+// place. The rows of every reservoir a lane overflowed are appended to
+// drains, each At the number of passing lanes before it, so passing
+// lanes and drained rows interleave in the order they were let through.
+// The lanes it holds are appended to held. Handles count holds over the
+// sampler's life: the k-th lane held is handle k, and the caller keeps
+// its row until the partition ends.
 //
 //hot:distinct sampler admit loop, per live lane
-func (d *Distinct) AdmitBatch(sel []int32, ids []int64, weights []float64, out []Emit, held []int32) ([]Emit, []int32) {
+func (d *Distinct) AdmitBatch(sel []int32, ids []int64, weights []float64, drains []Emit, held []int32) ([]int32, []Emit, []int32) {
 	delta := int64(d.Delta)
+	overflow, mult := int64(float64(d.ReservoirSize)/d.P), 1/d.P
+	pass := sel[:0]
 	for _, lane := range sel {
 		id, w := int32(ids[lane]), weights[lane]
 		if d.count(id) <= delta {
 			// Frequency mode: pass with weight 1 (times incoming weight).
-			out = append(out, Emit{Ref: lane, W: w})
+			pass = append(pass, lane)
 			continue
 		}
 		res := d.reservoir(id)
 		if res.done {
 			// Probabilistic mode.
 			if d.rng.Float64() < d.P {
-				out = append(out, Emit{Ref: lane, W: w / d.P})
+				weights[lane] = w / d.P
+				pass = append(pass, lane)
 			}
 			continue
 		}
@@ -183,20 +222,20 @@ func (d *Distinct) AdmitBatch(sel []int32, ids []int64, weights []float64, out [
 			res.rows[j] = heldRow{h: d.handles, w: w}
 			held, d.handles = append(held, lane), d.handles+1
 		}
-		if res.seen >= int64(float64(d.ReservoirSize)/d.P) {
+		if res.seen >= overflow {
 			// Overflow: each retained row represents 1/p observed rows.
-			out = res.drain(out, 1/d.P)
+			drains = res.drain(drains, int32(len(pass)), mult)
 			res.done = true
 		}
 	}
-	return out, held
+	return pass, drains, held
 }
 
-// drain appends the reservoir's rows to out, weights times mult, and
-// empties it.
-func (r *reservoir) drain(out []Emit, mult float64) []Emit {
+// drain appends the reservoir's rows to out, at position at, weights
+// times mult, and empties it.
+func (r *reservoir) drain(out []Emit, at int32, mult float64) []Emit {
 	for _, row := range r.rows {
-		out = append(out, Emit{Ref: row.h, Held: true, W: row.w * mult})
+		out = append(out, Emit{Ref: row.h, At: at, W: row.w * mult})
 	}
 	r.rows = nil
 	return out
@@ -207,9 +246,10 @@ func (r *reservoir) drain(out []Emit, mult float64) []Emit {
 // the probabilistic mode. The reservoirs go in the order they were
 // opened, which depends only on the order the lanes were admitted in.
 func (d *Distinct) Flush(out []Emit) []Emit {
+	d.feed()
 	for i := range d.res {
 		if r := &d.res[i]; !r.done && len(r.rows) > 0 {
-			out = r.drain(out, float64(r.seen)/float64(len(r.rows)))
+			out = r.drain(out, 0, float64(r.seen)/float64(len(r.rows)))
 		}
 	}
 	return out
@@ -218,6 +258,7 @@ func (d *Distinct) Flush(out []Emit) []Emit {
 // MemoryFootprint returns an estimate of tracked state size (sketch
 // entries plus live reservoir rows) for the ablation benchmarks.
 func (d *Distinct) MemoryFootprint() int {
+	d.feed()
 	n := d.counts.EntryCount()
 	for i := range d.res {
 		n += len(d.res[i].rows)

@@ -3,8 +3,10 @@ package sampler
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"quickr/internal/sketch"
 	"quickr/internal/table"
 )
 
@@ -375,19 +377,19 @@ func (s *rowDistinct) Admit(r table.Row, w float64) (bool, float64) {
 		id = int64(len(s.ids))
 		s.ids[key] = id
 	}
-	s.em, s.lanes = s.d.AdmitBatch([]int32{0}, []int64{id}, []float64{w}, s.em[:0], s.lanes[:0])
+	ws := []float64{w}
+	var pass []int32
+	pass, s.em, s.lanes = s.d.AdmitBatch([]int32{0}, []int64{id}, ws, s.em[:0], s.lanes[:0])
 	if len(s.lanes) > 0 {
 		s.held = append(s.held, r.Clone())
 	}
-	pass, weight := false, 0.0
 	for _, e := range s.em {
-		if e.Held {
-			s.pending = append(s.pending, Weighted{Row: s.held[e.Ref], W: e.W})
-		} else {
-			pass, weight = true, e.W
-		}
+		s.pending = append(s.pending, Weighted{Row: s.held[e.Ref], W: e.W})
 	}
-	return pass, weight
+	if len(pass) > 0 {
+		return true, ws[0]
+	}
+	return false, 0
 }
 
 func (s *rowDistinct) TakePending() []Weighted {
@@ -506,18 +508,22 @@ func testDistinctBatchMatchesRef(t *testing.T) {
 		w := append([]float64(nil), weights...)
 		var store []int32 // handle -> lane
 		var got []emitted
+		var sel, pass []int32
 		var em []Emit
 		var held []int32
 		for lo := 0; lo < len(live); lo += size {
-			sel := live[lo:min(lo+size, len(live))]
-			em, held = d.AdmitBatch(sel, ids, w, em[:0], held[:0])
+			sel = append(sel[:0], live[lo:min(lo+size, len(live))]...)
+			pass, em, held = d.AdmitBatch(sel, ids, w, em[:0], held[:0])
 			store = append(store, held...)
-			for _, e := range em {
-				row := int64(e.Ref)
-				if e.Held {
-					row = int64(store[e.Ref])
+			// Passing lanes and drained rows, interleaved by Emit.At.
+			next := 0
+			for i := 0; i <= len(pass); i++ {
+				for ; next < len(em) && int(em[next].At) == i; next++ {
+					got = append(got, emitted{int64(store[em[next].Ref]), math.Float64bits(em[next].W)})
 				}
-				got = append(got, emitted{row, math.Float64bits(e.W)})
+				if i < len(pass) {
+					got = append(got, emitted{int64(pass[i]), math.Float64bits(w[pass[i]])})
+				}
 			}
 		}
 		var gotFlush []emitted
@@ -533,5 +539,95 @@ func testDistinctBatchMatchesRef(t *testing.T) {
 		if a, b := d.MemoryFootprint(), ref.MemoryFootprint(); a != b {
 			t.Fatalf("size %d: footprint %d, reference %d", size, a, b)
 		}
+	}
+}
+
+// TestDistinctSketchMatchesPerLaneAdd: while exact counts rule, the
+// distinct sampler hands its lossy counter one total per stratum and
+// prune window. Wherever the counter is read — a MemoryFootprint in the
+// middle of a window, at the 65 537th stratum (also mid-window), after
+// Flush — it must equal a counter fed the same ids one Add at a time:
+// the same N, entries, counts and deltas. The stream spans several
+// windows with strata repeating inside them, crosses the limit, and
+// goes on over old and new strata on per-lane adds, at batch sizes 1,
+// 7, 256 and all lanes.
+func TestDistinctSketchMatchesPerLaneAdd(t *testing.T) {
+	const mid, limit = 25000, 1 << 16
+	var ids []int64
+	next, met, crossed := int64(900), 900, -1
+	for i := 0; i < 150000; i++ {
+		switch {
+		case i < 30000 || i%4 == 0:
+			ids = append(ids, int64(i%900))
+		case met <= limit || i%3 == 0:
+			ids = append(ids, next)
+			next++
+			if met++; met == limit+1 {
+				crossed = i
+			}
+		default:
+			ids = append(ids, int64(i%50))
+		}
+	}
+	window := sketch.NewLossyCounter[int32](1e-4).Room()
+	if crossed < 0 || int64(crossed+1)%window == 0 || int64(mid)%window == 0 || int64(len(ids)) < 3*window {
+		t.Fatalf("fixture: the limit is crossed at lane %d, the mid read at %d, %d lanes, windows of %d", crossed, mid, len(ids), window)
+	}
+	same := func(t *testing.T, label string, got, want *sketch.LossyCounter[int32]) {
+		t.Helper()
+		if got.N() != want.N() || got.EntryCount() != want.EntryCount() {
+			t.Fatalf("%s: N %d, %d entries; per-lane adds N %d, %d entries", label, got.N(), got.EntryCount(), want.N(), want.EntryCount())
+		}
+		// At s = eps every entry is reported, with count + delta.
+		hg, hw := got.HeavyHitters(1e-4), want.HeavyHitters(1e-4)
+		if !slices.Equal(hg, hw) {
+			t.Fatalf("%s: entries or count+delta differ", label)
+		}
+		for _, h := range hw {
+			cg, okg := got.Count(h.Key)
+			cw, okw := want.Count(h.Key)
+			if cg != cw || okg != okw {
+				t.Fatalf("%s: stratum %d counted %d, per-lane adds %d", label, h.Key, cg, cw)
+			}
+		}
+	}
+	for _, size := range []int{1, 7, 256, -1} {
+		w := make([]float64, len(ids))
+		var sel []int32
+		var em []Emit
+		var held []int32
+		admit := func(d *Distinct, ref *sketch.LossyCounter[int32], lo, hi int) {
+			step := size
+			if step < 0 {
+				step = hi - lo
+			}
+			for ; lo < hi; lo += step {
+				sel = sel[:0]
+				for i := lo; i < min(lo+step, hi); i++ {
+					sel = append(sel, int32(i))
+					w[i] = 1
+					ref.Add(int32(ids[i]))
+				}
+				_, em, held = d.AdmitBatch(sel, ids, w, em[:0], held[:0])
+			}
+		}
+		// Flush while exact counts rule, mid-window.
+		d, ref := NewDistinct(0.1, 3, 9), sketch.NewLossyCounter[int32](1e-4)
+		admit(d, ref, 0, mid)
+		d.Flush(nil)
+		same(t, fmt.Sprintf("batch %d, Flush at lane %d", size, mid), d.counts, ref)
+
+		d, ref = NewDistinct(0.1, 3, 9), sketch.NewLossyCounter[int32](1e-4)
+		admit(d, ref, 0, mid)
+		d.MemoryFootprint()
+		same(t, fmt.Sprintf("batch %d, read at lane %d", size, mid), d.counts, ref)
+		admit(d, ref, mid, crossed+1)
+		if d.exact != nil {
+			t.Fatalf("batch %d: exact counts kept past %d strata", size, limit)
+		}
+		same(t, fmt.Sprintf("batch %d, at stratum %d", size, limit+1), d.counts, ref)
+		admit(d, ref, crossed+1, len(ids))
+		d.Flush(nil)
+		same(t, fmt.Sprintf("batch %d, after Flush", size), d.counts, ref)
 	}
 }

@@ -223,14 +223,14 @@ func SortRows(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return CompareRows(rows[i], rows[j]) < 0 })
 }
 
-// CompareRows lexicographically compares two rows.
+// CompareRows lexicographically compares two rows by Value.Order.
 func CompareRows(a, b Row) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
+		if c := a[i].Order(b[i]); c != 0 {
 			return c
 		}
 	}

@@ -188,3 +188,41 @@ func TestSchemaIndex(t *testing.T) {
 		t.Errorf("schema string: %s", sc.String())
 	}
 }
+
+// Order is a strict weak order over every kind, NaN included: it is
+// antisymmetric, its ties are transitive and its "less" is transitive,
+// a NaN sorts after every number and ties only a NaN, and wherever
+// Compare does not tie a NaN with a number the two agree.
+func TestOrderIsStrictWeak(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	vals := []Value{Null, nan, NewFloat(math.Float64frombits(0x7ff8000000000001)), NewFloat(math.Inf(-1)),
+		NewFloat(-1.5), NewInt(-1), NewFloat(math.Copysign(0, -1)), NewInt(0), NewFloat(0), NewInt(2),
+		NewFloat(2.5), NewFloat(math.Inf(1)), NewString(""), NewString("a"), NewBool(false), NewBool(true)}
+	isNaN := func(v Value) bool { return v.Kind() == KindFloat && math.IsNaN(v.Float()) }
+	for _, a := range vals {
+		for _, b := range vals {
+			ab := a.Order(b)
+			if ab != -b.Order(a) {
+				t.Fatalf("Order(%v, %v) = %d, reverse %d", a, b, ab, b.Order(a))
+			}
+			switch {
+			case isNaN(a) && isNaN(b):
+				if ab != 0 {
+					t.Fatalf("Order(%v, %v) = %d, want 0", a, b, ab)
+				}
+			case isNaN(a) && b.IsNumeric():
+				if ab != 1 {
+					t.Fatalf("Order(%v, %v) = %d, want 1", a, b, ab)
+				}
+			case !isNaN(a) && !isNaN(b) && ab != a.Compare(b):
+				t.Fatalf("Order(%v, %v) = %d, Compare %d", a, b, ab, a.Compare(b))
+			}
+			for _, c := range vals {
+				bc, ac := b.Order(c), a.Order(c)
+				if ab == 0 && bc == 0 && ac != 0 || ab < 0 && bc < 0 && ac >= 0 {
+					t.Fatalf("Order not transitive over %v, %v, %v: %d %d %d", a, b, c, ab, bc, ac)
+				}
+			}
+		}
+	}
+}

@@ -148,6 +148,24 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
+// Order is Compare made a strict weak order for sorting: a NaN sorts
+// after every other number and equals only a NaN, where Compare finds it
+// equal to every number. ORDER BY, window ORDER BY and CompareRows sort
+// by Order; predicates, MIN/MAX and statistics keep Compare.
+func (v Value) Order(o Value) int {
+	// Compare ties a NaN only with a number; nothing else differs.
+	if c := v.Compare(o); c != 0 || v.kind != KindFloat && o.kind != KindFloat {
+		return c
+	}
+	switch a, b := v.kind == KindFloat && math.IsNaN(v.f), o.kind == KindFloat && math.IsNaN(o.f); {
+	case a && !b:
+		return 1
+	case b && !a:
+		return -1
+	}
+	return 0
+}
+
 // Compare returns -1, 0 or +1 ordering v relative to o. NULL sorts first.
 // Cross-kind numeric comparisons are performed in float space.
 func (v Value) Compare(o Value) int {

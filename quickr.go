@@ -286,13 +286,17 @@ func (e *Engine) CreateTable(name string, cols []Column, parts int) error {
 }
 
 // Insert appends rows (of Go values: int/int64, float64, string, bool,
-// nil) to a table, spreading them round-robin over partitions.
+// nil) to a table, spreading them round-robin over partitions. Every row
+// holds one value per column of the table.
 func (e *Engine) Insert(name string, rows [][]any) error {
 	t, err := e.cat.Table(name)
 	if err != nil {
 		return err
 	}
 	for i, r := range rows {
+		if len(r) != t.Schema.Len() {
+			return fmt.Errorf("quickr: row %d has %d values, table %s has %d columns", i, len(r), name, t.Schema.Len())
+		}
 		row := make(table.Row, len(r))
 		for j, v := range r {
 			val, err := toValue(v)
