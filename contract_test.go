@@ -274,3 +274,23 @@ func TestDeadlineContractBudget(t *testing.T) {
 		t.Fatalf("1ms deadline run took %v: deadline not honored at batch boundaries", elapsed)
 	}
 }
+
+// TestContractOverUnion: a contract written after the last UNION ALL
+// arm binds to the whole statement, so the engine runs it as a contract
+// and reports it; one written on an earlier arm is a parse error.
+func TestContractOverUnion(t *testing.T) {
+	eng := newSkewedEngine(t, 20000, 8)
+	res, err := eng.ExecApprox("SELECT COUNT(*) FROM sk UNION ALL SELECT SUM(v) FROM sk WITHIN 10s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("union returned %d rows, want 2", len(res.Rows))
+	}
+	if c := res.Contract; c == nil || c.Deadline != 10*time.Second || c.Attempts != 1 {
+		t.Fatalf("deadline contract over a union reported %+v", c)
+	}
+	if _, err := eng.ExecApprox("SELECT COUNT(*) FROM sk WITHIN 10s UNION ALL SELECT SUM(v) FROM sk"); err == nil {
+		t.Fatal("a contract on an arm before the last must be a parse error")
+	}
+}

@@ -32,6 +32,33 @@ func TestEngineErrors(t *testing.T) {
 	if err := eng.Insert("t", [][]any{{1, 2}}); err == nil {
 		t.Error("a row with too many values must error")
 	}
+	// A failed Insert appends nothing, not even the rows before the bad
+	// one, and a plan cached before it still reads the same table.
+	must(t, eng.Insert("t", [][]any{{1}, {2}}))
+	tbl, err := eng.cat.Table("t")
+	must(t, err)
+	count := func() any {
+		t.Helper()
+		res, err := eng.Exec("SELECT COUNT(*) FROM t")
+		must(t, err)
+		return res.Rows[0][0]
+	}
+	before := count()
+	rows, version := tbl.NumRows(), tbl.Version()
+	for name, bad := range map[string][][]any{
+		"a row of the wrong width": {{3}, {4}, {5, 6}},
+		"an unsupported Go value":  {{3}, {4}, {struct{}{}}},
+	} {
+		if err := eng.Insert("t", bad); err == nil {
+			t.Errorf("%s must error", name)
+		}
+		if n, v := tbl.NumRows(), tbl.Version(); n != rows || v != version {
+			t.Errorf("after a failed insert with %s: %d rows at version %d, want %d at %d", name, n, v, rows, version)
+		}
+		if got := count(); got != before {
+			t.Errorf("after a failed insert with %s: COUNT(*) reads %v, want %v", name, got, before)
+		}
+	}
 }
 
 func must(t *testing.T, err error) {

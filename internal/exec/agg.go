@@ -53,8 +53,8 @@ type aggRunner struct {
 	gids, uids, slots []int64
 	xs, ones          []float64
 	pairHash          []uint64
-	keys              []Vector
-	pair              [2]Vector
+	keys              []table.Vector
+	pair              [2]table.Vector
 }
 
 // aggAcc holds one aggregate's accumulators as columns indexed by group
@@ -146,7 +146,7 @@ func growZero[T any](s []T, n int) []T {
 }
 
 // pick lists the idx columns of b in the runner's key scratch.
-func (r *aggRunner) pick(b *Batch, idx []int) []Vector {
+func (r *aggRunner) pick(b *Batch, idx []int) []table.Vector {
 	r.keys = r.keys[:0]
 	for _, i := range idx {
 		r.keys = append(r.keys, b.cols[i])
@@ -184,12 +184,12 @@ func (r *aggRunner) addBatch(b *Batch, hashes []uint64) int {
 // not NULL; a nil vector tests nothing.
 //
 //hot:per-lane condition and NULL thinning of the aggregate
-func (r *aggRunner) live(lanes []int32, arg, cond *Vector) []int32 {
+func (r *aggRunner) live(lanes []int32, arg, cond *table.Vector) []int32 {
 	if cond != nil {
 		r.use = truthyLanes(r.use[:0], cond, &Batch{sel: lanes})
 		lanes = r.use
 	}
-	if arg != nil && arg.hasNulls() {
+	if arg != nil && arg.HasNulls() {
 		// Compacts r.use in place when the condition has just filled it.
 		use := r.use[:0]
 		for _, i := range lanes {
@@ -208,7 +208,7 @@ func (r *aggRunner) live(lanes []int32, arg, cond *Vector) []int32 {
 //hot:per-lane accumulator loops of the aggregate, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
 func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 	a, kind, ng := &r.aggs[j], r.p.Aggs[j].Kind, r.groups.len()
-	var arg, cond *Vector
+	var arg, cond *table.Vector
 	if ai := r.argIdx[j]; ai >= 0 {
 		arg = &b.cols[ai]
 	} else if kind != lplan.AggCount && kind != lplan.AggCountIf {
@@ -224,7 +224,7 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 	case lplan.AggCountDistinct:
 		if len(lanes) > 0 {
 			r.slots = growInts(r.slots, b.n)
-			r.pair[0], r.pair[1] = Vector{K: VKInt, N: b.n, Ints: gids}, *arg
+			r.pair[0], r.pair[1] = table.Vector{K: table.VKInt, N: b.n, Ints: gids}, *arg
 			a.distinct.resolve(r.slots, r.pair[:], lanes, r.pairHashes(&r.pair[1], lanes))
 		}
 		return
@@ -264,7 +264,7 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 	}
 	if a.uni != nil && len(lanes) > 0 {
 		r.slots = growInts(r.slots, b.n)
-		r.pair[0], r.pair[1] = Vector{K: VKInt, N: b.n, Ints: gids}, Vector{K: VKInt, N: b.n, Ints: r.uids}
+		r.pair[0], r.pair[1] = table.Vector{K: table.VKInt, N: b.n, Ints: gids}, table.Vector{K: table.VKInt, N: b.n, Ints: r.uids}
 		a.uni.resolve(r.slots, r.pair[:], lanes, r.pairHashes(&r.pair[1], lanes))
 		a.uniSum = growZero(a.uniSum, a.uni.len())
 		for _, i := range lanes {
@@ -278,14 +278,14 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 // so only x is hashed per lane.
 //
 //hot:per-lane (group, value) pair hash of COUNT(DISTINCT) and the universe partial sums
-func (r *aggRunner) pairHashes(x *Vector, lanes []int32) []uint64 {
+func (r *aggRunner) pairHashes(x *table.Vector, lanes []int32) []uint64 {
 	h0 := table.HashRowSeed(exchangeHashSeed)
 	for g := len(r.gh); g < r.groups.len(); g++ {
 		r.gh = append(r.gh, table.HashRowStep(h0, table.HashInt(int64(g))))
 	}
 	r.pairHash = extend(r.pairHash[:0], x.N)
 	hs, gh, gids := r.pairHash, r.gh, r.gids
-	if x.K == VKInt && x.nulls == nil {
+	if x.K == table.VKInt && x.Nulls == nil {
 		for _, i := range lanes {
 			hs[i] = table.HashRowStep(gh[gids[i]], table.HashInt(x.Ints[i]))
 		}
@@ -299,21 +299,21 @@ func (r *aggRunner) pairHashes(x *Vector, lanes []int32) []uint64 {
 
 // addends returns arg's listed lanes as floats, indexed by lane: the
 // payload itself, or the runner's scratch filled like Value.Float.
-func (r *aggRunner) addends(arg *Vector, lanes []int32) []float64 {
+func (r *aggRunner) addends(arg *table.Vector, lanes []int32) []float64 {
 	if len(lanes) == 0 {
 		return nil // also the aggregate without an argument
 	}
-	if arg.K == VKFloat {
+	if arg.K == table.VKFloat {
 		return arg.Floats
 	}
 	r.xs = growFloats(r.xs, arg.N)
-	if arg.K == VKInt {
+	if arg.K == table.VKInt {
 		for _, i := range lanes {
 			r.xs[i] = float64(arg.Ints[i])
 		}
 	} else {
 		for _, i := range lanes {
-			r.xs[i] = arg.laneFloat(int(i))
+			r.xs[i] = laneFloat(arg, int(i))
 		}
 	}
 	return r.xs

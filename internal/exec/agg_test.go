@@ -180,7 +180,7 @@ type aggDict struct {
 // so that consecutive batches see one dictionary that grows (in place or
 // reallocated, as append decides); everything else through a vecBuilder,
 // which types the column by what the batch holds.
-func aggTestVector(vals []table.Value, d *aggDict) Vector {
+func aggTestVector(vals []table.Value, d *aggDict) table.Vector {
 	strs := true
 	for _, v := range vals {
 		strs = strs && (v.IsNull() || v.Kind() == table.KindString)
@@ -192,10 +192,10 @@ func aggTestVector(vals []table.Value, d *aggDict) Vector {
 		}
 		return bd.build()
 	}
-	v := Vector{K: VKStr, N: len(vals), Ints: make([]int64, len(vals)), nulls: make([]uint64, (len(vals)+63)/64)}
+	v := table.Vector{K: table.VKStr, N: len(vals), Ints: make([]int64, len(vals)), Nulls: make([]uint64, (len(vals)+63)/64)}
 	for i, val := range vals {
 		if val.IsNull() {
-			v.nulls[i>>6] |= 1 << (uint(i) & 63)
+			v.Nulls[i>>6] |= 1 << (uint(i) & 63)
 			continue
 		}
 		c, ok := d.code[val.Str()]
@@ -222,7 +222,7 @@ func aggTestBatches(rows []wrow, size int, thin bool) []Batch {
 	var out []Batch
 	for lo := 0; lo < len(rows); lo += size {
 		chunk := rows[lo:min(lo+size, len(rows))]
-		b := Batch{cols: make([]Vector, aggCols)}
+		b := Batch{cols: make([]table.Vector, aggCols)}
 		for _, r := range chunk {
 			if thin {
 				b.sel = append(b.sel, int32(b.n))
@@ -244,13 +244,13 @@ func aggTestBatches(rows []wrow, size int, thin bool) []Batch {
 			v := aggTestVector(vals, dicts[c])
 			for d := 1; thin && d < v.N; d += 2 {
 				switch v.K {
-				case VKInt, VKBool:
+				case table.VKInt, table.VKBool:
 					v.Ints[d] ^= 1
-				case VKStr:
+				case table.VKStr:
 					v.Ints[d] = int64(len(v.Dict)) + 5
-				case VKFloat:
+				case table.VKFloat:
 					v.Floats[d] = math.NaN()
-				case VKAny:
+				case table.VKAny:
 					v.Vals[d] = table.NewInt(-999)
 				}
 			}
@@ -372,10 +372,10 @@ func TestAggCountDistinctMixedKinds(t *testing.T) {
 		for lo := 0; lo < len(vals); lo += size {
 			chunk := vals[lo:min(lo+size, len(vals))]
 			w := make([]float64, len(chunk))
-			r.addBatch(&Batch{cols: []Vector{aggTestVector(chunk, nil)}, n: len(chunk), weights: w}, nil)
+			r.addBatch(&Batch{cols: []table.Vector{aggTestVector(chunk, nil)}, n: len(chunk), weights: w}, nil)
 		}
 		part, _ := r.emit()
-		if got := part.rows()[0][0]; got.Int() != int64(len(byKey)) {
+		if got := table.RowsOf(part.Cols, part.N, 0)[0][0]; got.Int() != int64(len(byKey)) {
 			t.Fatalf("batch=%d: COUNT(DISTINCT) = %v, the Key() map holds %d", size, got, len(byKey))
 		}
 	}

@@ -1,5 +1,7 @@
 package exec
 
+import "quickr/internal/table"
+
 // Batch is the column-major unit of data flowing through the fused
 // pipeline. Its live rows — the lanes covered by sel, in sel order — are
 // the partition's rows at this operator boundary, in partition order.
@@ -17,7 +19,7 @@ package exec
 // Dead lanes (outside sel) hold unspecified zero/NULL payloads; kernels
 // may compute them, and must never read them back for live results.
 type Batch struct {
-	cols    []Vector
+	cols    []table.Vector
 	n       int
 	sel     []int32
 	weights []float64
@@ -48,10 +50,10 @@ func (b *Batch) liveSel(buf []int32) []int32 {
 
 // liveBytes recomputes the in-flight size of the live rows selected by
 // sel: per row, the per-column value bytes plus the 8-byte weight field.
-func liveBytes(cols []Vector, sel []int32) float64 {
+func liveBytes(cols []table.Vector, sel []int32) float64 {
 	total := 8 * float64(len(sel))
 	for c := range cols {
-		total += cols[c].bytesSel(sel)
+		total += cols[c].BytesSel(sel)
 	}
 	return total
 }

@@ -312,7 +312,7 @@ func TestConstKernelStringDict(t *testing.T) {
 	if !sameDict(first.Dict, second.Dict) {
 		t.Fatal("two batches of a string constant carry different dictionaries")
 	}
-	if second.K != VKStr || second.N != b.n || second.Value(b.n-1).Str() != "beta" {
+	if second.K != table.VKStr || second.N != b.n || second.Value(b.n-1).Str() != "beta" {
 		t.Fatalf("constant vector %+v, want %d lanes of \"beta\"", second, b.n)
 	}
 }
@@ -330,8 +330,9 @@ func TestCmpKernelMatchesCmpRow(t *testing.T) {
 	ints := []int64{3, -1, 42, math.MaxInt64, math.MinInt64, 0, 2, 42, 1<<53 + 1, 1 << 53}
 	n := len(ints)
 	type side struct {
-		name string
-		k    colKernel
+		name  string
+		k     colKernel
+		konst bool
 	}
 	var sides []side
 	for _, kind := range []table.Kind{table.KindInt, table.KindFloat} {
@@ -348,26 +349,26 @@ func TestCmpKernelMatchesCmpRow(t *testing.T) {
 				}
 			}
 			v := bd.build()
-			sides = append(sides, side{fmt.Sprintf("%v column, NULLs %v", kind, nulls), func(*Batch) Vector { return v }})
+			sides = append(sides, side{fmt.Sprintf("%v column, NULLs %v", kind, nulls), func(*Batch) table.Vector { return v }, false})
 		}
 	}
 	for _, c := range []table.Value{table.NewInt(42), table.NewInt(1 << 53), table.NewFloat(1.5),
 		table.NewFloat(nan), table.NewFloat(-inf), table.NewFloat(9007199254740992)} {
-		sides = append(sides, side{"constant " + c.String(), constKernel(c)})
+		sides = append(sides, side{"constant " + c.String(), constKernel(c), true})
 	}
 	b := &Batch{n: n}
 	dense := 0
 	for _, op := range []lplan.BinOp{lplan.OpEq, lplan.OpNe, lplan.OpLt, lplan.OpLe, lplan.OpGt, lplan.OpGe} {
 		for _, l := range sides {
 			for _, r := range sides {
-				got := cmpKernel(op, l.k, r.k)(b)
+				got := cmpKernel(op, l.k, r.k, l.konst, r.konst)(b)
 				lv, rv := l.k(b), r.k(b)
-				if cmpDense(op, make([]int64, n), &lv, &rv) {
+				if cmpDense(op, make([]int64, n), &lv, &rv, l.konst, r.konst) {
 					dense++
 				}
 				for i := 0; i < n; i++ {
 					want := cmpRow(op, lv.Value(i), rv.Value(i))
-					if got.K != VKBool || got.IsNull(i) || got.Ints[i] != btoi(want) {
+					if got.K != table.VKBool || got.IsNull(i) || got.Ints[i] != btoi(want) {
 						t.Fatalf("%v op %d %v lane %d (%v, %v): kernel %v, row %v",
 							l.name, op, r.name, i, lv.Value(i), rv.Value(i), got.Value(i), want)
 					}

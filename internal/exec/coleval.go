@@ -25,7 +25,7 @@ import (
 // valid until its next invocation.
 
 // colKernel evaluates an expression over a batch.
-type colKernel func(b *Batch) Vector
+type colKernel func(b *Batch) table.Vector
 
 func growInts(buf []int64, n int) []int64 {
 	if cap(buf) < n {
@@ -70,10 +70,10 @@ func btoi(b bool) int64 {
 	return 0
 }
 
-func isNumericVK(k VecKind) bool { return k == VKInt || k == VKFloat }
+func isNumericVK(k table.VecKind) bool { return k == table.VKInt || k == table.VKFloat }
 
 // allNull returns an n-lane all-NULL vector.
-func allNull(n int) Vector { return Vector{K: VKNull, N: n} }
+func allNull(n int) table.Vector { return table.Vector{K: table.VKNull, N: n} }
 
 // compileColKernel compiles e into a columnar kernel over the column
 // layout described by cm, whose builders draw on the run's ledger mem.
@@ -85,7 +85,7 @@ func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: column %s#%d not available", x.Name, x.ID)
 		}
-		return func(b *Batch) Vector { return b.cols[i] }, nil
+		return func(b *Batch) table.Vector { return b.cols[i] }, nil
 	case *lplan.Const:
 		return constKernel(x.Val), nil
 	case *lplan.Binary:
@@ -105,7 +105,9 @@ func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 		case lplan.OpAdd, lplan.OpSub, lplan.OpMul, lplan.OpDiv, lplan.OpMod:
 			return arithKernel(x.Op, l, r, mem), nil
 		default:
-			return cmpKernel(x.Op, l, r), nil
+			_, lc := x.L.(*lplan.Const)
+			_, rc := x.R.(*lplan.Const)
+			return cmpKernel(x.Op, l, r, lc, rc), nil
 		}
 	case *lplan.Func:
 		args, err := compileColKernels(x.Args, cm, mem)
@@ -177,10 +179,10 @@ func compileColKernels(es []lplan.Expr, cm colMap, mem *ledger) ([]colKernel, er
 // funcKernel runs the argument kernels, then calls lplan.CallFunc once
 // per live lane on that lane's boxed arguments.
 func funcKernel(name string, args []colKernel, mem *ledger) colKernel {
-	vecs := make([]Vector, len(args))
+	vecs := make([]table.Vector, len(args))
 	vals := make([]table.Value, len(args))
 	bld := vecBuilder{mem: mem}
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		for j, k := range args {
 			vecs[j] = k(b)
 		}
@@ -197,9 +199,9 @@ func funcKernel(name string, args []colKernel, mem *ledger) colKernel {
 // turn, then the ELSE — and takes, for each live lane, the branch of the
 // first condition that is boolean true there, or the ELSE.
 func caseKernel(ks []colKernel, mem *ledger) colKernel {
-	vecs := make([]Vector, len(ks))
+	vecs := make([]table.Vector, len(ks))
 	bld := vecBuilder{mem: mem}
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		for j, k := range ks {
 			vecs[j] = k(b)
 		}
@@ -217,7 +219,7 @@ func caseKernel(ks []colKernel, mem *ledger) colKernel {
 
 // boxLanes builds a vector one boxed value at a time: value(i) for each
 // live lane i of b, NULL for each dead one.
-func boxLanes(bld *vecBuilder, b *Batch, value func(i int) table.Value) Vector {
+func boxLanes(bld *vecBuilder, b *Batch, value func(i int) table.Value) table.Vector {
 	bld.reset()
 	si, sel := 0, b.sel
 	for i := 0; i < b.n; i++ {
@@ -235,11 +237,11 @@ func boxLanes(bld *vecBuilder, b *Batch, value func(i int) table.Value) Vector {
 
 // laneTrue reports whether lane i of v is boolean true. VKBool lanes
 // that are NULL carry payload 0.
-func laneTrue(v *Vector, i int) bool {
+func laneTrue(v *table.Vector, i int) bool {
 	switch v.K {
-	case VKBool:
+	case table.VKBool:
 		return v.Ints[i] != 0
-	case VKAny:
+	case table.VKAny:
 		return truthy(v.Vals[i])
 	}
 	return false
@@ -256,7 +258,7 @@ func constKernel(v table.Value) colKernel {
 	if v.Kind() == table.KindString {
 		dict = []string{v.Str()}
 	}
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		n := b.n
 		switch v.Kind() {
 		case table.KindNull:
@@ -268,7 +270,7 @@ func constKernel(v table.Value) colKernel {
 					floats[i] = v.Float()
 				}
 			}
-			return Vector{K: VKFloat, N: n, Floats: floats[:n], constVal: true}
+			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n]}
 		case table.KindString:
 			if len(ints) < n {
 				ints = growInts(ints, n) // codes all 0
@@ -276,11 +278,11 @@ func constKernel(v table.Value) colKernel {
 					ints[i] = 0
 				}
 			}
-			return Vector{K: VKStr, N: n, Ints: ints[:n], Dict: dict, constVal: true}
+			return table.Vector{K: table.VKStr, N: n, Ints: ints[:n], Dict: dict}
 		default: // int, bool
-			k := VKInt
+			k := table.VKInt
 			if v.Kind() == table.KindBool {
-				k = VKBool
+				k = table.VKBool
 			}
 			if len(ints) < n {
 				ints = growInts(ints, n)
@@ -288,7 +290,7 @@ func constKernel(v table.Value) colKernel {
 					ints[i] = v.Int()
 				}
 			}
-			return Vector{K: k, N: n, Ints: ints[:n], constVal: true}
+			return table.Vector{K: k, N: n, Ints: ints[:n]}
 		}
 	}
 }
@@ -298,41 +300,41 @@ func constKernel(v table.Value) colKernel {
 // lanes carry payload 0, which makes that a plain payload test.
 func andKernel(l, r colKernel) colKernel {
 	var out []int64
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
 		out = growInts(out, n)
-		if lv.K == VKBool && rv.K == VKBool {
+		if lv.K == table.VKBool && rv.K == table.VKBool {
 			o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
 			for i := range o {
 				o[i] = btoi(li[i] != 0) & btoi(ri[i] != 0)
 			}
-			return Vector{K: VKBool, N: n, Ints: out[:n]}
+			return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 		}
 		for i := 0; i < n; i++ {
 			out[i] = btoi(laneTrue(&lv, i) && laneTrue(&rv, i))
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
 func orKernel(l, r colKernel) colKernel {
 	var out []int64
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
 		out = growInts(out, n)
-		if lv.K == VKBool && rv.K == VKBool {
+		if lv.K == table.VKBool && rv.K == table.VKBool {
 			o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
 			for i := range o {
 				o[i] = btoi(li[i] != 0) | btoi(ri[i] != 0)
 			}
-			return Vector{K: VKBool, N: n, Ints: out[:n]}
+			return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 		}
 		for i := 0; i < n; i++ {
 			out[i] = btoi(laneTrue(&lv, i) || laneTrue(&rv, i))
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
@@ -344,23 +346,23 @@ func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 	var floats []float64
 	var nulls []uint64
 	bld := vecBuilder{mem: mem}
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
 		switch {
-		case lv.K == VKAny || rv.K == VKAny:
+		case lv.K == table.VKAny || rv.K == table.VKAny:
 			bld.reset()
 			for i := 0; i < n; i++ {
 				bld.append(rowArith(op, lv.Value(i), rv.Value(i)))
 			}
 			return bld.build()
 		case op == lplan.OpMod:
-			if lv.K != VKInt || rv.K != VKInt {
+			if lv.K != table.VKInt || rv.K != table.VKInt {
 				return allNull(n)
 			}
 			ints = growInts(ints, n)
 			nulls = growBits(nulls, n)
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			for i := 0; i < n; i++ {
 				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) || rv.Ints[i] == 0 {
 					setBit(nulls, i)
@@ -369,11 +371,11 @@ func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 				}
 				ints[i] = lv.Ints[i] % rv.Ints[i]
 			}
-			return Vector{K: VKInt, N: n, Ints: ints[:n], nulls: nulls}
-		case lv.K == VKInt && rv.K == VKInt && op != lplan.OpDiv:
+			return table.Vector{K: table.VKInt, N: n, Ints: ints[:n], Nulls: nulls}
+		case lv.K == table.VKInt && rv.K == table.VKInt && op != lplan.OpDiv:
 			ints = growInts(ints, n)
 			nulls = growBits(nulls, n)
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			li, ri := lv.Ints, rv.Ints
 			switch op {
 			case lplan.OpAdd:
@@ -396,18 +398,18 @@ func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 					}
 				}
 			}
-			return Vector{K: VKInt, N: n, Ints: ints[:n], nulls: nulls}
+			return table.Vector{K: table.VKInt, N: n, Ints: ints[:n], Nulls: nulls}
 		case isNumericVK(lv.K) && isNumericVK(rv.K):
 			floats = growFloats(floats, n)
 			nulls = growBits(nulls, n)
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			for i := 0; i < n; i++ {
 				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
 					setBit(nulls, i)
 					floats[i] = 0
 					continue
 				}
-				a, c := lv.laneFloat(i), rv.laneFloat(i)
+				a, c := laneFloat(&lv, i), laneFloat(&rv, i)
 				switch op {
 				case lplan.OpAdd:
 					floats[i] = a + c
@@ -424,7 +426,7 @@ func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 					floats[i] = a / c
 				}
 			}
-			return Vector{K: VKFloat, N: n, Floats: floats[:n], nulls: nulls}
+			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n], Nulls: nulls}
 		default:
 			// A non-numeric side: every lane is NULL.
 			return allNull(n)
@@ -450,20 +452,21 @@ func rowArith(op lplan.BinOp, lv, rv table.Value) table.Value {
 
 // cmpKernel vectorizes the six comparisons. NULL operands compare
 // false (never NULL), as in refimpl, so the output is a
-// bitmap-free VKBool vector.
-func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
+// bitmap-free VKBool vector. lc and rc say which operands are constants
+// (constKernel: the same value in every lane).
+func cmpKernel(op lplan.BinOp, l, r colKernel, lc, rc bool) colKernel {
 	var out []int64
 	var dictRes []bool
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
 		out = growInts(out, n)
-		if cmpDense(op, out[:n], &lv, &rv) {
-			return Vector{K: VKBool, N: n, Ints: out[:n]}
+		if cmpDense(op, out[:n], &lv, &rv, lc, rc) {
+			return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 		}
 		switch {
-		case lv.K == VKInt && rv.K == VKInt:
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+		case lv.K == table.VKInt && rv.K == table.VKInt:
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			li, ri := lv.Ints, rv.Ints
 			for i := 0; i < n; i++ {
 				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
@@ -473,15 +476,15 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 				out[i] = btoi(cmpInt(op, li[i], ri[i]))
 			}
 		case isNumericVK(lv.K) && isNumericVK(rv.K):
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			for i := 0; i < n; i++ {
 				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
 					out[i] = 0
 					continue
 				}
-				out[i] = btoi(cmpFloat(op, lv.laneFloat(i), rv.laneFloat(i)))
+				out[i] = btoi(cmpFloat(op, laneFloat(&lv, i), laneFloat(&rv, i)))
 			}
-		case lv.K == VKStr && rv.K == VKStr && rv.constVal:
+		case lv.K == table.VKStr && rv.K == table.VKStr && rc:
 			// Compare each dictionary entry against the constant once,
 			// then map codes through the result table.
 			rs := rv.Dict[0]
@@ -489,7 +492,7 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 			for code, s := range lv.Dict {
 				dictRes[code] = cmpStr(op, s, rs)
 			}
-			lnul := lv.hasNulls()
+			lnul := lv.HasNulls()
 			for i := 0; i < n; i++ {
 				if lnul && lv.IsNull(i) {
 					out[i] = 0
@@ -497,8 +500,8 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 				}
 				out[i] = btoi(dictRes[lv.Ints[i]])
 			}
-		case lv.K == VKStr && rv.K == VKStr:
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+		case lv.K == table.VKStr && rv.K == table.VKStr:
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			for i := 0; i < n; i++ {
 				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
 					out[i] = 0
@@ -506,8 +509,8 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 				}
 				out[i] = btoi(cmpStr(op, lv.Dict[lv.Ints[i]], rv.Dict[rv.Ints[i]]))
 			}
-		case lv.K == VKBool && rv.K == VKBool:
-			lnul, rnul := lv.hasNulls(), rv.hasNulls()
+		case lv.K == table.VKBool && rv.K == table.VKBool:
+			lnul, rnul := lv.HasNulls(), rv.HasNulls()
 			for i := 0; i < n; i++ {
 				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
 					out[i] = 0
@@ -520,33 +523,33 @@ func cmpKernel(op lplan.BinOp, l, r colKernel) colKernel {
 				out[i] = btoi(cmpRow(op, lv.Value(i), rv.Value(i)))
 			}
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
 // cmpDense compares NULL-free numeric lanes with the operator switched
 // on once per batch, not per lane, and reports whether it could: a
 // column against a constant (read once, as a float unless both sides
-// are integers) or two columns of one kind. Results are cmpInt's and
-// cmpFloat's.
-func cmpDense(op lplan.BinOp, out []int64, lv, rv *Vector) bool {
-	if len(out) == 0 || lv.hasNulls() || rv.hasNulls() || !isNumericVK(lv.K) || !isNumericVK(rv.K) {
+// are integers) or two columns of one kind. lc and rc are cmpKernel's.
+// Results are cmpInt's and cmpFloat's.
+func cmpDense(op lplan.BinOp, out []int64, lv, rv *table.Vector, lc, rc bool) bool {
+	if len(out) == 0 || lv.HasNulls() || rv.HasNulls() || !isNumericVK(lv.K) || !isNumericVK(rv.K) {
 		return false
 	}
-	if lv.constVal && !rv.constVal {
-		lv, rv, op = rv, lv, flipCmp(op)
+	if lc && !rc {
+		lv, rv, op, rc = rv, lv, flipCmp(op), true
 	}
 	n := len(out)
 	switch {
-	case rv.constVal && lv.K == VKInt && rv.K == VKInt:
+	case rc && lv.K == table.VKInt && rv.K == table.VKInt:
 		cmpConst(op, out, lv.Ints[:n], rv.Ints[0])
-	case rv.constVal && lv.K == VKInt:
+	case rc && lv.K == table.VKInt:
 		cmpConst(op, out, lv.Ints[:n], rv.Floats[0])
-	case rv.constVal:
-		cmpConst(op, out, lv.Floats[:n], rv.laneFloat(0))
-	case lv.K == VKInt && rv.K == VKInt:
+	case rc:
+		cmpConst(op, out, lv.Floats[:n], laneFloat(rv, 0))
+	case lv.K == table.VKInt && rv.K == table.VKInt:
 		cmpCols(op, out, lv.Ints[:n], rv.Ints[:n])
-	case lv.K == VKFloat && rv.K == VKFloat:
+	case lv.K == table.VKFloat && rv.K == table.VKFloat:
 		cmpCols(op, out, lv.Floats[:n], rv.Floats[:n])
 	default:
 		return false
@@ -724,12 +727,12 @@ func cmpRow(op lplan.BinOp, lv, rv table.Value) bool {
 
 func notKernel(in colKernel) colKernel {
 	var out []int64
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
 		out = growInts(out, n)
-		if v.K == VKBool {
-			nul := v.hasNulls()
+		if v.K == table.VKBool {
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				out[i] = btoi(!(nul && v.IsNull(i)) && v.Ints[i] == 0)
 			}
@@ -739,7 +742,7 @@ func notKernel(in colKernel) colKernel {
 				out[i] = btoi(lv.Kind() == table.KindBool && !lv.Bool())
 			}
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
@@ -748,14 +751,14 @@ func negKernel(in colKernel, mem *ledger) colKernel {
 	var floats []float64
 	var nulls []uint64
 	bld := vecBuilder{mem: mem}
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
 		switch v.K {
-		case VKInt:
+		case table.VKInt:
 			ints = growInts(ints, n)
 			nulls = growBits(nulls, n)
-			nul := v.hasNulls()
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
 					setBit(nulls, i)
@@ -764,11 +767,11 @@ func negKernel(in colKernel, mem *ledger) colKernel {
 				}
 				ints[i] = -v.Ints[i]
 			}
-			return Vector{K: VKInt, N: n, Ints: ints[:n], nulls: nulls}
-		case VKFloat:
+			return table.Vector{K: table.VKInt, N: n, Ints: ints[:n], Nulls: nulls}
+		case table.VKFloat:
 			floats = growFloats(floats, n)
 			nulls = growBits(nulls, n)
-			nul := v.hasNulls()
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
 					setBit(nulls, i)
@@ -777,8 +780,8 @@ func negKernel(in colKernel, mem *ledger) colKernel {
 				}
 				floats[i] = -v.Floats[i]
 			}
-			return Vector{K: VKFloat, N: n, Floats: floats[:n], nulls: nulls}
-		case VKAny:
+			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n], Nulls: nulls}
+		case table.VKAny:
 			bld.reset()
 			for i := 0; i < n; i++ {
 				lv := v.Vals[i]
@@ -801,11 +804,11 @@ func negKernel(in colKernel, mem *ledger) colKernel {
 
 func isNullKernel(in colKernel, inv bool) colKernel {
 	var out []int64
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
 		out = growInts(out, n)
-		if !v.hasNulls() {
+		if !v.HasNulls() {
 			fill := btoi(inv) // non-NULL lane: IsNull()==false, false != inv == inv
 			for i := 0; i < n; i++ {
 				out[i] = fill
@@ -815,7 +818,7 @@ func isNullKernel(in colKernel, inv bool) colKernel {
 				out[i] = btoi(v.IsNull(i) != inv)
 			}
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
@@ -869,17 +872,17 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 	sets := buildInSets(vals)
 	var out []int64
 	var dictRes []bool
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
 		out = growInts(out, n)
 		switch v.K {
-		case VKNull:
+		case table.VKNull:
 			for i := 0; i < n; i++ {
 				out[i] = 0
 			}
-		case VKInt:
-			nul := v.hasNulls()
+		case table.VKInt:
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
 					out[i] = 0
@@ -887,8 +890,8 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 				}
 				out[i] = btoi(sets.ints[v.Ints[i]] != inv)
 			}
-		case VKFloat:
-			nul := v.hasNulls()
+		case table.VKFloat:
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
 					out[i] = 0
@@ -896,12 +899,12 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 				}
 				out[i] = btoi(sets.hasFloat(v.Floats[i]) != inv)
 			}
-		case VKStr:
+		case table.VKStr:
 			dictRes = growBools(dictRes, len(v.Dict))
 			for code, s := range v.Dict {
 				dictRes[code] = sets.strs[s] != inv
 			}
-			nul := v.hasNulls()
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
 					out[i] = 0
@@ -909,8 +912,8 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 				}
 				out[i] = btoi(dictRes[v.Ints[i]])
 			}
-		case VKBool:
-			nul := v.hasNulls()
+		case table.VKBool:
+			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
 					out[i] = 0
@@ -928,7 +931,7 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 				out[i] = btoi(sets.key[lv.Key()] != inv)
 			}
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
@@ -936,19 +939,19 @@ func likeKernel(in colKernel, pattern string, inv bool) colKernel {
 	match := compileLike(pattern)
 	var out []int64
 	var dictRes []bool
-	return func(b *Batch) Vector {
+	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
 		out = growInts(out, n)
 		switch v.K {
-		case VKStr:
+		case table.VKStr:
 			if len(v.Dict) <= n {
 				// Match each dictionary entry once, map codes through.
 				dictRes = growBools(dictRes, len(v.Dict))
 				for code, s := range v.Dict {
 					dictRes[code] = match(s) != inv
 				}
-				nul := v.hasNulls()
+				nul := v.HasNulls()
 				for i := 0; i < n; i++ {
 					if nul && v.IsNull(i) {
 						out[i] = 0
@@ -957,7 +960,7 @@ func likeKernel(in colKernel, pattern string, inv bool) colKernel {
 					out[i] = btoi(dictRes[v.Ints[i]])
 				}
 			} else {
-				nul := v.hasNulls()
+				nul := v.HasNulls()
 				for i := 0; i < n; i++ {
 					if nul && v.IsNull(i) {
 						out[i] = 0
@@ -966,7 +969,7 @@ func likeKernel(in colKernel, pattern string, inv bool) colKernel {
 					out[i] = btoi(match(v.Dict[v.Ints[i]]) != inv)
 				}
 			}
-		case VKAny:
+		case table.VKAny:
 			for i := 0; i < n; i++ {
 				lv := v.Vals[i]
 				if lv.Kind() != table.KindString {
@@ -981,6 +984,6 @@ func likeKernel(in colKernel, pattern string, inv bool) colKernel {
 				out[i] = 0
 			}
 		}
-		return Vector{K: VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }

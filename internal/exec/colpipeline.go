@@ -35,12 +35,11 @@ type colOperator interface {
 	Next() (Batch, error)
 }
 
-// colScanSource streams one stored partition's columnar mirror,
-// windowing the carried columns zero-copy and extracting apriori sample
-// weights per batch. Raw bytes account the full stored width: the
-// partition's Bytes, charged with its first batch (a scan is always
-// pulled dry); the pruned width shows up on the downstream operators
-// instead.
+// colScanSource streams one stored partition, slicing the carried
+// columns zero-copy and extracting apriori sample weights per batch.
+// Raw bytes account the full stored width: the partition's Bytes,
+// charged with its first batch (a scan is always pulled dry); the
+// pruned width shows up on the downstream operators instead.
 type colScanSource struct {
 	p    *PScan
 	cp   *table.ColPartition
@@ -55,7 +54,7 @@ type colScanSource struct {
 	raw *float64
 
 	weights []float64
-	cols    []Vector
+	cols    []table.Vector
 }
 
 func (s *colScanSource) Next() (Batch, error) {
@@ -75,11 +74,11 @@ func (s *colScanSource) Next() (Batch, error) {
 	s.cols = s.cols[:0]
 	if len(s.p.ColIdx) > 0 {
 		for _, ci := range s.p.ColIdx {
-			s.cols = append(s.cols, window(&s.cp.Cols[ci], s.pos, n))
+			s.cols = append(s.cols, s.cp.Cols[ci].Slice(s.pos, n))
 		}
 	} else {
 		for c := range s.cp.Cols {
-			s.cols = append(s.cols, window(&s.cp.Cols[c], s.pos, n))
+			s.cols = append(s.cols, s.cp.Cols[c].Slice(s.pos, n))
 		}
 	}
 	if cap(s.weights) < n {
@@ -87,9 +86,9 @@ func (s *colScanSource) Next() (Batch, error) {
 	}
 	s.weights = s.weights[:n]
 	if s.p.WeightIdx >= 0 && s.p.WeightIdx < len(s.cp.Cols) {
-		wv := window(&s.cp.Cols[s.p.WeightIdx], s.pos, n)
+		wv := &s.cp.Cols[s.p.WeightIdx]
 		for i := 0; i < n; i++ {
-			w := wv.laneFloat(i)
+			w := laneFloat(wv, s.pos+i)
 			if w <= 0 {
 				w = 1
 			}
@@ -102,7 +101,7 @@ func (s *colScanSource) Next() (Batch, error) {
 	}
 	outBytes := 8 * float64(n)
 	for c := range s.cols {
-		outBytes += s.cols[c].bytesAll()
+		outBytes += s.cols[c].BytesAll()
 	}
 	s.pos += n
 	s.st.AddInput(s.task, int64(n), rawBytes)
@@ -160,9 +159,9 @@ func (f *colFilterOp) Next() (Batch, error) {
 
 // truthyLanes appends to dst the live lanes of b on which the predicate
 // result v is true.
-func truthyLanes(dst []int32, v *Vector, b *Batch) []int32 {
+func truthyLanes(dst []int32, v *table.Vector, b *Batch) []int32 {
 	switch v.K {
-	case VKBool:
+	case table.VKBool:
 		// NULL lanes carry payload 0, so truthiness is the payload.
 		if b.sel != nil {
 			for _, i := range b.sel {
@@ -177,7 +176,7 @@ func truthyLanes(dst []int32, v *Vector, b *Batch) []int32 {
 				}
 			}
 		}
-	case VKAny:
+	case table.VKAny:
 		if b.sel != nil {
 			for _, i := range b.sel {
 				if truthy(v.Vals[i]) {
@@ -206,7 +205,7 @@ type colProjectOp struct {
 	st    *cluster.Stage
 	task  int
 	slot  *metrics.Slot
-	cols  []Vector
+	cols  []table.Vector
 }
 
 func (p *colProjectOp) Next() (Batch, error) {
@@ -226,7 +225,7 @@ func (p *colProjectOp) Next() (Batch, error) {
 	} else {
 		bytes = 8 * float64(b.n)
 		for c := range p.cols {
-			bytes += p.cols[c].bytesAll()
+			bytes += p.cols[c].BytesAll()
 		}
 	}
 	p.st.AddCPU(p.task, p.cost*float64(live))
@@ -349,7 +348,7 @@ func (s *colSampleOp) Next() (Batch, error) {
 // the lane's keys, and admits.
 type universeLanes struct {
 	s      *sampler.Universe
-	keys   []Vector
+	keys   []table.Vector
 	hashes []uint64 // by lane
 }
 
@@ -390,14 +389,14 @@ type distinctLanes struct {
 	colIdx  []int
 	buckets []bucketCol
 	kt      *keyTable
-	keys    []Vector
+	keys    []table.Vector
 	ids     []int64
 	em      []sampler.Emit
 	held    []int32
 	hold    *partBuilder
 	out     *partBuilder // the output batch, rebuilt per batch
 	run     []int32
-	vecs    []Vector
+	vecs    []table.Vector
 }
 
 // bucketCol stratifies on ⌈v/width⌉ of the column at pos — the paper's
@@ -413,14 +412,14 @@ type bucketCol struct {
 
 // vector returns the bucket vector of v over the lanes sel (the other
 // lanes are unspecified).
-func (bc *bucketCol) vector(v *Vector, sel []int32) Vector {
+func (bc *bucketCol) vector(v *table.Vector, sel []int32) table.Vector {
 	switch v.K {
-	case VKInt, VKFloat:
+	case table.VKInt, table.VKFloat:
 		bc.ints = growInts(bc.ints, v.N)
 		for _, i := range sel {
-			bc.ints[i] = int64(math.Ceil(v.laneFloat(int(i)) / bc.width))
+			bc.ints[i] = int64(math.Ceil(laneFloat(v, int(i)) / bc.width))
 		}
-	case VKAny:
+	case table.VKAny:
 		bc.vals = slices.Grow(bc.vals[:0], v.N)[:v.N]
 		for _, i := range sel {
 			x := v.Vals[i]
@@ -429,11 +428,11 @@ func (bc *bucketCol) vector(v *Vector, sel []int32) Vector {
 			}
 			bc.vals[i] = x
 		}
-		return Vector{K: VKAny, N: v.N, Vals: bc.vals}
+		return table.Vector{K: table.VKAny, N: v.N, Vals: bc.vals}
 	default:
 		return *v
 	}
-	return Vector{K: VKInt, N: v.N, Ints: bc.ints, nulls: v.nulls, nullOff: v.nullOff}
+	return table.Vector{K: table.VKInt, N: v.N, Ints: bc.ints, Nulls: v.Nulls, NullOff: v.NullOff}
 }
 
 // admit runs the live lanes sel of b through the sampler and returns
@@ -464,7 +463,7 @@ func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 // lanes copies from src, each run of drained rows from hold.
 //
 //hot:distinct sampler emission builder, per batch with a drain
-func (d *distinctLanes) emit(src []Vector, w []float64, pass []int32) Batch {
+func (d *distinctLanes) emit(src []table.Vector, w []float64, pass []int32) Batch {
 	for c := range d.out.cols {
 		d.out.cols[c].reset()
 	}
@@ -531,7 +530,7 @@ type colProbeOp struct {
 	selBuf []int32
 	pl, pr []int32
 	out    *partBuilder
-	vecs   []Vector
+	vecs   []table.Vector
 }
 
 func (o *colProbeOp) Next() (Batch, error) {
@@ -645,7 +644,7 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 	o.vecs = out.vectors(o.vecs[:0])
 	bytes := 8 * float64(len(pl))
 	for c := range o.vecs {
-		bytes += o.vecs[c].bytesAll()
+		bytes += o.vecs[c].BytesAll()
 	}
 	return Batch{cols: o.vecs, n: len(pl), weights: out.w, bytes: bytes}
 }
@@ -655,7 +654,7 @@ func (o *colProbeOp) probe(b *Batch) Batch {
 type joinResidual struct {
 	kern   colKernel
 	cand   *partBuilder // the candidate pairs' columns
-	vecs   []Vector
+	vecs   []table.Vector
 	keep   []int32
 	ol, or []int32
 }
@@ -664,7 +663,7 @@ type joinResidual struct {
 // pass the residual, plus, under a left outer join, a (lane, −1) pad for
 // every lane left with no passing pair, in lane order. The result is
 // valid until the next call.
-func (jr *joinResidual) filter(lcols, rcols []Vector, pl, pr, sel []int32, outer bool) ([]int32, []int32) {
+func (jr *joinResidual) filter(lcols, rcols []table.Vector, pl, pr, sel []int32, outer bool) ([]int32, []int32) {
 	for c := range jr.cand.cols {
 		jr.cand.cols[c].reset()
 	}

@@ -144,7 +144,7 @@ type keyTable struct {
 	cols []vecBuilder // the keys
 	// keys is cols as vectors, refreshed (refresh) once resolve has
 	// inserted.
-	keys  []Vector
+	keys  []table.Vector
 	stale bool
 	// A direct-address table's ids by key − lo, +1; 0 = not met.
 	lo   int64
@@ -152,7 +152,7 @@ type keyTable struct {
 	// comboID maps a combination of key codes (code 0 = NULL, each key a
 	// digit of base radix) to its id, -1 = not met yet; it holds for the
 	// key kinds and dictionaries in coding.
-	coding  []Vector
+	coding  []table.Vector
 	radix   []int
 	comboID []int32
 	hashes  []uint64 // per-lane scratch
@@ -162,7 +162,7 @@ type keyTable struct {
 
 // newKeyTable keeps its keys on mem.
 func newKeyTable(mem *ledger, width int) *keyTable {
-	t := &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]Vector, width)}
+	t := &keyTable{idx: newHashIndex(16), cols: make([]vecBuilder, width), keys: make([]table.Vector, width)}
 	for c := range t.cols {
 		t.cols[c].mem = mem
 	}
@@ -179,12 +179,12 @@ func newKeyTable(mem *ledger, width int) *keyTable {
 // key (an entry hash and two slots). Any other keys resolve through a
 // hashIndex, and into key columns, sized for the lanes, so neither
 // grows, and string keys share their column's dictionary.
-func newKeyIndex(mem *ledger, ids []int64, keys []Vector, lanes []int32) *keyTable {
-	if len(keys) == 1 && keys[0].K == VKInt {
+func newKeyIndex(mem *ledger, ids []int64, keys []table.Vector, lanes []int32) *keyTable {
+	if len(keys) == 1 && keys[0].K == table.VKInt {
 		v := &keys[0]
 		lo, hi, direct := int64(math.MaxInt64), int64(math.MinInt64), true
 		for _, i := range lanes {
-			if v.nulls != nil && v.IsNull(int(i)) {
+			if v.Nulls != nil && v.IsNull(int(i)) {
 				direct = false
 				break
 			}
@@ -198,7 +198,7 @@ func newKeyIndex(mem *ledger, ids []int64, keys []Vector, lanes []int32) *keyTab
 	t.idx = newHashIndex(len(lanes))
 	for k := range keys {
 		t.cols[k].hint = len(lanes)
-		if keys[k].K == VKStr {
+		if keys[k].K == table.VKStr {
 			// The column's own dictionary: the keys share it, not
 			// re-interning each string.
 			t.cols[k].setSource(keys[k].Dict, true)
@@ -211,10 +211,10 @@ func newKeyIndex(mem *ledger, ids []int64, keys []Vector, lanes []int32) *keyTab
 // directKeyTable is newKeyIndex's direct-address table over the listed
 // lanes of the lone integer key keys[0], whose keys lie in [lo, hi]: ids
 // go to keys in first-seen order through slot.
-func directKeyTable(mem *ledger, ids []int64, keys []Vector, lanes []int32, lo, hi int64) *keyTable {
+func directKeyTable(mem *ledger, ids []int64, keys []table.Vector, lanes []int32, lo, hi int64) *keyTable {
 	// There are no more keys than lanes, so the key column never moves.
-	col := vecBuilder{mem: mem, k: VKInt, ints: slab[int64](mem, len(lanes))[:0]}
-	t := &keyTable{cols: []vecBuilder{col}, keys: make([]Vector, 1), lo: lo}
+	col := vecBuilder{mem: mem, k: table.VKInt, ints: slab[int64](mem, len(lanes))[:0]}
+	t := &keyTable{cols: []vecBuilder{col}, keys: make([]table.Vector, 1), lo: lo}
 	if lo <= hi {
 		t.slot = slab[int32](mem, int(uint64(hi)-uint64(lo))+1)
 		clear(t.slot)
@@ -236,14 +236,14 @@ func directKeyTable(mem *ledger, ids []int64, keys []Vector, lanes []int32, lo, 
 // coded reports whether every key is a dictionary string or a bool and
 // their code combinations fit comboID (at most 4096, or one string
 // key's dictionary), and makes comboID translate the keys' codes.
-func (t *keyTable) coded(keys []Vector) bool {
+func (t *keyTable) coded(keys []table.Vector) bool {
 	same, size := len(t.coding) == len(keys), 1
 	t.radix = t.radix[:0]
 	for k := range keys {
 		v, r := &keys[k], 3 // a bool's NULL, false, true
-		if v.K == VKStr {
+		if v.K == table.VKStr {
 			r = len(v.Dict) + 1
-		} else if v.K != VKBool {
+		} else if v.K != table.VKBool {
 			return false
 		}
 		if size *= r; size > 1<<12 && len(keys) > 1 {
@@ -255,7 +255,7 @@ func (t *keyTable) coded(keys []Vector) bool {
 	if !same {
 		t.coding = t.coding[:0]
 		for k := range keys {
-			t.coding = append(t.coding, Vector{K: keys[k].K, Dict: keys[k].Dict})
+			t.coding = append(t.coding, table.Vector{K: keys[k].K, Dict: keys[k].Dict})
 		}
 		t.comboID = slices.Grow(t.comboID[:0], size)[:size]
 		for c := range t.comboID {
@@ -279,7 +279,7 @@ func (t *keyTable) len() int {
 // exchangeHashSeed), and resolve hashes nothing itself.
 //
 //hot:per-lane group-id and stratum-id resolution, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey, BenchmarkAggIntKeys and BenchmarkDistinctSample
-func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32, hashes []uint64) {
+func (t *keyTable) resolve(ids []int64, keys []table.Vector, lanes []int32, hashes []uint64) {
 	if len(keys) == 0 || len(lanes) == 0 {
 		// The empty tuple is one key.
 		if t.len() == 0 && len(lanes) > 0 {
@@ -302,12 +302,12 @@ func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32, hashes []u
 	case t.coded(keys):
 		for _, i := range lanes {
 			c := int(v.Ints[i]) + 1
-			if v.nulls != nil && v.IsNull(int(i)) {
+			if v.Nulls != nil && v.IsNull(int(i)) {
 				c = 0 // NULL
 			}
 			for k := 1; k < len(keys); k++ {
 				kv, code := &keys[k], int(keys[k].Ints[i])+1
-				if kv.nulls != nil && kv.IsNull(int(i)) {
+				if kv.Nulls != nil && kv.IsNull(int(i)) {
 					code = 0
 				}
 				c = c*t.radix[k] + code
@@ -362,10 +362,10 @@ func (t *keyTable) resolve(ids []int64, keys []Vector, lanes []int32, hashes []u
 
 // allInts reports whether keys and the keys met so far are all NULL-free
 // integers, which probeInts compares payload to payload.
-func (t *keyTable) allInts(keys []Vector) bool {
+func (t *keyTable) allInts(keys []table.Vector) bool {
 	for k := range keys {
 		v, stored := &keys[k], &t.cols[k]
-		if v.K != VKInt || v.nulls != nil || stored.anyNull || (stored.k != VKInt && stored.n > 0) {
+		if v.K != table.VKInt || v.Nulls != nil || stored.anyNull || (stored.k != table.VKInt && stored.n > 0) {
 			return false
 		}
 	}
@@ -375,7 +375,7 @@ func (t *keyTable) allInts(keys []Vector) bool {
 // probeInts is hashIndex.probe for allInts keys, without the callback.
 //
 //hot:per-row closure-free group probe, gated by BenchmarkAggIntKeys allocs/op
-func (t *keyTable) probeInts(h uint64, keys []Vector, i int) int {
+func (t *keyTable) probeInts(h uint64, keys []table.Vector, i int) int {
 	x := t.idx
 	//lint:ignore ctxflow open-addressing probe; load factor < 1/2 guarantees a vacant slot within one wrap
 	for s := x.home(h); ; s = (s + 1) & x.mask {
@@ -398,7 +398,7 @@ func (t *keyTable) probeInts(h uint64, keys []Vector, i int) int {
 // met first, at id n0 or later, is compared at its first lane in keys
 // (fresh, by id − n0) and reaches the key columns when resolve returns,
 // so the key vectors are refreshed once per resolve, not per insert.
-func (t *keyTable) lookup(keys []Vector, i int, h uint64, n0 int) int {
+func (t *keyTable) lookup(keys []table.Vector, i int, h uint64, n0 int) int {
 	e := t.idx.probe(h, func(e int) bool {
 		if e >= n0 {
 			return keyLanesEqual(keys, int(t.fresh[e-n0]), keys, i)
@@ -414,11 +414,11 @@ func (t *keyTable) lookup(keys []Vector, i int, h uint64, n0 int) int {
 
 // appendInts appends lane i of NULL-free integer keys to the key
 // columns, each payload to its column's integers directly.
-func (t *keyTable) appendInts(keys []Vector, i int) {
+func (t *keyTable) appendInts(keys []table.Vector, i int) {
 	for k := range keys {
 		c := &t.cols[k]
-		if c.k == VKNull {
-			c.adopt(VKInt)
+		if c.k == table.VKNull {
+			c.adopt(table.VKInt)
 		}
 		c.ints = grow(c.mem, c.ints, 1)
 		c.ints[len(c.ints)-1] = keys[k].Ints[i]
@@ -436,7 +436,7 @@ func (t *keyTable) appendInts(keys []Vector, i int) {
 // finds in one table are safe once resolve has returned.
 //
 //hot:per-lane key lookup of join probes, gated by BenchmarkJoin* and BenchmarkStarJoin allocs/op
-func (t *keyTable) find(ids []int64, keys []Vector, lanes []int32, hashes []uint64) {
+func (t *keyTable) find(ids []int64, keys []table.Vector, lanes []int32, hashes []uint64) {
 	switch {
 	case len(keys) == 0: // the empty tuple is id 0 once met
 		for _, i := range lanes {
@@ -446,9 +446,9 @@ func (t *keyTable) find(ids []int64, keys []Vector, lanes []int32, hashes []uint
 		v, slot, lo := &keys[0], t.slot, uint64(t.lo)
 		for _, i := range lanes {
 			d := uint64(len(slot)) // a miss
-			if v.K == VKInt {
+			if v.K == table.VKInt {
 				d = uint64(v.Ints[i]) - lo
-			} else if v.K == VKAny && v.Vals[i].Kind() == table.KindInt {
+			} else if v.K == table.VKAny && v.Vals[i].Kind() == table.KindInt {
 				d = uint64(v.Vals[i].Int()) - lo
 			}
 			id := int64(-1)
@@ -480,22 +480,22 @@ func (t *keyTable) refresh() {
 // have equal Value.Key() forms.
 //
 //hot:per-probe key compare of the aggregate's group tables
-func keyLanesEqual(a []Vector, i int, b []Vector, j int) bool {
+func keyLanesEqual(a []table.Vector, i int, b []table.Vector, j int) bool {
 	for k := range a {
 		av, bv := &a[k], &b[k]
-		if av.K != bv.K || (av.K != VKInt && av.K != VKStr && av.K != VKBool) {
+		if av.K != bv.K || (av.K != table.VKInt && av.K != table.VKStr && av.K != table.VKBool) {
 			if !av.Value(i).KeyEqual(bv.Value(j)) {
 				return false
 			}
 			continue
 		}
-		an, bn := av.nulls != nil && av.IsNull(i), bv.nulls != nil && bv.IsNull(j)
+		an, bn := av.Nulls != nil && av.IsNull(i), bv.Nulls != nil && bv.IsNull(j)
 		switch {
 		case an || bn:
 			if an != bn {
 				return false
 			}
-		case av.K == VKStr:
+		case av.K == table.VKStr:
 			if av.Dict[av.Ints[i]] != bv.Dict[bv.Ints[j]] {
 				return false
 			}
@@ -514,8 +514,8 @@ func keyLanesEqual(a []Vector, i int, b []Vector, j int) bool {
 // fixes the order of the probe's output. A probe finds its lanes' ids in
 // keys and gathers its output from cols and w by build-row index.
 type joinTable struct {
-	cols []Vector  // every build column
-	w    []float64 // build-row weights
+	cols []table.Vector // every build column
+	w    []float64      // build-row weights
 	keys *keyTable
 	head []int32
 	next []int32
@@ -564,25 +564,25 @@ func (t *joinTable) thread(mem *ledger, ids []int64, lanes []int32) {
 // float or mixed key column becomes a mixed one of such values; integer,
 // string and bool columns pass as they are.
 type joinKeys struct {
-	keys  []Vector
+	keys  []table.Vector
 	lanes []int32
 	vals  [][]table.Value // the canonical lanes of float and mixed keys, by key
 }
 
-func newJoinKeys(width int) joinKeys { return joinKeys{keys: make([]Vector, width)} }
+func newJoinKeys(width int) joinKeys { return joinKeys{keys: make([]table.Vector, width)} }
 
 // set takes the key columns idx of cols over the live lanes sel and
 // returns the lanes that can match: sel itself when all of them can.
 //
 //hot:join key canonicalization, per live lane of a nullable, float or mixed key
-func (jk *joinKeys) set(cols []Vector, idx []int, sel []int32) []int32 {
+func (jk *joinKeys) set(cols []table.Vector, idx []int, sel []int32) []int32 {
 	lanes := sel
 	for k, ci := range idx {
 		v := &cols[ci]
 		jk.keys[k] = *v
 		switch v.K {
-		case VKInt, VKStr, VKBool:
-			if v.nulls == nil {
+		case table.VKInt, table.VKStr, table.VKBool:
+			if v.Nulls == nil {
 				continue
 			}
 			kept := jk.lanes[:0]
@@ -592,7 +592,7 @@ func (jk *joinKeys) set(cols []Vector, idx []int, sel []int32) []int32 {
 				}
 			}
 			lanes = kept
-		case VKFloat, VKAny:
+		case table.VKFloat, table.VKAny:
 			if jk.vals == nil {
 				jk.vals = make([][]table.Value, len(idx))
 			}
@@ -602,7 +602,7 @@ func (jk *joinKeys) set(cols []Vector, idx []int, sel []int32) []int32 {
 					vals[i], kept = x, append(kept, i)
 				}
 			}
-			jk.vals[k], jk.keys[k], lanes = vals, Vector{K: VKAny, N: v.N, Vals: vals}, kept
+			jk.vals[k], jk.keys[k], lanes = vals, table.Vector{K: table.VKAny, N: v.N, Vals: vals}, kept
 		default: // all NULL
 			lanes = jk.lanes[:0]
 		}

@@ -82,7 +82,7 @@ func TestHashIndexGrowth(t *testing.T) {
 // integral float beside the equal int, which must group exactly like
 // the Value.Key() strings.
 func TestRowKeyNullAndEmpty(t *testing.T) {
-	group := func(n int, keys ...Vector) []int64 {
+	group := func(n int, keys ...table.Vector) []int64 {
 		lanes, ids := make([]int32, n), make([]int64, n)
 		for i := range lanes {
 			lanes[i] = int32(i)
@@ -94,16 +94,16 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		n    int
-		keys []Vector
+		keys []table.Vector
 		want []int64
 	}{
 		{"empty key", 3, nil, []int64{0, 0, 0}},
 		// NULL keys group together, unlike Value.Equal, where NULL≠NULL.
-		{"NULL string", 4, []Vector{vecOf(table.Null, x, table.Null, x)}, []int64{0, 1, 0, 1}},
-		{"NULL int", 4, []Vector{vecOf(table.NewInt(4), table.Null, table.NewInt(4), table.Null)}, []int64{0, 1, 0, 1}},
-		{"float and int", 5, []Vector{vecOf(table.NewFloat(42), table.NewInt(42), table.NewFloat(42.5), table.Null, table.NewInt(7))},
+		{"NULL string", 4, []table.Vector{vecOf(table.Null, x, table.Null, x)}, []int64{0, 1, 0, 1}},
+		{"NULL int", 4, []table.Vector{vecOf(table.NewInt(4), table.Null, table.NewInt(4), table.Null)}, []int64{0, 1, 0, 1}},
+		{"float and int", 5, []table.Vector{vecOf(table.NewFloat(42), table.NewInt(42), table.NewFloat(42.5), table.Null, table.NewInt(7))},
 			[]int64{0, 0, 1, 2, 3}},
-		{"two keys", 4, []Vector{vecOf(table.Null, table.Null, table.NewInt(1), table.Null), vecOf(x, x, x, table.Null)},
+		{"two keys", 4, []table.Vector{vecOf(table.Null, table.Null, table.NewInt(1), table.Null), vecOf(x, x, x, table.Null)},
 			[]int64{0, 0, 1, 2}},
 	} {
 		if got := group(tc.n, tc.keys...); !slices.Equal(got, tc.want) {
@@ -181,11 +181,11 @@ func TestKeyTableRoutedHashes(t *testing.T) {
 			for d := 0; d < parts; d++ {
 				routed, own, mixed := newKeyTable(newLedger(), len(keyIdx)), newKeyTable(newLedger(), len(keyIdx)), newKeyTable(newLedger(), len(keyIdx))
 				idsR, idsO, idsM := make([]int64, win), make([]int64, win), make([]int64, win)
-				keys := make([]Vector, len(keyIdx))
+				keys := make([]table.Vector, len(keyIdx))
 				for i := range srcs {
 					for w, pos := 0, 0; pos < rows; w, pos = w+1, pos+win {
 						for k, ci := range keyIdx {
-							keys[k] = srcs[i].Cols[ci].slice(pos, win)
+							keys[k] = srcs[i].Cols[ci].Slice(pos, win)
 						}
 						sel := rt.sel(i, w, d)
 						hs := rt.hashes[i][pos : pos+win]
@@ -292,7 +292,7 @@ func TestJoinTableChainOrder(t *testing.T) {
 				t.Fatalf("n=%d key %d: chain %v, want %v", n, k, got, want)
 			}
 		}
-		absent := []Vector{vectorOf(intKeys(3)), vectorOf([]table.Value{table.NewString("key-0004")})}
+		absent := []table.Vector{vectorOf(intKeys(3)), vectorOf([]table.Value{table.NewString("key-0004")})}
 		hashKeys(hashes, absent, nil, exchangeHashSeed, nil, 1)
 		if bt.keys.find(ids, absent, lanes[:1], hashes); ids[0] != -1 {
 			t.Fatalf("n=%d: absent key found as id %d", n, ids[0])
@@ -319,9 +319,9 @@ func TestJoinTableHashCollisions(t *testing.T) {
 	for i := range lanes {
 		lanes[i], same[i] = int32(i), h
 	}
-	absent := []Vector{vectorOf(intKeys(n + 5)), vectorOf([]table.Value{table.NewString("s65")})}
+	absent := []table.Vector{vectorOf(intKeys(n + 5)), vectorOf([]table.Value{table.NewString("s65")})}
 	for _, idx := range [][]int{{0}, {1}, {0, 1}} {
-		keys, miss := make([]Vector, len(idx)), make([]Vector, len(idx))
+		keys, miss := make([]table.Vector, len(idx)), make([]table.Vector, len(idx))
 		for k, c := range idx {
 			keys[k], miss[k] = cols[c], absent[c]
 		}
@@ -346,7 +346,7 @@ func TestJoinTableHashCollisions(t *testing.T) {
 		if bt.keys.len() != 0 {
 			t.Fatalf("keys %v: %d ids over NULL keys", idx, bt.keys.len())
 		}
-		keys := make([]Vector, len(idx))
+		keys := make([]table.Vector, len(idx))
 		for k, c := range idx {
 			keys[k] = cols[c]
 		}
@@ -397,7 +397,7 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 			for o := range tables {
 				j := (o + p) % len(tables) // probers start on different tables
 				tc := tables[j]
-				keys := make([]Vector, len(tc.idx))
+				keys := make([]table.Vector, len(tc.idx))
 				for k, c := range tc.idx {
 					keys[k] = cols[c]
 				}
@@ -436,7 +436,7 @@ func intKeys(ks ...int64) []table.Value {
 }
 
 // vectorOf builds one column from vals.
-func vectorOf(vals []table.Value) Vector {
+func vectorOf(vals []table.Value) table.Vector {
 	pb := newPartBuilder(newLedger(), 1, len(vals))
 	for _, v := range vals {
 		pb.appendRow(table.Row{v})
@@ -448,12 +448,12 @@ func vectorOf(vals []table.Value) Vector {
 // probePairs runs a probe of bt over one batch of the lone key column
 // key (live lanes sel, nil = all) and returns the (probe lane, build
 // row) pairs it recorded.
-func probePairs(bt *joinTable, key Vector, sel []int32, outer bool) ([]int32, []int32) {
-	return probeKeys(bt, []Vector{key}, sel, outer)
+func probePairs(bt *joinTable, key table.Vector, sel []int32, outer bool) ([]int32, []int32) {
+	return probeKeys(bt, []table.Vector{key}, sel, outer)
 }
 
 // probeKeys is probePairs over the key columns keys.
-func probeKeys(bt *joinTable, keys []Vector, sel []int32, outer bool) ([]int32, []int32) {
+func probeKeys(bt *joinTable, keys []table.Vector, sel []int32, outer bool) ([]int32, []int32) {
 	lIdx := make([]int, len(keys))
 	for k := range lIdx {
 		lIdx[k] = k
@@ -488,7 +488,7 @@ func hashedJoinTable(build *Part, keyIdx []int) *joinTable {
 // a probe lane pairs, in build order, with every build row whose key is
 // not NULL, has the lane's Hash64 and is Value.Equal to the lane's key;
 // under outer a lane with no match pairs with −1.
-func refPairs(build []table.Value, key Vector, sel []int32, outer bool) ([]int32, []int32) {
+func refPairs(build []table.Value, key table.Vector, sel []int32, outer bool) ([]int32, []int32) {
 	var pl, pr []int32
 	for i := 0; i < key.N; i++ {
 		if sel != nil && !slices.Contains(sel, int32(i)) {
@@ -550,22 +550,22 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 	}
 	builds := []struct {
 		name  string
-		kind  VecKind
+		kind  table.VecKind
 		keys  []table.Value
 		dense bool
 	}{
-		{"duplicates and negatives", VKInt, dups, true},
-		{"one row", VKInt, intKeys(5), true},
-		{"NULL rows", VKInt, []table.Value{table.Null, table.NewInt(3), table.Null, table.NewInt(3)}, true},
-		{"4096 values", VKInt, intKeys(-100, 3995, -100, 17), true},
-		{"4097 values", VKInt, intKeys(-100, 3996, -100, 17), false},
-		{"8 values a row", VKInt, spaced(600, -1000, -1000+4799), true},
-		{"past 8 values a row", VKInt, spaced(600, -1000, -1000+4800), false},
-		{"top of int64", VKInt, intKeys(math.MaxInt64, math.MaxInt64-3, math.MaxInt64), true},
-		{"bottom of int64", VKInt, intKeys(math.MinInt64+2, math.MinInt64, math.MinInt64+2), true},
-		{"float precision", VKInt, intKeys(1e18, -1e18, 1<<62, below63, math.MaxInt64, 1<<53+1, 1e18), false},
-		{"floats", VKFloat, append(floats(math.NaN(), math.Copysign(0, -1), 0.5, 1e18, 7, 7, 0x1p62), table.Null), false},
-		{"mixed", VKAny, []table.Value{table.NewInt(3), table.NewFloat(3), table.NewFloat(2.5), table.NewString("3"),
+		{"duplicates and negatives", table.VKInt, dups, true},
+		{"one row", table.VKInt, intKeys(5), true},
+		{"NULL rows", table.VKInt, []table.Value{table.Null, table.NewInt(3), table.Null, table.NewInt(3)}, true},
+		{"4096 values", table.VKInt, intKeys(-100, 3995, -100, 17), true},
+		{"4097 values", table.VKInt, intKeys(-100, 3996, -100, 17), false},
+		{"8 values a row", table.VKInt, spaced(600, -1000, -1000+4799), true},
+		{"past 8 values a row", table.VKInt, spaced(600, -1000, -1000+4800), false},
+		{"top of int64", table.VKInt, intKeys(math.MaxInt64, math.MaxInt64-3, math.MaxInt64), true},
+		{"bottom of int64", table.VKInt, intKeys(math.MinInt64+2, math.MinInt64, math.MinInt64+2), true},
+		{"float precision", table.VKInt, intKeys(1e18, -1e18, 1<<62, below63, math.MaxInt64, 1<<53+1, 1e18), false},
+		{"floats", table.VKFloat, append(floats(math.NaN(), math.Copysign(0, -1), 0.5, 1e18, 7, 7, 0x1p62), table.Null), false},
+		{"mixed", table.VKAny, []table.Value{table.NewInt(3), table.NewFloat(3), table.NewFloat(2.5), table.NewString("3"),
 			table.NewBool(true), table.Null, table.NewFloat(math.NaN()), table.NewFloat(1e18), table.NewInt(1e18)}, false},
 	}
 	for _, b := range builds {
@@ -607,10 +607,10 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 		mixed = append(mixed, table.NewInt(0), table.NewFloat(0.5), table.NewString("x"), table.Null, table.NewFloat(math.NaN()),
 			table.NewInt(1e18), table.NewFloat(1e18), table.NewInt(math.MaxInt64), table.NewFloat(0x1p63))
 		strs = append(strs, table.Null)
-		probes := map[VecKind][]table.Value{
-			VKInt: ints, VKFloat: floats, VKAny: mixed, VKStr: strs,
-			VKBool: {table.NewBool(true), table.Null, table.NewBool(false)},
-			VKNull: {table.Null, table.Null, table.Null},
+		probes := map[table.VecKind][]table.Value{
+			table.VKInt: ints, table.VKFloat: floats, table.VKAny: mixed, table.VKStr: strs,
+			table.VKBool: {table.NewBool(true), table.Null, table.NewBool(false)},
+			table.VKNull: {table.Null, table.Null, table.Null},
 		}
 		for kind, vals := range probes {
 			key := vectorOf(vals)

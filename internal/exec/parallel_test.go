@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"quickr/internal/cluster"
+	"quickr/internal/table"
 	"quickr/internal/testutil"
 )
 
@@ -160,7 +161,7 @@ func panicInRunReleasesLedger(t *testing.T) {
 	cs := plan.(*PHashAgg).In.(*PFilter).In.(*PCachedSample)
 	broken := make([]Part, 4)
 	for i := range broken {
-		broken[i] = Part{N: 8, Cols: []Vector{{K: VKInt}, {K: VKFloat}}, W: make([]float64, 8)}
+		broken[i] = Part{N: 8, Cols: []table.Vector{{K: table.VKInt}, {K: table.VKFloat}}, W: make([]float64, 8)}
 	}
 	sc := NewSampleCache(64 << 20)
 	sc.Put(fmt.Sprintf("%s|v%d|e0", cs.Key, tbl.Version()), broken)

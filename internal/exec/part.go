@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math/bits"
 	"slices"
 
 	"quickr/internal/table"
@@ -10,16 +9,16 @@ import (
 // Part is a column-major weighted partition: the one form data takes
 // between pipeline breakers. Every chain sink, exchange, join,
 // aggregate, sort, limit, window and union produces Parts and every
-// consumer reads them, by windowing the columns zero-copy into batches
+// consumer reads them, by slicing the columns zero-copy into batches
 // (partSource) or by reading lanes in place: the sort and the window
 // functions compare lanes, and only the final result materializes rows
-// (rows). A sample-cache entry is a []Part as the sink built it.
+// (table.RowsOf). A sample-cache entry is a []Part as the sink built it.
 //
-// Cols are the batch pipeline's own Vectors as the builders built them
-// (typed payloads without pointers, a NULL bitmap, a string
-// dictionary; exact Values only for mixed-kind columns), always one per
-// schema column even when N is 0; stored table partitions meet this form
-// only at the scan (window). W holds the rows' Horvitz–Thompson weights.
+// Cols are table.Vectors as the builders built them (typed payloads
+// without pointers, a NULL bitmap, a string dictionary; exact Values
+// only for mixed-kind columns), always one per schema column even when
+// N is 0: the form stored partitions have too, which the scan slices
+// into its batches the same way. W holds the rows' Horvitz–Thompson weights.
 // A Part is immutable once built and may be shared: by a join output
 // with its build side's dictionaries, by a window output with its
 // input's columns. Its typed payloads and weights are slabs of the run's
@@ -27,7 +26,7 @@ import (
 // clone.
 type Part struct {
 	N    int
-	Cols []Vector
+	Cols []table.Vector
 	W    []float64
 	// bytes is the partition's in-flight size, Σ over rows of
 	// Row.ByteSize()+8: what stages, slots and peaks are charged.
@@ -35,7 +34,7 @@ type Part struct {
 }
 
 // emptyPart is a zero-row partition of the given width.
-func emptyPart(width int) Part { return Part{Cols: make([]Vector, width)} }
+func emptyPart(width int) Part { return Part{Cols: make([]table.Vector, width)} }
 
 // clone copies every payload slice of the partition; the dictionaries
 // are shared.
@@ -46,35 +45,18 @@ func (p *Part) clone() Part {
 	for c := range out.Cols {
 		v := &out.Cols[c]
 		v.Ints, v.Floats = slices.Clone(v.Ints), slices.Clone(v.Floats)
-		v.nulls, v.Vals = slices.Clone(v.nulls), slices.Clone(v.Vals)
+		v.Nulls, v.Vals = slices.Clone(v.Nulls), slices.Clone(v.Vals)
 	}
 	return out
 }
 
 // window appends zero-copy windows of lanes [pos, pos+n) of every
 // column to dst.
-func (p *Part) window(dst []Vector, pos, n int) []Vector {
+func (p *Part) window(dst []table.Vector, pos, n int) []table.Vector {
 	for c := range p.Cols {
-		dst = append(dst, p.Cols[c].slice(pos, n))
+		dst = append(dst, p.Cols[c].Slice(pos, n))
 	}
 	return dst
-}
-
-// rows materializes the partition row-major over one backing array: the
-// final result's rows.
-func (p *Part) rows() []table.Row {
-	width := len(p.Cols)
-	flat := make([]table.Value, p.N*width)
-	for c := range p.Cols {
-		for i := 0; i < p.N; i++ {
-			flat[i*width+c] = p.Cols[c].Value(i)
-		}
-	}
-	rows := make([]table.Row, p.N)
-	for i := range rows {
-		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
 }
 
 // gather returns the partition's rows idx, in idx order (the sort's
@@ -92,37 +74,18 @@ func (p *Part) gather(mem *ledger, idx []int32) Part {
 // head returns the partition's first k rows (k <= N), sharing payloads.
 func (p *Part) head(k int) Part {
 	out := Part{N: k, W: p.W[:k]}
-	out.Cols = p.window(make([]Vector, 0, len(p.Cols)), 0, k)
+	out.Cols = p.window(make([]table.Vector, 0, len(p.Cols)), 0, k)
 	out.bytes = partBytes(out.Cols, k)
 	return out
 }
 
 // partBytes is Σ Row.ByteSize()+8 over the n lanes of cols.
-func partBytes(cols []Vector, n int) float64 {
+func partBytes(cols []table.Vector, n int) float64 {
 	total := float64(8 * n)
 	for c := range cols {
-		total += cols[c].bytesAll()
+		total += cols[c].BytesAll()
 	}
 	return total
-}
-
-// countNulls counts the set bits among lanes [off, off+n) of a NULL
-// bitmap (nil = none), a word at a time.
-func countNulls(nulls []uint64, off, n int) int {
-	if nulls == nil {
-		return 0
-	}
-	cnt := 0
-	for lo, hi := off, off+n; lo < hi; {
-		word, span := nulls[lo>>6]>>(uint(lo)&63), 64-lo&63
-		if span > hi-lo {
-			span = hi - lo
-			word &= 1<<uint(span) - 1
-		}
-		cnt += bits.OnesCount64(word)
-		lo += span
-	}
-	return cnt
 }
 
 // concatParts appends pieces in order into one partition built on mem.
@@ -179,7 +142,7 @@ func (pb *partBuilder) appendBatch(b *Batch) { pb.appendLanes(b.cols, b.sel, b.n
 // weights.
 //
 //hot:pipeline sink and exchange gather, per batch
-func (pb *partBuilder) appendLanes(cols []Vector, sel []int32, n int, weights []float64) {
+func (pb *partBuilder) appendLanes(cols []table.Vector, sel []int32, n int, weights []float64) {
 	for c := range pb.cols {
 		pb.cols[c].appendLanes(&cols[c], sel, pb.share)
 	}
@@ -197,7 +160,7 @@ func (pb *partBuilder) appendLanes(cols []Vector, sel []int32, n int, weights []
 
 // appendGather appends lanes idx of src (negative = NULL) into the
 // columns starting at off; the caller appends the weights.
-func (pb *partBuilder) appendGather(src []Vector, idx []int32, off int) {
+func (pb *partBuilder) appendGather(src []table.Vector, idx []int32, off int) {
 	for c := range src {
 		pb.cols[off+c].appendGather(&src[c], idx)
 	}
@@ -205,7 +168,7 @@ func (pb *partBuilder) appendGather(src []Vector, idx []int32, off int) {
 
 // vectors appends the columns built so far to dst as vectors, aliasing
 // the builder's buffers.
-func (pb *partBuilder) vectors(dst []Vector) []Vector {
+func (pb *partBuilder) vectors(dst []table.Vector) []table.Vector {
 	for c := range pb.cols {
 		dst = append(dst, pb.cols[c].build())
 	}
@@ -236,7 +199,7 @@ func (pb *partBuilder) finish() Part {
 // finishSized is finish for a caller that already knows the partition's
 // accounted bytes.
 func (pb *partBuilder) finishSized(bytes float64) Part {
-	return Part{N: len(pb.w), Cols: pb.vectors(make([]Vector, 0, len(pb.cols))), W: pb.w, bytes: bytes}
+	return Part{N: len(pb.w), Cols: pb.vectors(make([]table.Vector, 0, len(pb.cols))), W: pb.w, bytes: bytes}
 }
 
 // partSource streams a partition in batches: it windows the column-major
@@ -248,7 +211,7 @@ type partSource struct {
 	pos  int
 
 	weights []float64
-	cols    []Vector
+	cols    []table.Vector
 }
 
 func (s *partSource) Next() (Batch, error) {
@@ -275,7 +238,7 @@ func (s *partSource) Next() (Batch, error) {
 // lane costs one load instead of hashing its bytes.
 //
 //hot:per-lane exchange and join key hash
-func hashKeys(out []uint64, keys []Vector, codes [][]uint64, seed uint64, sel []int32, n int) {
+func hashKeys(out []uint64, keys []table.Vector, codes [][]uint64, seed uint64, sel []int32, n int) {
 	h0 := table.HashRowSeed(seed)
 	if sel != nil {
 		for _, i := range sel {
@@ -293,13 +256,13 @@ func hashKeys(out []uint64, keys []Vector, codes [][]uint64, seed uint64, sel []
 	for k := range keys {
 		v := &keys[k]
 		switch {
-		case v.K == VKInt && v.nulls == nil: // the common join and group key
+		case v.K == table.VKInt && v.Nulls == nil: // the common join and group key
 			for i, x := range v.Ints[:n] {
 				out[i] = table.HashRowStep(out[i], table.HashInt(x))
 			}
 		case codes != nil && codes[k] != nil:
 			ch := codes[k]
-			if v.nulls == nil {
+			if v.Nulls == nil {
 				for i, c := range v.Ints[:n] {
 					out[i] = table.HashRowStep(out[i], ch[c])
 				}
@@ -331,19 +294,19 @@ func dictHashes(dict []string) []uint64 {
 }
 
 // laneHash is v.Value(i).Hash64() without building the Value.
-func laneHash(v *Vector, i int) uint64 {
-	if v.K == VKAny {
+func laneHash(v *table.Vector, i int) uint64 {
+	if v.K == table.VKAny {
 		return v.Vals[i].Hash64()
 	}
 	if v.IsNull(i) {
 		return table.HashNull
 	}
 	switch v.K {
-	case VKInt:
+	case table.VKInt:
 		return table.HashInt(v.Ints[i])
-	case VKFloat:
+	case table.VKFloat:
 		return table.HashFloat(v.Floats[i])
-	case VKStr:
+	case table.VKStr:
 		return table.HashString(v.Dict[v.Ints[i]])
 	default:
 		return table.HashBool(v.Ints[i] != 0)

@@ -12,6 +12,7 @@ import (
 	"quickr/internal/catalog"
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
+	"quickr/internal/metrics"
 	"quickr/internal/refimpl"
 	"quickr/internal/table"
 	"quickr/internal/testutil"
@@ -232,7 +233,7 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 	out := make([]uint64, n)
 	check := func(idx []int, seed uint64) {
 		t.Helper()
-		keys := make([]Vector, len(idx))
+		keys := make([]table.Vector, len(idx))
 		for k, ci := range idx {
 			keys[k] = b.cols[ci]
 		}
@@ -561,10 +562,10 @@ func samePartCols(t *testing.T, want, got *Part, label string) {
 
 // TestBytesAllMatchesLaneBytes holds the dense byte accounting's tight
 // loops (strings without NULLs, fixed-width NULL counts a word at a
-// time) to the per-lane definition, over windows of every column of
-// mixedTable at offsets that straddle bitmap words, and over the same
-// columns with their NULLs taken away. The same windows of a built
-// Part's vectors, cut through Part.head and then Vector.slice (a NULL
+// time) to the per-lane definition, Value.ByteSize, over windows of
+// every column of mixedTable at offsets that straddle bitmap words, and
+// over the same columns with their NULLs taken away. The same windows of a built
+// Part's vectors, cut through Part.head and then Vector.Slice (a NULL
 // bitmap offset on top of another), must also read back the rows the
 // Part was built from.
 func TestBytesAllMatchesLaneBytes(t *testing.T) {
@@ -578,18 +579,18 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 	for _, cp := range []*table.ColPartition{tbl.Columnar(0), dense.Columnar(0)} {
 		for c := range cp.Cols {
 			for _, win := range [][2]int{{0, cp.NumRows}, {0, 0}, {1, 63}, {63, 2}, {64, 64}, {100, 300}, {cp.NumRows - 1, 1}} {
-				v := window(&cp.Cols[c], win[0], win[1])
+				v := cp.Cols[c].Slice(win[0], win[1])
 				want := 0
 				sel := make([]int32, v.N)
 				for i := 0; i < v.N; i++ {
-					want += v.laneBytes(i)
+					want += v.Value(i).ByteSize()
 					sel[i] = int32(i)
 				}
-				if got := v.bytesAll(); got != float64(want) {
-					t.Errorf("column %d window %v: bytesAll %v, lanes sum to %d", c, win, got, want)
+				if got := v.BytesAll(); got != float64(want) {
+					t.Errorf("column %d window %v: BytesAll %v, lanes sum to %d", c, win, got, want)
 				}
-				if got := v.bytesSel(sel); got != float64(want) {
-					t.Errorf("column %d window %v: bytesSel %v, lanes sum to %d", c, win, got, want)
+				if got := v.BytesSel(sel); got != float64(want) {
+					t.Errorf("column %d window %v: BytesSel %v, lanes sum to %d", c, win, got, want)
 				}
 			}
 		}
@@ -601,8 +602,8 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 		pb.appendRow(r)
 	}
 	part := pb.finish()
-	if part.Cols[4].K != VKAny || part.Cols[0].nulls == nil {
-		t.Fatalf("fixture: mixed column is kind %v, int column NULL bitmap %v", part.Cols[4].K, part.Cols[0].nulls)
+	if part.Cols[4].K != table.VKAny || part.Cols[0].Nulls == nil {
+		t.Fatalf("fixture: mixed column is kind %v, int column NULL bitmap %v", part.Cols[4].K, part.Cols[0].Nulls)
 	}
 	const cut = 37 // head's and the first slice's offset into the bitmap
 	head := part.head(len(rows) - 5)
@@ -610,26 +611,26 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 		t.Errorf("head accounts %v bytes, its lanes sum to %v", head.bytes, want)
 	}
 	for c := range head.Cols {
-		outer := head.Cols[c].slice(cut, head.N-cut)
+		outer := head.Cols[c].Slice(cut, head.N-cut)
 		for _, win := range [][2]int{{0, outer.N}, {0, 0}, {27, 1}, {26, 40}, {27, 64}, {91, 200}, {outer.N - 1, 1}} {
-			v := outer.slice(win[0], win[1])
+			v := outer.Slice(win[0], win[1])
 			want := 0
 			for i := 0; i < v.N; i++ {
-				want += v.laneBytes(i)
+				want += v.Value(i).ByteSize()
 				r := rows[cut+win[0]+i]
 				if !sameValue(v.Value(i), r[c]) || v.IsNull(i) != r[c].IsNull() {
 					t.Fatalf("column %d window %v lane %d reads %v, built from %v", c, win, i, v.Value(i), r[c])
 				}
 			}
-			if got := v.bytesAll(); got != float64(want) {
-				t.Errorf("part column %d window %v: bytesAll %v, lanes sum to %d", c, win, got, want)
+			if got := v.BytesAll(); got != float64(want) {
+				t.Errorf("part column %d window %v: BytesAll %v, lanes sum to %d", c, win, got, want)
 			}
 		}
 	}
 }
 
 // TestBytesAllSumsToPartitionBytes: the scan charges a stored
-// partition's Bytes once instead of summing its windows' bytesAll batch
+// partition's Bytes once instead of summing its windows' BytesAll batch
 // by batch, so the two must agree for every way a partition is built:
 // Columnarize, a tail sealed onto a snapshot, a column promoted to Any by
 // a later seal, an all-NULL column and string columns with NULLs, cut at
@@ -659,8 +660,8 @@ func TestBytesAllSumsToPartitionBytes(t *testing.T) {
 	}
 	grown.Append(0, table.Row{table.NewString("x"), table.Null, table.Null})
 	cps["promoted-to-any"] = add(500, 640)
-	if cp := cps["promoted-to-any"]; !cp.Cols[0].Any || cp.Cols[1].Nulls == nil || cp.Cols[2].Kind != table.KindNull {
-		t.Fatalf("fixture: int column Any=%v, string NULL bitmap %v, all-NULL column kind %v", cp.Cols[0].Any, cp.Cols[1].Nulls, cp.Cols[2].Kind)
+	if cp := cps["promoted-to-any"]; cp.Cols[0].K != table.VKAny || cp.Cols[1].Nulls == nil || cp.Cols[2].K != table.VKNull {
+		t.Fatalf("fixture: int column kind %v, string NULL bitmap %v, all-NULL column kind %v", cp.Cols[0].K, cp.Cols[1].Nulls, cp.Cols[2].K)
 	}
 	for name, cp := range cps {
 		for _, bs := range refBatchSizes {
@@ -671,13 +672,92 @@ func TestBytesAllSumsToPartitionBytes(t *testing.T) {
 			var sum float64
 			for pos := 0; pos < cp.NumRows; pos += size {
 				for c := range cp.Cols {
-					v := window(&cp.Cols[c], pos, min(size, cp.NumRows-pos))
-					sum += v.bytesAll()
+					v := cp.Cols[c].Slice(pos, min(size, cp.NumRows-pos))
+					sum += v.BytesAll()
 				}
 			}
 			if sum != float64(cp.Bytes) {
 				t.Errorf("%s batch=%d: windows sum to %v bytes, partition holds %d", name, bs, sum, cp.Bytes)
 			}
+		}
+	}
+}
+
+// TestPartScanAliasesStorage: a scan batch's columns are slices of the
+// stored vectors, not copies. For int, float, dictionary, all-NULL and
+// VKAny columns, carried whole or pruned and reordered, every batch's
+// payload starts at the stored array's lane pos, shares its dictionary
+// and NULL bitmap (offset by pos), and reads the stored lanes.
+func TestPartScanAliasesStorage(t *testing.T) {
+	sc := table.NewSchema(
+		table.Column{Name: "i", Kind: table.KindInt},
+		table.Column{Name: "f", Kind: table.KindFloat},
+		table.Column{Name: "s", Kind: table.KindString},
+		table.Column{Name: "n", Kind: table.KindInt},
+		table.Column{Name: "m", Kind: table.KindInt},
+	)
+	tbl := table.New("alias", sc, 1)
+	for i := 0; i < 300; i++ {
+		iv, mv := table.NewInt(int64(i)), table.NewInt(int64(i))
+		if i%9 == 4 {
+			iv = table.Null
+		}
+		if i%2 == 1 {
+			mv = table.NewString("odd")
+		}
+		tbl.Append(0, table.Row{iv, table.NewFloat(float64(i) / 8), table.NewString(fmt.Sprintf("w%d", i%5)), table.Null, mv})
+	}
+	cp := tbl.Columnar(0)
+	for c, k := range []table.VecKind{table.VKInt, table.VKFloat, table.VKStr, table.VKNull, table.VKAny} {
+		if cp.Cols[c].K != k {
+			t.Fatalf("fixture: column %d is kind %v, want %v", c, cp.Cols[c].K, k)
+		}
+	}
+	st := cluster.NewRun(cluster.DefaultConfig()).NewStage("scan", 1)
+	for _, idx := range [][]int{nil, {4, 3, 0, 2, 1}} {
+		var raw float64
+		src := &colScanSource{p: &PScan{Tbl: tbl, ColIdx: idx, WeightIdx: -1}, cp: cp, size: 64, st: st, slot: &metrics.Slot{}, raw: &raw}
+		for pos := 0; ; {
+			b, err := src.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.n == 0 {
+				break
+			}
+			for j := range b.cols {
+				ci := j
+				if idx != nil {
+					ci = idx[j]
+				}
+				v, stored := &b.cols[j], &cp.Cols[ci]
+				if v.K != stored.K || v.N != b.n {
+					t.Fatalf("columns %v pos %d: column %d is kind %v with %d lanes, stored kind %v, batch %d", idx, pos, ci, v.K, v.N, stored.K, b.n)
+				}
+				aliased := false
+				switch v.K {
+				case table.VKNull:
+					aliased = v.Ints == nil && v.Floats == nil && v.Vals == nil && v.Nulls == nil
+				case table.VKFloat:
+					aliased = &v.Floats[0] == &stored.Floats[pos]
+				case table.VKAny:
+					aliased = &v.Vals[0] == &stored.Vals[pos]
+				default:
+					aliased = &v.Ints[0] == &stored.Ints[pos] && sameDict(v.Dict, stored.Dict)
+				}
+				if stored.Nulls != nil {
+					aliased = aliased && &v.Nulls[0] == &stored.Nulls[0] && v.NullOff == pos
+				}
+				if !aliased {
+					t.Fatalf("columns %v pos %d: column %d (kind %v) does not alias the stored vector", idx, pos, ci, v.K)
+				}
+				for i := 0; i < b.n; i++ {
+					if !sameValue(v.Value(i), stored.Value(pos+i)) {
+						t.Fatalf("columns %v pos %d: column %d lane %d reads %v, stored %v", idx, pos, ci, i, v.Value(i), stored.Value(pos+i))
+					}
+				}
+			}
+			pos += b.n
 		}
 	}
 }
@@ -720,7 +800,7 @@ func TestSortMatchesRowSort(t *testing.T) {
 		}
 		want := &Result{}
 		for i := range in {
-			rows := in[i].rows()
+			rows := table.RowsOf(in[i].Cols, in[i].N, 0)
 			sort.SliceStable(rows, func(a, b int) bool {
 				for _, k := range ks {
 					c := rows[a][k.pos].Order(rows[b][k.pos])

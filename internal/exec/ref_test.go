@@ -312,7 +312,7 @@ type scatter struct {
 	dst    []*partBuilder
 	keyIdx []int
 
-	keys   []Vector
+	keys   []table.Vector
 	hashes []uint64
 	sels   [][]int32
 }
@@ -327,7 +327,7 @@ func newScatter(parts, width int, keyIdx []int) *scatter {
 
 // appendLanes sends each of the n lanes of cols to the builder of the
 // destination its key hash names.
-func (sc *scatter) appendLanes(cols []Vector, n int, weights []float64) {
+func (sc *scatter) appendLanes(cols []table.Vector, n int, weights []float64) {
 	sc.keys = sc.keys[:0]
 	for _, ci := range sc.keyIdx {
 		sc.keys = append(sc.keys, cols[ci])
@@ -377,13 +377,13 @@ func sameValue(a, b table.Value) bool {
 }
 
 // heldLanes is the number of lanes v's payload holds.
-func heldLanes(v *Vector) int {
+func heldLanes(v *table.Vector) int {
 	switch v.K {
-	case VKNull:
+	case table.VKNull:
 		return v.N
-	case VKAny:
+	case table.VKAny:
 		return len(v.Vals)
-	case VKFloat:
+	case table.VKFloat:
 		return len(v.Floats)
 	}
 	return len(v.Ints)
@@ -402,7 +402,7 @@ func sameParts(t *testing.T, want [][]wrow, got []Part, label string) {
 				t.Fatalf("%s: partition %d column %d holds %d of %d lanes for %d rows", label, i, c, heldLanes(v), v.N, got[i].N)
 			}
 		}
-		rows := got[i].rows()
+		rows := table.RowsOf(got[i].Cols, got[i].N, 0)
 		if len(rows) != len(want[i]) {
 			t.Fatalf("%s: partition %d has %d rows, want %d", label, i, len(rows), len(want[i]))
 		}

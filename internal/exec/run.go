@@ -107,7 +107,7 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	rows := make([]table.Row, 0, total)
 	for i := range s.parts {
 		part := &s.parts[i]
-		rows = append(rows, part.rows()...)
+		rows = append(rows, table.RowsOf(part.Cols, part.N, 0)...)
 		s.stage.AddOutput(i, int64(part.N), part.bytes)
 		ex.run.JobOutputBytes += part.bytes
 	}
@@ -487,10 +487,10 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	offs := slab[int32](rt.mem, ((src.N+rt.window-1)/rt.window)*(parts+1))
 	clear(offs) // the windows' destination counts start at zero
 	next := make([]int32, parts)
-	keys := make([]Vector, len(keyIdx))
+	keys := make([]table.Vector, len(keyIdx))
 	codes := make([][]uint64, len(keyIdx))
 	for k, ci := range keyIdx {
-		if v := &src.Cols[ci]; v.K == VKStr && len(v.Dict) <= src.N {
+		if v := &src.Cols[ci]; v.K == table.VKStr && len(v.Dict) <= src.N {
 			codes[k] = dictHashes(v.Dict)
 		}
 	}
@@ -499,12 +499,12 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 		kept = slab[uint64](rt.mem, src.N)
 		rt.hashes[i] = kept
 	}
-	var cols []Vector
+	var cols []table.Vector
 	dest := slab[uint64](rt.mem, min(rt.window, src.N))
 	for w, pos := 0, 0; pos < src.N; w++ {
 		n := min(rt.window, src.N-pos)
 		for k, ci := range keyIdx {
-			keys[k] = src.Cols[ci].slice(pos, n)
+			keys[k] = src.Cols[ci].Slice(pos, n)
 		}
 		// Destinations overwrite the hashes in place unless they are kept.
 		dest = dest[:n]
@@ -546,7 +546,7 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 //hot:exchange gather, per destination
 func (rt *routes) gather(ctx context.Context, d int) (Part, error) {
 	pb := newPartBuilder(rt.mem, rt.width, int(rt.rows[d]))
-	var cols []Vector
+	var cols []table.Vector
 	for i := range rt.srcs {
 		if err := ctxErr(ctx); err != nil {
 			return Part{}, err

@@ -298,7 +298,7 @@ func cachedPartBytes(p *Part) int64 {
 	var b int64
 	for i := range p.Cols {
 		v := &p.Cols[i]
-		b += int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.nulls))*8
+		b += int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.Nulls))*8
 		b += int64(len(v.Vals)) * valueBytes
 		for _, s := range v.Dict {
 			b += int64(len(s)) + 16

@@ -207,7 +207,7 @@ func TestCachedPartBytesChargesBoxedValues(t *testing.T) {
 		}
 	}
 	part := pb.finish()
-	if part.Cols[0].K != VKAny || len(part.Cols[0].Vals) != n {
+	if part.Cols[0].K != table.VKAny || len(part.Cols[0].Vals) != n {
 		t.Fatalf("fixture: int/float mix did not degrade to boxed values: %+v", part.Cols[0])
 	}
 	want := int64(n)*int64(unsafe.Sizeof(table.Value{})) + int64(n)*8 // values + weights

@@ -14,7 +14,7 @@ import (
 // vecOf builds a vector of vals in the representation a sink would pick:
 // typed (with a NULL bitmap where vals hold NULLs) while the non-NULL
 // values share a kind, VKAny once they mix, VKNull when all are NULL.
-func vecOf(vals ...table.Value) Vector {
+func vecOf(vals ...table.Value) table.Vector {
 	bd := vecBuilder{mem: newLedger()}
 	for _, v := range vals {
 		bd.append(v)
@@ -41,7 +41,7 @@ func intRange(lo, hi int64) []table.Value {
 // checkCoords computes the coordinates of every live lane of each batch
 // (cols, all lanes or, with sparse, the lanes i%3 != 0) through u, in
 // order, and holds them to sampler.HashValues of the lanes' values.
-func checkCoords(t *testing.T, u *universeLanes, batches [][]Vector, sparse bool) {
+func checkCoords(t *testing.T, u *universeLanes, batches [][]table.Vector, sparse bool) {
 	t.Helper()
 	for bi, cols := range batches {
 		b := Batch{cols: cols, n: cols[0].N}
@@ -80,10 +80,10 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 		table.NewFloat(math.NaN()), table.NewFloat(math.Inf(1)), table.NewFloat(math.Inf(-1)),
 		table.NewFloat(1e18), table.NewFloat(-1e18), table.NewFloat(nextUp), table.NewFloat(nextDown),
 		table.NewFloat(1e300), table.Null, table.NewFloat(-7), table.NewFloat(0.1))
-	if floats.K != VKFloat || floats.nulls == nil {
+	if floats.K != table.VKFloat || floats.Nulls == nil {
 		t.Fatalf("float vector is %v", floats.K)
 	}
-	words := func(ws ...string) Vector {
+	words := func(ws ...string) table.Vector {
 		vals := make([]table.Value, len(ws))
 		for i, w := range ws {
 			if w != "-" {
@@ -96,7 +96,7 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	s1, s2, s3 := words("x", "y", "-", "z", "x"), words("z", "y", "x", "-", "z"), words("y", "x", "w", "v", "-", "w")
 	mixed := vecOf(table.NewInt(5), table.NewFloat(2.5), table.NewString("s"), table.NewBool(true), table.Null,
 		table.NewFloat(5), table.NewInt(-3), table.NewFloat(math.NaN()), table.NewFloat(1e18))
-	if mixed.K != VKAny {
+	if mixed.K != table.VKAny {
 		t.Fatalf("mixed vector is %v", mixed.K)
 	}
 	nullInts := vecOf(table.NewInt(4), table.Null, table.NewInt(-4), table.NewInt(4), table.Null, table.NewInt(1<<40))
@@ -104,20 +104,20 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	cases := []struct {
 		name    string
 		width   int
-		batches [][]Vector
+		batches [][]table.Vector
 	}{
-		{"int", 1, [][]Vector{{vecOf(intRange(-50, 949)...)}, {extremes}}},
-		{"int-nulls", 1, [][]Vector{{nullInts}, {vecOf(intRange(0, 20)...)}}},
-		{"float", 1, [][]Vector{{floats}}},
-		{"string", 1, [][]Vector{{s1}, {s2}, {s3}}},
-		{"bool", 1, [][]Vector{{vecOf(table.NewBool(true), table.NewBool(false), table.Null, table.NewBool(true))}}},
-		{"mixed", 1, [][]Vector{{mixed}}},
-		{"all-null", 1, [][]Vector{{vecOf(table.Null, table.Null, table.Null, table.Null)}}},
-		{"int-string", 2, [][]Vector{
+		{"int", 1, [][]table.Vector{{vecOf(intRange(-50, 949)...)}, {extremes}}},
+		{"int-nulls", 1, [][]table.Vector{{nullInts}, {vecOf(intRange(0, 20)...)}}},
+		{"float", 1, [][]table.Vector{{floats}}},
+		{"string", 1, [][]table.Vector{{s1}, {s2}, {s3}}},
+		{"bool", 1, [][]table.Vector{{vecOf(table.NewBool(true), table.NewBool(false), table.Null, table.NewBool(true))}}},
+		{"mixed", 1, [][]table.Vector{{mixed}}},
+		{"all-null", 1, [][]table.Vector{{vecOf(table.Null, table.Null, table.Null, table.Null)}}},
+		{"int-string", 2, [][]table.Vector{
 			{vecOf(intVals(1, 2, 3, 1, 2)...), s1},
 			{vecOf(intVals(1, 2, 3, 1, 2)...), s2},
 		}},
-		{"float-mixed", 2, [][]Vector{{floats, vecOf(append(intVals(1, 2, 3, 4, 5, 6), mixed.Vals...)...)}}},
+		{"float-mixed", 2, [][]table.Vector{{floats, vecOf(append(intVals(1, 2, 3, 4, 5, 6), mixed.Vals...)...)}}},
 	}
 	for _, tc := range cases {
 		for _, sparse := range []bool{false, true} {
@@ -134,9 +134,9 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 
 // coordsOf returns the coordinate under seed of every lane of the lone
 // key vector keys, computed as the sampler computes it.
-func coordsOf(keys Vector, seed uint64) []uint64 {
+func coordsOf(keys table.Vector, seed uint64) []uint64 {
 	u := &universeLanes{s: sampler.NewUniverse(0.5, []int{0}, seed)}
-	b := Batch{cols: []Vector{keys}, n: keys.N}
+	b := Batch{cols: []table.Vector{keys}, n: keys.N}
 	u.coords(&b, b.liveSel(nil))
 	return u.hashes
 }
@@ -215,7 +215,7 @@ func TestUniverseCoordinatesUniform(t *testing.T) {
 func TestUniverseIndependentOfRouting(t *testing.T) {
 	keys := vecOf(intRange(1, 40000)...)
 	route := make([]uint64, keys.N)
-	hashKeys(route, []Vector{keys}, nil, exchangeHashSeed, nil, keys.N)
+	hashKeys(route, []table.Vector{keys}, nil, exchangeHashSeed, nil, keys.N)
 	for _, seed := range []uint64{exchangeHashSeed, 1, 3} {
 		coords := coordsOf(keys, seed)
 		for _, p := range []float64{0.05, 0.3} {
@@ -270,7 +270,7 @@ func TestUniverseJoinEqualKeysShareCoordinates(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, exchangeHashSeed, 31} {
 		// Each side typed (a float column beside an int column) and mixed.
-		for _, sides := range [][2]Vector{
+		for _, sides := range [][2]table.Vector{
 			{vecOf(left[:4]...), vecOf(right[:4]...)},
 			{vecOf(left...), vecOf(right...)},
 		} {

@@ -6,97 +6,12 @@ import (
 	"quickr/internal/table"
 )
 
-// VecKind enumerates the physical representations of a Vector.
-type VecKind uint8
-
-const (
-	// VKNull is an all-NULL vector with no payload.
-	VKNull VecKind = iota
-	// VKInt stores int64 payloads in Ints.
-	VKInt
-	// VKFloat stores float64 payloads in Floats.
-	VKFloat
-	// VKStr stores dictionary codes in Ints, strings in Dict.
-	VKStr
-	// VKBool stores 0/1 in Ints.
-	VKBool
-	// VKAny stores exact table.Values in Vals (mixed-kind fallback).
-	VKAny
-)
-
-// Vector is a column of N lanes flowing through the vectorized pipeline.
-// It is a cheap value type: copies share the underlying payload slices.
-//
-// NULL lanes are tracked by a little-endian bitmap; nullOff shifts lane
-// indexes into the bitmap so a Vector can window a larger column (a
-// stored table.ColVec or a Part's Vector) without copying it. VKAny
-// vectors carry NULLs in Vals directly and leave the bitmap nil. Dead
-// lanes (not covered by the batch's selection vector) hold unspecified
-// zero/NULL payloads.
-type Vector struct {
-	K       VecKind
-	N       int
-	Ints    []int64
-	Floats  []float64
-	Dict    []string
-	Vals    []table.Value
-	nulls   []uint64
-	nullOff int
-	// constVal marks a vector whose non-NULL lanes all hold the same
-	// value (produced by constant kernels); enables per-dictionary-entry
-	// precomputation in comparison kernels.
-	constVal bool
-}
-
-// IsNull reports whether lane i is NULL.
-func (v *Vector) IsNull(i int) bool {
-	switch v.K {
-	case VKNull:
-		return true
-	case VKAny:
-		return v.Vals[i].IsNull()
-	}
-	if v.nulls == nil {
-		return false
-	}
-	j := i + v.nullOff
-	return v.nulls[j>>6]&(1<<(uint(j)&63)) != 0
-}
-
-// hasNulls reports whether any lane of the vector may be NULL.
-func (v *Vector) hasNulls() bool { return v.K == VKNull || v.K == VKAny || v.nulls != nil }
-
-// Value reconstructs lane i as a table.Value, bit-identical to the
-// stored or row-computed value at the same position.
-func (v *Vector) Value(i int) table.Value {
-	switch v.K {
-	case VKNull:
-		return table.Null
-	case VKAny:
-		return v.Vals[i]
-	}
-	if v.IsNull(i) {
-		return table.Null
-	}
-	switch v.K {
-	case VKInt:
-		return table.NewInt(v.Ints[i])
-	case VKFloat:
-		return table.NewFloat(v.Floats[i])
-	case VKStr:
-		return table.NewString(v.Dict[v.Ints[i]])
-	case VKBool:
-		return table.NewBool(v.Ints[i] != 0)
-	}
-	return table.Null
-}
-
 // compareLane is table.Value.Order of lanes a and b of v.
-func compareLane(v *Vector, a, b int) int { return v.Value(a).Order(v.Value(b)) }
+func compareLane(v *table.Vector, a, b int) int { return v.Value(a).Order(v.Value(b)) }
 
 // compareLanes is table.CompareRows of rows a and b of cols, lane for
 // lane.
-func compareLanes(cols []Vector, a, b int) int {
+func compareLanes(cols []table.Vector, a, b int) int {
 	for c := range cols {
 		if x := compareLane(&cols[c], a, b); x != 0 {
 			return x
@@ -105,139 +20,19 @@ func compareLanes(cols []Vector, a, b int) int {
 	return 0
 }
 
-// laneFloat mirrors table.Value.Float for lane i: ints widen, floats
-// pass through, everything else (strings, bools, NULL) reads as 0.
-func (v *Vector) laneFloat(i int) float64 {
+// laneFloat mirrors table.Value.Float for lane i of v: ints widen,
+// floats pass through, everything else (strings, bools, NULL) reads as
+// 0.
+func laneFloat(v *table.Vector, i int) float64 {
 	switch v.K {
-	case VKInt:
+	case table.VKInt:
 		return float64(v.Ints[i])
-	case VKFloat:
+	case table.VKFloat:
 		return v.Floats[i]
-	case VKAny:
+	case table.VKAny:
 		return v.Vals[i].Float()
 	}
 	return 0
-}
-
-// laneBytes mirrors table.Value.ByteSize for lane i.
-func (v *Vector) laneBytes(i int) int {
-	switch v.K {
-	case VKNull:
-		return 1
-	case VKAny:
-		return v.Vals[i].ByteSize()
-	case VKStr:
-		if v.IsNull(i) {
-			return 1
-		}
-		return 8 + len(v.Dict[v.Ints[i]])
-	}
-	if v.IsNull(i) {
-		return 1
-	}
-	return 8
-}
-
-// bytesAll sums laneBytes over every lane (dense window accounting).
-//
-//hot:per-batch byte accounting of every scanned column
-func (v *Vector) bytesAll() float64 {
-	switch v.K {
-	case VKNull:
-		return float64(v.N)
-	case VKAny:
-		n := 0
-		for _, val := range v.Vals {
-			n += val.ByteSize()
-		}
-		return float64(n)
-	case VKStr:
-		n := 0
-		if v.nulls == nil {
-			n = 8 * v.N
-			for _, code := range v.Ints[:v.N] {
-				n += len(v.Dict[code])
-			}
-		} else {
-			for i := 0; i < v.N; i++ {
-				n += v.laneBytes(i)
-			}
-		}
-		return float64(n)
-	}
-	// Fixed width: 8 bytes a lane, 1 for a NULL.
-	return float64(8*v.N - 7*countNulls(v.nulls, v.nullOff, v.N))
-}
-
-// bytesSel sums laneBytes over the selected lanes.
-func (v *Vector) bytesSel(sel []int32) float64 {
-	switch v.K {
-	case VKNull:
-		return float64(len(sel))
-	case VKInt, VKFloat, VKBool:
-		if v.nulls == nil {
-			return float64(8 * len(sel))
-		}
-	case VKStr:
-		if v.nulls == nil {
-			n := 8 * len(sel)
-			for _, i := range sel {
-				n += len(v.Dict[v.Ints[i]])
-			}
-			return float64(n)
-		}
-	}
-	n := 0
-	for _, i := range sel {
-		n += v.laneBytes(int(i))
-	}
-	return float64(n)
-}
-
-// slice returns lanes [off, off+n) of v as a zero-copy Vector: the
-// payloads are resliced and the NULL bitmap is shared, shifted by
-// nullOff.
-func (v *Vector) slice(off, n int) Vector {
-	w := *v
-	w.N = n
-	switch v.K {
-	case VKNull:
-	case VKAny:
-		w.Vals = v.Vals[off : off+n]
-	case VKFloat:
-		w.Floats = v.Floats[off : off+n]
-	default:
-		w.Ints = v.Ints[off : off+n]
-	}
-	w.nullOff += off
-	return w
-}
-
-// window wraps lanes [off, off+n) of a stored column as a zero-copy
-// Vector: the one place a stored table partition becomes the batch form.
-func window(cv *table.ColVec, off, n int) Vector {
-	if cv.Any {
-		return Vector{K: VKAny, N: n, Vals: cv.Vals[off : off+n]}
-	}
-	v := Vector{N: n, nulls: cv.Nulls, nullOff: off}
-	switch cv.Kind {
-	case table.KindNull:
-		return Vector{K: VKNull, N: n}
-	case table.KindInt:
-		v.K = VKInt
-		v.Ints = cv.Ints[off : off+n]
-	case table.KindFloat:
-		v.K = VKFloat
-		v.Floats = cv.Floats[off : off+n]
-	case table.KindString:
-		v.K = VKStr
-		v.Ints = cv.Ints[off : off+n]
-		v.Dict = cv.Dict
-	case table.KindBool:
-		v.K = VKBool
-		v.Ints = cv.Ints[off : off+n]
-	}
-	return v
 }
 
 // vecBuilder accumulates values into a column, picking the tightest
@@ -249,7 +44,7 @@ func window(cv *table.ColVec, off, n int) Vector {
 // mem.
 type vecBuilder struct {
 	mem     *ledger
-	k       VecKind // VKNull until the first non-NULL value
+	k       table.VecKind // VKNull until the first non-NULL value
 	n       int
 	ints    []int64
 	floats  []float64
@@ -273,7 +68,7 @@ type vecBuilder struct {
 }
 
 func (bd *vecBuilder) reset() {
-	bd.k = VKNull
+	bd.k = table.VKNull
 	bd.n = 0
 	bd.ints = bd.ints[:0]
 	bd.floats = bd.floats[:0]
@@ -301,10 +96,10 @@ func (bd *vecBuilder) setNull(i int) {
 func (bd *vecBuilder) appendNull() {
 	bd.setNull(bd.n)
 	switch bd.k {
-	case VKNull:
-	case VKAny:
+	case table.VKNull:
+	case table.VKAny:
 		bd.vals = append(bd.vals, table.Null)
-	case VKFloat:
+	case table.VKFloat:
 		bd.pushFloat(0)
 	default:
 		bd.pushInt(0)
@@ -323,20 +118,6 @@ func (bd *vecBuilder) pushFloat(x float64) {
 	bd.floats[len(bd.floats)-1] = x
 }
 
-func kindOf(v table.Value) VecKind {
-	switch v.Kind() {
-	case table.KindInt:
-		return VKInt
-	case table.KindFloat:
-		return VKFloat
-	case table.KindString:
-		return VKStr
-	case table.KindBool:
-		return VKBool
-	}
-	return VKAny
-}
-
 // append adds one value, adopting or degrading the representation as
 // needed.
 func (bd *vecBuilder) append(v table.Value) {
@@ -344,22 +125,22 @@ func (bd *vecBuilder) append(v table.Value) {
 		bd.appendNull()
 		return
 	}
-	want := kindOf(v)
-	if bd.k == VKNull {
+	want := table.VecKind(v.Kind())
+	if bd.k == table.VKNull {
 		bd.adopt(want)
-	} else if bd.k != want && bd.k != VKAny {
+	} else if bd.k != want && bd.k != table.VKAny {
 		bd.degrade()
 	}
 	switch bd.k {
-	case VKAny:
+	case table.VKAny:
 		bd.vals = append(bd.vals, v)
-	case VKInt:
+	case table.VKInt:
 		bd.pushInt(v.Int())
-	case VKFloat:
+	case table.VKFloat:
 		bd.pushFloat(v.Float())
-	case VKBool:
+	case table.VKBool:
 		bd.pushInt(btoi(v.Bool()))
-	case VKStr:
+	case table.VKStr:
 		if bd.shared {
 			bd.unshare()
 		}
@@ -440,20 +221,20 @@ func (bd *vecBuilder) unshare() {
 
 // appendSel appends the lanes of v that sel lists, in sel order; a nil
 // sel means all v.N lanes.
-func (bd *vecBuilder) appendSel(v *Vector, sel []int32) { bd.appendLanes(v, sel, false) }
+func (bd *vecBuilder) appendSel(v *table.Vector, sel []int32) { bd.appendLanes(v, sel, false) }
 
 // appendGather is appendSel for join and reorder gathers: a negative
 // index appends a NULL lane, and a string column whose lanes all come
 // from one stored dictionary shares that dictionary instead of
 // re-interning it.
-func (bd *vecBuilder) appendGather(v *Vector, idx []int32) {
+func (bd *vecBuilder) appendGather(v *table.Vector, idx []int32) {
 	if len(idx) > 0 { // an empty index list is no lanes, not "all lanes"
 		bd.appendLanes(v, idx, true)
 	}
 }
 
 //hot:per-lane typed copy at every pipeline sink, exchange gather and join gather
-func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
+func (bd *vecBuilder) appendLanes(v *table.Vector, sel []int32, gather bool) {
 	m := v.N
 	if sel != nil {
 		m = len(sel)
@@ -461,7 +242,7 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 	if m == 0 {
 		return
 	}
-	if v.K == VKAny || bd.k == VKAny || (bd.k != VKNull && v.K != VKNull && bd.k != v.K) {
+	if v.K == table.VKAny || bd.k == table.VKAny || (bd.k != table.VKNull && v.K != table.VKNull && bd.k != v.K) {
 		// Exact values, one lane at a time; a kind mix degrades in append.
 		if sel == nil {
 			for i := 0; i < m; i++ {
@@ -478,7 +259,7 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 		}
 		return
 	}
-	if bd.k == VKNull && v.K != VKNull {
+	if bd.k == table.VKNull && v.K != table.VKNull {
 		bd.adopt(v.K)
 	}
 	base := bd.n
@@ -486,12 +267,12 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 	// Payload first (NULL lanes copy whatever the source holds there and
 	// are zeroed below), then the NULL bits.
 	switch bd.k {
-	case VKNull:
-	case VKFloat:
+	case table.VKNull:
+	case table.VKFloat:
 		bd.floats = grow(bd.mem, bd.floats, m)
 		dst := bd.floats[base:]
 		switch {
-		case v.K == VKNull:
+		case v.K == table.VKNull:
 			clear(dst)
 		case sel == nil:
 			copy(dst, v.Floats[:m])
@@ -509,9 +290,9 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 		bd.ints = grow(bd.mem, bd.ints, m)
 		dst := bd.ints[base:]
 		switch {
-		case v.K == VKNull:
+		case v.K == table.VKNull:
 			clear(dst)
-		case v.K == VKStr:
+		case v.K == table.VKStr:
 			bd.appendCodes(dst, v, sel, gather)
 		case sel == nil:
 			copy(dst, v.Ints[:m])
@@ -527,12 +308,12 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 		}
 	}
 	switch {
-	case v.K == VKNull:
+	case v.K == table.VKNull:
 		for j := 0; j < m; j++ {
 			bd.setNull(base + j)
 		}
 	case sel == nil:
-		if v.nulls != nil {
+		if v.Nulls != nil {
 			for i := 0; i < m; i++ {
 				if v.IsNull(i) {
 					bd.zeroNull(base + i)
@@ -546,7 +327,7 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 				pads |= i
 			}
 		}
-		if pads < 0 || v.nulls != nil {
+		if pads < 0 || v.Nulls != nil {
 			for j, i := range sel {
 				if i < 0 || v.IsNull(int(i)) {
 					bd.zeroNull(base + j)
@@ -561,8 +342,8 @@ func (bd *vecBuilder) appendLanes(v *Vector, sel []int32, gather bool) {
 func (bd *vecBuilder) zeroNull(i int) {
 	bd.setNull(i)
 	switch bd.k {
-	case VKNull:
-	case VKFloat:
+	case table.VKNull:
+	case table.VKFloat:
 		bd.floats[i] = 0
 	default:
 		bd.ints[i] = 0
@@ -573,7 +354,7 @@ func (bd *vecBuilder) zeroNull(i int) {
 // selected string lanes of v into dst. NULL lanes get code 0.
 //
 //hot:per-lane dictionary code translation
-func (bd *vecBuilder) appendCodes(dst []int64, v *Vector, sel []int32, adopt bool) {
+func (bd *vecBuilder) appendCodes(dst []int64, v *table.Vector, sel []int32, adopt bool) {
 	bd.setSource(v.Dict, adopt)
 	if bd.shared {
 		if sel == nil {
@@ -589,7 +370,7 @@ func (bd *vecBuilder) appendCodes(dst []int64, v *Vector, sel []int32, adopt boo
 		}
 		return
 	}
-	nul := v.nulls != nil
+	nul := v.Nulls != nil
 	for j := range dst {
 		i := j
 		if sel != nil {
@@ -611,17 +392,17 @@ func (bd *vecBuilder) appendCodes(dst []int64, v *Vector, sel []int32, adopt boo
 
 // adopt switches an all-NULL builder to a typed representation,
 // backfilling zero payloads for the NULL lanes seen so far.
-func (bd *vecBuilder) adopt(k VecKind) {
+func (bd *vecBuilder) adopt(k table.VecKind) {
 	bd.k = k
 	reserve := bd.n
 	if bd.hint > reserve {
 		reserve = bd.hint
 	}
 	switch k {
-	case VKFloat:
+	case table.VKFloat:
 		bd.floats = grow(bd.mem, bd.floats[:0], reserve)[:bd.n]
 		clear(bd.floats)
-	case VKAny:
+	case table.VKAny:
 		bd.vals = slices.Grow(bd.vals[:0], reserve)[:bd.n]
 		clear(bd.vals)
 	default:
@@ -646,7 +427,7 @@ func (bd *vecBuilder) degrade() {
 	for i := 0; i < bd.n; i++ {
 		bd.vals = append(bd.vals, tmp.Value(i))
 	}
-	bd.k = VKAny
+	bd.k = table.VKAny
 	bd.ints = bd.ints[:0]
 	bd.floats = bd.floats[:0]
 	bd.dict = nil
@@ -655,15 +436,15 @@ func (bd *vecBuilder) degrade() {
 }
 
 // build returns the accumulated Vector. It aliases builder buffers.
-func (bd *vecBuilder) build() Vector {
-	v := Vector{K: bd.k, N: bd.n}
+func (bd *vecBuilder) build() table.Vector {
+	v := table.Vector{K: bd.k, N: bd.n}
 	switch bd.k {
-	case VKNull:
+	case table.VKNull:
 		return v
-	case VKAny:
+	case table.VKAny:
 		v.Vals = bd.vals
 		return v
-	case VKFloat:
+	case table.VKFloat:
 		v.Floats = bd.floats
 	default:
 		v.Ints = bd.ints
@@ -671,7 +452,7 @@ func (bd *vecBuilder) build() Vector {
 	}
 	if bd.anyNull {
 		bd.padNulls()
-		v.nulls = bd.nulls
+		v.Nulls = bd.nulls
 	}
 	return v
 }

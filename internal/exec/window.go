@@ -93,7 +93,7 @@ func (ex *executor) execWindow(p *PWindow) (*stream, error) {
 
 // computeWindow returns, for one spec, the output value for each of the
 // n input rows, whose columns are cols, with its scratch on mem.
-func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, n int) ([]table.Value, error) {
+func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []table.Vector, n int) ([]table.Value, error) {
 	partIdx := make([]int, len(spec.PartitionBy))
 	for i, id := range spec.PartitionBy {
 		pos, ok := cm[id]
@@ -123,7 +123,7 @@ func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, n 
 	// order: a keyTable hands every PARTITION BY key tuple a dense id.
 	// Every output lands at its row's index, so the order the partitions
 	// run in cannot change an answer.
-	keys := make([]Vector, len(partIdx))
+	keys := make([]table.Vector, len(partIdx))
 	for k, pos := range partIdx {
 		keys[k] = cols[pos]
 	}
@@ -169,7 +169,7 @@ func computeWindow(mem *ledger, spec lplan.WinSpec, cm colMap, cols []Vector, n 
 }
 
 // computePartition fills out[...] for one sorted window partition.
-func computePartition(spec lplan.WinSpec, cols []Vector, idxs []int, orderIdx []int, argIdx int, out []table.Value) {
+func computePartition(spec lplan.WinSpec, cols []table.Vector, idxs []int, orderIdx []int, argIdx int, out []table.Value) {
 	peers := func(a, b int) bool {
 		// Rows are peers when all ORDER BY keys are equal.
 		for _, oi := range orderIdx {

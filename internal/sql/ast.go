@@ -34,6 +34,8 @@ type SelectStmt struct {
 	Limit    int64 // -1 when absent
 	// Contract is the query's optional accuracy/latency contract
 	// (BlinkDB-style `ERROR WITHIN 2% CONFIDENCE 95%` / `WITHIN 500ms`).
+	// It binds to the whole statement: only the head of a UNION ALL
+	// chain carries one, rendered after the last arm.
 	Contract *Contract
 	// UnionAll chains additional SELECTs whose output is concatenated.
 	UnionAll []*SelectStmt
@@ -346,11 +348,11 @@ func (s *SelectStmt) String() string {
 	if s.Limit >= 0 {
 		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
-	if s.Contract != nil {
-		b.WriteString(s.Contract.clause())
-	}
 	for _, u := range s.UnionAll {
 		b.WriteString(" UNION ALL " + u.String())
+	}
+	if s.Contract != nil {
+		b.WriteString(s.Contract.clause())
 	}
 	return b.String()
 }

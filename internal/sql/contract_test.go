@@ -100,18 +100,42 @@ func TestContractParseErrors(t *testing.T) {
 
 func TestContractUnionArms(t *testing.T) {
 	// A trailing contract after a UNION ALL arm binds to the whole
-	// statement text; it must still round-trip.
-	in := "SELECT a FROM t UNION ALL SELECT a FROM u ERROR WITHIN 5%"
-	s, err := Parse(in)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", in, err)
+	// statement: the head carries it, no arm does, and it must still
+	// round-trip.
+	for _, in := range []string{
+		"SELECT a FROM t UNION ALL SELECT a FROM u ERROR WITHIN 5%",
+		"SELECT a FROM t UNION ALL SELECT a FROM u WITHIN 1ms",
+		"SELECT a FROM t UNION ALL SELECT a FROM u UNION ALL SELECT a FROM v LIMIT 3 WITHIN 1ms ERROR WITHIN 5%",
+	} {
+		s, err := Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		if s.Contract == nil {
+			t.Fatalf("Parse(%q): the head carries no contract", in)
+		}
+		for i, u := range s.UnionAll {
+			if u.Contract != nil || u.UnionAll != nil {
+				t.Fatalf("Parse(%q): arm %d carries a contract or arms of its own", in, i+1)
+			}
+		}
+		got := s.String()
+		s2, err := Parse(got)
+		if err != nil {
+			t.Fatalf("reparse %q: %v", got, err)
+		}
+		if s2.String() != got || s2.Contract == nil || *s2.Contract != *s.Contract {
+			t.Fatalf("not a fixed point: %q -> %q", got, s2.String())
+		}
 	}
-	got := s.String()
-	s2, err := Parse(got)
-	if err != nil {
-		t.Fatalf("reparse %q: %v", got, err)
-	}
-	if s2.String() != got {
-		t.Fatalf("not a fixed point: %q -> %q", got, s2.String())
+	// A clause written on any arm but the last is an error.
+	for _, in := range []string{
+		"SELECT a FROM t ERROR WITHIN 5% UNION ALL SELECT a FROM u",
+		"SELECT a FROM t UNION ALL SELECT a FROM u WITHIN 1ms UNION ALL SELECT a FROM v",
+		"SELECT a FROM t WITHIN 1ms UNION ALL SELECT a FROM u ERROR WITHIN 5%",
+	} {
+		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), "last UNION ALL arm") {
+			t.Fatalf("Parse(%q): err %v, want a contract-position error", in, err)
+		}
 	}
 }

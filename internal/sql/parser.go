@@ -62,7 +62,36 @@ func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("sql: parse error at offset %d: %s", p.cur().pos, fmt.Sprintf(format, args...))
 }
 
+// parseSelect parses a SELECT and the UNION ALL arms that follow it.
+// A contract clause binds to the whole statement: it is written after
+// the last arm and moves to the head, and one written on any other arm
+// is an error.
 func (p *parser) parseSelect() (*SelectStmt, error) {
+	s, err := p.parseArm()
+	if err != nil {
+		return nil, err
+	}
+	last := s
+	for p.accept(tokKeyword, "UNION") {
+		if _, err := p.expect(tokKeyword, "ALL"); err != nil {
+			return nil, p.errorf("only UNION ALL is supported")
+		}
+		if last.Contract != nil {
+			return nil, p.errorf("a contract clause binds to the whole statement: write it after the last UNION ALL arm")
+		}
+		if last, err = p.parseArm(); err != nil {
+			return nil, err
+		}
+		s.UnionAll = append(s.UnionAll, last)
+	}
+	if last != s {
+		s.Contract, last.Contract = last.Contract, nil
+	}
+	return s, nil
+}
+
+// parseArm parses one SELECT up to its contract clause.
+func (p *parser) parseArm() (*SelectStmt, error) {
 	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
@@ -151,18 +180,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	if err := p.parseContract(s); err != nil {
 		return nil, err
-	}
-	for p.accept(tokKeyword, "UNION") {
-		if _, err := p.expect(tokKeyword, "ALL"); err != nil {
-			return nil, p.errorf("only UNION ALL is supported")
-		}
-		u, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		s.UnionAll = append(s.UnionAll, u)
-		s.UnionAll = append(s.UnionAll, u.UnionAll...)
-		u.UnionAll = nil
 	}
 	return s, nil
 }

@@ -37,18 +37,20 @@ type folder struct {
 	codes []int32 // the codes win counts
 }
 
-// fold adds lanes [lo, hi) of cv.
-func (a *colAcc) fold(cv *table.ColVec, lo, hi int, f *folder) {
+// fold adds lanes [lo, hi) of cv, a stored column: the kernels index
+// its NULL bitmap by lane, which holds because stored vectors are never
+// slices (NullOff is 0).
+func (a *colAcc) fold(cv *table.Vector, lo, hi int, f *folder) {
 	switch {
-	case cv.Any:
+	case cv.K == table.VKAny:
 		a.foldLanes(cv, lo, hi, f)
-	case cv.Kind == table.KindNull:
+	case cv.K == table.VKNull:
 		a.nulls += int64(hi - lo)
-	case cv.Kind == table.KindInt:
+	case cv.K == table.VKInt:
 		a.foldInts(cv, lo, hi, f)
-	case cv.Kind == table.KindFloat:
+	case cv.K == table.VKFloat:
 		a.foldFloats(cv, lo, hi, f)
-	case cv.Kind == table.KindBool:
+	case cv.K == table.VKBool:
 		a.foldCodes(cv, lo, hi, 2, f)
 	case hi-lo >= len(cv.Dict):
 		a.foldCodes(cv, lo, hi, len(cv.Dict), f)
@@ -71,7 +73,7 @@ func (a *colAcc) bound(v table.Value) {
 // tails: lane by lane, through Value.
 //
 //hot:per-lane kernel of the statistics fold over mixed columns and short dictionary tails
-func (a *colAcc) foldLanes(cv *table.ColVec, lo, hi int, f *folder) {
+func (a *colAcc) foldLanes(cv *table.Vector, lo, hi int, f *folder) {
 	for i := lo; i < hi; i++ {
 		v := cv.Value(i)
 		if v.IsNull() {
@@ -94,7 +96,7 @@ func (a *colAcc) foldLanes(cv *table.ColVec, lo, hi int, f *folder) {
 // foldInts is the kernel for integer columns; min/max merge per block.
 //
 //hot:per-lane integer kernel of the statistics fold, gated by TestCollectAllocCeiling
-func (a *colAcc) foldInts(cv *table.ColVec, lo, hi int, f *folder) {
+func (a *colAcc) foldInts(cv *table.Vector, lo, hi int, f *folder) {
 	xs, nulls, buf := cv.Ints, cv.Nulls, f.buf
 	mn, mx, seen := int64(0), int64(0), false
 	for i := lo; i < hi; i++ {
@@ -129,7 +131,7 @@ func (a *colAcc) foldInts(cv *table.ColVec, lo, hi int, f *folder) {
 // foldFloats is the kernel for float columns; min/max run in lane order.
 //
 //hot:per-lane float kernel of the statistics fold, gated by TestCollectAllocCeiling
-func (a *colAcc) foldFloats(cv *table.ColVec, lo, hi int, f *folder) {
+func (a *colAcc) foldFloats(cv *table.Vector, lo, hi int, f *folder) {
 	xs, nulls, buf := cv.Floats, cv.Nulls, f.buf
 	// Typed bounds while both are floats (or unset), else Compare.
 	kind := a.min.Kind()
@@ -167,7 +169,7 @@ func (a *colAcc) foldFloats(cv *table.ColVec, lo, hi int, f *folder) {
 // foldCodes is the kernel for dictionary strings and booleans, whose
 // lanes are codes below n: per lane a NULL test and a count; per code
 // and prune window one lossy add, one KMV add and one min/max step.
-func (a *colAcc) foldCodes(cv *table.ColVec, lo, hi, n int, f *folder) {
+func (a *colAcc) foldCodes(cv *table.Vector, lo, hi, n int, f *folder) {
 	if len(f.win) < n {
 		f.win = make([]int64, n)
 	}
@@ -177,7 +179,7 @@ func (a *colAcc) foldCodes(cv *table.ColVec, lo, hi, n int, f *folder) {
 		a.nulls += nulls
 		for _, c := range f.codes {
 			v := table.NewBool(c != 0)
-			if cv.Kind == table.KindString {
+			if cv.K == table.VKStr {
 				v = table.NewString(cv.Dict[c])
 			}
 			a.lossy.AddN(v.Ident(), f.win[c])

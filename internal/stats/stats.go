@@ -217,7 +217,7 @@ func (e *entry) setNDV(cols []string) float64 {
 		return sa.kmv.Estimate()
 	}
 	var buf []byte
-	cvs := make([]*table.ColVec, len(sa.idx))
+	cvs := make([]*table.Vector, len(sa.idx))
 	for p := range sa.marks {
 		cp := e.tbl.Columnar(p)
 		lo := sa.marks[p]
@@ -241,7 +241,7 @@ func (e *entry) setNDV(cols []string) float64 {
 // the columns' Value.Key bytes, each followed by a NUL, built in buf.
 //
 //hot:per-lane composite key of NDVSet, gated by TestCollectAllocCeiling
-func foldSet(kmv *sketch.KMV, cvs []*table.ColVec, lo, hi int, buf []byte) []byte {
+func foldSet(kmv *sketch.KMV, cvs []*table.Vector, lo, hi int, buf []byte) []byte {
 	for lane := lo; lane < hi; lane++ {
 		buf = buf[:0]
 		for _, cv := range cvs {

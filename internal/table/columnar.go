@@ -1,88 +1,132 @@
 package table
 
-// Columnar storage: the per-partition, column-major stored form. The
-// vectorized executor (internal/exec) windows these vectors directly,
-// statistics read them column by column, and Rows rebuilds rows from
-// them. Columnarize builds a partition's first
-// snapshot; later appends are sealed onto it in place (seal.go).
+// Columnar storage: the per-partition, column-major stored form, and
+// the Vector that is the one column form from storage to result. The
+// executor (internal/exec) slices stored vectors into its batches
+// zero-copy and builds the same Vectors between pipeline breakers,
+// statistics fold them column by column, and RowsOf rebuilds rows from
+// them. Columnarize builds a partition's first snapshot; later appends
+// are sealed onto it in place (seal.go).
 
 import "slices"
 
-// ColVec is one stored column of a partition in columnar form.
-//
-// The representation is chosen per column from the data:
-//   - Kind==KindInt: Ints holds the payload (0 for NULL lanes).
-//   - Kind==KindFloat: Floats holds the payload.
-//   - Kind==KindString: Ints holds dictionary codes into Dict.
-//   - Kind==KindBool: Ints holds 0/1.
-//   - Kind==KindNull: every lane is NULL; no payload is stored.
-//   - Any==true: the column mixes kinds; Vals holds the exact values and
-//     the typed fields are unused.
-//
-// Nulls is a little-endian bitmap (bit i set = lane i is NULL); nil when
-// the column has no NULLs. It is unused when Any is set (Vals carries
-// NULL lanes directly).
-type ColVec struct {
-	Kind   Kind
-	Any    bool
-	Ints   []int64
-	Floats []float64
-	Dict   []string
-	Vals   []Value
-	Nulls  []uint64
-}
+// VecKind enumerates the physical representations of a Vector. Its
+// first five values are Kind's, so a non-NULL value's Kind converts to
+// the VecKind that stores it.
+type VecKind uint8
 
-// Len returns the number of lanes in the column.
-func (c *ColVec) Len() int {
-	if c.Any {
-		return len(c.Vals)
-	}
-	switch c.Kind {
-	case KindFloat:
-		return len(c.Floats)
-	case KindNull:
-		return nullLen(c)
-	default:
-		return len(c.Ints)
-	}
-}
+const (
+	// VKNull is an all-NULL vector with no payload: N is its lane count.
+	VKNull = VecKind(KindNull)
+	// VKInt stores int64 payloads in Ints.
+	VKInt = VecKind(KindInt)
+	// VKFloat stores float64 payloads in Floats.
+	VKFloat = VecKind(KindFloat)
+	// VKStr stores dictionary codes in Ints, strings in Dict.
+	VKStr = VecKind(KindString)
+	// VKBool stores 0/1 in Ints.
+	VKBool = VecKind(KindBool)
+	// VKAny stores exact Values in Vals (mixed-kind fallback).
+	VKAny = VKBool + 1
+)
 
-// nullLen recovers the lane count of an all-NULL column from the bitmap.
-func nullLen(c *ColVec) int { return int(c.Ints[0]) }
+// Vector is a column of N lanes: a stored partition's column, a batch's
+// column in flight and a Part's column between pipeline breakers alike.
+// It is a cheap value type: copies share the underlying payload slices.
+//
+// NULL lanes are tracked by a little-endian bitmap (bit NullOff+i set =
+// lane i is NULL; nil when no lane is), so a Vector can window a larger
+// column without copying it (Slice). VKAny vectors carry NULLs in Vals
+// directly and leave the bitmap nil. Dead lanes of a batch (not covered
+// by its selection vector) hold unspecified zero/NULL payloads.
+type Vector struct {
+	K       VecKind
+	N       int
+	Ints    []int64
+	Floats  []float64
+	Dict    []string
+	Vals    []Value
+	Nulls   []uint64
+	NullOff int
+}
 
 // IsNull reports whether lane i is NULL.
-func (c *ColVec) IsNull(i int) bool {
-	if c.Any {
-		return c.Vals[i].IsNull()
-	}
-	if c.Kind == KindNull {
+func (v *Vector) IsNull(i int) bool {
+	switch v.K {
+	case VKNull:
 		return true
+	case VKAny:
+		return v.Vals[i].IsNull()
 	}
-	if c.Nulls == nil {
+	if v.Nulls == nil {
 		return false
 	}
-	return c.Nulls[i>>6]&(1<<(uint(i)&63)) != 0
+	j := i + v.NullOff
+	return v.Nulls[j>>6]&(1<<(uint(j)&63)) != 0
 }
 
-// Value reconstructs lane i as a Value, bit-identical to the stored row.
-func (c *ColVec) Value(i int) Value {
-	if c.Any {
-		return c.Vals[i]
+// HasNulls reports whether any lane of the vector may be NULL.
+func (v *Vector) HasNulls() bool { return v.K == VKNull || v.K == VKAny || v.Nulls != nil }
+
+// Value reconstructs lane i as a Value, bit-identical to the stored or
+// row-computed value at the same position.
+func (v *Vector) Value(i int) Value {
+	switch v.K {
+	case VKNull:
+		return Null
+	case VKAny:
+		return v.Vals[i]
 	}
-	if c.Kind == KindNull || c.IsNull(i) {
+	if v.IsNull(i) {
 		return Null
 	}
-	switch c.Kind {
-	case KindInt:
-		return NewInt(c.Ints[i])
-	case KindFloat:
-		return NewFloat(c.Floats[i])
-	case KindString:
-		return NewString(c.Dict[c.Ints[i]])
-	case KindBool:
-		return NewBool(c.Ints[i] != 0)
+	switch v.K {
+	case VKInt:
+		return NewInt(v.Ints[i])
+	case VKFloat:
+		return NewFloat(v.Floats[i])
+	case VKStr:
+		return NewString(v.Dict[v.Ints[i]])
+	case VKBool:
+		return NewBool(v.Ints[i] != 0)
 	}
 	return Null
+}
+
+// Slice returns lanes [off, off+n) of v as a zero-copy Vector: the
+// payloads are resliced and the NULL bitmap is shared, shifted by
+// NullOff.
+func (v *Vector) Slice(off, n int) Vector {
+	w := *v
+	w.N = n
+	switch v.K {
+	case VKNull:
+	case VKAny:
+		w.Vals = v.Vals[off : off+n]
+	case VKFloat:
+		w.Floats = v.Floats[off : off+n]
+	default:
+		w.Ints = v.Ints[off : off+n]
+	}
+	w.NullOff += off
+	return w
+}
+
+// RowsOf rebuilds n rows from cols through Vector.Value, over one
+// backing array, with room for extra more rows in the result.
+func RowsOf(cols []Vector, n, extra int) []Row {
+	width := len(cols)
+	out := make([]Row, n, n+extra)
+	vals := make([]Value, n*width)
+	for i := range out {
+		out[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
+	for c := range cols {
+		for i := range out {
+			out[i][c] = cols[c].Value(i)
+		}
+	}
+	return out
 }
 
 // ColPartition is one table partition in column-major form. It is
@@ -92,38 +136,24 @@ type ColPartition struct {
 	NumRows int
 	// Bytes is the sum of Row.ByteSize over the rows it was built from.
 	Bytes int64
-	Cols  []ColVec
-}
-
-// rows rebuilds the partition's rows through ColVec.Value, with room
-// for extra more in the result.
-func (cp *ColPartition) rows(extra int) []Row {
-	width := len(cp.Cols)
-	out := make([]Row, cp.NumRows, cp.NumRows+extra)
-	vals := make([]Value, cp.NumRows*width)
-	for i := range out {
-		out[i] = vals[i*width : (i+1)*width : (i+1)*width]
-	}
-	for c := range cp.Cols {
-		cv := &cp.Cols[c]
-		for i := range out {
-			out[i][c] = cv.Value(i)
-		}
-	}
-	return out
+	// Cols holds one vector of NumRows lanes per schema column. The
+	// representation is chosen per column from the data: typed while
+	// every non-NULL value shares a kind, VKNull while none is non-NULL,
+	// VKAny on a mix.
+	Cols []Vector
 }
 
 // Columnarize converts a row-major partition into column-major form.
 // width is the schema width; short rows are padded with NULL lanes.
 func Columnarize(rows []Row, width int) *ColPartition {
-	cp := &ColPartition{NumRows: len(rows), Bytes: rowsBytes(rows), Cols: make([]ColVec, width)}
+	cp := &ColPartition{NumRows: len(rows), Bytes: rowsBytes(rows), Cols: make([]Vector, width)}
 	for c := 0; c < width; c++ {
-		cp.Cols[c] = buildColVec(rows, c)
+		cp.Cols[c] = buildVector(rows, c)
 	}
 	return cp
 }
 
-func buildColVec(rows []Row, c int) ColVec {
+func buildVector(rows []Row, c int) Vector {
 	n := len(rows)
 	// First pass: find the column kind; degrade to Any on a mix.
 	kind := KindNull
@@ -147,13 +177,12 @@ func buildColVec(rows []Row, c int) ColVec {
 		for i, r := range rows {
 			vals[i] = colAt(r, c)
 		}
-		return ColVec{Any: true, Vals: vals}
+		return Vector{K: VKAny, N: n, Vals: vals}
 	}
+	cv := Vector{K: VecKind(kind), N: n}
 	if kind == KindNull {
-		// All lanes NULL: store only the lane count.
-		return ColVec{Kind: KindNull, Ints: []int64{int64(n)}}
+		return cv
 	}
-	cv := ColVec{Kind: kind}
 	if hasNull {
 		cv.Nulls = make([]uint64, (n+63)/64)
 	}

@@ -52,8 +52,8 @@ func TestColumnarizeRoundTrip(t *testing.T) {
 	}
 	for c := 0; c < width; c++ {
 		cv := &cp.Cols[c]
-		if cv.Len() != len(rows) {
-			t.Fatalf("col %d Len=%d, want %d", c, cv.Len(), len(rows))
+		if cv.N != len(rows) {
+			t.Fatalf("col %d Len=%d, want %d", c, cv.N, len(rows))
 		}
 		for i, r := range rows {
 			want := Null
@@ -68,11 +68,11 @@ func TestColumnarizeRoundTrip(t *testing.T) {
 		}
 	}
 	// Representation spot checks: the typed columns must actually be
-	// typed, the mixed one Any, the empty one KindNull.
-	if cp.Cols[0].Kind != KindInt || cp.Cols[0].Nulls == nil {
-		t.Fatalf("int column repr: %+v", cp.Cols[0].Kind)
+	// typed, the mixed one VKAny, the empty one VKNull.
+	if cp.Cols[0].K != VKInt || cp.Cols[0].Nulls == nil {
+		t.Fatalf("int column repr: %+v", cp.Cols[0].K)
 	}
-	if cp.Cols[1].Kind != KindFloat || cp.Cols[1].Nulls != nil {
+	if cp.Cols[1].K != VKFloat || cp.Cols[1].Nulls != nil {
 		t.Fatal("float column should have no null bitmap")
 	}
 	distinct := map[string]bool{}
@@ -81,13 +81,13 @@ func TestColumnarizeRoundTrip(t *testing.T) {
 			distinct[r[2].Str()] = true
 		}
 	}
-	if cp.Cols[2].Kind != KindString || len(cp.Cols[2].Dict) != len(distinct) {
+	if cp.Cols[2].K != VKStr || len(cp.Cols[2].Dict) != len(distinct) {
 		t.Fatalf("string dict size %d, want %d", len(cp.Cols[2].Dict), len(distinct))
 	}
-	if cp.Cols[4].Kind != KindNull {
-		t.Fatal("all-null column should use KindNull repr")
+	if cp.Cols[4].K != VKNull {
+		t.Fatal("all-null column should use VKNull repr")
 	}
-	if !cp.Cols[5].Any {
+	if cp.Cols[5].K != VKAny {
 		t.Fatal("mixed column should degrade to Any")
 	}
 }
@@ -98,8 +98,8 @@ func TestColumnarizeEmptyPartition(t *testing.T) {
 		t.Fatalf("NumRows=%d", cp.NumRows)
 	}
 	for c := range cp.Cols {
-		if cp.Cols[c].Len() != 0 {
-			t.Fatalf("col %d Len=%d", c, cp.Cols[c].Len())
+		if cp.Cols[c].N != 0 {
+			t.Fatalf("col %d Len=%d", c, cp.Cols[c].N)
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestTableColumnarCacheInvalidation(t *testing.T) {
 	if cp2.NumRows != 2 || cp2.Cols[0].Value(1).Int() != 2 {
 		t.Fatalf("sealed partition wrong: %+v", cp2)
 	}
-	if cp1.NumRows != 1 || cp1.Cols[0].Len() != 1 {
+	if cp1.NumRows != 1 || cp1.Cols[0].N != 1 {
 		t.Fatalf("held snapshot changed: %+v", cp1)
 	}
 	// The untouched partition is independent.
@@ -294,7 +294,7 @@ func TestTableAppendVsScanConcurrent(t *testing.T) {
 					cp := tbl.Columnar(p)
 					var lanes int
 					for c := range cp.Cols {
-						if l := cp.Cols[c].Len(); c == 0 {
+						if l := cp.Cols[c].N; c == 0 {
 							lanes = l
 						} else if l != lanes {
 							t.Errorf("partition %d: ragged columnar form (%d vs %d lanes)", p, l, lanes)

@@ -14,23 +14,22 @@ package table
 //     old NumRows are not written again, and a reallocation copies;
 //   - the NULL bitmap is copied before it is extended (its last word
 //     would otherwise be shared between the old lanes and the new);
-//   - a count-only column gets a fresh one-element Ints (the lane count
-//     lives in Ints[0]);
-//   - a column that degrades to Any is rebuilt in a new Vals array.
+//   - a column that degrades to VKAny is rebuilt in a new Vals array.
 //
-// The kind rules are buildColVec's, lane for lane — the first non-NULL
-// kind wins, a later mismatch rebuilds the column as Any, an all-NULL
-// column stays count-only, dictionary codes are handed out in first-
-// appearance order — so after any interleaving of Append and Columnar
-// the snapshot equals Columnarize over every row ever appended: scans
-// see the vectors and codes they would have seen from a rebuild.
+// The kind rules are buildVector's, lane for lane — the first non-NULL
+// kind wins, a later mismatch rebuilds the column as VKAny, an all-NULL
+// column stays VKNull with no payload, dictionary codes are handed out
+// in first-appearance order — so after any interleaving of Append and
+// Columnar the snapshot equals Columnarize over every row ever
+// appended: scans see the vectors and codes they would have seen from a
+// rebuild.
 
 import "slices"
 
 // colGrow is the sealer's handle on one column: the published vector
 // with its spare capacity, and the dictionary index behind its codes.
 type colGrow struct {
-	ColVec
+	Vector
 	// dictIdx maps a string to its code; built from Dict the first time
 	// a string column is extended and kept from then on.
 	dictIdx map[string]int32
@@ -45,13 +44,13 @@ func (p *partState) sealTail(snap *ColPartition, tail []Row, width int) *ColPart
 	if p.grow == nil {
 		p.grow = make([]colGrow, width)
 		for c := range p.grow {
-			p.grow[c].ColVec = snap.Cols[c]
+			p.grow[c].Vector = snap.Cols[c]
 		}
 	}
 	next := &ColPartition{
 		NumRows: snap.NumRows + len(tail),
 		Bytes:   snap.Bytes + rowsBytes(tail),
-		Cols:    make([]ColVec, width),
+		Cols:    make([]Vector, width),
 	}
 	for c := range p.grow {
 		g := &p.grow[c]
@@ -69,16 +68,16 @@ func (g *colGrow) extend(n int, rows []Row, c int) {
 	for k, r := range rows {
 		v := colAt(r, c)
 		switch {
-		case g.Any:
+		case g.K == VKAny:
 			g.Vals = push(g.Vals, v)
 		case v.IsNull():
-			if g.Kind != KindNull {
+			if g.K != VKNull {
 				g.pushNull(n + k)
 			}
-		case g.Kind == KindNull:
-			g.adopt(v.Kind(), n+k)
+		case g.K == VKNull:
+			g.adopt(VecKind(v.Kind()), n+k)
 			g.push(v, n+k)
-		case v.Kind() != g.Kind:
+		case VecKind(v.Kind()) != g.K:
 			g.degrade(n+k, len(rows)-k)
 			g.Vals = push(g.Vals, v)
 		default:
@@ -87,12 +86,12 @@ func (g *colGrow) extend(n int, rows []Row, c int) {
 	}
 }
 
-// adopt gives a count-only column of n NULL lanes the representation of
-// its first non-NULL kind.
-func (g *colGrow) adopt(kind Kind, n int) {
-	g.Kind = kind
-	if kind == KindFloat {
-		g.Ints, g.Floats = nil, make([]float64, n)
+// adopt gives an all-NULL column of n lanes the representation of its
+// first non-NULL kind.
+func (g *colGrow) adopt(k VecKind, n int) {
+	g.K = k
+	if k == VKFloat {
+		g.Floats = make([]float64, n)
 	} else {
 		g.Ints = make([]int64, n)
 	}
@@ -111,17 +110,17 @@ func (g *colGrow) degrade(n, extra int) {
 	for i := range vals {
 		vals[i] = g.Value(i)
 	}
-	*g = colGrow{ColVec: ColVec{Any: true, Vals: vals}}
+	*g = colGrow{Vector: Vector{K: VKAny, Vals: vals}}
 }
 
 // push appends a non-NULL value of the column's kind as lane i.
 func (g *colGrow) push(v Value, i int) {
-	switch g.Kind {
-	case KindInt, KindBool:
+	switch g.K {
+	case VKInt, VKBool:
 		g.Ints = push(g.Ints, v.Int())
-	case KindFloat:
+	case VKFloat:
 		g.Floats = push(g.Floats, v.Float())
-	case KindString:
+	case VKStr:
 		if g.dictIdx == nil {
 			g.dictIdx = make(map[string]int32, len(g.Dict))
 			for code, s := range g.Dict {
@@ -142,7 +141,7 @@ func (g *colGrow) push(v Value, i int) {
 
 // pushNull appends a NULL as lane i of a typed column.
 func (g *colGrow) pushNull(i int) {
-	if g.Kind == KindFloat {
+	if g.K == VKFloat {
 		g.Floats = push(g.Floats, 0)
 	} else {
 		g.Ints = push(g.Ints, 0)
@@ -162,12 +161,9 @@ func (g *colGrow) padNulls(n int) {
 }
 
 // publish returns the column's n lanes as an immutable vector.
-func (g *colGrow) publish(n int) ColVec {
-	cv := g.ColVec
-	if !cv.Any && cv.Kind == KindNull {
-		cv.Ints = []int64{int64(n)}
-		return cv
-	}
+func (g *colGrow) publish(n int) Vector {
+	cv := g.Vector
+	cv.N = n
 	cv.Ints, cv.Floats, cv.Dict = slices.Clip(cv.Ints), slices.Clip(cv.Floats), slices.Clip(cv.Dict)
 	cv.Vals, cv.Nulls = slices.Clip(cv.Vals), slices.Clip(cv.Nulls)
 	return cv

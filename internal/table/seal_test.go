@@ -30,7 +30,7 @@ func sealColumns(rng *rand.Rand) []sealColumn {
 			return NewString(fmt.Sprintf("s%d", rng.Intn(2+lane/3)))
 		},
 		func(rng *rand.Rand, _ int) Value { return NewBool(rng.Intn(2) == 0) },
-		func(*rand.Rand, int) Value { return Null }, // count-only for good
+		func(*rand.Rand, int) Value { return Null }, // all NULL for good
 		func(rng *rand.Rand, lane int) Value { // all NULL, then a late first non-NULL
 			if lane < turn || rng.Intn(4) == 0 {
 				return Null
@@ -172,7 +172,7 @@ func TestTableSnapshotStable(t *testing.T) {
 	lens := make([]int, width)
 	lanes := make([][]Value, width)
 	for c := range held.Cols {
-		lens[c] = held.Cols[c].Len()
+		lens[c] = held.Cols[c].N
 		for i := 0; i < held.NumRows; i++ {
 			lanes[c] = append(lanes[c], held.Cols[c].Value(i))
 		}
@@ -182,7 +182,7 @@ func TestTableSnapshotStable(t *testing.T) {
 			r := Row{NewInt(int64(i)), Null, NewString(fmt.Sprintf("new%d-%d", round, i)), NewBool(true), Null, NewFloat(1)}
 			switch {
 			case round >= 3 && i == 0:
-				r[4] = NewInt(7) // the count-only column gets its first value
+				r[4] = NewInt(7) // the all-NULL column gets its first value
 			case round >= 6:
 				r[0] = NewString("x") // the int column degrades to Any
 			}
@@ -195,7 +195,7 @@ func TestTableSnapshotStable(t *testing.T) {
 		t.Fatalf("held NumRows=%d", held.NumRows)
 	}
 	for c := range held.Cols {
-		if got := held.Cols[c].Len(); got != lens[c] {
+		if got := held.Cols[c].N; got != lens[c] {
 			t.Fatalf("column %d: held Len went %d -> %d", c, lens[c], got)
 		}
 		for i, v := range lanes[c] {
@@ -252,7 +252,7 @@ func TestTableSizeConcurrentAppend(t *testing.T) {
 			defer others.Done()
 			for running() {
 				for p := 0; p < parts; p++ {
-					if cp := tbl.Columnar(p); cp.Cols[0].Len() != cp.NumRows || cp.Cols[1].Len() != cp.NumRows {
+					if cp := tbl.Columnar(p); cp.Cols[0].N != cp.NumRows || cp.Cols[1].N != cp.NumRows {
 						t.Errorf("partition %d: ragged snapshot", p)
 						return
 					}
@@ -290,5 +290,65 @@ func TestTableSizeConcurrentAppend(t *testing.T) {
 	tbl.EnsureColumnar()
 	if n, b := tbl.NumRows(), tbl.ByteSize(); n != appenders*perAppender || b != wantBytes {
 		t.Fatalf("after the last seal: NumRows=%d ByteSize=%d, want %d and %d", n, b, appenders*perAppender, wantBytes)
+	}
+}
+
+// TestTableVectorAcrossSeals follows one column through the three
+// representations across seals — all NULL, then typed, then VKAny — and
+// holds each published snapshot to Columnarize over the same rows,
+// lane counts included, and every slice of it, at offsets inside and
+// across bitmap words and nested, to the whole column's lanes.
+func TestTableVectorAcrossSeals(t *testing.T) {
+	tbl := New("phases", &Schema{Cols: make([]Column, 2)}, 1)
+	var want []Row
+	add := func(n int, col func(i int) Value) *ColPartition {
+		for i := 0; i < n; i++ {
+			r := Row{col(len(want)), NewFloat(float64(len(want)) / 4)}
+			tbl.Append(0, r)
+			want = append(want, r)
+		}
+		return tbl.Columnar(0)
+	}
+	phases := []struct {
+		kind VecKind
+		cp   *ColPartition
+	}{
+		{VKNull, add(70, func(int) Value { return Null })},
+		{VKInt, add(90, func(i int) Value {
+			if i%11 == 0 {
+				return Null
+			}
+			return NewInt(int64(i))
+		})},
+		{VKAny, add(40, func(i int) Value { return NewString(fmt.Sprintf("s%d", i%3)) })},
+	}
+	for _, ph := range phases {
+		cp := ph.cp
+		ref := Columnarize(want[:cp.NumRows], 2)
+		if !reflect.DeepEqual(cp, ref) {
+			t.Fatalf("%d rows: snapshot differs from Columnarize\n got %+v\nwant %+v", cp.NumRows, cp.Cols[0], ref.Cols[0])
+		}
+		if v := cp.Cols[0]; v.K != ph.kind || v.N != cp.NumRows || cp.Cols[1].N != cp.NumRows {
+			t.Fatalf("%d rows: column is kind %v with %d lanes, want kind %v, %d lanes", cp.NumRows, v.K, v.N, ph.kind, cp.NumRows)
+		}
+		if ph.kind == VKNull && (cp.Cols[0].Ints != nil || cp.Cols[0].Nulls != nil) {
+			t.Fatalf("all-NULL column carries a payload: %+v", cp.Cols[0])
+		}
+		for c := range cp.Cols {
+			whole := &cp.Cols[c]
+			for _, win := range [][2]int{{1, 62}, {63, 2}, {64, 5}, {65, cp.NumRows - 65}, {cp.NumRows - 1, 1}} {
+				s := whole.Slice(win[0], win[1])
+				inner := s.Slice(1, s.N-1)
+				for i := 0; i < s.N; i++ {
+					j := win[0] + i
+					if s.IsNull(i) != whole.IsNull(j) || !reflect.DeepEqual(s.Value(i), whole.Value(j)) {
+						t.Fatalf("%d rows column %d slice %v lane %d reads %v, the column %v", cp.NumRows, c, win, i, s.Value(i), whole.Value(j))
+					}
+					if i > 0 && (inner.IsNull(i-1) != whole.IsNull(j) || !reflect.DeepEqual(inner.Value(i-1), whole.Value(j))) {
+						t.Fatalf("%d rows column %d nested slice of %v lane %d reads %v, the column %v", cp.NumRows, c, win, i-1, inner.Value(i-1), whole.Value(j))
+					}
+				}
+			}
+		}
 	}
 }

@@ -83,7 +83,7 @@ func (s *Schema) String() string {
 //
 // The column vectors are the table. Each partition is one published,
 // immutable *ColPartition snapshot (what Columnar returns and scans
-// window) plus an unsealed tail: the rows appended since the partition
+// slice) plus an unsealed tail: the rows appended since the partition
 // was last read. Append pushes onto the tail in O(1); the next read
 // seals the tail into the columns in O(tail), publishes a new snapshot
 // header and drops the tail's rows (seal.go). A snapshot handed out
@@ -195,7 +195,7 @@ func rowsBytes(rows []Row) int64 {
 }
 
 // Rows materializes partition i as rows, in append order: the sealed
-// lanes rebuilt through ColVec.Value, then the tail. A sealed row is
+// lanes rebuilt through RowsOf, then the tail. A sealed row is
 // schema-wide (Columnarize pads a short row with NULLs). It does not
 // seal, and the result is the caller's.
 func (t *Table) Rows(i int) []Row {
@@ -205,7 +205,7 @@ func (t *Table) Rows(i int) []Row {
 	if snap == nil {
 		return append([]Row(nil), tail...)
 	}
-	return append(snap.rows(len(tail)), tail...)
+	return append(RowsOf(snap.Cols, snap.NumRows, len(tail)), tail...)
 }
 
 // AllRows flattens the table into a single slice (test/debug helper).

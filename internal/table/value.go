@@ -8,6 +8,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -416,6 +417,100 @@ func (v Value) ByteSize() int {
 	default:
 		return 8
 	}
+}
+
+// laneBytes is ByteSize of lane i of v.
+func (v *Vector) laneBytes(i int) int {
+	switch v.K {
+	case VKNull:
+		return 1
+	case VKAny:
+		return v.Vals[i].ByteSize()
+	case VKStr:
+		if v.IsNull(i) {
+			return 1
+		}
+		return 8 + len(v.Dict[v.Ints[i]])
+	}
+	if v.IsNull(i) {
+		return 1
+	}
+	return 8
+}
+
+// BytesAll sums ByteSize over every lane of v (dense window accounting).
+//
+//hot:per-batch byte accounting of every scanned column
+func (v *Vector) BytesAll() float64 {
+	switch v.K {
+	case VKNull:
+		return float64(v.N)
+	case VKAny:
+		n := 0
+		for _, val := range v.Vals {
+			n += val.ByteSize()
+		}
+		return float64(n)
+	case VKStr:
+		n := 0
+		if v.Nulls == nil {
+			n = 8 * v.N
+			for _, code := range v.Ints[:v.N] {
+				n += len(v.Dict[code])
+			}
+		} else {
+			for i := 0; i < v.N; i++ {
+				n += v.laneBytes(i)
+			}
+		}
+		return float64(n)
+	}
+	// Fixed width: 8 bytes a lane, 1 for a NULL.
+	return float64(8*v.N - 7*countNulls(v.Nulls, v.NullOff, v.N))
+}
+
+// BytesSel sums ByteSize over the selected lanes of v.
+func (v *Vector) BytesSel(sel []int32) float64 {
+	switch v.K {
+	case VKNull:
+		return float64(len(sel))
+	case VKInt, VKFloat, VKBool:
+		if v.Nulls == nil {
+			return float64(8 * len(sel))
+		}
+	case VKStr:
+		if v.Nulls == nil {
+			n := 8 * len(sel)
+			for _, i := range sel {
+				n += len(v.Dict[v.Ints[i]])
+			}
+			return float64(n)
+		}
+	}
+	n := 0
+	for _, i := range sel {
+		n += v.laneBytes(int(i))
+	}
+	return float64(n)
+}
+
+// countNulls counts the set bits among lanes [off, off+n) of a NULL
+// bitmap (nil = none), a word at a time.
+func countNulls(nulls []uint64, off, n int) int {
+	if nulls == nil {
+		return 0
+	}
+	cnt := 0
+	for lo, hi := off, off+n; lo < hi; {
+		word, span := nulls[lo>>6]>>(uint(lo)&63), 64-lo&63
+		if span > hi-lo {
+			span = hi - lo
+			word &= 1<<uint(span) - 1
+		}
+		cnt += bits.OnesCount64(word)
+		lo += span
+	}
+	return cnt
 }
 
 // Arithmetic helpers. Operations involving NULL yield NULL. Integer

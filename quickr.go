@@ -287,24 +287,26 @@ func (e *Engine) CreateTable(name string, cols []Column, parts int) error {
 
 // Insert appends rows (of Go values: int/int64, float64, string, bool,
 // nil) to a table, spreading them round-robin over partitions. Every row
-// holds one value per column of the table.
+// holds one value per column of the table. Every row is converted before
+// any is appended, so a failed Insert leaves the table as it was.
 func (e *Engine) Insert(name string, rows [][]any) error {
 	t, err := e.cat.Table(name)
 	if err != nil {
 		return err
 	}
+	conv := make([]table.Row, len(rows))
 	for i, r := range rows {
 		if len(r) != t.Schema.Len() {
 			return fmt.Errorf("quickr: row %d has %d values, table %s has %d columns", i, len(r), name, t.Schema.Len())
 		}
-		row := make(table.Row, len(r))
+		conv[i] = make(table.Row, len(r))
 		for j, v := range r {
-			val, err := toValue(v)
-			if err != nil {
+			if conv[i][j], err = toValue(v); err != nil {
 				return fmt.Errorf("quickr: row %d col %d: %w", i, j, err)
 			}
-			row[j] = val
 		}
+	}
+	for i, row := range conv {
 		t.Append(i, row)
 	}
 	// Loads change the cardinalities cached plans were costed with.
