@@ -4,14 +4,17 @@
 //
 // Usage:
 //
-//	quickr [-sf 1] [-seed 0] [-batch 1024] [-check] [-sample-cache N] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
+//	quickr [-sf 1] [-seed 0] [-batch 1024] [-check] [-sample-cache 67108864] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
 //	quickr [-sf 1] -i            # simple REPL
 //	quickr [-sf 1] -serve :8080  # HTTP/JSON query service (see internal/service)
 //
 // -explain prints plans without executing; -analyze executes and prints
 // the EXPLAIN ANALYZE view (actual row counts per operator alongside
 // optimizer estimates, sampler pass rates, join sizes); -stats writes a
-// machine-readable JSON run report ("-" for stdout).
+// machine-readable JSON run report ("-" for stdout). -sample-cache is
+// the byte budget of hot-sample reuse (64 MiB by default, 0 turns it
+// off): a repeated sampled query replays its sample instead of
+// re-scanning.
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles for the run; the
 // -serve mode instead exposes live profiles on /debug/pprof.
@@ -46,7 +49,7 @@ func main() {
 	stats := flag.String("stats", "", "write a JSON run report to this path (\"-\" = stdout)")
 	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = one batch per partition)")
 	check := flag.Bool("check", false, "verify plan invariants (sampler dominance, universe pairing, weight propagation) at optimize time; violations fail the query")
-	sampleCache := flag.Int64("sample-cache", 0, "enable hot-sample reuse with this byte budget: repeated queries replay materialized sampler output instead of re-scanning (0 = off); answers are bit-identical warm or cold")
+	sampleCache := flag.Int64("sample-cache", quickr.DefaultSampleCacheBytes, "byte budget of hot-sample reuse: repeated queries replay materialized sampler output instead of re-scanning (0 = off); answers are bit-identical warm or cold")
 	history := flag.String("history", "", "load the learned query history from this JSON file before running and save it back after (created if missing)")
 	interactive := flag.Bool("i", false, "interactive mode")
 	serve := flag.String("serve", "", "serve the HTTP/JSON query API on this address (e.g. :8080) instead of running a query")

@@ -380,7 +380,7 @@ func TestConcurrentReconfigure(t *testing.T) {
 	const workers, rounds = 16, 6
 	steps := []func(){
 		func() { eng.SetBatchSize(1) },
-		func() { eng.SetSampleCache(64 << 20) },
+		func() { eng.SetSampleCache(quickr.DefaultSampleCacheBytes) },
 		func() { eng.SetBatchSize(7) },
 		func() { eng.SetPlanChecks(true) },
 		func() { eng.SetBatchSize(0) },

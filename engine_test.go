@@ -1,6 +1,7 @@
 package quickr
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -58,6 +59,27 @@ func TestEngineErrors(t *testing.T) {
 		if got := count(); got != before {
 			t.Errorf("after a failed insert with %s: COUNT(*) reads %v, want %v", name, got, before)
 		}
+	}
+	// A value of another kind than its column's used to be stored as
+	// it came, so SUM skipped it and MAX returned it.
+	err = eng.Insert("t", [][]any{{1}, {"x"}, {2.5}})
+	var kerr *KindError
+	if !errors.As(err, &kerr) || *kerr != (KindError{Row: 1, Column: "a", Want: "BIGINT", Got: "VARCHAR"}) {
+		t.Errorf("a string into an Int column: got %v, want a KindError for row 1", err)
+	}
+	if n, v := tbl.NumRows(), tbl.Version(); n != rows || v != version {
+		t.Errorf("after a mistyped insert: %d rows at version %d, want %d at %d", n, v, rows, version)
+	}
+	if err := eng.Insert("t", [][]any{{2.5}}); !errors.As(err, &kerr) || kerr.Got != "DOUBLE" {
+		t.Errorf("a float into an Int column: got %v, want a KindError", err)
+	}
+	// An int widens into a Float column.
+	must(t, eng.CreateTable("f", []Column{{Name: "x", Type: Float}}, 1))
+	must(t, eng.Insert("f", [][]any{{3}, {nil}}))
+	res, err := eng.Exec("SELECT x FROM f WHERE x IS NOT NULL")
+	must(t, err)
+	if len(res.Rows) != 1 || res.Rows[0][0] != 3.0 {
+		t.Errorf("an int inserted into a Float column reads back as %#v, want float64 3", res.Rows)
 	}
 }
 

@@ -6,15 +6,16 @@
 // panels over a shared web log, each refreshed M times by concurrent
 // submitters. It first reports the per-refresh cluster-cost gain of
 // lazy approximation (the paper's claim), then replays the whole
-// refresh workload three ways — exact, cold-approximate (samplers
-// re-scan the log on every refresh) and cached-approximate (hot-sample
-// reuse replays materialized sampler output) — and reports the
-// throughput of each. The same panels are the repository benchmark's
-// dashboard_repeat and ingest_refresh workloads (benchmark/README.md).
+// refresh workload three ways — exact, cold-approximate (the sample
+// cache off: samplers re-scan the log on every refresh) and
+// cached-approximate (the engine's default: hot-sample reuse replays
+// materialized sampler output) — and reports the throughput of each.
+// The same panels are the repository benchmark's dashboard_repeat and
+// ingest_refresh workloads (benchmark/README.md).
 //
 // Usage:
 //
-//	dashboard [-rows 400000] [-refreshes 20] [-workers 8] [-cache 67108864]
+//	dashboard [-rows 400000] [-refreshes 20] [-workers 8]
 package main
 
 import (
@@ -33,7 +34,6 @@ func main() {
 	rows := flag.Int("rows", 400000, "web log rows to generate")
 	refreshes := flag.Int("refreshes", 20, "refreshes per panel in the timed workload")
 	workers := flag.Int("workers", 8, "concurrent refresh submitters")
-	cache := flag.Int64("cache", 64<<20, "sample-cache byte budget for the cached pass")
 	flag.Parse()
 
 	eng := quickr.New()
@@ -111,11 +111,12 @@ func main() {
 	exactQPS := hammer(exec)
 	fmt.Printf("  exact:             %8.1f refreshes/sec\n", exactQPS)
 
+	eng.SetSampleCache(0)
 	warm(execApprox)
 	coldQPS := hammer(execApprox)
 	fmt.Printf("  cold approximate:  %8.1f refreshes/sec (%.2fx exact)\n", coldQPS, coldQPS/exactQPS)
 
-	eng.SetSampleCache(*cache)
+	eng.SetSampleCache(quickr.DefaultSampleCacheBytes)
 	warm(execApprox) // populates the sample cache
 	cachedQPS := hammer(execApprox)
 	fmt.Printf("  cached approximate:%8.1f refreshes/sec (%.2fx exact, %.2fx cold)\n",

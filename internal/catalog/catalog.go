@@ -1,6 +1,6 @@
-// Package catalog maintains the table registry, per-table statistics and
-// declared key relationships, and binds parsed SQL to the logical
-// algebra in internal/lplan.
+// Package catalog maintains the table registry, per-table statistics,
+// the hot-sample cache and declared key relationships, and binds parsed
+// SQL to the logical algebra in internal/lplan.
 package catalog
 
 import (
@@ -11,12 +11,38 @@ import (
 	"quickr/internal/table"
 )
 
-// Catalog registers tables, their statistics and primary keys.
+// Catalog registers tables, their statistics, the samples drawn from
+// them and primary keys.
 type Catalog struct {
-	mu     sync.RWMutex
-	tables map[string]*table.Table
-	pks    map[string][]string // table -> primary key columns
-	Stats  *stats.Store
+	mu      sync.RWMutex
+	tables  map[string]*table.Table
+	pks     map[string][]string // table -> primary key columns
+	Stats   *stats.Store
+	samples SampleStore
+}
+
+// SampleStore is the cache of sampler outputs that plans over a catalog
+// replay: an *exec.SampleCache, which opt.SampleCacheOf reads back. The
+// catalog names it by interface because exec's tests import this
+// package (through refimpl). Like the statistics it is derived from the
+// tables: its entries are keyed by table version.
+type SampleStore interface {
+	Purge()
+}
+
+// SampleStore returns the catalog's sample cache, nil when off (as in a
+// new catalog).
+func (c *Catalog) SampleStore() SampleStore {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.samples
+}
+
+// SetSampleStore replaces the sample cache; nil turns it off.
+func (c *Catalog) SetSampleStore(s SampleStore) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.samples = s
 }
 
 // New returns an empty catalog.

@@ -26,11 +26,6 @@ type Options struct {
 	// plan-node identity (nil when no learned correction applied);
 	// EXPLAIN ANALYZE shows them as `corrected=` next to `est=`.
 	CorrRows map[PNode]float64
-	// SampleCache, when set, resolves PCachedSample nodes: hits replay
-	// materialized sampler output, misses run the fragment lazily and
-	// populate. Nil runs every fragment lazily (plans without cached
-	// nodes never consult it).
-	SampleCache *SampleCache
 	// CacheEpoch is the engine's config epoch at submission time; it is
 	// folded into sample-cache keys so entries from before a Set*/DDL
 	// bump are unreachable even if a purge races a populate.

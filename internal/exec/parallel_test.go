@@ -152,7 +152,7 @@ func panicInRunReleasesLedger(t *testing.T) {
 		rows = append(rows, [2]float64{float64(i % 97), float64(i) * 1.25})
 	}
 	tbl, _ := buildT("panicky", 4, rows)
-	plan := cachedAggPlan(tbl, 11, true)
+	plan := cachedAggPlan(tbl, nil, 11, true)
 	open := OpenLedgers()
 	before, err := Run(plan, cluster.DefaultConfig())
 	if err != nil {
@@ -164,8 +164,10 @@ func panicInRunReleasesLedger(t *testing.T) {
 		broken[i] = Part{N: 8, Cols: []table.Vector{{K: table.VKInt}, {K: table.VKFloat}}, W: make([]float64, 8)}
 	}
 	sc := NewSampleCache(64 << 20)
-	sc.Put(fmt.Sprintf("%s|v%d|e0", cs.Key, tbl.Version()), broken)
-	_, err = RunWithOptions(context.Background(), plan, cluster.DefaultConfig(), nil, Options{SampleCache: sc})
+	sc.Put(fmt.Sprintf("%s|v%d|e0", cs.Key, tbl.Version()), broken, 0)
+	cs.Cache = sc
+	_, err = Run(plan, cluster.DefaultConfig())
+	cs.Cache = nil
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("run over the broken entry: got %v, want ErrInternal", err)
 	}

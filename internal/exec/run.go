@@ -92,7 +92,7 @@ func RunWithOptions(ctx context.Context, p PNode, cfg cluster.Config, estRows ma
 	// finished, so no task still holds one.
 	mem := newLedger()
 	defer mem.release()
-	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, sc: opts.SampleCache, cacheEpoch: opts.CacheEpoch, mem: mem}
+	ex := &executor{run: cluster.NewRun(cfg), qm: qm, batch: resolveBatch(opts.BatchSize), ctx: ctx, cacheEpoch: opts.CacheEpoch, mem: mem}
 	t0 := time.Now()
 	s, err := ex.exec(p)
 	if err != nil {
@@ -215,9 +215,8 @@ type executor struct {
 	// ctx carries the query's cancellation/deadline signal; it is
 	// checked between partition tasks and at batch boundaries.
 	ctx context.Context
-	// sc resolves PCachedSample nodes (nil = always run fragments
-	// lazily); cacheEpoch is folded into its runtime keys.
-	sc         *SampleCache
+	// cacheEpoch is folded into the runtime keys of PCachedSample
+	// nodes' caches.
 	cacheEpoch uint64
 	// Pool telemetry accumulated across this run's parallel regions
 	// (written only by the coordinating goroutine).

@@ -45,6 +45,10 @@ type PCachedSample struct {
 	// plan checker verifies it against the fragment so a hand-built plan
 	// cannot claim cached output under different weights.
 	SamplerP float64
+	// Cache keeps the fragment's output across runs: the catalog's
+	// sample cache when the node was planned. Nil runs the fragment
+	// lazily every time.
+	Cache *SampleCache
 }
 
 // Cols implements PNode: cached output has exactly the fragment's schema.
@@ -161,11 +165,13 @@ func fnv64(s string) uint64 {
 // cacheEntry is one LRU slot: a fragment's full per-partition output,
 // clones of the Parts the fragment's sink built. Parts are immutable and
 // every reader copies the weights it goes on to scale, so one entry
-// serves any number of concurrent queries.
+// serves any number of concurrent queries. inBytes is the raw input the
+// fragment's scan charged the job: a replay charges it again.
 type cacheEntry struct {
-	key   string
-	parts []Part
-	bytes int64
+	key     string
+	parts   []Part
+	inBytes float64
+	bytes   int64
 }
 
 // SampleCache is a byte-budgeted, process-shareable LRU over
@@ -191,27 +197,30 @@ func NewSampleCache(budget int64) *SampleCache {
 	}
 }
 
-// Get returns the cached fragment output for key, if present.
-func (c *SampleCache) Get(key string) ([]Part, bool) {
+// Get returns the cached fragment output for key and the raw input
+// bytes its scan read, if present.
+func (c *SampleCache) Get(key string) ([]Part, float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		metrics.SampleCacheMisses.Add(1)
-		return nil, false
+		return nil, 0, false
 	}
 	c.order.MoveToFront(el)
 	metrics.SampleCacheHits.Add(1)
-	return el.Value.(*cacheEntry).parts, true
+	e := el.Value.(*cacheEntry)
+	return e.parts, e.inBytes, true
 }
 
-// Put inserts a clone of a materialized fragment output: the run that
-// built parts releases their payloads when it ends, the entry keeps its
-// own (and shares the dictionaries). Admission control rejects entries
+// Put inserts a clone of a materialized fragment output, with the raw
+// input bytes its scan read: the run that built parts releases their
+// payloads when it ends, the entry keeps its own (and shares the
+// dictionaries). Admission control rejects entries
 // larger than a quarter of the budget (one giant fragment must not wipe
 // the working set); otherwise least-recently-used entries are evicted
 // until the new entry fits.
-func (c *SampleCache) Put(key string, parts []Part) {
+func (c *SampleCache) Put(key string, parts []Part, inBytes float64) {
 	var bytes int64
 	for i := range parts {
 		bytes += cachedPartBytes(&parts[i])
@@ -240,7 +249,7 @@ func (c *SampleCache) Put(key string, parts []Part) {
 		}
 		c.evict(back)
 	}
-	e := &cacheEntry{key: key, parts: own, bytes: bytes}
+	e := &cacheEntry{key: key, parts: own, inBytes: inBytes, bytes: bytes}
 	c.items[key] = c.order.PushFront(e)
 	c.bytes += bytes
 	metrics.SampleCacheBytes.Store(c.bytes)
@@ -309,7 +318,7 @@ func cachedPartBytes(p *Part) int64 {
 
 // execCachedSample resolves a cached-sample node into the source of the
 // chain above it: on a hit the stream carries the cached partitions, on
-// a miss (or with no cache configured) the fragment runs lazily and its
+// a miss (or with no cache on the node) the fragment runs lazily and its
 // output populates the cache. Either way the chain above windows the
 // same Parts zero-copy. The runtime key extends the plan-time fragment
 // key with the scan table's version and the engine's config epoch,
@@ -317,10 +326,11 @@ func cachedPartBytes(p *Part) int64 {
 // caches.
 func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 	scan := FragmentScan(cs.Frag)
+	sc := cs.Cache
 	var key string
-	if ex.sc != nil && scan != nil {
+	if sc != nil && scan != nil {
 		key = fmt.Sprintf("%s|v%d|e%d", cs.Key, scan.Tbl.Version(), ex.cacheEpoch)
-		if cached, ok := ex.sc.Get(key); ok {
+		if cached, inBytes, ok := sc.Get(key); ok {
 			op := ex.opFor(cs)
 			op.Grow(len(cached))
 			for i := range cached {
@@ -331,12 +341,16 @@ func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 				}
 			}
 			// Cached output is a materialized boundary: no scan stage
-			// exists, the outer pipeline opens its own stage over it. The
-			// stream gets its own slice: breakers replace partitions in
-			// place, the entry's must stay.
+			// exists (a replay costs fewer machine hours than the lazy
+			// run), the outer pipeline opens its own stage over it. The
+			// job still reads the fragment's input, which the passes
+			// metric divides by. The stream gets its own slice: breakers
+			// replace partitions in place, the entry's must stay.
+			ex.run.JobInputBytes += inBytes
 			return &stream{parts: slices.Clone(cached)}, nil
 		}
 	}
+	before := ex.run.JobInputBytes
 	s, err := ex.execColPipeline(cs.Frag)
 	if err != nil {
 		return nil, err
@@ -348,11 +362,11 @@ func (ex *executor) execCachedSample(cs *PCachedSample) (*stream, error) {
 		sl.RowsIn += int64(s.parts[i].N)
 		sl.RowsOut += int64(s.parts[i].N)
 	}
-	if ex.sc != nil && scan != nil {
+	if sc != nil && scan != nil {
 		// Populate-on-miss: Put clones the sink's partitions. The key was
 		// computed before the fragment ran, so an Append or config bump
 		// landing mid-run leaves the entry unreachable, never wrong.
-		ex.sc.Put(key, s.parts)
+		sc.Put(key, s.parts, ex.run.JobInputBytes-before)
 	}
 	return s, nil
 }

@@ -121,12 +121,12 @@ func TestSampleCacheLRUAndAdmission(t *testing.T) {
 	// a quarter of the budget, so each entry is comfortably admitted.
 	c := NewSampleCache(8 * entryBytes)
 
-	c.Put("a0", cachedFixture(10))
-	c.Put("b0", cachedFixture(10))
+	c.Put("a0", cachedFixture(10), 0)
+	c.Put("b0", cachedFixture(10), 0)
 	if c.Len() != 2 || c.Bytes() != 2*entryBytes {
 		t.Fatalf("after two puts: len=%d bytes=%d want 2 x %d", c.Len(), c.Bytes(), entryBytes)
 	}
-	if _, ok := c.Get("a0"); !ok {
+	if _, _, ok := c.Get("a0"); !ok {
 		t.Fatal("a0 missing after put")
 	}
 
@@ -134,12 +134,12 @@ func TestSampleCacheLRUAndAdmission(t *testing.T) {
 	// just touched).
 	evict0 := metrics.SampleCacheEvictions.Load()
 	for i := 0; i < 7; i++ {
-		c.Put(fmt.Sprintf("f%d", i), cachedFixture(10))
+		c.Put(fmt.Sprintf("f%d", i), cachedFixture(10), 0)
 	}
-	if _, ok := c.Get("b0"); ok {
+	if _, _, ok := c.Get("b0"); ok {
 		t.Error("b0 survived eviction although it was least recently used")
 	}
-	if _, ok := c.Get("a0"); !ok {
+	if _, _, ok := c.Get("a0"); !ok {
 		t.Error("a0 evicted although it was most recently used")
 	}
 	if got := metrics.SampleCacheEvictions.Load() - evict0; got == 0 {
@@ -152,14 +152,14 @@ func TestSampleCacheLRUAndAdmission(t *testing.T) {
 	// Admission control: an entry above budget/4 is rejected, not admitted.
 	rej0 := metrics.SampleCacheRejects.Load()
 	before := c.Len()
-	c.Put("giant", cachedFixture(100))
+	c.Put("giant", cachedFixture(100), 0)
 	if c.Len() != before {
 		t.Error("oversized entry was admitted")
 	}
 	if metrics.SampleCacheRejects.Load() == rej0 {
 		t.Error("reject gauge did not move for oversized entry")
 	}
-	if _, ok := c.Get("giant"); ok {
+	if _, _, ok := c.Get("giant"); ok {
 		t.Error("oversized entry retrievable after rejection")
 	}
 
@@ -167,7 +167,7 @@ func TestSampleCacheLRUAndAdmission(t *testing.T) {
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Errorf("purge left len=%d bytes=%d", c.Len(), c.Bytes())
 	}
-	if _, ok := c.Get("a0"); ok {
+	if _, _, ok := c.Get("a0"); ok {
 		t.Error("a0 retrievable after purge")
 	}
 }
@@ -220,15 +220,16 @@ func TestCachedPartBytesChargesBoxedValues(t *testing.T) {
 }
 
 // cachedAggPlan builds SUM(v)/COUNT(*) over a cached uniform sampler on
-// tbl. Identical (seed, key) plans must produce identical results
-// whether served cold, from the lazy fallback, or from a warm cache.
+// tbl, its cached node over sc (nil: no cache). Identical (seed, key)
+// plans must produce identical results whether served cold, from the
+// lazy fallback, or from a warm cache.
 // Unfused, the cached node feeds an exchange; fused, a filter and the
 // aggregate itself sit in the chain the cached node is the source of.
-func cachedAggPlan(tbl *table.Table, seed uint64, fused bool) PNode {
+func cachedAggPlan(tbl *table.Table, sc *SampleCache, seed uint64, fused bool) PNode {
 	scan := scanOf(tbl)
 	v := scan.OutCols[1]
 	frag := sampleOver(scan, 0.5, seed)
-	cs := &PCachedSample{Frag: frag, Key: FragmentKey(frag), SamplerP: 0.5}
+	cs := &PCachedSample{Frag: frag, Key: FragmentKey(frag), SamplerP: 0.5, Cache: sc}
 	var in PNode = &PExchange{In: cs, Parts: 1}
 	if fused {
 		in = &PFilter{In: cs, Pred: &lplan.Binary{Op: lplan.OpGe,
@@ -259,8 +260,8 @@ func TestExecCachedSampleWarmReplayBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("fused=%v/batch=%d", fused, bs), func(t *testing.T) {
 				runWith := func(sc *SampleCache, seed uint64) *Result {
 					t.Helper()
-					res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, seed, fused), cluster.DefaultConfig(), nil,
-						Options{SampleCache: sc, BatchSize: bs})
+					res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, sc, seed, fused), cluster.DefaultConfig(), nil,
+						Options{BatchSize: bs})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -284,7 +285,7 @@ func TestExecCachedSampleWarmReplayBitIdentical(t *testing.T) {
 				sameEstimates(t, cold, warm, "warm vs cold")
 				if fused {
 					// The fused aggregate emits per partition, like the reference.
-					ref := refRun(t, cachedAggPlan(tbl, 11, true))
+					ref := refRun(t, cachedAggPlan(tbl, nil, 11, true))
 					sameRows(t, ref, warm, "warm vs row reference")
 					sameEstimates(t, ref, warm, "warm vs row reference")
 				}
@@ -313,13 +314,13 @@ func TestSampleCacheTinyBudgetFallsBackLazily(t *testing.T) {
 	tbl, _ := buildT("tiny", 4, rows)
 	sc := NewSampleCache(1) // admission rejects everything (> budget/4)
 
-	lazyRes, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 5, false), cluster.DefaultConfig(), nil, Options{})
+	lazyRes, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, nil, 5, false), cluster.DefaultConfig(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rej0 := metrics.SampleCacheRejects.Load()
 	for i := 0; i < 3; i++ {
-		res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, 5, false), cluster.DefaultConfig(), nil, Options{SampleCache: sc})
+		res, err := RunWithOptions(context.Background(), cachedAggPlan(tbl, sc, 5, false), cluster.DefaultConfig(), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,9 +352,9 @@ func TestSampleCacheConcurrentHammer(t *testing.T) {
 				case i%17 == 0:
 					c.Purge()
 				case i%3 == 0:
-					c.Put(k, cachedFixture(8))
+					c.Put(k, cachedFixture(8), 0)
 				default:
-					if parts, ok := c.Get(k); ok {
+					if parts, _, ok := c.Get(k); ok {
 						// A hit must always be replayable.
 						if got := replayCached(parts, 3); len(got) != 1 || got[0].N != 8 {
 							t.Errorf("corrupt hit for %s", k)

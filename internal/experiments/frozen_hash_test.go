@@ -32,6 +32,7 @@ import (
 	"strings"
 	"testing"
 
+	"quickr"
 	"quickr/internal/data"
 	"quickr/internal/metrics"
 	"quickr/internal/workload"
@@ -41,10 +42,6 @@ var freezeHashes = flag.Bool("freeze-result-hashes", false,
 	"rewrite testdata/golden/result_hashes.golden (state the reason in the commit)")
 
 const frozenHashPath = "../../testdata/golden/result_hashes.golden"
-
-// sampleCacheBudget is the byte budget the cache-on passes of this
-// package's tests enable: far more than any swept plan's samples need.
-const sampleCacheBudget int64 = 64 << 20
 
 // newFrozenEnv loads TPC-DS-like and TPC-H-like data at sf 0.2 and 5 000
 // log rows, sampler seed 1: small enough for tier 1, large enough that
@@ -118,7 +115,7 @@ func TestFrozenResultHashes(t *testing.T) {
 				check(t, "cache off", q, false)
 				check(t, "cache off", q, true)
 			}
-			env.Eng.SetSampleCache(sampleCacheBudget)
+			env.Eng.SetSampleCache(quickr.DefaultSampleCacheBytes)
 			hits0 := metrics.SampleCacheHits.Load()
 			for _, q := range queries {
 				check(t, "cache cold", q, true)

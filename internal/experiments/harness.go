@@ -26,12 +26,14 @@ type Env struct {
 }
 
 // NewTPCDSEnv builds an engine with the TPC-DS-like schema at the given
-// scale factor.
+// scale factor. Its sample cache is off: the evaluation reproduces the
+// paper's lazy system, which shares no sample across queries.
 func NewTPCDSEnv(sf float64) *Env {
 	cfg := data.DefaultTPCDS()
 	cfg.ScaleFactor = sf
 	ds := data.GenerateTPCDS(cfg)
 	eng := quickr.New()
+	eng.SetSampleCache(0)
 	for name, t := range ds.Tables {
 		eng.RegisterStored(t, ds.PKs[name]...)
 	}

@@ -13,6 +13,7 @@ package experiments
 import (
 	"testing"
 
+	"quickr"
 	"quickr/internal/metrics"
 )
 
@@ -22,7 +23,7 @@ func TestSeedSweepCoverageCached(t *testing.T) {
 	}
 	env := NewTPCDSEnv(0.05)
 	queries := pickSweepQueries(t, env, 5)
-	env.Eng.SetSampleCache(sampleCacheBudget)
+	env.Eng.SetSampleCache(quickr.DefaultSampleCacheBytes)
 	defer env.Eng.SetSampleCache(0)
 
 	hits0 := metrics.SampleCacheHits.Load()

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -314,5 +315,60 @@ func TestSelectivityShapes(t *testing.T) {
 	and := &lplan.Binary{Op: lplan.OpAnd, L: in, R: rng}
 	if s := est.Selectivity(and, fscan); s >= est.Selectivity(in, fscan) {
 		t.Errorf("AND must shrink selectivity: %v", s)
+	}
+}
+
+// TestPlannerTakesSampleCacheFromCatalog: a planner wraps cacheable
+// sampler fragments exactly when the catalog it plans over holds a
+// sample cache, and the nodes carry that cache to the executor, so a
+// plan built and run from the layers alone replays its sample.
+func TestPlannerTakesSampleCacheFromCatalog(t *testing.T) {
+	cat, est := fixture(t)
+	logical := addSamplerAboveScan(Normalize(bindQ(t, cat, "SELECT f_dim, SUM(f_val) FROM fact GROUP BY f_dim"), est))
+	plan := func() (exec.PNode, []*exec.PCachedSample) {
+		t.Helper()
+		pl := &Planner{CM: NewCostModel(NewEstimator(cat), cluster.DefaultConfig()),
+			EstCfg: &exec.EstimatorConfig{Type: lplan.SamplerUniform, P: 0.05}}
+		phys, err := pl.Plan(logical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cached []*exec.PCachedSample
+		exec.WalkP(phys, func(n exec.PNode) {
+			if cs, ok := n.(*exec.PCachedSample); ok {
+				cached = append(cached, cs)
+			}
+		})
+		return phys, cached
+	}
+	if _, cached := plan(); len(cached) != 0 {
+		t.Fatalf("catalog without a sample cache: %d cached-sample nodes, want 0", len(cached))
+	}
+
+	sc := exec.NewSampleCache(1 << 20)
+	cat.SetSampleStore(sc)
+	phys, cached := plan()
+	if len(cached) != 1 || cached[0].Cache != sc {
+		t.Fatalf("catalog with a sample cache: %d cached-sample nodes (want 1, over the catalog's cache)", len(cached))
+	}
+	cold, err := exec.Run(phys, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, _ = plan()
+	warm, err := exec.Run(phys, cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Len() != 1 || warm.PartitionsScanned != 0 {
+		t.Fatalf("second run: %d entries, %d partitions scanned; want a replay of 1 entry", sc.Len(), warm.PartitionsScanned)
+	}
+	if fmt.Sprint(warm.Rows) != fmt.Sprint(cold.Rows) {
+		t.Fatalf("replay differs from the cold run:\n%v\n%v", warm.Rows, cold.Rows)
+	}
+
+	cat.SetSampleStore(nil)
+	if _, cached := plan(); len(cached) != 0 {
+		t.Fatalf("sample cache turned off: %d cached-sample nodes, want 0", len(cached))
 	}
 }

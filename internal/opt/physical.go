@@ -27,11 +27,6 @@ type Planner struct {
 	// every emitted physical node (EXPLAIN ANALYZE compares these
 	// against executed counts). Plan initializes it if nil.
 	Ests map[exec.PNode]float64
-	// SampleCache enables the hot-sample-reuse pass (samplecache.go):
-	// cacheable sampler fragments are wrapped in PCachedSample nodes so
-	// the executor can replay materialized sampler output on repeated
-	// queries. Off by default.
-	SampleCache bool
 
 	topAgg     *lplan.Aggregate
 	samplerSeq uint64
@@ -44,7 +39,7 @@ func (pl *Planner) Plan(n lplan.Node) (exec.PNode, error) {
 		pl.Ests = map[exec.PNode]float64{}
 	}
 	p, err := pl.compile(n)
-	if err == nil && p != nil && pl.SampleCache {
+	if err == nil && p != nil && SampleCacheOf(pl.CM.Est.Cat) != nil {
 		pl.applySampleCache(p)
 	}
 	return p, err

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"quickr/internal/catalog"
 	"quickr/internal/exec"
 )
 
@@ -13,13 +14,26 @@ import (
 // untouched (a cache miss simply runs it), which is what the soundness
 // prover verifies when it applies this pass to seeded plans.
 
+// SampleCacheOf returns the catalog's sample cache, nil when off:
+// Plan wraps cacheable fragments only when there is one to replay from.
+func SampleCacheOf(cat *catalog.Catalog) *exec.SampleCache {
+	if cat == nil {
+		return nil
+	}
+	sc, _ := cat.SampleStore().(*exec.SampleCache)
+	return sc
+}
+
 // applySampleCache wraps every cacheable sampler fragment below root in
-// a cached-sample node. It mutates the plan in place and, when invoked
-// directly (the soundness prover does), applies unconditionally; Plan
-// gates it behind Planner.SampleCache. The plan root itself is never
-// wrapped — there is no parent link to rewrite — but in practice a
-// sampler never roots a plan (an aggregate or sort sits above it).
+// a cached-sample node over the catalog's sample cache. It mutates the
+// plan in place and, when invoked directly (the soundness prover does),
+// applies unconditionally, leaving the nodes without a cache when the
+// catalog has none; Plan applies it only when the catalog has one. The
+// plan root itself is never wrapped — there is no parent link to
+// rewrite — but in practice a sampler never roots a plan (an aggregate
+// or sort sits above it).
 func (pl *Planner) applySampleCache(root exec.PNode) {
+	sc := SampleCacheOf(pl.CM.Est.Cat)
 	var rec func(n exec.PNode, set func(exec.PNode))
 	rec = func(n exec.PNode, set func(exec.PNode)) {
 		if set != nil && exec.CacheableFragment(n) {
@@ -28,6 +42,7 @@ func (pl *Planner) applySampleCache(root exec.PNode) {
 				Frag:     s,
 				Key:      exec.FragmentKey(s),
 				SamplerP: s.Def.P,
+				Cache:    sc,
 			})
 			// The fragment below is now cached wholesale; nested samplers
 			// inside it are part of the cached stream, not candidates.

@@ -310,10 +310,15 @@ func cachedCompile(t *testing.T) exec.PNode {
 				norm = r.Logical(norm, est)
 			}
 		}
-		pl := &opt.Planner{CM: opt.NewCostModel(est, cluster.DefaultConfig()), EstCfg: estCfg(info), Seed: seed, SampleCache: true}
+		pl := &opt.Planner{CM: opt.NewCostModel(est, cluster.DefaultConfig()), EstCfg: estCfg(info), Seed: seed}
 		proot, err := pl.Plan(norm)
 		if err != nil {
 			continue
+		}
+		for _, r := range opt.Rules() {
+			if r.Name == "sample-cache" {
+				r.Physical(pl, proot)
+			}
 		}
 		if len(cachedSamples(proot)) > 0 {
 			return proot

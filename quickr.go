@@ -65,6 +65,11 @@ var (
 // running immediately.
 const DefaultMemoryBudget int64 = 256 << 20
 
+// DefaultSampleCacheBytes is the byte budget of the sample cache New
+// installs: repeated queries replay the samples earlier runs drew
+// (SetSampleCache).
+const DefaultSampleCacheBytes int64 = 64 << 20
+
 // ColType is a column type for CreateTable.
 type ColType int
 
@@ -128,10 +133,6 @@ type settings struct {
 	// contractMaxEsc bounds contract escalation retries before the
 	// exact fallback.
 	contractMaxEsc int
-	// sampleCache holds materialized sampler outputs for hot-sample
-	// reuse; nil when disabled (the default). Snapshots share the cache
-	// (it is internally synchronized) until SetSampleCache replaces it.
-	sampleCache *exec.SampleCache
 	// epoch versions everything a prepared plan depends on: it
 	// increments on DDL, data loads and every Set* call, and keys the
 	// plan cache and the sample cache.
@@ -139,7 +140,7 @@ type settings struct {
 }
 
 // New creates an engine with default cluster-simulation and ASALQA
-// parameters.
+// parameters and a sample cache of DefaultSampleCacheBytes.
 func New() *Engine {
 	e := &Engine{
 		cat:     catalog.New(),
@@ -147,6 +148,7 @@ func New() *Engine {
 		gate:    pool.NewGate(DefaultMemoryBudget),
 		history: stats.NewHistory(),
 	}
+	e.cat.SetSampleStore(exec.NewSampleCache(DefaultSampleCacheBytes))
 	e.reconfigure(func(s *settings) {
 		*s = settings{
 			cfg:            cluster.DefaultConfig(),
@@ -176,8 +178,8 @@ func (e *Engine) reconfigure(edit func(*settings)) {
 	next.epoch++
 	e.cur.Store(&next)
 	e.cache.purge()
-	if next.sampleCache != nil {
-		next.sampleCache.Purge()
+	if sc := opt.SampleCacheOf(e.cat); sc != nil {
+		sc.Purge()
 	}
 }
 
@@ -239,25 +241,28 @@ func (e *Engine) SetContractMaxEscalations(n int) {
 	e.reconfigure(func(s *settings) { s.contractMaxEsc = n })
 }
 
-// SetSampleCache enables hot-sample reuse with the given byte budget:
-// the optimizer wraps each cacheable sampler fragment (a real sampler
-// over filters/projects over one base-table scan) in a cached-sample
-// node, and the executor materializes the fragment's weighted output
-// (column-major) on first execution and replays it on repeats, skipping
-// the base-table scan entirely. Cached rows carry the exact per-row
-// Horvitz–Thompson weights the lazy path would produce, so answers and
-// confidence intervals are bit-identical warm or cold. Entries are
-// keyed by fragment fingerprint, table version and config epoch —
-// Appends and Set* calls strand stale entries rather than serving them
-// — and evicted LRU under the byte budget. A budget < 1 disables the
-// cache (the default). The CLI flag `quickr -sample-cache` sets the
-// same budget.
+// SetSampleCache sets the byte budget of hot-sample reuse; New starts
+// with DefaultSampleCacheBytes. The optimizer wraps each cacheable
+// sampler fragment (a real sampler over filters/projects over one
+// base-table scan) in a cached-sample node, and the executor
+// materializes the fragment's weighted output (column-major) on first
+// execution and replays it on repeats, skipping the base-table scan
+// entirely. Cached rows carry the exact per-row Horvitz–Thompson
+// weights the lazy path would produce, so answers and confidence
+// intervals are bit-identical warm or cold. Entries are keyed by
+// fragment fingerprint, table version and config epoch — Appends and
+// Set* calls strand stale entries rather than serving them — and
+// evicted LRU under the byte budget. The cache belongs to the engine's
+// catalog, beside its statistics, so a plan built over Catalog() shares
+// it. Each call starts an empty cache; a budget < 1 turns it off, so
+// every run draws its own sample as the paper's lazy system does. The
+// CLI flag `quickr -sample-cache` sets the same budget.
 func (e *Engine) SetSampleCache(bytes int64) {
-	var sc *exec.SampleCache
+	var sc catalog.SampleStore // nil, not a nil *exec.SampleCache, turns it off
 	if bytes >= 1 {
 		sc = exec.NewSampleCache(bytes)
 	}
-	e.reconfigure(func(s *settings) { s.sampleCache = sc })
+	e.reconfigure(func(*settings) { e.cat.SetSampleStore(sc) })
 }
 
 // CreateTable registers an empty table with the given columns, split
@@ -287,8 +292,10 @@ func (e *Engine) CreateTable(name string, cols []Column, parts int) error {
 
 // Insert appends rows (of Go values: int/int64, float64, string, bool,
 // nil) to a table, spreading them round-robin over partitions. Every row
-// holds one value per column of the table. Every row is converted before
-// any is appended, so a failed Insert leaves the table as it was.
+// holds one value per column of the table, of the column's declared
+// kind or NULL; an int widens into a Float column, any other mismatch is
+// a *KindError. Every row is converted and checked before any is
+// appended, so a failed Insert leaves the table as it was.
 func (e *Engine) Insert(name string, rows [][]any) error {
 	t, err := e.cat.Table(name)
 	if err != nil {
@@ -304,6 +311,14 @@ func (e *Engine) Insert(name string, rows [][]any) error {
 			if conv[i][j], err = toValue(v); err != nil {
 				return fmt.Errorf("quickr: row %d col %d: %w", i, j, err)
 			}
+			col := t.Schema.Cols[j]
+			switch got := conv[i][j].Kind(); {
+			case got == col.Kind || got == table.KindNull:
+			case got == table.KindInt && col.Kind == table.KindFloat:
+				conv[i][j] = table.NewFloat(conv[i][j].Float())
+			default:
+				return &KindError{Row: i, Column: col.Name, Want: col.Kind.String(), Got: got.String()}
+			}
 		}
 	}
 	for i, row := range conv {
@@ -312,6 +327,19 @@ func (e *Engine) Insert(name string, rows [][]any) error {
 	// Loads change the cardinalities cached plans were costed with.
 	e.reconfigure(nil)
 	return nil
+}
+
+// KindError is Insert's error for a value whose kind does not match
+// its column's declared type. Nothing of the insert is stored.
+type KindError struct {
+	Row    int    // index of the row in the Insert call
+	Column string // the column's name
+	Want   string // the column's declared kind
+	Got    string // the value's kind
+}
+
+func (e *KindError) Error() string {
+	return fmt.Sprintf("quickr: row %d column %s: %s value in a %s column", e.Row, e.Column, e.Got, e.Want)
 }
 
 func toValue(v any) (table.Value, error) {
@@ -441,7 +469,6 @@ func (e *Engine) runStmt(ctx context.Context, s *settings, stmt *sql.SelectStmt,
 		QueuedNanos:   adm.QueuedNanos,
 		AdmittedBytes: adm.Bytes,
 		CorrRows:      corr,
-		SampleCache:   s.sampleCache,
 		CacheEpoch:    s.epoch,
 	})
 	if err != nil {
@@ -633,7 +660,7 @@ func (e *Engine) prepareStmt(s *settings, stmt *sql.SelectStmt, approx bool, min
 			return nil, fmt.Errorf("quickr: optimized logical plan is invalid: %w", err)
 		}
 	}
-	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: s.seed, SampleCache: s.sampleCache != nil}
+	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: s.seed}
 	physical, err := planner.Plan(p.logical)
 	if err != nil {
 		return nil, err

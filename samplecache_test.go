@@ -8,6 +8,8 @@ package quickr_test
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,12 +28,13 @@ func newLogsEngine(tb testing.TB, rows int) *quickr.Engine {
 	return eng
 }
 
-// dashboardRefs executes every panel once with the sample cache off and
-// returns canonical per-panel references. Sampler seeds are a pure
+// dashboardRefs turns eng's sample cache off, executes every panel once
+// and returns canonical per-panel references. Sampler seeds are a pure
 // function of the plan, so these references are valid for every later
 // run regardless of cache configuration.
 func dashboardRefs(tb testing.TB, eng *quickr.Engine) map[string][]string {
 	tb.Helper()
+	eng.SetSampleCache(0)
 	refs := make(map[string][]string)
 	sampled := 0
 	for _, q := range workload.DashboardQueries() {
@@ -50,11 +53,65 @@ func dashboardRefs(tb testing.TB, eng *quickr.Engine) map[string][]string {
 	return refs
 }
 
+// TestSampleCacheOnByDefault: a fresh engine replays every sampled
+// panel from its second run on, with the answers of an engine whose
+// cache is off. A replay reads no partition and costs fewer passes than
+// the lazy run, but still divides them by the fragment's input.
+func TestSampleCacheOnByDefault(t *testing.T) {
+	off := newLogsEngine(t, 50000)
+	refs := dashboardRefs(t, off)
+	eng := newLogsEngine(t, 50000)
+	sampled := 0
+	for _, q := range workload.DashboardQueries() {
+		cold, err := eng.ExecApprox(q.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		sameCanonical(t, q.ID+"/cold", refs[q.ID], canonical(cold))
+		if !cold.Sampled {
+			continue
+		}
+		sampled++
+		if !strings.Contains(cold.PlanText, "CachedSample") {
+			t.Errorf("%s: sampled, but the default plan caches nothing:\n%s", q.ID, cold.PlanText)
+		}
+		for run := 2; run <= 3; run++ {
+			hits0, misses0 := metrics.SampleCacheHits.Load(), metrics.SampleCacheMisses.Load()
+			warm, err := eng.ExecApprox(q.SQL)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", q.ID, run, err)
+			}
+			if metrics.SampleCacheHits.Load() == hits0 || metrics.SampleCacheMisses.Load() != misses0 {
+				t.Errorf("%s run %d is not a replay", q.ID, run)
+			}
+			sameCanonical(t, fmt.Sprintf("%s run %d", q.ID, run), refs[q.ID], canonical(warm))
+			if p := warm.Metrics.Passes; math.IsInf(p, 0) || math.IsNaN(p) || p <= 0 || p > cold.Metrics.Passes {
+				t.Errorf("%s run %d: passes %v, want in (0, %v]", q.ID, run, p, cold.Metrics.Passes)
+			}
+			if warm.PartitionsScanned != 0 {
+				t.Errorf("%s run %d scanned %d partitions", q.ID, run, warm.PartitionsScanned)
+			}
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("no dashboard panel sampled")
+	}
+	for _, q := range workload.DashboardQueries() {
+		res, err := off.ExecApprox(q.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if strings.Contains(res.PlanText, "CachedSample") {
+			t.Errorf("%s: the cache is off, yet the plan caches a sample:\n%s", q.ID, res.PlanText)
+		}
+	}
+}
+
 func TestSampleCacheWarmColdBitIdentical(t *testing.T) {
 	eng := newLogsEngine(t, 50000)
 	refs := dashboardRefs(t, eng)
 
-	eng.SetSampleCache(64 << 20)
+	eng.SetSampleCache(quickr.DefaultSampleCacheBytes)
 	misses0 := metrics.SampleCacheMisses.Load()
 	for _, q := range workload.DashboardQueries() { // populate pass
 		res, err := eng.ExecApprox(q.SQL)
@@ -84,7 +141,7 @@ func TestSampleCacheWarmColdBitIdentical(t *testing.T) {
 // key embeds the table version, so the load strands it.
 func TestSampleCacheInsertInvalidation(t *testing.T) {
 	eng := newLogsEngine(t, 50000)
-	eng.SetSampleCache(64 << 20)
+	eng.SetSampleCache(quickr.DefaultSampleCacheBytes)
 	panel := workload.DashboardQueries()[0] // traffic by country
 
 	var before []string
@@ -131,7 +188,7 @@ func TestConcurrentSampleCacheWarmHammer(t *testing.T) {
 	refs := dashboardRefs(t, eng)
 	panels := workload.DashboardQueries()
 
-	eng.SetSampleCache(64 << 20)
+	eng.SetSampleCache(quickr.DefaultSampleCacheBytes)
 	for _, q := range panels { // populate
 		if _, err := eng.ExecApprox(q.SQL); err != nil {
 			t.Fatalf("%s populate: %v", q.ID, err)
@@ -201,7 +258,7 @@ func TestConcurrentSampleCacheReconfigure(t *testing.T) {
 	// the cache (1 byte admits nothing — every populate is rejected and
 	// every query falls back to the lazy fragment).
 	for i := 0; i < 30; i++ {
-		eng.SetSampleCache([]int64{64 << 20, 0, 1}[i%3])
+		eng.SetSampleCache([]int64{quickr.DefaultSampleCacheBytes, 0, 1}[i%3])
 	}
 	close(stop)
 	wg.Wait()

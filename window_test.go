@@ -2,6 +2,8 @@ package quickr
 
 import (
 	"testing"
+
+	"quickr/internal/table"
 )
 
 // buildWinEngine creates a small table for window tests.
@@ -131,13 +133,21 @@ func TestWindowQueryUnapproximable(t *testing.T) {
 
 // TestWindowPartitionMixedKeys: a PARTITION BY column holding ints,
 // the equal integral floats and NULLs puts 1 beside 1.0 and the NULLs
-// together, as GROUP BY does.
+// together, as GROUP BY does. Insert widens ints into a Float column,
+// so the mixed column is appended to storage directly.
 func TestWindowPartitionMixedKeys(t *testing.T) {
 	eng := New()
-	must(t, eng.CreateTable("mix", []Column{{Name: "k", Type: Float}, {Name: "v", Type: Int}}, 1))
-	must(t, eng.Insert("mix", [][]any{
-		{1, 10}, {1.0, 20}, {nil, 5}, {2.5, 3}, {2, 4}, {nil, 7}, {2.0, 6},
-	}))
+	mix := table.New("mix", table.NewSchema(
+		table.Column{Name: "k", Kind: table.KindFloat}, table.Column{Name: "v", Kind: table.KindInt}), 1)
+	for i, r := range [][2]table.Value{
+		{table.NewInt(1), table.NewInt(10)}, {table.NewFloat(1), table.NewInt(20)},
+		{table.Null, table.NewInt(5)}, {table.NewFloat(2.5), table.NewInt(3)},
+		{table.NewInt(2), table.NewInt(4)}, {table.Null, table.NewInt(7)},
+		{table.NewFloat(2), table.NewInt(6)},
+	} {
+		mix.Append(i, table.Row{r[0], r[1]})
+	}
+	eng.RegisterStored(mix)
 	res, err := eng.Exec(`
 		SELECT v, SUM(v) OVER (PARTITION BY k) AS total,
 		       COUNT(*) OVER (PARTITION BY k) AS n,
