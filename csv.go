@@ -13,8 +13,10 @@ import (
 // LoadCSV creates table name from CSV data with a header row, inferring
 // or checking columns against cols (pass nil to take names from the
 // header and infer types from the first data row: integers, floats,
-// booleans, strings). Rows spread round-robin over parts partitions.
-// It returns the number of rows loaded.
+// booleans, strings). It converts every record before it creates the
+// table, so a record that does not parse leaves no table behind; the
+// rows then land as Insert's do, round-robin over parts partitions. It
+// returns the number of rows loaded.
 func (e *Engine) LoadCSV(name string, r io.Reader, cols []Column, parts int) (int, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -24,7 +26,19 @@ func (e *Engine) LoadCSV(name string, r io.Reader, cols []Column, parts int) (in
 	}
 	header = append([]string{}, header...)
 
-	var first []string
+	var rows []table.Row
+	convert := func(rec []string) error {
+		row := make(table.Row, len(cols))
+		for i, field := range rec {
+			v, err := parseValue(field, cols[i].Type)
+			if err != nil {
+				return fmt.Errorf("quickr: row %d column %s: %w", len(rows)+1, cols[i].Name, err)
+			}
+			row[i] = v
+		}
+		rows = append(rows, row)
+		return nil
+	}
 	if cols == nil {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -33,13 +47,27 @@ func (e *Engine) LoadCSV(name string, r io.Reader, cols []Column, parts int) (in
 		if err != nil {
 			return 0, err
 		}
-		first = append([]string{}, rec...)
 		cols = make([]Column, len(header))
 		for i, h := range header {
-			cols[i] = Column{Name: h, Type: inferColType(first[i])}
+			cols[i] = Column{Name: h, Type: inferColType(rec[i])}
+		}
+		if err := convert(rec); err != nil {
+			return 0, err
 		}
 	} else if len(cols) != len(header) {
 		return 0, fmt.Errorf("quickr: CSV has %d columns, schema expects %d", len(header), len(cols))
+	}
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		if err := convert(rec); err != nil {
+			return 0, err
+		}
 	}
 
 	if err := e.CreateTable(name, cols, parts); err != nil {
@@ -49,39 +77,8 @@ func (e *Engine) LoadCSV(name string, r io.Reader, cols []Column, parts int) (in
 	if err != nil {
 		return 0, err
 	}
-
-	n := 0
-	appendRec := func(rec []string) error {
-		row := make(table.Row, len(cols))
-		for i, field := range rec {
-			v, err := parseValue(field, cols[i].Type)
-			if err != nil {
-				return fmt.Errorf("quickr: row %d column %s: %w", n+1, cols[i].Name, err)
-			}
-			row[i] = v
-		}
-		tbl.Append(n, row)
-		n++
-		return nil
-	}
-	if first != nil {
-		if err := appendRec(first); err != nil {
-			return n, err
-		}
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := appendRec(rec); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	e.appendRows(tbl, rows)
+	return len(rows), nil
 }
 
 func inferColType(field string) ColType {

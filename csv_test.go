@@ -74,4 +74,14 @@ func TestLoadCSVErrors(t *testing.T) {
 	if _, err := eng.LoadCSV("empty", strings.NewReader(""), nil, 1); err == nil {
 		t.Error("empty input must error")
 	}
+	// A record that does not parse part-way through the file loads
+	// nothing: the rows before it are not left behind in a new table.
+	if n, err := eng.LoadCSV("partial", strings.NewReader("a,b\n1,2\n3,4\n5,x\n"), nil, 1); err == nil || n != 0 {
+		t.Errorf("bad third record: loaded %d rows, err %v", n, err)
+	}
+	for _, name := range []string{"bad", "partial"} {
+		if _, err := eng.Exec("SELECT COUNT(*), SUM(a) FROM " + name); err == nil {
+			t.Errorf("a failed load left table %s behind", name)
+		}
+	}
 }

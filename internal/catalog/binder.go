@@ -82,6 +82,10 @@ func (b *Binder) bindSelect(sel *sql.SelectStmt) (lplan.Node, []lplan.ColumnInfo
 		return head, headCols, nil
 	}
 	inputs := []lplan.Node{head}
+	kinds := make([][]table.Kind, len(headCols)) // by column, by arm
+	for i, c := range headCols {
+		kinds[i] = []table.Kind{c.Kind}
+	}
 	for _, u := range sel.UnionAll {
 		n, cols, err := b.bindSelectCore(u)
 		if err != nil {
@@ -90,18 +94,55 @@ func (b *Binder) bindSelect(sel *sql.SelectStmt) (lplan.Node, []lplan.ColumnInfo
 		if len(cols) != len(headCols) {
 			return nil, nil, fmt.Errorf("bind: UNION ALL arms have %d vs %d columns", len(headCols), len(cols))
 		}
+		for i, c := range cols {
+			kinds[i] = append(kinds[i], c.Kind)
+		}
 		inputs = append(inputs, n)
+	}
+	// The arms' columns take their kind join, an arm's Int column widened
+	// where it is Float.
+	want := make([]table.Kind, len(headCols))
+	for i := range want {
+		k, ok := lplan.JoinKinds(kinds[i]...)
+		if !ok {
+			return nil, nil, fmt.Errorf("bind: UNION ALL column %s mixes kinds %v", headCols[i].Name, kinds[i])
+		}
+		want[i] = k
+	}
+	for a, in := range inputs {
+		inputs[a] = b.widenArm(in, want)
 	}
 	// Union output gets fresh column ids; executor aligns positionally.
 	outCols := make([]lplan.ColumnInfo, len(headCols))
 	for i, c := range headCols {
-		origins := append([]lplan.BaseCol{}, c.Origins...)
-		for _, in := range inputs[1:] {
+		var origins []lplan.BaseCol
+		for _, in := range inputs {
 			origins = append(origins, in.Columns()[i].Origins...)
 		}
-		outCols[i] = lplan.ColumnInfo{ID: b.newID(), Name: c.Name, Kind: c.Kind, Origins: origins}
+		outCols[i] = lplan.ColumnInfo{ID: b.newID(), Name: c.Name, Kind: want[i], Origins: origins}
 	}
 	return &unionWrap{UnionAll: lplan.UnionAll{Inputs: inputs}, cols: outCols}, outCols, nil
+}
+
+// widenArm returns a UNION ALL arm whose columns have the kinds want: the
+// arm itself, or a projection over it that widens (widen) its Int
+// columns where want is Float.
+func (b *Binder) widenArm(arm lplan.Node, want []table.Kind) lplan.Node {
+	cols := arm.Columns()
+	exprs, out, widened := make([]lplan.Expr, len(cols)), make([]lplan.ColumnInfo, len(cols)), false
+	for i, c := range cols {
+		exprs[i], out[i] = &lplan.ColRef{ID: c.ID, Name: c.Name, Kind: c.Kind}, c
+		if c.Kind == table.KindInt && want[i] == table.KindFloat {
+			exprs[i] = widen(exprs[i], want[i])
+			out[i] = b.exprColumn(exprs[i], c.Name)
+			b.recordLineage(out[i])
+			widened = true
+		}
+	}
+	if !widened {
+		return arm
+	}
+	return &lplan.Project{Input: arm, Exprs: exprs, Cols: out}
 }
 
 // unionWrap specializes UnionAll with explicit output columns.

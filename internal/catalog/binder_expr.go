@@ -29,7 +29,7 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &lplan.Binary{Op: lplan.BinOp(x.Op), L: l, R: r}, nil
+		return typed(&lplan.Binary{Op: lplan.BinOp(x.Op), L: l, R: r})
 	case *sql.UnaryExpr:
 		in, err := b.bindScalar(x.X, sc)
 		if err != nil {
@@ -38,7 +38,7 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 		if x.Op == "NOT" {
 			return &lplan.Not{X: in}, nil
 		}
-		return &lplan.Neg{X: in}, nil
+		return typed(&lplan.Neg{X: in})
 	case *sql.FuncCall:
 		if sql.IsAggregateFunc(x.Name) {
 			return nil, fmt.Errorf("bind: aggregate %s not allowed here", x.Name)
@@ -51,7 +51,7 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 			}
 			args[i] = bound
 		}
-		return &lplan.Func{Name: strings.ToUpper(x.Name), Args: args}, nil
+		return typed(&lplan.Func{Name: strings.ToUpper(x.Name), Args: args})
 	case *sql.InExpr:
 		in, err := b.bindScalar(x.X, sc)
 		if err != nil {
@@ -120,9 +120,79 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 			}
 			out.Else = e2
 		}
-		return out, nil
+		return typed(out)
 	}
 	return nil, fmt.Errorf("bind: unsupported expression %T", e)
+}
+
+// typed applies the kind rules to e, whose operands are typed already,
+// and returns it. The branches of a CASE and the arguments IF and
+// COALESCE may return take their kind join (lplan.JoinKinds), an Int
+// one widened to Float where the join is Float (widen); the operands of
+// arithmetic and unary minus must be numeric. A violation is a bind
+// error, so no column ever holds values of two kinds.
+func typed(e lplan.Expr) (lplan.Expr, error) {
+	var slots []*lplan.Expr
+	switch x := e.(type) {
+	case *lplan.Case:
+		for i := range x.Whens {
+			slots = append(slots, &x.Whens[i].Then)
+		}
+		if x.Else != nil {
+			slots = append(slots, &x.Else)
+		}
+	case *lplan.Func:
+		switch {
+		case x.Name == "IF" && len(x.Args) == 3:
+			slots = []*lplan.Expr{&x.Args[1], &x.Args[2]}
+		case x.Name == "COALESCE":
+			for i := range x.Args {
+				slots = append(slots, &x.Args[i])
+			}
+		}
+	case *lplan.Binary:
+		if x.Op.IsComparison() || x.Op == lplan.OpAnd || x.Op == lplan.OpOr {
+			return e, nil
+		}
+		return e, numeric(e, x.L, x.R)
+	case *lplan.Neg:
+		return e, numeric(e, x.X)
+	}
+	kinds := make([]table.Kind, len(slots))
+	for i, p := range slots {
+		kinds[i] = inferKind(*p)
+	}
+	k, ok := lplan.JoinKinds(kinds...)
+	if !ok {
+		return nil, fmt.Errorf("bind: %s mixes kinds %v", e, kinds)
+	}
+	for _, p := range slots {
+		*p = widen(*p, k)
+	}
+	return e, nil
+}
+
+// numeric fails unless every operand of e is numeric or NULL.
+func numeric(e lplan.Expr, operands ...lplan.Expr) error {
+	for _, o := range operands {
+		if k := inferKind(o); k != table.KindInt && k != table.KindFloat && k != table.KindNull {
+			return fmt.Errorf("bind: %s takes numbers, %s is %s", e, o, k)
+		}
+	}
+	return nil
+}
+
+// widen returns e as an expression of kind k, a join of e's kind: an Int
+// constant folds to the equal Float, any other Int expression takes one
+// FLOAT call where k is Float; everything else is e.
+func widen(e lplan.Expr, k table.Kind) lplan.Expr {
+	if k != table.KindFloat || inferKind(e) != table.KindInt {
+		return e
+	}
+	if c, ok := e.(*lplan.Const); ok {
+		return &lplan.Const{Val: table.NewFloat(c.Val.Float())}
+	}
+	return &lplan.Func{Name: "FLOAT", Args: []lplan.Expr{e}}
 }
 
 // inferKind types a bound expression.
@@ -157,9 +227,11 @@ func inferKind(e lplan.Expr) table.Kind {
 	case *lplan.In, *lplan.IsNull, *lplan.Like:
 		return table.KindBool
 	case *lplan.Case:
-		if len(x.Whens) > 0 {
-			return inferKind(x.Whens[0].Then)
+		k := inferKind(x.Else) // NULL when there is none
+		for _, w := range x.Whens {
+			k, _ = lplan.JoinKinds(k, inferKind(w.Then))
 		}
+		return k
 	}
 	return table.KindNull
 }
@@ -440,7 +512,7 @@ func (b *Binder) bindPostAgg(e sql.Expr, groups map[string]lplan.ColumnInfo, agg
 			}
 			args[i] = bound
 		}
-		return &lplan.Func{Name: strings.ToUpper(x.Name), Args: args}, nil
+		return typed(&lplan.Func{Name: strings.ToUpper(x.Name), Args: args})
 	case *sql.Literal:
 		return &lplan.Const{Val: x.Val}, nil
 	case *sql.BinaryExpr:
@@ -452,7 +524,7 @@ func (b *Binder) bindPostAgg(e sql.Expr, groups map[string]lplan.ColumnInfo, agg
 		if err != nil {
 			return nil, err
 		}
-		return &lplan.Binary{Op: lplan.BinOp(x.Op), L: l, R: r}, nil
+		return typed(&lplan.Binary{Op: lplan.BinOp(x.Op), L: l, R: r})
 	case *sql.UnaryExpr:
 		in, err := b.bindPostAgg(x.X, groups, aggs)
 		if err != nil {
@@ -461,7 +533,7 @@ func (b *Binder) bindPostAgg(e sql.Expr, groups map[string]lplan.ColumnInfo, agg
 		if x.Op == "NOT" {
 			return &lplan.Not{X: in}, nil
 		}
-		return &lplan.Neg{X: in}, nil
+		return typed(&lplan.Neg{X: in})
 	case *sql.ColumnRef:
 		if ci, ok := groups[x.Name]; ok {
 			return &lplan.ColRef{ID: ci.ID, Name: ci.Name, Kind: ci.Kind}, nil
@@ -487,7 +559,7 @@ func (b *Binder) bindPostAgg(e sql.Expr, groups map[string]lplan.ColumnInfo, agg
 			}
 			out.Else = el
 		}
-		return out, nil
+		return typed(out)
 	case *sql.IsNullExpr:
 		in, err := b.bindPostAgg(x.X, groups, aggs)
 		if err != nil {

@@ -219,3 +219,72 @@ func TestBindOuterJoinNormalization(t *testing.T) {
 		t.Errorf("preserved side: %s", join.Left.(*lplan.Scan).Table)
 	}
 }
+
+// TestBindKindJoin: the binder types CASE branches, IF and COALESCE
+// arguments and UNION ALL arms by the kind join — NULL ⊔ k = k,
+// Int ⊔ Float = Float, anything else a bind error — widening an Int
+// constant to a Float one and any other Int expression through FLOAT.
+// Arithmetic and unary minus take numbers only.
+func TestBindKindJoin(t *testing.T) {
+	cat := testCatalog(t)
+	ok := []struct {
+		src  string
+		kind table.Kind
+		text string // the bound output expression, "" to skip
+	}{
+		{"SELECT CASE WHEN f_key > 1 THEN 1 ELSE 2.5 END FROM fact", table.KindFloat, "CASE WHEN (f_key#1 > 1) THEN 1 ELSE 2.5 END"},
+		{"SELECT CASE WHEN f_key > 1 THEN f_key ELSE f_val END FROM fact", table.KindFloat, "CASE WHEN (f_key#1 > 1) THEN FLOAT(f_key#1) ELSE f_val#3 END"},
+		{"SELECT CASE WHEN f_key > 1 THEN f_key END FROM fact", table.KindInt, ""},
+		{"SELECT CASE WHEN f_key > 1 THEN NULL ELSE 'x' END FROM fact", table.KindString, ""},
+		{"SELECT IF(f_key > 1, f_dim, f_val) FROM fact", table.KindFloat, "IF((f_key#1 > 1), FLOAT(f_dim#2), f_val#3)"},
+		{"SELECT IF(f_key > 1, f_dim, NULL) FROM fact", table.KindInt, ""},
+		{"SELECT COALESCE(f_key, f_val, 0) FROM fact", table.KindFloat, "COALESCE(FLOAT(f_key#1), f_val#3, 0)"},
+		{"SELECT f_dim, MAX(CASE WHEN f_key > 1 THEN f_key ELSE 0.5 END) FROM fact GROUP BY f_dim", table.KindFloat, ""},
+		{"SELECT -f_val FROM fact", table.KindFloat, ""},
+		{"SELECT f_key + NULL FROM fact", table.KindFloat, ""},
+		{"SELECT f_key FROM fact UNION ALL SELECT f_val FROM fact", table.KindFloat, ""},
+		{"SELECT NULL FROM fact UNION ALL SELECT d_name FROM dim", table.KindString, ""},
+	}
+	for _, c := range ok {
+		plan := bind(t, cat, c.src)
+		cols := plan.Columns()
+		if k := cols[len(cols)-1].Kind; k != c.kind {
+			t.Errorf("%s: declared %v, want %v", c.src, k, c.kind)
+		}
+		if p, isProj := plan.(*lplan.Project); c.text != "" && (!isProj || p.Exprs[len(p.Exprs)-1].String() != c.text) {
+			t.Errorf("%s: bound as %v, want %s", c.src, plan, c.text)
+		}
+	}
+	// An Int constant folds to the equal Float.
+	plan := bind(t, cat, "SELECT CASE WHEN f_key > 1 THEN 1 ELSE 2.5 END FROM fact")
+	if c := plan.(*lplan.Project).Exprs[0].(*lplan.Case).Whens[0].Then.(*lplan.Const); c.Val.Kind() != table.KindFloat || c.Val.Float() != 1 {
+		t.Errorf("THEN 1 of a Float CASE bound as %v of kind %v", c.Val, c.Val.Kind())
+	}
+	// The Int arm of a Float union gets one widening projection.
+	plan = bind(t, cat, "SELECT f_key FROM fact UNION ALL SELECT f_val FROM fact")
+	if p, isProj := plan.Children()[0].(*lplan.Project); !isProj || p.Exprs[0].String() != "FLOAT(f_key#1)" || plan.Children()[1].Columns()[0].Kind != table.KindFloat {
+		t.Errorf("Int arm of a Float union: %T %v", plan.Children()[0], plan.Children()[0])
+	}
+	bad := []string{
+		"SELECT CASE WHEN f_key > 1 THEN 'x' ELSE 2.5 END FROM fact",
+		"SELECT CASE WHEN f_key > 1 THEN f_key ELSE f_key > 2 END FROM fact",
+		"SELECT f_dim, MAX(CASE WHEN f_key > 1 THEN 'x' ELSE 2.5 END) FROM fact GROUP BY f_dim",
+		"SELECT IF(f_key > 1, d_name, f_val) FROM fact JOIN dim ON f_dim = d_key",
+		"SELECT COALESCE(d_name, 1) FROM dim",
+		"SELECT f_key FROM fact UNION ALL SELECT d_name FROM dim",
+		"SELECT -d_name FROM dim",
+		"SELECT -(f_key > 1) FROM fact",
+		"SELECT 'a' + 1 FROM fact",
+		"SELECT d_name * 2 FROM dim",
+		"SELECT f_dim, SUM(f_val) * 'x' FROM fact GROUP BY f_dim",
+	}
+	for _, src := range bad {
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if _, err := NewBinder(cat).Bind(stmt); err == nil {
+			t.Errorf("%s: bound, want a kind error", src)
+		}
+	}
+}

@@ -201,7 +201,7 @@ func (b *Binder) bindWithWindows(e sql.Expr, sc *scope, wins map[string]lplan.Co
 		if err != nil {
 			return nil, err
 		}
-		return &lplan.Binary{Op: lplan.BinOp(x.Op), L: l, R: r}, nil
+		return typed(&lplan.Binary{Op: lplan.BinOp(x.Op), L: l, R: r})
 	case *sql.UnaryExpr:
 		in, err := b.bindWithWindows(x.X, sc, wins)
 		if err != nil {
@@ -210,7 +210,7 @@ func (b *Binder) bindWithWindows(e sql.Expr, sc *scope, wins map[string]lplan.Co
 		if x.Op == "NOT" {
 			return &lplan.Not{X: in}, nil
 		}
-		return &lplan.Neg{X: in}, nil
+		return typed(&lplan.Neg{X: in})
 	case *sql.FuncCall:
 		args := make([]lplan.Expr, len(x.Args))
 		for i, a := range x.Args {
@@ -220,7 +220,7 @@ func (b *Binder) bindWithWindows(e sql.Expr, sc *scope, wins map[string]lplan.Co
 			}
 			args[i] = bound
 		}
-		return &lplan.Func{Name: strings.ToUpper(x.Name), Args: args}, nil
+		return typed(&lplan.Func{Name: strings.ToUpper(x.Name), Args: args})
 	default:
 		return b.bindScalar(e, sc)
 	}

@@ -20,7 +20,7 @@ const (
 	aggColKey2        // second key of the two-column case (string)
 	aggColX           // float argument with NULLs
 	aggColI           // int argument
-	aggColM           // mixed int / integral float / fractional float / NULL
+	aggColM           // integral float / fractional float / NULL
 	aggColS           // string argument with NULLs
 	aggColC           // boolean condition with NULLs
 	aggColU           // universe column
@@ -68,22 +68,14 @@ var aggKeyKinds = []struct {
 		}
 		return table.NewBool(i%3 == 0)
 	}},
-	{"any", func(i int) table.Value { // batches change kind: int, float, any
+	{"any", func(i int) table.Value { // an int key whose batches take any representation: all NULL, NULL-bearing, NULL-free
 		switch {
 		case i < 60:
-			return table.NewInt(int64(i % 5))
-		case i < 100:
-			return table.NewFloat(float64(i%10) / 2) // 2.0 joins int 2
-		}
-		switch i % 5 {
-		case 0:
-			return table.NewString("2")
-		case 1:
-			return table.NewBool(true)
-		case 2:
+			return table.Null
+		case i < 100 && i%4 == 0:
 			return table.Null
 		}
-		return table.NewInt(int64(i % 4))
+		return table.NewInt(int64(i % 5))
 	}},
 	{"null", func(int) table.Value { return table.Null }},
 }
@@ -100,14 +92,12 @@ func aggTestRows(n int, key func(int) table.Value, weighted bool) []wrow {
 		}
 		r[aggColI] = table.NewInt(int64(i%19 - 4))
 		switch i % 5 {
-		case 0:
-			r[aggColM] = table.NewInt(int64(i % 7))
-		case 1:
-			r[aggColM] = table.NewFloat(float64(i % 7)) // Key()-equal to the int
+		case 0, 1:
+			r[aggColM] = table.NewFloat(float64(i % 7))
 		case 2:
 			r[aggColM] = table.NewFloat(float64(i%7) + 0.25)
 		case 3:
-			r[aggColM] = table.NewInt(int64(i%3) - 1)
+			r[aggColM] = table.NewFloat(float64(i%3) - 1)
 		}
 		if i%8 != 3 {
 			r[aggColS] = table.NewString(fmt.Sprintf("s%03d", (i*13)%41))
@@ -181,11 +171,12 @@ type aggDict struct {
 // reallocated, as append decides); everything else through a vecBuilder,
 // which types the column by what the batch holds.
 func aggTestVector(vals []table.Value, d *aggDict) table.Vector {
-	strs := true
+	strs, nonNull := true, false // all-NULL batches of any column come out VKNull
 	for _, v := range vals {
 		strs = strs && (v.IsNull() || v.Kind() == table.KindString)
+		nonNull = nonNull || !v.IsNull()
 	}
-	if !strs || d == nil {
+	if !strs || !nonNull || d == nil {
 		bd := &vecBuilder{mem: newLedger()}
 		for _, v := range vals {
 			bd.append(v)
@@ -250,8 +241,6 @@ func aggTestBatches(rows []wrow, size int, thin bool) []Batch {
 					v.Ints[d] = int64(len(v.Dict)) + 5
 				case table.VKFloat:
 					v.Floats[d] = math.NaN()
-				case table.VKAny:
-					v.Vals[d] = table.NewInt(-999)
 				}
 			}
 			b.cols[c] = v
@@ -347,14 +336,24 @@ func TestAggMatchesRowReference(t *testing.T) {
 	}
 }
 
-// TestAggCountDistinctMixedKinds: the typed distinct set counts what the
-// map keyed by Value.Key() counted — 2 and 2.0 once, a fractional float
-// and a string of the same digits apart, NULL never.
+// TestAggCountDistinctMixedKinds: over a Float column appended ints and
+// floats alike (Append widens the ints), the typed distinct set counts
+// what the map keyed by Value.Key() counts — 2 and 2.0 once, −0 and 0
+// once, a fractional float apart, NULL never.
 func TestAggCountDistinctMixedKinds(t *testing.T) {
-	vals := []table.Value{
+	in := []table.Value{
 		table.NewInt(2), table.NewFloat(2), table.Null, table.NewFloat(2.5), table.NewInt(-2),
-		table.NewFloat(-2), table.NewString("2"), table.Null, table.NewInt(2), table.NewFloat(1e18),
-		table.NewInt(1e18), table.NewFloat(math.Copysign(0, -1)), table.NewInt(0), table.NewBool(true),
+		table.NewFloat(-2), table.Null, table.NewInt(2), table.NewFloat(1e18),
+		table.NewInt(1e18), table.NewFloat(math.Copysign(0, -1)), table.NewInt(0),
+	}
+	tbl := table.New("cd", table.NewSchema(table.Column{Name: "x", Kind: table.KindFloat}), 1)
+	for _, v := range in {
+		tbl.Append(0, table.Row{v})
+	}
+	col := tbl.Columnar(0).Cols[0]
+	vals := make([]table.Value, col.N)
+	for i := range vals {
+		vals[i] = col.Value(i)
 	}
 	byKey := map[string]bool{}
 	for _, v := range vals {
@@ -385,7 +384,7 @@ func TestAggCountDistinctMixedKinds(t *testing.T) {
 // executor — one runner per partition, in parallel on the pool, fed by
 // the fused chain at every batch size — against the row reference.
 func TestAggPlanMatchesRowReference(t *testing.T) {
-	tbl := mixedTable("aggplan", 6, 3000) // i, f, s, b, m: NULLs everywhere, m of mixed kinds
+	tbl := mixedTable("aggplan", 6, 3000) // i, f, s, b, m: NULLs everywhere, m appended ints and floats
 	for _, keys := range [][]int{{2}, {0}, {4}, {3, 2}, nil} {
 		mk := func() PNode {
 			scan := scanOf(tbl)

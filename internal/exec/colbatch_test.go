@@ -55,14 +55,16 @@ func TestChainMatchesRowReference(t *testing.T) {
 }
 
 // mixedTable builds a table exercising every vector kind: ints, floats,
-// strings (with repeats, so dictionaries kick in), bools and NULLs.
+// strings (with repeats, so dictionaries kick in), bools and NULLs, and
+// a float column m appended ints and floats alike (Append widens the
+// ints).
 func mixedTable(name string, parts, n int) *table.Table {
 	sc := table.NewSchema(
 		table.Column{Name: "i", Kind: table.KindInt},
 		table.Column{Name: "f", Kind: table.KindFloat},
 		table.Column{Name: "s", Kind: table.KindString},
 		table.Column{Name: "b", Kind: table.KindBool},
-		table.Column{Name: "m", Kind: table.KindFloat}, // mixed kinds + nulls
+		table.Column{Name: "m", Kind: table.KindFloat}, // ints and floats + nulls
 	)
 	tbl := table.New(name, sc, parts)
 	words := []string{"alpha", "beta", "gamma", "", "delta%x", "epsilon"}
@@ -71,14 +73,14 @@ func mixedTable(name string, parts, n int) *table.Table {
 		fv := table.NewFloat(float64(i) / 3)
 		sv := table.NewString(words[i%len(words)])
 		bv := table.NewBool(i%3 == 0)
-		var mv table.Value // cycles through null / int / float / string
+		var mv table.Value // cycles through null / int / float / fractional float
 		switch i % 4 {
 		case 1:
 			mv = table.NewInt(int64(i % 13))
 		case 2:
 			mv = table.NewFloat(float64(i%7) / 2)
 		case 3:
-			mv = table.NewString(words[i%3])
+			mv = table.NewFloat(float64(i%5) + 0.25)
 		}
 		if i%11 == 5 {
 			iv = table.Value{} // null int lane
@@ -108,7 +110,7 @@ func colRefsOf(scan *PScan) []*lplan.ColRef {
 
 // Every kernel class — comparisons, arithmetic, AND/OR, NOT/NEG,
 // IS NULL, IN, LIKE, CASE and function calls — must agree bit-for-bit
-// with refimpl's row evaluator over mixed-kind, NULL-laden input. Each
+// with refimpl's row evaluator over NULL-laden input of every kind. Each
 // case's expressions run as one projection, as the same projection
 // behind a filter (dead lanes in every batch), and each as a filter
 // predicate.
@@ -136,7 +138,10 @@ func TestColumnarExpressionKernels(t *testing.T) {
 		return node
 	}
 	// Templates use placeholder ColRefs with IDs 0..4 (rebound per scan):
-	// i int, f float, s string, b bool, m mixed, all with NULLs.
+	// i int, f float, s string, b bool, m float appended ints and
+	// floats, all with NULLs. Every expression is typed as the binder
+	// types it: the branches of a CASE and the arguments IF and COALESCE
+	// return share one kind, an int one widened by FLOAT.
 	c := func(i int) lplan.Expr { return &lplan.ColRef{ID: lplan.ColumnID(i)} }
 	lit := func(v table.Value) lplan.Expr { return &lplan.Const{Val: v} }
 	fn := func(name string, args ...lplan.Expr) lplan.Expr { return &lplan.Func{Name: name, Args: args} }
@@ -166,8 +171,9 @@ func TestColumnarExpressionKernels(t *testing.T) {
 		{"in-any", []lplan.Expr{&lplan.In{X: c(4), Vals: []table.Value{i(3), s("beta"), f(1.5)}}}},
 		// IN matches by Key() identity, as GROUP BY does: NaN matches its
 		// own bits, −0 is 0, an int past 2⁵³ is not the float it rounds
-		// to, and ±1e18 as floats are not the equal ints. Typed constants
-		// take the kernel's int and float sets, the CASE its Key() set.
+		// to, and ±1e18 as floats are not the equal ints. Constants and
+		// the CASEs, a float one and an int one, take the kernel's int and
+		// float sets.
 		{"in-nan", []lplan.Expr{
 			&lplan.In{X: lit(f(math.NaN())), Vals: []table.Value{f(math.NaN())}},
 			&lplan.In{X: lit(f(math.NaN())), Vals: []table.Value{f(math.NaN()), i(1)}, Inv: true},
@@ -190,18 +196,30 @@ func TestColumnarExpressionKernels(t *testing.T) {
 			&lplan.In{X: lit(f(-1e18)), Vals: []table.Value{f(-1e18)}},
 			&lplan.In{X: lit(i(1e18)), Vals: []table.Value{i(1e18)}, Inv: true},
 		}},
-		{"in-any-edges", []lplan.Expr{&lplan.In{
-			X: &lplan.Case{
-				Whens: []lplan.When{
-					{Cond: c(3), Then: lit(f(math.NaN()))},
-					{Cond: bin(lplan.OpGt, c(0), lit(i(20))), Then: lit(i(1<<53 + 1))},
-					{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: lit(f(math.Copysign(0, -1)))},
-					{Cond: bin(lplan.OpGt, c(0), lit(i(-20))), Then: lit(f(1e18))},
+		{"in-any-edges", []lplan.Expr{
+			&lplan.In{
+				X: &lplan.Case{
+					Whens: []lplan.When{
+						{Cond: c(3), Then: lit(f(math.NaN()))},
+						{Cond: bin(lplan.OpGt, c(0), lit(i(20))), Then: lit(f(1 << 53))},
+						{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: lit(f(math.Copysign(0, -1)))},
+						{Cond: bin(lplan.OpGt, c(0), lit(i(-20))), Then: lit(f(1e18))},
+					},
+					Else: lit(f(-1e18)),
 				},
-				Else: lit(i(-1e18)),
+				Vals: []table.Value{f(math.NaN()), i(1<<53 + 1), i(0), i(1e18), f(-1e18)},
 			},
-			Vals: []table.Value{f(math.NaN()), f(1 << 53), i(0), i(1e18), f(-1e18)},
-		}}},
+			&lplan.In{
+				X: &lplan.Case{
+					Whens: []lplan.When{
+						{Cond: bin(lplan.OpGt, c(0), lit(i(20))), Then: lit(i(1<<53 + 1))},
+						{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: lit(i(0))},
+					},
+					Else: lit(i(-1e18)),
+				},
+				Vals: []table.Value{f(math.NaN()), f(1 << 53), f(math.Copysign(0, -1)), i(1e18), f(-1e18)},
+			},
+		}},
 		{"like", []lplan.Expr{&lplan.Like{X: c(2), Pattern: "%a"}}},
 		{"like-esc", []lplan.Expr{&lplan.Like{X: c(2), Pattern: "delta\\%_", Inv: true}}},
 		{"arith-int", []lplan.Expr{
@@ -238,13 +256,13 @@ func TestColumnarExpressionKernels(t *testing.T) {
 			&lplan.Case{Whens: []lplan.When{{Cond: bin(lplan.OpLt, c(1), lit(f(500))), Then: c(3)}}},
 			&lplan.Case{Whens: []lplan.When{{Cond: c(3), Then: c(2)}}},
 		}},
-		{"case-mixed-kinds", []lplan.Expr{
+		{"case-mixed-kinds", []lplan.Expr{ // int and float branches, the ints widened
 			&lplan.Case{
-				Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: c(0)}},
+				Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: fn("FLOAT", c(0))}},
 				Else:  c(1),
 			},
 			&lplan.Case{
-				Whens: []lplan.When{{Cond: c(3), Then: lit(i(1))}, {Cond: bin(lplan.OpGt, c(1), lit(f(100))), Then: lit(f(2.5))}},
+				Whens: []lplan.When{{Cond: c(3), Then: lit(f(1))}, {Cond: bin(lplan.OpGt, c(1), lit(f(100))), Then: lit(f(2.5))}},
 				Else:  c(4),
 			},
 		}},
@@ -256,7 +274,7 @@ func TestColumnarExpressionKernels(t *testing.T) {
 				{Cond: c(3), Then: lit(i(3))},
 				{Cond: c(0), Then: lit(i(4))},
 			},
-			Else: lit(table.NewBool(true)),
+			Else: lit(i(5)),
 		}}},
 		{"case-func-cond", []lplan.Expr{&lplan.Case{
 			Whens: []lplan.When{
@@ -270,9 +288,10 @@ func TestColumnarExpressionKernels(t *testing.T) {
 			fn("COALESCE", &lplan.Case{Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: c(3)}}}, c(3)),
 		}},
 		{"funcs", []lplan.Expr{
-			fn("IF", c(3), c(0), c(1)),
+			fn("IF", c(3), fn("FLOAT", c(0)), c(1)),
 			fn("IF", bin(lplan.OpGt, c(1), lit(f(700))), c(3), bin(lplan.OpLt, c(0), lit(i(0)))),
-			fn("COALESCE", c(4), c(1), lit(i(0))),
+			fn("COALESCE", c(4), c(1), lit(f(0))),
+			fn("FLOAT", c(2)),
 			fn("CEILDIV", c(0), lit(i(7))),
 			fn("CEILDIV", c(1), c(0)),
 			fn("SUBSTR", c(2), lit(i(2))),

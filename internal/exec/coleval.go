@@ -140,7 +140,7 @@ func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 		if err != nil {
 			return nil, err
 		}
-		return negKernel(in, mem), nil
+		return negKernel(in), nil
 	case *lplan.IsNull:
 		in, err := compileColKernel(x.X, cm, mem)
 		if err != nil {
@@ -237,15 +237,7 @@ func boxLanes(bld *vecBuilder, b *Batch, value func(i int) table.Value) table.Ve
 
 // laneTrue reports whether lane i of v is boolean true. VKBool lanes
 // that are NULL carry payload 0.
-func laneTrue(v *table.Vector, i int) bool {
-	switch v.K {
-	case table.VKBool:
-		return v.Ints[i] != 0
-	case table.VKAny:
-		return truthy(v.Vals[i])
-	}
-	return false
-}
+func laneTrue(v *table.Vector, i int) bool { return v.K == table.VKBool && v.Ints[i] != 0 }
 
 // constKernel materializes a constant as an n-lane vector, refilled
 // only when the batch grows past the cached width. A string constant's
@@ -345,17 +337,10 @@ func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 	var ints []int64
 	var floats []float64
 	var nulls []uint64
-	bld := vecBuilder{mem: mem}
 	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
 		switch {
-		case lv.K == table.VKAny || rv.K == table.VKAny:
-			bld.reset()
-			for i := 0; i < n; i++ {
-				bld.append(rowArith(op, lv.Value(i), rv.Value(i)))
-			}
-			return bld.build()
 		case op == lplan.OpMod:
 			if lv.K != table.VKInt || rv.K != table.VKInt {
 				return allNull(n)
@@ -432,22 +417,6 @@ func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
 			return allNull(n)
 		}
 	}
-}
-
-func rowArith(op lplan.BinOp, lv, rv table.Value) table.Value {
-	switch op {
-	case lplan.OpAdd:
-		return table.Add(lv, rv)
-	case lplan.OpSub:
-		return table.Sub(lv, rv)
-	case lplan.OpMul:
-		return table.Mul(lv, rv)
-	case lplan.OpDiv:
-		return table.Div(lv, rv)
-	case lplan.OpMod:
-		return table.Mod(lv, rv)
-	}
-	return table.Null
 }
 
 // cmpKernel vectorizes the six comparisons. NULL operands compare
@@ -737,20 +706,16 @@ func notKernel(in colKernel) colKernel {
 				out[i] = btoi(!(nul && v.IsNull(i)) && v.Ints[i] == 0)
 			}
 		} else {
-			for i := 0; i < n; i++ {
-				lv := v.Value(i)
-				out[i] = btoi(lv.Kind() == table.KindBool && !lv.Bool())
-			}
+			clear(out[:n]) // no lane of a non-boolean vector is false
 		}
 		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}
 }
 
-func negKernel(in colKernel, mem *ledger) colKernel {
+func negKernel(in colKernel) colKernel {
 	var ints []int64
 	var floats []float64
 	var nulls []uint64
-	bld := vecBuilder{mem: mem}
 	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
@@ -781,22 +746,9 @@ func negKernel(in colKernel, mem *ledger) colKernel {
 				floats[i] = -v.Floats[i]
 			}
 			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n], Nulls: nulls}
-		case table.VKAny:
-			bld.reset()
-			for i := 0; i < n; i++ {
-				lv := v.Vals[i]
-				switch lv.Kind() {
-				case table.KindInt:
-					bld.append(table.NewInt(-lv.Int()))
-				case table.KindFloat:
-					bld.append(table.NewFloat(-lv.Float()))
-				default:
-					bld.appendNull()
-				}
-			}
-			return bld.build()
 		default:
-			// Strings, bools, all-NULL: NULL everywhere.
+			// All-NULL, strings and bools (the binder admits neither to a
+			// minus): NULL everywhere.
 			return allNull(n)
 		}
 	}
@@ -826,7 +778,6 @@ func isNullKernel(in colKernel, inv bool) colKernel {
 // and integral floats below 1e18 share the int set, remaining floats
 // match by IEEE bits, strings by content, booleans by truth value.
 type inSets struct {
-	key   map[string]bool // row-identical Key() set, for VKAny lanes
 	ints  map[int64]bool
 	bits  map[uint64]bool
 	boolv [2]bool
@@ -835,13 +786,11 @@ type inSets struct {
 
 func buildInSets(vals []table.Value) *inSets {
 	s := &inSets{
-		key:  make(map[string]bool, len(vals)),
 		ints: make(map[int64]bool),
 		bits: make(map[uint64]bool),
 		strs: make(map[string]bool),
 	}
 	for _, v := range vals {
-		s.key[v.Key()] = true
 		switch v.Kind() {
 		case table.KindInt:
 			s.ints[v.Int()] = true
@@ -878,9 +827,7 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 		out = growInts(out, n)
 		switch v.K {
 		case table.VKNull:
-			for i := 0; i < n; i++ {
-				out[i] = 0
-			}
+			clear(out[:n])
 		case table.VKInt:
 			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
@@ -912,7 +859,7 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 				}
 				out[i] = btoi(dictRes[v.Ints[i]])
 			}
-		case table.VKBool:
+		default: // VKBool
 			nul := v.HasNulls()
 			for i := 0; i < n; i++ {
 				if nul && v.IsNull(i) {
@@ -920,15 +867,6 @@ func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
 					continue
 				}
 				out[i] = btoi(sets.boolv[v.Ints[i]&1] != inv)
-			}
-		default: // VKAny: exact row path, set[v.Key()]
-			for i := 0; i < n; i++ {
-				lv := v.Vals[i]
-				if lv.IsNull() {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(sets.key[lv.Key()] != inv)
 			}
 		}
 		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
@@ -969,20 +907,9 @@ func likeKernel(in colKernel, pattern string, inv bool) colKernel {
 					out[i] = btoi(match(v.Dict[v.Ints[i]]) != inv)
 				}
 			}
-		case table.VKAny:
-			for i := 0; i < n; i++ {
-				lv := v.Vals[i]
-				if lv.Kind() != table.KindString {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(match(lv.Str()) != inv)
-			}
 		default:
 			// Non-string input: row semantics yield false everywhere.
-			for i := 0; i < n; i++ {
-				out[i] = 0
-			}
+			clear(out[:n])
 		}
 		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 	}

@@ -160,38 +160,22 @@ func (f *colFilterOp) Next() (Batch, error) {
 // truthyLanes appends to dst the live lanes of b on which the predicate
 // result v is true.
 func truthyLanes(dst []int32, v *table.Vector, b *Batch) []int32 {
-	switch v.K {
-	case table.VKBool:
-		// NULL lanes carry payload 0, so truthiness is the payload.
-		if b.sel != nil {
-			for _, i := range b.sel {
-				if v.Ints[i] != 0 {
-					dst = append(dst, i)
-				}
-			}
-		} else {
-			for i := 0; i < b.n; i++ {
-				if v.Ints[i] != 0 {
-					dst = append(dst, int32(i))
-				}
+	if v.K != table.VKBool {
+		return dst // a non-boolean predicate result: nothing passes
+	}
+	// NULL lanes carry payload 0, so truthiness is the payload.
+	if b.sel != nil {
+		for _, i := range b.sel {
+			if v.Ints[i] != 0 {
+				dst = append(dst, i)
 			}
 		}
-	case table.VKAny:
-		if b.sel != nil {
-			for _, i := range b.sel {
-				if truthy(v.Vals[i]) {
-					dst = append(dst, i)
-				}
-			}
-		} else {
-			for i := 0; i < b.n; i++ {
-				if truthy(v.Vals[i]) {
-					dst = append(dst, int32(i))
-				}
+	} else {
+		for i := 0; i < b.n; i++ {
+			if v.Ints[i] != 0 {
+				dst = append(dst, int32(i))
 			}
 		}
-	default:
-		// Non-boolean predicate result: nothing passes.
 	}
 	return dst
 }
@@ -407,7 +391,6 @@ type bucketCol struct {
 	pos   int
 	width float64
 	ints  []int64
-	vals  []table.Value
 }
 
 // vector returns the bucket vector of v over the lanes sel (the other
@@ -419,16 +402,6 @@ func (bc *bucketCol) vector(v *table.Vector, sel []int32) table.Vector {
 		for _, i := range sel {
 			bc.ints[i] = int64(math.Ceil(laneFloat(v, int(i)) / bc.width))
 		}
-	case table.VKAny:
-		bc.vals = slices.Grow(bc.vals[:0], v.N)[:v.N]
-		for _, i := range sel {
-			x := v.Vals[i]
-			if x.IsNumeric() {
-				x = table.NewInt(int64(math.Ceil(x.Float() / bc.width)))
-			}
-			bc.vals[i] = x
-		}
-		return table.Vector{K: table.VKAny, N: v.N, Vals: bc.vals}
 	default:
 		return *v
 	}

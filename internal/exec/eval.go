@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"quickr/internal/lplan"
-	"quickr/internal/table"
 )
 
 // colMap resolves ColumnIDs to row positions for one operator input.
@@ -73,9 +72,4 @@ func compileLike(pattern string) func(string) bool {
 		return len(s) == 0
 	}
 	return func(s string) bool { return match(s, pattern) }
-}
-
-// truthy reports whether a predicate result is true.
-func truthy(v table.Value) bool {
-	return v.Kind() == table.KindBool && v.Bool()
 }

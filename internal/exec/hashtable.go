@@ -431,9 +431,8 @@ func (t *keyTable) appendInts(keys []table.Vector, i int) {
 // key tuple keys, or −1 where the table has not met the tuple. hashes
 // holds the lanes' hashes by lane (hashKeys of keys under
 // exchangeHashSeed); a direct-address table reads none and checks one
-// unsigned bound a lane, where only an integer lane of a mixed key can
-// match. find inserts, refreshes and borrows nothing, so concurrent
-// finds in one table are safe once resolve has returned.
+// unsigned bound a lane. find inserts, refreshes and borrows nothing,
+// so concurrent finds in one table are safe once resolve has returned.
 //
 //hot:per-lane key lookup of join probes, gated by BenchmarkJoin* and BenchmarkStarJoin allocs/op
 func (t *keyTable) find(ids []int64, keys []table.Vector, lanes []int32, hashes []uint64) {
@@ -445,14 +444,8 @@ func (t *keyTable) find(ids []int64, keys []table.Vector, lanes []int32, hashes 
 	case t.idx == nil:
 		v, slot, lo := &keys[0], t.slot, uint64(t.lo)
 		for _, i := range lanes {
-			d := uint64(len(slot)) // a miss
-			if v.K == table.VKInt {
-				d = uint64(v.Ints[i]) - lo
-			} else if v.K == table.VKAny && v.Vals[i].Kind() == table.KindInt {
-				d = uint64(v.Vals[i].Int()) - lo
-			}
 			id := int64(-1)
-			if d < uint64(len(slot)) {
+			if d := uint64(v.Ints[i]) - lo; d < uint64(len(slot)) {
 				id = int64(slot[d]) - 1
 			}
 			ids[i] = id
@@ -522,15 +515,16 @@ type joinTable struct {
 }
 
 // buildJoinTable builds the table over the keyIdx columns of the build
-// partition, its payloads on mem: a direct-address keyTable where
-// newKeyIndex takes the keys, a hashed one otherwise.
-func buildJoinTable(mem *ledger, build *Part, keyIdx []int) *joinTable {
+// partition, keyed in the forms given, its payloads on mem: a
+// direct-address keyTable where newKeyIndex takes the keys, a hashed one
+// otherwise.
+func buildJoinTable(mem *ledger, build *Part, keyIdx []int, forms []keyForm) *joinTable {
 	t := &joinTable{cols: build.Cols, w: build.W}
 	all := slab[int32](mem, build.N)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	jk := newJoinKeys(len(keyIdx))
+	jk := newJoinKeys(forms)
 	lanes := jk.set(t.cols, keyIdx, all)
 	ids := slab[int64](mem, build.N)
 	t.keys = newKeyIndex(mem, ids, jk.keys, lanes)
@@ -555,36 +549,89 @@ func (t *joinTable) thread(mem *ledger, ids []int64, lanes []int32) {
 	}
 }
 
-// joinKeys holds one join input's key vectors in the form under which
-// keyTable's Value.Key() equality is the join's equality (both keys not
-// NULL, Hash64-equal and Value.Equal), and the lanes that can match. A
-// lane with a NULL or a NaN in any key matches nothing and is left out.
-// A float f with float64(int64(f)) == f is keyed as the int int64(f), as
-// its Hash64 is; Key() would render one in [1e18, 2⁶³) as a float. So a
-// float or mixed key column becomes a mixed one of such values; integer,
-// string and bool columns pass as they are.
-type joinKeys struct {
-	keys  []table.Vector
-	lanes []int32
-	vals  [][]table.Value // the canonical lanes of float and mixed keys, by key
+// keyForm is how a join key column reaches joinKeys' form, fixed by the
+// declared kinds of its key pair (joinKeyForms). Integer, string and
+// bool keys pass as they are. A float key paired with a float key is
+// keyed by its bits, −0 read as +0. A float key paired with an integer
+// key is keyed by its integral value, and its other lanes match nothing.
+// A pair of any other kinds matches nothing.
+type keyForm uint8
+
+const (
+	formAsIs keyForm = iota
+	formBits
+	formInts
+	formNone
+)
+
+// joinKeyForms returns the forms of the key pairs whose declared kinds
+// are left and right, side by side.
+func joinKeyForms(left, right []table.Kind) (lf, rf []keyForm) {
+	lf, rf = make([]keyForm, len(left)), make([]keyForm, len(left))
+	for k, lk := range left {
+		switch rk := right[k]; {
+		case lk == table.KindFloat && rk == table.KindFloat:
+			lf[k], rf[k] = formBits, formBits
+		case lk == table.KindFloat && rk == table.KindInt:
+			lf[k] = formInts
+		case lk == table.KindInt && rk == table.KindFloat:
+			rf[k] = formInts
+		case lk != rk:
+			lf[k], rf[k] = formNone, formNone
+		}
+	}
+	return lf, rf
 }
 
-func newJoinKeys(width int) joinKeys { return joinKeys{keys: make([]table.Vector, width)} }
+// joinKeys holds one join input's key vectors in their forms, under
+// which keyTable's equality is the join's equality (both keys not NULL
+// and Value.Equal), and the lanes that can match. A lane with a NULL or
+// a NaN in any key matches nothing and is left out. A float key becomes
+// an integer vector: of its bits, or of its integral values.
+type joinKeys struct {
+	forms []keyForm
+	keys  []table.Vector
+	lanes []int32
+	ints  [][]int64 // the integer form of float keys, by key
+}
+
+func newJoinKeys(forms []keyForm) joinKeys {
+	return joinKeys{forms: forms, keys: make([]table.Vector, len(forms)), ints: make([][]int64, len(forms))}
+}
 
 // set takes the key columns idx of cols over the live lanes sel and
 // returns the lanes that can match: sel itself when all of them can.
 //
-//hot:join key canonicalization, per live lane of a nullable, float or mixed key
+//hot:join key forms, per live lane of a nullable or float key
 func (jk *joinKeys) set(cols []table.Vector, idx []int, sel []int32) []int32 {
 	lanes := sel
 	for k, ci := range idx {
 		v := &cols[ci]
 		jk.keys[k] = *v
-		switch v.K {
-		case table.VKInt, table.VKStr, table.VKBool:
-			if v.Nulls == nil {
-				continue
+		switch {
+		case v.K == table.VKNull || jk.forms[k] == formNone:
+			lanes = jk.lanes[:0]
+		case v.K == table.VKFloat:
+			ints, kept, bits := extend(jk.ints[k][:0], v.N), jk.lanes[:0], jk.forms[k] == formBits
+			for _, i := range lanes {
+				f := v.Floats[i]
+				switch {
+				case v.Nulls != nil && v.IsNull(int(i)), f != f:
+					continue
+				case bits:
+					if f == 0 {
+						f = 0 // −0 keys as +0
+					}
+					ints[i] = int64(math.Float64bits(f))
+				case f < -(1<<63) || f >= 1<<63 || float64(int64(f)) != f:
+					continue // no int64 equals it
+				default:
+					ints[i] = int64(f)
+				}
+				kept = append(kept, i)
 			}
+			jk.ints[k], jk.keys[k], lanes = ints, table.Vector{K: table.VKInt, N: v.N, Ints: ints}, kept
+		case v.Nulls != nil:
 			kept := jk.lanes[:0]
 			for _, i := range lanes {
 				if !v.IsNull(int(i)) {
@@ -592,37 +639,10 @@ func (jk *joinKeys) set(cols []table.Vector, idx []int, sel []int32) []int32 {
 				}
 			}
 			lanes = kept
-		case table.VKFloat, table.VKAny:
-			if jk.vals == nil {
-				jk.vals = make([][]table.Value, len(idx))
-			}
-			vals, kept := extend(jk.vals[k][:0], v.N), jk.lanes[:0]
-			for _, i := range lanes {
-				if x, ok := joinKey(v.Value(int(i))); ok {
-					vals[i], kept = x, append(kept, i)
-				}
-			}
-			jk.vals[k], jk.keys[k], lanes = vals, table.Vector{K: table.VKAny, N: v.N, Vals: vals}, kept
-		default: // all NULL
-			lanes = jk.lanes[:0]
+		default:
+			continue // every lane can match; jk.lanes must not alias sel
 		}
 		jk.lanes = lanes
 	}
 	return lanes
-}
-
-// joinKey is x in joinKeys' form, or false when x equals nothing: NULL
-// or NaN.
-func joinKey(x table.Value) (table.Value, bool) {
-	switch x.Kind() {
-	case table.KindNull:
-		return x, false
-	case table.KindFloat:
-		f := x.Float()
-		if k := int64(f); float64(k) == f {
-			return table.NewInt(k), true
-		}
-		return x, f == f
-	}
-	return x, true
 }

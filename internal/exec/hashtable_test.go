@@ -101,7 +101,7 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 		// NULL keys group together, unlike Value.Equal, where NULL≠NULL.
 		{"NULL string", 4, []table.Vector{vecOf(table.Null, x, table.Null, x)}, []int64{0, 1, 0, 1}},
 		{"NULL int", 4, []table.Vector{vecOf(table.NewInt(4), table.Null, table.NewInt(4), table.Null)}, []int64{0, 1, 0, 1}},
-		{"float and int", 5, []table.Vector{vecOf(table.NewFloat(42), table.NewInt(42), table.NewFloat(42.5), table.Null, table.NewInt(7))},
+		{"float", 5, []table.Vector{vecOf(table.NewFloat(42), table.NewFloat(42), table.NewFloat(42.5), table.Null, table.NewFloat(7))},
 			[]int64{0, 0, 1, 2, 3}},
 		{"two keys", 4, []table.Vector{vecOf(table.Null, table.Null, table.NewInt(1), table.Null), vecOf(x, x, x, table.Null)},
 			[]int64{0, 0, 1, 2}},
@@ -119,7 +119,7 @@ func TestRowKeyNullAndEmpty(t *testing.T) {
 // two must be interchangeable). All three must hand out the same ids and
 // build the same key columns. The sources switch resolve's path between them: NULL-free
 // ints then ints with a NULL, dictionary strings (a dictionary per
-// source) then a mixed-kind column, under either lone key and the pair.
+// source, some with NULLs), under either lone key and the pair.
 // Every hash one destination meets shares its value modulo the
 // destination count, and short strings differ in few bits: at every
 // destination count and key, the entries of the destinations' group
@@ -155,18 +155,15 @@ func TestKeyTableRoutedHashes(t *testing.T) {
 		}),
 		src(func(i int) table.Value { return table.NewInt(int64(i % 300)) }, str("a")),
 		src(func(i int) table.Value {
-			if i%2 == 0 {
-				return table.NewFloat(float64(i%50) / 2) // 1.0 is the int 1's key, 0.5 no int's
+			if i%3 == 1 {
+				return table.Null
 			}
 			return table.NewInt(int64(i % 40))
 		}, func(i int) table.Value {
-			switch i % 3 {
-			case 0:
-				return table.NewInt(int64(i % 7))
-			case 1:
+			if i%3 == 1 {
 				return table.Null
 			}
-			return str("a")(i)
+			return str("c")(i)
 		}),
 	}
 	const win = 64
@@ -265,7 +262,7 @@ func joinRowsFor(n, dups int) (Part, []table.Row) {
 func TestJoinTableChainOrder(t *testing.T) {
 	for _, n := range []int{300, 5000} {
 		build, rows := joinRowsFor(n, 17)
-		bt := buildJoinTable(newLedger(), &build, []int{0, 1})
+		bt := buildJoinTable(newLedger(), &build, []int{0, 1}, asIs(2))
 		if bt.keys.idx == nil || bt.keys.len() != 17 || len(bt.next) != n {
 			t.Fatalf("n=%d: hashed=%v, %d ids, %d chained rows", n, bt.keys.idx != nil, bt.keys.len(), len(bt.next))
 		}
@@ -342,7 +339,7 @@ func TestJoinTableHashCollisions(t *testing.T) {
 		}
 	}
 	for _, idx := range [][]int{{2}, {2, 0}, {0, 2}} {
-		bt := buildJoinTable(newLedger(), &build, idx)
+		bt := buildJoinTable(newLedger(), &build, idx, asIs(len(idx)))
 		if bt.keys.len() != 0 {
 			t.Fatalf("keys %v: %d ids over NULL keys", idx, bt.keys.len())
 		}
@@ -370,7 +367,7 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 	}{{[]int{0}, true}, {[]int{0, 1}, false}, {[]int{1}, false}}
 	bts := make([]*joinTable, len(tables))
 	for j, tc := range tables {
-		bts[j] = buildJoinTable(newLedger(), &build, tc.idx)
+		bts[j] = buildJoinTable(newLedger(), &build, tc.idx, asIs(len(tc.idx)))
 		if (bts[j].keys.idx == nil) != tc.direct {
 			t.Fatalf("keys %v: direct=%v, want %v", tc.idx, bts[j].keys.idx == nil, tc.direct)
 		}
@@ -452,14 +449,23 @@ func probePairs(bt *joinTable, key table.Vector, sel []int32, outer bool) ([]int
 	return probeKeys(bt, []table.Vector{key}, sel, outer)
 }
 
-// probeKeys is probePairs over the key columns keys.
+// asIs is the forms of n key pairs of one kind other than Float.
+func asIs(n int) []keyForm { return make([]keyForm, n) }
+
+// probeKeys is probePairs over the key columns keys, each paired with a
+// build key of its own kind.
 func probeKeys(bt *joinTable, keys []table.Vector, sel []int32, outer bool) ([]int32, []int32) {
+	return probeForms(bt, keys, asIs(len(keys)), sel, outer)
+}
+
+// probeForms is probeKeys with the probe keys in the forms given.
+func probeForms(bt *joinTable, keys []table.Vector, forms []keyForm, sel []int32, outer bool) ([]int32, []int32) {
 	lIdx := make([]int, len(keys))
 	for k := range lIdx {
 		lIdx[k] = k
 	}
 	o := &colProbeOp{js: &joinSpec{p: &PHashJoin{}, lIdx: lIdx}, bt: bt, outer: outer,
-		jk: newJoinKeys(len(keys)), out: newPartBuilder(newLedger(), len(keys)+len(bt.cols), 0)}
+		jk: newJoinKeys(forms), out: newPartBuilder(newLedger(), len(keys)+len(bt.cols), 0)}
 	w := make([]float64, keys[0].N)
 	for i := range w {
 		w[i] = 1
@@ -470,14 +476,14 @@ func probeKeys(bt *joinTable, keys []table.Vector, sel []int32, outer bool) ([]i
 
 // hashedJoinTable is buildJoinTable with the keys resolved through a
 // hashIndex even where newKeyIndex would index them directly.
-func hashedJoinTable(build *Part, keyIdx []int) *joinTable {
+func hashedJoinTable(build *Part, keyIdx []int, forms []keyForm) *joinTable {
 	mem := newLedger()
 	t := &joinTable{cols: build.Cols, w: build.W, keys: newKeyTable(mem, len(keyIdx))}
 	all := make([]int32, build.N)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	jk := newJoinKeys(len(keyIdx))
+	jk := newJoinKeys(forms)
 	lanes, ids := jk.set(t.cols, keyIdx, all), make([]int64, build.N)
 	t.keys.resolve(ids, jk.keys, lanes, nil)
 	t.thread(mem, ids, lanes)
@@ -510,18 +516,18 @@ func refPairs(build []table.Value, key table.Vector, sel []int32, outer bool) ([
 // TestDenseJoinMatchesHashJoin holds the direct-address join table to
 // the hashed one over the same build side, pair for pair, and both to the join's key match on
 // boxed values (refPairs): every probe kind, dense and selected batches,
-// inner and outer pads must record identical (lane, build row) pairs.
+// inner and outer pads must record identical (lane, build row) pairs,
+// each key pair in the forms joinKeyForms gives its declared kinds.
 // The integer build sides cover duplicates, negatives, one row, NULL
 // keys, ranges exactly at the dense cutoff and one past it (hashed on
 // both sides), narrow ranges at either end of int64 and integers at
 // float precision's edge (1e18, 2⁶², the largest float below 2⁶³, the
 // int next to 2⁵³); a float build side holds NaN, −0, 0.5, 1e18 and
-// integral values, and a mixed one every kind. The probes are an int
-// column with NULLs, floats that are integral, not, NaN, ±Inf, −0, in
-// [1e18, 2⁶³) or beyond int64, a mixed column, strings, bools and an
-// all-NULL column. Then both join shapes run through the executor
-// against the row reference, inner and left outer, with and without a
-// residual.
+// integral values. The probes are an int column with NULLs, floats that
+// are integral, not, NaN, ±Inf, −0, in [1e18, 2⁶³) or beyond int64,
+// strings, bools and an all-NULL column. Then both join shapes run
+// through the executor against the row reference, inner and left
+// outer, with and without a residual.
 func TestDenseJoinMatchesHashJoin(t *testing.T) {
 	spaced := func(n int, lo, last int64) []table.Value {
 		ks := make([]int64, n)
@@ -564,51 +570,37 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 		{"top of int64", table.VKInt, intKeys(math.MaxInt64, math.MaxInt64-3, math.MaxInt64), true},
 		{"bottom of int64", table.VKInt, intKeys(math.MinInt64+2, math.MinInt64, math.MinInt64+2), true},
 		{"float precision", table.VKInt, intKeys(1e18, -1e18, 1<<62, below63, math.MaxInt64, 1<<53+1, 1e18), false},
-		{"floats", table.VKFloat, append(floats(math.NaN(), math.Copysign(0, -1), 0.5, 1e18, 7, 7, 0x1p62), table.Null), false},
-		{"mixed", table.VKAny, []table.Value{table.NewInt(3), table.NewFloat(3), table.NewFloat(2.5), table.NewString("3"),
-			table.NewBool(true), table.Null, table.NewFloat(math.NaN()), table.NewFloat(1e18), table.NewInt(1e18)}, false},
+		{"floats", table.VKFloat, append(floats(math.NaN(), math.Copysign(0, -1), 0.5, 1e18, 7, 7, 0x1p62, -0x1p63), table.Null), false},
 	}
 	for _, b := range builds {
 		build := keyPart(b.keys)
 		if k := build.Cols[0].K; k != b.kind {
 			t.Fatalf("%s: build column of kind %d, want %d", b.name, k, b.kind)
 		}
-		dense, hashed := buildJoinTable(newLedger(), &build, []int{0}), hashedJoinTable(&build, []int{0})
-		if (dense.keys.idx == nil) != b.dense || hashed.keys.idx == nil {
-			t.Fatalf("%s: built dense=%v, want %v", b.name, dense.keys.idx == nil, b.dense)
-		}
-		var ints, floats, mixed, strs []table.Value
-		for i, k := range b.keys {
-			switch k.Kind() {
-			case table.KindInt, table.KindFloat:
-				if f := k.Float(); f == math.Trunc(f) && math.Abs(f) < 0x1p63 {
-					x := int64(f)
-					ints = append(ints, table.NewInt(x), table.NewInt(x-1), table.NewInt(x+1))
-				}
-				f := k.Float()
-				floats = append(floats, table.NewFloat(f), table.NewFloat(f+0.5))
-				mixed = append(mixed, []table.Value{k, table.NewFloat(f), table.NewFloat(f - 0.25),
-					table.NewString(fmt.Sprint(k.Int())), table.NewBool(i%2 == 0), table.Null}[i%6])
-				strs = append(strs, table.NewString(fmt.Sprint(k.Int())))
-			case table.KindString:
-				mixed, strs = append(mixed, k), append(strs, k)
-			case table.KindBool:
-				mixed = append(mixed, k)
+		var ints, floats, strs []table.Value
+		for _, k := range b.keys {
+			if k.IsNull() {
+				continue
 			}
+			if f := k.Float(); f == math.Trunc(f) && math.Abs(f) < 0x1p63 {
+				x := int64(f)
+				ints = append(ints, table.NewInt(x), table.NewInt(x-1), table.NewInt(x+1))
+			}
+			f := k.Float()
+			floats = append(floats, table.NewFloat(f), table.NewFloat(f+0.5))
+			strs = append(strs, table.NewString(fmt.Sprint(k.Int())))
 		}
 		ints = append(ints, table.Null, table.NewInt(math.MinInt64), table.NewInt(math.MaxInt64), table.NewInt(0))
 		floats = append(floats, table.Null, table.NewFloat(math.NaN()), table.NewFloat(math.Inf(1)),
 			table.NewFloat(math.Inf(-1)), table.NewFloat(math.Copysign(0, -1)), table.NewFloat(0x1p63),
 			table.NewFloat(-0x1p63), table.NewFloat(1e300), table.NewFloat(-0x1p63-4096))
-		floats = append(floats, table.NewFloat(0.5))
+		floats = append(floats, table.NewFloat(0.5), table.NewFloat(0)) // +0 meets the float build's −0
 		for _, f := range edges {
 			floats = append(floats, table.NewFloat(f))
 		}
-		mixed = append(mixed, table.NewInt(0), table.NewFloat(0.5), table.NewString("x"), table.Null, table.NewFloat(math.NaN()),
-			table.NewInt(1e18), table.NewFloat(1e18), table.NewInt(math.MaxInt64), table.NewFloat(0x1p63))
 		strs = append(strs, table.Null)
 		probes := map[table.VecKind][]table.Value{
-			table.VKInt: ints, table.VKFloat: floats, table.VKAny: mixed, table.VKStr: strs,
+			table.VKInt: ints, table.VKFloat: floats, table.VKStr: strs,
 			table.VKBool: {table.NewBool(true), table.Null, table.NewBool(false)},
 			table.VKNull: {table.Null, table.Null, table.Null},
 		}
@@ -616,6 +608,11 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 			key := vectorOf(vals)
 			if key.K != kind {
 				t.Fatalf("%s: probe column of kind %d, want %d", b.name, key.K, kind)
+			}
+			lf, rf := joinKeyForms([]table.Kind{table.Kind(kind)}, []table.Kind{table.Kind(b.kind)})
+			dense, hashed := buildJoinTable(newLedger(), &build, []int{0}, rf), hashedJoinTable(&build, []int{0}, rf)
+			if (rf[0] == formAsIs && (dense.keys.idx == nil) != b.dense) || hashed.keys.idx == nil {
+				t.Fatalf("%s: built dense=%v, want %v", b.name, dense.keys.idx == nil, b.dense)
 			}
 			var every3 []int32
 			for i := 0; i < key.N; i++ {
@@ -625,8 +622,8 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 			}
 			for _, sel := range [][]int32{nil, every3} {
 				for _, outer := range []bool{false, true} {
-					dl, dr := probePairs(dense, key, sel, outer)
-					hl, hr := probePairs(hashed, key, sel, outer)
+					dl, dr := probeForms(dense, []table.Vector{key}, lf, sel, outer)
+					hl, hr := probeForms(hashed, []table.Vector{key}, lf, sel, outer)
 					rl, rr := refPairs(b.keys, key, sel, outer)
 					if !slices.Equal(dl, hl) || !slices.Equal(dr, hr) || !slices.Equal(dl, rl) || !slices.Equal(dr, rr) {
 						t.Fatalf("%s, probe kind %d, sel %v, outer %v:\ndense  %v %v\nhashed %v %v\nrefPairs %v %v",
@@ -670,7 +667,8 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 
 // denseJoinFixture builds a probe table whose first six columns are join
 // keys of every kind — ints with NULLs, floats (integral, not, NaN, ±Inf,
-// −0, beyond int64), a mixed column, strings, bools, all NULL — plus a
+// −0, beyond int64), a float column appended ints and floats alike,
+// strings, bools, all NULL — plus a
 // payload v, and a build table over an int key with duplicates,
 // negatives and NULLs, whose broadcast and co-partitioned tables are
 // dense, plus a payload u.
@@ -693,8 +691,8 @@ func denseJoinFixture(name string) (probe, build *table.Table) {
 		kf := []table.Value{table.NewFloat(float64(x)), table.NewFloat(float64(x) + 0.5), table.NewFloat(math.NaN()),
 			table.NewFloat(math.Inf(1)), table.NewFloat(math.Inf(-1)), table.NewFloat(math.Copysign(0, -1)),
 			table.NewFloat(1e19), table.NewFloat(-0x1p63), table.Null}[i%9]
-		km := []table.Value{table.NewInt(x), table.NewFloat(float64(x)), table.NewString(fmt.Sprint(x)),
-			table.NewBool(x > 0), table.Null}[i%5]
+		km := []table.Value{table.NewInt(x), table.NewFloat(float64(x)), table.NewFloat(float64(x) + 0.25),
+			table.NewInt(x * 3), table.Null}[i%5] // Append widens the ints
 		probe.Append(i, table.Row{ki, kf, km, table.NewString(fmt.Sprint(i % 5)), table.NewBool(i%2 == 0),
 			table.Null, table.NewFloat(float64(i % 50))})
 	}
@@ -720,7 +718,7 @@ func denseJoinFixture(name string) (probe, build *table.Table) {
 func TestJoinTableDenseChainOrder(t *testing.T) {
 	for _, n := range []int{300, 5000} {
 		build, _ := joinRowsFor(n, 17)
-		bt := buildJoinTable(newLedger(), &build, []int{0})
+		bt := buildJoinTable(newLedger(), &build, []int{0}, asIs(1))
 		if kt := bt.keys; kt.idx != nil || kt.lo != 0 || len(kt.slot) != 17 || kt.len() != 17 || kt.hashes != nil {
 			t.Fatalf("n=%d: direct=%v lo=%d %d slots, %d ids, hashed %v", n, kt.idx == nil, kt.lo, len(kt.slot), kt.len(), kt.hashes != nil)
 		}
@@ -739,7 +737,7 @@ func TestJoinTableDenseChainOrder(t *testing.T) {
 	}
 
 	build := keyPart([]table.Value{table.Null, table.NewInt(4), table.Null, table.NewInt(2), table.NewInt(4), table.Null})
-	bt := buildJoinTable(newLedger(), &build, []int{0})
+	bt := buildJoinTable(newLedger(), &build, []int{0}, asIs(1))
 	if kt := bt.keys; kt.idx != nil || kt.lo != 2 || len(kt.slot) != 3 || kt.len() != 2 {
 		t.Fatalf("NULL-bearing build: direct=%v lo=%d %d slots, %d ids", kt.idx == nil, kt.lo, len(kt.slot), kt.len())
 	}
@@ -768,7 +766,7 @@ func TestJoinTableDenseChainOrder(t *testing.T) {
 		{[]int64{math.MinInt64 + 1, math.MinInt64}, true},
 	} {
 		build := keyPart(intKeys(c.keys...))
-		bt := buildJoinTable(newLedger(), &build, []int{0})
+		bt := buildJoinTable(newLedger(), &build, []int{0}, asIs(1))
 		if (bt.keys.idx == nil) != c.dense {
 			t.Fatalf("keys %v: direct=%v, want %v", c.keys, bt.keys.idx == nil, c.dense)
 		}
@@ -878,5 +876,37 @@ func TestAggUniverseSeenSubspacesZeroAllocs(t *testing.T) {
 	}
 	if got := aggSeenAllocs(r, batches); got != 0 {
 		t.Fatalf("universe addBatch on seen subspaces: %v allocs/batch, want 0", got)
+	}
+}
+
+// TestProbeKeepsSelAcrossBatches: one probe operator over a run of
+// dense batches, the key NULL-free in some and not in others, drops a
+// batch's NULL lanes into its own scratch, never into the batch's live
+// lanes, which it reads again to pad and pair; inner and outer, for an
+// int key and for a float key against an int build.
+func TestProbeKeepsSelAcrossBatches(t *testing.T) {
+	build := keyPart(intKeys(1, 2, 3, 2))
+	for _, key := range []struct {
+		kind    table.Kind
+		batches [][]table.Value
+	}{
+		{table.KindInt, [][]table.Value{intKeys(1, 2, 3), {table.NewInt(1), table.Null, table.NewInt(2)}, intKeys(3, 9), {table.Null, table.NewInt(2)}}},
+		{table.KindFloat, [][]table.Value{{table.NewFloat(1), table.NewFloat(2)}, {table.NewFloat(2.5), table.NewFloat(3), table.Null}, {table.NewFloat(2)}}},
+	} {
+		lf, rf := joinKeyForms([]table.Kind{key.kind}, []table.Kind{table.KindInt})
+		bt := buildJoinTable(newLedger(), &build, []int{0}, rf)
+		for _, outer := range []bool{false, true} {
+			o := &colProbeOp{js: &joinSpec{p: &PHashJoin{}, lIdx: []int{0}}, bt: bt, outer: outer,
+				jk: newJoinKeys(lf), out: newPartBuilder(newLedger(), 1+len(bt.cols), 0)}
+			for bi, vals := range key.batches {
+				v := vectorOf(vals)
+				w := make([]float64, v.N)
+				o.probe(&Batch{cols: []table.Vector{v}, n: v.N, weights: w})
+				wl, wr := refPairs([]table.Value{table.NewInt(1), table.NewInt(2), table.NewInt(3), table.NewInt(2)}, v, nil, outer)
+				if !slices.Equal(o.pl, wl) || !slices.Equal(o.pr, wr) {
+					t.Fatalf("%v key, outer %v, batch %d %v: pairs %v %v, want %v %v", key.kind, outer, bi, vals, o.pl, o.pr, wl, wr)
+				}
+			}
+		}
 	}
 }

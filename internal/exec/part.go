@@ -15,10 +15,9 @@ import (
 // (table.RowsOf). A sample-cache entry is a []Part as the sink built it.
 //
 // Cols are table.Vectors as the builders built them (typed payloads
-// without pointers, a NULL bitmap, a string dictionary; exact Values
-// only for mixed-kind columns), always one per schema column even when
-// N is 0: the form stored partitions have too, which the scan slices
-// into its batches the same way. W holds the rows' Horvitz–Thompson weights.
+// without pointers, a NULL bitmap, a string dictionary), always one per
+// schema column even when N is 0: the form stored partitions have too,
+// which the scan slices into its batches the same way. W holds the rows' Horvitz–Thompson weights.
 // A Part is immutable once built and may be shared: by a join output
 // with its build side's dictionaries, by a window output with its
 // input's columns. Its typed payloads and weights are slabs of the run's
@@ -45,7 +44,7 @@ func (p *Part) clone() Part {
 	for c := range out.Cols {
 		v := &out.Cols[c]
 		v.Ints, v.Floats = slices.Clone(v.Ints), slices.Clone(v.Floats)
-		v.Nulls, v.Vals = slices.Clone(v.Nulls), slices.Clone(v.Vals)
+		v.Nulls = slices.Clone(v.Nulls)
 	}
 	return out
 }
@@ -295,9 +294,6 @@ func dictHashes(dict []string) []uint64 {
 
 // laneHash is v.Value(i).Hash64() without building the Value.
 func laneHash(v *table.Vector, i int) uint64 {
-	if v.K == table.VKAny {
-		return v.Vals[i].Hash64()
-	}
 	if v.IsNull(i) {
 		return table.HashNull
 	}

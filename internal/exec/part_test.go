@@ -32,9 +32,8 @@ func awkwardValues() map[string][]table.Value {
 			table.NewInt(math.MinInt64), table.NewInt(42)},
 		"string": {table.NewString(""), table.NewString("x"), table.Null, table.NewString("a longer string"),
 			table.NewString("x"), table.NewString("\x00")},
-		"bool":  {table.NewBool(true), table.NewBool(false), table.Null},
-		"null":  {table.Null},
-		"mixed": {table.NewInt(42), table.NewFloat(42), table.Null, table.NewString("42"), table.NewBool(true), table.NewFloat(math.Copysign(0, -1))},
+		"bool": {table.NewBool(true), table.NewBool(false), table.Null},
+		"null": {table.Null},
 	}
 }
 
@@ -80,15 +79,15 @@ func batchOf(rng *rand.Rand, cols [][]table.Value, blds []vecBuilder, selMode in
 }
 
 // TestPartBuilderRoundTrip is the sink's property test: whatever
-// sequence of batches is appended — every value family, kinds that
-// change between batches (int then float degrades to boxed values,
-// all-NULL then typed adopts), a new source dictionary per batch,
+// sequence of batches is appended — every value family, a column's
+// batches changing representation (all-NULL then typed adopts, typed
+// then all-NULL pads), a new source dictionary per batch,
 // dense/empty/one-lane/random selections, empty and one-row partitions —
 // the built Part reads back the appended live rows bit for bit, with
 // their weights and the accounted bytes of the same rows boxed.
 func TestPartBuilderRoundTrip(t *testing.T) {
 	families := awkwardValues()
-	names := []string{"float", "int", "string", "bool", "null", "mixed"}
+	names := []string{"float", "int", "string", "bool", "null"}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		width := 1 + rng.Intn(4)
@@ -103,11 +102,11 @@ func TestPartBuilderRoundTrip(t *testing.T) {
 			}
 			cols := make([][]table.Value, width)
 			for c := range cols {
-				// Column c keeps its family except where the seed asks for a
-				// mid-partition kind change.
+				// Column c keeps its family except where the seed asks for
+				// all-NULL batches among the typed ones.
 				fam := names[(int(seed)+c)%len(names)]
-				if seed%3 == 0 && bi > 0 {
-					fam = names[rng.Intn(len(names))]
+				if seed%3 == 0 && rng.Intn(2) == 0 {
+					fam = "null"
 				}
 				cols[c] = columnOf(rng, families[fam], n)
 			}
@@ -311,28 +310,30 @@ func TestHashKeysMatchesHashRow(t *testing.T) {
 
 // joinFixture builds probe (k, v, s) and build (k, u, s) tables whose
 // keys overlap partly, repeat on both sides, and include NULLs (which
-// match nothing) and, on the probe side, integral floats (which match
-// the equal ints).
+// match nothing). The probe's key is a Float column appended ints
+// (integral floats, which match the equal ints) and, at every 13th row,
+// a fractional float (which matches nothing); the build's is an Int
+// column.
 func joinFixture(name string) (probe, build *table.Table) {
-	sc := func(second string) *table.Schema {
+	sc := func(key table.Kind, second string) *table.Schema {
 		return table.NewSchema(
-			table.Column{Name: "k", Kind: table.KindInt},
+			table.Column{Name: "k", Kind: key},
 			table.Column{Name: second, Kind: table.KindFloat},
 			table.Column{Name: "s", Kind: table.KindString},
 		)
 	}
-	probe = table.New(name+"_probe", sc("v"), 4)
+	probe = table.New(name+"_probe", sc(table.KindFloat, "v"), 4)
 	for i := 0; i < 900; i++ {
 		k := table.NewInt(int64(i % 61))
 		switch {
 		case i%17 == 0:
 			k = table.Null
 		case i%13 == 0:
-			k = table.NewFloat(float64(i % 61)) // makes the key column mixed-kind
+			k = table.NewFloat(float64(i%61) + 0.5)
 		}
 		probe.Append(i, table.Row{k, table.NewFloat(float64(i)), table.NewString(fmt.Sprint("p", i%7))})
 	}
-	build = table.New(name+"_build", sc("u"), 3)
+	build = table.New(name+"_build", sc(table.KindInt, "u"), 3)
 	for i := 0; i < 200; i++ {
 		k := table.NewInt(int64(i % 40))
 		if i%19 == 0 {
@@ -380,8 +381,9 @@ func TestExchangeMatchesRowReference(t *testing.T) {
 // the row reference's exchange and aggregate — grouped on the exchange
 // keys, so the runners take the routing hashes as group hashes, and on
 // other columns (the exchange keys reversed, then one more), so they
-// hash for themselves. COUNT(DISTINCT) counts a mixed-kind and an
-// integer column, under a dictionary group key among others.
+// hash for themselves. COUNT(DISTINCT) counts a float column appended
+// ints and floats, and an integer column, under a dictionary group key
+// among others.
 func TestAggOverExchangeMatchesRowReference(t *testing.T) {
 	tbl := mixedTable("aggxchg", 5, 1500)
 	for _, keys := range [][]int{{0}, {2}, {1, 2}, {3}} {
@@ -462,8 +464,8 @@ func aggOverExchangeCase(t *testing.T, tbl *table.Table, keys, group []int, part
 
 // TestExchangeRoutingMatchesScatter is the routed exchange's property
 // test: whatever the sources hold — every value family with its NULLs,
-// a dictionary per source, a column whose kind changes from one source
-// to the next (a mixed-kind destination column), empty sources,
+// a dictionary per source, a column all NULL in some sources and typed
+// in others, empty sources,
 // destinations nothing hashes to, zero-width rows, sources of exactly
 // k windows and of one lane more — routing and gathering builds, column
 // for column, the partitions the copy-and-concatenate oracle builds,
@@ -471,7 +473,7 @@ func aggOverExchangeCase(t *testing.T, tbl *table.Table, keys, group []int, part
 // pieces account.
 func TestExchangeRoutingMatchesScatter(t *testing.T) {
 	families := awkwardValues()
-	names := []string{"float", "int", "string", "bool", "null", "mixed"}
+	names := []string{"float", "int", "string", "bool", "null"}
 	emptyDests := 0
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -491,8 +493,8 @@ func TestExchangeRoutingMatchesScatter(t *testing.T) {
 			cols := make([][]table.Value, width)
 			for c := range cols {
 				fam := names[(int(seed)+c)%len(names)]
-				if seed%4 == 0 && i > 0 {
-					fam = names[rng.Intn(len(names))]
+				if seed%4 == 0 && rng.Intn(2) == 0 {
+					fam = "null"
 				}
 				cols[c] = columnOf(rng, families[fam], n)
 			}
@@ -602,8 +604,8 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 		pb.appendRow(r)
 	}
 	part := pb.finish()
-	if part.Cols[4].K != table.VKAny || part.Cols[0].Nulls == nil {
-		t.Fatalf("fixture: mixed column is kind %v, int column NULL bitmap %v", part.Cols[4].K, part.Cols[0].Nulls)
+	if part.Cols[4].K != table.VKFloat || part.Cols[0].Nulls == nil {
+		t.Fatalf("fixture: widened column is kind %v, int column NULL bitmap %v", part.Cols[4].K, part.Cols[0].Nulls)
 	}
 	const cut = 37 // head's and the first slice's offset into the bitmap
 	head := part.head(len(rows) - 5)
@@ -632,9 +634,9 @@ func TestBytesAllMatchesLaneBytes(t *testing.T) {
 // TestBytesAllSumsToPartitionBytes: the scan charges a stored
 // partition's Bytes once instead of summing its windows' BytesAll batch
 // by batch, so the two must agree for every way a partition is built:
-// Columnarize, a tail sealed onto a snapshot, a column promoted to Any by
-// a later seal, an all-NULL column and string columns with NULLs, cut at
-// every batch size.
+// Columnarize, a tail sealed onto a snapshot, an all-NULL column that a
+// later seal types, a NULL-free column that a later seal gives NULLs
+// and string columns with NULLs, cut at every batch size.
 func TestBytesAllSumsToPartitionBytes(t *testing.T) {
 	mixed := mixedTable("bytes_mixed", 1, 700)
 	sc := table.NewSchema(
@@ -658,10 +660,10 @@ func TestBytesAllSumsToPartitionBytes(t *testing.T) {
 		"first-seal":  add(0, 300),
 		"sealed-tail": add(300, 500),
 	}
-	grown.Append(0, table.Row{table.NewString("x"), table.Null, table.Null})
-	cps["promoted-to-any"] = add(500, 640)
-	if cp := cps["promoted-to-any"]; cp.Cols[0].K != table.VKAny || cp.Cols[1].Nulls == nil || cp.Cols[2].K != table.VKNull {
-		t.Fatalf("fixture: int column kind %v, string NULL bitmap %v, all-NULL column kind %v", cp.Cols[0].K, cp.Cols[1].Nulls, cp.Cols[2].K)
+	grown.Append(0, table.Row{table.Null, table.Null, table.NewInt(7)})
+	cps["late-nulls-and-values"] = add(500, 640)
+	if cp := cps["late-nulls-and-values"]; cp.Cols[0].Nulls == nil || cp.Cols[1].Nulls == nil || cp.Cols[2].K != table.VKInt {
+		t.Fatalf("fixture: int NULL bitmap %v, string NULL bitmap %v, late-typed column kind %v", cp.Cols[0].Nulls, cp.Cols[1].Nulls, cp.Cols[2].K)
 	}
 	for name, cp := range cps {
 		for _, bs := range refBatchSizes {
@@ -685,7 +687,7 @@ func TestBytesAllSumsToPartitionBytes(t *testing.T) {
 
 // TestPartScanAliasesStorage: a scan batch's columns are slices of the
 // stored vectors, not copies. For int, float, dictionary, all-NULL and
-// VKAny columns, carried whole or pruned and reordered, every batch's
+// NULL-free int columns, carried whole or pruned and reordered, every batch's
 // payload starts at the stored array's lane pos, shares its dictionary
 // and NULL bitmap (offset by pos), and reads the stored lanes.
 func TestPartScanAliasesStorage(t *testing.T) {
@@ -702,13 +704,11 @@ func TestPartScanAliasesStorage(t *testing.T) {
 		if i%9 == 4 {
 			iv = table.Null
 		}
-		if i%2 == 1 {
-			mv = table.NewString("odd")
-		}
+
 		tbl.Append(0, table.Row{iv, table.NewFloat(float64(i) / 8), table.NewString(fmt.Sprintf("w%d", i%5)), table.Null, mv})
 	}
 	cp := tbl.Columnar(0)
-	for c, k := range []table.VecKind{table.VKInt, table.VKFloat, table.VKStr, table.VKNull, table.VKAny} {
+	for c, k := range []table.VecKind{table.VKInt, table.VKFloat, table.VKStr, table.VKNull, table.VKInt} {
 		if cp.Cols[c].K != k {
 			t.Fatalf("fixture: column %d is kind %v, want %v", c, cp.Cols[c].K, k)
 		}
@@ -737,11 +737,9 @@ func TestPartScanAliasesStorage(t *testing.T) {
 				aliased := false
 				switch v.K {
 				case table.VKNull:
-					aliased = v.Ints == nil && v.Floats == nil && v.Vals == nil && v.Nulls == nil
+					aliased = v.Ints == nil && v.Floats == nil && v.Nulls == nil
 				case table.VKFloat:
 					aliased = &v.Floats[0] == &stored.Floats[pos]
-				case table.VKAny:
-					aliased = &v.Vals[0] == &stored.Vals[pos]
 				default:
 					aliased = &v.Ints[0] == &stored.Ints[pos] && sameDict(v.Dict, stored.Dict)
 				}
@@ -763,8 +761,9 @@ func TestPartScanAliasesStorage(t *testing.T) {
 }
 
 // TestSortMatchesRowSort holds the sort's lane comparators to the row
-// definition: a PSort over mixedTable's columns (NULLs, strings, a mixed
-// VKAny column) plus a float key holding NaN, −0, +0 and NULL must emit
+// definition: a PSort over mixedTable's columns (NULLs, strings, a float
+// column appended ints and floats) plus a float key holding NaN, −0, +0
+// and NULL must emit
 // each partition's rows() stably sorted by the keys (Value.Order) and
 // then by table.CompareRows, bit for bit, at every batch size. The few-valued
 // columns come first so that the tie-break reaches every column.

@@ -306,8 +306,8 @@ func execParts(t *testing.T, p PNode, batch int) []Part {
 // lanes are copied into one partition builder per destination and the
 // destinations' pieces are concatenated in source order (refExchange).
 // It is kept as the oracle the routed exchange is held to column for
-// column: NULL bitmaps, dictionaries in first-appearance order and
-// mixed-kind degradation are all defined by what this copy builds.
+// column: NULL bitmaps and dictionaries in first-appearance order are
+// defined by what this copy builds.
 type scatter struct {
 	dst    []*partBuilder
 	keyIdx []int
@@ -369,6 +369,11 @@ func refExchange(srcs []Part, width int, keyIdx []int, parts, window int) []Part
 	return out
 }
 
+// truthy reports whether a predicate result is true.
+func truthy(v table.Value) bool {
+	return v.Kind() == table.KindBool && v.Bool()
+}
+
 // sameValue reports bit-identity of two values (NaN payloads and the
 // sign of zero included).
 func sameValue(a, b table.Value) bool {
@@ -381,8 +386,6 @@ func heldLanes(v *table.Vector) int {
 	switch v.K {
 	case table.VKNull:
 		return v.N
-	case table.VKAny:
-		return len(v.Vals)
 	case table.VKFloat:
 		return len(v.Floats)
 	}

@@ -564,13 +564,14 @@ func (rt *routes) gather(ctx context.Context, d int) (Part, error) {
 }
 
 // joinSpec is a hash join's probe setup, shared read-only by the tasks
-// that probe: the key positions on both inputs and, for a broadcast
-// join, the gathered build side and the one table over it.
+// that probe: the key positions and forms on both inputs and, for a
+// broadcast join, the gathered build side and the one table over it.
 type joinSpec struct {
-	p          *PHashJoin
-	lIdx, rIdx []int
-	side       Part
-	bt         *joinTable
+	p            *PHashJoin
+	lIdx, rIdx   []int
+	lForm, rForm []keyForm
+	side         Part
+	bt           *joinTable
 }
 
 // newJoinSpec resolves p's keys and, given the broadcast build side,
@@ -584,11 +585,21 @@ func newJoinSpec(mem *ledger, p *PHashJoin, side *Part) (*joinSpec, error) {
 	if js.rIdx, err = keyPositions(p.Right, p.RightKeys, "right join key"); err != nil {
 		return nil, err
 	}
+	js.lForm, js.rForm = joinKeyForms(keyKinds(p.Left, js.lIdx), keyKinds(p.Right, js.rIdx))
 	if side != nil {
 		js.side = *side
-		js.bt = buildJoinTable(mem, side, js.rIdx)
+		js.bt = buildJoinTable(mem, side, js.rIdx, js.rForm)
 	}
 	return js, nil
+}
+
+// keyKinds returns the declared kinds of n's output columns at idx.
+func keyKinds(n PNode, idx []int) []table.Kind {
+	cols, out := n.Cols(), make([]table.Kind, len(idx))
+	for k, i := range idx {
+		out[k] = cols[i].Kind
+	}
+	return out
 }
 
 // keyPositions resolves key column ids to positions in n's output.
@@ -611,7 +622,7 @@ func keyPositions(n PNode, keys []lplan.ColumnID, what string) ([]int, error) {
 func (js *joinSpec) newProbe(ctx context.Context, mem *ledger, child colOperator, bt *joinTable, st *cluster.Stage, task int, slot *metrics.Slot) (*colProbeOp, error) {
 	width := len(js.p.Left.Cols()) + len(bt.cols)
 	o := &colProbeOp{ctx: ctx, child: child, js: js, bt: bt, outer: js.p.Kind == lplan.LeftOuterJoin,
-		st: st, task: task, slot: slot, jk: newJoinKeys(len(js.lIdx)), out: newPartBuilder(mem, width, 0)}
+		st: st, task: task, slot: slot, jk: newJoinKeys(js.lForm), out: newPartBuilder(mem, width, 0)}
 	if js.p.Residual != nil {
 		kern, err := compileColKernel(js.p.Residual, buildColMap(js.p.Cols()), mem)
 		if err != nil {
@@ -661,7 +672,7 @@ func (ex *executor) execJoin(p *PHashJoin) (*stream, error) {
 		st.AddInput(i, int64(lp.N+rp.N), lp.bytes+rp.bytes)
 		sl := op.Slot(i)
 		t0 := time.Now()
-		bt := buildJoinTable(ex.mem, rp, js.rIdx)
+		bt := buildJoinTable(ex.mem, rp, js.rIdx, js.rForm)
 		probe, err := js.newProbe(ex.ctx, ex.mem, &partSource{p: lp, size: ex.batch}, bt, st, i, sl)
 		if err != nil {
 			return err

@@ -6,11 +6,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"unsafe"
 
 	"quickr/internal/lplan"
 	"quickr/internal/metrics"
-	"quickr/internal/table"
 )
 
 // Hot-sample reuse: Quickr is deliberately lazy (samplers run at query
@@ -296,10 +294,6 @@ func (c *SampleCache) Budget() int64 {
 	return c.budget
 }
 
-// valueBytes is the resident size of one boxed table.Value, what a
-// mixed-kind (VKAny) column holds per lane.
-const valueBytes = int64(unsafe.Sizeof(table.Value{}))
-
 // cachedPartBytes estimates one partition's resident size for the byte
 // budget (payload slices plus dictionary strings; bookkeeping rounded
 // into per-value constants).
@@ -308,7 +302,6 @@ func cachedPartBytes(p *Part) int64 {
 	for i := range p.Cols {
 		v := &p.Cols[i]
 		b += int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.Nulls))*8
-		b += int64(len(v.Vals)) * valueBytes
 		for _, s := range v.Dict {
 			b += int64(len(s)) + 16
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"quickr/internal/cluster"
 	"quickr/internal/lplan"
@@ -194,28 +193,26 @@ func TestCachedRoundTripBitIdentical(t *testing.T) {
 	sameParts(t, want, cached, "entry after replays")
 }
 
-// TestCachedPartBytesChargesBoxedValues pins the budget charge of a
-// mixed-kind column to the real size of a boxed Value.
-func TestCachedPartBytesChargesBoxedValues(t *testing.T) {
+// TestCachedPartBytesChargesPayloads pins the budget charge of a
+// partition to its typed payloads: 8 B a lane of ints or floats, 8 B a
+// NULL bitmap word, a dictionary string's length plus 16, 8 B a weight.
+func TestCachedPartBytesChargesPayloads(t *testing.T) {
 	const n = 100
-	pb := newPartBuilder(newLedger(), 1, n)
+	pb := newPartBuilder(newLedger(), 3, n)
 	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			pb.appendRow(table.Row{table.NewInt(int64(i))})
-		} else {
-			pb.appendRow(table.Row{table.NewFloat(float64(i) + 0.5)})
+		f := table.NewFloat(float64(i) + 0.5)
+		if i%2 == 1 {
+			f = table.Null
 		}
+		pb.appendRow(table.Row{table.NewInt(int64(i)), f, table.NewString([]string{"ab", "cde"}[i%2])})
 	}
 	part := pb.finish()
-	if part.Cols[0].K != table.VKAny || len(part.Cols[0].Vals) != n {
-		t.Fatalf("fixture: int/float mix did not degrade to boxed values: %+v", part.Cols[0])
+	if k := []table.VecKind{part.Cols[0].K, part.Cols[1].K, part.Cols[2].K}; k[0] != table.VKInt || k[1] != table.VKFloat || k[2] != table.VKStr {
+		t.Fatalf("fixture: columns of kinds %v", k)
 	}
-	want := int64(n)*int64(unsafe.Sizeof(table.Value{})) + int64(n)*8 // values + weights
+	want := int64(n)*8 + int64(n)*8 + int64(len(part.Cols[1].Nulls))*8 + int64(n)*8 + (2 + 16) + (3 + 16) + int64(n)*8
 	if got := cachedPartBytes(&part); got != want {
-		t.Errorf("mixed-kind column charged %d bytes, want %d (%d B per boxed value)", got, want, unsafe.Sizeof(table.Value{}))
-	}
-	if unsafe.Sizeof(table.Value{}) != 40 {
-		t.Errorf("table.Value is %d bytes; DESIGN §15 and the cache budget text say 40", unsafe.Sizeof(table.Value{}))
+		t.Errorf("partition charged %d bytes, want %d", got, want)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"quickr/internal/table"
 )
 
-// vecOf builds a vector of vals in the representation a sink would pick:
-// typed (with a NULL bitmap where vals hold NULLs) while the non-NULL
-// values share a kind, VKAny once they mix, VKNull when all are NULL.
+// vecOf builds a vector of vals, whose non-NULL values share a kind, in
+// the representation a sink would pick: typed (with a NULL bitmap where
+// vals hold NULLs), VKNull when all are NULL.
 func vecOf(vals ...table.Value) table.Vector {
 	bd := vecBuilder{mem: newLedger()}
 	for _, v := range vals {
@@ -72,7 +72,8 @@ func checkCoords(t *testing.T, u *universeLanes, batches [][]table.Vector, spars
 // every vector kind: integers (negatives, ±1e9, MinInt64 and MaxInt64
 // among them) with and without NULLs; floats with NaN, ±0, ±Inf and
 // either side of ±1e18; strings with NULLs under dictionaries that
-// change between batches; bools, mixed kinds (VKAny), all-NULL vectors
+// change between batches; bools, an int column whose batches mix its
+// representations (all NULL, NULL-bearing, NULL-free), all-NULL vectors
 // and two-column keys.
 func TestUniverseHashMatchesHashValues(t *testing.T) {
 	nextUp, nextDown := math.Nextafter(1e18, 0), math.Nextafter(-1e18, 0)
@@ -94,11 +95,6 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 	}
 	// Three dictionaries of three strings, the second the first reversed.
 	s1, s2, s3 := words("x", "y", "-", "z", "x"), words("z", "y", "x", "-", "z"), words("y", "x", "w", "v", "-", "w")
-	mixed := vecOf(table.NewInt(5), table.NewFloat(2.5), table.NewString("s"), table.NewBool(true), table.Null,
-		table.NewFloat(5), table.NewInt(-3), table.NewFloat(math.NaN()), table.NewFloat(1e18))
-	if mixed.K != table.VKAny {
-		t.Fatalf("mixed vector is %v", mixed.K)
-	}
 	nullInts := vecOf(table.NewInt(4), table.Null, table.NewInt(-4), table.NewInt(4), table.Null, table.NewInt(1<<40))
 	extremes := vecOf(intVals(math.MinInt64, math.MaxInt64, math.MinInt64+1, math.MaxInt64-1, 0, 1e9, -1e9, 7)...)
 	cases := []struct {
@@ -111,13 +107,17 @@ func TestUniverseHashMatchesHashValues(t *testing.T) {
 		{"float", 1, [][]table.Vector{{floats}}},
 		{"string", 1, [][]table.Vector{{s1}, {s2}, {s3}}},
 		{"bool", 1, [][]table.Vector{{vecOf(table.NewBool(true), table.NewBool(false), table.Null, table.NewBool(true))}}},
-		{"mixed", 1, [][]table.Vector{{mixed}}},
+		{"mixed", 1, [][]table.Vector{{vecOf(table.Null, table.Null)}, {nullInts}, {vecOf(intVals(5, -3, 1e18)...)}}},
 		{"all-null", 1, [][]table.Vector{{vecOf(table.Null, table.Null, table.Null, table.Null)}}},
 		{"int-string", 2, [][]table.Vector{
 			{vecOf(intVals(1, 2, 3, 1, 2)...), s1},
 			{vecOf(intVals(1, 2, 3, 1, 2)...), s2},
 		}},
-		{"float-mixed", 2, [][]table.Vector{{floats, vecOf(append(intVals(1, 2, 3, 4, 5, 6), mixed.Vals...)...)}}},
+		{"float-mixed", 2, [][]table.Vector{
+			{floats, vecOf(append(intVals(1, 2, 3, 4, 5, 6), nullInts.Value(1), table.NewInt(1e18), table.Null, table.NewInt(-3),
+				table.NewInt(5), table.NewInt(5), table.NewInt(-1e18), table.NewInt(0), table.NewInt(7))...)},
+			{vecOf(table.Null, table.NewFloat(2.5)), vecOf(table.Null, table.Null)},
+		}},
 	}
 	for _, tc := range cases {
 		for _, sparse := range []bool{false, true} {
@@ -244,9 +244,9 @@ func TestUniverseIndependentOfRouting(t *testing.T) {
 
 // TestUniverseJoinEqualKeysShareCoordinates: two paired samplers, one
 // over each input of a join, give every pair of keys the join matches
-// (joinKey forms with equal Key()s) one coordinate, and so admit or drop
+// (Value.Equal and Hash64-equal) one coordinate, and so admit or drop
 // both: an int and the equal integral float, at 10¹⁸ and 2⁵³ too, and
-// −0 beside 0, from typed and mixed vectors alike.
+// −0 beside 0, each side a column of its own kind.
 func TestUniverseJoinEqualKeysShareCoordinates(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pairs := [][2]table.Value{
@@ -259,27 +259,14 @@ func TestUniverseJoinEqualKeysShareCoordinates(t *testing.T) {
 		{table.NewString("k"), table.NewString("k")},
 		{table.NewBool(true), table.NewBool(true)},
 	}
-	var left, right []table.Value
 	for _, pr := range pairs {
-		l, lok := joinKey(pr[0])
-		r, rok := joinKey(pr[1])
-		if !lok || !rok || l.Key() != r.Key() {
+		if !pr[0].Equal(pr[1]) || pr[0].Hash64() != pr[1].Hash64() {
 			t.Fatalf("%v and %v do not join", pr[0], pr[1])
 		}
-		left, right = append(left, pr[0]), append(right, pr[1])
-	}
-	for _, seed := range []uint64{1, exchangeHashSeed, 31} {
-		// Each side typed (a float column beside an int column) and mixed.
-		for _, sides := range [][2]table.Vector{
-			{vecOf(left[:4]...), vecOf(right[:4]...)},
-			{vecOf(left...), vecOf(right...)},
-		} {
-			lc, rc := coordsOf(sides[0], seed), coordsOf(sides[1], seed)
-			for i := range sides[0].N {
-				if lc[i] != rc[i] {
-					t.Errorf("seed %d: %v (%v) and %v (%v) have coordinates %#x and %#x",
-						seed, left[i], sides[0].K, right[i], sides[1].K, lc[i], rc[i])
-				}
+		for _, seed := range []uint64{1, exchangeHashSeed, 31} {
+			l, r := vecOf(pr[0]), vecOf(pr[1])
+			if lc, rc := coordsOf(l, seed), coordsOf(r, seed); lc[0] != rc[0] {
+				t.Errorf("seed %d: %v (%v) and %v (%v) have coordinates %#x and %#x", seed, pr[0], l.K, pr[1], r.K, lc[0], rc[0])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"slices"
 
 	"quickr/internal/table"
@@ -29,15 +30,14 @@ func laneFloat(v *table.Vector, i int) float64 {
 		return float64(v.Ints[i])
 	case table.VKFloat:
 		return v.Floats[i]
-	case table.VKAny:
-		return v.Vals[i].Float()
 	}
 	return 0
 }
 
-// vecBuilder accumulates values into a column, picking the tightest
-// representation: typed while all non-NULL values share a kind,
-// degrading to VKAny on the first mix. It takes single Values (append)
+// vecBuilder accumulates values into a column of one kind: VKNull until
+// the first non-NULL value, whose kind it adopts. The binder gives every
+// column one static kind, so a later value of another kind is a
+// programmer error and panics. It takes single Values (append)
 // and whole lanes of another Vector (appendSel, appendGather); build
 // returns the result, aliasing the builder's buffers until the next
 // reset. The integer and float payloads are slabs of the run's ledger
@@ -50,7 +50,6 @@ type vecBuilder struct {
 	floats  []float64
 	dict    []string
 	dictIdx map[string]int32
-	vals    []table.Value
 	nulls   []uint64
 	anyNull bool
 	// String lanes arriving as dictionary codes translate through remap
@@ -78,7 +77,6 @@ func (bd *vecBuilder) reset() {
 		bd.dict = nil
 	}
 	clear(bd.dictIdx)
-	bd.vals = bd.vals[:0]
 	bd.nulls = bd.nulls[:0]
 	bd.anyNull = false
 	bd.src, bd.shared = nil, false
@@ -97,8 +95,6 @@ func (bd *vecBuilder) appendNull() {
 	bd.setNull(bd.n)
 	switch bd.k {
 	case table.VKNull:
-	case table.VKAny:
-		bd.vals = append(bd.vals, table.Null)
 	case table.VKFloat:
 		bd.pushFloat(0)
 	default:
@@ -118,22 +114,19 @@ func (bd *vecBuilder) pushFloat(x float64) {
 	bd.floats[len(bd.floats)-1] = x
 }
 
-// append adds one value, adopting or degrading the representation as
-// needed.
+// append adds one value, adopting the representation of the first
+// non-NULL one.
 func (bd *vecBuilder) append(v table.Value) {
 	if v.IsNull() {
 		bd.appendNull()
 		return
 	}
-	want := table.VecKind(v.Kind())
-	if bd.k == table.VKNull {
+	if want := table.VecKind(v.Kind()); bd.k == table.VKNull {
 		bd.adopt(want)
-	} else if bd.k != want && bd.k != table.VKAny {
-		bd.degrade()
+	} else if bd.k != want {
+		kindMismatch(bd.k, want)
 	}
 	switch bd.k {
-	case table.VKAny:
-		bd.vals = append(bd.vals, v)
 	case table.VKInt:
 		bd.pushInt(v.Int())
 	case table.VKFloat:
@@ -242,25 +235,10 @@ func (bd *vecBuilder) appendLanes(v *table.Vector, sel []int32, gather bool) {
 	if m == 0 {
 		return
 	}
-	if v.K == table.VKAny || bd.k == table.VKAny || (bd.k != table.VKNull && v.K != table.VKNull && bd.k != v.K) {
-		// Exact values, one lane at a time; a kind mix degrades in append.
-		if sel == nil {
-			for i := 0; i < m; i++ {
-				bd.append(v.Value(i))
-			}
-			return
-		}
-		for _, i := range sel {
-			if i < 0 {
-				bd.appendNull()
-			} else {
-				bd.append(v.Value(int(i)))
-			}
-		}
-		return
-	}
 	if bd.k == table.VKNull && v.K != table.VKNull {
 		bd.adopt(v.K)
+	} else if bd.k != v.K && v.K != table.VKNull {
+		kindMismatch(bd.k, v.K)
 	}
 	base := bd.n
 	bd.n += m
@@ -402,9 +380,6 @@ func (bd *vecBuilder) adopt(k table.VecKind) {
 	case table.VKFloat:
 		bd.floats = grow(bd.mem, bd.floats[:0], reserve)[:bd.n]
 		clear(bd.floats)
-	case table.VKAny:
-		bd.vals = slices.Grow(bd.vals[:0], reserve)[:bd.n]
-		clear(bd.vals)
 	default:
 		bd.ints = grow(bd.mem, bd.ints[:0], reserve)[:bd.n]
 		clear(bd.ints)
@@ -419,20 +394,10 @@ func (bd *vecBuilder) padNulls() {
 	}
 }
 
-// degrade rewrites the typed payload accumulated so far as exact Values
-// and switches to VKAny.
-func (bd *vecBuilder) degrade() {
-	tmp := bd.build()
-	bd.vals = slices.Grow(bd.vals[:0], bd.n)
-	for i := 0; i < bd.n; i++ {
-		bd.vals = append(bd.vals, tmp.Value(i))
-	}
-	bd.k = table.VKAny
-	bd.ints = bd.ints[:0]
-	bd.floats = bd.floats[:0]
-	bd.dict = nil
-	clear(bd.dictIdx)
-	bd.src, bd.shared = nil, false
+// kindMismatch panics on a value of kind got bound for a column of kind
+// have.
+func kindMismatch(have, got table.VecKind) {
+	panic(fmt.Sprintf("exec: a %s value in a %s column", table.Kind(got), table.Kind(have)))
 }
 
 // build returns the accumulated Vector. It aliases builder buffers.
@@ -440,9 +405,6 @@ func (bd *vecBuilder) build() table.Vector {
 	v := table.Vector{K: bd.k, N: bd.n}
 	switch bd.k {
 	case table.VKNull:
-		return v
-	case table.VKAny:
-		v.Vals = bd.vals
 		return v
 	case table.VKFloat:
 		v.Floats = bd.floats

@@ -11,8 +11,31 @@ import (
 // counting days since 1970-01-01; YEAR/MONTH/DAY use the civil-calendar
 // conversion so generated date dimensions stay consistent.
 
+// JoinKinds is the kind join under which the binder types CASE
+// branches, IF and COALESCE arguments and UNION ALL arms: NULL ⊔ k = k,
+// k ⊔ k = k and Int ⊔ Float = Float. Any other pair has no join
+// (false). The join of no kinds is NULL.
+func JoinKinds(ks ...table.Kind) (table.Kind, bool) {
+	j := table.KindNull
+	for _, k := range ks {
+		switch {
+		case k == j || k == table.KindNull:
+		case j == table.KindNull:
+			j = k
+		case j == table.KindInt && k == table.KindFloat, j == table.KindFloat && k == table.KindInt:
+			j = table.KindFloat
+		default:
+			return table.KindNull, false
+		}
+	}
+	return j, true
+}
+
 // FuncReturnKind reports the result kind of a scalar function given its
-// argument kinds; KindNull if the function is unknown.
+// argument kinds; KindNull if the function is unknown. IF and COALESCE
+// return the join of the arguments they may return (KindNull when they
+// do not join): the binder widens those arguments to it, so every value
+// they return has it.
 func FuncReturnKind(name string, args []table.Kind) table.Kind {
 	switch strings.ToUpper(name) {
 	case "ABS", "ROUND":
@@ -22,20 +45,19 @@ func FuncReturnKind(name string, args []table.Kind) table.Kind {
 		return table.KindFloat
 	case "FLOOR", "CEIL", "CEILDIV", "YEAR", "MONTH", "DAY", "LENGTH", "HASHMOD", "BUCKET":
 		return table.KindInt
-	case "SQRT", "LN", "EXP", "POW":
+	case "SQRT", "LN", "EXP", "POW", "FLOAT":
 		return table.KindFloat
 	case "UPPER", "LOWER", "SUBSTR", "CONCAT":
 		return table.KindString
 	case "IF":
 		if len(args) == 3 {
-			return args[1]
+			k, _ := JoinKinds(args[1:]...)
+			return k
 		}
 		return table.KindNull
 	case "COALESCE":
-		if len(args) > 0 {
-			return args[0]
-		}
-		return table.KindNull
+		k, _ := JoinKinds(args...)
+		return k
 	case "STARTSWITH":
 		return table.KindBool
 	}
@@ -51,7 +73,9 @@ func KnownFunc(name string) bool {
 // CallFunc evaluates a scalar function. Unknown functions, NULL
 // arguments (except for IF/COALESCE), a wrong argument count and an
 // argument of the wrong kind yield NULL; a non-NULL result has the kind
-// FuncReturnKind declares (IF and COALESCE return an argument).
+// FuncReturnKind declares (IF and COALESCE return an argument, of the
+// declared kind once the binder has widened them). FLOAT is the binder's
+// widening call: an int or float argument as a float.
 func CallFunc(name string, args []table.Value) table.Value {
 	up := strings.ToUpper(name)
 	switch up {
@@ -121,12 +145,14 @@ func CallFunc(name string, args []table.Value) table.Value {
 		default:
 			return table.NewFloat(math.Round(scaled) / scale)
 		}
-	case "FLOOR", "CEIL", "SQRT", "LN", "EXP":
+	case "FLOOR", "CEIL", "SQRT", "LN", "EXP", "FLOAT":
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return table.Null
 		}
 		x := args[0].Float()
 		switch up {
+		case "FLOAT":
+			return table.NewFloat(x)
 		case "FLOOR":
 			return table.NewInt(int64(math.Floor(x)))
 		case "CEIL":

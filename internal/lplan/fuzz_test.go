@@ -12,7 +12,7 @@ import (
 var funcNames = []string{
 	"ABS", "ROUND", "FLOOR", "CEIL", "CEILDIV", "SQRT", "LN", "EXP", "POW",
 	"YEAR", "MONTH", "DAY", "LENGTH", "UPPER", "LOWER", "SUBSTR", "CONCAT",
-	"STARTSWITH", "HASHMOD", "BUCKET", "IF", "COALESCE", "NO_SUCH_FUNC",
+	"STARTSWITH", "HASHMOD", "BUCKET", "FLOAT", "IF", "COALESCE", "NO_SUCH_FUNC",
 }
 
 // The argument kinds a fuzz input picks from, one base-5 digit per

@@ -16,8 +16,8 @@ import (
 
 // extendRow is row i of the table the interleaving test grows: NULLs in
 // the typed columns, a dictionary that keeps growing, a value that is
-// 5% of the rows, and a column that holds integers for the first 2000
-// rows and mixes in strings afterwards (it degrades to Any mid-life).
+// 5% of the rows, and an integer column that is NULL-free for the first
+// 2000 rows and holds NULLs afterwards (it grows a bitmap mid-life).
 func extendRow(rng *rand.Rand, i int) table.Row {
 	r := table.Row{
 		table.NewInt(int64(rng.Intn(5000))),
@@ -29,7 +29,7 @@ func extendRow(rng *rand.Rand, i int) table.Row {
 		r[0] = table.NewInt(-7)
 	}
 	if i >= 2000 && i%5 == 0 {
-		r[3] = table.NewString("m")
+		r[3] = table.Null
 	}
 	for c := 0; c < 3; c++ {
 		if rng.Intn(17) == 0 {
@@ -61,10 +61,10 @@ func TestExtendMatchesFromScratch(t *testing.T) {
 		table.Column{Name: "i", Kind: table.KindInt},
 		table.Column{Name: "f", Kind: table.KindFloat},
 		table.Column{Name: "s", Kind: table.KindString},
-		table.Column{Name: "mix", Kind: table.KindInt},
+		table.Column{Name: "late", Kind: table.KindInt},
 	)
 	names := sc.Names()
-	sets := [][]string{{"i", "s"}, {"s", "mix", "f"}}
+	sets := [][]string{{"i", "s"}, {"s", "late", "f"}}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := table.New("ext", sc, 4)

@@ -42,8 +42,6 @@ type folder struct {
 // slices (NullOff is 0).
 func (a *colAcc) fold(cv *table.Vector, lo, hi int, f *folder) {
 	switch {
-	case cv.K == table.VKAny:
-		a.foldLanes(cv, lo, hi, f)
 	case cv.K == table.VKNull:
 		a.nulls += int64(hi - lo)
 	case cv.K == table.VKInt:
@@ -69,10 +67,10 @@ func (a *colAcc) bound(v table.Value) {
 	}
 }
 
-// foldLanes is the kernel for mixed-kind columns and short dictionary
-// tails: lane by lane, through Value.
+// foldLanes is the kernel for short dictionary tails: lane by lane,
+// through Value.
 //
-//hot:per-lane kernel of the statistics fold over mixed columns and short dictionary tails
+//hot:per-lane kernel of the statistics fold over short dictionary tails
 func (a *colAcc) foldLanes(cv *table.Vector, lo, hi int, f *folder) {
 	for i := lo; i < hi; i++ {
 		v := cv.Value(i)
@@ -83,12 +81,6 @@ func (a *colAcc) foldLanes(cv *table.Vector, lo, hi int, f *folder) {
 		f.buf = v.AppendKey(f.buf[:0])
 		a.kmv.AddKey(f.buf, 1)
 		a.lossy.Add(v.Ident())
-		if v.IsNumeric() {
-			x := v.Float()
-			a.sum += x
-			a.sumsq += x * x
-			a.cnt++
-		}
 		a.bound(v)
 	}
 }

@@ -110,8 +110,8 @@ func refSetNDV(schema *table.Schema, parts [][]table.Row, cols []string) float64
 }
 
 // handBuilt has what the generators never produce: NULLs in every typed
-// column, a column that is NULL throughout, one that mixes kinds, and a
-// short row.
+// column, a column that is NULL throughout, a Float column appended ints
+// and floats alike (Append widens the ints), and a short row.
 func handBuilt() *table.Table {
 	sc := table.NewSchema(
 		table.Column{Name: "i", Kind: table.KindInt},
@@ -119,7 +119,7 @@ func handBuilt() *table.Table {
 		table.Column{Name: "s", Kind: table.KindString},
 		table.Column{Name: "b", Kind: table.KindBool},
 		table.Column{Name: "nul", Kind: table.KindInt},
-		table.Column{Name: "mix", Kind: table.KindString},
+		table.Column{Name: "mix", Kind: table.KindFloat},
 	)
 	t := table.New("hand", sc, 3)
 	for i := 0; i < 3000; i++ {
@@ -139,7 +139,7 @@ func handRow(i int) table.Row {
 		table.NewInt(int64(i % 5)),
 	}
 	if i%4 == 1 {
-		r[5] = table.NewString("m")
+		r[5] = table.NewFloat(2.5)
 	}
 	for c := 0; c < 4; c++ {
 		if (i+c)%11 == 0 {
@@ -211,8 +211,8 @@ func kernelTables() []*table.Table {
 		}, col("s", table.KindString), col("i", table.KindInt), col("b", table.KindBool), col("n", table.KindString)),
 		// NaN, ±0, ±Inf and integral floats at and above 1e18: f starts
 		// partition 0 with 2.5 and partition 1 with NaN, g starts with
-		// NaN; ig holds ints in partition 0 and floats in partition 1,
-		// gi the reverse.
+		// NaN; ig is appended ints in partition 0 (Append widens them)
+		// and floats in partition 1, gi the reverse.
 		build("floats", 2, 4000, func(i int) table.Row {
 			f := floats[i%len(floats)]
 			ig, gi := table.NewInt(int64(i%90-45)), table.NewFloat(floats[i%len(floats)])
@@ -221,19 +221,19 @@ func kernelTables() []*table.Table {
 			}
 			return table.Row{table.NewFloat(f), table.NewFloat(floats[(i+1)%len(floats)]), ig, gi}
 		}, col("f", table.KindFloat), col("g", table.KindFloat), col("ig", table.KindFloat), col("gi", table.KindFloat)),
-		// a is integer in partition 0 and mixed (Any) in partition 1, b
-		// the reverse; d has a dictionary longer than the tails that
-		// extend it.
+		// a is NULL-free in partition 0 and holds NULLs in partition 1;
+		// b is a float column appended ints and, in partition 0, 0.5; d
+		// has a dictionary longer than the tails that extend it.
 		build("anyint", 2, 6000, func(i int) table.Row {
 			a, b := table.NewInt(int64(i%50)), table.NewInt(int64(i%70))
 			if i%10 == 1 {
-				a = table.NewString("x")
+				a = table.Null
 			}
 			if i%10 == 4 {
 				b = table.NewFloat(0.5)
 			}
 			return table.Row{a, b, table.NewString(fmt.Sprintf("d%d", i%3000))}
-		}, col("a", table.KindInt), col("b", table.KindInt), col("d", table.KindString)),
+		}, col("a", table.KindInt), col("b", table.KindFloat), col("d", table.KindString)),
 	}
 }
 

@@ -8,7 +8,10 @@ package table
 // them. Columnarize builds a partition's first snapshot; later appends
 // are sealed onto it in place (seal.go).
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // VecKind enumerates the physical representations of a Vector. Its
 // first five values are Kind's, so a non-NULL value's Kind converts to
@@ -26,8 +29,6 @@ const (
 	VKStr = VecKind(KindString)
 	// VKBool stores 0/1 in Ints.
 	VKBool = VecKind(KindBool)
-	// VKAny stores exact Values in Vals (mixed-kind fallback).
-	VKAny = VKBool + 1
 )
 
 // Vector is a column of N lanes: a stored partition's column, a batch's
@@ -36,8 +37,7 @@ const (
 //
 // NULL lanes are tracked by a little-endian bitmap (bit NullOff+i set =
 // lane i is NULL; nil when no lane is), so a Vector can window a larger
-// column without copying it (Slice). VKAny vectors carry NULLs in Vals
-// directly and leave the bitmap nil. Dead lanes of a batch (not covered
+// column without copying it (Slice). Dead lanes of a batch (not covered
 // by its selection vector) hold unspecified zero/NULL payloads.
 type Vector struct {
 	K       VecKind
@@ -45,18 +45,14 @@ type Vector struct {
 	Ints    []int64
 	Floats  []float64
 	Dict    []string
-	Vals    []Value
 	Nulls   []uint64
 	NullOff int
 }
 
 // IsNull reports whether lane i is NULL.
 func (v *Vector) IsNull(i int) bool {
-	switch v.K {
-	case VKNull:
+	if v.K == VKNull {
 		return true
-	case VKAny:
-		return v.Vals[i].IsNull()
 	}
 	if v.Nulls == nil {
 		return false
@@ -66,17 +62,11 @@ func (v *Vector) IsNull(i int) bool {
 }
 
 // HasNulls reports whether any lane of the vector may be NULL.
-func (v *Vector) HasNulls() bool { return v.K == VKNull || v.K == VKAny || v.Nulls != nil }
+func (v *Vector) HasNulls() bool { return v.K == VKNull || v.Nulls != nil }
 
 // Value reconstructs lane i as a Value, bit-identical to the stored or
 // row-computed value at the same position.
 func (v *Vector) Value(i int) Value {
-	switch v.K {
-	case VKNull:
-		return Null
-	case VKAny:
-		return v.Vals[i]
-	}
 	if v.IsNull(i) {
 		return Null
 	}
@@ -101,8 +91,6 @@ func (v *Vector) Slice(off, n int) Vector {
 	w.N = n
 	switch v.K {
 	case VKNull:
-	case VKAny:
-		w.Vals = v.Vals[off : off+n]
 	case VKFloat:
 		w.Floats = v.Floats[off : off+n]
 	default:
@@ -136,15 +124,15 @@ type ColPartition struct {
 	NumRows int
 	// Bytes is the sum of Row.ByteSize over the rows it was built from.
 	Bytes int64
-	// Cols holds one vector of NumRows lanes per schema column. The
-	// representation is chosen per column from the data: typed while
-	// every non-NULL value shares a kind, VKNull while none is non-NULL,
-	// VKAny on a mix.
+	// Cols holds one vector of NumRows lanes per schema column: of the
+	// kind its non-NULL values share, VKNull while none is non-NULL.
 	Cols []Vector
 }
 
 // Columnarize converts a row-major partition into column-major form.
-// width is the schema width; short rows are padded with NULL lanes.
+// width is the schema width; short rows are padded with NULL lanes. The
+// non-NULL values of a column must share a kind (Table.Append holds
+// every stored row to its schema); a mix panics.
 func Columnarize(rows []Row, width int) *ColPartition {
 	cp := &ColPartition{NumRows: len(rows), Bytes: rowsBytes(rows), Cols: make([]Vector, width)}
 	for c := 0; c < width; c++ {
@@ -155,9 +143,8 @@ func Columnarize(rows []Row, width int) *ColPartition {
 
 func buildVector(rows []Row, c int) Vector {
 	n := len(rows)
-	// First pass: find the column kind; degrade to Any on a mix.
+	// First pass: find the column kind.
 	kind := KindNull
-	mixed := false
 	hasNull := false
 	for _, r := range rows {
 		v := colAt(r, c)
@@ -168,16 +155,8 @@ func buildVector(rows []Row, c int) Vector {
 		if kind == KindNull {
 			kind = v.Kind()
 		} else if v.Kind() != kind {
-			mixed = true
-			break
+			panic(fmt.Sprintf("table: column %d holds %s and %s values", c, kind, v.Kind()))
 		}
-	}
-	if mixed {
-		vals := make([]Value, n)
-		for i, r := range rows {
-			vals[i] = colAt(r, c)
-		}
-		return Vector{K: VKAny, N: n, Vals: vals}
 	}
 	cv := Vector{K: VecKind(kind), N: n}
 	if kind == KindNull {

@@ -10,7 +10,8 @@ import (
 
 // colRows builds a row set exercising every columnar representation:
 // typed int/float/string/bool columns with and without NULLs, an
-// all-NULL column, a mixed-kind (Any) column, and a short row.
+// all-NULL column, a mostly-NULL int column, and a short row. colKinds
+// is its schema.
 func colRows(n int) []Row {
 	rows := make([]Row, 0, n)
 	for i := 0; i < n; i++ {
@@ -19,11 +20,8 @@ func colRows(n int) []Row {
 		sv := NewString(fmt.Sprintf("s%03d", i%200))
 		bv := NewBool(i%2 == 0)
 		var mv Value
-		switch i % 3 {
-		case 1:
+		if i%3 == 1 {
 			mv = NewInt(int64(i))
-		case 2:
-			mv = NewString("mix")
 		}
 		if i%5 == 0 {
 			iv = Value{}
@@ -40,9 +38,10 @@ func colRows(n int) []Row {
 	return rows
 }
 
+var colKinds = []Kind{KindInt, KindFloat, KindString, KindBool, KindInt, KindInt}
+
 // Columnarize must reconstruct every lane bit-identically to the rows,
-// including NULLs, the all-NULL column, mixed-kind columns and padded
-// short rows.
+// including NULLs, the all-NULL column and padded short rows.
 func TestColumnarizeRoundTrip(t *testing.T) {
 	const width = 6
 	rows := colRows(300)
@@ -68,7 +67,7 @@ func TestColumnarizeRoundTrip(t *testing.T) {
 		}
 	}
 	// Representation spot checks: the typed columns must actually be
-	// typed, the mixed one VKAny, the empty one VKNull.
+	// typed, the empty one VKNull.
 	if cp.Cols[0].K != VKInt || cp.Cols[0].Nulls == nil {
 		t.Fatalf("int column repr: %+v", cp.Cols[0].K)
 	}
@@ -87,9 +86,20 @@ func TestColumnarizeRoundTrip(t *testing.T) {
 	if cp.Cols[4].K != VKNull {
 		t.Fatal("all-null column should use VKNull repr")
 	}
-	if cp.Cols[5].K != VKAny {
-		t.Fatal("mixed column should degrade to Any")
+	if cp.Cols[5].K != VKInt || cp.Cols[5].Nulls == nil {
+		t.Fatal("mostly-NULL int column repr")
 	}
+}
+
+// A column whose non-NULL values mix kinds is no column: Columnarize
+// panics on it (Table.Append admits no such row).
+func TestColumnarizeRejectsMixedKinds(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Columnarize built a column of an int and a string")
+		}
+	}()
+	Columnarize([]Row{{NewInt(1)}, {Null}, {NewString("x")}}, 1)
 }
 
 func TestColumnarizeEmptyPartition(t *testing.T) {

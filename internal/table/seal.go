@@ -10,19 +10,18 @@ package table
 // length. A snapshot published earlier stays valid while it is read,
 // without a lock, because the sealer never writes a word that snapshot
 // can reach:
-//   - payload slices, Dict and Vals only grow: lanes and codes below the
-//     old NumRows are not written again, and a reallocation copies;
+//   - payload slices and Dict only grow: lanes and codes below the old
+//     NumRows are not written again, and a reallocation copies;
 //   - the NULL bitmap is copied before it is extended (its last word
-//     would otherwise be shared between the old lanes and the new);
-//   - a column that degrades to VKAny is rebuilt in a new Vals array.
+//     would otherwise be shared between the old lanes and the new).
 //
-// The kind rules are buildVector's, lane for lane — the first non-NULL
-// kind wins, a later mismatch rebuilds the column as VKAny, an all-NULL
-// column stays VKNull with no payload, dictionary codes are handed out
-// in first-appearance order — so after any interleaving of Append and
-// Columnar the snapshot equals Columnarize over every row ever
-// appended: scans see the vectors and codes they would have seen from a
-// rebuild.
+// The kind rules are buildVector's, lane for lane — a column takes the
+// kind of its first non-NULL value (Append has held every row to the
+// schema, so no later value differs), an all-NULL column stays VKNull
+// with no payload, dictionary codes are handed out in first-appearance
+// order — so after any interleaving of Append and Columnar the snapshot
+// equals Columnarize over every row ever appended: scans see the
+// vectors and codes they would have seen from a rebuild.
 
 import "slices"
 
@@ -68,8 +67,6 @@ func (g *colGrow) extend(n int, rows []Row, c int) {
 	for k, r := range rows {
 		v := colAt(r, c)
 		switch {
-		case g.K == VKAny:
-			g.Vals = push(g.Vals, v)
 		case v.IsNull():
 			if g.K != VKNull {
 				g.pushNull(n + k)
@@ -77,9 +74,6 @@ func (g *colGrow) extend(n int, rows []Row, c int) {
 		case g.K == VKNull:
 			g.adopt(VecKind(v.Kind()), n+k)
 			g.push(v, n+k)
-		case VecKind(v.Kind()) != g.K:
-			g.degrade(n+k, len(rows)-k)
-			g.Vals = push(g.Vals, v)
 		default:
 			g.push(v, n+k)
 		}
@@ -101,16 +95,6 @@ func (g *colGrow) adopt(k VecKind, n int) {
 			g.Nulls[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-}
-
-// degrade rebuilds a typed column of n lanes as exact Values, with room
-// for extra more.
-func (g *colGrow) degrade(n, extra int) {
-	vals := make([]Value, n, n+extra)
-	for i := range vals {
-		vals[i] = g.Value(i)
-	}
-	*g = colGrow{Vector: Vector{K: VKAny, Vals: vals}}
 }
 
 // push appends a non-NULL value of the column's kind as lane i.
@@ -165,7 +149,7 @@ func (g *colGrow) publish(n int) Vector {
 	cv := g.Vector
 	cv.N = n
 	cv.Ints, cv.Floats, cv.Dict = slices.Clip(cv.Ints), slices.Clip(cv.Floats), slices.Clip(cv.Dict)
-	cv.Vals, cv.Nulls = slices.Clip(cv.Vals), slices.Clip(cv.Nulls)
+	cv.Nulls = slices.Clip(cv.Nulls)
 	return cv
 }
 

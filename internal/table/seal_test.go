@@ -8,44 +8,45 @@ import (
 	"testing"
 )
 
-// sealColumn generates one column's values for the seal property test.
-// Lane ordinals drive the phase changes, so where a seal falls relative
-// to a change of representation varies with the interleaving.
-type sealColumn func(rng *rand.Rand, lane int) Value
+// sealColumn is one column of the seal property test: its kind and a
+// generator of its values. Lane ordinals drive the phase changes, so
+// where a seal falls relative to a change of representation varies with
+// the interleaving.
+type sealColumn struct {
+	kind Kind
+	gen  func(rng *rand.Rand, lane int) Value
+}
 
 func sealColumns(rng *rand.Rand) []sealColumn {
 	turn := rng.Intn(150) // lane at which the phased columns change
 	return []sealColumn{
-		func(rng *rand.Rand, _ int) Value { // int, some NULLs
+		{KindInt, func(rng *rand.Rand, _ int) Value { // int, some NULLs
 			if rng.Intn(10) == 0 {
 				return Null
 			}
 			return NewInt(rng.Int63n(1000) - 500)
-		},
-		func(rng *rand.Rand, _ int) Value { return NewFloat(rng.Float64()) }, // float, never NULL
-		func(rng *rand.Rand, lane int) Value { // string whose dictionary keeps growing
+		}},
+		{KindFloat, func(rng *rand.Rand, _ int) Value { return NewFloat(rng.Float64()) }}, // float, never NULL
+		{KindString, func(rng *rand.Rand, lane int) Value { // string whose dictionary keeps growing
 			if rng.Intn(7) == 0 {
 				return Null
 			}
 			return NewString(fmt.Sprintf("s%d", rng.Intn(2+lane/3)))
-		},
-		func(rng *rand.Rand, _ int) Value { return NewBool(rng.Intn(2) == 0) },
-		func(*rand.Rand, int) Value { return Null }, // all NULL for good
-		func(rng *rand.Rand, lane int) Value { // all NULL, then a late first non-NULL
+		}},
+		{KindBool, func(rng *rand.Rand, _ int) Value { return NewBool(rng.Intn(2) == 0) }},
+		{KindInt, func(*rand.Rand, int) Value { return Null }}, // all NULL for good
+		{KindFloat, func(rng *rand.Rand, lane int) Value { // all NULL, then a late first non-NULL
 			if lane < turn || rng.Intn(4) == 0 {
 				return Null
 			}
 			return NewFloat(float64(lane) / 3)
-		},
-		func(rng *rand.Rand, lane int) Value { // int, then a string: degrades to Any
-			if lane < turn {
-				return NewInt(int64(lane))
-			}
-			if rng.Intn(5) == 0 {
+		}},
+		{KindInt, func(rng *rand.Rand, lane int) Value { // NULL-free ints, then late NULLs: a bitmap mid-life
+			if lane >= turn && rng.Intn(5) == 0 {
 				return Null
 			}
-			return NewString("late")
-		},
+			return NewInt(int64(lane))
+		}},
 	}
 }
 
@@ -92,7 +93,7 @@ func checkClipped(t *testing.T, cp *ColPartition) {
 	for c := range cp.Cols {
 		cv := &cp.Cols[c]
 		if cap(cv.Ints) != len(cv.Ints) || cap(cv.Floats) != len(cv.Floats) || cap(cv.Dict) != len(cv.Dict) ||
-			cap(cv.Vals) != len(cv.Vals) || cap(cv.Nulls) != len(cv.Nulls) {
+			cap(cv.Nulls) != len(cv.Nulls) {
 			t.Fatalf("column %d: a published slice has spare capacity: a reader could append into the table's array", c)
 		}
 	}
@@ -112,7 +113,7 @@ func checkSize(t *testing.T, tbl *Table, want [][]Row) {
 
 // After any interleaving of Append and Columnar a partition's snapshot
 // equals Columnarize over every row ever appended to it: NULLs, a late
-// first non-NULL, int→string degradation to Any, an all-NULL column
+// first non-NULL, late NULLs in a NULL-free column, an all-NULL column
 // that later gets a value, dictionary growth across seals, short rows,
 // empty and one-row partitions.
 func TestTableSealMatchesColumnarize(t *testing.T) {
@@ -122,8 +123,8 @@ func TestTableSealMatchesColumnarize(t *testing.T) {
 		rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
 		cols = cols[:1+rng.Intn(len(cols))]
 		schema := &Schema{}
-		for c := range cols {
-			schema.Cols = append(schema.Cols, Column{Name: fmt.Sprintf("c%d", c)})
+		for c, col := range cols {
+			schema.Cols = append(schema.Cols, Column{Name: fmt.Sprintf("c%d", c), Kind: col.kind})
 		}
 		parts := 1 + rng.Intn(3)
 		tbl := New("seal", schema, parts)
@@ -136,8 +137,8 @@ func TestTableSealMatchesColumnarize(t *testing.T) {
 			}
 			for k := rng.Intn(90); k > 0; k-- { // 0..89 rows: empty batches, and batches across bitmap words
 				row := make(Row, len(cols))
-				for c, gen := range cols {
-					row[c] = gen(rng, len(want[p]))
+				for c, col := range cols {
+					row[c] = col.gen(rng, len(want[p]))
 				}
 				if rng.Intn(40) == 0 {
 					row = row[:rng.Intn(len(row))]
@@ -160,9 +161,13 @@ func TestTableSealMatchesColumnarize(t *testing.T) {
 func TestTableSnapshotStable(t *testing.T) {
 	const width = 6
 	schema := &Schema{Cols: make([]Column, width)}
+	for c, k := range colKinds {
+		schema.Cols[c].Kind = k
+	}
 	tbl := New("held", schema, 1)
 	// colRows(n): int and string columns with NULLs, float, bool, an
-	// all-NULL column and a mixed one. 70 lanes end inside a bitmap word.
+	// all-NULL column and a mostly-NULL one. 70 lanes end inside a
+	// bitmap word.
 	var want []Row
 	for _, r := range colRows(71)[:70] {
 		tbl.Append(0, r)
@@ -179,12 +184,12 @@ func TestTableSnapshotStable(t *testing.T) {
 	}
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 37; i++ {
-			r := Row{NewInt(int64(i)), Null, NewString(fmt.Sprintf("new%d-%d", round, i)), NewBool(true), Null, NewFloat(1)}
+			r := Row{NewInt(int64(i)), Null, NewString(fmt.Sprintf("new%d-%d", round, i)), NewBool(true), Null, NewInt(1)}
 			switch {
 			case round >= 3 && i == 0:
 				r[4] = NewInt(7) // the all-NULL column gets its first value
 			case round >= 6:
-				r[0] = NewString("x") // the int column degrades to Any
+				r[3] = Null // the NULL-free bool column grows a bitmap
 			}
 			tbl.Append(0, r)
 			want = append(want, r)
@@ -293,13 +298,14 @@ func TestTableSizeConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestTableVectorAcrossSeals follows one column through the three
-// representations across seals — all NULL, then typed, then VKAny — and
-// holds each published snapshot to Columnarize over the same rows,
-// lane counts included, and every slice of it, at offsets inside and
-// across bitmap words and nested, to the whole column's lanes.
+// TestTableVectorAcrossSeals follows one column through its
+// representations across seals — all NULL, then typed with NULLs, then
+// typed with no NULLs arriving — and holds each published snapshot to
+// Columnarize over the same rows, lane counts included, and every slice
+// of it, at offsets inside and across bitmap words and nested, to the
+// whole column's lanes.
 func TestTableVectorAcrossSeals(t *testing.T) {
-	tbl := New("phases", &Schema{Cols: make([]Column, 2)}, 1)
+	tbl := New("phases", NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "f", Kind: KindFloat}), 1)
 	var want []Row
 	add := func(n int, col func(i int) Value) *ColPartition {
 		for i := 0; i < n; i++ {
@@ -320,7 +326,7 @@ func TestTableVectorAcrossSeals(t *testing.T) {
 			}
 			return NewInt(int64(i))
 		})},
-		{VKAny, add(40, func(i int) Value { return NewString(fmt.Sprintf("s%d", i%3)) })},
+		{VKInt, add(40, func(i int) Value { return NewInt(int64(i % 3)) })},
 	}
 	for _, ph := range phases {
 		cp := ph.cp

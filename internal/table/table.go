@@ -63,6 +63,19 @@ func (s *Schema) Names() []string {
 	return out
 }
 
+// Fit returns v as a value of column c: NULL fits every column, a value
+// of the column's kind fits as it is, and an int widens into a Float
+// column. Any other value does not fit (false).
+func (s *Schema) Fit(c int, v Value) (Value, bool) {
+	switch k := s.Cols[c].Kind; {
+	case v.kind == k || v.kind == KindNull:
+		return v, true
+	case v.kind == KindInt && k == KindFloat:
+		return NewFloat(float64(v.i)), true
+	}
+	return v, false
+}
+
 // String renders the schema as "(a BIGINT, b VARCHAR)".
 func (s *Schema) String() string {
 	var b strings.Builder
@@ -143,8 +156,21 @@ var partBuildHook func(part int)
 // Append adds a row to the tail of partition i%len(partitions)
 // (round-robin helper) and bumps the version, in one critical section:
 // a reader that sees the new version finds the row in the tail or in a
-// snapshot.
+// snapshot. The row holds at most one value per schema column (missing
+// trailing values read as NULL), each fitting its column by Schema.Fit;
+// an int bound for a Float column is widened in r. A value that does
+// not fit panics: the edges (Engine.Insert, LoadCSV) return a kind
+// error before they append, so a mismatch here is a programmer error.
 func (t *Table) Append(i int, r Row) {
+	for c, v := range r {
+		if v.kind != t.Schema.Cols[c].Kind {
+			w, ok := t.Schema.Fit(c, v)
+			if !ok {
+				panic(fmt.Sprintf("table %s: %s value in %s column %s", t.Name, v.kind, t.Schema.Cols[c].Kind, t.Schema.Cols[c].Name))
+			}
+			r[c] = w
+		}
+	}
 	p := i % len(t.parts)
 	t.cacheMu.Lock()
 	t.Partitions[p] = append(t.Partitions[p], r)

@@ -226,3 +226,32 @@ func TestOrderIsStrictWeak(t *testing.T) {
 		}
 	}
 }
+
+// Append holds every value to its column's kind by Schema.Fit: NULL
+// fits anything, an int widens into a Float column in place, and any
+// other mismatch panics before the row lands.
+func TestTableAppendHoldsSchema(t *testing.T) {
+	tbl := New("fit", NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "f", Kind: KindFloat}), 1)
+	r := Row{NewInt(1), NewInt(2)}
+	tbl.Append(0, r)
+	tbl.Append(0, Row{Null, Null})
+	if r[1].Kind() != KindFloat || r[1].Float() != 2 {
+		t.Fatalf("int into a Float column stored as %v of kind %v", r[1], r[1].Kind())
+	}
+	if f := tbl.Columnar(0).Cols[1]; f.K != VKFloat || f.Floats[0] != 2 {
+		t.Fatalf("Float column sealed as %+v", f)
+	}
+	for _, bad := range []Row{{NewFloat(1.5)}, {NewString("x")}, {NewInt(1), NewBool(true)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Append(%v) into %v did not panic", bad, tbl.Schema)
+				}
+			}()
+			tbl.Append(0, bad)
+		}()
+	}
+	if n := tbl.NumRows(); n != 2 {
+		t.Fatalf("%d rows after the rejected appends, want 2", n)
+	}
+}

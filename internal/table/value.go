@@ -424,8 +424,6 @@ func (v *Vector) laneBytes(i int) int {
 	switch v.K {
 	case VKNull:
 		return 1
-	case VKAny:
-		return v.Vals[i].ByteSize()
 	case VKStr:
 		if v.IsNull(i) {
 			return 1
@@ -445,12 +443,6 @@ func (v *Vector) BytesAll() float64 {
 	switch v.K {
 	case VKNull:
 		return float64(v.N)
-	case VKAny:
-		n := 0
-		for _, val := range v.Vals {
-			n += val.ByteSize()
-		}
-		return float64(n)
 	case VKStr:
 		n := 0
 		if v.Nulls == nil {

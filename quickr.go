@@ -292,9 +292,10 @@ func (e *Engine) CreateTable(name string, cols []Column, parts int) error {
 
 // Insert appends rows (of Go values: int/int64, float64, string, bool,
 // nil) to a table, spreading them round-robin over partitions. Every row
-// holds one value per column of the table, of the column's declared
-// kind or NULL; an int widens into a Float column, any other mismatch is
-// a *KindError. Every row is converted and checked before any is
+// holds one value per column of the table that fits it by
+// table.Schema.Fit: NULL, a value of the column's declared kind, or an
+// int, which widens into a Float column. Any other value is a
+// *KindError. Every row is converted and checked before any is
 // appended, so a failed Insert leaves the table as it was.
 func (e *Engine) Insert(name string, rows [][]any) error {
 	t, err := e.cat.Table(name)
@@ -308,25 +309,29 @@ func (e *Engine) Insert(name string, rows [][]any) error {
 		}
 		conv[i] = make(table.Row, len(r))
 		for j, v := range r {
-			if conv[i][j], err = toValue(v); err != nil {
+			val, err := toValue(v)
+			if err != nil {
 				return fmt.Errorf("quickr: row %d col %d: %w", i, j, err)
 			}
-			col := t.Schema.Cols[j]
-			switch got := conv[i][j].Kind(); {
-			case got == col.Kind || got == table.KindNull:
-			case got == table.KindInt && col.Kind == table.KindFloat:
-				conv[i][j] = table.NewFloat(conv[i][j].Float())
-			default:
-				return &KindError{Row: i, Column: col.Name, Want: col.Kind.String(), Got: got.String()}
+			var ok bool
+			if conv[i][j], ok = t.Schema.Fit(j, val); !ok {
+				col := t.Schema.Cols[j]
+				return &KindError{Row: i, Column: col.Name, Want: col.Kind.String(), Got: val.Kind().String()}
 			}
 		}
 	}
-	for i, row := range conv {
+	e.appendRows(t, conv)
+	return nil
+}
+
+// appendRows appends rows that fit t's schema round-robin over its
+// partitions, then reconfigures: loads change the cardinalities cached
+// plans were costed with.
+func (e *Engine) appendRows(t *table.Table, rows []table.Row) {
+	for i, row := range rows {
 		t.Append(i, row)
 	}
-	// Loads change the cardinalities cached plans were costed with.
 	e.reconfigure(nil)
-	return nil
 }
 
 // KindError is Insert's error for a value whose kind does not match

@@ -131,10 +131,10 @@ func TestWindowQueryUnapproximable(t *testing.T) {
 	}
 }
 
-// TestWindowPartitionMixedKeys: a PARTITION BY column holding ints,
+// TestWindowPartitionMixedKeys: a PARTITION BY column appended ints,
 // the equal integral floats and NULLs puts 1 beside 1.0 and the NULLs
-// together, as GROUP BY does. Insert widens ints into a Float column,
-// so the mixed column is appended to storage directly.
+// together, as GROUP BY does. Append widens the ints into the Float
+// column, as Insert does.
 func TestWindowPartitionMixedKeys(t *testing.T) {
 	eng := New()
 	mix := table.New("mix", table.NewSchema(
