@@ -32,7 +32,7 @@ test:
 # (internal/exec/ledger_race.go), so the root package's goldens, sample
 # cache, hammer and window-function tests and the frozen result hashes
 # then hold answers computed on recycled memory to the committed ones.
-# Keep all five lines in lockstep with the CI race job.
+# The CI race job runs this target and then hammer.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/sampler/... ./internal/pool/... ./internal/service/... ./internal/metrics/... ./internal/table/... ./internal/stats/... ./internal/catalog/...
 	$(GO) test -race -count=3 -run 'TestPipeline|TestStreamingPeak|TestParallelParts|TestColumnar|TestChain|TestAgg|TestExchange|TestAggOverExchange|TestDistinct|TestAdmitBatch|TestJoin|TestDense|TestStarJoin|TestProbe|TestKeyTable|TestPanic|TestCmp|TestUniverse|TestLedger|TestSamplerAdmissionNests|TestSort|TestPart|TestBytesAll' ./internal/exec/ ./internal/sampler/ ./internal/pool/
@@ -102,8 +102,9 @@ lint: vet fmt-check quickrlint
 	fi
 
 # Short coverage-guided fuzz of the SQL lexer and parser, of the
-# scalar functions and of the binder's kind join; fuzz-found regressions
-# live in the packages' testdata/fuzz and run under plain `go test` too.
+# scalar functions and of the binder's kind rules; fuzz-found
+# regressions live in the packages' testdata/fuzz and run under plain
+# `go test` too. The CI fuzz job runs this target.
 fuzz:
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzLex -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quickr/internal/data"
+	"quickr/internal/refimpl"
 	"quickr/internal/table"
 	"quickr/internal/workload"
 )
@@ -135,6 +136,49 @@ func TestDeclaredKinds(t *testing.T) {
 		for _, r := range res.Rows {
 			if float64(r[0].(int64)) != r[1].(float64) {
 				t.Fatalf("joined %v to %v", r[0], r[1])
+			}
+		}
+	})
+
+	// An Int key meets a Float key in float space, as = compares them:
+	// 2⁵³+1 converts to 2⁵³, so the join, the filter and refimpl all
+	// count two pairs.
+	t.Run("int-float-join", func(t *testing.T) {
+		eng := New()
+		for _, tc := range []struct {
+			name string
+			col  Column
+			rows [][]any
+		}{
+			{"a", Column{"i", Int}, [][]any{{int64(1<<53 + 1)}, {int64(3)}}},
+			{"b", Column{"f", Float}, [][]any{{float64(1 << 53)}, {3.0}}},
+		} {
+			if err := eng.CreateTable(tc.name, []Column{tc.col}, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Insert(tc.name, tc.rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []string{
+			"SELECT COUNT(*) FROM a JOIN b ON a.i = b.f",
+			"SELECT COUNT(*) FROM b JOIN a ON b.f = a.i",
+			"SELECT COUNT(*) FROM a, b WHERE a.i = b.f",
+		} {
+			res, err := eng.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := eng.BoundPlan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refimpl.Run(eng.Catalog(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0][0]; got != int64(2) || want[0][0].Int() != 2 {
+				t.Fatalf("%s counts %v, refimpl %v, want 2", q, got, want[0][0])
 			}
 		}
 	})

@@ -174,6 +174,9 @@ func (b *Binder) bindSelectCore(sel *sql.SelectStmt) (lplan.Node, []lplan.Column
 
 	if sel.Where != nil {
 		pred, err := b.bindScalar(sel.Where, sc)
+		if err == nil {
+			err = misfit("WHERE", pred, lplan.KindOf(pred), booleans)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -301,7 +304,7 @@ func (b *Binder) exprColumn(e lplan.Expr, name string) lplan.ColumnInfo {
 	if cr, ok := e.(*lplan.ColRef); ok {
 		return lplan.ColumnInfo{ID: cr.ID, Name: name, Kind: cr.Kind, Origins: b.originsOf(e)}
 	}
-	return lplan.ColumnInfo{ID: b.newID(), Name: name, Kind: inferKind(e), Origins: b.originsOf(e)}
+	return lplan.ColumnInfo{ID: b.newID(), Name: name, Kind: lplan.KindOf(e), Origins: b.originsOf(e)}
 }
 
 // originsOf unions base-column lineage across the expression; the binder
@@ -383,6 +386,9 @@ func (b *Binder) bindTableExpr(te sql.TableExpr, sc *scope) (lplan.Node, error) 
 		}
 		if t.On != nil {
 			on, err := b.bindScalar(t.On, sc)
+			if err == nil {
+				err = misfit("ON", on, lplan.KindOf(on), booleans)
+			}
 			if err != nil {
 				return nil, err
 			}

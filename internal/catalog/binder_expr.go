@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"quickr/internal/lplan"
@@ -36,7 +37,7 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 			return nil, err
 		}
 		if x.Op == "NOT" {
-			return &lplan.Not{X: in}, nil
+			return typed(&lplan.Not{X: in})
 		}
 		return typed(&lplan.Neg{X: in})
 	case *sql.FuncCall:
@@ -57,15 +58,7 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]table.Value, len(x.List))
-		for i, item := range x.List {
-			lit, ok := item.(*sql.Literal)
-			if !ok {
-				return nil, fmt.Errorf("bind: IN list must contain literals")
-			}
-			vals[i] = lit.Val
-		}
-		return &lplan.In{X: in, Vals: vals, Inv: x.Not}, nil
+		return bindIn(x, in)
 	case *sql.BetweenExpr:
 		in, err := b.bindScalar(x.X, sc)
 		if err != nil {
@@ -79,11 +72,15 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := &lplan.Binary{
-			Op: lplan.OpAnd,
-			L:  &lplan.Binary{Op: lplan.OpGe, L: in, R: lo},
-			R:  &lplan.Binary{Op: lplan.OpLe, L: in, R: hi},
+		ge, err := typed(&lplan.Binary{Op: lplan.OpGe, L: in, R: lo})
+		if err != nil {
+			return nil, err
 		}
+		le, err := typed(&lplan.Binary{Op: lplan.OpLe, L: in, R: hi})
+		if err != nil {
+			return nil, err
+		}
+		rng := &lplan.Binary{Op: lplan.OpAnd, L: ge, R: le}
 		if x.Not {
 			return &lplan.Not{X: rng}, nil
 		}
@@ -99,7 +96,7 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &lplan.Like{X: in, Pattern: x.Pattern, Inv: x.Not}, nil
+		return typed(&lplan.Like{X: in, Pattern: x.Pattern, Inv: x.Not})
 	case *sql.CaseExpr:
 		out := &lplan.Case{}
 		for _, w := range x.Whens {
@@ -125,17 +122,41 @@ func (b *Binder) bindScalar(e sql.Expr, sc *scope) (lplan.Expr, error) {
 	return nil, fmt.Errorf("bind: unsupported expression %T", e)
 }
 
+// bindIn binds x, whose operand is bound as in; its list must hold
+// literals.
+func bindIn(x *sql.InExpr, in lplan.Expr) (lplan.Expr, error) {
+	vals := make([]table.Value, len(x.List))
+	for i, item := range x.List {
+		lit, ok := item.(*sql.Literal)
+		if !ok {
+			return nil, fmt.Errorf("bind: IN list must contain literals")
+		}
+		vals[i] = lit.Val
+	}
+	return typed(&lplan.In{X: in, Vals: vals, Inv: x.Not})
+}
+
 // typed applies the kind rules to e, whose operands are typed already,
-// and returns it. The branches of a CASE and the arguments IF and
-// COALESCE may return take their kind join (lplan.JoinKinds), an Int
-// one widened to Float where the join is Float (widen); the operands of
-// arithmetic and unary minus must be numeric. A violation is a bind
-// error, so no column ever holds values of two kinds.
+// and returns it. Each misfit is a bind error that names the operand
+// and its kind, so every statement that binds answers by its declared
+// kinds:
+//   - the two operands of a comparison, and an IN operand and its list,
+//     must have a kind join (lplan.JoinKinds);
+//   - the branches of a CASE and the arguments IF and COALESCE may
+//     return take their kind join, an Int one widened to Float where the
+//     join is Float (widen);
+//   - arithmetic and unary minus take numbers, % integers, LIKE a
+//     String, and AND, OR, NOT and every condition a Bool.
+//
+// NULL is legal everywhere. A comparison is not widened: the executor
+// compares an Int with a Float in float space.
 func typed(e lplan.Expr) (lplan.Expr, error) {
 	var slots []*lplan.Expr
+	var conds []lplan.Expr
 	switch x := e.(type) {
 	case *lplan.Case:
 		for i := range x.Whens {
+			conds = append(conds, x.Whens[i].Cond)
 			slots = append(slots, &x.Whens[i].Then)
 		}
 		if x.Else != nil {
@@ -144,23 +165,41 @@ func typed(e lplan.Expr) (lplan.Expr, error) {
 	case *lplan.Func:
 		switch {
 		case x.Name == "IF" && len(x.Args) == 3:
-			slots = []*lplan.Expr{&x.Args[1], &x.Args[2]}
+			conds, slots = x.Args[:1], []*lplan.Expr{&x.Args[1], &x.Args[2]}
 		case x.Name == "COALESCE":
 			for i := range x.Args {
 				slots = append(slots, &x.Args[i])
 			}
 		}
 	case *lplan.Binary:
-		if x.Op.IsComparison() || x.Op == lplan.OpAnd || x.Op == lplan.OpOr {
-			return e, nil
+		switch {
+		case x.Op.IsComparison():
+			return e, joinable(e, lplan.KindOf(x.L), lplan.KindOf(x.R))
+		case x.Op == lplan.OpAnd || x.Op == lplan.OpOr:
+			return e, takes(e, booleans, x.L, x.R)
+		case x.Op == lplan.OpMod:
+			return e, takes(e, integers, x.L, x.R)
 		}
-		return e, numeric(e, x.L, x.R)
+		return e, takes(e, numbers, x.L, x.R)
+	case *lplan.Not:
+		return e, takes(e, booleans, x.X)
 	case *lplan.Neg:
-		return e, numeric(e, x.X)
+		return e, takes(e, numbers, x.X)
+	case *lplan.Like:
+		return e, takes(e, strs, x.X)
+	case *lplan.In:
+		kinds := []table.Kind{lplan.KindOf(x.X)}
+		for _, v := range x.Vals {
+			kinds = append(kinds, v.Kind())
+		}
+		return e, joinable(e, kinds...)
+	}
+	if err := takes(e, booleans, conds...); err != nil {
+		return nil, err
 	}
 	kinds := make([]table.Kind, len(slots))
 	for i, p := range slots {
-		kinds[i] = inferKind(*p)
+		kinds[i] = lplan.KindOf(*p)
 	}
 	k, ok := lplan.JoinKinds(kinds...)
 	if !ok {
@@ -172,12 +211,37 @@ func typed(e lplan.Expr) (lplan.Expr, error) {
 	return e, nil
 }
 
-// numeric fails unless every operand of e is numeric or NULL.
-func numeric(e lplan.Expr, operands ...lplan.Expr) error {
+// The kinds an operand may take besides NULL.
+var (
+	numbers  = []table.Kind{table.KindInt, table.KindFloat}
+	integers = []table.Kind{table.KindInt}
+	booleans = []table.Kind{table.KindBool}
+	strs     = []table.Kind{table.KindString}
+)
+
+// takes fails unless every operand of e is NULL or of one of kinds.
+func takes(e lplan.Expr, kinds []table.Kind, operands ...lplan.Expr) error {
 	for _, o := range operands {
-		if k := inferKind(o); k != table.KindInt && k != table.KindFloat && k != table.KindNull {
-			return fmt.Errorf("bind: %s takes numbers, %s is %s", e, o, k)
+		if err := misfit(e, o, lplan.KindOf(o), kinds); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// misfit is the bind error for operand o of e, of kind k, where e takes
+// kinds; nil when k is one of them or NULL.
+func misfit(e, o any, k table.Kind, kinds []table.Kind) error {
+	if k == table.KindNull || slices.Contains(kinds, k) {
+		return nil
+	}
+	return fmt.Errorf("bind: %v takes %v, %v is %v", e, kinds, o, k)
+}
+
+// joinable fails unless the operand kinds of e have a kind join.
+func joinable(e lplan.Expr, kinds ...table.Kind) error {
+	if _, ok := lplan.JoinKinds(kinds...); !ok {
+		return fmt.Errorf("bind: %s compares kinds %v", e, kinds)
 	}
 	return nil
 }
@@ -186,54 +250,13 @@ func numeric(e lplan.Expr, operands ...lplan.Expr) error {
 // constant folds to the equal Float, any other Int expression takes one
 // FLOAT call where k is Float; everything else is e.
 func widen(e lplan.Expr, k table.Kind) lplan.Expr {
-	if k != table.KindFloat || inferKind(e) != table.KindInt {
+	if k != table.KindFloat || lplan.KindOf(e) != table.KindInt {
 		return e
 	}
 	if c, ok := e.(*lplan.Const); ok {
 		return &lplan.Const{Val: table.NewFloat(c.Val.Float())}
 	}
 	return &lplan.Func{Name: "FLOAT", Args: []lplan.Expr{e}}
-}
-
-// inferKind types a bound expression.
-func inferKind(e lplan.Expr) table.Kind {
-	switch x := e.(type) {
-	case *lplan.ColRef:
-		return x.Kind
-	case *lplan.Const:
-		return x.Val.Kind()
-	case *lplan.Binary:
-		if x.Op.IsComparison() || x.Op == lplan.OpAnd || x.Op == lplan.OpOr {
-			return table.KindBool
-		}
-		lk, rk := inferKind(x.L), inferKind(x.R)
-		if x.Op == lplan.OpDiv {
-			return table.KindFloat
-		}
-		if lk == table.KindInt && rk == table.KindInt {
-			return table.KindInt
-		}
-		return table.KindFloat
-	case *lplan.Not:
-		return table.KindBool
-	case *lplan.Neg:
-		return inferKind(x.X)
-	case *lplan.Func:
-		kinds := make([]table.Kind, len(x.Args))
-		for i, a := range x.Args {
-			kinds[i] = inferKind(a)
-		}
-		return lplan.FuncReturnKind(x.Name, kinds)
-	case *lplan.In, *lplan.IsNull, *lplan.Like:
-		return table.KindBool
-	case *lplan.Case:
-		k := inferKind(x.Else) // NULL when there is none
-		for _, w := range x.Whens {
-			k, _ = lplan.JoinKinds(k, inferKind(w.Then))
-		}
-		return k
-	}
-	return table.KindNull
 }
 
 // aggRef keys a seen aggregate by its canonical AST text.
@@ -341,6 +364,9 @@ func (b *Binder) bindAggregate(sel *sql.SelectStmt, node lplan.Node, sc *scope) 
 	// 4. HAVING.
 	if sel.Having != nil {
 		pred, err := b.bindPostAgg(sel.Having, groupByText, aggByText)
+		if err == nil {
+			err = misfit("HAVING", pred, lplan.KindOf(pred), booleans)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -372,10 +398,17 @@ func (b *Binder) bindAggregate(sel *sql.SelectStmt, node lplan.Node, sc *scope) 
 func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lplan.Expr, string) lplan.ColumnInfo) (lplan.AggSpec, error) {
 	spec := lplan.AggSpec{Arg: lplan.NoColumn, Cond: lplan.NoColumn}
 	outKind := table.KindFloat
-	bindArg := func(e sql.Expr) (lplan.ColumnInfo, error) {
+	// bindArg binds an argument of f, which must be NULL or of one of
+	// kinds (nil: any kind).
+	bindArg := func(e sql.Expr, kinds []table.Kind) (lplan.ColumnInfo, error) {
 		bound, err := b.bindScalar(e, sc)
 		if err != nil {
 			return lplan.ColumnInfo{}, err
+		}
+		if kinds != nil {
+			if err := misfit(f, e, lplan.KindOf(bound), kinds); err != nil {
+				return lplan.ColumnInfo{}, err
+			}
 		}
 		return addPre(e.String(), bound, exprName(e)), nil
 	}
@@ -390,7 +423,7 @@ func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lp
 				return spec, fmt.Errorf("bind: COUNT(DISTINCT) takes one argument")
 			}
 			spec.Kind = lplan.AggCountDistinct
-			ci, err := bindArg(f.Args[0])
+			ci, err := bindArg(f.Args[0], nil)
 			if err != nil {
 				return spec, err
 			}
@@ -400,7 +433,7 @@ func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lp
 				return spec, fmt.Errorf("bind: COUNT takes one argument")
 			}
 			spec.Kind = lplan.AggCount
-			ci, err := bindArg(f.Args[0])
+			ci, err := bindArg(f.Args[0], nil)
 			if err != nil {
 				return spec, err
 			}
@@ -410,7 +443,11 @@ func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lp
 		if len(f.Args) != 1 {
 			return spec, fmt.Errorf("bind: %s takes one argument", f.Name)
 		}
-		ci, err := bindArg(f.Args[0])
+		kinds := numbers
+		if f.Name == "MIN" || f.Name == "MAX" {
+			kinds = nil
+		}
+		ci, err := bindArg(f.Args[0], kinds)
 		if err != nil {
 			return spec, err
 		}
@@ -435,11 +472,11 @@ func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lp
 		if len(f.Args) != 2 {
 			return spec, fmt.Errorf("bind: SUMIF takes (condition, value)")
 		}
-		cond, err := bindArg(f.Args[0])
+		cond, err := bindArg(f.Args[0], booleans)
 		if err != nil {
 			return spec, err
 		}
-		val, err := bindArg(f.Args[1])
+		val, err := bindArg(f.Args[1], numbers)
 		if err != nil {
 			return spec, err
 		}
@@ -450,7 +487,7 @@ func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lp
 		if len(f.Args) != 1 {
 			return spec, fmt.Errorf("bind: COUNTIF takes one argument")
 		}
-		cond, err := bindArg(f.Args[0])
+		cond, err := bindArg(f.Args[0], booleans)
 		if err != nil {
 			return spec, err
 		}
@@ -461,11 +498,11 @@ func (b *Binder) buildAggSpec(f *sql.FuncCall, sc *scope, addPre func(string, lp
 		if len(f.Args) != 2 {
 			return spec, fmt.Errorf("bind: AVGIF takes (condition, value)")
 		}
-		cond, err := bindArg(f.Args[0])
+		cond, err := bindArg(f.Args[0], booleans)
 		if err != nil {
 			return spec, err
 		}
-		val, err := bindArg(f.Args[1])
+		val, err := bindArg(f.Args[1], numbers)
 		if err != nil {
 			return spec, err
 		}
@@ -531,7 +568,7 @@ func (b *Binder) bindPostAgg(e sql.Expr, groups map[string]lplan.ColumnInfo, agg
 			return nil, err
 		}
 		if x.Op == "NOT" {
-			return &lplan.Not{X: in}, nil
+			return typed(&lplan.Not{X: in})
 		}
 		return typed(&lplan.Neg{X: in})
 	case *sql.ColumnRef:
@@ -571,15 +608,7 @@ func (b *Binder) bindPostAgg(e sql.Expr, groups map[string]lplan.ColumnInfo, agg
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]table.Value, len(x.List))
-		for i, item := range x.List {
-			lit, ok := item.(*sql.Literal)
-			if !ok {
-				return nil, fmt.Errorf("bind: IN list must contain literals")
-			}
-			vals[i] = lit.Val
-		}
-		return &lplan.In{X: in, Vals: vals, Inv: x.Not}, nil
+		return bindIn(x, in)
 	}
 	return nil, fmt.Errorf("bind: unsupported post-aggregation expression %T (%s)", e, e.String())
 }

@@ -224,7 +224,11 @@ func TestBindOuterJoinNormalization(t *testing.T) {
 // arguments and UNION ALL arms by the kind join — NULL ⊔ k = k,
 // Int ⊔ Float = Float, anything else a bind error — widening an Int
 // constant to a Float one and any other Int expression through FLOAT.
-// Arithmetic and unary minus take numbers only.
+// Arithmetic and unary minus take numbers only, % integers. The
+// operands of a comparison (ON keys included) and an IN operand and its
+// list must join, LIKE takes a String, AND, OR, NOT and every condition
+// a Bool, and SUM, AVG, SUMIF and AVGIF numbers; each misfit is a bind
+// error naming the operand. A comparison is never widened.
 func TestBindKindJoin(t *testing.T) {
 	cat := testCatalog(t)
 	ok := []struct {
@@ -244,6 +248,15 @@ func TestBindKindJoin(t *testing.T) {
 		{"SELECT f_key + NULL FROM fact", table.KindFloat, ""},
 		{"SELECT f_key FROM fact UNION ALL SELECT f_val FROM fact", table.KindFloat, ""},
 		{"SELECT NULL FROM fact UNION ALL SELECT d_name FROM dim", table.KindString, ""},
+		{"SELECT f_key % 3 FROM fact", table.KindInt, ""},
+		{"SELECT NULL % f_key FROM fact", table.KindInt, ""},
+		{"SELECT f_key FROM fact WHERE f_val > 3", table.KindInt, ""},
+		{"SELECT f_key FROM fact WHERE f_key < f_val", table.KindInt, ""},
+		{"SELECT f_key FROM fact WHERE NULL = f_key", table.KindInt, ""},
+		{"SELECT f_key FROM fact WHERE f_key IN (NULL, 1) AND f_val IN (2, 2.5)", table.KindInt, ""},
+		{"SELECT SUM(NULL), AVG(NULL) FROM fact", table.KindFloat, ""},
+		{"SELECT SUMIF(NULL, f_key), COUNTIF(f_val > 2) FROM fact", table.KindInt, ""},
+		{"SELECT d_name FROM dim WHERE d_name LIKE 'n%' OR NULL", table.KindString, ""},
 	}
 	for _, c := range ok {
 		plan := bind(t, cat, c.src)
@@ -265,6 +278,22 @@ func TestBindKindJoin(t *testing.T) {
 	if p, isProj := plan.Children()[0].(*lplan.Project); !isProj || p.Exprs[0].String() != "FLOAT(f_key#1)" || plan.Children()[1].Columns()[0].Kind != table.KindFloat {
 		t.Errorf("Int arm of a Float union: %T %v", plan.Children()[0], plan.Children()[0])
 	}
+	// A comparison keeps its operands as they are: a Float column
+	// against an Int constant, an Int column against a Float one.
+	for src, want := range map[string]string{
+		"SELECT f_key FROM fact WHERE f_val > 3":     "(f_val#3 > 3)",
+		"SELECT f_key FROM fact WHERE f_key < f_val": "(f_key#1 < f_val#3)",
+	} {
+		var pred string
+		lplan.Walk(bind(t, cat, src), func(n lplan.Node) {
+			if s, ok := n.(*lplan.Select); ok {
+				pred = s.Pred.String()
+			}
+		})
+		if pred != want {
+			t.Errorf("%s: predicate %s, want %s", src, pred, want)
+		}
+	}
 	bad := []string{
 		"SELECT CASE WHEN f_key > 1 THEN 'x' ELSE 2.5 END FROM fact",
 		"SELECT CASE WHEN f_key > 1 THEN f_key ELSE f_key > 2 END FROM fact",
@@ -285,6 +314,41 @@ func TestBindKindJoin(t *testing.T) {
 		}
 		if _, err := NewBinder(cat).Bind(stmt); err == nil {
 			t.Errorf("%s: bound, want a kind error", src)
+		}
+	}
+	// Each misfit names its operand and the operand's kind.
+	for src, operand := range map[string]string{
+		"SELECT d_key FROM dim WHERE d_name > 3":                                    "d_name",
+		"SELECT d_key FROM dim WHERE d_key = 'x'":                                   "d_key",
+		"SELECT a.d_key FROM dim a JOIN dim b ON a.d_name = b.d_key":                "d_name",
+		"SELECT SUM(d_name) FROM dim":                                               "d_name",
+		"SELECT AVG(d_name) FROM dim":                                               "d_name",
+		"SELECT SUMIF(d_key > 1, d_name) FROM dim":                                  "d_name",
+		"SELECT AVGIF(d_key > 1, d_name) FROM dim":                                  "d_name",
+		"SELECT SUMIF(d_key, d_key) FROM dim":                                       "d_key",
+		"SELECT COUNTIF(d_name) FROM dim":                                           "d_name",
+		"SELECT d_key FROM dim WHERE d_key AND d_name":                              "d_key",
+		"SELECT d_key FROM dim WHERE NOT d_key":                                     "d_key",
+		"SELECT d_key FROM dim WHERE d_key LIKE '1%'":                               "d_key",
+		"SELECT d_key FROM dim WHERE d_name IN (1, 2)":                              "d_name",
+		"SELECT d_key FROM dim WHERE d_key BETWEEN 'a' AND 'z'":                     "d_key",
+		"SELECT f_val % 2 FROM fact":                                                "f_val",
+		"SELECT f_key % 2.5 FROM fact":                                              "2.5",
+		"SELECT d_key FROM dim WHERE d_key":                                         "d_key",
+		"SELECT a.d_key FROM dim a JOIN dim b ON a.d_key":                           "d_key",
+		"SELECT f_dim, COUNT(*) FROM fact GROUP BY f_dim HAVING COUNT(*)":           "count",
+		"SELECT CASE WHEN f_key THEN 1 END FROM fact":                               "f_key",
+		"SELECT IF(f_val, 1, 2) FROM fact":                                          "f_val",
+		"SELECT d_key, SUM(d_name) OVER (PARTITION BY d_key) FROM dim":              "d_name",
+		"SELECT f_dim, SUM(f_key) FROM fact GROUP BY f_dim HAVING SUM(f_key) > 'x'": "sum",
+	} {
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		_, err = NewBinder(cat).Bind(stmt)
+		if err == nil || !strings.Contains(strings.ToLower(err.Error()), operand) {
+			t.Errorf("%s: error %v, want a kind error naming %s", src, err, operand)
 		}
 	}
 }

@@ -149,6 +149,11 @@ func (b *Binder) buildWinSpec(f *sql.FuncCall, addPre func(sql.Expr) (lplan.Colu
 			if err != nil {
 				return spec, err
 			}
+			if spec.Kind == lplan.WinSum || spec.Kind == lplan.WinAvg {
+				if err := misfit(f, f.Args[0], ci.Kind, numbers); err != nil {
+					return spec, err
+				}
+			}
 			spec.Arg = ci.ID
 			if spec.Kind == lplan.WinMin || spec.Kind == lplan.WinMax {
 				outKind = ci.Kind
@@ -208,7 +213,7 @@ func (b *Binder) bindWithWindows(e sql.Expr, sc *scope, wins map[string]lplan.Co
 			return nil, err
 		}
 		if x.Op == "NOT" {
-			return &lplan.Not{X: in}, nil
+			return typed(&lplan.Not{X: in})
 		}
 		return typed(&lplan.Neg{X: in})
 	case *sql.FuncCall:

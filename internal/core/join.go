@@ -43,8 +43,10 @@ func (a *Asalqa) pushPastJoin(j *lplan.Join, st samplerState, depth int) []alter
 		}
 	}
 
-	// Both sides with a paired universe sampler.
-	if j.Kind == lplan.InnerJoin {
+	// Both sides with a paired universe sampler. Its coordinates hash
+	// the keys (Value.Hash64), which keys equal in float space need not
+	// share, so no pair spans an Int and a Float key.
+	if j.Kind == lplan.InnerJoin && !j.FloatSpaceKeys() {
 		out = append(out, a.pushBothSides(j, st, depth)...)
 	}
 	return out

@@ -164,14 +164,14 @@ func (r *aggRunner) addBatch(b *Batch, hashes []uint64) int {
 	if b.sel == nil {
 		r.ident = lanes // keep the buffer
 	}
-	r.gids = growInts(r.gids, b.n)
+	r.gids = growTo(r.gids, b.n)
 	r.groups.resolve(r.gids, r.pick(b, r.groupIdx), lanes, hashes)
 	r.n = growZero(r.n, r.groups.len())
 	for _, i := range lanes {
 		r.n[r.gids[i]]++
 	}
 	if len(r.uniIdx) > 0 {
-		r.uids = growInts(r.uids, b.n)
+		r.uids = growTo(r.uids, b.n)
 		r.subs.resolve(r.uids, r.pick(b, r.uniIdx), lanes, nil)
 	}
 	for j := range r.aggs {
@@ -223,7 +223,7 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 	switch kind {
 	case lplan.AggCountDistinct:
 		if len(lanes) > 0 {
-			r.slots = growInts(r.slots, b.n)
+			r.slots = growTo(r.slots, b.n)
 			r.pair[0], r.pair[1] = table.Vector{K: table.VKInt, N: b.n, Ints: gids}, *arg
 			a.distinct.resolve(r.slots, r.pair[:], lanes, r.pairHashes(&r.pair[1], lanes))
 		}
@@ -263,7 +263,7 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 		}
 	}
 	if a.uni != nil && len(lanes) > 0 {
-		r.slots = growInts(r.slots, b.n)
+		r.slots = growTo(r.slots, b.n)
 		r.pair[0], r.pair[1] = table.Vector{K: table.VKInt, N: b.n, Ints: gids}, table.Vector{K: table.VKInt, N: b.n, Ints: r.uids}
 		a.uni.resolve(r.slots, r.pair[:], lanes, r.pairHashes(&r.pair[1], lanes))
 		a.uniSum = growZero(a.uniSum, a.uni.len())
@@ -297,8 +297,9 @@ func (r *aggRunner) pairHashes(x *table.Vector, lanes []int32) []uint64 {
 	return hs
 }
 
-// addends returns arg's listed lanes as floats, indexed by lane: the
-// payload itself, or the runner's scratch filled like Value.Float.
+// addends returns arg's listed lanes, Int or Float, as floats indexed
+// by lane: the payload itself, or the runner's scratch filled with the
+// Ints widened.
 func (r *aggRunner) addends(arg *table.Vector, lanes []int32) []float64 {
 	if len(lanes) == 0 {
 		return nil // also the aggregate without an argument
@@ -306,15 +307,9 @@ func (r *aggRunner) addends(arg *table.Vector, lanes []int32) []float64 {
 	if arg.K == table.VKFloat {
 		return arg.Floats
 	}
-	r.xs = growFloats(r.xs, arg.N)
-	if arg.K == table.VKInt {
-		for _, i := range lanes {
-			r.xs[i] = float64(arg.Ints[i])
-		}
-	} else {
-		for _, i := range lanes {
-			r.xs[i] = laneFloat(arg, int(i))
-		}
+	r.xs = growTo(r.xs, arg.N)
+	for _, i := range lanes {
+		r.xs[i] = float64(arg.Ints[i])
 	}
 	return r.xs
 }

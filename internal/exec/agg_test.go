@@ -144,7 +144,6 @@ func aggTestPlan(group []int, est *EstimatorConfig) (*PHashAgg, colMap) {
 	add(lplan.AggSum, aggColX, -1, table.KindFloat)
 	add(lplan.AggSum, aggColI, -1, table.KindInt)
 	add(lplan.AggSum, aggColM, -1, table.KindFloat)
-	add(lplan.AggSum, aggColS, -1, table.KindFloat) // strings add as 0
 	add(lplan.AggSumIf, aggColX, aggColC, table.KindFloat)
 	add(lplan.AggAvg, aggColX, -1, table.KindFloat)
 	add(lplan.AggAvg, aggColM, aggColC, table.KindFloat)

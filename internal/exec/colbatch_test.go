@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quickr/internal/lplan"
+	"quickr/internal/refimpl"
 	"quickr/internal/table"
 )
 
@@ -112,8 +113,8 @@ func colRefsOf(scan *PScan) []*lplan.ColRef {
 // IS NULL, IN, LIKE, CASE and function calls — must agree bit-for-bit
 // with refimpl's row evaluator over NULL-laden input of every kind. Each
 // case's expressions run as one projection, as the same projection
-// behind a filter (dead lanes in every batch), and each as a filter
-// predicate.
+// behind a filter (dead lanes in every batch), and each Bool one as a
+// filter predicate.
 func TestColumnarExpressionKernels(t *testing.T) {
 	tbl := mixedTable("cexpr", 6, 3000)
 	mk := func(pred lplan.Expr, exprs ...lplan.Expr) PNode {
@@ -141,8 +142,10 @@ func TestColumnarExpressionKernels(t *testing.T) {
 	// i int, f float, s string, b bool, m float appended ints and
 	// floats, all with NULLs. Every expression is typed as the binder
 	// types it: the branches of a CASE and the arguments IF and COALESCE
-	// return share one kind, an int one widened by FLOAT.
-	c := func(i int) lplan.Expr { return &lplan.ColRef{ID: lplan.ColumnID(i)} }
+	// return share one kind, an int one widened by FLOAT, and every
+	// condition is a Bool.
+	kinds := []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool, table.KindFloat}
+	c := func(i int) lplan.Expr { return &lplan.ColRef{ID: lplan.ColumnID(i), Kind: kinds[i]} }
 	lit := func(v table.Value) lplan.Expr { return &lplan.Const{Val: v} }
 	fn := func(name string, args ...lplan.Expr) lplan.Expr { return &lplan.Func{Name: name, Args: args} }
 	bin := func(op lplan.BinOp, l, r lplan.Expr) lplan.Expr { return &lplan.Binary{Op: op, L: l, R: r} }
@@ -159,16 +162,16 @@ func TestColumnarExpressionKernels(t *testing.T) {
 		{"and-or", []lplan.Expr{bin(lplan.OpOr,
 			bin(lplan.OpAnd, c(3), bin(lplan.OpLt, c(0), lit(i(10)))),
 			bin(lplan.OpGt, c(1), lit(f(900))))}},
-		{"and-int", []lplan.Expr{
-			bin(lplan.OpAnd, c(0), lit(table.NewBool(true))),
-			bin(lplan.OpOr, c(4), bin(lplan.OpAnd, lit(table.NewBool(true)), c(1))),
+		{"and-null", []lplan.Expr{
+			bin(lplan.OpAnd, c(3), lit(table.Null)),
+			bin(lplan.OpOr, lit(table.Null), bin(lplan.OpAnd, lit(table.NewBool(true)), c(3))),
 		}},
 		{"not", []lplan.Expr{&lplan.Not{X: c(3)}}},
 		{"isnull", []lplan.Expr{&lplan.IsNull{X: c(4)}}},
 		{"isnotnull", []lplan.Expr{&lplan.IsNull{X: c(1), Inv: true}}},
 		{"in-int", []lplan.Expr{&lplan.In{X: c(0), Vals: []table.Value{i(1), i(7), f(12)}}}},
 		{"in-str-inv", []lplan.Expr{&lplan.In{X: c(2), Vals: []table.Value{s("alpha"), s("")}, Inv: true}}},
-		{"in-any", []lplan.Expr{&lplan.In{X: c(4), Vals: []table.Value{i(3), s("beta"), f(1.5)}}}},
+		{"in-any", []lplan.Expr{&lplan.In{X: c(4), Vals: []table.Value{i(3), table.Null, f(1.5)}}}},
 		// IN matches by Key() identity, as GROUP BY does: NaN matches its
 		// own bits, −0 is 0, an int past 2⁵³ is not the float it rounds
 		// to, and ±1e18 as floats are not the equal ints. Constants and
@@ -234,7 +237,12 @@ func TestColumnarExpressionKernels(t *testing.T) {
 			&lplan.Neg{X: c(0)},
 			&lplan.Neg{X: c(4)},
 		}},
-		{"arith-nonnum", []lplan.Expr{bin(lplan.OpAdd, c(2), lit(i(1)))}},
+		{"arith-nonnum", []lplan.Expr{ // NULL is the one non-number arithmetic takes
+			bin(lplan.OpAdd, c(0), lit(table.Null)),
+			bin(lplan.OpDiv, lit(table.Null), c(1)),
+			bin(lplan.OpMod, lit(table.Null), c(0)),
+			&lplan.Neg{X: lit(table.Null)},
+		}},
 		{"case-bool-arms", []lplan.Expr{
 			&lplan.Case{
 				Whens: []lplan.When{{Cond: bin(lplan.OpGt, c(0), lit(i(0))), Then: c(3)}},
@@ -269,10 +277,10 @@ func TestColumnarExpressionKernels(t *testing.T) {
 		{"case-null-cond", []lplan.Expr{&lplan.Case{
 			Whens: []lplan.When{
 				{Cond: lit(table.Null), Then: lit(i(0))},
-				{Cond: c(4), Then: lit(i(1))},
+				{Cond: bin(lplan.OpAnd, c(3), lit(table.Null)), Then: lit(i(1))},
 				{Cond: bin(lplan.OpGt, c(4), lit(i(3))), Then: lit(i(2))},
 				{Cond: c(3), Then: lit(i(3))},
-				{Cond: c(0), Then: lit(i(4))},
+				{Cond: &lplan.Not{X: c(3)}, Then: lit(i(4))},
 			},
 			Else: lit(i(5)),
 		}}},
@@ -311,7 +319,9 @@ func TestColumnarExpressionKernels(t *testing.T) {
 			check("projection", nil, tc.exprs...)
 			check("projection behind a filter", filter, tc.exprs...)
 			for k, e := range tc.exprs {
-				check(fmt.Sprintf("predicate %d", k), e)
+				if lplan.KindOf(e) == table.KindBool {
+					check(fmt.Sprintf("predicate %d", k), e)
+				}
 			}
 		})
 	}
@@ -336,67 +346,121 @@ func TestConstKernelStringDict(t *testing.T) {
 	}
 }
 
-// TestCmpKernelMatchesCmpRow holds the comparison kernel to the row
-// comparison, lane for lane: every operator over int and float columns,
-// with and without NULLs, against each other and against int and float
-// constants on either side, with NaN, ±Inf, −0 and ints past 2^53 among
-// the lanes and the constants. NULL-free numeric pairs take the loops
-// that switch on the operator once per batch (cmpDense); the rest take
-// the per-lane paths.
+// TestCmpKernelMatchesCmpRow holds the comparison kernels to refimpl's
+// row comparison, lane for lane: every operator over int, float, string
+// and bool columns, with and without NULLs and as all-NULL batches,
+// against each other and against constants on either side, with NaN,
+// ±Inf, −0 and ints past 2^53 among the lanes and the constants. Each
+// pair whose kinds join compiles to its typed loop (an int operand
+// beside a float one converted to float); any other pair does not
+// compile.
 func TestCmpKernelMatchesCmpRow(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	floats := []float64{1.5, nan, -inf, 42, inf, 0, math.Copysign(0, -1), -7.25, 1.5, 9007199254740992}
 	ints := []int64{3, -1, 42, math.MaxInt64, math.MinInt64, 0, 2, 42, 1<<53 + 1, 1 << 53}
+	words := []string{"b", "a", "", "beta", "b", "z", "alpha", "a", "beta", "c"}
 	n := len(ints)
-	type side struct {
-		name  string
-		k     colKernel
-		konst bool
+	lane := func(kind table.Kind, i int) table.Value {
+		switch kind {
+		case table.KindInt:
+			return table.NewInt(ints[i])
+		case table.KindFloat:
+			return table.NewFloat(floats[i])
+		case table.KindString:
+			return table.NewString(words[i])
+		}
+		return table.NewBool(i%3 == 0)
 	}
-	var sides []side
-	for _, kind := range []table.Kind{table.KindInt, table.KindFloat} {
-		for _, nulls := range []bool{false, true} {
+	var cols []table.Vector
+	var sides []lplan.Expr
+	for _, kind := range []table.Kind{table.KindInt, table.KindFloat, table.KindString, table.KindBool} {
+		for _, nulls := range []int{0, 3, 1} { // none, every third lane, every lane
 			bd := vecBuilder{mem: newLedger()}
 			for i := 0; i < n; i++ {
-				switch {
-				case nulls && i%3 == 1:
+				if nulls == 1 || nulls == 3 && i%3 == 1 {
 					bd.appendNull()
-				case kind == table.KindInt:
-					bd.append(table.NewInt(ints[i]))
-				default:
-					bd.append(table.NewFloat(floats[i]))
+					continue
 				}
+				bd.append(lane(kind, i))
 			}
-			v := bd.build()
-			sides = append(sides, side{fmt.Sprintf("%v column, NULLs %v", kind, nulls), func(*Batch) table.Vector { return v }, false})
+			name := fmt.Sprintf("%v/%d", kind, nulls)
+			sides = append(sides, &lplan.ColRef{ID: lplan.ColumnID(len(cols)), Name: name, Kind: kind})
+			cols = append(cols, bd.build())
 		}
 	}
 	for _, c := range []table.Value{table.NewInt(42), table.NewInt(1 << 53), table.NewFloat(1.5),
-		table.NewFloat(nan), table.NewFloat(-inf), table.NewFloat(9007199254740992)} {
-		sides = append(sides, side{"constant " + c.String(), constKernel(c), true})
+		table.NewFloat(nan), table.NewFloat(-inf), table.NewFloat(9007199254740992),
+		table.NewString("beta"), table.NewBool(true), table.Null} {
+		sides = append(sides, &lplan.Const{Val: c})
 	}
-	b := &Batch{n: n}
-	dense := 0
+	cm := colMap{}
+	for i := range cols {
+		cm[lplan.ColumnID(i)] = i
+	}
+	b := &Batch{cols: cols, n: n}
 	for _, op := range []lplan.BinOp{lplan.OpEq, lplan.OpNe, lplan.OpLt, lplan.OpLe, lplan.OpGt, lplan.OpGe} {
 		for _, l := range sides {
 			for _, r := range sides {
-				got := cmpKernel(op, l.k, r.k, l.konst, r.konst)(b)
-				lv, rv := l.k(b), r.k(b)
-				if cmpDense(op, make([]int64, n), &lv, &rv, l.konst, r.konst) {
-					dense++
+				e := &lplan.Binary{Op: op, L: l, R: r}
+				kern, err := compileColKernel(e, cm, newLedger())
+				if _, joins := lplan.JoinKinds(lplan.KindOf(l), lplan.KindOf(r)); !joins {
+					if err == nil {
+						t.Fatalf("%s compiled over kinds that do not join", e)
+					}
+					continue
 				}
+				if err != nil {
+					t.Fatalf("%s: %v", e, err)
+				}
+				got := kern(b)
 				for i := 0; i < n; i++ {
-					want := cmpRow(op, lv.Value(i), rv.Value(i))
-					if got.K != table.VKBool || got.IsNull(i) || got.Ints[i] != btoi(want) {
-						t.Fatalf("%v op %d %v lane %d (%v, %v): kernel %v, row %v",
-							l.name, op, r.name, i, lv.Value(i), rv.Value(i), got.Value(i), want)
+					row := make(table.Row, len(cols))
+					for c := range cols {
+						row[c] = cols[c].Value(i)
+					}
+					want, err := refimpl.EvalExpr(e, cm, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.K != table.VKBool || got.IsNull(i) || got.Ints[i] != btoi(want.Bool()) {
+						t.Fatalf("%s lane %d (%v): kernel %v, refimpl %v", e, i, row, got.Value(i), want)
 					}
 				}
 			}
 		}
 	}
-	if dense == 0 {
-		t.Fatal("no case took the dense loops")
+}
+
+// TestCmpKernelPanicsOnUndeclaredKind: a kernel reads its operands by
+// their declared kinds, so a vector of another kind (an all-NULL one
+// aside) panics instead of answering, which fails the task as an
+// internal error.
+func TestCmpKernelPanicsOnUndeclaredKind(t *testing.T) {
+	x := &lplan.ColRef{ID: 0, Name: "x", Kind: table.KindInt}
+	bd := vecBuilder{mem: newLedger()}
+	bd.append(table.NewFloat(1.5))
+	b := &Batch{cols: []table.Vector{bd.build()}, n: 1}
+	for _, e := range []lplan.Expr{
+		&lplan.Binary{Op: lplan.OpGt, L: x, R: &lplan.Const{Val: table.NewInt(3)}},
+		&lplan.Binary{Op: lplan.OpLt, L: x, R: &lplan.Const{Val: table.NewFloat(3)}},
+		&lplan.Binary{Op: lplan.OpAdd, L: x, R: x},
+		&lplan.Neg{X: x},
+		&lplan.In{X: x, Vals: []table.Value{table.NewInt(1)}},
+		&lplan.Not{X: &lplan.ColRef{ID: 0, Name: "x", Kind: table.KindBool}},
+		&lplan.Like{X: &lplan.ColRef{ID: 0, Name: "x", Kind: table.KindString}, Pattern: "a%"},
+	} {
+		k, err := compileColKernel(e, colMap{0: 0}, newLedger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over a float vector answered", e)
+				}
+			}()
+			k(b)
+		}()
 	}
 }
 
@@ -451,8 +515,8 @@ func TestColumnarSelectionExtremes(t *testing.T) {
 		r := colRefsOf(scan)
 		return &PFilter{In: scan, Pred: rebindExpr(pred, r)}
 	}
-	c0 := &lplan.ColRef{ID: 0}
-	c1 := &lplan.ColRef{ID: 1}
+	c0 := &lplan.ColRef{ID: 0, Kind: table.KindInt}
+	c1 := &lplan.ColRef{ID: 1, Kind: table.KindFloat}
 	preds := map[string]lplan.Expr{
 		"none": &lplan.Binary{Op: lplan.OpLt, L: c0, R: &lplan.Const{Val: table.NewInt(-1)}},
 		"one":  &lplan.Binary{Op: lplan.OpEq, L: c1, R: &lplan.Const{Val: table.NewFloat(500)}},

@@ -14,7 +14,14 @@ import (
 //
 // A kernel's contract is its live lanes: Value(lane) is the expression's
 // value on that lane, which the tests hold to refimpl.EvalExpr over the
-// materialized row. Typed kernels compute densely over all physical
+// materialized row. The binder has checked every operand's kind, so each
+// kernel picks its loop once, when compiled, from the declared kinds
+// (lplan.KindOf): an Int operand beside a Float one is converted to
+// Float, a constant here and a column once per batch (floatKernel), and
+// an operand of kind NULL compiles to the constant answer. The one case
+// left to a batch is an all-NULL (VKNull) operand; a vector of any other
+// kind than the declared one panics (nullVec), which fails the task as
+// an internal error. Typed kernels compute densely over all physical
 // lanes (dead lanes may hold garbage, which is fine — they are never
 // read as live results). Function calls and CASE run their operands as
 // kernels, then box only those operands' values, one live lane at a
@@ -27,23 +34,10 @@ import (
 // colKernel evaluates an expression over a batch.
 type colKernel func(b *Batch) table.Vector
 
-func growInts(buf []int64, n int) []int64 {
+// growTo returns buf with length n, reallocated if it is too short.
+func growTo[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -70,14 +64,28 @@ func btoi(b bool) int64 {
 	return 0
 }
 
-func isNumericVK(k table.VecKind) bool { return k == table.VKInt || k == table.VKFloat }
-
 // allNull returns an n-lane all-NULL vector.
 func allNull(n int) table.Vector { return table.Vector{K: table.VKNull, N: n} }
 
+// nullVec reports whether v, an operand of declared kind k, is an
+// all-NULL batch. A vector of any other kind panics.
+func nullVec(v *table.Vector, k table.Kind) bool {
+	switch v.K {
+	case table.VKNull:
+		return true
+	case table.VecKind(k):
+		return false
+	}
+	panic(fmt.Sprintf("exec: a %v vector for an operand of kind %v", table.Kind(v.K), k))
+}
+
+func intsOf(v *table.Vector) []int64     { return v.Ints }
+func floatsOf(v *table.Vector) []float64 { return v.Floats }
+
 // compileColKernel compiles e into a columnar kernel over the column
 // layout described by cm, whose builders draw on the run's ledger mem.
-// An error is only possible when a referenced column is missing.
+// An error means a referenced column is missing or an operand's kind
+// leaves no loop to run, which the binder rules out.
 func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 	switch x := e.(type) {
 	case *lplan.ColRef:
@@ -89,26 +97,7 @@ func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 	case *lplan.Const:
 		return constKernel(x.Val), nil
 	case *lplan.Binary:
-		l, err := compileColKernel(x.L, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileColKernel(x.R, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case lplan.OpAnd:
-			return andKernel(l, r), nil
-		case lplan.OpOr:
-			return orKernel(l, r), nil
-		case lplan.OpAdd, lplan.OpSub, lplan.OpMul, lplan.OpDiv, lplan.OpMod:
-			return arithKernel(x.Op, l, r, mem), nil
-		default:
-			_, lc := x.L.(*lplan.Const)
-			_, rc := x.R.(*lplan.Const)
-			return cmpKernel(x.Op, l, r, lc, rc), nil
-		}
+		return compileBinary(x, cm, mem)
 	case *lplan.Func:
 		args, err := compileColKernels(x.Args, cm, mem)
 		if err != nil {
@@ -129,38 +118,51 @@ func compileColKernel(e lplan.Expr, cm colMap, mem *ledger) (colKernel, error) {
 			return nil, err
 		}
 		return caseKernel(ks, mem), nil
-	case *lplan.Not:
-		in, err := compileColKernel(x.X, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		return notKernel(in), nil
-	case *lplan.Neg:
-		in, err := compileColKernel(x.X, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		return negKernel(in), nil
-	case *lplan.IsNull:
-		in, err := compileColKernel(x.X, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		return isNullKernel(in, x.Inv), nil
-	case *lplan.In:
-		in, err := compileColKernel(x.X, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		return inKernel(in, x.Vals, x.Inv), nil
-	case *lplan.Like:
-		in, err := compileColKernel(x.X, cm, mem)
-		if err != nil {
-			return nil, err
-		}
-		return likeKernel(in, x.Pattern, x.Inv), nil
 	}
-	return nil, fmt.Errorf("exec: cannot compile expression %T", e)
+	var x lplan.Expr
+	switch u := e.(type) {
+	case *lplan.Not:
+		x = u.X
+	case *lplan.Neg:
+		x = u.X
+	case *lplan.IsNull:
+		x = u.X
+	case *lplan.In:
+		x = u.X
+	case *lplan.Like:
+		x = u.X
+	default:
+		return nil, fmt.Errorf("exec: cannot compile expression %T", e)
+	}
+	in, err := compileColKernel(x, cm, mem)
+	if err != nil {
+		return nil, err
+	}
+	k := lplan.KindOf(x)
+	switch u := e.(type) {
+	case *lplan.Not:
+		return notKernel(in), nil
+	case *lplan.IsNull:
+		return isNullKernel(in, u.Inv), nil
+	case *lplan.In:
+		return inKernel(k, in, u.Vals, u.Inv), nil
+	case *lplan.Neg:
+		switch k {
+		case table.KindInt, table.KindFloat:
+			return negKernel(k, in), nil
+		case table.KindNull:
+			return constKernel(table.Null), nil
+		}
+	case *lplan.Like:
+		switch k {
+		case table.KindString:
+			match := compileLike(u.Pattern)
+			return strKernel(in, func(s string) bool { return match(s) != u.Inv }), nil
+		case table.KindNull:
+			return constKernel(table.NewBool(false)), nil
+		}
+	}
+	return nil, fmt.Errorf("exec: %s over an operand of kind %v", e, k)
 }
 
 // compileColKernels compiles each of es.
@@ -174,6 +176,88 @@ func compileColKernels(es []lplan.Expr, cm colMap, mem *ledger) ([]colKernel, er
 		ks[i] = k
 	}
 	return ks, nil
+}
+
+// compileBinary compiles AND, OR, a comparison or arithmetic. The
+// operands of the last two run in their kind join k, which the binder
+// has checked: an Int one beside a Float one (and both of /) converted
+// to Float. A comparison takes its constant on the right.
+func compileBinary(x *lplan.Binary, cm colMap, mem *ledger) (colKernel, error) {
+	if x.Op == lplan.OpAnd || x.Op == lplan.OpOr {
+		ks, err := compileColKernels([]lplan.Expr{x.L, x.R}, cm, mem)
+		if err != nil {
+			return nil, err
+		}
+		return logicKernel(x.Op, ks[0], ks[1]), nil
+	}
+	op, lhs, rhs, cmp := x.Op, x.L, x.R, x.Op.IsComparison()
+	_, lc := lhs.(*lplan.Const)
+	_, rc := rhs.(*lplan.Const)
+	if cmp && lc && !rc {
+		op, lhs, rhs, rc = flipCmp(op), rhs, lhs, true
+	}
+	lk, rk := lplan.KindOf(lhs), lplan.KindOf(rhs)
+	k, ok := lplan.JoinKinds(lk, rk)
+	if op == lplan.OpDiv {
+		k = table.KindFloat
+	}
+	switch {
+	case (lk == table.KindNull || rk == table.KindNull) && cmp:
+		return constKernel(table.NewBool(false)), nil // NULL compares false
+	case lk == table.KindNull || rk == table.KindNull:
+		return constKernel(table.Null), nil
+	case !ok, !cmp && k != table.KindInt && k != table.KindFloat, op == lplan.OpMod && k != table.KindInt:
+		return nil, fmt.Errorf("exec: %s over kinds %v and %v", x, lk, rk)
+	}
+	l, err := compileAs(lhs, lk, k, cm, mem)
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := rhs.(*lplan.Const); ok && cmp && k == table.KindString {
+		// One comparison per dictionary entry of the left operand.
+		return strKernel(l, func(s string) bool { return cmpStr(op, s, c.Val.Str()) }), nil
+	}
+	r, err := compileAs(rhs, rk, k, cm, mem)
+	if err != nil {
+		return nil, err
+	}
+	if cmp {
+		return cmpKernel(op, k, l, r, rc), nil
+	}
+	return arithKernel(op, k, l, r), nil
+}
+
+// compileAs compiles e, of kind from, to a kernel of kind to: an Int
+// constant becomes the equal Float here, and any other Int expression
+// is converted once per batch where to is Float.
+func compileAs(e lplan.Expr, from, to table.Kind, cm colMap, mem *ledger) (colKernel, error) {
+	if from != table.KindInt || to != table.KindFloat {
+		return compileColKernel(e, cm, mem)
+	}
+	if c, ok := e.(*lplan.Const); ok {
+		return constKernel(table.NewFloat(c.Val.Float())), nil
+	}
+	in, err := compileColKernel(e, cm, mem)
+	if err != nil {
+		return nil, err
+	}
+	return floatKernel(in), nil
+}
+
+// floatKernel converts the Int lanes of in to Float, NULL lanes kept.
+func floatKernel(in colKernel) colKernel {
+	var floats []float64
+	return func(b *Batch) table.Vector {
+		v := in(b)
+		if nullVec(&v, table.KindInt) {
+			return v
+		}
+		floats = growTo(floats, b.n)
+		for i, x := range v.Ints[:b.n] {
+			floats[i] = float64(x)
+		}
+		return table.Vector{K: table.VKFloat, N: b.n, Floats: floats[:b.n], Nulls: v.Nulls, NullOff: v.NullOff}
+	}
 }
 
 // funcKernel runs the argument kernels, then calls lplan.CallFunc once
@@ -197,24 +281,43 @@ func funcKernel(name string, args []colKernel, mem *ledger) colKernel {
 
 // caseKernel runs the kernels ks — each WHEN's condition and branch in
 // turn, then the ELSE — and takes, for each live lane, the branch of the
-// first condition that is boolean true there, or the ELSE.
+// first condition that is true there, or the ELSE. A condition is a
+// Bool, whose NULL lanes carry payload 0, or an all-NULL batch, which
+// reads as false lanes.
 func caseKernel(ks []colKernel, mem *ledger) colKernel {
 	vecs := make([]table.Vector, len(ks))
 	bld := vecBuilder{mem: mem}
+	var zeros []int64
 	return func(b *Batch) table.Vector {
 		for j, k := range ks {
 			vecs[j] = k(b)
+			if j%2 == 0 && j+1 < len(ks) {
+				vecs[j] = bools(vecs[j], &zeros)
+			}
 		}
 		return boxLanes(&bld, b, func(i int) table.Value {
 			j := 0
 			for ; j+1 < len(vecs); j += 2 {
-				if laneTrue(&vecs[j], i) {
+				if vecs[j].Ints[i] != 0 {
 					return vecs[j+1].Value(i)
 				}
 			}
 			return vecs[j].Value(i)
 		})
 	}
+}
+
+// bools returns v, a Bool operand, with an all-NULL batch read as false
+// lanes over *zeros, so that a lane is true exactly when its payload is
+// nonzero (a NULL Bool lane carries payload 0).
+func bools(v table.Vector, zeros *[]int64) table.Vector {
+	if !nullVec(&v, table.KindBool) {
+		return v
+	}
+	if len(*zeros) < v.N {
+		*zeros = make([]int64, v.N)
+	}
+	return table.Vector{K: table.VKBool, N: v.N, Ints: (*zeros)[:v.N]}
 }
 
 // boxLanes builds a vector one boxed value at a time: value(i) for each
@@ -235,295 +338,239 @@ func boxLanes(bld *vecBuilder, b *Batch, value func(i int) table.Value) table.Ve
 	return bld.build()
 }
 
-// laneTrue reports whether lane i of v is boolean true. VKBool lanes
-// that are NULL carry payload 0.
-func laneTrue(v *table.Vector, i int) bool { return v.K == table.VKBool && v.Ints[i] != 0 }
-
-// constKernel materializes a constant as an n-lane vector, refilled
-// only when the batch grows past the cached width. A string constant's
-// one-entry dictionary is built once, so every batch carries the same
-// dictionary (sameDict) and none allocates.
+// constKernel materializes a constant as an n-lane vector, rebuilt only
+// when a batch is wider than any before. A string constant's one-entry
+// dictionary is built once, so every batch carries the same dictionary
+// (sameDict) and none allocates.
 func constKernel(v table.Value) colKernel {
-	var ints []int64
-	var floats []float64
-	var dict []string
+	wide := table.Vector{K: table.VecKind(v.Kind())}
 	if v.Kind() == table.KindString {
-		dict = []string{v.Str()}
+		wide.Dict = []string{v.Str()}
 	}
 	return func(b *Batch) table.Vector {
-		n := b.n
-		switch v.Kind() {
-		case table.KindNull:
-			return allNull(n)
-		case table.KindFloat:
-			if len(floats) < n {
-				floats = growFloats(floats, n)
-				for i := range floats {
-					floats[i] = v.Float()
+		if wide.N < b.n {
+			wide.N = b.n
+			switch wide.K {
+			case table.VKNull:
+			case table.VKFloat:
+				wide.Floats = make([]float64, b.n)
+				for i := range wide.Floats {
+					wide.Floats[i] = v.Float()
+				}
+			default: // a string's payload is its code, 0
+				wide.Ints = make([]int64, b.n)
+				for i := range wide.Ints {
+					wide.Ints[i] = v.Int()
 				}
 			}
-			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n]}
-		case table.KindString:
-			if len(ints) < n {
-				ints = growInts(ints, n) // codes all 0
-				for i := range ints {
-					ints[i] = 0
-				}
-			}
-			return table.Vector{K: table.VKStr, N: n, Ints: ints[:n], Dict: dict}
-		default: // int, bool
-			k := table.VKInt
-			if v.Kind() == table.KindBool {
-				k = table.VKBool
-			}
-			if len(ints) < n {
-				ints = growInts(ints, n)
-				for i := range ints {
-					ints[i] = v.Int()
-				}
-			}
-			return table.Vector{K: k, N: n, Ints: ints[:n]}
 		}
+		return wide.Slice(0, b.n)
 	}
 }
 
-// andKernel / orKernel: boolean combination, where NULL and
-// non-boolean lanes act as false on either side. For VKBool inputs NULL
-// lanes carry payload 0, which makes that a plain payload test.
-func andKernel(l, r colKernel) colKernel {
-	var out []int64
+// logicKernel vectorizes AND and OR over Bool operands, where a NULL
+// lane acts as false on either side.
+func logicKernel(op lplan.BinOp, l, r colKernel) colKernel {
+	var out, zeros []int64
 	return func(b *Batch) table.Vector {
-		lv, rv := l(b), r(b)
+		lv, rv := bools(l(b), &zeros), bools(r(b), &zeros)
 		n := b.n
-		out = growInts(out, n)
-		if lv.K == table.VKBool && rv.K == table.VKBool {
-			o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
+		out = growTo(out, n)
+		o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
+		if op == lplan.OpAnd {
 			for i := range o {
 				o[i] = btoi(li[i] != 0) & btoi(ri[i] != 0)
 			}
-			return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
-		}
-		for i := 0; i < n; i++ {
-			out[i] = btoi(laneTrue(&lv, i) && laneTrue(&rv, i))
-		}
-		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
-	}
-}
-
-func orKernel(l, r colKernel) colKernel {
-	var out []int64
-	return func(b *Batch) table.Vector {
-		lv, rv := l(b), r(b)
-		n := b.n
-		out = growInts(out, n)
-		if lv.K == table.VKBool && rv.K == table.VKBool {
-			o, li, ri := out[:n], lv.Ints[:n], rv.Ints[:n]
+		} else {
 			for i := range o {
 				o[i] = btoi(li[i] != 0) | btoi(ri[i] != 0)
 			}
-			return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
 		}
-		for i := 0; i < n; i++ {
-			out[i] = btoi(laneTrue(&lv, i) || laneTrue(&rv, i))
-		}
-		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: o}
 	}
 }
 
-// arithKernel vectorizes +,-,*,/,% with the exact table.Add/Sub/Mul/
-// Div/Mod semantics: int⊕int stays int except /, NULL or non-numeric
-// operands yield NULL, division (or modulo) by zero yields NULL.
-func arithKernel(op lplan.BinOp, l, r colKernel, mem *ledger) colKernel {
-	var ints []int64
-	var floats []float64
+// notKernel negates a Bool operand; NOT of a NULL lane is false.
+func notKernel(in colKernel) colKernel {
+	var out []int64
+	return func(b *Batch) table.Vector {
+		v := in(b)
+		out = growTo(out, b.n)
+		o := out[:b.n]
+		if nullVec(&v, table.KindBool) {
+			clear(o)
+		} else {
+			for i, x := range v.Ints[:b.n] {
+				o[i] = btoi(x == 0)
+			}
+			markNulls(nil, o, &v)
+		}
+		return table.Vector{K: table.VKBool, N: b.n, Ints: o}
+	}
+}
+
+// markNulls zeroes the lanes of out where v is NULL and, given a
+// bitmap, marks them NULL there.
+func markNulls[T int64 | float64](nulls []uint64, out []T, v *table.Vector) {
+	if v.Nulls != nil {
+		for i := range out {
+			if v.IsNull(i) {
+				out[i] = 0
+				if nulls != nil {
+					setBit(nulls, i)
+				}
+			}
+		}
+	}
+}
+
+// arithKernel vectorizes +, -, *, / and % over two operands of kind k
+// with the exact table.Add/Sub/Mul/Div/Mod semantics: an Int result
+// for Int operands (the binder makes / Float and % Int), NULL where an
+// operand is NULL or a divisor zero.
+func arithKernel(op lplan.BinOp, k table.Kind, l, r colKernel) colKernel {
+	if k == table.KindInt {
+		return arithLanes(op, k, l, r, intsOf, intVec, func(a, c int64) int64 { return a % c })
+	}
+	return arithLanes(op, k, l, r, floatsOf, floatVec, func(a, c float64) float64 { return a / c })
+}
+
+func intVec(n int, x []int64, nulls []uint64) table.Vector {
+	return table.Vector{K: table.VKInt, N: n, Ints: x, Nulls: nulls}
+}
+
+func floatVec(n int, x []float64, nulls []uint64) table.Vector {
+	return table.Vector{K: table.VKFloat, N: n, Floats: x, Nulls: nulls}
+}
+
+// arithLanes computes op over operands whose payloads are []T, switched
+// on once per batch; div is / or %.
+func arithLanes[T int64 | float64](op lplan.BinOp, k table.Kind, l, r colKernel, payload func(*table.Vector) []T,
+	vec func(int, []T, []uint64) table.Vector, div func(a, c T) T) colKernel {
+	var out []T
 	var nulls []uint64
 	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
-		switch {
-		case op == lplan.OpMod:
-			if lv.K != table.VKInt || rv.K != table.VKInt {
-				return allNull(n)
-			}
-			ints = growInts(ints, n)
-			nulls = growBits(nulls, n)
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			for i := 0; i < n; i++ {
-				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) || rv.Ints[i] == 0 {
-					setBit(nulls, i)
-					ints[i] = 0
-					continue
-				}
-				ints[i] = lv.Ints[i] % rv.Ints[i]
-			}
-			return table.Vector{K: table.VKInt, N: n, Ints: ints[:n], Nulls: nulls}
-		case lv.K == table.VKInt && rv.K == table.VKInt && op != lplan.OpDiv:
-			ints = growInts(ints, n)
-			nulls = growBits(nulls, n)
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			li, ri := lv.Ints, rv.Ints
-			switch op {
-			case lplan.OpAdd:
-				for i := 0; i < n; i++ {
-					ints[i] = li[i] + ri[i]
-				}
-			case lplan.OpSub:
-				for i := 0; i < n; i++ {
-					ints[i] = li[i] - ri[i]
-				}
-			case lplan.OpMul:
-				for i := 0; i < n; i++ {
-					ints[i] = li[i] * ri[i]
-				}
-			}
-			if lnul || rnul {
-				for i := 0; i < n; i++ {
-					if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
-						setBit(nulls, i)
-					}
-				}
-			}
-			return table.Vector{K: table.VKInt, N: n, Ints: ints[:n], Nulls: nulls}
-		case isNumericVK(lv.K) && isNumericVK(rv.K):
-			floats = growFloats(floats, n)
-			nulls = growBits(nulls, n)
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			for i := 0; i < n; i++ {
-				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
-					setBit(nulls, i)
-					floats[i] = 0
-					continue
-				}
-				a, c := laneFloat(&lv, i), laneFloat(&rv, i)
-				switch op {
-				case lplan.OpAdd:
-					floats[i] = a + c
-				case lplan.OpSub:
-					floats[i] = a - c
-				case lplan.OpMul:
-					floats[i] = a * c
-				case lplan.OpDiv:
-					if c == 0 {
-						setBit(nulls, i)
-						floats[i] = 0
-						continue
-					}
-					floats[i] = a / c
-				}
-			}
-			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n], Nulls: nulls}
-		default:
-			// A non-numeric side: every lane is NULL.
+		if nullVec(&lv, k) || nullVec(&rv, k) {
 			return allNull(n)
 		}
+		out, nulls = growTo(out, n), growBits(nulls, n)
+		o, a, c := out[:n], payload(&lv)[:n], payload(&rv)[:n]
+		switch op {
+		case lplan.OpAdd:
+			for i := range o {
+				o[i] = a[i] + c[i]
+			}
+		case lplan.OpSub:
+			for i := range o {
+				o[i] = a[i] - c[i]
+			}
+		case lplan.OpMul:
+			for i := range o {
+				o[i] = a[i] * c[i]
+			}
+		default:
+			for i := range o {
+				if c[i] == 0 {
+					setBit(nulls, i)
+					o[i] = 0
+					continue
+				}
+				o[i] = div(a[i], c[i])
+			}
+		}
+		markNulls(nulls, o, &lv)
+		markNulls(nulls, o, &rv)
+		return vec(n, o, nulls)
 	}
 }
 
-// cmpKernel vectorizes the six comparisons. NULL operands compare
-// false (never NULL), as in refimpl, so the output is a
-// bitmap-free VKBool vector. lc and rc say which operands are constants
+// negKernel vectorizes unary minus over an operand of kind k, Int or
+// Float.
+func negKernel(k table.Kind, in colKernel) colKernel {
+	if k == table.KindInt {
+		return negLanes(k, in, intsOf, intVec)
+	}
+	return negLanes(k, in, floatsOf, floatVec)
+}
+
+func negLanes[T int64 | float64](k table.Kind, in colKernel, payload func(*table.Vector) []T, vec func(int, []T, []uint64) table.Vector) colKernel {
+	var out []T
+	var nulls []uint64
+	return func(b *Batch) table.Vector {
+		v := in(b)
+		if nullVec(&v, k) {
+			return allNull(b.n)
+		}
+		out, nulls = growTo(out, b.n), growBits(nulls, b.n)
+		o := out[:b.n]
+		for i, x := range payload(&v)[:b.n] {
+			o[i] = -x
+		}
+		markNulls(nulls, o, &v)
+		return vec(b.n, o, nulls)
+	}
+}
+
+// cmpKernel vectorizes a comparison of two operands of kind k. A NULL
+// operand compares false (never NULL), as in refimpl, so the output is
+// a bitmap-free VKBool vector. rc says the right operand is a constant
 // (constKernel: the same value in every lane).
-func cmpKernel(op lplan.BinOp, l, r colKernel, lc, rc bool) colKernel {
+func cmpKernel(op lplan.BinOp, k table.Kind, l, r colKernel, rc bool) colKernel {
+	switch k {
+	case table.KindFloat:
+		return cmpLanes(op, k, l, r, rc, floatsOf)
+	case table.KindString:
+		return cmpStrs(op, l, r)
+	}
+	return cmpLanes(op, k, l, r, rc, intsOf) // Int, Bool
+}
+
+// cmpLanes compares operands whose payloads are []T, with the operator
+// switched on once per batch, not per lane: each lane against the
+// constant, or lane against lane. Lanes where either side is NULL are
+// cleared after. Results are Value.Compare's, NaN included.
+func cmpLanes[T int64 | float64](op lplan.BinOp, k table.Kind, l, r colKernel, rc bool, payload func(*table.Vector) []T) colKernel {
 	var out []int64
-	var dictRes []bool
 	return func(b *Batch) table.Vector {
 		lv, rv := l(b), r(b)
 		n := b.n
-		out = growInts(out, n)
-		if cmpDense(op, out[:n], &lv, &rv, lc, rc) {
-			return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
-		}
+		out = growTo(out, n)
+		o := out[:n]
 		switch {
-		case lv.K == table.VKInt && rv.K == table.VKInt:
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			li, ri := lv.Ints, rv.Ints
-			for i := 0; i < n; i++ {
-				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(cmpInt(op, li[i], ri[i]))
-			}
-		case isNumericVK(lv.K) && isNumericVK(rv.K):
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			for i := 0; i < n; i++ {
-				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(cmpFloat(op, laneFloat(&lv, i), laneFloat(&rv, i)))
-			}
-		case lv.K == table.VKStr && rv.K == table.VKStr && rc:
-			// Compare each dictionary entry against the constant once,
-			// then map codes through the result table.
-			rs := rv.Dict[0]
-			dictRes = growBools(dictRes, len(lv.Dict))
-			for code, s := range lv.Dict {
-				dictRes[code] = cmpStr(op, s, rs)
-			}
-			lnul := lv.HasNulls()
-			for i := 0; i < n; i++ {
-				if lnul && lv.IsNull(i) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(dictRes[lv.Ints[i]])
-			}
-		case lv.K == table.VKStr && rv.K == table.VKStr:
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			for i := 0; i < n; i++ {
-				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(cmpStr(op, lv.Dict[lv.Ints[i]], rv.Dict[rv.Ints[i]]))
-			}
-		case lv.K == table.VKBool && rv.K == table.VKBool:
-			lnul, rnul := lv.HasNulls(), rv.HasNulls()
-			for i := 0; i < n; i++ {
-				if (lnul && lv.IsNull(i)) || (rnul && rv.IsNull(i)) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(cmpInt(op, lv.Ints[i], rv.Ints[i]))
-			}
+		case n == 0:
+		case nullVec(&lv, k) || nullVec(&rv, k):
+			clear(o)
+		case rc:
+			cmpConst(op, o, payload(&lv)[:n], payload(&rv)[0])
 		default:
-			for i := 0; i < n; i++ {
-				out[i] = btoi(cmpRow(op, lv.Value(i), rv.Value(i)))
-			}
+			cmpCols(op, o, payload(&lv)[:n], payload(&rv)[:n])
 		}
-		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
+		markNulls(nil, o, &lv)
+		markNulls(nil, o, &rv)
+		return table.Vector{K: table.VKBool, N: n, Ints: o}
 	}
 }
 
-// cmpDense compares NULL-free numeric lanes with the operator switched
-// on once per batch, not per lane, and reports whether it could: a
-// column against a constant (read once, as a float unless both sides
-// are integers) or two columns of one kind. lc and rc are cmpKernel's.
-// Results are cmpInt's and cmpFloat's.
-func cmpDense(op lplan.BinOp, out []int64, lv, rv *table.Vector, lc, rc bool) bool {
-	if len(out) == 0 || lv.HasNulls() || rv.HasNulls() || !isNumericVK(lv.K) || !isNumericVK(rv.K) {
-		return false
+// cmpStrs compares two String operands lane by lane.
+func cmpStrs(op lplan.BinOp, l, r colKernel) colKernel {
+	var out []int64
+	return func(b *Batch) table.Vector {
+		lv, rv := l(b), r(b)
+		out = growTo(out, b.n)
+		o := out[:b.n]
+		lnul, rnul := lv.HasNulls(), rv.HasNulls()
+		if nullVec(&lv, table.KindString) || nullVec(&rv, table.KindString) {
+			clear(o)
+		} else {
+			for i := range o {
+				o[i] = btoi(!(lnul && lv.IsNull(i)) && !(rnul && rv.IsNull(i)) &&
+					cmpStr(op, lv.Dict[lv.Ints[i]], rv.Dict[rv.Ints[i]]))
+			}
+		}
+		return table.Vector{K: table.VKBool, N: b.n, Ints: o}
 	}
-	if lc && !rc {
-		lv, rv, op, rc = rv, lv, flipCmp(op), true
-	}
-	n := len(out)
-	switch {
-	case rc && lv.K == table.VKInt && rv.K == table.VKInt:
-		cmpConst(op, out, lv.Ints[:n], rv.Ints[0])
-	case rc && lv.K == table.VKInt:
-		cmpConst(op, out, lv.Ints[:n], rv.Floats[0])
-	case rc:
-		cmpConst(op, out, lv.Floats[:n], laneFloat(rv, 0))
-	case lv.K == table.VKInt && rv.K == table.VKInt:
-		cmpCols(op, out, lv.Ints[:n], rv.Ints[:n])
-	case lv.K == table.VKFloat && rv.K == table.VKFloat:
-		cmpCols(op, out, lv.Floats[:n], rv.Floats[:n])
-	default:
-		return false
-	}
-	return true
 }
 
 // flipCmp returns the operator that compares b with a as op compares a
@@ -543,36 +590,37 @@ func flipCmp(op lplan.BinOp) lplan.BinOp {
 	return op
 }
 
-// cmpConst writes op(C(a[i]), c) to out[i]: cmpFloat's semantics, which
-// are cmpInt's over integers.
+// cmpConst writes op(a[i], c) to out[i], with Value.Compare's
+// semantics: over floats a NaN compares 0 with anything, so Le and Ge
+// hold and Lt, Gt and Eq do not.
 //
 //hot:numeric compare against a constant, operator hoisted out of the lane loop
-func cmpConst[T, C int64 | float64](op lplan.BinOp, out []int64, a []T, c C) {
+func cmpConst[T int64 | float64](op lplan.BinOp, out []int64, a []T, c T) {
 	out = out[:len(a)]
 	switch op {
 	case lplan.OpEq:
 		for i, x := range a {
-			out[i] = btoi(C(x) == c)
+			out[i] = btoi(x == c)
 		}
 	case lplan.OpNe:
 		for i, x := range a {
-			out[i] = btoi(C(x) != c)
+			out[i] = btoi(x != c)
 		}
 	case lplan.OpLt:
 		for i, x := range a {
-			out[i] = btoi(C(x) < c)
+			out[i] = btoi(x < c)
 		}
 	case lplan.OpLe:
 		for i, x := range a {
-			out[i] = btoi(!(C(x) > c))
+			out[i] = btoi(!(x > c))
 		}
 	case lplan.OpGt:
 		for i, x := range a {
-			out[i] = btoi(C(x) > c)
+			out[i] = btoi(x > c)
 		}
 	case lplan.OpGe:
 		for i, x := range a {
-			out[i] = btoi(!(C(x) < c))
+			out[i] = btoi(!(x < c))
 		}
 	default:
 		clear(out)
@@ -614,45 +662,6 @@ func cmpCols[T int64 | float64](op lplan.BinOp, out []int64, a, b []T) {
 	}
 }
 
-func cmpInt(op lplan.BinOp, a, b int64) bool {
-	switch op {
-	case lplan.OpEq:
-		return a == b
-	case lplan.OpNe:
-		return a != b
-	case lplan.OpLt:
-		return a < b
-	case lplan.OpLe:
-		return a <= b
-	case lplan.OpGt:
-		return a > b
-	case lplan.OpGe:
-		return a >= b
-	}
-	return false
-}
-
-// cmpFloat matches Value.Compare/Equal over floats, including NaN:
-// Compare reports 0 for NaN vs anything, so Le/Ge hold and Lt/Gt/Eq do
-// not.
-func cmpFloat(op lplan.BinOp, a, b float64) bool {
-	switch op {
-	case lplan.OpEq:
-		return a == b
-	case lplan.OpNe:
-		return a != b
-	case lplan.OpLt:
-		return a < b
-	case lplan.OpLe:
-		return !(a > b)
-	case lplan.OpGt:
-		return a > b
-	case lplan.OpGe:
-		return !(a < b)
-	}
-	return false
-}
-
 func cmpStr(op lplan.BinOp, a, b string) bool {
 	switch op {
 	case lplan.OpEq:
@@ -671,95 +680,12 @@ func cmpStr(op lplan.BinOp, a, b string) bool {
 	return false
 }
 
-// cmpRow compares two arbitrary lanes; a NULL compares false.
-func cmpRow(op lplan.BinOp, lv, rv table.Value) bool {
-	if lv.IsNull() || rv.IsNull() {
-		return false
-	}
-	c := lv.Compare(rv)
-	switch op {
-	case lplan.OpEq:
-		return lv.Equal(rv)
-	case lplan.OpNe:
-		return !lv.Equal(rv)
-	case lplan.OpLt:
-		return c < 0
-	case lplan.OpLe:
-		return c <= 0
-	case lplan.OpGt:
-		return c > 0
-	case lplan.OpGe:
-		return c >= 0
-	}
-	return false
-}
-
-func notKernel(in colKernel) colKernel {
-	var out []int64
-	return func(b *Batch) table.Vector {
-		v := in(b)
-		n := b.n
-		out = growInts(out, n)
-		if v.K == table.VKBool {
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				out[i] = btoi(!(nul && v.IsNull(i)) && v.Ints[i] == 0)
-			}
-		} else {
-			clear(out[:n]) // no lane of a non-boolean vector is false
-		}
-		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
-	}
-}
-
-func negKernel(in colKernel) colKernel {
-	var ints []int64
-	var floats []float64
-	var nulls []uint64
-	return func(b *Batch) table.Vector {
-		v := in(b)
-		n := b.n
-		switch v.K {
-		case table.VKInt:
-			ints = growInts(ints, n)
-			nulls = growBits(nulls, n)
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				if nul && v.IsNull(i) {
-					setBit(nulls, i)
-					ints[i] = 0
-					continue
-				}
-				ints[i] = -v.Ints[i]
-			}
-			return table.Vector{K: table.VKInt, N: n, Ints: ints[:n], Nulls: nulls}
-		case table.VKFloat:
-			floats = growFloats(floats, n)
-			nulls = growBits(nulls, n)
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				if nul && v.IsNull(i) {
-					setBit(nulls, i)
-					floats[i] = 0
-					continue
-				}
-				floats[i] = -v.Floats[i]
-			}
-			return table.Vector{K: table.VKFloat, N: n, Floats: floats[:n], Nulls: nulls}
-		default:
-			// All-NULL, strings and bools (the binder admits neither to a
-			// minus): NULL everywhere.
-			return allNull(n)
-		}
-	}
-}
-
 func isNullKernel(in colKernel, inv bool) colKernel {
 	var out []int64
 	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
-		out = growInts(out, n)
+		out = growTo(out, n)
 		if !v.HasNulls() {
 			fill := btoi(inv) // non-NULL lane: IsNull()==false, false != inv == inv
 			for i := 0; i < n; i++ {
@@ -774,143 +700,109 @@ func isNullKernel(in colKernel, inv bool) colKernel {
 	}
 }
 
-// inSets canonicalizes an IN list exactly like Value.Key(): integers
-// and integral floats below 1e18 share the int set, remaining floats
-// match by IEEE bits, strings by content, booleans by truth value.
-type inSets struct {
-	ints  map[int64]bool
-	bits  map[uint64]bool
-	boolv [2]bool
-	strs  map[string]bool
-}
-
-func buildInSets(vals []table.Value) *inSets {
-	s := &inSets{
-		ints: make(map[int64]bool),
-		bits: make(map[uint64]bool),
-		strs: make(map[string]bool),
-	}
-	for _, v := range vals {
-		switch v.Kind() {
-		case table.KindInt:
-			s.ints[v.Int()] = true
-		case table.KindFloat:
-			f := v.Float()
-			if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e18 {
-				s.ints[int64(f)] = true
-			} else {
-				s.bits[math.Float64bits(f)] = true
+// inKernel tests X, of kind k, for membership in vals by Key()
+// identity, as refimpl and GROUP BY do: integers and integral floats
+// below 1e18 in size match as integers, other floats by their bits,
+// strings by content and booleans by truth value. Only X's kind's set
+// is built.
+func inKernel(k table.Kind, in colKernel, vals []table.Value, inv bool) colKernel {
+	switch k {
+	case table.KindInt, table.KindFloat:
+		ints, bits := map[int64]bool{}, map[uint64]bool{}
+		for _, v := range vals {
+			switch f := v.Float(); {
+			case v.Kind() == table.KindInt:
+				ints[v.Int()] = true
+			case v.Kind() != table.KindFloat:
+			case keyIntegral(f):
+				ints[int64(f)] = true
+			default:
+				bits[math.Float64bits(f)] = true
 			}
-		case table.KindString:
-			s.strs[v.Str()] = true
-		case table.KindBool:
-			s.boolv[v.Int()&1] = true
 		}
+		if k == table.KindInt {
+			return inLanes(k, in, intsOf, func(x int64) bool { return ints[x] != inv })
+		}
+		return inLanes(k, in, floatsOf, func(f float64) bool {
+			if keyIntegral(f) {
+				return ints[int64(f)] != inv
+			}
+			return bits[math.Float64bits(f)] != inv
+		})
+	case table.KindBool:
+		var has [2]bool
+		for _, v := range vals {
+			if v.Kind() == table.KindBool {
+				has[v.Int()&1] = true
+			}
+		}
+		return inLanes(k, in, intsOf, func(x int64) bool { return has[x&1] != inv })
+	case table.KindString:
+		strs := map[string]bool{}
+		for _, v := range vals {
+			if v.Kind() == table.KindString {
+				strs[v.Str()] = true
+			}
+		}
+		return strKernel(in, func(s string) bool { return strs[s] != inv })
 	}
-	return s
+	return constKernel(table.NewBool(false)) // NULL is in no list
 }
 
-func (s *inSets) hasFloat(f float64) bool {
-	if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e18 {
-		return s.ints[int64(f)]
-	}
-	return s.bits[math.Float64bits(f)]
+// keyIntegral reports whether Value.Key() folds the float f onto an
+// integer.
+func keyIntegral(f float64) bool {
+	return f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e18
 }
 
-func inKernel(in colKernel, vals []table.Value, inv bool) colKernel {
-	sets := buildInSets(vals)
+// inLanes is test of each lane of an operand of kind k whose payloads
+// are []T; a NULL lane is false.
+func inLanes[T int64 | float64](k table.Kind, in colKernel, payload func(*table.Vector) []T, test func(T) bool) colKernel {
+	var out []int64
+	return func(b *Batch) table.Vector {
+		v := in(b)
+		out = growTo(out, b.n)
+		o := out[:b.n]
+		if nullVec(&v, k) {
+			clear(o)
+		} else {
+			for i, x := range payload(&v)[:b.n] {
+				o[i] = btoi(test(x))
+			}
+			markNulls(nil, o, &v)
+		}
+		return table.Vector{K: table.VKBool, N: b.n, Ints: o}
+	}
+}
+
+// strKernel is test of each lane of a String operand, run once per
+// dictionary entry with the codes mapped through the results while the
+// dictionary is no wider than the batch; a NULL lane is false.
+func strKernel(in colKernel, test func(string) bool) colKernel {
 	var out []int64
 	var dictRes []bool
 	return func(b *Batch) table.Vector {
 		v := in(b)
 		n := b.n
-		out = growInts(out, n)
-		switch v.K {
-		case table.VKNull:
-			clear(out[:n])
-		case table.VKInt:
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				if nul && v.IsNull(i) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(sets.ints[v.Ints[i]] != inv)
-			}
-		case table.VKFloat:
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				if nul && v.IsNull(i) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(sets.hasFloat(v.Floats[i]) != inv)
-			}
-		case table.VKStr:
-			dictRes = growBools(dictRes, len(v.Dict))
+		out = growTo(out, n)
+		o := out[:n]
+		nul := v.HasNulls()
+		switch {
+		case nullVec(&v, table.KindString):
+			clear(o)
+		case len(v.Dict) <= n:
+			dictRes = growTo(dictRes, len(v.Dict))
 			for code, s := range v.Dict {
-				dictRes[code] = sets.strs[s] != inv
+				dictRes[code] = test(s)
 			}
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				if nul && v.IsNull(i) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(dictRes[v.Ints[i]])
-			}
-		default: // VKBool
-			nul := v.HasNulls()
-			for i := 0; i < n; i++ {
-				if nul && v.IsNull(i) {
-					out[i] = 0
-					continue
-				}
-				out[i] = btoi(sets.boolv[v.Ints[i]&1] != inv)
-			}
-		}
-		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
-	}
-}
-
-func likeKernel(in colKernel, pattern string, inv bool) colKernel {
-	match := compileLike(pattern)
-	var out []int64
-	var dictRes []bool
-	return func(b *Batch) table.Vector {
-		v := in(b)
-		n := b.n
-		out = growInts(out, n)
-		switch v.K {
-		case table.VKStr:
-			if len(v.Dict) <= n {
-				// Match each dictionary entry once, map codes through.
-				dictRes = growBools(dictRes, len(v.Dict))
-				for code, s := range v.Dict {
-					dictRes[code] = match(s) != inv
-				}
-				nul := v.HasNulls()
-				for i := 0; i < n; i++ {
-					if nul && v.IsNull(i) {
-						out[i] = 0
-						continue
-					}
-					out[i] = btoi(dictRes[v.Ints[i]])
-				}
-			} else {
-				nul := v.HasNulls()
-				for i := 0; i < n; i++ {
-					if nul && v.IsNull(i) {
-						out[i] = 0
-						continue
-					}
-					out[i] = btoi(match(v.Dict[v.Ints[i]]) != inv)
-				}
+			for i := range o {
+				o[i] = btoi(!(nul && v.IsNull(i)) && dictRes[v.Ints[i]])
 			}
 		default:
-			// Non-string input: row semantics yield false everywhere.
-			clear(out[:n])
+			for i := range o {
+				o[i] = btoi(!(nul && v.IsNull(i)) && test(v.Dict[v.Ints[i]]))
+			}
 		}
-		return table.Vector{K: table.VKBool, N: n, Ints: out[:n]}
+		return table.Vector{K: table.VKBool, N: n, Ints: o}
 	}
 }

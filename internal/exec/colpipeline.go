@@ -160,8 +160,8 @@ func (f *colFilterOp) Next() (Batch, error) {
 // truthyLanes appends to dst the live lanes of b on which the predicate
 // result v is true.
 func truthyLanes(dst []int32, v *table.Vector, b *Batch) []int32 {
-	if v.K != table.VKBool {
-		return dst // a non-boolean predicate result: nothing passes
+	if nullVec(v, table.KindBool) {
+		return dst // an all-NULL predicate: nothing passes
 	}
 	// NULL lanes carry payload 0, so truthiness is the payload.
 	if b.sel != nil {
@@ -398,7 +398,7 @@ type bucketCol struct {
 func (bc *bucketCol) vector(v *table.Vector, sel []int32) table.Vector {
 	switch v.K {
 	case table.VKInt, table.VKFloat:
-		bc.ints = growInts(bc.ints, v.N)
+		bc.ints = growTo(bc.ints, v.N)
 		for _, i := range sel {
 			bc.ints[i] = int64(math.Ceil(laneFloat(v, int(i)) / bc.width))
 		}
@@ -420,7 +420,7 @@ func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 		bc := &d.buckets[k]
 		d.keys = append(d.keys, bc.vector(&b.cols[bc.pos], sel))
 	}
-	d.ids = growInts(d.ids, b.n)
+	d.ids = growTo(d.ids, b.n)
 	d.kt.resolve(d.ids, d.keys, sel, nil)
 	var pass []int32
 	pass, d.em, d.held = d.s.AdmitBatch(sel, d.ids, b.weights, d.em[:0], d.held[:0])

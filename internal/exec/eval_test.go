@@ -95,7 +95,7 @@ func TestCompileNullSemantics(t *testing.T) {
 }
 
 func TestCompileUnknownColumn(t *testing.T) {
-	if _, err := compileColKernel(&lplan.ColRef{ID: 99, Name: "x"}, colMap{}, newLedger()); err == nil {
+	if _, err := compileColKernel(&lplan.ColRef{ID: 99, Name: "x", Kind: table.KindInt}, colMap{}, newLedger()); err == nil {
 		t.Error("unknown column must fail compilation")
 	}
 }

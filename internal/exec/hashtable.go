@@ -551,17 +551,16 @@ func (t *joinTable) thread(mem *ledger, ids []int64, lanes []int32) {
 
 // keyForm is how a join key column reaches joinKeys' form, fixed by the
 // declared kinds of its key pair (joinKeyForms). Integer, string and
-// bool keys pass as they are. A float key paired with a float key is
-// keyed by its bits, −0 read as +0. A float key paired with an integer
-// key is keyed by its integral value, and its other lanes match nothing.
-// A pair of any other kinds matches nothing.
+// bool keys paired with keys of their kind pass as they are. A key pair
+// with a Float side is keyed in float space, as Value.Equal compares
+// it: a Float key by its bits, −0 read as +0, and an Int key by the bits
+// of its conversion to float. The binder pairs no other kinds.
 type keyForm uint8
 
 const (
 	formAsIs keyForm = iota
 	formBits
-	formInts
-	formNone
+	formIntBits
 )
 
 // joinKeyForms returns the forms of the key pairs whose declared kinds
@@ -569,15 +568,14 @@ const (
 func joinKeyForms(left, right []table.Kind) (lf, rf []keyForm) {
 	lf, rf = make([]keyForm, len(left)), make([]keyForm, len(left))
 	for k, lk := range left {
-		switch rk := right[k]; {
-		case lk == table.KindFloat && rk == table.KindFloat:
+		if rk := right[k]; lk == table.KindFloat || rk == table.KindFloat {
 			lf[k], rf[k] = formBits, formBits
-		case lk == table.KindFloat && rk == table.KindInt:
-			lf[k] = formInts
-		case lk == table.KindInt && rk == table.KindFloat:
-			rf[k] = formInts
-		case lk != rk:
-			lf[k], rf[k] = formNone, formNone
+			if lk == table.KindInt {
+				lf[k] = formIntBits
+			}
+			if rk == table.KindInt {
+				rf[k] = formIntBits
+			}
 		}
 	}
 	return lf, rf
@@ -586,13 +584,13 @@ func joinKeyForms(left, right []table.Kind) (lf, rf []keyForm) {
 // joinKeys holds one join input's key vectors in their forms, under
 // which keyTable's equality is the join's equality (both keys not NULL
 // and Value.Equal), and the lanes that can match. A lane with a NULL or
-// a NaN in any key matches nothing and is left out. A float key becomes
-// an integer vector: of its bits, or of its integral values.
+// a NaN in any key matches nothing and is left out. A key keyed in float
+// space becomes an integer vector of float bits.
 type joinKeys struct {
 	forms []keyForm
 	keys  []table.Vector
 	lanes []int32
-	ints  [][]int64 // the integer form of float keys, by key
+	ints  [][]int64 // the float bits of keys keyed in float space, by key
 }
 
 func newJoinKeys(forms []keyForm) joinKeys {
@@ -609,25 +607,26 @@ func (jk *joinKeys) set(cols []table.Vector, idx []int, sel []int32) []int32 {
 		v := &cols[ci]
 		jk.keys[k] = *v
 		switch {
-		case v.K == table.VKNull || jk.forms[k] == formNone:
+		case v.K == table.VKNull:
 			lanes = jk.lanes[:0]
-		case v.K == table.VKFloat:
-			ints, kept, bits := extend(jk.ints[k][:0], v.N), jk.lanes[:0], jk.forms[k] == formBits
+		case jk.forms[k] != formAsIs:
+			ints, kept, widen := extend(jk.ints[k][:0], v.N), jk.lanes[:0], jk.forms[k] == formIntBits
 			for _, i := range lanes {
-				f := v.Floats[i]
+				var f float64
 				switch {
-				case v.Nulls != nil && v.IsNull(int(i)), f != f:
+				case v.Nulls != nil && v.IsNull(int(i)):
 					continue
-				case bits:
+				case widen:
+					f = float64(v.Ints[i])
+				default:
+					if f = v.Floats[i]; f != f {
+						continue
+					}
 					if f == 0 {
 						f = 0 // −0 keys as +0
 					}
-					ints[i] = int64(math.Float64bits(f))
-				case f < -(1<<63) || f >= 1<<63 || float64(int64(f)) != f:
-					continue // no int64 equals it
-				default:
-					ints[i] = int64(f)
 				}
+				ints[i] = int64(math.Float64bits(f))
 				kept = append(kept, i)
 			}
 			jk.ints[k], jk.keys[k], lanes = ints, table.Vector{K: table.VKInt, N: v.N, Ints: ints}, kept

@@ -492,8 +492,8 @@ func hashedJoinTable(build *Part, keyIdx []int, forms []keyForm) *joinTable {
 
 // refPairs is the join's key match on boxed values, the row reference's:
 // a probe lane pairs, in build order, with every build row whose key is
-// not NULL, has the lane's Hash64 and is Value.Equal to the lane's key;
-// under outer a lane with no match pairs with −1.
+// Value.Equal to the lane's key (an int and a float compared in float
+// space); under outer a lane with no match pairs with −1.
 func refPairs(build []table.Value, key table.Vector, sel []int32, outer bool) ([]int32, []int32) {
 	var pl, pr []int32
 	for i := 0; i < key.N; i++ {
@@ -502,7 +502,7 @@ func refPairs(build []table.Value, key table.Vector, sel []int32, outer bool) ([
 		}
 		x, matched := key.Value(i), false
 		for r, k := range build {
-			if !x.IsNull() && !k.IsNull() && x.Hash64() == k.Hash64() && x.Equal(k) {
+			if x.Equal(k) {
 				pl, pr, matched = append(pl, int32(i)), append(pr, int32(r)), true
 			}
 		}
@@ -525,9 +525,10 @@ func refPairs(build []table.Value, key table.Vector, sel []int32, outer bool) ([
 // int next to 2⁵³); a float build side holds NaN, −0, 0.5, 1e18 and
 // integral values. The probes are an int column with NULLs, floats that
 // are integral, not, NaN, ±Inf, −0, in [1e18, 2⁶³) or beyond int64,
-// strings, bools and an all-NULL column. Then both join shapes run
-// through the executor against the row reference, inner and left
-// outer, with and without a residual.
+// and an all-NULL column. Then both join shapes run through the
+// executor against the row reference, inner and left outer, with and
+// without a residual, for probe keys of every kind against build keys
+// they join.
 func TestDenseJoinMatchesHashJoin(t *testing.T) {
 	spaced := func(n int, lo, last int64) []table.Value {
 		ks := make([]int64, n)
@@ -577,7 +578,7 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 		if k := build.Cols[0].K; k != b.kind {
 			t.Fatalf("%s: build column of kind %d, want %d", b.name, k, b.kind)
 		}
-		var ints, floats, strs []table.Value
+		var ints, floats []table.Value
 		for _, k := range b.keys {
 			if k.IsNull() {
 				continue
@@ -588,7 +589,6 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 			}
 			f := k.Float()
 			floats = append(floats, table.NewFloat(f), table.NewFloat(f+0.5))
-			strs = append(strs, table.NewString(fmt.Sprint(k.Int())))
 		}
 		ints = append(ints, table.Null, table.NewInt(math.MinInt64), table.NewInt(math.MaxInt64), table.NewInt(0))
 		floats = append(floats, table.Null, table.NewFloat(math.NaN()), table.NewFloat(math.Inf(1)),
@@ -598,10 +598,8 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 		for _, f := range edges {
 			floats = append(floats, table.NewFloat(f))
 		}
-		strs = append(strs, table.Null)
 		probes := map[table.VecKind][]table.Value{
-			table.VKInt: ints, table.VKFloat: floats, table.VKStr: strs,
-			table.VKBool: {table.NewBool(true), table.Null, table.NewBool(false)},
+			table.VKInt: ints, table.VKFloat: floats,
 			table.VKNull: {table.Null, table.Null, table.Null},
 		}
 		for kind, vals := range probes {
@@ -636,13 +634,14 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 
 	probe, build := denseJoinFixture("dj")
 	for key := 0; key < 6; key++ {
+		bkey := map[int]int{3: 2, 4: 3}[key] // ks and kb join the build's string and bool keys, the rest its int key
 		for _, broadcast := range []bool{true, false} {
 			for _, kind := range []lplan.JoinKind{lplan.InnerJoin, lplan.LeftOuterJoin} {
 				for _, residual := range []bool{false, true} {
 					t.Run(fmt.Sprintf("key=%s/broadcast=%v/%v/residual=%v", probe.Schema.Cols[key].Name, broadcast, kind, residual), func(t *testing.T) {
 						sameAsReference(t, func() PNode {
 							ls, rs := scanOf(probe), scanOf(build)
-							lk, rk := []lplan.ColumnID{ls.OutCols[key].ID}, []lplan.ColumnID{rs.OutCols[0].ID}
+							lk, rk := []lplan.ColumnID{ls.OutCols[key].ID}, []lplan.ColumnID{rs.OutCols[bkey].ID}
 							var l, r PNode = ls, rs
 							if !broadcast {
 								l = &PExchange{In: l, Keys: lk, Parts: 3}
@@ -668,10 +667,10 @@ func TestDenseJoinMatchesHashJoin(t *testing.T) {
 // denseJoinFixture builds a probe table whose first six columns are join
 // keys of every kind — ints with NULLs, floats (integral, not, NaN, ±Inf,
 // −0, beyond int64), a float column appended ints and floats alike,
-// strings, bools, all NULL — plus a
-// payload v, and a build table over an int key with duplicates,
-// negatives and NULLs, whose broadcast and co-partitioned tables are
-// dense, plus a payload u.
+// strings, bools, all NULL — plus a payload v, and a build table over an
+// int key with duplicates, negatives and NULLs, whose broadcast and
+// co-partitioned tables are dense, plus a payload u and the string and
+// bool keys the probe's string and bool keys join.
 func denseJoinFixture(name string) (probe, build *table.Table) {
 	probe = table.New(name+"_probe", table.NewSchema(
 		table.Column{Name: "ki", Kind: table.KindInt},
@@ -699,13 +698,15 @@ func denseJoinFixture(name string) (probe, build *table.Table) {
 	build = table.New(name+"_build", table.NewSchema(
 		table.Column{Name: "k", Kind: table.KindInt},
 		table.Column{Name: "u", Kind: table.KindFloat},
+		table.Column{Name: "ks", Kind: table.KindString},
+		table.Column{Name: "kb", Kind: table.KindBool},
 	), 3)
 	for i := 0; i < 120; i++ {
-		k := table.NewInt(int64(i%13 - 6))
+		k, ks, kb := table.NewInt(int64(i%13-6)), table.NewString(fmt.Sprint(i%7)), table.NewBool(i%3 == 0)
 		if i%11 == 3 {
-			k = table.Null
+			k, ks, kb = table.Null, table.Null, table.Null
 		}
-		build.Append(i, table.Row{k, table.NewFloat(float64(i) / 8)})
+		build.Append(i, table.Row{k, table.NewFloat(float64(i) / 8), ks, kb})
 	}
 	return probe, build
 }

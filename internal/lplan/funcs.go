@@ -31,6 +31,50 @@ func JoinKinds(ks ...table.Kind) (table.Kind, bool) {
 	return j, true
 }
 
+// KindOf types a bound expression from its operands' declared kinds:
+// a comparison, AND, OR, NOT, IN, IS NULL and LIKE are Bool, % is Int,
+// / is Float, other arithmetic is Int over two Ints and Float
+// otherwise, a CASE is the join of its branches, and a function returns
+// FuncReturnKind's kind. The binder types every column by it, and the
+// executor compiles every kernel from it.
+func KindOf(e Expr) table.Kind {
+	switch x := e.(type) {
+	case *ColRef:
+		return x.Kind
+	case *Const:
+		return x.Val.Kind()
+	case *Binary:
+		switch {
+		case x.Op.IsComparison() || x.Op == OpAnd || x.Op == OpOr:
+			return table.KindBool
+		case x.Op == OpMod:
+			return table.KindInt
+		case x.Op == OpDiv:
+			return table.KindFloat
+		case KindOf(x.L) == table.KindInt && KindOf(x.R) == table.KindInt:
+			return table.KindInt
+		}
+		return table.KindFloat
+	case *Not, *In, *IsNull, *Like:
+		return table.KindBool
+	case *Neg:
+		return KindOf(x.X)
+	case *Func:
+		kinds := make([]table.Kind, len(x.Args))
+		for i, a := range x.Args {
+			kinds[i] = KindOf(a)
+		}
+		return FuncReturnKind(x.Name, kinds)
+	case *Case:
+		k := KindOf(x.Else) // NULL when there is none
+		for _, w := range x.Whens {
+			k, _ = JoinKinds(k, KindOf(w.Then))
+		}
+		return k
+	}
+	return table.KindNull
+}
+
 // FuncReturnKind reports the result kind of a scalar function given its
 // argument kinds; KindNull if the function is unknown. IF and COALESCE
 // return the join of the arguments they may return (KindNull when they

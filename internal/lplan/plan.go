@@ -3,6 +3,8 @@ package lplan
 import (
 	"fmt"
 	"strings"
+
+	"quickr/internal/table"
 )
 
 // Node is a logical plan operator.
@@ -124,6 +126,21 @@ type Join struct {
 func (j *Join) Columns() []ColumnInfo {
 	out := append([]ColumnInfo{}, j.Left.Columns()...)
 	return append(out, j.Right.Columns()...)
+}
+
+// FloatSpaceKeys reports whether a key pair joins an Int with a Float
+// column, the one pair of two kinds the binder admits. Such keys are
+// equal in float space (Value.Equal), where equal keys need not hash
+// alike (Value.Hash64): 2⁵³+1 equals 2⁵³.0.
+func (j *Join) FloatSpaceKeys() bool {
+	for k := range j.LeftKeys {
+		l, _ := ColumnByID(j.Left.Columns(), j.LeftKeys[k])
+		r, _ := ColumnByID(j.Right.Columns(), j.RightKeys[k])
+		if l.Kind == table.KindInt && r.Kind == table.KindFloat || l.Kind == table.KindFloat && r.Kind == table.KindInt {
+			return true
+		}
+	}
+	return false
 }
 
 // Children implements Node.

@@ -181,7 +181,8 @@ func isUnionLike(n lplan.Node) bool {
 
 func (pl *Planner) compileJoin(j *lplan.Join) (exec.PNode, error) {
 	shared := sharedUniverseP(j)
-	if pl.CM.Broadcast(j) {
+	// Keys equal in float space may route to two partitions: broadcast.
+	if pl.CM.Broadcast(j) || j.FloatSpaceKeys() {
 		left, err := pl.compile(j.Left)
 		if err != nil {
 			return nil, err
