@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	quickr [-sf 1] [-seed 0] [-batch 1024] [-check] [-sample-cache 67108864] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
+//	quickr [-sf 1] [-seed 0] [-batch 1024] [-sample-cache 67108864] [-history h.json] [-approx] [-explain] [-analyze] [-metrics] [-stats out.json] 'SELECT ...'
 //	quickr [-sf 1] -i            # simple REPL
 //	quickr [-sf 1] -serve :8080  # HTTP/JSON query service (see internal/service)
 //
@@ -14,7 +14,8 @@
 // machine-readable JSON run report ("-" for stdout). -sample-cache is
 // the byte budget of hot-sample reuse (64 MiB by default, 0 turns it
 // off): a repeated sampled query replays its sample instead of
-// re-scanning.
+// re-scanning. Every plan is verified against the sampler invariants
+// (internal/plancheck) before it runs; a violation fails the query.
 //
 // -cpuprofile/-memprofile write runtime/pprof profiles for the run; the
 // -serve mode instead exposes live profiles on /debug/pprof.
@@ -48,7 +49,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print simulated cluster metrics")
 	stats := flag.String("stats", "", "write a JSON run report to this path (\"-\" = stdout)")
 	batch := flag.Int("batch", 0, "executor batch size in rows (0 = default, <0 = one batch per partition)")
-	check := flag.Bool("check", false, "verify plan invariants (sampler dominance, universe pairing, weight propagation) at optimize time; violations fail the query")
 	sampleCache := flag.Int64("sample-cache", quickr.DefaultSampleCacheBytes, "byte budget of hot-sample reuse: repeated queries replay materialized sampler output instead of re-scanning (0 = off); answers are bit-identical warm or cold")
 	history := flag.String("history", "", "load the learned query history from this JSON file before running and save it back after (created if missing)")
 	interactive := flag.Bool("i", false, "interactive mode")
@@ -67,7 +67,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "loading TPC-DS-like data at sf=%.2g...\n", *sf)
 	eng := buildEngine(*sf, *seed)
 	eng.SetBatchSize(*batch)
-	eng.SetPlanChecks(*check)
 	eng.SetSampleCache(*sampleCache)
 	if *history != "" {
 		loadHistory(eng, *history)

@@ -338,7 +338,7 @@ func bitExact(res *quickr.Result) []string {
 // to stand in for: 16 goroutines loop exact, approximate and
 // error-contract queries on one engine while another goroutine cycles
 // every setting that promises bit-identical answers (batch size, sample
-// cache on/off, plan checks, the same seed again). Each query runs under
+// cache on/off, the same seed again). Each query runs under
 // the one snapshot it loaded, so no answer may differ from the quiesced
 // baseline and no query may fail; afterwards no goroutine is left over
 // and the plan cache serves repeats again.
@@ -382,11 +382,9 @@ func TestConcurrentReconfigure(t *testing.T) {
 		func() { eng.SetBatchSize(1) },
 		func() { eng.SetSampleCache(quickr.DefaultSampleCacheBytes) },
 		func() { eng.SetBatchSize(7) },
-		func() { eng.SetPlanChecks(true) },
 		func() { eng.SetBatchSize(0) },
 		func() { eng.SetSampleCache(0) },
 		func() { eng.SetBatchSize(-1) },
-		func() { eng.SetPlanChecks(false) },
 		func() { eng.SetSeed(seed) },
 	}
 	// One settings call per finished query: paced by the workers, so the

@@ -13,11 +13,11 @@ import (
 	"quickr/internal/stats"
 )
 
-// DefaultContractMaxEscalations bounds error-contract retries: a miss
+// ContractMaxEscalations bounds error-contract retries: a miss
 // escalates p one ladder rung at a time, and after this many
 // escalations the engine falls back to the exact plan (which satisfies
 // any error bound by construction).
-const DefaultContractMaxEscalations = 3
+const ContractMaxEscalations = 3
 
 // minContractSupport is the smallest per-group sample support whose
 // realized CI participates in the contract check; below it the normal
@@ -194,7 +194,7 @@ func (e *Engine) runContract(ctx context.Context, s *settings, stmt *sql.SelectS
 		esc++
 		metrics.ContractEscalations.Add(1)
 		info.Escalations = esc
-		if esc > s.contractMaxEsc || idx+1 >= len(opt.ContractLadder) {
+		if esc > ContractMaxEscalations || idx+1 >= len(opt.ContractLadder) {
 			break
 		}
 		idx++

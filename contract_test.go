@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"quickr"
+	"quickr/internal/core"
 	"quickr/internal/metrics"
 	"quickr/internal/testutil"
 )
@@ -67,7 +68,7 @@ func TestContractEscalationCapExactFallback(t *testing.T) {
 	if c.ChosenP != 0 {
 		t.Fatalf("exact fallback must report ChosenP=0, got %v", c.ChosenP)
 	}
-	if c.Attempts > quickr.DefaultContractMaxEscalations+2 {
+	if c.Attempts > quickr.ContractMaxEscalations+2 {
 		t.Fatalf("attempts %d exceed the escalation cap bound", c.Attempts)
 	}
 	if res.Sampled {
@@ -75,13 +76,15 @@ func TestContractEscalationCapExactFallback(t *testing.T) {
 	}
 }
 
-// TestContractMaxEscalationsZero: with the cap at zero the very first
-// miss goes straight to the exact fallback — one sampled attempt, one
-// exact attempt.
-func TestContractMaxEscalationsZero(t *testing.T) {
+// TestContractEscalationCapStopsLadder: a loose bound starts low on the
+// ladder, so the sampled rungs outnumber the cap; the cap, not the
+// ladder's end, ends the walk. ContractMaxEscalations+1 sampled misses
+// (the last one over the cap) precede the exact fallback. History
+// learning is off so no earlier miss informs the rung choice.
+func TestContractEscalationCapStopsLadder(t *testing.T) {
 	eng := newSkewedEngine(t, 40000, 8)
-	eng.SetContractMaxEscalations(0)
-	res, err := eng.ExecApprox(escalatorSQL)
+	eng.SetHistoryLearning(false)
+	res, err := eng.ExecApprox("SELECT g, SUM(v * v) FROM sk GROUP BY g ERROR WITHIN 60% CONFIDENCE 95%")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +92,32 @@ func TestContractMaxEscalationsZero(t *testing.T) {
 	if c == nil {
 		t.Fatal("contract query must carry ContractInfo")
 	}
-	if c.Attempts != 2 || c.Escalations != 1 || !c.Exact || !c.Satisfied {
-		t.Fatalf("cap=0 must mean one sampled miss then exact, got %+v", c)
+	if c.Escalations != quickr.ContractMaxEscalations+1 || c.Attempts != quickr.ContractMaxEscalations+2 ||
+		!c.Exact || !c.Satisfied {
+		t.Fatalf("want %d sampled misses then exact, got %+v", quickr.ContractMaxEscalations+1, c)
+	}
+}
+
+// TestPlanChecksFollowOptionsMaxP: every plan is verified against the
+// probability cap ASALQA planned under, so raising MaxP through
+// SetOptions lets a sampler above the paper's 0.1 default both plan
+// and pass the checker.
+func TestPlanChecksFollowOptionsMaxP(t *testing.T) {
+	eng := newSkewedEngine(t, 40000, 8)
+	opts := core.DefaultOptions()
+	opts.K, opts.MaxP = 1000, 0.5
+	eng.SetOptions(opts)
+	res, err := eng.ExecApprox("SELECT g, SUM(v) FROM sk GROUP BY g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Sampled || len(res.Samplers) == 0 {
+		t.Fatalf("want a sampled plan, got samplers %+v", res.Samplers)
+	}
+	for _, sm := range res.Samplers {
+		if sm.P <= 0.1 || sm.P > opts.MaxP {
+			t.Fatalf("sampler %+v: want p in (0.1, %g]", sm, opts.MaxP)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package quickr
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,18 +10,23 @@ import (
 // TestSetterEpochAudit enumerates every Engine.Set* method by
 // reflection and asserts each one publishes a snapshot with a higher
 // epoch: a setter that wrote configuration any other way than through
-// reconfigure would serve stale cached plans. New knobs are covered
-// automatically as they are added.
+// reconfigure would serve stale cached plans. The audited names must be
+// exactly the engine's knob surface below, so that adding, removing or
+// renaming a setter is a deliberate edit here.
 func TestSetterEpochAudit(t *testing.T) {
+	want := []string{
+		"SetBatchSize", "SetColumnar", "SetHistoryLearning", "SetOptions",
+		"SetPrimaryKey", "SetPrune", "SetSampleCache", "SetSeed",
+	}
 	eng := New()
 	typ := reflect.TypeOf(eng)
-	audited := 0
+	var audited []string
 	for i := 0; i < typ.NumMethod(); i++ {
 		m := typ.Method(i)
 		if !strings.HasPrefix(m.Name, "Set") {
 			continue
 		}
-		audited++
+		audited = append(audited, m.Name)
 		before := eng.cur.Load().epoch
 
 		// Call with zero values for every parameter (variadic tails
@@ -43,11 +49,9 @@ func TestSetterEpochAudit(t *testing.T) {
 				m.Name, before, after)
 		}
 	}
-	// The audit must actually cover the engine's knob surface; if the
-	// count shrinks someone renamed setters away from the Set* pattern
-	// and this audit silently stopped guarding them.
-	if audited < 10 {
-		t.Fatalf("audited only %d Set* methods, expected at least 10", audited)
+	// reflect lists methods in lexicographic order.
+	if !slices.Equal(audited, want) {
+		t.Fatalf("Engine's Set* methods are %v, want %v", audited, want)
 	}
 }
 
@@ -75,14 +79,6 @@ func TestContractKnobsInvalidateCache(t *testing.T) {
 	}
 	if !res.PlanCached {
 		t.Fatal("second identical run should be a plan-cache hit")
-	}
-	eng.SetContractMaxEscalations(5)
-	res, err = eng.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PlanCached {
-		t.Fatal("SetContractMaxEscalations must invalidate cached plans")
 	}
 	eng.SetHistoryLearning(false)
 	res, err = eng.Exec(q)

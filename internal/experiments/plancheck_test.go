@@ -7,22 +7,23 @@ import (
 )
 
 // TestWorkloadPlansSatisfyInvariants runs every workload query through
-// the optimizer with the plan-invariant verifier enabled, under both
+// a default engine, which verifies every plan it prepares, under both
 // the Baseline plan (no samplers) and the Quickr plan (ASALQA): a
 // violation of any sampler, universe-pairing, weight-propagation or
 // exchange/breaker invariant fails the optimize step. This is the
 // workload-wide gate behind internal/plancheck — every optimized
-// logical plan and every compiled physical plan for the TPC-DS, TPC-H
-// and Other suites must verify clean. The scale is the benchmark's: at
-// sf 1 q32 pairs two universe samplers across a three-way join, through
-// a column the outer join's keys reach only via the inner join's.
+// logical plan and every compiled physical plan for the TPC-DS, TPC-H,
+// Other and dashboard suites must verify clean. The scale is the
+// benchmark's: at sf 1 q32 pairs two universe samplers across a
+// three-way join, through a column the outer join's keys reach only via
+// the inner join's.
 func TestWorkloadPlansSatisfyInvariants(t *testing.T) {
 	env := NewFullEnv(1)
-	env.Eng.SetPlanChecks(true)
 	suites := map[string][]workload.Query{
-		"tpcds": workload.TPCDSQueries(),
-		"tpch":  workload.TPCHQueries(),
-		"other": workload.OtherQueries(),
+		"tpcds":     workload.TPCDSQueries(),
+		"tpch":      workload.TPCHQueries(),
+		"other":     workload.OtherQueries(),
+		"dashboard": workload.DashboardQueries(),
 	}
 	for name, suite := range suites {
 		for _, q := range suite {

@@ -5,11 +5,11 @@ import (
 	"quickr/internal/lplan"
 )
 
-// Contract-specific checks and checker-scoped error wrappers. Contract
-// escalation runs the planner with a raised probability cap (the
-// ladder's rung can exceed the paper's 0.1 default), so the engine
-// builds a Checker with the widened MaxP and calls these instead of the
-// package-level Logical/Physical.
+// Contract-specific checks and checker-scoped error wrappers. The
+// engine plans under its configured probability cap, raised to the
+// rung during contract escalation (a ladder rung can exceed the paper's
+// 0.1 default), so it builds a Checker with that MaxP and calls these
+// instead of the package-level Logical/Physical.
 
 // LogicalError checks a logical plan with this checker's configuration
 // and returns all violations joined into one error, or nil.

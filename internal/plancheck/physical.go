@@ -31,7 +31,7 @@ func (c *Checker) CheckPhysical(root exec.PNode) []Violation {
 	vs = append(vs, checkSharedUniverse(root)...)
 	vs = append(vs, checkPWeightReachesAggregate(root)...)
 	vs = append(vs, checkCachedSample(root)...)
-	return annotatePaths(vs, physicalPaths(root))
+	return annotatePaths(vs, root, physicalPaths)
 }
 
 // physicalPaths mirrors logicalPaths on the compiled plan: every node

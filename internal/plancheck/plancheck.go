@@ -11,10 +11,10 @@
 // every invariant from first principles, so a bug in ASALQA or the
 // physical planner cannot hide inside a shared helper. It runs
 //
-//   - over every optimized TPC-DS / TPC-H / Other workload plan in the
-//     experiment test suite,
-//   - behind Engine.SetPlanChecks(true) / `quickr -check` at optimize
-//     time, and
+//   - on every plan the engine prepares, before it executes: a
+//     violation fails the query instead of returning a biased answer,
+//   - over every optimized TPC-DS / TPC-H / Other / dashboard workload
+//     plan in the experiment test suite, and
 //   - inside the core and opt unit tests on the outputs of fixup and
 //     normalize rewrites.
 package plancheck
@@ -57,10 +57,15 @@ func (v Violation) String() string {
 
 // annotatePaths fills each violation's Path from the node recorded at
 // its construction site. Violations whose node is not in the map (or
-// was never recorded) keep an empty Path.
-func annotatePaths(vs []Violation, paths map[any]string) []Violation {
+// was never recorded) keep an empty Path. paths is only called when
+// there is something to annotate: a clean plan builds no map.
+func annotatePaths[N any](vs []Violation, root N, paths func(N) map[any]string) []Violation {
+	if len(vs) == 0 {
+		return vs
+	}
+	byNode := paths(root)
 	for i := range vs {
-		if p, ok := paths[vs[i].node]; ok {
+		if p, ok := byNode[vs[i].node]; ok {
 			vs[i].Path = p
 		}
 	}
@@ -131,7 +136,7 @@ func (c *Checker) CheckLogical(root lplan.Node) []Violation {
 	vs = append(vs, checkUniverseGroups(root)...)
 	vs = append(vs, checkUniversePairs(root)...)
 	vs = append(vs, checkWeightReachesAggregate(root)...)
-	return annotatePaths(vs, logicalPaths(root))
+	return annotatePaths(vs, root, logicalPaths)
 }
 
 // isReal reports whether s is a materialized, non-pass-through sampler.

@@ -347,3 +347,21 @@ func TestPhysicalViolationPath(t *testing.T) {
 		t.Errorf("violation path %q, want %q", vs[0].Path, wantPath)
 	}
 }
+
+// TestCleanPlanBuildsNoPathMap: the root→node path map exists only to
+// annotate violations, so a clean plan (every plan the engine prepares
+// in normal operation) never builds one.
+func TestCleanPlanBuildsNoPathMap(t *testing.T) {
+	plan := agg(uniform(scan(col(1, "a")), 0.05), 1)
+	annotatePaths(New().CheckLogical(plan), lplan.Node(plan), func(lplan.Node) map[any]string {
+		t.Fatal("clean logical plan built a path map")
+		return nil
+	})
+	samp := &exec.PSample{In: pscan(col(1, "a")), Def: lplan.SamplerDef{Type: lplan.SamplerUniform, P: 0.05}, Seed: 1}
+	pplan := pagg(&exec.PExchange{In: samp, Keys: []lplan.ColumnID{1}, Parts: 4}, true, 1)
+	pplan.Est = &exec.EstimatorConfig{Type: lplan.SamplerUniform, P: 0.05}
+	annotatePaths(New().CheckPhysical(pplan), exec.PNode(pplan), func(exec.PNode) map[any]string {
+		t.Fatal("clean physical plan built a path map")
+		return nil
+	})
+}

@@ -51,8 +51,6 @@ type QueryHistory struct {
 	SelRatio float64 `json:"sel_ratio,omitempty"`
 	// GroupRatio is EWMA actual/estimated output group count.
 	GroupRatio float64 `json:"group_ratio,omitempty"`
-	// PassRate is EWMA actual/expected sampler pass rate.
-	PassRate float64 `json:"pass_rate,omitempty"`
 	// LastGoodP is the sampling probability that last satisfied this
 	// query's contract (0 = none recorded); warm runs start the ladder
 	// here.
@@ -69,8 +67,6 @@ type Observation struct {
 	SelRatio float64
 	// GroupRatio is actual/estimated group count.
 	GroupRatio float64
-	// PassRate is actual/expected sampler pass rate.
-	PassRate float64
 	// GoodP, when >0, records a p that satisfied the contract.
 	GoodP float64
 }
@@ -124,9 +120,6 @@ func (h *History) Record(fp string, obs Observation) {
 	}
 	if obs.GroupRatio > 0 {
 		q.GroupRatio = ewma(q.GroupRatio, clampRatio(obs.GroupRatio))
-	}
-	if obs.PassRate > 0 {
-		q.PassRate = ewma(q.PassRate, clampRatio(obs.PassRate))
 	}
 	if obs.GoodP > 0 {
 		q.LastGoodP = obs.GoodP

@@ -12,7 +12,7 @@ import (
 
 func TestHistoryRoundTrip(t *testing.T) {
 	h := NewHistory()
-	h.Record("aaa", Observation{RowsPerSec: 1e6, CIRatio: 1.5, SelRatio: 0.8, GroupRatio: 1.2, PassRate: 0.9, GoodP: 0.05})
+	h.Record("aaa", Observation{RowsPerSec: 1e6, CIRatio: 1.5, SelRatio: 0.8, GroupRatio: 1.2, GoodP: 0.05})
 	h.Record("aaa", Observation{RowsPerSec: 2e6, CIRatio: 2.0})
 	h.Record("bbb", Observation{RowsPerSec: 5e5})
 

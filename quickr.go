@@ -122,17 +122,13 @@ type Engine struct {
 // and its execution depend on besides the query and the data. A
 // published value is never written again.
 type settings struct {
-	cfg        cluster.Config
-	opts       core.Options
-	seed       uint64
-	batchSize  int
-	planChecks bool
+	cfg       cluster.Config
+	opts      core.Options
+	seed      uint64
+	batchSize int
 	// historyOn enables the learned estimate-correction loop (query
 	// history feeding p selection and EXPLAIN ANALYZE `corrected=`).
 	historyOn bool
-	// contractMaxEsc bounds contract escalation retries before the
-	// exact fallback.
-	contractMaxEsc int
 	// epoch versions everything a prepared plan depends on: it
 	// increments on DDL, data loads and every Set* call, and keys the
 	// plan cache and the sample cache.
@@ -151,10 +147,9 @@ func New() *Engine {
 	e.cat.SetSampleStore(exec.NewSampleCache(DefaultSampleCacheBytes))
 	e.reconfigure(func(s *settings) {
 		*s = settings{
-			cfg:            cluster.DefaultConfig(),
-			opts:           core.DefaultOptions(),
-			historyOn:      true,
-			contractMaxEsc: DefaultContractMaxEscalations,
+			cfg:       cluster.DefaultConfig(),
+			opts:      core.DefaultOptions(),
+			historyOn: true,
 		}
 	})
 	return e
@@ -213,16 +208,6 @@ func (e *Engine) SetColumnar(bool) { e.reconfigure(nil) }
 // exec.prune.* points.
 func (e *Engine) SetPrune(bool) { e.reconfigure(nil) }
 
-// SetPlanChecks toggles the plan-invariant verifier
-// (internal/plancheck): when enabled, every optimized logical plan and
-// every compiled physical plan is checked against the paper's sampler
-// invariants (dominance, C1/C2 support, universe pairing, weight
-// propagation) and the executor's exchange/breaker discipline before
-// execution; a violation fails the query instead of silently returning
-// a biased answer. The CLI flag `quickr -check` enables the same
-// verifier.
-func (e *Engine) SetPlanChecks(on bool) { e.reconfigure(func(s *settings) { s.planChecks = on }) }
-
 // SetHistoryLearning toggles the learned estimate-correction loop:
 // when on (the default), every run records its actuals into the
 // query-history store and later runs of the same plan fingerprint blend
@@ -230,16 +215,6 @@ func (e *Engine) SetPlanChecks(on bool) { e.reconfigure(func(s *settings) { s.pl
 // (`corrected=`). Turning it off freezes the store (existing entries
 // are kept but neither consulted nor updated).
 func (e *Engine) SetHistoryLearning(on bool) { e.reconfigure(func(s *settings) { s.historyOn = on }) }
-
-// SetContractMaxEscalations bounds how many times a missed error
-// contract escalates p along the ladder before falling back to the
-// exact plan (values < 0 select the default).
-func (e *Engine) SetContractMaxEscalations(n int) {
-	if n < 0 {
-		n = DefaultContractMaxEscalations
-	}
-	e.reconfigure(func(s *settings) { s.contractMaxEsc = n })
-}
 
 // SetSampleCache sets the byte budget of hot-sample reuse; New starts
 // with DefaultSampleCacheBytes. The optimizer wraps each cacheable
@@ -577,18 +552,6 @@ func (e *Engine) recordHistory(fp string, prep *prepared, res *exec.Result) {
 			}
 		}
 	}
-	if res.Stats != nil {
-		for _, op := range res.Stats.Ops() {
-			if op.SamplerP <= 0 {
-				continue
-			}
-			t := op.Total()
-			if t.SamplerSeen > 0 {
-				obs.PassRate = (float64(t.SamplerPassed) / float64(t.SamplerSeen)) / op.SamplerP
-				break
-			}
-		}
-	}
 	e.history.Record(fp, obs)
 	metrics.HistoryRecords.Add(1)
 }
@@ -606,22 +569,22 @@ type prepared struct {
 	optTime        time.Duration
 }
 
-// prepareStmt optimizes one statement. minP > 0 floors every sampler's
-// probability at a contract ladder rung; MaxP and the plan checker's
-// cap are raised alongside so a rung above the paper's 0.1 default
-// still plans and verifies.
+// prepareStmt optimizes one statement and verifies both plans it
+// produces (internal/plancheck): a violated sampler, universe-pairing,
+// weight-propagation or exchange invariant fails the query instead of
+// returning a biased answer. minP > 0 floors every sampler's
+// probability at a contract ladder rung, and MaxP is raised alongside
+// so a rung above the paper's 0.1 default still plans. The checker
+// holds every sampler to the same cap ASALQA planned under.
 func (e *Engine) prepareStmt(s *settings, stmt *sql.SelectStmt, approx bool, minP float64) (*prepared, error) {
 	opts := s.opts
-	checker := plancheck.New()
 	if minP > 0 {
 		opts.MinP = minP
 		if opts.MaxP < minP {
 			opts.MaxP = minP
 		}
-		if checker.MaxP < minP {
-			checker.MaxP = minP
-		}
 	}
+	checker := plancheck.Checker{MaxP: opts.MaxP}
 	start := time.Now()
 	logical, est, err := e.bound(stmt)
 	if err != nil {
@@ -660,25 +623,20 @@ func (e *Engine) prepareStmt(s *settings, stmt *sql.SelectStmt, approx bool, min
 			}
 		}
 	}
-	if s.planChecks {
-		if err := checker.LogicalError(p.logical); err != nil {
-			return nil, fmt.Errorf("quickr: optimized logical plan is invalid: %w", err)
-		}
+	if err := checker.LogicalError(p.logical); err != nil {
+		return nil, fmt.Errorf("quickr: optimized logical plan is invalid: %w", err)
 	}
 	planner := &opt.Planner{CM: cm, EstCfg: estCfg, Seed: s.seed}
 	physical, err := planner.Plan(p.logical)
 	if err != nil {
 		return nil, err
 	}
-	if s.planChecks {
-		if err := checker.PhysicalError(physical); err != nil {
-			return nil, fmt.Errorf("quickr: compiled physical plan is invalid: %w", err)
-		}
+	if err := checker.PhysicalError(physical); err != nil {
+		return nil, fmt.Errorf("quickr: compiled physical plan is invalid: %w", err)
 	}
 	if stmt.Contract != nil && stmt.Contract.ErrPct > 0 {
 		// Contract-bearing sampled plans must carry an estimator — the
-		// realized-CI check is meaningless without one. Always enforced,
-		// independent of SetPlanChecks.
+		// realized-CI check is meaningless without one.
 		if err := checker.ContractError(physical); err != nil {
 			return nil, fmt.Errorf("quickr: contract plan is invalid: %w", err)
 		}
