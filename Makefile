@@ -76,15 +76,12 @@ loc:
 	@echo "non-test Go outside benchmark/ and testdata/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
 
 # Project-specific analyzers (see internal/lint and DESIGN.md §8/§13):
-# the syntactic walkers (norawrand, slotdiscipline, weightprop,
-# noprintf), the dataflow analyzers (lockdiscipline, ctxflow, hotalloc)
-# and //lint:ignore hygiene. Zero findings required. The
-# same invocation then proves the optimizer's rewrite registry sound
-# over $(SOUNDNESS_PLANS) generated plans (internal/opt/soundness);
-# nightly CI raises the sweep to 5000.
-SOUNDNESS_PLANS ?= 500
+# the syntactic walker noprintf, the dataflow analyzers lockdiscipline
+# and ctxflow, and //lint:ignore hygiene. Zero findings required. The
+# optimizer's rewrite-soundness sweep is TestSoundnessSweep in
+# `go test ./...`; nightly CI raises it to 5000 plans.
 quickrlint:
-	$(GO) run ./cmd/quickrlint -soundness $(SOUNDNESS_PLANS) ./...
+	$(GO) run ./cmd/quickrlint ./...
 
 # lint = vet + gofmt + quickrlint, plus staticcheck/govulncheck when
 # they are installed (the hermetic dev container has no network, so

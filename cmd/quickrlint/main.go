@@ -8,22 +8,15 @@
 //
 //	quickrlint [packages]       # default ./...
 //	quickrlint -list            # describe the analyzers
-//	quickrlint -soundness 500   # also prove the optimizer's rewrite
-//	                            # rules over 500 generated plans
 //
-// Analyzers: the syntactic walkers norawrand, slotdiscipline,
-// weightprop and noprintf, plus the CFG/dataflow analyzers
-// lockdiscipline, ctxflow and hotalloc (see internal/lint).
+// Analyzers: the syntactic walker noprintf, plus the CFG/dataflow
+// analyzers lockdiscipline and ctxflow (see internal/lint); each guards
+// a bug class no test catches. The rewrite-soundness prover runs as
+// TestSoundnessSweep under go test.
 // Broken //lint:ignore directives — missing a reason, or left behind
 // after the finding they suppressed is gone — are reported under the
 // pseudo-analyzer ignorehygiene. Suppress a single finding with a
 // `//lint:ignore <analyzer> <reason>` comment on or above the line.
-//
-// With -soundness N the command additionally runs the rewrite-
-// soundness prover (internal/opt/soundness): every rule in the
-// optimizer's registry is applied to N randomly generated legal plans
-// and checked for schema, weight-algebra, plancheck and idempotence
-// preservation. Any problem report names the seed that reproduces it.
 package main
 
 import (
@@ -32,12 +25,10 @@ import (
 	"os"
 
 	"quickr/internal/lint"
-	"quickr/internal/opt/soundness"
 )
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	plans := flag.Int("soundness", 0, "also run the optimizer rewrite-soundness prover over this many generated plans")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -59,16 +50,5 @@ func main() {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "quickrlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
-	}
-
-	if *plans > 0 {
-		st := soundness.Sweep(*plans, 1)
-		for _, p := range st.Problems {
-			fmt.Println(p)
-		}
-		fmt.Fprintf(os.Stderr, "quickrlint: soundness: %s\n", st.Summary())
-		if len(st.Problems) > 0 {
-			os.Exit(1)
-		}
 	}
 }

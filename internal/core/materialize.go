@@ -138,8 +138,9 @@ func (a *Asalqa) chooseSampler(input lplan.Node, st samplerState) lplan.SamplerD
 		// Universe sampling includes or excludes whole key subspaces, so
 		// both group coverage (Prop. 4: 1−(1−p)^|G(C)|) and estimator
 		// variance are governed by the number of distinct universe values
-		// per group, not by rows. Require p·|G(C)| ≥ 8 effective
-		// subspaces per group; below that the plan is rejected.
+		// per group, not by rows. Raise p until p·|G(C)| ≥ K (Opts.K,
+		// 30 by default) expected subspaces per group; a p above MaxP
+		// rejects the plan.
 		univDV := a.Est.NDVNoCap(input, st.Univ.Sorted())
 		perGroupUniv := math.Max(1, univDV/groupDV)
 		if pU := a.Opts.K / perGroupUniv; pU > p {

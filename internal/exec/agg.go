@@ -158,7 +158,8 @@ func (r *aggRunner) pick(b *Batch, idx []int) []table.Vector {
 // many there were. hashes, when not nil, holds the lanes' group hashes
 // by lane (the routing hashes of an exchange on the group keys).
 //
-//hot:per-batch grouped aggregation, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkGroupedAgg, BenchmarkAggDictKey, BenchmarkAggIntKeys).
 func (r *aggRunner) addBatch(b *Batch, hashes []uint64) int {
 	lanes := b.liveSel(r.ident)
 	if b.sel == nil {
@@ -183,7 +184,8 @@ func (r *aggRunner) addBatch(b *Batch, hashes []uint64) int {
 // live returns the lanes whose cond lane is true and whose arg lane is
 // not NULL; a nil vector tests nothing.
 //
-//hot:per-lane condition and NULL thinning of the aggregate
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkAggMinMax thins NULL arguments).
 func (r *aggRunner) live(lanes []int32, arg, cond *table.Vector) []int32 {
 	if cond != nil {
 		r.use = truthyLanes(r.use[:0], cond, &Batch{sel: lanes})
@@ -205,7 +207,8 @@ func (r *aggRunner) live(lanes []int32, arg, cond *table.Vector) []int32 {
 // fold accumulates aggregate j over the batch's lanes, whose group ids
 // (and subspace ids) addBatch has resolved.
 //
-//hot:per-lane accumulator loops of the aggregate, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey and BenchmarkAggIntKeys
+// TestHotPathAllocCeilings holds the allocations of its per-lane loops
+// (BenchmarkGroupedAgg, BenchmarkAggMinMax, BenchmarkUniverseAgg).
 func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 	a, kind, ng := &r.aggs[j], r.p.Aggs[j].Kind, r.groups.len()
 	var arg, cond *table.Vector
@@ -277,7 +280,9 @@ func (r *aggRunner) fold(j int, b *Batch, lanes []int32) {
 // (group id, lane of x) pairs: each group's first step comes from gh,
 // so only x is hashed per lane.
 //
-//hot:per-lane (group, value) pair hash of COUNT(DISTINCT) and the universe partial sums
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkCountDistinctOverExchange, BenchmarkAggMinMax,
+// BenchmarkUniverseAgg).
 func (r *aggRunner) pairHashes(x *table.Vector, lanes []int32) []uint64 {
 	h0 := table.HashRowSeed(exchangeHashSeed)
 	for g := len(r.gh); g < r.groups.len(); g++ {

@@ -2,12 +2,15 @@ package exec
 
 // Microbenchmarks for the executor's hottest paths — hash-join
 // build/probe (a bare join of each shape on dense keys, one on keys too
-// sparse to index, and a star join whose three broadcast probes run in
-// one fused chain), the keyed exchange (routed
+// sparse to index, one on keys that are NULL, NaN or compared in float
+// space, one without keys, and a star join whose three broadcast probes
+// run in one fused chain), the keyed exchange (routed
 // and gathered, and routed under the aggregate that folds it in place),
 // grouped aggregation (a two-column key, a lone dictionary key, a lone
-// integer key, COUNT(DISTINCT) behind an exchange), a range filter over
-// a float column, the distinct and universe samplers and window
+// integer key, a float and nullable string key, COUNT(DISTINCT) behind an
+// exchange, MIN and MAX, a universe sample's estimator), the comparison
+// kernels (a float range filter, and every operator over two int or two
+// float columns), the distinct and universe samplers and window
 // partitioning — plus the
 // parallel sort; the four kernel plans live in bench_kernel_test.go. Every plan is built by one function that both
 // its Benchmark (time, -benchmem) and TestHotPathAllocCeilings
@@ -15,6 +18,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -120,6 +124,19 @@ type hotPlan struct {
 // a quarter of what it is given at random, so fewer slabs come back
 // there (up to 1.7× the bytes, on the aggregate over the exchange) and
 // the ceiling doubles.
+//
+// The last seven rows were added so that the gated plans run every loop
+// of the functions whose allocations they guard: MIN and MAX, the
+// column-vs-column and the =, <>, <= and > constant compares, join keys
+// that are NULL, NaN or compared in float space, a float and a nullable
+// dictionary group key through the exchange, a universe-sampled
+// aggregate's subspace sums and a join without keys. On these plans the
+// -race build allocates 10–30% more objects than the 1.25× slack of the
+// plain build's count absorbs, so their count ceilings are 1.25× the
+// larger of the two (580/675, 1075/1239, 1080/1233, 634/776, 749/971,
+// 775/934 and 408/451 allocations at GOMAXPROCS 1, 2 and 8 / under
+// -race), and their byte ceilings 1.25× the plain build's (283, 263, 263,
+// 5 619, 3 301, 240 and 839 KB).
 var hotPlans = []hotPlan{
 	{"BenchmarkJoinBroadcast", joinBroadcastPlan, 1166, 12_748_000},
 	{"BenchmarkJoinCoPartitioned", joinCoPartitionedPlan, 1152, 12_776_000},
@@ -140,6 +157,13 @@ var hotPlans = []hotPlan{
 	{"BenchmarkCmpFloatConst", cmpFloatConstPlan, 728, 1_321_000},
 	{"BenchmarkJoinSparseKeys", joinSparseKeysPlan, 1005, 12_852_000},
 	{"BenchmarkUniverseSample", universeSamplePlan, 1141, 2_942_000},
+	{"BenchmarkAggMinMax", aggMinMaxPlan, 844, 354_000},
+	{"BenchmarkCmpIntCols", cmpIntColsPlan, 1549, 329_000},
+	{"BenchmarkCmpFloatCols", cmpFloatColsPlan, 1541, 329_000},
+	{"BenchmarkJoinNullKeys", joinNullKeysPlan, 970, 7_023_000},
+	{"BenchmarkAggFloatKey", aggFloatKeyPlan, 1214, 4_126_000},
+	{"BenchmarkUniverseAgg", universeAggPlan, 1168, 300_000},
+	{"BenchmarkCrossJoin", crossJoinPlan, 564, 1_049_000},
 }
 
 // TestHotPathAllocCeilings runs every gated plan under
@@ -150,8 +174,8 @@ var hotPlans = []hotPlan{
 // ledger unnoticed either.
 func TestHotPathAllocCeilings(t *testing.T) {
 	// A benchmark whose row is dropped from hotPlans is no longer gated.
-	if len(hotPlans) != 19 {
-		t.Fatalf("hotPlans holds %d plans, want the 19 gated benchmarks", len(hotPlans))
+	if len(hotPlans) != 26 {
+		t.Fatalf("hotPlans holds %d plans, want the 26 gated benchmarks", len(hotPlans))
 	}
 	for _, hp := range hotPlans {
 		t.Run(hp.name, func(t *testing.T) {
@@ -641,3 +665,242 @@ func sortPartitionsPlan() (PNode, int) {
 // BenchmarkSortPartitions measures the per-partition sort (two keys,
 // mixed direction) across independent partitions.
 func BenchmarkSortPartitions(b *testing.B) { benchPlan(b, sortPartitionsPlan) }
+
+// aggMinMaxPlan is a grouped MIN and MAX beside a COUNT(DISTINCT): 16
+// dictionary groups over four partitions, each partition meeting four,
+// with MIN of a float column that is NULL one lane in thirteen, MAX of a
+// string column and COUNT(DISTINCT) of that string, whose pair hashes
+// take the lane-by-lane path.
+func aggMinMaxPlan() (PNode, int) {
+	const parts, groups, rows = 4, 16, 65536
+	tbl := table.New("bench_minmax", table.NewSchema(
+		table.Column{Name: "g", Kind: table.KindString},
+		table.Column{Name: "v", Kind: table.KindFloat},
+		table.Column{Name: "s", Kind: table.KindString},
+	), parts)
+	for i := 0; i < rows; i++ {
+		v := table.NewFloat(float64(i*7919%1000) / 4)
+		if i%13 == 0 {
+			v = table.Value{}
+		}
+		tbl.Append(i, table.Row{table.NewString(fmt.Sprintf("g%02d", i%groups)), v, table.NewString(fmt.Sprintf("s%03d", i%300))})
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	g, v, s := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
+	agg := &PHashAgg{In: scan, GroupCols: []lplan.ColumnID{g.ID}, GroupInfo: []lplan.ColumnInfo{g}}
+	for _, spec := range []lplan.AggSpec{
+		{Kind: lplan.AggMin, Arg: v.ID, Out: lplan.ColumnInfo{Name: "lo", Kind: table.KindFloat}},
+		{Kind: lplan.AggMax, Arg: s.ID, Out: lplan.ColumnInfo{Name: "hi", Kind: table.KindString}},
+		{Kind: lplan.AggCountDistinct, Arg: s.ID, Out: lplan.ColumnInfo{Name: "ds", Kind: table.KindInt}},
+	} {
+		nextID++
+		spec.Cond, spec.Out.ID = lplan.NoColumn, nextID
+		agg.Aggs = append(agg.Aggs, spec)
+	}
+	return agg, groups // partition i%4 meets the groups g ≡ i (mod 4)
+}
+
+// BenchmarkAggMinMax measures the aggregate's MIN and MAX loop, which
+// compares each lane's value with its group's, and COUNT(DISTINCT) of a
+// string column.
+func BenchmarkAggMinMax(b *testing.B) { benchPlan(b, aggMinMaxPlan) }
+
+// cmpColsPlan counts, in a global aggregate per partition, the lanes where each of
+// the six comparisons of column a with column b holds and where a
+// compared with a constant by =, <>, <= and > does: 64 Ki lanes of the
+// given kind over four partitions.
+func cmpColsPlan(kind table.Kind) (PNode, int) {
+	const parts, rows = 4, 65536
+	tbl := table.New("bench_cmp_cols", table.NewSchema(
+		table.Column{Name: "a", Kind: kind},
+		table.Column{Name: "b", Kind: kind},
+	), parts)
+	for i := 0; i < rows; i++ {
+		tbl.Append(i, table.Row{table.NewInt(int64(i % 100)), table.NewInt(int64(i * 7919 % 100))})
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	col := func(c int) lplan.Expr {
+		return &lplan.ColRef{ID: scan.OutCols[c].ID, Name: scan.OutCols[c].Name, Kind: kind}
+	}
+	c := &lplan.Const{Val: table.NewInt(50)}
+	proj := &PProject{In: scan}
+	agg := &PHashAgg{In: proj, Top: true}
+	for _, e := range []lplan.Expr{
+		&lplan.Binary{Op: lplan.OpEq, L: col(0), R: col(1)},
+		&lplan.Binary{Op: lplan.OpNe, L: col(0), R: col(1)},
+		&lplan.Binary{Op: lplan.OpLt, L: col(0), R: col(1)},
+		&lplan.Binary{Op: lplan.OpLe, L: col(0), R: col(1)},
+		&lplan.Binary{Op: lplan.OpGt, L: col(0), R: col(1)},
+		&lplan.Binary{Op: lplan.OpGe, L: col(0), R: col(1)},
+		&lplan.Binary{Op: lplan.OpEq, L: col(0), R: c},
+		&lplan.Binary{Op: lplan.OpNe, L: col(0), R: c},
+		&lplan.Binary{Op: lplan.OpLe, L: col(0), R: c},
+		&lplan.Binary{Op: lplan.OpGt, L: col(0), R: c},
+	} {
+		nextID += 2
+		cond := lplan.ColumnInfo{ID: nextID - 1, Name: fmt.Sprintf("c%d", len(proj.Exprs)), Kind: table.KindBool}
+		proj.Exprs, proj.OutCols = append(proj.Exprs, e), append(proj.OutCols, cond)
+		agg.Aggs = append(agg.Aggs, lplan.AggSpec{Kind: lplan.AggCountIf, Arg: lplan.NoColumn, Cond: cond.ID,
+			Out: lplan.ColumnInfo{ID: nextID, Name: "n" + cond.Name, Kind: table.KindInt}})
+	}
+	return agg, parts // one global row per partition: no exchange gathers them
+}
+
+func cmpIntColsPlan() (PNode, int)   { return cmpColsPlan(table.KindInt) }
+func cmpFloatColsPlan() (PNode, int) { return cmpColsPlan(table.KindFloat) }
+
+// BenchmarkCmpIntCols measures the integer comparison kernels of two
+// columns and of a column and a constant, one loop per operator.
+func BenchmarkCmpIntCols(b *testing.B) { benchPlan(b, cmpIntColsPlan) }
+
+// BenchmarkCmpFloatCols is BenchmarkCmpIntCols over float columns.
+func BenchmarkCmpFloatCols(b *testing.B) { benchPlan(b, cmpFloatColsPlan) }
+
+// joinNullKeysPlan is a broadcast join on two keys that can fail to
+// match: the fact's string key is NULL one row in nine, and its float
+// key, joined to the dimension's integer key in float space, is NULL
+// one row in seven and NaN one row in eleven.
+func joinNullKeysPlan() (PNode, int) {
+	const parts, dimRows, factRows = 4, 2048, 32768
+	sc := table.NewSchema(
+		table.Column{Name: "s", Kind: table.KindString},
+		table.Column{Name: "k", Kind: table.KindInt},
+	)
+	dim := table.New("bench_null_dim", sc, parts)
+	for k := 0; k < dimRows; k++ {
+		dim.Append(k, table.Row{table.NewString(fmt.Sprintf("key-%04d", k)), table.NewInt(int64(k))})
+	}
+	fact := table.New("bench_null_fact", table.NewSchema(
+		table.Column{Name: "s", Kind: table.KindString},
+		table.Column{Name: "f", Kind: table.KindFloat},
+	), parts)
+	match := 0
+	for i := 0; i < factRows; i++ {
+		k := i % dimRows
+		s, f := table.NewString(fmt.Sprintf("key-%04d", k)), table.NewFloat(float64(k))
+		switch {
+		case i%9 == 0:
+			s = table.Value{}
+		case i%7 == 0:
+			f = table.Value{}
+		case i%11 == 0:
+			f = table.NewFloat(math.NaN())
+		default:
+			match++
+		}
+		fact.Append(i, table.Row{s, f})
+	}
+	ls, rs := scanOf(fact), scanOf(dim)
+	return &PHashJoin{
+		Kind: lplan.InnerJoin, Left: ls, Right: rs, Broadcast: true,
+		LeftKeys:  []lplan.ColumnID{ls.OutCols[0].ID, ls.OutCols[1].ID},
+		RightKeys: []lplan.ColumnID{rs.OutCols[0].ID, rs.OutCols[1].ID},
+	}, match
+}
+
+// BenchmarkJoinNullKeys measures the join's key forms: the lanes whose
+// keys can match are kept, a float key is keyed by its bits and an
+// integer key by the bits of its float, and the probe hashes the kept
+// lanes only.
+func BenchmarkJoinNullKeys(b *testing.B) { benchPlan(b, joinNullKeysPlan) }
+
+// aggFloatKeyPlan groups by a float column and a string column that is
+// NULL one row in five, behind a keyed exchange on both: 2048 float
+// values × 3 strings and NULL.
+func aggFloatKeyPlan() (PNode, int) {
+	const parts, rows = 4, 65536
+	tbl := table.New("bench_float_key", table.NewSchema(
+		table.Column{Name: "f", Kind: table.KindFloat},
+		table.Column{Name: "s", Kind: table.KindString},
+	), parts)
+	groups := map[[2]int]bool{}
+	for i := 0; i < rows; i++ {
+		f, s, si := table.NewFloat(float64(i%2048)/4), table.NewString(fmt.Sprintf("s%d", i%3)), i%3
+		if i%5 == 0 {
+			s, si = table.Value{}, -1
+		}
+		tbl.Append(i, table.Row{f, s})
+		groups[[2]int{i % 2048, si}] = true
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	f, s := scan.OutCols[0], scan.OutCols[1]
+	nextID++
+	return &PHashAgg{
+		In:        &PExchange{In: scan, Keys: []lplan.ColumnID{f.ID, s.ID}, Parts: parts},
+		GroupCols: []lplan.ColumnID{f.ID, s.ID},
+		GroupInfo: []lplan.ColumnInfo{f, s},
+		Aggs: []lplan.AggSpec{{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn,
+			Out: lplan.ColumnInfo{ID: nextID, Name: "n", Kind: table.KindInt}}},
+	}, len(groups)
+}
+
+// BenchmarkAggFloatKey measures a float and a nullable dictionary group
+// key: the exchange hashes the float lane by lane and the string by its
+// codes, and the group table compares float keys by their key forms.
+func BenchmarkAggFloatKey(b *testing.B) { benchPlan(b, aggFloatKeyPlan) }
+
+// universeAggPlan is universeSamplePlan's integer sample under its
+// estimating aggregate: SUM and COUNT per one of 8 dictionary groups,
+// whose variance is summed over the universe subspaces, so each lane
+// also lands in its (group, subspace) partial sum.
+func universeAggPlan() (PNode, int) {
+	const parts, keys, rows, p, seed = 4, 3000, 65536, 0.1, 31
+	tbl := table.New("bench_universe_agg", table.NewSchema(
+		table.Column{Name: "cust", Kind: table.KindInt},
+		table.Column{Name: "g", Kind: table.KindString},
+		table.Column{Name: "v", Kind: table.KindFloat},
+	), parts)
+	for i := 0; i < rows; i++ {
+		tbl.Append(i, table.Row{table.NewInt(int64(i*7919%keys + 1)), table.NewString(fmt.Sprintf("g%d", i%8)), table.NewFloat(float64(i % 100))})
+	}
+	tbl.EnsureColumnar()
+	scan := scanOf(tbl)
+	cust, g, v := scan.OutCols[0], scan.OutCols[1], scan.OutCols[2]
+	smp := &PSample{In: scan, Def: lplan.SamplerDef{Type: lplan.SamplerUniverse, P: p, Cols: []lplan.ColumnID{cust.ID}, Seed: seed}}
+	nextID += 2
+	return &PHashAgg{
+		In:        &PExchange{In: smp, Keys: []lplan.ColumnID{g.ID}, Parts: parts},
+		GroupCols: []lplan.ColumnID{g.ID},
+		GroupInfo: []lplan.ColumnInfo{g},
+		Aggs: []lplan.AggSpec{
+			{Kind: lplan.AggSum, Arg: v.ID, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID - 1, Name: "sum_v", Kind: table.KindFloat}},
+			{Kind: lplan.AggCount, Arg: lplan.NoColumn, Cond: lplan.NoColumn, Out: lplan.ColumnInfo{ID: nextID, Name: "n", Kind: table.KindInt}},
+		},
+		Est: &EstimatorConfig{Type: lplan.SamplerUniverse, P: p, UniverseCols: []lplan.ColumnID{cust.ID}},
+		Top: true,
+	}, 8
+}
+
+// BenchmarkUniverseAgg measures the aggregate over a universe sample:
+// besides its group, every lane is resolved to its universe subspace and
+// folded into the (group, subspace) partial sums.
+func BenchmarkUniverseAgg(b *testing.B) { benchPlan(b, universeAggPlan) }
+
+// crossJoinPlan is a join with no keys, 256 rows by 16, whose build side
+// carries an all-NULL column: every probe lane meets every build row, and
+// the gather copies the NULL column's lanes as NULLs.
+func crossJoinPlan() (PNode, int) {
+	const parts, left, right = 4, 256, 16
+	sc := table.NewSchema(table.Column{Name: "k", Kind: table.KindInt})
+	lt, rt := table.New("bench_cross_l", sc, parts), table.New("bench_cross_r", sc, 1)
+	for i := 0; i < left; i++ {
+		lt.Append(i, table.Row{table.NewInt(int64(i))})
+	}
+	for i := 0; i < right; i++ {
+		rt.Append(i, table.Row{table.NewInt(int64(i))})
+	}
+	rs := scanOf(rt)
+	nextID++
+	proj := &PProject{In: rs, Exprs: []lplan.Expr{
+		&lplan.ColRef{ID: rs.OutCols[0].ID, Name: "k", Kind: table.KindInt},
+		&lplan.Const{Val: table.Value{}},
+	}, OutCols: []lplan.ColumnInfo{rs.OutCols[0], {ID: nextID, Name: "none", Kind: table.KindNull}}}
+	return &PHashJoin{Kind: lplan.InnerJoin, Left: scanOf(lt), Right: proj, Broadcast: true}, left * right
+}
+
+// BenchmarkCrossJoin measures a join without keys: one build tuple, and
+// every probe lane gathered against every build row.
+func BenchmarkCrossJoin(b *testing.B) { benchPlan(b, crossJoinPlan) }

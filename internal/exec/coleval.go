@@ -594,7 +594,8 @@ func flipCmp(op lplan.BinOp) lplan.BinOp {
 // semantics: over floats a NaN compares 0 with anything, so Le and Ge
 // hold and Lt, Gt and Eq do not.
 //
-//hot:numeric compare against a constant, operator hoisted out of the lane loop
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkCmpFloatConst, BenchmarkCmpIntCols, BenchmarkCmpFloatCols).
 func cmpConst[T int64 | float64](op lplan.BinOp, out []int64, a []T, c T) {
 	out = out[:len(a)]
 	switch op {
@@ -629,7 +630,8 @@ func cmpConst[T int64 | float64](op lplan.BinOp, out []int64, a []T, c T) {
 
 // cmpCols writes op(a[i], b[i]) to out[i], with cmpConst's semantics.
 //
-//hot:numeric compare of two columns, operator hoisted out of the lane loop
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkCmpIntCols, BenchmarkCmpFloatCols).
 func cmpCols[T int64 | float64](op lplan.BinOp, out []int64, a, b []T) {
 	out, b = out[:len(a)], b[:len(a)]
 	switch op {

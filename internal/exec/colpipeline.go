@@ -346,7 +346,8 @@ func (u *universeLanes) admit(b *Batch, sel []int32) []int32 {
 // coords sets hashes, by lane, to the coordinate of every live lane sel
 // of b.
 //
-//hot:universe sampler coordinate per live lane, gated by BenchmarkUniverseSample allocs/op
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkUniverseSample).
 func (u *universeLanes) coords(b *Batch, sel []int32) {
 	u.keys = u.keys[:0]
 	for _, ci := range u.s.Cols {
@@ -435,7 +436,8 @@ func (d *distinctLanes) admit(b *Batch, sel []int32) Batch {
 // the drained rows d.em lists, interleaved in emission order: each run of
 // lanes copies from src, each run of drained rows from hold.
 //
-//hot:distinct sampler emission builder, per batch with a drain
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkDistinctSample).
 func (d *distinctLanes) emit(src []table.Vector, w []float64, pass []int32) Batch {
 	for c := range d.out.cols {
 		d.out.cols[c].reset()
@@ -550,7 +552,8 @@ func (o *colProbeOp) charge(live int) {
 // probe joins the live lanes of b and returns the output batch (empty
 // when no pair survived).
 //
-//hot:join probe, per batch
+// TestHotPathAllocCeilings holds its allocations per run (the
+// BenchmarkJoin* plans, BenchmarkStarJoin, BenchmarkCrossJoin).
 func (o *colProbeOp) probe(b *Batch) Batch {
 	sel := b.liveSel(o.selBuf)
 	if b.sel == nil {
@@ -1029,7 +1032,8 @@ func (ex *executor) aggRoutes(p *PHashAgg, rt *routes, deps []int) (*stream, err
 // fold feeds the runners of stripe t every source window's routed lanes,
 // with their kept hashes.
 //
-//hot:striped aggregate fold over routed lanes, per window
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkAggOverExchange, BenchmarkCountDistinctOverExchange).
 func (rt *routes) fold(ctx context.Context, t, tasks int, runners []*aggRunner) error {
 	var b Batch
 	for i := range rt.srcs {

@@ -70,7 +70,8 @@ func (t *hashIndex) home(h uint64) uint64 { return (h * 0x9e3779b97f4a7c15) >> t
 // reports a true key match, or -1. eq only runs on slots with an exact
 // hash match, so with a sound hash it is rarely called more than once.
 //
-//hot:per-row open-addressing probe, gated by BenchmarkGroupedAgg allocs/op
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkGroupedAgg, BenchmarkJoinSparseKeys).
 func (t *hashIndex) probe(h uint64, eq func(int) bool) int {
 	//lint:ignore ctxflow open-addressing probe; load factor < 1/2 guarantees a vacant slot within one wrap
 	for s := t.home(h); ; s = (s + 1) & t.mask {
@@ -278,7 +279,9 @@ func (t *keyTable) len() int {
 // holds the lanes' hashes by lane (hashKeys of keys under
 // exchangeHashSeed), and resolve hashes nothing itself.
 //
-//hot:per-lane group-id and stratum-id resolution, gated by BenchmarkGroupedAgg, BenchmarkAggDictKey, BenchmarkAggIntKeys and BenchmarkDistinctSample
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkGroupedAgg, BenchmarkAggDictKey, BenchmarkAggIntKeys,
+// BenchmarkDistinctSample; BenchmarkCmpIntCols for the empty key).
 func (t *keyTable) resolve(ids []int64, keys []table.Vector, lanes []int32, hashes []uint64) {
 	if len(keys) == 0 || len(lanes) == 0 {
 		// The empty tuple is one key.
@@ -374,7 +377,8 @@ func (t *keyTable) allInts(keys []table.Vector) bool {
 
 // probeInts is hashIndex.probe for allInts keys, without the callback.
 //
-//hot:per-row closure-free group probe, gated by BenchmarkAggIntKeys allocs/op
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkAggIntKeys).
 func (t *keyTable) probeInts(h uint64, keys []table.Vector, i int) int {
 	x := t.idx
 	//lint:ignore ctxflow open-addressing probe; load factor < 1/2 guarantees a vacant slot within one wrap
@@ -434,7 +438,8 @@ func (t *keyTable) appendInts(keys []table.Vector, i int) {
 // unsigned bound a lane. find inserts, refreshes and borrows nothing,
 // so concurrent finds in one table are safe once resolve has returned.
 //
-//hot:per-lane key lookup of join probes, gated by BenchmarkJoin* and BenchmarkStarJoin allocs/op
+// TestHotPathAllocCeilings holds its allocations per run (the
+// BenchmarkJoin* plans, BenchmarkStarJoin, BenchmarkCrossJoin).
 func (t *keyTable) find(ids []int64, keys []table.Vector, lanes []int32, hashes []uint64) {
 	switch {
 	case len(keys) == 0: // the empty tuple is id 0 once met
@@ -472,7 +477,8 @@ func (t *keyTable) refresh() {
 // keyLanesEqual reports whether lane i of every a[k] and lane j of b[k]
 // have equal Value.Key() forms.
 //
-//hot:per-probe key compare of the aggregate's group tables
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkGroupedAgg, BenchmarkAggFloatKey).
 func keyLanesEqual(a []table.Vector, i int, b []table.Vector, j int) bool {
 	for k := range a {
 		av, bv := &a[k], &b[k]
@@ -600,7 +606,8 @@ func newJoinKeys(forms []keyForm) joinKeys {
 // set takes the key columns idx of cols over the live lanes sel and
 // returns the lanes that can match: sel itself when all of them can.
 //
-//hot:join key forms, per live lane of a nullable or float key
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkJoinNullKeys).
 func (jk *joinKeys) set(cols []table.Vector, idx []int, sel []int32) []int32 {
 	lanes := sel
 	for k, ci := range idx {

@@ -140,7 +140,8 @@ func (pb *partBuilder) appendBatch(b *Batch) { pb.appendLanes(b.cols, b.sel, b.n
 // appendLanes appends the lanes sel (nil = all n) of cols with their
 // weights.
 //
-//hot:pipeline sink and exchange gather, per batch
+// TestHotPathAllocCeilings holds its allocations per run (every
+// plan sinks through it).
 func (pb *partBuilder) appendLanes(cols []table.Vector, sel []int32, n int, weights []float64) {
 	for c := range pb.cols {
 		pb.cols[c].appendLanes(&cols[c], sel, pb.share)
@@ -236,7 +237,8 @@ func (s *partSource) Next() (Batch, error) {
 // k, nil or the dictHashes of keys[k]'s dictionary, so that a string
 // lane costs one load instead of hashing its bytes.
 //
-//hot:per-lane exchange and join key hash
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkExchangeGather, BenchmarkJoinNullKeys, BenchmarkAggFloatKey).
 func hashKeys(out []uint64, keys []table.Vector, codes [][]uint64, seed uint64, sel []int32, n int) {
 	h0 := table.HashRowSeed(seed)
 	if sel != nil {

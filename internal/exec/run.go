@@ -479,7 +479,8 @@ func routeParts(fan func(int, func(int) error) error, mem *ledger, srcs []Part, 
 // string key whose dictionary is no longer than the source hashes once
 // per dictionary code.
 //
-//hot:exchange routing, per window
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkExchangeGather, BenchmarkAggOverExchange, BenchmarkAggFloatKey).
 func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 	src, parts, mod := &rt.srcs[i], rt.parts, uint64(rt.parts)
 	lanes := slab[int32](rt.mem, src.N)
@@ -542,7 +543,8 @@ func (rt *routes) route(i int, keyIdx []int, rows []int64, bytes []float64) {
 // gather builds destination d's partition: its lanes of every source, in
 // (source, lane) order, appended once into columns of their final size.
 //
-//hot:exchange gather, per destination
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkExchangeGather).
 func (rt *routes) gather(ctx context.Context, d int) (Part, error) {
 	pb := newPartBuilder(rt.mem, rt.width, int(rt.rows[d]))
 	var cols []table.Vector

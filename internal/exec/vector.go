@@ -226,7 +226,9 @@ func (bd *vecBuilder) appendGather(v *table.Vector, idx []int32) {
 	}
 }
 
-//hot:per-lane typed copy at every pipeline sink, exchange gather and join gather
+// appendLanes copies lanes at every pipeline sink, exchange gather and
+// join gather; TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkCrossJoin gathers an all-NULL column).
 func (bd *vecBuilder) appendLanes(v *table.Vector, sel []int32, gather bool) {
 	m := v.N
 	if sel != nil {
@@ -331,7 +333,8 @@ func (bd *vecBuilder) zeroNull(i int) {
 // appendCodes writes the builder's own dictionary codes for the
 // selected string lanes of v into dst. NULL lanes get code 0.
 //
-//hot:per-lane dictionary code translation
+// TestHotPathAllocCeilings holds its allocations per run
+// (BenchmarkExchangeGather, BenchmarkJoinBroadcast).
 func (bd *vecBuilder) appendCodes(dst []int64, v *table.Vector, sel []int32, adopt bool) {
 	bd.setSource(v.Dict, adopt)
 	if bd.shared {

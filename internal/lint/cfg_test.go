@@ -249,86 +249,6 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 	t.Errorf("fallthrough edge from case 1 to case 2 missing (succs=%d)", len(ab.succs))
 }
 
-func TestReachingDefsPreallocationVisible(t *testing.T) {
-	_, fn := parseFunc(t, `func f(n int, rows []int) {
-		out := make([]int, 0, n)
-		var bad []int
-		for _, r := range rows {
-			out = append(out, r)
-			bad = append(bad, r)
-		}
-		_ = bad
-	}`)
-	g := buildCFG(fn.Body)
-	ra := reachingDefs(g)
-
-	// Find the append statements inside the loop.
-	var appendStmts []ast.Node
-	for _, b := range g.blocks {
-		for _, s := range b.stmts {
-			if as, ok := s.(*ast.AssignStmt); ok {
-				if call, ok := as.Rhs[0].(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
-						appendStmts = append(appendStmts, s)
-					}
-				}
-			}
-		}
-	}
-	if len(appendStmts) != 2 {
-		t.Fatalf("found %d append stmts, want 2", len(appendStmts))
-	}
-	for _, s := range appendStmts {
-		name := s.(*ast.AssignStmt).Lhs[0].(*ast.Ident).Name
-		defs := ra.defsOf(s, name)
-		if len(defs) == 0 {
-			t.Fatalf("no reaching defs for %s at its append", name)
-		}
-		// Both the outer def and (after one iteration) the self-def
-		// must reach: 2 defs each.
-		if len(defs) != 2 {
-			t.Errorf("%s: got %d reaching defs, want 2 (outer + loop self-def)", name, len(defs))
-		}
-		var outer *def
-		for _, d := range defs {
-			if d.node != s {
-				outer = d
-			}
-		}
-		if outer == nil {
-			t.Fatalf("%s: outer def not reaching", name)
-		}
-		wantPrealloc := name == "out"
-		if got := !unpreallocated(outer.rhs); got != wantPrealloc {
-			t.Errorf("%s: preallocated = %v, want %v", name, got, wantPrealloc)
-		}
-	}
-}
-
-func TestReachingDefsKillOnReassign(t *testing.T) {
-	_, fn := parseFunc(t, `func f() {
-		x := 1
-		x = 2
-		use(x)
-	}`)
-	g := buildCFG(fn.Body)
-	ra := reachingDefs(g)
-	var useStmt ast.Node
-	for _, b := range g.blocks {
-		for _, s := range b.stmts {
-			if es, ok := s.(*ast.ExprStmt); ok {
-				if _, ok := es.X.(*ast.CallExpr); ok {
-					useStmt = s
-				}
-			}
-		}
-	}
-	defs := ra.defsOf(useStmt, "x")
-	if len(defs) != 1 {
-		t.Fatalf("got %d defs of x at use, want 1 (reassignment kills)", len(defs))
-	}
-}
-
 func TestLockFlowBranchesIntersect(t *testing.T) {
 	_, fn := parseFunc(t, `func f(c bool) {
 		if c {

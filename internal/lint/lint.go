@@ -1,6 +1,7 @@
 // Package lint is a small, dependency-free static-analysis framework
-// for project-specific correctness rules, plus the four analyzers the
-// quickrlint multichecker runs.
+// for project-specific correctness rules, plus the three analyzers the
+// quickrlint multichecker runs. An analyzer stays only while it guards a
+// bug class that no test catches.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic, testdata fixtures with `// want`
@@ -13,8 +14,8 @@
 // directory, parsed with comments, plus the module-qualified import
 // path (used to scope rules to e.g. quickr/internal/sampler). Analysis
 // is purely syntactic — no type checking — which is sufficient for the
-// rules here because they key on import names and well-known method
-// names, and keeps a whole-repo run under a second.
+// rules here because they key on import names, well-known method names
+// and annotation comments, and keeps a whole-repo run under a second.
 //
 // A finding can be suppressed by the line-oriented directive
 //
@@ -218,14 +219,11 @@ func Run(root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, e
 	return diags, nil
 }
 
-// All returns the full quickrlint analyzer suite: the original
-// syntactic walkers plus the dataflow analyzers built on the CFG
-// framework (cfg.go, dataflow.go).
+// All returns the full quickrlint analyzer suite: the syntactic
+// walkers plus the dataflow analyzers built on the CFG framework
+// (cfg.go, dataflow.go).
 func All() []*Analyzer {
-	return []*Analyzer{
-		NoRawRand, SlotDiscipline, WeightProp, NoPrintf,
-		LockDiscipline, CtxFlow, HotAlloc,
-	}
+	return []*Analyzer{NoPrintf, LockDiscipline, CtxFlow}
 }
 
 // importName returns the local name the file binds for the package

@@ -153,9 +153,9 @@ func TestNormalizePrunesProjectExpressions(t *testing.T) {
 // TestNormalizePreservesScanWeightColumn is the regression test for
 // pruneColumns rebuilding a Scan without its apriori-sample weight
 // column: the rebuilt scan silently reset every row weight to 1 and
-// biased BlinkDB-baseline estimates by 1/p. plancheck's
-// weight-propagation rule and the quickrlint weightprop analyzer both
-// guard this threading now.
+// biased BlinkDB-baseline estimates by 1/p. This test, plancheck's
+// weight-propagation rule and TestSoundnessSweep's weight algebra guard
+// this threading now.
 func TestNormalizePreservesScanWeightColumn(t *testing.T) {
 	cat, est := fixture(t)
 	plan := bindQ(t, cat, "SELECT f_dim, COUNT(*) FROM fact GROUP BY f_dim")

@@ -4,8 +4,8 @@ package soundness
 // legal by construction — plancheck-clean before any rewrite runs — so
 // a violation appearing after a rule fires is attributable to that
 // rule. The generator draws every decision from one rand.New(
-// rand.NewSource(seed)) stream (the global math/rand source is banned
-// by the norawrand analyzer), so a failing seed replays exactly.
+// rand.NewSource(seed)) stream, so a failing seed replays exactly
+// (TestCheckSeedReplays holds it to that).
 //
 // Shapes covered: single-table and joined (fact⋈dim FK, fact⋈dim
 // non-FK, fact⋈fact with paired universe samplers) chains of selects

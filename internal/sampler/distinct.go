@@ -191,7 +191,8 @@ func (d *Distinct) reservoir(id int32) *reservoir {
 // sampler's life: the k-th lane held is handle k, and the caller keeps
 // its row until the partition ends.
 //
-//hot:distinct sampler admit loop, per live lane
+// internal/exec's TestHotPathAllocCeilings holds its allocations per
+// run (BenchmarkDistinctSample).
 func (d *Distinct) AdmitBatch(sel []int32, ids []int64, weights []float64, drains []Emit, held []int32) ([]int32, []Emit, []int32) {
 	delta := int64(d.Delta)
 	overflow, mult := int64(float64(d.ReservoirSize)/d.P), 1/d.P

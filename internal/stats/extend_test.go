@@ -339,4 +339,34 @@ func TestCollectAllocCeiling(t *testing.T) {
 	if perLane > ceiling {
 		t.Errorf("%.4f allocations per folded lane, ceiling %.4f", perLane, ceiling)
 	}
+
+	// An extension by 16 rows, two a partition, folds a tail shorter than
+	// the string columns' dictionaries lane by lane (foldLanes). Its rows
+	// are built and appended between the measured gets.
+	const rounds, tail = 20, 16
+	e := newEntry(tbl)
+	e.get()
+	var rows []table.Row
+	for i := 0; i < rounds*tail; i++ {
+		rows = append(rows, table.Row{table.NewInt(int64(i)), table.NewInt(int64(i % 97)),
+			table.NewString(fmt.Sprintf("/page/%d", i%40)), table.NewString([]string{"Chile", "Peru", "Kenya"}[i%3]),
+			table.NewInt(200), table.NewInt(int64(300 + i)), table.NewFloat(float64(i) / 8)})
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for r := 0; r < rounds; r++ {
+		for i := r * tail; i < (r+1)*tail; i++ {
+			tbl.Append(i, rows[i])
+		}
+		runtime.ReadMemStats(&before)
+		e.get()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	perExtend := float64(mallocs) / rounds
+	t.Logf("%.1f allocations per %d-row extension", perExtend, tail)
+	const extendCeiling = 1.25 * 94
+	if perExtend > extendCeiling {
+		t.Errorf("%.1f allocations per %d-row extension, ceiling %.1f", perExtend, tail, extendCeiling)
+	}
 }

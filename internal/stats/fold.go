@@ -70,7 +70,7 @@ func (a *colAcc) bound(v table.Value) {
 // foldLanes is the kernel for short dictionary tails: lane by lane,
 // through Value.
 //
-//hot:per-lane kernel of the statistics fold over short dictionary tails
+// TestCollectAllocCeiling holds its allocations per extension.
 func (a *colAcc) foldLanes(cv *table.Vector, lo, hi int, f *folder) {
 	for i := lo; i < hi; i++ {
 		v := cv.Value(i)
@@ -87,7 +87,7 @@ func (a *colAcc) foldLanes(cv *table.Vector, lo, hi int, f *folder) {
 
 // foldInts is the kernel for integer columns; min/max merge per block.
 //
-//hot:per-lane integer kernel of the statistics fold, gated by TestCollectAllocCeiling
+// TestCollectAllocCeiling holds its allocations per folded lane.
 func (a *colAcc) foldInts(cv *table.Vector, lo, hi int, f *folder) {
 	xs, nulls, buf := cv.Ints, cv.Nulls, f.buf
 	mn, mx, seen := int64(0), int64(0), false
@@ -122,7 +122,7 @@ func (a *colAcc) foldInts(cv *table.Vector, lo, hi int, f *folder) {
 
 // foldFloats is the kernel for float columns; min/max run in lane order.
 //
-//hot:per-lane float kernel of the statistics fold, gated by TestCollectAllocCeiling
+// TestCollectAllocCeiling holds its allocations per folded lane.
 func (a *colAcc) foldFloats(cv *table.Vector, lo, hi int, f *folder) {
 	xs, nulls, buf := cv.Floats, cv.Nulls, f.buf
 	// Typed bounds while both are floats (or unset), else Compare.
@@ -188,7 +188,7 @@ func (a *colAcc) foldCodes(cv *table.Vector, lo, hi, n int, f *folder) {
 // after room non-NULL lanes, and returns where it stopped and how many
 // NULL lanes it passed.
 //
-//hot:per-lane code count of the statistics fold, gated by TestCollectAllocCeiling
+// TestCollectAllocCeiling holds its allocations per folded lane.
 func (f *folder) countWindow(codes []int64, nulls []uint64, lo, hi int, room int64) (i int, nullLanes int64) {
 	win, touched := f.win, f.codes
 	for i = lo; i < hi && room > 0; i++ {

@@ -240,7 +240,7 @@ func (e *entry) setNDV(cols []string) float64 {
 // foldSet adds lanes [lo, hi) of a column set to kmv, each lane's key
 // the columns' Value.Key bytes, each followed by a NUL, built in buf.
 //
-//hot:per-lane composite key of NDVSet, gated by TestCollectAllocCeiling
+// TestCollectAllocCeiling holds its allocations per folded lane.
 func foldSet(kmv *sketch.KMV, cvs []*table.Vector, lo, hi int, buf []byte) []byte {
 	for lane := lo; lane < hi; lane++ {
 		buf = buf[:0]

@@ -438,7 +438,8 @@ func (v *Vector) laneBytes(i int) int {
 
 // BytesAll sums ByteSize over every lane of v (dense window accounting).
 //
-//hot:per-batch byte accounting of every scanned column
+// internal/exec's TestHotPathAllocCeilings holds its allocations per
+// run (every plan scans through it).
 func (v *Vector) BytesAll() float64 {
 	switch v.K {
 	case VKNull:
